@@ -1,9 +1,12 @@
-.PHONY: tier1 extended lint lint-fix-check bench-smoke
+.PHONY: tier1 extended lint lint-fix-check bench-smoke bench-identity
 
-# Tier-1 gate: must stay green on every PR.
+# Tier-1 gate: must stay green on every PR. The benchmark under bench/ is
+# a module of its own that root `./...` does not reach, so it is built and
+# tested here too: an API deletion that breaks it fails in tier-1.
 tier1:
 	go build ./...
 	go test ./...
+	cd bench && go build ./... && go test ./...
 
 # Determinism/pooling analyzer suite (cmd/daslint), both ways it deploys:
 # standalone over the whole module (the only mode that runs the
@@ -43,3 +46,22 @@ bench-smoke:
 	go run ./cmd/dasbench -quick -tenants -smoke -json BENCH_tenants_smoke.json
 	go run ./cmd/dasbench -quick -pipeline -smoke -json BENCH_pipeline_smoke.json
 	go test -race ./internal/control/... ./internal/cache/... ./internal/restripe/... ./internal/tenants/... ./internal/pipeline/...
+
+# Bench identity: the simulated-clock artifacts are functions of the code
+# alone, so the committed BENCH_*.json must regenerate byte for byte from
+# the dasbench invocations that produced them (~90 s in all; pipeline and
+# restripe include crash runs), and `dasbench -quick -faults` — retries,
+# timeouts and failover counts under a mid-run crash — must print its
+# golden text. A refactor that moves no byte passes; anything else says
+# which artifact moved.
+bench-identity:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	go build -o "$$tmp/dasbench" ./cmd/dasbench; \
+	for e in cache restripe p99 tenants pipeline; do \
+		"$$tmp/dasbench" -$$e -json "$$tmp/BENCH_$$e.json" >/dev/null; \
+		cmp "$$tmp/BENCH_$$e.json" BENCH_$$e.json; \
+		echo "bench-identity: BENCH_$$e.json identical"; \
+	done; \
+	"$$tmp/dasbench" -quick -faults >"$$tmp/faults_quick.txt"; \
+	cmp "$$tmp/faults_quick.txt" testdata/faults_quick.golden.txt; \
+	echo "bench-identity: -quick -faults output identical"

@@ -50,7 +50,7 @@ func main() {
 	restripeRounds := flag.Int("restripe-rounds", 3, "rounds per variant in the restripe experiment")
 	p99Exp := flag.Bool("p99", false, "run the unified p99 controller experiment (shorthand for -exp p99; with -json, writes the p99 report instead of micro-benchmarks)")
 	p99Rounds := flag.Int("p99-rounds", 8, "rounds per variant in the p99 controller experiment")
-	scaleExp := flag.Bool("scale", false, "run the engine-scaling sweep (24-5000 nodes, fast vs classic engine); writes BENCH_scale.json unless -json names another file")
+	scaleExp := flag.Bool("scale", false, "run the engine-scaling sweep (24-5000 nodes: wall-clock, events/s, allocations; points with a recorded golden are checked against it); writes BENCH_scale.json unless -json names another file")
 	tenantsExp := flag.Bool("tenants", false, "run the multi-tenant skewed-stream experiment (admission control, fairness, adaptive stack); with -json, writes the tenants report")
 	pipelineExp := flag.Bool("pipeline", false, "run the kernel-DAG pushdown experiment (per-pass vs pipelined under NAS and DAS); with -json, writes the pipeline report")
 	smoke := flag.Bool("smoke", false, "with -scale, -tenants, or -pipeline: reduced configuration for CI smoke runs")

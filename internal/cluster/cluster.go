@@ -44,11 +44,6 @@ type Config struct {
 	// FaultSeed seeds the fault layer's randomness (message-loss draws).
 	// Zero means 1; fault-free runs never draw from it.
 	FaultSeed int64
-	// Engine selects the engine construction. The zero value is the
-	// optimized default (fast dispatch, calendar queue); the classic flags
-	// exist for before/after benchmarking and produce byte-identical
-	// simulations.
-	Engine sim.EngineOpts
 }
 
 // Default returns the parameters used throughout the reproduction. The
@@ -143,7 +138,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngineWith(cfg.Engine)
+	eng := sim.NewEngine()
 	traffic := metrics.NewTraffic()
 	net := simnet.New(eng, cfg.Net, traffic)
 	recovery := metrics.NewRecovery()

@@ -80,8 +80,8 @@ func (c *Cluster) InstallFaultPlan(plan fault.Plan) error {
 	if len(plan.Events) > 0 {
 		// Arm the fault paths now, not at the first event: a run that
 		// starts before the first crash must already be using cancelable
-		// waits, or the crash would strand it on the fast path's blocking
-		// RPCs.
+		// waits, or the crash would strand it on the fault-free path's
+		// blocking RPCs.
 		c.Faults.MarkActive()
 	}
 	for _, ev := range plan.Sorted() {

@@ -2,13 +2,12 @@
 // runs a fixed, fully deterministic PFS request mix on clusters from
 // paper-size (24 nodes) to far beyond (5000), so the DES core's per-event
 // cost — not the modeled system — dominates, and reports simulation
-// outputs precise enough to assert byte-identity between engine
-// constructions (fast vs classic dispatch, calendar vs heap queue).
+// outputs precise enough to assert byte-identity against recorded goldens
+// (ScaleGolden).
 package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/grid"
@@ -28,8 +27,6 @@ type ScaleOptions struct {
 	OpsPerClient int
 	// Seed drives the deterministic request mix and strip contents.
 	Seed uint64
-	// Engine selects the engine construction under test.
-	Engine sim.EngineOpts
 }
 
 // Scale-workload geometry: one file striped round-robin over all servers,
@@ -59,9 +56,8 @@ type scaleRun struct {
 }
 
 // scaleClient is one compute node's workload as a task chain: its start
-// event stands in for the process client's spawn, each response
-// continuation for the process's per-RPC wake-up. Both constructions draw
-// the same operation stream and produce the same checksum.
+// event is where a client process would spawn, each response continuation
+// where the process would wake from its RPC.
 type scaleClient struct {
 	run  *scaleRun
 	id   int
@@ -118,8 +114,7 @@ func (c *scaleClient) writeDone(err error) {
 
 // ScaleStats is everything a scale run outputs. Every field except Nodes
 // and Ops is a simulation output: two runs of the same options must match
-// exactly, whatever engine construction they use, and SameSimulation
-// asserts exactly that.
+// exactly, and SameSimulation asserts exactly that.
 type ScaleStats struct {
 	Nodes  int
 	Ops    int64
@@ -148,6 +143,51 @@ func (s ScaleStats) SameSimulation(o ScaleStats) bool {
 		s.Checksum == o.Checksum &&
 		s.KernelSum == o.KernelSum &&
 		metrics.SnapshotsEqual(s.Traffic, o.Traffic)
+}
+
+// scaleGoldens are ScaleStats recorded from the classic engine
+// construction — process-per-event dispatch, binary-heap queue, a process
+// per client and per request handler — at the last commit that carried it
+// (acc2a8c), before it was deleted. They are the identity oracle that
+// construction used to be: the task-chain engine must reproduce every
+// field. The first three are the tuples the scale tests run; the last is
+// `dasbench -scale -smoke`.
+var scaleGoldens = map[ScaleOptions]ScaleStats{
+	{Nodes: 64, OpsPerClient: 32, Seed: 7}: {
+		Nodes: 64, Ops: 1024, Reads: 896, Writes: 128, Events: 10715, SimTime: 20097764,
+		Traffic:  scaleTraffic(262144, 1048576, 917504, 131072),
+		Checksum: 0x6a6f0427e7edc1b7, KernelSum: 32870.3125,
+	},
+	{Nodes: 24, OpsPerClient: 24, Seed: 3}: {
+		Nodes: 24, Ops: 288, Reads: 252, Writes: 36, Events: 3049, SimTime: 12158427,
+		Traffic:  scaleTraffic(73728, 294912, 258048, 36864),
+		Checksum: 0x24c817f244a92e3f, KernelSum: 33006.4375,
+	},
+	{Nodes: 640, OpsPerClient: 16, Seed: 11}: {
+		Nodes: 640, Ops: 5120, Reads: 4480, Writes: 640, Events: 53938, SimTime: 16329765,
+		Traffic:  scaleTraffic(1310720, 5242880, 4587520, 655360),
+		Checksum: 0x10c0cf2715117d98, KernelSum: 31876.8125,
+	},
+	{Nodes: 640, OpsPerClient: 32, Seed: 11}: {
+		Nodes: 640, Ops: 10240, Reads: 8960, Writes: 1280, Events: 107114, SimTime: 23937342,
+		Traffic:  scaleTraffic(2621440, 10485760, 9175040, 1310720),
+		Checksum: 0x58f33318f919c57, KernelSum: 32441.25,
+	},
+}
+
+// scaleTraffic builds a golden's traffic snapshot; the scale workload
+// moves no server-to-server bytes.
+func scaleTraffic(c2s, s2c, diskRead, diskWrite int64) map[metrics.TrafficClass]int64 {
+	return map[metrics.TrafficClass]int64{
+		metrics.ClientToServer: c2s, metrics.ServerToClient: s2c, metrics.ServerToServer: 0,
+		metrics.DiskRead: diskRead, metrics.DiskWrite: diskWrite,
+	}
+}
+
+// ScaleGolden returns the recorded outputs for opts, if a golden exists.
+func ScaleGolden(opts ScaleOptions) (ScaleStats, bool) {
+	st, ok := scaleGoldens[opts]
+	return st, ok
 }
 
 // lcg is the benchmark's deterministic random stream (64-bit LCG,
@@ -196,9 +236,8 @@ func RunScale(opts ScaleOptions) (ScaleStats, error) {
 
 // ScaleRunner is a scale benchmark with its cluster built, data preloaded,
 // and clients scheduled, ready for its single Run. The two-phase API lets
-// the dasbench harness time the engine's dispatch work alone — events only
-// dispatch inside Run — rather than folding identical construction and
-// preload costs into both sides of an engine comparison.
+// a harness time the engine's dispatch work alone — events only dispatch
+// inside Run — apart from construction and preload.
 type ScaleRunner struct {
 	opts ScaleOptions
 	clu  *cluster.Cluster
@@ -223,7 +262,6 @@ func PrepareScale(opts ScaleOptions) (*ScaleRunner, error) {
 	cfg := cluster.Default()
 	cfg.ComputeNodes = opts.Nodes / 2
 	cfg.StorageNodes = opts.Nodes / 2
-	cfg.Engine = opts.Engine
 	clu, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
@@ -247,53 +285,19 @@ func PrepareScale(opts ScaleOptions) (*ScaleRunner, error) {
 
 	clients := cfg.ComputeNodes
 	run := &scaleRun{fs: fs, lay: lay, strips: strips, ops: ops, sums: make([]uint64, clients)}
-	if fs.AsyncOK() {
-		// Fast dispatch: each client is a task chain — its start event and
-		// every per-op resume dispatch inline, touching no goroutine.
-		for c := 0; c < clients; c++ {
-			cl := &scaleClient{
-				run:  run,
-				id:   c,
-				node: clu.ComputeID(c),
-				rng:  clientRng(opts.Seed, c),
-				sum:  fnvOffset,
-				wbuf: make([]byte, scaleStripSize),
-			}
-			cl.onRead, cl.onWrite = cl.readDone, cl.writeDone
-			clu.Eng.ScheduleTask(0, cl)
+	// Each client is a task chain — its start event and every per-op resume
+	// dispatch inline, touching no goroutine.
+	for c := 0; c < clients; c++ {
+		cl := &scaleClient{
+			run:  run,
+			id:   c,
+			node: clu.ComputeID(c),
+			rng:  clientRng(opts.Seed, c),
+			sum:  fnvOffset,
+			wbuf: make([]byte, scaleStripSize),
 		}
-	} else {
-		// Classic dispatch: the same workload as a process per client, one
-		// park per RPC. Byte-identical outputs either way (scale_test.go).
-		for c := 0; c < clients; c++ {
-			c := c
-			nodeID := clu.ComputeID(c)
-			clu.Eng.Spawn("scale-client-"+strconv.Itoa(c), func(p *sim.Proc) {
-				rng := clientRng(opts.Seed, c)
-				sum := uint64(fnvOffset)
-				wbuf := make([]byte, scaleStripSize)
-				for i := 0; i < ops; i++ {
-					strip := int64(rng.next() % uint64(run.strips))
-					target := lay.Primary(strip)
-					if i%8 == 7 {
-						fillStrip(wbuf, rng.next(), strip)
-						if err := fs.WriteStripTo(p, nodeID, target, scaleFile, strip, wbuf, true); err != nil {
-							panic(err)
-						}
-						run.writes++
-						continue
-					}
-					data, err := fs.ReadStripFrom(p, nodeID, target, scaleFile, strip, 0, 0)
-					if err != nil {
-						panic(err)
-					}
-					sum = fnvMix(sum, stripSum(data))
-					pfs.ReleaseBuffer(data)
-					run.reads++
-				}
-				run.sums[c] = sum
-			})
-		}
+		cl.onRead, cl.onWrite = cl.readDone, cl.writeDone
+		clu.Eng.ScheduleTask(0, cl)
 	}
 	return &ScaleRunner{opts: opts, clu: clu, run: run}, nil
 }

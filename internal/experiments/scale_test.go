@@ -1,17 +1,12 @@
 package experiments
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/hpcio/das/internal/sim"
-)
-
-// The scale workload is the identity probe for the engine's fast paths:
-// every construction — fast dispatch or classic, calendar queue or heap —
-// must produce byte-identical simulation outputs (event count, virtual
-// time, traffic bytes, data checksums, kernel results). These tests
-// assert that at a small cluster for speed and at the paper-scale 640
-// nodes the PR's acceptance criteria name.
+// The scale workload is the identity probe for the engine: its outputs
+// (event count, virtual time, traffic bytes, data checksums, kernel
+// results) must equal the goldens recorded from the classic engine
+// construction before it was deleted (scaleGoldens) — at small clusters
+// for speed and at the paper-scale 640 nodes.
 
 func mustScale(t *testing.T, opts ScaleOptions) ScaleStats {
 	t.Helper()
@@ -22,37 +17,30 @@ func mustScale(t *testing.T, opts ScaleOptions) ScaleStats {
 	return st
 }
 
-// engineModes enumerates every engine construction; all must simulate
-// identically.
-var engineModes = []struct {
-	name string
-	opts sim.EngineOpts
-}{
-	{"fast", sim.EngineOpts{}},
-	{"classic-dispatch", sim.EngineOpts{ClassicDispatch: true}},
-	{"classic-queue", sim.EngineOpts{ClassicQueue: true}},
-	{"classic-both", sim.EngineOpts{ClassicDispatch: true, ClassicQueue: true}},
+// mustMatchGolden runs opts and compares against its recorded golden.
+func mustMatchGolden(t *testing.T, opts ScaleOptions) ScaleStats {
+	t.Helper()
+	want, ok := ScaleGolden(opts)
+	if !ok {
+		t.Fatalf("no golden recorded for %+v", opts)
+	}
+	st := mustScale(t, opts)
+	if !st.SameSimulation(want) || st.Ops != want.Ops {
+		t.Fatalf("%+v diverged from the classic-engine golden:\n got    %+v\n golden %+v", opts, st, want)
+	}
+	return st
 }
 
-func TestScaleIdenticalAcrossEngineModes(t *testing.T) {
-	base := ScaleOptions{Nodes: 64, OpsPerClient: 32, Seed: 7}
-	ref := mustScale(t, ScaleOptions{Nodes: base.Nodes, OpsPerClient: base.OpsPerClient,
-		Seed: base.Seed, Engine: engineModes[0].opts})
-	if ref.Reads == 0 || ref.Writes == 0 {
-		t.Fatalf("degenerate workload: %d reads, %d writes", ref.Reads, ref.Writes)
-	}
-	for _, m := range engineModes[1:] {
-		st := mustScale(t, ScaleOptions{Nodes: base.Nodes, OpsPerClient: base.OpsPerClient,
-			Seed: base.Seed, Engine: m.opts})
-		if !st.SameSimulation(ref) {
-			t.Errorf("%s diverged from fast:\n fast    %+v\n %s %+v", m.name, ref, m.name, st)
-		}
+func TestScaleMatchesClassicGolden(t *testing.T) {
+	st := mustMatchGolden(t, ScaleOptions{Nodes: 64, OpsPerClient: 32, Seed: 7})
+	if st.Reads == 0 || st.Writes == 0 {
+		t.Fatalf("degenerate workload: %d reads, %d writes", st.Reads, st.Writes)
 	}
 }
 
 func TestScaleRunToRunDeterminism(t *testing.T) {
 	opts := ScaleOptions{Nodes: 24, OpsPerClient: 24, Seed: 3}
-	a := mustScale(t, opts)
+	a := mustMatchGolden(t, opts)
 	b := mustScale(t, opts)
 	if !a.SameSimulation(b) {
 		t.Fatalf("two identical runs diverged:\n a %+v\n b %+v", a, b)
@@ -76,27 +64,16 @@ func TestScaleRejectsOddNodeCounts(t *testing.T) {
 	}
 }
 
-// TestScale640Determinism is the PR's named acceptance test: at 640 nodes,
-// two runs of the fast engine are byte-identical, and the calendar queue
-// matches the classic heap event for event.
+// TestScale640Determinism is the acceptance point: at 640 nodes, two runs
+// are byte-identical to each other and to the classic-engine golden.
 func TestScale640Determinism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("640-node run skipped with -short")
 	}
 	opts := ScaleOptions{Nodes: 640, OpsPerClient: 16, Seed: 11}
-	a := mustScale(t, opts)
+	a := mustMatchGolden(t, opts)
 	b := mustScale(t, opts)
 	if !a.SameSimulation(b) {
 		t.Fatalf("two 640-node runs diverged:\n a %+v\n b %+v", a, b)
-	}
-	classic := mustScale(t, ScaleOptions{Nodes: opts.Nodes, OpsPerClient: opts.OpsPerClient,
-		Seed: opts.Seed, Engine: sim.EngineOpts{ClassicDispatch: true, ClassicQueue: true}})
-	if !classic.SameSimulation(a) {
-		t.Fatalf("640-node classic engine diverged from fast:\n fast    %+v\n classic %+v", a, classic)
-	}
-	heapOnly := mustScale(t, ScaleOptions{Nodes: opts.Nodes, OpsPerClient: opts.OpsPerClient,
-		Seed: opts.Seed, Engine: sim.EngineOpts{ClassicQueue: true}})
-	if !heapOnly.SameSimulation(a) {
-		t.Fatalf("640-node heap queue diverged from calendar:\n calendar %+v\n heap     %+v", a, heapOnly)
 	}
 }

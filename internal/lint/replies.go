@@ -8,8 +8,8 @@ import (
 
 // The replies analyzer checks the request/reply obligation of the simnet
 // protocol: a handler that receives a CallTask/Expect request must answer
-// it exactly once on every path, or the caller parks forever (classic
-// path) or leaks its responder (fast path). The check is interprocedural
+// it exactly once on every path, or the caller parks forever (Call) or
+// leaks its responder (CallTask). The check is interprocedural
 // in three ways a per-function scan cannot be:
 //
 //   - delegation: a handler may answer by handing the message to another
@@ -17,10 +17,10 @@ import (
 //     the callee's reply summary decides whether that call discharges.
 //   - closures: handlers bind respond/fail closures over the message and
 //     reply through them, often transitively (fail calls respond).
-//   - parametric helpers: pfs's serveRead never sees the message at all —
-//     it receives respond and fail functions and calls exactly one of them
-//     on every path. Such helpers discharge when all their func-valued
-//     arguments can reply.
+//   - parametric helpers: a handler body factored out of its handler never
+//     sees the message at all — it receives respond and fail functions and
+//     calls exactly one of them on every path. Such helpers discharge when
+//     all their func-valued arguments can reply.
 //
 // Only inconsistent functions are reported: one that replies on some
 // paths and not others. A function that never replies is not a reply
@@ -149,8 +149,8 @@ func messageParam(fi *funcInfo) types.Object {
 }
 
 // parametricHelpers summarizes module functions that invoke exactly one
-// of their func-typed parameters on every path (pfs serveRead/serveWrite):
-// the respond/fail plumbing of a handler, factored out.
+// of their func-typed parameters on every path: the respond/fail plumbing
+// of a handler, factored out.
 func parametricHelpers(idx map[string]*funcInfo) map[string]bool {
 	out := make(map[string]bool)
 	for key, fi := range idx {

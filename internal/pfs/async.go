@@ -6,23 +6,18 @@ import (
 	"github.com/hpcio/das/internal/simnet"
 )
 
-// Task-based client calls: the caller-side counterpart of the fast
-// request handler. A process client pays a goroutine park per RPC even
-// under fast dispatch — the one event a fused Call leaves as a process
-// wake-up. ReadStripFromTask and WriteStripToTask move that last event to
-// a task too: the continuation runs inline when the response lands, in
-// exactly the (at, seq) the process caller's wake-up would occupy, so a
-// task-based client simulates byte-identically to a process client while
-// touching no goroutine at all.
+// Task-based client calls: the caller-side counterpart of the request
+// chain. A process client pays a goroutine park per RPC — the one event a
+// fused Call leaves as a process wake-up. ReadStripFromTask and
+// WriteStripToTask move that last event to a task too: the continuation
+// runs inline when the response lands, in exactly the (at, seq) the
+// process caller's wake-up would occupy, so a task-based client simulates
+// byte-identically to a process client while touching no goroutine at
+// all.
 //
-// These are fast-path-only, fault-free primitives: no retry, no failover,
-// no timeout. Callers check AsyncOK first and fall back to the process
-// APIs when it reports false (classic dispatch, or faults have activated).
-
-// AsyncOK reports whether task-based client calls are available.
-func (fs *FileSystem) AsyncOK() bool {
-	return fs.clu.Net.FastOK() && !fs.clu.Faults.Active()
-}
+// These are fault-free primitives: no retry, no failover, no timeout, and
+// a request or response lost to an injected fault means the continuation
+// never runs. Workloads that install a fault plan use the process APIs.
 
 // readCall is one in-flight ReadStripFromTask; pooled on the filesystem.
 type readCall struct {
@@ -132,7 +127,14 @@ func (fs *FileSystem) readReqGet() *readReq {
 	return new(readReq)
 }
 
+// readReqPut re-pools a request the server has consumed — until faults
+// activate. From then on a client retry may resend the very pointer the
+// server already consumed, so it must stay intact; Active is monotonic,
+// and a pointer sent before activation is never resent.
 func (fs *FileSystem) readReqPut(r *readReq) {
+	if fs.clu.Faults.Active() {
+		return
+	}
 	*r = readReq{}
 	fs.readReqFree = append(fs.readReqFree, r)
 }
@@ -147,7 +149,11 @@ func (fs *FileSystem) writeReqGet() *writeReq {
 	return new(writeReq)
 }
 
+// writeReqPut follows readReqPut's rule.
 func (fs *FileSystem) writeReqPut(r *writeReq) {
+	if fs.clu.Faults.Active() {
+		return
+	}
 	*r = writeReq{}
 	fs.writeReqFree = append(fs.writeReqFree, r)
 }

@@ -283,3 +283,59 @@ func TestFaultPlanTimingIsDeterministic(t *testing.T) {
 		t.Errorf("nondeterministic faulted run: (%v,%d,%q) vs (%v,%d,%q)", t1, d1, e1, t2, d2, e2)
 	}
 }
+
+// TestFaultActivationMidFlight activates the fault layer while read RPCs
+// are in flight — nothing else: no crash, no loss, no degradation — so
+// the run must simulate exactly as when the layer is active from t = 0.
+// The expected event count and clock were recorded from the
+// process-per-step construction this package and simnet used to carry
+// (commit acc2a8c, classic dispatch), which gave 1289 events for every
+// activation time; that commit's default engine gave 1290–1291, because a
+// response launched from a request chain after activation fell back to a
+// spawned process neither pure construction has.
+func TestFaultActivationMidFlight(t *testing.T) {
+	const (
+		strips, stripSize = 64, 4096
+		wantEvents        = 1289
+		wantClock         = 29571669 * sim.Nanosecond
+	)
+	activations := []sim.Time{
+		0, 100 * sim.Microsecond, 300 * sim.Microsecond, sim.Millisecond, 1500 * sim.Microsecond,
+		3 * sim.Millisecond, 3100 * sim.Microsecond, 3217 * sim.Microsecond, 20 * sim.Millisecond,
+	}
+	for _, at := range activations {
+		clu, fs := testFS(t)
+		lay := layout.NewRoundRobin(4)
+		if _, err := fs.Create("f", strips*stripSize, lay, CreateOptions{StripSize: stripSize}); err != nil {
+			t.Fatal(err)
+		}
+		data := pattern(stripSize)
+		for s := int64(0); s < strips; s++ {
+			fs.Server(lay.Primary(s)).Preload("f", s, data)
+		}
+		for c := 0; c < 2; c++ {
+			node := clu.ComputeID(c)
+			clu.Eng.Spawn("reader", func(p *sim.Proc) {
+				for s := int64(0); s < strips; s++ {
+					got, err := fs.ReadStripFrom(p, node, lay.Primary(s), "f", s, 0, 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(got, data) {
+						t.Errorf("activation at %v: strip %d corrupted", at, s)
+					}
+					ReleaseBuffer(got)
+				}
+			})
+		}
+		clu.Eng.AfterFunc(at, clu.Faults.MarkActive)
+		if err := clu.Eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if ev, now := clu.Eng.Events(), clu.Eng.Now(); ev != wantEvents || now != wantClock {
+			t.Errorf("activation at %v: %d events, clock %v; want %d, %v", at, ev, now, wantEvents, wantClock)
+		}
+		clu.Eng.Shutdown()
+	}
+}

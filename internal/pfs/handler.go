@@ -1,28 +1,25 @@
 package pfs
 
 import (
-	"errors"
-
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
 )
 
-// This file is the fast-path construction of a PFS request handler: a
-// pooled task chain standing in for the per-request child process the
-// classic server spawns. The chain pins each step to the exact (at, seq)
-// the classic construction would schedule — spawn, disk grant, disk
-// completion, response transfer — so both servers simulate identically
-// (DESIGN.md §11 traces one read RPC hop by hop).
-//
-// Only request types whose classic handler is straight-line — validate,
-// one disk pass, respond — run as chains: reads always, writes when they
-// forward no foreign replicas. Replica-forwarding writes, migrations, and
-// unknown requests keep the classic child process, as does everything once
-// faults activate; the dispatcher decides per message.
+// This file is the PFS request handler: the port dispatcher and the
+// pooled task chain that serves every straight-line request — validate,
+// one disk pass, respond — without a process: reads always, writes when
+// they forward no foreign replicas, fault plan or not (the faults act in
+// the disk model and in the response's transfer chain). The chain
+// schedules one event per step a handler process blocking through the same
+// work would wake for — start, disk grant, disk completion, then the
+// response transfer — which keeps it FIFO-compatible with the requests
+// that do get a process (Server.handle): replica-forwarding writes,
+// migrations, unknown requests. DESIGN.md §11 traces one read RPC hop by
+// hop.
 
 // reqTask chain states, named for what RunTask does when dispatched.
 const (
-	rsStart       = iota // spawn stand-in: validate and contend for the disk
+	rsStart       = iota // handler start: validate and contend for the disk
 	rsDiskGranted        // drive held: schedule the service time
 	rsDiskDone           // service over: release drive, account, respond
 )
@@ -58,11 +55,10 @@ func (x *reqTask) RunTask() {
 	}
 }
 
-// begin validates the request and prepares the response, exactly as the
-// classic handler does before its first disk sleep, then contends for the
-// drive. Requests that touch no disk bytes (validation errors, empty
-// ranges) respond directly from this event — matching the classic handler,
-// whose zero-size disk calls schedule nothing.
+// begin validates the request and prepares the response, then contends
+// for the drive. Requests that touch no disk bytes (validation errors,
+// empty ranges) respond directly from this event: a zero-size disk pass
+// schedules nothing.
 func (x *reqTask) begin() {
 	s := x.s
 	switch req := x.msg.Payload.(type) {
@@ -115,7 +111,7 @@ func (x *reqTask) begin() {
 		x.payload, x.respSize = ackResp{}, headerBytes
 	default:
 		// The dispatcher only routes the four types above here.
-		panic("pfs: ineligible request on the fast handler")
+		panic("pfs: ineligible request on the request chain")
 	}
 	if x.diskSize <= 0 {
 		x.respond()
@@ -134,29 +130,23 @@ func (x *reqTask) begin() {
 }
 
 func (x *reqTask) fail(err error) {
-	code := codeInternal
-	if errors.Is(err, errNotHeld) {
-		code = codeNotFound
-	}
-	x.payload, x.respSize = errResp{Err: err.Error(), Code: code}, headerBytes
+	x.payload, x.respSize = failResp(err), headerBytes
 	x.respond()
 }
 
-// respond launches the response transfer and pools the chain. RespondTask
-// ends in the same event the classic handler's post-Respond return would.
+// respond launches the response transfer and pools the chain.
 func (x *reqTask) respond() {
 	s, msg, payload, size := x.s, x.msg, x.payload, x.respSize
 	s.taskPut(x)
 	s.fs.clu.Net.RespondTask(msg, payload, size, s.fs.clu.ClassBetween(s.nodeID, msg.From))
 }
 
-// dispatch is the port's inline message handler: the fast-path stand-in
-// for the classic service loop's body. Per message it either schedules a
-// reqTask chain or spawns the classic handler child — both at the (at, seq)
-// the classic loop's Spawn would allocate.
+// dispatch is the port's inline message handler, the service loop's body:
+// per message it either schedules a reqTask chain or spawns a handler
+// process, whose start event takes the same (at, seq) either way.
 func (s *Server) dispatch(msg simnet.Message) {
 	s.reqs++
-	if s.fs.clu.Net.FastOK() && s.fastEligible(msg.Payload) {
+	if s.straightLine(msg.Payload) {
 		x := s.taskGet()
 		x.msg = msg
 		x.state = rsStart
@@ -168,10 +158,10 @@ func (s *Server) dispatch(msg simnet.Message) {
 	})
 }
 
-// fastEligible reports whether a request's classic handler is
-// straight-line (validate → one disk pass → respond) and can therefore run
-// as a task chain.
-func (s *Server) fastEligible(payload any) bool {
+// straightLine reports whether serving a request is validate → one disk
+// pass → respond, with nothing to block on in between, so it can run as a
+// task chain.
+func (s *Server) straightLine(payload any) bool {
 	switch req := payload.(type) {
 	case *readReq, readManyReq:
 		return true

@@ -95,12 +95,14 @@ type FileSystem struct {
 	// queue length as seen by arrivals.
 	queueObs func(srv, depth int)
 
-	// readReqFree and readRespFree recycle the read protocol payloads.
-	// Boxing a readReq or readResp value into a message's Payload field
-	// allocates on every RPC — the dominant allocation at scale — so the
-	// wire types travel as pooled pointers instead. The producer fills
-	// one, the consumer copies the fields out and re-pools it; payloads
-	// dropped on fault paths fall to the GC, which only costs a pool miss.
+	// readReqFree, writeReqFree and readRespFree recycle the single-strip
+	// protocol payloads. Boxing a readReq or readResp value into a
+	// message's Payload field allocates on every RPC — the dominant
+	// allocation at scale — so the wire types travel as pooled pointers
+	// instead. The producer fills one, the consumer copies the fields out
+	// and re-pools it. Requests stop being re-pooled once faults activate
+	// (see readReqPut); payloads dropped on fault paths fall to the GC,
+	// which only costs a pool miss.
 	readReqFree  []*readReq
 	writeReqFree []*writeReq
 	readRespFree []*readResp
@@ -126,8 +128,8 @@ func (fs *FileSystem) SetInvalidator(inv StripInvalidator) { fs.invalidator = in
 // interface, like StripInvalidator, so pfs does not depend on the control
 // package.
 //
-// The task-based fast-path calls (async.go) are not sampled: they are
-// used only by the scale experiment, which runs without the controller.
+// The task-based calls (async.go) are not sampled: they are used only by
+// the scale experiment, which runs without the controller.
 type LatencyObserver interface {
 	ObserveRPCLatency(srv int, migration bool, lat sim.Time)
 }
@@ -138,8 +140,8 @@ func (fs *FileSystem) SetLatencyObserver(o LatencyObserver) { fs.latObs = o }
 // QueueDepth returns the number of client RPCs currently outstanding
 // against server srv — the deterministic saturation signal admission
 // control consults before committing a tenant's operation to a server.
-// The task-based fast-path calls (async.go) are not counted, matching
-// the latency observer's scope.
+// The task-based calls (async.go) are not counted, matching the latency
+// observer's scope.
 func (fs *FileSystem) QueueDepth(srv int) int {
 	if srv < 0 || srv >= len(fs.inflight) {
 		return 0
@@ -374,24 +376,13 @@ func (fs *FileSystem) ReadStripFrom(p *sim.Proc, fromID, srv int, file string, s
 
 // readStripOnce is one read attempt against one server, no failover.
 func (fs *FileSystem) readStripOnce(p *sim.Proc, fromID, srv int, file string, strip, lo, hi int64) ([]byte, error) {
-	// Pooled request pointers are single-consumption: under faults,
-	// fs.call may resend the same message after the server has already
-	// consumed and re-pooled the payload, so fault-time calls box a value
-	// instead. Fault activation cannot change between here and the call
-	// entry — no event dispatches on this straight-line path.
-	var payload any
-	if fs.clu.Faults.Active() {
-		payload = readReq{File: file, Strip: strip, Lo: lo, Hi: hi}
-	} else {
-		req := fs.readReqGet()
-		*req = readReq{File: file, Strip: strip, Lo: lo, Hi: hi}
-		payload = req
-	}
+	req := fs.readReqGet()
+	*req = readReq{File: file, Strip: strip, Lo: lo, Hi: hi}
 	var start sim.Time
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.call(p, fromID, srv, payload, headerBytes)
+	resp, err := fs.call(p, fromID, srv, req, headerBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -465,21 +456,13 @@ func (fs *FileSystem) WriteStripTo(p *sim.Proc, fromID, srv int, file string, st
 // explicit: restripe copy pushes (server.migrate) flow through here with
 // migration set so the controller can exclude them from tuning.
 func (fs *FileSystem) writeStrip(p *sim.Proc, fromID, srv int, file string, strip int64, data []byte, forward, migration bool) error {
-	// Same single-consumption rule as the read path: pooled pointer when
-	// fault-free, boxed value when a retry could resend it.
-	var payload any
-	if fs.clu.Faults.Active() {
-		payload = writeReq{File: file, Strip: strip, Data: data, Forward: forward}
-	} else {
-		req := fs.writeReqGet()
-		*req = writeReq{File: file, Strip: strip, Data: data, Forward: forward}
-		payload = req
-	}
+	req := fs.writeReqGet()
+	*req = writeReq{File: file, Strip: strip, Data: data, Forward: forward}
 	var start sim.Time
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.callWrite(p, fromID, srv, payload,
+	resp, err := fs.callWrite(p, fromID, srv, req,
 		headerBytes+int64(len(data)))
 	if err != nil {
 		return err

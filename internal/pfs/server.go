@@ -59,11 +59,13 @@ type Span struct {
 	Lo, Hi int64
 }
 
-// Server is one PFS data server: a process on a storage node that owns a
-// disk and an in-memory strip store and serves the pfs port. Each request
-// is handled on its own child process (a thread-pool model), so a slow
-// disk or a busy NIC queues requests on the physical resource rather than
-// on the service loop — the contention the paper's NAS analysis is about.
+// Server is one PFS data server: it owns a storage node's disk and an
+// in-memory strip store and serves the pfs port. Each request is handled
+// concurrently with every other (a thread-pool model) — as a task chain
+// when its handler is straight-line, on its own child process when it
+// needs a stack (handler.go) — so a slow disk or a busy NIC queues
+// requests on the physical resource rather than on the service loop: the
+// contention the paper's NAS analysis is about.
 type Server struct {
 	fs     *FileSystem
 	srv    int // dense server index
@@ -81,7 +83,7 @@ type Server struct {
 
 	// hname is the handler diagnostic name, formatted on first use.
 	hname string
-	// taskFree recycles fast-path request chains (fasthandler.go).
+	// taskFree recycles request chains (handler.go).
 	taskFree []*reqTask
 }
 
@@ -115,99 +117,49 @@ func (s *Server) handlerName() string {
 	return s.hname
 }
 
+// start installs the port's inline dispatcher (handler.go). Its initial
+// drain task is the service loop's start event; each delivered message
+// reaches dispatch at the event a daemon parked in Get would wake at.
 func (s *Server) start() {
-	port := s.fs.clu.Net.Node(s.nodeID).Port(Port)
-	if s.fs.clu.Eng.FastDispatch() {
-		// Fast dispatch: the port drives the dispatcher inline instead of a
-		// daemon process looping over Get. SetDispatcher's initial task
-		// stands in for the daemon's start event, and each delivered
-		// message reaches dispatch at the event the daemon's wake would be.
-		port.SetDispatcher(s.dispatch)
-		return
-	}
-	s.fs.clu.Eng.SpawnDaemon(fmt.Sprintf("pfs-server-%d", s.srv), func(p *sim.Proc) {
-		for {
-			msg := port.Get(p)
-			s.reqs++
-			p.Spawn(s.handlerName(), func(h *sim.Proc) {
-				s.handle(h, msg)
-			})
-		}
-	})
+	s.fs.clu.Net.Node(s.nodeID).Port(Port).SetDispatcher(s.dispatch)
 }
 
-// serveRead and serveWrite are the classic handler bodies for the two
-// single-strip requests, shared between the value and pooled-pointer
-// payload forms (the pointer form arrives from fault-free clients).
-func (s *Server) serveRead(p *sim.Proc, respond func(any, int64), fail func(error), file string, strip, lo, hi int64) {
-	data, err := s.LocalRead(p, file, strip, lo, hi)
-	if err != nil {
-		fail(err)
-		return
+// failResp is the wire form of a handler error.
+func failResp(err error) errResp {
+	code := codeInternal
+	if errors.Is(err, errNotHeld) {
+		code = codeNotFound
 	}
-	r := s.fs.readRespGet()
-	r.Data = data
-	respond(r, headerBytes+int64(len(data)))
+	return errResp{Err: err.Error(), Code: code}
 }
 
-func (s *Server) serveWrite(p *sim.Proc, respond func(any, int64), fail func(error), file string, strip int64, data []byte, forward bool) {
-	if err := s.LocalWrite(p, file, strip, data, forward); err != nil {
-		fail(err)
-		return
-	}
-	respond(ackResp{}, headerBytes)
-}
-
+// handle serves, on its own process, the requests that need a stack:
+// writes that forward replica copies (each forward is a blocking RPC),
+// migrations, and anything unrecognized. Everything else runs as a
+// reqTask chain; dispatch decides per message.
 func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
-	respond := func(payload any, size int64) {
-		s.fs.clu.Net.Respond(p, msg, payload, size, s.fs.clu.ClassBetween(s.nodeID, msg.From))
+	respond := func(payload any) {
+		s.fs.clu.Net.Respond(p, msg, payload, headerBytes, s.fs.clu.ClassBetween(s.nodeID, msg.From))
 	}
-	fail := func(err error) {
-		code := codeInternal
-		if errors.Is(err, errNotHeld) {
-			code = codeNotFound
-		}
-		respond(errResp{Err: err.Error(), Code: code}, headerBytes)
-	}
+	var err error
 	switch req := msg.Payload.(type) {
-	case readReq:
-		s.serveRead(p, respond, fail, req.File, req.Strip, req.Lo, req.Hi)
-	case *readReq:
-		file, strip, lo, hi := req.File, req.Strip, req.Lo, req.Hi
-		s.fs.readReqPut(req)
-		s.serveRead(p, respond, fail, file, strip, lo, hi)
-	case readManyReq:
-		data, err := s.LocalReadMany(p, req.File, req.Spans)
-		if err != nil {
-			fail(err)
-			return
-		}
-		var total int64
-		for _, d := range data {
-			total += int64(len(d))
-		}
-		respond(readManyResp{Data: data}, headerBytes+total)
-	case writeManyReq:
-		if err := s.LocalWriteMany(p, req.File, req.Strips, req.Data, req.Forward); err != nil {
-			fail(err)
-			return
-		}
-		respond(ackResp{}, headerBytes)
-	case writeReq:
-		s.serveWrite(p, respond, fail, req.File, req.Strip, req.Data, req.Forward)
 	case *writeReq:
 		file, strip, data, forward := req.File, req.Strip, req.Data, req.Forward
 		s.fs.writeReqPut(req)
-		s.serveWrite(p, respond, fail, file, strip, data, forward)
+		err = s.LocalWrite(p, file, strip, data, forward)
+	case writeManyReq:
+		err = s.LocalWriteMany(p, req.File, req.Strips, req.Data, req.Forward)
 	case migrateReq:
-		if err := s.migrate(p, req); err != nil {
-			fail(err)
-			return
-		}
-		respond(ackResp{}, headerBytes)
+		err = s.migrate(p, req)
 	default:
-		respond(errResp{Err: fmt.Sprintf("unknown request %T", msg.Payload), Code: codeBadRequest}, headerBytes)
+		respond(errResp{Err: fmt.Sprintf("unknown request %T", msg.Payload), Code: codeBadRequest})
+		return
 	}
+	if err != nil {
+		respond(failResp(err))
+		return
+	}
+	respond(ackResp{})
 }
 
 // stripsOf returns the strip map for file, through the one-entry cache.
@@ -401,7 +353,7 @@ func (s *Server) Drop(file string, strip int64) {
 }
 
 // validateWrite checks a single-strip write against the file's metadata.
-// Shared by the classic handler and the fast request chain so both reject
+// Shared by the process handler and the request chain so both reject
 // exactly the same requests with the same messages.
 func (s *Server) validateWrite(file string, strip int64, data []byte) error {
 	m, ok := s.fs.meta[file]

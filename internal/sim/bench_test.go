@@ -34,30 +34,6 @@ func BenchmarkResourceHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkEventHeap measures the raw queue: push then pop 1e6 events with
-// pseudo-random timestamps per iteration, the access pattern behind every
-// process switch. The 4-ary layout and the preallocated backing array are
-// what this guards.
-func BenchmarkEventHeap(b *testing.B) {
-	const n = 1_000_000
-	b.ReportAllocs()
-	var h eventHeap
-	for i := 0; i < b.N; i++ {
-		h = newEventHeap()
-		rng := uint64(1)
-		for j := 0; j < n; j++ {
-			rng = rng*6364136223846793005 + 1442695040888963407 // LCG
-			h.push(event{at: Time(rng >> 32), seq: uint64(j)})
-		}
-		for j := 0; j < n; j++ {
-			h.pop()
-		}
-	}
-	if h.Len() != 0 {
-		b.Fatal("heap not drained")
-	}
-}
-
 func BenchmarkMailboxPingPong(b *testing.B) {
 	e := NewEngine()
 	ping := NewMailbox[int](e, "ping")

@@ -15,7 +15,7 @@ import (
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue eventQueue
+	queue *calendarQueue
 
 	// ring is the due-now FIFO, a fast lane in front of the calendar
 	// queue: an event scheduled with zero delay dispatches at the current
@@ -27,8 +27,6 @@ type Engine struct {
 	// for the majority of events on RPC hot paths: mailbox handoffs,
 	// resource grants, response deliveries. ringHead indexes the first
 	// undrained entry; the slice resets (retaining capacity) when drained.
-	// Classic-queue engines leave the ring unused so the heap construction
-	// reproduces the pre-optimization engine exactly.
 	ring     []event
 	ringHead int
 
@@ -51,8 +49,6 @@ type Engine struct {
 	spawned uint64 // total processes ever spawned (for naming and stats)
 	events  uint64 // total events dispatched (for stats)
 
-	opts EngineOpts
-
 	// procFree recycles finished processes: the Proc struct, its wake
 	// channel, and — because each pooled Proc's goroutine parks in procLoop
 	// instead of exiting — the goroutine itself. Spawning from the pool
@@ -61,50 +57,20 @@ type Engine struct {
 	procFree []*Proc
 }
 
-// EngineOpts selects between the optimized and the classic engine
-// construction. The zero value is the optimized default: inline task
-// dispatch plus the calendar event queue. Both configurations produce
-// byte-identical simulations (see task.go and DESIGN.md §11); the classic
-// flags exist for before/after benchmarking and cross-checking.
-type EngineOpts struct {
-	// ClassicDispatch makes FastDispatch report false, steering fast-path
-	// consumers (simnet, pfs) back to their process-per-step construction.
-	ClassicDispatch bool
-	// ClassicQueue selects the binary-heap event queue instead of the
-	// calendar queue. Both pop in identical (at, seq) order.
-	ClassicQueue bool
-}
-
 // shutdownSentinel unwinds a process's stack during Shutdown. It is
 // recovered by the spawn wrapper and never escapes the engine.
 type shutdownSentinel struct{}
 
-// NewEngine returns an engine with the clock at zero and no processes,
-// using the optimized defaults (fast dispatch, calendar queue).
-func NewEngine() *Engine { return NewEngineWith(EngineOpts{}) }
-
-// NewEngineWith returns an engine with an explicit dispatch/queue
-// configuration.
-func NewEngineWith(opts EngineOpts) *Engine {
-	e := &Engine{
-		yield: make(chan struct{}),
-		opts:  opts,
-	}
-	if opts.ClassicQueue {
-		h := newEventHeap()
-		e.queue = &h
-	} else {
-		e.queue = newCalendarQueue()
-	}
-	return e
+// NewEngine returns an engine with the clock at zero and no processes.
+func NewEngine() *Engine {
+	return &Engine{yield: make(chan struct{}), queue: newCalendarQueue()}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // Events returns the number of events dispatched so far. Two runs of the
-// same deterministic simulation dispatch identical event counts, whichever
-// dispatch mode and queue implementation they use.
+// same deterministic simulation dispatch identical event counts.
 func (e *Engine) Events() uint64 { return e.events }
 
 // Live returns the number of processes that have been spawned and have not
@@ -122,10 +88,9 @@ func (e *Engine) schedule(at Time, p *Proc) {
 }
 
 // pushEvent routes a new event to the due-now ring when it dispatches at
-// the current instant (and the ring is in use), to the priority queue
-// otherwise.
+// the current instant, to the calendar queue otherwise.
 func (e *Engine) pushEvent(ev event) {
-	if ev.at == e.now && !e.opts.ClassicQueue {
+	if ev.at == e.now {
 		e.ring = append(e.ring, ev)
 		return
 	}
@@ -324,12 +289,7 @@ func (e *Engine) Run() error {
 			e.fg--
 			e.now = ev.at
 			e.events++
-			who.parked = false
-			who.wake <- struct{}{}
-			<-e.yield
-			if e.panicVal != nil {
-				panic(e.panicVal)
-			}
+			e.ResumeNow(who)
 		case Tasker:
 			// A task event is accounted exactly like a process event but
 			// runs inline: no channel rendezvous, no goroutine switch.

@@ -2,6 +2,64 @@ package sim
 
 import "testing"
 
+// heapArity is the heap's fan-out.
+const heapArity = 4
+
+// eventHeap is a d-ary min-heap ordered by (at, seq): the engine's
+// original event queue, kept as the reference the calendar queue's
+// cross-checks (calendar_test.go, calstress_test.go) pop against.
+type eventHeap struct {
+	items []event
+}
+
+func newEventHeap() eventHeap { return eventHeap{} }
+
+func (h *eventHeap) Len() int { return len(h.items) }
+
+func (h *eventHeap) push(e event) {
+	h.items = append(h.items, e)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !before(&h.items[i], &h.items[parent]) {
+			break
+		}
+		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items[last] = event{} // drop the who reference for the GC
+	h.items = h.items[:last]
+	i := 0
+	for {
+		first := heapArity*i + 1
+		if first >= last {
+			break
+		}
+		end := first + heapArity
+		if end > last {
+			end = last
+		}
+		smallest := i
+		for c := first; c < end; c++ {
+			if before(&h.items[c], &h.items[smallest]) {
+				smallest = c
+			}
+		}
+		if smallest == i {
+			break
+		}
+		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		i = smallest
+	}
+	return top
+}
+
 // TestEventHeapOrdering drives the d-ary heap with deterministic pseudo-
 // random timestamps (including many ties) and checks that pop returns
 // events in strict (at, seq) order — the invariant the engine's

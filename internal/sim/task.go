@@ -1,27 +1,25 @@
 package sim
 
-// This file is the dispatch fast path: task events that run inline on the
-// engine goroutine instead of waking a process goroutine.
+// This file is task dispatch: events that run inline on the engine
+// goroutine instead of waking a process goroutine.
 //
-// A classic event dispatch costs two channel rendezvous (engine→process,
+// A process wake-up costs two channel rendezvous (engine→process,
 // process→engine) and two goroutine context switches. Most events in an
 // I/O-bound simulation do not need a process stack at all: a NIC finishing
-// a timed segment, a resource grant, a mailbox handoff. The fast path lets
-// such steps run as a Tasker callback dispatched inline, falling back to a
-// full process switch only where user code must run.
+// a timed segment, a resource grant, a mailbox handoff. Such steps run as
+// a Tasker callback dispatched inline; a process switch happens only where
+// user code must run.
 //
-// # The event-parity invariant
+// # The event-accounting invariant
 //
-// Fast-path consumers (simnet transfer chains, pfs request handlers) are
-// written so that a simulation produces byte-identical outputs — event
-// count, event timing, traffic counters, data read — whether the fast path
-// is enabled or not. The discipline that guarantees this is one-for-one
-// event mapping: every point where the classic path schedules a process
-// wake-up, the fast path schedules exactly one task event at the same
-// (at, seq) position, and vice versa. A task event advances the clock,
-// increments the event count, and participates in foreground accounting
-// exactly like a process event; only the dispatch mechanism differs.
-// DESIGN.md §11 walks through the mapping for one PFS RPC.
+// A task event advances the clock, increments the event count, and
+// participates in foreground accounting exactly like a process event;
+// only the dispatch mechanism differs. Task chains (simnet transfers, pfs
+// request handlers) schedule one event per step a blocking process would
+// wake for, at the same (at, seq). That is what lets process callers and
+// task callers queue on one NIC, disk or mailbox in a single FIFO order,
+// and it is the schedule the recorded goldens pin (simnet's fault matrix,
+// the experiments scale goldens). DESIGN.md §11 walks through one PFS RPC.
 
 // Tasker is an inline event handler. RunTask executes on the engine
 // goroutine when the task's event dispatches; it must not block (no
@@ -50,8 +48,8 @@ func (e *Engine) ScheduleTask(d Time, t Tasker) {
 // zero). It is the task-side half of a park/resume pair: a process calls
 // Park after arranging — via a task chain — for exactly one ResumeIn to
 // reach it. Resuming a process that is not parked, or scheduling a second
-// wake-up for one, corrupts the simulation; only fast-path chains should
-// call this.
+// wake-up for one, corrupts the simulation; only task chains should call
+// this.
 func (e *Engine) ResumeIn(d Time, p *Proc) {
 	if d < 0 {
 		d = 0
@@ -59,7 +57,21 @@ func (e *Engine) ResumeIn(d Time, p *Proc) {
 	e.schedule(e.now+d, p)
 }
 
-// FastDispatch reports whether fast-path consumers should use inline task
-// chains. The engine itself dispatches task events in either mode; this
-// flag only tells the layers above which construction to prefer.
-func (e *Engine) FastDispatch() bool { return !e.opts.ClassicDispatch }
+// ResumeNow hands control to parked process p inside the current event:
+// p runs on its own goroutine until it parks again or returns (a panic it
+// recorded is re-raised here), then the caller continues. No event is
+// scheduled, counted, or timed — the dispatch loop itself delivers process
+// events through it. For task chains it is how one that carried a process
+// through a Park gives the process its stack back at a point where the
+// process itself would have been running: a transfer chain that finds its
+// message dropped returns to the sender in the event that dropped it. Only
+// code on the engine goroutine (tasks, timer callbacks) may call it, and
+// only for a process no pending ResumeIn will also wake.
+func (e *Engine) ResumeNow(p *Proc) {
+	p.parked = false
+	p.wake <- struct{}{}
+	<-e.yield
+	if e.panicVal != nil {
+		panic(e.panicVal)
+	}
+}

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
 // countTask records its dispatch times; a reschedule chain built from it
-// stands in for the fast paths' pooled task chains.
+// stands in for simnet's and pfs's pooled task chains.
 type countTask struct {
 	eng   *Engine
 	fires []Time
@@ -50,9 +51,9 @@ func TestScheduleTaskAdvancesClockAndCounts(t *testing.T) {
 
 // TestTaskAndProcFIFOAtSameTimestamp checks that tasks and process
 // wake-ups scheduled for the same instant dispatch in schedule order —
-// the seq tie-break ignores what kind of event it is. This is the parity
-// property the fast paths rely on: swapping a process for a task at the
-// same (at, seq) cannot reorder anything.
+// the seq tie-break ignores what kind of event it is. This is the
+// property the task chains rely on: a task at the (at, seq) a process
+// wake-up would take cannot reorder anything.
 func TestTaskAndProcFIFOAtSameTimestamp(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -108,6 +109,38 @@ func TestResumeInMatchesSleep(t *testing.T) {
 	if nowA != nowB || evA != evB {
 		t.Fatalf("ResumeIn run (now %v, events %d) != Sleep run (now %v, events %d)",
 			nowA, evA, nowB, evB)
+	}
+}
+
+// TestResumeNowRunsProcessInsideTheEvent checks the inline hand-back: a
+// task that resumes a parked process with ResumeNow costs no event of its
+// own — the process continues inside the task's event, at the task's
+// timestamp, and the task continues after the process parks again.
+func TestResumeNowRunsProcessInsideTheEvent(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	var wokeAt Time
+	e.Spawn("a", func(p *Proc) {
+		e.ScheduleTask(30, taskFunc(func() {
+			order = append(order, "task")
+			e.ResumeNow(p)
+			order = append(order, "task-after")
+		}))
+		p.Park("test", nil)
+		wokeAt = p.Now()
+		order = append(order, "proc")
+		p.Sleep(5)
+		order = append(order, "proc-after")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, " "), "task proc task-after proc-after"; got != want {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+	// spawn, task (process runs inside it), sleep wake-up.
+	if wokeAt != 30 || e.Now() != 35 || e.Events() != 3 {
+		t.Fatalf("woke at %v, now %v, events %d; want 30, 35, 3", wokeAt, e.Now(), e.Events())
 	}
 }
 

@@ -98,14 +98,14 @@ func (d *Disk) Write(p *sim.Proc, size int64) {
 }
 
 // The Acquire/ReadTime/Finish trio below decomposes Read and Write for
-// fast-path request chains: a handler task acquires the drive, sleeps the
-// service time via a scheduled task, then finishes — releasing the drive
-// and updating the counters at exactly the event where the classic Read's
-// post-sleep wake would.
+// request chains: a handler task acquires the drive, sleeps the service
+// time via a scheduled task, then finishes — releasing the drive and
+// updating the counters at exactly the event where Read's post-sleep wake
+// would.
 
 // AcquireTask takes the drive for a task-chain request: granted inline
 // (true) or queued behind earlier requests, with t scheduled when the
-// drive frees up (false). FIFO with classic Acquire callers.
+// drive frees up (false). FIFO with Read and Write callers.
 func (d *Disk) AcquireTask(t sim.Tasker) bool {
 	return d.res.AcquireTask(1, t)
 }

@@ -15,11 +15,9 @@
 // not cross the interconnect, which is exactly the saving DAS engineers
 // for with its dependence-aware layout.
 //
-// Fault-free transfers on a fast-dispatch engine run as inline task chains
-// (fastpath.go) instead of blocking the sender through five parks; the
-// chains schedule the same events at the same (at, seq) positions, so both
-// constructions simulate identically. Fault-active transfers always take
-// the classic path, where the per-segment fault checks live.
+// Every transfer runs as an inline task chain (xfer.go) rather than
+// blocking its sender through five parks; the chain is also where injected
+// faults — crashed endpoints, degraded NICs, lost or late messages — act.
 package simnet
 
 import (
@@ -58,8 +56,8 @@ type Config struct {
 // delivery. The network consults it on every remote transfer once Active
 // reports true; implementations must be cheap and engine-goroutine-safe.
 type FaultPolicy interface {
-	// Active reports whether any fault has ever been applied. While it
-	// returns false the network takes the exact fault-free fast path.
+	// Active reports whether any fault has ever been applied. A transfer
+	// that launches while it returns false consults nothing else.
 	Active() bool
 	// Down reports whether a node is crashed. Messages from or to a down
 	// node are lost.
@@ -97,9 +95,9 @@ type Network struct {
 	// mailboxes at steady state.
 	replyFree []*sim.Mailbox[Message]
 
-	// xferFree recycles fast-path transfer chains (fastpath.go).
+	// xferFree recycles transfer chains (xfer.go).
 	xferFree []*xfer
-	// callFree recycles CallTask bridges (fastpath.go).
+	// callFree recycles CallTask bridges (xfer.go).
 	callFree []*callTask
 }
 
@@ -130,19 +128,6 @@ func (n *Network) SetFaults(f FaultPolicy) { n.faults = f }
 
 // Config returns the interconnect parameters.
 func (n *Network) Config() Config { return n.cfg }
-
-// fastOK reports whether transfers may run as inline task chains: the
-// engine dispatches fast and no fault has ever activated. Checked once per
-// transfer, at the same commit point where the classic path samples
-// FaultPolicy.Active.
-func (n *Network) fastOK() bool {
-	return n.eng.FastDispatch() && (n.faults == nil || !n.faults.Active())
-}
-
-// FastOK reports whether fast-path dispatch is in effect. Higher layers
-// (pfs) consult it to choose between inline request chains and classic
-// handler processes.
-func (n *Network) FastOK() bool { return n.fastOK() }
 
 // AddNode registers a node id and returns its endpoint. Adding the same id
 // twice panics: node identity is structural in the simulator.
@@ -211,49 +196,6 @@ func (nd *Node) EgressBusy() sim.Time { return nd.egress.BusyTime() }
 // IngressBusy returns how long this node's ingress NIC has been occupied.
 func (nd *Node) IngressBusy() sim.Time { return nd.ingress.BusyTime() }
 
-// transfer performs the timed store-and-forward movement of size bytes
-// from src to dst on behalf of process p, reporting whether the message
-// survived any injected faults. Loopback transfers cost nothing and cannot
-// be lost: a node always reaches itself. This is the classic construction;
-// fault-free transfers on a fast engine use the task chains in fastpath.go
-// instead, with identical event schedules.
-func (n *Network) transfer(p *sim.Proc, src, dst *Node, size int64, class metrics.TrafficClass) bool {
-	if src.id == dst.id {
-		return true
-	}
-	f := n.faults
-	if f == nil || !f.Active() {
-		src.egress.Use(p, 1, sim.TransferTime(size, n.cfg.BytesPerSec))
-		p.Sleep(n.cfg.Latency)
-		dst.ingress.Use(p, 1, sim.TransferTime(size, n.cfg.BytesPerSec))
-		n.traffic.Add(class, size)
-		return true
-	}
-	if f.Down(src.id) {
-		// The sender's node is crashed: whatever its frozen processes were
-		// emitting never reaches the wire.
-		f.NoteDropped(src.id, dst.id)
-		return false
-	}
-	src.egress.Use(p, 1, sim.TransferTime(size, n.cfg.BytesPerSec*f.NICFactor(src.id)))
-	p.Sleep(n.cfg.Latency)
-	if drop, delay := f.DropMessage(src.id, dst.id); drop {
-		f.NoteDropped(src.id, dst.id)
-		return false
-	} else if delay > 0 {
-		p.Sleep(delay)
-	}
-	if f.Down(dst.id) {
-		// Crashed before the message arrived: the bytes crossed the wire
-		// but nobody is listening.
-		f.NoteDropped(src.id, dst.id)
-		return false
-	}
-	dst.ingress.Use(p, 1, sim.TransferTime(size, n.cfg.BytesPerSec*f.NICFactor(dst.id)))
-	n.traffic.Add(class, size)
-	return true
-}
-
 // Send moves msg from msg.From to msg.To, blocking p for the transfer
 // time, then delivers it to the destination port. The sending process
 // models the full store-and-forward pipeline, so back-to-back Sends from
@@ -266,69 +208,50 @@ func (n *Network) Send(p *sim.Proc, msg Message) {
 		dst.Port(msg.Port).Put(msg)
 		return
 	}
-	if n.fastOK() {
-		// One park for the whole pipeline: the chain runs the NIC hops as
-		// task events and resumes p at the instant the classic path's final
-		// ingress sleep would wake it; the epilogue below is exactly what
-		// the classic path runs in that wake event.
-		n.startSync(p, src, dst, msg.Size)
-		p.Park("send", nil)
-		dst.ingress.Release(1)
-		n.traffic.Add(msg.Class, msg.Size)
-		dst.Port(msg.Port).Put(msg)
-		return
-	}
-	if n.transfer(p, src, dst, msg.Size, msg.Class) {
+	if n.moveSync(p, "send", src, dst, msg.Size, msg.Class) {
 		dst.Port(msg.Port).Put(msg)
 	}
 }
 
-// SendAsync starts the transfer on a child process and returns a signal
-// that fires after delivery. Use it to overlap independent transfers, e.g.
-// a PFS client striping a file across many servers.
-func (n *Network) SendAsync(p *sim.Proc, msg Message) *sim.Signal[struct{}] {
+// SendAsync starts the transfer in the background — it begins at a fresh
+// event after the caller's current one — and returns a signal that fires
+// once the send is over: after delivery, or at the point a fault lost the
+// message. Use it to overlap independent transfers, e.g. a PFS client
+// striping a file across many servers. It blocks nothing, so processes
+// and tasks alike may call it.
+func (n *Network) SendAsync(msg Message) *sim.Signal[struct{}] {
 	// Static diagnostic names: this runs once per message, and per-message
 	// formatted names were a dominant allocation source in read-heavy runs.
 	done := sim.NewSignal[struct{}](n.eng, "send")
-	if n.fastOK() {
-		// The single start task stands in for the child process's spawn
-		// event; the chain's final task stands in for the child's last wake,
-		// where delivery and the signal fire.
-		src, dst := n.Node(msg.From), n.Node(msg.To)
-		n.startSpawned(src, dst, msg.Size, msg.Class, dst.Port(msg.Port), msg, done)
-		return done
-	}
-	p.Spawn("xfer", func(c *sim.Proc) {
-		n.Send(c, msg)
-		done.Fire(struct{}{})
-	})
+	src, dst := n.Node(msg.From), n.Node(msg.To)
+	x := n.newAsync(src, dst, msg.Size, msg.Class, dst.Port(msg.Port), msg)
+	x.done = done
+	// Unlike startAsync the chain begins at a zero-delay task event, where
+	// loopback is resolved too.
+	x.state = xsStart
+	n.eng.ScheduleTask(0, x)
 	return done
 }
 
 // Call sends a request and blocks until the recipient Responds. The
 // returned message is the response. The request's Reply mailbox is created
-// here and is private to this call.
+// here and is private to this call. Call has no timeout: if a fault loses
+// the request or the response, p stays parked (use CallCancelable).
 func (n *Network) Call(p *sim.Proc, msg Message) Message {
 	reply := n.acquireReply()
 	msg.Reply = reply
-	if n.fastOK() {
-		// Fused call: register for the reply up front, run the request
-		// transfer as a task chain ending in port delivery, and park once
-		// for the whole RPC. The classic path parks five times to get here.
-		src, dst := n.Node(msg.From), n.Node(msg.To)
-		pd := reply.Reserve(p)
-		if src == dst {
-			dst.Port(msg.Port).Put(msg)
-		} else {
-			n.startAsync(src, dst, msg.Size, msg.Class, dst.Port(msg.Port), msg)
-		}
-		p.Park("call", reply)
-		resp := pd.Redeem()
-		n.replyFree = append(n.replyFree, reply)
-		return resp
+	// Fused call: register for the reply up front, run the request
+	// transfer as a task chain ending in port delivery, and park once for
+	// the whole RPC.
+	src, dst := n.Node(msg.From), n.Node(msg.To)
+	pd := reply.Reserve(p)
+	if src == dst {
+		dst.Port(msg.Port).Put(msg)
+	} else {
+		n.startAsync(src, dst, msg.Size, msg.Class, dst.Port(msg.Port), msg)
 	}
-	n.Send(p, msg)
-	resp := reply.Get(p)
+	p.Park("call", reply)
+	resp := pd.Redeem()
 	// The protocol delivers exactly one response per request, so the
 	// mailbox is empty again and can serve the next Call.
 	n.replyFree = append(n.replyFree, reply)
@@ -417,25 +340,14 @@ func (n *Network) Respond(p *sim.Proc, req Message, payload any, size int64, cla
 		req.Reply.Put(resp)
 		return
 	}
-	if n.fastOK() {
-		n.startSync(p, src, dst, size)
-		p.Park("respond", nil)
-		dst.ingress.Release(1)
-		n.traffic.Add(class, size)
+	if n.moveSync(p, "respond", src, dst, size, class) {
 		req.Reply.Put(resp)
-		return
 	}
-	if !n.transfer(p, src, dst, size, class) {
-		return
-	}
-	req.Reply.Put(resp)
 }
 
-// RespondTask is Respond for fast-path request handlers running as task
-// chains: it starts the response transfer without a process to block,
-// delivering to the Reply mailbox from the chain's final task. If faults
-// have activated since the request was dispatched, the response falls back
-// to a classic process so the per-segment fault checks apply to it.
+// RespondTask is Respond for request handlers running as task chains: it
+// starts the response transfer without a process to block, delivering to
+// the Reply mailbox from the chain's final task.
 func (n *Network) RespondTask(req Message, payload any, size int64, class metrics.TrafficClass) {
 	if req.Reply == nil {
 		panic("simnet: Respond to a message without a Reply mailbox")
@@ -451,14 +363,6 @@ func (n *Network) RespondTask(req Message, payload any, size int64, class metric
 	}
 	if src == dst {
 		req.Reply.Put(resp)
-		return
-	}
-	if !n.fastOK() {
-		n.eng.Spawn("respond", func(p *sim.Proc) {
-			if n.transfer(p, src, dst, size, class) {
-				req.Reply.Put(resp)
-			}
-		})
 		return
 	}
 	n.startAsync(src, dst, size, class, req.Reply, resp)

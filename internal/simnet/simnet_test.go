@@ -140,8 +140,8 @@ func TestSendAsyncOverlaps(t *testing.T) {
 	eng.Spawn("client", func(p *sim.Proc) {
 		// Two async 1MB sends to different destinations share the sender's
 		// egress (serialized: 2s) but their ingress legs overlap.
-		d1 := net.SendAsync(p, Message{From: 0, To: 1, Port: "a", Size: 1e6})
-		d2 := net.SendAsync(p, Message{From: 0, To: 2, Port: "a", Size: 1e6})
+		d1 := net.SendAsync(Message{From: 0, To: 1, Port: "a", Size: 1e6})
+		d2 := net.SendAsync(Message{From: 0, To: 2, Port: "a", Size: 1e6})
 		d1.Wait(p)
 		d2.Wait(p)
 		if p.Now() != 3*sim.Second {

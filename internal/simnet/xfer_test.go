@@ -86,13 +86,14 @@ func TestCallCancelableAbortReclaims(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestFastAndClassicNetworkIdentical runs the same mixed Send/Call/
-// SendAsync workload under the fast default and the classic construction
-// and checks the simulations are byte-identical: event count, clock, and
-// traffic counters.
-func TestFastAndClassicNetworkIdentical(t *testing.T) {
-	run := func(opts sim.EngineOpts) (uint64, sim.Time, map[metrics.TrafficClass]int64) {
-		eng := sim.NewEngineWith(opts)
+// TestMixedWorkloadGolden runs a mixed Send/Call/SendAsync workload and
+// pins the simulation — event count, clock, traffic counters — to the
+// values the process-per-step transfer and the heap-queue engine produced
+// for it before they were deleted: the chains must keep scheduling one
+// event per step a blocking process would wake for.
+func TestMixedWorkloadGolden(t *testing.T) {
+	run := func() (uint64, sim.Time, map[metrics.TrafficClass]int64) {
+		eng := sim.NewEngine()
 		traffic := metrics.NewTraffic()
 		net := New(eng, Config{BytesPerSec: 1e6, Latency: 50 * sim.Microsecond}, traffic)
 		for i := 0; i < 4; i++ {
@@ -111,7 +112,7 @@ func TestFastAndClassicNetworkIdentical(t *testing.T) {
 				for i := 0; i < 5; i++ {
 					net.Call(p, Message{From: c, To: 3, Port: "rpc", Size: 4096,
 						Payload: "req", Class: metrics.ClientToServer})
-					done := net.SendAsync(p, Message{From: c, To: (c + 1) % 3, Port: "peer",
+					done := net.SendAsync(Message{From: c, To: (c + 1) % 3, Port: "peer",
 						Size: 1024, Class: metrics.ServerToServer})
 					net.Send(p, Message{From: c, To: 3, Port: "oneway", Size: 512,
 						Class: metrics.ClientToServer})
@@ -142,13 +143,15 @@ func TestFastAndClassicNetworkIdentical(t *testing.T) {
 		eng.Shutdown()
 		return ev, now, snap
 	}
-	evFast, nowFast, trFast := run(sim.EngineOpts{})
-	evClassic, nowClassic, trClassic := run(sim.EngineOpts{ClassicDispatch: true, ClassicQueue: true})
-	if evFast != evClassic || nowFast != nowClassic {
-		t.Fatalf("fast (events %d, now %v) != classic (events %d, now %v)",
-			evFast, nowFast, evClassic, nowClassic)
+	ev, now, tr := run()
+	if ev != 303 || now != 93784*sim.Microsecond {
+		t.Fatalf("events %d, now %v; want 303, 93.784ms", ev, now)
 	}
-	if !metrics.SnapshotsEqual(trFast, trClassic) {
-		t.Fatalf("traffic diverged: fast %v, classic %v", trFast, trClassic)
+	want := map[metrics.TrafficClass]int64{
+		metrics.ClientToServer: 69120, metrics.ServerToClient: 30720, metrics.ServerToServer: 15360,
+		metrics.DiskRead: 0, metrics.DiskWrite: 0,
+	}
+	if !metrics.SnapshotsEqual(tr, want) {
+		t.Fatalf("traffic %v, want %v", tr, want)
 	}
 }
