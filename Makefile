@@ -30,10 +30,13 @@ lint-fix-check:
 	fi; \
 	echo "lint-fix-check: clean"
 
-# Extended gate: vet + daslint (both modes) + race on top of tier-1.
+# Extended gate: vet + daslint (both modes) + race on top of tier-1, then
+# a bounded fuzz of the row-streaming kernels against their per-element
+# oracle (tier-1 runs only the committed seed corpus).
 extended: tier1 lint lint-fix-check
 	go vet ./...
 	go test -race ./...
+	go test -run '^$$' -fuzz FuzzRowDriver -fuzztime 20s ./internal/kernels
 
 # Bench smoke: short cache, restripe, and p99-controller experiments end
 # to end (reduced sweep, JSON artifacts) plus the adaptive subsystems

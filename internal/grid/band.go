@@ -36,10 +36,22 @@ func NewBand(width int, globalLen, start, end, lo, hi int64) *Band {
 	}
 }
 
+// BandOver wraps data — the values of global range [lo, lo+len(data)) —
+// as a band owning [start, end), without copying: NewBand's checks for a
+// caller that already holds the values (a pipeline stage's parent output).
+func BandOver(width int, globalLen, start, end, lo int64, data []float64) *Band {
+	validateBand(width, globalLen, start, end, lo, lo+int64(len(data)))
+	return &Band{Width: width, GlobalLen: globalLen, Start: start, End: end, Lo: lo, Data: data}
+}
+
 func validateBand(width int, globalLen, start, end, lo, hi int64) {
 	switch {
 	case width <= 0:
 		panic(fmt.Sprintf("grid: band width %d", width))
+	case globalLen%int64(width) != 0:
+		// Every stencil derives height = GlobalLen / Width; a ragged last
+		// row would silently clamp to the wrong neighbor.
+		panic(fmt.Sprintf("grid: band of %d elements is not whole rows of width %d", globalLen, width))
 	case lo > start || hi < end || start > end || lo < 0 || hi > globalLen:
 		panic(fmt.Sprintf("grid: invalid band [%d,%d) data [%d,%d) of %d", start, end, lo, hi, globalLen))
 	}
@@ -62,10 +74,37 @@ func (b *Band) Contains(i int64) bool { return i >= b.Lo && i < b.Hi() }
 // At returns the value of global element i, which must be within the
 // band's data range.
 func (b *Band) At(i int64) float64 {
-	if !b.Contains(i) {
-		panic(fmt.Sprintf("grid: element %d outside band [%d,%d)", i, b.Lo, b.Hi()))
+	i -= b.Lo // below Lo wraps past any length
+	if uint64(i) >= uint64(len(b.Data)) {
+		b.panicOutside(i)
 	}
-	return b.Data[i-b.Lo]
+	return b.Data[i]
+}
+
+// Span returns the values of global range [lo, hi) as a window of the
+// band's data, for kernels that stream whole row segments: one range check
+// per window where At pays one per element. Like At it panics if an
+// element is missing, naming the first one. The check is against
+// len(Data), never cap — a pooled band's spare capacity holds another
+// band's stale values — and the window's own capacity ends at hi.
+func (b *Band) Span(lo, hi int64) []float64 {
+	lo, hi = lo-b.Lo, hi-b.Lo
+	if lo < 0 {
+		b.panicOutside(lo)
+	}
+	if n := int64(len(b.Data)); hi > n {
+		b.panicOutside(max(lo, n))
+	}
+	return b.Data[lo:hi:hi]
+}
+
+// panicOutside reports the element at offset off from Lo as missing. It is
+// out of line, and takes the offset At has already computed, so that At's
+// body stays within the inliner's budget (go build -gcflags=-m).
+//
+//go:noinline
+func (b *Band) panicOutside(off int64) {
+	panic(fmt.Sprintf("grid: element %d outside band [%d,%d)", b.Lo+off, b.Lo, b.Hi()))
 }
 
 // Fill copies src (global range [lo, lo+len(src))) into the band's data

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,63 @@ func TestBandAtOutsidePanics(t *testing.T) {
 		}
 	}()
 	b.At(3)
+}
+
+// panicOf returns what f panics with, "" if it returns.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestBandSpanChecksLikeAt: a span is the window At would read element by
+// element, and a missing element panics with At's message for the first
+// one missing — judged against len(Data), so the spare capacity a pooled
+// band inherits is as missing as anything else.
+func TestBandSpanChecksLikeAt(t *testing.T) {
+	g := testGrid(4, 4)
+	b := BandOf(g, 4, 8, 2, 10)
+	if got := b.Span(3, 9); len(got) != 6 || cap(got) != 6 || &got[0] != &b.Data[1] {
+		t.Errorf("Span(3,9): len %d cap %d, want a 6-element window of Data at 1", len(got), cap(got))
+	}
+	if got := b.Span(2, 10); len(got) != 8 {
+		t.Errorf("Span over the whole band: len %d", len(got))
+	}
+	if got := b.Span(5, 5); len(got) != 0 {
+		t.Errorf("empty span: len %d", len(got))
+	}
+
+	big := NewBandPooled(4, 16, 0, 16, 0, 16)
+	big.Release()
+	pooled := NewBandPooled(4, 16, 4, 8, 2, 10) // most likely on big's buffer
+	defer pooled.Release()
+	for _, band := range []*Band{b, pooled} {
+		for _, c := range []struct{ lo, hi, missing int64 }{
+			{1, 5, 1},    // starts below Lo
+			{8, 11, 10},  // runs past Hi
+			{12, 14, 12}, // wholly past Hi
+		} {
+			want := panicOf(func() { band.At(c.missing) })
+			if got := panicOf(func() { band.Span(c.lo, c.hi) }); got == "" || got != want {
+				t.Errorf("Span(%d,%d) panic %q, want At(%d)'s %q", c.lo, c.hi, got, c.missing, want)
+			}
+		}
+	}
+}
+
+func TestBandOverValidatesWithoutCopying(t *testing.T) {
+	data := []float64{10, 11, 12, 13, 14, 15}
+	b := BandOver(4, 16, 5, 9, 4, data)
+	if &b.Data[0] != &data[0] || b.Hi() != 10 || b.At(9) != 15 {
+		t.Errorf("BandOver: Hi %d At(9) %v, want a view of data over [4,10)", b.Hi(), b.At(9))
+	}
+	if panicOf(func() { BandOver(4, 16, 5, 11, 4, data) }) == "" {
+		t.Error("BandOver accepted an owned range past its data")
+	}
 }
 
 func TestBandContains(t *testing.T) {
@@ -82,6 +140,7 @@ func TestNewBandValidation(t *testing.T) {
 		{"start>end", 8, 4, 0, 16, 16},
 		{"negative lo", 4, 8, -1, 8, 16},
 		{"hi>total", 4, 8, 4, 17, 16},
+		{"ragged last row", 4, 8, 4, 8, 18},
 	}
 	for _, c := range cases {
 		func() {

@@ -21,11 +21,26 @@ func (Gaussian) Offsets() []features.Offset { return features.EightNeighbor() }
 func (Gaussian) Weight() float64            { return 1.2 }
 
 func (Gaussian) ApplyBand(b *grid.Band, out []float64) {
-	stencil3x3(b, out, func(w *[3][3]float64) float64 {
-		return (w[0][0] + 2*w[0][1] + w[0][2] +
+	rowStencil{k: Gaussian{}, corners: true, clampRows: true}.apply(b, out)
+}
+
+func (Gaussian) cells(b *grid.Band, out []float64, start, end int64) {
+	for i := start; i < end; i++ {
+		w := window3x3(b, i)
+		out[i-b.Start] = (w[0][0] + 2*w[0][1] + w[0][2] +
 			2*w[1][0] + 4*w[1][1] + 2*w[1][2] +
 			w[2][0] + 2*w[2][1] + w[2][2]) / 16
-	})
+	}
+}
+
+func (Gaussian) row(up, mid, down, out []float64) {
+	n := len(out)
+	up, mid, down = up[:n+2], mid[:n+2], down[:n+2]
+	for j := range out {
+		out[j] = (up[j] + 2*up[j+1] + up[j+2] +
+			2*mid[j] + 4*mid[j+1] + 2*mid[j+2] +
+			down[j] + 2*down[j+1] + down[j+2]) / 16
+	}
 }
 
 // Median is the 3×3 median filter from medical image processing, the
@@ -42,27 +57,99 @@ func (Median) Offsets() []features.Offset { return features.EightNeighbor() }
 func (Median) Weight() float64            { return 2.5 }
 
 func (Median) ApplyBand(b *grid.Band, out []float64) {
-	stencil3x3(b, out, func(w *[3][3]float64) float64 {
-		var v [9]float64
-		k := 0
-		for _, row := range w {
-			for _, x := range row {
-				v[k] = x
-				k++
-			}
+	rowStencil{k: Median{}, corners: true, clampRows: true}.apply(b, out)
+}
+
+func (Median) cells(b *grid.Band, out []float64, start, end int64) {
+	for i := start; i < end; i++ {
+		w := window3x3(b, i)
+		out[i-b.Start] = median9(w[0][0], w[0][1], w[0][2], w[1][0], w[1][1], w[1][2], w[2][0], w[2][1], w[2][2])
+	}
+}
+
+// median9 is the reference median: an insertion sort of the window in
+// row-major order, then the middle element. Which of two equal-comparing
+// values lands in the middle — a +0 or a −0 — and where a NaN, which
+// compares false with everything, leaves the rest, follow from this exact
+// sort; the output bits are defined by it.
+func median9(v0, v1, v2, v3, v4, v5, v6, v7, v8 float64) float64 {
+	v := [9]float64{v0, v1, v2, v3, v4, v5, v6, v7, v8}
+	// Insertion sort: 9 elements, branch-friendly, no allocation.
+	for i := 1; i < 9; i++ {
+		x := v[i]
+		j := i - 1
+		for j >= 0 && v[j] > x {
+			v[j+1] = v[j]
+			j--
 		}
-		// Insertion sort: 9 elements, branch-friendly, no allocation.
-		for i := 1; i < 9; i++ {
-			x := v[i]
-			j := i - 1
-			for j >= 0 && v[j] > x {
-				v[j+1] = v[j]
-				j--
-			}
-			v[j+1] = x
+		v[j+1] = x
+	}
+	return v[4]
+}
+
+// row sorts each 3-cell column once and shares it across the three
+// windows that contain it: with the columns sorted, the median of nine is
+// the median of (largest column minimum, median of column medians,
+// smallest column maximum). That finds the median by value, which fixes
+// its bits unless the value is ±0 or the window holds a NaN; those windows
+// go back to median9. A column's sum is NaN whenever the column holds one
+// (and for +Inf with −Inf, which only costs a needless fallback).
+func (Median) row(up, mid, down, out []float64) {
+	n := len(out)
+	up, mid, down = up[:n+2], mid[:n+2], down[:n+2]
+	bLo, bMid, bHi := sort3(up[0], mid[0], down[0])
+	cLo, cMid, cHi := sort3(up[1], mid[1], down[1])
+	bSum, cSum := bLo+bMid+bHi, cLo+cMid+cHi
+	for j := range out {
+		aLo, aMid, aHi, aSum := bLo, bMid, bHi, bSum
+		bLo, bMid, bHi, bSum = cLo, cMid, cHi, cSum
+		cLo, cMid, cHi = sort3(up[j+2], mid[j+2], down[j+2])
+		cSum = cLo + cMid + cHi
+		m := med3(max3(aLo, bLo, cLo), med3(aMid, bMid, cMid), min3(aHi, bHi, cHi))
+		if sum := aSum + bSum + cSum; m == 0 || sum != sum {
+			m = median9(up[j], up[j+1], up[j+2], mid[j], mid[j+1], mid[j+2], down[j], down[j+1], down[j+2])
 		}
-		return v[4]
-	})
+		out[j] = m
+	}
+}
+
+// sort3 orders three values; with a NaN among them the order is undefined.
+func sort3(a, b, c float64) (lo, mid, hi float64) {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b, c = c, b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	return a, b, c
+}
+
+func med3(a, b, c float64) float64 {
+	_, m, _ := sort3(a, b, c)
+	return m
+}
+
+func max3(a, b, c float64) float64 {
+	if b > a {
+		a = b
+	}
+	if c > a {
+		a = c
+	}
+	return a
+}
+
+func min3(a, b, c float64) float64 {
+	if b < a {
+		a = b
+	}
+	if c < a {
+		a = c
+	}
+	return a
 }
 
 // HorizontalBlur is a 1-D box blur along rows with the given radius: its
@@ -95,10 +182,38 @@ func (h HorizontalBlur) radius() int {
 	return h.Radius
 }
 
+// ApplyBand streams each row segment's unclamped cells — those at least
+// Radius columns from both row ends — over one span; the cells whose
+// window clamps at a row end go through the per-element code.
 func (h HorizontalBlur) ApplyBand(b *grid.Band, out []float64) {
+	r := int64(h.radius())
+	width := int64(b.Width)
+	taps := float64(2*r + 1)
+	for i := b.Start; i < b.End; {
+		rowStart := i / width * width
+		segEnd := min(rowStart+width, b.End)
+		lo, hi := within(i, segEnd, rowStart+r, rowStart+width-r)
+		h.cells(b, out, i, lo)
+		if lo < hi {
+			win := b.Span(lo-r, hi+r)
+			o := out[lo-b.Start : hi-b.Start]
+			for j := range o {
+				sum := 0.0
+				for _, v := range win[j : j+int(2*r)+1] {
+					sum += v
+				}
+				o[j] = sum / taps
+			}
+		}
+		h.cells(b, out, hi, segEnd)
+		i = segEnd
+	}
+}
+
+func (h HorizontalBlur) cells(b *grid.Band, out []float64, start, end int64) {
 	r := h.radius()
 	width := int64(b.Width)
-	for i := b.Start; i < b.End; i++ {
+	for i := start; i < end; i++ {
 		row := i / width
 		rowLo, rowHi := row*width, (row+1)*width-1
 		sum, n := 0.0, 0
@@ -149,8 +264,26 @@ func (s StrideKernel) Weight() float64 {
 	return s.W
 }
 
+// ApplyBand streams the cells whose two dependencies are both inside the
+// raster over one span; the |Stride| cells at either end of the raster,
+// where a dependency clamps, go through the per-element code.
 func (s StrideKernel) ApplyBand(b *grid.Band, out []float64) {
-	for i := b.Start; i < b.End; i++ {
+	reach := max(s.Stride, -s.Stride)
+	lo, hi := within(b.Start, b.End, reach, b.GlobalLen-reach)
+	s.cells(b, out, b.Start, lo)
+	if lo < hi {
+		win := b.Span(lo-reach, hi+reach)
+		left, mid, right := win[reach-s.Stride:], win[reach:], win[reach+s.Stride:]
+		o := out[lo-b.Start : hi-b.Start]
+		for j := range o {
+			o[j] = 0.5*mid[j] + 0.25*(left[j]+right[j])
+		}
+	}
+	s.cells(b, out, hi, b.End)
+}
+
+func (s StrideKernel) cells(b *grid.Band, out []float64, start, end int64) {
+	for i := start; i < end; i++ {
 		left := b.At(clampFlat(i-s.Stride, b.GlobalLen))
 		right := b.At(clampFlat(i+s.Stride, b.GlobalLen))
 		out[i-b.Start] = 0.5*b.At(i) + 0.25*(left+right)
@@ -202,9 +335,34 @@ func (s ScatterKernel) Weight() float64 {
 	return s.W
 }
 
+// ApplyBand is StrideKernel's split with the reach of the longest stride.
 func (s ScatterKernel) ApplyBand(b *grid.Band, out []float64) {
+	var reach int64
+	for _, st := range s.Strides {
+		reach = max(reach, st, -st)
+	}
+	lo, hi := within(b.Start, b.End, reach, b.GlobalLen-reach)
+	s.cells(b, out, b.Start, lo)
+	if lo < hi {
+		win := b.Span(lo-reach, hi+reach)
+		n := float64(2 * len(s.Strides))
+		o := out[lo-b.Start : hi-b.Start]
+		for j := range o {
+			c := int64(j) + reach
+			sum := 0.0
+			for _, st := range s.Strides {
+				sum += win[c-st]
+				sum += win[c+st]
+			}
+			o[j] = 0.5*win[c] + 0.5*sum/n
+		}
+	}
+	s.cells(b, out, hi, b.End)
+}
+
+func (s ScatterKernel) cells(b *grid.Band, out []float64, start, end int64) {
 	n := float64(2 * len(s.Strides))
-	for i := b.Start; i < b.End; i++ {
+	for i := start; i < end; i++ {
 		sum := 0.0
 		for _, st := range s.Strides {
 			sum += b.At(clampFlat(i-st, b.GlobalLen))

@@ -56,7 +56,12 @@ func (FlowRouting) Weight() float64            { return 1.0 }
 // center is not higher than any neighbor. Ties choose the first neighbor
 // in clockwise order, keeping the result deterministic.
 func (FlowRouting) ApplyBand(b *grid.Band, out []float64) {
-	stencil3x3(b, out, func(w *[3][3]float64) float64 {
+	rowStencil{k: FlowRouting{}, corners: true, clampRows: true}.apply(b, out)
+}
+
+func (FlowRouting) cells(b *grid.Band, out []float64, start, end int64) {
+	for i := start; i < end; i++ {
+		w := window3x3(b, i)
 		center := w[1][1]
 		best, bestVal := DirNone, center
 		for code := DirNW; code <= DirW; code++ {
@@ -66,8 +71,42 @@ func (FlowRouting) ApplyBand(b *grid.Band, out []float64) {
 				best, bestVal = code, v
 			}
 		}
-		return float64(best)
-	})
+		out[i-b.Start] = float64(best)
+	}
+}
+
+// row is the clockwise scan of cells, unrolled over the row windows.
+func (FlowRouting) row(up, mid, down, out []float64) {
+	n := len(out)
+	up, mid, down = up[:n+2], mid[:n+2], down[:n+2]
+	for j := range out {
+		best, bestVal := float64(DirNone), mid[j+1]
+		if v := up[j]; v < bestVal {
+			best, bestVal = DirNW, v
+		}
+		if v := up[j+1]; v < bestVal {
+			best, bestVal = DirN, v
+		}
+		if v := up[j+2]; v < bestVal {
+			best, bestVal = DirNE, v
+		}
+		if v := mid[j+2]; v < bestVal {
+			best, bestVal = DirE, v
+		}
+		if v := down[j+2]; v < bestVal {
+			best, bestVal = DirSE, v
+		}
+		if v := down[j+1]; v < bestVal {
+			best, bestVal = DirS, v
+		}
+		if v := down[j]; v < bestVal {
+			best, bestVal = DirSW, v
+		}
+		if v := mid[j]; v < bestVal {
+			best = DirW
+		}
+		out[j] = best
+	}
 }
 
 // FlowAccumulation is the local accumulation step from terrain analysis:
@@ -92,9 +131,13 @@ func (FlowAccumulation) Weight() float64            { return 1.1 }
 // counts genuine in-grid neighbors: a clamped duplicate of the center must
 // not drain into itself.
 func (FlowAccumulation) ApplyBand(b *grid.Band, out []float64) {
+	rowStencil{k: FlowAccumulation{}, corners: true}.apply(b, out)
+}
+
+func (FlowAccumulation) cells(b *grid.Band, out []float64, start, end int64) {
 	width := int64(b.Width)
 	height := int(b.GlobalLen / width)
-	for i := b.Start; i < b.End; i++ {
+	for i := start; i < end; i++ {
 		r, c := b.RowCol(i)
 		inflow := 1.0 // the cell's own unit
 		for code := DirNW; code <= DirW; code++ {
@@ -115,6 +158,44 @@ func (FlowAccumulation) ApplyBand(b *grid.Band, out []float64) {
 			}
 		}
 		out[i-b.Start] = inflow
+	}
+}
+
+// row runs only where all eight neighbors are in the grid (the driver keeps
+// the border columns and the first and last raster row away from it), so
+// each neighbor drains into the cell exactly when its truncated code is the
+// direction pointing back: the north-west neighbor must flow south-east,
+// and so on round.
+func (FlowAccumulation) row(up, mid, down, out []float64) {
+	n := len(out)
+	up, mid, down = up[:n+2], mid[:n+2], down[:n+2]
+	for j := range out {
+		inflow := 1.0
+		if int(up[j]) == DirSE {
+			inflow++
+		}
+		if int(up[j+1]) == DirS {
+			inflow++
+		}
+		if int(up[j+2]) == DirSW {
+			inflow++
+		}
+		if int(mid[j+2]) == DirW {
+			inflow++
+		}
+		if int(down[j+2]) == DirNW {
+			inflow++
+		}
+		if int(down[j+1]) == DirN {
+			inflow++
+		}
+		if int(down[j]) == DirNE {
+			inflow++
+		}
+		if int(mid[j]) == DirE {
+			inflow++
+		}
+		out[j] = inflow
 	}
 }
 

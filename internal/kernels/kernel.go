@@ -109,35 +109,3 @@ func Default() *Registry {
 	r.Register(Diffusion{})
 	return r
 }
-
-// stencil3x3 drives f over every owned element with its 3×3 neighborhood,
-// clamping coordinates at raster borders (boundary cells reuse their
-// nearest in-grid neighbor, so "data elements on boundary" never
-// communicate, matching the paper's exclusion of boundary elements).
-// w is indexed [dr+1][dc+1].
-func stencil3x3(b *grid.Band, out []float64, f func(w *[3][3]float64) float64) {
-	width := int64(b.Width)
-	height := int(b.GlobalLen / width)
-	var w [3][3]float64
-	for i := b.Start; i < b.End; i++ {
-		r, c := b.RowCol(i)
-		for dr := -1; dr <= 1; dr++ {
-			nr := clamp(r+dr, 0, height-1)
-			for dc := -1; dc <= 1; dc++ {
-				nc := clamp(c+dc, 0, b.Width-1)
-				w[dr+1][dc+1] = b.At(int64(nr)*width + int64(nc))
-			}
-		}
-		out[i-b.Start] = f(&w)
-	}
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

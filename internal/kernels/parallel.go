@@ -1,10 +1,11 @@
 // Parallel kernel execution engine: shards ApplyBand calls into
 // contiguous row-range sub-bands executed across a package-level worker
 // pool. The row partitioner is a pure function of the owned range, the
-// raster width, and the shard count, and every output element is computed
-// by exactly the same per-element code as the sequential reference, so
-// results are byte-identical to Apply/ApplyBand regardless of how many
-// workers run or how the scheduler interleaves them.
+// raster width, and the shard count, and a kernel's value for an element
+// depends only on that element's dependence window, never on where the
+// owned range around it starts or ends, so results are byte-identical to
+// Apply/ApplyBand regardless of how many workers run or how the scheduler
+// interleaves them.
 //
 // Parallelism here is real-CPU only: it changes how fast the host
 // regenerates an experiment, never the DES cost model. Simulated compute

@@ -54,8 +54,7 @@ const (
 
 func (Stats) ReduceBand(b *grid.Band) []float64 {
 	out := []float64{0, 0, 0, math.Inf(1), math.Inf(-1)}
-	for i := b.Start; i < b.End; i++ {
-		v := b.At(i)
+	for _, v := range b.Span(b.Start, b.End) {
 		out[StatCount]++
 		out[StatSum] += v
 		out[StatSumSq] += v * v
@@ -129,8 +128,8 @@ func (h Histogram) bucket(v float64) int {
 
 func (h Histogram) ReduceBand(b *grid.Band) []float64 {
 	out := make([]float64, h.Bins)
-	for i := b.Start; i < b.End; i++ {
-		out[h.bucket(b.At(i))]++
+	for _, v := range b.Span(b.Start, b.End) {
+		out[h.bucket(v)]++
 	}
 	return out
 }

@@ -1,0 +1,250 @@
+package kernels
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	"github.com/hpcio/das/internal/grid"
+	"github.com/hpcio/das/internal/workload"
+)
+
+// rowDriverKernels is every kernel whose ApplyBand streams rows or spans:
+// the default registry plus the ablation kernels, the latter with reaches
+// on both sides of the oracle rasters' sizes.
+func rowDriverKernels() []Kernel {
+	reg := Default()
+	var ks []Kernel
+	for _, name := range reg.Names() {
+		k, _ := reg.Lookup(name)
+		ks = append(ks, k)
+	}
+	return append(ks,
+		HorizontalBlur{Radius: 1}, HorizontalBlur{Radius: 3},
+		StrideKernel{Stride: 5}, StrideKernel{Stride: -2},
+		ScatterKernel{Strides: []int64{1, 7, 3}})
+}
+
+// adversarialCells are the values whose bits depend on more than their
+// order: the two zeros compare equal, NaN compares false with everything,
+// 5.7 truncates to a direction code and 8 is one.
+var adversarialCells = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5.7, 8}
+
+// Cell populations of an oracle raster.
+const (
+	cellsNormal = iota
+	cellsSmallInt
+	cellsAdversarial
+	cellsMixed
+	cellKinds
+)
+
+// oracleGrid fills a w×h raster from one of the cell populations.
+func oracleGrid(w, h, kind int, rng *workload.RNG) *grid.Grid {
+	g := grid.New(w, h)
+	for i := range g.Data {
+		k := kind
+		if k == cellsMixed {
+			k = int(rng.Intn(cellsMixed))
+		}
+		switch k {
+		case cellsNormal: // Box–Muller
+			g.Data[i] = math.Sqrt(-2*math.Log(1-rng.Float())) * math.Cos(2*math.Pi*rng.Float())
+		case cellsSmallInt:
+			g.Data[i] = float64(rng.Intn(10))
+		default:
+			g.Data[i] = adversarialCells[rng.Intn(int64(len(adversarialCells)))]
+		}
+	}
+	return g
+}
+
+// haloBand builds the band a scheme would: owned [start, end) plus exactly
+// the pattern's MaxAbsOffset each way — for Diffusion that is ±W, without
+// the corners an 8-neighbor band has.
+func haloBand(k Kernel, g *grid.Grid, start, end int64) *grid.Band {
+	lo, hi := grid.HaloRange(start, end, Pattern(k).MaxAbsOffset(g.W), g.Len())
+	return grid.BandOf(g, start, end, lo, hi)
+}
+
+// unwritten prefills outputs, so a cell a path skips shows as a mismatch.
+const unwritten = 12345.678
+
+func applyInto(apply func(b *grid.Band, out []float64), b *grid.Band) []float64 {
+	out := make([]float64, b.OwnedLen())
+	for i := range out {
+		out[i] = unwritten
+	}
+	apply(b, out)
+	return out
+}
+
+// selects reports the kernels whose every output is an input cell or a
+// small constant, so that even a NaN's bits are theirs to define. The
+// others add and multiply, and when two NaNs meet in an addition (an input
+// NaN and the default NaN of +Inf + −Inf, say) the payload that survives is
+// the instruction's first operand — an order Go leaves to the compiler, on
+// either path. For those a NaN matches any NaN.
+func selects(k Kernel) bool {
+	switch k.(type) {
+	case Median, FlowRouting, FlowAccumulation:
+		return true
+	}
+	return false
+}
+
+func sameBits(t *testing.T, what string, b *grid.Band, got, want []float64, anyNaN bool) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			if anyNaN && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+				continue
+			}
+			r, c := b.RowCol(b.Start + int64(i))
+			t.Fatalf("%s: %d×%d raster, owned [%d,%d): cell (%d,%d) = %v (%#x), per-element %v (%#x)",
+				what, b.Width, b.GlobalLen/int64(b.Width), b.Start, b.End, r, c,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// checkRowDriver compares k's ApplyBand, alone and through the parallel
+// executor at 1, 2 and 7 shards, with k's per-element path on the owned
+// range [start, end) of g, and the two reducers' spans with an At loop.
+func checkRowDriver(t *testing.T, k Kernel, g *grid.Grid, start, end int64) {
+	t.Helper()
+	b := haloBand(k, g, start, end)
+	want := applyInto(PerElement(k).ApplyBand, b)
+	sameBits(t, k.Name(), b, applyInto(k.ApplyBand, b), want, !selects(k))
+	defer SetParallelism(0)
+	for _, shards := range []int{1, 2, 7} {
+		SetParallelism(shards)
+		got := applyInto(func(b *grid.Band, out []float64) { ParallelApplyBand(k, b, out) }, b)
+		sameBits(t, k.Name()+" sharded", b, got, want, !selects(k))
+	}
+
+	owned := grid.BandOf(g, start, end, start, end)
+	hist := Histogram{Bins: 4, Lo: -1, Hi: 7}
+	wantStats := []float64{0, 0, 0, math.Inf(1), math.Inf(-1)}
+	wantHist := make([]float64, hist.Bins)
+	for i := start; i < end; i++ {
+		v := owned.At(i)
+		wantStats[StatCount]++
+		wantStats[StatSum] += v
+		wantStats[StatSumSq] += v * v
+		wantStats[StatMin] = math.Min(wantStats[StatMin], v)
+		wantStats[StatMax] = math.Max(wantStats[StatMax], v)
+		wantHist[hist.bucket(v)]++
+	}
+	sameBits(t, "stats", owned, Stats{}.ReduceBand(owned), wantStats, true)
+	sameBits(t, "histogram", owned, hist.ReduceBand(owned), wantHist, false)
+}
+
+// TestRowDriverMatchesPerElement: on small rasters of every shape class —
+// narrower than a window, single row, owned ranges that start and end
+// mid-row — and on cells chosen to expose sort order and truncation, the
+// row-streaming kernels reproduce the per-element path bit for bit.
+func TestRowDriverMatchesPerElement(t *testing.T) {
+	for _, k := range rowDriverKernels() {
+		k := k
+		t.Run(k.Name(), func(t *testing.T) {
+			rng := workload.NewRNG(uint64(len(k.Name())))
+			for n := 0; n < 400; n++ {
+				g := oracleGrid(1+int(rng.Intn(12)), 1+int(rng.Intn(9)), n%cellKinds, rng)
+				start := rng.Intn(g.Len())
+				end := start + 1 + rng.Intn(g.Len()-start)
+				checkRowDriver(t, k, g, start, end)
+			}
+		})
+	}
+}
+
+// FuzzRowDriver is the same comparison with the fuzzer choosing kernel,
+// shape, owned range and cell population. Its seed corpus
+// (testdata/fuzz/FuzzRowDriver, one file per shape class) runs as a unit
+// test in tier-1; `make extended` fuzzes for a bounded time.
+func FuzzRowDriver(f *testing.F) {
+	f.Add(uint8(0), uint8(7), uint8(5), uint8(cellsMixed), uint16(9), uint16(20), uint64(1))
+	ks := rowDriverKernels()
+	f.Fuzz(func(t *testing.T, kernel, width, height, cells uint8, start, end uint16, seed uint64) {
+		g := oracleGrid(1+int(width%12), 1+int(height%9), int(cells%cellKinds), workload.NewRNG(seed))
+		s := int64(start) % g.Len()
+		e := s + 1 + int64(end)%(g.Len()-s)
+		checkRowDriver(t, ks[int(kernel)%len(ks)], g, s, e)
+	})
+}
+
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg, _ = r.(string)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestRowDriverMissingHaloPanics: a band one element short of an up or
+// down row must panic on the row path exactly as At does on the
+// per-element path — also when the band came from the pool with spare
+// capacity behind len(Data), where an unchecked window would read another
+// band's stale values instead.
+func TestRowDriverMissingHaloPanics(t *testing.T) {
+	const w, h = 8, 6
+	g := lcgGrid(w, h, 7)
+	// Owned cells (2,2)..(3,5): the first reads up-left 9, the last
+	// down-right 38.
+	const start, end = 2*w + 2, 3*w + 6
+	builders := []struct {
+		name  string
+		build func(lo, hi int64) *grid.Band
+	}{
+		{"NewBand", func(lo, hi int64) *grid.Band { return grid.BandOf(g, start, end, lo, hi) }},
+		{"NewBandPooled", func(lo, hi int64) *grid.Band {
+			big := grid.NewBandPooled(w, g.Len(), 0, g.Len(), 0, g.Len())
+			for i := range big.Data {
+				big.Data[i] = 1e9 // stale values the short band must never see
+			}
+			big.Release()
+			b := grid.NewBandPooled(w, g.Len(), start, end, lo, hi)
+			b.Fill(lo, g.Data[lo:hi])
+			return b
+		}},
+	}
+	for _, bld := range builders {
+		name, build := bld.name, bld.build
+		for _, k := range rowDriverKernels()[:6] { // the 3×3 family
+			halo := Pattern(k).MaxAbsOffset(w)
+			lo, hi := grid.HaloRange(start, end, halo, g.Len())
+			for _, short := range []struct {
+				what   string
+				lo, hi int64
+			}{{"up row", lo + 1, hi}, {"down row", lo, hi - 1}} {
+				b := build(short.lo, short.hi)
+				out := make([]float64, b.OwnedLen())
+				want := panicMessage(func() { PerElement(k).ApplyBand(b, out) })
+				got := panicMessage(func() { k.ApplyBand(b, out) })
+				if !strings.Contains(want, "outside band") {
+					t.Fatalf("%s/%s: per-element path did not miss the %s: %q", name, k.Name(), short.what, want)
+				}
+				if got != want {
+					t.Errorf("%s/%s short of the %s: row path panic %q, per-element %q", name, k.Name(), short.what, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestApplyBandDoesNotAllocate: the driver hands out windows of the
+// band, never copies, and calls its kernel through an interface that
+// boxes nothing.
+func TestApplyBandDoesNotAllocate(t *testing.T) {
+	g := lcgGrid(64, 16, 3)
+	for _, k := range rowDriverKernels() {
+		b := haloBand(k, g, 70, g.Len()-70)
+		out := make([]float64, b.OwnedLen())
+		if n := testing.AllocsPerRun(20, func() { k.ApplyBand(b, out) }); n != 0 {
+			t.Errorf("%s: ApplyBand allocates %v times per call, want 0", k.Name(), n)
+		}
+	}
+}

@@ -22,12 +22,27 @@ func (Slope) Offsets() []features.Offset { return features.EightNeighbor() }
 func (Slope) Weight() float64            { return 1.3 }
 
 func (Slope) ApplyBand(b *grid.Band, out []float64) {
-	stencil3x3(b, out, func(w *[3][3]float64) float64 {
+	rowStencil{k: Slope{}, corners: true, clampRows: true}.apply(b, out)
+}
+
+func (Slope) cells(b *grid.Band, out []float64, start, end int64) {
+	for i := start; i < end; i++ {
+		w := window3x3(b, i)
 		// Horn (1981): weighted central differences along each axis.
 		dzdx := ((w[0][2] + 2*w[1][2] + w[2][2]) - (w[0][0] + 2*w[1][0] + w[2][0])) / 8
 		dzdy := ((w[2][0] + 2*w[2][1] + w[2][2]) - (w[0][0] + 2*w[0][1] + w[0][2])) / 8
-		return math.Sqrt(dzdx*dzdx + dzdy*dzdy)
-	})
+		out[i-b.Start] = math.Sqrt(dzdx*dzdx + dzdy*dzdy)
+	}
+}
+
+func (Slope) row(up, mid, down, out []float64) {
+	n := len(out)
+	up, mid, down = up[:n+2], mid[:n+2], down[:n+2]
+	for j := range out {
+		dzdx := ((up[j+2] + 2*mid[j+2] + down[j+2]) - (up[j] + 2*mid[j] + down[j])) / 8
+		dzdy := ((down[j] + 2*down[j+1] + down[j+2]) - (up[j] + 2*up[j+1] + up[j+2])) / 8
+		out[j] = math.Sqrt(dzdx*dzdx + dzdy*dzdy)
+	}
 }
 
 // Diffusion is a 4-neighbor kernel — the other dependence family §III-C
@@ -46,9 +61,13 @@ func (Diffusion) Offsets() []features.Offset { return features.FourNeighbor() }
 func (Diffusion) Weight() float64            { return 0.8 }
 
 func (Diffusion) ApplyBand(b *grid.Band, out []float64) {
+	rowStencil{k: Diffusion{}, clampRows: true}.apply(b, out)
+}
+
+func (Diffusion) cells(b *grid.Band, out []float64, start, end int64) {
 	width := int64(b.Width)
 	height := int(b.GlobalLen / width)
-	for i := b.Start; i < b.End; i++ {
+	for i := start; i < end; i++ {
 		r, c := b.RowCol(i)
 		center := b.At(i)
 		sum := 0.0
@@ -58,5 +77,19 @@ func (Diffusion) ApplyBand(b *grid.Band, out []float64) {
 			sum += b.At(int64(nr)*width + int64(nc))
 		}
 		out[i-b.Start] = 0.75*center + 0.25*(sum/4)
+	}
+}
+
+// row reads no corner: up and down cover the cells' own columns.
+func (Diffusion) row(up, mid, down, out []float64) {
+	n := len(out)
+	up, mid, down = up[:n], mid[:n+2], down[:n]
+	for j := range out {
+		sum := 0.0
+		sum += up[j]
+		sum += mid[j]
+		sum += mid[j+2]
+		sum += down[j]
+		out[j] = 0.75*mid[j+1] + 0.25*(sum/4)
 	}
 }

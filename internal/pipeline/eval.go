@@ -42,7 +42,7 @@ func (pl *Plan) evalFromInput(node int, lo, hi int64, in *grid.Band, charge func
 // covering [dataLo, dataLo+len(data)).
 func (pl *Plan) applyKernel(node int, lo, hi, dataLo int64, data []float64, total int64, charge func(int64, float64)) []float64 {
 	n := pl.Nodes[node]
-	band := &grid.Band{Width: pl.Width, GlobalLen: total, Start: lo, End: hi, Lo: dataLo, Data: data}
+	band := grid.BandOver(pl.Width, total, lo, hi, dataLo, data)
 	out := make([]float64, hi-lo)
 	n.Kernel.ApplyBand(band, out)
 	if charge != nil {

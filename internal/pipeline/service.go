@@ -316,8 +316,7 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 				for t := run.First; t <= run.Last; t++ {
 					tLo, tHi := in.StripBounds(t)
 					se0, se1 := tLo/in.ElemSize, tHi/in.ElemSize
-					b := &grid.Band{Width: in.Width, GlobalLen: total, Start: se0, End: se1, Lo: se0,
-						Data: gridVals[se0-e0 : se1-e0]}
+					b := grid.BandOver(in.Width, total, se0, se1, se0, gridVals[se0-e0:se1-e0])
 					resp.PartialStrips = append(resp.PartialStrips, t)
 					resp.Partials = append(resp.Partials, red.ReduceBand(b))
 				}
