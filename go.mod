@@ -1,3 +1,5 @@
 module github.com/hpcio/das
 
 go 1.22
+
+toolchain go1.24.0

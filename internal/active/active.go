@@ -171,11 +171,9 @@ func Deploy(fs *pfs.FileSystem, registry *kernels.Registry, reducers *kernels.Re
 		srv := fs.Server(s)
 		fs.Cluster().Eng.SpawnDaemon(fmt.Sprintf("as-server-%d", s), func(p *sim.Proc) {
 			port := fs.Cluster().Net.Node(srv.NodeID()).Port(Port)
-			reqs := 0
 			for {
 				msg := port.Get(p)
-				reqs++
-				p.Spawn(fmt.Sprintf("as-exec-%d-%d", s, reqs), func(h *sim.Proc) {
+				p.Spawn("as-exec", func(h *sim.Proc) {
 					svc.handle(h, srv, msg)
 				})
 			}
@@ -291,8 +289,10 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 				return fail(err)
 			}
 			resp.Phases.LocalRead += p.Now() - t0
-			clu.Trace.Record(t0, p.Now()-t0, actor(srv), "local-read",
-				fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, req.Input))
+			if clu.Trace != nil {
+				clu.Trace.Record(t0, p.Now()-t0, actor(srv), "local-read",
+					fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, req.Input))
+			}
 			for i, chunk := range chunks {
 				band.FillBytes(localLo[i]/in.ElemSize, chunk)
 				pfs.ReleaseBuffer(chunk)
@@ -312,9 +312,9 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		fetchSigs := make([]*sim.Signal[fetched], len(remotes))
 		for i, rm := range remotes {
 			rm := rm
-			sig := sim.NewSignal[fetched](clu.Eng, fmt.Sprintf("as-fetch-%d-%d", srv.Index(), rm.strip))
+			sig := sim.NewSignal[fetched](clu.Eng, "as-fetch")
 			fetchSigs[i] = sig
-			p.Spawn(fmt.Sprintf("as-fetch-%d-%d", srv.Index(), rm.strip), func(f *sim.Proc) {
+			p.Spawn("as-fetch", func(f *sim.Proc) {
 				data, gotLo, hit, err := svc.fetchRemote(f, srv, in, req.Mode, rm.strip, rm.needLo, rm.needHi)
 				sig.Fire(fetched{data: data, gotLo: gotLo, hit: hit, err: err})
 			})
@@ -347,7 +347,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 			pfs.ReleaseBuffer(got.data)
 		}
 		resp.Phases.Fetch += p.Now() - fetchStart
-		if len(remotes) > 0 {
+		if clu.Trace != nil && len(remotes) > 0 {
 			clu.Trace.Record(fetchStart, p.Now()-fetchStart, actor(srv), "fetch",
 				fmt.Sprintf("%d dependent strips for strips %d-%d (%s)", len(remotes), run.First, run.Last, req.Mode))
 		}
@@ -362,8 +362,10 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		computeStart := p.Now()
 		p.Sleep(clu.ComputeTime(e1-e0, k.Weight()))
 		resp.Phases.Compute += p.Now() - computeStart
-		clu.Trace.Record(computeStart, p.Now()-computeStart, actor(srv), "compute",
-			fmt.Sprintf("%s over %d elements", req.Op, e1-e0))
+		if clu.Trace != nil {
+			clu.Trace.Record(computeStart, p.Now()-computeStart, actor(srv), "compute",
+				fmt.Sprintf("%s over %d elements", req.Op, e1-e0))
+		}
 		resp.Elements += e1 - e0
 
 		// Write the run's output strips locally in one batched disk pass.
@@ -387,11 +389,13 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 			return fail(err)
 		}
 		resp.Phases.Write += p.Now() - writeStart
-		clu.Trace.Record(writeStart, p.Now()-writeStart, actor(srv), "write",
-			fmt.Sprintf("%d output strips of %s", len(strips), req.Output))
-		done := sim.NewSignal[error](clu.Eng, fmt.Sprintf("as-forward-%d-%d", srv.Index(), run.First))
+		if clu.Trace != nil {
+			clu.Trace.Record(writeStart, p.Now()-writeStart, actor(srv), "write",
+				fmt.Sprintf("%d output strips of %s", len(strips), req.Output))
+		}
+		done := sim.NewSignal[error](clu.Eng, "as-forward")
 		forwards = append(forwards, done)
-		p.Spawn(fmt.Sprintf("as-forward-%d-%d", srv.Index(), run.First), func(f *sim.Proc) {
+		p.Spawn("as-forward", func(f *sim.Proc) {
 			done.Fire(srv.ForwardReplicas(f, req.Output, strips, chunks))
 		})
 		resp.Strips += int64(len(strips))
@@ -406,7 +410,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 	for _, b := range pooledOut {
 		pfs.ReleaseBuffer(b) // replica forwards acknowledged: last references gone
 	}
-	if len(forwards) > 0 {
+	if clu.Trace != nil && len(forwards) > 0 {
 		clu.Trace.Record(forwardStart, p.Now()-forwardStart, actor(srv), "forward-wait",
 			fmt.Sprintf("%d replica batches of %s", len(forwards), req.Output))
 	}
@@ -548,9 +552,9 @@ func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (Ex
 				strips = []int64{} // explicitly nothing, not "your primaries"
 			}
 		}
-		done := sim.NewSignal[execResp](clu.Eng, fmt.Sprintf("as-exec:%s:%d", op, s))
+		done := sim.NewSignal[execResp](clu.Eng, "as-exec")
 		sigs = append(sigs, done)
-		p.Spawn(fmt.Sprintf("as-dispatch-%s-%d", op, s), func(d *sim.Proc) {
+		p.Spawn("as-dispatch", func(d *sim.Proc) {
 			resp := clu.Net.Call(d, simnet.Message{
 				From:    c.nodeID,
 				To:      clu.StorageID(s),

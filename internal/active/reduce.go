@@ -96,9 +96,9 @@ func (c *Client) ExecReduce(p *sim.Proc, red kernels.Reducer, input string) ([]f
 	sigs := make([]*sim.Signal[reduceResp], 0, c.fs.Servers())
 	for s := 0; s < c.fs.Servers(); s++ {
 		s := s
-		done := sim.NewSignal[reduceResp](clu.Eng, fmt.Sprintf("as-reduce:%s:%d", red.Name(), s))
+		done := sim.NewSignal[reduceResp](clu.Eng, "as-reduce")
 		sigs = append(sigs, done)
-		p.Spawn(fmt.Sprintf("as-reduce-dispatch-%s-%d", red.Name(), s), func(d *sim.Proc) {
+		p.Spawn("as-reduce-dispatch", func(d *sim.Proc) {
 			resp := clu.Net.Call(d, simnet.Message{
 				From:    c.nodeID,
 				To:      clu.StorageID(s),

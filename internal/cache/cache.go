@@ -16,8 +16,10 @@
 //
 // Correctness rules:
 //
-//   - Entries are copies; the cache never aliases pfs buffers. Get
-//     returns a pool-backed copy the consumer releases as usual.
+//   - Entries are pool-backed copies the cache owns from admission to
+//     release; it never aliases a caller's buffer. Get returns a
+//     pool-backed copy of its own that the consumer releases as usual, so
+//     a later eviction of the entry cannot touch bytes a hit handed out.
 //   - A write to a strip invalidates every cached copy of it cluster-wide
 //     (the pfs write path calls Manager.InvalidateStrip from storePut).
 //   - A server restart purges its cache: caches are memory, and PR 2's
@@ -219,9 +221,10 @@ func (c *ServerCache) Put(file string, strip, lo int64, data []byte) {
 		c.stats.Evictions++
 		c.agg.AddEviction(ve.hi - ve.lo)
 	}
-	cp := make([]byte, size)
-	copy(cp, data)
-	c.entries[k] = &entry{data: cp, lo: lo, hi: lo + size, winFetch: 1}
+	//das:transfer -- the entry owns its pooled copy; release returns it on every exit (evict, replace, invalidate, restart purge)
+	e := &entry{data: pfs.AcquireBuffer(size), lo: lo, hi: lo + size, winFetch: 1}
+	copy(e.data, data)
+	c.entries[k] = e
 	c.used += size
 	c.pol.Insert(k, size)
 	c.agg.AddInsert(size)
@@ -239,11 +242,15 @@ func (c *ServerCache) removeEntry(k Key, e *entry, evicted bool) {
 	delete(c.entries, k)
 }
 
+// release is the one exit of a resident entry: it settles the byte
+// accounting and hands the entry's copy back to the buffer pool. Hits
+// already taken are unaffected — Get returned its own copy.
 func (c *ServerCache) release(e *entry) {
 	c.used -= e.hi - e.lo
 	if e.pinned {
 		c.pinned -= e.hi - e.lo
 	}
+	pfs.ReleaseBuffer(e.data)
 	e.data = nil
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"github.com/hpcio/das/internal/sim"
@@ -174,5 +175,82 @@ func TestCacheRecordMissFeedsWindow(t *testing.T) {
 	s := c.Snapshot()
 	if s.Misses != 2 || s.MissBytes != 128 {
 		t.Errorf("misses = %d / %d bytes", s.Misses, s.MissBytes)
+	}
+}
+
+// TestCacheHitSurvivesEvictionOfItsKey pins the ownership rule behind
+// pooled entries: every exit of an entry returns its bytes to the buffer
+// pool, where the very next admission picks them up and overwrites them.
+// A hit handed out earlier is a copy of its own and must not change.
+func TestCacheHitSurvivesEvictionOfItsKey(t *testing.T) {
+	const size = 4096
+	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, size) }
+	exits := []struct {
+		name string
+		exit func(c *ServerCache)
+	}{
+		{"evict", func(c *ServerCache) { c.Put("f", 2, 0, fill(2)) }},
+		{"replace-larger", func(c *ServerCache) { c.Put("f", 1, 0, fill(3)) }},
+		{"invalidate", func(c *ServerCache) { c.Invalidate("f", 1) }},
+		{"invalidate-file", func(c *ServerCache) { c.InvalidateFile("f") }},
+	}
+	for _, x := range exits {
+		name, exit := x.name, x.exit
+		c := newTestCache(size, nil)
+		c.Put("f", 1, 0, fill(1)[:size-1])
+		hit, ok := c.Get("f", 1, 0, size-1)
+		if !ok {
+			t.Fatalf("%s: resident entry missed", name)
+		}
+		exit(c)
+		// Whatever the exit freed, the next admission reuses.
+		c.Put("g", 7, 0, fill(9))
+		if !bytes.Equal(hit, fill(1)[:size-1]) {
+			t.Errorf("%s: bytes of an earlier hit changed after its entry left the cache", name)
+		}
+	}
+
+	inc := uint64(0)
+	c := newTestCache(size, func() uint64 { return inc })
+	c.Put("f", 1, 0, fill(1))
+	hit, _ := c.Get("f", 1, 0, size)
+	inc++ // restart: the next access purges lazily
+	c.Put("g", 7, 0, fill(9))
+	if !bytes.Equal(hit, fill(1)) {
+		t.Error("restart purge: bytes of an earlier hit changed")
+	}
+	if got, ok := c.Get("g", 7, 0, size); !ok || !bytes.Equal(got, fill(9)) {
+		t.Error("admission after the purge does not read back")
+	}
+}
+
+// TestCachePutEvictCyclesAllocateNoPayload: at steady state every
+// admission evicts one entry and reuses its pooled bytes, so a cycle
+// allocates bookkeeping (the entry, the policy's list node) and nothing
+// proportional to the strip.
+func TestCachePutEvictCyclesAllocateNoPayload(t *testing.T) {
+	const size = 64 << 10
+	c := newTestCache(4*size, nil)
+	data := make([]byte, size)
+	strip := int64(0)
+	cycle := func() {
+		strip++
+		c.Put("f", strip, 0, data)
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // fill the budget and start evicting
+	}
+	const cycles = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if s := c.Snapshot(); s.Evictions < cycles {
+		t.Fatalf("only %d evictions over %d cycles: not at steady state", s.Evictions, cycles)
+	}
+	if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle > size/64 {
+		t.Errorf("a Put/evict cycle allocates %d bytes for a %d-byte strip; the entry's copy should come from the pool", perCycle, size)
 	}
 }

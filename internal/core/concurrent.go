@@ -85,8 +85,8 @@ func (s *System) ExecuteConcurrent(reqs []Request) ([]Report, error) {
 		sigs := make([]*sim.Signal[error], len(jobs))
 		for i, job := range jobs {
 			i, job := i, job
-			sigs[i] = sim.NewSignal[error](s.Clu.Eng, fmt.Sprintf("batch-job-%d", i))
-			p.Spawn(fmt.Sprintf("batch-job-%d-%s", i, reqs[i].Op), func(c *sim.Proc) {
+			sigs[i] = sim.NewSignal[error](s.Clu.Eng, "batch-job")
+			p.Spawn("batch-job", func(c *sim.Proc) {
 				err := job(c)
 				reports[i].ExecTime = c.Now() - start
 				sigs[i].Fire(err)

@@ -128,7 +128,7 @@ func (s *System) reduceTS(rep *ReduceReport, red kernels.Reducer, in *pfs.FileMe
 				continue
 			}
 			launched++
-			p.Spawn(fmt.Sprintf("reduce-ts-worker-%d", w), func(c *sim.Proc) {
+			p.Spawn("reduce-ts-worker", func(c *sim.Proc) {
 				partial, elements, werr := s.reduceWorker(c, red, in, first, last, total, w)
 				if werr != nil {
 					gather.Put(reducePartial{err: werr})

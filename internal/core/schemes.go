@@ -73,9 +73,9 @@ func (s *System) tsJob(rep *Report, req Request, in *pfs.FileMeta) (func(p *sim.
 			if first > last {
 				continue
 			}
-			done := sim.NewSignal[workerResult](s.Clu.Eng, fmt.Sprintf("ts-worker-%s-%d", req.Output, w))
+			done := sim.NewSignal[workerResult](s.Clu.Eng, "ts-worker")
 			sigs = append(sigs, done)
-			p.Spawn(fmt.Sprintf("ts-worker-%s-%d", req.Output, w), func(c *sim.Proc) {
+			p.Spawn("ts-worker", func(c *sim.Proc) {
 				ph, err := s.tsWorker(c, k, in, out, first, last, maxAbs, total, w)
 				done.Fire(workerResult{phases: ph, err: err})
 			})
@@ -111,8 +111,10 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 		return phases, err
 	}
 	phases.Fetch = p.Now() - readStart
-	s.Clu.Trace.Record(readStart, phases.Fetch, tsActor(w), "read",
-		fmt.Sprintf("%d bytes of %s", (hi-lo)*in.ElemSize, in.Name))
+	if s.Clu.Trace != nil {
+		s.Clu.Trace.Record(readStart, phases.Fetch, tsActor(w), "read",
+			fmt.Sprintf("%d bytes of %s", (hi-lo)*in.ElemSize, in.Name))
+	}
 	band := grid.NewBandPooled(in.Width, total, e0, e1, lo, hi)
 	band.FillBytes(lo, data)
 	pfs.ReleaseBuffer(data)
@@ -123,8 +125,10 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 	computeStart := p.Now()
 	p.Sleep(s.Clu.ComputeTime(e1-e0, k.Weight()))
 	phases.Compute = p.Now() - computeStart
-	s.Clu.Trace.Record(computeStart, phases.Compute, tsActor(w), "compute",
-		fmt.Sprintf("%s over %d elements", k.Name(), e1-e0))
+	if s.Clu.Trace != nil {
+		s.Clu.Trace.Record(computeStart, phases.Compute, tsActor(w), "compute",
+			fmt.Sprintf("%s over %d elements", k.Name(), e1-e0))
+	}
 
 	// Write the output back, batching the strips bound for each server.
 	outBytes := grid.FloatsToBytesInto(pfs.AcquireBuffer((e1-e0)*in.ElemSize), outVals)
@@ -151,9 +155,9 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 	for _, srv := range order {
 		srv := srv
 		b := batches[srv]
-		done := sim.NewSignal[error](s.Clu.Eng, fmt.Sprintf("ts-out-srv%d", srv))
+		done := sim.NewSignal[error](s.Clu.Eng, "ts-write")
 		sigs = append(sigs, done)
-		p.Spawn(fmt.Sprintf("ts-write-srv%d", srv), func(wp *sim.Proc) {
+		p.Spawn("ts-write", func(wp *sim.Proc) {
 			done.Fire(s.FS.WriteStripsTo(wp, client.NodeID(), srv, out.Name, b.strips, b.chunks, true))
 		})
 	}
@@ -168,8 +172,10 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 	}
 	pfs.ReleaseBuffer(outBytes) // writes acknowledged: stores hold copies
 	phases.Write = p.Now() - writeStart
-	s.Clu.Trace.Record(writeStart, phases.Write, tsActor(w), "write-back",
-		fmt.Sprintf("strips %d-%d of %s", first, last, out.Name))
+	if s.Clu.Trace != nil {
+		s.Clu.Trace.Record(writeStart, phases.Write, tsActor(w), "write-back",
+			fmt.Sprintf("strips %d-%d of %s", first, last, out.Name))
+	}
 	return phases, nil
 }
 

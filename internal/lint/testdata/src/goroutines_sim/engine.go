@@ -1,0 +1,14 @@
+// Test fixture type-checked as the internal/sim package: the Proc handoff
+// lives here, so iter.Pull is legal; no file of the package is on the
+// go-statement allowlist.
+package sim
+
+import "iter"
+
+func start(loop iter.Seq[struct{}]) (resume func() (struct{}, bool), cancel func()) {
+	return iter.Pull(loop)
+}
+
+func launch(loop func()) {
+	go loop() // want `go statement outside the allowlisted scheduler sites`
+}

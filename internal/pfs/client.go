@@ -255,9 +255,9 @@ func (c *Client) Reconfigure(p *sim.Proc, name string, newLay layout.Layout) err
 		if len(targets) == 0 {
 			continue
 		}
-		done := sim.NewSignal[error](c.fs.clu.Eng, fmt.Sprintf("migrate:%s:%d", name, s))
+		done := sim.NewSignal[error](c.fs.clu.Eng, "pfs-migrate")
 		sigs = append(sigs, done)
-		p.Spawn(fmt.Sprintf("pfs-migrate-%s-%d", name, s), func(mp *sim.Proc) {
+		p.Spawn("pfs-migrate", func(mp *sim.Proc) {
 			done.Fire(c.fs.MigrateStrip(mp, c.nodeID, src, name, s, targets))
 		})
 	}

@@ -125,11 +125,9 @@ func Deploy(fs *pfs.FileSystem, reg *kernels.Registry, combs *kernels.CombinerRe
 		srv := fs.Server(s)
 		fs.Cluster().Eng.SpawnDaemon(fmt.Sprintf("pipe-server-%d", s), func(p *sim.Proc) {
 			port := fs.Cluster().Net.Node(srv.NodeID()).Port(Port)
-			reqs := 0
 			for {
 				msg := port.Get(p)
-				reqs++
-				p.Spawn(fmt.Sprintf("pipe-handle-%d-%d", s, reqs), func(h *sim.Proc) {
+				p.Spawn("pipe-handle", func(h *sim.Proc) {
 					svc.handle(h, srv, msg)
 				})
 			}
@@ -302,9 +300,9 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 			if err := srv.LocalWriteMany(p, req.Output, strips, chunks, false); err != nil {
 				return fail(err)
 			}
-			done := sim.NewSignal[error](clu.Eng, fmt.Sprintf("pipe-forward-%d-%d", srv.Index(), run.First))
+			done := sim.NewSignal[error](clu.Eng, "pipe-forward")
 			forwards = append(forwards, done)
-			p.Spawn(fmt.Sprintf("pipe-forward-%d-%d", srv.Index(), run.First), func(f *sim.Proc) {
+			p.Spawn("pipe-forward", func(f *sim.Proc) {
 				done.Fire(srv.ForwardReplicas(f, req.Output, strips, chunks))
 			})
 			resp.Wrote += int64(len(strips))
@@ -413,9 +411,9 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 	sigs := make([]*sim.Signal[fetched], len(remotes))
 	for i, rm := range remotes {
 		rm := rm
-		sig := sim.NewSignal[fetched](clu.Eng, fmt.Sprintf("pipe-fetch-%d-%d", srv.Index(), rm.strip))
+		sig := sim.NewSignal[fetched](clu.Eng, "pipe-fetch")
 		sigs[i] = sig
-		p.Spawn(fmt.Sprintf("pipe-fetch-%d-%d", srv.Index(), rm.strip), func(f *sim.Proc) {
+		p.Spawn("pipe-fetch", func(f *sim.Proc) {
 			tLo, _ := in.StripBounds(rm.strip)
 			wantLo, wantHi := rm.needLo-tLo, rm.needHi-tLo
 			if svc.cache != nil {
@@ -565,9 +563,9 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 	sigs := make([]*sim.Signal[pulled], len(pulls))
 	for i, pu := range pulls {
 		i, pu := i, pu
-		sig := sim.NewSignal[pulled](clu.Eng, fmt.Sprintf("pipe-pull-%d-%d", srv.Index(), pu.owner))
+		sig := sim.NewSignal[pulled](clu.Eng, "pipe-pull")
 		sigs[i] = sig
-		p.Spawn(fmt.Sprintf("pipe-pull-%d-%d", srv.Index(), pu.owner), func(f *sim.Proc) {
+		p.Spawn("pipe-pull", func(f *sim.Proc) {
 			toID := clu.StorageID(pu.owner)
 			selfID := srv.NodeID()
 			msg := simnet.Message{

@@ -3,8 +3,8 @@
 //
 // A simulation is driven by an Engine that owns a virtual clock and an
 // event queue. Work is expressed as processes: ordinary Go functions that
-// run on their own goroutines but execute strictly one at a time, handing
-// control back to the engine whenever they block on a simulated operation
+// run on their own coroutine stacks and execute strictly one at a time,
+// switching back to the engine whenever they block on a simulated operation
 // (Sleep, Resource.Acquire, Mailbox.Get, Signal.Wait). Because exactly one
 // process runs at any instant and ties in the event queue are broken by
 // insertion order, a simulation is fully deterministic: the same program

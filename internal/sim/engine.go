@@ -30,10 +30,6 @@ type Engine struct {
 	ring     []event
 	ringHead int
 
-	// yield is the rendezvous channel on which the currently running
-	// process returns control to the engine.
-	yield chan struct{}
-
 	live int // processes spawned and not yet finished
 	fg   int // queued foreground events (everything but daemon timers)
 
@@ -49,21 +45,21 @@ type Engine struct {
 	spawned uint64 // total processes ever spawned (for naming and stats)
 	events  uint64 // total events dispatched (for stats)
 
-	// procFree recycles finished processes: the Proc struct, its wake
-	// channel, and — because each pooled Proc's goroutine parks in procLoop
-	// instead of exiting — the goroutine itself. Spawning from the pool
-	// therefore costs no allocation, which matters on hot paths that fork a
-	// child per message.
+	// procFree recycles finished processes: the Proc struct and — because
+	// each pooled Proc's coroutine parks in Proc.loop instead of returning —
+	// the coroutine and its stack. Spawning from the pool therefore costs
+	// no allocation, which matters on hot paths that fork a child per
+	// message.
 	procFree []*Proc
 }
 
 // shutdownSentinel unwinds a process's stack during Shutdown. It is
-// recovered by the spawn wrapper and never escapes the engine.
+// recovered by runProcFn and never escapes the engine.
 type shutdownSentinel struct{}
 
 // NewEngine returns an engine with the clock at zero and no processes.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{}), queue: newCalendarQueue()}
+	return &Engine{queue: newCalendarQueue()}
 }
 
 // Now returns the current simulated time.
@@ -203,12 +199,11 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 			eng:    e,
 			name:   name,
 			id:     e.spawned,
-			wake:   make(chan struct{}),
 			daemon: daemon,
 			fn:     fn,
 		}
 		e.procs = append(e.procs, p)
-		go procLoop(p)
+		p.start()
 	}
 	if !daemon {
 		e.live++
@@ -216,53 +211,6 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	p.parked, p.rverb, p.robj = true, "start", nil
 	e.schedule(e.now, p)
 	return p
-}
-
-// procLoop is the body of every process goroutine. After the process
-// function returns, the goroutine parks and the Proc joins the engine's
-// free list for the next spawn, so process churn costs no allocations.
-// During Shutdown the loop exits instead, letting the goroutine die.
-func procLoop(p *Proc) {
-	e := p.eng
-	for {
-		<-p.wake // wait to be scheduled for the first time (or recycled)
-		if e.stopping && p.fn == nil {
-			// Woken from the free list during Shutdown: just exit.
-			e.yield <- struct{}{}
-			return
-		}
-		runProcFn(p)
-		if !p.daemon {
-			e.live--
-		}
-		p.done = true
-		p.fn = nil
-		stop := e.stopping || e.panicVal != nil
-		if !stop {
-			e.procFree = append(e.procFree, p)
-		}
-		e.yield <- struct{}{}
-		if stop {
-			return
-		}
-	}
-}
-
-// runProcFn runs the process function, containing panics: the shutdown
-// sentinel is swallowed (it only unwinds the stack), anything else is
-// recorded for Run to re-raise.
-func runProcFn(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, isShutdown := r.(shutdownSentinel); !isShutdown {
-				p.eng.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
-			}
-		}
-	}()
-	if p.eng.stopping {
-		return
-	}
-	p.fn(p)
 }
 
 // Run dispatches events until no foreground work remains: the queue is
@@ -292,7 +240,7 @@ func (e *Engine) Run() error {
 			e.ResumeNow(who)
 		case Tasker:
 			// A task event is accounted exactly like a process event but
-			// runs inline: no channel rendezvous, no goroutine switch.
+			// runs inline: no coroutine switch.
 			e.fg--
 			e.now = ev.at
 			e.events++
@@ -311,17 +259,17 @@ func (e *Engine) stuckList() []string {
 		if !p.parked || p.daemon || p.done {
 			continue
 		}
-		stuck = append(stuck, fmt.Sprintf("%s (%s)", p.Name(), p.reason()))
+		stuck = append(stuck, p.ordinalName()+" ("+p.reason()+")")
 	}
 	sort.Strings(stuck)
 	return stuck
 }
 
 // Shutdown terminates every parked process — daemons waiting for requests
-// as well as any stragglers — so their goroutines exit and the simulation's
-// memory becomes collectible. Processes unwind in creation order, so
-// teardown traces are reproducible run to run. A simulation cannot be used
-// after Shutdown. It is safe to call multiple times.
+// as well as any stragglers — so their coroutines finish and the
+// simulation's memory becomes collectible. Processes unwind in creation
+// order, so teardown traces are reproducible run to run. A simulation
+// cannot be used after Shutdown. It is safe to call multiple times.
 func (e *Engine) Shutdown() {
 	e.stopping = true
 	for progress := true; progress; {
@@ -330,21 +278,19 @@ func (e *Engine) Shutdown() {
 			if !p.parked {
 				continue
 			}
-			// Wake the parked process; its park() observes stopping and
-			// unwinds via the sentinel panic, which the spawn wrapper
-			// recovers before yielding back here. Unwinding (deferred
+			// Resume the parked process; its park() observes stopping and
+			// unwinds via the sentinel panic, which runProcFn recovers
+			// before the coroutine returns here. Unwinding (deferred
 			// functions) may park further processes, so sweep until a full
 			// pass finds nothing parked.
 			p.parked = false
-			p.wake <- struct{}{}
-			<-e.yield
+			p.resume()
 			progress = true
 		}
 	}
-	// Drain the free list so pooled goroutines exit too.
+	// End the pooled coroutines too.
 	for _, p := range e.procFree {
-		p.wake <- struct{}{}
-		<-e.yield
+		p.cancel()
 	}
 	e.procFree = nil
 }

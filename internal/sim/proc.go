@@ -6,10 +6,17 @@ import "strconv"
 // Proc methods must be called from the process's own function; passing a
 // Proc to another goroutine is a programming error.
 type Proc struct {
-	eng    *Engine
-	name   string
-	id     uint64 // spawn ordinal of the current occupant, for lazy naming
-	wake   chan struct{}
+	eng  *Engine
+	name string
+	id   uint64 // spawn ordinal of the current occupant, for lazy naming
+
+	// The coroutine handoff (coro.go): resume switches onto the process's
+	// stack and returns when it parks or finishes; yield, called on that
+	// stack, switches back; cancel ends a coroutine parked in the pool.
+	resume func() (struct{}, bool)
+	cancel func()
+	yield  func(struct{}) bool
+
 	fn     func(p *Proc)
 	done   bool
 	daemon bool
@@ -34,6 +41,17 @@ func (p *Proc) Name() string {
 	return p.name
 }
 
+// ordinalName is Name with the spawn ordinal appended, so a deadlock
+// report tells apart the many processes a hot path spawns under one
+// constant name ("as-fetch#1234"). Hot paths pass constants precisely so
+// that nothing is formatted unless a report is.
+func (p *Proc) ordinalName() string {
+	if p.name == "" {
+		return p.Name()
+	}
+	return p.name + "#" + strconv.FormatUint(p.id, 10)
+}
+
 // reason formats what the process is blocked on, for deadlock reports.
 func (p *Proc) reason() string {
 	if p.robj == nil {
@@ -53,8 +71,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // deadlock diagnostics; obj may be nil.
 func (p *Proc) park(verb string, obj Named) {
 	p.parked, p.rverb, p.robj = true, verb, obj
-	p.eng.yield <- struct{}{}
-	<-p.wake
+	p.yield(struct{}{})
 	if p.eng.stopping {
 		panic(shutdownSentinel{})
 	}

@@ -1,14 +1,14 @@
 package sim
 
 // This file is task dispatch: events that run inline on the engine
-// goroutine instead of waking a process goroutine.
+// goroutine instead of resuming a process coroutine.
 //
-// A process wake-up costs two channel rendezvous (engine→process,
-// process→engine) and two goroutine context switches. Most events in an
-// I/O-bound simulation do not need a process stack at all: a NIC finishing
-// a timed segment, a resource grant, a mailbox handoff. Such steps run as
-// a Tasker callback dispatched inline; a process switch happens only where
-// user code must run.
+// A process wake-up costs two coroutine switches (engine→process,
+// process→engine; coro.go), several times an inline call. Most events in
+// an I/O-bound simulation do not need a process stack at all: a NIC
+// finishing a timed segment, a resource grant, a mailbox handoff. Such
+// steps run as a Tasker callback dispatched inline; a process switch
+// happens only where user code must run.
 //
 // # The event-accounting invariant
 //
@@ -58,7 +58,7 @@ func (e *Engine) ResumeIn(d Time, p *Proc) {
 }
 
 // ResumeNow hands control to parked process p inside the current event:
-// p runs on its own goroutine until it parks again or returns (a panic it
+// p runs on its own stack until it parks again or returns (a panic it
 // recorded is re-raised here), then the caller continues. No event is
 // scheduled, counted, or timed — the dispatch loop itself delivers process
 // events through it. For task chains it is how one that carried a process
@@ -69,8 +69,7 @@ func (e *Engine) ResumeIn(d Time, p *Proc) {
 // only for a process no pending ResumeIn will also wake.
 func (e *Engine) ResumeNow(p *Proc) {
 	p.parked = false
-	p.wake <- struct{}{}
-	<-e.yield
+	p.resume()
 	if e.panicVal != nil {
 		panic(e.panicVal)
 	}

@@ -27,7 +27,10 @@ type Event struct {
 // Recorder collects events. It is safe for concurrent use (simulation
 // callbacks are single-threaded, but tests may read while building).
 // The zero value is unusable; create with New. A nil *Recorder is valid
-// everywhere and records nothing, so call sites need no guards.
+// everywhere and records nothing, but Go evaluates Record's arguments
+// before the nil receiver is seen: a call site that formats its actor or
+// note wraps the call in `if rec != nil`, so an untraced run formats and
+// allocates nothing.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
