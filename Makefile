@@ -13,10 +13,13 @@ tier1:
 # interprocedural transfer/replies analyzers and the stale-directive
 # check), then through the `go vet -vettool` protocol, which additionally
 # covers _test.go files with the per-package analyzers.
+# The vettool is built where Go itself would put temporary files: GOTMPDIR
+# if set, else the system temp directory (`go env GOTMPDIR` succeeds with
+# empty output when unset, so the fallback has to test for empty).
 lint:
 	go run ./cmd/daslint ./...
-	go build -o "$$(go env GOTMPDIR 2>/dev/null || echo /tmp)/daslint-vettool" ./cmd/daslint
-	go vet -vettool="$$(go env GOTMPDIR 2>/dev/null || echo /tmp)/daslint-vettool" ./...
+	dir="$$(go env GOTMPDIR)"; tool="$${dir:-$${TMPDIR:-/tmp}}/daslint-vettool"; \
+	go build -o "$$tool" ./cmd/daslint && go vet -vettool="$$tool" ./...
 
 # Machine-readable lint pass: asserts the module is finding-free via the
 # -json output (any JSON line on stdout is a finding). CI consumes this;

@@ -25,13 +25,16 @@ func TestListAnalyzers(t *testing.T) {
 	}
 }
 
-// The standalone driver loads through `go list -export`; linting one of
-// the real (and clean) pool packages end-to-end must succeed quietly.
+// The standalone driver loads through `go list -export`; linting the real
+// (and clean) pool packages end-to-end must succeed quietly. core rides
+// along because the transfer analyzer only sees the packages it is given:
+// grid.GetFloats hands its slice to the caller, and the caller that puts
+// it back (the TS worker) lives there.
 func TestStandaloneCleanPackage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")
 	}
-	if code := runStandalone([]string{"../../internal/bufpool", "../../internal/grid"}, false); code != 0 {
+	if code := runStandalone([]string{"../../internal/bufpool", "../../internal/grid", "../../internal/core"}, false); code != 0 {
 		t.Fatalf("runStandalone = exit %d, want 0", code)
 	}
 }

@@ -234,16 +234,12 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 
 	var resp execResp
 	var forwards []*sim.Signal[error]
-	var pooledOut [][]byte // output encodings, released once forwards finish
-	// fail unwinds an error return: replica forwards spawned by earlier
-	// runs may still hold sub-slices of the pooled output buffers, so they
-	// must drain before the pool reclaims anything.
+	// fail answers an error the way success is answered: only once the
+	// replica forwards already started have been acknowledged. When the
+	// reply leaves is simulated behaviour — under a crash plan it decides
+	// whether the reply is delivered at all.
 	fail := func(err error) (execResp, error) {
 		sim.WaitAll(p, forwards)
-		for _, b := range pooledOut {
-			pfs.ReleaseBuffer(b)
-		}
-		pooledOut = nil
 		return execResp{}, err
 	}
 	for _, run := range assignedRuns(srv, in, req.Strips) {
@@ -283,7 +279,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		}
 		if len(localSpans) > 0 {
 			t0 := p.Now()
-			chunks, err := srv.LocalReadMany(p, req.Input, localSpans)
+			chunks, err := srv.LocalViewMany(p, req.Input, localSpans)
 			if err != nil {
 				band.Release()
 				return fail(err)
@@ -294,8 +290,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 					fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, req.Input))
 			}
 			for i, chunk := range chunks {
-				band.FillBytes(localLo[i]/in.ElemSize, chunk)
-				pfs.ReleaseBuffer(chunk)
+				band.FillBytes(localLo[i]/in.ElemSize, chunk) // lent: copied out, never released
 			}
 		}
 		// Dependent-strip fetches for one run go out concurrently (the
@@ -355,8 +350,11 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		// Run the kernel: real computation on real bytes, plus the
 		// simulated CPU cost of processing the run's elements. The parallel
 		// executor only spreads the host-CPU work across cores; the
-		// simulated cost below is unchanged.
-		outVals := grid.GetFloats(int(e1 - e0))
+		// simulated cost below is unchanged. The output is allocated once,
+		// as the memory the store will hold: nothing writes it after the
+		// kernel returns.
+		band.ZeroUnfilled()
+		outVals := make([]float64, e1-e0)
 		kernels.ParallelApplyBand(k, band, outVals)
 		band.Release()
 		computeStart := p.Now()
@@ -369,14 +367,12 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		resp.Elements += e1 - e0
 
 		// Write the run's output strips locally in one batched disk pass.
-		// Replica copies demanded by the output layout are pushed lazily
-		// on a child process, overlapping replication with the next run's
-		// disk and compute work; the exec completes only after every
-		// forward has been acknowledged.
-		//das:transfer -- ownership joins pooledOut; released once the replica forwards acknowledge (fail() covers error paths)
-		outBytes := grid.FloatsToBytesInto(pfs.AcquireBuffer((e1-e0)*in.ElemSize), outVals)
-		grid.PutFloats(outVals)
-		pooledOut = append(pooledOut, outBytes)
+		// The store keeps the output's sub-slices by reference, and so do
+		// the replica holders demanded by the output layout, which are
+		// pushed lazily on a child process, overlapping replication with
+		// the next run's disk and compute work; the exec completes only
+		// after every forward has been acknowledged.
+		outBytes := grid.Bytes(outVals)
 		strips := make([]int64, 0, run.Last-run.First+1)
 		chunks := make([][]byte, 0, run.Last-run.First+1)
 		for t := run.First; t <= run.Last; t++ {
@@ -407,9 +403,6 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		}
 	}
 	resp.Phases.Forward += p.Now() - forwardStart
-	for _, b := range pooledOut {
-		pfs.ReleaseBuffer(b) // replica forwards acknowledged: last references gone
-	}
 	if clu.Trace != nil && len(forwards) > 0 {
 		clu.Trace.Record(forwardStart, p.Now()-forwardStart, actor(srv), "forward-wait",
 			fmt.Sprintf("%d replica batches of %s", len(forwards), req.Output))

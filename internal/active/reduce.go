@@ -65,7 +65,7 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		for t := run.First; t <= run.Last; t++ {
 			spans = append(spans, pfs.Span{Strip: t})
 		}
-		chunks, err := srv.LocalReadMany(p, req.Input, spans)
+		chunks, err := srv.LocalViewMany(p, req.Input, spans)
 		if err != nil {
 			respond(reduceResp{Err: err.Error()}, headerBytes)
 			return
@@ -73,10 +73,10 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		band := grid.NewBandPooled(in.Width, total, e0, e1, e0, e1)
 		off := e0
 		for _, chunk := range chunks {
-			band.FillBytes(off, chunk)
+			band.FillBytes(off, chunk) // lent: copied out, never released
 			off += int64(len(chunk)) / in.ElemSize
-			pfs.ReleaseBuffer(chunk)
 		}
+		band.ZeroUnfilled()
 		partials = append(partials, red.ReduceBand(band))
 		band.Release()
 		p.Sleep(clu.ComputeTime(e1-e0, red.Weight()))

@@ -10,8 +10,10 @@
 package bufpool
 
 import (
+	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // maxPerClass bounds each class's free list so the pool tracks the
@@ -64,9 +66,47 @@ func (p *Pool[E]) Put(s []E) {
 		return
 	}
 	c := bits.Len(uint(cap(s))) - 1 // floor: the class s can fully serve
+	if poison.Load() {
+		scribble(s[:cap(s)])
+	}
 	p.mu.Lock()
 	if len(p.classes[c]) < maxPerClass {
 		p.classes[c] = append(p.classes[c], s[:cap(s)])
 	}
 	p.mu.Unlock()
+}
+
+// poison is a test hook: while set, every Put overwrites the slice it is
+// given, even one the free list then turns away. Memory that somebody
+// still reads after it reached a pool — a stored strip, a lent view, a
+// band kept past its Release — then holds garbage instead of plausible old
+// values, and the test comparing outputs with the sequential reference
+// fails instead of passing by luck.
+var poison atomic.Bool
+
+// PoisonPuts switches the poison hook on for a test and returns the
+// function that switches it back.
+func PoisonPuts() (restore func()) {
+	was := poison.Swap(true)
+	return func() { poison.Store(was) }
+}
+
+// poisonByte fills scribbled memory; eight of them make a float64 of
+// about -1.9e132, which no kernel here produces.
+const poisonByte = 0xDB
+
+func scribble[E any](s []E) {
+	switch t := any(s).(type) {
+	case []byte:
+		for i := range t {
+			t[i] = poisonByte
+		}
+	case []float64:
+		v := math.Float64frombits(poisonByte * 0x0101010101010101)
+		for i := range t {
+			t[i] = v
+		}
+	default:
+		clear(s) // no garbage value to offer for other element types
+	}
 }

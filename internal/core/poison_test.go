@@ -1,0 +1,91 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/hpcio/das/internal/bufpool"
+	"github.com/hpcio/das/internal/kernels"
+	"github.com/hpcio/das/internal/workload"
+)
+
+// TestOutputsSurvivePoisonedPools runs the offload paths with every pool
+// scribbling over whatever is returned to it. The store keeps kernel
+// output and replica forwards by reference and lends its slices to the
+// kernels reading them, so none of that memory may ever reach a pool: if
+// it did, or if a band were read where no fill and no ZeroUnfilled had
+// been, the outputs would hold the poison instead of the reference.
+func TestOutputsSurvivePoisonedPools(t *testing.T) {
+	defer bufpool.PoisonPuts()()
+	g := workload.Terrain(testW, testH, 5)
+
+	t.Run("execute", func(t *testing.T) {
+		// Two offloads back to back: the second reads, as lent views, the
+		// strips the first one's kernel output became, replicas included.
+		s := newSystem(t, DAS, g)
+		defer s.Close()
+		want := g
+		in := "in"
+		for _, step := range []struct{ op, out string }{{"flow-routing", "dirs"}, {"flow-accumulation", "acc"}} {
+			k, _ := kernels.Default().Lookup(step.op)
+			want = kernels.Apply(k, want)
+			rep, err := s.Execute(Request{Op: step.op, Input: in, Output: step.out, Scheme: DAS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Offloaded {
+				t.Fatalf("%s was not offloaded: the test would not reach the exec path", step.op)
+			}
+			got, err := s.FetchGrid(step.out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s output differs from the sequential reference under poisoned pools (max diff %g)",
+					step.op, got.MaxAbsDiff(want))
+			}
+			in = step.out
+		}
+	})
+
+	t.Run("ts", func(t *testing.T) {
+		s := newSystem(t, TS, g)
+		defer s.Close()
+		k, _ := kernels.Default().Lookup("gaussian-filter")
+		if _, err := s.Execute(Request{Op: "gaussian-filter", Input: "in", Output: "out", Scheme: TS}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.FetchGrid("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := kernels.Apply(k, g); !got.Equal(want) {
+			t.Fatalf("TS output differs from the sequential reference under poisoned pools (max diff %g)", got.MaxAbsDiff(want))
+		}
+	})
+
+	t.Run("dag", func(t *testing.T) {
+		d := dagChain3()
+		want, err := kernels.ApplyDAG(d, kernels.Default(), kernels.DefaultCombiners(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range []Scheme{NAS, DAS} {
+			s := newSystem(t, scheme, g)
+			rep, err := s.ExecuteDAG(DAGRequest{DAG: d, Input: "in", Output: "out", Scheme: scheme, DisablePrediction: true})
+			if err != nil {
+				t.Fatalf("%v: %v", scheme, err)
+			}
+			if !rep.Pipelined {
+				t.Fatalf("%v: DAG was not pushed down", scheme)
+			}
+			got, err := s.FetchGrid(rep.Output)
+			if err != nil {
+				t.Fatalf("%v: %v", scheme, err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%v: pushdown output differs from the sequential DAG reference under poisoned pools", scheme)
+			}
+			s.Close()
+		}
+	})
+}

@@ -170,15 +170,16 @@ func (s *System) reduceWorker(p *sim.Proc, red kernels.Reducer, in *pfs.FileMeta
 	client := s.FS.NewClient(s.Clu.ComputeID(w))
 	byteLo, _ := in.StripBounds(first)
 	_, byteHi := in.StripBounds(last)
-	data := pfs.AcquireBuffer(byteHi - byteLo)
-	if err := client.ReadInto(p, in.Name, byteLo, data); err != nil {
-		pfs.ReleaseBuffer(data)
-		return nil, 0, err
-	}
 	e0, e1 := byteLo/in.ElemSize, byteHi/in.ElemSize
 	band := grid.NewBandPooled(in.Width, total, e0, e1, e0, e1)
-	band.FillBytes(e0, data)
-	pfs.ReleaseBuffer(data)
+	err := band.FillFrom(e0, e1, func(raw []byte) error {
+		return client.ReadInto(p, in.Name, byteLo, raw)
+	})
+	if err != nil {
+		band.Release()
+		return nil, 0, err
+	}
+	band.ZeroUnfilled()
 	partial := red.ReduceBand(band)
 	band.Release()
 	p.Sleep(s.Clu.ComputeTime(e1-e0, red.Weight()))

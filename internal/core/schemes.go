@@ -104,10 +104,14 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 	e0, e1 := byteLo/in.ElemSize, byteHi/in.ElemSize
 	lo, hi := grid.HaloRange(e0, e1, maxAbs, total)
 
+	// The client reads straight into the band's own memory.
 	readStart := p.Now()
-	data := pfs.AcquireBuffer((hi - lo) * in.ElemSize)
-	if err := client.ReadInto(p, in.Name, lo*in.ElemSize, data); err != nil {
-		pfs.ReleaseBuffer(data)
+	band := grid.NewBandPooled(in.Width, total, e0, e1, lo, hi)
+	err := band.FillFrom(lo, hi, func(raw []byte) error {
+		return client.ReadInto(p, in.Name, lo*in.ElemSize, raw)
+	})
+	if err != nil {
+		band.Release()
 		return phases, err
 	}
 	phases.Fetch = p.Now() - readStart
@@ -115,9 +119,7 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 		s.Clu.Trace.Record(readStart, phases.Fetch, tsActor(w), "read",
 			fmt.Sprintf("%d bytes of %s", (hi-lo)*in.ElemSize, in.Name))
 	}
-	band := grid.NewBandPooled(in.Width, total, e0, e1, lo, hi)
-	band.FillBytes(lo, data)
-	pfs.ReleaseBuffer(data)
+	band.ZeroUnfilled()
 
 	outVals := grid.GetFloats(int(e1 - e0))
 	kernels.ParallelApplyBand(k, band, outVals)
@@ -131,8 +133,9 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 	}
 
 	// Write the output back, batching the strips bound for each server.
-	outBytes := grid.FloatsToBytesInto(pfs.AcquireBuffer((e1-e0)*in.ElemSize), outVals)
-	grid.PutFloats(outVals)
+	// The output's bytes stay this client's: each primary copies what it
+	// receives, so the floats go back to the pool once the writes return.
+	outBytes := grid.Bytes(outVals)
 	type batch struct {
 		strips []int64
 		chunks [][]byte
@@ -164,13 +167,11 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 	writeStart := p.Now()
 	for _, e := range sim.WaitAll(p, sigs) {
 		if e != nil {
-			// All writers have fired, so nothing still references the
-			// output encoding.
-			pfs.ReleaseBuffer(outBytes)
+			grid.PutFloats(outVals) // all writers have fired: nothing references the output
 			return phases, e
 		}
 	}
-	pfs.ReleaseBuffer(outBytes) // writes acknowledged: stores hold copies
+	grid.PutFloats(outVals) // writes acknowledged: stores hold copies
 	phases.Write = p.Now() - writeStart
 	if s.Clu.Trace != nil {
 		s.Clu.Trace.Record(writeStart, phases.Write, tsActor(w), "write-back",

@@ -1,10 +1,6 @@
 package grid
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Band is the window of a raster's flat element space available to one
 // worker: the contiguous range it must produce output for ([Start, End)),
@@ -20,6 +16,14 @@ type Band struct {
 	End       int64 // one past the last owned element
 	Lo        int64 // first element present in Data
 	Data      []float64
+
+	// A pooled band (NewBandPooled) starts with a previous tenant's values
+	// in Data. Fill and FillBytes widen [cleanLo, cleanHi), the offsets of
+	// Data known good, and ZeroUnfilled settles the rest: the band is
+	// cleared only where no fill covered it. stale is false for every
+	// other band, whose Data is good from the start.
+	stale            bool
+	cleanLo, cleanHi int64
 }
 
 // NewBand allocates a band covering owned range [start, end) with data
@@ -111,47 +115,83 @@ func (b *Band) panicOutside(off int64) {
 // window; ranges outside the band are ignored. Workers call Fill once per
 // local strip or fetched halo fragment.
 func (b *Band) Fill(lo int64, src []float64) {
-	hi := lo + int64(len(src))
-	curLo, curHi := b.Lo, b.Hi()
-	if hi <= curLo || lo >= curHi {
+	from, to := b.clip(lo, lo+int64(len(src)))
+	if from == to {
 		return
 	}
-	from, to := lo, hi
-	if from < curLo {
-		from = curLo
-	}
-	if to > curHi {
-		to = curHi
-	}
 	copy(b.Data[from-b.Lo:to-b.Lo], src[from-lo:to-lo])
+	b.cover(from-b.Lo, to-b.Lo)
 }
 
-// FillBytes decodes raw little-endian elements (global range
-// [lo, lo+len(raw)/ElemSize)) directly into the band's data window,
-// skipping the intermediate []float64 that Fill(lo, FloatsFromBytes(raw))
-// would allocate. Ranges outside the band are ignored; len(raw) must be a
-// multiple of ElemSize.
+// FillBytes decodes raw on-disk elements (global range
+// [lo, lo+len(raw)/ElemSize)) straight into the band's data window — on a
+// little-endian host one memmove. Ranges outside the band are ignored;
+// len(raw) must be a multiple of ElemSize. raw is only read: a lent stored
+// strip is safe.
 func (b *Band) FillBytes(lo int64, raw []byte) {
 	if len(raw)%ElemSize != 0 {
 		panic(fmt.Sprintf("grid: byte length %d not a multiple of element size %d", len(raw), ElemSize))
 	}
-	hi := lo + int64(len(raw))/ElemSize
-	curLo, curHi := b.Lo, b.Hi()
-	if hi <= curLo || lo >= curHi {
+	from, to := b.clip(lo, lo+int64(len(raw))/ElemSize)
+	if from == to {
 		return
 	}
-	from, to := lo, hi
-	if from < curLo {
-		from = curLo
+	decode(b.Data[from-b.Lo:to-b.Lo], raw[(from-lo)*ElemSize:])
+	b.cover(from-b.Lo, to-b.Lo)
+}
+
+// FillFrom fills global range [lo, hi), which must lie within the band's
+// data range, with the on-disk bytes read deposits in the buffer it is
+// handed. Where the host allows, that buffer is the band's own memory: a
+// client read lands in the band with no copy after it.
+func (b *Band) FillFrom(lo, hi int64, read func(raw []byte) error) error {
+	if err := fillFrom(b.Span(lo, hi), read); err != nil {
+		return err
 	}
-	if to > curHi {
-		to = curHi
+	b.cover(lo-b.Lo, hi-b.Lo)
+	return nil
+}
+
+// clip intersects global range [lo, hi) with the band's data range; the
+// result is empty (from == to) when they do not meet.
+func (b *Band) clip(lo, hi int64) (from, to int64) {
+	from, to = max(lo, b.Lo), min(hi, b.Hi())
+	if from >= to {
+		return 0, 0
 	}
-	src := raw[(from-lo)*ElemSize:]
-	dst := b.Data[from-b.Lo : to-b.Lo]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*ElemSize:]))
+	return from, to
+}
+
+// cover records that Data[from:to) has just been filled. The covered part
+// is kept as one interval: a fill that lands apart from it zeroes the gap
+// between them, which a later fill may still overwrite.
+func (b *Band) cover(from, to int64) {
+	switch {
+	case !b.stale:
+	case b.cleanLo == b.cleanHi:
+		b.cleanLo, b.cleanHi = from, to
+	case from > b.cleanHi:
+		clear(b.Data[b.cleanHi:from])
+		b.cleanHi = to
+	case to < b.cleanLo:
+		clear(b.Data[to:b.cleanLo])
+		b.cleanLo = from
+	default:
+		b.cleanLo, b.cleanHi = min(b.cleanLo, from), max(b.cleanHi, to)
 	}
+}
+
+// ZeroUnfilled zeroes whatever part of a pooled band's data no Fill or
+// FillBytes covered, after which the band reads exactly like a NewBand
+// given the same fills: gaps are 0. Call it once the band is assembled and
+// before anything reads it; on any other band it does nothing.
+func (b *Band) ZeroUnfilled() {
+	if !b.stale {
+		return
+	}
+	clear(b.Data[:b.cleanLo])
+	clear(b.Data[b.cleanHi:])
+	b.stale = false
 }
 
 // OwnedLen returns the number of elements the band must produce.

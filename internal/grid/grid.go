@@ -11,7 +11,6 @@
 package grid
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -85,7 +84,8 @@ func (g *Grid) MaxAbsDiff(o *Grid) float64 {
 	return maxd
 }
 
-// Bytes encodes the raster into its on-disk little-endian representation.
+// Bytes encodes the raster into its on-disk little-endian representation:
+// a copy the caller owns, whatever the host.
 func (g *Grid) Bytes() []byte {
 	return FloatsToBytes(g.Data)
 }
@@ -97,7 +97,7 @@ func FromBytes(w, h int, b []byte) (*Grid, error) {
 		return nil, fmt.Errorf("grid: %dx%d raster needs %d bytes, got %d", w, h, want, len(b))
 	}
 	g := New(w, h)
-	copy(g.Data, FloatsFromBytes(b))
+	decode(g.Data, b)
 	return g, nil
 }
 
@@ -117,9 +117,7 @@ func FloatsToBytesInto(dst []byte, vals []float64) []byte {
 	} else {
 		dst = make([]byte, n)
 	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*ElemSize:], math.Float64bits(v))
-	}
+	encode(dst, vals)
 	return dst
 }
 
@@ -149,8 +147,6 @@ func FloatsFromBytesInto(dst []float64, b []byte) ([]float64, error) {
 	} else {
 		dst = make([]float64, n)
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*ElemSize:]))
-	}
+	decode(dst, b)
 	return dst, nil
 }

@@ -12,9 +12,9 @@ import (
 // sources from the simulator's inner loop (the GB-scale garbage behind the
 // Fig. 10-14 regeneration cost).
 //
-// Pooled float buffers are returned zeroed, so a pooled band behaves
-// exactly like a freshly allocated one: unfilled gaps read as 0, keeping
-// outputs byte-identical to the unpooled reference.
+// GetFloats returns zeroed memory; a pooled band does not — it is zeroed
+// only where its assembly left a gap (Band.ZeroUnfilled) — and either way
+// outputs stay byte-identical to the unpooled reference.
 
 var (
 	floatPool bufpool.Pool[float64]
@@ -37,32 +37,25 @@ func PutFloats(s []float64) {
 	floatPool.Put(s)
 }
 
-// NewBandPooled is NewBand backed by the pool: the Band struct and its
-// data buffer are recycled via Release. The data window starts zeroed,
-// exactly like NewBand's.
+// NewBandPooled is NewBand backed by the pool, except that its data window
+// starts with arbitrary contents: fill it, then call ZeroUnfilled before
+// anything reads it. Release recycles the band.
 func NewBandPooled(width int, globalLen, start, end, lo, hi int64) *Band {
 	validateBand(width, globalLen, start, end, lo, hi)
 	b := bandPool.Get().(*Band)
-	n := hi - lo
-	if int64(cap(b.Data)) >= n {
-		b.Data = b.Data[:n]
-		clear(b.Data)
-	} else {
-		floatPool.Put(b.Data)
-		//das:transfer -- the band owns its data buffer; Release recycles band and buffer together
-		b.Data = GetFloats(int(n))
-	}
-	b.Width = width
-	b.GlobalLen = globalLen
-	b.Start = start
-	b.End = end
-	b.Lo = lo
+	//das:transfer -- the band owns its data buffer; Release returns it to the float pool
+	*b = Band{Width: width, GlobalLen: globalLen, Start: start, End: end, Lo: lo, Data: floatPool.Get(int(hi - lo)), stale: true}
 	return b
 }
 
-// Release returns a band obtained from NewBandPooled to the pool. The
-// caller must not use the band (or its Data) afterwards. Releasing a band
-// built by NewBand is also safe: its buffer simply joins the pool.
+// Release recycles a band obtained from NewBandPooled: its data goes back
+// to the float pool, which unlike the sync.Pool holding the structs
+// survives a GC cycle. The caller must not use the band (or its Data)
+// afterwards. Releasing a band built by NewBand is also safe — its buffer
+// simply joins the pool — but never release a BandOver: its data is not
+// the band's to give away.
 func (b *Band) Release() {
+	floatPool.Put(b.Data)
+	*b = Band{}
 	bandPool.Put(b)
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -17,14 +18,52 @@ func TestNewBandPooledMatchesNewBand(t *testing.T) {
 		}
 	}
 	b.Release()
-	// A recycled band must come back zeroed even after holding data.
+	// A recycled band holds the previous tenant's values until it is
+	// assembled; ZeroUnfilled leaves 0 exactly where no fill landed, be
+	// the gap at the head, in the middle or at the tail.
 	c := NewBandPooled(4, 8, 2, 6, 0, 8)
-	for i, v := range c.Data {
-		if v != 0 {
-			t.Fatalf("recycled band data[%d] = %v, want 0", i, v)
+	c.FillBytes(5, raw[5*ElemSize:6*ElemSize])
+	c.Fill(2, []float64{3})
+	c.ZeroUnfilled()
+	for i, want := range []float64{0, 0, 3, 0, 0, 6, 0, 0} {
+		if c.Data[i] != want {
+			t.Fatalf("recycled band data[%d] = %v, want %v", i, c.Data[i], want)
 		}
 	}
 	c.Release()
+	d := NewBandPooled(4, 8, 2, 6, 0, 8)
+	d.ZeroUnfilled()
+	for i, v := range d.Data {
+		if v != 0 {
+			t.Fatalf("unfilled recycled band data[%d] = %v, want 0", i, v)
+		}
+	}
+	d.Release()
+}
+
+// TestBandDataSurvivesGC pins Release's contract: the data buffer goes
+// back to the float pool, not into the sync.Pool that holds the Band
+// structs and that every GC cycle empties. When it rode along with the
+// struct, a steady acquire/release loop reallocated its band data after
+// each collection.
+func TestBandDataSurvivesGC(t *testing.T) {
+	const n = 1 << 16
+	cycle := func() {
+		b := NewBandPooled(n, n, 0, n, 0, n)
+		b.Release()
+		runtime.GC()
+		runtime.GC() // sync.Pool's victim cache lasts one more cycle
+	}
+	cycle() // warm the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= n*ElemSize {
+		t.Errorf("8 acquire/release cycles across GCs allocated %d bytes: band data (%d bytes) was reallocated", got, n*ElemSize)
+	}
 }
 
 func TestNewBandPooledValidates(t *testing.T) {
@@ -54,8 +93,8 @@ func TestBandExtractionAllocs(t *testing.T) {
 	}
 	extract() // warm the pool
 	allocs := testing.AllocsPerRun(100, extract)
-	// sync.Pool may shed entries across a GC mid-run; tolerate a stray
-	// refill but reject anything resembling per-call allocation.
+	// sync.Pool may shed a Band struct across a GC mid-run; tolerate a
+	// stray refill but reject anything resembling per-call allocation.
 	if allocs > 2 {
 		t.Errorf("band extraction: %.1f allocs/op, want ≤ 2", allocs)
 	}

@@ -8,22 +8,29 @@ import (
 
 // Bufpool checks pooled-buffer ownership: every acquire must reach a
 // matching release on all return paths of the function, or change owner
-// through an explicitly annotated transfer; and a buffer must not be used
-// after its release.
+// through an explicitly annotated transfer; a buffer must not be used
+// after its release; and memory the strip store lends out must be neither
+// released nor written.
 var Bufpool = &Analyzer{
 	Name: "bufpool",
 	Doc: `require a Put on every return path for each bufpool Get, and no use after Put
 
 Tracked acquire/release pairs: bufpool.Pool.Get/Put, pfs.AcquireBuffer/
-ReleaseBuffer, and grid.GetFloats/PutFloats (grid.FloatsToBytesInto is
-known to return its first argument, so a buffer may flow through it).
-The check is per function: a buffer that legitimately changes owner —
+ReleaseBuffer, and grid.GetFloats/PutFloats. The check is per function: a buffer that legitimately changes owner —
 returned to the caller, stored in a message, handed to a struct — must be
 annotated at the escape site with '//das:transfer -- reason', which makes
 the new owner responsible for the Put. The analysis is a conservative
 walk of the function's statement structure (if/for/switch joins, defers,
 early returns); when it cannot prove a release on some path it says so
-rather than staying silent.`,
+rather than staying silent.
+
+One more role has no release at all: the chunks pfs.Server.LocalViewMany
+returns are borrowed — windows of the immutable stored strips, lent to a
+server-local reader. Within the borrowing function (closures included) it
+is a finding for a chunk, or anything sliced, indexed, ranged or assigned
+from one, to reach a release call, to be the destination of copy, or to
+be assigned through an index: the first would hand a file's contents to
+the pool, the other two would edit them in place.`,
 	Run: runBufpool,
 }
 
@@ -40,7 +47,7 @@ const (
 	roleNone    poolRole = iota
 	roleAcquire          // returns a pooled buffer the caller now owns
 	roleRelease          // arg 0 returns to the pool
-	rolePass             // returns its arg-0 buffer unchanged (ownership flows through)
+	roleBorrow           // returns views of stored strips: read-only, never released
 )
 
 func classifyCall(pass *Pass, call *ast.CallExpr) poolRole {
@@ -61,8 +68,8 @@ func classifyCallInfo(info *types.Info, call *ast.CallExpr) poolRole {
 		pkgFuncIs(fn, pfsPkg, "ReleaseBuffer"),
 		pkgFuncIs(fn, gridPkg, "PutFloats"):
 		return roleRelease
-	case pkgFuncIs(fn, gridPkg, "FloatsToBytesInto"):
-		return rolePass
+	case methodIs(fn, pfsPkg, "Server", "LocalViewMany"):
+		return roleBorrow
 	}
 	return roleNone
 }
@@ -83,6 +90,7 @@ func runBufpool(pass *Pass) error {
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkFuncBuffers(pass, n.Body)
+					checkBorrows(pass, n.Body)
 				}
 			case *ast.FuncLit:
 				checkFuncBuffers(pass, n.Body)
@@ -157,12 +165,9 @@ func inspectShallow(n ast.Node, fn func(ast.Node)) {
 
 // bindAcquire resolves which local variable holds the buffer produced by
 // call. An acquire that is immediately consumed by something other than
-// an assignment or a pass-through needs a transfer annotation; that case
-// is reported here and not tracked further.
+// an assignment needs a transfer annotation; that case is reported here
+// and not tracked further.
 func bindAcquire(pass *Pass, body *ast.BlockStmt, call *ast.CallExpr) *trackedBuf {
-	// Climb through pass-through calls: in
-	// out := grid.FloatsToBytesInto(pfs.AcquireBuffer(n), vals)
-	// the acquired buffer is what `out` holds.
 	expr := ast.Expr(call)
 	path, _ := astPath(body, call)
 	for i := len(path) - 2; i >= 0; i-- {
@@ -172,10 +177,6 @@ func bindAcquire(pass *Pass, body *ast.BlockStmt, call *ast.CallExpr) *trackedBu
 			expr = p
 			continue
 		case *ast.CallExpr:
-			if classifyCall(pass, p) == rolePass && len(p.Args) > 0 && ast.Unparen(p.Args[0]) == ast.Unparen(expr) {
-				expr = p
-				continue
-			}
 			if classifyCall(pass, p) == roleRelease && len(p.Args) > 0 && ast.Unparen(p.Args[0]) == ast.Unparen(expr) {
 				return nil // released on the spot (degenerate but legal)
 			}
@@ -648,4 +649,97 @@ func (w *bufWalk) nodeState(n ast.Node, st bufState) bufState {
 		}
 	}
 	return st
+}
+
+// checkBorrows enforces the read-only contract of lent store memory in
+// one function declaration, nested closures included (they share its
+// variables). It is flow-insensitive: a variable that ever holds borrowed
+// memory is borrowed throughout.
+func checkBorrows(pass *Pass, body *ast.BlockStmt) {
+	borrowed := make(map[types.Object]bool)
+	// isBorrowed reports whether e is a borrow call's result or a window
+	// (x, x[i], x[a:b]) of a borrowed variable.
+	isBorrowed := func(e ast.Expr) bool {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.CallExpr:
+				return classifyCall(pass, x) == roleBorrow
+			case *ast.Ident:
+				return borrowed[pass.Info.ObjectOf(x)]
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SliceExpr:
+				e = x.X
+			default:
+				return false
+			}
+		}
+	}
+	changed := true
+	bind := func(lhs, rhs ast.Expr) {
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		if !ok || !isBorrowed(rhs) {
+			return
+		}
+		if obj := pass.Info.ObjectOf(id); obj != nil && !borrowed[obj] && isBufferish(obj.Type()) {
+			borrowed[obj] = true
+			changed = true
+		}
+	}
+	for changed {
+		changed = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Rhs) == 1 {
+					bind(n.Lhs[0], n.Rhs[0]) // also `chunks, err := srv.LocalViewMany(...)`
+				} else {
+					for i := range n.Rhs {
+						bind(n.Lhs[i], n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				for i, v := range n.Values {
+					if i < len(n.Names) {
+						bind(n.Names[i], v)
+					}
+				}
+			case *ast.RangeStmt:
+				if n.Value != nil {
+					bind(n.Value, n.X)
+				}
+			}
+			return true
+		})
+	}
+	if len(borrowed) == 0 {
+		return
+	}
+	const contract = "LocalViewMany lends windows of the stored strips themselves, read-only and never released"
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if len(n.Args) == 0 || !isBorrowed(n.Args[0]) {
+				return true
+			}
+			if classifyCall(pass, n) == roleRelease {
+				pass.Reportf(n.Pos(), "borrowed strip memory released to a pool: %s", contract)
+			} else if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "copy" {
+				if _, builtin := pass.Info.Uses[id].(*types.Builtin); builtin {
+					pass.Reportf(n.Pos(), "borrowed strip memory is the destination of copy: %s", contract)
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isBorrowed(ix.X) {
+					pass.Reportf(lhs.Pos(), "borrowed strip memory is assigned through an index: %s", contract)
+				}
+			}
+		case *ast.IncDecStmt:
+			if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && isBorrowed(ix.X) {
+				pass.Reportf(n.X.Pos(), "borrowed strip memory is assigned through an index: %s", contract)
+			}
+		}
+		return true
+	})
 }

@@ -39,9 +39,9 @@ type flowNode struct {
 
 var releasedNode = flowNode{kind: 'R'}
 
-func objNode(o types.Object) flowNode        { return flowNode{kind: 'o', obj: o} }
-func paramNode(key string, i int) flowNode   { return flowNode{kind: 'p', fn: key, idx: i} }
-func resultNode(key string, i int) flowNode  { return flowNode{kind: 'r', fn: key, idx: i} }
+func objNode(o types.Object) flowNode       { return flowNode{kind: 'o', obj: o} }
+func paramNode(key string, i int) flowNode  { return flowNode{kind: 'p', fn: key, idx: i} }
+func resultNode(key string, i int) flowNode { return flowNode{kind: 'r', fn: key, idx: i} }
 
 // fieldNode keys a field by the static type of the selector base, so
 // producer stores and consumer loads land on the same node regardless of
@@ -259,7 +259,7 @@ func (b *flowBuilder) callEdges(info *types.Info, call *ast.CallExpr, closures m
 			}
 		}
 		return
-	case roleAcquire, rolePass:
+	case roleAcquire:
 		return
 	}
 	if fn := calleeFunc(info, call); fn != nil {
@@ -365,9 +365,8 @@ func (b *flowBuilder) rangeStmt(info *types.Info, s *ast.RangeStmt) {
 
 // srcNodes resolves the flow-graph sources of an expression: the nodes
 // whose value e denotes. Extraction (indexing, slicing, field loads,
-// type assertions) resolves to the container's node; pass-through calls
-// resolve to their argument; calls to named functions resolve to the
-// callee's result node.
+// type assertions) resolves to the container's node; calls to named
+// functions resolve to the callee's result node.
 func (b *flowBuilder) srcNodes(info *types.Info, e ast.Expr) []flowNode {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -415,9 +414,9 @@ func (b *flowBuilder) srcNodes(info *types.Info, e ast.Expr) []flowNode {
 	return nil
 }
 
-// callNodes resolves result idx of a call expression: conversions and
-// pass-throughs forward their argument, acquires spring fresh buffers
-// (no source node), named callees yield their result node.
+// callNodes resolves result idx of a call expression: conversions forward
+// their argument, append forwards all of them, named callees (acquires
+// included) yield their result node.
 func (b *flowBuilder) callNodes(info *types.Info, call *ast.CallExpr, idx int) []flowNode {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
@@ -437,13 +436,7 @@ func (b *flowBuilder) callNodes(info *types.Info, call *ast.CallExpr, idx int) [
 			return nil
 		}
 	}
-	switch classifyCallInfo(info, call) {
-	case roleRelease:
-		return nil
-	case rolePass:
-		if len(call.Args) > 0 {
-			return b.srcNodes(info, call.Args[0])
-		}
+	if classifyCallInfo(info, call) == roleRelease {
 		return nil
 	}
 	// Acquires resolve like any named call: linking result(AcquireBuffer, 0)

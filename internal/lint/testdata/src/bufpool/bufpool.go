@@ -134,14 +134,6 @@ func closureRelease(n int) func() {
 	return func() { pool.Put(b) }
 }
 
-// grid.FloatsToBytesInto returns its first argument, so the acquired
-// buffer flows through it into `out` and the Put on `out` settles it.
-func passThrough(vals []float64) {
-	out := grid.FloatsToBytesInto(pool.Get(8*len(vals)), vals)
-	use(out)
-	pool.Put(out)
-}
-
 // The float pool pairs with PutFloats just like the byte pools.
 func floatsOK(n int) {
 	f := grid.GetFloats(n)

@@ -156,7 +156,7 @@ func checkTransfers(pass *ModulePass, b *flowBuilder, fi *funcInfo, dirs []*dire
 					return true
 				}
 				switch classifyCallInfo(info, node) {
-				case roleAcquire, rolePass, roleRelease:
+				case roleAcquire, roleRelease:
 					return true
 				}
 				if fn := calleeFunc(info, node); fn != nil {

@@ -177,7 +177,7 @@ func (r *Runner) mapTask(p *sim.Proc, s int, in *pfs.FileMeta, lc layout.Locator
 	if len(spans) == 0 {
 		return nil, nil
 	}
-	chunks, err := srv.LocalReadMany(p, in.Name, spans)
+	chunks, err := srv.LocalViewMany(p, in.Name, spans) // lent: decoded below, never released
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +294,7 @@ func (r *Runner) reduceTask(p *sim.Proc, s int, in, out *pfs.FileMeta, k kernels
 		k.ApplyBand(band, outVals)
 		p.Sleep(clu.ComputeTime(e1-e0, k.Weight()))
 		outStrips = append(outStrips, t)
-		outChunks = append(outChunks, grid.FloatsToBytes(outVals))
+		outChunks = append(outChunks, grid.Bytes(outVals)) // the output itself becomes the stored strip
 	}
 	if len(outStrips) == 0 {
 		return nil

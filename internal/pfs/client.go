@@ -114,7 +114,9 @@ func (c *Client) Write(p *sim.Proc, name string, off int64, data []byte) error {
 			return err
 		}
 		copy(full[lo-sLo:], chunk)
-		if err := c.fs.WriteStripTo(p, c.nodeID, m.Layout.Primary(s), name, s, full, true); err != nil {
+		err = c.fs.WriteStripTo(p, c.nodeID, m.Layout.Primary(s), name, s, full, true)
+		ReleaseBuffer(full) // the primary copied it on entry: dead on both exits
+		if err != nil {
 			return err
 		}
 	}

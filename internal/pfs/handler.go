@@ -89,13 +89,13 @@ func (x *reqTask) begin() {
 		x.isRead, x.diskSize = true, total
 		x.payload, x.respSize = readManyResp{Data: data}, headerBytes+total
 	case *writeReq:
-		file, strip, data := req.File, req.Strip, req.Data
+		file, strip, data, immutable := req.File, req.Strip, req.Data, req.immutable
 		s.fs.writeReqPut(req)
 		if err := s.validateWrite(file, strip, data); err != nil {
 			x.fail(err)
 			return
 		}
-		s.storePut(file, strip, data)
+		s.storePut(file, strip, entering(data, immutable))
 		x.isRead, x.diskSize = false, int64(len(data))
 		x.payload, x.respSize = ackResp{}, headerBytes
 	case writeManyReq:
@@ -105,7 +105,7 @@ func (x *reqTask) begin() {
 			return
 		}
 		for i, strip := range req.Strips {
-			s.storePut(req.File, strip, req.Data[i])
+			s.storePut(req.File, strip, entering(req.Data[i], req.immutable))
 		}
 		x.isRead, x.diskSize = false, total
 		x.payload, x.respSize = ackResp{}, headerBytes

@@ -1,0 +1,130 @@
+package pfs
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/hpcio/das/internal/layout"
+	"github.com/hpcio/das/internal/sim"
+)
+
+// Strip ownership (DESIGN.md §10): client bytes are copied once, on entry
+// at the primary; a stored strip is immutable from then on, lent to
+// server-local readers and held by reference by its replica holders.
+
+// TestLentViewOutlivesTheStrip takes a view of a stored strip and then
+// does everything the file system can do to that strip — overwrite it,
+// drop it, delete the file. Each of them replaces or forgets the stored
+// slice; none writes into it, so the view keeps reading the old bytes.
+func TestLentViewOutlivesTheStrip(t *testing.T) {
+	clu, fs := testFS(t)
+	const strip = 64
+	if _, err := fs.Create("f", 4*strip, layout.NewRoundRobin(4), CreateOptions{StripSize: strip}); err != nil {
+		t.Fatal(err)
+	}
+	old, fresh := pattern(4*strip), bytes.Repeat([]byte{0xEE}, strip)
+	client := fs.NewClient(clu.ComputeID(0))
+	run(t, clu, func(p *sim.Proc) {
+		if err := client.WriteAll(p, "f", old); err != nil {
+			t.Error(err)
+			return
+		}
+		view := func(s int64) []byte {
+			chunks, err := fs.Server(int(s)).LocalViewMany(p, "f", []Span{{Strip: s, Lo: 8, Hi: 40}})
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			return chunks[0]
+		}
+		want := func(s int64) []byte { return old[s*strip+8 : s*strip+40] }
+
+		overwritten, dropped, deleted := view(0), view(1), view(2)
+		if cap(overwritten) != len(overwritten) {
+			t.Errorf("view has spare capacity %d beyond its %d bytes: an append would write into the store",
+				cap(overwritten)-len(overwritten), len(overwritten))
+		}
+
+		if err := client.Write(p, "f", 0, fresh); err != nil {
+			t.Error(err)
+		}
+		if !bytes.Equal(overwritten, want(0)) {
+			t.Error("view changed under an overwrite of its strip")
+		}
+		if now := view(0); !bytes.Equal(now, fresh[8:40]) {
+			t.Error("a view taken after the overwrite does not read the new bytes")
+		}
+
+		fs.Server(1).Drop("f", 1)
+		if !bytes.Equal(dropped, want(1)) {
+			t.Error("view changed under a Drop of its strip")
+		}
+
+		fs.Delete("f")
+		if !bytes.Equal(deleted, want(2)) {
+			t.Error("view changed under a Delete of its file")
+		}
+	})
+}
+
+// TestClientBufferIsCopiedOnceOnEntry is the other half of the rule: the
+// primary copies what a client sends, so the client may scribble over its
+// buffer the moment the write returns — the tenants and the scale storm
+// reuse theirs — and the replica holders, which keep the primary's stored
+// slice by reference, are unaffected by that and by any later write to
+// the primary they have not been sent.
+func TestClientBufferIsCopiedOnceOnEntry(t *testing.T) {
+	clu, fs := testFS(t)
+	const strip = 64
+	lay := layout.NewGroupedReplicated(4, 2, 1)
+	if _, err := fs.Create("f", 8*strip, lay, CreateOptions{StripSize: strip}); err != nil {
+		t.Fatal(err)
+	}
+	var s int64 = -1
+	for c := int64(0); c < 8; c++ {
+		if len(lay.Replicas(c)) > 0 {
+			s = c
+			break
+		}
+	}
+	if s < 0 {
+		t.Fatal("layout places no replicas")
+	}
+	primary, holder := fs.Server(lay.Primary(s)), fs.Server(lay.Replicas(s)[0])
+	stored := func(srv *Server) []byte { return srv.store["f"][s] }
+
+	buf := bytes.Repeat([]byte{0x11}, strip)
+	want := bytes.Clone(buf)
+	run(t, clu, func(p *sim.Proc) {
+		if err := fs.WriteStripTo(p, clu.ComputeID(0), primary.Index(), "f", s, buf, true); err != nil {
+			t.Error(err)
+			return
+		}
+		if &stored(primary)[0] == &buf[0] {
+			t.Error("the primary stored the client's buffer by reference")
+			return
+		}
+		if &stored(holder)[0] != &stored(primary)[0] {
+			t.Error("the replica holder copied the forwarded strip instead of keeping it by reference")
+		}
+		clear(buf) // the client reuses its buffer
+		if !bytes.Equal(stored(primary), want) || !bytes.Equal(stored(holder), want) {
+			t.Error("stored strip changed when the client reused its write buffer")
+		}
+
+		// A later write the primary does not forward leaves the holder's
+		// copy as it was: the primary replaced its slice, it did not
+		// write into the one they shared.
+		next := bytes.Repeat([]byte{0x22}, strip)
+		if err := fs.WriteStripTo(p, clu.ComputeID(0), primary.Index(), "f", s, next, false); err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(stored(primary), next) {
+			t.Error("primary does not hold the new bytes")
+		}
+		if !bytes.Equal(stored(holder), want) {
+			t.Error("replica holder's copy changed under an unforwarded write to the primary")
+		}
+	})
+}

@@ -449,21 +449,24 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID, preferred int, file
 // is an error the caller must see — though a crashed one is waited on for
 // the retry policy's down-window first (see callWrite).
 func (fs *FileSystem) WriteStripTo(p *sim.Proc, fromID, srv int, file string, strip int64, data []byte, forward bool) error {
-	return fs.writeStrip(p, fromID, srv, file, strip, data, forward, false)
+	return fs.writeStrip(p, fromID, srv, writeReq{File: file, Strip: strip, Data: data, Forward: forward}, false)
 }
 
-// writeStrip is WriteStripTo with the latency sample's migration tag
-// explicit: restripe copy pushes (server.migrate) flow through here with
-// migration set so the controller can exclude them from tuning.
-func (fs *FileSystem) writeStrip(p *sim.Proc, fromID, srv int, file string, strip int64, data []byte, forward, migration bool) error {
+// writeStrip sends one single-strip write. The request is built by the
+// caller, because who builds it decides whether the receiver may keep its
+// data by reference (writeReq.immutable); and the latency sample's
+// migration tag is explicit: restripe copy pushes (server.migrate) flow
+// through here with migration set so the controller can exclude them from
+// tuning.
+func (fs *FileSystem) writeStrip(p *sim.Proc, fromID, srv int, w writeReq, migration bool) error {
+	file, strip := w.File, w.Strip
 	req := fs.writeReqGet()
-	*req = writeReq{File: file, Strip: strip, Data: data, Forward: forward}
+	*req = w
 	var start sim.Time
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.callWrite(p, fromID, srv, req,
-		headerBytes+int64(len(data)))
+	resp, err := fs.callWrite(p, fromID, srv, req, headerBytes+int64(len(w.Data)))
 	if err != nil {
 		return err
 	}

@@ -29,14 +29,20 @@ type (
 		Strip   int64
 		Data    []byte
 		Forward bool // forward copies to the strip's replica holders
+		// immutable says nobody will write Data again, so the receiver may
+		// keep it by reference instead of copying it. Only a server
+		// forwarding a strip it has stored sets it (LocalWrite,
+		// ForwardReplicas); requests built for a client never do.
+		immutable bool
 	}
 	// writeManyReq stores several whole strips in a single request, with
 	// one sequential disk write, forwarding replicas per strip if asked.
 	writeManyReq struct {
-		File    string
-		Strips  []int64
-		Data    [][]byte
-		Forward bool
+		File      string
+		Strips    []int64
+		Data      [][]byte
+		Forward   bool
+		immutable bool // as writeReq.immutable, for every element of Data
 	}
 	migrateReq struct {
 		File    string
@@ -70,8 +76,12 @@ type Server struct {
 	fs     *FileSystem
 	srv    int // dense server index
 	nodeID int
-	store  map[string]map[int64][]byte
-	reqs   uint64
+	// store holds each strip as an immutable value: a write replaces the
+	// slice, nothing ever writes into one, so a reference handed out
+	// before an overwrite, Drop or Delete keeps reading the old bytes
+	// (DESIGN.md §10, strip ownership).
+	store map[string]map[int64][]byte
+	reqs  uint64
 
 	// lastFile/lastStrips cache the most recent store hit: requests on a
 	// busy server overwhelmingly name the same file, and the string-keyed
@@ -144,11 +154,18 @@ func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
 	var err error
 	switch req := msg.Payload.(type) {
 	case *writeReq:
-		file, strip, data, forward := req.File, req.Strip, req.Data, req.Forward
+		file, strip, data, forward := req.File, req.Strip, entering(req.Data, req.immutable), req.Forward
 		s.fs.writeReqPut(req)
 		err = s.LocalWrite(p, file, strip, data, forward)
 	case writeManyReq:
-		err = s.LocalWriteMany(p, req.File, req.Strips, req.Data, req.Forward)
+		data := req.Data
+		if !req.immutable {
+			data = make([][]byte, len(req.Data))
+			for i, d := range req.Data {
+				data[i] = entering(d, false)
+			}
+		}
+		err = s.LocalWriteMany(p, req.File, req.Strips, data, req.Forward)
 	case migrateReq:
 		err = s.migrate(p, req)
 	default:
@@ -184,9 +201,11 @@ func (s *Server) Holds(file string, strip int64) bool {
 	return ok
 }
 
-// peek copies bytes [lo, hi) of a locally held strip without charging the
-// disk; callers batch the disk charge.
-func (s *Server) peek(file string, strip, lo, hi int64) ([]byte, error) {
+// view returns bytes [lo, hi) of a locally held strip as a window of the
+// stored slice itself, without charging the disk; callers batch the disk
+// charge. Hi == 0 selects the whole strip. The window is read-only and its
+// capacity ends at hi.
+func (s *Server) view(file string, strip, lo, hi int64) ([]byte, error) {
 	strips, ok := s.stripsOf(file)
 	if !ok {
 		return nil, fmt.Errorf("server %d holds no strips of %q: %w", s.srv, file, errNotHeld)
@@ -201,8 +220,20 @@ func (s *Server) peek(file string, strip, lo, hi int64) ([]byte, error) {
 	if lo < 0 || hi > int64(len(data)) || lo > hi {
 		return nil, fmt.Errorf("range [%d,%d) outside strip of %d bytes", lo, hi, len(data))
 	}
-	out := AcquireBuffer(hi - lo)
-	copy(out, data[lo:hi])
+	return data[lo:hi:hi], nil
+}
+
+// peek is view as a pooled copy, for everything that leaves the server: a
+// response's consumer releases what it received to the pool, and a client
+// read-modify-write writes into it, so neither may be handed the store's
+// own memory.
+func (s *Server) peek(file string, strip, lo, hi int64) ([]byte, error) {
+	data, err := s.view(file, strip, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	out := AcquireBuffer(int64(len(data)))
+	copy(out, data)
 	//das:transfer -- the strip copy rides the response message; the final consumer releases it
 	return out, nil
 }
@@ -221,16 +252,19 @@ func (s *Server) LocalRead(p *sim.Proc, file string, strip, lo, hi int64) ([]byt
 	return data, nil
 }
 
-// LocalReadMany reads several spans of one file with a single sequential
-// disk pass: one positioning cost plus the batch's total bytes. A data
-// server keeps its strips of a file contiguous on disk, so this is how a
-// bulk read actually behaves. Each returned chunk is a pool-backed copy
-// the final consumer may pass to ReleaseBuffer.
-func (s *Server) LocalReadMany(p *sim.Proc, file string, spans []Span) ([][]byte, error) {
+// LocalViewMany is the batched local read for code running on this
+// server (an offloaded kernel assembling its band): several spans of one
+// file in a single sequential disk pass — one positioning cost plus the
+// batch's total bytes, since a data server keeps its strips of a file
+// contiguous on disk. Each chunk is lent: it is a window of the stored
+// strip itself, read-only, valid for as long as the caller holds it
+// whatever happens to the strip meanwhile, and never to be released to a
+// pool or written through. Copy out of it (Band.FillBytes) and let it go.
+func (s *Server) LocalViewMany(p *sim.Proc, file string, spans []Span) ([][]byte, error) {
 	out := make([][]byte, len(spans))
 	var total int64
 	for i, sp := range spans {
-		data, err := s.peek(file, sp.Strip, sp.Lo, sp.Hi)
+		data, err := s.view(file, sp.Strip, sp.Lo, sp.Hi)
 		if err != nil {
 			return nil, err
 		}
@@ -241,10 +275,13 @@ func (s *Server) LocalReadMany(p *sim.Proc, file string, spans []Span) ([][]byte
 	return out, nil
 }
 
-// LocalWrite stores a strip copy through the node's disk. With forward
-// set, the server pushes copies to the strip's replica holders under the
-// file's current layout — the write path that materializes the improved
-// distribution's boundary replicas.
+// LocalWrite stores a strip through the node's disk. With forward set, the
+// server pushes copies to the strip's replica holders under the file's
+// current layout — the write path that materializes the improved
+// distribution's boundary replicas. data becomes the stored strip by
+// reference, here and on every replica holder: the caller must never
+// write to it again (client bytes are copied before they get here, in the
+// request handlers).
 func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, forward bool) error {
 	if err := s.validateWrite(file, strip, data); err != nil {
 		return err
@@ -259,7 +296,7 @@ func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, 
 		if rep == s.srv {
 			continue
 		}
-		if err := s.fs.WriteStripTo(p, s.nodeID, rep, file, strip, data, false); err != nil {
+		if err := s.fs.writeStrip(p, s.nodeID, rep, writeReq{File: file, Strip: strip, Data: data, immutable: true}, false); err != nil {
 			if errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout) {
 				// Best-effort replication under faults: a down replica
 				// target loses this copy rather than failing the write. The
@@ -275,7 +312,9 @@ func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, 
 }
 
 // LocalWriteMany stores several whole strips with one sequential disk
-// write, then forwards replica copies batched per target server.
+// write, then forwards replica copies batched per target server. It is how
+// a kernel running on this server stores its output: each element of data
+// becomes a stored strip by reference, under LocalWrite's contract.
 func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [][]byte, forward bool) error {
 	total, err := s.validateWriteMany(file, strips, data)
 	if err != nil {
@@ -295,7 +334,9 @@ func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [
 // holders under the file's current layout, batched per target server. It
 // is called synchronously from replica-maintaining writes; active storage
 // runs call it on a child process to overlap replication with the next
-// run's disk and compute work (lazy replication).
+// run's disk and compute work (lazy replication). data must be what this
+// server stored for the strips (LocalWriteMany's argument): the holders
+// keep the same immutable slices by reference.
 func (s *Server) ForwardReplicas(p *sim.Proc, file string, strips []int64, data [][]byte) error {
 	m, ok := s.fs.meta[file]
 	if !ok {
@@ -316,7 +357,7 @@ func (s *Server) ForwardReplicas(p *sim.Proc, file string, strips []int64, data 
 	}
 	for _, target := range order {
 		idxs := byTarget[target]
-		fwd := writeManyReq{File: file, Strips: make([]int64, len(idxs)), Data: make([][]byte, len(idxs))}
+		fwd := writeManyReq{File: file, Strips: make([]int64, len(idxs)), Data: make([][]byte, len(idxs)), immutable: true}
 		for j, i := range idxs {
 			fwd.Strips[j], fwd.Data[j] = strips[i], data[i]
 		}
@@ -396,11 +437,29 @@ func (s *Server) validateWriteMany(file string, strips []int64, data [][]byte) (
 // Preload installs a strip copy directly into the server's store, with no
 // simulated disk or network cost. Benchmark bootstrap uses it to populate
 // paper-scale datasets without simulating the ingest; it must not be
-// called while a simulation is measuring.
+// called while a simulation is measuring. The store keeps a copy; data
+// stays the caller's.
 func (s *Server) Preload(file string, strip int64, data []byte) {
-	s.storePut(file, strip, data)
+	s.storePut(file, strip, entering(data, false))
 }
 
+// entering returns data as a slice the store may keep. This is the one
+// place strip bytes are copied on their way in: memory a client still
+// owns (and reuses, like the tenants' and the scale storm's write buffers)
+// arriving at a primary, a migrating holder's pooled copy, a preload.
+// Immutable data — a stored strip forwarded to a replica holder — enters
+// as it is.
+func entering(data []byte, immutable bool) []byte {
+	if immutable {
+		return data
+	}
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return cp
+}
+
+// storePut makes data the stored copy of a strip, by reference. Whatever
+// slice was stored before is left untouched for those still holding it.
 func (s *Server) storePut(file string, strip int64, data []byte) {
 	strips, ok := s.stripsOf(file)
 	if !ok {
@@ -408,9 +467,7 @@ func (s *Server) storePut(file string, strip int64, data []byte) {
 		s.store[file] = strips
 		s.lastFile, s.lastStrips = file, strips
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	strips[strip] = cp
+	strips[strip] = data
 	if s.fs.invalidator != nil {
 		s.fs.invalidator.InvalidateStrip(file, strip)
 	}
@@ -432,7 +489,7 @@ func (s *Server) migrate(p *sim.Proc, req migrateReq) error {
 		if target == s.srv {
 			continue
 		}
-		if err := s.fs.writeStrip(p, s.nodeID, target, req.File, req.Strip, data, false, true); err != nil {
+		if err := s.fs.writeStrip(p, s.nodeID, target, writeReq{File: req.File, Strip: req.Strip, Data: data}, true); err != nil {
 			return err
 		}
 	}

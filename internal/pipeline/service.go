@@ -231,16 +231,14 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 
 	var resp stageResp
 	var forwards []*sim.Signal[error]
-	var pooledOut [][]byte
+	// fail answers an error the way success is answered: only once the
+	// replica forwards already started have been acknowledged. When the
+	// reply leaves is simulated behaviour — under a crash plan it decides
+	// whether the reply is delivered at all.
 	fail := func(err error) (stageResp, error) {
 		sim.WaitAll(p, forwards)
-		for _, b := range pooledOut {
-			pfs.ReleaseBuffer(b)
-		}
-		pooledOut = nil
 		return stageResp{}, err
 	}
-
 	for _, run := range active.StripRuns(in, req.Strips) {
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		var weighted float64
@@ -286,10 +284,12 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 		resp.Elements += e1 - e0
 
 		if final {
+			// The grid output's own memory becomes the stored strips, here
+			// and on the replica holders: values are never written again
+			// once a node has produced them (retained state relies on the
+			// same rule).
 			gridVals := vals[pl.GridOut]
-			//das:transfer -- ownership joins pooledOut; released once the replica forwards acknowledge (fail() covers error paths)
-			outBytes := grid.FloatsToBytesInto(pfs.AcquireBuffer((e1-e0)*in.ElemSize), gridVals)
-			pooledOut = append(pooledOut, outBytes)
+			outBytes := grid.Bytes(gridVals)
 			strips := make([]int64, 0, run.Last-run.First+1)
 			chunks := make([][]byte, 0, run.Last-run.First+1)
 			for t := run.First; t <= run.Last; t++ {
@@ -326,9 +326,6 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 		if err != nil {
 			return fail(err)
 		}
-	}
-	for _, b := range pooledOut {
-		pfs.ReleaseBuffer(b) // replica forwards acknowledged: last references gone
 	}
 	return resp, nil
 }
@@ -392,14 +389,13 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 		}
 	}
 	if len(localSpans) > 0 {
-		chunks, err := srv.LocalReadMany(p, in.Name, localSpans)
+		chunks, err := srv.LocalViewMany(p, in.Name, localSpans)
 		if err != nil {
 			band.Release()
 			return nil, err
 		}
 		for i, chunk := range chunks {
-			band.FillBytes(localLo[i]/in.ElemSize, chunk)
-			pfs.ReleaseBuffer(chunk)
+			band.FillBytes(localLo[i]/in.ElemSize, chunk) // lent: copied out, never released
 		}
 	}
 	type fetched struct {
@@ -460,6 +456,7 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 		band.FillBytes(got.gotLo/in.ElemSize, got.data)
 		pfs.ReleaseBuffer(got.data)
 	}
+	band.ZeroUnfilled()
 	return band, nil
 }
 
