@@ -35,11 +35,13 @@ lint-fix-check:
 
 # Extended gate: vet + daslint (both modes) + race on top of tier-1, then
 # a bounded fuzz of the row-streaming kernels against their per-element
-# oracle (tier-1 runs only the committed seed corpus).
+# oracle and of the order keys they select on against `<` (tier-1 runs only
+# the seed corpora).
 extended: tier1 lint lint-fix-check
 	go vet ./...
 	go test -race ./...
 	go test -run '^$$' -fuzz FuzzRowDriver -fuzztime 20s ./internal/kernels
+	go test -run '^$$' -fuzz FuzzOrderKey -fuzztime 20s ./internal/kernels
 
 # Bench smoke: short cache, restripe, and p99-controller experiments end
 # to end (reduced sweep, JSON artifacts) plus the adaptive subsystems

@@ -230,7 +230,9 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 
 	lc := in.Locator()
 	total := in.Size / in.ElemSize
-	maxAbs := kernels.Pattern(k).MaxAbsOffset(in.Width)
+	pat := kernels.Pattern(k)
+	maxAbs := pat.MaxAbsOffset(in.Width)
+	offs := pat.Resolve(in.Width)
 
 	var resp execResp
 	var forwards []*sim.Signal[error]
@@ -253,7 +255,6 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		// fetched from their owners per the request's mode. Only strips
 		// the dependence pattern actually touches are read — a sparse
 		// stride pattern skips the strips between its endpoints.
-		offs := kernels.Pattern(k).Resolve(in.Width)
 		var localSpans []pfs.Span
 		var localLo []int64
 		type remote struct{ strip, needLo, needHi int64 }

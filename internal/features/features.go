@@ -125,13 +125,9 @@ func (p Pattern) Resolve(width int) []int64 {
 // raster of the given width; 0 for an independence pattern.
 func (p Pattern) MaxAbsOffset(width int) int64 {
 	var maxAbs int64
-	for _, off := range p.Resolve(width) {
-		if off < 0 {
-			off = -off
-		}
-		if off > maxAbs {
-			maxAbs = off
-		}
+	for _, o := range p.Offsets {
+		off := o.Resolve(int64(width))
+		maxAbs = max(maxAbs, off, -off)
 	}
 	return maxAbs
 }

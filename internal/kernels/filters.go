@@ -87,69 +87,40 @@ func median9(v0, v1, v2, v3, v4, v5, v6, v7, v8 float64) float64 {
 	return v[4]
 }
 
-// row sorts each 3-cell column once and shares it across the three
-// windows that contain it: with the columns sorted, the median of nine is
-// the median of (largest column minimum, median of column medians,
-// smallest column maximum). That finds the median by value, which fixes
-// its bits unless the value is ±0 or the window holds a NaN; those windows
-// go back to median9. A column's sum is NaN whenever the column holds one
-// (and for +Inf with −Inf, which only costs a needless fallback).
+// row works on order keys (orderKey), so every compare below is an integer
+// CMP/CMOV whatever the raster holds. It sorts each 3-cell column once and
+// shares it across the three windows that contain it: with the columns
+// sorted, the median of nine is the median of (largest column minimum,
+// median of column medians, smallest column maximum). That finds the median
+// by value, which fixes its bits unless the value is ±0 — which of the two
+// the reference's sort leaves in the middle is not a matter of order — or
+// the window holds a NaN, which `>` does not order at all; those windows go
+// back to median9. The window's smallest and largest key find the NaN.
 func (Median) row(up, mid, down, out []float64) {
 	n := len(out)
 	up, mid, down = up[:n+2], mid[:n+2], down[:n+2]
-	bLo, bMid, bHi := sort3(up[0], mid[0], down[0])
-	cLo, cMid, cHi := sort3(up[1], mid[1], down[1])
-	bSum, cSum := bLo+bMid+bHi, cLo+cMid+cHi
+	bLo, bMid, bHi := sort3(orderKey(up[0]), orderKey(mid[0]), orderKey(down[0]))
+	cLo, cMid, cHi := sort3(orderKey(up[1]), orderKey(mid[1]), orderKey(down[1]))
 	for j := range out {
-		aLo, aMid, aHi, aSum := bLo, bMid, bHi, bSum
-		bLo, bMid, bHi, bSum = cLo, cMid, cHi, cSum
-		cLo, cMid, cHi = sort3(up[j+2], mid[j+2], down[j+2])
-		cSum = cLo + cMid + cHi
-		m := med3(max3(aLo, bLo, cLo), med3(aMid, bMid, cMid), min3(aHi, bHi, cHi))
-		if sum := aSum + bSum + cSum; m == 0 || sum != sum {
-			m = median9(up[j], up[j+1], up[j+2], mid[j], mid[j+1], mid[j+2], down[j], down[j+1], down[j+2])
+		aLo, aMid, aHi := bLo, bMid, bHi
+		bLo, bMid, bHi = cLo, cMid, cHi
+		cLo, cMid, cHi = sort3(orderKey(up[j+2]), orderKey(mid[j+2]), orderKey(down[j+2]))
+		m := med3(max(aLo, bLo, cLo), med3(aMid, bMid, cMid), min(aHi, bHi, cHi))
+		if uint64(m+1) <= 1 || min(aLo, bLo, cLo) < keyNegInf || max(aHi, bHi, cHi) > keyPosInf {
+			out[j] = median9(up[j], up[j+1], up[j+2], mid[j], mid[j+1], mid[j+2], down[j], down[j+1], down[j+2])
+			continue
 		}
-		out[j] = m
+		out[j] = keyFloat(m)
 	}
 }
 
-// sort3 orders three values; with a NaN among them the order is undefined.
-func sort3(a, b, c float64) (lo, mid, hi float64) {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return a, b, c
+func sort3(a, b, c int64) (lo, mid, hi int64) {
+	ab, ba := min(a, b), max(a, b)
+	return min(ab, c), max(ab, min(ba, c)), max(ba, c)
 }
 
-func med3(a, b, c float64) float64 {
-	_, m, _ := sort3(a, b, c)
-	return m
-}
-
-func max3(a, b, c float64) float64 {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
-}
-
-func min3(a, b, c float64) float64 {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
+func med3(a, b, c int64) int64 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 // HorizontalBlur is a 1-D box blur along rows with the given radius: its

@@ -75,37 +75,60 @@ func (FlowRouting) cells(b *grid.Band, out []float64, start, end int64) {
 	}
 }
 
-// row is the clockwise scan of cells, unrolled over the row windows.
+// row is the clockwise scan of cells as a knock-out on route keys
+// (routeKey): the eight neighbors meet in clockwise pairs, the earlier of a
+// pair keeps a tie, and the last one standing drains the cell if it is
+// strictly below the center. Every compare is on integers and every `if`
+// assigns one value, which compiles to CMP/CMOV, so a round costs the same
+// however rough the terrain; a cell's key is made once and carried across
+// the three windows that share its column. The key order is `<` wherever
+// the scan's `<` can be true, so no window goes back to the scan: a NaN
+// neighbor sorts above every number and wins only against other NaNs, and
+// a NaN center, which nothing is below, is the one case asked after.
 func (FlowRouting) row(up, mid, down, out []float64) {
 	n := len(out)
-	up, mid, down = up[:n+2], mid[:n+2], down[:n+2]
+	aU, aM, aD := routeKey(up[0]), routeKey(mid[0]), routeKey(down[0])
+	bU, bM, bD := routeKey(up[1]), routeKey(mid[1]), routeKey(down[1])
+	up, mid, down = up[2:n+2], mid[2:n+2], down[2:n+2] // each window's right column
 	for j := range out {
-		best, bestVal := float64(DirNone), mid[j+1]
-		if v := up[j]; v < bestVal {
-			best, bestVal = DirNW, v
+		cU, cM, cD := routeKey(up[j]), routeKey(mid[j]), routeKey(down[j])
+		// NW meets N, NE meets E, SE meets S, SW meets W.
+		k1, d1 := min(aU, bU), DirNW
+		if bU < aU {
+			d1 = DirN
 		}
-		if v := up[j+1]; v < bestVal {
-			best, bestVal = DirN, v
+		k3, d3 := min(cU, cM), DirNE
+		if cM < cU {
+			d3 = DirE
 		}
-		if v := up[j+2]; v < bestVal {
-			best, bestVal = DirNE, v
+		k5, d5 := min(cD, bD), DirSE
+		if bD < cD {
+			d5 = DirS
 		}
-		if v := mid[j+2]; v < bestVal {
-			best, bestVal = DirE, v
+		k7, d7 := min(aD, aM), DirSW
+		if aM < aD {
+			d7 = DirW
 		}
-		if v := down[j+2]; v < bestVal {
-			best, bestVal = DirSE, v
+		if k3 < k1 {
+			d1 = d3
 		}
-		if v := down[j+1]; v < bestVal {
-			best, bestVal = DirS, v
+		if k7 < k5 {
+			d5 = d7
 		}
-		if v := down[j]; v < bestVal {
-			best, bestVal = DirSW, v
+		k1, k5 = min(k1, k3), min(k5, k7)
+		if k5 < k1 {
+			d1 = d5
 		}
-		if v := mid[j]; v < bestVal {
-			best = DirW
+		// Two ifs, not one `||`, which would branch.
+		if min(k1, k5) >= bM {
+			d1 = DirNone
 		}
-		out[j] = best
+		if bM > routeKeyInf {
+			d1 = DirNone
+		}
+		out[j] = float64(d1)
+		aU, aM, aD = bU, bM, bD
+		bU, bM, bD = cU, cM, cD
 	}
 }
 
@@ -165,38 +188,51 @@ func (FlowAccumulation) cells(b *grid.Band, out []float64, start, end int64) {
 // the border columns and the first and last raster row away from it), so
 // each neighbor drains into the cell exactly when its truncated code is the
 // direction pointing back: the north-west neighbor must flow south-east,
-// and so on round.
+// and so on round. A column is truncated and counted once, when it enters
+// on the right, for each of the three places it will hold (drainsInto): a
+// cell's inflow is the sum of three counts, and no compare is a branch.
 func (FlowAccumulation) row(up, mid, down, out []float64) {
 	n := len(out)
-	up, mid, down = up[:n+2], mid[:n+2], down[:n+2]
+	aW, _, _ := drainsInto(up[0], mid[0], down[0])
+	bW, bC, _ := drainsInto(up[1], mid[1], down[1])
+	up, mid, down = up[2:n+2], mid[2:n+2], down[2:n+2] // each window's right column
 	for j := range out {
-		inflow := 1.0
-		if int(up[j]) == DirSE {
-			inflow++
-		}
-		if int(up[j+1]) == DirS {
-			inflow++
-		}
-		if int(up[j+2]) == DirSW {
-			inflow++
-		}
-		if int(mid[j+2]) == DirW {
-			inflow++
-		}
-		if int(down[j+2]) == DirNW {
-			inflow++
-		}
-		if int(down[j+1]) == DirN {
-			inflow++
-		}
-		if int(down[j]) == DirNE {
-			inflow++
-		}
-		if int(mid[j]) == DirE {
-			inflow++
-		}
-		out[j] = inflow
+		cW, cC, cE := drainsInto(up[j], mid[j], down[j])
+		out[j] = float64(1 + aW + bC + cE)
+		aW, bW, bC = bW, cW, cC
 	}
+}
+
+// drainsInto counts the cells of one window column — its up, mid and down
+// row — that drain into the window's center when the column lies west of
+// the center, holds it, or lies east of it.
+func drainsInto(u, m, d float64) (west, center, east int) {
+	cu, cm, cd := int(u), int(m), int(d)
+	if cu == DirSE {
+		west++
+	}
+	if cm == DirE {
+		west++
+	}
+	if cd == DirNE {
+		west++
+	}
+	if cu == DirS {
+		center++
+	}
+	if cd == DirN {
+		center++
+	}
+	if cu == DirSW {
+		east++
+	}
+	if cm == DirW {
+		east++
+	}
+	if cd == DirNW {
+		east++
+	}
+	return west, center, east
 }
 
 // Accumulate computes full basin-wide flow accumulation over a direction
