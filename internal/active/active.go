@@ -230,12 +230,13 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 
 	lc := in.Locator()
 	total := in.Size / in.ElemSize
-	pat := kernels.Pattern(k)
+	pat := svc.registry.Pattern(req.Op)
 	maxAbs := pat.MaxAbsOffset(in.Width)
 	offs := pat.Resolve(in.Width)
 
 	var resp execResp
 	var forwards []*sim.Signal[error]
+	var needed []int64 // one list for every run's needed strips
 	// fail answers an error the way success is answered: only once the
 	// replica forwards already started have been acknowledged. When the
 	// reply leaves is simulated behaviour — under a crash plan it decides
@@ -248,18 +249,21 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		e0 := run.Lo / in.ElemSize
 		e1 := run.Hi / in.ElemSize
 		lo, hi := grid.HaloRange(e0, e1, maxAbs, total)
-		band := grid.NewBandPooled(in.Width, total, e0, e1, lo, hi)
+		band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
 
 		// Assemble the band: all locally held strips (the run plus any
 		// replicas) come in one batched disk pass; missing strips are
 		// fetched from their owners per the request's mode. Only strips
 		// the dependence pattern actually touches are read — a sparse
-		// stride pattern skips the strips between its endpoints.
+		// stride pattern skips the strips between its endpoints, and the
+		// band has no window there. Nothing is copied: the band is lent
+		// the stored strips and the fetched buffers themselves.
 		var localSpans []pfs.Span
 		var localLo []int64
 		type remote struct{ strip, needLo, needHi int64 }
 		var remotes []remote
-		for _, t := range predict.NeededStrips(lc, offs, e0, e1, total) {
+		needed = predict.NeededStrips(needed, lc, offs, e0, e1, total)
+		for _, t := range needed {
 			tLo, tHi := in.StripBounds(t)
 			needLo, needHi := lo*in.ElemSize, hi*in.ElemSize
 			if needLo < tLo {
@@ -291,7 +295,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 					fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, req.Input))
 			}
 			for i, chunk := range chunks {
-				band.FillBytes(localLo[i]/in.ElemSize, chunk) // lent: copied out, never released
+				band.Lend(localLo[i]/in.ElemSize, chunk) // a view of the stored strip: never released
 			}
 		}
 		// Dependent-strip fetches for one run go out concurrently (the
@@ -339,8 +343,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 				resp.RemoteFetches++
 				resp.RemoteBytes += int64(len(got.data))
 			}
-			band.FillBytes(got.gotLo/in.ElemSize, got.data)
-			pfs.ReleaseBuffer(got.data)
+			band.Lend(got.gotLo/in.ElemSize, got.data) // held until the kernel has returned
 		}
 		resp.Phases.Fetch += p.Now() - fetchStart
 		if clu.Trace != nil && len(remotes) > 0 {
@@ -353,11 +356,14 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		// executor only spreads the host-CPU work across cores; the
 		// simulated cost below is unchanged. The output is allocated once,
 		// as the memory the store will hold: nothing writes it after the
-		// kernel returns.
-		band.ZeroUnfilled()
+		// kernel returns. Only then do the fetched buffers the band was
+		// reading in place go back to the pool.
 		outVals := make([]float64, e1-e0)
 		kernels.ParallelApplyBand(k, band, outVals)
 		band.Release()
+		for _, got := range results {
+			pfs.ReleaseBuffer(got.data)
+		}
 		computeStart := p.Now()
 		p.Sleep(clu.ComputeTime(e1-e0, k.Weight()))
 		resp.Phases.Compute += p.Now() - computeStart
@@ -414,9 +420,10 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 // fetchRemote resolves a byte range of a strip this server does not hold.
 // With the cache subsystem attached, the server's halo-strip cache is
 // consulted first: a hit serves the range from local memory (free on the
-// DES clock — the bytes already sit on this node, and the caller's copy
-// into the band is the same work either way); a miss pays the remote
+// DES clock — the bytes already sit on this node); a miss pays the remote
 // fetch, then feeds the bytes and the observed latency back to the cache.
+// Either way data is a pooled buffer the caller's band reads in place: the
+// caller releases it once the kernel has returned.
 func (svc *Service) fetchRemote(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, mode FetchMode, t, needLo, needHi int64) (data []byte, gotLo int64, hit bool, err error) {
 	if mode == LocalOnly {
 		return nil, 0, false, fmt.Errorf("active: server %d needs strip %d of %q but mode is local-only (layout violates the locality the predictor verified)",

@@ -70,13 +70,12 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 			respond(reduceResp{Err: err.Error()}, headerBytes)
 			return
 		}
-		band := grid.NewBandPooled(in.Width, total, e0, e1, e0, e1)
+		band := grid.NewBandLent(in.Width, total, e0, e1, e0, e1)
 		off := e0
 		for _, chunk := range chunks {
-			band.FillBytes(off, chunk) // lent: copied out, never released
+			band.Lend(off, chunk) // a view of the stored strip: never released
 			off += int64(len(chunk)) / in.ElemSize
 		}
-		band.ZeroUnfilled()
 		partials = append(partials, red.ReduceBand(band))
 		band.Release()
 		p.Sleep(clu.ComputeTime(e1-e0, red.Weight()))

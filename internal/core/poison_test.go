@@ -4,16 +4,20 @@ import (
 	"testing"
 
 	"github.com/hpcio/das/internal/bufpool"
+	"github.com/hpcio/das/internal/cache"
 	"github.com/hpcio/das/internal/kernels"
+	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/workload"
 )
 
 // TestOutputsSurvivePoisonedPools runs the offload paths with every pool
 // scribbling over whatever is returned to it. The store keeps kernel
 // output and replica forwards by reference and lends its slices to the
-// kernels reading them, so none of that memory may ever reach a pool: if
-// it did, or if a band were read where no fill and no ZeroUnfilled had
-// been, the outputs would hold the poison instead of the reference.
+// kernels reading them, so none of that memory may ever reach a pool; and
+// a band reads the pooled buffers of its remote fetches and cache hits in
+// place, so none of those may reach the pool before the kernel over it
+// has returned. If either happened the outputs would hold the poison
+// instead of the reference.
 func TestOutputsSurvivePoisonedPools(t *testing.T) {
 	defer bufpool.PoisonPuts()()
 	g := workload.Terrain(testW, testH, 5)
@@ -44,6 +48,43 @@ func TestOutputsSurvivePoisonedPools(t *testing.T) {
 					step.op, got.MaxAbsDiff(want))
 			}
 			in = step.out
+		}
+	})
+
+	t.Run("nas", func(t *testing.T) {
+		// Every run's band is lent the pooled buffers of its dependent
+		// strips: remote fetches and, with a cache too small to keep what
+		// it admits, hits whose entries are evicted (their own buffers
+		// scribbled) by the sibling fetches the exec is parked on.
+		k, _ := kernels.Default().Lookup("flow-routing")
+		want := kernels.Apply(k, g)
+		s := ingested(t, g, layout.NewRoundRobin(4))
+		defer s.Close()
+		if err := s.EnableCache(cache.Config{BudgetBytes: 5 * testStrip}); err != nil {
+			t.Fatal(err)
+		}
+		var hits int64
+		for _, out := range []string{"out1", "out2"} {
+			rep, err := s.Execute(Request{Op: "flow-routing", Input: "in", Output: out, Scheme: NAS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Stats.RemoteFetches == 0 {
+				t.Fatal("NAS fetched nothing: the test would not reach the lent fetch buffers")
+			}
+			hits += rep.Stats.CacheHits
+			got, err := s.FetchGrid(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("NAS output %s differs from the sequential reference under poisoned pools (max diff %g)",
+					out, got.MaxAbsDiff(want))
+			}
+		}
+		if hits == 0 || s.Clu.CacheStats.Evictions() == 0 {
+			t.Fatalf("%d cache hits, %d evictions: the test would not reach a hit whose entry is evicted",
+				hits, s.Clu.CacheStats.Evictions())
 		}
 	})
 

@@ -179,7 +179,6 @@ func (s *System) reduceWorker(p *sim.Proc, red kernels.Reducer, in *pfs.FileMeta
 		band.Release()
 		return nil, 0, err
 	}
-	band.ZeroUnfilled()
 	partial := red.ReduceBand(band)
 	band.Release()
 	p.Sleep(s.Clu.ComputeTime(e1-e0, red.Weight()))

@@ -119,7 +119,6 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 		s.Clu.Trace.Record(readStart, phases.Fetch, tsActor(w), "read",
 			fmt.Sprintf("%d bytes of %s", (hi-lo)*in.ElemSize, in.Name))
 	}
-	band.ZeroUnfilled()
 
 	outVals := grid.GetFloats(int(e1 - e0))
 	kernels.ParallelApplyBand(k, band, outVals)

@@ -9,43 +9,92 @@ import "fmt"
 // offloaded kernel assembles a Band from its local strips, its local
 // replicas (DAS), or remote fetches (NAS); a compute node running the
 // kernel client-side assembles it from normal reads.
+//
+// The values are held as a sorted list of non-overlapping windows over
+// [Lo, Hi), each a slice of element values and the global index of its
+// first. A band that owns its memory (NewBand, BandOf, BandOver,
+// NewBandPooled) is one window over the whole range; a band assembled by
+// Lend has one window per strip, each — where the host allows — a view of
+// the strip's own memory, so the kernel reads the bytes where they lie.
+// Windows need not tile [Lo, Hi): a strip a sparse dependence pattern
+// never touches is never lent, and that gap is missing like anything
+// outside [Lo, Hi) — reading it panics. No reader sees a value nobody put
+// there.
+//
+// Lookups move a cursor (the window last hit), so a band is for one
+// goroutine at a time; Narrow gives another goroutine its own. Every band
+// comes from a pool of structs: Release, optional but cheap, returns it.
 type Band struct {
 	Width     int   // raster width, for row/column boundary handling
 	GlobalLen int64 // total elements in the raster
 	Start     int64 // first owned element
 	End       int64 // one past the last owned element
-	Lo        int64 // first element present in Data
-	Data      []float64
+	Lo        int64 // first element of the data range
+	hi        int64 // one past the last element of the data range
 
-	// A pooled band (NewBandPooled) starts with a previous tenant's values
-	// in Data. Fill and FillBytes widen [cleanLo, cleanHi), the offsets of
-	// Data known good, and ZeroUnfilled settles the rest: the band is
-	// cleared only where no fill covered it. stale is false for every
-	// other band, whose Data is good from the start.
-	stale            bool
-	cleanLo, cleanHi int64
+	// The cursor: the window the last lookup hit, which At, Span and Run
+	// try first. It is a copy, kept flat, so that At inlines.
+	curLo   int64
+	curVals []float64
+	wins    []window // ascending by lo, non-overlapping, none empty
+	// stitch holds the rows Span has put together from more than one
+	// window; nil until the first one (most bands never stitch).
+	stitch *stitched
 }
 
-// NewBand allocates a band covering owned range [start, end) with data
-// range [lo, hi).
-func NewBand(width int, globalLen, start, end, lo, hi int64) *Band {
-	validateBand(width, globalLen, start, end, lo, hi)
-	return &Band{
-		Width:     width,
-		GlobalLen: globalLen,
-		Start:     start,
-		End:       end,
-		Lo:        lo,
-		Data:      make([]float64, hi-lo),
+// stitched is a band's scratch rows, taken in turn: a 3×3 stencil holds an
+// up, a mid and a down row at once.
+type stitched struct {
+	rows [3][]float64
+	turn int
+}
+
+// row returns the next scratch row, n long.
+func (st *stitched) row(n int64) []float64 {
+	r := st.rows[st.turn]
+	if int64(cap(r)) < n {
+		r = make([]float64, n)
+		st.rows[st.turn] = r
 	}
+	st.turn = (st.turn + 1) % len(st.rows)
+	return r[:n:n]
+}
+
+// window is the values of global range [lo, lo+len(vals)).
+type window struct {
+	lo   int64
+	vals []float64
+	// owned says vals is the band's to hand to the float pool on Release:
+	// memory it allocated, as opposed to a caller's (BandOver) or a lent
+	// strip's.
+	owned bool
+}
+
+func (w window) end() int64 { return w.lo + int64(len(w.vals)) }
+
+// NewBand allocates a band covering owned range [start, end) with data
+// range [lo, hi), all zero.
+func NewBand(width int, globalLen, start, end, lo, hi int64) *Band {
+	b := NewBandLent(width, globalLen, start, end, lo, hi)
+	b.set(window{lo: lo, vals: make([]float64, hi-lo), owned: true})
+	return b
 }
 
 // BandOver wraps data — the values of global range [lo, lo+len(data)) —
 // as a band owning [start, end), without copying: NewBand's checks for a
 // caller that already holds the values (a pipeline stage's parent output).
 func BandOver(width int, globalLen, start, end, lo int64, data []float64) *Band {
-	validateBand(width, globalLen, start, end, lo, lo+int64(len(data)))
-	return &Band{Width: width, GlobalLen: globalLen, Start: start, End: end, Lo: lo, Data: data}
+	b := NewBandLent(width, globalLen, start, end, lo, lo+int64(len(data)))
+	b.set(window{lo: lo, vals: data})
+	return b
+}
+
+// set makes w, which spans the data range, the band's one window.
+func (b *Band) set(w window) {
+	if len(w.vals) > 0 {
+		b.wins = append(b.wins, w)
+		b.curLo, b.curVals = w.lo, w.vals
+	}
 }
 
 func validateBand(width int, globalLen, start, end, lo, hi int64) {
@@ -65,133 +114,193 @@ func validateBand(width int, globalLen, start, end, lo, hi int64) {
 // reference way to build the band a distributed worker would assemble.
 func BandOf(g *Grid, start, end, lo, hi int64) *Band {
 	b := NewBand(g.W, g.Len(), start, end, lo, hi)
-	copy(b.Data, g.Data[lo:hi])
+	copy(b.curVals, g.Data[lo:hi])
 	return b
 }
 
-// Hi returns one past the last element present in Data.
-func (b *Band) Hi() int64 { return b.Lo + int64(len(b.Data)) }
-
-// Contains reports whether global element i is present in the band.
-func (b *Band) Contains(i int64) bool { return i >= b.Lo && i < b.Hi() }
-
-// At returns the value of global element i, which must be within the
-// band's data range.
-func (b *Band) At(i int64) float64 {
-	i -= b.Lo // below Lo wraps past any length
-	if uint64(i) >= uint64(len(b.Data)) {
-		b.panicOutside(i)
+// Narrow returns a band over the same windows that owns only [start, end)
+// of the same data range. It shares the values, which nobody writes, and
+// has a cursor and stitch rows of its own: it is how a band is read from
+// several goroutines at once (one each) and how a fused pipeline stage
+// runs a kernel over part of its input. It owns none of the memory: it is
+// good while the band it came from is, and its Release gives back nothing
+// but itself.
+func (b *Band) Narrow(start, end int64) *Band {
+	sub := NewBandLent(b.Width, b.GlobalLen, start, end, b.Lo, b.hi)
+	for _, w := range b.wins {
+		w.owned = false
+		sub.wins = append(sub.wins, w)
 	}
-	return b.Data[i]
+	sub.curLo, sub.curVals = b.curLo, b.curVals
+	return sub
 }
 
-// Span returns the values of global range [lo, hi) as a window of the
-// band's data, for kernels that stream whole row segments: one range check
-// per window where At pays one per element. Like At it panics if an
-// element is missing, naming the first one. The check is against
-// len(Data), never cap — a pooled band's spare capacity holds another
-// band's stale values — and the window's own capacity ends at hi.
-func (b *Band) Span(lo, hi int64) []float64 {
-	lo, hi = lo-b.Lo, hi-b.Lo
-	if lo < 0 {
-		b.panicOutside(lo)
-	}
-	if n := int64(len(b.Data)); hi > n {
-		b.panicOutside(max(lo, n))
-	}
-	return b.Data[lo:hi:hi]
-}
-
-// panicOutside reports the element at offset off from Lo as missing. It is
-// out of line, and takes the offset At has already computed, so that At's
-// body stays within the inliner's budget (go build -gcflags=-m).
-//
-//go:noinline
-func (b *Band) panicOutside(off int64) {
-	panic(fmt.Sprintf("grid: element %d outside band [%d,%d)", b.Lo+off, b.Lo, b.Hi()))
-}
-
-// Fill copies src (global range [lo, lo+len(src))) into the band's data
-// window; ranges outside the band are ignored. Workers call Fill once per
-// local strip or fetched halo fragment.
-func (b *Band) Fill(lo int64, src []float64) {
-	from, to := b.clip(lo, lo+int64(len(src)))
-	if from == to {
-		return
-	}
-	copy(b.Data[from-b.Lo:to-b.Lo], src[from-lo:to-lo])
-	b.cover(from-b.Lo, to-b.Lo)
-}
-
-// FillBytes decodes raw on-disk elements (global range
-// [lo, lo+len(raw)/ElemSize)) straight into the band's data window — on a
-// little-endian host one memmove. Ranges outside the band are ignored;
-// len(raw) must be a multiple of ElemSize. raw is only read: a lent stored
-// strip is safe.
-func (b *Band) FillBytes(lo int64, raw []byte) {
+// Lend adds raw — the on-disk bytes of global range
+// [lo, lo+len(raw)/ElemSize) — to the band as a window, clipped to the
+// data range; what falls outside is ignored. Where the codec is a view
+// and raw is 8-byte aligned the window IS raw's memory: nothing is
+// copied, so raw must stay unwritten (and out of any pool) until the last
+// read of the band — a stored strip lent by pfs.Server.LocalViewMany
+// always is; a pooled fetch buffer is released after the kernel returns,
+// not before. On any other host, or for an unaligned raw, the window is
+// decoded into memory the band owns. Windows may arrive in any order but
+// may not overlap; len(raw) must be a multiple of ElemSize.
+func (b *Band) Lend(lo int64, raw []byte) {
 	if len(raw)%ElemSize != 0 {
 		panic(fmt.Sprintf("grid: byte length %d not a multiple of element size %d", len(raw), ElemSize))
 	}
-	from, to := b.clip(lo, lo+int64(len(raw))/ElemSize)
-	if from == to {
+	from, to := max(lo, b.Lo), min(lo+int64(len(raw))/ElemSize, b.hi)
+	if from >= to {
 		return
 	}
-	decode(b.Data[from-b.Lo:to-b.Lo], raw[(from-lo)*ElemSize:])
-	b.cover(from-b.Lo, to-b.Lo)
+	at := b.after(from)
+	if at > 0 && b.wins[at-1].end() > from {
+		at-- // the window from lands in
+	}
+	if at < len(b.wins) && b.wins[at].lo < to {
+		panic(fmt.Sprintf("grid: lent window [%d,%d) overlaps [%d,%d)", from, to, b.wins[at].lo, b.wins[at].end()))
+	}
+	raw = raw[(from-lo)*ElemSize : (to-lo)*ElemSize]
+	w := window{lo: from}
+	if vals, ok := floatsView(raw); ok {
+		w.vals = vals
+	} else {
+		//das:transfer -- the band owns the decoded window; Release returns it to the float pool
+		w.vals, w.owned = floatPool.Get(int(to-from)), true
+		decode(w.vals, raw)
+	}
+	b.wins = append(b.wins, window{})
+	copy(b.wins[at+1:], b.wins[at:])
+	b.wins[at] = w
 }
 
-// FillFrom fills global range [lo, hi), which must lie within the band's
-// data range, with the on-disk bytes read deposits in the buffer it is
+// after returns how many windows start at or before element i: the one
+// that could hold i is the last of them.
+func (b *Band) after(i int64) int {
+	lo, hi := 0, len(b.wins)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.wins[mid].lo <= i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// seek moves the cursor to the window holding element i and returns its
+// index, or panics if no window does.
+func (b *Band) seek(i int64) int {
+	at := b.after(i) - 1
+	if at < 0 || i >= b.wins[at].end() {
+		b.panicMissing(i)
+	}
+	b.curLo, b.curVals = b.wins[at].lo, b.wins[at].vals
+	return at
+}
+
+// Hi returns one past the last element of the data range.
+func (b *Band) Hi() int64 { return b.hi }
+
+// Contains reports whether global element i is present in the band.
+func (b *Band) Contains(i int64) bool {
+	at := b.after(i) - 1
+	return at >= 0 && i < b.wins[at].end()
+}
+
+// At returns the value of global element i, which must be present in the
+// band.
+func (b *Band) At(i int64) float64 {
+	i -= b.curLo // below curLo wraps past any length
+	if uint64(i) >= uint64(len(b.curVals)) {
+		i = b.seekOff(i)
+	}
+	return b.curVals[i]
+}
+
+// seekOff moves the cursor to the window of the element at offset off from
+// the cursor's start and returns the element's offset in that window. It
+// is out of line, and takes and returns what At already has and goes on to
+// use, so that At's body stays within the inliner's budget (go build
+// -gcflags=-m).
+//
+//go:noinline
+func (b *Band) seekOff(off int64) int64 {
+	i := b.curLo + off
+	b.seek(i)
+	return i - b.curLo
+}
+
+// Span returns the values of global range [lo, hi), for kernels that
+// stream whole row segments: one range check per span where At pays one
+// per element. Like At it panics if an element is missing, naming the
+// first one. A range within one window comes back as a window of that
+// memory, its capacity ending at hi. A range that straddles windows — a
+// row cut by a strip boundary — is stitched into one of the band's
+// scratch rows, which are taken in turn: it stays good until the third
+// stitched span after it, enough for the three rows a stencil holds.
+func (b *Band) Span(lo, hi int64) []float64 {
+	if from, to := lo-b.curLo, hi-b.curLo; from >= 0 && from <= to && to <= int64(len(b.curVals)) {
+		return b.curVals[from:to:to]
+	}
+	return b.spanSeek(lo, hi)
+}
+
+func (b *Band) spanSeek(lo, hi int64) []float64 {
+	if lo >= hi {
+		if lo > hi || lo < b.Lo || lo > b.hi {
+			b.panicMissing(lo)
+		}
+		return nil
+	}
+	at := b.seek(lo)
+	if to := hi - b.curLo; to <= int64(len(b.curVals)) {
+		return b.curVals[lo-b.curLo : to : to]
+	}
+	if b.stitch == nil {
+		b.stitch = new(stitched)
+	}
+	row := b.stitch.row(hi - lo)
+	next := lo + int64(copy(row, b.curVals[lo-b.curLo:]))
+	for next < hi { // the windows that follow must carry on where the last stopped
+		if at++; at == len(b.wins) || b.wins[at].lo != next {
+			b.panicMissing(next)
+		}
+		next += int64(copy(row[next-lo:], b.wins[at].vals))
+	}
+	b.curLo, b.curVals = b.wins[at].lo, b.wins[at].vals
+	return row
+}
+
+// Run returns the values from element lo up to hi or the end of lo's
+// window, whichever comes first: the longest stretch of [lo, hi), lo < hi,
+// that is read in place. A kernel or reducer whose range spans many strips
+// walks it a run at a time, so nothing is stitched.
+func (b *Band) Run(lo, hi int64) []float64 {
+	if uint64(lo-b.curLo) >= uint64(len(b.curVals)) {
+		b.seek(lo)
+	}
+	to := min(hi-b.curLo, int64(len(b.curVals)))
+	return b.curVals[lo-b.curLo : to : to]
+}
+
+// panicMissing reports element i as missing.
+//
+//go:noinline
+func (b *Band) panicMissing(i int64) {
+	panic(fmt.Sprintf("grid: element %d outside band [%d,%d)", i, b.Lo, b.hi))
+}
+
+// FillFrom fills global range [lo, hi), which must be non-empty and lie
+// within memory the band owns, with the on-disk bytes read deposits in the buffer it is
 // handed. Where the host allows, that buffer is the band's own memory: a
 // client read lands in the band with no copy after it.
 func (b *Band) FillFrom(lo, hi int64, read func(raw []byte) error) error {
-	if err := fillFrom(b.Span(lo, hi), read); err != nil {
-		return err
+	if w := b.wins[b.seek(lo)]; !w.owned || hi > w.end() {
+		panic(fmt.Sprintf("grid: FillFrom [%d,%d) is not within one window of the band's own memory", lo, hi))
 	}
-	b.cover(lo-b.Lo, hi-b.Lo)
-	return nil
-}
-
-// clip intersects global range [lo, hi) with the band's data range; the
-// result is empty (from == to) when they do not meet.
-func (b *Band) clip(lo, hi int64) (from, to int64) {
-	from, to = max(lo, b.Lo), min(hi, b.Hi())
-	if from >= to {
-		return 0, 0
-	}
-	return from, to
-}
-
-// cover records that Data[from:to) has just been filled. The covered part
-// is kept as one interval: a fill that lands apart from it zeroes the gap
-// between them, which a later fill may still overwrite.
-func (b *Band) cover(from, to int64) {
-	switch {
-	case !b.stale:
-	case b.cleanLo == b.cleanHi:
-		b.cleanLo, b.cleanHi = from, to
-	case from > b.cleanHi:
-		clear(b.Data[b.cleanHi:from])
-		b.cleanHi = to
-	case to < b.cleanLo:
-		clear(b.Data[to:b.cleanLo])
-		b.cleanLo = from
-	default:
-		b.cleanLo, b.cleanHi = min(b.cleanLo, from), max(b.cleanHi, to)
-	}
-}
-
-// ZeroUnfilled zeroes whatever part of a pooled band's data no Fill or
-// FillBytes covered, after which the band reads exactly like a NewBand
-// given the same fills: gaps are 0. Call it once the band is assembled and
-// before anything reads it; on any other band it does nothing.
-func (b *Band) ZeroUnfilled() {
-	if !b.stale {
-		return
-	}
-	clear(b.Data[:b.cleanLo])
-	clear(b.Data[b.cleanHi:])
-	b.stale = false
+	return fillFrom(b.Span(lo, hi), read)
 }
 
 // OwnedLen returns the number of elements the band must produce.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"github.com/hpcio/das/internal/bufpool"
 )
 
 func testGrid(w, h int) *Grid {
@@ -51,13 +53,13 @@ func panicOf(f func()) (msg string) {
 
 // TestBandSpanChecksLikeAt: a span is the window At would read element by
 // element, and a missing element panics with At's message for the first
-// one missing — judged against len(Data), so the spare capacity a pooled
-// band inherits is as missing as anything else.
+// one missing — judged against the window's length, so the spare capacity
+// a pooled band inherits is as missing as anything else.
 func TestBandSpanChecksLikeAt(t *testing.T) {
 	g := testGrid(4, 4)
 	b := BandOf(g, 4, 8, 2, 10)
-	if got := b.Span(3, 9); len(got) != 6 || cap(got) != 6 || &got[0] != &b.Data[1] {
-		t.Errorf("Span(3,9): len %d cap %d, want a 6-element window of Data at 1", len(got), cap(got))
+	if got := b.Span(3, 9); len(got) != 6 || cap(got) != 6 || &got[0] != &b.wins[0].vals[1] {
+		t.Errorf("Span(3,9): len %d cap %d, want a 6-element window of the data at 1", len(got), cap(got))
 	}
 	if got := b.Span(2, 10); len(got) != 8 {
 		t.Errorf("Span over the whole band: len %d", len(got))
@@ -70,7 +72,11 @@ func TestBandSpanChecksLikeAt(t *testing.T) {
 	big.Release()
 	pooled := NewBandPooled(4, 16, 4, 8, 2, 10) // most likely on big's buffer
 	defer pooled.Release()
-	for _, band := range []*Band{b, pooled} {
+	lent := NewBandLent(4, 16, 4, 8, 2, 10)
+	defer lent.Release()
+	lent.Lend(0, g.Bytes()[:6*ElemSize]) // clipped to [2,6)
+	lent.Lend(6, g.Bytes()[6*ElemSize:]) // clipped to [6,10)
+	for _, band := range []*Band{b, pooled, lent} {
 		for _, c := range []struct{ lo, hi, missing int64 }{
 			{1, 5, 1},    // starts below Lo
 			{8, 11, 10},  // runs past Hi
@@ -84,10 +90,161 @@ func TestBandSpanChecksLikeAt(t *testing.T) {
 	}
 }
 
+// lendAll cuts g's bytes at the given element boundaries (ascending,
+// inside (0, g.Len())) and lends every piece to a band over [lo, hi); a
+// piece whose number is in unaligned is lent from a copy that starts one
+// byte into its buffer, which no view can be made of.
+func lendAll(g *Grid, start, end, lo, hi int64, cuts []int64, unaligned map[int]bool) *Band {
+	b := NewBandLent(g.W, g.Len(), start, end, lo, hi)
+	raw := g.Bytes()
+	bounds := append(append([]int64{0}, cuts...), g.Len())
+	for i := len(bounds) - 2; i >= 0; i-- { // descending: Lend sorts
+		piece := raw[bounds[i]*ElemSize : bounds[i+1]*ElemSize]
+		if unaligned[i] {
+			piece = append(make([]byte, 1, 1+len(piece)), piece...)[1:]
+		}
+		b.Lend(bounds[i], piece)
+	}
+	return b
+}
+
+// TestBandSpanOverWindows: a range inside one lent window is that
+// strip's own memory; a range across a boundary is stitched, and three
+// stitched spans are good at once; Run stops where its window does; a
+// window that could not be viewed reads the same as one that could.
+func TestBandSpanOverWindows(t *testing.T) {
+	g := testGrid(4, 6)
+	for _, unaligned := range []map[int]bool{nil, {1: true}, {0: true, 1: true, 2: true, 3: true}} {
+		b := lendAll(g, 4, 20, 0, 24, []int64{6, 7, 15}, unaligned)
+		if len(b.wins) != 4 {
+			t.Fatalf("%d windows, want 4", len(b.wins))
+		}
+		for i := int64(0); i < 24; i++ {
+			if b.At(i) != float64(i) {
+				t.Fatalf("At(%d) = %v", i, b.At(i))
+			}
+		}
+		in := b.Span(8, 12)
+		if &in[0] != &b.wins[2].vals[1] || cap(in) != 4 {
+			t.Errorf("Span(8,12) inside one window: not a clipped view of it (cap %d)", cap(in))
+		}
+		up, mid, down := b.Span(3, 9), b.Span(5, 16), b.Span(14, 18)
+		for _, sp := range []struct {
+			lo   int64
+			vals []float64
+		}{{3, up}, {5, mid}, {14, down}} {
+			for j, v := range sp.vals {
+				if v != float64(sp.lo+int64(j)) {
+					t.Errorf("stitched span from %d: [%d] = %v", sp.lo, j, v)
+				}
+			}
+		}
+		if len(up) != 6 || len(mid) != 11 || len(down) != 4 {
+			t.Errorf("stitched lengths %d %d %d", len(up), len(mid), len(down))
+		}
+		for _, c := range []struct{ lo, hi, n int64 }{{0, 24, 6}, {6, 24, 1}, {9, 12, 3}, {14, 24, 1}, {15, 24, 9}} {
+			if run := b.Run(c.lo, c.hi); int64(len(run)) != c.n || run[0] != float64(c.lo) {
+				t.Errorf("Run(%d,%d): %d values from %v, want %d from %d", c.lo, c.hi, len(run), run[0], c.n, c.lo)
+			}
+		}
+		b.Release()
+	}
+
+	// On a host where the codec is a view, an aligned lent window is the
+	// lender's memory itself.
+	if viewable {
+		vals := []float64{1, 2, 3, 4}
+		b := NewBandLent(4, 4, 0, 4, 0, 4)
+		b.Lend(0, Bytes(vals))
+		if got := b.Span(0, 4); &got[0] != &vals[0] {
+			t.Error("aligned Lend copied")
+		}
+		b.Release()
+	}
+}
+
+// TestBandGapIsMissing pins the rule for a strip a sparse pattern skipped:
+// the gap inside [Lo, Hi) is never zero-filled — it is missing, and At,
+// Span and Run panic on it exactly as on an element outside the band.
+func TestBandGapIsMissing(t *testing.T) {
+	g := testGrid(4, 6)
+	b := NewBandLent(4, 24, 8, 12, 0, 24)
+	defer b.Release()
+	raw := g.Bytes()
+	b.Lend(16, raw[16*ElemSize:20*ElemSize])
+	b.Lend(8, raw[8*ElemSize:12*ElemSize])
+	b.Lend(0, raw[:4*ElemSize])
+	if b.Contains(4) || b.Contains(12) || !b.Contains(11) || !b.Contains(16) || b.Contains(20) {
+		t.Error("Contains disagrees with the windows lent")
+	}
+	const text = "grid: element %d outside band [0,24)"
+	for _, c := range []struct {
+		what    string
+		read    func()
+		missing int64
+	}{
+		{"At in a gap", func() { b.At(5) }, 5},
+		{"At past the last window", func() { b.At(20) }, 20},
+		{"Span into a gap", func() { b.Span(10, 14) }, 12},
+		{"Span out of a gap", func() { b.Span(6, 10) }, 6},
+		{"Span across a gap", func() { b.Span(2, 9) }, 4},
+		{"Run from a gap", func() { b.Run(12, 18) }, 12},
+	} {
+		if got, want := panicOf(c.read), fmt.Sprintf(text, c.missing); got != want {
+			t.Errorf("%s: panic %q, want %q", c.what, got, want)
+		}
+	}
+	if got := b.Span(8, 12); len(got) != 4 || got[0] != 8 {
+		t.Errorf("a window beside a gap reads %v", got)
+	}
+	if panicOf(func() { b.Lend(10, raw[10*ElemSize:13*ElemSize]) }) == "" ||
+		panicOf(func() { b.Lend(6, raw[6*ElemSize:9*ElemSize]) }) == "" {
+		t.Error("Lend accepted a window overlapping one already lent")
+	}
+}
+
+// TestBandNarrowSharesWindowsNotCursor: a narrowed band reads the same
+// memory, owns the sub-range, and keeps its own cursor and stitch rows, so
+// two of them can be read at once (go test -race).
+func TestBandNarrowSharesWindowsNotCursor(t *testing.T) {
+	g := testGrid(4, 6)
+	b := lendAll(g, 4, 20, 0, 24, []int64{6, 13}, nil)
+	defer b.Release()
+	done := make(chan bool)
+	for _, r := range [][2]int64{{4, 12}, {12, 20}} {
+		sub := b.Narrow(r[0], r[1])
+		go func() {
+			ok := sub.Start == r[0] && sub.End == r[1] && sub.Lo == 0 && sub.Hi() == 24
+			for i := sub.Start - 4; i < sub.End+4; i++ {
+				ok = ok && sub.At(i) == float64(i)
+			}
+			row := sub.Span(sub.Start-1, sub.End+1) // straddles a window: stitched into sub's own row
+			ok = ok && row[0] == float64(sub.Start-1) && int64(len(row)) == sub.OwnedLen()+2
+			done <- ok
+		}()
+	}
+	if a, b := <-done, <-done; !a || !b {
+		t.Error("narrowed bands read wrong values")
+	}
+	if panicOf(func() { b.Narrow(0, 25) }) == "" {
+		t.Error("Narrow accepted an owned range past the data")
+	}
+	// A narrowed band owns none of the memory: releasing it gives back
+	// only itself, and the band it came from reads on.
+	owner := BandOf(g, 4, 20, 0, 24)
+	t.Cleanup(bufpool.PoisonPuts()) // a Put of the owner's data would scribble over it
+	owner.Narrow(4, 8).Release()
+	for i := int64(0); i < 24; i++ {
+		if owner.At(i) != float64(i) {
+			t.Fatalf("after a narrowed band's Release the owner reads [%d] = %v", i, owner.At(i))
+		}
+	}
+}
+
 func TestBandOverValidatesWithoutCopying(t *testing.T) {
 	data := []float64{10, 11, 12, 13, 14, 15}
 	b := BandOver(4, 16, 5, 9, 4, data)
-	if &b.Data[0] != &data[0] || b.Hi() != 10 || b.At(9) != 15 {
+	if &b.Span(4, 10)[0] != &data[0] || b.Hi() != 10 || b.At(9) != 15 {
 		t.Errorf("BandOver: Hi %d At(9) %v, want a view of data over [4,10)", b.Hi(), b.At(9))
 	}
 	if panicOf(func() { BandOver(4, 16, 5, 11, 4, data) }) == "" {
@@ -106,19 +263,24 @@ func TestBandContains(t *testing.T) {
 	}
 }
 
-func TestBandFillClipsToWindow(t *testing.T) {
-	b := NewBand(4, 16, 4, 8, 2, 10)
+func TestBandLendClipsToDataRange(t *testing.T) {
+	raw := FloatsToBytes([]float64{100, 101, 102, 103, 104, 105})
+	b := NewBandLent(4, 16, 4, 8, 2, 10)
+	defer b.Release()
 	// Fragment overlapping the front edge: only elements 2..5 land.
-	b.Fill(0, []float64{100, 101, 102, 103, 104, 105})
-	if b.At(2) != 102 || b.At(5) != 105 {
+	b.Lend(0, raw)
+	if b.At(2) != 102 || b.At(5) != 105 || b.Contains(1) || b.Contains(6) {
 		t.Errorf("front overlap: At(2)=%v At(5)=%v", b.At(2), b.At(5))
 	}
 	// Fragment fully outside: no effect, no panic.
-	b.Fill(12, []float64{1, 2, 3})
+	b.Lend(12, raw[:3*ElemSize])
 	// Fragment overlapping the back edge.
-	b.Fill(8, []float64{200, 201, 202, 203})
-	if b.At(8) != 200 || b.At(9) != 201 {
-		t.Errorf("back overlap: At(8)=%v At(9)=%v", b.At(8), b.At(9))
+	b.Lend(8, raw[:4*ElemSize])
+	if b.At(8) != 100 || b.At(9) != 101 || len(b.wins) != 2 {
+		t.Errorf("back overlap: At(8)=%v At(9)=%v in %d windows", b.At(8), b.At(9), len(b.wins))
+	}
+	if panicOf(func() { b.Lend(6, raw[:ElemSize+1]) }) == "" {
+		t.Error("Lend accepted a byte length that is not whole elements")
 	}
 }
 
@@ -170,33 +332,57 @@ func TestHaloRangeClamps(t *testing.T) {
 }
 
 // Property: assembling a band from arbitrary fragment tilings of the
-// source grid reproduces exactly the window BandOf copies.
+// source grid, lent in arbitrary order, reads exactly like the window
+// BandOf copies — element by element, as whole rows, and run by run.
 func TestBandAssemblyProperty(t *testing.T) {
-	prop := func(cuts []uint8) bool {
+	prop := func(cuts []uint8, order uint64) bool {
 		g := testGrid(8, 8)
 		want := BandOf(g, 16, 48, 8, 56)
-		got := NewBand(8, g.Len(), 16, 48, 8, 56)
+		got := NewBandLent(8, g.Len(), 16, 48, 8, 56)
+		defer got.Release()
 		// Build a fragment tiling of [0, 64) from the cut points.
-		bounds := []int64{0}
+		cut := map[int64]bool{0: true}
 		for _, c := range cuts {
-			p := int64(c) % g.Len()
-			bounds = append(bounds, p)
+			cut[int64(c)%g.Len()] = true
 		}
-		bounds = append(bounds, g.Len())
-		// Fill fragments in the given (arbitrary) order; overlaps are fine
-		// because all fragments come from the same source.
-		for i := 0; i+1 < len(bounds); i++ {
-			lo, hi := bounds[i], bounds[i+1]
-			if lo > hi {
-				lo, hi = hi, lo
+		var bounds []int64
+		for p := int64(0); p <= g.Len(); p++ {
+			if cut[p] || p == g.Len() {
+				bounds = append(bounds, p)
 			}
-			got.Fill(lo, g.Data[lo:hi])
 		}
-		// Every byte of the window must match.
+		raw := g.Bytes()
+		frags := make([]int, len(bounds)-1)
+		for i := range frags {
+			frags[i] = i
+		}
+		for n := len(frags); n > 0; n-- { // lend them in an order the input picks
+			pick := int(order % uint64(n))
+			order /= 7
+			i := frags[pick]
+			frags[pick] = frags[n-1]
+			got.Lend(bounds[i], raw[bounds[i]*ElemSize:bounds[i+1]*ElemSize])
+		}
 		for i := want.Lo; i < want.Hi(); i++ {
 			if got.At(i) != want.At(i) {
 				return false
 			}
+		}
+		for row := want.Lo; row < want.Hi(); row += 8 {
+			for j, v := range got.Span(row, row+8) {
+				if v != want.At(row+int64(j)) {
+					return false
+				}
+			}
+		}
+		for i := want.Lo; i < want.Hi(); {
+			run := got.Run(i, want.Hi())
+			for j, v := range run {
+				if v != want.At(i+int64(j)) {
+					return false
+				}
+			}
+			i += int64(len(run))
 		}
 		return true
 	}

@@ -8,10 +8,11 @@ import (
 
 // The strip codec. A raster element on disk is a little-endian IEEE-754
 // float64, which on a little-endian host is exactly the memory of a
-// float64: there the codec is a view (Bytes, fillFrom) or one memmove
-// (decode, encode), and no element is converted. Memory a kernel touches
-// is always allocated as []float64 and its bytes derived from it, never
-// the other way round, so the view is 8-byte aligned by construction. On
+// float64: there the codec is a view (Bytes, floatsView, fillFrom) or one
+// memmove (decode, encode), and no element is converted. Memory a kernel
+// writes is always allocated as []float64 and its bytes derived from it,
+// so that view is 8-byte aligned by construction; the view the other way
+// round, of bytes a kernel only reads (floatsView), checks the pointer. On
 // any other host the same functions convert element by element. This is
 // the only file in the package that imports unsafe.
 
@@ -33,6 +34,20 @@ func Bytes(vals []float64) []byte {
 	raw := make([]byte, len(vals)*ElemSize)
 	encode(raw, vals)
 	return raw
+}
+
+// floatsView returns the elements of raw, whose length is a multiple of
+// ElemSize, as a view of raw's own memory — for values nobody writes while
+// the view is in use, as with Bytes. It reports false, and no view, where
+// there is none to be had: on a host of another byte order, and for a
+// pointer that is not 8-byte aligned (a float64 load through it would be
+// unaligned, and checkptr rejects the conversion).
+func floatsView(raw []byte) ([]float64, bool) {
+	p := unsafe.Pointer(unsafe.SliceData(raw))
+	if !viewable || uintptr(p)%ElemSize != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*float64)(p), len(raw)/ElemSize), true
 }
 
 // decode sets dst from the len(dst) little-endian elements of src.

@@ -12,9 +12,9 @@ import (
 // sources from the simulator's inner loop (the GB-scale garbage behind the
 // Fig. 10-14 regeneration cost).
 //
-// GetFloats returns zeroed memory; a pooled band does not — it is zeroed
-// only where its assembly left a gap (Band.ZeroUnfilled) — and either way
-// outputs stay byte-identical to the unpooled reference.
+// GetFloats returns zeroed memory; a pooled band's data does not start
+// zeroed — its one fill covers all of it — and either way outputs stay
+// byte-identical to the unpooled reference.
 
 var (
 	floatPool bufpool.Pool[float64]
@@ -37,25 +37,41 @@ func PutFloats(s []float64) {
 	floatPool.Put(s)
 }
 
-// NewBandPooled is NewBand backed by the pool, except that its data window
-// starts with arbitrary contents: fill it, then call ZeroUnfilled before
+// NewBandPooled is NewBand backed by the pool, except that its data
+// starts with arbitrary contents: fill all of it (FillFrom) before
 // anything reads it. Release recycles the band.
 func NewBandPooled(width int, globalLen, start, end, lo, hi int64) *Band {
-	validateBand(width, globalLen, start, end, lo, hi)
-	b := bandPool.Get().(*Band)
+	b := NewBandLent(width, globalLen, start, end, lo, hi)
 	//das:transfer -- the band owns its data buffer; Release returns it to the float pool
-	*b = Band{Width: width, GlobalLen: globalLen, Start: start, End: end, Lo: lo, Data: floatPool.Get(int(hi - lo)), stale: true}
+	b.set(window{lo: lo, vals: floatPool.Get(int(hi - lo)), owned: true})
 	return b
 }
 
-// Release recycles a band obtained from NewBandPooled: its data goes back
-// to the float pool, which unlike the sync.Pool holding the structs
-// survives a GC cycle. The caller must not use the band (or its Data)
-// afterwards. Releasing a band built by NewBand is also safe — its buffer
-// simply joins the pool — but never release a BandOver: its data is not
-// the band's to give away.
+// NewBandLent returns a band with the given geometry and no windows yet:
+// Lend adds them, strip by strip. Like every band it is drawn from the
+// pool of structs; Release recycles it and lets go of what was lent.
+func NewBandLent(width int, globalLen, start, end, lo, hi int64) *Band {
+	validateBand(width, globalLen, start, end, lo, hi)
+	b := bandPool.Get().(*Band)
+	b.Width, b.GlobalLen, b.Start, b.End, b.Lo, b.hi = width, globalLen, start, end, lo, hi
+	return b
+}
+
+// Release recycles a band, whichever constructor made it: the windows the
+// band allocated go back to the float pool, which unlike the sync.Pool
+// holding the structs survives a GC cycle; the others — a caller's
+// (BandOver), a lent strip's, a Narrow's — are only forgotten, their
+// memory was never the band's; and the struct keeps its window list and
+// stitch rows for the next band. The caller must not use the band
+// afterwards, nor a Narrow of it if the band owned its data. A band that
+// is never released is ordinary garbage.
 func (b *Band) Release() {
-	floatPool.Put(b.Data)
-	*b = Band{}
+	for _, w := range b.wins {
+		if w.owned {
+			floatPool.Put(w.vals)
+		}
+	}
+	clear(b.wins)
+	*b = Band{wins: b.wins[:0], stitch: b.stitch}
 	bandPool.Put(b)
 }

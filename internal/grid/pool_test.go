@@ -6,39 +6,38 @@ import (
 	"testing"
 )
 
+// TestNewBandPooledMatchesNewBand: a pooled band starts with a previous
+// tenant's values, and the one fill that covers it leaves it reading
+// exactly like a fresh band filled the same way.
 func TestNewBandPooledMatchesNewBand(t *testing.T) {
 	raw := FloatsToBytes([]float64{1, 2, 3, 4, 5, 6, 7, 8})
+	deposit := func(dst []byte) error { copy(dst, raw); return nil }
 	a := NewBand(4, 8, 2, 6, 0, 8)
-	a.Fill(0, FloatsFromBytes(raw))
-	b := NewBandPooled(4, 8, 2, 6, 0, 8)
-	b.FillBytes(0, raw)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("pooled band data[%d] = %v, want %v", i, b.Data[i], a.Data[i])
+	if err := a.FillFrom(0, 8, deposit); err != nil {
+		t.Fatal(err)
+	}
+	stale := NewBandPooled(4, 8, 2, 6, 0, 8)
+	if err := stale.FillFrom(0, 8, func(dst []byte) error { clear(dst); dst[0] = 0xff; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	stale.Release()
+	b := NewBandPooled(4, 8, 2, 6, 0, 8) // most likely on stale's buffer
+	defer b.Release()
+	if err := b.FillFrom(0, 8, deposit); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 8; i++ {
+		if a.At(i) != b.At(i) || b.At(i) != float64(i+1) {
+			t.Fatalf("pooled band [%d] = %v, fresh band %v", i, b.At(i), a.At(i))
 		}
 	}
-	b.Release()
-	// A recycled band holds the previous tenant's values until it is
-	// assembled; ZeroUnfilled leaves 0 exactly where no fill landed, be
-	// the gap at the head, in the middle or at the tail.
-	c := NewBandPooled(4, 8, 2, 6, 0, 8)
-	c.FillBytes(5, raw[5*ElemSize:6*ElemSize])
-	c.Fill(2, []float64{3})
-	c.ZeroUnfilled()
-	for i, want := range []float64{0, 0, 3, 0, 0, 6, 0, 0} {
-		if c.Data[i] != want {
-			t.Fatalf("recycled band data[%d] = %v, want %v", i, c.Data[i], want)
-		}
+	// FillFrom writes only memory the band owns, one window of it.
+	lent := NewBandLent(4, 8, 2, 6, 0, 8)
+	defer lent.Release()
+	lent.Lend(0, raw)
+	if panicOf(func() { lent.FillFrom(0, 8, deposit) }) == "" {
+		t.Error("FillFrom wrote through a lent window")
 	}
-	c.Release()
-	d := NewBandPooled(4, 8, 2, 6, 0, 8)
-	d.ZeroUnfilled()
-	for i, v := range d.Data {
-		if v != 0 {
-			t.Fatalf("unfilled recycled band data[%d] = %v, want 0", i, v)
-		}
-	}
-	d.Release()
 }
 
 // TestBandDataSurvivesGC pins Release's contract: the data buffer goes
@@ -76,19 +75,23 @@ func TestNewBandPooledValidates(t *testing.T) {
 }
 
 // TestBandExtractionAllocs guards the band-assembly hot path: once the
-// pool is warm, building a band, decoding strip bytes into it, and
-// releasing it must allocate (almost) nothing. The pre-pool path cost at
-// least two allocations per band (Data slice + decoded []float64), both
-// proportional to the halo size.
+// pool is warm, building a band, lending it strips — viewed, or decoded
+// where no view is to be had — stitching a row across them and releasing
+// it must allocate (almost) nothing: the struct, its window list, its
+// stitch rows and the decoded windows are all recycled.
 func TestBandExtractionAllocs(t *testing.T) {
 	const w, h = 64, 64
 	raw := make([]byte, w*h*ElemSize)
 	for i := range raw {
 		raw[i] = byte(i * 13)
 	}
+	const cut = (w*h/2 + 3) * ElemSize
+	odd := append(make([]byte, 1, 1+len(raw)-cut), raw[cut:]...)[1:] // unaligned: decoded
 	extract := func() {
-		b := NewBandPooled(w, w*h, 0, w*h, 0, w*h)
-		b.FillBytes(0, raw)
+		b := NewBandLent(w, w*h, 0, w*h, 0, w*h)
+		b.Lend(0, raw[:cut])
+		b.Lend(cut/ElemSize, odd)
+		b.Span(w*h/2, w*h/2+w)
 		b.Release()
 	}
 	extract() // warm the pool
@@ -124,30 +127,42 @@ func TestFloatsFromBytesIntoUnalignedErrors(t *testing.T) {
 	}
 }
 
-func TestFillBytesMatchesFill(t *testing.T) {
+// TestLendDecodesWhereItCannotView: a window lent from unaligned bytes, or
+// on a host whose byte order is not the disk's, is decoded into memory the
+// band owns — same values, clipping included, and the lender's buffer is
+// no longer needed once Lend returns.
+func TestLendDecodesWhereItCannotView(t *testing.T) {
 	vals := make([]float64, 40)
 	for i := range vals {
 		vals[i] = float64(i) * 1.75
 	}
 	raw := FloatsToBytes(vals)
-	a := NewBand(8, 40, 8, 32, 0, 40)
-	a.Fill(0, vals)
-	b := NewBand(8, 40, 8, 32, 0, 40)
-	b.FillBytes(0, raw)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("FillBytes data[%d] = %v, want %v", i, b.Data[i], a.Data[i])
+	a := BandOver(8, 40, 8, 32, 0, vals)
+	check := func(what string, b *Band, lo, hi int64) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if b.At(i) != a.At(i) {
+				t.Fatalf("%s: [%d] = %v, want %v", what, i, b.At(i), a.At(i))
+			}
 		}
 	}
-	// Partial overlap: source range hangs off both ends of the window.
-	c := NewBand(8, 40, 8, 32, 8, 32)
-	c.FillBytes(0, raw) // head clipped
-	if c.At(8) != vals[8] || c.At(31) != vals[31] {
-		t.Error("clipped FillBytes wrote wrong values")
-	}
-	d := NewBand(8, 40, 8, 32, 8, 32)
-	d.FillBytes(16, raw[:24*ElemSize]) // tail clipped at Hi
-	if d.At(16) != vals[0] || d.At(31) != vals[15] {
-		t.Error("tail-clipped FillBytes wrote wrong values")
-	}
+	odd := append(make([]byte, 3, 3+len(raw)), raw...)[3:]
+	b := NewBandLent(8, 40, 8, 32, 0, 40)
+	b.Lend(0, odd)
+	clear(odd) // decoded: the band does not read odd again
+	check("unaligned", b, 0, 40)
+	b.Release()
+	onPath(true, func() {
+		c := NewBandLent(8, 40, 8, 32, 8, 32)
+		c.Lend(0, raw) // head and tail clipped
+		check("portable path, clipped", c, 8, 32)
+		if c.Contains(7) || c.Contains(32) {
+			t.Error("clipped Lend kept elements outside the data range")
+		}
+		c.Release()
+	})
+	d := NewBandLent(8, 40, 8, 32, 8, 32)
+	d.Lend(16, raw[16*ElemSize:]) // tail clipped at Hi
+	check("tail-clipped", d, 16, 32)
+	d.Release()
 }

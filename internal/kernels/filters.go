@@ -236,19 +236,26 @@ func (s StrideKernel) Weight() float64 {
 }
 
 // ApplyBand streams the cells whose two dependencies are both inside the
-// raster over one span; the |Stride| cells at either end of the raster,
-// where a dependency clamps, go through the per-element code.
+// raster, a run at a time: the longest stretch the center and both
+// dependencies can each be read in place, so a band of many strips — with
+// gaps where the stride skips some — is never stitched. The |Stride|
+// cells at either end of the raster, where a dependency clamps, go
+// through the per-element code.
 func (s StrideKernel) ApplyBand(b *grid.Band, out []float64) {
 	reach := max(s.Stride, -s.Stride)
 	lo, hi := within(b.Start, b.End, reach, b.GlobalLen-reach)
 	s.cells(b, out, b.Start, lo)
-	if lo < hi {
-		win := b.Span(lo-reach, hi+reach)
-		left, mid, right := win[reach-s.Stride:], win[reach:], win[reach+s.Stride:]
-		o := out[lo-b.Start : hi-b.Start]
+	for i := lo; i < hi; {
+		mid := b.Run(i, hi)
+		left := b.Run(i-s.Stride, hi-s.Stride)
+		right := b.Run(i+s.Stride, hi+s.Stride)
+		n := min(len(mid), len(left), len(right))
+		o := out[i-b.Start:][:n]
+		left, mid, right = left[:n], mid[:n], right[:n]
 		for j := range o {
 			o[j] = 0.5*mid[j] + 0.25*(left[j]+right[j])
 		}
+		i += int64(n)
 	}
 	s.cells(b, out, hi, b.End)
 }
@@ -306,7 +313,10 @@ func (s ScatterKernel) Weight() float64 {
 	return s.W
 }
 
-// ApplyBand is StrideKernel's split with the reach of the longest stride.
+// ApplyBand is StrideKernel's split with the reach of the longest stride,
+// taken one dependency at a time: each pass adds one offset's image of the
+// range into out, run by run, in the order the per-element code adds them,
+// and the last blends in the center.
 func (s ScatterKernel) ApplyBand(b *grid.Band, out []float64) {
 	var reach int64
 	for _, st := range s.Strides {
@@ -314,19 +324,28 @@ func (s ScatterKernel) ApplyBand(b *grid.Band, out []float64) {
 	}
 	lo, hi := within(b.Start, b.End, reach, b.GlobalLen-reach)
 	s.cells(b, out, b.Start, lo)
-	if lo < hi {
-		win := b.Span(lo-reach, hi+reach)
-		n := float64(2 * len(s.Strides))
-		o := out[lo-b.Start : hi-b.Start]
-		for j := range o {
-			c := int64(j) + reach
-			sum := 0.0
-			for _, st := range s.Strides {
-				sum += win[c-st]
-				sum += win[c+st]
+	o := out[lo-b.Start : hi-b.Start]
+	clear(o)
+	for _, st := range s.Strides {
+		for _, off := range [2]int64{-st, st} {
+			for i := lo; i < hi; {
+				run := b.Run(i+off, hi+off)
+				sum := o[i-lo:][:len(run)]
+				for j, v := range run {
+					sum[j] += v
+				}
+				i += int64(len(run))
 			}
-			o[j] = 0.5*win[c] + 0.5*sum/n
 		}
+	}
+	n := float64(2 * len(s.Strides))
+	for i := lo; i < hi; {
+		run := b.Run(i, hi)
+		sum := o[i-lo:][:len(run)]
+		for j, v := range run {
+			sum[j] = 0.5*v + 0.5*sum[j]/n
+		}
+		i += int64(len(run))
 	}
 	s.cells(b, out, hi, b.End)
 }

@@ -26,7 +26,7 @@ type Info struct {
 func (r *Registry) List() []Info {
 	out := make([]Info, 0, len(r.order))
 	for _, name := range r.order {
-		k := r.byName[name]
+		k := r.byName[name].k
 		out = append(out, Info{
 			Name:        k.Name(),
 			Kind:        KindKernel.String(),

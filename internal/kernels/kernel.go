@@ -49,13 +49,21 @@ func Apply(k Kernel, g *grid.Grid) *grid.Grid {
 
 // Registry maps operator names to kernels, in registration order.
 type Registry struct {
-	byName map[string]Kernel
+	byName map[string]registered
 	order  []string
+}
+
+// registered is a kernel with its dependence pattern, built once when it
+// is registered: Offsets makes a fresh list per call, and a server asks
+// per request.
+type registered struct {
+	k   Kernel
+	pat features.Pattern
 }
 
 // NewRegistry returns an empty kernel registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]Kernel)}
+	return &Registry{byName: make(map[string]registered)}
 }
 
 // Register adds a kernel; re-registering a name replaces it.
@@ -66,14 +74,19 @@ func (r *Registry) Register(k Kernel) {
 	if _, exists := r.byName[k.Name()]; !exists {
 		r.order = append(r.order, k.Name())
 	}
-	r.byName[k.Name()] = k
+	r.byName[k.Name()] = registered{k: k, pat: Pattern(k)}
 }
 
 // Lookup returns the kernel for an operator name.
 func (r *Registry) Lookup(name string) (Kernel, bool) {
-	k, ok := r.byName[name]
-	return k, ok
+	e, ok := r.byName[name]
+	return e.k, ok
 }
+
+// Pattern returns the dependence pattern of a registered operator, as
+// Pattern(k) gave it at registration; its offset list is shared, not the
+// caller's to change. An unknown name has the zero pattern.
+func (r *Registry) Pattern(name string) features.Pattern { return r.byName[name].pat }
 
 // Names returns registered names in order.
 func (r *Registry) Names() []string {
@@ -88,7 +101,7 @@ func (r *Registry) Names() []string {
 func (r *Registry) Features() *features.Registry {
 	fr := features.NewRegistry()
 	for _, name := range r.order {
-		if err := fr.Register(Pattern(r.byName[name])); err != nil {
+		if err := fr.Register(r.byName[name].pat); err != nil {
 			panic(fmt.Sprintf("kernels: %v", err))
 		}
 	}

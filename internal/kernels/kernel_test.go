@@ -405,6 +405,29 @@ func TestRegistryDefaults(t *testing.T) {
 	}
 }
 
+// TestRegistryPatternIsBuiltOnce: the registry's pattern for an operator
+// is the one Pattern(k) builds, held from registration — asking again
+// builds nothing, where Offsets makes a fresh list per call.
+func TestRegistryPatternIsBuiltOnce(t *testing.T) {
+	r := Default()
+	for _, name := range r.Names() {
+		k, _ := r.Lookup(name)
+		if got, want := r.Pattern(name).String(), Pattern(k).String(); got != want {
+			t.Errorf("%s: registry pattern %q, want %q", name, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = r.Pattern("gaussian-filter") }); n != 0 {
+		t.Errorf("Registry.Pattern allocates %v times per call, want 0", n)
+	}
+	if len(r.Pattern("no-such-op").Offsets) != 0 {
+		t.Error("an unknown operator has a pattern")
+	}
+	r.Register(StrideKernel{OpName: "gaussian-filter", Stride: 3}) // re-registering replaces the pattern with the kernel
+	if got, want := r.Pattern("gaussian-filter").String(), Pattern(StrideKernel{OpName: "gaussian-filter", Stride: 3}).String(); got != want {
+		t.Errorf("re-registered pattern %q, want %q", got, want)
+	}
+}
+
 func TestRegistryFeaturesDerivation(t *testing.T) {
 	fr := Default().Features()
 	p, ok := fr.Lookup("flow-routing")

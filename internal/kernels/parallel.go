@@ -127,7 +127,8 @@ func ShardRows(start, end int64, width, n int) []RowShard {
 // ParallelApplyBand computes the band's owned range into out (length
 // b.OwnedLen()) by sharding it row-wise across the worker pool. The result
 // is byte-identical to k.ApplyBand(b, out): shards share the band's
-// read-only data window and write disjoint sub-slices of out.
+// read-only windows, each through a narrowed band with a cursor of its
+// own, and write disjoint sub-slices of out.
 func ParallelApplyBand(k Kernel, b *grid.Band, out []float64) {
 	shards := ShardRows(b.Start, b.End, b.Width, Parallelism(b.OwnedLen()))
 	if len(shards) <= 1 {
@@ -137,9 +138,9 @@ func ParallelApplyBand(k Kernel, b *grid.Band, out []float64) {
 	ensurePool()
 	var wg sync.WaitGroup
 	run := func(s RowShard) {
-		sub := *b // shares Data; narrows the owned range
-		sub.Start, sub.End = s.Start, s.End
-		k.ApplyBand(&sub, out[s.Start-b.Start:s.End-b.Start])
+		sub := b.Narrow(s.Start, s.End)
+		k.ApplyBand(sub, out[s.Start-b.Start:s.End-b.Start])
+		sub.Release()
 	}
 	for _, s := range shards[1:] {
 		s := s

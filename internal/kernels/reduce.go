@@ -52,32 +52,37 @@ const (
 	StatMax
 )
 
-// ReduceBand keeps its five aggregates in registers. The sums are float
+// ReduceBand keeps its five aggregates in registers and folds the owned
+// range a run at a time, each read where it lies. The sums are float
 // additions in element order; minimum and maximum are taken on order keys
 // (orderKey), whose order is math.Min's and math.Max's on everything but a
-// NaN — −0 below +0 included — so a span holding one, which its extreme
+// NaN — −0 below +0 included — so a range holding one, which its extreme
 // keys show, is folded again by the reference loop those two define.
 func (Stats) ReduceBand(b *grid.Band) []float64 {
-	span := b.Span(b.Start, b.End)
 	var sum, sumSq float64
 	lo, hi := int64(keyPosInf), int64(keyNegInf)
-	for _, v := range span {
-		sum += v
-		sumSq += v * v
-		k := orderKey(v)
-		lo, hi = min(lo, k), max(hi, k)
+	for i := b.Start; i < b.End; {
+		run := b.Run(i, b.End)
+		for _, v := range run {
+			sum += v
+			sumSq += v * v
+			k := orderKey(v)
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		i += int64(len(run))
 	}
 	if lo < keyNegInf || hi > keyPosInf {
-		return statsReference(span)
+		return statsReference(b)
 	}
-	return []float64{float64(len(span)), sum, sumSq, keyFloat(lo), keyFloat(hi)}
+	return []float64{float64(b.OwnedLen()), sum, sumSq, keyFloat(lo), keyFloat(hi)}
 }
 
 // statsReference is the fold that defines Stats' bits: math.Min and
 // math.Max decide what a NaN does to the extremes (Min(−Inf, NaN) is −Inf).
-func statsReference(span []float64) []float64 {
+func statsReference(b *grid.Band) []float64 {
 	out := []float64{0, 0, 0, math.Inf(1), math.Inf(-1)}
-	for _, v := range span {
+	for i := b.Start; i < b.End; i++ {
+		v := b.At(i)
 		out[StatCount]++
 		out[StatSum] += v
 		out[StatSumSq] += v * v
@@ -151,8 +156,12 @@ func (h Histogram) bucket(v float64) int {
 
 func (h Histogram) ReduceBand(b *grid.Band) []float64 {
 	out := make([]float64, h.Bins)
-	for _, v := range b.Span(b.Start, b.End) {
-		out[h.bucket(v)]++
+	for i := b.Start; i < b.End; {
+		run := b.Run(i, b.End)
+		for _, v := range run {
+			out[h.bucket(v)]++
+		}
+		i += int64(len(run))
 	}
 	return out
 }

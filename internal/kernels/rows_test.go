@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +77,41 @@ func haloBand(k Kernel, g *grid.Grid, start, end int64) *grid.Band {
 	return grid.BandOf(g, start, end, lo, hi)
 }
 
+// lentBand builds the band an offloading server would: haloBand's ranges,
+// assembled from windows. g's bytes over the data range [lo, hi) are cut
+// at lo + (c&0x7f)%(hi-lo) for every c in cuts and lent piece by piece; a
+// piece whose cut has its top bit set is lent from a copy that starts one
+// byte into its buffer, of which no view can be made, so it is decoded.
+func lentBand(g *grid.Grid, start, end, lo, hi int64, cuts []byte) *grid.Band {
+	odd := map[int64]bool{}
+	bounds := []int64{lo}
+	for _, c := range cuts {
+		at := lo + int64(c&0x7f)%(hi-lo)
+		odd[at] = odd[at] || c&0x80 != 0
+		bounds = append(bounds, at)
+	}
+	slices.Sort(bounds)
+	bounds = append(slices.Compact(bounds), hi)
+	b := grid.NewBandLent(g.W, g.Len(), start, end, lo, hi)
+	for i, from := range bounds[:len(bounds)-1] {
+		raw := grid.Bytes(g.Data[from:bounds[i+1]])
+		if odd[from] {
+			raw = append(make([]byte, 1, 1+len(raw)), raw...)[1:]
+		}
+		b.Lend(from, raw)
+	}
+	return b
+}
+
+// everyElement cuts a band of up to 128 elements into one-element windows.
+var everyElement = func() []byte {
+	cuts := make([]byte, 128)
+	for i := range cuts {
+		cuts[i] = byte(i)
+	}
+	return cuts
+}()
+
 // unwritten prefills outputs, so a cell a path skips shows as a mismatch.
 const unwritten = 12345.678
 
@@ -119,25 +155,36 @@ func sameBits(t *testing.T, what string, b *grid.Band, got, want []float64, anyN
 
 // checkRowDriver compares k's ApplyBand, alone and through the parallel
 // executor at 1, 2 and 7 shards, with k's per-element path on the owned
-// range [start, end) of g, and the two reducers' spans with an At loop.
-func checkRowDriver(t *testing.T, k Kernel, g *grid.Grid, start, end int64) {
+// range [start, end) of g, and the two reducers' runs with an At loop —
+// each on the one-window band BandOf copies and on the same ranges lent
+// as windows cut at cuts (lentBand), where the per-element path itself is
+// first held to what it computes on one window.
+func checkRowDriver(t *testing.T, k Kernel, g *grid.Grid, start, end int64, cuts []byte) {
 	t.Helper()
-	b := haloBand(k, g, start, end)
-	want := applyInto(PerElement(k).ApplyBand, b)
-	sameBits(t, k.Name(), b, applyInto(k.ApplyBand, b), want, !selects(k))
+	whole := haloBand(k, g, start, end)
+	lent := lentBand(g, start, end, whole.Lo, whole.Hi(), cuts)
+	defer lent.Release()
+	want := applyInto(PerElement(k).ApplyBand, whole)
+	sameBits(t, k.Name()+" per element over windows", lent, applyInto(PerElement(k).ApplyBand, lent), want, !selects(k))
 	defer SetParallelism(0)
-	for _, shards := range []int{1, 2, 7} {
-		SetParallelism(shards)
-		got := applyInto(func(b *grid.Band, out []float64) { ParallelApplyBand(k, b, out) }, b)
-		sameBits(t, k.Name()+" sharded", b, got, want, !selects(k))
+	for _, b := range []*grid.Band{whole, lent} {
+		what := k.Name()
+		if b == lent {
+			what += " over windows"
+		}
+		SetParallelism(0)
+		sameBits(t, what, b, applyInto(k.ApplyBand, b), want, !selects(k))
+		for _, shards := range []int{1, 2, 7} {
+			SetParallelism(shards)
+			got := applyInto(func(b *grid.Band, out []float64) { ParallelApplyBand(k, b, out) }, b)
+			sameBits(t, what+" sharded", b, got, want, !selects(k))
+		}
 	}
 
-	owned := grid.BandOf(g, start, end, start, end)
 	hist := Histogram{Bins: 4, Lo: -1, Hi: 7}
 	wantStats := []float64{0, 0, 0, math.Inf(1), math.Inf(-1)}
 	wantHist := make([]float64, hist.Bins)
-	for i := start; i < end; i++ {
-		v := owned.At(i)
+	for _, v := range g.Data[start:end] {
 		wantStats[StatCount]++
 		wantStats[StatSum] += v
 		wantStats[StatSumSq] += v * v
@@ -145,18 +192,23 @@ func checkRowDriver(t *testing.T, k Kernel, g *grid.Grid, start, end int64) {
 		wantStats[StatMax] = math.Max(wantStats[StatMax], v)
 		wantHist[hist.bucket(v)]++
 	}
-	// Count, minimum and maximum select; the two sums add (see selects).
-	gotStats := Stats{}.ReduceBand(owned)
-	sameBits(t, "stats count", owned, gotStats[:StatSum], wantStats[:StatSum], false)
-	sameBits(t, "stats sums", owned, gotStats[StatSum:StatMin], wantStats[StatSum:StatMin], true)
-	sameBits(t, "stats extremes", owned, gotStats[StatMin:], wantStats[StatMin:], false)
-	sameBits(t, "histogram", owned, hist.ReduceBand(owned), wantHist, false)
+	lentOwned := lentBand(g, start, end, start, end, cuts)
+	defer lentOwned.Release()
+	for _, owned := range []*grid.Band{grid.BandOf(g, start, end, start, end), lentOwned} {
+		// Count, minimum and maximum select; the two sums add (see selects).
+		gotStats := Stats{}.ReduceBand(owned)
+		sameBits(t, "stats count", owned, gotStats[:StatSum], wantStats[:StatSum], false)
+		sameBits(t, "stats sums", owned, gotStats[StatSum:StatMin], wantStats[StatSum:StatMin], true)
+		sameBits(t, "stats extremes", owned, gotStats[StatMin:], wantStats[StatMin:], false)
+		sameBits(t, "histogram", owned, hist.ReduceBand(owned), wantHist, false)
+	}
 }
 
 // TestRowDriverMatchesPerElement: on small rasters of every shape class —
 // narrower than a window, single row, owned ranges that start and end
-// mid-row — and on cells chosen to expose sort order and truncation, the
-// row-streaming kernels reproduce the per-element path bit for bit.
+// mid-row — cut into windows anywhere, down to one element each, and on
+// cells chosen to expose sort order and truncation, the row-streaming
+// kernels reproduce the per-element path bit for bit.
 func TestRowDriverMatchesPerElement(t *testing.T) {
 	for _, k := range rowDriverKernels() {
 		k := k
@@ -166,24 +218,32 @@ func TestRowDriverMatchesPerElement(t *testing.T) {
 				g := oracleGrid(1+int(rng.Intn(12)), 1+int(rng.Intn(9)), n%cellKinds, rng)
 				start := rng.Intn(g.Len())
 				end := start + 1 + rng.Intn(g.Len()-start)
-				checkRowDriver(t, k, g, start, end)
+				cuts := make([]byte, rng.Intn(9))
+				for i := range cuts {
+					cuts[i] = byte(rng.Intn(256))
+				}
+				if n%40 == 39 {
+					cuts = everyElement
+				}
+				checkRowDriver(t, k, g, start, end, cuts)
 			}
 		})
 	}
 }
 
 // FuzzRowDriver is the same comparison with the fuzzer choosing kernel,
-// shape, owned range and cell population. Its seed corpus
-// (testdata/fuzz/FuzzRowDriver, one file per shape class) runs as a unit
-// test in tier-1; `make extended` fuzzes for a bounded time.
+// shape, owned range, cell population and where the windows are cut. Its
+// seed corpus (testdata/fuzz/FuzzRowDriver, one file per shape class and,
+// as windows-*, per way a boundary can fall) runs as a unit test in
+// tier-1; `make extended` fuzzes for a bounded time.
 func FuzzRowDriver(f *testing.F) {
-	f.Add(uint8(0), uint8(7), uint8(5), uint8(cellsMixed), uint16(9), uint16(20), uint64(1))
+	f.Add(uint8(0), uint8(7), uint8(5), uint8(cellsMixed), uint16(9), uint16(20), uint64(1), []byte{12, 0x80 | 30})
 	ks := rowDriverKernels()
-	f.Fuzz(func(t *testing.T, kernel, width, height, cells uint8, start, end uint16, seed uint64) {
+	f.Fuzz(func(t *testing.T, kernel, width, height, cells uint8, start, end uint16, seed uint64, cuts []byte) {
 		g := oracleGrid(1+int(width%12), 1+int(height%9), int(cells%cellKinds), workload.NewRNG(seed))
 		s := int64(start) % g.Len()
 		e := s + 1 + int64(end)%(g.Len()-s)
-		checkRowDriver(t, ks[int(kernel)%len(ks)], g, s, e)
+		checkRowDriver(t, ks[int(kernel)%len(ks)], g, s, e, cuts)
 	})
 }
 
@@ -200,27 +260,43 @@ func panicMessage(f func()) (msg string) {
 // TestRowDriverMissingHaloPanics: a band one element short of an up or
 // down row must panic on the row path exactly as At does on the
 // per-element path — also when the band came from the pool with spare
-// capacity behind len(Data), where an unchecked window would read another
-// band's stale values instead.
+// capacity behind its window, or was lent a strip that goes on past the
+// data range, where an unchecked window would read values that are not the
+// band's instead.
 func TestRowDriverMissingHaloPanics(t *testing.T) {
 	const w, h = 8, 6
 	g := lcgGrid(w, h, 7)
 	// Owned cells (2,2)..(3,5): the first reads up-left 9, the last
 	// down-right 38.
 	const start, end = 2*w + 2, 3*w + 6
+	deposit := func(vals []float64) func(raw []byte) error {
+		return func(raw []byte) error { copy(raw, grid.Bytes(vals)); return nil }
+	}
 	builders := []struct {
 		name  string
 		build func(lo, hi int64) *grid.Band
 	}{
 		{"NewBand", func(lo, hi int64) *grid.Band { return grid.BandOf(g, start, end, lo, hi) }},
 		{"NewBandPooled", func(lo, hi int64) *grid.Band {
+			stale := make([]float64, g.Len())
+			for i := range stale {
+				stale[i] = 1e9 // values the short band must never see
+			}
 			big := grid.NewBandPooled(w, g.Len(), 0, g.Len(), 0, g.Len())
-			for i := range big.Data {
-				big.Data[i] = 1e9 // stale values the short band must never see
+			if err := big.FillFrom(0, g.Len(), deposit(stale)); err != nil {
+				t.Fatal(err)
 			}
 			big.Release()
 			b := grid.NewBandPooled(w, g.Len(), start, end, lo, hi)
-			b.Fill(lo, g.Data[lo:hi])
+			if err := b.FillFrom(lo, hi, deposit(g.Data[lo:hi])); err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}},
+		{"NewBandLent", func(lo, hi int64) *grid.Band {
+			b := grid.NewBandLent(w, g.Len(), start, end, lo, hi)
+			b.Lend(0, grid.Bytes(g.Data[:3*w-3]))     // two strips of the whole raster, cut mid-row:
+			b.Lend(3*w-3, grid.Bytes(g.Data[3*w-3:])) // Lend clips them to [lo, hi)
 			return b
 		}},
 	}

@@ -9,8 +9,9 @@ import (
 // Bufpool checks pooled-buffer ownership: every acquire must reach a
 // matching release on all return paths of the function, or change owner
 // through an explicitly annotated transfer; a buffer must not be used
-// after its release; and memory the strip store lends out must be neither
-// released nor written.
+// after its release; memory the strip store lends out must be neither
+// released nor written; and a buffer lent to a band must outlive the
+// band's last use.
 var Bufpool = &Analyzer{
 	Name: "bufpool",
 	Doc: `require a Put on every return path for each bufpool Get, and no use after Put
@@ -30,7 +31,14 @@ server-local reader. Within the borrowing function (closures included) it
 is a finding for a chunk, or anything sliced, indexed, ranged or assigned
 from one, to reach a release call, to be the destination of copy, or to
 be assigned through an index: the first would hand a file's contents to
-the pool, the other two would edit them in place.`,
+the pool, the other two would edit them in place.
+
+grid.Band.Lend keeps a view of the buffer it is given. A borrowed chunk
+may be lent freely (it is never released); a pooled buffer is held until
+the band is dropped: within the lending function (closures included) a
+release of the lent buffer — or of anything it was sliced, indexed,
+selected, ranged, appended or assigned from or to — that sits after the
+Lend and before the band's last use is a finding.`,
 	Run: runBufpool,
 }
 
@@ -91,6 +99,7 @@ func runBufpool(pass *Pass) error {
 				if n.Body != nil {
 					checkFuncBuffers(pass, n.Body)
 					checkBorrows(pass, n.Body)
+					checkLends(pass, n.Body)
 				}
 			case *ast.FuncLit:
 				checkFuncBuffers(pass, n.Body)
@@ -742,4 +751,152 @@ func checkBorrows(pass *Pass, body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// checkLends enforces that a buffer lent to a band is not released while
+// the band still reads it, in one function declaration, nested closures
+// included. Like checkBorrows it is flow-insensitive about which variable
+// holds what — variables joined by an assignment, a range, a selection or
+// an append are one buffer family — and it orders the Lend, the release
+// and the band's last use by source position, which is how such code is
+// written: assemble, run the kernel, drop the band, release.
+func checkLends(pass *Pass, body *ast.BlockStmt) {
+	type lend struct {
+		band, buf types.Object
+		pos       token.Pos
+	}
+	var lends []lend
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 || !methodIs(calleeFunc(pass.Info, call), gridPkg, "Band", "Lend") {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		band, buf := rootObjects(pass.Info, sel.X), rootObjects(pass.Info, call.Args[1])
+		if len(band) == 1 && len(buf) == 1 {
+			lends = append(lends, lend{band: band[0], buf: buf[0], pos: call.Pos()})
+		}
+		return true
+	})
+	if len(lends) == 0 {
+		return
+	}
+
+	// family joins the variables a buffer can pass between.
+	family := make(map[types.Object]types.Object)
+	var find func(o types.Object) types.Object
+	find = func(o types.Object) types.Object {
+		if p, ok := family[o]; ok && p != o {
+			family[o] = find(p)
+			return family[o]
+		}
+		return o
+	}
+	join := func(lhs ast.Expr, rhs ...ast.Expr) {
+		for _, l := range rootObjects(pass.Info, lhs) {
+			for _, r := range rhs {
+				for _, o := range rootObjects(pass.Info, r) {
+					family[find(l)] = find(o)
+				}
+			}
+		}
+	}
+	lastUse := make(map[types.Object]token.Pos)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Rhs) == 1 {
+				join(n.Lhs[0], n.Rhs[0])
+			} else {
+				for i := range n.Rhs {
+					join(n.Lhs[i], n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			for i, v := range n.Values {
+				if i < len(n.Names) {
+					join(n.Names[i], v)
+				}
+			}
+		case *ast.RangeStmt:
+			if n.Value != nil {
+				join(n.Value, n.X)
+			}
+		case *ast.Ident:
+			if obj := pass.Info.Uses[n]; obj != nil {
+				lastUse[obj] = max(lastUse[obj], n.Pos())
+			}
+		}
+		return true
+	})
+
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 || classifyCall(pass, call) != roleRelease {
+			return true
+		}
+		for _, released := range rootObjects(pass.Info, call.Args[0]) {
+			for _, l := range lends {
+				if find(released) == find(l.buf) && l.pos < call.Pos() && call.Pos() < lastUse[l.band] {
+					pass.Reportf(call.Pos(),
+						"buffer lent to a band at line %d is released while the band is still in use (line %d): Lend keeps a view, hold the buffer until the band is dropped",
+						pass.Fset.Position(l.pos).Line, pass.Fset.Position(lastUse[l.band]).Line)
+					return true
+				}
+			}
+		}
+		return true
+	})
+}
+
+// rootObjects returns the variables e's value is taken from: the
+// identifier under any selecting, indexing, slicing, dereferencing and
+// parentheses, every argument of an append, every element of a composite
+// literal. Values that cannot carry a buffer (numbers, strings, errors)
+// have none.
+func rootObjects(info *types.Info, e ast.Expr) []types.Object {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := info.ObjectOf(x)
+		if v, ok := obj.(*types.Var); ok {
+			switch v.Type().Underlying().(type) {
+			case *types.Basic, *types.Interface, *types.Signature:
+				return nil
+			}
+			return []types.Object{obj}
+		}
+	case *ast.SelectorExpr:
+		return rootObjects(info, x.X)
+	case *ast.IndexExpr:
+		return rootObjects(info, x.X)
+	case *ast.SliceExpr:
+		return rootObjects(info, x.X)
+	case *ast.StarExpr:
+		return rootObjects(info, x.X)
+	case *ast.UnaryExpr:
+		return rootObjects(info, x.X)
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" {
+			if _, builtin := info.Uses[id].(*types.Builtin); builtin {
+				var out []types.Object
+				for _, a := range x.Args {
+					out = append(out, rootObjects(info, a)...)
+				}
+				return out
+			}
+		}
+	case *ast.CompositeLit:
+		var out []types.Object
+		for _, el := range x.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			out = append(out, rootObjects(info, el)...)
+		}
+		return out
+	}
+	return nil
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // The lending read's result is borrowed: windows of the stored strips
-// themselves. Reading them is the whole point.
+// themselves. Reading them — in place, through a band they are lent to —
+// is the whole point.
 func borrowOK(p *sim.Proc, srv *pfs.Server, spans []pfs.Span, band *grid.Band) error {
 	chunks, err := srv.LocalViewMany(p, "f", spans)
 	if err != nil {
@@ -15,7 +16,7 @@ func borrowOK(p *sim.Proc, srv *pfs.Server, spans []pfs.Span, band *grid.Band) e
 	}
 	var sum byte
 	for i, chunk := range chunks {
-		band.FillBytes(int64(i), chunk)
+		band.Lend(int64(i), chunk)
 		sum += chunk[0] + chunks[i][1]
 	}
 	mine := make([]byte, len(chunks[0]))

@@ -72,8 +72,8 @@ func NewRunner(fs *pfs.FileSystem, registry *kernels.Registry) *Runner {
 // the reducer of strip Target.
 type fragment struct {
 	Target int64
-	Lo, Hi int64 // element range
-	Data   []float64
+	Lo, Hi int64  // element range
+	Data   []byte // a window of the mapper's stored strip: lent, read-only
 }
 
 // mapOut is one mapper's materialized output.
@@ -177,18 +177,18 @@ func (r *Runner) mapTask(p *sim.Proc, s int, in *pfs.FileMeta, lc layout.Locator
 	if len(spans) == 0 {
 		return nil, nil
 	}
-	chunks, err := srv.LocalViewMany(p, in.Name, spans) // lent: decoded below, never released
+	chunks, err := srv.LocalViewMany(p, in.Name, spans) // lent: the fragments are windows of it, never released
 	if err != nil {
 		return nil, err
 	}
 	for i, t := range stripIdx {
-		vals := grid.FloatsFromBytes(chunks[i])
+		raw := chunks[i]
 		lo, hi := in.StripBounds(t)
 		e0, e1 := lo/in.ElemSize, hi/in.ElemSize
 		// The strip's own data goes to its own reducer (local: reducers
 		// are placed data-locally), and every neighbor strip that needs a
 		// piece of [e0, e1) gets a fragment.
-		frags = append(frags, fragment{Target: t, Lo: e0, Hi: e1, Data: vals})
+		frags = append(frags, fragment{Target: t, Lo: e0, Hi: e1, Data: raw})
 		materialized += (e1 - e0) * in.ElemSize
 		for _, u := range neighborsNeeding(lc, offs, t, e0, e1, total) {
 			// Which part of our strip does reducer u need? The image of
@@ -205,7 +205,7 @@ func (r *Runner) mapTask(p *sim.Proc, s int, in *pfs.FileMeta, lc layout.Locator
 			if whi <= wlo {
 				continue
 			}
-			frags = append(frags, fragment{Target: u, Lo: wlo, Hi: whi, Data: vals[wlo-e0 : whi-e0]})
+			frags = append(frags, fragment{Target: u, Lo: wlo, Hi: whi, Data: raw[(wlo-e0)*in.ElemSize : (whi-e0)*in.ElemSize]})
 			materialized += (whi - wlo) * in.ElemSize
 		}
 	}
@@ -284,14 +284,15 @@ func (r *Runner) reduceTask(p *sim.Proc, s int, in, out *pfs.FileMeta, k kernels
 		lo, hi := in.StripBounds(t)
 		e0, e1 := lo/in.ElemSize, hi/in.ElemSize
 		wlo, whi := grid.HaloRange(e0, e1, reach, total)
-		band := grid.NewBand(in.Width, total, e0, e1, wlo, whi)
+		band := grid.NewBandLent(in.Width, total, e0, e1, wlo, whi)
 		for _, f := range gathered {
 			if f.Target == t {
-				band.Fill(f.Lo, f.Data)
+				band.Lend(f.Lo, f.Data)
 			}
 		}
 		outVals := make([]float64, e1-e0)
 		k.ApplyBand(band, outVals)
+		band.Release()
 		p.Sleep(clu.ComputeTime(e1-e0, k.Weight()))
 		outStrips = append(outStrips, t)
 		outChunks = append(outChunks, grid.Bytes(outVals)) // the output itself becomes the stored strip
@@ -321,7 +322,7 @@ func neighborsNeeding(lc layout.Locator, offs []int64, t, e0, e1, total int64) [
 	for i, off := range offs {
 		inv[i] = -off
 	}
-	for _, u := range predict.NeededStrips(lc, inv, e0, e1, total) {
+	for _, u := range predict.NeededStrips(nil, lc, inv, e0, e1, total) {
 		if u == t {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/sim"
 )
@@ -15,7 +16,9 @@ import (
 // TestLentViewOutlivesTheStrip takes a view of a stored strip and then
 // does everything the file system can do to that strip — overwrite it,
 // drop it, delete the file. Each of them replaces or forgets the stored
-// slice; none writes into it, so the view keeps reading the old bytes.
+// slice; none writes into it, so the view keeps reading the old bytes, and
+// so does a band the views were lent to: the band is the strip's third
+// borrower, and what it reads is what was stored when the view was taken.
 func TestLentViewOutlivesTheStrip(t *testing.T) {
 	clu, fs := testFS(t)
 	const strip = 64
@@ -40,6 +43,16 @@ func TestLentViewOutlivesTheStrip(t *testing.T) {
 		want := func(s int64) []byte { return old[s*strip+8 : s*strip+40] }
 
 		overwritten, dropped, deleted := view(0), view(1), view(2)
+		const elems = strip / grid.ElemSize
+		band := grid.NewBandLent(elems, 4*elems, elems, 2*elems, 0, 3*elems)
+		defer band.Release()
+		for s, v := range [][]byte{overwritten, dropped, deleted} {
+			band.Lend(int64(s)*elems+1, v)
+		}
+		bandReads := func(s int64) bool {
+			vals := band.Span(s*elems+1, s*elems+5)
+			return bytes.Equal(grid.FloatsToBytes(vals), want(s))
+		}
 		if cap(overwritten) != len(overwritten) {
 			t.Errorf("view has spare capacity %d beyond its %d bytes: an append would write into the store",
 				cap(overwritten)-len(overwritten), len(overwritten))
@@ -48,21 +61,21 @@ func TestLentViewOutlivesTheStrip(t *testing.T) {
 		if err := client.Write(p, "f", 0, fresh); err != nil {
 			t.Error(err)
 		}
-		if !bytes.Equal(overwritten, want(0)) {
-			t.Error("view changed under an overwrite of its strip")
+		if !bytes.Equal(overwritten, want(0)) || !bandReads(0) {
+			t.Error("view, or the band it was lent to, changed under an overwrite of its strip")
 		}
 		if now := view(0); !bytes.Equal(now, fresh[8:40]) {
 			t.Error("a view taken after the overwrite does not read the new bytes")
 		}
 
 		fs.Server(1).Drop("f", 1)
-		if !bytes.Equal(dropped, want(1)) {
-			t.Error("view changed under a Drop of its strip")
+		if !bytes.Equal(dropped, want(1)) || !bandReads(1) {
+			t.Error("view, or the band it was lent to, changed under a Drop of its strip")
 		}
 
 		fs.Delete("f")
-		if !bytes.Equal(deleted, want(2)) {
-			t.Error("view changed under a Delete of its file")
+		if !bytes.Equal(deleted, want(2)) || !bandReads(2) {
+			t.Error("view, or the band it was lent to, changed under a Delete of its file")
 		}
 	})
 }

@@ -259,7 +259,8 @@ func (s *Server) LocalRead(p *sim.Proc, file string, strip, lo, hi int64) ([]byt
 // contiguous on disk. Each chunk is lent: it is a window of the stored
 // strip itself, read-only, valid for as long as the caller holds it
 // whatever happens to the strip meanwhile, and never to be released to a
-// pool or written through. Copy out of it (Band.FillBytes) and let it go.
+// pool or written through. Read it in place (grid.Band.Lend) and let it
+// go.
 func (s *Server) LocalViewMany(p *sim.Proc, file string, spans []Span) ([][]byte, error) {
 	out := make([][]byte, len(spans))
 	var total int64

@@ -21,14 +21,15 @@ func (pl *Plan) evalFromInput(node int, lo, hi int64, in *grid.Band, charge func
 	total := in.GlobalLen
 	switch n.Kind {
 	case kernels.KindKernel:
-		plo, phi := grid.HaloRange(lo, hi, n.Halo, total)
-		var data []float64
+		var band *grid.Band
 		if len(n.Parents) == 0 {
-			data = in.Data[plo-in.Lo : phi-in.Lo]
+			band = in.Narrow(lo, hi) // reads the input where the band holds it
 		} else {
-			data = pl.evalFromInput(n.Parents[0], plo, phi, in, charge)
+			plo, phi := grid.HaloRange(lo, hi, n.Halo, total)
+			band = grid.BandOver(pl.Width, total, lo, hi, plo, pl.evalFromInput(n.Parents[0], plo, phi, in, charge))
 		}
-		return pl.applyKernel(node, lo, hi, plo, data, total, charge)
+		defer band.Release()
+		return pl.applyKernel(node, band, charge)
 	case kernels.KindCombine:
 		a := pl.evalFromInput(n.Parents[0], lo, hi, in, charge)
 		b := pl.evalFromInput(n.Parents[1], lo, hi, in, charge)
@@ -38,15 +39,14 @@ func (pl *Plan) evalFromInput(node int, lo, hi int64, in *grid.Band, charge func
 	}
 }
 
-// applyKernel runs a kernel node over owned [lo, hi) given parent values
-// covering [dataLo, dataLo+len(data)).
-func (pl *Plan) applyKernel(node int, lo, hi, dataLo int64, data []float64, total int64, charge func(int64, float64)) []float64 {
+// applyKernel runs a kernel node over the owned range of band, which
+// holds the node's parent values (or the DAG input) across its halo.
+func (pl *Plan) applyKernel(node int, band *grid.Band, charge func(int64, float64)) []float64 {
 	n := pl.Nodes[node]
-	band := grid.BandOver(pl.Width, total, lo, hi, dataLo, data)
-	out := make([]float64, hi-lo)
+	out := make([]float64, band.OwnedLen())
 	n.Kernel.ApplyBand(band, out)
 	if charge != nil {
-		charge(hi-lo, n.Weight)
+		charge(band.OwnedLen(), n.Weight)
 	}
 	return out
 }

@@ -317,6 +317,7 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 					b := grid.BandOver(in.Width, total, se0, se1, se0, gridVals[se0-e0:se1-e0])
 					resp.PartialStrips = append(resp.PartialStrips, t)
 					resp.Partials = append(resp.Partials, red.ReduceBand(b))
+					b.Release()
 				}
 				p.Sleep(clu.ComputeTime(e1-e0, pl.Nodes[pl.Reduce].Weight))
 			}
@@ -349,21 +350,37 @@ func (svc *Service) evalFromDurable(p *sim.Proc, srv *pfs.Server, rs *runState, 
 	}
 	vals := make(map[int][]float64, len(targets))
 	for _, t := range targets {
-		vals[t] = pl.evalFromInput(t, e0, e1, band, charge)
+		vals[t] = pl.evalFromInput(t, e0, e1, band.Band, charge)
 	}
-	band.Release()
+	band.release()
 	return vals, nil
+}
+
+// lentBand is a stage's input band with the pooled fetch buffers it was
+// lent: the band reads them in place, so they go back to the pool with it,
+// once the last kernel over it has returned.
+type lentBand struct {
+	*grid.Band
+	fetched [][]byte
+}
+
+func (lb lentBand) release() {
+	lb.Band.Release()
+	for _, data := range lb.fetched {
+		pfs.ReleaseBuffer(data)
+	}
 }
 
 // inputBand assembles the input raster over [e0, e1) plus a symmetric
 // halo of depth elements: locally held strips in one batched disk pass,
 // the rest fetched row-granular from their owners through the halo
-// cache.
-func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0, e1, depth int64, resp *stageResp) (*grid.Band, error) {
+// cache. The band is lent all of it — stored strips and fetched buffers
+// alike — and copies nothing.
+func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0, e1, depth int64, resp *stageResp) (lentBand, error) {
 	clu := svc.fs.Cluster()
 	total := in.Size / in.ElemSize
 	lo, hi := grid.HaloRange(e0, e1, depth, total)
-	band := grid.NewBandPooled(in.Width, total, e0, e1, lo, hi)
+	band := lentBand{Band: grid.NewBandLent(in.Width, total, e0, e1, lo, hi)}
 
 	var localSpans []pfs.Span
 	var localLo []int64
@@ -391,11 +408,11 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 	if len(localSpans) > 0 {
 		chunks, err := srv.LocalViewMany(p, in.Name, localSpans)
 		if err != nil {
-			band.Release()
-			return nil, err
+			band.release()
+			return lentBand{}, err
 		}
 		for i, chunk := range chunks {
-			band.FillBytes(localLo[i]/in.ElemSize, chunk) // lent: copied out, never released
+			band.Lend(localLo[i]/in.ElemSize, chunk) // a view of the stored strip: never released
 		}
 	}
 	type fetched struct {
@@ -441,8 +458,8 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 		for _, got := range results {
 			pfs.ReleaseBuffer(got.data)
 		}
-		band.Release()
-		return nil, fetchErr
+		band.release()
+		return lentBand{}, fetchErr
 	}
 	for _, got := range results {
 		if got.hit {
@@ -453,10 +470,9 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 			resp.FetchBytes += int64(len(got.data))
 			clu.PipelineStats.AddFetch(int64(len(got.data)))
 		}
-		band.FillBytes(got.gotLo/in.ElemSize, got.data)
-		pfs.ReleaseBuffer(got.data)
+		band.Lend(got.gotLo/in.ElemSize, got.data)
+		band.fetched = append(band.fetched, got.data)
 	}
-	band.ZeroUnfilled()
 	return band, nil
 }
 
@@ -475,8 +491,8 @@ func (svc *Service) evalRound(p *sim.Proc, srv *pfs.Server, rs *runState, in *pf
 		if err != nil {
 			return nil, err
 		}
-		out := pl.applyKernel(node, e0, e1, band.Lo, band.Data, total, charge)
-		band.Release()
+		out := pl.applyKernel(node, band.Band, charge)
+		band.release()
 		return map[int][]float64{node: out}, nil
 	}
 
@@ -494,7 +510,9 @@ func (svc *Service) evalRound(p *sim.Proc, srv *pfs.Server, rs *runState, in *pf
 	}
 	switch n.Kind {
 	case kernels.KindKernel:
-		return map[int][]float64{node: pl.applyKernel(node, e0, e1, plo, parents[0], total, charge)}, nil
+		parent := grid.BandOver(pl.Width, total, e0, e1, plo, parents[0])
+		defer parent.Release()
+		return map[int][]float64{node: pl.applyKernel(node, parent, charge)}, nil
 	case kernels.KindCombine:
 		return map[int][]float64{node: pl.applyCombine(node, parents[0], parents[1], charge)}, nil
 	default:

@@ -32,7 +32,7 @@ func AnalyzeDegraded(pat features.Pattern, p Params, lay layout.Layout, down fun
 		}
 		lo, hi := lc.StripBounds(s, p.FileSize)
 		e0, e1 := lo/p.ElemSize, (hi+p.ElemSize-1)/p.ElemSize
-		for _, t := range NeededStrips(lc, offs, e0, e1, total) {
+		for _, t := range NeededStrips(nil, lc, offs, e0, e1, total) {
 			if t == s || layout.Holds(lay, t, owner) {
 				continue
 			}

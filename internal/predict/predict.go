@@ -15,7 +15,7 @@ package predict
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/layout"
@@ -212,40 +212,42 @@ type StripFetch struct {
 // elements themselves plus each dependence offset's image of the range,
 // clamped to the file. For a dense stencil this is the contiguous halo
 // window; for a sparse stride it is a handful of disjoint strips — the
-// distinction that makes an Eq. (17)-aligned stride free.
-func NeededStrips(lc layout.Locator, offs []int64, e0, e1, total int64) []int64 {
-	mark := make(map[int64]struct{})
-	addRange := func(lo, hi int64) { // element range [lo, hi], inclusive
-		// Kernels clamp out-of-file dependencies to the nearest boundary
-		// element, so a range that leaves the file still reads that
-		// boundary element's strip.
-		switch {
-		case hi < 0:
-			lo, hi = 0, 0
-		case lo >= total:
-			lo, hi = total-1, total-1
-		default:
-			if lo < 0 {
-				lo = 0
+// distinction that makes an Eq. (17)-aligned stride free. The list is
+// built in dst's memory when it has the room (dst's contents are
+// overwritten; nil is fine): a server asks once per run of every request.
+func NeededStrips(dst []int64, lc layout.Locator, offs []int64, e0, e1, total int64) []int64 {
+	dst = dst[:0]
+	// The answer is a union of intervals of strips, one per offset and one
+	// for the owned range itself. It is emitted in ascending order, an
+	// interval's worth at a time: of the intervals reaching next or beyond,
+	// the one that starts lowest (there, the one that ends highest).
+	for next := int64(0); ; {
+		from, to := int64(math.MaxInt64), int64(-1)
+		for i := -1; i < len(offs); i++ {
+			lo, hi := e0, e1-1 // element range, inclusive: the owned elements first
+			if i >= 0 {
+				lo, hi = lo+offs[i], hi+offs[i]
 			}
-			if hi >= total {
-				hi = total - 1
+			// Kernels clamp out-of-file dependencies to the nearest
+			// boundary element, so a range that leaves the file still
+			// reads that boundary element's strip.
+			tLo, tHi := lc.Strip(min(max(lo, 0), total-1)), lc.Strip(min(max(hi, 0), total-1))
+			if tHi < next {
+				continue
+			}
+			tLo = max(tLo, next)
+			if tLo < from || tLo == from && tHi > to {
+				from, to = tLo, tHi
 			}
 		}
-		for t := lc.Strip(lo); t <= lc.Strip(hi); t++ {
-			mark[t] = struct{}{}
+		if to < 0 {
+			return dst
 		}
+		for t := from; t <= to; t++ {
+			dst = append(dst, t)
+		}
+		next = to + 1
 	}
-	addRange(e0, e1-1)
-	for _, off := range offs {
-		addRange(e0+off, e1-1+off)
-	}
-	out := make([]int64, 0, len(mark))
-	for t := range mark {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // FetchPlan computes, for every strip of the file, which other strips its
@@ -261,7 +263,7 @@ func FetchPlan(lc layout.Locator, offs []int64, fileSize int64) []StripFetch {
 		lo, hi := lc.StripBounds(s, fileSize)
 		e0, e1 := lo/lc.ElemSize, (hi+lc.ElemSize-1)/lc.ElemSize
 		f := StripFetch{Strip: s, Owner: owner}
-		for _, t := range NeededStrips(lc, offs, e0, e1, total) {
+		for _, t := range NeededStrips(nil, lc, offs, e0, e1, total) {
 			if t == s || layout.Holds(lc.Layout, t, owner) {
 				continue
 			}

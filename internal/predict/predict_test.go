@@ -1,6 +1,8 @@
 package predict
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -167,8 +169,8 @@ func TestNeededStripsSparseStride(t *testing.T) {
 	// A ±3-strip stride touches exactly {s-3, s, s+3}, not the strips in
 	// between — the distinction that makes Eq. (17)-aligned strides free.
 	lc := layout.NewLocator(8, 64, layout.NewRoundRobin(4))
-	offs := []int64{-24, 24}                      // ±3 strips of 8 elements
-	got := NeededStrips(lc, offs, 5*8, 6*8, 1024) // processing strip 5
+	offs := []int64{-24, 24}                           // ±3 strips of 8 elements
+	got := NeededStrips(nil, lc, offs, 5*8, 6*8, 1024) // processing strip 5
 	want := []int64{2, 5, 8}
 	if len(got) != len(want) {
 		t.Fatalf("NeededStrips = %v, want %v", got, want)
@@ -185,14 +187,70 @@ func TestNeededStripsClampedBoundary(t *testing.T) {
 	// entirely before the file, so kernels clamp to element 0 — strip 0
 	// must be in the needed set.
 	lc := layout.NewLocator(8, 64, layout.NewRoundRobin(4))
-	got := NeededStrips(lc, []int64{-24}, 1*8, 2*8, 1024)
+	got := NeededStrips(nil, lc, []int64{-24}, 1*8, 2*8, 1024)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("NeededStrips = %v, want [0 1]", got)
 	}
 	// Symmetric at the file end.
-	got = NeededStrips(lc, []int64{24}, 126*8, 127*8, 1024)
+	got = NeededStrips(nil, lc, []int64{24}, 126*8, 127*8, 1024)
 	if len(got) != 2 || got[0] != 126 || got[1] != 127 {
 		t.Fatalf("NeededStrips = %v, want [126 127]", got)
+	}
+}
+
+// TestNeededStripsFillsCallersSlice: a server asks once per run of every
+// request, into one list it keeps — the answer lies in that memory, stale
+// contents and all overwritten, and costs no allocation.
+func TestNeededStripsFillsCallersSlice(t *testing.T) {
+	lc := layout.NewLocator(8, 64, layout.NewRoundRobin(4))
+	offs := []int64{-9, -8, -7, -1, 1, 7, 8, 9}
+	dst := make([]int64, 3, 64)
+	dst[0], dst[1], dst[2] = 99, 98, 97
+	got := NeededStrips(dst, lc, offs, 5*8, 7*8, 1024)
+	if want := []int64{3, 4, 5, 6, 7, 8}; !slices.Equal(got, want) {
+		t.Fatalf("NeededStrips = %v, want %v", got, want)
+	}
+	if &got[0] != &dst[0] {
+		t.Error("NeededStrips left the caller's slice unused")
+	}
+	if n := testing.AllocsPerRun(20, func() { dst = NeededStrips(dst, lc, offs, 5*8, 7*8, 1024) }); n != 0 {
+		t.Errorf("NeededStrips into a slice with room allocates %v times, want 0", n)
+	}
+}
+
+// TestNeededStripsIsTheUnionOfTheRanges holds the interval walk to the
+// definition: mark the strips of the owned range and of each offset's
+// clamped image of it, then list the marks in order.
+func TestNeededStripsIsTheUnionOfTheRanges(t *testing.T) {
+	const strip, total = 8, 1024
+	lc := layout.NewLocator(8, strip*8, layout.NewRoundRobin(4))
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 2000; n++ {
+		offs := make([]int64, rng.Intn(10))
+		for i := range offs {
+			offs[i] = rng.Int63n(2*total) - total
+			if rng.Intn(3) == 0 {
+				offs[i] = rng.Int63n(2*strip+1) - strip // near: ranges that touch and overlap
+			}
+		}
+		e0 := rng.Int63n(total)
+		e1 := e0 + 1 + rng.Int63n(min(total-e0, 5*strip))
+		mark := make(map[int64]bool)
+		for _, off := range append([]int64{0}, offs...) {
+			lo, hi := min(max(e0+off, 0), total-1), min(max(e1-1+off, 0), total-1)
+			for t := lo / strip; t <= hi/strip; t++ {
+				mark[t] = true
+			}
+		}
+		var want []int64
+		for t := int64(0); t < total/strip; t++ {
+			if mark[t] {
+				want = append(want, t)
+			}
+		}
+		if got := NeededStrips(nil, lc, offs, e0, e1, total); !slices.Equal(got, want) {
+			t.Fatalf("offsets %v over [%d,%d): NeededStrips = %v, want %v", offs, e0, e1, got, want)
+		}
 	}
 }
 

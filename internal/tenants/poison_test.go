@@ -14,8 +14,9 @@ import (
 // smokeFiles runs the smoke configuration — mixed reads, whole-strip
 // writes from each tenant's reused buffer, and offloads reading the
 // strips those writes stored — then, with the platform quiet, offloads
-// the operator over every input once more and returns the final bytes of
-// every input and output file.
+// the operator over every input once more, fetching whole dependent strips
+// (their pooled buffers are lent to the band the kernel reads), and
+// returns the final bytes of every input and output file.
 func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engine) {
 	t.Helper()
 	clu, fs := testPlatform(t)
@@ -26,6 +27,7 @@ func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engin
 	}
 	files = make(map[string][]byte)
 	var inner error
+	var lent int64 // fetch buffers and cache hits the final offloads' bands read in place
 	clu.Eng.Spawn("tenants-poison", func(p *sim.Proc) {
 		if inner = e.Setup(p); inner != nil {
 			return
@@ -37,9 +39,11 @@ func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engin
 		as, client := active.NewClient(fs, node), fs.NewClient(node)
 		for i := 0; i < e.Config().Files && inner == nil; i++ {
 			in, out := e.FileName(i), e.FileName(i)+".out"
-			if _, inner = as.Exec(p, e.Config().Op, in, out, active.FetchWholeStrips); inner != nil {
+			var stats active.ExecStats
+			if stats, inner = as.Exec(p, e.Config().Op, in, out, active.FetchWholeStrips); inner != nil {
 				return
 			}
+			lent += stats.RemoteFetches + stats.CacheHits
 			for _, name := range []string{in, out} {
 				names = append(names, name)
 				if files[name], inner = client.ReadAll(p, name); inner != nil {
@@ -54,15 +58,19 @@ func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engin
 	if inner != nil {
 		t.Fatal(inner)
 	}
+	if lent == 0 {
+		t.Fatal("the final offloads fetched nothing: no band was lent a pooled buffer")
+	}
 	return names, files, e
 }
 
 // TestSmokeSurvivesPoisonedPools is the multi-tenant leg of the ownership
 // check (core.TestOutputsSurvivePoisonedPools has the single-operation
-// legs): with every pool scribbling over what is returned to it, the files
-// a whole smoke run leaves behind must equal those of an unpoisoned
-// replay byte for byte, and every output must be the sequential
-// reference of its input.
+// legs): with every pool scribbling over what is returned to it — a fetch
+// buffer released while a band still reads it included — the files a
+// whole smoke run leaves behind must equal those of an unpoisoned replay
+// byte for byte, and every output must be the sequential reference of its
+// input.
 func TestSmokeSurvivesPoisonedPools(t *testing.T) {
 	_, clean, _ := smokeFiles(t)
 	restore := bufpool.PoisonPuts()
