@@ -14,8 +14,10 @@ import "fmt"
 // [Lo, Hi), each a slice of element values and the global index of its
 // first. A band that owns its memory (NewBand, BandOf, BandOver,
 // NewBandPooled) is one window over the whole range; a band assembled by
-// Lend has one window per strip, each — where the host allows — a view of
-// the strip's own memory, so the kernel reads the bytes where they lie.
+// Lend or LendValues has one window per strip, each — where the host
+// allows — a view of the lender's own memory, be that a stored strip's
+// bytes or a pipeline node's retained values, so the kernel reads them
+// where they lie.
 // Windows need not tile [Lo, Hi): a strip a sparse dependence pattern
 // never touches is never lent, and that gap is missing like anything
 // outside [Lo, Hi) — reading it panics. No reader sees a value nobody put
@@ -82,7 +84,8 @@ func NewBand(width int, globalLen, start, end, lo, hi int64) *Band {
 
 // BandOver wraps data — the values of global range [lo, lo+len(data)) —
 // as a band owning [start, end), without copying: NewBand's checks for a
-// caller that already holds the values (a pipeline stage's parent output).
+// caller that already holds the values in one piece (the pipeline's grid
+// output, reduced strip by strip).
 func BandOver(width int, globalLen, start, end, lo int64, data []float64) *Band {
 	b := NewBandLent(width, globalLen, start, end, lo, lo+int64(len(data)))
 	b.set(window{lo: lo, vals: data})
@@ -153,21 +156,42 @@ func (b *Band) Lend(lo int64, raw []byte) {
 	if from >= to {
 		return
 	}
+	raw = raw[(from-lo)*ElemSize : (to-lo)*ElemSize] // decode no more than the band reads
+	if vals, ok := floatsView(raw); ok {
+		b.insert(window{lo: from, vals: vals})
+		return
+	}
+	//das:transfer -- the band owns the decoded window; Release returns it to the float pool
+	vals := floatPool.Get(int(to - from))
+	decode(vals, raw)
+	b.insert(window{lo: from, vals: vals, owned: true})
+}
+
+// LendValues is Lend for a lender that holds element values instead of
+// bytes — a pipeline stage's retained node state, or a slice of another
+// server's that a band pull returned: vals, the values of global range
+// [lo, lo+len(vals)), becomes a window, clipped to the data range. The
+// window is always vals' own memory, under Lend's terms: unwritten, and
+// out of any pool, until the last read of the band.
+func (b *Band) LendValues(lo int64, vals []float64) {
+	b.insert(window{lo: lo, vals: vals})
+}
+
+// insert clips w to the data range and puts what is left among the
+// windows, in order; it is how every lent window arrives, whatever it was
+// lent as. A window over ground another already covers is refused.
+func (b *Band) insert(w window) {
+	from, to := max(w.lo, b.Lo), min(w.end(), b.hi)
+	if from >= to {
+		return
+	}
+	w.lo, w.vals = from, w.vals[from-w.lo:to-w.lo]
 	at := b.after(from)
 	if at > 0 && b.wins[at-1].end() > from {
 		at-- // the window from lands in
 	}
 	if at < len(b.wins) && b.wins[at].lo < to {
 		panic(fmt.Sprintf("grid: lent window [%d,%d) overlaps [%d,%d)", from, to, b.wins[at].lo, b.wins[at].end()))
-	}
-	raw = raw[(from-lo)*ElemSize : (to-lo)*ElemSize]
-	w := window{lo: from}
-	if vals, ok := floatsView(raw); ok {
-		w.vals = vals
-	} else {
-		//das:transfer -- the band owns the decoded window; Release returns it to the float pool
-		w.vals, w.owned = floatPool.Get(int(to-from)), true
-		decode(w.vals, raw)
 	}
 	b.wins = append(b.wins, window{})
 	copy(b.wins[at+1:], b.wins[at:])
@@ -292,15 +316,22 @@ func (b *Band) panicMissing(i int64) {
 	panic(fmt.Sprintf("grid: element %d outside band [%d,%d)", i, b.Lo, b.hi))
 }
 
-// FillFrom fills global range [lo, hi), which must be non-empty and lie
-// within memory the band owns, with the on-disk bytes read deposits in the buffer it is
-// handed. Where the host allows, that buffer is the band's own memory: a
-// client read lands in the band with no copy after it.
-func (b *Band) FillFrom(lo, hi int64, read func(raw []byte) error) error {
+// Writable returns the band's own memory for global range [lo, hi), which
+// must be non-empty and lie within one window the band allocated (NewBand,
+// NewBandPooled), for the band's maker to fill before anything reads it: a
+// kernel whose output is another kernel's input writes it here.
+func (b *Band) Writable(lo, hi int64) []float64 {
 	if w := b.wins[b.seek(lo)]; !w.owned || hi > w.end() {
-		panic(fmt.Sprintf("grid: FillFrom [%d,%d) is not within one window of the band's own memory", lo, hi))
+		panic(fmt.Sprintf("grid: [%d,%d) is not within one window of the band's own memory", lo, hi))
 	}
-	return fillFrom(b.Span(lo, hi), read)
+	return b.Span(lo, hi)
+}
+
+// FillFrom fills Writable(lo, hi) with the on-disk bytes read deposits in
+// the buffer it is handed. Where the host allows, that buffer is the
+// band's own memory: a client read lands in the band with no copy after it.
+func (b *Band) FillFrom(lo, hi int64, read func(raw []byte) error) error {
+	return fillFrom(b.Writable(lo, hi), read)
 }
 
 // OwnedLen returns the number of elements the band must produce.

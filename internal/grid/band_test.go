@@ -282,6 +282,47 @@ func TestBandLendClipsToDataRange(t *testing.T) {
 	if panicOf(func() { b.Lend(6, raw[:ElemSize+1]) }) == "" {
 		t.Error("Lend accepted a byte length that is not whole elements")
 	}
+
+	// Values are clipped the same way, and what is left is the lender's
+	// memory whatever the host: there is nothing to decode.
+	vals := []float64{200, 201, 202, 203, 204, 205}
+	v := NewBandLent(4, 16, 4, 8, 2, 10)
+	v.LendValues(0, vals)      // only elements 2..5 land
+	v.LendValues(12, vals[:3]) // fully outside
+	v.LendValues(8, vals[:4])  // only elements 8, 9 land
+	if got := v.Span(2, 6); &got[0] != &vals[2] || len(v.wins) != 2 || v.Contains(1) || v.Contains(6) || v.At(9) != 201 {
+		t.Errorf("LendValues: Span(2,6) %v in %d windows, want a view of vals[2:6] and one more window", got, len(v.wins))
+	}
+	// Ground taken is taken, whichever way the next window arrives.
+	refused := panicOf(func() { v.Lend(5, raw[:2*ElemSize]) })
+	if got := panicOf(func() { v.LendValues(5, vals[:2]) }); refused == "" || got != refused {
+		t.Errorf("window over [5,7): LendValues panics %q, Lend %q", got, refused)
+	}
+	// The band owns none of it: releasing it hands the pool nothing.
+	defer bufpool.PoisonPuts()()
+	v.Release()
+	if vals[2] != 202 || vals[0] != 200 {
+		t.Errorf("Release scribbled over lent values: %v", vals)
+	}
+}
+
+// TestBandWritableIsOwnMemory: the memory a band allocated is its maker's
+// to fill, a lender's is nobody's to write.
+func TestBandWritableIsOwnMemory(t *testing.T) {
+	b := NewBandPooled(4, 16, 4, 8, 2, 10)
+	defer b.Release()
+	for i, w := 0, b.Writable(2, 10); i < len(w); i++ {
+		w[i] = float64(2 + i)
+	}
+	if got := b.Span(4, 8); got[0] != 4 || got[3] != 7 || cap(b.Writable(4, 6)) != 2 {
+		t.Errorf("filled through Writable, Span(4,8) reads %v", got)
+	}
+	lent := NewBandLent(4, 16, 4, 8, 2, 10)
+	defer lent.Release()
+	lent.LendValues(2, make([]float64, 8))
+	if panicOf(func() { lent.Writable(4, 8) }) == "" || panicOf(func() { b.Writable(4, 11) }) == "" {
+		t.Error("Writable handed out memory that is not the band's own")
+	}
 }
 
 func TestBandRowCol(t *testing.T) {
@@ -332,10 +373,11 @@ func TestHaloRangeClamps(t *testing.T) {
 }
 
 // Property: assembling a band from arbitrary fragment tilings of the
-// source grid, lent in arbitrary order, reads exactly like the window
-// BandOf copies — element by element, as whole rows, and run by run.
+// source grid, lent in arbitrary order and each as bytes or as values,
+// reads exactly like the window BandOf copies — element by element, as
+// whole rows, and run by run.
 func TestBandAssemblyProperty(t *testing.T) {
-	prop := func(cuts []uint8, order uint64) bool {
+	prop := func(cuts []uint8, order, asValues uint64) bool {
 		g := testGrid(8, 8)
 		want := BandOf(g, 16, 48, 8, 56)
 		got := NewBandLent(8, g.Len(), 16, 48, 8, 56)
@@ -361,7 +403,11 @@ func TestBandAssemblyProperty(t *testing.T) {
 			order /= 7
 			i := frags[pick]
 			frags[pick] = frags[n-1]
-			got.Lend(bounds[i], raw[bounds[i]*ElemSize:bounds[i+1]*ElemSize])
+			if asValues>>(i%64)&1 != 0 {
+				got.LendValues(bounds[i], g.Data[bounds[i]:bounds[i+1]])
+			} else {
+				got.Lend(bounds[i], raw[bounds[i]*ElemSize:bounds[i+1]*ElemSize])
+			}
 		}
 		for i := want.Lo; i < want.Hi(); i++ {
 			if got.At(i) != want.At(i) {

@@ -38,8 +38,8 @@ func PutFloats(s []float64) {
 }
 
 // NewBandPooled is NewBand backed by the pool, except that its data
-// starts with arbitrary contents: fill all of it (FillFrom) before
-// anything reads it. Release recycles the band.
+// starts with arbitrary contents: fill all of it (FillFrom, Writable)
+// before anything reads it. Release recycles the band.
 func NewBandPooled(width int, globalLen, start, end, lo, hi int64) *Band {
 	b := NewBandLent(width, globalLen, start, end, lo, hi)
 	//das:transfer -- the band owns its data buffer; Release returns it to the float pool

@@ -77,37 +77,51 @@ func haloBand(k Kernel, g *grid.Grid, start, end int64) *grid.Band {
 	return grid.BandOf(g, start, end, lo, hi)
 }
 
-// lentBand builds the band an offloading server would: haloBand's ranges,
-// assembled from windows. g's bytes over the data range [lo, hi) are cut
-// at lo + (c&0x7f)%(hi-lo) for every c in cuts and lent piece by piece; a
-// piece whose cut has its top bit set is lent from a copy that starts one
-// byte into its buffer, of which no view can be made, so it is decoded.
+// Bits of a cuts byte: where the window starts, and how it is lent.
+const (
+	cutAt        = 0x3f // offset into the data range, modulo its length
+	cutValues    = 0x40 // lent as values (LendValues), not bytes (Lend)
+	cutUnaligned = 0x80 // bytes lent from a copy that starts one byte into its buffer
+)
+
+// lentBand builds the band an offloading server or a pipeline round would:
+// haloBand's ranges, assembled from windows. g's values over the data
+// range [lo, hi) are cut at lo + (c&cutAt)%(hi-lo) for every c in cuts and
+// lent piece by piece, each as its cut says (the first, unless a cut falls
+// on lo, as aligned bytes): as values, as bytes the band can view, or as
+// bytes of which no view can be made, which it decodes.
 func lentBand(g *grid.Grid, start, end, lo, hi int64, cuts []byte) *grid.Band {
-	odd := map[int64]bool{}
+	how := map[int64]byte{}
 	bounds := []int64{lo}
 	for _, c := range cuts {
-		at := lo + int64(c&0x7f)%(hi-lo)
-		odd[at] = odd[at] || c&0x80 != 0
+		at := lo + int64(c&cutAt)%(hi-lo)
+		how[at] |= c
 		bounds = append(bounds, at)
 	}
 	slices.Sort(bounds)
 	bounds = append(slices.Compact(bounds), hi)
 	b := grid.NewBandLent(g.W, g.Len(), start, end, lo, hi)
 	for i, from := range bounds[:len(bounds)-1] {
-		raw := grid.Bytes(g.Data[from:bounds[i+1]])
-		if odd[from] {
-			raw = append(make([]byte, 1, 1+len(raw)), raw...)[1:]
+		vals := g.Data[from:bounds[i+1]]
+		raw := grid.Bytes(vals)
+		switch {
+		case how[from]&cutValues != 0:
+			b.LendValues(from, vals)
+		case how[from]&cutUnaligned != 0:
+			b.Lend(from, append(make([]byte, 1, 1+len(raw)), raw...)[1:])
+		default:
+			b.Lend(from, raw)
 		}
-		b.Lend(from, raw)
 	}
 	return b
 }
 
-// everyElement cuts a band of up to 128 elements into one-element windows.
+// everyElement cuts the first 64 elements of a band into one-element
+// windows, lent by turns as bytes and as values.
 var everyElement = func() []byte {
-	cuts := make([]byte, 128)
+	cuts := make([]byte, cutAt+1)
 	for i := range cuts {
-		cuts[i] = byte(i)
+		cuts[i] = byte(i) | byte(i&1)*cutValues
 	}
 	return cuts
 }()
@@ -157,13 +171,21 @@ func sameBits(t *testing.T, what string, b *grid.Band, got, want []float64, anyN
 // executor at 1, 2 and 7 shards, with k's per-element path on the owned
 // range [start, end) of g, and the two reducers' runs with an At loop —
 // each on the one-window band BandOf copies and on the same ranges lent
-// as windows cut at cuts (lentBand), where the per-element path itself is
-// first held to what it computes on one window.
+// as windows cut at cuts (lentBand), bytes and values alike, where the
+// per-element path itself is first held to what it computes on one window.
+// Ground a window covers is taken, whichever way the next one arrives.
 func checkRowDriver(t *testing.T, k Kernel, g *grid.Grid, start, end int64, cuts []byte) {
 	t.Helper()
 	whole := haloBand(k, g, start, end)
 	lent := lentBand(g, start, end, whole.Lo, whole.Hi(), cuts)
 	defer lent.Release()
+	for _, i := range []int64{whole.Lo, whole.Hi() - 1} { // in the first window, and in the last
+		again := g.Data[i : i+1]
+		refused := panicMessage(func() { lent.Lend(i, grid.Bytes(again)) })
+		if got := panicMessage(func() { lent.LendValues(i, again) }); !strings.Contains(refused, "overlaps") || got != refused {
+			t.Fatalf("element %d lent twice: LendValues panics %q, Lend %q", i, got, refused)
+		}
+	}
 	want := applyInto(PerElement(k).ApplyBand, whole)
 	sameBits(t, k.Name()+" per element over windows", lent, applyInto(PerElement(k).ApplyBand, lent), want, !selects(k))
 	defer SetParallelism(0)
@@ -232,12 +254,13 @@ func TestRowDriverMatchesPerElement(t *testing.T) {
 }
 
 // FuzzRowDriver is the same comparison with the fuzzer choosing kernel,
-// shape, owned range, cell population and where the windows are cut. Its
-// seed corpus (testdata/fuzz/FuzzRowDriver, one file per shape class and,
-// as windows-*, per way a boundary can fall) runs as a unit test in
-// tier-1; `make extended` fuzzes for a bounded time.
+// shape, owned range, cell population, where the windows are cut and what
+// each is lent as. Its seed corpus (testdata/fuzz/FuzzRowDriver, one file
+// per shape class and, as windows-*, per way a boundary can fall and a
+// window can arrive) runs as a unit test in tier-1; `make extended` fuzzes
+// for a bounded time.
 func FuzzRowDriver(f *testing.F) {
-	f.Add(uint8(0), uint8(7), uint8(5), uint8(cellsMixed), uint16(9), uint16(20), uint64(1), []byte{12, 0x80 | 30})
+	f.Add(uint8(0), uint8(7), uint8(5), uint8(cellsMixed), uint16(9), uint16(20), uint64(1), []byte{12, cutUnaligned | 30, cutValues | 41})
 	ks := rowDriverKernels()
 	f.Fuzz(func(t *testing.T, kernel, width, height, cells uint8, start, end uint16, seed uint64, cuts []byte) {
 		g := oracleGrid(1+int(width%12), 1+int(height%9), int(cells%cellKinds), workload.NewRNG(seed))

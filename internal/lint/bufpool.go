@@ -33,12 +33,15 @@ from one, to reach a release call, to be the destination of copy, or to
 be assigned through an index: the first would hand a file's contents to
 the pool, the other two would edit them in place.
 
-grid.Band.Lend keeps a view of the buffer it is given. A borrowed chunk
-may be lent freely (it is never released); a pooled buffer is held until
-the band is dropped: within the lending function (closures included) a
-release of the lent buffer — or of anything it was sliced, indexed,
-selected, ranged, appended or assigned from or to — that sits after the
-Lend and before the band's last use is a finding.`,
+grid.Band.Lend and LendValues keep a view of the buffer they are given. A
+borrowed chunk may be lent freely (it is never released); a pooled buffer
+is held until the band is dropped: within the lending function (closures
+included) a release of the lent buffer — or of anything it was sliced,
+indexed, selected, ranged, appended or assigned from or to — that sits
+after the lend and before the band's last use is a finding. Values read
+out of another band (Span, Run, Writable) are that band's family, and its
+Release, which returns the windows it allocated to the float pool, is a
+release of them.`,
 	Run: runBufpool,
 }
 
@@ -753,14 +756,40 @@ func checkBorrows(pass *Pass, body *ast.BlockStmt) {
 	})
 }
 
-// checkLends enforces that a buffer lent to a band is not released while
-// the band still reads it, in one function declaration, nested closures
-// included. Like checkBorrows it is flow-insensitive about which variable
-// holds what — variables joined by an assignment, a range, a selection or
-// an append are one buffer family — and it orders the Lend, the release
-// and the band's last use by source position, which is how such code is
-// written: assemble, run the kernel, drop the band, release.
+// checkLends enforces that a buffer lent to a band — bytes by Lend, values
+// by LendValues — is not released while the band still reads it, in one
+// function declaration, nested closures included. Like checkBorrows it is
+// flow-insensitive about which variable holds what — variables joined by
+// an assignment, a range, a selection or an append are one buffer family,
+// and so are a band and the values read out of it — and it orders the
+// lend, the release and the band's last use by source position, which is
+// how such code is written: assemble, run the kernel, drop the band,
+// release.
 func checkLends(pass *Pass, body *ast.BlockStmt) {
+	bandMethod := func(call *ast.CallExpr, names ...string) (recv ast.Expr, ok bool) {
+		sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !isSel {
+			return nil, false
+		}
+		fn := calleeFunc(pass.Info, call)
+		for _, name := range names {
+			if methodIs(fn, gridPkg, "Band", name) {
+				return sel.X, true
+			}
+		}
+		return nil, false
+	}
+	// roots is rootObjects, seeing through the band methods that hand out
+	// the band's memory to the band.
+	roots := func(e ast.Expr) []types.Object {
+		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+			if recv, ok := bandMethod(call, "Span", "Run", "Writable"); ok {
+				return rootObjects(pass.Info, recv)
+			}
+		}
+		return rootObjects(pass.Info, e)
+	}
+
 	type lend struct {
 		band, buf types.Object
 		pos       token.Pos
@@ -768,14 +797,14 @@ func checkLends(pass *Pass, body *ast.BlockStmt) {
 	var lends []lend
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 2 || !methodIs(calleeFunc(pass.Info, call), gridPkg, "Band", "Lend") {
+		if !ok || len(call.Args) != 2 {
 			return true
 		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		recv, ok := bandMethod(call, "Lend", "LendValues")
 		if !ok {
 			return true
 		}
-		band, buf := rootObjects(pass.Info, sel.X), rootObjects(pass.Info, call.Args[1])
+		band, buf := rootObjects(pass.Info, recv), roots(call.Args[1])
 		if len(band) == 1 && len(buf) == 1 {
 			lends = append(lends, lend{band: band[0], buf: buf[0], pos: call.Pos()})
 		}
@@ -798,7 +827,7 @@ func checkLends(pass *Pass, body *ast.BlockStmt) {
 	join := func(lhs ast.Expr, rhs ...ast.Expr) {
 		for _, l := range rootObjects(pass.Info, lhs) {
 			for _, r := range rhs {
-				for _, o := range rootObjects(pass.Info, r) {
+				for _, o := range roots(r) {
 					family[find(l)] = find(o)
 				}
 			}
@@ -835,12 +864,20 @@ func checkLends(pass *Pass, body *ast.BlockStmt) {
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 || classifyCall(pass, call) != roleRelease {
+		if !ok {
 			return true
 		}
-		for _, released := range rootObjects(pass.Info, call.Args[0]) {
+		var released ast.Expr
+		if recv, ok := bandMethod(call, "Release"); ok {
+			released = recv // its own windows go to the float pool
+		} else if len(call.Args) > 0 && classifyCall(pass, call) == roleRelease {
+			released = call.Args[0]
+		} else {
+			return true
+		}
+		for _, obj := range rootObjects(pass.Info, released) {
 			for _, l := range lends {
-				if find(released) == find(l.buf) && l.pos < call.Pos() && call.Pos() < lastUse[l.band] {
+				if find(obj) == find(l.buf) && l.pos < call.Pos() && call.Pos() < lastUse[l.band] {
 					pass.Reportf(call.Pos(),
 						"buffer lent to a band at line %d is released while the band is still in use (line %d): Lend keeps a view, hold the buffer until the band is dropped",
 						pass.Fset.Position(l.pos).Line, pass.Fset.Position(lastUse[l.band]).Line)

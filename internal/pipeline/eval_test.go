@@ -57,7 +57,9 @@ func TestEvalFromInputMatchesPerElement(t *testing.T) {
 				t.Fatal(err)
 			}
 			bLo, bHi := grid.HaloRange(lo, hi, pl.Nodes[pl.GridOut].EvalHalo, g.Len())
-			return pl.evalFromInput(pl.GridOut, lo, hi, grid.BandOf(g, lo, hi, bLo, bHi), nil)
+			out := make([]float64, hi-lo)
+			pl.evalFromInput(out, pl.GridOut, lo, hi, grid.BandOf(g, lo, hi, bLo, bHi), nil)
+			return out
 		}
 		got, want := eval(reg), eval(oracle)
 		for i := range want {

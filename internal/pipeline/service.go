@@ -350,7 +350,9 @@ func (svc *Service) evalFromDurable(p *sim.Proc, srv *pfs.Server, rs *runState, 
 	}
 	vals := make(map[int][]float64, len(targets))
 	for _, t := range targets {
-		vals[t] = pl.evalFromInput(t, e0, e1, band.Band, charge)
+		// Kept past the round (state, or the stored output): not pooled.
+		vals[t] = make([]float64, e1-e0)
+		pl.evalFromInput(vals[t], t, e0, e1, band.Band, charge)
 	}
 	band.release()
 	return vals, nil
@@ -479,105 +481,116 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 // evalRound evaluates one non-prefix node over [e0, e1) from parent
 // state: local state for strips this server owns, halo-band pulls from
 // the strips' state owners for the rest. A parentless kernel (a second
-// DAG root) reads the durable input instead.
+// DAG root) reads the durable input instead. The node's values are kept
+// past the round — as state, or as the stored output — so they are an
+// ordinary allocation; what they are computed from is read in place.
 func (svc *Service) evalRound(p *sim.Proc, srv *pfs.Server, rs *runState, in *pfs.FileMeta,
 	req stageReq, node int, e0, e1 int64, charge func(int64, float64), resp *stageResp) (map[int][]float64, error) {
 	pl := rs.plan
 	n := pl.Nodes[node]
-	total := in.Size / in.ElemSize
 
 	if n.Kind == kernels.KindKernel && len(n.Parents) == 0 {
 		band, err := svc.inputBand(p, srv, in, e0, e1, n.Halo, resp)
 		if err != nil {
 			return nil, err
 		}
-		out := pl.applyKernel(node, band.Band, charge)
+		out := make([]float64, e1-e0)
+		pl.applyKernel(out, node, band.Band, charge)
 		band.release()
 		return map[int][]float64{node: out}, nil
 	}
 
 	plo, phi := e0, e1
-	if n.Kind == kernels.KindKernel {
-		plo, phi = grid.HaloRange(e0, e1, n.Halo, total)
-	}
-	parents := make([][]float64, len(n.Parents))
-	for i, pa := range n.Parents {
-		pv, err := svc.parentValues(p, srv, rs, in, req, pa, plo, phi, resp)
-		if err != nil {
-			return nil, err
-		}
-		parents[i] = pv
-	}
 	switch n.Kind {
 	case kernels.KindKernel:
-		parent := grid.BandOver(pl.Width, total, e0, e1, plo, parents[0])
-		defer parent.Release()
-		return map[int][]float64{node: pl.applyKernel(node, parent, charge)}, nil
+		plo, phi = grid.HaloRange(e0, e1, n.Halo, in.Size/in.ElemSize)
 	case kernels.KindCombine:
-		return map[int][]float64{node: pl.applyCombine(node, parents[0], parents[1], charge)}, nil
 	default:
 		return nil, fmt.Errorf("pipeline: round on %v node %q", n.Kind, n.ID)
 	}
+	// One parent band for a kernel, two for a combine (DAG.Validate). A
+	// band holds views of other servers' state and is a pooled struct:
+	// whichever way this returns, every one built is released.
+	var held [2]*grid.Band
+	parents := held[:0]
+	defer func() {
+		for _, band := range parents {
+			band.Release()
+		}
+	}()
+	for _, pa := range n.Parents {
+		band, err := svc.parentValues(p, srv, rs, in, req, pa, e0, e1, plo, phi, resp)
+		if err != nil {
+			return nil, err
+		}
+		parents = append(parents, band)
+	}
+	out := make([]float64, e1-e0)
+	if n.Kind == kernels.KindKernel {
+		pl.applyKernel(out, node, parents[0], charge)
+	} else {
+		pl.applyCombine(out, node, parents[0], parents[1], charge)
+	}
+	return map[int][]float64{node: out}, nil
 }
 
-// parentValues materializes a parent node's values over global element
-// range [plo, phi): strip by strip from local state, with missing strips
-// batched into per-owner band pulls.
+// parentValues assembles a parent node's values over global element range
+// [plo, phi) as a band owning [e0, e1), and copies none of them: a strip
+// whose state this server retains is lent as it is kept, the missing ones
+// are batched into per-owner band pulls, and what a pull returns — slices
+// of the owner's own state — is lent as it arrives. State is never
+// written once kept, and a slice the band holds stays good whatever its
+// owner goes on to drop, so the band is readable until released; the
+// caller owes that Release. On an error the band is already released.
 func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in *pfs.FileMeta,
-	req stageReq, parent int, plo, phi int64, resp *stageResp) ([]float64, error) {
-	out := make([]float64, phi-plo)
+	req stageReq, parent int, e0, e1, plo, phi int64, resp *stageResp) (*grid.Band, error) {
+	band := grid.NewBandLent(in.Width, in.Size/in.ElemSize, e0, e1, plo, phi)
 	st := rs.state[parent]
 	elemsPerStrip := in.StripSize / in.ElemSize
 	type pull struct {
 		owner int
 		spans []bandSpan
 	}
-	var pulls []pull
-	byOwner := make(map[int]int)
+	var pulls []pull // a handful of owners at most: found by scanning
 	for t := plo / elemsPerStrip; t*elemsPerStrip < phi; t++ {
 		tLo, tHi := in.StripBounds(t)
 		se0, se1 := tLo/in.ElemSize, tHi/in.ElemSize
-		needLo, needHi := plo, phi
-		if needLo < se0 {
-			needLo = se0
-		}
-		if needHi > se1 {
-			needHi = se1
-		}
-		if needHi <= needLo {
-			continue
-		}
 		if v, ok := st[t]; ok {
-			copy(out[needLo-plo:needHi-plo], v[needLo-se0:needHi-se0])
+			band.LendValues(se0, v) // clipped to [plo, phi)
 			continue
 		}
 		if req.Owners == nil || t >= int64(len(req.Owners)) || req.Owners[t] < 0 {
+			band.Release()
 			return nil, transient{fmt.Errorf("pipeline: no state owner for strip %d of %q node %d", t, req.Token, parent)}
 		}
 		owner := int(req.Owners[t])
 		if owner == srv.Index() {
 			// The coordinator thinks this server owns the strip but the
 			// state is gone — a restart wiped it.
+			band.Release()
 			return nil, transient{fmt.Errorf("pipeline: state for strip %d of %q lost at server %d", t, req.Token, owner)}
 		}
-		i, ok := byOwner[owner]
-		if !ok {
-			i = len(pulls)
-			byOwner[owner] = i
+		i := 0
+		for i < len(pulls) && pulls[i].owner != owner {
+			i++
+		}
+		if i == len(pulls) {
 			pulls = append(pulls, pull{owner: owner})
 		}
-		pulls[i].spans = append(pulls[i].spans, bandSpan{Strip: t, Lo: needLo, Hi: needHi})
+		pulls[i].spans = append(pulls[i].spans, bandSpan{Strip: t, Lo: max(plo, se0), Hi: min(phi, se1)})
+	}
+	if len(pulls) == 0 {
+		return band, nil
 	}
 
 	clu := svc.fs.Cluster()
 	type pulled struct {
-		idx  int
 		resp bandResp
 		ok   bool
 	}
 	sigs := make([]*sim.Signal[pulled], len(pulls))
 	for i, pu := range pulls {
-		i, pu := i, pu
+		pu := pu
 		sig := sim.NewSignal[pulled](clu.Eng, "pipe-pull")
 		sigs[i] = sig
 		p.Spawn("pipe-pull", func(f *sim.Proc) {
@@ -611,7 +624,7 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 			} else {
 				reply = clu.Net.Call(f, msg)
 			}
-			r := pulled{idx: i}
+			var r pulled
 			if delivered {
 				r.resp, r.ok = reply.Payload.(bandResp)
 			}
@@ -619,9 +632,9 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 		})
 	}
 	var pullErr error
-	for _, r := range sim.WaitAll(p, sigs) {
+	for i, r := range sim.WaitAll(p, sigs) {
 		if !r.ok {
-			pullErr = transient{fmt.Errorf("pipeline: band pull to server %d lost", pulls[r.idx].owner)}
+			pullErr = transient{fmt.Errorf("pipeline: band pull to server %d lost", pulls[i].owner)}
 			continue
 		}
 		if r.resp.Err != "" {
@@ -633,9 +646,9 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 			}
 			continue
 		}
-		for j, span := range pulls[r.idx].spans {
+		for j, span := range pulls[i].spans {
 			v := r.resp.Data[j]
-			copy(out[span.Lo-plo:span.Hi-plo], v)
+			band.LendValues(span.Lo, v) // the owner's state itself: bandResp aliases it
 			bytes := int64(len(v)) * grid.ElemSize
 			resp.ExchangeOps++
 			resp.ExchangeBytes += bytes
@@ -646,9 +659,10 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 		}
 	}
 	if pullErr != nil {
+		band.Release()
 		return nil, pullErr
 	}
-	return out, nil
+	return band, nil
 }
 
 // band serves a pull from this server's stored state. Free on the DES
