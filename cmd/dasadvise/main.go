@@ -92,13 +92,7 @@ func advise(pat features.Pattern, params predict.Params, servers int, overhead f
 	if err != nil {
 		return err
 	}
-	fmt.Printf("under %s:\n", rr.Name())
-	fmt.Printf("  element-level bwcost (Eq. 5): %d bytes (%.1f%% of dependencies remote)\n",
-		d.Analysis.BWCostBytes, 100*d.Analysis.RemoteFrac)
-	fmt.Printf("  strip-level offload traffic:  %d strips, %d bytes\n",
-		d.Analysis.StripFetches, d.Analysis.StripFetchBytes)
-	fmt.Printf("  normal I/O traffic:           %d bytes\n", d.NormalNetBytes)
-	fmt.Printf("  verdict: offload=%v — %s\n\n", d.Offload, d.Reason)
+	fmt.Println(d.Explain())
 
 	rec, ok, err := predict.RecommendLayout(pat, params, servers, overhead)
 	if err != nil {
@@ -113,8 +107,6 @@ func advise(pat features.Pattern, params predict.Params, servers int, overhead f
 		return err
 	}
 	fmt.Printf("DAS would arrange %s (capacity overhead %.2f):\n", rec.Name(), layout.OverheadRatio(rec))
-	fmt.Printf("  strip-level offload traffic:  %d strips, %d bytes\n",
-		dRec.Analysis.StripFetches, dRec.Analysis.StripFetchBytes)
-	fmt.Printf("  verdict: offload=%v — %s\n\n", dRec.Offload, dRec.Reason)
+	fmt.Println(dRec.Explain())
 	return nil
 }

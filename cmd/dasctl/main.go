@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/hpcio/das/internal/cli"
@@ -72,7 +73,7 @@ func main() {
 		case *tenantsDemo:
 			err = tenantsReport(os.Stdout, *servers, *streams)
 		default:
-			err = run(*servers, *strips, *groupSize, *halo, *stripSize, *op, *width, *size, *faults)
+			err = run(os.Stdout, *servers, *strips, *groupSize, *halo, *stripSize, *op, *width, *size, *faults)
 		}
 	}
 	if err != nil {
@@ -98,7 +99,7 @@ func checkExclusive(op, faultSpec string, cacheDemo, restripeDemo, controlDemo, 
 	)
 }
 
-func run(servers int, strips int64, r, halo int, stripSize int64, op string, width int, size int64, faultSpec string) error {
+func run(w io.Writer, servers int, strips int64, r, halo int, stripSize int64, op string, width int, size int64, faultSpec string) error {
 	if servers <= 0 || strips <= 0 {
 		return fmt.Errorf("servers and strips must be positive")
 	}
@@ -108,16 +109,16 @@ func run(servers int, strips int64, r, halo int, stripSize int64, op string, wid
 		layout.NewGroupedReplicated(servers, r, halo),
 	}
 	for _, lay := range layouts {
-		fmt.Printf("%s  (capacity overhead %.2f)\n", lay.Name(), layout.OverheadRatio(lay))
+		fmt.Fprintf(w, "%s  (capacity overhead %.2f)\n", lay.Name(), layout.OverheadRatio(lay))
 		for s := int64(0); s < strips; s++ {
 			reps := lay.Replicas(s)
 			if len(reps) == 0 {
-				fmt.Printf("  strip %3d → server %d\n", s, lay.Primary(s))
+				fmt.Fprintf(w, "  strip %3d → server %d\n", s, lay.Primary(s))
 			} else {
-				fmt.Printf("  strip %3d → server %d  (replicas %v)\n", s, lay.Primary(s), reps)
+				fmt.Fprintf(w, "  strip %3d → server %d  (replicas %v)\n", s, lay.Primary(s), reps)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	var down func(srv int) bool
@@ -129,7 +130,7 @@ func run(servers int, strips int64, r, halo int, stripSize int64, op string, wid
 		if err := plan.Validate(servers); err != nil {
 			return err
 		}
-		fmt.Printf("fault plan: %s\n", plan.String())
+		fmt.Fprintf(w, "fault plan: %s\n", plan.String())
 		// End-state liveness: a crash the plan never undoes leaves the
 		// server down for good.
 		downSet := make(map[int]bool)
@@ -143,7 +144,7 @@ func run(servers int, strips int64, r, halo int, stripSize int64, op string, wid
 		}
 		down = func(srv int) bool { return downSet[srv] }
 		if len(downSet) == 0 {
-			fmt.Println("no server stays down; every strip keeps its primary")
+			fmt.Fprintln(w, "no server stays down; every strip keeps its primary")
 		} else {
 			for _, lay := range layouts {
 				var lost []int64
@@ -153,13 +154,13 @@ func run(servers int, strips int64, r, halo int, stripSize int64, op string, wid
 					}
 				}
 				if len(lost) == 0 {
-					fmt.Printf("%-40s all %d strips still have a live copy\n", lay.Name(), strips)
+					fmt.Fprintf(w, "%-40s all %d strips still have a live copy\n", lay.Name(), strips)
 				} else {
-					fmt.Printf("%-40s %d/%d strips with NO live copy: %v\n", lay.Name(), len(lost), strips, lost)
+					fmt.Fprintf(w, "%-40s %d/%d strips with NO live copy: %v\n", lay.Name(), len(lost), strips, lost)
 				}
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if op == "" {
@@ -173,38 +174,27 @@ func run(servers int, strips int64, r, halo int, stripSize int64, op string, wid
 		return fmt.Errorf("unknown operator %q (known: %v)", op, kernels.Default().Names())
 	}
 	pat := kernels.Pattern(k)
-	fmt.Printf("operator %s, dependence record:\n%s\n", op, pat.String())
+	fmt.Fprintf(w, "operator %s, dependence record:\n%s\n", op, pat.String())
 
 	params := predict.Params{
 		ElemSize: grid.ElemSize, StripSize: stripSize, FileSize: size,
 		Width: width, OutputFactor: 1,
 	}
 	for _, lay := range layouts {
-		var d predict.Decision
-		var err error
-		if down != nil {
-			d, err = predict.DecideDegraded(pat, params, lay, down)
-		} else {
-			d, err = predict.Decide(pat, params, lay)
-		}
+		d, err := predict.Estimate(predict.Kernel(pat), params, lay, predict.Observations{Down: down})
 		if err != nil {
 			return err
 		}
-		extra := ""
-		if d.Analysis.UnservableStrips > 0 {
-			extra = fmt.Sprintf("  unservable strips=%d", d.Analysis.UnservableStrips)
-		}
-		fmt.Printf("%-40s offload=%v  strip fetches=%d (%d bytes)%s  %s\n",
-			lay.Name(), d.Offload, d.Analysis.StripFetches, d.Analysis.StripFetchBytes, extra, d.Reason)
+		fmt.Fprint(w, d.Explain())
 	}
 	rec, ok, err := predict.RecommendLayout(pat, params, servers, 0.5)
 	if err != nil {
 		return err
 	}
 	if ok {
-		fmt.Printf("recommended: %s (overhead %.2f)\n", rec.Name(), layout.OverheadRatio(rec))
+		fmt.Fprintf(w, "recommended: %s (overhead %.2f)\n", rec.Name(), layout.OverheadRatio(rec))
 	} else {
-		fmt.Println("recommended: keep round-robin (pattern has no dependence)")
+		fmt.Fprintln(w, "recommended: keep round-robin (pattern has no dependence)")
 	}
 	return nil
 }

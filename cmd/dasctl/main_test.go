@@ -62,6 +62,35 @@ func TestCheckExclusiveRejectsDemoWithOtherReports(t *testing.T) {
 	}
 }
 
+// TestOpWithFaultsExplainsTheVeto: -op with a -faults plan that takes down
+// both holders of a group's boundary strips (primary and the neighbor
+// replicating them) must print the unservable term and reject,
+// through the same rendering the healthy analysis prints.
+func TestOpWithFaultsExplainsTheVeto(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, 4, 8, 4, 1, 4096, "flow-routing", 256, 1<<20, "crash@10ms:s1,crash@20ms:s2"); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	replicated := got[strings.LastIndex(got, "offload="):]
+	for _, want := range []string{
+		"offload=false under grouped-replicated(D=4,r=4,halo=1)",
+		"unservable strips", "with no live copy",
+		"verdict: rejected:", "strips have no live copy",
+	} {
+		if !strings.Contains(replicated, want) {
+			t.Errorf("replicated layout's decision missing %q:\n%s", want, replicated)
+		}
+	}
+	out.Reset()
+	if err := run(&out, 4, 8, 4, 1, 4096, "flow-routing", 256, 1<<20, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); strings.Contains(got, "unservable") || !strings.Contains(got, "offload=true under grouped-replicated(D=4,r=4,halo=1)") {
+		t.Errorf("healthy analysis:\n%s", got)
+	}
+}
+
 // TestKernelsReportListsEveryOperator checks the registry listing names
 // every default kernel, combiner, and reducer with its dependence
 // offsets, weight, and (for reducers) partial length.

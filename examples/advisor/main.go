@@ -33,8 +33,6 @@ func main() {
 
 	fmt.Printf("round-robin over %d servers, %d KiB strips (%d elements/strip)\n\n",
 		servers, stripSize/1024, elemsPerStrip)
-	fmt.Printf("%-16s %-10s %-14s %-16s %s\n",
-		"pattern", "eq17", "remote deps", "offload bytes", "verdict")
 
 	strides := []int64{
 		1,                    // within-strip neighbor
@@ -61,11 +59,13 @@ func main() {
 	}
 	report(multi, false, params, lay)
 
-	fmt.Println("\nEq. 17 alignment (stride a multiple of D strips) is the free-offload")
-	fmt.Println("case. A lone ±stride costs about what normal I/O costs (the two")
-	fmt.Println("dependent strips ≈ the raster moved twice), so the verdict sits on")
-	fmt.Println("the margin; patterns touching more strips are firmly rejected and")
-	fmt.Println("need DAS's improved layout to offload.")
+	fmt.Println("Eq. 17 alignment (stride a multiple of D strips) makes every interior")
+	fmt.Println("dependence local: what is left to fetch is the first or last strip,")
+	fmt.Println("which strips within a stride of either end clamp to. A lone unaligned")
+	fmt.Println("±stride costs about what normal I/O costs (the two dependent strips ≈")
+	fmt.Println("the raster moved twice), so the verdict sits on the margin; patterns")
+	fmt.Println("touching more strips are firmly rejected and need DAS's improved")
+	fmt.Println("layout to offload.")
 }
 
 func report(pat features.Pattern, aligned bool, params das.PredictParams, lay das.Layout) {
@@ -74,10 +74,5 @@ func report(pat features.Pattern, aligned bool, params das.PredictParams, lay da
 		fmt.Println("error:", err)
 		return
 	}
-	verdict := "REJECT (serve as normal I/O)"
-	if d.Offload {
-		verdict = "OFFLOAD"
-	}
-	fmt.Printf("%-16s %-10v %-14d %-16d %s\n",
-		pat.Name, aligned, d.Analysis.RemoteDeps, d.OffloadNetBytes, verdict)
+	fmt.Printf("%s (Eq. 17 holds: %v)\n%s\n", pat.Name, aligned, d.Explain())
 }

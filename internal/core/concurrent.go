@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/hpcio/das/internal/active"
-	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -56,16 +54,11 @@ func (s *System) ExecuteConcurrent(reqs []Request) ([]Report, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: no kernel features for %q", req.Op)
 			}
-			decision, derr := predict.Decide(pat, predictParams(in), in.Layout)
+			mode, offload, derr := s.gateDAS(&reports[i], req, pat, in, in.Layout)
 			if derr != nil {
 				return nil, derr
 			}
-			reports[i].Decision = &decision
-			if decision.Offload || req.DisablePrediction {
-				mode := active.LocalOnly
-				if !decision.Analysis.LocalByLayout {
-					mode = active.FetchWholeStrips
-				}
+			if offload {
 				reports[i].Offloaded = true
 				job, err = s.offloadJob(&reports[i], req, in, mode)
 			} else {

@@ -37,12 +37,14 @@ func TestControlIgnoresMigrationTraffic(t *testing.T) {
 	if err := s.EnableControl(control.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	// Restriping is enabled AFTER the controller on purpose: no admission
-	// gate and no cool-down watcher, so the migration runs unconditionally
-	// and the only defense left is the migration tag itself.
 	if err := s.EnableRestripe(restripe.Config{MinObservedBytes: 1}); err != nil {
 		t.Fatal(err)
 	}
+	// Take the controller's admission gate and cool-down watcher off the
+	// migrator on purpose, so the migration runs unconditionally and the
+	// only defense left is the migration tag itself.
+	s.Restripe.SetAdmission(nil)
+	s.Restripe.SetWatcher(nil)
 
 	pat, ok := s.Features.Lookup("flow-routing")
 	if !ok {
@@ -112,7 +114,7 @@ func TestControlTailTiersTheDecision(t *testing.T) {
 		t.Fatal("no decision recorded")
 	}
 	// Flow-routing on round-robin pays dependent fetches, so the 20x tail
-	// overshoot must flow through DecideTail and show up in the decision's
+	// overshoot must reach the estimate and show up in the decision's
 	// reasoning (and in the inflated offload byte count).
 	if rep.Decision.Analysis.LocalByLayout {
 		t.Fatal("fixture resolved locally; the tail path was never exercised")

@@ -19,9 +19,7 @@ import (
 func (s *System) EnsurePipeline() *pipeline.Service {
 	if s.Pipeline == nil {
 		s.Pipeline = pipeline.Deploy(s.FS, s.Registry, s.Combiners, s.Reducers)
-		if s.Cache != nil {
-			s.Pipeline.SetCache(s.Cache)
-		}
+		s.wire()
 	}
 	return s.Pipeline
 }
@@ -59,7 +57,7 @@ type DAGReport struct {
 	Output string
 	// Decision is the prediction core's whole-DAG verdict (DAS pushdown
 	// only; advisory for non-chain DAGs, which have no per-pass fallback).
-	Decision *predict.PipelineDecision
+	Decision *predict.Decision
 	ExecTime sim.Time
 	// Run carries the pushdown execution's statistics, including the
 	// achieved-vs-lower-bound halo accounting.
@@ -132,15 +130,7 @@ func (s *System) runDAGPushdown(rep *DAGReport, req DAGRequest, in *pfs.FileMeta
 		if err != nil {
 			return err
 		}
-		var hitFrac float64
-		var p99, latHigh sim.Time
-		if s.Cache != nil {
-			hitFrac = s.Cache.HitRateEstimate(req.Input)
-		}
-		if s.Control != nil && s.Cache != nil {
-			p99, latHigh = s.Control.ClusterP99(), s.Control.Config().LatencyHigh
-		}
-		decision, err := predict.DecidePipeline(pl.Spec(), predictParams(in), in.Layout, hitFrac, p99, latHigh)
+		decision, err := s.decide(pl.Spec(), predictParams(in), in.Layout, req.Input)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/pfs"
+	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/workload"
 )
@@ -150,8 +151,8 @@ func TestDASPermanentCrashWithoutReplicasFailsTyped(t *testing.T) {
 }
 
 // TestDegradedDecisionVetoesOffload checks the prediction side on its own:
-// with a server down under round-robin, DecideDegraded must reject and
-// count the unservable strips.
+// with a server down under round-robin, the gate must reject and count the
+// unservable strips.
 func TestDegradedDecisionVetoesOffload(t *testing.T) {
 	g := workload.Terrain(testW, testH, 5)
 	s := ingested(t, g, layout.NewRoundRobin(4))
@@ -165,7 +166,7 @@ func TestDegradedDecisionVetoesOffload(t *testing.T) {
 	}
 	m, _ := s.FS.Meta("in")
 	pat, _ := s.Features.Lookup("flow-routing")
-	d, err := s.DecideDegraded(pat, m)
+	d, err := s.decide(predict.Kernel(pat), predictParams(m), m.Layout, "in")
 	if err != nil {
 		t.Fatal(err)
 	}

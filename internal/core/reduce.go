@@ -38,9 +38,10 @@ type ReduceReport struct {
 // dependence-free workload classic active storage was built for: under
 // NAS and DAS every server folds its local strips and only the partial
 // aggregates cross the network; under TS the raster itself does. The DAS
-// scheme still consults the prediction core — which accepts trivially,
-// since an empty dependence pattern has Σ aj = 0 and a near-zero output
-// factor.
+// scheme still goes through the gate — which on a healthy cluster accepts
+// trivially, since an empty dependence pattern has Σ aj = 0 and a
+// near-zero output factor, and with servers down rejects a raster that
+// has lost a strip's last live copy.
 func (s *System) Reduce(req ReduceRequest) (ReduceReport, error) {
 	m, ok := s.FS.Meta(req.Input)
 	if !ok {
@@ -66,7 +67,7 @@ func (s *System) Reduce(req ReduceRequest) (ReduceReport, error) {
 		pat := features.Pattern{Name: red.Name()}
 		params := predictParams(m)
 		params.OutputFactor = float64(red.PartialLen()*grid.ElemSize) / float64(m.Size)
-		decision, derr := predict.Decide(pat, params, m.Layout)
+		decision, derr := s.decide(predict.Kernel(pat), params, m.Layout, req.Input)
 		if derr != nil {
 			return ReduceReport{}, derr
 		}

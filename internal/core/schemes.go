@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/hpcio/das/internal/active"
+	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
@@ -238,6 +239,35 @@ func (s *System) offloadJob(rep *Report, req Request, in *pfs.FileMeta, mode act
 	}, nil
 }
 
+// gateDAS is steps 4–5 of Fig. 3 for one kernel request: predict the
+// bandwidth cost against lay under what the platform has observed (with
+// servers down strips are costed at their first live holder, and any strip
+// without a live copy vetoes offloading outright), record the decision in
+// rep, and say whether to offload and with which fetch mode.
+func (s *System) gateDAS(rep *Report, req Request, pat features.Pattern, in *pfs.FileMeta, lay layout.Layout) (mode active.FetchMode, offload bool, err error) {
+	decision, err := s.decide(predict.Kernel(pat), predictParams(in), lay, req.Input)
+	if err != nil {
+		return 0, false, err
+	}
+	rep.Decision = &decision
+	if !decision.Offload && !req.DisablePrediction {
+		if decision.Analysis.UnservableStrips > 0 {
+			rep.Degraded = true
+			rep.DegradedReason = decision.Reason
+		}
+		return 0, false, nil
+	}
+	if _, migrating := in.Layout.(*layout.Migrating); !decision.Analysis.LocalByLayout || migrating {
+		// Accepted on cost grounds without full locality (dependence is
+		// cheap, or prediction is disabled): fetch what is missing. A
+		// mid-migration input also loses the local-only guarantee — strips
+		// keep flipping between placements while servers execute, so
+		// missing halo data must stay fetchable.
+		return active.FetchWholeStrips, true, nil
+	}
+	return active.LocalOnly, true, nil
+}
+
 // runDAS executes the full dynamic workflow of Fig. 3.
 func (s *System) runDAS(rep *Report, req Request, in *pfs.FileMeta) error {
 	// 1. Get the data dependence pattern from the kernel features.
@@ -278,55 +308,21 @@ func (s *System) runDAS(rep *Report, req Request, in *pfs.FileMeta) error {
 		}
 	}
 
-	// 4. Predict the bandwidth cost against the (possibly new) layout.
-	// With servers down the degraded analysis runs instead: strips are
-	// costed at their first live holder, and any strip without a live copy
-	// vetoes offloading outright.
-	var decision predict.Decision
-	var err error
-	switch {
-	case anyDown:
-		decision, err = predict.DecideDegraded(pat, params, targetLay, s.Clu.ServerDown)
-	case s.Control != nil && s.Cache != nil:
-		// The controller's observed fetch tail tiers the decision: a
-		// congested p99 inflates the dependent-fetch term before the
-		// accept/reject compare.
-		decision, err = predict.DecideTail(pat, params, targetLay,
-			s.Cache.HitRateEstimate(req.Input), s.Control.ClusterP99(), s.Control.Config().LatencyHigh)
-	case s.Cache != nil:
-		decision, err = predict.DecideCached(pat, params, targetLay, s.Cache.HitRateEstimate(req.Input))
-	default:
-		decision, err = predict.Decide(pat, params, targetLay)
-	}
+	// 4–5. Predict the bandwidth cost against the (possibly new) layout,
+	// then accept or reject.
+	mode, offload, err := s.gateDAS(rep, req, pat, in, targetLay)
 	if err != nil {
 		return err
 	}
-	rep.Decision = &decision
-
-	// 5. Accept or reject.
-	if !decision.Offload && !req.DisablePrediction {
+	if !offload {
 		// Rejected: serve as normal I/O (TS path), as the workflow chart
 		// prescribes.
-		if decision.Analysis.UnservableStrips > 0 {
-			rep.Degraded = true
-			rep.DegradedReason = decision.Reason
-		}
 		if err := s.runTS(rep, req, in); err != nil {
 			return err
 		}
 		rep.ExecTime += rep.ReconfigTime
 		rep.Offloaded = false
 		return nil
-	}
-
-	mode := active.LocalOnly
-	if !decision.Analysis.LocalByLayout || migrating {
-		// Accepted on cost grounds without full locality (possible when
-		// prediction is disabled or dependence is cheap): fall back to
-		// fetching what is missing. A mid-migration input also loses the
-		// local-only guarantee — strips keep flipping between placements
-		// while servers execute, so missing halo data must stay fetchable.
-		mode = active.FetchWholeStrips
 	}
 	job, err := s.offloadJob(rep, req, in, mode)
 	if err != nil {

@@ -106,38 +106,22 @@ func (s *System) EnableCache(cfg cache.Config) error {
 		return err
 	}
 	s.Cache = mgr
-	if s.Restripe != nil {
-		// The migrator already owns the pfs invalidation hook; chain the
-		// cache behind it so both subsystems see every strip mutation.
-		s.Restripe.SetInner(mgr)
-	} else {
-		s.FS.SetInvalidator(mgr)
-	}
-	s.AS.SetCache(mgr)
-	if s.Pipeline != nil {
-		s.Pipeline.SetCache(mgr)
-	}
-	mgr.Start()
+	s.wire()
+	mgr.Start() // a no-op once the controller owns the trigger
 	return nil
 }
 
 // EnableRestripe deploys the online restriping subsystem: the migrator
 // watches every Execute's offload decision and dependent-halo traffic,
 // plans grouped-replicated migrations within the overhead budget, and
-// copies strips in the background on the DES clock. When the cache
-// subsystem is also enabled (in either order), strip invalidations flow
-// through the migrator to the cache, so moved strips never serve stale
-// cached bytes.
+// copies strips in the background on the DES clock.
 func (s *System) EnableRestripe(cfg restripe.Config) error {
 	mgr, err := restripe.NewMigrator(s.Clu, s.FS, cfg, s.Clu.RestripeStats)
 	if err != nil {
 		return err
 	}
-	if s.Cache != nil {
-		mgr.SetInner(s.Cache)
-	}
 	s.Restripe = mgr
-	s.FS.SetInvalidator(mgr)
+	s.wire()
 	mgr.Start()
 	return nil
 }
@@ -146,28 +130,68 @@ func (s *System) EnableRestripe(cfg restripe.Config) error {
 // plane owning every adaptive trigger in the system. It subscribes the
 // pfs client RPC latencies (migration traffic tagged and excluded), takes
 // over the cache manager's promote/demote trigger when the cache is
-// enabled (percentile thresholds with hysteresis and streaks instead of
+// deployed (percentile thresholds with hysteresis and streaks instead of
 // the old mean window), and gates + watches the restripe migrator when
-// restriping is enabled (admission only on a congested tail, cool-down
-// after any strip flip so the two loops can no longer duel). Enable it
-// AFTER the subsystems it coordinates; subsystems enabled later are not
-// adopted retroactively.
+// restriping is deployed (admission only on a congested tail, cool-down
+// after any strip flip so the two loops can no longer duel).
 func (s *System) EnableControl(cfg control.Config) error {
 	ctl, err := control.New(s.Clu.Eng, s.FS.Servers(), cfg)
 	if err != nil {
 		return err
 	}
 	s.Control = ctl
-	s.FS.SetLatencyObserver(ctl)
-	if s.Cache != nil {
-		ctl.AttachCache(s.Cache)
-	}
-	if s.Restripe != nil {
-		s.Restripe.SetWatcher(ctl)
-		s.Restripe.SetAdmission(ctl.AllowRestripe)
-	}
+	s.wire()
 	ctl.Start()
 	return nil
+}
+
+// invalidators fans every strip mutation out to its listeners in order.
+type invalidators []pfs.StripInvalidator
+
+func (l invalidators) InvalidateStrip(file string, strip int64) {
+	for _, inv := range l {
+		inv.InvalidateStrip(file, strip)
+	}
+}
+
+func (l invalidators) InvalidateFile(file string) {
+	for _, inv := range l {
+		inv.InvalidateFile(file)
+	}
+}
+
+// wire derives every hook between the deployed subsystems from which of
+// them are deployed, so the Enable calls compose in any order: strip
+// invalidations reach the cache first and the migrator second, so moved
+// strips never serve stale cached bytes; both fetch paths consult the
+// cache; and the controller, once there, observes RPC latencies, owns the
+// cache's trigger and gates and watches the migrator.
+func (s *System) wire() {
+	var listeners invalidators
+	if s.Cache != nil {
+		listeners = append(listeners, s.Cache)
+	}
+	if s.Restripe != nil {
+		listeners = append(listeners, s.Restripe)
+	}
+	if len(listeners) > 0 {
+		s.FS.SetInvalidator(listeners)
+	}
+	s.AS.SetCache(s.Cache)
+	if s.Pipeline != nil {
+		s.Pipeline.SetCache(s.Cache)
+	}
+	if s.Control == nil {
+		return
+	}
+	s.FS.SetLatencyObserver(s.Control)
+	if s.Cache != nil {
+		s.Control.AttachCache(s.Cache)
+	}
+	if s.Restripe != nil {
+		s.Restripe.SetWatcher(s.Control)
+		s.Restripe.SetAdmission(s.Control.AllowRestripe)
+	}
 }
 
 // DrainRestripe runs the engine until every active migration completes or
@@ -251,12 +275,30 @@ func predictParams(m *pfs.FileMeta) predict.Params {
 	}
 }
 
-// DecideDegraded runs the fault-aware accept/reject decision for a raster
-// file against the cluster's current fault state: strips are costed at
-// their first live holder and any strip without a live copy vetoes
-// offloading.
-func (s *System) DecideDegraded(pat features.Pattern, m *pfs.FileMeta) (predict.Decision, error) {
-	return predict.DecideDegraded(pat, predictParams(m), m.Layout, s.Clu.ServerDown)
+// observations gathers what the platform has measured for a decision about
+// the named input file. With servers down the down-set is all that counts:
+// hit rates and tails describe the healthy placement. Otherwise the cache,
+// when deployed, reports its hit rate, and the controller, when it tunes
+// that cache, the fetch tail it observed.
+func (s *System) observations(input string) predict.Observations {
+	if s.Clu.AnyStorageDown() {
+		return predict.Observations{Down: s.Clu.ServerDown}
+	}
+	var obs predict.Observations
+	if s.Cache != nil {
+		obs.HitFrac = s.Cache.HitRateEstimate(input)
+		if s.Control != nil {
+			obs.FetchP99, obs.LatencyHigh = s.Control.ClusterP99(), s.Control.Config().LatencyHigh
+		}
+	}
+	return obs
+}
+
+// decide is the one accept/reject gate: every DAS path — a kernel, a batch
+// of them, a reduction, a whole DAG — prices its request against lay under
+// the same observations.
+func (s *System) decide(spec predict.Spec, params predict.Params, lay layout.Layout, input string) (predict.Decision, error) {
+	return predict.Estimate(spec, params, lay, s.observations(input))
 }
 
 // LoadFeatures merges kernel-features records (§III-B, text format) into
@@ -283,22 +325,7 @@ func (s *System) LoadFeatures(r io.Reader) (int, error) {
 // replicated distribution when the operator has dependence, round-robin
 // otherwise.
 func (s *System) PlanLayout(op string, width int, elemSize, stripSize, fileSize int64, maxOverhead float64) (layout.Layout, error) {
-	pat, ok := s.Features.Lookup(op)
-	if !ok {
-		return nil, fmt.Errorf("core: no kernel features for %q", op)
-	}
-	if maxOverhead == 0 {
-		maxOverhead = DefaultMaxOverhead
-	}
-	p := predict.Params{ElemSize: elemSize, StripSize: stripSize, FileSize: fileSize, Width: width, OutputFactor: 1}
-	lay, ok, err := predict.RecommendLayout(pat, p, s.FS.Servers(), maxOverhead)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return layout.NewRoundRobin(s.FS.Servers()), nil
-	}
-	return lay, nil
+	return s.PlanLayoutForWorkflow([]string{op}, width, elemSize, stripSize, fileSize, maxOverhead)
 }
 
 // PlanLayoutForWorkflow returns one data distribution serving every

@@ -221,7 +221,7 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 
 	spec := pl.Spec()
 	res.Stages = len(pl.Nodes)
-	res.FusedStages = fusedStages(pl)
+	res.FusedStages = spec.FusedStages()
 	res.Rounds = pl.Rounds()
 	res.AchievedHaloBytes = res.FetchBytes + res.ExchangeBytes
 	bound, err := predict.PipelineLowerBound(predict.Params{
@@ -381,19 +381,6 @@ func (c *Client) release(p *sim.Proc, token string) {
 			Payload: releaseReq{Token: token},
 		})
 	}
-}
-
-// fusedStages counts the stages a run avoids dispatching separately:
-// the fused prefix beyond its first stage plus every zero-reach stage
-// that folds into its parent's round — mirroring predict.DecidePipeline.
-func fusedStages(pl *Plan) int {
-	fused := pl.Prefix - 1
-	for i := pl.Prefix; i < len(pl.Nodes); i++ {
-		if pl.Nodes[i].Back == 0 && pl.Nodes[i].Fwd == 0 {
-			fused++
-		}
-	}
-	return fused
 }
 
 func sortStrips(s []int64) {

@@ -1,9 +1,11 @@
 package predict
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/layout"
@@ -32,116 +34,240 @@ func div128(hi, lo, den uint64) int64 {
 	return int64(quo)
 }
 
+// Spec is what an estimate prices: one kernel's dependence pattern (Kernel)
+// or a compiled operator DAG (PipelineSpec). The two differ in how
+// dependent data reaches a server — whole strips fetched from their owners
+// against bands pulled across assignment cuts — and feed the same terms.
+type Spec interface {
+	// price fills the decision's analysis, its undiscounted FetchBytes,
+	// ExchangeBytes and the alternatives. Both replica terms arrive
+	// charged; a spec that does not pay one clears it.
+	price(d *Decision, p Params, lc layout.Locator, down func(srv int) bool) error
+	// reason summarizes the finished decision in one sentence.
+	reason(d *Decision, obs Observations) string
+}
+
+// Observations is what the platform has measured when a decision is
+// taken. The zero value is a cold, healthy, uncongested cluster.
+type Observations struct {
+	// HitFrac is the byte hit fraction the halo-strip cache observed for
+	// the file, clamped to [0,1]: dependent bytes expected to be served
+	// from cache never cross the interconnect.
+	HitFrac float64
+	// FetchP99 is the observed cluster fetch-latency tail and LatencyHigh
+	// the scale-up threshold it is held against: above it fetches are
+	// congested and moving bytes are priced FetchP99/LatencyHigh times
+	// dearer, capped at 4× so one pathological window cannot veto offload
+	// forever. LatencyHigh 0 switches the term off.
+	FetchP99, LatencyHigh sim.Time
+	// Down reports the storage servers that are down (nil: none). Strips
+	// are then costed at their first live holder, and a strip with no live
+	// copy vetoes offloading — the request falls back to normal I/O, which
+	// surfaces a typed I/O error if the data is truly gone. Pipeline
+	// pricing ignores it: core does not price a DAG on a degraded cluster.
+	Down func(srv int) bool
+}
+
 // Decision is the outcome of the DAS workflow's accept/reject step
-// (Fig. 3): whether to serve a request as active storage or as normal I/O.
+// (Fig. 3): whether to serve a request as active storage or as normal I/O,
+// with the itemised terms of Eqs. (11)–(13) the verdict was reached from
+// (DESIGN.md "Cost model" has the term table).
 type Decision struct {
+	// Analysis is the kernel's strip walk and Eq. (5) sum; under pipeline
+	// pricing only Layout is set.
 	Analysis Analysis
-	// Offload is true when active storage is predicted to move fewer
-	// bytes over the interconnect than normal I/O.
-	Offload bool
-	// OffloadNetBytes is the predicted server↔server traffic of an
-	// offloaded run: dependent-strip fetches plus replica maintenance for
-	// the output file under the file's layout.
+
+	// FetchBytes is the dependent-data fetch after the cache discount:
+	// whole strips for a kernel, the fused prefix's input halo bands for a
+	// pipeline. HitDiscountBytes is what the discount took off.
+	FetchBytes, HitDiscountBytes int64
+	// ExchangeBytes is the intermediate boundary bands later pipeline
+	// stages pull across assignment cuts (zero for a kernel).
+	ExchangeBytes int64
+	// InputReplicaBytes is the replica placement of the input file, which
+	// kernel pricing charges and pipeline pricing does not;
+	// OutputReplicaBytes the replica maintenance of the written output.
+	InputReplicaBytes, OutputReplicaBytes int64
+	// TailNum/TailDen is the (capped) inflation applied to the moving bytes
+	// — fetch and exchange — 1/1 when the tail is healthy.
+	TailNum, TailDen uint64
+	// CacheHitFrac is the clamped hit fraction the fetch was discounted by.
+	CacheHitFrac float64
+
+	// OffloadNetBytes is the predicted server↔server traffic of the
+	// offloaded run: the inflated moving bytes (rounded down) plus both
+	// replica terms.
 	OffloadNetBytes int64
 	// NormalNetBytes is the client↔server traffic of serving the request
-	// as normal I/O: the input read to a compute node plus the output
-	// written back.
+	// as normal I/O: every pass reads its input to a compute node and
+	// writes its output back.
 	NormalNetBytes int64
-	// CacheHitFrac is the byte hit fraction the dependent-fetch estimate
-	// was discounted by (0 for the cache-blind decision).
-	CacheHitFrac float64
-	// Reason summarizes the decision for logs and the dasadvise tool.
+	// PerPassNetBytes prices running a pipeline one offloaded kernel per
+	// pass — each stage's own halo fetch plus replica writeback of every
+	// intermediate raster — and LowerBoundBytes is the composed-offset halo
+	// minimum achieved halo traffic is reported against. Stages is the DAG
+	// size and FusedStages how many of them needed no exchange round. All
+	// zero for a kernel.
+	PerPassNetBytes, LowerBoundBytes int64
+	Stages, FusedStages              int
+
+	// Degraded records that a down-set was observed: strips were costed at
+	// their first live holder and no element-level sum was taken.
+	Degraded bool
+	// Offload is true when nothing is unservable and active storage is
+	// predicted to move fewer bytes over the interconnect than normal I/O.
+	// BeatsPerPass (pipelines only) additionally ranks the pushdown at or
+	// under the per-pass offload: a tie prefers the pushdown, since
+	// per-pass also writes and re-reads every intermediate on disk, which
+	// the interconnect model does not price.
+	Offload, BeatsPerPass bool
+	// Reason summarizes the decision for logs and reports.
 	Reason string
 }
 
-// Decide runs the full prediction and applies the paper's acceptance
-// criterion: offload if and only if it is predicted to consume less
-// bandwidth than normal processing.
+// Decide is Estimate for one kernel with nothing observed: the paper's
+// acceptance criterion on a cold, healthy, uncongested cluster.
 func Decide(pat features.Pattern, p Params, lay layout.Layout) (Decision, error) {
-	return DecideCached(pat, p, lay, 0)
+	return Estimate(Kernel(pat), p, lay, Observations{})
 }
 
-// DecideCached is Decide with the halo-strip cache in the loop: the
-// dependent-fetch term of Eq. (13) is discounted by hitFrac, the byte hit
-// fraction the cache subsystem observed for this file. Dependent bytes
-// expected to be served from cache never cross the interconnect, so a
-// request the cache-blind model rejects can become an accepted offload
-// once the cache warms. hitFrac outside [0,1] is clamped; 0 reproduces
-// Decide exactly.
-func DecideCached(pat features.Pattern, p Params, lay layout.Layout, hitFrac float64) (Decision, error) {
-	if hitFrac < 0 {
-		hitFrac = 0
-	}
-	if hitFrac > 1 {
-		hitFrac = 1
-	}
-	a, err := Analyze(pat, p, lay)
-	if err != nil {
+// Estimate prices spec against a concrete layout under what the platform
+// has observed and applies the paper's acceptance criterion: offload if
+// and only if it is predicted to consume less bandwidth than normal
+// processing. The spec supplies the terms; the hit-fraction clamp and
+// discount, the tail inflation and the comparison happen here, once.
+func Estimate(spec Spec, p Params, lay layout.Layout, obs Observations) (Decision, error) {
+	if err := p.validate(); err != nil {
 		return Decision{}, err
 	}
 	lc := layout.NewLocator(p.ElemSize, p.StripSize, lay)
-	outBytes := int64(float64(p.FileSize) * p.OutputFactor)
-
-	d := Decision{Analysis: a, CacheHitFrac: hitFrac}
-	fetchBytes := int64(float64(a.StripFetchBytes) * (1 - hitFrac))
-	d.OffloadNetBytes = fetchBytes + ReplicaBytes(lc, p.FileSize) +
-		int64(float64(ReplicaBytes(lc, p.FileSize))*p.OutputFactor)
-	d.NormalNetBytes = p.FileSize + outBytes
-	d.Offload = d.OffloadNetBytes < d.NormalNetBytes
-	switch {
-	case a.LocalByLayout:
-		d.Reason = "all dependencies resolve locally under " + a.Layout
-	case d.Offload && hitFrac > 0:
-		d.Reason = fmt.Sprintf("offload moves %d bytes vs %d for normal I/O (dependent fetches discounted by %.0f%% cache hits)",
-			d.OffloadNetBytes, d.NormalNetBytes, 100*hitFrac)
-	case d.Offload:
-		d.Reason = fmt.Sprintf("offload moves %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
-	default:
-		d.Reason = fmt.Sprintf("rejected: offload would move %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
+	replica := ReplicaBytes(lc, p.FileSize)
+	d := Decision{
+		InputReplicaBytes:  replica,
+		OutputReplicaBytes: int64(float64(replica) * p.OutputFactor),
+		CacheHitFrac:       min(max(obs.HitFrac, 0), 1),
+		TailNum:            1,
+		TailDen:            1,
+		Degraded:           obs.Down != nil,
 	}
+	if err := spec.price(&d, p, lc, obs.Down); err != nil {
+		return Decision{}, err
+	}
+	undiscounted := d.FetchBytes
+	d.FetchBytes = int64(float64(undiscounted) * (1 - d.CacheHitFrac))
+	d.HitDiscountBytes = undiscounted - d.FetchBytes
+	if obs.LatencyHigh > 0 && obs.FetchP99 > obs.LatencyHigh {
+		d.TailNum, d.TailDen = uint64(obs.FetchP99), uint64(obs.LatencyHigh)
+		if d.TailNum > 4*d.TailDen {
+			d.TailNum = 4 * d.TailDen
+		}
+	}
+
+	// The verdict compares fixed + moving·num/den against the alternatives.
+	// Dividing first truncates up to den-1 bytes off the inflated term —
+	// exactly at the cap boundary that can flip accept/reject — so both
+	// sides are multiplied by den instead and compared in 128 bits, which
+	// also keeps moving·num from overflowing int64 for large files with a
+	// coarse latency threshold. Floats appear only in Reason; the reported
+	// byte total keeps the rounded-down form.
+	moving := uint64(d.FetchBytes + d.ExchangeBytes)
+	fixed := uint64(d.InputReplicaBytes + d.OutputReplicaBytes)
+	infHi, infLo := bits.Mul64(moving, d.TailNum)
+	d.OffloadNetBytes = int64(fixed) + div128(infHi, infLo, d.TailDen)
+	lhsHi, lhsLo := mulAdd128(moving, d.TailNum, fixed, d.TailDen)
+	against := func(alternative int64) int { // sign of offload − alternative
+		hi, lo := bits.Mul64(uint64(alternative), d.TailDen)
+		if lhsHi != hi {
+			return cmp.Compare(lhsHi, hi)
+		}
+		return cmp.Compare(lhsLo, lo)
+	}
+	d.Offload = d.Analysis.UnservableStrips == 0 && against(d.NormalNetBytes) < 0
+	d.BeatsPerPass = d.Stages > 0 && against(d.PerPassNetBytes) <= 0
+	d.Reason = spec.reason(&d, obs)
 	return d, nil
 }
 
-// DecideTail refines DecideCached with the observed cluster fetch-latency
-// tail. The byte model prices a dependent fetch as if every fetch cost
-// the same; when the controller's measured tail percentile (typically
-// p99) sits above the scale-up threshold, fetches are congested and their
-// effective cost scales with how far the tail overshoots. The fetch term
-// is inflated by p99/latHigh — capped at 4× so a single pathological
-// window cannot veto offload forever — and the accept/reject verdict is
-// recomputed. The scaling is integer cross-multiplication; floats appear
-// only in the human-readable Reason.
-func DecideTail(pat features.Pattern, p Params, lay layout.Layout, hitFrac float64, p99, latHigh sim.Time) (Decision, error) {
-	d, err := DecideCached(pat, p, lay, hitFrac)
-	if err != nil || latHigh <= 0 || p99 <= latHigh || d.Analysis.LocalByLayout {
-		return d, err
+// Kernel prices a single offloaded kernel from its dependence pattern:
+// every server fetches, strip by strip, the dependent strips it does not
+// hold, and the layout's replicas are paid for twice — placing the input
+// and maintaining the output.
+type Kernel features.Pattern
+
+func (k Kernel) price(d *Decision, p Params, lc layout.Locator, down func(srv int) bool) error {
+	d.Analysis = analyze(features.Pattern(k), p, lc, down)
+	d.FetchBytes = d.Analysis.StripFetchBytes
+	d.NormalNetBytes = p.FileSize + int64(float64(p.FileSize)*p.OutputFactor)
+	return nil
+}
+
+func (k Kernel) reason(d *Decision, obs Observations) string {
+	a := d.Analysis
+	switch {
+	case a.UnservableStrips > 0:
+		return fmt.Sprintf("rejected: %d strips have no live copy", a.UnservableStrips)
+	case d.Degraded && d.Offload:
+		return fmt.Sprintf("degraded offload moves %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
+	case d.Degraded:
+		return fmt.Sprintf("rejected: degraded offload would move %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
+	case a.LocalByLayout:
+		return "all dependencies resolve locally under " + a.Layout
+	case d.TailNum != d.TailDen:
+		verdict := "offload still wins"
+		if !d.Offload {
+			verdict = "rejected: tail congestion tips the balance to normal I/O"
+		}
+		return fmt.Sprintf("%s — observed fetch p99 %v vs threshold %v inflates the fetch term %.2f× (%d vs %d bytes)",
+			verdict, obs.FetchP99, obs.LatencyHigh, float64(d.TailNum)/float64(d.TailDen), d.OffloadNetBytes, d.NormalNetBytes)
+	case d.Offload && d.CacheHitFrac > 0:
+		return fmt.Sprintf("offload moves %d bytes vs %d for normal I/O (dependent fetches discounted by %.0f%% cache hits)",
+			d.OffloadNetBytes, d.NormalNetBytes, 100*d.CacheHitFrac)
+	case d.Offload:
+		return fmt.Sprintf("offload moves %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
+	default:
+		return fmt.Sprintf("rejected: offload would move %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
 	}
-	num, den := uint64(p99), uint64(latHigh)
-	if num > 4*den {
-		num = 4 * den // cap the inflation at 4×
+}
+
+// Explain renders the decision's itemised terms, one per line, ending in
+// the verdict — the one rendering dasctl, dasadvise and the advisor
+// example print. Terms that are neutral (no cache hits, a healthy tail,
+// nothing unservable) are left out.
+func (d Decision) Explain() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "offload=%v under %s\n", d.Offload, d.Analysis.Layout)
+	term := func(name string, bytes int64, note string) {
+		fmt.Fprintf(&b, "  %-18s %14d bytes%s\n", name, bytes, note)
 	}
-	fetchBytes := int64(float64(d.Analysis.StripFetchBytes) * (1 - d.CacheHitFrac))
-	// The verdict compares base + fetch·num/den against the normal-I/O
-	// bytes. Dividing first truncates up to den-1 bytes off the inflated
-	// term — exactly at the cap boundary that can flip accept/reject — so
-	// cross-multiply both sides by den instead and compare in 128 bits,
-	// which also keeps fetch·num from overflowing int64 for large files
-	// with a coarse latency threshold.
-	base := uint64(d.OffloadNetBytes - fetchBytes)
-	lhsHi, lhsLo := mulAdd128(uint64(fetchBytes), num, base, den)
-	rhsHi, rhsLo := bits.Mul64(uint64(d.NormalNetBytes), den)
-	d.Offload = lhsHi < rhsHi || (lhsHi == rhsHi && lhsLo < rhsLo)
-	// The reported byte total keeps the rounded-down form; only the
-	// verdict needs the exact compare.
-	infHi, infLo := bits.Mul64(uint64(fetchBytes), num)
-	d.OffloadNetBytes += div128(infHi, infLo, den) - fetchBytes
-	verdict := "offload still wins"
-	if !d.Offload {
-		verdict = "rejected: tail congestion tips the balance to normal I/O"
+	a := d.Analysis
+	if d.Stages > 0 {
+		term("prefix halo fetch", d.FetchBytes, fmt.Sprintf("  (%d-stage DAG, %d fused)", d.Stages, d.FusedStages))
+		term("stage exchange", d.ExchangeBytes, "")
+	} else {
+		if !d.Degraded {
+			term("bwcost, Eq. (5)", a.BWCostBytes, fmt.Sprintf("  (%.1f%% of dependencies remote)", 100*a.RemoteFrac))
+		}
+		term("dependent fetch", d.FetchBytes, fmt.Sprintf("  (%d whole strips)", a.StripFetches))
+		term("input replicas", d.InputReplicaBytes, "")
 	}
-	d.Reason = fmt.Sprintf("%s — observed fetch p99 %v vs threshold %v inflates the fetch term %.2f× (%d vs %d bytes)",
-		verdict, p99, latHigh, float64(num)/float64(den), d.OffloadNetBytes, d.NormalNetBytes)
-	return d, nil
+	term("output replicas", d.OutputReplicaBytes, "")
+	if d.CacheHitFrac > 0 {
+		term("cache discount", d.HitDiscountBytes, fmt.Sprintf("  (%.0f%% hits, already off the fetch)", 100*d.CacheHitFrac))
+	}
+	if d.TailNum != d.TailDen {
+		fmt.Fprintf(&b, "  %-18s %14.2f × on fetch and exchange\n", "tail inflation", float64(d.TailNum)/float64(d.TailDen))
+	}
+	if a.UnservableStrips > 0 {
+		fmt.Fprintf(&b, "  %-18s %14d with no live copy\n", "unservable strips", a.UnservableStrips)
+	}
+	term("offload total", d.OffloadNetBytes, "")
+	term("normal I/O", d.NormalNetBytes, "")
+	if d.Stages > 0 {
+		term("per-pass offload", d.PerPassNetBytes, "")
+		term("halo lower bound", d.LowerBoundBytes, "")
+	}
+	fmt.Fprintf(&b, "  verdict: %s\n", d.Reason)
+	return b.String()
 }
 
 // ReplicaBytes returns the bytes a replica-maintaining layout moves

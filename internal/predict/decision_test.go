@@ -140,7 +140,7 @@ func TestRecommendLayoutTightBudget(t *testing.T) {
 }
 
 func TestDecideCachedFlipsHostileStride(t *testing.T) {
-	// The same hostile stride DecideRejectsHostileStride uses: cache-blind
+	// The same hostile stride TestDecideRejectsHostileStride uses: cache-blind
 	// it must reject, but once the halo-strip cache reports a high enough
 	// hit fraction the discounted fetch term beats normal I/O and the
 	// request flips to an accepted offload.
@@ -150,7 +150,7 @@ func TestDecideCachedFlipsHostileStride(t *testing.T) {
 	p := testParams(8, 1024)
 	lay := layout.NewRoundRobin(4)
 
-	cold, err := DecideCached(pat, p, lay, 0)
+	cold, err := Estimate(Kernel(pat), p, lay, Observations{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,10 @@ func TestDecideCachedFlipsHostileStride(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cold.OffloadNetBytes != blind.OffloadNetBytes || cold.Offload != blind.Offload {
-		t.Errorf("DecideCached(0) != Decide: %+v vs %+v", cold, blind)
+		t.Errorf("zero observations != Decide: %+v vs %+v", cold, blind)
 	}
 
-	warm, err := DecideCached(pat, p, lay, 0.9)
+	warm, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +187,14 @@ func TestDecideCachedClampsHitFraction(t *testing.T) {
 	pat := features.Pattern{Name: "n", Offsets: []features.Offset{{Const: -8}, {Const: 8}}}
 	p := testParams(8, 1024)
 	lay := layout.NewRoundRobin(4)
-	over, err := DecideCached(pat, p, lay, 1.5)
+	over, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if over.CacheHitFrac != 1 || over.OffloadNetBytes < 0 {
 		t.Errorf("hitFrac 1.5 not clamped: %+v", over)
 	}
-	under, err := DecideCached(pat, p, lay, -0.5)
+	under, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: -0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestDecideCachedClampsHitFraction(t *testing.T) {
 }
 
 func TestDecideTailInflatesFetchTerm(t *testing.T) {
-	// A marginal accept under DecideCached: warm cache flips the hostile
+	// A marginal accept with the cache observed: warm hits flip the hostile
 	// stride to offload. A congested fetch tail must flip it back, a
 	// healthy tail must leave it untouched.
 	pat := features.Pattern{Name: "hostile", Offsets: []features.Offset{
@@ -214,12 +214,12 @@ func TestDecideTailInflatesFetchTerm(t *testing.T) {
 	lay := layout.NewRoundRobin(4)
 	const latHigh = 500 * sim.Microsecond
 
-	base, err := DecideCached(pat, p, lay, 0.9)
+	base, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9})
 	if err != nil || !base.Offload {
 		t.Fatalf("fixture no longer marginal-accepts: %+v err=%v", base, err)
 	}
 
-	healthy, err := DecideTail(pat, p, lay, 0.9, 200*sim.Microsecond, latHigh)
+	healthy, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9, FetchP99: 200 * sim.Microsecond, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDecideTailInflatesFetchTerm(t *testing.T) {
 		t.Errorf("healthy tail changed the decision: %+v vs %+v", healthy, base)
 	}
 
-	congested, err := DecideTail(pat, p, lay, 0.9, 4*sim.Millisecond, latHigh)
+	congested, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9, FetchP99: 4 * sim.Millisecond, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +243,11 @@ func TestDecideTailInflatesFetchTerm(t *testing.T) {
 	}
 
 	// The inflation is capped at 4x: an absurd tail prices the same as 4x.
-	capped, err := DecideTail(pat, p, lay, 0.9, sim.Second, latHigh)
+	capped, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9, FetchP99: sim.Second, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
-	at4x, err := DecideTail(pat, p, lay, 0.9, 4*latHigh, latHigh)
+	at4x, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9, FetchP99: 4 * latHigh, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestDecideTailInflatesFetchTerm(t *testing.T) {
 
 	// Locally-resolvable layouts never pay fetches, so the tail is moot.
 	local := features.Pattern{Name: "independent", Offsets: nil}
-	ld, err := DecideTail(local, p, lay, 0, sim.Second, latHigh)
+	ld, err := Estimate(Kernel(local), p, lay, Observations{HitFrac: 0, FetchP99: sim.Second, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,16 +279,16 @@ func TestDecideTailCapBoundaryExact(t *testing.T) {
 	const latHigh = 500 * sim.Microsecond
 	const hitFrac = 0.9
 
-	base, err := DecideCached(pat, p, lay, hitFrac)
+	base, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: hitFrac})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := int64(float64(base.Analysis.StripFetchBytes) * (1 - hitFrac))
+	fetch := base.FetchBytes
 	if fetch <= 0 {
 		t.Fatalf("fixture has no fetch bytes: %+v", base.Analysis)
 	}
 
-	at, err := DecideTail(pat, p, lay, hitFrac, 4*latHigh, latHigh)
+	at, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: hitFrac, FetchP99: 4 * latHigh, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestDecideTailCapBoundaryExact(t *testing.T) {
 			at.Offload, at.OffloadNetBytes, at.NormalNetBytes)
 	}
 
-	just, err := DecideTail(pat, p, lay, hitFrac, 4*latHigh+1, latHigh)
+	just, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: hitFrac, FetchP99: 4*latHigh + 1, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,14 +328,14 @@ func TestDecideTailHugeFetchDoesNotOverflow(t *testing.T) {
 		OutputFactor: 1,
 	}
 	lay := layout.NewRoundRobin(8)
-	base, err := DecideCached(pat, p, lay, 0)
+	base, err := Estimate(Kernel(pat), p, lay, Observations{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !base.Offload {
 		t.Fatalf("fixture no longer marginal-accepts before inflation: %+v", base)
 	}
-	d, err := DecideTail(pat, p, lay, 0, 4*sim.Second, sim.Second)
+	d, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0, FetchP99: 4 * sim.Second, LatencyHigh: sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

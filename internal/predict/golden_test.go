@@ -1,0 +1,247 @@
+package predict_test
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"github.com/hpcio/das/internal/experiments"
+	"github.com/hpcio/das/internal/features"
+	"github.com/hpcio/das/internal/kernels"
+	"github.com/hpcio/das/internal/layout"
+	"github.com/hpcio/das/internal/pipeline"
+	"github.com/hpcio/das/internal/predict"
+	"github.com/hpcio/das/internal/sim"
+)
+
+const goldenLatHigh = 500 * sim.Microsecond
+
+// goldenSize is a file geometry of the matrix. The small one sums Eq. (5)
+// exactly and carries every observation; the large one takes the periodic
+// estimate and is priced with nothing observed.
+type goldenSize struct {
+	name     string
+	observed bool
+	p        predict.Params
+}
+
+var goldenSizes = []goldenSize{
+	{"small", true, predict.Params{ElemSize: 8, StripSize: 64, FileSize: 64 * 64, Width: 8, OutputFactor: 1}},
+	{"large", false, predict.Params{ElemSize: 8, StripSize: 4096, FileSize: 2048 * 4096, Width: 512, OutputFactor: 1}},
+}
+
+func goldenLayouts(strips int64) []layout.Layout {
+	moves := layout.NewMoveSet(strips)
+	for s := int64(0); s < strips/2; s++ {
+		moves.Set(s)
+	}
+	return []layout.Layout{
+		layout.NewRoundRobin(4),
+		layout.NewGrouped(4, 4),
+		layout.NewGroupedReplicated(4, 4, 2),
+		layout.NewMigrating(layout.NewRoundRobin(4), layout.NewGroupedReplicated(4, 4, 2), moves),
+	}
+}
+
+func goldenPatterns(p predict.Params) []features.Pattern {
+	eps := p.StripSize / p.ElemSize
+	hostile := features.Pattern{Name: "hostile"}
+	for _, k := range []int64{1, 2, 3} {
+		hostile.Offsets = append(hostile.Offsets, features.Stride(k*eps)...)
+	}
+	return []features.Pattern{
+		{Name: "independent"},
+		{Name: "stencil", Offsets: features.EightNeighbor()},
+		{Name: "aligned", Offsets: features.Stride(16 * eps)},
+		hostile,
+	}
+}
+
+type goldenTail struct {
+	name string
+	p99  sim.Time
+	high sim.Time
+}
+
+var (
+	goldenHits  = []float64{-1, 0, 0.5, 1, 2}
+	goldenTails = []goldenTail{
+		{"off", 0, 0},
+		{"below", 200 * sim.Microsecond, goldenLatHigh},
+		{"1.5x", 750 * sim.Microsecond, goldenLatHigh},
+		{"4x", 4 * goldenLatHigh, goldenLatHigh},
+		{"beyond", sim.Second, goldenLatHigh},
+	}
+)
+
+type goldenDown struct {
+	name string
+	set  map[int]bool
+}
+
+var goldenDowns = []goldenDown{
+	{"none", nil},
+	{"s1", map[int]bool{1: true}},
+	{"s1+s2", map[int]bool{1: true, 2: true}},
+}
+
+func kernelRow(d predict.Decision) string {
+	return fmt.Sprintf("offload=%v net=%d normal=%d hitfrac=%g unservable=%d local=%v reason=%q",
+		d.Offload, d.OffloadNetBytes, d.NormalNetBytes, d.CacheHitFrac,
+		d.Analysis.UnservableStrips, d.Analysis.LocalByLayout, d.Reason)
+}
+
+func pipelineRow(d predict.Decision) string {
+	return fmt.Sprintf("offload=%v net=%d normal=%d perpass=%d hitfrac=%g reason=%q",
+		d.Offload, d.OffloadNetBytes, d.NormalNetBytes, d.PerPassNetBytes, d.CacheHitFrac, d.Reason)
+}
+
+type goldenRow struct {
+	line string
+	d    predict.Decision
+}
+
+// goldenRows prices the matrix testdata/decisions.golden was recorded over,
+// in the file's order. The first word of a row names the entry point the
+// parent commit answered it with (Decide and the four it had beside it: a
+// hit fraction, a hit fraction and a tail, a down-set, a pipeline spec);
+// every one of them is Estimate with those observations now.
+func goldenRows(t *testing.T) []goldenRow {
+	t.Helper()
+	var rows []goldenRow
+	add := func(d predict.Decision, err error, render func(predict.Decision) string, format string, args ...any) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, goldenRow{fmt.Sprintf(format, args...) + " -> " + render(d), d})
+	}
+	for _, sz := range goldenSizes {
+		for _, lay := range goldenLayouts(sz.p.FileSize / sz.p.StripSize) {
+			for _, pat := range goldenPatterns(sz.p) {
+				cell := fmt.Sprintf("size=%s lay=%s pat=%s", sz.name, lay.Name(), pat.Name)
+				k := predict.Kernel(pat)
+				d, err := predict.Decide(pat, sz.p, lay)
+				add(d, err, kernelRow, "decide %s", cell)
+				if !sz.observed {
+					continue
+				}
+				for _, hit := range goldenHits {
+					d, err := predict.Estimate(k, sz.p, lay, predict.Observations{HitFrac: hit})
+					add(d, err, kernelRow, "cached %s hit=%g", cell, hit)
+					for _, tl := range goldenTails {
+						d, err := predict.Estimate(k, sz.p, lay, predict.Observations{HitFrac: hit, FetchP99: tl.p99, LatencyHigh: tl.high})
+						add(d, err, kernelRow, "tail %s hit=%g tail=%s", cell, hit, tl.name)
+					}
+				}
+				for _, dn := range goldenDowns {
+					set := dn.set
+					d, err := predict.Estimate(k, sz.p, lay, predict.Observations{Down: func(srv int) bool { return set[srv] }})
+					add(d, err, kernelRow, "degraded %s down=%s", cell, dn.name)
+				}
+			}
+		}
+	}
+
+	// The terrain chain the pipeline experiment runs, compiled the way core
+	// compiles it, on the two layouts that experiment uses.
+	p := predict.Params{ElemSize: 8, StripSize: 4096, FileSize: 256 * 4096, Width: 512, OutputFactor: 1}
+	for _, lay := range []layout.Layout{layout.NewRoundRobin(4), layout.NewGroupedReplicated(4, 4, 2)} {
+		lc := layout.NewLocator(p.ElemSize, p.StripSize, lay)
+		pl, err := pipeline.Compile(experiments.PipelineDAG(), kernels.Default(), kernels.DefaultCombiners(),
+			kernels.DefaultReducers(), p.Width, pipeline.LocalHaloOf(lay, lc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hit := range goldenHits {
+			for _, tl := range goldenTails {
+				d, err := predict.Estimate(pl.Spec(), p, lay, predict.Observations{HitFrac: hit, FetchP99: tl.p99, LatencyHigh: tl.high})
+				add(d, err, pipelineRow, "pipeline lay=%s hit=%g tail=%s", lay.Name(), hit, tl.name)
+			}
+		}
+	}
+	return rows
+}
+
+// TestEstimateReproducesRecordedDecisions holds Estimate to what the five
+// entry points it replaced returned at the commit before it, over layouts ×
+// patterns × hit fractions × tails × down-sets. The file was written by
+// those entry points and is not regenerated.
+//
+// One thing is meant to differ. The parent decided LocalByLayout from the
+// element-level sum, which calls a dependence that leaves the file local
+// although the kernel clamps it to the boundary element and reads that
+// element's strip, and which samples the wrong period for a migrating
+// layout. On such a cell the parent answered "all dependencies resolve
+// locally" while its own strip walk, in the same decision, priced fetches
+// — and the LocalOnly run that claim selects fails on the first of them
+// (core.TestAlignedStrideOffloadsAtTheEdges). Those rows are recognised by
+// exactly that contradiction, must now say local=false, and are counted.
+func TestEstimateReproducesRecordedDecisions(t *testing.T) {
+	raw, err := os.ReadFile("testdata/decisions.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	rows := goldenRows(t)
+	if len(rows) != len(want) {
+		t.Fatalf("matrix has %d rows, golden %d", len(rows), len(want))
+	}
+	contradicted := 0
+	for i, r := range rows {
+		if r.line == want[i] {
+			continue
+		}
+		pricedFetches := r.d.FetchBytes+r.d.HitDiscountBytes > 0
+		if strings.Contains(want[i], " local=true ") && pricedFetches && !r.d.Analysis.LocalByLayout {
+			contradicted++
+			continue
+		}
+		t.Errorf("row %d:\n got %s\nwant %s", i+1, r.line, want[i])
+	}
+	// 7 cells: the aligned stride on the three static layouts at both sizes
+	// (clamped edges) and the 3×3 stencil on the large migrating layout
+	// (period). The small ones carry 1 + 5 + 25 rows each.
+	if contradicted != 3*31+4 {
+		t.Errorf("%d rows contradict the parent's locality claim, want %d", contradicted, 3*31+4)
+	}
+}
+
+// TestLocalityDefinitionsAgreeOffTheEdges is the property the switch of
+// LocalByLayout from the element-level sum to the strip walk rests on:
+// over the matrix's healthy, static cells the two agree, except where a
+// dependence leaves the file — there the sum says local and the walk finds
+// the clamped boundary strip, and only that.
+func TestLocalityDefinitionsAgreeOffTheEdges(t *testing.T) {
+	for _, sz := range goldenSizes {
+		strips := sz.p.FileSize / sz.p.StripSize
+		for _, lay := range goldenLayouts(strips) {
+			if _, migrating := lay.(*layout.Migrating); migrating {
+				continue
+			}
+			for _, pat := range goldenPatterns(sz.p) {
+				a, err := predict.Analyze(pat, sz.p, lay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (a.RemoteDeps == 0) == a.LocalByLayout {
+					continue
+				}
+				if a.RemoteDeps != 0 {
+					t.Errorf("%s %s %s: strip walk local, element sum %d", sz.name, lay.Name(), pat.Name, a.RemoteDeps)
+					continue
+				}
+				lc := layout.NewLocator(sz.p.ElemSize, sz.p.StripSize, lay)
+				for _, f := range predict.FetchPlan(lc, pat.Resolve(sz.p.Width), sz.p.FileSize) {
+					for _, r := range f.Remote {
+						if r != 0 && r != strips-1 {
+							t.Errorf("%s %s %s: strip %d fetches interior strip %d though no element dependence is remote",
+								sz.name, lay.Name(), pat.Name, f.Strip, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,10 +2,8 @@ package predict
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/hpcio/das/internal/layout"
-	"github.com/hpcio/das/internal/sim"
 )
 
 // PipelineStage describes one DAG node, in topological order, for
@@ -40,40 +38,18 @@ type PipelineSpec struct {
 	DAGBack, DAGFwd int64
 }
 
-// PipelineDecision prices a whole-DAG pushdown against running the same
-// DAG one kernel per pass.
-type PipelineDecision struct {
-	// Stages is the DAG size; FusedStages counts stages that needed no
-	// exchange round of their own (fused into the prefix, or zero-reach).
-	Stages, FusedStages int
-	// FetchBytes is the first dispatch's remote input-halo traffic after
-	// the cache-hit discount; ExchangeBytes the summed per-stage
-	// intermediate boundary bands; WritebackReplicaBytes the final
-	// output's replica maintenance.
-	FetchBytes, ExchangeBytes, WritebackReplicaBytes int64
-	// PipelineNetBytes is the pushdown's predicted interconnect traffic
-	// (fetch + exchange, tail-inflated, plus writeback replicas).
-	PipelineNetBytes int64
-	// PerPassNetBytes prices the per-pass offloaded alternative: each
-	// stage's own halo fetch plus full replica writeback of every
-	// intermediate raster.
-	PerPassNetBytes int64
-	// NormalNetBytes prices the traditional-storage alternative: every
-	// pass ships the raster to a compute node and back.
-	NormalNetBytes int64
-	// LowerBoundBytes is the composed-offset halo minimum for this DAG
-	// under this strip assignment — the floor achieved halo traffic is
-	// reported against.
-	LowerBoundBytes int64
-	// CacheHitFrac is the byte hit fraction the fetch term was discounted
-	// by; TailNum/TailDen the (capped) tail inflation applied to moving
-	// bytes, 1/1 when the tail is healthy.
-	CacheHitFrac     float64
-	TailNum, TailDen uint64
-	// Offload accepts the pushdown over traditional storage;
-	// BeatsPerPass additionally ranks it under the per-pass offload.
-	Offload, BeatsPerPass bool
-	Reason                string
+// FusedStages counts the stages a run avoids dispatching separately: the
+// fused prefix beyond its first stage plus every later zero-reach stage
+// (reduces, element-wise combines), which never pulls and folds into its
+// parent's round.
+func (spec PipelineSpec) FusedStages() int {
+	fused := spec.PrefixLen - 1
+	for _, st := range spec.Stages[spec.PrefixLen:] {
+		if st.Back == 0 && st.Fwd == 0 {
+			fused++
+		}
+	}
+	return fused
 }
 
 // cutPositions returns the element index of every assignment boundary:
@@ -134,137 +110,73 @@ func LocalHaloElems(lay layout.Layout, lc layout.Locator) int64 {
 	return 0
 }
 
-// DecidePipeline prices a whole operator DAG for server-side pushdown and
-// decides it in one shot, instead of one accept/reject per kernel: the
-// fused prefix's input halo (discounted by the cache hit fraction), each
-// later stage's intermediate boundary bands, and the final writeback's
-// replica maintenance, against both the per-pass offload (which writes
-// every intermediate raster back with replicas) and traditional storage
-// (which ships every raster to a compute node and back). A congested
-// fetch tail inflates the moving bytes by p99/latHigh, capped at 4× and
-// compared cross-multiplied like DecideTail.
-func DecidePipeline(spec PipelineSpec, p Params, lay layout.Layout, hitFrac float64, p99, latHigh sim.Time) (PipelineDecision, error) {
-	if err := p.validate(); err != nil {
-		return PipelineDecision{}, err
-	}
+// price prices a whole operator DAG for server-side pushdown, decided in
+// one shot instead of one accept/reject per kernel: the fused prefix's
+// input halo, each later stage's intermediate boundary bands, and the final
+// writeback's replica maintenance, against both the per-pass offload (which
+// writes every intermediate raster back with replicas) and traditional
+// storage (which ships every raster to a compute node and back).
+func (spec PipelineSpec) price(d *Decision, p Params, lc layout.Locator, _ func(srv int) bool) error {
 	if len(spec.Stages) == 0 {
-		return PipelineDecision{}, fmt.Errorf("predict: pipeline with no stages")
+		return fmt.Errorf("predict: pipeline with no stages")
 	}
 	if spec.PrefixLen < 1 || spec.PrefixLen > len(spec.Stages) {
-		return PipelineDecision{}, fmt.Errorf("predict: fused prefix %d out of [1,%d]", spec.PrefixLen, len(spec.Stages))
+		return fmt.Errorf("predict: fused prefix %d out of [1,%d]", spec.PrefixLen, len(spec.Stages))
 	}
-	if hitFrac < 0 {
-		hitFrac = 0
-	}
-	if hitFrac > 1 {
-		hitFrac = 1
-	}
-	lc := layout.NewLocator(p.ElemSize, p.StripSize, lay)
 	cuts := cutPositions(lc, p.FileSize)
 	total := p.TotalElems()
-	halo := LocalHaloElems(lay, lc)
-
-	d := PipelineDecision{Stages: len(spec.Stages), CacheHitFrac: hitFrac, TailNum: 1, TailDen: 1}
-
-	// First dispatch: the fused prefix's composed halo, minus what the
-	// layout already replicated locally, fetched at band granularity.
-	fb := spec.PrefixBack - halo
-	if fb < 0 {
-		fb = 0
+	halo := LocalHaloElems(lc.Layout, lc)
+	// band prices a (back, fwd) reach pulled across every cut, beyond what
+	// the layout already replicated locally.
+	band := func(back, fwd, prepaid int64) int64 {
+		return bandBytesAcrossCuts(cuts, total, p.ElemSize, max(back-prepaid, 0), max(fwd-prepaid, 0))
 	}
-	ff := spec.PrefixFwd - halo
-	if ff < 0 {
-		ff = 0
-	}
-	rawFetch := bandBytesAcrossCuts(cuts, total, p.ElemSize, fb, ff)
-	d.FetchBytes = int64(float64(rawFetch) * (1 - hitFrac))
+	d.Analysis = Analysis{Layout: lc.Layout.Name()}
+	d.InputReplicaBytes = 0 // placed at ingest; kernel pricing charges it all the same (DESIGN.md §3.1)
+	d.Stages, d.FusedStages = len(spec.Stages), spec.FusedStages()
+	d.LowerBoundBytes = band(spec.DAGBack, spec.DAGFwd, 0)
 
-	// Later rounds: each unfused stage pulls its own-reach band across
-	// every cut. Zero-reach stages (reduces, element-wise combines) never
-	// pull and count as fused.
-	d.FusedStages = spec.PrefixLen - 1
-	for i, st := range spec.Stages {
-		if i < spec.PrefixLen {
-			continue
-		}
-		if st.Back == 0 && st.Fwd == 0 {
-			d.FusedStages++
-			continue
-		}
-		d.ExchangeBytes += bandBytesAcrossCuts(cuts, total, p.ElemSize, st.Back, st.Fwd)
+	// First dispatch: the fused prefix's composed halo, fetched at band
+	// granularity. Later rounds: each unfused stage pulls its own-reach
+	// band of its parent's output, which no replica prepaid.
+	d.FetchBytes = band(spec.PrefixBack, spec.PrefixFwd, halo)
+	for _, st := range spec.Stages[spec.PrefixLen:] {
+		d.ExchangeBytes += band(st.Back, st.Fwd, 0)
 	}
-
-	outBytes := int64(float64(p.FileSize) * p.OutputFactor)
-	d.WritebackReplicaBytes = int64(float64(ReplicaBytes(lc, p.FileSize)) * p.OutputFactor)
 
 	// Alternatives. Per-pass offload: every stage fetches its own halo
 	// beyond the local coverage and every raster-producing stage pays
 	// replica writeback of its output. Traditional storage: every pass
 	// ships the raster down and the result back (the reduce returns only
-	// an aggregate).
-	gridStages := 0
+	// an aggregate, but still reads the raster).
+	outBytes := int64(float64(p.FileSize) * p.OutputFactor)
 	for _, st := range spec.Stages {
 		if st.Reduce {
 			continue
 		}
-		gridStages++
-		b := st.Back - halo
-		if b < 0 {
-			b = 0
-		}
-		f := st.Fwd - halo
-		if f < 0 {
-			f = 0
-		}
-		d.PerPassNetBytes += bandBytesAcrossCuts(cuts, total, p.ElemSize, b, f)
+		d.PerPassNetBytes += band(st.Back, st.Fwd, halo) + d.OutputReplicaBytes
 		d.NormalNetBytes += p.FileSize + outBytes
 	}
-	d.PerPassNetBytes += int64(gridStages) * d.WritebackReplicaBytes
 	if spec.Stages[len(spec.Stages)-1].Reduce {
-		d.NormalNetBytes += p.FileSize // the reduce pass still reads the raster
+		d.NormalNetBytes += p.FileSize
 	}
+	return nil
+}
 
-	lb, err := PipelineLowerBound(p, lay, spec.DAGBack, spec.DAGFwd)
-	if err != nil {
-		return PipelineDecision{}, err
-	}
-	d.LowerBoundBytes = lb
-
-	// Tail inflation on the moving (fetch + exchange) bytes, verdicts via
-	// exact cross-multiplication.
-	num, den := uint64(1), uint64(1)
-	if latHigh > 0 && p99 > latHigh {
-		num, den = uint64(p99), uint64(latHigh)
-		if num > 4*den {
-			num = 4 * den
-		}
-	}
-	d.TailNum, d.TailDen = num, den
-	moving := uint64(d.FetchBytes + d.ExchangeBytes)
-	fixed := uint64(d.WritebackReplicaBytes)
-	infHi, infLo := bits.Mul64(moving, num)
-	d.PipelineNetBytes = d.WritebackReplicaBytes + div128(infHi, infLo, den)
-
-	lhsHi, lhsLo := mulAdd128(moving, num, fixed, den)
-	normHi, normLo := bits.Mul64(uint64(d.NormalNetBytes), den)
-	perHi, perLo := bits.Mul64(uint64(d.PerPassNetBytes), den)
-	d.Offload = lhsHi < normHi || (lhsHi == normHi && lhsLo < normLo)
-	// A network-byte tie prefers the pushdown: per-pass additionally
-	// writes and re-reads every intermediate raster on disk, which the
-	// interconnect model does not price.
-	d.BeatsPerPass = lhsHi < perHi || (lhsHi == perHi && lhsLo <= perLo)
-
+func (spec PipelineSpec) reason(d *Decision, obs Observations) string {
+	var r string
 	switch {
 	case !d.Offload:
-		d.Reason = fmt.Sprintf("rejected: pushdown would move %d bytes vs %d for normal I/O", d.PipelineNetBytes, d.NormalNetBytes)
+		r = fmt.Sprintf("rejected: pushdown would move %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
 	case !d.BeatsPerPass:
-		d.Reason = fmt.Sprintf("pushdown moves %d bytes but per-pass offload moves %d; prefer per-pass", d.PipelineNetBytes, d.PerPassNetBytes)
+		r = fmt.Sprintf("pushdown moves %d bytes but per-pass offload moves %d; prefer per-pass", d.OffloadNetBytes, d.PerPassNetBytes)
 	default:
-		d.Reason = fmt.Sprintf("pushdown moves %d bytes vs %d per-pass and %d normal (%d-stage DAG, %d fused, lower bound %d)",
-			d.PipelineNetBytes, d.PerPassNetBytes, d.NormalNetBytes, d.Stages, d.FusedStages, d.LowerBoundBytes)
+		r = fmt.Sprintf("pushdown moves %d bytes vs %d per-pass and %d normal (%d-stage DAG, %d fused, lower bound %d)",
+			d.OffloadNetBytes, d.PerPassNetBytes, d.NormalNetBytes, d.Stages, d.FusedStages, d.LowerBoundBytes)
 	}
-	if num != den {
-		d.Reason += fmt.Sprintf(" — fetch p99 %v vs threshold %v inflates moving bytes %.2f×", p99, latHigh, float64(num)/float64(den))
+	if d.TailNum != d.TailDen {
+		r += fmt.Sprintf(" — fetch p99 %v vs threshold %v inflates moving bytes %.2f×",
+			obs.FetchP99, obs.LatencyHigh, float64(d.TailNum)/float64(d.TailDen))
 	}
-	return d, nil
+	return r
 }

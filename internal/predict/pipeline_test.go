@@ -67,7 +67,7 @@ func chainSpec() PipelineSpec {
 func TestDecidePipelinePricesStagesAndFusesZeroReach(t *testing.T) {
 	p := pipeParams()
 	lay := layout.NewRoundRobin(2) // cuts at 4, 8, 12
-	d, err := DecidePipeline(chainSpec(), p, lay, 0, 0, 0)
+	d, err := Estimate(chainSpec(), p, lay, Observations{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestDecidePipelinePricesStagesAndFusesZeroReach(t *testing.T) {
 	if want := int64(2 * 3 * 4 * 8); d.ExchangeBytes != want {
 		t.Fatalf("exchange bytes = %d, want %d", d.ExchangeBytes, want)
 	}
-	if d.WritebackReplicaBytes != 0 {
-		t.Fatalf("round-robin writeback replicas = %d", d.WritebackReplicaBytes)
+	if d.OutputReplicaBytes != 0 {
+		t.Fatalf("round-robin writeback replicas = %d", d.OutputReplicaBytes)
 	}
 	// Normal I/O: three raster passes at 2×128 plus the reduce's read.
 	if want := int64(3*256 + 128); d.NormalNetBytes != want {
@@ -106,7 +106,7 @@ func TestDecidePipelineReplicatedLayoutDiscountsPrefix(t *testing.T) {
 	spec := chainSpec()
 	spec.PrefixLen = 2 // two stages fused: composed reach 4 ≤ local halo 4
 	spec.PrefixBack, spec.PrefixFwd = 4, 4
-	d, err := DecidePipeline(spec, p, lay, 0, 0, 0)
+	d, err := Estimate(spec, p, lay, Observations{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +120,12 @@ func TestDecidePipelineReplicatedLayoutDiscountsPrefix(t *testing.T) {
 	if want := int64(3 * 4 * 8); d.ExchangeBytes != want {
 		t.Fatalf("exchange bytes = %d, want %d", d.ExchangeBytes, want)
 	}
-	if d.WritebackReplicaBytes <= 0 {
+	if d.OutputReplicaBytes <= 0 {
 		t.Fatal("replicated layout must charge writeback replicas")
 	}
-	if d.PerPassNetBytes <= d.PipelineNetBytes {
+	if d.PerPassNetBytes <= d.OffloadNetBytes {
 		t.Fatalf("per-pass (%d) should cost more than pipelined (%d): intermediates replicate",
-			d.PerPassNetBytes, d.PipelineNetBytes)
+			d.PerPassNetBytes, d.OffloadNetBytes)
 	}
 	if !d.Offload || !d.BeatsPerPass {
 		t.Fatalf("DAS pipeline should win: %+v", d)
@@ -135,7 +135,7 @@ func TestDecidePipelineReplicatedLayoutDiscountsPrefix(t *testing.T) {
 func TestDecidePipelineCacheDiscountAndTailCap(t *testing.T) {
 	p := pipeParams()
 	lay := layout.NewRoundRobin(2)
-	warm, err := DecidePipeline(chainSpec(), p, lay, 1, 0, 0)
+	warm, err := Estimate(chainSpec(), p, lay, Observations{HitFrac: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,24 +144,24 @@ func TestDecidePipelineCacheDiscountAndTailCap(t *testing.T) {
 	}
 
 	const latHigh = 500 * sim.Microsecond
-	at, err := DecidePipeline(chainSpec(), p, lay, 0, 4*latHigh, latHigh)
+	at, err := Estimate(chainSpec(), p, lay, Observations{FetchP99: 4 * latHigh, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
-	above, err := DecidePipeline(chainSpec(), p, lay, 0, 4*latHigh+1, latHigh)
+	above, err := Estimate(chainSpec(), p, lay, Observations{FetchP99: 4*latHigh + 1, LatencyHigh: latHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if at.PipelineNetBytes != above.PipelineNetBytes || at.Offload != above.Offload {
+	if at.OffloadNetBytes != above.OffloadNetBytes || at.Offload != above.Offload {
 		t.Fatalf("×4 cap boundary diverges: %d/%v vs %d/%v",
-			at.PipelineNetBytes, at.Offload, above.PipelineNetBytes, above.Offload)
+			at.OffloadNetBytes, at.Offload, above.OffloadNetBytes, above.Offload)
 	}
-	cold, err := DecidePipeline(chainSpec(), p, lay, 0, 0, 0)
+	cold, err := Estimate(chainSpec(), p, lay, Observations{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cold.WritebackReplicaBytes + 4*(cold.FetchBytes+cold.ExchangeBytes); at.PipelineNetBytes != want {
-		t.Fatalf("capped inflation = %d, want exactly 4× moving bytes = %d", at.PipelineNetBytes, want)
+	if want := cold.OutputReplicaBytes + 4*(cold.FetchBytes+cold.ExchangeBytes); at.OffloadNetBytes != want {
+		t.Fatalf("capped inflation = %d, want exactly 4× moving bytes = %d", at.OffloadNetBytes, want)
 	}
 	if !strings.Contains(at.Reason, "inflates") {
 		t.Fatalf("Reason = %q", at.Reason)
@@ -171,16 +171,16 @@ func TestDecidePipelineCacheDiscountAndTailCap(t *testing.T) {
 func TestDecidePipelineValidation(t *testing.T) {
 	p := pipeParams()
 	lay := layout.NewRoundRobin(2)
-	if _, err := DecidePipeline(PipelineSpec{}, p, lay, 0, 0, 0); err == nil {
+	if _, err := Estimate(PipelineSpec{}, p, lay, Observations{}); err == nil {
 		t.Error("empty spec accepted")
 	}
 	spec := chainSpec()
 	spec.PrefixLen = 0
-	if _, err := DecidePipeline(spec, p, lay, 0, 0, 0); err == nil {
+	if _, err := Estimate(spec, p, lay, Observations{}); err == nil {
 		t.Error("zero prefix accepted")
 	}
 	spec.PrefixLen = 9
-	if _, err := DecidePipeline(spec, p, lay, 0, 0, 0); err == nil {
+	if _, err := Estimate(spec, p, lay, Observations{}); err == nil {
 		t.Error("oversized prefix accepted")
 	}
 }

@@ -65,40 +65,56 @@ type Analysis struct {
 	RemoteDeps   int64   // Σ aj over all elements and offsets
 	BWCostBytes  int64   // E · Σ aj
 	RemoteFrac   float64 // fraction of (element, offset) pairs that are remote
-	Approximated bool    // true when the periodic estimate was used
+	Approximated bool    // the periodic estimate was used, or (servers down) no sum was taken
 
 	// Strip-level cost: what an active storage run actually moves.
 	StripFetches    int64 // whole-strip transfers between servers
 	StripFetchBytes int64
 
-	// UnservableStrips counts strips with no copy on any live server.
-	// Always zero for the healthy-cluster Analyze; AnalyzeDegraded fills it
-	// in, and any non-zero value vetoes offloading.
+	// UnservableStrips counts strips with no copy on any live server: owned
+	// strips nobody can process plus dependent strips nobody can serve.
+	// Zero on a healthy cluster; any non-zero value vetoes offloading.
 	UnservableStrips int64
 
-	// LocalByLayout is true when every dependence of every element
-	// resolves on its processing server (the aj ≡ 0 case; under the
-	// improved distribution this is the paper's Eq. (17) holding).
+	// LocalByLayout is true when the strip walk finds nothing to fetch and
+	// nothing unservable — exactly what an active.LocalOnly run needs. The
+	// element-level sum above can say zero where this says false: Eq. (5)
+	// counts a dependence that leaves the file as local, while the kernel
+	// clamps it to the boundary element and so reads that element's strip;
+	// and the periodic estimate knows no period for a migrating layout.
 	LocalByLayout bool
 }
 
 // Analyze computes the bandwidth cost of offloading the operator with the
-// given dependence pattern against a concrete layout.
+// given dependence pattern against a concrete layout on a healthy cluster.
 func Analyze(pat features.Pattern, p Params, lay layout.Layout) (Analysis, error) {
 	if err := p.validate(); err != nil {
 		return Analysis{}, err
 	}
-	lc := layout.NewLocator(p.ElemSize, p.StripSize, lay)
-	offs := pat.Resolve(p.Width)
-	total := p.TotalElems()
+	return analyze(pat, p, layout.NewLocator(p.ElemSize, p.StripSize, lay), nil), nil
+}
 
-	a := Analysis{Pattern: pat, Layout: lay.Name()}
-	a.RemoteDeps, a.Approximated = remoteDeps(lc, offs, total)
-	a.BWCostBytes = a.RemoteDeps * p.ElemSize
-	if n := total * int64(len(offs)); n > 0 {
-		a.RemoteFrac = float64(a.RemoteDeps) / float64(n)
+// analyze runs the strip walk and, on a healthy cluster (down == nil), the
+// element-level sum. With servers down only the strip-level cost is
+// computed — Eq. (5) assumes the healthy placement — and the analysis is
+// marked Approximated.
+func analyze(pat features.Pattern, p Params, lc layout.Locator, down func(srv int) bool) Analysis {
+	offs := pat.Resolve(p.Width)
+	a := Analysis{Pattern: pat, Layout: lc.Layout.Name()}
+	var live func(srv int) bool
+	if down != nil {
+		live = func(srv int) bool { return !down(srv) }
+		a.Approximated = true
+	} else {
+		total := p.TotalElems()
+		a.RemoteDeps, a.Approximated = remoteDeps(lc, offs, total)
+		a.BWCostBytes = a.RemoteDeps * p.ElemSize
+		if n := total * int64(len(offs)); n > 0 {
+			a.RemoteFrac = float64(a.RemoteDeps) / float64(n)
+		}
 	}
-	plan := FetchPlan(lc, offs, p.FileSize)
+	var plan []StripFetch
+	plan, a.UnservableStrips = fetchPlan(lc, offs, p.FileSize, live)
 	for _, f := range plan {
 		a.StripFetches += int64(len(f.Remote))
 		for _, t := range f.Remote {
@@ -106,8 +122,8 @@ func Analyze(pat features.Pattern, p Params, lay layout.Layout) (Analysis, error
 			a.StripFetchBytes += hi - lo
 		}
 	}
-	a.LocalByLayout = a.RemoteDeps == 0
-	return a, nil
+	a.LocalByLayout = a.StripFetches == 0 && a.UnservableStrips == 0
+	return a
 }
 
 // remoteDeps computes Σ aj. Small problems are summed exactly; large ones
@@ -203,7 +219,7 @@ func periodElems(lc layout.Locator) int64 {
 // transfer to process it.
 type StripFetch struct {
 	Strip  int64   // the primary strip being processed
-	Owner  int     // its primary server
+	Owner  int     // the server processing it: its primary, or first live holder
 	Remote []int64 // strips to fetch from other servers, ascending
 }
 
@@ -255,23 +271,47 @@ func NeededStrips(dst []int64, lc layout.Locator, offs []int64, e0, e1, total in
 // is exactly the fetch sequence the simulator's active storage servers
 // execute, so predicted strip traffic equals measured traffic.
 func FetchPlan(lc layout.Locator, offs []int64, fileSize int64) []StripFetch {
+	plan, _ := fetchPlan(lc, offs, fileSize, nil)
+	return plan
+}
+
+// fetchPlan is the one strip walk. Each strip is processed by its first
+// live holder — the primary on a healthy cluster (live == nil), the rule
+// the degraded execution path uses otherwise — and dependence that owner
+// does not hold is a whole-strip fetch. A strip with no live holder has no
+// entry in the plan, a dependent strip with none is not fetched, and both
+// are counted unservable.
+func fetchPlan(lc layout.Locator, offs []int64, fileSize int64, live func(srv int) bool) (plan []StripFetch, unservable int64) {
+	if live == nil {
+		live = func(int) bool { return true }
+	}
 	total := fileSize / lc.ElemSize
 	strips := lc.Strips(fileSize)
-	plan := make([]StripFetch, 0, strips)
+	plan = make([]StripFetch, 0, strips)
+	var needed []int64
 	for s := int64(0); s < strips; s++ {
-		owner := lc.Layout.Primary(s)
+		owner, ok := layout.FirstLiveHolder(lc.Layout, s, live)
+		if !ok {
+			unservable++
+			continue
+		}
 		lo, hi := lc.StripBounds(s, fileSize)
 		e0, e1 := lo/lc.ElemSize, (hi+lc.ElemSize-1)/lc.ElemSize
 		f := StripFetch{Strip: s, Owner: owner}
-		for _, t := range NeededStrips(nil, lc, offs, e0, e1, total) {
+		needed = NeededStrips(needed, lc, offs, e0, e1, total)
+		for _, t := range needed {
 			if t == s || layout.Holds(lc.Layout, t, owner) {
+				continue
+			}
+			if _, ok := layout.FirstLiveHolder(lc.Layout, t, live); !ok {
+				unservable++
 				continue
 			}
 			f.Remote = append(f.Remote, t)
 		}
 		plan = append(plan, f)
 	}
-	return plan
+	return plan, unservable
 }
 
 // Eq17 implements the paper's offloading criterion for a pure stride

@@ -102,17 +102,34 @@ func TestBWCostMatchesEq5(t *testing.T) {
 func TestStrideLocalWhenEq17Holds(t *testing.T) {
 	// stride·E = 2 group spans with D=2... choose: E=8, strip=64, r=1,
 	// D=2, stride=16 elements → stride·E=128 bytes = 2 strips = D·1
-	// groups: Eq. 17 holds and the analysis must agree.
+	// groups: Eq. 17 holds and the element-level sum must agree.
 	if !Eq17(16, 8, 64, 1, 2) {
 		t.Fatal("Eq17 should hold for stride 16, r=1, D=2")
 	}
 	pat := features.Pattern{Name: "stride", Offsets: features.Stride(16)}
-	a, err := Analyze(pat, testParams(8, 512), layout.NewRoundRobin(2))
+	p := testParams(8, 512)
+	a, err := Analyze(pat, p, layout.NewRoundRobin(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.LocalByLayout {
-		t.Errorf("Eq17-aligned stride not local: %+v", a)
+	if a.RemoteDeps != 0 {
+		t.Errorf("Eq17-aligned stride has remote dependencies: %+v", a)
+	}
+	// Eq. (17) speaks of the file's interior. Within a stride of either
+	// end the dependence leaves the file and the kernel clamps it to the
+	// boundary element, so strips there read the first or last strip —
+	// and nothing else — from whoever holds it. That is why the strip walk,
+	// not the element sum, says whether a LocalOnly run can succeed.
+	last := p.FileSize/p.StripSize - 1
+	for _, f := range FetchPlan(layout.NewLocator(p.ElemSize, p.StripSize, layout.NewRoundRobin(2)), pat.Resolve(p.Width), p.FileSize) {
+		for _, r := range f.Remote {
+			if r != 0 && r != last {
+				t.Errorf("strip %d fetches interior strip %d under an Eq17-aligned stride", f.Strip, r)
+			}
+		}
+	}
+	if a.LocalByLayout || a.StripFetches != 2 {
+		t.Errorf("want exactly the two clamped edge fetches and no locality claim: %+v", a)
 	}
 }
 

@@ -186,9 +186,6 @@ type Migrator struct {
 	fs    *pfs.FileSystem
 	cfg   Config
 	stats *metrics.Restripe
-	// inner is the chained strip-invalidation listener (the halo-strip
-	// cache manager when both subsystems are enabled).
-	inner pfs.StripInvalidator
 
 	observed  map[string]int64
 	active    map[string]*Migration
@@ -236,12 +233,6 @@ func (m *Migrator) Config() Config { return m.cfg }
 
 // Counters returns the migration counter collector.
 func (m *Migrator) Counters() *metrics.Restripe { return m.stats }
-
-// SetInner chains a downstream strip-invalidation listener: the migrator
-// forwards every notification to it before doing its own bookkeeping, so
-// the halo-strip cache keeps seeing all strip mutations when both
-// subsystems are enabled.
-func (m *Migrator) SetInner(inv pfs.StripInvalidator) { m.inner = inv }
 
 // Watcher observes migration lifecycle transitions. The unified p99
 // controller implements it to start its post-restripe cool-down: every
@@ -619,12 +610,8 @@ func (m *Migrator) release(src int, targets []int, bytes int64) {
 // InvalidateStrip receives every strip mutation from the pfs write path.
 // The migrator consumes the notifications its own target copies fire
 // (expect tokens) and treats any excess as a foreign write racing the
-// move, which dirties the copy so it is repeated with fresh bytes. All
-// notifications are forwarded to the chained listener first.
+// move, which dirties the copy so it is repeated with fresh bytes.
 func (m *Migrator) InvalidateStrip(file string, strip int64) {
-	if m.inner != nil {
-		m.inner.InvalidateStrip(file, strip)
-	}
 	mig, ok := m.active[file]
 	if !ok {
 		return
@@ -640,12 +627,8 @@ func (m *Migrator) InvalidateStrip(file string, strip int64) {
 	mv.dirty = true
 }
 
-// InvalidateFile cancels any migration of a deleted file and forwards the
-// notification.
+// InvalidateFile cancels any migration of a deleted file.
 func (m *Migrator) InvalidateFile(file string) {
-	if m.inner != nil {
-		m.inner.InvalidateFile(file)
-	}
 	mig, ok := m.active[file]
 	if !ok {
 		return
