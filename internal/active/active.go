@@ -328,10 +328,6 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 			}
 		}
 		if fetchErr != nil {
-			// The sibling fetches still delivered pooled copies.
-			for _, got := range results {
-				pfs.ReleaseBuffer(got.data)
-			}
 			band.Release()
 			return fail(fetchErr)
 		}
@@ -343,7 +339,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 				resp.RemoteFetches++
 				resp.RemoteBytes += int64(len(got.data))
 			}
-			band.Lend(got.gotLo/in.ElemSize, got.data) // held until the kernel has returned
+			band.Lend(got.gotLo/in.ElemSize, got.data) // the owner's strip or a cache entry's window of it: never released
 		}
 		resp.Phases.Fetch += p.Now() - fetchStart
 		if clu.Trace != nil && len(remotes) > 0 {
@@ -356,14 +352,10 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		// executor only spreads the host-CPU work across cores; the
 		// simulated cost below is unchanged. The output is allocated once,
 		// as the memory the store will hold: nothing writes it after the
-		// kernel returns. Only then do the fetched buffers the band was
-		// reading in place go back to the pool.
+		// kernel returns.
 		outVals := make([]float64, e1-e0)
 		kernels.ParallelApplyBand(k, band, outVals)
 		band.Release()
-		for _, got := range results {
-			pfs.ReleaseBuffer(got.data)
-		}
 		computeStart := p.Now()
 		p.Sleep(clu.ComputeTime(e1-e0, k.Weight()))
 		resp.Phases.Compute += p.Now() - computeStart
@@ -422,8 +414,8 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 // consulted first: a hit serves the range from local memory (free on the
 // DES clock — the bytes already sit on this node); a miss pays the remote
 // fetch, then feeds the bytes and the observed latency back to the cache.
-// Either way data is a pooled buffer the caller's band reads in place: the
-// caller releases it once the kernel has returned.
+// Either way data is lent — the owner's stored strip or a cache entry's
+// window of it — for the caller's band to read in place.
 func (svc *Service) fetchRemote(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, mode FetchMode, t, needLo, needHi int64) (data []byte, gotLo int64, hit bool, err error) {
 	if mode == LocalOnly {
 		return nil, 0, false, fmt.Errorf("active: server %d needs strip %d of %q but mode is local-only (layout violates the locality the predictor verified)",

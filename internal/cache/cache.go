@@ -1,6 +1,6 @@
 // Package cache implements the adaptive halo-strip cache subsystem: a
-// bounded, byte-budgeted cache per storage server holding copies of the
-// *remote* strips the server fetched to satisfy dependence halos during
+// bounded, byte-budgeted cache per storage server holding the *remote*
+// strips the server fetched to satisfy dependence halos during
 // offloaded execution, plus a cluster-wide manager (manager.go) that
 // watches per-server hit rates and observed fetch latencies on the DES
 // clock and tunes which strips stay pinned.
@@ -16,10 +16,11 @@
 //
 // Correctness rules:
 //
-//   - Entries are pool-backed copies the cache owns from admission to
-//     release; it never aliases a caller's buffer. Get returns a
-//     pool-backed copy of its own that the consumer releases as usual, so
-//     a later eviction of the entry cannot touch bytes a hit handed out.
+//   - An entry holds what the fetch returned by reference: a window of
+//     the owner's stored strip, immutable and lent (pfs.ReadStripFrom).
+//     The cache never writes it, Get hands the same window on, and the
+//     budget counts the bytes an entry stands for. A hit taken before an
+//     eviction, invalidation or restart purge keeps reading what it read.
 //   - A write to a strip invalidates every cached copy of it cluster-wide
 //     (the pfs write path calls Manager.InvalidateStrip from storePut).
 //   - A server restart purges its cache: caches are memory, and PR 2's
@@ -35,7 +36,6 @@ import (
 	"sort"
 
 	"github.com/hpcio/das/internal/metrics"
-	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -156,9 +156,9 @@ func (c *ServerCache) checkIncarnation() {
 }
 
 // Get looks up bytes [lo, hi) of a strip (relative to the strip start)
-// and, on a hit, returns a pool-backed copy the caller releases with
-// pfs.ReleaseBuffer. A resident entry only hits when it covers the whole
-// requested range.
+// and, on a hit, returns them as a window of the entry, lent as the fetch
+// that admitted it was: read-only, nothing to release. A resident entry
+// only hits when it covers the whole requested range.
 func (c *ServerCache) Get(file string, strip, lo, hi int64) ([]byte, bool) {
 	c.checkIncarnation()
 	k := Key{File: file, Strip: strip}
@@ -166,8 +166,6 @@ func (c *ServerCache) Get(file string, strip, lo, hi int64) ([]byte, bool) {
 	if !ok || lo < e.lo || hi > e.hi {
 		return nil, false
 	}
-	out := pfs.AcquireBuffer(hi - lo)
-	copy(out, e.data[lo-e.lo:hi-e.lo])
 	e.winHits++
 	e.hits++
 	c.winHits++
@@ -175,8 +173,7 @@ func (c *ServerCache) Get(file string, strip, lo, hi int64) ([]byte, bool) {
 	c.stats.Hits++
 	c.stats.HitBytes += hi - lo
 	c.agg.AddHit(hi - lo)
-	//das:transfer -- hit copies leave with the caller, who releases them like a fetched strip
-	return out, true
+	return e.data[lo-e.lo : hi-e.lo : hi-e.lo], true
 }
 
 // RecordMiss accounts a lookup the cache could not serve; bytes is what
@@ -194,10 +191,10 @@ func (c *ServerCache) RecordMiss(bytes int64, lat sim.Time) {
 	c.winFetchLat += lat
 }
 
-// Put admits a copy of bytes [lo, hi) of a strip (relative to the strip
-// start). The cache copies data; the caller keeps ownership of its slice.
-// Entries larger than the budget are not admitted. An existing entry for
-// the key is replaced only when the new range covers more bytes.
+// Put admits bytes [lo, hi) of a strip (relative to the strip start).
+// The cache keeps data by reference, so it must be immutable: a lent read
+// result. Entries larger than the budget are not admitted. An existing
+// entry for the key is replaced only when the new range covers more bytes.
 func (c *ServerCache) Put(file string, strip, lo int64, data []byte) {
 	c.checkIncarnation()
 	size := int64(len(data))
@@ -221,9 +218,7 @@ func (c *ServerCache) Put(file string, strip, lo int64, data []byte) {
 		c.stats.Evictions++
 		c.agg.AddEviction(ve.hi - ve.lo)
 	}
-	//das:transfer -- the entry owns its pooled copy; release returns it on every exit (evict, replace, invalidate, restart purge)
-	e := &entry{data: pfs.AcquireBuffer(size), lo: lo, hi: lo + size, winFetch: 1}
-	copy(e.data, data)
+	e := &entry{data: data, lo: lo, hi: lo + size, winFetch: 1}
 	c.entries[k] = e
 	c.used += size
 	c.pol.Insert(k, size)
@@ -243,14 +238,13 @@ func (c *ServerCache) removeEntry(k Key, e *entry, evicted bool) {
 }
 
 // release is the one exit of a resident entry: it settles the byte
-// accounting and hands the entry's copy back to the buffer pool. Hits
-// already taken are unaffected — Get returned its own copy.
+// accounting and lets the entry's window go. Hits already taken keep
+// theirs.
 func (c *ServerCache) release(e *entry) {
 	c.used -= e.hi - e.lo
 	if e.pinned {
 		c.pinned -= e.hi - e.lo
 	}
-	pfs.ReleaseBuffer(e.data)
 	e.data = nil
 }
 

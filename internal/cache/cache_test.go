@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/hpcio/das/internal/bufpool"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -13,26 +14,31 @@ func newTestCache(budget int64, incFn func() uint64) *ServerCache {
 	return newServerCache(0, budget, budget/2, pol, incFn, nil)
 }
 
-func TestCacheGetReturnsCopyOfCoveredRange(t *testing.T) {
+// TestCacheGetLendsTheAdmittedWindow is the cache's side of the lent-read
+// contract: what Put is given is an immutable read result, kept by
+// reference, and a hit is a window of it — no copy in, no copy out, and no
+// spare capacity through which an append could reach the rest.
+func TestCacheGetLendsTheAdmittedWindow(t *testing.T) {
 	c := newTestCache(1024, nil)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	c.Put("f", 3, 0, data)
-	data[0] = 99 // the cache must have copied
+	c.Put("f", 3, 16, data) // covers [16, 24)
 
-	got, ok := c.Get("f", 3, 0, 8)
+	got, ok := c.Get("f", 3, 16, 24)
 	if !ok {
 		t.Fatal("whole-range lookup missed")
 	}
-	if got[0] != 1 {
-		t.Error("cache aliased the caller's buffer")
+	if &got[0] != &data[0] || len(got) != len(data) {
+		t.Error("a hit is not the admitted window itself")
 	}
-	got[7] = 42 // the returned copy must not alias the cache
-	again, _ := c.Get("f", 3, 6, 8)
-	if again[1] != 8 {
-		t.Error("returned buffer aliased the cached bytes")
+	sub, ok := c.Get("f", 3, 18, 21)
+	if !ok || !bytes.Equal(sub, []byte{3, 4, 5}) {
+		t.Fatalf("sub-range = %v, %v", sub, ok)
 	}
-	if sub, ok := c.Get("f", 3, 2, 5); !ok || !bytes.Equal(sub, []byte{3, 4, 5}) {
-		t.Errorf("sub-range = %v, %v", sub, ok)
+	if &sub[0] != &data[2] {
+		t.Error("a sub-range hit is not a window of the admitted bytes")
+	}
+	if cap(sub) != len(sub) {
+		t.Errorf("hit has spare capacity %d: an append would write into the entry", cap(sub)-len(sub))
 	}
 }
 
@@ -179,10 +185,12 @@ func TestCacheRecordMissFeedsWindow(t *testing.T) {
 }
 
 // TestCacheHitSurvivesEvictionOfItsKey pins the ownership rule behind
-// pooled entries: every exit of an entry returns its bytes to the buffer
-// pool, where the very next admission picks them up and overwrites them.
-// A hit handed out earlier is a copy of its own and must not change.
+// lent entries: an entry's exit — eviction, replacement, invalidation,
+// restart purge — only lets its window go. With every pool Put poisoned,
+// a hit handed out earlier, and the slice the cache was given, read what
+// they read before: the cache never writes, or releases, what it holds.
 func TestCacheHitSurvivesEvictionOfItsKey(t *testing.T) {
+	defer bufpool.PoisonPuts()()
 	const size = 4096
 	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, size) }
 	exits := []struct {
@@ -197,15 +205,15 @@ func TestCacheHitSurvivesEvictionOfItsKey(t *testing.T) {
 	for _, x := range exits {
 		name, exit := x.name, x.exit
 		c := newTestCache(size, nil)
-		c.Put("f", 1, 0, fill(1)[:size-1])
+		given := fill(1)[:size-1]
+		c.Put("f", 1, 0, given)
 		hit, ok := c.Get("f", 1, 0, size-1)
 		if !ok {
 			t.Fatalf("%s: resident entry missed", name)
 		}
 		exit(c)
-		// Whatever the exit freed, the next admission reuses.
 		c.Put("g", 7, 0, fill(9))
-		if !bytes.Equal(hit, fill(1)[:size-1]) {
+		if !bytes.Equal(hit, fill(1)[:size-1]) || !bytes.Equal(given, fill(1)[:size-1]) {
 			t.Errorf("%s: bytes of an earlier hit changed after its entry left the cache", name)
 		}
 	}
@@ -224,10 +232,10 @@ func TestCacheHitSurvivesEvictionOfItsKey(t *testing.T) {
 	}
 }
 
-// TestCachePutEvictCyclesAllocateNoPayload: at steady state every
-// admission evicts one entry and reuses its pooled bytes, so a cycle
-// allocates bookkeeping (the entry, the policy's list node) and nothing
-// proportional to the strip.
+// TestCachePutEvictCyclesAllocateNoPayload: an admission keeps the bytes
+// it is given by reference, so a Put/evict cycle allocates bookkeeping
+// (the entry, the policy's list node) and nothing proportional to the
+// strip.
 func TestCachePutEvictCyclesAllocateNoPayload(t *testing.T) {
 	const size = 64 << 10
 	c := newTestCache(4*size, nil)
@@ -251,6 +259,6 @@ func TestCachePutEvictCyclesAllocateNoPayload(t *testing.T) {
 		t.Fatalf("only %d evictions over %d cycles: not at steady state", s.Evictions, cycles)
 	}
 	if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle > size/64 {
-		t.Errorf("a Put/evict cycle allocates %d bytes for a %d-byte strip; the entry's copy should come from the pool", perCycle, size)
+		t.Errorf("a Put/evict cycle allocates %d bytes for a %d-byte strip; an entry should hold its bytes by reference", perCycle, size)
 	}
 }

@@ -190,9 +190,9 @@ func (m *Manager) Stop() {
 	m.started = false
 }
 
-// Get serves bytes [lo, hi) of a strip from server srv's cache. Hits are
-// free on the DES clock: the data already sits in the server's memory, so
-// the simulated cost is the in-memory copy the caller performs anyway.
+// Get serves bytes [lo, hi) of a strip from server srv's cache, lent
+// (ServerCache.Get). Hits are free on the DES clock: the data already sits
+// in the server's memory.
 func (m *Manager) Get(srv int, file string, strip, lo, hi int64) ([]byte, bool) {
 	c := m.Server(srv)
 	if c == nil {
@@ -206,8 +206,9 @@ func (m *Manager) Get(srv int, file string, strip, lo, hi int64) ([]byte, bool) 
 }
 
 // RecordFetch accounts a remote halo fetch server srv had to perform —
-// a cache miss — and admits a copy of the fetched bytes. lat is the
-// observed DES latency of the fetch, which drives the tuning loop.
+// a cache miss — and admits the fetched bytes, by reference: data is the
+// lent read result. lat is the observed DES latency of the fetch, which
+// drives the tuning loop.
 func (m *Manager) RecordFetch(srv int, file string, strip, lo int64, data []byte, lat sim.Time) {
 	c := m.Server(srv)
 	if c == nil {

@@ -50,6 +50,25 @@ func newSystem(t *testing.T, scheme Scheme, g *grid.Grid) *System {
 	return s
 }
 
+// TestIngestGridLeavesTheRasterWithItsCaller: IngestGrid hands the file
+// system a view of the raster, not an encoding of its own, so it is the
+// primaries' copy on entry that keeps the file apart from what the caller
+// does to its grid afterwards.
+func TestIngestGridLeavesTheRasterWithItsCaller(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	want := g.Clone()
+	s := newSystem(t, NAS, g)
+	defer s.Close()
+	clear(g.Data)
+	got, err := s.FetchGrid("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Error("the ingested file changed when the caller reused its raster")
+	}
+}
+
 // TestSchemesProduceIdenticalOutputs is the headline functional invariant:
 // all three schemes compute exactly the sequential reference.
 func TestSchemesProduceIdenticalOutputs(t *testing.T) {

@@ -8,17 +8,19 @@ import (
 	"github.com/hpcio/das/internal/fault"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
+	"github.com/hpcio/das/internal/pfs"
+	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/workload"
 )
 
 // TestOutputsSurvivePoisonedPools runs the offload paths with every pool
 // scribbling over whatever is returned to it. The store keeps kernel
-// output and replica forwards by reference and lends its slices to the
-// kernels reading them, so none of that memory may ever reach a pool; and
-// a band reads the pooled buffers of its remote fetches and cache hits in
-// place, so none of those may reach the pool before the kernel over it
-// has returned. If either happened the outputs would hold the poison
-// instead of the reference.
+// output and replica forwards by reference and lends its slices to every
+// reader — the kernel on the holder, a remote fetch, the halo cache, a
+// client — so none of that memory may ever reach a pool; and a band's own
+// pooled windows may not reach one before the kernel over it has
+// returned. If either happened the outputs would hold the poison instead
+// of the reference.
 func TestOutputsSurvivePoisonedPools(t *testing.T) {
 	defer bufpool.PoisonPuts()()
 	g := workload.Terrain(testW, testH, 5)
@@ -52,11 +54,39 @@ func TestOutputsSurvivePoisonedPools(t *testing.T) {
 		}
 	})
 
+	t.Run("release-shim", func(t *testing.T) {
+		// bench/probes.go still hands what it read to pfs.ReleaseBuffer.
+		// A read result is a window of the owner's stored strip: if the
+		// shim fed a pool, the poison would land in the file.
+		s := ingested(t, g, layout.NewRoundRobin(4))
+		defer s.Close()
+		m, _ := s.FS.Meta("in")
+		if _, err := s.run("read-release", func(p *sim.Proc) error {
+			for strip := int64(0); strip < m.Strips(); strip++ {
+				data, err := s.FS.ReadStripFrom(p, s.Clu.ComputeID(0), m.Layout.Primary(strip), "in", strip, 0, 0)
+				if err != nil {
+					return err
+				}
+				pfs.ReleaseBuffer(data)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.FetchGrid("in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(g) {
+			t.Fatal("releasing read results changed the stored file under poisoned pools")
+		}
+	})
+
 	t.Run("nas", func(t *testing.T) {
-		// Every run's band is lent the pooled buffers of its dependent
-		// strips: remote fetches and, with a cache too small to keep what
-		// it admits, hits whose entries are evicted (their own buffers
-		// scribbled) by the sibling fetches the exec is parked on.
+		// Every run's band is lent its dependent strips where they lie:
+		// the owners' stored strips and, with a cache too small to keep
+		// what it admits, hits whose entries are evicted by the sibling
+		// fetches the exec is parked on.
 		k, _ := kernels.Default().Lookup("flow-routing")
 		want := kernels.Apply(k, g)
 		s := ingested(t, g, layout.NewRoundRobin(4))
@@ -71,7 +101,7 @@ func TestOutputsSurvivePoisonedPools(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rep.Stats.RemoteFetches == 0 {
-				t.Fatal("NAS fetched nothing: the test would not reach the lent fetch buffers")
+				t.Fatal("NAS fetched nothing: the test would not reach the lent remote strips")
 			}
 			hits += rep.Stats.CacheHits
 			got, err := s.FetchGrid(out)

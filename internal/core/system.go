@@ -376,7 +376,9 @@ func (s *System) IngestGrid(name string, g *grid.Grid, lay layout.Layout, stripS
 	if err != nil {
 		return 0, err
 	}
-	data := g.Bytes()
+	// A view of the caller's raster: it is client memory before and after
+	// the call, and each primary copies its strips as they enter.
+	data := grid.Bytes(g.Data)
 	return s.run("ingest-"+name, func(p *sim.Proc) error {
 		return s.FS.NewClient(s.Clu.ComputeID(0)).WriteAll(p, name, data)
 	})

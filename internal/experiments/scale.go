@@ -99,7 +99,6 @@ func (c *scaleClient) readDone(data []byte, err error) {
 		panic(err)
 	}
 	c.sum = fnvMix(c.sum, stripSum(data))
-	pfs.ReleaseBuffer(data)
 	c.run.reads++
 	c.step()
 }

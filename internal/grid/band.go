@@ -143,11 +143,10 @@ func (b *Band) Narrow(start, end int64) *Band {
 // data range; what falls outside is ignored. Where the codec is a view
 // and raw is 8-byte aligned the window IS raw's memory: nothing is
 // copied, so raw must stay unwritten (and out of any pool) until the last
-// read of the band — a stored strip lent by pfs.Server.LocalViewMany
-// always is; a pooled fetch buffer is released after the kernel returns,
-// not before. On any other host, or for an unaligned raw, the window is
-// decoded into memory the band owns. Windows may arrive in any order but
-// may not overlap; len(raw) must be a multiple of ElemSize.
+// read of the band — a stored strip, lent by its holder to a local or a
+// remote reader, always is. On any other host, or for an unaligned raw,
+// the window is decoded into memory the band owns. Windows may arrive in
+// any order but may not overlap; len(raw) must be a multiple of ElemSize.
 func (b *Band) Lend(lo int64, raw []byte) {
 	if len(raw)%ElemSize != 0 {
 		panic(fmt.Sprintf("grid: byte length %d not a multiple of element size %d", len(raw), ElemSize))

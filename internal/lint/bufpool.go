@@ -16,22 +16,27 @@ var Bufpool = &Analyzer{
 	Name: "bufpool",
 	Doc: `require a Put on every return path for each bufpool Get, and no use after Put
 
-Tracked acquire/release pairs: bufpool.Pool.Get/Put, pfs.AcquireBuffer/
-ReleaseBuffer, and grid.GetFloats/PutFloats. The check is per function: a buffer that legitimately changes owner —
-returned to the caller, stored in a message, handed to a struct — must be
-annotated at the escape site with '//das:transfer -- reason', which makes
-the new owner responsible for the Put. The analysis is a conservative
-walk of the function's statement structure (if/for/switch joins, defers,
-early returns); when it cannot prove a release on some path it says so
-rather than staying silent.
+Tracked acquire/release pairs: bufpool.Pool.Get/Put and grid.GetFloats/
+PutFloats; pfs.ReleaseBuffer, a shim kept for bench/, counts as a release
+so that reaching it is a finding. The check is per function: a buffer that
+legitimately changes owner — returned to the caller, stored in a message,
+handed to a struct — must be annotated at the escape site with
+'//das:transfer -- reason', which makes the new owner responsible for the
+Put. The analysis is a conservative walk of the function's statement
+structure (if/for/switch joins, defers, early returns); when it cannot
+prove a release on some path it says so rather than staying silent.
 
-One more role has no release at all: the chunks pfs.Server.LocalViewMany
-returns are borrowed — windows of the immutable stored strips, lent to a
-server-local reader. Within the borrowing function (closures included) it
-is a finding for a chunk, or anything sliced, indexed, ranged or assigned
-from one, to reach a release call, to be the destination of copy, or to
-be assigned through an index: the first would hand a file's contents to
-the pool, the other two would edit them in place.
+One more role has no release at all: what a read returns is borrowed — a
+window of an immutable stored strip, lent to the reader. That is every
+read: pfs.Server.LocalViewMany and LocalRead on the holder,
+pfs.FileSystem.ReadStripFrom and ReadSpansFrom from anywhere, a halo-cache
+Get. Borrowed-ness follows the value through the package: slicing,
+indexing, ranging and assignment, a struct field it is stored in
+(readResp.Data, a signal payload's data field), and the result of a
+function that returns it. It is a finding for borrowed memory to reach a
+release call, to be the destination of copy, or to be assigned through an
+index: the first would hand a file's contents to the pool, the other two
+would edit them in place.
 
 grid.Band.Lend and LendValues keep a view of the buffer they are given. A
 borrowed chunk may be lent freely (it is never released); a pooled buffer
@@ -48,6 +53,7 @@ release of them.`,
 var (
 	bufpoolPkg = ModulePath + "/internal/bufpool"
 	pfsPkg     = ModulePath + "/internal/pfs"
+	cachePkg   = ModulePath + "/internal/cache"
 	gridPkg    = ModulePath + "/internal/grid"
 )
 
@@ -58,7 +64,7 @@ const (
 	roleNone    poolRole = iota
 	roleAcquire          // returns a pooled buffer the caller now owns
 	roleRelease          // arg 0 returns to the pool
-	roleBorrow           // returns views of stored strips: read-only, never released
+	roleBorrow           // result 0 is a view of stored strips: read-only, never released
 )
 
 func classifyCall(pass *Pass, call *ast.CallExpr) poolRole {
@@ -72,14 +78,19 @@ func classifyCallInfo(info *types.Info, call *ast.CallExpr) poolRole {
 	}
 	switch {
 	case methodIs(fn, bufpoolPkg, "Pool", "Get"),
-		pkgFuncIs(fn, pfsPkg, "AcquireBuffer"),
 		pkgFuncIs(fn, gridPkg, "GetFloats"):
 		return roleAcquire
 	case methodIs(fn, bufpoolPkg, "Pool", "Put"),
 		pkgFuncIs(fn, pfsPkg, "ReleaseBuffer"),
 		pkgFuncIs(fn, gridPkg, "PutFloats"):
 		return roleRelease
-	case methodIs(fn, pfsPkg, "Server", "LocalViewMany"):
+	case methodIs(fn, pfsPkg, "Server", "view"),
+		methodIs(fn, pfsPkg, "Server", "LocalViewMany"),
+		methodIs(fn, pfsPkg, "Server", "LocalRead"),
+		methodIs(fn, pfsPkg, "FileSystem", "ReadStripFrom"),
+		methodIs(fn, pfsPkg, "FileSystem", "ReadSpansFrom"),
+		methodIs(fn, cachePkg, "ServerCache", "Get"),
+		methodIs(fn, cachePkg, "Manager", "Get"):
 		return roleBorrow
 	}
 	return roleNone
@@ -90,6 +101,7 @@ func runBufpool(pass *Pass) error {
 	case bufpoolPkg:
 		return nil // the pool's own implementation hands slices across Get/Put by design
 	}
+	var decls []*ast.FuncDecl
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
@@ -101,8 +113,8 @@ func runBufpool(pass *Pass) error {
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkFuncBuffers(pass, n.Body)
-					checkBorrows(pass, n.Body)
 					checkLends(pass, n.Body)
+					decls = append(decls, n)
 				}
 			case *ast.FuncLit:
 				checkFuncBuffers(pass, n.Body)
@@ -110,6 +122,7 @@ func runBufpool(pass *Pass) error {
 			return true
 		})
 	}
+	checkBorrows(pass, decls)
 	return nil
 }
 
@@ -663,21 +676,41 @@ func (w *bufWalk) nodeState(n ast.Node, st bufState) bufState {
 	return st
 }
 
-// checkBorrows enforces the read-only contract of lent store memory in
-// one function declaration, nested closures included (they share its
-// variables). It is flow-insensitive: a variable that ever holds borrowed
-// memory is borrowed throughout.
-func checkBorrows(pass *Pass, body *ast.BlockStmt) {
+// checkBorrows enforces the read-only contract of lent store memory over
+// one package's function declarations, nested closures included (they
+// share their declaration's variables). It is flow-insensitive: a
+// variable, a struct field or a function result that ever holds borrowed
+// memory is borrowed throughout the package, which is how a window read in
+// one function is still known when another takes it out of the message or
+// signal payload it rode in.
+func checkBorrows(pass *Pass, decls []*ast.FuncDecl) {
+	info := pass.Info
 	borrowed := make(map[types.Object]bool)
-	// isBorrowed reports whether e is a borrow call's result or a window
-	// (x, x[i], x[a:b]) of a borrowed variable.
+	// borrowedResult reports whether result i of call is borrowed: result 0
+	// of a read, or a result this package's own function returns borrowed
+	// memory through.
+	borrowedResult := func(call *ast.CallExpr, i int) bool {
+		if classifyCall(pass, call) == roleBorrow {
+			return i == 0
+		}
+		if fn := calleeFunc(info, call); fn != nil {
+			if res := fn.Type().(*types.Signature).Results(); i < res.Len() {
+				return borrowed[res.At(i)]
+			}
+		}
+		return false
+	}
+	// isBorrowed reports whether e is a borrowed result, a borrowed field,
+	// or a window (x, x[i], x[a:b]) of a borrowed variable.
 	isBorrowed := func(e ast.Expr) bool {
 		for {
 			switch x := ast.Unparen(e).(type) {
 			case *ast.CallExpr:
-				return classifyCall(pass, x) == roleBorrow
+				return borrowedResult(x, 0)
 			case *ast.Ident:
-				return borrowed[pass.Info.ObjectOf(x)]
+				return borrowed[info.ObjectOf(x)]
+			case *ast.SelectorExpr:
+				return borrowed[info.Uses[x.Sel]]
 			case *ast.IndexExpr:
 				e = x.X
 			case *ast.SliceExpr:
@@ -688,72 +721,128 @@ func checkBorrows(pass *Pass, body *ast.BlockStmt) {
 		}
 	}
 	changed := true
-	bind := func(lhs, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok || !isBorrowed(rhs) {
-			return
-		}
-		if obj := pass.Info.ObjectOf(id); obj != nil && !borrowed[obj] && isBufferish(obj.Type()) {
+	mark := func(obj types.Object) {
+		if obj != nil && !borrowed[obj] && isBufferish(obj.Type()) {
 			borrowed[obj] = true
 			changed = true
 		}
 	}
-	for changed {
-		changed = false
+	// bind makes lhs — a variable or a struct field — borrowed.
+	bind := func(lhs ast.Expr) {
+		switch x := ast.Unparen(lhs).(type) {
+		case *ast.Ident:
+			mark(info.ObjectOf(x))
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+				mark(v)
+			}
+		}
+	}
+	// assign binds each left-hand side whose value is borrowed, spreading
+	// a call's results over `a, b := f()`.
+	assign := func(lhs, rhs []ast.Expr) {
+		if len(rhs) == 1 {
+			if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok {
+				for i, l := range lhs {
+					if borrowedResult(call, i) {
+						bind(l)
+					}
+				}
+				return
+			}
+		}
+		for i, r := range rhs {
+			if i < len(lhs) && isBorrowed(r) {
+				bind(lhs[i])
+			}
+		}
+	}
+	// propagate walks one function body; results are the result variables
+	// its return statements feed (nil inside a closure, whose callers the
+	// walk cannot name).
+	var propagate func(body *ast.BlockStmt, results *types.Tuple)
+	propagate = func(body *ast.BlockStmt, results *types.Tuple) {
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncLit:
+				propagate(n.Body, nil)
+				return false
 			case *ast.AssignStmt:
-				if len(n.Rhs) == 1 {
-					bind(n.Lhs[0], n.Rhs[0]) // also `chunks, err := srv.LocalViewMany(...)`
-				} else {
-					for i := range n.Rhs {
-						bind(n.Lhs[i], n.Rhs[i])
-					}
-				}
+				assign(n.Lhs, n.Rhs)
 			case *ast.ValueSpec:
-				for i, v := range n.Values {
-					if i < len(n.Names) {
-						bind(n.Names[i], v)
+				if len(n.Values) > 0 {
+					lhs := make([]ast.Expr, len(n.Names))
+					for i, name := range n.Names {
+						lhs[i] = name
 					}
+					assign(lhs, n.Values)
 				}
 			case *ast.RangeStmt:
-				if n.Value != nil {
-					bind(n.Value, n.X)
+				if n.Value != nil && isBorrowed(n.X) {
+					bind(n.Value)
+				}
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok && isBorrowed(kv.Value) {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[key].(*types.Var); ok && v.IsField() {
+								mark(v)
+							}
+						}
+					}
+				}
+			case *ast.ReturnStmt:
+				for i, r := range n.Results {
+					if results != nil && i < results.Len() && isBorrowed(r) {
+						mark(results.At(i))
+					}
 				}
 			}
 			return true
 		})
 	}
+	for changed {
+		changed = false
+		for _, d := range decls {
+			var results *types.Tuple
+			if fn, ok := info.Defs[d.Name].(*types.Func); ok {
+				results = fn.Type().(*types.Signature).Results()
+			}
+			propagate(d.Body, results)
+		}
+	}
 	if len(borrowed) == 0 {
 		return
 	}
-	const contract = "LocalViewMany lends windows of the stored strips themselves, read-only and never released"
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if len(n.Args) == 0 || !isBorrowed(n.Args[0]) {
-				return true
-			}
-			if classifyCall(pass, n) == roleRelease {
-				pass.Reportf(n.Pos(), "borrowed strip memory released to a pool: %s", contract)
-			} else if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "copy" {
-				if _, builtin := pass.Info.Uses[id].(*types.Builtin); builtin {
-					pass.Reportf(n.Pos(), "borrowed strip memory is the destination of copy: %s", contract)
+	const contract = "a read lends a window of the stored strip itself, read-only and never released"
+	for _, d := range decls {
+		ast.Inspect(d.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if len(n.Args) == 0 || !isBorrowed(n.Args[0]) {
+					return true
+				}
+				if classifyCall(pass, n) == roleRelease {
+					pass.Reportf(n.Pos(), "borrowed strip memory released to a pool: %s", contract)
+				} else if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "copy" {
+					if _, builtin := info.Uses[id].(*types.Builtin); builtin {
+						pass.Reportf(n.Pos(), "borrowed strip memory is the destination of copy: %s", contract)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isBorrowed(ix.X) {
+						pass.Reportf(lhs.Pos(), "borrowed strip memory is assigned through an index: %s", contract)
+					}
+				}
+			case *ast.IncDecStmt:
+				if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && isBorrowed(ix.X) {
+					pass.Reportf(n.X.Pos(), "borrowed strip memory is assigned through an index: %s", contract)
 				}
 			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isBorrowed(ix.X) {
-					pass.Reportf(lhs.Pos(), "borrowed strip memory is assigned through an index: %s", contract)
-				}
-			}
-		case *ast.IncDecStmt:
-			if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && isBorrowed(ix.X) {
-				pass.Reportf(n.X.Pos(), "borrowed strip memory is assigned through an index: %s", contract)
-			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 }
 
 // checkLends enforces that a buffer lent to a band — bytes by Lend, values

@@ -16,8 +16,8 @@ import (
 //
 // Struct-field nodes are keyed by type, not by instance, which is what
 // lets a hand-off ride a message with no mailbox modeling at all: the
-// producer stores into readResp.Data and the consumer loads from
-// readResp.Data, and both sides meet at the same node. The graph is
+// producer stores into the message's field and the consumer loads from
+// that field, and both sides meet at the same node. The graph is
 // flow-insensitive and existential by design — "does any path in any new
 // owner release this" — because the per-path, per-function discipline is
 // already bufpool's job; transfer's job is making sure an annotated
@@ -439,7 +439,7 @@ func (b *flowBuilder) callNodes(info *types.Info, call *ast.CallExpr, idx int) [
 	if classifyCallInfo(info, call) == roleRelease {
 		return nil
 	}
-	// Acquires resolve like any named call: linking result(AcquireBuffer, 0)
+	// Acquires resolve like any named call: linking result(GetFloats, 0)
 	// to the caller's variable is what discharges the transfer directive
 	// inside the acquire helper itself.
 	if key := funcKey(calleeFunc(info, call)); key != "" {

@@ -1,6 +1,7 @@
 package fakebuf
 
 import (
+	"github.com/hpcio/das/internal/cache"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/sim"
@@ -59,15 +60,83 @@ func borrowInClosure(p *sim.Proc, srv *pfs.Server, spans []pfs.Span) func() {
 	}
 }
 
-// The pooled read right next to it keeps its own contract: its copy IS
-// released, and may be written.
-func pooledReadStillReleases(p *sim.Proc, srv *pfs.Server, src []byte) error {
-	data, err := srv.LocalRead(p, "f", 0, 0, 0)
+// Every read lends: the holder's single-strip read, a remote read, a batch
+// of spans, a cache hit. A read-modify-write copies first and edits the
+// copy.
+func readsAreBorrowed(p *sim.Proc, fs *pfs.FileSystem, srv *pfs.Server, mgr *cache.Manager, src []byte) error {
+	local, err := srv.LocalRead(p, "f", 0, 0, 0)
 	if err != nil {
 		return err
 	}
-	copy(data, src)
-	data[0] = 1
-	pfs.ReleaseBuffer(data)
+	copy(local, src)         // want `borrowed strip memory is the destination of copy`
+	pfs.ReleaseBuffer(local) // want `borrowed strip memory released to a pool`
+
+	remote, err := fs.ReadStripFrom(p, 0, 1, "f", 0, 0, 0)
+	if err != nil {
+		return err
+	}
+	remote[0] = 1 // want `borrowed strip memory is assigned through an index`
+	full := make([]byte, len(remote))
+	copy(full, remote)
+	copy(full[8:], src)
+	full[0] = 1
+
+	spans, _ := fs.ReadSpansFrom(p, 0, 1, "f", nil)
+	for _, d := range spans {
+		copy(src, d)
+		pool.Put(d) // want `borrowed strip memory released to a pool`
+	}
+	if hit, ok := mgr.Get(0, "f", 0, 0, 8); ok {
+		pfs.ReleaseBuffer(hit) // want `borrowed strip memory released to a pool`
+	}
 	return nil
+}
+
+type resp struct{ Data []byte }
+
+type halo struct {
+	data []byte
+	lo   int64
+}
+
+// A window stays borrowed in the field that carries it to another
+// function — a response message, a signal payload — and through the
+// result of a function that returns it.
+func fillResp(p *sim.Proc, srv *pfs.Server, r *resp) {
+	data, _ := srv.LocalRead(p, "f", 0, 0, 0)
+	r.Data = data
+}
+
+func drainResp(r *resp) []byte {
+	data := r.Data
+	r.Data = nil
+	return data
+}
+
+func fetch(p *sim.Proc, fs *pfs.FileSystem) (data []byte, lo int64, err error) {
+	data, err = fs.ReadStripFrom(p, 0, 1, "f", 0, 0, 0)
+	return data, 8, err
+}
+
+func consume(p *sim.Proc, fs *pfs.FileSystem, r *resp, band *grid.Band) {
+	pfs.ReleaseBuffer(drainResp(r)) // want `borrowed strip memory released to a pool`
+	data, lo, _ := fetch(p, fs)
+	results := []halo{{data: data, lo: lo}}
+	for _, got := range results {
+		band.Lend(got.lo, got.data)
+	}
+	for _, got := range results {
+		pfs.ReleaseBuffer(got.data) // want `borrowed strip memory released to a pool`
+		got.data[0]++               // want `borrowed strip memory is assigned through an index`
+	}
+}
+
+// A struct that never carries a window is nobody's business.
+type owned struct{ buf []byte }
+
+func ownedOK(n int, src []byte) {
+	o := owned{buf: pool.Get(n)} //das:transfer -- released below through the field
+	copy(o.buf, src)
+	o.buf[0] = 1
+	pool.Put(o.buf)
 }

@@ -12,20 +12,20 @@ func kernel(b *grid.Band, out []float64) {}
 // band reads it in place.
 func lendHeld(n int64, out []float64) {
 	band := grid.NewBandLent(8, 64, 0, 64, 0, 64)
-	buf := pfs.AcquireBuffer(n)
+	buf := pool.Get(int(n))
 	band.Lend(0, buf)
 	kernel(band, out)
 	band.Release()
-	pfs.ReleaseBuffer(buf)
+	pool.Put(buf)
 }
 
 // Releasing it before the kernel call hands the pool memory the kernel is
 // about to read.
 func lendReleasedBeforeKernel(n int64, out []float64) {
 	band := grid.NewBandLent(8, 64, 0, 64, 0, 64)
-	buf := pfs.AcquireBuffer(n)
+	buf := pool.Get(int(n))
 	band.Lend(0, buf)
-	pfs.ReleaseBuffer(buf) // want `buffer lent to a band at line \d+ is released while the band is still in use \(line \d+\)`
+	pool.Put(buf) // want `buffer lent to a band at line \d+ is released while the band is still in use \(line \d+\)`
 	kernel(band, out)
 	band.Release()
 }
@@ -34,31 +34,6 @@ type fetched struct {
 	data []byte
 	lo   int64
 	err  error
-}
-
-// The shape of active.exec: fetch results are lent from one loop and
-// released from another. The error path's release comes before any Lend
-// and is fine; so is the release after the band is dropped.
-func lendResults(results []fetched, out []float64) error {
-	band := grid.NewBandLent(8, 64, 0, 64, 0, 64)
-	for _, got := range results {
-		if got.err != nil {
-			for _, sibling := range results {
-				pfs.ReleaseBuffer(sibling.data)
-			}
-			band.Release()
-			return got.err
-		}
-	}
-	for _, got := range results {
-		band.Lend(got.lo, got.data)
-	}
-	kernel(band, out)
-	band.Release()
-	for _, got := range results {
-		pfs.ReleaseBuffer(got.data)
-	}
-	return nil
 }
 
 // The buffer family follows ranges, fields, slicing and append.
@@ -71,7 +46,7 @@ func lendResultsReleasedEarly(results []fetched, out []float64) {
 		held = append(held, got.data)
 	}
 	for _, data := range held {
-		pfs.ReleaseBuffer(data) // want `buffer lent to a band at line \d+ is released while the band is still in use`
+		pool.Put(data) // want `buffer lent to a band at line \d+ is released while the band is still in use`
 	}
 	kernel(band, out)
 	band.Release()
@@ -88,11 +63,11 @@ func lendBorrowedAndPooled(p *sim.Proc, srv *pfs.Server, spans []pfs.Span, n int
 	for i, chunk := range chunks {
 		band.Lend(int64(i)*8, chunk)
 	}
-	buf := pfs.AcquireBuffer(n)
+	buf := pool.Get(int(n))
 	band.Lend(56, buf)
 	kernel(band, out)
 	band.Release()
-	pfs.ReleaseBuffer(buf)
+	pool.Put(buf)
 	return nil
 }
 
@@ -100,13 +75,13 @@ func lendBorrowedAndPooled(p *sim.Proc, srv *pfs.Server, spans []pfs.Span, n int
 func lendTwoBands(n int64, out []float64) {
 	a := grid.NewBandLent(8, 64, 0, 64, 0, 64)
 	b := grid.NewBandLent(8, 64, 0, 64, 0, 64)
-	forA, forB := pfs.AcquireBuffer(n), pfs.AcquireBuffer(n)
+	forA, forB := pool.Get(int(n)), pool.Get(int(n))
 	a.Lend(0, forA)
 	b.Lend(0, forB)
 	kernel(a, out)
 	a.Release()
-	pfs.ReleaseBuffer(forA)
+	pool.Put(forA)
 	kernel(b, out)
 	b.Release()
-	pfs.ReleaseBuffer(forB)
+	pool.Put(forB)
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // TestClientReadAllocs is the alloc-regression guard for the client read
-// hot path. Before the buffer-pool pass, every ReadInto cost one server-
-// side copy per strip plus a client-side assembly buffer — allocation
-// counts proportional to strips × iterations. With pooling, the per-
+// hot path. A ReadInto that copied each strip out of the store on the
+// server side would cost allocations proportional to strips × iterations.
+// Responses carry windows of the stored strips instead, so the per-
 // iteration count must stay a small constant (engine bookkeeping: spawned
 // processes, signals, batch maps), independent of how many strips move.
 func TestClientReadAllocs(t *testing.T) {
@@ -45,8 +45,7 @@ func TestClientReadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := AcquireBuffer(size)
-	defer ReleaseBuffer(dst)
+	dst := make([]byte, size)
 	readOnce := func() {
 		clu.Eng.Spawn("read", func(p *sim.Proc) {
 			if err := client.ReadInto(p, "f", 0, dst); err != nil {
@@ -57,28 +56,27 @@ func TestClientReadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	readOnce() // warm the pools
+	readOnce() // warm the engine's pools
 
 	allocs := testing.AllocsPerRun(20, readOnce)
 
 	// One read spawns 1 + servers processes (goroutine, Proc, channel,
 	// name) and a signal each, plus batch maps/slices: ~2 dozen small
-	// allocations on this 4-server geometry. The unpooled path added ≥ 2
-	// allocations per strip (64 strips → ≥ 128 more); 60 is comfortably
-	// above engine bookkeeping noise and far below any per-strip regime.
+	// allocations on this 4-server geometry. A copying path adds ≥ 1
+	// allocation per strip (64 strips → ≥ 64 more); 60 is comfortably
+	// above engine bookkeeping noise and below any per-strip regime.
 	const maxAllocs = 60
 	if allocs > maxAllocs {
-		t.Errorf("client read path: %.0f allocs/op, want ≤ %d (per-strip buffers must come from the pool)", allocs, maxAllocs)
+		t.Errorf("client read path: %.0f allocs/op, want ≤ %d (a read must not allocate per strip)", allocs, maxAllocs)
 	}
 	t.Logf("client read path: %.1f allocs/op over %d strips", allocs, strips)
 }
 
 // TestUnalignedWriteReleasesItsStrip guards the client's read-modify-write
-// path: the strip it reads is a pooled copy, dead once the primary has
-// copied the modified bytes in, and must go back to the pool on both
-// exits. While it leaked, every unaligned write drew a fresh strip-sized
-// buffer (the pool never refilled) on top of the one copy the primary
-// makes on entry.
+// path: the strip it reads is lent, so the modification goes into one
+// copy of the client's making, which the primary then keeps as it is.
+// A second strip-sized allocation per write means the strip is being
+// copied twice on its way in.
 func TestUnalignedWriteReleasesItsStrip(t *testing.T) {
 	cfg := cluster.Default()
 	cfg.ComputeNodes, cfg.StorageNodes = 1, 4
@@ -119,17 +117,15 @@ func TestUnalignedWriteReleasesItsStrip(t *testing.T) {
 	if err := clu.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	writeSome() // warm the pools
+	writeSome() // warm the engine's pools
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	writeSome()
 	runtime.ReadMemStats(&after)
 	perWrite := (after.TotalAlloc - before.TotalAlloc) / writes
-	// One strip-sized allocation per write is the primary's copy on entry;
-	// a second one is the leak.
 	if perWrite >= 3*stripSize/2 {
-		t.Errorf("unaligned write allocates %d bytes per operation, want about one %d-byte strip (the read-modify-write buffer is not released)", perWrite, stripSize)
+		t.Errorf("unaligned write allocates %d bytes per operation, want about one %d-byte strip (the modified copy is copied again on entry)", perWrite, stripSize)
 	}
 	t.Logf("unaligned write: %d bytes/op", perWrite)
 }

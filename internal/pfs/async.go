@@ -47,9 +47,10 @@ func (rc *readCall) OnResponse(resp simnet.Message) {
 }
 
 // ReadStripFromTask is the task-based ReadStripFrom: it issues the read
-// RPC as a transfer chain and runs cont inline when the response lands.
-// The caller should pass a long-lived cont (a stored method value), not a
-// fresh closure per call, to keep the per-RPC path allocation-free.
+// RPC as a transfer chain and runs cont inline when the response lands,
+// with the strip lent as ReadStripFrom lends it. The caller should pass a
+// long-lived cont (a stored method value), not a fresh closure per call,
+// to keep the per-RPC path allocation-free.
 func (fs *FileSystem) ReadStripFromTask(fromID, srv int, file string, strip, lo, hi int64, cont func(data []byte, err error)) {
 	rc := fs.readCallGet()
 	rc.file, rc.strip, rc.srv, rc.cont = file, strip, srv, cont

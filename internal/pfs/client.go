@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/hpcio/das/internal/layout"
@@ -108,15 +109,18 @@ func (c *Client) Write(p *sim.Proc, name string, off int64, data []byte) error {
 			}
 			continue
 		}
-		// Unaligned: read-modify-write the strip.
-		full, err := c.fs.ReadStripFrom(p, c.nodeID, m.Layout.Primary(s), name, s, 0, 0)
+		// Unaligned: read-modify-write the strip. What the read returned is
+		// the primary's stored strip, lent, so the modification goes into a
+		// copy — this call's own, written by nobody afterwards, which lets
+		// the primary keep it as the strip's one copy on entry.
+		stored, err := c.fs.ReadStripFrom(p, c.nodeID, m.Layout.Primary(s), name, s, 0, 0)
 		if err != nil {
 			return err
 		}
+		full := bytes.Clone(stored)
 		copy(full[lo-sLo:], chunk)
-		err = c.fs.WriteStripTo(p, c.nodeID, m.Layout.Primary(s), name, s, full, true)
-		ReleaseBuffer(full) // the primary copied it on entry: dead on both exits
-		if err != nil {
+		w := writeReq{File: name, Strip: s, Data: full, Forward: true, immutable: true}
+		if err := c.fs.writeStrip(p, c.nodeID, m.Layout.Primary(s), w, false); err != nil {
 			return err
 		}
 	}
@@ -126,7 +130,7 @@ func (c *Client) Write(p *sim.Proc, name string, off int64, data []byte) error {
 // Read returns bytes [off, off+length) of the file, assembling per-strip
 // reads from the primary holders in parallel. The returned slice is
 // freshly allocated and owned by the caller; hot paths that can recycle
-// the destination should use ReadInto with a pooled buffer instead.
+// the destination should use ReadInto with a buffer of their own instead.
 func (c *Client) Read(p *sim.Proc, name string, off, length int64) ([]byte, error) {
 	out := make([]byte, length)
 	if err := c.ReadInto(p, name, off, out); err != nil {
@@ -136,9 +140,9 @@ func (c *Client) Read(p *sim.Proc, name string, off, length int64) ([]byte, erro
 }
 
 // ReadInto fills out with bytes [off, off+len(out)) of the file,
-// assembling per-strip reads from the primary holders in parallel. The
-// per-strip transfer buffers are recycled through the package buffer pool,
-// so a steady-state read allocates nothing proportional to its size.
+// assembling per-strip reads from the primary holders in parallel. Each
+// response carries its spans as windows of the stored strips, copied
+// straight into out, so a read allocates nothing proportional to its size.
 func (c *Client) ReadInto(p *sim.Proc, name string, off int64, out []byte) error {
 	m, ok := c.fs.meta[name]
 	if !ok {
@@ -204,11 +208,8 @@ func (c *Client) ReadInto(p *sim.Proc, name string, off int64, out []byte) error
 		sigs = append(sigs, done)
 		p.Spawn("pfs-read", func(r *sim.Proc) {
 			data, err := c.fs.ReadSpansFrom(r, c.nodeID, srv, name, bSpans)
-			if err == nil {
-				for i, d := range data {
-					copy(out[bOffs[i]:], d)
-					ReleaseBuffer(d) // the assembled copy is the only consumer
-				}
+			for i, d := range data {
+				copy(out[bOffs[i]:], d)
 			}
 			done.Fire(err)
 		})

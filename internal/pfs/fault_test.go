@@ -325,7 +325,6 @@ func TestFaultActivationMidFlight(t *testing.T) {
 					if !bytes.Equal(got, data) {
 						t.Errorf("activation at %v: strip %d corrupted", at, s)
 					}
-					ReleaseBuffer(got)
 				}
 			})
 		}

@@ -65,7 +65,7 @@ func (x *reqTask) begin() {
 	case *readReq:
 		file, strip, lo, hi := req.File, req.Strip, req.Lo, req.Hi
 		s.fs.readReqPut(req)
-		data, err := s.peek(file, strip, lo, hi)
+		data, err := s.view(file, strip, lo, hi)
 		if err != nil {
 			x.fail(err)
 			return
@@ -78,7 +78,7 @@ func (x *reqTask) begin() {
 		data := make([][]byte, len(req.Spans))
 		var total int64
 		for i, sp := range req.Spans {
-			d, err := s.peek(req.File, sp.Strip, sp.Lo, sp.Hi)
+			d, err := s.view(req.File, sp.Strip, sp.Lo, sp.Hi)
 			if err != nil {
 				x.fail(err)
 				return

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/hpcio/das/internal/bufpool"
+	"github.com/hpcio/das/internal/fault"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/sim"
 )
 
 // Strip ownership (DESIGN.md §10): client bytes are copied once, on entry
-// at the primary; a stored strip is immutable from then on, lent to
-// server-local readers and held by reference by its replica holders.
+// at the primary; a stored strip is immutable from then on, lent to every
+// reader, local or remote, and held by reference by its replica holders.
 
 // TestLentViewOutlivesTheStrip takes a view of a stored strip and then
 // does everything the file system can do to that strip — overwrite it,
@@ -138,6 +140,101 @@ func TestClientBufferIsCopiedOnceOnEntry(t *testing.T) {
 		}
 		if !bytes.Equal(stored(holder), want) {
 			t.Error("replica holder's copy changed under an unforwarded write to the primary")
+		}
+	})
+}
+
+// TestReadResultOutlivesTheStrip is the same contract for what leaves a
+// server: a ReadStripFrom, ReadSpansFrom or ReadStripFromTask result is
+// the holder's window of the stored strip, so one taken before an
+// overwrite, a Drop, a Delete or a crash and restart of the holder keeps
+// reading the old bytes; the unaligned write that replaces a strip by
+// read-modify-write leaves a window of that strip read earlier alone; and
+// the ReleaseBuffer shim feeds no pool — with poison on, a Put of any of
+// these windows would scribble over the store.
+func TestReadResultOutlivesTheStrip(t *testing.T) {
+	defer bufpool.PoisonPuts()()
+	clu, fs := testFS(t)
+	const strip = 64
+	if _, err := fs.Create("f", 5*strip, layout.NewRoundRobin(4), CreateOptions{StripSize: strip}); err != nil {
+		t.Fatal(err)
+	}
+	old := pattern(5 * strip)
+	client := fs.NewClient(clu.ComputeID(0))
+	node := clu.ComputeID(1)
+	want := func(s int64) []byte { return old[s*strip+8 : s*strip+40] }
+
+	run(t, clu, func(p *sim.Proc) {
+		if err := client.WriteAll(p, "f", old); err != nil {
+			t.Error(err)
+		}
+	})
+	// Strip 3 is read by a task-based client: its continuation runs inline
+	// when the response lands, during the run below.
+	var crashed []byte
+	fs.ReadStripFromTask(node, 3, "f", 3, 8, 40, func(data []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		crashed = data
+	})
+	run(t, clu, func(p *sim.Proc) {
+		read := func(s int64) []byte {
+			data, err := fs.ReadStripFrom(p, node, int(s%4), "f", s, 8, 40)
+			if err != nil {
+				t.Error(err)
+			}
+			return data
+		}
+		overwritten, dropped, modified := read(0), read(1), read(4)
+		spans, err := fs.ReadSpansFrom(p, node, 2, "f", []Span{{Strip: 2, Lo: 8, Hi: 40}})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		deleted := spans[0]
+		if stored := fs.Server(0).store["f"][0]; &overwritten[0] != &stored[8] {
+			t.Error("a read response carries a copy of the strip, not the holder's window of it")
+		}
+		if cap(overwritten) != len(overwritten) || cap(deleted) != len(deleted) {
+			t.Error("a read result has spare capacity: an append would write into the store")
+		}
+		for _, w := range [][]byte{overwritten, dropped, deleted, crashed, modified} {
+			ReleaseBuffer(w)
+		}
+
+		if err := client.Write(p, "f", 0, bytes.Repeat([]byte{0xEE}, strip)); err != nil {
+			t.Error(err)
+		}
+		if !bytes.Equal(overwritten, want(0)) {
+			t.Error("read result changed under an overwrite of its strip")
+		}
+		fs.Server(1).Drop("f", 1)
+		if !bytes.Equal(dropped, want(1)) {
+			t.Error("read result changed under a Drop of its strip")
+		}
+		// Bytes [16, 24) of strip 4 (held by server 0) sit inside the window
+		// read above: the read-modify-write must change its own copy.
+		if err := client.Write(p, "f", 4*strip+16, bytes.Repeat([]byte{0xDD}, 8)); err != nil {
+			t.Error(err)
+		}
+		if !bytes.Equal(modified, want(4)) {
+			t.Error("an unaligned write modified a window of the strip read before it")
+		}
+		if now := read(4); bytes.Equal(now, want(4)) || !bytes.Equal(now[8:16], bytes.Repeat([]byte{0xDD}, 8)) {
+			t.Error("a read after the unaligned write does not see it")
+		}
+		for _, kind := range []fault.Kind{fault.Crash, fault.Restart} {
+			if err := clu.ApplyFault(fault.Event{Kind: kind, Server: 3}); err != nil {
+				t.Error(err)
+			}
+		}
+		if !bytes.Equal(crashed, want(3)) {
+			t.Error("task-read result changed under a crash and restart of its holder")
+		}
+		fs.Delete("f")
+		if !bytes.Equal(deleted, want(2)) {
+			t.Error("batched read result changed under a Delete of its file")
 		}
 	})
 }

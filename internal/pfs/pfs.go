@@ -236,6 +236,9 @@ func (fs *FileSystem) Delete(name string) {
 	delete(fs.meta, name)
 	for _, s := range fs.servers {
 		delete(s.store, name)
+		if s.lastFile == name {
+			s.lastFile, s.lastStrips = "", nil
+		}
 	}
 	if fs.invalidator != nil {
 		fs.invalidator.InvalidateFile(name)
@@ -360,7 +363,11 @@ func unexpectedResponse(resp any, context string) error {
 // ReadStripFrom reads bytes [lo, hi) of strip (relative to the strip
 // start) from server srv, as a process on node fromID. It is the
 // transport used by clients and by active storage servers fetching
-// dependent strips from their peers.
+// dependent strips from their peers. The result is lent: the response
+// carries the holder's window of the stored strip (Server.view), so the
+// caller reads the owner's bytes where they lie — read-only, nothing to
+// release, valid for as long as it is held whatever happens to the strip
+// meanwhile. A caller that modifies what it read copies first.
 //
 // When the addressed server is down, times out, or lost its copy, the
 // read fails over to the strip's other holders under the file's layout,
@@ -373,6 +380,12 @@ func (fs *FileSystem) ReadStripFrom(p *sim.Proc, fromID, srv int, file string, s
 	}
 	return fs.readStripFailover(p, fromID, srv, file, strip, lo, hi, err)
 }
+
+// ReleaseBuffer does nothing: read results are lent, so there is nothing
+// to release, and handing one to a pool would let the pool scribble over
+// a stored strip. It is kept only for bench/probes.go, which calls it on a
+// read result, until ROADMAP item 3 moves bench/.
+func ReleaseBuffer([]byte) {}
 
 // readStripOnce is one read attempt against one server, no failover.
 func (fs *FileSystem) readStripOnce(p *sim.Proc, fromID, srv int, file string, strip, lo, hi int64) ([]byte, error) {
@@ -484,9 +497,10 @@ func (fs *FileSystem) writeStrip(p *sim.Proc, fromID, srv int, w writeReq, migra
 }
 
 // ReadSpansFrom fetches several spans of one file from server srv in a
-// single request (one disk pass, one response message). If the batch
-// fails for a failover-eligible reason, each span is re-fetched
-// individually through ReadStripFrom's replica failover.
+// single request (one disk pass, one response message), each lent as
+// ReadStripFrom's result is. If the batch fails for a failover-eligible
+// reason, each span is re-fetched individually through ReadStripFrom's
+// replica failover.
 func (fs *FileSystem) ReadSpansFrom(p *sim.Proc, fromID, srv int, file string, spans []Span) ([][]byte, error) {
 	var start sim.Time
 	if fs.latObs != nil {
@@ -516,9 +530,6 @@ func (fs *FileSystem) ReadSpansFrom(p *sim.Proc, fromID, srv int, file string, s
 	for i, sp := range spans {
 		data, rerr := fs.ReadStripFrom(p, fromID, srv, file, sp.Strip, sp.Lo, sp.Hi)
 		if rerr != nil {
-			for j := 0; j < i; j++ {
-				ReleaseBuffer(out[j])
-			}
 			return nil, rerr
 		}
 		out[i] = data

@@ -341,6 +341,11 @@ func TestDeleteDropsDataEverywhere(t *testing.T) {
 		if fs.Server(srv).StoredBytes() != 0 {
 			t.Errorf("server %d still stores bytes", srv)
 		}
+		// The file was the last one every server touched: its one-entry
+		// lookup cache must not keep answering for it.
+		if fs.Server(srv).Holds("f", int64(srv)) {
+			t.Errorf("server %d still holds a strip of the deleted file", srv)
+		}
 	}
 }
 

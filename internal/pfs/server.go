@@ -30,9 +30,10 @@ type (
 		Data    []byte
 		Forward bool // forward copies to the strip's replica holders
 		// immutable says nobody will write Data again, so the receiver may
-		// keep it by reference instead of copying it. Only a server
-		// forwarding a strip it has stored sets it (LocalWrite,
-		// ForwardReplicas); requests built for a client never do.
+		// keep it by reference instead of copying it. A server forwarding a
+		// strip it has stored sets it (LocalWrite, ForwardReplicas, migrate),
+		// and so does Client.Write for the copy its read-modify-write makes;
+		// a request carrying a caller's buffer never does.
 		immutable bool
 	}
 	// writeManyReq stores several whole strips in a single request, with
@@ -87,7 +88,8 @@ type Server struct {
 	// busy server overwhelmingly name the same file, and the string-keyed
 	// map lookup (hash + compare per request) is measurable at scale.
 	// Inner maps are created once and mutated in place, never replaced,
-	// so a cached reference stays valid.
+	// so a cached reference stays valid until the file is deleted
+	// (FileSystem.Delete resets it).
 	lastFile   string
 	lastStrips map[int64][]byte
 
@@ -203,8 +205,12 @@ func (s *Server) Holds(file string, strip int64) bool {
 
 // view returns bytes [lo, hi) of a locally held strip as a window of the
 // stored slice itself, without charging the disk; callers batch the disk
-// charge. Hi == 0 selects the whole strip. The window is read-only and its
-// capacity ends at hi.
+// charge. Hi == 0 selects the whole strip. The window is lent: read-only,
+// its capacity ends at hi, and it keeps reading the same bytes for as long
+// as it is held, whatever is overwritten, dropped, deleted or purged
+// meanwhile. Every read — local, or a response that leaves the server —
+// hands out this window: an immutable strip has nothing a copy would
+// protect.
 func (s *Server) view(file string, strip, lo, hi int64) ([]byte, error) {
 	strips, ok := s.stripsOf(file)
 	if !ok {
@@ -223,28 +229,13 @@ func (s *Server) view(file string, strip, lo, hi int64) ([]byte, error) {
 	return data[lo:hi:hi], nil
 }
 
-// peek is view as a pooled copy, for everything that leaves the server: a
-// response's consumer releases what it received to the pool, and a client
-// read-modify-write writes into it, so neither may be handed the store's
-// own memory.
-func (s *Server) peek(file string, strip, lo, hi int64) ([]byte, error) {
-	data, err := s.view(file, strip, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	out := AcquireBuffer(int64(len(data)))
-	copy(out, data)
-	//das:transfer -- the strip copy rides the response message; the final consumer releases it
-	return out, nil
-}
-
 // LocalRead is the local I/O API from the paper's architecture (Fig. 2):
 // it reads bytes [lo, hi) of a locally held strip through the node's disk,
 // without touching the network. Hi == 0 selects the whole strip. The
-// returned slice is a pool-backed copy: the final consumer may hand it to
-// ReleaseBuffer to recycle it.
+// result is lent under LocalViewMany's contract: a read-only window of
+// the stored strip, never released, never written.
 func (s *Server) LocalRead(p *sim.Proc, file string, strip, lo, hi int64) ([]byte, error) {
-	data, err := s.peek(file, strip, lo, hi)
+	data, err := s.view(file, strip, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -447,9 +438,9 @@ func (s *Server) Preload(file string, strip int64, data []byte) {
 // entering returns data as a slice the store may keep. This is the one
 // place strip bytes are copied on their way in: memory a client still
 // owns (and reuses, like the tenants' and the scale storm's write buffers)
-// arriving at a primary, a migrating holder's pooled copy, a preload.
-// Immutable data — a stored strip forwarded to a replica holder — enters
-// as it is.
+// arriving at a primary, a preload. Immutable data — a stored strip
+// forwarded to a replica holder or pushed by a migrating one — enters as
+// it is.
 func entering(data []byte, immutable bool) []byte {
 	if immutable {
 		return data
@@ -474,23 +465,20 @@ func (s *Server) storePut(file string, strip int64, data []byte) {
 	}
 }
 
-// migrate pushes the local copy of a strip to each target server. The
-// pushes are migration-tagged writes: restripe copy traffic must not leak
-// into the latency observer's tuning samples.
+// migrate pushes the local copy of a strip to each target server, which
+// keeps the same immutable slice by reference, as a replica holder does.
+// The pushes are migration-tagged writes: restripe copy traffic must not
+// leak into the latency observer's tuning samples.
 func (s *Server) migrate(p *sim.Proc, req migrateReq) error {
 	data, err := s.LocalRead(p, req.File, req.Strip, 0, 0)
 	if err != nil {
 		return err
 	}
-	// The strip copy is pool-backed; writeStrip is synchronous and the
-	// receiving server stores its own copy, so the buffer is dead on every
-	// exit from the push loop.
-	defer ReleaseBuffer(data)
 	for _, target := range req.Targets {
 		if target == s.srv {
 			continue
 		}
-		if err := s.fs.writeStrip(p, s.nodeID, target, writeReq{File: req.File, Strip: req.Strip, Data: data}, true); err != nil {
+		if err := s.fs.writeStrip(p, s.nodeID, target, writeReq{File: req.File, Strip: req.Strip, Data: data, immutable: true}, true); err != nil {
 			return err
 		}
 	}

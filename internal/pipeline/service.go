@@ -352,37 +352,22 @@ func (svc *Service) evalFromDurable(p *sim.Proc, srv *pfs.Server, rs *runState, 
 	for _, t := range targets {
 		// Kept past the round (state, or the stored output): not pooled.
 		vals[t] = make([]float64, e1-e0)
-		pl.evalFromInput(vals[t], t, e0, e1, band.Band, charge)
+		pl.evalFromInput(vals[t], t, e0, e1, band, charge)
 	}
-	band.release()
+	band.Release()
 	return vals, nil
-}
-
-// lentBand is a stage's input band with the pooled fetch buffers it was
-// lent: the band reads them in place, so they go back to the pool with it,
-// once the last kernel over it has returned.
-type lentBand struct {
-	*grid.Band
-	fetched [][]byte
-}
-
-func (lb lentBand) release() {
-	lb.Band.Release()
-	for _, data := range lb.fetched {
-		pfs.ReleaseBuffer(data)
-	}
 }
 
 // inputBand assembles the input raster over [e0, e1) plus a symmetric
 // halo of depth elements: locally held strips in one batched disk pass,
 // the rest fetched row-granular from their owners through the halo
-// cache. The band is lent all of it — stored strips and fetched buffers
-// alike — and copies nothing.
-func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0, e1, depth int64, resp *stageResp) (lentBand, error) {
+// cache. The band is lent all of it — this server's stored strips, their
+// owners' and cache entries' windows alike — and copies nothing.
+func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0, e1, depth int64, resp *stageResp) (*grid.Band, error) {
 	clu := svc.fs.Cluster()
 	total := in.Size / in.ElemSize
 	lo, hi := grid.HaloRange(e0, e1, depth, total)
-	band := lentBand{Band: grid.NewBandLent(in.Width, total, e0, e1, lo, hi)}
+	band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
 
 	var localSpans []pfs.Span
 	var localLo []int64
@@ -410,8 +395,8 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 	if len(localSpans) > 0 {
 		chunks, err := srv.LocalViewMany(p, in.Name, localSpans)
 		if err != nil {
-			band.release()
-			return lentBand{}, err
+			band.Release()
+			return nil, err
 		}
 		for i, chunk := range chunks {
 			band.Lend(localLo[i]/in.ElemSize, chunk) // a view of the stored strip: never released
@@ -457,11 +442,8 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 		}
 	}
 	if fetchErr != nil {
-		for _, got := range results {
-			pfs.ReleaseBuffer(got.data)
-		}
-		band.release()
-		return lentBand{}, fetchErr
+		band.Release()
+		return nil, fetchErr
 	}
 	for _, got := range results {
 		if got.hit {
@@ -473,7 +455,6 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 			clu.PipelineStats.AddFetch(int64(len(got.data)))
 		}
 		band.Lend(got.gotLo/in.ElemSize, got.data)
-		band.fetched = append(band.fetched, got.data)
 	}
 	return band, nil
 }
@@ -495,8 +476,8 @@ func (svc *Service) evalRound(p *sim.Proc, srv *pfs.Server, rs *runState, in *pf
 			return nil, err
 		}
 		out := make([]float64, e1-e0)
-		pl.applyKernel(out, node, band.Band, charge)
-		band.release()
+		pl.applyKernel(out, node, band, charge)
+		band.Release()
 		return map[int][]float64{node: out}, nil
 	}
 

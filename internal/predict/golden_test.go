@@ -1,6 +1,7 @@
 package predict_test
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -164,10 +165,17 @@ func goldenRows(t *testing.T) []goldenRow {
 	return rows
 }
 
+// update re-records testdata/decisions.golden from goldenRows, i.e. from
+// Estimate as it is now: `go test ./internal/predict -run Recorded -update`.
+// Only a deliberate modelling change does that (ROADMAP item 5), and the
+// rows recognised below as the parent's contradiction then match like any
+// other: their expected count goes to zero with the same change.
+var update = flag.Bool("update", false, "re-record testdata/decisions.golden from Estimate")
+
 // TestEstimateReproducesRecordedDecisions holds Estimate to what the five
 // entry points it replaced returned at the commit before it, over layouts ×
 // patterns × hit fractions × tails × down-sets. The file was written by
-// those entry points and is not regenerated.
+// those entry points and has not been re-recorded since.
 //
 // One thing is meant to differ. The parent decided LocalByLayout from the
 // element-level sum, which calls a dependence that leaves the file local
@@ -179,12 +187,23 @@ func goldenRows(t *testing.T) []goldenRow {
 // (core.TestAlignedStrideOffloadsAtTheEdges). Those rows are recognised by
 // exactly that contradiction, must now say local=false, and are counted.
 func TestEstimateReproducesRecordedDecisions(t *testing.T) {
+	rows := goldenRows(t)
+	if *update {
+		var out strings.Builder
+		for _, r := range rows {
+			out.WriteString(r.line + "\n")
+		}
+		if err := os.WriteFile("testdata/decisions.golden", []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("re-recorded %d rows", len(rows))
+		return
+	}
 	raw, err := os.ReadFile("testdata/decisions.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	rows := goldenRows(t)
 	if len(rows) != len(want) {
 		t.Fatalf("matrix has %d rows, golden %d", len(rows), len(want))
 	}

@@ -128,78 +128,51 @@ func analyze(pat features.Pattern, p Params, lc layout.Locator, down func(srv in
 
 // remoteDeps computes Σ aj. Small problems are summed exactly; large ones
 // use the placement's periodicity: remote-ness of (i, off) depends only on
-// i mod P in the file interior, with P = groupSpan·D elements. The
-// per-period sum is computed analytically — for each strip in the period
-// and each offset, the dependence image of the strip's elements is a
-// contiguous range spanning at most ⌈|off|/stripElems⌉+1 strips, and the
-// element count landing in each is closed-form — so one prediction costs
-// O(period-strips · offsets), not O(elements · offsets).
+// i mod P in the file interior, with P = groupSpan·D elements, so one
+// period well inside the file is summed and scaled. Either sum is taken
+// strip by strip (remoteInStrips): one prediction costs
+// O(strips · offsets), not O(elements · offsets).
 func remoteDeps(lc layout.Locator, offs []int64, total int64) (sum int64, approx bool) {
-	if total*int64(len(offs)) <= exactLimit {
-		for i := int64(0); i < total; i++ {
-			for _, off := range offs {
-				if !lc.LocalDep(i, off, total) {
-					sum++
-				}
-			}
-		}
-		return sum, false
-	}
-	period := periodElems(lc)
+	eps, period := lc.ElemsPerStrip(), periodElems(lc)
 	var maxAbs int64
 	for _, off := range offs {
-		if off < 0 {
-			off = -off
-		}
-		if off > maxAbs {
-			maxAbs = off
-		}
+		maxAbs = max(maxAbs, off, -off)
 	}
-	// Sample one period well inside the file so no dependence is clamped.
+	// The sampled period sits well inside the file so no dependence is
+	// clamped; a file too small relative to its period for that is summed
+	// exactly whatever its size.
 	base := ((maxAbs + period - 1) / period) * period
-	if base+period+maxAbs > total {
-		// File too small relative to its period for sampling: fall back to
-		// the exact loop even though it is large.
-		for i := int64(0); i < total; i++ {
-			for _, off := range offs {
-				if !lc.LocalDep(i, off, total) {
-					sum++
-				}
-			}
-		}
-		return sum, false
+	if total*int64(len(offs)) <= exactLimit || base+period+maxAbs > total {
+		return remoteInStrips(lc, offs, 0, (total+eps-1)/eps, total), false
 	}
+	return remoteInStrips(lc, offs, base/eps, (base+period)/eps, total) * (total / period), true
+}
+
+// remoteInStrips sums aj over the elements of strips [s0, s1) exactly. The
+// elements [e0, e1) of one strip map, under one offset, to the contiguous
+// range [e0+off, e1+off); the part of it inside the file covers a strip or
+// two, and the elements landing in each are remote together or not at
+// all: when the strip's owner holds no copy of that target. What leaves
+// the file is local, as in Locator.LocalDep — the same integers as asking
+// it per element.
+func remoteInStrips(lc layout.Locator, offs []int64, s0, s1, total int64) (sum int64) {
 	eps := lc.ElemsPerStrip()
-	baseStrip := base / eps
-	var perPeriod int64
-	for s := baseStrip; s < baseStrip+period/eps; s++ {
+	for s := s0; s < s1; s++ {
 		owner := lc.Layout.Primary(s)
-		e0, e1 := s*eps, (s+1)*eps
+		e0, e1 := s*eps, min((s+1)*eps, total)
 		for _, off := range offs {
-			// Elements [e0, e1) map to dependence range [e0+off, e1+off),
-			// which covers strips strip(e0+off) .. strip(e1-1+off). Count
-			// the elements landing in each and charge the remote ones.
-			lo := e0 + off
-			for t := lc.Strip(lo); t*eps < e1+off; t++ {
-				// Elements of the strip whose dependence falls in strip t:
-				// i+off ∈ [t·eps, (t+1)·eps) ∩ [lo, e1+off).
-				spanLo, spanHi := t*eps, (t+1)*eps
-				if spanLo < lo {
-					spanLo = lo
-				}
-				if spanHi > e1+off {
-					spanHi = e1 + off
-				}
-				if spanHi <= spanLo {
-					continue
-				}
+			lo, hi := max(e0+off, 0), min(e1+off, total)
+			if hi <= lo {
+				continue
+			}
+			for t := lc.Strip(lo); t*eps < hi; t++ {
 				if !layout.Holds(lc.Layout, t, owner) {
-					perPeriod += spanHi - spanLo
+					sum += min((t+1)*eps, hi) - max(t*eps, lo)
 				}
 			}
 		}
 	}
-	return perPeriod * (total / period), true
+	return sum
 }
 
 // periodElems returns the placement period in elements for the supported

@@ -339,6 +339,50 @@ func TestApproximatedMatchesExact(t *testing.T) {
 	}
 }
 
+// TestStripwiseSumMatchesPerElementSweep holds remoteInStrips to Eq. (5)
+// as written — one Locator.LocalDep question per (element, offset) pair —
+// on files that end mid-strip, offsets longer than a strip and than the
+// file, replica holdings and a half-flipped migration.
+func TestStripwiseSumMatchesPerElementSweep(t *testing.T) {
+	const eps = 8 // testParams: 64-byte strips of 8-byte elements
+	moves := layout.NewMoveSet(64)
+	for s := int64(0); s < 20; s++ {
+		moves.Set(s)
+	}
+	layouts := []layout.Layout{
+		layout.NewRoundRobin(3),
+		layout.NewGrouped(4, 3),
+		layout.NewGroupedReplicated(3, 4, 1),
+		layout.NewMigrating(layout.NewRoundRobin(4), layout.NewGroupedReplicated(4, 4, 2), moves),
+	}
+	patterns := [][]int64{
+		nil,
+		eightNeighbor().Resolve(5),
+		features.Pattern{Offsets: features.Stride(4)}.Resolve(5),
+		features.Pattern{Offsets: features.Stride(3 * eps)}.Resolve(5),
+		{-1000, -eps - 3, 1, 2*eps + 5, 1000},
+	}
+	for _, lay := range layouts {
+		lc := layout.NewLocator(8, 64, lay)
+		for _, total := range []int64{1, eps - 1, eps, 5*eps + 3, 37 * eps, 64 * eps} {
+			for _, offs := range patterns {
+				var want int64
+				for i := int64(0); i < total; i++ {
+					for _, off := range offs {
+						if !lc.LocalDep(i, off, total) {
+							want++
+						}
+					}
+				}
+				if got, approx := remoteDeps(lc, offs, total); got != want || approx {
+					t.Errorf("%s, %d elements, offsets %v: strip-wise sum %d (approximated=%v), per-element %d",
+						lay.Name(), total, offs, got, approx, want)
+				}
+			}
+		}
+	}
+}
+
 // TestAnalyticPeriodMatchesBruteForce validates the closed-form per-strip
 // computation the periodic estimate uses against a literal per-element
 // LocalDep sweep over one period, on an 8-neighbor pattern and a

@@ -8,6 +8,7 @@ import (
 	"github.com/hpcio/das/internal/bufpool"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
+	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -15,8 +16,9 @@ import (
 // writes from each tenant's reused buffer, and offloads reading the
 // strips those writes stored — then, with the platform quiet, offloads
 // the operator over every input once more, fetching whole dependent strips
-// (their pooled buffers are lent to the band the kernel reads), and
-// returns the final bytes of every input and output file.
+// (lent by their owners to the band the kernel reads), hands a read of
+// every file's first strip to the pfs.ReleaseBuffer shim, and returns the
+// final bytes of every input and output file.
 func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engine) {
 	t.Helper()
 	clu, fs := testPlatform(t)
@@ -27,7 +29,7 @@ func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engin
 	}
 	files = make(map[string][]byte)
 	var inner error
-	var lent int64 // fetch buffers and cache hits the final offloads' bands read in place
+	var lent int64 // remote strips and cache hits the final offloads' bands read in place
 	clu.Eng.Spawn("tenants-poison", func(p *sim.Proc) {
 		if inner = e.Setup(p); inner != nil {
 			return
@@ -46,6 +48,14 @@ func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engin
 			lent += stats.RemoteFetches + stats.CacheHits
 			for _, name := range []string{in, out} {
 				names = append(names, name)
+				// A read result is the owner's stored strip: a shim that fed
+				// a pool would poison the file read back next.
+				m, _ := fs.Meta(name)
+				var first []byte
+				if first, inner = fs.ReadStripFrom(p, node, m.Layout.Primary(0), name, 0, 0, 0); inner != nil {
+					return
+				}
+				pfs.ReleaseBuffer(first)
 				if files[name], inner = client.ReadAll(p, name); inner != nil {
 					return
 				}
@@ -59,18 +69,17 @@ func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engin
 		t.Fatal(inner)
 	}
 	if lent == 0 {
-		t.Fatal("the final offloads fetched nothing: no band was lent a pooled buffer")
+		t.Fatal("the final offloads fetched nothing: no band was lent a remote strip")
 	}
 	return names, files, e
 }
 
 // TestSmokeSurvivesPoisonedPools is the multi-tenant leg of the ownership
 // check (core.TestOutputsSurvivePoisonedPools has the single-operation
-// legs): with every pool scribbling over what is returned to it — a fetch
-// buffer released while a band still reads it included — the files a
-// whole smoke run leaves behind must equal those of an unpoisoned replay
-// byte for byte, and every output must be the sequential reference of its
-// input.
+// legs): with every pool scribbling over what is returned to it — a lent
+// strip, were one ever released, included — the files a whole smoke run
+// leaves behind must equal those of an unpoisoned replay byte for byte,
+// and every output must be the sequential reference of its input.
 func TestSmokeSurvivesPoisonedPools(t *testing.T) {
 	_, clean, _ := smokeFiles(t)
 	restore := bufpool.PoisonPuts()

@@ -49,6 +49,13 @@ func (r *RNG) Float() float64 { return float64(r.Next()>>11) / float64(1<<53) }
 // Terrain produces a w×h digital elevation model: several octaves of
 // value noise (bilinear interpolation of random lattices) over a gentle
 // regional slope, the kind of surface flow-routing is meant for.
+//
+// A pixel's value is, per octave, the lattice sampled at (c/cell, r/cell):
+// the lattice cell and the smoothstepped fraction depend on the column
+// alone along x and on the row alone along y, so both are tabulated once
+// per axis and the pixel loop only interpolates. The arithmetic per pixel
+// is the per-pixel definition's, operation for operation
+// (terrainReference, workload_test.go, holds it bit-equal).
 func Terrain(w, h int, seed uint64) *grid.Grid {
 	g := grid.New(w, h)
 	octaves := []struct {
@@ -60,17 +67,26 @@ func Terrain(w, h int, seed uint64) *grid.Grid {
 		{cell: 4, amp: 6},
 	}
 	lattices := make([]*lattice, len(octaves))
+	cols, rows := make([]axis, len(octaves)), make([]axis, len(octaves))
 	for i, o := range octaves {
-		lattices[i] = newLattice(int(float64(w)/o.cell)+2, int(float64(h)/o.cell)+2, seed+uint64(i)*7919)
+		l := newLattice(int(float64(w)/o.cell)+2, int(float64(h)/o.cell)+2, seed+uint64(i)*7919)
+		lattices[i], cols[i], rows[i] = l, newAxis(w, o.cell, l.w), newAxis(h, o.cell, l.h)
 	}
 	for r := 0; r < h; r++ {
-		for c := 0; c < w; c++ {
+		row := g.Data[r*w : (r+1)*w]
+		for c := range row {
 			// Regional slope draining toward the origin corner.
-			v := 0.05 * float64(r+c)
-			for i, o := range octaves {
-				v += o.amp * lattices[i].sample(float64(c)/o.cell, float64(r)/o.cell)
+			row[c] = 0.05 * float64(r+c)
+		}
+		for i, o := range octaves {
+			l, x, y := lattices[i], cols[i], rows[i]
+			top, bot := l.v[y.i0[r]*l.w:], l.v[y.i1[r]*l.w:]
+			fy, gy := y.f[r], y.g[r]
+			for c := range row {
+				t := top[x.i0[c]]*x.g[c] + top[x.i1[c]]*x.f[c]
+				b := bot[x.i0[c]]*x.g[c] + bot[x.i1[c]]*x.f[c]
+				row[c] += o.amp * (t*gy + b*fy)
 			}
-			g.Set(r, c, v)
 		}
 	}
 	return g
@@ -91,36 +107,46 @@ func newLattice(w, h int, seed uint64) *lattice {
 	return l
 }
 
-func (l *lattice) at(x, y int) float64 {
-	if x >= l.w {
-		x = l.w - 1
-	}
-	if y >= l.h {
-		y = l.h - 1
-	}
-	return l.v[y*l.w+x]
+// axis tabulates, for each of n pixel coordinates along one axis of an
+// octave, the two lattice coordinates it interpolates between (clamped to
+// the lattice's last) and the weight of each: f, the fraction smoothstepped
+// for continuous derivatives, for the far one and g = 1-f for the near.
+type axis struct {
+	i0, i1 []int
+	f, g   []float64
 }
 
-func (l *lattice) sample(x, y float64) float64 {
-	x0, y0 := int(x), int(y)
-	fx, fy := x-float64(x0), y-float64(y0)
-	// Smoothstep the fractions for continuous derivatives.
-	fx = fx * fx * (3 - 2*fx)
-	fy = fy * fy * (3 - 2*fy)
-	top := l.at(x0, y0)*(1-fx) + l.at(x0+1, y0)*fx
-	bot := l.at(x0, y0+1)*(1-fx) + l.at(x0+1, y0+1)*fx
-	return top*(1-fy) + bot*fy
+func newAxis(n int, cell float64, limit int) axis {
+	a := axis{i0: make([]int, n), i1: make([]int, n), f: make([]float64, n), g: make([]float64, n)}
+	for p := 0; p < n; p++ {
+		x := float64(p) / cell
+		x0 := int(x)
+		f := x - float64(x0)
+		f = f * f * (3 - 2*f)
+		a.i0[p], a.i1[p] = min(x0, limit-1), min(x0+1, limit-1)
+		a.f[p], a.g[p] = f, 1-f
+	}
+	return a
 }
 
 // Image produces a w×h intensity raster: a smooth sinusoidal field with
 // salt-and-pepper speckle on speckleFrac of the pixels — the input the
-// median and Gaussian filters are evaluated on.
+// median and Gaussian filters are evaluated on. The field is
+// 128 + 80·sin(col/23)·cos(row/17): the sine factor is tabulated per
+// column and the cosine taken once per row (imageReference,
+// workload_test.go, holds it bit-equal to the per-pixel definition).
 func Image(w, h int, seed uint64, speckleFrac float64) *grid.Grid {
 	g := grid.New(w, h)
 	r := NewRNG(seed)
+	sin80 := make([]float64, w)
+	for col := range sin80 {
+		sin80[col] = 80 * math.Sin(float64(col)/23)
+	}
 	for row := 0; row < h; row++ {
-		for col := 0; col < w; col++ {
-			v := 128 + 80*math.Sin(float64(col)/23)*math.Cos(float64(row)/17)
+		cos := math.Cos(float64(row) / 17)
+		out := g.Data[row*w : (row+1)*w]
+		for col := range out {
+			v := 128 + sin80[col]*cos
 			if r.Float() < speckleFrac {
 				if r.Float() < 0.5 {
 					v = 0
@@ -128,7 +154,7 @@ func Image(w, h int, seed uint64, speckleFrac float64) *grid.Grid {
 					v = 255
 				}
 			}
-			g.Set(row, col, v)
+			out[col] = v
 		}
 	}
 	return g

@@ -3,7 +3,104 @@ package workload
 import (
 	"math"
 	"testing"
+
+	"github.com/hpcio/das/internal/grid"
 )
+
+// terrainReference is Terrain's definition, pixel by pixel: every octave's
+// lattice sampled at (c/cell, r/cell) with bilinear interpolation of
+// smoothstepped fractions. Terrain tabulates what depends on one
+// coordinate only and must produce these bits.
+func terrainReference(w, h int, seed uint64) *grid.Grid {
+	g := grid.New(w, h)
+	octaves := []struct{ cell, amp float64 }{{64, 100}, {16, 25}, {4, 6}}
+	lattices := make([]*lattice, len(octaves))
+	for i, o := range octaves {
+		lattices[i] = newLattice(int(float64(w)/o.cell)+2, int(float64(h)/o.cell)+2, seed+uint64(i)*7919)
+	}
+	for r := 0; r < h; r++ {
+		for c := 0; c < w; c++ {
+			v := 0.05 * float64(r+c)
+			for i, o := range octaves {
+				v += o.amp * lattices[i].sample(float64(c)/o.cell, float64(r)/o.cell)
+			}
+			g.Set(r, c, v)
+		}
+	}
+	return g
+}
+
+func (l *lattice) at(x, y int) float64 {
+	if x >= l.w {
+		x = l.w - 1
+	}
+	if y >= l.h {
+		y = l.h - 1
+	}
+	return l.v[y*l.w+x]
+}
+
+func (l *lattice) sample(x, y float64) float64 {
+	x0, y0 := int(x), int(y)
+	fx, fy := x-float64(x0), y-float64(y0)
+	fx = fx * fx * (3 - 2*fx)
+	fy = fy * fy * (3 - 2*fy)
+	top := l.at(x0, y0)*(1-fx) + l.at(x0+1, y0)*fx
+	bot := l.at(x0, y0+1)*(1-fx) + l.at(x0+1, y0+1)*fx
+	return top*(1-fy) + bot*fy
+}
+
+// imageReference is Image's definition with the field evaluated per pixel.
+func imageReference(w, h int, seed uint64, speckleFrac float64) *grid.Grid {
+	g := grid.New(w, h)
+	r := NewRNG(seed)
+	for row := 0; row < h; row++ {
+		for col := 0; col < w; col++ {
+			v := 128 + 80*math.Sin(float64(col)/23)*math.Cos(float64(row)/17)
+			if r.Float() < speckleFrac {
+				if r.Float() < 0.5 {
+					v = 0
+				} else {
+					v = 255
+				}
+			}
+			g.Set(row, col, v)
+		}
+	}
+	return g
+}
+
+// TestGeneratorsMatchPerPixelDefinition: hoisting the row- and column-
+// invariants out of the pixel loops moved no bit, on sizes that are not
+// multiples of any octave cell and that make the lattice clamp.
+func TestGeneratorsMatchPerPixelDefinition(t *testing.T) {
+	sizes := [][2]int{{1, 1}, {3, 7}, {65, 33}, {127, 129}, {256, 64}, {301, 203}}
+	for _, sz := range sizes {
+		w, h := sz[0], sz[1]
+		for _, seed := range []uint64{0, 5, 42, 1 << 40} {
+			if got, want := Terrain(w, h, seed), terrainReference(w, h, seed); !bitEqual(got, want) {
+				t.Errorf("Terrain(%d, %d, %d) differs from its per-pixel definition", w, h, seed)
+			}
+			for _, frac := range []float64{0, 0.02, 0.5} {
+				if got, want := Image(w, h, seed, frac), imageReference(w, h, seed, frac); !bitEqual(got, want) {
+					t.Errorf("Image(%d, %d, %d, %g) differs from its per-pixel definition", w, h, seed, frac)
+				}
+			}
+		}
+	}
+}
+
+func bitEqual(a, b *grid.Grid) bool {
+	if a.W != b.W || a.H != b.H {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 func TestTerrainDeterministic(t *testing.T) {
 	a := Terrain(64, 48, 7)
