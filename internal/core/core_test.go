@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/hpcio/das/internal/active"
@@ -11,6 +12,7 @@ import (
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/metrics"
+	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/workload"
 )
@@ -66,6 +68,48 @@ func TestIngestGridLeavesTheRasterWithItsCaller(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Error("the ingested file changed when the caller reused its raster")
+	}
+}
+
+// TestFetchGridHoldsTheRasterOnce: FetchGrid decodes each stored strip from
+// where it lies into the grid it returns, so a fetch allocates one raster —
+// not a byte buffer the size of the file and a grid to decode it into. A
+// file that is not a raster in whole-element strips is refused up front.
+func TestFetchGridHoldsTheRasterOnce(t *testing.T) {
+	g := workload.Terrain(512, 256, 5) // 1 MiB: engine bookkeeping is small beside it
+	s, err := NewSystem(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.IngestGrid("in", g, layout.NewRoundRobin(4), 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := s.FetchGrid("in")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(g) {
+		t.Error("fetched raster differs from the ingested one")
+	}
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc > g.SizeBytes()*3/2 {
+		t.Errorf("FetchGrid of a %d-byte raster allocated %d bytes: the raster is held more than once", g.SizeBytes(), alloc)
+	}
+
+	for name, opts := range map[string]pfs.CreateOptions{
+		"plain":     {},
+		"odd-strip": {StripSize: 100, Width: 8, Height: 8, ElemSize: grid.ElemSize},
+		"short":     {Width: 8, Height: 7, ElemSize: grid.ElemSize},
+	} {
+		if _, err := s.FS.Create(name, 8*8*grid.ElemSize, layout.NewRoundRobin(4), opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.FetchGrid(name); err == nil {
+			t.Errorf("FetchGrid accepted %q, which is not a raster in whole-element strips", name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/hpcio/das/internal/bufpool"
@@ -120,18 +121,53 @@ func TestOutputsSurvivePoisonedPools(t *testing.T) {
 	})
 
 	t.Run("ts", func(t *testing.T) {
+		// The TS worker's band is lent the owners' strips, and its output
+		// comes from the float pool as the last holder left it — from the
+		// second run on, scribbled — with nothing zeroed in between: only
+		// a kernel that writes every output element before anything reads
+		// one still matches the reference.
 		s := newSystem(t, TS, g)
 		defer s.Close()
 		k, _ := kernels.Default().Lookup("gaussian-filter")
-		if _, err := s.Execute(Request{Op: "gaussian-filter", Input: "in", Output: "out", Scheme: TS}); err != nil {
-			t.Fatal(err)
+		want := kernels.Apply(k, g)
+		for _, out := range []string{"out1", "out2"} {
+			if _, err := s.Execute(Request{Op: "gaussian-filter", Input: "in", Output: out, Scheme: TS}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.FetchGrid(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("TS output %s differs from the sequential reference under poisoned pools (max diff %g)", out, got.MaxAbsDiff(want))
+			}
 		}
-		got, err := s.FetchGrid("out")
+	})
+
+	t.Run("ts-reduce", func(t *testing.T) {
+		// The TS reducer folds the owners' strips in place, too, and leaves
+		// the stored file as it was ingested.
+		s := newSystem(t, TS, g)
+		defer s.Close()
+		want := kernels.ReduceAll(kernels.Stats{}, g)
+		for run := 0; run < 2; run++ {
+			rep, err := s.Reduce(ReduceRequest{Op: "stats", Input: "in", Scheme: TS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Result[kernels.StatCount] != want[kernels.StatCount] ||
+				rep.Result[kernels.StatMin] != want[kernels.StatMin] ||
+				rep.Result[kernels.StatMax] != want[kernels.StatMax] ||
+				math.Abs(rep.Result[kernels.StatSum]-want[kernels.StatSum]) > 1e-6 {
+				t.Fatalf("TS reduction %d: aggregate %v under poisoned pools, want %v", run, rep.Result, want)
+			}
+		}
+		got, err := s.FetchGrid("in")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := kernels.Apply(k, g); !got.Equal(want) {
-			t.Fatalf("TS output differs from the sequential reference under poisoned pools (max diff %g)", got.MaxAbsDiff(want))
+		if !got.Equal(g) {
+			t.Fatal("a TS reduction changed the stored file under poisoned pools")
 		}
 	})
 

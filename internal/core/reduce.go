@@ -172,9 +172,9 @@ func (s *System) reduceWorker(p *sim.Proc, red kernels.Reducer, in *pfs.FileMeta
 	byteLo, _ := in.StripBounds(first)
 	_, byteHi := in.StripBounds(last)
 	e0, e1 := byteLo/in.ElemSize, byteHi/in.ElemSize
-	band := grid.NewBandPooled(in.Width, total, e0, e1, e0, e1)
-	err := band.FillFrom(e0, e1, func(raw []byte) error {
-		return client.ReadInto(p, in.Name, byteLo, raw)
+	band := grid.NewBandLent(in.Width, total, e0, e1, e0, e1)
+	err := client.ReadLent(p, in.Name, byteLo, byteHi-byteLo, func(at int64, window []byte) {
+		band.Lend(at/in.ElemSize, window)
 	})
 	if err != nil {
 		band.Release()

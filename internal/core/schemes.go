@@ -105,11 +105,11 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 	e0, e1 := byteLo/in.ElemSize, byteHi/in.ElemSize
 	lo, hi := grid.HaloRange(e0, e1, maxAbs, total)
 
-	// The client reads straight into the band's own memory.
+	// The band reads the owners' stored strips where they lie.
 	readStart := p.Now()
-	band := grid.NewBandPooled(in.Width, total, e0, e1, lo, hi)
-	err := band.FillFrom(lo, hi, func(raw []byte) error {
-		return client.ReadInto(p, in.Name, lo*in.ElemSize, raw)
+	band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
+	err := client.ReadLent(p, in.Name, lo*in.ElemSize, (hi-lo)*in.ElemSize, func(at int64, window []byte) {
+		band.Lend(at/in.ElemSize, window)
 	})
 	if err != nil {
 		band.Release()

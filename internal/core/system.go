@@ -384,22 +384,28 @@ func (s *System) IngestGrid(name string, g *grid.Grid, lay layout.Layout, stripS
 	})
 }
 
-// FetchGrid reads a raster file back into memory (for verification).
+// FetchGrid reads a raster file back into memory (for verification), each
+// stored strip decoded from where it lies into its place in the grid.
 func (s *System) FetchGrid(name string) (*grid.Grid, error) {
 	m, ok := s.FS.Meta(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown file %q", name)
 	}
-	var data []byte
+	if want := int64(m.Width) * int64(m.Height) * grid.ElemSize; want != m.Size || m.StripSize%grid.ElemSize != 0 {
+		return nil, fmt.Errorf("core: %q is not a %dx%d raster in strips of whole elements", name, m.Width, m.Height)
+	}
+	g := grid.New(m.Width, m.Height)
 	_, err := s.run("fetch-"+name, func(p *sim.Proc) error {
-		var err error
-		data, err = s.FS.NewClient(s.Clu.ComputeID(0)).ReadAll(p, name)
-		return err
+		return s.FS.NewClient(s.Clu.ComputeID(0)).ReadLent(p, name, 0, m.Size, func(at int64, window []byte) {
+			e := at / grid.ElemSize
+			// Whole elements, checked above, into capacity the grid has.
+			_, _ = grid.FloatsFromBytesInto(g.Data[e:e], window)
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	return grid.FromBytes(m.Width, m.Height, data)
+	return g, nil
 }
 
 // Request describes one operation submission.

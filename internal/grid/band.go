@@ -326,13 +326,6 @@ func (b *Band) Writable(lo, hi int64) []float64 {
 	return b.Span(lo, hi)
 }
 
-// FillFrom fills Writable(lo, hi) with the on-disk bytes read deposits in
-// the buffer it is handed. Where the host allows, that buffer is the
-// band's own memory: a client read lands in the band with no copy after it.
-func (b *Band) FillFrom(lo, hi int64, read func(raw []byte) error) error {
-	return fillFrom(b.Writable(lo, hi), read)
-}
-
 // OwnedLen returns the number of elements the band must produce.
 func (b *Band) OwnedLen() int64 { return b.End - b.Start }
 

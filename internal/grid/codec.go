@@ -8,7 +8,7 @@ import (
 
 // The strip codec. A raster element on disk is a little-endian IEEE-754
 // float64, which on a little-endian host is exactly the memory of a
-// float64: there the codec is a view (Bytes, floatsView, fillFrom) or one
+// float64: there the codec is a view (Bytes, floatsView) or one
 // memmove (decode, encode), and no element is converted. Memory a kernel
 // writes is always allocated as []float64 and its bytes derived from it,
 // so that view is 8-byte aligned by construction; the view the other way
@@ -70,20 +70,4 @@ func encode(dst []byte, src []float64) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(dst[i*ElemSize:], math.Float64bits(v))
 	}
-}
-
-// fillFrom sets vals from the on-disk bytes read deposits in the buffer it
-// is handed: vals' own memory on a little-endian host, so the bytes land
-// where they are wanted and nothing moves afterwards; a scratch buffer,
-// decoded once read returns, elsewhere.
-func fillFrom(vals []float64, read func(raw []byte) error) error {
-	if viewable {
-		return read(Bytes(vals))
-	}
-	raw := make([]byte, len(vals)*ElemSize)
-	if err := read(raw); err != nil {
-		return err
-	}
-	decode(vals, raw)
-	return nil
 }

@@ -65,26 +65,17 @@ func TestCodecPathsAgree(t *testing.T) {
 		}
 	}
 
-	// The band entry points sit on the same functions: Lend views or
-	// decodes, FillFrom has the bytes deposited (into the band's own memory
-	// on the view path, through a scratch buffer on the portable one).
+	// The band entry point sits on the same functions: Lend views or
+	// decodes.
 	for _, portable := range []bool{false, true} {
 		onPath(portable, func() {
 			n := int64(len(vals))
 			a := NewBandLent(len(vals), n, 0, n, 0, n)
 			defer a.Release()
 			a.Lend(0, slow)
-			b := NewBandPooled(len(vals), n, 0, n, 0, n)
-			defer b.Release()
-			if err := b.FillFrom(0, n, func(raw []byte) error { copy(raw, slow); return nil }); err != nil {
-				t.Fatal(err)
-			}
 			for i, want := range bits {
 				if got := math.Float64bits(a.At(int64(i))); got != want {
 					t.Errorf("Lend (portable=%v) [%d] = %#016x, want %#016x", portable, i, got, want)
-				}
-				if got := math.Float64bits(b.At(int64(i))); got != want {
-					t.Errorf("FillFrom (portable=%v) [%d] = %#016x, want %#016x", portable, i, got, want)
 				}
 			}
 		})

@@ -12,23 +12,24 @@ import (
 // sources from the simulator's inner loop (the GB-scale garbage behind the
 // Fig. 10-14 regeneration cost).
 //
-// GetFloats returns zeroed memory; a pooled band's data does not start
-// zeroed — its one fill covers all of it — and either way outputs stay
-// byte-identical to the unpooled reference.
+// The pool has one contract: what it hands out — GetFloats' slice, a
+// pooled band's data — holds arbitrary contents, a previous holder's, and
+// the taker fills all of it before anything reads it. Nothing is zeroed on
+// the way out: a kernel writes its whole output, a band's one fill covers
+// it, so outputs stay byte-identical to the unpooled reference.
 
 var (
 	floatPool bufpool.Pool[float64]
 	bandPool  = sync.Pool{New: func() any { return new(Band) }}
 )
 
-// GetFloats returns a zeroed float slice of length n from the pool,
-// allocating when the pool is empty or too small. Return it with PutFloats
-// once it is no longer referenced.
+// GetFloats returns a float slice of length n from the pool, allocating
+// when the pool is empty or too small. Its contents are arbitrary: fill
+// all of it before anything reads it. Return it with PutFloats once it is
+// no longer referenced.
 func GetFloats(n int) []float64 {
-	s := floatPool.Get(n)
-	clear(s)
 	//das:transfer -- this wrapper is the pool's hand-out point; the caller owns the slice
-	return s
+	return floatPool.Get(n)
 }
 
 // PutFloats recycles a slice obtained from GetFloats (or anywhere else).
@@ -38,7 +39,7 @@ func PutFloats(s []float64) {
 }
 
 // NewBandPooled is NewBand backed by the pool, except that its data
-// starts with arbitrary contents: fill all of it (FillFrom, Writable)
+// starts with arbitrary contents: fill all of it (Writable)
 // before anything reads it. Release recycles the band.
 func NewBandPooled(width int, globalLen, start, end, lo, hi int64) *Band {
 	b := NewBandLent(width, globalLen, start, end, lo, hi)

@@ -4,39 +4,55 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"github.com/hpcio/das/internal/bufpool"
 )
 
 // TestNewBandPooledMatchesNewBand: a pooled band starts with a previous
 // tenant's values, and the one fill that covers it leaves it reading
 // exactly like a fresh band filled the same way.
 func TestNewBandPooledMatchesNewBand(t *testing.T) {
-	raw := FloatsToBytes([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	deposit := func(dst []byte) error { copy(dst, raw); return nil }
+	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	a := NewBand(4, 8, 2, 6, 0, 8)
-	if err := a.FillFrom(0, 8, deposit); err != nil {
-		t.Fatal(err)
-	}
+	copy(a.Writable(0, 8), vals)
 	stale := NewBandPooled(4, 8, 2, 6, 0, 8)
-	if err := stale.FillFrom(0, 8, func(dst []byte) error { clear(dst); dst[0] = 0xff; return nil }); err != nil {
-		t.Fatal(err)
+	for i, w := 0, stale.Writable(0, 8); i < len(w); i++ {
+		w[i] = math.Inf(-1)
 	}
 	stale.Release()
 	b := NewBandPooled(4, 8, 2, 6, 0, 8) // most likely on stale's buffer
 	defer b.Release()
-	if err := b.FillFrom(0, 8, deposit); err != nil {
-		t.Fatal(err)
-	}
+	copy(b.Writable(0, 8), vals)
 	for i := int64(0); i < 8; i++ {
 		if a.At(i) != b.At(i) || b.At(i) != float64(i+1) {
 			t.Fatalf("pooled band [%d] = %v, fresh band %v", i, b.At(i), a.At(i))
 		}
 	}
-	// FillFrom writes only memory the band owns, one window of it.
+	// Only memory the band owns is writable, one window of it.
 	lent := NewBandLent(4, 8, 2, 6, 0, 8)
 	defer lent.Release()
-	lent.Lend(0, raw)
-	if panicOf(func() { lent.FillFrom(0, 8, deposit) }) == "" {
-		t.Error("FillFrom wrote through a lent window")
+	lent.Lend(0, FloatsToBytes(vals))
+	if panicOf(func() { lent.Writable(0, 8) }) == "" {
+		t.Error("a lent window was handed out as writable")
+	}
+}
+
+// TestGetFloatsHandsOutArbitraryContents pins the pool's one contract from
+// the taker's side: what GetFloats returns is whatever the last holder — or
+// the poison hook — left in it, not zeros, so a taker fills all of it.
+func TestGetFloatsHandsOutArbitraryContents(t *testing.T) {
+	defer bufpool.PoisonPuts()()
+	const n = 1 << 10
+	PutFloats(make([]float64, n))
+	got := GetFloats(n)
+	defer PutFloats(got)
+	if len(got) != n {
+		t.Fatalf("GetFloats(%d) returned %d elements", n, len(got))
+	}
+	for i, v := range got {
+		if v == 0 {
+			t.Fatalf("element %d of a recycled slice is zero: GetFloats cleared it (or the pool dropped the slice)", i)
+		}
 	}
 }
 

@@ -292,9 +292,6 @@ func TestRowDriverMissingHaloPanics(t *testing.T) {
 	// Owned cells (2,2)..(3,5): the first reads up-left 9, the last
 	// down-right 38.
 	const start, end = 2*w + 2, 3*w + 6
-	deposit := func(vals []float64) func(raw []byte) error {
-		return func(raw []byte) error { copy(raw, grid.Bytes(vals)); return nil }
-	}
 	builders := []struct {
 		name  string
 		build func(lo, hi int64) *grid.Band
@@ -306,14 +303,10 @@ func TestRowDriverMissingHaloPanics(t *testing.T) {
 				stale[i] = 1e9 // values the short band must never see
 			}
 			big := grid.NewBandPooled(w, g.Len(), 0, g.Len(), 0, g.Len())
-			if err := big.FillFrom(0, g.Len(), deposit(stale)); err != nil {
-				t.Fatal(err)
-			}
+			copy(big.Writable(0, g.Len()), stale)
 			big.Release()
 			b := grid.NewBandPooled(w, g.Len(), start, end, lo, hi)
-			if err := b.FillFrom(lo, hi, deposit(g.Data[lo:hi])); err != nil {
-				t.Fatal(err)
-			}
+			copy(b.Writable(lo, hi), g.Data[lo:hi])
 			return b
 		}},
 		{"NewBandLent", func(lo, hi int64) *grid.Band {

@@ -38,6 +38,14 @@ release call, to be the destination of copy, or to be assigned through an
 index: the first would hand a file's contents to the pool, the other two
 would edit them in place.
 
+pfs.Client.ReadLent hands the same windows to its callback, so the
+callback's window parameter is borrowed too, and more narrowly: it may be
+lent to a band (grid.Band.Lend) or copied out of, and that is all. Keeping
+it — assigning it, or anything sliced from it, to a variable or field that
+outlives the callback, or appending it to a slice — is a finding: a band is
+the one holder of lent windows, and the lent-buffer rule below watches
+bands only.
+
 grid.Band.Lend and LendValues keep a view of the buffer they are given. A
 borrowed chunk may be lent freely (it is never released); a pooled buffer
 is held until the band is dropped: within the lending function (closures
@@ -757,6 +765,8 @@ func checkBorrows(pass *Pass, decls []*ast.FuncDecl) {
 			}
 		}
 	}
+	// callbacks are the function literals passed to the lending read.
+	callbacks := make(map[*ast.FuncLit]bool)
 	// propagate walks one function body; results are the result variables
 	// its return statements feed (nil inside a closure, whose callers the
 	// walk cannot name).
@@ -767,6 +777,19 @@ func checkBorrows(pass *Pass, decls []*ast.FuncDecl) {
 			case *ast.FuncLit:
 				propagate(n.Body, nil)
 				return false
+			case *ast.CallExpr:
+				// The lending read's callback receives a window as its last
+				// parameter, be the callback a literal or a named function.
+				if !methodIs(calleeFunc(info, n), pfsPkg, "Client", "ReadLent") || len(n.Args) == 0 {
+					break
+				}
+				each := ast.Unparen(n.Args[len(n.Args)-1])
+				if lit, ok := each.(*ast.FuncLit); ok {
+					callbacks[lit] = true
+				}
+				if sig, ok := typeOf(info, each).(*types.Signature); ok && sig.Params().Len() > 0 {
+					mark(sig.Params().At(sig.Params().Len() - 1))
+				}
 			case *ast.AssignStmt:
 				assign(n.Lhs, n.Rhs)
 			case *ast.ValueSpec:
@@ -815,6 +838,44 @@ func checkBorrows(pass *Pass, decls []*ast.FuncDecl) {
 		return
 	}
 	const contract = "a read lends a window of the stored strip itself, read-only and never released"
+	for lit := range callbacks {
+		// inside reports whether e is rooted in a variable the callback
+		// declares, its parameters included.
+		inside := func(e ast.Expr) bool {
+			for _, obj := range rootObjects(info, e) {
+				if lit.Pos() <= obj.Pos() && obj.Pos() < lit.End() {
+					return true
+				}
+			}
+			return false
+		}
+		kept := func(e ast.Expr) bool { return isBorrowed(e) && inside(e) }
+		const keep = "a window lent to a read callback is kept past it: lend it to a band or copy out of it"
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, r := range n.Rhs {
+					if i >= len(n.Lhs) || !kept(r) {
+						continue
+					}
+					if id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok && (id.Name == "_" || inside(id)) {
+						continue
+					}
+					pass.Reportf(n.Lhs[i].Pos(), keep)
+				}
+			case *ast.CallExpr:
+				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); !ok || id.Name != "append" || n.Ellipsis.IsValid() {
+					return true
+				}
+				for _, arg := range n.Args[1:] {
+					if kept(arg) {
+						pass.Reportf(arg.Pos(), keep)
+					}
+				}
+			}
+			return true
+		})
+	}
 	for _, d := range decls {
 		ast.Inspect(d.Body, func(n ast.Node) bool {
 			switch n := n.(type) {

@@ -140,3 +140,39 @@ func ownedOK(n int, src []byte) {
 	o.buf[0] = 1
 	pool.Put(o.buf)
 }
+
+// The lending client read hands its callback the same windows: lending
+// them to a band and copying out of them are the two things to do.
+func windowOK(p *sim.Proc, c *pfs.Client, band *grid.Band, dst []byte) (n int64, err error) {
+	err = c.ReadLent(p, "f", 64, int64(len(dst)), func(at int64, window []byte) {
+		band.Lend(at/grid.ElemSize, window)
+		copy(dst[at-64:], window)
+		tail := window[len(window)/2:]
+		n += int64(len(tail)) + int64(window[0])
+	})
+	return n, err
+}
+
+type collector struct{ last []byte }
+
+// Writing through a window, releasing it or keeping it is not.
+func windowMisused(p *sim.Proc, c *pfs.Client, src []byte, keep *collector) [][]byte {
+	var all [][]byte
+	var first []byte
+	_ = c.ReadLent(p, "f", 0, 64, func(_ int64, window []byte) {
+		copy(window, src)            // want `borrowed strip memory is the destination of copy`
+		window[0] = 1                // want `borrowed strip memory is assigned through an index`
+		pool.Put(window)             // want `borrowed strip memory released to a pool`
+		first = window[:8]           // want `a window lent to a read callback is kept past it`
+		keep.last = window           // want `a window lent to a read callback is kept past it`
+		all = append(all, window)    // want `a window lent to a read callback is kept past it`
+		src = append(src, window...) // copies out: fine
+	})
+	_ = c.ReadLent(p, "f", 0, 64, scribble)
+	return append(all, first)
+}
+
+// A named callback's window parameter is borrowed just the same.
+func scribble(_ int64, window []byte) {
+	window[1]++ // want `borrowed strip memory is assigned through an index`
+}

@@ -129,8 +129,8 @@ func (c *Client) Write(p *sim.Proc, name string, off int64, data []byte) error {
 
 // Read returns bytes [off, off+length) of the file, assembling per-strip
 // reads from the primary holders in parallel. The returned slice is
-// freshly allocated and owned by the caller; hot paths that can recycle
-// the destination should use ReadInto with a buffer of their own instead.
+// freshly allocated and owned by the caller; a reader that only looks at
+// the bytes should use ReadLent and copy nothing.
 func (c *Client) Read(p *sim.Proc, name string, off, length int64) ([]byte, error) {
 	out := make([]byte, length)
 	if err := c.ReadInto(p, name, off, out); err != nil {
@@ -139,17 +139,30 @@ func (c *Client) Read(p *sim.Proc, name string, off, length int64) ([]byte, erro
 	return out, nil
 }
 
-// ReadInto fills out with bytes [off, off+len(out)) of the file,
-// assembling per-strip reads from the primary holders in parallel. Each
-// response carries its spans as windows of the stored strips, copied
-// straight into out, so a read allocates nothing proportional to its size.
+// ReadInto fills out with bytes [off, off+len(out)) of the file: ReadLent,
+// with each window copied to its place in a buffer the caller owns.
 func (c *Client) ReadInto(p *sim.Proc, name string, off int64, out []byte) error {
+	return c.ReadLent(p, name, off, int64(len(out)), func(at int64, window []byte) {
+		copy(out[at-off:], window)
+	})
+}
+
+// ReadLent reads bytes [off, off+length) of the file, assembling per-strip
+// reads from the primary holders in parallel, and hands each to the caller
+// where it lies: each(at, window) receives the bytes from file offset at
+// on, one call per strip touched, in no particular order, and together the
+// windows tile the range. A window is lent under ReadStripFrom's contract —
+// the owner's stored strip itself, its capacity clipped, read-only, never
+// released, and reading the same bytes for as long as it is held whatever
+// happens to the file meanwhile — so a read allocates nothing proportional
+// to its size and moves no byte. When the read fails, each may already
+// have seen the windows of the servers that answered.
+func (c *Client) ReadLent(p *sim.Proc, name string, off, length int64, each func(at int64, window []byte)) error {
 	m, ok := c.fs.meta[name]
 	if !ok {
 		return fmt.Errorf("pfs: unknown file %q", name)
 	}
-	length := int64(len(out))
-	if off < 0 || off+length > m.Size {
+	if off < 0 || length < 0 || off+length > m.Size {
 		return fmt.Errorf("pfs: read [%d,%d) outside file %q of %d bytes", off, off+length, name, m.Size)
 	}
 	if length == 0 {
@@ -174,7 +187,6 @@ func (c *Client) ReadInto(p *sim.Proc, name string, off int64, out []byte) error
 	starts := make([]int, len(cur))
 	copy(starts, cur)
 	spans := make([]Span, nSpans)
-	outOffs := make([]int64, nSpans)
 	sigs := make([]*sim.Signal[error], 0, len(cur))
 	for s := firstStrip; s <= lastStrip; s++ {
 		sLo, sHi := m.StripBounds(s)
@@ -188,7 +200,6 @@ func (c *Client) ReadInto(p *sim.Proc, name string, off int64, out []byte) error
 		srv := m.Layout.Primary(s)
 		i := cur[srv]
 		spans[i] = Span{Strip: s, Lo: lo - sLo, Hi: hi - sLo}
-		outOffs[i] = lo - off
 		cur[srv]++
 		if i != starts[srv] {
 			continue
@@ -203,13 +214,13 @@ func (c *Client) ReadInto(p *sim.Proc, name string, off int64, out []byte) error
 		if srv+1 < len(starts) {
 			end = starts[srv+1]
 		}
-		srv, bSpans, bOffs := srv, spans[i:end], outOffs[i:end]
+		srv, bSpans := srv, spans[i:end]
 		done := sim.NewSignal[error](c.fs.clu.Eng, "pfs-read")
 		sigs = append(sigs, done)
 		p.Spawn("pfs-read", func(r *sim.Proc) {
 			data, err := c.fs.ReadSpansFrom(r, c.nodeID, srv, name, bSpans)
 			for i, d := range data {
-				copy(out[bOffs[i]:], d)
+				each(bSpans[i].Strip*m.StripSize+bSpans[i].Lo, d)
 			}
 			done.Fire(err)
 		})

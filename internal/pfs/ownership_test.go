@@ -238,3 +238,72 @@ func TestReadResultOutlivesTheStrip(t *testing.T) {
 		}
 	})
 }
+
+// TestLentClientReadOutlivesTheStrips is the contract for the last reader
+// to take windows: a client's lending read, assembled into a band the way
+// a TS worker does. Each window is the holder's own memory with no spare
+// capacity, and the band goes on reading what was stored when the read
+// returned while its strips are overwritten, dropped, put through a crash
+// and restart of their holder, and deleted — with poison on, so a window
+// that reached a pool on the way would show.
+func TestLentClientReadOutlivesTheStrips(t *testing.T) {
+	defer bufpool.PoisonPuts()()
+	clu, fs := testFS(t)
+	const strip = 64
+	const elems = strip / grid.ElemSize
+	vals := make([]float64, 4*elems)
+	for i := range vals {
+		vals[i] = float64(i) + 0.5
+	}
+	if _, err := fs.Create("f", 4*strip, layout.NewRoundRobin(4), CreateOptions{StripSize: strip}); err != nil {
+		t.Fatal(err)
+	}
+	client := fs.NewClient(clu.ComputeID(0))
+	run(t, clu, func(p *sim.Proc) {
+		if err := client.WriteAll(p, "f", grid.FloatsToBytes(vals)); err != nil {
+			t.Error(err)
+			return
+		}
+		// Elements [3, 29): mid-strip at both ends, as a halo read is.
+		band := grid.NewBandLent(elems, 4*elems, elems, 3*elems, 3, 29)
+		err := client.ReadLent(p, "f", 3*grid.ElemSize, 26*grid.ElemSize, func(at int64, w []byte) {
+			s := at / strip
+			if stored := fs.Server(int(s)).store["f"][s]; &w[0] != &stored[at%strip] {
+				t.Errorf("the window at %d is a copy, not the holder's stored strip", at)
+			}
+			if cap(w) != len(w) {
+				t.Errorf("the window at %d has spare capacity: an append would write into the store", at)
+			}
+			band.Lend(at/grid.ElemSize, w)
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		reads := func(after string) {
+			t.Helper()
+			for i := int64(3); i < 29; i++ {
+				if band.At(i) != vals[i] {
+					t.Errorf("after %s the band reads %v at element %d, want %v", after, band.At(i), i, vals[i])
+					return
+				}
+			}
+		}
+		reads("the read")
+		if err := client.Write(p, "f", 0, bytes.Repeat([]byte{0xEE}, strip)); err != nil {
+			t.Error(err)
+		}
+		reads("an overwrite of strip 0")
+		fs.Server(1).Drop("f", 1)
+		reads("a Drop of strip 1")
+		for _, kind := range []fault.Kind{fault.Crash, fault.Restart} {
+			if err := clu.ApplyFault(fault.Event{Kind: kind, Server: 2}); err != nil {
+				t.Error(err)
+			}
+		}
+		reads("a crash and restart of strip 2's holder")
+		fs.Delete("f")
+		reads("a Delete of the file")
+		band.Release()
+	})
+}

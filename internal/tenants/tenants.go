@@ -206,7 +206,6 @@ type tenantState struct {
 	client *pfs.Client
 	as     *active.Client
 
-	rbuf []byte // reusable strip read buffer
 	wbuf []byte // pre-encoded strip write payload (valid float64 cells)
 
 	ops, reads, writes, offloads int64
@@ -412,7 +411,6 @@ func (e *Engine) newTenant(id int) *tenantState {
 		lat:    metrics.NewLatencySketch(),
 		client: e.fs.NewClient(node),
 		as:     active.NewClient(e.fs, node),
-		rbuf:   make([]byte, e.cfg.StripSize),
 		wbuf:   grid.FloatsToBytes(vals),
 	}
 }
@@ -475,9 +473,10 @@ func (e *Engine) runTenant(p *sim.Proc, t *tenantState) error {
 		switch kind {
 		case opRead:
 			off := strip * e.cfg.StripSize
-			err = t.client.ReadInto(p, f.name, off, t.rbuf)
+			err = t.client.ReadLent(p, f.name, off, e.cfg.StripSize, func(_ int64, window []byte) {
+				t.bytes += int64(len(window))
+			})
 			t.reads++
-			t.bytes += e.cfg.StripSize
 		case opWrite:
 			off := strip * e.cfg.StripSize
 			err = t.client.Write(p, f.name, off, t.wbuf)
