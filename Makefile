@@ -43,33 +43,27 @@ extended: tier1 lint lint-fix-check
 	go test -run '^$$' -fuzz FuzzRowDriver -fuzztime 20s ./internal/kernels
 	go test -run '^$$' -fuzz FuzzOrderKey -fuzztime 20s ./internal/kernels
 
-# Bench smoke: short cache, restripe, and p99-controller experiments end
-# to end (reduced sweep, JSON artifacts) plus the adaptive subsystems
-# under the race detector.
+# Bench smoke: every experiment end to end at the reduced configuration —
+# each cell verified against the sequential reference, the replayed
+# experiments byte-identical across two runs — plus the adaptive
+# subsystems under the race detector.
 bench-smoke:
-	go run ./cmd/dasbench -quick -cache -cache-rounds 2 -json BENCH_cache_smoke.json
-	go run ./cmd/dasbench -quick -restripe -restripe-rounds 2 -json BENCH_restripe_smoke.json
-	go run ./cmd/dasbench -quick -p99 -p99-rounds 7 -json BENCH_p99_smoke.json
-	go run ./cmd/dasbench -scale -smoke -json BENCH_scale_smoke.json
-	go run ./cmd/dasbench -quick -tenants -smoke -json BENCH_tenants_smoke.json
-	go run ./cmd/dasbench -quick -pipeline -smoke -json BENCH_pipeline_smoke.json
+	go run ./cmd/dasbench -quick -exp all -json BENCH_sim_smoke.json
 	go test -race ./internal/control/... ./internal/cache/... ./internal/restripe/... ./internal/tenants/... ./internal/pipeline/...
 
-# Bench identity: the simulated-clock artifacts are functions of the code
-# alone, so the committed BENCH_*.json must regenerate byte for byte from
-# the dasbench invocations that produced them (~90 s in all; pipeline and
-# restripe include crash runs), and `dasbench -quick -faults` — retries,
-# timeouts and failover counts under a mid-run crash — must print its
-# golden text. A refactor that moves no byte passes; anything else says
-# which artifact moved.
+# Bench identity: the simulated-clock records are functions of the code
+# alone, so the committed BENCH_sim.json — every cell of every experiment,
+# sim seconds and counts only — must regenerate byte for byte from one
+# full `dasbench -exp all -json` (~35 s; pipeline and restripe include
+# crash runs), and `dasbench -quick -exp faults` — retries, timeouts and
+# failover counts under a mid-run crash — must print its golden text. A
+# refactor that moves no byte passes; anything else says which cell moved.
 bench-identity:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	go build -o "$$tmp/dasbench" ./cmd/dasbench; \
-	for e in cache restripe p99 tenants pipeline; do \
-		"$$tmp/dasbench" -$$e -json "$$tmp/BENCH_$$e.json" >/dev/null; \
-		cmp "$$tmp/BENCH_$$e.json" BENCH_$$e.json; \
-		echo "bench-identity: BENCH_$$e.json identical"; \
-	done; \
-	"$$tmp/dasbench" -quick -faults >"$$tmp/faults_quick.txt"; \
+	"$$tmp/dasbench" -exp all -json "$$tmp/BENCH_sim.json" >/dev/null; \
+	cmp "$$tmp/BENCH_sim.json" BENCH_sim.json; \
+	echo "bench-identity: BENCH_sim.json identical"; \
+	"$$tmp/dasbench" -quick -exp faults >"$$tmp/faults_quick.txt"; \
 	cmp "$$tmp/faults_quick.txt" testdata/faults_quick.golden.txt; \
-	echo "bench-identity: -quick -faults output identical"
+	echo "bench-identity: -quick -exp faults output identical"

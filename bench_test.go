@@ -1,17 +1,16 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per table
-// and figure of §IV plus one per ablation from DESIGN.md. Each iteration
-// re-runs the full experiment at the paper-mirroring scale (1 GB → 1 MiB);
-// the reported custom metrics are *simulated* seconds — the numbers the
-// paper's y-axes show — while the standard ns/op measures the wall cost of
-// regenerating the experiment. Set DAS_BENCH_QUICK=1 to shrink the sweep
-// for smoke runs.
+// Benchmarks regenerating the paper's evaluation: the Table I kernels and
+// one sub-benchmark per experiment. Each iteration re-runs the full
+// experiment at the paper-mirroring scale (1 GB → 1 MiB); the reported
+// custom metrics are the plotted values — simulated seconds, the numbers
+// the paper's y-axes show, for the figures — while the standard ns/op
+// measures the wall cost of regenerating the experiment. -short shrinks
+// the sweep to experiments.Quick for smoke runs.
 package das_test
 
 import (
-	"os"
+	"strings"
 	"testing"
 
-	"github.com/hpcio/das/internal/core"
 	"github.com/hpcio/das/internal/experiments"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
@@ -19,13 +18,10 @@ import (
 )
 
 func benchConfig() experiments.Config {
-	cfg := experiments.Default()
-	if os.Getenv("DAS_BENCH_QUICK") != "" {
-		cfg.Nodes = 8
-		cfg.SizesGB = []int{2, 4}
-		cfg.NodeSweep = []int{8, 16}
+	if testing.Short() {
+		return experiments.Quick()
 	}
-	return cfg
+	return experiments.Default()
 }
 
 // BenchmarkTableIKernels measures the real per-element throughput of the
@@ -59,7 +55,7 @@ func BenchmarkTableIKernels(b *testing.B) {
 }
 
 // reportSeries publishes each series' value at the largest x as a custom
-// metric in simulated seconds.
+// metric.
 func reportSeries(b *testing.B, r *experiments.Result) {
 	b.Helper()
 	xs := r.Xs()
@@ -69,136 +65,28 @@ func reportSeries(b *testing.B, r *experiments.Result) {
 	last := xs[len(xs)-1]
 	for _, s := range r.Series() {
 		if v, ok := r.Value(s, last); ok {
-			b.ReportMetric(v, s+"_sim_s")
+			b.ReportMetric(v, strings.ReplaceAll(s, " ", "_"))
 		}
 	}
 }
 
-func benchFigure(b *testing.B, f func(experiments.Config) (*experiments.Result, error)) {
-	cfg := benchConfig()
-	var last *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := f(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	reportSeries(b, last)
-}
-
-// BenchmarkFig10 regenerates Fig. 10 (NAS vs TS, three kernels, growing
-// data): the cost of ignoring data dependence.
-func BenchmarkFig10(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.Fig10() })
-}
-
-// BenchmarkFig11 regenerates Fig. 11 (NAS/DAS/TS on the smallest
-// dataset): the paper's headline >30%/>60% improvements.
-func BenchmarkFig11(b *testing.B) {
-	cfg := benchConfig()
-	var last *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := cfg.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	// Report the flow-routing margins the paper quotes.
-	das, _ := last.Value("DAS", 0)
-	ts, _ := last.Value("TS", 0)
-	nas, _ := last.Value("NAS", 0)
-	b.ReportMetric(das, "das_sim_s")
-	b.ReportMetric(ts, "ts_sim_s")
-	b.ReportMetric(nas, "nas_sim_s")
-	if ts > 0 && nas > 0 {
-		b.ReportMetric(100*(1-das/ts), "improves_vs_ts_%")
-		b.ReportMetric(100*(1-das/nas), "improves_vs_nas_%")
-	}
-}
-
-// BenchmarkFig12 regenerates Fig. 12 (all schemes, growing data).
-func BenchmarkFig12(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.Fig12() })
-}
-
-// BenchmarkFig13 regenerates Fig. 13 (DAS vs TS, growing node count).
-func BenchmarkFig13(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.Fig13() })
-}
-
-// BenchmarkFig14 regenerates Fig. 14 (normalized sustained bandwidth).
-func BenchmarkFig14(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.Fig14() })
-}
-
-// BenchmarkAblationGroupSize sweeps the replication group size r.
-func BenchmarkAblationGroupSize(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationGroupSize() })
-}
-
-// BenchmarkAblationPredictor measures the accept/reject decision's value
-// on a hostile multi-stride pattern.
-func BenchmarkAblationPredictor(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationPredictor() })
-}
-
-// BenchmarkAblationReconfig measures migrate-in-place cost and its
-// amortization over successive operations.
-func BenchmarkAblationReconfig(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationReconfig() })
-}
-
-// BenchmarkAblationHaloFetch compares dependent-data transports.
-func BenchmarkAblationHaloFetch(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationHaloFetch() })
-}
-
-// BenchmarkAblationMultiTenant measures concurrent-fleet makespans per
-// scheme.
-func BenchmarkAblationMultiTenant(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationMultiTenant() })
-}
-
-// BenchmarkAblationDeployment compares the §III-A deployment models.
-func BenchmarkAblationDeployment(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationDeployment() })
-}
-
-// BenchmarkAblationComputeIntensity sweeps per-element kernel cost.
-func BenchmarkAblationComputeIntensity(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationComputeIntensity() })
-}
-
-// BenchmarkAblationStripSize sweeps the PFS strip size.
-func BenchmarkAblationStripSize(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationStripSize() })
-}
-
-// BenchmarkAblationMapReduce runs the §II-C MapReduce comparator.
-func BenchmarkAblationMapReduce(b *testing.B) {
-	benchFigure(b, func(c experiments.Config) (*experiments.Result, error) { return c.AblationMapReduce() })
-}
-
-// BenchmarkSchemeSingleRun times one full scheme execution at the largest
-// paper size, per scheme — the building block every figure is made of.
-func BenchmarkSchemeSingleRun(b *testing.B) {
-	cfg := benchConfig()
-	size := cfg.SizesGB[len(cfg.SizesGB)-1]
-	for _, scheme := range []core.Scheme{core.TS, core.NAS, core.DAS} {
-		scheme := scheme
-		b.Run(scheme.String(), func(b *testing.B) {
-			var sim float64
+// BenchmarkExperiment regenerates every experiment of the evaluation, one
+// sub-benchmark each: the paper's Figs. 10–14, the DESIGN.md ablations,
+// and the fault and adaptive-stack experiments. Every iteration starts
+// from a fresh Config, so each of the experiment's cells is simulated (and
+// verified) again.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			var last *experiments.Result
 			for i := 0; i < b.N; i++ {
-				rep, err := cfg.RunOne(scheme, "flow-routing", size, cfg.Nodes)
+				r, _, err := benchConfig().Execute(e)
 				if err != nil {
 					b.Fatal(err)
 				}
-				sim = rep.ExecTime.Seconds()
+				last = r
 			}
-			b.ReportMetric(sim, "sim_s")
-			b.ReportMetric(float64(size), "data_gb")
+			reportSeries(b, last)
 		})
 	}
 }

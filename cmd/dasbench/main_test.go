@@ -1,76 +1,75 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/hpcio/das/internal/experiments"
 )
 
-// TestCheckExclusive covers the flag-conflict error paths: every report
-// mode owns the whole run, so combining two modes, or a mode with a
-// named -exp, must fail loudly instead of silently ignoring one of them.
-func TestCheckExclusive(t *testing.T) {
-	type args struct {
-		exp                                                             string
-		faults, cacheExp, restripeExp, p99Exp, scale, tenants, pipeline bool
-		smoke                                                           bool
+// TestJSONCarriesWhatExpRan: -json writes the records of the experiments
+// -exp named, and nothing else. (It used to drop a named experiment and
+// write a kernel micro-benchmark report instead.)
+func TestJSONCarriesWhatExpRan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig11.json")
+	var stdout, stderr bytes.Buffer
+	if code := dasbench([]string{"-quick", "-exp", "fig11", "-json", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	cases := []struct {
-		name    string
-		a       args
-		wantErr string // empty: combination must be accepted
-	}{
-		{name: "default run", a: args{exp: "all"}},
-		{name: "named experiment", a: args{exp: "fig11"}},
-		{name: "single mode", a: args{exp: "all", tenants: true}},
-		{name: "tenants smoke", a: args{exp: "all", tenants: true, smoke: true}},
-		{name: "scale smoke", a: args{exp: "all", scale: true, smoke: true}},
-		{name: "pipeline smoke", a: args{exp: "all", pipeline: true, smoke: true}},
-		{
-			name:    "two modes",
-			a:       args{exp: "all", cacheExp: true, tenants: true},
-			wantErr: "-tenants cannot be combined with -cache",
-		},
-		{
-			name:    "pipeline with another mode",
-			a:       args{exp: "all", pipeline: true, scale: true},
-			wantErr: "-pipeline cannot be combined with -scale",
-		},
-		{
-			name:    "pipeline with named experiment",
-			a:       args{exp: "fig10", pipeline: true},
-			wantErr: "-pipeline cannot be combined with -exp",
-		},
-		{
-			name:    "three modes",
-			a:       args{exp: "all", faults: true, p99Exp: true, scale: true},
-			wantErr: "-p99 or -scale cannot be combined with -faults",
-		},
-		{
-			name:    "mode with named experiment",
-			a:       args{exp: "fig12", tenants: true},
-			wantErr: "-tenants cannot be combined with -exp",
-		},
-		{
-			name:    "stray smoke",
-			a:       args{exp: "all", smoke: true},
-			wantErr: "-smoke applies only to -scale, -tenants, or -pipeline",
-		},
-		{
-			name:    "smoke on wrong mode",
-			a:       args{exp: "all", p99Exp: true, smoke: true},
-			wantErr: "-smoke applies only to -scale, -tenants, or -pipeline",
-		},
+	if !strings.Contains(stdout.String(), "FIG11 — ") || strings.Contains(stdout.String(), "FIG10") {
+		t.Errorf("stdout is not Fig. 11 alone:\n%s", stdout.String())
 	}
-	for _, tc := range cases {
-		err := checkExclusive(tc.a.exp, tc.a.faults, tc.a.cacheExp, tc.a.restripeExp,
-			tc.a.p99Exp, tc.a.scale, tc.a.tenants, tc.a.pipeline, tc.a.smoke)
-		switch {
-		case tc.wantErr == "" && err != nil:
-			t.Errorf("%s: unexpected error %v", tc.name, err)
-		case tc.wantErr != "" && err == nil:
-			t.Errorf("%s: combination accepted, want %q", tc.name, tc.wantErr)
-		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.wantErr)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []struct {
+		Name  string
+		Steps []struct{ Verified bool }
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("%v in:\n%s", err, data)
+	}
+	c := experiments.Quick()
+	var want []string
+	for _, e := range experiments.Experiments() {
+		if e.ID == "fig11" {
+			for _, s := range e.Scenarios(c) {
+				want = append(want, s.Name())
+			}
 		}
+	}
+	if len(want) != 9 || len(got) != len(want) {
+		t.Fatalf("file holds %d records, Fig. 11 has %d cells", len(got), len(want))
+	}
+	for i, rec := range got {
+		if rec.Name != want[i] || len(rec.Steps) != 1 || !rec.Steps[0].Verified {
+			t.Errorf("record %d is %+v, want the verified cell %q", i, rec, want[i])
+		}
+	}
+}
+
+// TestUnknownExperimentListsValidOnes: a misspelt -exp exits 1 naming what
+// it could have been, before anything runs or is written.
+func TestUnknownExperimentListsValidOnes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "never.json")
+	var stdout, stderr bytes.Buffer
+	if code := dasbench([]string{"-quick", "-exp", "fig11,fig99", "-json", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	for _, want := range []string{`unknown experiment "fig99"`, "all", "ablations", "tableI", "fig11", "ablation-strip-size", "tenants"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("error does not mention %q: %s", want, stderr.String())
+		}
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("ran something before rejecting the name:\n%s", stdout.String())
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Error("wrote a file despite the error")
 	}
 }

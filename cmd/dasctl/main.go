@@ -11,7 +11,7 @@
 //	       -size 25165824                                # fetch plan summary
 //	dasctl -servers 4 -faults crash@10ms:s1              # crash coverage
 //	dasctl -servers 4 -cache -cache-policy arc           # halo-strip cache stats
-//	dasctl -servers 4 -restripe                          # online-restripe migration report
+//	dasctl -servers 4 -restripe -rounds 4                # online-restripe migration report
 //	dasctl -servers 4 -control                           # unified p99 controller report
 //	dasctl -servers 4 -tenants -streams 64               # multi-tenant fairness report
 //	dasctl -kernels                                      # operator registry listing
@@ -45,31 +45,32 @@ func main() {
 	cacheDemo := flag.Bool("cache", false,
 		"run a short offloaded workload with the halo-strip cache enabled and report per-server cache stats")
 	cachePolicy := flag.String("cache-policy", "lru", "cache eviction policy for -cache: lru or arc")
-	cacheRounds := flag.Int("cache-rounds", 3, "offloaded rounds for -cache")
 	restripeDemo := flag.Bool("restripe", false,
 		"run a short offloaded workload with online restriping enabled and report the migration's progress and throttle behaviour")
-	restripeRounds := flag.Int("restripe-rounds", 3, "offloaded rounds for -restripe")
 	controlDemo := flag.Bool("control", false,
 		"run a short offloaded workload under the unified p99 latency controller and report its sketches, sample accounting, and tuning actions")
-	controlRounds := flag.Int("control-rounds", 4, "offloaded rounds for -control")
+	rounds := flag.Int("rounds", 0, "offloaded rounds for -cache, -restripe (default 3) or -control (default 4)")
 	tenantsDemo := flag.Bool("tenants", false,
 		"replay a small multi-tenant Zipf workload under admission control and report per-tenant fairness, queue tails, and file heat")
 	streams := flag.Int("streams", 48, "concurrent client streams for -tenants")
 	kernelsList := flag.Bool("kernels", false,
 		"list every registered operator (kernels, combiners, reducers) with dependence offsets and per-element weights")
 	flag.Parse()
+	given := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 
-	err := checkExclusive(*op, *faults, *cacheDemo, *restripeDemo, *controlDemo, *tenantsDemo, *kernelsList)
+	err := checkExclusive(*op, *faults, *cacheDemo, *restripeDemo, *controlDemo, *tenantsDemo, *kernelsList,
+		given["cache-policy"], given["streams"], given["rounds"])
 	if err == nil {
 		switch {
 		case *kernelsList:
 			err = kernelsReport(os.Stdout)
 		case *cacheDemo:
-			err = cacheReport(os.Stdout, *servers, *cachePolicy, *cacheRounds)
+			err = cacheReport(os.Stdout, *servers, *cachePolicy, *rounds)
 		case *restripeDemo:
-			err = restripeReport(os.Stdout, *servers, *restripeRounds)
+			err = restripeReport(os.Stdout, *servers, *rounds)
 		case *controlDemo:
-			err = controlReport(os.Stdout, *servers, *controlRounds)
+			err = controlReport(os.Stdout, *servers, *rounds)
 		case *tenantsDemo:
 			err = tenantsReport(os.Stdout, *servers, *streams)
 		default:
@@ -85,9 +86,12 @@ func main() {
 // checkExclusive rejects flag combinations that would otherwise be
 // silently ignored: -cache, -restripe, -control, -tenants, and -kernels
 // each produce their own report and compose with neither the fetch-plan
-// (-op) nor the fault-coverage (-faults) analyses, nor with each other.
-func checkExclusive(op, faultSpec string, cacheDemo, restripeDemo, controlDemo, tenantsDemo, kernelsList bool) error {
-	return cli.CheckExclusive(
+// (-op) nor the fault-coverage (-faults) analyses, nor with each other;
+// and -cache-policy, -streams and -rounds, when given, need the report
+// that reads them.
+func checkExclusive(op, faultSpec string, cacheDemo, restripeDemo, controlDemo, tenantsDemo, kernelsList bool,
+	policyGiven, streamsGiven, roundsGiven bool) error {
+	if err := cli.CheckExclusive(
 		[]cli.Flag{
 			{Name: "-cache", Set: cacheDemo},
 			{Name: "-restripe", Set: restripeDemo},
@@ -96,7 +100,18 @@ func checkExclusive(op, faultSpec string, cacheDemo, restripeDemo, controlDemo, 
 			{Name: "-kernels", Set: kernelsList},
 		},
 		[]cli.Flag{{Name: "-op", Set: op != ""}, {Name: "-faults", Set: faultSpec != ""}},
-	)
+	); err != nil {
+		return err
+	}
+	switch {
+	case policyGiven && !cacheDemo:
+		return fmt.Errorf("-cache-policy applies only to -cache")
+	case streamsGiven && !tenantsDemo:
+		return fmt.Errorf("-streams applies only to -tenants")
+	case roundsGiven && !cacheDemo && !restripeDemo && !controlDemo:
+		return fmt.Errorf("-rounds applies only to -cache, -restripe, or -control")
+	}
+	return nil
 }
 
 func run(w io.Writer, servers int, strips int64, r, halo int, stripSize int64, op string, width int, size int64, faultSpec string) error {

@@ -13,51 +13,65 @@ func TestCheckExclusiveRejectsDemoWithOtherReports(t *testing.T) {
 	cases := []struct {
 		op, faults                                 string
 		cache, restripe, control, tenants, kernels bool
+		policy, streams, rounds                    bool // -cache-policy, -streams, -rounds given
 		wantErr                                    string
 	}{
-		{"", "", false, false, false, false, false, ""},
-		{"flow-routing", "", false, false, false, false, false, ""},
-		{"flow-routing", "crash@10ms:s1", false, false, false, false, false, ""}, // -op and -faults compose
-		{"", "", true, false, false, false, false, ""},
-		{"flow-routing", "", true, false, false, false, false, "-op"},
-		{"", "crash@10ms:s1", true, false, false, false, false, "-faults"},
-		{"flow-routing", "crash@10ms:s1", true, false, false, false, false, "-op or -faults"},
-		{"", "", false, true, false, false, false, ""},
-		{"flow-routing", "", false, true, false, false, false, "-op"},
-		{"", "crash@10ms:s1", false, true, false, false, false, "-faults"},
-		{"flow-routing", "crash@10ms:s1", false, true, false, false, false, "-op or -faults"},
-		{"", "", true, true, false, false, false, "-cache"},
-		{"flow-routing", "crash@10ms:s1", true, true, false, false, false, "-cache"},
-		{"", "", false, false, true, false, false, ""},
-		{"flow-routing", "", false, false, true, false, false, "-op"},
-		{"", "crash@10ms:s1", false, false, true, false, false, "-faults"},
-		{"", "", true, false, true, false, false, "-cache"},
-		{"", "", false, true, true, false, false, "-restripe"},
-		{"", "", false, false, false, true, false, ""},
-		{"flow-routing", "", false, false, false, true, false, "-op"},
-		{"", "crash@10ms:s1", false, false, false, true, false, "-faults"},
-		{"", "", true, false, false, true, false, "-cache"},
-		{"", "", false, false, true, true, false, "-control"},
-		{"", "", false, false, false, false, true, ""},
-		{"flow-routing", "", false, false, false, false, true, "-op"},
-		{"", "crash@10ms:s1", false, false, false, false, true, "-faults"},
-		{"", "", false, false, false, true, true, "-tenants"},
-		{"", "", true, false, false, false, true, "-cache"},
+		{"", "", false, false, false, false, false, false, false, false, ""},
+		{"flow-routing", "", false, false, false, false, false, false, false, false, ""},
+		{"flow-routing", "crash@10ms:s1", false, false, false, false, false, false, false, false, ""}, // -op and -faults compose
+		{"", "", true, false, false, false, false, false, false, false, ""},
+		{"flow-routing", "", true, false, false, false, false, false, false, false, "-op"},
+		{"", "crash@10ms:s1", true, false, false, false, false, false, false, false, "-faults"},
+		{"flow-routing", "crash@10ms:s1", true, false, false, false, false, false, false, false, "-op or -faults"},
+		{"", "", false, true, false, false, false, false, false, false, ""},
+		{"flow-routing", "", false, true, false, false, false, false, false, false, "-op"},
+		{"", "crash@10ms:s1", false, true, false, false, false, false, false, false, "-faults"},
+		{"flow-routing", "crash@10ms:s1", false, true, false, false, false, false, false, false, "-op or -faults"},
+		{"", "", true, true, false, false, false, false, false, false, "-cache"},
+		{"flow-routing", "crash@10ms:s1", true, true, false, false, false, false, false, false, "-cache"},
+		{"", "", false, false, true, false, false, false, false, false, ""},
+		{"flow-routing", "", false, false, true, false, false, false, false, false, "-op"},
+		{"", "crash@10ms:s1", false, false, true, false, false, false, false, false, "-faults"},
+		{"", "", true, false, true, false, false, false, false, false, "-cache"},
+		{"", "", false, true, true, false, false, false, false, false, "-restripe"},
+		{"", "", false, false, false, true, false, false, false, false, ""},
+		{"flow-routing", "", false, false, false, true, false, false, false, false, "-op"},
+		{"", "crash@10ms:s1", false, false, false, true, false, false, false, false, "-faults"},
+		{"", "", true, false, false, true, false, false, false, false, "-cache"},
+		{"", "", false, false, true, true, false, false, false, false, "-control"},
+		{"", "", false, false, false, false, true, false, false, false, ""},
+		{"flow-routing", "", false, false, false, false, true, false, false, false, "-op"},
+		{"", "crash@10ms:s1", false, false, false, false, true, false, false, false, "-faults"},
+		{"", "", false, false, false, true, true, false, false, false, "-tenants"},
+		{"", "", true, false, false, false, true, false, false, false, "-cache"},
+		// A modifier without the report that reads it is an error, not a
+		// silently ignored flag.
+		{"", "", true, false, false, false, false, true, false, true, ""},
+		{"", "", false, true, false, false, false, false, false, true, ""},
+		{"", "", false, false, true, false, false, false, false, true, ""},
+		{"", "", false, false, false, true, false, false, true, false, ""},
+		{"", "", false, false, false, false, false, true, false, false, "-cache-policy applies only to -cache"},
+		{"flow-routing", "", false, false, false, false, false, false, true, false, "-streams applies only to -tenants"},
+		{"", "", false, false, false, false, false, false, false, true, "-rounds applies only to"},
+		{"", "", false, true, false, false, false, true, false, false, "-cache-policy applies only to -cache"},
+		{"", "", true, false, false, false, false, false, true, false, "-streams applies only to -tenants"},
+		{"", "", false, false, false, true, false, false, false, true, "-rounds applies only to"},
+		{"", "", false, false, false, false, true, false, false, true, "-rounds applies only to"},
 	}
 	for _, c := range cases {
-		err := checkExclusive(c.op, c.faults, c.cache, c.restripe, c.control, c.tenants, c.kernels)
+		err := checkExclusive(c.op, c.faults, c.cache, c.restripe, c.control, c.tenants, c.kernels, c.policy, c.streams, c.rounds)
 		if c.wantErr == "" {
 			if err != nil {
-				t.Errorf("checkExclusive(%q, %q, %v, %v, %v, %v, %v) = %v, want nil", c.op, c.faults, c.cache, c.restripe, c.control, c.tenants, c.kernels, err)
+				t.Errorf("checkExclusive(%+v) = %v, want nil", c, err)
 			}
 			continue
 		}
 		if err == nil {
-			t.Errorf("checkExclusive(%q, %q, %v, %v, %v, %v, %v) accepted, want error naming %s", c.op, c.faults, c.cache, c.restripe, c.control, c.tenants, c.kernels, c.wantErr)
+			t.Errorf("checkExclusive(%+v) accepted, want error naming %s", c, c.wantErr)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("checkExclusive(%q, %q, %v, %v, %v, %v, %v) = %q, want mention of %s", c.op, c.faults, c.cache, c.restripe, c.control, c.tenants, c.kernels, err, c.wantErr)
+			t.Errorf("checkExclusive(%+v) = %q, want mention of %s", c, err, c.wantErr)
 		}
 	}
 }

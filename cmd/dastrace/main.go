@@ -3,7 +3,9 @@
 // phase summary and, with -full, the complete timeline. It makes the
 // difference between the schemes visible at a glance — NAS servers
 // dominated by "fetch", DAS servers by "local-read" and "compute", TS
-// workers by "read" and "write-back".
+// workers by "read" and "write-back". The run is a cell of the evaluation
+// (experiments.Config.Cell): the same raster, placement and platform the
+// figures measure.
 //
 // Usage:
 //
@@ -14,16 +16,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
-	"github.com/hpcio/das/internal/cluster"
-	"github.com/hpcio/das/internal/core"
 	"github.com/hpcio/das/internal/experiments"
-	"github.com/hpcio/das/internal/grid"
-	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/trace"
-	"github.com/hpcio/das/internal/workload"
 )
 
 func main() {
@@ -34,67 +31,38 @@ func main() {
 	full := flag.Bool("full", false, "print the full event timeline, not just the summary")
 	flag.Parse()
 
-	if err := run(*schemeName, *op, *sizeGB, *nodes, *full); err != nil {
+	if err := run(os.Stdout, *schemeName, *op, *sizeGB, *nodes, *full); err != nil {
 		fmt.Fprintln(os.Stderr, "dastrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(schemeName, op string, sizeGB, nodes int, full bool) error {
-	var scheme core.Scheme
-	switch strings.ToUpper(schemeName) {
-	case "TS":
-		scheme = core.TS
-	case "NAS":
-		scheme = core.NAS
-	case "DAS":
-		scheme = core.DAS
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
-	}
-	if nodes%2 != 0 || nodes <= 0 {
-		return fmt.Errorf("node count must be positive and even")
-	}
-	cfg := cluster.Default()
-	cfg.ComputeNodes, cfg.StorageNodes = nodes/2, nodes/2
-	sys, err := core.NewSystem(cfg)
+func run(w io.Writer, schemeName, op string, sizeGB, nodes int, full bool) error {
+	scheme, err := experiments.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}
-	defer sys.Close()
-
-	width := 8192
-	elems := int64(sizeGB) * experiments.BytesPerPaperGB / grid.ElemSize
-	if elems%int64(width) != 0 {
-		return fmt.Errorf("size %d GB does not tile width %d", sizeGB, width)
-	}
-	g := workload.Terrain(width, int(elems/int64(width)), 42)
-
-	var lay layout.Layout = layout.NewRoundRobin(sys.FS.Servers())
-	if scheme == core.DAS {
-		lay, err = sys.PlanLayout(op, g.W, grid.ElemSize, 64*1024, g.SizeBytes(), 0)
-		if err != nil {
-			return err
-		}
-	}
-	if _, err := sys.IngestGrid("input", g, lay, 64*1024); err != nil {
-		return err
-	}
-
-	// Attach the recorder only for the operation itself, not the ingest.
+	cfg := experiments.Default()
 	rec := trace.New(0)
-	sys.Clu.Trace = rec
-	rep, err := sys.Execute(core.Request{Op: op, Input: "input", Output: "output", Scheme: scheme})
+	var placed string
+	// Attach the recorder only for the operation itself, not the ingest.
+	result, err := cfg.RunLive(cfg.Cell(scheme, op, sizeGB, nodes), func(l *experiments.Live) {
+		if m, ok := l.FS.Meta("input"); ok {
+			placed = m.Layout.Name()
+		}
+		l.Clu.Trace = rec
+	}, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s %s over %d GB on %d nodes: %v (offloaded=%v, layout=%s)\n\n",
-		scheme, op, sizeGB, nodes, rep.ExecTime, rep.Offloaded, lay.Name())
-	fmt.Println(rec.SummaryTable())
+	step := result.Steps[0]
+	fmt.Fprintf(w, "%s %s over %d GB on %d nodes: %v (offloaded=%v, layout=%s)\n\n",
+		scheme, op, sizeGB, nodes, step.SimTime(), step.Offloaded, placed)
+	fmt.Fprintln(w, rec.SummaryTable())
 	if full {
-		fmt.Println(rec.Timeline())
+		fmt.Fprintln(w, rec.Timeline())
 	} else {
-		fmt.Printf("(%d events recorded; -full prints the timeline)\n", rec.Len())
+		fmt.Fprintf(w, "(%d events recorded; -full prints the timeline)\n", rec.Len())
 	}
 	return nil
 }

@@ -6,10 +6,7 @@ import (
 
 func TestAblationGroupSize(t *testing.T) {
 	c := quick()
-	r, err := c.AblationGroupSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationGroupSize)
 	xs := r.Xs()
 	if len(xs) < 3 {
 		t.Fatalf("too few group sizes swept: %v", xs)
@@ -44,10 +41,7 @@ func TestAblationGroupSize(t *testing.T) {
 
 func TestAblationPredictorRejectionPays(t *testing.T) {
 	c := quick()
-	r, err := c.AblationPredictor()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationPredictor)
 	predicted, _ := r.Value("das_predicted", 0)
 	blind, _ := r.Value("das_blind_offload", 1)
 	ts, _ := r.Value("ts", 2)
@@ -71,10 +65,7 @@ func TestAblationPredictorRejectionPays(t *testing.T) {
 
 func TestAblationReconfigAmortizes(t *testing.T) {
 	c := quick()
-	r, err := c.AblationReconfig()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationReconfig)
 	pre, _ := r.Value("preplaced", 0)
 	first, _ := r.Value("reconfigured_first_op", 1)
 	cost, _ := r.Value("reconfig_cost_alone", 2)
@@ -98,10 +89,7 @@ func TestAblationReconfigAmortizes(t *testing.T) {
 
 func TestAblationMultiTenantOrdering(t *testing.T) {
 	c := quick()
-	r, err := c.AblationMultiTenant()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationMultiTenant)
 	get := func(series string) float64 {
 		for _, row := range r.Rows {
 			if row.Series == series {
@@ -125,10 +113,7 @@ func TestAblationMultiTenantOrdering(t *testing.T) {
 
 func TestAblationHaloFetchOrdering(t *testing.T) {
 	c := quick()
-	r, err := c.AblationHaloFetch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationHaloFetch)
 	whole, _ := r.Value("nas_whole_strips", 0)
 	rows, _ := r.Value("nas_row_fetch", 1)
 	das, _ := r.Value("das_local_replicas", 2)
@@ -142,10 +127,7 @@ func TestAblationHaloFetchOrdering(t *testing.T) {
 
 func TestAblationDeployment(t *testing.T) {
 	c := quick()
-	r, err := c.AblationDeployment()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationDeployment)
 	get := func(series string, x float64) float64 {
 		v, ok := r.Value(series, x)
 		if !ok {
@@ -170,10 +152,7 @@ func TestAblationDeployment(t *testing.T) {
 
 func TestAblationComputeIntensity(t *testing.T) {
 	c := quick()
-	r, err := c.AblationComputeIntensity()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationComputeIntensity)
 	xs := r.Xs()
 	if len(xs) < 4 {
 		t.Fatalf("sweep too short: %v", xs)
@@ -203,10 +182,7 @@ func TestAblationComputeIntensity(t *testing.T) {
 
 func TestAblationStripSize(t *testing.T) {
 	c := quick()
-	r, err := c.AblationStripSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationStripSize)
 	for _, x := range r.Xs() {
 		nas, ok1 := r.Value("NAS", x)
 		das, ok2 := r.Value("DAS", x)
@@ -222,10 +198,7 @@ func TestAblationStripSize(t *testing.T) {
 
 func TestAblationMapReduce(t *testing.T) {
 	c := quick()
-	r, err := c.AblationMapReduce()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, ablationMapReduce)
 	mr, ok1 := r.Value("mapreduce", 0)
 	das, ok2 := r.Value("das", 3)
 	nas, ok3 := r.Value("nas", 5)

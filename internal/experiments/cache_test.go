@@ -6,60 +6,58 @@ import (
 	"github.com/hpcio/das/internal/cache"
 )
 
-// TestCacheExperimentNASCacheMovesFewerBytes is the PR's acceptance
+// TestCacheExperimentNASCacheMovesFewerBytes is the cache PR's acceptance
 // criterion: on the Fig. 11 dependent-kernel workload, NAS+cache moves
 // measurably fewer server-to-server bytes than NAS, every round of every
-// variant stays byte-identical to the sequential reference (verified
-// inside CacheExperiment), and the decision-flip demo turns a rejected
-// DAS request into an accepted one after warm-up.
+// variant stays byte-identical to the sequential reference (verified by
+// the runner), and the decision-flip demo turns a rejected DAS request
+// into an accepted one after warm-up.
 func TestCacheExperimentNASCacheMovesFewerBytes(t *testing.T) {
 	c := quick()
-	r, report, err := c.CacheExperiment(3, cache.Config{})
-	if err != nil {
-		t.Fatal(err)
+	c.CacheRounds = 3
+	r, recs := execute(t, c, cacheExperiment)
+	if len(recs) != 5 {
+		t.Fatalf("got %d scenarios, want 4 variants and the flip", len(recs))
 	}
-	if len(report.Variants) != 4 {
-		t.Fatalf("got %d variants, want 4", len(report.Variants))
+	s2s := func(rec Record) (rounds []int64, total int64) {
+		for _, step := range rec.Steps {
+			rounds = append(rounds, step.Traffic.Int("s2s"))
+			total += step.Traffic.Int("s2s")
+		}
+		return rounds, total
 	}
-	nas, nasCache := report.Variants[0], report.Variants[1]
-	if nas.Name != "NAS" || nasCache.Name != "NAS+cache" {
-		t.Fatalf("unexpected variant order: %s, %s", nas.Name, nasCache.Name)
-	}
-	if nasCache.TotalS2SBytes >= nas.TotalS2SBytes {
-		t.Errorf("NAS+cache moved %d server-to-server bytes, not fewer than NAS's %d",
-			nasCache.TotalS2SBytes, nas.TotalS2SBytes)
+	_, nasTotal := s2s(recs[0])
+	cacheRounds, cacheTotal := s2s(recs[1])
+	if cacheTotal >= nasTotal {
+		t.Errorf("NAS+cache moved %d server-to-server bytes, not fewer than NAS's %d", cacheTotal, nasTotal)
 	}
 	// The warm rounds should hit: the first round misses everything, the
 	// later rounds serve the same halo strips from cache.
-	if nasCache.CacheHits == 0 {
+	if recs[1].Counters.Int("cache.hits") == 0 {
 		t.Error("NAS+cache recorded no cache hits across warm rounds")
 	}
-	if nasCache.ByteHitRate <= 0 {
-		t.Errorf("NAS+cache byte hit rate %v, want > 0", nasCache.ByteHitRate)
+	if rate := recs[1].Counters["cache.byte_hit_rate"]; rate <= 0 {
+		t.Errorf("NAS+cache byte hit rate %v, want > 0", rate)
 	}
 	// Per-round shape: round 1 pays full fetch traffic, later rounds less.
-	if len(nasCache.S2SBytes) != 3 {
-		t.Fatalf("got %d rounds, want 3", len(nasCache.S2SBytes))
+	if len(cacheRounds) != 3 {
+		t.Fatalf("got %d rounds, want 3", len(cacheRounds))
 	}
-	if nasCache.S2SBytes[1] >= nasCache.S2SBytes[0] {
-		t.Errorf("round 2 s2s bytes %d not below round 1's %d", nasCache.S2SBytes[1], nasCache.S2SBytes[0])
+	if cacheRounds[1] >= cacheRounds[0] {
+		t.Errorf("round 2 s2s bytes %d not below round 1's %d", cacheRounds[1], cacheRounds[0])
 	}
-	if !report.Verified {
-		t.Error("report not marked verified")
-	}
-	if report.Flip == nil {
-		t.Fatal("missing decision-flip report")
-	}
-	if report.Flip.ColdOffload {
+	flip := recs[4].Steps
+	cold, warm := flip[0], flip[len(flip)-1]
+	if cold.Offloaded {
 		t.Error("cold DAS request over round-robin should be rejected")
 	}
-	if !report.Flip.WarmOffload {
+	if !warm.Offloaded {
 		t.Error("warm DAS request should be accepted")
 	}
-	if report.Flip.WarmHitFrac <= 0 {
-		t.Errorf("warm decision hit fraction %v, want > 0", report.Flip.WarmHitFrac)
+	if frac := warm.Stats["predicted_hit_frac"]; frac <= 0 {
+		t.Errorf("warm decision hit fraction %v, want > 0", frac)
 	}
-	if report.Flip.WarmRunHits == 0 {
+	if warm.Stats.Int("cache_hits") == 0 {
 		t.Error("warm offloaded run served no dependent ranges from cache")
 	}
 	if len(r.Notes) == 0 {
@@ -70,14 +68,13 @@ func TestCacheExperimentNASCacheMovesFewerBytes(t *testing.T) {
 // TestCacheExperimentARCPolicy exercises the adaptive policy end-to-end.
 func TestCacheExperimentARCPolicy(t *testing.T) {
 	c := quick()
-	_, report, err := c.CacheExperiment(2, cache.Config{Policy: "arc"})
+	s := cacheExperiment.Scenarios(c)[1]
+	s.Cache = &cache.Config{Policy: "arc"}
+	rec, err := c.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Policy != "arc" {
-		t.Fatalf("policy %q, want arc", report.Policy)
-	}
-	if report.Variants[1].CacheHits == 0 {
+	if rec.Counters.Int("cache.hits") == 0 {
 		t.Error("NAS+arc recorded no cache hits")
 	}
 }

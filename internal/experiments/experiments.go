@@ -1,6 +1,10 @@
 // Package experiments regenerates the paper's evaluation (§IV): one
 // runnable experiment per table and figure, each producing the same rows
-// or series the paper reports, plus the ablations DESIGN.md calls out.
+// or series the paper reports, plus the ablations DESIGN.md calls out and
+// the fault and adaptive-stack experiments. An Experiment is a table of
+// Scenario values — each a cell of the evaluation written down as data —
+// and a claims function over their Records; Config.Run (runner.go) is the
+// one place a cell's platform is built, run, verified and recorded.
 //
 // Scale: the paper ran 24–60 GB datasets on a 24–60 node cluster; this
 // reproduction maps 1 paper-GB to 1 simulated MiB and scales nothing else.
@@ -10,14 +14,14 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
-	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/core"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/layout"
-	"github.com/hpcio/das/internal/workload"
+	"github.com/hpcio/das/internal/tenants"
 )
 
 // BytesPerPaperGB is the simulated stand-in for one of the paper's
@@ -41,21 +45,48 @@ type Config struct {
 	StripSize int64
 	// Seed feeds the workload generators.
 	Seed uint64
-	// Platform overrides the cluster cost model; nil uses
-	// cluster.Default().
-	Platform *cluster.Config
+	// CacheRounds, RestripeRounds and P99Rounds are the rounds per variant
+	// of the repeated-workload experiments.
+	CacheRounds, RestripeRounds, P99Rounds int
+	// Tenants sizes the multi-tenant experiment.
+	Tenants tenants.Config
+
+	// session, set by Default and Quick, makes Run remember the cells it
+	// has run; copies of the Config share it.
+	session *session
 }
 
 // Default returns the paper-mirroring configuration.
 func Default() Config {
 	return Config{
-		Nodes:     24,
-		SizesGB:   []int{24, 36, 48, 60},
-		NodeSweep: []int{24, 36, 48, 60},
-		Width:     8192,
-		StripSize: 64 * 1024,
-		Seed:      42,
+		Nodes:          24,
+		SizesGB:        []int{24, 36, 48, 60},
+		NodeSweep:      []int{24, 36, 48, 60},
+		Width:          8192,
+		StripSize:      64 * 1024,
+		Seed:           42,
+		CacheRounds:    3,
+		RestripeRounds: 3,
+		P99Rounds:      8,
+		Tenants:        DefaultTenantsConfig(),
+		session:        &session{records: make(map[string]Record)},
 	}
+}
+
+// Quick returns the one reduced configuration — smoke runs, CI, tests and
+// `go test -short` benchmarks all use it: the same geometry and cost
+// model, smaller datasets, fewer nodes, rounds and tenant streams. All
+// shape assertions (orderings, ratios) are scale-free. 8 → 16 nodes
+// doubles the servers with exact group divisibility at these sizes, so the
+// per-server critical path genuinely halves.
+func Quick() Config {
+	c := Default()
+	c.Nodes = 8
+	c.SizesGB = []int{2, 4}
+	c.NodeSweep = []int{8, 16}
+	c.CacheRounds, c.RestripeRounds, c.P99Rounds = 2, 2, 7
+	c.Tenants = SmokeTenantsConfig()
+	return c
 }
 
 // Kernels evaluated by the paper's figures, in its naming.
@@ -68,65 +99,108 @@ var paperKernels = []struct {
 	{"gaussian-filter", "gaussian"},
 }
 
-// dataset builds the input raster for a paper-scale size.
-func (c Config) dataset(op string, sizeGB int) (*grid.Grid, error) {
-	bytes := int64(sizeGB) * BytesPerPaperGB
-	elems := bytes / grid.ElemSize
-	if elems%int64(c.Width) != 0 {
-		return nil, fmt.Errorf("experiments: %d GB does not tile width %d", sizeGB, c.Width)
-	}
-	h := int(elems / int64(c.Width))
-	switch op {
-	case "gaussian-filter", "median-filter":
-		return workload.Image(c.Width, h, c.Seed, 0.05), nil
-	default:
-		return workload.Terrain(c.Width, h, c.Seed), nil
+// input is a scenario over the Config's raster geometry with nothing
+// placed, deployed or run yet.
+func (c Config) input(op string, sizeGB, nodes int) Scenario {
+	return Scenario{
+		Nodes: nodes, SizeGB: sizeGB, Width: c.Width, StripSize: c.StripSize, Seed: c.Seed,
+		Op: op, Image: imageFor(op),
 	}
 }
 
-func (c Config) platform(nodes int) (cluster.Config, error) {
-	if nodes%2 != 0 || nodes <= 0 {
-		return cluster.Config{}, fmt.Errorf("experiments: node count %d must be positive and even (1:1 split)", nodes)
-	}
-	cfg := cluster.Default()
-	if c.Platform != nil {
-		cfg = *c.Platform
-	}
-	cfg.ComputeNodes = nodes / 2
-	cfg.StorageNodes = nodes / 2
-	return cfg, nil
-}
-
-// RunOne executes one (scheme, op, size, nodes) cell on a fresh platform
-// and returns the operation report. Inputs are pre-placed as each scheme
-// expects: round-robin for TS and NAS, the DAS-planned improved layout for
-// DAS (write-time arrangement; the reconfiguration ablation measures the
-// migrate-in-place alternative).
-func (c Config) RunOne(scheme core.Scheme, op string, sizeGB, nodes int) (core.Report, error) {
-	cfg, err := c.platform(nodes)
-	if err != nil {
-		return core.Report{}, err
-	}
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return core.Report{}, err
-	}
-	defer sys.Close()
-	g, err := c.dataset(op, sizeGB)
-	if err != nil {
-		return core.Report{}, err
-	}
-	var lay layout.Layout = layout.NewRoundRobin(sys.FS.Servers())
+// Cell is the evaluation's unit: one operator under one scheme at one data
+// size and node count, on a fresh platform. Inputs are pre-placed as each
+// scheme expects: round-robin for TS and NAS, the DAS-planned improved
+// layout for DAS (write-time arrangement; the reconfiguration ablation
+// measures the migrate-in-place alternative).
+func (c Config) Cell(scheme core.Scheme, op string, sizeGB, nodes int) Scenario {
+	s := c.input(op, sizeGB, nodes)
 	if scheme == core.DAS {
-		lay, err = sys.PlanLayout(op, g.W, grid.ElemSize, c.StripSize, g.SizeBytes(), 0)
-		if err != nil {
-			return core.Report{}, err
+		s.Place.Kind = Planned
+	}
+	s.Steps = []Step{{Scheme: scheme}}
+	return s
+}
+
+// halo is the boundary-strip count the 8-neighbour pattern needs at the
+// Config's geometry; grouped(r=halo, halo) is the fully mirrored layout
+// every strip survives one crash under.
+func (c Config) halo() int {
+	probe := layout.NewLocator(grid.ElemSize, c.StripSize, layout.NewRoundRobin(1))
+	return probe.RequiredHalo(int64(c.Width) + 1)
+}
+
+// Experiment is one table or figure of the evaluation: the scenarios it
+// reads and the claims it makes of their records.
+type Experiment struct {
+	ID string
+	// Scenarios lists the cells in run order.
+	Scenarios func(Config) []Scenario
+	// Replayed experiments run every cell a second time on a fresh platform
+	// and fail unless the two records are equal.
+	Replayed bool
+	// Claims turns the records (in Scenarios order) into the printed rows
+	// and notes, and fails when a claim the experiment exists to show —
+	// a decision flipped, a controller went quiet — does not hold.
+	Claims func(Config, []Record) (*Result, error)
+}
+
+// Experiments lists every experiment: the paper's figures, the ablations
+// in DESIGN.md order, then the fault and adaptive-stack experiments.
+func Experiments() []Experiment {
+	return []Experiment{
+		fig10, fig11, fig12, fig13, fig14,
+		ablationGroupSize, ablationPredictor, ablationReconfig, ablationHaloFetch, ablationMultiTenant,
+		ablationDeployment, ablationComputeIntensity, ablationStripSize, ablationMapReduce,
+		faultsExperiment, cacheExperiment, restripeExperiment, p99Experiment, pipelineExperiment, tenantsExperiment,
+	}
+}
+
+// Select resolves an -exp style name: one experiment's ID, "ablations",
+// or "all".
+func Select(name string) ([]Experiment, error) {
+	var out []Experiment
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+		if name == "all" || name == e.ID || name == "ablations" && strings.HasPrefix(e.ID, "ablation-") {
+			out = append(out, e)
 		}
 	}
-	if _, err := sys.IngestGrid("input", g, lay, c.StripSize); err != nil {
-		return core.Report{}, err
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (valid: all, ablations, tableI, %s)", name, strings.Join(ids, ", "))
 	}
-	return sys.Execute(core.Request{Op: op, Input: "input", Output: "output", Scheme: scheme})
+	return out, nil
+}
+
+// Execute runs the experiment's scenarios — each distinct cell once per
+// Config — and returns its result and records.
+func (c Config) Execute(e Experiment) (*Result, []Record, error) {
+	cells := e.Scenarios(c)
+	recs := make([]Record, len(cells))
+	for i, s := range cells {
+		rec, err := c.Run(s)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		recs[i] = rec
+	}
+	if e.Replayed {
+		for i, s := range cells {
+			again, err := c.RunLive(s, nil, nil)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s replay: %w", e.ID, err)
+			}
+			if !reflect.DeepEqual(recs[i], again) {
+				return nil, nil, fmt.Errorf("%s: replay of %q diverged — the run is not deterministic", e.ID, s.Name())
+			}
+		}
+	}
+	r, err := e.Claims(c, recs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", e.ID, err)
+	}
+	return r, recs, nil
 }
 
 // Row is one measured cell of a result series.

@@ -7,17 +7,21 @@ import (
 	"github.com/hpcio/das/internal/core"
 )
 
-// quick returns a reduced configuration for test speed: the same geometry
-// and cost model, smaller datasets and fewer nodes. All shape assertions
-// (orderings, ratios) are scale-free.
-func quick() Config {
-	c := Default()
-	c.Nodes = 8
-	c.SizesGB = []int{2, 4}
-	// 8 → 16 nodes doubles the servers with exact group divisibility at
-	// these sizes, so the per-server critical path genuinely halves.
-	c.NodeSweep = []int{8, 16}
-	return c
+// shared is the one Quick configuration the package's tests run on, so a
+// cell several experiments read is simulated once for all of them.
+var shared = Quick()
+
+func quick() Config { return shared }
+
+// execute runs one experiment and fails the test on any error — a cell
+// that does not verify, a replay that differs, a claim that does not hold.
+func execute(t *testing.T, c Config, e Experiment) (*Result, []Record) {
+	t.Helper()
+	r, recs, err := c.Execute(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, recs
 }
 
 func TestTableIListsThreeKernels(t *testing.T) {
@@ -31,10 +35,7 @@ func TestTableIListsThreeKernels(t *testing.T) {
 
 func TestFig10NASSlowerThanTS(t *testing.T) {
 	c := quick()
-	r, err := c.Fig10()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, fig10)
 	for _, k := range paperKernels {
 		for _, size := range c.SizesGB {
 			nas, ok1 := r.Value(k.label+"_NAS", float64(size))
@@ -52,10 +53,7 @@ func TestFig10NASSlowerThanTS(t *testing.T) {
 
 func TestFig11DASWinsWithPaperMargins(t *testing.T) {
 	c := quick()
-	r, err := c.Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, fig11)
 	for ki, k := range paperKernels {
 		das, _ := r.Value("DAS", float64(ki))
 		ts, _ := r.Value("TS", float64(ki))
@@ -80,10 +78,7 @@ func TestFig11DASWinsWithPaperMargins(t *testing.T) {
 
 func TestFig12GrowthOrdering(t *testing.T) {
 	c := quick()
-	r, err := c.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, fig12)
 	lo, hi := float64(c.SizesGB[0]), float64(c.SizesGB[len(c.SizesGB)-1])
 	for _, k := range paperKernels {
 		// Execution time grows with data for every scheme...
@@ -110,10 +105,7 @@ func TestFig12GrowthOrdering(t *testing.T) {
 
 func TestFig13BothSchemesScaleWithNodes(t *testing.T) {
 	c := quick()
-	r, err := c.Fig13()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, fig13)
 	few, many := float64(c.NodeSweep[0]), float64(c.NodeSweep[len(c.NodeSweep)-1])
 	for _, k := range paperKernels {
 		for _, scheme := range []core.Scheme{core.DAS, core.TS} {
@@ -129,10 +121,7 @@ func TestFig13BothSchemesScaleWithNodes(t *testing.T) {
 
 func TestFig14BandwidthOrdering(t *testing.T) {
 	c := quick()
-	r, err := c.Fig14()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := execute(t, c, fig14)
 	for _, size := range c.SizesGB {
 		ts, _ := r.Value("TS", float64(size))
 		das, _ := r.Value("DAS", float64(size))
@@ -202,7 +191,7 @@ func lineOf(s, substr string) string {
 
 func TestRunOneRejectsOddNodes(t *testing.T) {
 	c := quick()
-	if _, err := c.RunOne(core.TS, "flow-routing", 2, 7); err == nil {
+	if _, err := c.Run(c.Cell(core.TS, "flow-routing", 2, 7)); err == nil {
 		t.Error("odd node count accepted")
 	}
 }
@@ -210,7 +199,7 @@ func TestRunOneRejectsOddNodes(t *testing.T) {
 func TestDatasetGeometryValidation(t *testing.T) {
 	c := quick()
 	c.Width = 5000 // does not divide any power-of-two size
-	if _, err := c.dataset("flow-routing", 2); err == nil {
+	if _, err := c.Run(c.Cell(core.TS, "flow-routing", 2, c.Nodes)); err == nil {
 		t.Error("untileable width accepted")
 	}
 }

@@ -5,9 +5,6 @@ import (
 
 	"github.com/hpcio/das/internal/core"
 	"github.com/hpcio/das/internal/fault"
-	"github.com/hpcio/das/internal/grid"
-	"github.com/hpcio/das/internal/kernels"
-	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -16,27 +13,38 @@ import (
 // bridge the outage instead of failing.
 const restartDelay = 80 * sim.Millisecond
 
-// SchemeRecovery is one scheme's fault-handling counters from a crashed
-// run, in JSON-able form so `dasbench -json` can carry the degrade and
-// failover events the human-readable notes already report.
-type SchemeRecovery struct {
-	Scheme          string  `json:"scheme"`
-	HealthySeconds  float64 `json:"healthy_sim_seconds"`
-	CrashedSeconds  float64 `json:"crashed_sim_seconds"`
-	Degraded        bool    `json:"degraded"`
-	DegradedReason  string  `json:"degraded_reason,omitempty"`
-	Timeouts        int64   `json:"timeouts"`
-	Retries         int64   `json:"retries"`
-	FailoverReads   int64   `json:"failover_reads"`
-	SkippedForwards int64   `json:"skipped_forwards"`
-	DroppedMessages int64   `json:"dropped_messages"`
-	ExecRetries     int64   `json:"exec_retries"`
-	FaultEvents     int     `json:"fault_events_applied"`
+// crashedServer is the storage server the fault experiments lose.
+const crashedServer = 1
+
+// crashMidRun makes a scenario lose crashedServer at half its healthy
+// time, and get it back restartDelay later when restart is set.
+func crashMidRun(s Scenario, restart bool) Scenario {
+	s.Faults = fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Server: crashedServer}}}
+	if restart {
+		s.Faults.Events = append(s.Faults.Events, fault.Event{At: restartDelay, Kind: fault.Restart, Server: crashedServer})
+	}
+	s.FaultsFromHalfHealthy = true
+	s.Steps = append([]Step{{Kind: InstallFaults}}, s.Steps...)
+	return s
 }
 
-// FaultFailover compares the three schemes when a storage server is lost
-// halfway through the run (flow-routing, smallest dataset). Each scheme
-// keeps its natural placement, which dictates its survival story:
+// mirrored places a scenario's input on the fully mirrored grouped layout
+// (halo = r) every strip survives one crash under. Full mirroring always
+// moves more replica-maintenance bytes than normal I/O would, so the
+// bandwidth predictor alone would reject it; runs over it force the
+// offload to measure the failover machinery itself.
+func (c Config) mirrored(s Scenario) Scenario {
+	s.Place = Placement{Kind: Grouped, R: c.halo(), Halo: c.halo()}
+	s.Steps = append([]Step(nil), s.Steps...)
+	for i := range s.Steps {
+		s.Steps[i].Force = true
+	}
+	return s
+}
+
+// faultsExperiment compares the three schemes when a storage server is
+// lost halfway through the run (flow-routing, smallest dataset). Each
+// scheme keeps its natural placement, which dictates its survival story:
 //
 //   - TS reads round-robin data with no replicas; the server comes back
 //     after restartDelay and the PFS retry layer bridges the outage.
@@ -44,135 +52,49 @@ type SchemeRecovery struct {
 //     the dead server's dispatch and its strips are re-dispatched once the
 //     server returns (were it never to return, the run would degrade to
 //     normal I/O instead — see the core fault tests).
-//   - DAS uses the fully mirrored grouped layout (halo = r) and never gets
-//     the server back: the dead server's strips are reassigned to replica
-//     holders mid-run.
+//   - DAS uses the fully mirrored grouped layout and never gets the server
+//     back: the dead server's strips are reassigned to replica holders
+//     mid-run.
 //
 // Every faulted run's output is verified byte-identical to the sequential
 // reference; the notes record the recovery actions each scheme needed.
-func (c Config) FaultFailover() (*Result, error) {
-	r, _, err := c.FaultFailoverRecovery()
-	return r, err
-}
-
-// FaultFailoverRecovery is FaultFailover plus the per-scheme recovery
-// counters as structured data.
-func (c Config) FaultFailoverRecovery() (*Result, []SchemeRecovery, error) {
-	r := &Result{
-		ID:     "faults",
-		Title:  "One storage-server loss mid-run (flow-routing)",
-		XLabel: "scheme",
-		YLabel: "execution time (s)",
-	}
-	size := c.SizesGB[0]
-	servers := c.Nodes / 2
-
-	g, err := c.dataset("flow-routing", size)
-	if err != nil {
-		return nil, nil, err
-	}
-	k, ok := kernels.Default().Lookup("flow-routing")
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: flow-routing kernel missing")
-	}
-	want := kernels.Apply(k, g)
-
-	// The mirrored layout every strip survives one crash under. Full
-	// mirroring always moves more replica-maintenance bytes than normal I/O
-	// would, so the bandwidth predictor alone would reject it; the DAS runs
-	// below force the offload to measure the failover machinery itself.
-	probe := layout.NewLocator(grid.ElemSize, c.StripSize, layout.NewRoundRobin(servers))
-	halo := probe.RequiredHalo(int64(c.Width) + 1)
-	mirrored := layout.NewGroupedReplicated(servers, halo, halo)
-
-	type variant struct {
-		scheme  core.Scheme
-		lay     layout.Layout
-		force   bool // DisablePrediction
-		restart bool // bring the crashed server back after restartDelay
-	}
-	variants := []variant{
-		{core.TS, layout.NewRoundRobin(servers), false, true},
-		{core.NAS, layout.NewRoundRobin(servers), false, true},
-		{core.DAS, mirrored, true, false},
-	}
-	const crashed = 1
-	recs := make([]SchemeRecovery, 0, len(variants))
-	for si, v := range variants {
-		req := core.Request{
-			Op: "flow-routing", Input: "input", Output: "output",
-			Scheme: v.scheme, DisablePrediction: v.force,
+var faultsExperiment = Experiment{
+	ID: "faults",
+	Scenarios: func(c Config) []Scenario {
+		var cells []Scenario
+		for _, scheme := range []core.Scheme{core.TS, core.NAS, core.DAS} {
+			healthy := c.Cell(scheme, "flow-routing", c.SizesGB[0], c.Nodes)
+			if scheme == core.DAS {
+				healthy = c.mirrored(healthy)
+			}
+			cells = append(cells, healthy, crashMidRun(healthy, scheme != core.DAS))
 		}
-
-		healthy, err := c.buildSystem(c.Nodes, size, "flow-routing", v.lay)
-		if err != nil {
-			return nil, nil, err
+		return cells
+	},
+	Claims: func(c Config, recs []Record) (*Result, error) {
+		r := &Result{
+			ID:     "faults",
+			Title:  "One storage-server loss mid-run (flow-routing)",
+			XLabel: "scheme",
+			YLabel: "execution time (s)",
 		}
-		healthyRep, err := healthy.Execute(req)
-		healthy.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("faults %v healthy: %w", v.scheme, err)
+		for si, scheme := range []core.Scheme{core.TS, core.NAS, core.DAS} {
+			healthy, crashed := recs[2*si], recs[2*si+1]
+			r.Add(scheme.String()+"_healthy", float64(si), healthy.Seconds())
+			r.Add(scheme.String()+"_crash", float64(si), crashed.Seconds())
+			rec := crashed.Counters
+			note := fmt.Sprintf("%s: retries %d, timeouts %d, failover reads %d, exec retries %d, skipped forwards %d",
+				scheme, rec.Int("recovery.retries"), rec.Int("recovery.timeouts"), rec.Int("recovery.failover_reads"),
+				rec.Int("recovery.exec_retries"), rec.Int("recovery.skipped_forwards"))
+			if step := crashed.Steps[0]; step.Degraded {
+				note += "; degraded: " + step.DegradedReason
+			}
+			r.Notes = append(r.Notes, note)
 		}
-		r.Add(v.scheme.String()+"_healthy", float64(si), healthyRep.ExecTime.Seconds())
-
-		sys, err := c.buildSystem(c.Nodes, size, "flow-routing", v.lay)
-		if err != nil {
-			return nil, nil, err
-		}
-		crashAt := healthyRep.ExecTime / 2
-		plan := fault.Plan{Events: []fault.Event{
-			{At: crashAt, Kind: fault.Crash, Server: crashed},
-		}}
-		if v.restart {
-			plan.Events = append(plan.Events,
-				fault.Event{At: crashAt + restartDelay, Kind: fault.Restart, Server: crashed})
-		}
-		if err := sys.Clu.InstallFaultPlan(plan); err != nil {
-			sys.Close()
-			return nil, nil, err
-		}
-		rep, err := sys.Execute(req)
-		if err != nil {
-			sys.Close()
-			return nil, nil, fmt.Errorf("faults %v crash: %w", v.scheme, err)
-		}
-		got, err := sys.FetchGrid("output")
-		if err != nil {
-			sys.Close()
-			return nil, nil, fmt.Errorf("faults %v crash readback: %w", v.scheme, err)
-		}
-		if !got.Equal(want) {
-			sys.Close()
-			return nil, nil, fmt.Errorf("faults %v: crashed run diverged from the sequential reference", v.scheme)
-		}
-		r.Add(v.scheme.String()+"_crash", float64(si), rep.ExecTime.Seconds())
-
-		rec := sys.Clu.Recovery
-		note := fmt.Sprintf("%s: retries %d, timeouts %d, failover reads %d, exec retries %d, skipped forwards %d",
-			v.scheme, rec.Retries(), rec.Timeouts(), rec.FailoverReads(), rec.ExecRetries(), rec.SkippedForwards())
-		if rep.Degraded {
-			note += "; degraded: " + rep.DegradedReason
-		}
-		r.Notes = append(r.Notes, note)
-		recs = append(recs, SchemeRecovery{
-			Scheme:          v.scheme.String(),
-			HealthySeconds:  healthyRep.ExecTime.Seconds(),
-			CrashedSeconds:  rep.ExecTime.Seconds(),
-			Degraded:        rep.Degraded,
-			DegradedReason:  rep.DegradedReason,
-			Timeouts:        rec.Timeouts(),
-			Retries:         rec.Retries(),
-			FailoverReads:   rec.FailoverReads(),
-			SkippedForwards: rec.SkippedForwards(),
-			DroppedMessages: rec.DroppedMessages(),
-			ExecRetries:     rec.ExecRetries(),
-			FaultEvents:     sys.Clu.FaultLog.Len(),
-		})
-		sys.Close()
-	}
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("server %d crashes at half the scheme's healthy time; TS/NAS get it back %v later, DAS never does", crashed, restartDelay),
-		"all crashed-run outputs verified byte-identical to the sequential reference",
-		fmt.Sprintf("DAS rides grouped-replicated(r=halo=%d): full mirroring, forced offload (see DESIGN.md)", halo))
-	return r, recs, nil
+		r.Notes = append(r.Notes,
+			fmt.Sprintf("server %d crashes at half the scheme's healthy time; TS/NAS get it back %v later, DAS never does", crashedServer, restartDelay),
+			"all crashed-run outputs verified byte-identical to the sequential reference",
+			fmt.Sprintf("DAS rides grouped-replicated(r=halo=%d): full mirroring, forced offload (see DESIGN.md)", c.halo()))
+		return r, nil
+	},
 }

@@ -9,10 +9,7 @@ import (
 
 func TestFaultFailoverExperiment(t *testing.T) {
 	c := quick()
-	r, err := c.FaultFailover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, recs := execute(t, c, faultsExperiment)
 	for si, scheme := range []core.Scheme{core.TS, core.NAS, core.DAS} {
 		healthy, ok1 := r.Value(scheme.String()+"_healthy", float64(si))
 		crashed, ok2 := r.Value(scheme.String()+"_crash", float64(si))
@@ -36,5 +33,8 @@ func TestFaultFailoverExperiment(t *testing.T) {
 		if strings.HasPrefix(line, "DAS: ") && strings.Contains(line, "failover reads 0,") {
 			t.Errorf("DAS crash run recorded no failover reads: %s", line)
 		}
+	}
+	if das := recs[len(recs)-1].Counters; das.Int("recovery.failover_reads") == 0 || das.Int("fault.events_applied") != 1 {
+		t.Errorf("DAS crash record: %+v", das)
 	}
 }

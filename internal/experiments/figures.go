@@ -22,140 +22,169 @@ func TableI() string {
 	return b.String()
 }
 
-// Fig10 reproduces Fig. 10: execution time of the three kernels under NAS
+// point is one plotted value: a cell's first-step time, under a series, at
+// an x position.
+type point struct {
+	series string
+	x      float64
+	cell   Scenario
+}
+
+// curve is the experiment whose every row is one cell's execution time:
+// head titles it, points lists the cells, and finish (optional) derives
+// notes and normalizations from the plotted rows and the records behind
+// them.
+func curve(id string, head Result, points func(Config) []point, finish func(Config, []Record, *Result) error) Experiment {
+	return Experiment{
+		ID: id,
+		Scenarios: func(c Config) []Scenario {
+			var cells []Scenario
+			for _, p := range points(c) {
+				cells = append(cells, p.cell)
+			}
+			return cells
+		},
+		Claims: func(c Config, recs []Record) (*Result, error) {
+			r := head
+			r.ID = id
+			for i, p := range points(c) {
+				r.Add(p.series, p.x, recs[i].Seconds())
+			}
+			if finish != nil {
+				if err := finish(c, recs, &r); err != nil {
+					return nil, err
+				}
+			}
+			return &r, nil
+		},
+	}
+}
+
+// sizeSweep lists the paper kernels × the configured sizes × schemes on
+// the default platform, series "<kernel>_<scheme>" over data size: the
+// grid Figs. 10 and 12 plot, and Fig. 14 takes its flow-routing column of.
+func sizeSweep(c Config, schemes ...core.Scheme) []point {
+	var pts []point
+	for _, k := range paperKernels {
+		for _, size := range c.SizesGB {
+			for _, scheme := range schemes {
+				pts = append(pts, point{fmt.Sprintf("%s_%s", k.label, scheme), float64(size), c.Cell(scheme, k.op, size, c.Nodes)})
+			}
+		}
+	}
+	return pts
+}
+
+// fig10 reproduces Fig. 10: execution time of the three kernels under NAS
 // and TS as the data size grows, on the default 24-node platform. The
 // paper's point: ignoring data dependence makes active storage *slower*
 // than traditional storage.
-func (c Config) Fig10() (*Result, error) {
-	r := &Result{
-		ID:     "fig10",
+var fig10 = curve("fig10",
+	Result{
 		Title:  "Performance impact of data dependence (NAS vs TS)",
 		XLabel: "data size (GB)",
 		YLabel: "execution time (s)",
-	}
-	for _, k := range paperKernels {
-		for _, size := range c.SizesGB {
-			for _, scheme := range []core.Scheme{core.NAS, core.TS} {
-				rep, err := c.RunOne(scheme, k.op, size, c.Nodes)
-				if err != nil {
-					return nil, fmt.Errorf("fig10 %s/%v/%dGB: %w", k.op, scheme, size, err)
-				}
-				r.Add(fmt.Sprintf("%s_%s", k.label, scheme), float64(size), rep.ExecTime.Seconds())
-			}
-		}
-	}
-	r.Notes = append(r.Notes, ratioNote(r, c, "NAS", "TS"))
-	return r, nil
-}
+	},
+	func(c Config) []point { return sizeSweep(c, core.NAS, core.TS) },
+	func(c Config, _ []Record, r *Result) error {
+		r.Notes = append(r.Notes, ratioNote(r, c, "NAS", "TS"))
+		return nil
+	})
 
-// Fig11 reproduces Fig. 11: execution time of each scheme on the 24 GB
+// fig11 reproduces Fig. 11: execution time of each scheme on the 24 GB
 // dataset, 24 nodes. The paper reports DAS over 30% faster than TS and
 // over 60% faster than NAS.
-func (c Config) Fig11() (*Result, error) {
-	size := c.SizesGB[0]
-	r := &Result{
-		ID:     "fig11",
-		Title:  fmt.Sprintf("Execution time of each scheme (%d GB, %d nodes)", size, c.Nodes),
-		XLabel: "kernel",
-		YLabel: "execution time (s)",
-	}
-	for ki, k := range paperKernels {
-		for _, scheme := range []core.Scheme{core.NAS, core.DAS, core.TS} {
-			rep, err := c.RunOne(scheme, k.op, size, c.Nodes)
-			if err != nil {
-				return nil, fmt.Errorf("fig11 %s/%v: %w", k.op, scheme, err)
+var fig11 = curve("fig11",
+	Result{XLabel: "kernel", YLabel: "execution time (s)"},
+	func(c Config) []point {
+		var pts []point
+		for ki, k := range paperKernels {
+			for _, scheme := range allSchemes {
+				pts = append(pts, point{scheme.String(), float64(ki), c.Cell(scheme, k.op, c.SizesGB[0], c.Nodes)})
 			}
-			r.Add(scheme.String(), float64(ki), rep.ExecTime.Seconds())
 		}
-		r.Notes = append(r.Notes, fmt.Sprintf("x=%d is %s", ki, k.label))
-	}
-	for ki, k := range paperKernels {
-		das, _ := r.Value("DAS", float64(ki))
-		ts, _ := r.Value("TS", float64(ki))
-		nas, _ := r.Value("NAS", float64(ki))
-		r.Notes = append(r.Notes, fmt.Sprintf(
-			"%s: DAS improves %.0f%% over TS, %.0f%% over NAS (paper: >30%%, >60%%)",
-			k.label, 100*(1-das/ts), 100*(1-das/nas)))
-	}
-	return r, nil
-}
+		return pts
+	},
+	func(c Config, _ []Record, r *Result) error {
+		r.Title = fmt.Sprintf("Execution time of each scheme (%d GB, %d nodes)", c.SizesGB[0], c.Nodes)
+		for ki, k := range paperKernels {
+			r.Notes = append(r.Notes, fmt.Sprintf("x=%d is %s", ki, k.label))
+		}
+		for ki, k := range paperKernels {
+			das, _ := r.Value("DAS", float64(ki))
+			ts, _ := r.Value("TS", float64(ki))
+			nas, _ := r.Value("NAS", float64(ki))
+			r.Notes = append(r.Notes, fmt.Sprintf(
+				"%s: DAS improves %.0f%% over TS, %.0f%% over NAS (paper: >30%%, >60%%)",
+				k.label, 100*(1-das/ts), 100*(1-das/nas)))
+		}
+		return nil
+	})
 
-// Fig12 reproduces Fig. 12: execution time of all three schemes as the
+// fig12 reproduces Fig. 12: execution time of all three schemes as the
 // data size grows from 24 to 60 GB. DAS is expected to show the smallest
 // growth.
-func (c Config) Fig12() (*Result, error) {
-	r := &Result{
-		ID:     "fig12",
+var fig12 = curve("fig12",
+	Result{
 		Title:  "Scalability with varied data set size",
 		XLabel: "data size (GB)",
 		YLabel: "execution time (s)",
-	}
-	for _, k := range paperKernels {
-		for _, size := range c.SizesGB {
-			for _, scheme := range []core.Scheme{core.NAS, core.DAS, core.TS} {
-				rep, err := c.RunOne(scheme, k.op, size, c.Nodes)
-				if err != nil {
-					return nil, fmt.Errorf("fig12 %s/%v/%dGB: %w", k.op, scheme, size, err)
-				}
-				r.Add(fmt.Sprintf("%s_%s", k.label, scheme), float64(size), rep.ExecTime.Seconds())
-			}
-		}
-	}
-	r.Notes = append(r.Notes, growthNote(r, c))
-	return r, nil
-}
+	},
+	func(c Config) []point { return sizeSweep(c, core.NAS, core.DAS, core.TS) },
+	func(c Config, _ []Record, r *Result) error {
+		r.Notes = append(r.Notes, growthNote(r, c))
+		return nil
+	})
 
-// Fig13 reproduces Fig. 13: execution time of DAS and TS with the node
+// fig13 reproduces Fig. 13: execution time of DAS and TS with the node
 // count growing from 24 to 60 at the largest data size. Both schemes are
 // expected to scale.
-func (c Config) Fig13() (*Result, error) {
-	r := &Result{
-		ID:     "fig13",
+var fig13 = curve("fig13",
+	Result{
 		Title:  "Scalability with varied number of nodes",
 		XLabel: "nodes",
 		YLabel: "execution time (s)",
-	}
-	size := c.SizesGB[len(c.SizesGB)-1]
-	for _, k := range paperKernels {
-		for _, nodes := range c.NodeSweep {
-			for _, scheme := range []core.Scheme{core.DAS, core.TS} {
-				rep, err := c.RunOne(scheme, k.op, size, nodes)
-				if err != nil {
-					return nil, fmt.Errorf("fig13 %s/%v/%d nodes: %w", k.op, scheme, nodes, err)
+	},
+	func(c Config) []point {
+		var pts []point
+		size := c.SizesGB[len(c.SizesGB)-1]
+		for _, k := range paperKernels {
+			for _, nodes := range c.NodeSweep {
+				for _, scheme := range []core.Scheme{core.DAS, core.TS} {
+					pts = append(pts, point{fmt.Sprintf("%s_%s", k.label, scheme), float64(nodes), c.Cell(scheme, k.op, size, nodes)})
 				}
-				r.Add(fmt.Sprintf("%s_%s", k.label, scheme), float64(nodes), rep.ExecTime.Seconds())
 			}
 		}
-	}
-	return r, nil
-}
+		return pts
+	}, nil)
 
-// Fig14 reproduces Fig. 14: sustained bandwidth of the flow-routing
+// fig14 reproduces Fig. 14: sustained bandwidth of the flow-routing
 // operation under each scheme, normalized to TS. Sustained bandwidth is
 // the dataset size over the operation's execution time.
-func (c Config) Fig14() (*Result, error) {
-	r := &Result{
-		ID:     "fig14",
+var fig14 = curve("fig14",
+	Result{
 		Title:  "Normalized sustained bandwidth (flow-routing)",
 		XLabel: "data size (GB)",
 		YLabel: "bandwidth normalized to TS",
-	}
-	for _, size := range c.SizesGB {
-		times := make(map[core.Scheme]float64)
-		for _, scheme := range []core.Scheme{core.NAS, core.DAS, core.TS} {
-			rep, err := c.RunOne(scheme, "flow-routing", size, c.Nodes)
-			if err != nil {
-				return nil, fmt.Errorf("fig14 %v/%dGB: %w", scheme, size, err)
+	},
+	func(c Config) []point {
+		var pts []point
+		for _, size := range c.SizesGB {
+			for _, scheme := range allSchemes {
+				pts = append(pts, point{scheme.String(), float64(size), c.Cell(scheme, "flow-routing", size, c.Nodes)})
 			}
-			times[scheme] = rep.ExecTime.Seconds()
 		}
-		for _, scheme := range []core.Scheme{core.NAS, core.DAS, core.TS} {
-			// bandwidth ∝ size/time; normalized to TS the size cancels.
-			r.Add(scheme.String(), float64(size), times[core.TS]/times[scheme])
+		return pts
+	},
+	func(_ Config, _ []Record, r *Result) error {
+		// bandwidth ∝ size/time; normalized to TS the size cancels. TS is
+		// each size's last row, so it still holds its time when read.
+		for i := range r.Rows {
+			ts, _ := r.Value("TS", r.Rows[i].X)
+			r.Rows[i].Value = ts / r.Rows[i].Value
 		}
-	}
-	return r, nil
-}
+		return nil
+	})
 
 // ratioNote summarizes how much slower series suffixed a run than b,
 // averaged across kernels and sizes.
@@ -182,7 +211,7 @@ func ratioNote(r *Result, c Config, a, b string) string {
 // step for each scheme.
 func growthNote(r *Result, c Config) string {
 	var parts []string
-	for _, scheme := range []core.Scheme{core.NAS, core.DAS, core.TS} {
+	for _, scheme := range allSchemes {
 		var sum float64
 		var n int
 		for _, k := range paperKernels {
@@ -201,17 +230,4 @@ func growthNote(r *Result, c Config) string {
 		}
 	}
 	return "mean growth per +12GB step: " + strings.Join(parts, ", ") + " (paper: DAS ≈ +15%, others ≈ +30%)"
-}
-
-// All runs every figure and table in paper order.
-func (c Config) All() ([]*Result, error) {
-	var out []*Result
-	for _, f := range []func() (*Result, error){c.Fig10, c.Fig11, c.Fig12, c.Fig13, c.Fig14} {
-		r, err := f()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -1,50 +1,37 @@
 package experiments
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/hpcio/das/internal/control"
-)
-
-// TestP99ExperimentConverges is the PR's acceptance criterion: the
-// unified controller pins replicas as the fetch tail crosses the
+// TestP99ExperimentConverges is the controller PR's acceptance criterion:
+// the unified controller pins replicas as the fetch tail crosses the
 // threshold and then goes quiet — no promote/demote or migrate/re-migrate
-// oscillation after convergence — and the whole report is byte-identical
-// across two full replays (asserted inside P99Experiment).
+// oscillation after convergence — and every record is byte-identical
+// across two runs (asserted by Execute for a Replayed experiment).
 func TestP99ExperimentConverges(t *testing.T) {
 	c := quick()
-	r, report, err := c.P99Experiment(7, control.Config{})
-	if err != nil {
-		t.Fatal(err)
+	r, recs := execute(t, c, p99Experiment)
+	if len(recs) != 2 || !p99Experiment.Replayed {
+		t.Fatalf("got %d variants (replayed=%v), want 2 replayed", len(recs), p99Experiment.Replayed)
 	}
-	if len(report.Variants) != 2 {
-		t.Fatalf("got %d variants, want 2", len(report.Variants))
-	}
-	if !report.Verified || !report.DeterministicReplay {
-		t.Fatalf("verified=%v replay=%v", report.Verified, report.DeterministicReplay)
-	}
-	ctl, res := report.Variants[0], report.Variants[1]
-	if ctl.Name != "controlled" || res.Name != "controlled+restripe" {
-		t.Fatalf("unexpected variant order: %s, %s", ctl.Name, res.Name)
-	}
-	for _, v := range report.Variants {
-		if !v.Converged {
-			t.Errorf("%s did not converge: %+v", v.Name, v)
+	for i, rec := range recs {
+		name := p99Variants[i]
+		if c.P99Rounds-convergedRound(rec.Steps) < 2 {
+			t.Errorf("%s did not converge: %+v", name, rec)
 		}
-		if v.Promotions == 0 {
-			t.Errorf("%s: the controller never promoted — the curve is flat", v.Name)
+		if rec.Counters.Int("control.promotions") == 0 {
+			t.Errorf("%s: the controller never promoted — the curve is flat", name)
 		}
-		last := v.Rounds[len(v.Rounds)-1]
-		if last.PinnedReplicas == 0 {
-			t.Errorf("%s: no pinned replicas at the end", v.Name)
+		if rec.Steps[len(rec.Steps)-1].Stats.Int("pinned_replicas") == 0 {
+			t.Errorf("%s: no pinned replicas at the end", name)
 		}
 	}
 	// The restriped variant migrates exactly once and its copies are
 	// tagged: excluded migration samples prove the tag path ran.
-	if done := res.Rounds[len(res.Rounds)-1].RestripeDone; done != 1 {
+	res := recs[1]
+	if done := res.Steps[len(res.Steps)-1].Stats.Int("restripe_completed"); done != 1 {
 		t.Errorf("restriped variant completed %d migrations, want 1", done)
 	}
-	if res.MigrationSamplesExcluded == 0 {
+	if res.Counters.Int("control.migration_samples_excluded") == 0 {
 		t.Error("migration produced no excluded samples")
 	}
 	if len(r.Rows) == 0 || len(r.Notes) == 0 {

@@ -1,9 +1,9 @@
-// Scale sweep: the engine-scaling benchmark behind `dasbench -scale`. It
-// runs a fixed, fully deterministic PFS request mix on clusters from
-// paper-size (24 nodes) to far beyond (5000), so the DES core's per-event
-// cost — not the modeled system — dominates, and reports simulation
-// outputs precise enough to assert byte-identity against recorded goldens
-// (ScaleGolden).
+// Scale workload: the engine-scaling request storm bench/'s `storm`
+// workload times. It runs a fixed, fully deterministic PFS request mix on
+// clusters from paper-size (24 nodes) to far beyond, so the DES core's
+// per-event cost — not the modeled system — dominates, and reports
+// simulation outputs precise enough to assert byte-identity against
+// recorded goldens (ScaleGolden).
 package experiments
 
 import (
@@ -149,8 +149,7 @@ func (s ScaleStats) SameSimulation(o ScaleStats) bool {
 // per client and per request handler — at the last commit that carried it
 // (acc2a8c), before it was deleted. They are the identity oracle that
 // construction used to be: the task-chain engine must reproduce every
-// field. The first three are the tuples the scale tests run; the last is
-// `dasbench -scale -smoke`.
+// field; the scale tests run all four.
 var scaleGoldens = map[ScaleOptions]ScaleStats{
 	{Nodes: 64, OpsPerClient: 32, Seed: 7}: {
 		Nodes: 64, Ops: 1024, Reads: 896, Writes: 128, Events: 10715, SimTime: 20097764,

@@ -32,9 +32,15 @@ func mustMatchGolden(t *testing.T, opts ScaleOptions) ScaleStats {
 }
 
 func TestScaleMatchesClassicGolden(t *testing.T) {
-	st := mustMatchGolden(t, ScaleOptions{Nodes: 64, OpsPerClient: 32, Seed: 7})
-	if st.Reads == 0 || st.Writes == 0 {
-		t.Fatalf("degenerate workload: %d reads, %d writes", st.Reads, st.Writes)
+	for _, opts := range []ScaleOptions{
+		{Nodes: 64, OpsPerClient: 32, Seed: 7},
+		// The 640-node storm `dasbench -scale -smoke` used to check.
+		{Nodes: 640, OpsPerClient: 32, Seed: 11},
+	} {
+		st := mustMatchGolden(t, opts)
+		if st.Reads == 0 || st.Writes == 0 {
+			t.Fatalf("degenerate workload: %d reads, %d writes", st.Reads, st.Writes)
+		}
 	}
 }
 

@@ -1,0 +1,98 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
+
+// TestEveryScenarioOnce runs every experiment at Quick on one fresh Config
+// and holds the scenario tables to their contract: a cell's name says what
+// it is (equal cells share a name, different cells never do), every step
+// of every cell verifies, a second run of a cell is byte-identical (made
+// here for the cells no Replayed experiment already runs twice), and the
+// whole evaluation builds exactly one platform per distinct cell, plus the
+// second run of each cell a Replayed experiment asks for.
+func TestEveryScenarioOnce(t *testing.T) {
+	c := Quick()
+	keyOf := make(map[string]string) // name → key
+	nameOf := make(map[string]string)
+	var distinct, unreplayed []Scenario
+	replays := 0
+	for _, e := range Experiments() {
+		cells := e.Scenarios(c)
+		if e.Replayed {
+			replays += len(cells)
+		}
+		for _, s := range cells {
+			name, key := s.Name(), s.key()
+			if k, ok := keyOf[name]; ok && k != key {
+				t.Errorf("%s: two different cells share the name %q", e.ID, name)
+			}
+			if n, ok := nameOf[key]; ok && n != name {
+				t.Errorf("%s: one cell has two names, %q and %q", e.ID, n, name)
+			}
+			if _, ok := keyOf[name]; !ok {
+				distinct = append(distinct, s)
+				if !e.Replayed {
+					unreplayed = append(unreplayed, s)
+				}
+			}
+			keyOf[name], nameOf[key] = key, name
+		}
+	}
+
+	for _, e := range Experiments() {
+		_, recs, err := c.Execute(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if len(rec.Steps) == 0 {
+				t.Errorf("%s: %q recorded no step", e.ID, rec.Name)
+			}
+			for i, step := range rec.Steps {
+				if !step.Verified {
+					t.Errorf("%s: %q step %d not verified", e.ID, rec.Name, i+1)
+				}
+			}
+		}
+	}
+	if got, want := c.session.platforms, len(distinct)+replays; got != want {
+		t.Errorf("the evaluation built %d platforms for %d distinct cells and %d replays", got, len(distinct), replays)
+	}
+
+	if testing.Short() {
+		return
+	}
+	for _, s := range unreplayed {
+		first, err := c.Run(s) // recorded above
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := c.RunLive(s, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(first)
+		b, _ := json.Marshal(second)
+		if !bytes.Equal(a, b) {
+			t.Errorf("%q: second run differs:\n%s\n%s", s.Name(), a, b)
+		}
+	}
+}
+
+// TestSelectListsValidNames: an unknown experiment name is an error that
+// names the valid ones.
+func TestSelectListsValidNames(t *testing.T) {
+	if _, err := Select("fig99"); err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	all, err := Select("all")
+	if err != nil || len(all) != len(Experiments()) {
+		t.Fatalf("all: %d experiments, %v", len(all), err)
+	}
+	if abl, _ := Select("ablations"); len(abl) != 9 {
+		t.Errorf("ablations selects %d experiments, want 9", len(abl))
+	}
+}

@@ -1,56 +1,46 @@
 package experiments
 
-import (
-	"testing"
-)
+import "testing"
 
 // TestTenantsExperimentSmoke runs the smoke-sized multi-tenant
-// comparison end to end: all four variants complete, the report is
-// byte-identical across two full replays (asserted inside
-// TenantsExperiment), admission engages, and the adaptive variant's
-// subsystems actually fire.
+// comparison end to end: all four variants complete, every record is
+// byte-identical across two runs (asserted by Execute for a Replayed
+// experiment), admission engages, and the adaptive variant's subsystems
+// actually fire.
 func TestTenantsExperimentSmoke(t *testing.T) {
 	c := quick()
-	r, report, err := c.TenantsExperiment(SmokeTenantsConfig())
-	if err != nil {
-		t.Fatal(err)
+	r, recs := execute(t, c, tenantsExperiment)
+	if !tenantsExperiment.Replayed {
+		t.Fatal("experiment not replayed")
 	}
-	if !report.DeterministicReplay {
-		t.Fatal("replay flag not set")
+	if len(recs) != 4 {
+		t.Fatalf("got %d variants, want 4", len(recs))
 	}
-	if len(report.Variants) != 4 {
-		t.Fatalf("got %d variants, want 4", len(report.Variants))
-	}
-	byName := make(map[string]TenantsVariantReport)
-	for _, v := range report.Variants {
-		byName[v.Name] = v
-	}
-	for _, name := range []string{"nas-unbounded", "nas", "das-static", "das-adaptive"} {
-		v, ok := byName[name]
-		if !ok {
-			t.Fatalf("variant %s missing", name)
+	for i, v := range tenantsVariants {
+		tot := recs[i].Counters
+		for _, kind := range []string{"ops", "reads", "writes", "offloads"} {
+			if tot.Int("tenants."+kind) == 0 {
+				t.Errorf("%s: no %s ran: %+v", v.name, kind, tot)
+			}
 		}
-		if v.Ops == 0 || v.Reads == 0 || v.Writes == 0 || v.Offloads == 0 {
-			t.Errorf("%s: some operation kind never ran: %+v", name, v)
+		if tot.Int("tenants.bytes") <= 0 || recs[i].Seconds() <= 0 {
+			t.Errorf("%s: no throughput recorded", v.name)
 		}
-		if v.ThroughputMBps <= 0 {
-			t.Errorf("%s: no throughput recorded", name)
-		}
-		if v.FairSpreadNanos < 0 || v.FairMaxP99Nanos < v.FairMinP99Nanos {
-			t.Errorf("%s: degenerate fairness %+v", name, v)
+		if tot.Int("tenants.fair_spread_ns") < 0 || tot.Int("tenants.fair_max_p99_ns") < tot.Int("tenants.fair_min_p99_ns") {
+			t.Errorf("%s: degenerate fairness %+v", v.name, tot)
 		}
 	}
-	if byName["nas-unbounded"].Sheds != 0 {
+	if recs[0].Counters.Int("tenants.sheds") != 0 {
 		t.Error("unbounded variant shed operations")
 	}
-	if byName["nas"].Deferrals == 0 {
+	if recs[1].Counters.Int("tenants.deferrals") == 0 {
 		t.Error("bounded NAS never deferred — admission never engaged")
 	}
-	adp := byName["das-adaptive"]
-	if adp.CacheHitBytes == 0 {
+	adp := recs[3].Counters
+	if adp.Int("cache.hit_bytes") == 0 {
 		t.Error("adaptive variant: halo cache never hit")
 	}
-	if adp.Promotions == 0 {
+	if adp.Int("control.promotions") == 0 {
 		t.Error("adaptive variant: controller never promoted")
 	}
 	if len(r.Rows) == 0 || len(r.Notes) == 0 {
