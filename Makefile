@@ -53,17 +53,26 @@ bench-smoke:
 
 # Bench identity: the simulated-clock records are functions of the code
 # alone, so the committed BENCH_sim.json — every cell of every experiment,
-# sim seconds and counts only — must regenerate byte for byte from one
-# full `dasbench -exp all -json` (~35 s; pipeline and restripe include
-# crash runs), and `dasbench -quick -exp faults` — retries, timeouts and
-# failover counts under a mid-run crash — must print its golden text. A
-# refactor that moves no byte passes; anything else says which cell moved.
+# one record a line, sim seconds and counts only — must regenerate byte
+# for byte from one full `dasbench -exp all -json` (~35 s; pipeline and
+# restripe include crash runs), and `dasbench -quick -exp faults` —
+# retries, timeouts and failover counts under a mid-run crash — must print
+# its golden text. A refactor that moves no byte passes; anything else
+# names every record that moved (or came, or went) and shows the lines of
+# the faults text that differ.
 bench-identity:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	go build -o "$$tmp/dasbench" ./cmd/dasbench; \
 	"$$tmp/dasbench" -exp all -json "$$tmp/BENCH_sim.json" >/dev/null; \
-	cmp "$$tmp/BENCH_sim.json" BENCH_sim.json; \
+	if ! cmp -s "$$tmp/BENCH_sim.json" BENCH_sim.json; then \
+		echo "bench-identity: BENCH_sim.json differs from what the code generates, in these records:"; \
+		diff "$$tmp/BENCH_sim.json" BENCH_sim.json | sed -n 's/^[<>] {"name":"\([^"]*\)".*/  \1/p' | sort -u; \
+		exit 1; \
+	fi; \
 	echo "bench-identity: BENCH_sim.json identical"; \
 	"$$tmp/dasbench" -quick -exp faults >"$$tmp/faults_quick.txt"; \
-	cmp "$$tmp/faults_quick.txt" testdata/faults_quick.golden.txt; \
+	if ! diff "$$tmp/faults_quick.txt" testdata/faults_quick.golden.txt; then \
+		echo "bench-identity: -quick -exp faults output differs from testdata/faults_quick.golden.txt (< generated, > golden)"; \
+		exit 1; \
+	fi; \
 	echo "bench-identity: -quick -exp faults output identical"

@@ -2,8 +2,11 @@
 // event recorder attached and prints where the time went: a per-actor
 // phase summary and, with -full, the complete timeline. It makes the
 // difference between the schemes visible at a glance — NAS servers
-// dominated by "fetch", DAS servers by "local-read" and "compute", TS
-// workers by "read" and "write-back". The run is a cell of the evaluation
+// dominated by "fetch" and the "stall" it causes, DAS servers by "compute"
+// with their reads and writes hidden behind it, TS workers by "read" and
+// "write-back". A storage server's stages overlap, so each is an actor of
+// its own (server-N/read, /compute, /write, /forward); a TS worker is one
+// actor. The run is a cell of the evaluation
 // (experiments.Config.Cell): the same raster, placement and platform the
 // figures measure.
 //

@@ -82,12 +82,21 @@ type execReq struct {
 // paper's analysis talks about. Durations are wall (simulated) time spent
 // blocked in each stage, so queueing on a contended disk or NIC counts
 // toward the stage that waited — exactly the "increased load" effect.
+//
+// A storage server's stages overlap (walkRuns), so LocalRead, Fetch,
+// Compute and Write do not add up to its elapsed time; each is what its
+// stage was busy for. What adds up is the request's own process: the
+// first run's LocalRead + Fetch, then Compute, then Stall, then the drain
+// — the last run's Write and Forward — is the time from the request's
+// arrival to its reply. A TS worker has no stages and no Stall: its Fetch +
+// Compute + Write is its elapsed time after startup.
 type Phases struct {
 	LocalRead sim.Time // local strip + replica reads through the disk
 	Fetch     sim.Time // waiting for dependent data from other servers
 	Compute   sim.Time // kernel execution
 	Write     sim.Time // local output writes
-	Forward   sim.Time // waiting for replica forwarding to complete
+	Stall     sim.Time // compute waiting for the next run's band or the previous run's write
+	Forward   sim.Time // waiting, after the last write, for replica forwarding to complete
 }
 
 // Add accumulates another worker's phases.
@@ -96,6 +105,7 @@ func (ph *Phases) Add(o Phases) {
 	ph.Fetch += o.Fetch
 	ph.Compute += o.Compute
 	ph.Write += o.Write
+	ph.Stall += o.Stall
 	ph.Forward += o.Forward
 }
 
@@ -106,6 +116,7 @@ func (ph *Phases) MaxWith(o Phases) {
 	ph.Fetch = maxTime(ph.Fetch, o.Fetch)
 	ph.Compute = maxTime(ph.Compute, o.Compute)
 	ph.Write = maxTime(ph.Write, o.Write)
+	ph.Stall = maxTime(ph.Stall, o.Stall)
 	ph.Forward = maxTime(ph.Forward, o.Forward)
 }
 
@@ -116,7 +127,9 @@ func maxTime(a, b sim.Time) sim.Time {
 	return b
 }
 
-// execResp reports one server's execution statistics.
+// execResp reports one server's execution statistics. It travels by
+// pointer: the stages of an exec, on their several processes, fill in the
+// one value the reply then carries.
 type execResp struct {
 	Err           string
 	Strips        int64 // primary strips processed
@@ -186,46 +199,47 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 	clu := svc.fs.Cluster()
 	switch req := msg.Payload.(type) {
 	case execReq:
-		respond := func(r execResp) {
+		respond := func(r *execResp) {
 			clu.Net.Respond(p, msg, r, headerBytes, clu.ClassBetween(srv.NodeID(), msg.From))
 		}
 		resp, err := svc.exec(p, srv, req)
 		if err != nil {
-			respond(execResp{Err: err.Error()})
+			respond(&execResp{Err: err.Error()})
 			return
 		}
 		respond(resp)
 	case reduceReq:
 		svc.handleReduce(p, srv, msg)
 	default:
-		clu.Net.Respond(p, msg, execResp{Err: fmt.Sprintf("unknown request %T", msg.Payload)},
+		clu.Net.Respond(p, msg, &execResp{Err: fmt.Sprintf("unknown request %T", msg.Payload)},
 			headerBytes, clu.ClassBetween(srv.NodeID(), msg.From))
 	}
 }
 
-// exec processes every run of consecutive primary strips this server owns:
-// it assembles the run's band (local reads, replica reads, and — depending
-// on the mode — remote fetches), invokes the kernel, and writes the output
-// strips locally, forwarding output replicas as the output layout demands.
-func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, error) {
+// exec processes every run of consecutive primary strips this server owns
+// through walkRuns' three stages: assemble the run's band (local reads,
+// replica reads, and — depending on the mode — remote fetches), invoke the
+// kernel, and write the output strips locally while the output layout's
+// replica holders are sent their copies.
+func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, error) {
 	clu := svc.fs.Cluster()
 	in, ok := svc.fs.Meta(req.Input)
 	if !ok {
-		return execResp{}, fmt.Errorf("active: unknown input %q", req.Input)
+		return nil, fmt.Errorf("active: unknown input %q", req.Input)
 	}
 	out, ok := svc.fs.Meta(req.Output)
 	if !ok {
-		return execResp{}, fmt.Errorf("active: unknown output %q", req.Output)
+		return nil, fmt.Errorf("active: unknown output %q", req.Output)
 	}
 	if in.Width == 0 || in.ElemSize == 0 {
-		return execResp{}, fmt.Errorf("active: input %q lacks raster metadata", req.Input)
+		return nil, fmt.Errorf("active: input %q lacks raster metadata", req.Input)
 	}
 	if out.Size != in.Size || out.StripSize != in.StripSize {
-		return execResp{}, fmt.Errorf("active: output geometry differs from input")
+		return nil, fmt.Errorf("active: output geometry differs from input")
 	}
 	k, ok := svc.registry.Lookup(req.Op)
 	if !ok {
-		return execResp{}, fmt.Errorf("active: unknown operator %q", req.Op)
+		return nil, fmt.Errorf("active: unknown operator %q", req.Op)
 	}
 
 	lc := in.Locator()
@@ -233,31 +247,26 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 	pat := svc.registry.Pattern(req.Op)
 	maxAbs := pat.MaxAbsOffset(in.Width)
 	offs := pat.Resolve(in.Width)
+	mode := req.Mode // the stages capture what they use of the request, not the request
 
-	var resp execResp
+	resp := new(execResp)
 	var forwards []*sim.Signal[error]
-	var needed []int64 // one list for every run's needed strips
-	// fail answers an error the way success is answered: only once the
-	// replica forwards already started have been acknowledged. When the
-	// reply leaves is simulated behaviour — under a crash plan it decides
-	// whether the reply is delivered at all.
-	fail := func(err error) (execResp, error) {
-		sim.WaitAll(p, forwards)
-		return execResp{}, err
-	}
-	for _, run := range assignedRuns(srv, in, req.Strips) {
+	var needed []int64 // one list for every run's needed strips: assemblers never overlap
+
+	// Assemble a run's band: all locally held strips (the run plus any
+	// replicas) come in one batched disk pass; missing strips are fetched
+	// from their owners per the request's mode. Only strips the dependence
+	// pattern actually touches are read — a sparse stride pattern skips the
+	// strips between its endpoints, and the band has no window there.
+	// Nothing is copied: the band is lent the stored strips and the fetched
+	// buffers themselves, and reads what they held when it was lent them
+	// whatever replaces a strip before the kernel runs.
+	assemble := func(a *sim.Proc, run StripRun) (*grid.Band, error) {
 		e0 := run.Lo / in.ElemSize
 		e1 := run.Hi / in.ElemSize
 		lo, hi := grid.HaloRange(e0, e1, maxAbs, total)
 		band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
 
-		// Assemble the band: all locally held strips (the run plus any
-		// replicas) come in one batched disk pass; missing strips are
-		// fetched from their owners per the request's mode. Only strips
-		// the dependence pattern actually touches are read — a sparse
-		// stride pattern skips the strips between its endpoints, and the
-		// band has no window there. Nothing is copied: the band is lent
-		// the stored strips and the fetched buffers themselves.
 		var localSpans []pfs.Span
 		var localLo []int64
 		type remote struct{ strip, needLo, needHi int64 }
@@ -275,7 +284,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 			if needHi <= needLo {
 				continue
 			}
-			if srv.Holds(req.Input, t) {
+			if srv.Holds(in.Name, t) {
 				localSpans = append(localSpans, pfs.Span{Strip: t, Lo: needLo - tLo, Hi: needHi - tLo})
 				localLo = append(localLo, needLo)
 			} else {
@@ -283,16 +292,16 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 			}
 		}
 		if len(localSpans) > 0 {
-			t0 := p.Now()
-			chunks, err := srv.LocalViewMany(p, req.Input, localSpans)
+			t0 := a.Now()
+			chunks, err := srv.LocalViewMany(a, in.Name, localSpans)
 			if err != nil {
 				band.Release()
-				return fail(err)
+				return nil, err
 			}
-			resp.Phases.LocalRead += p.Now() - t0
+			resp.Phases.LocalRead += a.Now() - t0
 			if clu.Trace != nil {
-				clu.Trace.Record(t0, p.Now()-t0, actor(srv), "local-read",
-					fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, req.Input))
+				clu.Trace.Record(t0, a.Now()-t0, lane(srv, "read"), "local-read",
+					fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, in.Name))
 			}
 			for i, chunk := range chunks {
 				band.Lend(localLo[i]/in.ElemSize, chunk) // a view of the stored strip: never released
@@ -308,28 +317,23 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 			hit   bool
 			err   error
 		}
-		fetchStart := p.Now()
+		fetchStart := a.Now()
 		fetchSigs := make([]*sim.Signal[fetched], len(remotes))
 		for i, rm := range remotes {
 			rm := rm
 			sig := sim.NewSignal[fetched](clu.Eng, "as-fetch")
 			fetchSigs[i] = sig
-			p.Spawn("as-fetch", func(f *sim.Proc) {
-				data, gotLo, hit, err := svc.fetchRemote(f, srv, in, req.Mode, rm.strip, rm.needLo, rm.needHi)
+			a.Spawn("as-fetch", func(f *sim.Proc) {
+				data, gotLo, hit, err := svc.fetchRemote(f, srv, in, mode, rm.strip, rm.needLo, rm.needHi)
 				sig.Fire(fetched{data: data, gotLo: gotLo, hit: hit, err: err})
 			})
 		}
-		results := sim.WaitAll(p, fetchSigs)
-		var fetchErr error
+		results := sim.WaitAll(a, fetchSigs)
 		for _, got := range results {
 			if got.err != nil {
-				fetchErr = got.err
-				break
+				band.Release()
+				return nil, got.err
 			}
-		}
-		if fetchErr != nil {
-			band.Release()
-			return fail(fetchErr)
 		}
 		for _, got := range results {
 			if got.hit {
@@ -341,18 +345,21 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 			}
 			band.Lend(got.gotLo/in.ElemSize, got.data) // the owner's strip or a cache entry's window of it: never released
 		}
-		resp.Phases.Fetch += p.Now() - fetchStart
+		resp.Phases.Fetch += a.Now() - fetchStart
 		if clu.Trace != nil && len(remotes) > 0 {
-			clu.Trace.Record(fetchStart, p.Now()-fetchStart, actor(srv), "fetch",
-				fmt.Sprintf("%d dependent strips for strips %d-%d (%s)", len(remotes), run.First, run.Last, req.Mode))
+			clu.Trace.Record(fetchStart, a.Now()-fetchStart, lane(srv, "read"), "fetch",
+				fmt.Sprintf("%d dependent strips for strips %d-%d (%s)", len(remotes), run.First, run.Last, mode))
 		}
+		return band, nil
+	}
 
-		// Run the kernel: real computation on real bytes, plus the
-		// simulated CPU cost of processing the run's elements. The parallel
-		// executor only spreads the host-CPU work across cores; the
-		// simulated cost below is unchanged. The output is allocated once,
-		// as the memory the store will hold: nothing writes it after the
-		// kernel returns.
+	// Run the kernel: real computation on real bytes, plus the simulated
+	// CPU cost of processing the run's elements. The parallel executor only
+	// spreads the host-CPU work across cores; the simulated cost below is
+	// unchanged. The output is allocated once, as the memory the store will
+	// hold: nothing writes it after the kernel returns.
+	compute := func(run StripRun, band *grid.Band) func(w *sim.Proc) error {
+		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		outVals := make([]float64, e1-e0)
 		kernels.ParallelApplyBand(k, band, outVals)
 		band.Release()
@@ -360,17 +367,17 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 		p.Sleep(clu.ComputeTime(e1-e0, k.Weight()))
 		resp.Phases.Compute += p.Now() - computeStart
 		if clu.Trace != nil {
-			clu.Trace.Record(computeStart, p.Now()-computeStart, actor(srv), "compute",
+			clu.Trace.Record(computeStart, p.Now()-computeStart, lane(srv, "compute"), "compute",
 				fmt.Sprintf("%s over %d elements", req.Op, e1-e0))
 		}
 		resp.Elements += e1 - e0
 
-		// Write the run's output strips locally in one batched disk pass.
 		// The store keeps the output's sub-slices by reference, and so do
-		// the replica holders demanded by the output layout, which are
-		// pushed lazily on a child process, overlapping replication with
-		// the next run's disk and compute work; the exec completes only
-		// after every forward has been acknowledged.
+		// the replica holders demanded by the output layout. Their copies
+		// leave now, beside the local write, one process per holder — sent
+		// holder after holder a run's forwards convoy on the FIFO NICs
+		// once compute stops pacing them; the exec completes only after
+		// every forward has been acknowledged.
 		outBytes := grid.Bytes(outVals)
 		strips := make([]int64, 0, run.Last-run.First+1)
 		chunks := make([][]byte, 0, run.Last-run.First+1)
@@ -379,32 +386,56 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (execResp, e
 			strips = append(strips, t)
 			chunks = append(chunks, outBytes[tLo-run.Lo:tHi-run.Lo])
 		}
-		writeStart := p.Now()
-		if err := srv.LocalWriteMany(p, req.Output, strips, chunks, false); err != nil {
-			return fail(err)
-		}
-		resp.Phases.Write += p.Now() - writeStart
-		if clu.Trace != nil {
-			clu.Trace.Record(writeStart, p.Now()-writeStart, actor(srv), "write",
-				fmt.Sprintf("%d output strips of %s", len(strips), req.Output))
-		}
-		done := sim.NewSignal[error](clu.Eng, "as-forward")
-		forwards = append(forwards, done)
-		p.Spawn("as-forward", func(f *sim.Proc) {
-			done.Fire(srv.ForwardReplicas(f, req.Output, strips, chunks))
-		})
-		resp.Strips += int64(len(strips))
-	}
-	forwardStart := p.Now()
-	for _, err := range sim.WaitAll(p, forwards) {
+		batches, err := srv.ReplicaBatches(out.Name, strips, chunks)
 		if err != nil {
-			return fail(err)
+			return func(*sim.Proc) error { return err }
 		}
+		for _, b := range batches {
+			b, done := b, sim.NewSignal[error](clu.Eng, "as-forward")
+			forwards = append(forwards, done)
+			p.Spawn("as-forward", func(f *sim.Proc) { done.Fire(srv.SendReplicas(f, b)) })
+		}
+		resp.Strips += int64(len(strips))
+
+		// Write the run's output strips locally in one batched disk pass.
+		return func(w *sim.Proc) error {
+			writeStart := w.Now()
+			if err := srv.LocalWriteMany(w, out.Name, strips, chunks, false); err != nil {
+				return err
+			}
+			resp.Phases.Write += w.Now() - writeStart
+			if clu.Trace != nil {
+				clu.Trace.Record(writeStart, w.Now()-writeStart, lane(srv, "write"), "write",
+					fmt.Sprintf("%d output strips of %s", len(strips), out.Name))
+			}
+			return nil
+		}
+	}
+
+	stalled := func(since sim.Time) {
+		resp.Phases.Stall += p.Now() - since
+		if clu.Trace != nil {
+			clu.Trace.Record(since, p.Now()-since, lane(srv, "compute"), "stall", "waiting for the next band or the last write")
+		}
+	}
+	err := walkRuns(p, assignedRuns(srv, in, req.Strips), assemble, compute, stalled)
+	// An error is answered the way success is answered: only once the
+	// replica forwards already started have been acknowledged. When the
+	// reply leaves is simulated behaviour — under a crash plan it decides
+	// whether the reply is delivered at all.
+	forwardStart := p.Now()
+	for _, ferr := range sim.WaitAll(p, forwards) {
+		if err == nil {
+			err = ferr
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	resp.Phases.Forward += p.Now() - forwardStart
 	if clu.Trace != nil && len(forwards) > 0 {
-		clu.Trace.Record(forwardStart, p.Now()-forwardStart, actor(srv), "forward-wait",
-			fmt.Sprintf("%d replica batches of %s", len(forwards), req.Output))
+		clu.Trace.Record(forwardStart, p.Now()-forwardStart, lane(srv, "forward"), "forward-wait",
+			fmt.Sprintf("%d replica batches of %s", len(forwards), out.Name))
 	}
 	return resp, nil
 }
@@ -452,8 +483,12 @@ func (svc *Service) fetchRemote(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, 
 	return data, tLo + wantLo, false, nil
 }
 
-// actor names a storage server for trace events.
-func actor(srv *pfs.Server) string { return fmt.Sprintf("server-%d", srv.Index()) }
+// lane names one stage of a storage server for trace events. The stages
+// overlap, so each is an actor of its own: no actor's timeline holds two
+// intervals at once.
+func lane(srv *pfs.Server, stage string) string {
+	return fmt.Sprintf("server-%d/%s", srv.Index(), stage)
+}
 
 // StripRun is a maximal run of consecutive strips processed as one band,
 // with its byte range [Lo, Hi). Both the AS exec path and the pipeline
@@ -535,7 +570,7 @@ func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (Ex
 	// strip list. The processing server then writes each output strip
 	// locally exactly where the snapshot says readers will look for it.
 	assign := migratingAssignment(c.fs, input, output)
-	sigs := make([]*sim.Signal[execResp], 0, c.fs.Servers())
+	sigs := make([]*sim.Signal[*execResp], 0, c.fs.Servers())
 	for s := 0; s < c.fs.Servers(); s++ {
 		s := s
 		var strips []int64
@@ -545,7 +580,7 @@ func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (Ex
 				strips = []int64{} // explicitly nothing, not "your primaries"
 			}
 		}
-		done := sim.NewSignal[execResp](clu.Eng, "as-exec")
+		done := sim.NewSignal[*execResp](clu.Eng, "as-exec")
 		sigs = append(sigs, done)
 		p.Spawn("as-dispatch", func(d *sim.Proc) {
 			resp := clu.Net.Call(d, simnet.Message{
@@ -556,9 +591,9 @@ func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (Ex
 				Class:   clu.ClassBetween(c.nodeID, clu.StorageID(s)),
 				Payload: execReq{Op: op, Input: input, Output: output, Mode: mode, Strips: strips},
 			})
-			r, ok := resp.Payload.(execResp)
+			r, ok := resp.Payload.(*execResp)
 			if !ok {
-				r = execResp{Err: fmt.Sprintf("unexpected response type %T", resp.Payload)}
+				r = &execResp{Err: fmt.Sprintf("unexpected response type %T", resp.Payload)}
 			}
 			done.Fire(r)
 		})

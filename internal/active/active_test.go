@@ -23,7 +23,13 @@ type testRig struct {
 
 func newRig(t *testing.T, lay layout.Layout, w, h int, stripSize int64) *testRig {
 	t.Helper()
-	cfg := cluster.Default()
+	return newRigOn(t, cluster.Default(), lay, w, h, stripSize)
+}
+
+// newRigOn is newRig on a platform of the caller's cost model (four
+// compute and four storage nodes all the same).
+func newRigOn(t *testing.T, cfg cluster.Config, lay layout.Layout, w, h int, stripSize int64) *testRig {
+	t.Helper()
 	cfg.ComputeNodes, cfg.StorageNodes = 4, 4
 	clu, err := cluster.New(cfg)
 	if err != nil {

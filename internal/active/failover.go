@@ -94,7 +94,7 @@ func (c *Client) execDegraded(p *sim.Proc, op, input, output string, mode FetchM
 		type result struct {
 			srv    int
 			strips []int64
-			resp   execResp
+			resp   *execResp
 			ok     bool
 		}
 		sigs := make([]*sim.Signal[result], 0, len(order))
@@ -116,7 +116,7 @@ func (c *Client) execDegraded(p *sim.Proc, op, input, output string, mode FetchM
 				}, quantum, 0, crashed)
 				r := result{srv: srv, strips: strips}
 				if delivered {
-					r.resp, r.ok = resp.Payload.(execResp)
+					r.resp, r.ok = resp.Payload.(*execResp)
 				}
 				done.Fire(r)
 			})

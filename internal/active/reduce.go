@@ -35,7 +35,8 @@ type ReduceStats struct {
 
 // handleReduce folds every primary run of this server through the reducer
 // and responds with the merged partial. Reductions have no dependence, so
-// assembly needs no halo and no remote fetches.
+// assembly needs no halo and no remote fetches, and nothing is stored:
+// of walkRuns' stages only the read-ahead is at work.
 func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 	clu := svc.fs.Cluster()
 	req := msg.Payload.(reduceReq)
@@ -59,16 +60,15 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 	total := in.Size / in.ElemSize
 	var partials [][]float64
 	var elements int64
-	for _, run := range PrimaryRuns(srv, in) {
+	assemble := func(a *sim.Proc, run StripRun) (*grid.Band, error) {
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		spans := make([]pfs.Span, 0, run.Last-run.First+1)
 		for t := run.First; t <= run.Last; t++ {
 			spans = append(spans, pfs.Span{Strip: t})
 		}
-		chunks, err := srv.LocalViewMany(p, req.Input, spans)
+		chunks, err := srv.LocalViewMany(a, req.Input, spans)
 		if err != nil {
-			respond(reduceResp{Err: err.Error()}, headerBytes)
-			return
+			return nil, err
 		}
 		band := grid.NewBandLent(in.Width, total, e0, e1, e0, e1)
 		off := e0
@@ -76,10 +76,19 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 			band.Lend(off, chunk) // a view of the stored strip: never released
 			off += int64(len(chunk)) / in.ElemSize
 		}
+		return band, nil
+	}
+	fold := func(run StripRun, band *grid.Band) func(*sim.Proc) error {
+		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		partials = append(partials, red.ReduceBand(band))
 		band.Release()
 		p.Sleep(clu.ComputeTime(e1-e0, red.Weight()))
 		elements += e1 - e0
+		return nil
+	}
+	if err := walkRuns(p, PrimaryRuns(srv, in), assemble, fold, nil); err != nil {
+		respond(reduceResp{Err: err.Error()}, headerBytes)
+		return
 	}
 	partial := red.Merge(partials)
 	respond(reduceResp{Partial: partial, Elements: elements},

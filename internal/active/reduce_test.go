@@ -79,16 +79,16 @@ func TestExecReduceErrors(t *testing.T) {
 }
 
 func TestPhasesAddAndMax(t *testing.T) {
-	a := Phases{LocalRead: 1, Fetch: 2, Compute: 3, Write: 4, Forward: 5}
-	b := Phases{LocalRead: 5, Fetch: 1, Compute: 3, Write: 2, Forward: 9}
+	a := Phases{LocalRead: 1, Fetch: 2, Compute: 3, Write: 4, Stall: 7, Forward: 5}
+	b := Phases{LocalRead: 5, Fetch: 1, Compute: 3, Write: 2, Stall: 6, Forward: 9}
 	sum := a
 	sum.Add(b)
-	if sum.LocalRead != 6 || sum.Fetch != 3 || sum.Compute != 6 || sum.Write != 6 || sum.Forward != 14 {
+	if sum.LocalRead != 6 || sum.Fetch != 3 || sum.Compute != 6 || sum.Write != 6 || sum.Stall != 13 || sum.Forward != 14 {
 		t.Errorf("Add = %+v", sum)
 	}
 	m := a
 	m.MaxWith(b)
-	if m.LocalRead != 5 || m.Fetch != 2 || m.Compute != 3 || m.Write != 4 || m.Forward != 9 {
+	if m.LocalRead != 5 || m.Fetch != 2 || m.Compute != 3 || m.Write != 4 || m.Stall != 7 || m.Forward != 9 {
 		t.Errorf("MaxWith = %+v", m)
 	}
 }

@@ -1,0 +1,104 @@
+package active
+
+import (
+	"github.com/hpcio/das/internal/grid"
+	"github.com/hpcio/das/internal/sim"
+)
+
+// walkRuns is the one body for "walk my runs": three stages, double
+// buffered, so a server's disk, CPU and NIC work at once.
+//
+//	assemble   run i+1 on a child process, started when compute i starts
+//	compute    run i on p, the request's own process
+//	write      run i−1 on a child process; compute i waits for it before
+//	           handing over the write it returns
+//
+// The depth is the constant one: one band prefetched, one write behind.
+// The first run is assembled on p and the last run's write runs on p, so a
+// single run takes the steps it would take with no stages at all. compute
+// releases the band it is handed and returns the run's write stage, nil
+// when the run stores nothing (a reduction).
+//
+// stalled, when non-nil, is told each time p has had to wait for the
+// assembler or the writer, with when the wait began. On an error the loop
+// joins whichever of the two is still out, releases a band prefetched for
+// a run that will not compute, and returns the first error.
+func walkRuns(p *sim.Proc, runs []StripRun,
+	assemble func(a *sim.Proc, run StripRun) (*grid.Band, error),
+	compute func(run StripRun, band *grid.Band) (write func(w *sim.Proc) error),
+	stalled func(since sim.Time),
+) (err error) {
+	type assembled struct {
+		band *grid.Band
+		err  error
+	}
+	eng := p.Engine()
+	var ahead *sim.Signal[assembled] // run i+1's assembler
+	var behind *sim.Signal[error]    // run i−1's writer
+	// Waiting for a stage reports the wait; a stage never started has
+	// nothing to say.
+	waited := func(since sim.Time) {
+		if stalled != nil && p.Now() > since {
+			stalled(since)
+		}
+	}
+	awaitBand := func() (got assembled) {
+		if ahead != nil {
+			since := p.Now()
+			got, ahead = ahead.Wait(p), nil
+			waited(since)
+		}
+		return got
+	}
+	awaitWrite := func() (werr error) {
+		if behind != nil {
+			since := p.Now()
+			werr, behind = behind.Wait(p), nil
+			waited(since)
+		}
+		return werr
+	}
+	defer func() {
+		if got := awaitBand(); got.band != nil {
+			got.band.Release()
+		}
+		if werr := awaitWrite(); err == nil {
+			err = werr
+		}
+	}()
+
+	for i, run := range runs {
+		var got assembled
+		if i == 0 {
+			got.band, got.err = assemble(p, run)
+		} else {
+			got = awaitBand()
+		}
+		if got.err != nil {
+			return got.err
+		}
+		last := i+1 == len(runs)
+		if !last {
+			sig, next := sim.NewSignal[assembled](eng, "as-assemble"), runs[i+1]
+			ahead = sig
+			p.Spawn("as-assemble", func(a *sim.Proc) {
+				band, aerr := assemble(a, next)
+				sig.Fire(assembled{band, aerr})
+			})
+		}
+		write := compute(run, got.band)
+		if write == nil {
+			continue
+		}
+		if werr := awaitWrite(); werr != nil {
+			return werr
+		}
+		if last {
+			return write(p)
+		}
+		sig := sim.NewSignal[error](eng, "as-write")
+		behind = sig
+		p.Spawn("as-write", func(w *sim.Proc) { sig.Fire(write(w)) })
+	}
+	return nil
+}

@@ -458,6 +458,15 @@ type Report struct {
 	ServerLoad cluster.Utilization
 }
 
+// BusiestResource is the longest any one resource worked for this
+// operation: a storage server's disk, either direction of its NIC, or a
+// worker's CPU (Stats.PhaseMax.Compute). Job startup plus this is a bound
+// no schedule of the same work on the same platform beats — what ExecTime
+// is set against.
+func (r Report) BusiestResource() sim.Time {
+	return max(r.Stats.PhaseMax.Compute, r.ServerLoad.MaxDisk(), r.ServerLoad.MaxEgress(), r.ServerLoad.MaxIngress())
+}
+
 // Execute runs one operation to completion and reports what happened.
 func (s *System) Execute(req Request) (Report, error) {
 	m, ok := s.FS.Meta(req.Input)

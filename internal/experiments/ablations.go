@@ -327,9 +327,13 @@ var ablationMapReduce = Experiment{
 		for i, scheme := range []core.Scheme{core.DAS, core.TS, core.NAS} {
 			r.Add(strings.ToLower(scheme.String()), float64(3+i), recs[1+i].Seconds())
 		}
+		lands := "it lands between NAS and TS"
+		if nas := recs[3]; job.SimSeconds > nas.Seconds() {
+			lands = "behind its barrier it overlaps none of it with compute, as a NAS server does, and lands behind NAS"
+		}
 		r.Notes = append(r.Notes,
 			"MapReduce pays intermediate materialization, a map barrier, and replicated output; DAS pipelines local reads into local writes",
-			"with strip-wide dependence reach MapReduce shuffles like NAS fetches; it lands between NAS and TS")
+			"with strip-wide dependence reach MapReduce shuffles like NAS fetches; "+lands)
 		return r, nil
 	},
 }

@@ -6,36 +6,44 @@ import (
 
 func TestAblationGroupSize(t *testing.T) {
 	c := quick()
-	r, _ := execute(t, c, ablationGroupSize)
+	r, recs := execute(t, c, ablationGroupSize)
 	xs := r.Xs()
-	if len(xs) < 3 {
-		t.Fatalf("too few group sizes swept: %v", xs)
+	if len(xs) < 3 || len(recs) != len(xs) {
+		t.Fatalf("too few group sizes swept: %v (%d records)", xs, len(recs))
 	}
-	// Capacity overhead must fall as r grows (2·halo/r).
+	// Capacity overhead must fall as r grows (2·halo/r), and so must the
+	// replica traffic it stands for: larger r amortizes it.
 	for i := 1; i < len(xs); i++ {
 		prev, _ := r.Value("capacity_overhead", xs[i-1])
 		cur, _ := r.Value("capacity_overhead", xs[i])
 		if cur >= prev {
 			t.Errorf("overhead did not fall: r=%v→%v gives %.3f→%.3f", xs[i-1], xs[i], prev, cur)
 		}
+		was, now := recs[i-1].Steps[0].Traffic.Int("s2s"), recs[i].Steps[0].Traffic.Int("s2s")
+		if now >= was {
+			t.Errorf("server-to-server bytes did not fall: r=%v→%v gives %d→%d", xs[i-1], xs[i], was, now)
+		}
 	}
-	// Execution stays sane (offloaded, locality) at every r: no value
-	// should be wildly above the smallest.
-	var minV, maxV float64
+	// Execution stays sane at every r. The r differ in the work they do —
+	// a small r is NIC-bound by the replication it pays for (or rejected
+	// and served as normal I/O), a large r leaves the servers few, long
+	// runs — so each is held to its own bound, startup plus the busiest
+	// resource of that run, not to the other r: an offloaded run overlaps
+	// its stages and stays within 1.5× (a serial run loop reads 1.6–1.7×), a
+	// rejected one is the TS application's read-compute-write, within 2×.
 	for i, x := range xs {
-		v, ok := r.Value("das_exec_seconds", x)
-		if !ok || v <= 0 {
-			t.Fatalf("missing exec time at r=%v", x)
+		step := recs[i].Steps[0]
+		v, bound := step.SimSeconds, step.Stats["bound_seconds"]
+		if v <= 0 || bound <= 0 {
+			t.Fatalf("missing exec time or bound at r=%v: %v, %v", x, v, bound)
 		}
-		if i == 0 || v < minV {
-			minV = v
+		within := 2.0
+		if step.Offloaded {
+			within = 1.5
 		}
-		if v > maxV {
-			maxV = v
+		if v < bound || v > within*bound {
+			t.Errorf("r=%v (offloaded=%v): exec %.4fs outside [1, %.1f] × its bound %.4fs", x, step.Offloaded, v, within, bound)
 		}
-	}
-	if maxV > 2*minV {
-		t.Errorf("exec time varies too widely across r: %.4f..%.4f", minV, maxV)
 	}
 }
 

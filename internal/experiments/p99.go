@@ -31,14 +31,23 @@ func p99CacheBudget(sizeGB, servers int) int64 {
 }
 
 // p99Control holds thresholds calibrated to the simulated platform's
-// fetch-latency scale (p50 ≈ 5 ms, tail ≈ 7 ms on the default cost
-// model): windows wide enough to collect a quorum of samples, the
-// hysteresis band bracketing the observed distribution. The paper-default
-// 500µs thresholds sit far below this cost model's fetch floor and would
-// read every window as hot.
+// fetch-latency scale: windows wide enough to collect a quorum of samples,
+// the hysteresis band bracketing the observed distribution. Storage
+// servers fetch a run's halo while the run before it computes, so on the
+// default cost model a dependent-strip fetch takes 2.75 ms at least, p50 ≈
+// 4.5 ms, p90 ≈ 5.8 ms and p99 ≈ 7.2 ms at -quick (5.0 / 7.1 / 8.1 ms at
+// the default size), and a server completes one about every 3 ms. A 20 ms
+// window therefore holds about six samples per server (the quorum is
+// four) and its p99 is its slowest sample, near the distribution's p90;
+// LatencyHigh sits between the median and that, LatencyLow below the
+// floor. The window is also the widest that lets the controller act
+// within one round of the smallest cell: startup plus the two windows a
+// promotion needs is 60 ms of its 70 ms. The paper-default 500µs
+// thresholds sit far below this cost model's fetch floor and would read
+// every window as hot.
 var p99Control = control.Config{
-	SampleEvery: 25 * sim.Millisecond,
-	LatencyHigh: 6 * sim.Millisecond,
+	SampleEvery: 20 * sim.Millisecond,
+	LatencyHigh: 5 * sim.Millisecond,
 	LatencyLow:  sim.Millisecond,
 }
 

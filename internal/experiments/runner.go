@@ -384,6 +384,18 @@ func (r *run) kernel(sr *StepRecord, st Step, in string) error {
 	sr.Stats["remote_bytes"] = float64(rep.Stats.RemoteBytes)
 	sr.Stats["cache_hits"] = float64(rep.Stats.CacheHits)
 	sr.Stats["cache_hit_bytes"] = float64(rep.Stats.CacheHitBytes)
+	// Where the time went: the busiest worker's time per stage (a storage
+	// server's stages overlap, so they do not add up to the step's time —
+	// active.Phases says what does), and the bound the step's time is set
+	// against.
+	ph := rep.Stats.PhaseMax
+	sr.Stats["read_seconds"] = ph.LocalRead.Seconds()
+	sr.Stats["fetch_seconds"] = ph.Fetch.Seconds()
+	sr.Stats["compute_seconds"] = ph.Compute.Seconds()
+	sr.Stats["write_seconds"] = ph.Write.Seconds()
+	sr.Stats["stall_seconds"] = ph.Stall.Seconds()
+	sr.Stats["forward_wait_seconds"] = ph.Forward.Seconds()
+	sr.Stats["bound_seconds"] = (r.live.Clu.Cfg.Startup + rep.BusiestResource()).Seconds()
 	if rep.Reconfigured {
 		sr.Stats["reconfig_seconds"] = rep.ReconfigTime.Seconds()
 	}

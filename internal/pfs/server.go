@@ -323,53 +323,79 @@ func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [
 }
 
 // ForwardReplicas pushes copies of the given strips to their replica
-// holders under the file's current layout, batched per target server. It
-// is called synchronously from replica-maintaining writes; active storage
-// runs call it on a child process to overlap replication with the next
-// run's disk and compute work (lazy replication). data must be what this
-// server stored for the strips (LocalWriteMany's argument): the holders
-// keep the same immutable slices by reference.
+// holders under the file's current layout, batched per target server and
+// sent holder after holder, each waiting for the one before it to be
+// acknowledged. It is called synchronously from replica-maintaining
+// writes and on a child process by the pipeline's rounds; an active
+// storage run sends the same batches side by side (ReplicaBatches,
+// SendReplicas). data must be what this server stored for the strips
+// (LocalWriteMany's argument): the holders keep the same immutable slices
+// by reference.
 func (s *Server) ForwardReplicas(p *sim.Proc, file string, strips []int64, data [][]byte) error {
+	batches, err := s.ReplicaBatches(file, strips, data)
+	if err != nil {
+		return err
+	}
+	for _, b := range batches {
+		if err := s.SendReplicas(p, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReplicaBatch is what one replica holder is owed of a batch of strips
+// this server stored: one write request, ready to send.
+type ReplicaBatch struct {
+	target int
+	req    writeManyReq
+	size   int64
+}
+
+// ReplicaBatches groups the given strips by replica holder under the
+// file's current layout, holders in order of first appearance.
+func (s *Server) ReplicaBatches(file string, strips []int64, data [][]byte) ([]ReplicaBatch, error) {
 	m, ok := s.fs.meta[file]
 	if !ok {
-		return fmt.Errorf("unknown file %q", file)
+		return nil, fmt.Errorf("unknown file %q", file)
 	}
-	byTarget := make(map[int][]int)
-	var order []int
+	var batches []ReplicaBatch
+	at := make(map[int]int) // holder -> index in batches
 	for i, strip := range strips {
 		for _, rep := range m.Layout.Replicas(strip) {
 			if rep == s.srv {
 				continue
 			}
-			if _, seen := byTarget[rep]; !seen {
-				order = append(order, rep)
+			j, seen := at[rep]
+			if !seen {
+				j = len(batches)
+				at[rep] = j
+				batches = append(batches, ReplicaBatch{target: rep, req: writeManyReq{File: file, immutable: true}, size: headerBytes})
 			}
-			byTarget[rep] = append(byTarget[rep], i)
+			b := &batches[j]
+			b.req.Strips = append(b.req.Strips, strip)
+			b.req.Data = append(b.req.Data, data[i])
+			b.size += int64(len(data[i]))
 		}
 	}
-	for _, target := range order {
-		idxs := byTarget[target]
-		fwd := writeManyReq{File: file, Strips: make([]int64, len(idxs)), Data: make([][]byte, len(idxs)), immutable: true}
-		for j, i := range idxs {
-			fwd.Strips[j], fwd.Data[j] = strips[i], data[i]
+	return batches, nil
+}
+
+// SendReplicas pushes one holder's batch and waits for its
+// acknowledgement. Replication is best-effort under faults: a holder that
+// is down or times out loses this copy rather than failing the write —
+// the primary copy is durable; DESIGN.md documents the divergence window.
+func (s *Server) SendReplicas(p *sim.Proc, b ReplicaBatch) error {
+	resp, err := s.fs.call(p, s.nodeID, b.target, b.req, b.size)
+	if err != nil {
+		if errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout) {
+			s.fs.clu.Recovery.AddSkippedForward()
+			return nil
 		}
-		var size int64 = headerBytes
-		for _, d := range fwd.Data {
-			size += int64(len(d))
-		}
-		resp, err := s.fs.call(p, s.nodeID, target, fwd, size)
-		if err != nil {
-			if errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout) {
-				// Best-effort replication under faults: skip the down
-				// target instead of failing the whole batch.
-				s.fs.clu.Recovery.AddSkippedForward()
-				continue
-			}
-			return err
-		}
-		if e, isErr := resp.(errResp); isErr {
-			return fmt.Errorf("replica forward to server %d: %s", target, e.Err)
-		}
+		return err
+	}
+	if e, isErr := resp.(errResp); isErr {
+		return fmt.Errorf("replica forward to server %d: %s", b.target, e.Err)
 	}
 	return nil
 }
