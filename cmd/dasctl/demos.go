@@ -48,16 +48,15 @@ func demoHeader(w io.Writer, title string, servers int, rec experiments.Record) 
 }
 
 // cacheReport runs the demo with the halo-strip cache enabled (repeated
-// rounds, so the cache warms) and prints each server's cache stats, the
-// cluster-wide counters, and the tuning actions the manager took.
-func cacheReport(w io.Writer, servers int, policy string, rounds int) error {
+// rounds, so the cache warms) and prints each server's cache stats and the
+// cluster-wide counters. Without the controller nothing is pinned; -control
+// shows the pins it moves.
+func cacheReport(w io.Writer, servers int, rounds int) error {
 	return demo(servers, rounds, 3,
-		func(s *experiments.Scenario) { s.Cache = &cache.Config{Policy: policy} },
+		func(s *experiments.Scenario) { s.Cache = &cache.Config{} },
 		func(sys *experiments.Live, rec experiments.Record) {
-			mgrCfg := sys.Cache.Config()
 			demoHeader(w, "halo-strip cache demo", servers, rec)
-			fmt.Fprintf(w, "budget %s per server, policy %s\n\n",
-				metrics.FormatBytes(mgrCfg.BudgetBytes), mgrCfg.Policy)
+			fmt.Fprintf(w, "budget %s per server, LRU eviction\n\n", metrics.FormatBytes(sys.Cache.Config().BudgetBytes))
 			const size = demoSizeGB * experiments.BytesPerPaperGB
 			fmt.Fprintf(w, "input: %s in %d strips\n", metrics.FormatBytes(size), size/demoStripSize)
 
@@ -65,10 +64,6 @@ func cacheReport(w io.Writer, servers int, policy string, rounds int) error {
 				fmt.Fprintf(w, "%s\n", s.String())
 			}
 			fmt.Fprintf(w, "\ncluster: %s\n", sys.Clu.CacheStats.String())
-			fmt.Fprintf(w, "tuning: %d ticks, %d actions\n", sys.Cache.Ticks(), len(sys.Cache.Actions()))
-			for _, a := range sys.Cache.Actions() {
-				fmt.Fprintf(w, "  %-8v server %d %s %s strip %d\n", a.At, a.Server, a.Kind, a.File, a.Strip)
-			}
 		})
 }
 
@@ -134,13 +129,13 @@ func controlReport(w io.Writer, servers int, rounds int) error {
 			norm := ctl.Config()
 			demoHeader(w, "unified p99 controller demo", servers, rec)
 			fmt.Fprintf(w, "thresholds: high %v / low %v at p%d, window %v, cool-down %v\n",
-				norm.LatencyHigh, norm.LatencyLow, norm.Percentile, norm.SampleEvery, norm.Cooldown)
+				norm.LatencyHigh, norm.LatencyLow, control.Percentile, norm.SampleEvery, norm.Cooldown)
 			fmt.Fprintf(w, "cache budget %s per server\n\n", metrics.FormatBytes(sys.Cache.Config().BudgetBytes))
 
 			for _, s := range ctl.Stats() {
 				fmt.Fprintf(w, "%s\n", s.String())
 			}
-			fmt.Fprintf(w, "\ncluster fetch p%d: %v\n", norm.Percentile, ctl.ClusterP99())
+			fmt.Fprintf(w, "\ncluster fetch p%d: %v\n", control.Percentile, ctl.ClusterP99())
 			fmt.Fprintf(w, "samples: %d tuning, %d rpc, %d migration-excluded\n",
 				ctl.TuningSamples(), ctl.RPCSamples(), ctl.MigrationSamplesExcluded())
 			allowed, denied := ctl.Admissions()

@@ -10,7 +10,7 @@
 //	dasctl -servers 12 -op flow-routing -width 8192 \
 //	       -size 25165824                                # fetch plan summary
 //	dasctl -servers 4 -faults crash@10ms:s1              # crash coverage
-//	dasctl -servers 4 -cache -cache-policy arc           # halo-strip cache stats
+//	dasctl -servers 4 -cache -rounds 3                   # halo-strip cache stats
 //	dasctl -servers 4 -restripe -rounds 4                # online-restripe migration report
 //	dasctl -servers 4 -control                           # unified p99 controller report
 //	dasctl -servers 4 -tenants -streams 64               # multi-tenant fairness report
@@ -44,7 +44,6 @@ func main() {
 		"fault plan to analyze, e.g. 'crash@10ms:s1,restart@60ms:s1,loss@0:0.05' — reports which strips survive the servers the plan leaves down")
 	cacheDemo := flag.Bool("cache", false,
 		"run a short offloaded workload with the halo-strip cache enabled and report per-server cache stats")
-	cachePolicy := flag.String("cache-policy", "lru", "cache eviction policy for -cache: lru or arc")
 	restripeDemo := flag.Bool("restripe", false,
 		"run a short offloaded workload with online restriping enabled and report the migration's progress and throttle behaviour")
 	controlDemo := flag.Bool("control", false,
@@ -60,13 +59,13 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 
 	err := checkExclusive(*op, *faults, *cacheDemo, *restripeDemo, *controlDemo, *tenantsDemo, *kernelsList,
-		given["cache-policy"], given["streams"], given["rounds"])
+		given["streams"], given["rounds"])
 	if err == nil {
 		switch {
 		case *kernelsList:
 			err = kernelsReport(os.Stdout)
 		case *cacheDemo:
-			err = cacheReport(os.Stdout, *servers, *cachePolicy, *rounds)
+			err = cacheReport(os.Stdout, *servers, *rounds)
 		case *restripeDemo:
 			err = restripeReport(os.Stdout, *servers, *rounds)
 		case *controlDemo:
@@ -87,10 +86,9 @@ func main() {
 // silently ignored: -cache, -restripe, -control, -tenants, and -kernels
 // each produce their own report and compose with neither the fetch-plan
 // (-op) nor the fault-coverage (-faults) analyses, nor with each other;
-// and -cache-policy, -streams and -rounds, when given, need the report
-// that reads them.
+// and -streams and -rounds, when given, need the report that reads them.
 func checkExclusive(op, faultSpec string, cacheDemo, restripeDemo, controlDemo, tenantsDemo, kernelsList bool,
-	policyGiven, streamsGiven, roundsGiven bool) error {
+	streamsGiven, roundsGiven bool) error {
 	if err := cli.CheckExclusive(
 		[]cli.Flag{
 			{Name: "-cache", Set: cacheDemo},
@@ -104,8 +102,6 @@ func checkExclusive(op, faultSpec string, cacheDemo, restripeDemo, controlDemo, 
 		return err
 	}
 	switch {
-	case policyGiven && !cacheDemo:
-		return fmt.Errorf("-cache-policy applies only to -cache")
 	case streamsGiven && !tenantsDemo:
 		return fmt.Errorf("-streams applies only to -tenants")
 	case roundsGiven && !cacheDemo && !restripeDemo && !controlDemo:
@@ -202,7 +198,7 @@ func run(w io.Writer, servers int, strips int64, r, halo int, stripSize int64, o
 		}
 		fmt.Fprint(w, d.Explain())
 	}
-	rec, ok, err := predict.RecommendLayout(pat, params, servers, 0.5)
+	rec, ok, err := predict.RecommendLayout(pat, params, servers, predict.DefaultMaxOverhead)
 	if err != nil {
 		return err
 	}

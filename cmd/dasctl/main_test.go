@@ -13,53 +13,51 @@ func TestCheckExclusiveRejectsDemoWithOtherReports(t *testing.T) {
 	cases := []struct {
 		op, faults                                 string
 		cache, restripe, control, tenants, kernels bool
-		policy, streams, rounds                    bool // -cache-policy, -streams, -rounds given
+		streams, rounds                            bool // -streams, -rounds given
 		wantErr                                    string
 	}{
-		{"", "", false, false, false, false, false, false, false, false, ""},
-		{"flow-routing", "", false, false, false, false, false, false, false, false, ""},
-		{"flow-routing", "crash@10ms:s1", false, false, false, false, false, false, false, false, ""}, // -op and -faults compose
-		{"", "", true, false, false, false, false, false, false, false, ""},
-		{"flow-routing", "", true, false, false, false, false, false, false, false, "-op"},
-		{"", "crash@10ms:s1", true, false, false, false, false, false, false, false, "-faults"},
-		{"flow-routing", "crash@10ms:s1", true, false, false, false, false, false, false, false, "-op or -faults"},
-		{"", "", false, true, false, false, false, false, false, false, ""},
-		{"flow-routing", "", false, true, false, false, false, false, false, false, "-op"},
-		{"", "crash@10ms:s1", false, true, false, false, false, false, false, false, "-faults"},
-		{"flow-routing", "crash@10ms:s1", false, true, false, false, false, false, false, false, "-op or -faults"},
-		{"", "", true, true, false, false, false, false, false, false, "-cache"},
-		{"flow-routing", "crash@10ms:s1", true, true, false, false, false, false, false, false, "-cache"},
-		{"", "", false, false, true, false, false, false, false, false, ""},
-		{"flow-routing", "", false, false, true, false, false, false, false, false, "-op"},
-		{"", "crash@10ms:s1", false, false, true, false, false, false, false, false, "-faults"},
-		{"", "", true, false, true, false, false, false, false, false, "-cache"},
-		{"", "", false, true, true, false, false, false, false, false, "-restripe"},
-		{"", "", false, false, false, true, false, false, false, false, ""},
-		{"flow-routing", "", false, false, false, true, false, false, false, false, "-op"},
-		{"", "crash@10ms:s1", false, false, false, true, false, false, false, false, "-faults"},
-		{"", "", true, false, false, true, false, false, false, false, "-cache"},
-		{"", "", false, false, true, true, false, false, false, false, "-control"},
-		{"", "", false, false, false, false, true, false, false, false, ""},
-		{"flow-routing", "", false, false, false, false, true, false, false, false, "-op"},
-		{"", "crash@10ms:s1", false, false, false, false, true, false, false, false, "-faults"},
-		{"", "", false, false, false, true, true, false, false, false, "-tenants"},
-		{"", "", true, false, false, false, true, false, false, false, "-cache"},
+		{"", "", false, false, false, false, false, false, false, ""},
+		{"flow-routing", "", false, false, false, false, false, false, false, ""},
+		{"flow-routing", "crash@10ms:s1", false, false, false, false, false, false, false, ""}, // -op and -faults compose
+		{"", "", true, false, false, false, false, false, false, ""},
+		{"flow-routing", "", true, false, false, false, false, false, false, "-op"},
+		{"", "crash@10ms:s1", true, false, false, false, false, false, false, "-faults"},
+		{"flow-routing", "crash@10ms:s1", true, false, false, false, false, false, false, "-op or -faults"},
+		{"", "", false, true, false, false, false, false, false, ""},
+		{"flow-routing", "", false, true, false, false, false, false, false, "-op"},
+		{"", "crash@10ms:s1", false, true, false, false, false, false, false, "-faults"},
+		{"flow-routing", "crash@10ms:s1", false, true, false, false, false, false, false, "-op or -faults"},
+		{"", "", true, true, false, false, false, false, false, "-cache"},
+		{"flow-routing", "crash@10ms:s1", true, true, false, false, false, false, false, "-cache"},
+		{"", "", false, false, true, false, false, false, false, ""},
+		{"flow-routing", "", false, false, true, false, false, false, false, "-op"},
+		{"", "crash@10ms:s1", false, false, true, false, false, false, false, "-faults"},
+		{"", "", true, false, true, false, false, false, false, "-cache"},
+		{"", "", false, true, true, false, false, false, false, "-restripe"},
+		{"", "", false, false, false, true, false, false, false, ""},
+		{"flow-routing", "", false, false, false, true, false, false, false, "-op"},
+		{"", "crash@10ms:s1", false, false, false, true, false, false, false, "-faults"},
+		{"", "", true, false, false, true, false, false, false, "-cache"},
+		{"", "", false, false, true, true, false, false, false, "-control"},
+		{"", "", false, false, false, false, true, false, false, ""},
+		{"flow-routing", "", false, false, false, false, true, false, false, "-op"},
+		{"", "crash@10ms:s1", false, false, false, false, true, false, false, "-faults"},
+		{"", "", false, false, false, true, true, false, false, "-tenants"},
+		{"", "", true, false, false, false, true, false, false, "-cache"},
 		// A modifier without the report that reads it is an error, not a
 		// silently ignored flag.
-		{"", "", true, false, false, false, false, true, false, true, ""},
-		{"", "", false, true, false, false, false, false, false, true, ""},
-		{"", "", false, false, true, false, false, false, false, true, ""},
-		{"", "", false, false, false, true, false, false, true, false, ""},
-		{"", "", false, false, false, false, false, true, false, false, "-cache-policy applies only to -cache"},
-		{"flow-routing", "", false, false, false, false, false, false, true, false, "-streams applies only to -tenants"},
-		{"", "", false, false, false, false, false, false, false, true, "-rounds applies only to"},
-		{"", "", false, true, false, false, false, true, false, false, "-cache-policy applies only to -cache"},
-		{"", "", true, false, false, false, false, false, true, false, "-streams applies only to -tenants"},
-		{"", "", false, false, false, true, false, false, false, true, "-rounds applies only to"},
-		{"", "", false, false, false, false, true, false, false, true, "-rounds applies only to"},
+		{"", "", true, false, false, false, false, false, true, ""},
+		{"", "", false, true, false, false, false, false, true, ""},
+		{"", "", false, false, true, false, false, false, true, ""},
+		{"", "", false, false, false, true, false, true, false, ""},
+		{"flow-routing", "", false, false, false, false, false, true, false, "-streams applies only to -tenants"},
+		{"", "", false, false, false, false, false, false, true, "-rounds applies only to"},
+		{"", "", true, false, false, false, false, true, false, "-streams applies only to -tenants"},
+		{"", "", false, false, false, true, false, false, true, "-rounds applies only to"},
+		{"", "", false, false, false, false, true, false, true, "-rounds applies only to"},
 	}
 	for _, c := range cases {
-		err := checkExclusive(c.op, c.faults, c.cache, c.restripe, c.control, c.tenants, c.kernels, c.policy, c.streams, c.rounds)
+		err := checkExclusive(c.op, c.faults, c.cache, c.restripe, c.control, c.tenants, c.kernels, c.streams, c.rounds)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("checkExclusive(%+v) = %v, want nil", c, err)
@@ -179,11 +177,11 @@ func TestRestripeReportRejectsBadInputs(t *testing.T) {
 
 func TestCacheReportRunsAndPrintsStats(t *testing.T) {
 	var out bytes.Buffer
-	if err := cacheReport(&out, 4, "arc", 2); err != nil {
+	if err := cacheReport(&out, 4, 2); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"policy arc", "server 0:", "server 3:", "cluster:", "hits="} {
+	for _, want := range []string{"LRU eviction", "server 0:", "server 3:", "cluster:", "hits="} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}
@@ -192,11 +190,8 @@ func TestCacheReportRunsAndPrintsStats(t *testing.T) {
 
 func TestCacheReportRejectsBadInputs(t *testing.T) {
 	var out bytes.Buffer
-	if err := cacheReport(&out, 0, "lru", 1); err == nil {
+	if err := cacheReport(&out, 0, 1); err == nil {
 		t.Error("zero servers accepted")
-	}
-	if err := cacheReport(&out, 4, "fifo", 1); err == nil {
-		t.Error("unknown policy accepted")
 	}
 }
 

@@ -1,15 +1,15 @@
 // Package cache implements the adaptive halo-strip cache subsystem: a
-// bounded, byte-budgeted cache per storage server holding the *remote*
-// strips the server fetched to satisfy dependence halos during
-// offloaded execution, plus a cluster-wide manager (manager.go) that
-// watches per-server hit rates and observed fetch latencies on the DES
-// clock and tunes which strips stay pinned.
+// bounded, byte-budgeted LRU cache per storage server holding the *remote*
+// strips the server fetched to satisfy dependence halos during offloaded
+// execution, plus a cluster-wide manager (manager.go) that keeps each
+// server's hit window and runs the promote/demote passes the unified p99
+// controller (internal/control) calls.
 //
 // The paper's improved distribution (Eqs. 14–17) fixes group size r and
 // the boundary replicas at file-creation time; a workload whose hotspot
 // drifts still pays remote fetches for dependent strips — the
 // server↔server traffic Fig. 6 shows killing NAS. The cache absorbs that
-// traffic after the first pass, and the manager's latency-threshold loop
+// traffic after the first pass, and the controller's percentile trigger
 // (after DynamicCache's shard manager, recast onto strips) turns the
 // hottest cached boundary strips into pinned replicas on the dependent
 // server.
@@ -26,17 +26,16 @@
 //   - A server restart purges its cache: caches are memory, and PR 2's
 //     incarnation counters make the purge lazy and deterministic — the
 //     first access after a bump drops everything.
-//   - All state is engine-goroutine state keyed and ordered by lists, not
-//     map iteration, and all timestamps are DES times: two identical runs
-//     produce identical stats and identical victims.
+//   - All state is engine-goroutine state, eviction order lives in a list,
+//     and all timestamps are DES times: two identical runs produce
+//     identical stats and identical victims.
 package cache
 
 import (
+	"container/list"
 	"fmt"
-	"sort"
 
 	"github.com/hpcio/das/internal/metrics"
-	"github.com/hpcio/das/internal/sim"
 )
 
 // Key addresses one cached strip of one file.
@@ -48,13 +47,16 @@ type Key struct {
 // entry is one resident strip range: bytes [Lo, Hi) of the strip,
 // relative to the strip's start.
 type entry struct {
-	data     []byte
-	lo, hi   int64
-	pinned   bool
-	winHits  int64 // hits since the manager's last sample
-	winFetch int64 // remote fetches that (re)admitted it this window
-	hits     int64 // lifetime hits
+	key     Key
+	data    []byte
+	lo, hi  int64
+	pinned  bool
+	elem    *list.Element // its place in the LRU order
+	winHits int64         // hits since the controller last closed the window
+	fetched bool          // a remote fetch (re)admitted it this window
 }
+
+func (e *entry) size() int64 { return e.hi - e.lo }
 
 // Stats is a point-in-time snapshot of one server cache.
 type Stats struct {
@@ -77,16 +79,17 @@ type Stats struct {
 
 // ServerCache is the bounded halo-strip cache of one storage server. It
 // is engine-goroutine state: no locks, no wall clock, no map-order
-// iteration on any decision path.
+// iteration on any decision path. Eviction is least-recently-used among
+// the unpinned entries.
 type ServerCache struct {
 	srv    int
 	budget int64
-	pol    Policy
-	// maxPinned caps pinned bytes so the tuning loop cannot starve the
-	// adaptive part of the cache.
+	// maxPinned caps pinned bytes so pins cannot starve the adaptive part
+	// of the cache.
 	maxPinned int64
 
 	entries map[Key]*entry
+	lru     *list.List // of *entry; front = most recently admitted or hit
 	used    int64
 	pinned  int64
 
@@ -97,18 +100,16 @@ type ServerCache struct {
 	inc   uint64
 
 	// local counters (the cluster-wide metrics.Cache aggregates across
-	// servers; these feed per-server reports and the manager's sampling).
+	// servers; these feed per-server reports).
 	stats Stats
 	agg   *metrics.Cache
 
-	// sampling window for the manager: fetch observations since last tick.
-	winFetches  int64
-	winFetchLat sim.Time
-	winHits     int64
+	// winHits counts hits since the controller last closed the window.
+	winHits int64
 }
 
 // newServerCache builds one server's cache. agg may be nil.
-func newServerCache(srv int, budget, maxPinned int64, pol Policy, incFn func() uint64, agg *metrics.Cache) *ServerCache {
+func newServerCache(srv int, budget, maxPinned int64, incFn func() uint64, agg *metrics.Cache) *ServerCache {
 	if incFn == nil {
 		incFn = func() uint64 { return 0 }
 	}
@@ -119,8 +120,8 @@ func newServerCache(srv int, budget, maxPinned int64, pol Policy, incFn func() u
 		srv:       srv,
 		budget:    budget,
 		maxPinned: maxPinned,
-		pol:       pol,
 		entries:   make(map[Key]*entry),
+		lru:       list.New(),
 		incFn:     incFn,
 		agg:       agg,
 	}
@@ -131,25 +132,20 @@ func newServerCache(srv int, budget, maxPinned int64, pol Policy, incFn func() u
 
 // checkIncarnation lazily purges the cache when the server restarted
 // since the last access: cache memory does not survive a crash, even
-// though the simulated disk does.
+// though the simulated disk does. The hit window dies with it, so the
+// controller never reads pre-crash hits as post-restart evidence.
 func (c *ServerCache) checkIncarnation() {
 	cur := c.incFn()
 	if cur == c.inc {
 		return
 	}
 	c.inc = cur
-	// The pre-restart sampling window died with the server's memory:
-	// discard it outright rather than letting the tuning loop average
-	// stale pre-crash latencies into the post-restart sample.
-	c.winFetches, c.winFetchLat, c.winHits = 0, 0, 0
+	c.winHits = 0
 	if len(c.entries) == 0 {
 		return
 	}
-	for k, e := range c.entries {
-		c.pol.Remove(k)
-		c.release(e)
-		delete(c.entries, k)
-	}
+	clear(c.entries)
+	c.lru.Init()
 	c.used, c.pinned = 0, 0
 	c.stats.RestartPurges++
 	c.agg.AddRestartPurge()
@@ -161,15 +157,13 @@ func (c *ServerCache) checkIncarnation() {
 // only hits when it covers the whole requested range.
 func (c *ServerCache) Get(file string, strip, lo, hi int64) ([]byte, bool) {
 	c.checkIncarnation()
-	k := Key{File: file, Strip: strip}
-	e, ok := c.entries[k]
+	e, ok := c.entries[Key{File: file, Strip: strip}]
 	if !ok || lo < e.lo || hi > e.hi {
 		return nil, false
 	}
 	e.winHits++
-	e.hits++
 	c.winHits++
-	c.pol.Touch(k)
+	c.lru.MoveToFront(e.elem)
 	c.stats.Hits++
 	c.stats.HitBytes += hi - lo
 	c.agg.AddHit(hi - lo)
@@ -177,24 +171,19 @@ func (c *ServerCache) Get(file string, strip, lo, hi int64) ([]byte, bool) {
 }
 
 // RecordMiss accounts a lookup the cache could not serve; bytes is what
-// the remote fetch moved, lat what it cost. The manager samples the
-// latency window to drive its tuning loop.
-func (c *ServerCache) RecordMiss(bytes int64, lat sim.Time) {
-	// Apply a pending restart purge before accumulating, not after: the
-	// purge resets the sampling window, and this first post-restart sample
-	// belongs to the new incarnation's window, not the discarded one.
-	c.checkIncarnation()
+// the remote fetch moved.
+func (c *ServerCache) RecordMiss(bytes int64) {
 	c.stats.Misses++
 	c.stats.MissBytes += bytes
 	c.agg.AddMiss(bytes)
-	c.winFetches++
-	c.winFetchLat += lat
 }
 
 // Put admits bytes [lo, hi) of a strip (relative to the strip start).
 // The cache keeps data by reference, so it must be immutable: a lent read
 // result. Entries larger than the budget are not admitted. An existing
-// entry for the key is replaced only when the new range covers more bytes.
+// entry for the key is replaced only when the new range covers more bytes
+// and fits; a pinned one stays pinned while the pin budget has room for
+// the wider range, and is demoted otherwise.
 func (c *ServerCache) Put(file string, strip, lo int64, data []byte) {
 	c.checkIncarnation()
 	size := int64(len(data))
@@ -202,84 +191,91 @@ func (c *ServerCache) Put(file string, strip, lo int64, data []byte) {
 		return
 	}
 	k := Key{File: file, Strip: strip}
-	if old, ok := c.entries[k]; ok {
-		if size <= old.hi-old.lo {
+	old := c.entries[k]
+	var freed int64
+	if old != nil {
+		if size <= old.size() {
 			return // resident range already covers at least as much
 		}
-		c.removeEntry(k, old, false)
+		freed = old.size()
 	}
-	for c.used+size > c.budget {
-		vk, ok := c.pol.Victim(func(k Key) bool { return !c.entries[k].pinned })
-		if !ok {
-			return // everything evictable is pinned; do not admit
+	for c.used-freed+size > c.budget {
+		v := c.victim(old)
+		if v == nil {
+			return // everything else is pinned: keep what is resident
 		}
-		ve := c.entries[vk]
-		c.removeEntry(vk, ve, true)
+		c.remove(v)
 		c.stats.Evictions++
-		c.agg.AddEviction(ve.hi - ve.lo)
+		c.agg.AddEviction(v.size())
 	}
-	e := &entry{data: data, lo: lo, hi: lo + size, winFetch: 1}
+	e := &entry{key: k, data: data, lo: lo, hi: lo + size, fetched: true}
+	if old != nil {
+		c.remove(old)
+		if old.pinned {
+			if c.pinned+size <= c.maxPinned {
+				e.pinned = true
+				c.pinned += size
+			} else {
+				c.stats.Demotions++
+				c.agg.AddDemotion()
+			}
+		}
+	}
 	c.entries[k] = e
+	e.elem = c.lru.PushFront(e)
 	c.used += size
-	c.pol.Insert(k, size)
 	c.agg.AddInsert(size)
 }
 
-// removeEntry drops a resident entry. evicted selects the policy's
-// ghost-remembering path (ARC) over plain removal.
-func (c *ServerCache) removeEntry(k Key, e *entry, evicted bool) {
-	if ge, ok := c.pol.(ghostEvicter); ok && evicted {
-		ge.Evicted(k)
-	} else {
-		c.pol.Remove(k)
+// victim returns the least-recently-used unpinned entry other than keep,
+// or nil when there is none.
+func (c *ServerCache) victim(keep *entry) *entry {
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		if e := el.Value.(*entry); !e.pinned && e != keep {
+			return e
+		}
 	}
-	c.release(e)
-	delete(c.entries, k)
+	return nil
 }
 
-// release is the one exit of a resident entry: it settles the byte
+// remove is the one exit of a resident entry: it settles the byte
 // accounting and lets the entry's window go. Hits already taken keep
 // theirs.
-func (c *ServerCache) release(e *entry) {
-	c.used -= e.hi - e.lo
+func (c *ServerCache) remove(e *entry) {
+	c.lru.Remove(e.elem)
+	delete(c.entries, e.key)
+	c.used -= e.size()
 	if e.pinned {
-		c.pinned -= e.hi - e.lo
+		c.pinned -= e.size()
 	}
-	e.data = nil
 }
 
 // Invalidate drops any cached copy of a strip (its data changed).
 func (c *ServerCache) Invalidate(file string, strip int64) {
 	c.checkIncarnation()
-	k := Key{File: file, Strip: strip}
-	if e, ok := c.entries[k]; ok {
-		c.removeEntry(k, e, false)
+	if e, ok := c.entries[Key{File: file, Strip: strip}]; ok {
+		c.remove(e)
 		c.stats.Invalidations++
 		c.agg.AddInvalidation()
 	}
 }
 
 // InvalidateFile drops every cached strip of a file (file deleted or
-// migrated). Keys are collected and sorted before removal so the policy
-// sees a deterministic order.
+// migrated). Removal order does not matter: what remains keeps its LRU
+// order.
 func (c *ServerCache) InvalidateFile(file string) {
 	c.checkIncarnation()
-	var keys []Key
-	for k := range c.entries {
+	for k, e := range c.entries {
 		if k.File == file {
-			keys = append(keys, k)
+			c.remove(e)
+			c.stats.Invalidations++
+			c.agg.AddInvalidation()
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Strip < keys[j].Strip })
-	for _, k := range keys {
-		c.removeEntry(k, c.entries[k], false)
-		c.stats.Invalidations++
-		c.agg.AddInvalidation()
 	}
 }
 
 // Pin protects a resident strip from eviction — the "pinned replica on
-// the dependent server" the tuning loop promotes hot boundary strips to.
+// the dependent server" a promote pass turns a hot boundary strip into.
 // It reports whether the strip was resident and is now pinned.
 func (c *ServerCache) Pin(file string, strip int64) bool {
 	c.checkIncarnation()
@@ -290,18 +286,17 @@ func (c *ServerCache) Pin(file string, strip int64) bool {
 	if e.pinned {
 		return true
 	}
-	size := e.hi - e.lo
-	if c.pinned+size > c.maxPinned {
+	if c.pinned+e.size() > c.maxPinned {
 		return false
 	}
 	e.pinned = true
-	c.pinned += size
+	c.pinned += e.size()
 	c.stats.Promotions++
 	c.agg.AddPromotion()
 	return true
 }
 
-// Unpin releases a pinned strip back to the eviction policy.
+// Unpin releases a pinned strip back to LRU eviction.
 func (c *ServerCache) Unpin(file string, strip int64) bool {
 	c.checkIncarnation()
 	e, ok := c.entries[Key{File: file, Strip: strip}]
@@ -309,7 +304,7 @@ func (c *ServerCache) Unpin(file string, strip int64) bool {
 		return false
 	}
 	e.pinned = false
-	c.pinned -= e.hi - e.lo
+	c.pinned -= e.size()
 	c.stats.Demotions++
 	c.agg.AddDemotion()
 	return true

@@ -3,15 +3,14 @@ package cache
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/hpcio/das/internal/bufpool"
-	"github.com/hpcio/das/internal/sim"
 )
 
 func newTestCache(budget int64, incFn func() uint64) *ServerCache {
-	pol, _ := NewPolicy("lru", budget)
-	return newServerCache(0, budget, budget/2, pol, incFn, nil)
+	return newServerCache(0, budget, budget/2, incFn, nil)
 }
 
 // TestCacheGetLendsTheAdmittedWindow is the cache's side of the lent-read
@@ -171,13 +170,83 @@ func TestCachePutKeepsWiderRange(t *testing.T) {
 	}
 }
 
-func TestCacheRecordMissFeedsWindow(t *testing.T) {
-	c := newTestCache(1024, nil)
-	c.RecordMiss(64, 10*sim.Microsecond)
-	c.RecordMiss(64, 30*sim.Microsecond)
-	if c.winFetches != 2 || c.winFetchLat != 40*sim.Microsecond {
-		t.Errorf("window = %d fetches / %v", c.winFetches, c.winFetchLat)
+// TestLRUVictimOrder: the least-recently-used unpinned entry goes first, a
+// hit moves an entry to the front, pinned entries are skipped, and nothing
+// is admitted when everything is pinned.
+func TestLRUVictimOrder(t *testing.T) {
+	c := newServerCache(0, 48, 48, nil, nil) // three 16-byte strips, all pinnable
+	buf := make([]byte, 16)
+	resident := func(want ...int64) {
+		t.Helper()
+		for s := int64(1); s <= 6; s++ {
+			if got := c.Holds("f", s); got != slices.Contains(want, s) {
+				t.Fatalf("strip %d resident = %v, want exactly strips %v", s, got, want)
+			}
+		}
 	}
+	c.Put("f", 1, 0, buf)
+	c.Put("f", 2, 0, buf)
+	c.Put("f", 3, 0, buf)
+	c.Get("f", 1, 0, 16) // order (MRU→LRU): 1, 3, 2
+	c.Put("f", 4, 0, buf)
+	resident(1, 3, 4)
+	c.Pin("f", 3) // order 4, 1, 3: the least recent is pinned
+	c.Put("f", 5, 0, buf)
+	resident(3, 4, 5)
+	c.Pin("f", 4)
+	c.Pin("f", 5)
+	c.Put("f", 6, 0, buf)
+	resident(3, 4, 5)
+	if s := c.Snapshot(); s.Evictions != 2 {
+		t.Errorf("evictions = %d, want 2", s.Evictions)
+	}
+}
+
+// TestCachePutWiderRangeKeepsPin: a wider re-admission of a pinned strip
+// keeps the pin while the pin budget has room for it and counts a demotion
+// when it has not; one that cannot be admitted at all leaves the resident
+// entry where it was.
+func TestCachePutWiderRangeKeepsPin(t *testing.T) {
+	c := newTestCache(1024, nil) // pin budget 512
+	c.Put("f", 1, 0, make([]byte, 64))
+	c.Pin("f", 1)
+	c.Put("f", 1, 0, make([]byte, 128))
+	if !c.Pinned("f", 1) {
+		t.Error("a wider re-admission dropped the pin")
+	}
+	if s := c.Snapshot(); s.Promotions != 1 || s.Demotions != 0 || s.PinnedBytes != 128 {
+		t.Errorf("after the wider re-admission: promotions %d, demotions %d, pinned %dB; want 1, 0, 128B",
+			s.Promotions, s.Demotions, s.PinnedBytes)
+	}
+	c.Put("f", 1, 0, make([]byte, 600)) // past the pin budget
+	if c.Pinned("f", 1) {
+		t.Error("a re-admission past the pin budget kept the pin")
+	}
+	if s := c.Snapshot(); s.Demotions != 1 || s.PinnedBytes != 0 {
+		t.Errorf("after the oversize re-admission: demotions %d, pinned %dB; want 1, 0B", s.Demotions, s.PinnedBytes)
+	}
+	if _, ok := c.Get("f", 1, 0, 600); !ok {
+		t.Error("the re-admitted range is not resident")
+	}
+
+	full := newServerCache(0, 64, 64, nil, nil)
+	full.Put("f", 1, 0, make([]byte, 32))
+	full.Put("f", 2, 0, make([]byte, 32))
+	full.Pin("f", 1)
+	full.Pin("f", 2)
+	full.Put("f", 1, 0, make([]byte, 48)) // 16 more bytes; nothing evictable
+	if _, ok := full.Get("f", 1, 0, 32); !ok || !full.Pinned("f", 1) {
+		t.Error("a re-admission that could not be made dropped the resident pinned entry")
+	}
+	if full.UsedBytes() != 64 {
+		t.Errorf("used %d, want 64", full.UsedBytes())
+	}
+}
+
+func TestCacheRecordMissCountsMisses(t *testing.T) {
+	c := newTestCache(1024, nil)
+	c.RecordMiss(64)
+	c.RecordMiss(64)
 	s := c.Snapshot()
 	if s.Misses != 2 || s.MissBytes != 128 {
 		t.Errorf("misses = %d / %d bytes", s.Misses, s.MissBytes)
@@ -234,7 +303,7 @@ func TestCacheHitSurvivesEvictionOfItsKey(t *testing.T) {
 
 // TestCachePutEvictCyclesAllocateNoPayload: an admission keeps the bytes
 // it is given by reference, so a Put/evict cycle allocates bookkeeping
-// (the entry, the policy's list node) and nothing proportional to the
+// (the entry, its list node) and nothing proportional to the
 // strip.
 func TestCachePutEvictCyclesAllocateNoPayload(t *testing.T) {
 	const size = 64 << 10

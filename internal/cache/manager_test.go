@@ -1,120 +1,101 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hpcio/das/internal/sim"
 )
 
-func testConfig() Config {
-	return Config{
-		BudgetBytes:          1024,
-		SampleEvery:          sim.Millisecond,
-		LatencyHigh:          100 * sim.Microsecond,
-		LatencyLow:           10 * sim.Microsecond,
-		MaxPromotionsPerTick: 2,
-	}
-}
+func testConfig() Config { return Config{BudgetBytes: 1024} }
 
 func TestConfigNormalizeDefaultsAndErrors(t *testing.T) {
 	cfg, err := Config{}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BudgetBytes <= 0 || cfg.SampleEvery <= 0 || cfg.LatencyHigh <= cfg.LatencyLow {
+	if cfg.BudgetBytes <= 0 {
 		t.Errorf("bad defaults: %+v", cfg)
 	}
-	for _, bad := range []Config{
-		{BudgetBytes: -1},
-		{MaxPinnedFrac: 1.5},
-		{LatencyLow: 2 * sim.Millisecond, LatencyHigh: sim.Millisecond},
-		{Policy: "fifo"},
-	} {
-		if _, err := bad.Normalize(); err == nil {
-			t.Errorf("config %+v accepted", bad)
-		}
+	if _, err := (Config{BudgetBytes: -1}).Normalize(); err == nil {
+		t.Error("negative budget accepted")
+	}
+	if _, err := NewManager(sim.NewEngine(), 1, Config{BudgetBytes: -1}, nil, nil); err == nil {
+		t.Error("NewManager accepted a negative budget")
 	}
 }
 
+// TestManagerPromotesHotStripsOnSlowFetches is the promote pass the
+// controller runs on a server whose fetch tail crossed LatencyHigh: the
+// strips the window hit, most hits first, then the strips it fetched, by
+// file and strip — four per pass.
 func TestManagerPromotesHotStripsOnSlowFetches(t *testing.T) {
-	eng := sim.NewEngine()
-	m, err := NewManager(eng, 2, testConfig(), nil, nil)
+	m, err := NewManager(sim.NewEngine(), 2, testConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
 	buf := make([]byte, 64)
-	eng.Spawn("workload", func(p *sim.Proc) {
-		// Server 0 pays slow fetches for three strips, then hits two of
-		// them — strip 2 twice, strip 1 once.
-		for s := int64(1); s <= 3; s++ {
-			m.RecordFetch(0, "f", s, 0, buf, 200*sim.Microsecond)
+	for s := int64(1); s <= 6; s++ {
+		m.RecordFetch(0, "f", s, 0, buf, 200*sim.Microsecond)
+	}
+	for _, s := range []int64{5, 5, 3} {
+		if _, ok := m.Get(0, "f", s, 0, 64); !ok {
+			t.Errorf("warm lookup for strip %d missed", s)
 		}
-		for _, s := range []int64{2, 2, 1} {
-			if _, ok := m.Get(0, "f", s, 0, 64); !ok {
-				t.Errorf("warm lookup for strip %d missed", s)
-			}
+	}
+	if n := m.PromoteHotServer(0); n != 4 {
+		t.Fatalf("first pass pinned %d strips, want 4", n)
+	}
+	var order []int64
+	for _, a := range m.Actions() {
+		if a.Kind != "promote" || a.Server != 0 {
+			t.Errorf("unexpected action %v", a)
 		}
-		p.Sleep(1500 * sim.Microsecond) // past the first tick
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+		order = append(order, a.Strip)
 	}
-	if m.Ticks() == 0 {
-		t.Fatal("tuning loop never ticked")
+	if want := []int64{5, 3, 1, 2}; !slices.Equal(order, want) {
+		t.Errorf("promotion order %v, want %v", order, want)
 	}
-	acts := m.Actions()
-	if len(acts) != 2 {
-		t.Fatalf("actions = %v, want 2 promotions", acts)
+	if m.Server(0).Pinned("f", 4) || m.Server(0).Pinned("f", 6) {
+		t.Error("a pass pinned more than four strips")
 	}
-	// MaxPromotionsPerTick = 2: the two hottest strips, hit-count order.
-	if acts[0].Kind != "promote" || acts[0].Strip != 2 {
-		t.Errorf("first action %v, want promote strip 2", acts[0])
+	if n := m.PromoteHotServer(0); n != 2 {
+		t.Errorf("second pass pinned %d strips, want the 2 left", n)
 	}
-	if acts[1].Kind != "promote" || acts[1].Strip != 1 {
-		t.Errorf("second action %v, want promote strip 1", acts[1])
-	}
-	if !m.Server(0).Pinned("f", 2) || !m.Server(0).Pinned("f", 1) {
-		t.Error("promoted strips not pinned")
-	}
-	if m.Server(0).Pinned("f", 3) {
-		t.Error("cold strip pinned")
-	}
-	if m.Server(1).UsedBytes() != 0 {
+	if m.Server(1).UsedBytes() != 0 || m.PromoteHotServer(1) != 0 {
 		t.Error("idle server's cache touched")
 	}
 }
 
+// TestManagerDemotesIdlePinsWhenFetchesRunFast is the demote pass the
+// controller runs on a server whose fetch tail fell to LatencyLow: pins
+// the window did not hit are released, pins it hit stay.
 func TestManagerDemotesIdlePinsWhenFetchesRunFast(t *testing.T) {
-	eng := sim.NewEngine()
-	m, err := NewManager(eng, 1, testConfig(), nil, nil)
+	m, err := NewManager(sim.NewEngine(), 1, testConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
 	buf := make([]byte, 64)
-	eng.Spawn("workload", func(p *sim.Proc) {
-		// Window 1: slow fetch + hit → promotion at the first tick.
-		m.RecordFetch(0, "f", 1, 0, buf, 500*sim.Microsecond)
-		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(1500 * sim.Microsecond)
-		if !m.Server(0).Pinned("f", 1) {
-			t.Error("strip not pinned after slow window")
-		}
-		// Window 2: fast fetch traffic elsewhere, the pinned strip idle →
-		// demotion at the next tick.
-		m.RecordFetch(0, "f", 9, 0, buf, sim.Microsecond)
-		p.Sleep(sim.Millisecond)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	m.RecordFetch(0, "f", 1, 0, buf, 500*sim.Microsecond)
+	m.RecordFetch(0, "f", 2, 0, buf, 500*sim.Microsecond)
+	if n := m.PromoteHotServer(0); n != 2 {
+		t.Fatalf("setup pass pinned %d strips, want 2", n)
+	}
+	m.ResetWindows()
+	m.RecordFetch(0, "f", 9, 0, buf, sim.Microsecond) // fast traffic elsewhere
+	m.Get(0, "f", 2, 0, 64)                           // strip 2 stays busy
+	if n := m.DemoteIdleServer(0); n != 1 {
+		t.Errorf("demote pass unpinned %d strips, want 1", n)
 	}
 	if m.Server(0).Pinned("f", 1) {
 		t.Error("idle pin survived a fast window")
 	}
+	if !m.Server(0).Pinned("f", 2) {
+		t.Error("a pin the window hit was demoted")
+	}
 	acts := m.Actions()
-	if len(acts) != 2 || acts[1].Kind != "demote" {
-		t.Errorf("actions = %v, want promote then demote", acts)
+	if len(acts) != 3 || acts[2].Kind != "demote" || acts[2].Strip != 1 {
+		t.Errorf("actions = %v, want two promotes then demote of strip 1", acts)
 	}
 }
 
@@ -188,157 +169,38 @@ func TestManagerRestartPurgeViaIncarnation(t *testing.T) {
 	}
 }
 
-func TestManagerStopHaltsTicks(t *testing.T) {
-	eng := sim.NewEngine()
-	m, err := NewManager(eng, 1, testConfig(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	eng.Spawn("workload", func(p *sim.Proc) {
-		p.Sleep(1500 * sim.Microsecond)
-		m.Stop()
-		p.Sleep(3 * sim.Millisecond)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Ticks() != 1 {
-		t.Errorf("ticks = %d after Stop, want 1", m.Ticks())
-	}
-}
-
-func TestConfigNormalizeRejectsEmptyHysteresisBand(t *testing.T) {
-	// LatencyHigh == LatencyLow used to pass validation, letting one tick
-	// run promoteHot and demoteIdle on the same server.
-	bad := Config{LatencyHigh: 50 * sim.Microsecond, LatencyLow: 50 * sim.Microsecond}
-	if _, err := bad.Normalize(); err == nil {
-		t.Fatal("LatencyHigh == LatencyLow accepted")
-	}
-	inverted := Config{LatencyHigh: 10 * sim.Microsecond, LatencyLow: 20 * sim.Microsecond}
-	if _, err := inverted.Normalize(); err == nil {
-		t.Fatal("LatencyHigh < LatencyLow accepted")
-	}
-	if _, err := NewManager(sim.NewEngine(), 1, bad, nil, nil); err == nil {
-		t.Fatal("NewManager accepted an empty hysteresis band")
-	}
-}
-
-func TestManagerTickThresholdBoundaries(t *testing.T) {
-	// The window mean used truncating integer division: with two fetches
-	// summing to 2·LatencyLow+1 the true mean is a hair over LatencyLow,
-	// but 21µs/2 truncated to 10µs and still demoted. The cross-multiplied
-	// comparison must keep the pin. The exact boundary (sum == 2·Low) must
-	// still demote, and the promote side must stay exact too.
-	cfg := testConfig() // High = 100µs, Low = 10µs
-	run := func(fn func(p *sim.Proc, m *Manager)) *Manager {
-		eng := sim.NewEngine()
-		m, err := NewManager(eng, 1, cfg, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Start()
-		eng.Spawn("workload", func(p *sim.Proc) { fn(p, m) })
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	buf := make([]byte, 64)
-	pinOne := func(p *sim.Proc, m *Manager) {
-		// Window 1: promote strip 1 so later windows have a pin to protect.
-		m.RecordFetch(0, "f", 1, 0, buf, 500*sim.Microsecond)
-		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(1500 * sim.Microsecond)
-		if !m.Server(0).Pinned("f", 1) {
-			t.Fatal("setup promotion did not happen")
-		}
-	}
-
-	// Demote boundary: sum = 2·Low+1 → true mean over Low → keep the pin.
-	m := run(func(p *sim.Proc, m *Manager) {
-		pinOne(p, m)
-		m.RecordFetch(0, "f", 8, 0, buf, 10*sim.Microsecond)
-		m.RecordFetch(0, "f", 9, 0, buf, 11*sim.Microsecond)
-		p.Sleep(sim.Millisecond)
-	})
-	if !m.Server(0).Pinned("f", 1) {
-		t.Error("mean a hair over LatencyLow demoted (truncating-division bug)")
-	}
-
-	// Demote boundary: sum = 2·Low → mean exactly Low → demote.
-	m = run(func(p *sim.Proc, m *Manager) {
-		pinOne(p, m)
-		m.RecordFetch(0, "f", 8, 0, buf, 10*sim.Microsecond)
-		m.RecordFetch(0, "f", 9, 0, buf, 10*sim.Microsecond)
-		p.Sleep(sim.Millisecond)
-	})
-	if m.Server(0).Pinned("f", 1) {
-		t.Error("mean exactly LatencyLow kept the idle pin")
-	}
-
-	// Promote boundary: sum = 2·High−1 → true mean under High → no promote.
-	m = run(func(p *sim.Proc, m *Manager) {
-		m.RecordFetch(0, "f", 1, 0, buf, 100*sim.Microsecond)
-		m.RecordFetch(0, "f", 2, 0, buf, 99*sim.Microsecond+999*sim.Nanosecond)
-		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(1500 * sim.Microsecond)
-	})
-	if m.Server(0).Pinned("f", 1) {
-		t.Error("mean under LatencyHigh promoted")
-	}
-
-	// Promote boundary: sum = 2·High → mean exactly High → promote.
-	m = run(func(p *sim.Proc, m *Manager) {
-		m.RecordFetch(0, "f", 1, 0, buf, 100*sim.Microsecond)
-		m.RecordFetch(0, "f", 2, 0, buf, 100*sim.Microsecond)
-		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(1500 * sim.Microsecond)
-	})
-	if !m.Server(0).Pinned("f", 1) {
-		t.Error("mean exactly LatencyHigh did not promote")
-	}
-}
-
 func TestManagerDiscardsWindowAcrossRestart(t *testing.T) {
-	// A crash+restart mid-window must discard the pre-crash samples, not
-	// average them into the post-restart window: one huge pre-crash fetch
-	// plus one fast post-restart fetch used to look like a slow window and
-	// promote on a server that is actually healthy.
-	eng := sim.NewEngine()
+	// A crash+restart mid-window discards the pre-crash window with the
+	// cache memory: neither its hits nor the strips it fetched may reach the
+	// controller's next signal or promote pass.
 	incs := []uint64{1}
-	m, err := NewManager(eng, 1, testConfig(), func(int) uint64 { return incs[0] }, nil)
+	m, err := NewManager(sim.NewEngine(), 1, testConfig(), func(int) uint64 { return incs[0] }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
 	buf := make([]byte, 64)
-	eng.Spawn("workload", func(p *sim.Proc) {
-		m.RecordFetch(0, "f", 1, 0, buf, 10*sim.Millisecond) // slow, pre-crash
-		incs[0] = 2                                          // crash + restart mid-window
-		m.RecordFetch(0, "f", 2, 0, buf, sim.Microsecond)    // fast, post-restart
-		m.Get(0, "f", 2, 0, 64)                              // promote candidate if the window looks slow
-		c := m.Server(0)
-		if c.winFetches != 1 || c.winFetchLat != sim.Microsecond {
-			t.Errorf("window after restart = %d fetches / %v, want only the post-restart sample",
-				c.winFetches, c.winFetchLat)
-		}
-		p.Sleep(1500 * sim.Microsecond)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	m.RecordFetch(0, "f", 1, 0, buf, 10*sim.Millisecond) // slow, pre-crash
+	m.Get(0, "f", 1, 0, 64)
+	m.Get(0, "f", 1, 0, 64)
+	incs[0] = 2                                       // crash + restart mid-window
+	m.RecordFetch(0, "f", 2, 0, buf, sim.Microsecond) // post-restart
+	m.Get(0, "f", 2, 0, 64)
+	if got := m.WindowHits(0); got != 1 {
+		t.Errorf("WindowHits = %d after the restart, want only the post-restart hit", got)
 	}
-	for _, a := range m.Actions() {
-		if a.Kind == "promote" {
-			t.Fatalf("stale pre-crash window triggered %v", a)
-		}
+	if n := m.PromoteHotServer(0); n != 1 {
+		t.Errorf("promote pass pinned %d strips, want 1", n)
 	}
-	if m.Server(0).Pinned("f", 2) {
-		t.Error("post-restart strip pinned off the stale window")
+	if m.Server(0).Pinned("f", 1) || !m.Server(0).Pinned("f", 2) {
+		t.Error("promote pass saw the pre-crash window")
 	}
 }
 
-func TestManagerExternalTuningHandsOverTrigger(t *testing.T) {
+// TestManagerMovesPinsOnlyWhenTold: the manager has no trigger of its own.
+// A slow window pins nothing however long the engine runs; the latency
+// sink sees every fetch, and the controller's passes and window resets are
+// what move the pins.
+func TestManagerMovesPinsOnlyWhenTold(t *testing.T) {
 	eng := sim.NewEngine()
 	m, err := NewManager(eng, 1, testConfig(), nil, nil)
 	if err != nil {
@@ -346,20 +208,17 @@ func TestManagerExternalTuningHandsOverTrigger(t *testing.T) {
 	}
 	var sunk []sim.Time
 	m.SetLatencySink(func(srv int, lat sim.Time) { sunk = append(sunk, lat) })
-	m.SetExternalTuning(true)
-	m.Start() // must be a no-op while external
 	buf := make([]byte, 64)
 	eng.Spawn("workload", func(p *sim.Proc) {
 		m.RecordFetch(0, "f", 1, 0, buf, 500*sim.Microsecond)
 		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(2 * sim.Millisecond) // would cover two internal ticks
-		if m.Ticks() != 0 {
-			t.Error("internal tick ran while external tuning owns the trigger")
+		p.Sleep(sim.Second)
+		if acts := m.Actions(); len(acts) != 0 {
+			t.Errorf("pins moved with no controller: %v", acts)
 		}
 		if m.WindowHits(0) != 1 {
 			t.Errorf("WindowHits = %d, want 1", m.WindowHits(0))
 		}
-		// The external controller drives the same deterministic passes.
 		if n := m.PromoteHotServer(0); n != 1 {
 			t.Errorf("PromoteHotServer = %d, want 1", n)
 		}
@@ -379,7 +238,7 @@ func TestManagerExternalTuningHandsOverTrigger(t *testing.T) {
 	}
 	acts := m.Actions()
 	if len(acts) != 2 || acts[0].Kind != "promote" || acts[1].Kind != "demote" {
-		t.Errorf("actions = %v, want externally driven promote then demote", acts)
+		t.Errorf("actions = %v, want a promote then a demote", acts)
 	}
 }
 

@@ -8,19 +8,17 @@
 // halo-fetch latencies forwarded by the cache manager's latency sink
 // (the tuning signal) and raw data-RPC latencies from the pfs client
 // paths (observability). Each sample lands in a deterministic quantile
-// sketch (metrics.LatencySketch); decisions key on a configurable
-// percentile — p99 by default — never on the mean, following
-// DynamicCache's shard manager and ScaleStore's observation that
-// tail-latency thresholds with hysteresis are what make adaptive
-// placement converge.
+// sketch (metrics.LatencySketch); decisions key on the p99 — never on the
+// mean — following DynamicCache's shard manager and ScaleStore's
+// observation that tail-latency thresholds with hysteresis are what make
+// adaptive placement converge.
 //
 // Convergence machinery, in order of defense:
 //
 //   - Hysteresis band: scale up only above LatencyHigh, scale down only
 //     below LatencyLow; windows landing inside the band hold.
-//   - Streaks: a threshold crossing must persist for UpStreak (resp.
-//     DownStreak) consecutive windows before acting, so one noisy window
-//     moves nothing.
+//   - Streaks: a threshold crossing must persist for two consecutive
+//     windows before acting, so one noisy window moves nothing.
 //   - Cool-down: any restripe lifecycle event (plan, strip flip,
 //     completion) opens a quiet period during which replica tuning is
 //     suppressed and no new migration is admitted. Migration shuffles
@@ -49,28 +47,35 @@ type Config struct {
 	// SampleEvery is the controller's tick period on the DES clock; each
 	// tick closes one sampling window per server.
 	SampleEvery sim.Time
-	// Percentile is the tail quantile decisions key on (default 99).
-	Percentile int
 	// LatencyHigh is the scale-up threshold: a server whose window
-	// percentile sits at or above it for UpStreak windows gets its hottest
+	// percentile sits at or above it for upStreak windows gets its hottest
 	// cached strips pinned.
 	LatencyHigh sim.Time
 	// LatencyLow is the scale-down threshold: at or below it for
-	// DownStreak windows, idle pins are released. LatencyLow must be
+	// downStreak windows, idle pins are released. LatencyLow must be
 	// strictly below LatencyHigh — the gap is the hysteresis band.
 	LatencyLow sim.Time
-	// MinWindowSamples is the minimum number of fetch samples a window
-	// needs before its percentile counts as a verdict.
-	MinWindowSamples int64
-	// UpStreak / DownStreak are how many consecutive verdict windows a
-	// threshold crossing must persist before the controller acts.
-	UpStreak   int
-	DownStreak int
 	// Cooldown is the quiet period a restripe lifecycle event opens:
 	// while it runs, tuning actions are suppressed (streaks keep
 	// accumulating) and no new migration is admitted.
 	Cooldown sim.Time
 }
+
+// Percentile is the tail quantile every decision keys on: the p99 the
+// controller is named for.
+const Percentile = 99
+
+// The verdict rules are fixed; the thresholds and window above are what a
+// deployment calibrates to its latency scale.
+const (
+	// minWindowSamples is the quorum: a window (or a file's record) with
+	// fewer fetch samples holds rather than judging on a handful.
+	minWindowSamples = 4
+	// upStreak and downStreak are how many consecutive verdict windows a
+	// threshold crossing must persist before the controller acts — two,
+	// so one noisy window never moves a pin.
+	upStreak, downStreak = 2, 2
+)
 
 // Normalize fills zero fields with defaults and validates the rest.
 func (c Config) Normalize() (Config, error) {
@@ -79,12 +84,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.SampleEvery < 0 {
 		return c, fmt.Errorf("control: negative sample period %v", c.SampleEvery)
-	}
-	if c.Percentile == 0 {
-		c.Percentile = 99
-	}
-	if c.Percentile < 1 || c.Percentile > 100 {
-		return c, fmt.Errorf("control: percentile %d outside [1,100]", c.Percentile)
 	}
 	if c.LatencyHigh == 0 {
 		c.LatencyHigh = 500 * sim.Microsecond
@@ -97,21 +96,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.LatencyLow < 0 {
 		return c, fmt.Errorf("control: negative LatencyLow %v", c.LatencyLow)
-	}
-	if c.MinWindowSamples == 0 {
-		c.MinWindowSamples = 4
-	}
-	if c.MinWindowSamples < 0 {
-		return c, fmt.Errorf("control: negative MinWindowSamples %d", c.MinWindowSamples)
-	}
-	if c.UpStreak == 0 {
-		c.UpStreak = 2
-	}
-	if c.DownStreak == 0 {
-		c.DownStreak = 2
-	}
-	if c.UpStreak < 1 || c.DownStreak < 1 {
-		return c, fmt.Errorf("control: streaks must be >= 1 (up %d, down %d)", c.UpStreak, c.DownStreak)
 	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 20 * sim.Millisecond
@@ -211,13 +195,11 @@ func New(eng *sim.Engine, nServers int, cfg Config) (*Controller, error) {
 // Config returns the normalized configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// AttachCache hands the cache manager's promote/demote trigger to this
-// controller: the manager's own mean-window tick stops, its latency
-// samples flow into the controller's sketches, and pins move only when a
-// percentile threshold with hysteresis says so.
+// AttachCache makes this controller the cache manager's trigger: the
+// manager's latency samples flow into the controller's sketches, and pins
+// move only when a percentile threshold with hysteresis says so.
 func (c *Controller) AttachCache(mgr *cache.Manager) {
 	c.mgr = mgr
-	mgr.SetExternalTuning(true)
 	mgr.SetLatencySink(c.ObserveFetch)
 }
 
@@ -282,14 +264,14 @@ func (c *Controller) ObserveFileOp(file string, lat sim.Time) {
 	st.ops++
 }
 
-// FileP99 returns a file's operation-latency tail at the configured
-// percentile and its sample count; (0, 0) for a file never observed.
+// FileP99 returns a file's operation-latency tail and its sample count;
+// (0, 0) for a file never observed.
 func (c *Controller) FileP99(file string) (sim.Time, int64) {
 	st, ok := c.files[file]
 	if !ok {
 		return 0, 0
 	}
-	return st.sketch.Quantile(c.cfg.Percentile), st.sketch.Count()
+	return st.sketch.Quantile(Percentile), st.sketch.Count()
 }
 
 // FileStat is one file's heat snapshot for reports.
@@ -316,7 +298,7 @@ func (c *Controller) FileStats() []FileStat {
 			File:  name,
 			Ops:   st.ops,
 			P50:   st.sketch.Quantile(50),
-			P99:   st.sketch.Quantile(c.cfg.Percentile),
+			P99:   st.sketch.Quantile(Percentile),
 			MaxNS: st.sketch.Max(),
 		})
 	}
@@ -367,7 +349,7 @@ func (c *Controller) AllowRestripe(file string) bool {
 	}
 	if len(c.files) > 0 {
 		st, ok := c.files[file]
-		if ok && st.sketch.Count() >= c.cfg.MinWindowSamples && st.sketch.Quantile(c.cfg.Percentile) >= c.cfg.LatencyHigh {
+		if ok && st.sketch.Count() >= minWindowSamples && st.sketch.Quantile(Percentile) >= c.cfg.LatencyHigh {
 			c.admitsAllowed++
 			return true
 		}
@@ -375,7 +357,7 @@ func (c *Controller) AllowRestripe(file string) bool {
 		return false
 	}
 	for _, s := range c.servers {
-		if s.cum.Count() >= c.cfg.MinWindowSamples && s.cum.Quantile(c.cfg.Percentile) >= c.cfg.LatencyHigh {
+		if s.cum.Count() >= minWindowSamples && s.cum.Quantile(Percentile) >= c.cfg.LatencyHigh {
 			c.admitsAllowed++
 			return true
 		}
@@ -396,8 +378,8 @@ func (c *Controller) tick() {
 	for i, s := range c.servers {
 		n := s.win.Count()
 		switch {
-		case n >= c.cfg.MinWindowSamples:
-			p := s.win.Quantile(c.cfg.Percentile)
+		case n >= minWindowSamples:
+			p := s.win.Quantile(Percentile)
 			s.lastP99 = p
 			switch {
 			case p >= c.cfg.LatencyHigh:
@@ -421,7 +403,7 @@ func (c *Controller) tick() {
 		if c.mgr == nil {
 			continue
 		}
-		if s.hotStreak >= c.cfg.UpStreak {
+		if s.hotStreak >= upStreak {
 			if cool {
 				c.cooldownSuppressed++
 			} else {
@@ -432,7 +414,7 @@ func (c *Controller) tick() {
 				}
 			}
 		}
-		if s.coldStreak >= c.cfg.DownStreak {
+		if s.coldStreak >= downStreak {
 			if cool {
 				c.cooldownSuppressed++
 			} else {
@@ -465,11 +447,10 @@ func (c *Controller) MergedFetchSketch() *metrics.LatencySketch {
 	return out
 }
 
-// ClusterP99 returns the configured percentile of the merged cumulative
-// fetch sketch — the observed-tail signal the prediction core tiers the
-// offload decision on.
+// ClusterP99 returns the p99 of the merged cumulative fetch sketch — the
+// observed-tail signal the prediction core tiers the offload decision on.
 func (c *Controller) ClusterP99() sim.Time {
-	return c.MergedFetchSketch().Quantile(c.cfg.Percentile)
+	return c.MergedFetchSketch().Quantile(Percentile)
 }
 
 // ServerStat is one server's controller-eye view for reports.
@@ -497,9 +478,9 @@ func (c *Controller) Stats() []ServerStat {
 			Server:     i,
 			FetchCount: s.cum.Count(),
 			FetchP50:   s.cum.Quantile(50),
-			FetchP99:   s.cum.Quantile(c.cfg.Percentile),
+			FetchP99:   s.cum.Quantile(Percentile),
 			RPCCount:   s.rpc.Count(),
-			RPCP99:     s.rpc.Quantile(c.cfg.Percentile),
+			RPCP99:     s.rpc.Quantile(Percentile),
 			Promotions: s.promotions,
 			Demotions:  s.demotions,
 		})

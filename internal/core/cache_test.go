@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/hpcio/das/internal/cache"
+	"github.com/hpcio/das/internal/control"
 	"github.com/hpcio/das/internal/fault"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
@@ -131,9 +132,7 @@ func TestCacheCrashPurgesPinnedStrips(t *testing.T) {
 
 	s := ingested(t, g, layout.NewRoundRobin(4))
 	defer s.Close()
-	// LatencyHigh beyond any simulated fetch keeps the tuning loop from
-	// re-promoting after the purge, so the pin assertions stay sharp.
-	if err := s.EnableCache(cache.Config{LatencyHigh: 3600 * sim.Second, LatencyLow: sim.Microsecond}); err != nil {
+	if err := s.EnableCache(cache.Config{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,11 +188,11 @@ func TestCacheCrashPurgesPinnedStrips(t *testing.T) {
 	}
 }
 
-// TestCacheRunsDeterministic guards the DES contract (satellite): two
-// identical systems running the identical cached workload produce
-// identical cache statistics and identical engine event counts — any
-// map-iteration-order or wall-clock leak in the cache or its tuning loop
-// breaks this.
+// TestCacheRunsDeterministic guards the DES contract: two identical systems
+// running the identical cached workload under the controller produce
+// identical cache statistics, pin actions and engine event counts — any
+// map-iteration-order or wall-clock leak in the cache or its promote and
+// demote passes breaks this.
 func TestCacheRunsDeterministic(t *testing.T) {
 	type outcome struct {
 		hits, misses, inserts, evict, inval, promo, demo int64
@@ -204,14 +203,16 @@ func TestCacheRunsDeterministic(t *testing.T) {
 		g := workload.Terrain(testW, testH, 5)
 		s := ingested(t, g, layout.NewRoundRobin(4))
 		defer s.Close()
-		// A small budget forces evictions; the adaptive policy plus tight
-		// latency thresholds force promote/demote traffic.
-		if err := s.EnableCache(cache.Config{
-			BudgetBytes: 4 * testStrip,
-			Policy:      "arc",
-			LatencyHigh: 10 * sim.Microsecond,
-			LatencyLow:  sim.Microsecond,
-			SampleEvery: 500 * sim.Microsecond,
+		// A small budget forces evictions; a controller whose narrow band
+		// sits on this cluster's fetch tail (0.6–1 ms) forces promote and
+		// demote traffic.
+		if err := s.EnableCache(cache.Config{BudgetBytes: 8 * testStrip}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.EnableControl(control.Config{
+			SampleEvery: 2 * sim.Millisecond,
+			LatencyHigh: 800 * sim.Microsecond,
+			LatencyLow:  700 * sim.Microsecond,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +235,8 @@ func TestCacheRunsDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("identical cached runs diverged:\n  run 1: %+v\n  run 2: %+v", a, b)
 	}
-	if a.hits == 0 || a.evict == 0 {
-		t.Errorf("workload did not exercise the cache (hits=%d evictions=%d)", a.hits, a.evict)
+	if a.hits == 0 || a.evict == 0 || a.promo == 0 || a.demo == 0 {
+		t.Errorf("workload did not exercise the cache (hits=%d evictions=%d promotions=%d demotions=%d)",
+			a.hits, a.evict, a.promo, a.demo)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/hpcio/das/internal/active"
@@ -68,6 +69,24 @@ func TestIngestGridLeavesTheRasterWithItsCaller(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Error("the ingested file changed when the caller reused its raster")
+	}
+}
+
+// TestIngestGridRefusesStripsThatCutElements: a strip size that is not a
+// multiple of the element size would store a file FetchGrid refuses, so
+// IngestGrid refuses it first, in FetchGrid's words, and creates nothing.
+func TestIngestGridRefusesStripsThatCutElements(t *testing.T) {
+	s, err := NewSystem(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, err = s.IngestGrid("in", workload.Terrain(testW, testH, 5), layout.NewRoundRobin(4), testStrip+4)
+	if err == nil || !strings.Contains(err.Error(), "strips of whole elements") {
+		t.Fatalf("IngestGrid with a %d-byte strip: err = %v, want a whole-elements refusal", testStrip+4, err)
+	}
+	if _, ok := s.FS.Meta("in"); ok {
+		t.Error("the refused ingest created the file")
 	}
 }
 

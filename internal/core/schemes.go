@@ -286,7 +286,7 @@ func (s *System) runDAS(rep *Report, req Request, in *pfs.FileMeta) error {
 	// migrating keeps its dual layout — the background migration owns it.
 	targetLay := in.Layout
 	if req.Reconfigure && !anyDown && !migrating {
-		planned, err := s.PlanLayout(req.Op, in.Width, in.ElemSize, in.StripSize, in.Size, req.MaxOverhead)
+		planned, err := s.PlanLayout(req.Op, in.Width, in.ElemSize, in.StripSize, in.Size, 0)
 		if err != nil {
 			return err
 		}

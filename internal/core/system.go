@@ -64,11 +64,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// DefaultMaxOverhead is the replication capacity budget (2·halo/r) the DAS
-// layout planner targets: with the paper's halo of one strip this yields
-// the "2/r" overhead of §III-D at r = 4.
-const DefaultMaxOverhead = 0.5
-
 // System is one deployed platform: cluster, parallel file system, active
 // storage service, kernel and feature registries.
 type System struct {
@@ -93,11 +88,11 @@ type System struct {
 }
 
 // EnableCache deploys the halo-strip cache subsystem: one byte-budgeted
-// cache per storage server consulted by dependent fetches, the pfs write
-// path invalidating cached strips, the tuning manager sampling on the DES
-// clock, and the DAS accept/reject step discounting dependent bytes by
-// the observed hit rate. Server restarts purge via the fault layer's
-// incarnation counters.
+// LRU cache per storage server consulted by dependent fetches, the pfs
+// write path invalidating cached strips, and the DAS accept/reject step
+// discounting dependent bytes by the observed hit rate. Server restarts
+// purge via the fault layer's incarnation counters. Pins move only under
+// the controller (EnableControl).
 func (s *System) EnableCache(cfg cache.Config) error {
 	mgr, err := cache.NewManager(s.Clu.Eng, s.FS.Servers(), cfg,
 		func(srv int) uint64 { return s.Clu.Faults.Incarnation(s.Clu.StorageID(srv)) },
@@ -107,7 +102,6 @@ func (s *System) EnableCache(cfg cache.Config) error {
 	}
 	s.Cache = mgr
 	s.wire()
-	mgr.Start() // a no-op once the controller owns the trigger
 	return nil
 }
 
@@ -128,10 +122,10 @@ func (s *System) EnableRestripe(cfg restripe.Config) error {
 
 // EnableControl deploys the unified p99 latency controller: one control
 // plane owning every adaptive trigger in the system. It subscribes the
-// pfs client RPC latencies (migration traffic tagged and excluded), takes
-// over the cache manager's promote/demote trigger when the cache is
-// deployed (percentile thresholds with hysteresis and streaks instead of
-// the old mean window), and gates + watches the restripe migrator when
+// pfs client RPC latencies (migration traffic tagged and excluded), is the
+// cache manager's promote/demote trigger when the cache is deployed
+// (percentile thresholds with hysteresis and streaks), and gates + watches
+// the restripe migrator when
 // restriping is deployed (admission only on a congested tail, cool-down
 // after any strip flip so the two loops can no longer duel).
 func (s *System) EnableControl(cfg control.Config) error {
@@ -347,7 +341,7 @@ func (s *System) PlanLayoutForWorkflow(ops []string, width int, elemSize, stripS
 	}
 	merged := features.Union("workflow", pats...)
 	if maxOverhead == 0 {
-		maxOverhead = DefaultMaxOverhead
+		maxOverhead = predict.DefaultMaxOverhead
 	}
 	p := predict.Params{ElemSize: elemSize, StripSize: stripSize, FileSize: fileSize, Width: width, OutputFactor: 1}
 	lay, ok, err := predict.RecommendLayout(merged, p, s.FS.Servers(), maxOverhead)
@@ -362,10 +356,15 @@ func (s *System) PlanLayoutForWorkflow(ops []string, width int, elemSize, stripS
 
 // IngestGrid creates a raster file under the given layout and writes the
 // grid's bytes from compute node 0. It returns the simulated ingest time,
-// which experiment reports keep separate from operation time.
+// which experiment reports keep separate from operation time. Strips hold
+// whole elements: a strip size that would cut one is refused before the
+// file exists.
 func (s *System) IngestGrid(name string, g *grid.Grid, lay layout.Layout, stripSize int64) (sim.Time, error) {
 	if stripSize == 0 {
 		stripSize = pfs.DefaultStripSize
+	}
+	if stripSize%grid.ElemSize != 0 {
+		return 0, fmt.Errorf("core: %q is not a %dx%d raster in strips of whole elements", name, g.W, g.H)
 	}
 	_, err := s.FS.Create(name, g.SizeBytes(), lay, pfs.CreateOptions{
 		StripSize: stripSize,
@@ -420,8 +419,6 @@ type Request struct {
 	// NASFetchMode selects the NAS dependent-data transport
 	// (FetchWholeStrips by default; FetchRows for the optimized ablation).
 	NASFetchMode active.FetchMode
-	// MaxOverhead caps the DAS replication overhead (0 → default 0.5).
-	MaxOverhead float64
 	// Reconfigure lets DAS migrate the input to the planned layout before
 	// executing (the workflow's "Reconfig Parallel File System" box). When
 	// false, DAS requires the input to already be laid out appropriately

@@ -74,11 +74,11 @@ var cacheExperiment = Experiment{
 		}
 		nasCache := recs[1].Counters
 		r.Notes = append(r.Notes,
-			fmt.Sprintf("NAS moves %s server-to-server over %d rounds; NAS+cache moves %s (%.0f%% byte hit rate, %d promotions)",
+			fmt.Sprintf("NAS moves %s server-to-server over %d rounds; NAS+cache moves %s (%.0f%% byte hit rate)",
 				metrics.FormatBytes(totals[0]), rounds,
-				metrics.FormatBytes(totals[1]), 100*nasCache["cache.byte_hit_rate"], nasCache.Int("cache.promotions")),
+				metrics.FormatBytes(totals[1]), 100*nasCache["cache.byte_hit_rate"]),
 			"all rounds of all variants verified byte-identical to the sequential reference",
-			fmt.Sprintf("cache: %s per server, policy lru", metrics.FormatBytes(nasCache.Int("cache.budget_bytes"))))
+			fmt.Sprintf("cache: %s per server, LRU, no controller (nothing pinned)", metrics.FormatBytes(nasCache.Int("cache.budget_bytes"))))
 
 		flip := recs[len(cacheVariants)].Steps
 		cold, warm := flip[0], flip[len(flip)-1]

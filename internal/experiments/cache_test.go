@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"github.com/hpcio/das/internal/cache"
-)
+import "testing"
 
 // TestCacheExperimentNASCacheMovesFewerBytes is the cache PR's acceptance
 // criterion: on the Fig. 11 dependent-kernel workload, NAS+cache moves
@@ -62,19 +58,5 @@ func TestCacheExperimentNASCacheMovesFewerBytes(t *testing.T) {
 	}
 	if len(r.Notes) == 0 {
 		t.Error("result carries no notes")
-	}
-}
-
-// TestCacheExperimentARCPolicy exercises the adaptive policy end-to-end.
-func TestCacheExperimentARCPolicy(t *testing.T) {
-	c := quick()
-	s := cacheExperiment.Scenarios(c)[1]
-	s.Cache = &cache.Config{Policy: "arc"}
-	rec, err := c.Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Counters.Int("cache.hits") == 0 {
-		t.Error("NAS+arc recorded no cache hits")
 	}
 }

@@ -113,7 +113,7 @@ var p99Experiment = Experiment{
 		}
 		r.Notes = append(r.Notes,
 			fmt.Sprintf("thresholds: high %v / low %v (p%d), cool-down %v, cache %s per server",
-				norm.LatencyHigh, norm.LatencyLow, norm.Percentile, norm.Cooldown,
+				norm.LatencyHigh, norm.LatencyLow, control.Percentile, norm.Cooldown,
 				metrics.FormatBytes(p99CacheBudget(c.SizesGB[0], c.Nodes/2))),
 			"all rounds of both variants verified byte-identical to the sequential reference",
 			"report byte-identical across two full replays")

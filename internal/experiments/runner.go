@@ -345,7 +345,7 @@ func (r *run) step(st Step, index int) (StepRecord, error) {
 		for _, cs := range sys.Cache.Stats() {
 			pinned += cs.PinnedEntries
 		}
-		sr.Stats["fetch_p99_ns"] = float64(delta.Quantile(sys.Control.Config().Percentile))
+		sr.Stats["fetch_p99_ns"] = float64(delta.Quantile(control.Percentile))
 		sr.Stats["fetch_samples"] = float64(delta.Count())
 		sr.Stats["pinned_replicas"] = float64(pinned)
 		sr.Stats["control_actions"] = float64(len(sys.Control.Actions()))

@@ -3,7 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"github.com/hpcio/das/internal/cache"
+	"github.com/hpcio/das/internal/control"
+	"github.com/hpcio/das/internal/restripe"
 )
 
 // TestEveryScenarioOnce runs every experiment at Quick on one fresh Config
@@ -94,5 +99,41 @@ func TestSelectListsValidNames(t *testing.T) {
 	}
 	if abl, _ := Select("ablations"); len(abl) != 9 {
 		t.Errorf("ablations selects %d experiments, want 9", len(abl))
+	}
+}
+
+// TestEveryAdaptiveKnobIsTurned: every field of the adaptive subsystems'
+// configs is set away from its default by some scenario of the evaluation.
+// A field no scenario sets is a knob nobody turns; it belongs in a constant
+// beside the code that reads it, not in the config.
+func TestEveryAdaptiveKnobIsTurned(t *testing.T) {
+	turned := make(map[reflect.Type]map[string]bool)
+	for _, e := range Experiments() {
+		for _, s := range e.Scenarios(Default()) {
+			for _, cfg := range []any{s.Cache, s.Restripe, s.Control} {
+				v := reflect.ValueOf(cfg)
+				if v.IsNil() {
+					continue
+				}
+				v = v.Elem()
+				if turned[v.Type()] == nil {
+					turned[v.Type()] = make(map[string]bool)
+				}
+				for i := 0; i < v.NumField(); i++ {
+					if !v.Field(i).IsZero() {
+						turned[v.Type()][v.Type().Field(i).Name] = true
+					}
+				}
+			}
+		}
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(cache.Config{}), reflect.TypeOf(restripe.Config{}), reflect.TypeOf(control.Config{}),
+	} {
+		for i := 0; i < typ.NumField(); i++ {
+			if name := typ.Field(i).Name; !turned[typ][name] {
+				t.Errorf("%v.%s is left at its default by every scenario of every experiment", typ, name)
+			}
+		}
 	}
 }

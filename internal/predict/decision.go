@@ -282,6 +282,12 @@ func ReplicaBytes(lc layout.Locator, fileSize int64) int64 {
 	return total
 }
 
+// DefaultMaxOverhead is the replication capacity budget (2·halo/r) every
+// planner targets — DAS layout planning, online restriping, dasctl's
+// recommendation: with the paper's halo of one strip this yields the "2/r"
+// overhead of §III-D at r = 4.
+const DefaultMaxOverhead = 0.5
+
 // RecommendLayout chooses the improved data distribution (§III-D) for an
 // operator: the halo is the smallest that makes the pattern's farthest
 // dependence local, and the group size r is the smallest keeping the

@@ -84,15 +84,11 @@ func TestConfigNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.MaxOverhead <= 0 || c.MovesPerTick <= 0 || c.MaxInFlightBytes <= 0 ||
-		c.SampleEvery <= 0 || c.RetryDelay <= 0 || c.MinObservedBytes <= 0 {
+	if c.MovesPerTick <= 0 || c.MaxInFlightBytes <= 0 || c.RetryDelay <= 0 || c.MinObservedBytes <= 0 {
 		t.Errorf("zero config not fully defaulted: %+v", c)
 	}
 	for _, bad := range []Config{
-		{MaxOverhead: -1},
-		{MaxOverhead: 3},
 		{MinObservedBytes: -1},
-		{SampleEvery: -1},
 		{MovesPerTick: -1},
 		{MaxInFlightBytes: -1},
 		{RetryDelay: -1},

@@ -33,17 +33,13 @@ import (
 )
 
 // Config tunes the migrator. The zero value is usable: Normalize fills in
-// defaults sized for the experiment cluster.
+// defaults sized for the experiment cluster. The target layout's capacity
+// overhead is the planner's predict.DefaultMaxOverhead.
 type Config struct {
-	// MaxOverhead caps the target layout's replication capacity overhead
-	// (the paper's 2·halo/r budget).
-	MaxOverhead float64
 	// MinObservedBytes is the dependent-traffic threshold: a file becomes
 	// a migration candidate once its observed (or predicted, for rejected
 	// offloads) dependent-halo bytes reach it.
 	MinObservedBytes int64
-	// SampleEvery is the background tick period on the DES clock.
-	SampleEvery sim.Time
 	// MovesPerTick bounds how many strip moves one tick may issue, keeping
 	// the migration incremental.
 	MovesPerTick int
@@ -57,25 +53,16 @@ type Config struct {
 	RetryDelay sim.Time
 }
 
+// sampleEvery is the background tick period on the DES clock.
+const sampleEvery = 500 * sim.Microsecond
+
 // Normalize fills zero fields with defaults and validates the rest.
 func (c Config) Normalize() (Config, error) {
-	if c.MaxOverhead == 0 {
-		c.MaxOverhead = 0.5
-	}
-	if c.MaxOverhead < 0 || c.MaxOverhead > 2 {
-		return c, fmt.Errorf("restripe: overhead budget %v outside (0,2]", c.MaxOverhead)
-	}
 	if c.MinObservedBytes == 0 {
 		c.MinObservedBytes = 1
 	}
 	if c.MinObservedBytes < 0 {
 		return c, fmt.Errorf("restripe: negative trigger threshold %d", c.MinObservedBytes)
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 500 * sim.Microsecond
-	}
-	if c.SampleEvery < 0 {
-		return c, fmt.Errorf("restripe: negative sample period %v", c.SampleEvery)
 	}
 	if c.MovesPerTick == 0 {
 		c.MovesPerTick = 8
@@ -256,11 +243,11 @@ func (m *Migrator) SetAdmission(gate func(file string) bool) { m.admission = gat
 // Start arms the background tick. Ticks are daemon timers, so an idle
 // system still terminates.
 func (m *Migrator) Start() {
-	if m.started || m.cfg.SampleEvery <= 0 {
+	if m.started {
 		return
 	}
 	m.started = true
-	m.timer = m.eng.AfterFuncDaemon(m.cfg.SampleEvery, m.tick)
+	m.timer = m.eng.AfterFuncDaemon(sampleEvery, m.tick)
 }
 
 // Stop disarms the background tick. In-flight batches finish.
@@ -295,7 +282,7 @@ func (m *Migrator) Observe(file string, pat features.Pattern, p predict.Params, 
 	if _, dual := meta.Layout.(*layout.Migrating); dual {
 		return
 	}
-	target, ok, err := predict.RecommendLayout(pat, p, m.fs.Servers(), m.cfg.MaxOverhead)
+	target, ok, err := predict.RecommendLayout(pat, p, m.fs.Servers(), predict.DefaultMaxOverhead)
 	if err != nil || !ok {
 		return
 	}
@@ -346,7 +333,7 @@ func (m *Migrator) tick() {
 		m.batching = true
 		m.eng.Spawn("restripe-batch", m.runBatch)
 	}
-	m.timer = m.eng.AfterFuncDaemon(m.cfg.SampleEvery, m.tick)
+	m.timer = m.eng.AfterFuncDaemon(sampleEvery, m.tick)
 }
 
 // runBatch issues up to MovesPerTick moves across the active migrations in
@@ -653,15 +640,11 @@ func (m *Migrator) ActiveCount() int { return len(m.active) }
 // firing batches.
 func (m *Migrator) Drain(p *sim.Proc, timeout sim.Time) bool {
 	deadline := p.Now() + timeout
-	step := m.cfg.SampleEvery
-	if step <= 0 {
-		step = sim.Millisecond
-	}
 	for len(m.active) > 0 {
 		if p.Now() >= deadline {
 			return false
 		}
-		p.Sleep(step)
+		p.Sleep(sampleEvery)
 	}
 	return true
 }
