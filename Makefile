@@ -1,12 +1,12 @@
 .PHONY: tier1 extended lint lint-fix-check bench-smoke bench-identity
 
 # Tier-1 gate: must stay green on every PR. The benchmark under bench/ is
-# a module of its own that root `./...` does not reach, so it is built and
-# tested here too: an API deletion that breaks it fails in tier-1.
+# a module of its own that root `./...` does not reach, so it is built,
+# vetted and tested here too: an API change that breaks it fails in tier-1.
 tier1:
 	go build ./...
 	go test ./...
-	cd bench && go build ./... && go test ./...
+	cd bench && go build ./... && go vet ./... && go test ./...
 
 # Determinism/pooling analyzer suite (cmd/daslint), both ways it deploys:
 # standalone over the whole module (the only mode that runs the

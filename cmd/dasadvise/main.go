@@ -25,15 +25,18 @@ import (
 	"github.com/hpcio/das/internal/predict"
 )
 
+var (
+	op        = flag.String("op", "", "built-in operator name (flow-routing, flow-accumulation, gaussian-filter, median-filter)")
+	featFile  = flag.String("features", "", "kernel-features description file to analyze (all records)")
+	stride    = flag.Int64("stride", 0, "ad-hoc ±stride pattern in elements")
+	servers   = flag.Int("servers", 12, "number of storage servers (D)")
+	width     = flag.Int("width", 8192, "raster width in elements")
+	stripSize = flag.Int64("strip-size", 64*1024, "strip size in bytes")
+	sizeGB    = flag.Int64("size-gb", 24, "file size in simulated GB (1 GB = 1 MiB at reproduction scale)")
+	overhead  = flag.Float64("max-overhead", predict.DefaultMaxOverhead, "replication capacity budget (2·halo/r)")
+)
+
 func main() {
-	op := flag.String("op", "", "built-in operator name (flow-routing, flow-accumulation, gaussian-filter, median-filter)")
-	featFile := flag.String("features", "", "kernel-features description file to analyze (all records)")
-	stride := flag.Int64("stride", 0, "ad-hoc ±stride pattern in elements")
-	servers := flag.Int("servers", 12, "number of storage servers (D)")
-	width := flag.Int("width", 8192, "raster width in elements")
-	stripSize := flag.Int64("strip-size", 64*1024, "strip size in bytes")
-	sizeGB := flag.Int64("size-gb", 24, "file size in simulated GB (1 GB = 1 MiB at reproduction scale)")
-	overhead := flag.Float64("max-overhead", 0.5, "replication capacity budget (2·halo/r)")
 	flag.Parse()
 
 	pats, err := patterns(*op, *featFile, *stride)
@@ -82,19 +85,19 @@ func patterns(op, featFile string, stride int64) ([]features.Pattern, error) {
 	}
 }
 
-func advise(pat features.Pattern, params predict.Params, servers int, overhead float64) error {
+func advise(pat features.Pattern, params predict.Params, nServers int, maxOverhead float64) error {
 	fmt.Printf("=== %s ===\n", pat.Name)
 	fmt.Print(pat.String())
 	fmt.Printf("max reach: %d elements at width %d\n\n", pat.MaxAbsOffset(params.Width), params.Width)
 
-	rr := layout.NewRoundRobin(servers)
+	rr := layout.NewRoundRobin(nServers)
 	d, err := predict.Decide(pat, params, rr)
 	if err != nil {
 		return err
 	}
 	fmt.Println(d.Explain())
 
-	rec, ok, err := predict.RecommendLayout(pat, params, servers, overhead)
+	rec, ok, err := predict.RecommendLayout(pat, params, nServers, maxOverhead)
 	if err != nil {
 		return err
 	}

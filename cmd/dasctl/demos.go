@@ -63,7 +63,7 @@ func cacheReport(w io.Writer, servers int, rounds int) error {
 			for _, s := range sys.Cache.Stats() {
 				fmt.Fprintf(w, "%s\n", s.String())
 			}
-			fmt.Fprintf(w, "\ncluster: %s\n", sys.Clu.CacheStats.String())
+			fmt.Fprintf(w, "\ncluster: %s\n", sys.Clu.Counters.Format("cache."))
 		})
 }
 
@@ -98,7 +98,7 @@ func restripeReport(w io.Writer, servers int, rounds int) error {
 			for _, st := range sys.Restripe.Status() {
 				fmt.Fprintf(w, "  %s\n", st.String())
 			}
-			fmt.Fprintf(w, "\ncounters: %s\n", sys.Clu.RestripeStats.String())
+			fmt.Fprintf(w, "\ncounters: %s\n", sys.Clu.Counters.Format("restripe."))
 			fmt.Fprintln(w, "events:")
 			for _, ev := range sys.Restripe.Events() {
 				fmt.Fprintf(w, "  %s\n", ev.String())
@@ -132,15 +132,18 @@ func controlReport(w io.Writer, servers int, rounds int) error {
 				norm.LatencyHigh, norm.LatencyLow, control.Percentile, norm.SampleEvery, norm.Cooldown)
 			fmt.Fprintf(w, "cache budget %s per server\n\n", metrics.FormatBytes(sys.Cache.Config().BudgetBytes))
 
+			var tuning, rpc int64
 			for _, s := range ctl.Stats() {
 				fmt.Fprintf(w, "%s\n", s.String())
+				tuning, rpc = tuning+s.FetchCount, rpc+s.RPCCount
 			}
+			reg := sys.Clu.Counters
 			fmt.Fprintf(w, "\ncluster fetch p%d: %v\n", control.Percentile, ctl.ClusterP99())
 			fmt.Fprintf(w, "samples: %d tuning, %d rpc, %d migration-excluded\n",
-				ctl.TuningSamples(), ctl.RPCSamples(), ctl.MigrationSamplesExcluded())
-			allowed, denied := ctl.Admissions()
+				tuning, rpc, reg.Get("control.migration_samples_excluded"))
+			allowed, denied := reg.Get("control.admissions_allowed"), reg.Get("control.admissions_denied")
 			fmt.Fprintf(w, "control: %d ticks, %d actions, %d cool-down deferrals, restripe admissions %d/%d\n",
-				ctl.Ticks(), len(ctl.Actions()), ctl.CooldownSuppressed(), allowed, allowed+denied)
+				ctl.Ticks(), len(ctl.Actions()), reg.Get("control.cooldown_suppressed"), allowed, allowed+denied)
 			for _, a := range ctl.Actions() {
 				fmt.Fprintf(w, "  %s\n", a.String())
 			}

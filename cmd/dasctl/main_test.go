@@ -155,7 +155,7 @@ func TestRestripeReportRunsAndPrintsMigration(t *testing.T) {
 		"background migration converged",
 		"migrations:",
 		"round-robin", "grouped-replicated", "done",
-		"counters:", "strips-moved=",
+		"counters:", "restripe.strips_moved=",
 		"events:", "plan", "complete",
 	} {
 		if !strings.Contains(got, want) {
@@ -181,7 +181,7 @@ func TestCacheReportRunsAndPrintsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"LRU eviction", "server 0:", "server 3:", "cluster:", "hits="} {
+	for _, want := range []string{"LRU eviction", "server 0:", "server 3:", "cluster:", "cache.hits="} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}

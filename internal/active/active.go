@@ -25,6 +25,7 @@ import (
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
+	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
@@ -542,13 +543,14 @@ func PrimaryRuns(srv *pfs.Server, m *pfs.FileMeta) []StripRun {
 // node: it dispatches offloaded operations to every storage server and
 // aggregates their statistics.
 type Client struct {
-	fs     *pfs.FileSystem
-	nodeID int
+	fs          *pfs.FileSystem
+	nodeID      int
+	execRetries *metrics.Counter // recovery.exec_retries
 }
 
 // NewClient binds an active storage client to a node.
 func NewClient(fs *pfs.FileSystem, nodeID int) *Client {
-	return &Client{fs: fs, nodeID: nodeID}
+	return &Client{fs: fs, nodeID: nodeID, execRetries: fs.Cluster().Counters.Counter("recovery.exec_retries")}
 }
 
 // Exec offloads op over input, producing output (which must already be

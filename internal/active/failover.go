@@ -126,7 +126,7 @@ func (c *Client) execDegraded(p *sim.Proc, op, input, output string, mode FetchM
 			if !r.ok {
 				// The server crashed mid-execution (or replied garbage):
 				// its strips return to the pool for the next round.
-				clu.Recovery.AddExecRetry()
+				c.execRetries.Inc()
 				pending = append(pending, r.strips...)
 				continue
 			}

@@ -71,7 +71,6 @@ type Stats struct {
 	MissBytes     int64   `json:"miss_bytes"`
 	Evictions     int64   `json:"evictions"`
 	Invalidations int64   `json:"invalidations"`
-	RestartPurges int64   `json:"restart_purges"`
 	Promotions    int64   `json:"promotions"`
 	Demotions     int64   `json:"demotions"`
 	HitRate       float64 `json:"hit_rate"`
@@ -99,23 +98,28 @@ type ServerCache struct {
 	incFn func() uint64
 	inc   uint64
 
-	// local counters (the cluster-wide metrics.Cache aggregates across
-	// servers; these feed per-server reports).
-	stats Stats
-	agg   *metrics.Cache
+	// n holds this server's handles on the cache.* counters.
+	n counters
 
 	// winHits counts hits since the controller last closed the window.
 	winHits int64
 }
 
-// newServerCache builds one server's cache. agg may be nil.
-func newServerCache(srv int, budget, maxPinned int64, incFn func() uint64, agg *metrics.Cache) *ServerCache {
+// counters are one server's handles on the registry's cache.* counters,
+// labelled by the server.
+type counters struct {
+	hits, misses, hitBytes, missBytes *metrics.Counter
+	evictions, invalidations          *metrics.Counter
+	promotions, demotions             *metrics.Counter
+}
+
+// newServerCache builds one server's cache, counting into reg under the
+// server's label.
+func newServerCache(srv int, budget, maxPinned int64, incFn func() uint64, reg *metrics.Registry) *ServerCache {
 	if incFn == nil {
 		incFn = func() uint64 { return 0 }
 	}
-	if agg == nil {
-		agg = metrics.NewCache()
-	}
+	count := func(name string) *metrics.Counter { return reg.ServerCounter("cache."+name, srv) }
 	c := &ServerCache{
 		srv:       srv,
 		budget:    budget,
@@ -123,9 +127,12 @@ func newServerCache(srv int, budget, maxPinned int64, incFn func() uint64, agg *
 		entries:   make(map[Key]*entry),
 		lru:       list.New(),
 		incFn:     incFn,
-		agg:       agg,
+		n: counters{
+			hits: count("hits"), misses: count("misses"), hitBytes: count("hit_bytes"), missBytes: count("miss_bytes"),
+			evictions: count("evictions"), invalidations: count("invalidations"),
+			promotions: count("promotions"), demotions: count("demotions"),
+		},
 	}
-	c.stats.Server = srv
 	c.inc = incFn()
 	return c
 }
@@ -147,8 +154,6 @@ func (c *ServerCache) checkIncarnation() {
 	clear(c.entries)
 	c.lru.Init()
 	c.used, c.pinned = 0, 0
-	c.stats.RestartPurges++
-	c.agg.AddRestartPurge()
 }
 
 // Get looks up bytes [lo, hi) of a strip (relative to the strip start)
@@ -164,18 +169,16 @@ func (c *ServerCache) Get(file string, strip, lo, hi int64) ([]byte, bool) {
 	e.winHits++
 	c.winHits++
 	c.lru.MoveToFront(e.elem)
-	c.stats.Hits++
-	c.stats.HitBytes += hi - lo
-	c.agg.AddHit(hi - lo)
+	c.n.hits.Inc()
+	c.n.hitBytes.Add(hi - lo)
 	return e.data[lo-e.lo : hi-e.lo : hi-e.lo], true
 }
 
 // RecordMiss accounts a lookup the cache could not serve; bytes is what
 // the remote fetch moved.
 func (c *ServerCache) RecordMiss(bytes int64) {
-	c.stats.Misses++
-	c.stats.MissBytes += bytes
-	c.agg.AddMiss(bytes)
+	c.n.misses.Inc()
+	c.n.missBytes.Add(bytes)
 }
 
 // Put admits bytes [lo, hi) of a strip (relative to the strip start).
@@ -205,8 +208,7 @@ func (c *ServerCache) Put(file string, strip, lo int64, data []byte) {
 			return // everything else is pinned: keep what is resident
 		}
 		c.remove(v)
-		c.stats.Evictions++
-		c.agg.AddEviction(v.size())
+		c.n.evictions.Inc()
 	}
 	e := &entry{key: k, data: data, lo: lo, hi: lo + size, fetched: true}
 	if old != nil {
@@ -216,15 +218,13 @@ func (c *ServerCache) Put(file string, strip, lo int64, data []byte) {
 				e.pinned = true
 				c.pinned += size
 			} else {
-				c.stats.Demotions++
-				c.agg.AddDemotion()
+				c.n.demotions.Inc()
 			}
 		}
 	}
 	c.entries[k] = e
 	e.elem = c.lru.PushFront(e)
 	c.used += size
-	c.agg.AddInsert(size)
 }
 
 // victim returns the least-recently-used unpinned entry other than keep,
@@ -255,8 +255,7 @@ func (c *ServerCache) Invalidate(file string, strip int64) {
 	c.checkIncarnation()
 	if e, ok := c.entries[Key{File: file, Strip: strip}]; ok {
 		c.remove(e)
-		c.stats.Invalidations++
-		c.agg.AddInvalidation()
+		c.n.invalidations.Inc()
 	}
 }
 
@@ -268,8 +267,7 @@ func (c *ServerCache) InvalidateFile(file string) {
 	for k, e := range c.entries {
 		if k.File == file {
 			c.remove(e)
-			c.stats.Invalidations++
-			c.agg.AddInvalidation()
+			c.n.invalidations.Inc()
 		}
 	}
 }
@@ -291,8 +289,7 @@ func (c *ServerCache) Pin(file string, strip int64) bool {
 	}
 	e.pinned = true
 	c.pinned += e.size()
-	c.stats.Promotions++
-	c.agg.AddPromotion()
+	c.n.promotions.Inc()
 	return true
 }
 
@@ -305,8 +302,7 @@ func (c *ServerCache) Unpin(file string, strip int64) bool {
 	}
 	e.pinned = false
 	c.pinned -= e.size()
-	c.stats.Demotions++
-	c.agg.AddDemotion()
+	c.n.demotions.Inc()
 	return true
 }
 
@@ -326,12 +322,15 @@ func (c *ServerCache) Holds(file string, strip int64) bool {
 // UsedBytes returns the resident byte total.
 func (c *ServerCache) UsedBytes() int64 { return c.used }
 
-// Snapshot returns the server's current statistics.
+// Snapshot returns the server's current statistics: its residency, and
+// its label of the registry's cache.* counters.
 func (c *ServerCache) Snapshot() Stats {
-	s := c.stats
-	s.Entries = len(c.entries)
-	s.UsedBytes = c.used
-	s.PinnedBytes = c.pinned
+	s := Stats{
+		Server: c.srv, Entries: len(c.entries), UsedBytes: c.used, PinnedBytes: c.pinned,
+		Hits: c.n.hits.Load(), Misses: c.n.misses.Load(), HitBytes: c.n.hitBytes.Load(), MissBytes: c.n.missBytes.Load(),
+		Evictions: c.n.evictions.Load(), Invalidations: c.n.invalidations.Load(),
+		Promotions: c.n.promotions.Load(), Demotions: c.n.demotions.Load(),
+	}
 	for _, e := range c.entries {
 		if e.pinned {
 			s.PinnedEntries++
@@ -345,7 +344,7 @@ func (c *ServerCache) Snapshot() Stats {
 
 // String renders a one-line summary for reports.
 func (s Stats) String() string {
-	return fmt.Sprintf("server %d: %d entries (%d pinned), %s used, hits=%d misses=%d (%.0f%%), evict=%d inval=%d purge=%d promo=%d demo=%d",
+	return fmt.Sprintf("server %d: %d entries (%d pinned), %s used, hits=%d misses=%d (%.0f%%), evict=%d inval=%d promo=%d demo=%d",
 		s.Server, s.Entries, s.PinnedEntries, metrics.FormatBytes(s.UsedBytes),
-		s.Hits, s.Misses, 100*s.HitRate, s.Evictions, s.Invalidations, s.RestartPurges, s.Promotions, s.Demotions)
+		s.Hits, s.Misses, 100*s.HitRate, s.Evictions, s.Invalidations, s.Promotions, s.Demotions)
 }

@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"github.com/hpcio/das/internal/bufpool"
+	"github.com/hpcio/das/internal/metrics"
 )
 
 func newTestCache(budget int64, incFn func() uint64) *ServerCache {
-	return newServerCache(0, budget, budget/2, incFn, nil)
+	return newServerCache(0, budget, budget/2, incFn, metrics.NewRegistry())
 }
 
 // TestCacheGetLendsTheAdmittedWindow is the cache's side of the lent-read
@@ -144,8 +145,8 @@ func TestCacheIncarnationBumpPurges(t *testing.T) {
 		t.Errorf("used %d after purge", c.UsedBytes())
 	}
 	s := c.Snapshot()
-	if s.RestartPurges != 1 {
-		t.Errorf("restart purges = %d, want 1", s.RestartPurges)
+	if s.Entries != 0 {
+		t.Errorf("%d entries after purge", s.Entries)
 	}
 	if s.PinnedBytes != 0 {
 		t.Errorf("pinned bytes %d after purge", s.PinnedBytes)
@@ -174,7 +175,7 @@ func TestCachePutKeepsWiderRange(t *testing.T) {
 // hit moves an entry to the front, pinned entries are skipped, and nothing
 // is admitted when everything is pinned.
 func TestLRUVictimOrder(t *testing.T) {
-	c := newServerCache(0, 48, 48, nil, nil) // three 16-byte strips, all pinnable
+	c := newServerCache(0, 48, 48, nil, metrics.NewRegistry()) // three 16-byte strips, all pinnable
 	buf := make([]byte, 16)
 	resident := func(want ...int64) {
 		t.Helper()
@@ -229,7 +230,7 @@ func TestCachePutWiderRangeKeepsPin(t *testing.T) {
 		t.Error("the re-admitted range is not resident")
 	}
 
-	full := newServerCache(0, 64, 64, nil, nil)
+	full := newServerCache(0, 64, 64, nil, metrics.NewRegistry())
 	full.Put("f", 1, 0, make([]byte, 32))
 	full.Put("f", 2, 0, make([]byte, 32))
 	full.Pin("f", 1)

@@ -58,7 +58,6 @@ type Manager struct {
 	eng     *sim.Engine
 	cfg     Config
 	servers []*ServerCache
-	agg     *metrics.Cache
 
 	// per-file byte hit/miss windows feed HitRateEstimate for predict.
 	fileHit  map[string]int64
@@ -75,21 +74,17 @@ type Manager struct {
 	latSink func(srv int, lat sim.Time)
 }
 
-// NewManager builds the subsystem: one cache per storage server. incFn
-// reports a server's current incarnation (nil means "never restarts");
-// agg is the cluster-wide counter collector (nil allocates a private one).
-func NewManager(eng *sim.Engine, nServers int, cfg Config, incFn func(srv int) uint64, agg *metrics.Cache) (*Manager, error) {
+// NewManager builds the subsystem: one cache per storage server, each
+// counting into reg under its server label. incFn reports a server's
+// current incarnation (nil means "never restarts").
+func NewManager(eng *sim.Engine, nServers int, cfg Config, incFn func(srv int) uint64, reg *metrics.Registry) (*Manager, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if agg == nil {
-		agg = metrics.NewCache()
-	}
 	m := &Manager{
 		eng:      eng,
 		cfg:      cfg,
-		agg:      agg,
 		fileHit:  make(map[string]int64),
 		fileMiss: make(map[string]int64),
 		fileBand: make(map[string]int64),
@@ -101,7 +96,7 @@ func NewManager(eng *sim.Engine, nServers int, cfg Config, incFn func(srv int) u
 		if incFn != nil {
 			fn = func() uint64 { return incFn(i) }
 		}
-		m.servers = append(m.servers, newServerCache(i, cfg.BudgetBytes, maxPinned, fn, agg))
+		m.servers = append(m.servers, newServerCache(i, cfg.BudgetBytes, maxPinned, fn, reg))
 	}
 	return m, nil
 }
@@ -119,9 +114,6 @@ func (m *Manager) Server(i int) *ServerCache {
 
 // NumServers returns the number of per-server caches.
 func (m *Manager) NumServers() int { return len(m.servers) }
-
-// Counters returns the cluster-wide counter collector.
-func (m *Manager) Counters() *metrics.Cache { return m.agg }
 
 // Get serves bytes [lo, hi) of a strip from server srv's cache, lent
 // (ServerCache.Get). Hits are free on the DES clock: the data already sits

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func TestConfigNormalizeDefaultsAndErrors(t *testing.T) {
 	if _, err := (Config{BudgetBytes: -1}).Normalize(); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if _, err := NewManager(sim.NewEngine(), 1, Config{BudgetBytes: -1}, nil, nil); err == nil {
+	if _, err := NewManager(sim.NewEngine(), 1, Config{BudgetBytes: -1}, nil, metrics.NewRegistry()); err == nil {
 		t.Error("NewManager accepted a negative budget")
 	}
 }
@@ -30,7 +31,7 @@ func TestConfigNormalizeDefaultsAndErrors(t *testing.T) {
 // strips the window hit, most hits first, then the strips it fetched, by
 // file and strip — four per pass.
 func TestManagerPromotesHotStripsOnSlowFetches(t *testing.T) {
-	m, err := NewManager(sim.NewEngine(), 2, testConfig(), nil, nil)
+	m, err := NewManager(sim.NewEngine(), 2, testConfig(), nil, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestManagerPromotesHotStripsOnSlowFetches(t *testing.T) {
 // controller runs on a server whose fetch tail fell to LatencyLow: pins
 // the window did not hit are released, pins it hit stay.
 func TestManagerDemotesIdlePinsWhenFetchesRunFast(t *testing.T) {
-	m, err := NewManager(sim.NewEngine(), 1, testConfig(), nil, nil)
+	m, err := NewManager(sim.NewEngine(), 1, testConfig(), nil, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestManagerDemotesIdlePinsWhenFetchesRunFast(t *testing.T) {
 
 func TestManagerHitRateEstimatePerFile(t *testing.T) {
 	eng := sim.NewEngine()
-	m, err := NewManager(eng, 1, testConfig(), nil, nil)
+	m, err := NewManager(eng, 1, testConfig(), nil, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestManagerHitRateEstimatePerFile(t *testing.T) {
 
 func TestManagerInvalidateBroadcasts(t *testing.T) {
 	eng := sim.NewEngine()
-	m, err := NewManager(eng, 3, testConfig(), nil, nil)
+	m, err := NewManager(eng, 3, testConfig(), nil, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestManagerInvalidateBroadcasts(t *testing.T) {
 func TestManagerRestartPurgeViaIncarnation(t *testing.T) {
 	eng := sim.NewEngine()
 	incs := []uint64{1, 1}
-	m, err := NewManager(eng, 2, testConfig(), func(srv int) uint64 { return incs[srv] }, nil)
+	m, err := NewManager(eng, 2, testConfig(), func(srv int) uint64 { return incs[srv] }, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestManagerDiscardsWindowAcrossRestart(t *testing.T) {
 	// cache memory: neither its hits nor the strips it fetched may reach the
 	// controller's next signal or promote pass.
 	incs := []uint64{1}
-	m, err := NewManager(sim.NewEngine(), 1, testConfig(), func(int) uint64 { return incs[0] }, nil)
+	m, err := NewManager(sim.NewEngine(), 1, testConfig(), func(int) uint64 { return incs[0] }, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestManagerDiscardsWindowAcrossRestart(t *testing.T) {
 // what move the pins.
 func TestManagerMovesPinsOnlyWhenTold(t *testing.T) {
 	eng := sim.NewEngine()
-	m, err := NewManager(eng, 1, testConfig(), nil, nil)
+	m, err := NewManager(eng, 1, testConfig(), nil, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestManagerMovesPinsOnlyWhenTold(t *testing.T) {
 
 func TestManagerBandHeatRanksFiles(t *testing.T) {
 	eng := sim.NewEngine()
-	m, err := NewManager(eng, 1, testConfig(), nil, nil)
+	m, err := NewManager(eng, 1, testConfig(), nil, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,20 +111,16 @@ type Cluster struct {
 	// (or direct ApplyFault calls from tests) perturbs it at simulated
 	// times.
 	Faults *fault.State
-	// Recovery counts fault-handling actions (timeouts, retries, failover
-	// reads); FaultLog records every applied fault event.
-	Recovery *metrics.Recovery
+	// Counters is the platform's counter registry: every subsystem built on
+	// the cluster takes its counter handles from it (DESIGN.md §3.2).
+	Counters *metrics.Registry
+	// FaultLog records every applied fault event.
 	FaultLog *metrics.FaultLog
-	// CacheStats aggregates halo-strip cache activity across servers once
-	// core.EnableCache wires the subsystem; it stays all-zero otherwise.
-	CacheStats *metrics.Cache
-	// RestripeStats aggregates online-migration activity once
-	// core.EnableRestripe wires the migrator; it stays all-zero otherwise.
-	RestripeStats *metrics.Restripe
-	// PipelineStats aggregates operator-DAG pushdown activity (stage
-	// rounds, halo exchanges, lower-bound accounting); it stays all-zero
-	// until a pipeline runs.
-	PipelineStats *metrics.Pipeline
+	// Recovery, CacheStats and RestripeStats are registry reads kept for
+	// the bench/ module (bench.go).
+	Recovery      RecoveryView
+	CacheStats    CacheView
+	RestripeStats RestripeView
 	// Trace, when non-nil, receives annotated events from the DAS layers
 	// (scheme workers, AS helpers); see the trace package and cmd/dastrace.
 	Trace *trace.Recorder
@@ -141,19 +137,19 @@ func New(cfg Config) (*Cluster, error) {
 	eng := sim.NewEngine()
 	traffic := metrics.NewTraffic()
 	net := simnet.New(eng, cfg.Net, traffic)
-	recovery := metrics.NewRecovery()
+	counters := metrics.NewRegistry()
 	faultLog := metrics.NewFaultLog()
 	c := &Cluster{
 		Cfg:           cfg,
 		Eng:           eng,
 		Net:           net,
 		Traffic:       traffic,
-		Faults:        fault.NewState(cfg.FaultSeed, recovery, faultLog),
-		Recovery:      recovery,
+		Faults:        fault.NewState(cfg.FaultSeed, counters),
+		Counters:      counters,
 		FaultLog:      faultLog,
-		CacheStats:    metrics.NewCache(),
-		RestripeStats: metrics.NewRestripe(),
-		PipelineStats: metrics.NewPipeline(),
+		Recovery:      RecoveryView{counters},
+		CacheStats:    CacheView{counters},
+		RestripeStats: RestripeView{counters},
 		disks:         make([]*simdisk.Disk, cfg.TotalNodes()),
 	}
 	net.SetFaults(c.Faults)

@@ -129,9 +129,6 @@ type serverState struct {
 	hotStreak  int
 	coldStreak int
 	lastP99    sim.Time // last verdict window's percentile
-
-	promotions int64 // strips pinned by this controller
-	demotions  int64 // strips unpinned by this controller
 }
 
 // fileState is one file's operation-latency heat: every tenant operation
@@ -157,14 +154,13 @@ type Controller struct {
 	restripeSeen   bool
 	lastRestripeAt sim.Time
 
-	// sample accounting, for reports and the exclusion regression tests.
-	tuningSamples    int64 // fetch samples admitted into tuning sketches
-	rpcSamples       int64 // non-migration RPC samples
-	migrationSamples int64 // migration-tagged RPC samples (excluded)
-
-	cooldownSuppressed int64 // tuning actions deferred by a cool-down
-	admitsAllowed      int64
-	admitsDenied       int64
+	// reg is the platform's counter registry; the handles below are the
+	// control.* counters, and Stats reads the cache's pin counts from it.
+	reg                *metrics.Registry
+	migrationSamples   *metrics.Counter // migration-tagged RPC samples, excluded
+	cooldownSuppressed *metrics.Counter // tuning actions deferred by a cool-down
+	admitsAllowed      *metrics.Counter
+	admitsDenied       *metrics.Counter
 
 	actions []Action
 	ticks   int64
@@ -172,8 +168,9 @@ type Controller struct {
 	started bool
 }
 
-// New builds a controller over nServers storage servers.
-func New(eng *sim.Engine, nServers int, cfg Config) (*Controller, error) {
+// New builds a controller over nServers storage servers, counting into
+// reg.
+func New(eng *sim.Engine, nServers int, cfg Config, reg *metrics.Registry) (*Controller, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -181,7 +178,13 @@ func New(eng *sim.Engine, nServers int, cfg Config) (*Controller, error) {
 	if nServers <= 0 {
 		return nil, fmt.Errorf("control: server count %d", nServers)
 	}
-	c := &Controller{eng: eng, cfg: cfg, files: make(map[string]*fileState)}
+	c := &Controller{
+		eng: eng, cfg: cfg, files: make(map[string]*fileState), reg: reg,
+		migrationSamples:   reg.Counter("control.migration_samples_excluded"),
+		cooldownSuppressed: reg.Counter("control.cooldown_suppressed"),
+		admitsAllowed:      reg.Counter("control.admissions_allowed"),
+		admitsDenied:       reg.Counter("control.admissions_denied"),
+	}
 	for i := 0; i < nServers; i++ {
 		c.servers = append(c.servers, &serverState{
 			win: metrics.NewLatencySketch(),
@@ -231,7 +234,6 @@ func (c *Controller) ObserveFetch(srv int, lat sim.Time) {
 	s := c.servers[srv]
 	s.win.Observe(lat)
 	s.cum.Observe(lat)
-	c.tuningSamples++
 }
 
 // ObserveRPCLatency implements pfs.LatencyObserver: raw data-RPC samples
@@ -241,10 +243,9 @@ func (c *Controller) ObserveFetch(srv int, lat sim.Time) {
 // tuning windows (the fetch sink is the tuning signal).
 func (c *Controller) ObserveRPCLatency(srv int, migration bool, lat sim.Time) {
 	if migration {
-		c.migrationSamples++
+		c.migrationSamples.Inc()
 		return
 	}
-	c.rpcSamples++
 	if srv >= 0 && srv < len(c.servers) {
 		c.servers[srv].rpc.Observe(lat)
 	}
@@ -344,25 +345,25 @@ func (c *Controller) InCooldown() bool {
 // observations.
 func (c *Controller) AllowRestripe(file string) bool {
 	if c.InCooldown() {
-		c.admitsDenied++
+		c.admitsDenied.Inc()
 		return false
 	}
 	if len(c.files) > 0 {
 		st, ok := c.files[file]
 		if ok && st.sketch.Count() >= minWindowSamples && st.sketch.Quantile(Percentile) >= c.cfg.LatencyHigh {
-			c.admitsAllowed++
+			c.admitsAllowed.Inc()
 			return true
 		}
-		c.admitsDenied++
+		c.admitsDenied.Inc()
 		return false
 	}
 	for _, s := range c.servers {
 		if s.cum.Count() >= minWindowSamples && s.cum.Quantile(Percentile) >= c.cfg.LatencyHigh {
-			c.admitsAllowed++
+			c.admitsAllowed.Inc()
 			return true
 		}
 	}
-	c.admitsDenied++
+	c.admitsDenied.Inc()
 	return false
 }
 
@@ -405,22 +406,20 @@ func (c *Controller) tick() {
 		}
 		if s.hotStreak >= upStreak {
 			if cool {
-				c.cooldownSuppressed++
+				c.cooldownSuppressed.Inc()
 			} else {
 				s.hotStreak = 0
 				if k := c.mgr.PromoteHotServer(i); k > 0 {
-					s.promotions += int64(k)
 					c.actions = append(c.actions, Action{At: c.eng.Now(), Server: i, Kind: "promote", P99: s.lastP99, Count: k})
 				}
 			}
 		}
 		if s.coldStreak >= downStreak {
 			if cool {
-				c.cooldownSuppressed++
+				c.cooldownSuppressed.Inc()
 			} else {
 				s.coldStreak = 0
 				if k := c.mgr.DemoteIdleServer(i); k > 0 {
-					s.demotions += int64(k)
 					c.actions = append(c.actions, Action{At: c.eng.Now(), Server: i, Kind: "demote", P99: s.lastP99, Count: k})
 				}
 			}
@@ -453,7 +452,9 @@ func (c *Controller) ClusterP99() sim.Time {
 	return c.MergedFetchSketch().Quantile(Percentile)
 }
 
-// ServerStat is one server's controller-eye view for reports.
+// ServerStat is one server's controller-eye view for reports: its sketches,
+// and the pins and unpins at its label of the cache's counters (pins move
+// only under the controller).
 type ServerStat struct {
 	Server     int      `json:"server"`
 	FetchCount int64    `json:"fetch_samples"`
@@ -481,8 +482,8 @@ func (c *Controller) Stats() []ServerStat {
 			FetchP99:   s.cum.Quantile(Percentile),
 			RPCCount:   s.rpc.Count(),
 			RPCP99:     s.rpc.Quantile(Percentile),
-			Promotions: s.promotions,
-			Demotions:  s.demotions,
+			Promotions: c.reg.GetServer("cache.promotions", i),
+			Demotions:  c.reg.GetServer("cache.demotions", i),
 		})
 	}
 	return out
@@ -494,20 +495,8 @@ func (c *Controller) Actions() []Action { return c.actions }
 // Ticks returns how many control ticks have run.
 func (c *Controller) Ticks() int64 { return c.ticks }
 
-// TuningSamples returns how many fetch samples entered tuning sketches.
-func (c *Controller) TuningSamples() int64 { return c.tuningSamples }
-
-// RPCSamples returns how many non-migration RPC samples were observed.
-func (c *Controller) RPCSamples() int64 { return c.rpcSamples }
-
-// MigrationSamplesExcluded returns how many migration-tagged RPC samples
-// were counted and excluded from every decision sketch.
-func (c *Controller) MigrationSamplesExcluded() int64 { return c.migrationSamples }
-
-// CooldownSuppressed returns how many tuning actions a cool-down deferred.
-func (c *Controller) CooldownSuppressed() int64 { return c.cooldownSuppressed }
-
 // Admissions returns the restripe admission gate's allowed/denied counts.
+// Only the bench/ module calls it, until ROADMAP item 3 moves bench/.
 func (c *Controller) Admissions() (allowed, denied int64) {
-	return c.admitsAllowed, c.admitsDenied
+	return c.admitsAllowed.Load(), c.admitsDenied.Load()
 }

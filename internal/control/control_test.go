@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/hpcio/das/internal/cache"
+	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -48,7 +49,7 @@ func TestConfigNormalizeDefaultsAndErrors(t *testing.T) {
 		}
 	}
 	eng := sim.NewEngine()
-	if _, err := New(eng, 0, Config{}); err == nil {
+	if _, err := New(eng, 0, Config{}, metrics.NewRegistry()); err == nil {
 		t.Error("zero-server controller accepted")
 	}
 }
@@ -57,11 +58,12 @@ func TestConfigNormalizeDefaultsAndErrors(t *testing.T) {
 // window must NOT act (upStreak = 2), the second must promote.
 func TestControllerHysteresisStreaks(t *testing.T) {
 	eng := sim.NewEngine()
-	mgr, err := cache.NewManager(eng, 1, testCacheConfig(), nil, nil)
+	reg := metrics.NewRegistry()
+	mgr, err := cache.NewManager(eng, 1, testCacheConfig(), nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := New(eng, 1, testConfig())
+	ctl, err := New(eng, 1, testConfig(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +91,21 @@ func TestControllerHysteresisStreaks(t *testing.T) {
 	if !mgr.Server(0).Pinned("f", 1) {
 		t.Error("hot strip not pinned after promote")
 	}
+	if got := ctl.Stats()[0].Promotions; got != int64(acts[0].Count) {
+		t.Errorf("server 0 reports %d promotions, the action pinned %d", got, acts[0].Count)
+	}
 }
 
 // TestControllerInBandWindowsResetStreaks: hot, in-band, hot must not
 // act — the band breaks the streak.
 func TestControllerInBandWindowsResetStreaks(t *testing.T) {
 	eng := sim.NewEngine()
-	mgr, err := cache.NewManager(eng, 1, testCacheConfig(), nil, nil)
+	reg := metrics.NewRegistry()
+	mgr, err := cache.NewManager(eng, 1, testCacheConfig(), nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := New(eng, 1, testConfig())
+	ctl, err := New(eng, 1, testConfig(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +132,14 @@ func TestControllerInBandWindowsResetStreaks(t *testing.T) {
 // survives and the action fires on the first post-cool-down tick.
 func TestControllerCooldownDefersAction(t *testing.T) {
 	eng := sim.NewEngine()
-	mgr, err := cache.NewManager(eng, 1, testCacheConfig(), nil, nil)
+	reg := metrics.NewRegistry()
+	mgr, err := cache.NewManager(eng, 1, testCacheConfig(), nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
 	cfg.Cooldown = 2500 * sim.Microsecond
-	ctl, err := New(eng, 1, cfg)
+	ctl, err := New(eng, 1, cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +154,7 @@ func TestControllerCooldownDefersAction(t *testing.T) {
 		if len(ctl.Actions()) != 0 {
 			t.Errorf("acted during cool-down: %v", ctl.Actions())
 		}
-		if ctl.CooldownSuppressed() == 0 {
+		if reg.Get("control.cooldown_suppressed") == 0 {
 			t.Error("suppression not recorded")
 		}
 		if !ctl.InCooldown() {
@@ -176,11 +183,12 @@ func TestControllerCooldownDefersAction(t *testing.T) {
 // fetching but keeps hitting is released after downStreak windows.
 func TestControllerDemotesIdleServer(t *testing.T) {
 	eng := sim.NewEngine()
-	mgr, err := cache.NewManager(eng, 1, testCacheConfig(), nil, nil)
+	reg := metrics.NewRegistry()
+	mgr, err := cache.NewManager(eng, 1, testCacheConfig(), nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := New(eng, 1, testConfig())
+	ctl, err := New(eng, 1, testConfig(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +231,8 @@ func TestControllerDemotesIdleServer(t *testing.T) {
 // are counted but never reach any sketch.
 func TestControllerExcludesMigrationSamples(t *testing.T) {
 	eng := sim.NewEngine()
-	ctl, err := New(eng, 2, testConfig())
+	reg := metrics.NewRegistry()
+	ctl, err := New(eng, 2, testConfig(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +240,10 @@ func TestControllerExcludesMigrationSamples(t *testing.T) {
 		ctl.ObserveRPCLatency(0, true, sim.Second) // huge, but migration
 	}
 	ctl.ObserveRPCLatency(1, false, 3*sim.Microsecond)
-	if got := ctl.MigrationSamplesExcluded(); got != 10 {
+	if got := reg.Get("control.migration_samples_excluded"); got != 10 {
 		t.Errorf("excluded = %d, want 10", got)
 	}
-	if got := ctl.RPCSamples(); got != 1 {
-		t.Errorf("rpc samples = %d, want 1", got)
-	}
-	if got := ctl.TuningSamples(); got != 0 {
+	if got := ctl.MergedFetchSketch().Count(); got != 0 {
 		t.Errorf("tuning samples = %d, want 0", got)
 	}
 	st := ctl.Stats()
@@ -255,7 +261,8 @@ func TestControllerExcludesMigrationSamples(t *testing.T) {
 func TestControllerAdmissionGate(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := testConfig()
-	ctl, err := New(eng, 1, cfg)
+	reg := metrics.NewRegistry()
+	ctl, err := New(eng, 1, cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +279,7 @@ func TestControllerAdmissionGate(t *testing.T) {
 	if ctl.AllowRestripe("input") {
 		t.Error("admitted during cool-down")
 	}
-	allowed, denied := ctl.Admissions()
+	allowed, denied := reg.Get("control.admissions_allowed"), reg.Get("control.admissions_denied")
 	if allowed != 1 || denied != 2 {
 		t.Errorf("admissions = (%d, %d), want (1, 2)", allowed, denied)
 	}

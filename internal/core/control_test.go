@@ -64,14 +64,18 @@ func TestControlIgnoresMigrationTraffic(t *testing.T) {
 	}
 
 	ctl := s.Control
-	if got := ctl.MigrationSamplesExcluded(); got == 0 {
+	if got := s.Clu.Counters.Get("control.migration_samples_excluded"); got == 0 {
 		t.Fatal("migration produced no tagged samples — the tag is not wired")
 	}
-	if got := ctl.TuningSamples(); got != 0 {
-		t.Errorf("migration leaked %d samples into the tuning sketches", got)
+	var tuning, rpc int64
+	for _, st := range ctl.Stats() {
+		tuning, rpc = tuning+st.FetchCount, rpc+st.RPCCount
 	}
-	if got := ctl.RPCSamples(); got != 0 {
-		t.Errorf("migration produced %d untagged RPC samples", got)
+	if tuning != 0 {
+		t.Errorf("migration leaked %d samples into the tuning sketches", tuning)
+	}
+	if rpc != 0 {
+		t.Errorf("migration produced %d untagged RPC samples", rpc)
 	}
 	if acts := ctl.Actions(); len(acts) != 0 {
 		t.Errorf("controller acted on migration traffic: %v", acts)

@@ -88,7 +88,7 @@ func TestDASSurvivesMidRunCrashByteIdentical(t *testing.T) {
 	if s.Clu.FaultLog.Len() != 1 {
 		t.Errorf("fault log has %d records, want 1", s.Clu.FaultLog.Len())
 	}
-	if s.Clu.Recovery.ExecRetries() == 0 && s.Clu.Recovery.FailoverReads() == 0 {
+	if s.Clu.Counters.Get("recovery.exec_retries") == 0 && s.Clu.Counters.Get("recovery.failover_reads") == 0 {
 		t.Error("mid-run crash triggered no recovery actions at all")
 	}
 }
@@ -200,7 +200,7 @@ func TestFaultedDASIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.ExecTime, s.Clu.Recovery.ExecRetries() + s.Clu.Recovery.FailoverReads()
+		return rep.ExecTime, s.Clu.Counters.Get("recovery.exec_retries") + s.Clu.Counters.Get("recovery.failover_reads")
 	}
 	t1, r1 := run()
 	t2, r2 := run()

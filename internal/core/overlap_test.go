@@ -144,7 +144,7 @@ func TestCrashWithABandPrefetched(t *testing.T) {
 	if !got.Equal(want) {
 		t.Errorf("crashed run output differs from reference (max diff %g)", got.MaxAbsDiff(want))
 	}
-	if s.Clu.Recovery.ExecRetries() == 0 {
+	if s.Clu.Counters.Get("recovery.exec_retries") == 0 {
 		t.Error("the crash re-dispatched nothing")
 	}
 	if live := s.Clu.Eng.Live(); live != 0 {

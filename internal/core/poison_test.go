@@ -114,9 +114,9 @@ func TestOutputsSurvivePoisonedPools(t *testing.T) {
 					out, got.MaxAbsDiff(want))
 			}
 		}
-		if hits == 0 || s.Clu.CacheStats.Evictions() == 0 {
+		if hits == 0 || s.Clu.Counters.Get("cache.evictions") == 0 {
 			t.Fatalf("%d cache hits, %d evictions: the test would not reach a hit whose entry is evicted",
-				hits, s.Clu.CacheStats.Evictions())
+				hits, s.Clu.Counters.Get("cache.evictions"))
 		}
 	})
 

@@ -96,7 +96,7 @@ type System struct {
 func (s *System) EnableCache(cfg cache.Config) error {
 	mgr, err := cache.NewManager(s.Clu.Eng, s.FS.Servers(), cfg,
 		func(srv int) uint64 { return s.Clu.Faults.Incarnation(s.Clu.StorageID(srv)) },
-		s.Clu.CacheStats)
+		s.Clu.Counters)
 	if err != nil {
 		return err
 	}
@@ -110,7 +110,7 @@ func (s *System) EnableCache(cfg cache.Config) error {
 // plans grouped-replicated migrations within the overhead budget, and
 // copies strips in the background on the DES clock.
 func (s *System) EnableRestripe(cfg restripe.Config) error {
-	mgr, err := restripe.NewMigrator(s.Clu, s.FS, cfg, s.Clu.RestripeStats)
+	mgr, err := restripe.NewMigrator(s.Clu, s.FS, cfg)
 	if err != nil {
 		return err
 	}
@@ -129,7 +129,7 @@ func (s *System) EnableRestripe(cfg restripe.Config) error {
 // restriping is deployed (admission only on a congested tail, cool-down
 // after any strip flip so the two loops can no longer duel).
 func (s *System) EnableControl(cfg control.Config) error {
-	ctl, err := control.New(s.Clu.Eng, s.FS.Servers(), cfg)
+	ctl, err := control.New(s.Clu.Eng, s.FS.Servers(), cfg, s.Clu.Counters)
 	if err != nil {
 		return err
 	}

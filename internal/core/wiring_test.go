@@ -60,13 +60,14 @@ func TestEnableOrderDoesNotMatter(t *testing.T) {
 				t.Fatalf("order %s round %d: migration did not converge: %v", order, round, err)
 			}
 		}
-		allowed, denied := s.Control.Admissions()
-		if s.Control.TuningSamples() == 0 || len(s.Cache.Actions()) == 0 || allowed == 0 || s.Clu.RestripeStats.Completed() == 0 {
+		reg := s.Clu.Counters
+		samples, allowed := s.Control.MergedFetchSketch().Count(), reg.Get("control.admissions_allowed")
+		if samples == 0 || len(s.Cache.Actions()) == 0 || allowed == 0 || reg.Get("restripe.completed") == 0 {
 			t.Fatalf("order %s: the scenario exercises nothing: %d fetch samples, %d cache actions, %d admissions, %s",
-				order, s.Control.TuningSamples(), len(s.Cache.Actions()), allowed, s.Clu.RestripeStats)
+				order, samples, len(s.Cache.Actions()), allowed, reg.Format("restripe."))
 		}
-		return fmt.Sprintf("events=%d\nstats=%v\nadmissions=%d/%d\ncache=%v\nrestripe=%s",
-			s.Clu.Eng.Events(), s.Control.Stats(), allowed, denied, s.Cache.Actions(), s.Clu.RestripeStats)
+		return fmt.Sprintf("events=%d\nstats=%v\ncache=%v\ncounters=%s",
+			s.Clu.Eng.Events(), s.Control.Stats(), s.Cache.Actions(), reg.Format(""))
 	}
 	want := run("crp")
 	for _, order := range []string{"cpr", "rcp", "rpc", "pcr", "prc"} {

@@ -196,6 +196,9 @@ func (c Config) RunLive(s Scenario, deployed func(*Live), done func(*Live, Recor
 		}
 	}
 	rec.Counters = r.counters()
+	if err := r.checkCacheHits(rec); err != nil {
+		return fail(err)
+	}
 	if m, ok := sys.FS.Meta("input"); ok {
 		rec.Layout = m.Layout.Name()
 		if r.inputMoves {
@@ -349,8 +352,8 @@ func (r *run) step(st Step, index int) (StepRecord, error) {
 		sr.Stats["fetch_samples"] = float64(delta.Count())
 		sr.Stats["pinned_replicas"] = float64(pinned)
 		sr.Stats["control_actions"] = float64(len(sys.Control.Actions()))
-		sr.Stats["restripe_planned"] = float64(sys.Clu.RestripeStats.Planned())
-		sr.Stats["restripe_completed"] = float64(sys.Clu.RestripeStats.Completed())
+		sr.Stats["restripe_planned"] = float64(sys.Clu.Counters.Get("restripe.planned"))
+		sr.Stats["restripe_completed"] = float64(sys.Clu.Counters.Get("restripe.completed"))
 	}
 	return sr, nil
 }
@@ -568,6 +571,27 @@ func (r *run) verify(sr *StepRecord) error {
 	return nil
 }
 
+// checkCacheHits holds the registry to what the kernels counted on their
+// own: when every step is a kernel, the cache's hits and hit bytes are the
+// sums of the steps' cache_hits and cache_hit_bytes.
+func (r *run) checkCacheHits(rec Record) error {
+	for _, st := range r.s.Steps {
+		if st.Kind != Kernel {
+			return nil
+		}
+	}
+	var hits, bytes int64
+	for _, sr := range rec.Steps {
+		hits += sr.Stats.Int("cache_hits")
+		bytes += sr.Stats.Int("cache_hit_bytes")
+	}
+	reg := r.live.Clu.Counters
+	if got, gotBytes := reg.Get("cache.hits"), reg.Get("cache.hit_bytes"); got != hits || gotBytes != bytes {
+		return fmt.Errorf("the cache counted %d hits / %d B, its kernels %d hits / %d B", got, gotBytes, hits, bytes)
+	}
+	return nil
+}
+
 // equal fetches a raster file and compares it with the reference its
 // lineage names.
 func (r *run) equal(file, lineage string) error {
@@ -628,59 +652,45 @@ func checkReduce(got, want []float64, exact bool) error {
 }
 
 // counters snapshots the platform once the run is over: traffic always,
-// then each subsystem that was deployed, the fault layer when a plan ran,
-// and the tenant engine's totals.
+// then the registry's counters of each subsystem that was deployed (the
+// fault layer's when a plan ran), and the tenant engine's totals.
 func (r *run) counters() Counters {
 	sys, clu := r.live.System, r.live.Clu
 	c := Counters{}
 	for _, class := range metrics.Classes() {
 		c["traffic."+trafficNames[class]] = float64(clu.Traffic.Bytes(class))
 	}
+	snap := clu.Counters.Snapshot()
+	read := func(names ...string) {
+		for _, name := range names {
+			c[name] = float64(snap[name])
+		}
+	}
 	if len(r.plan.Events) > 0 {
-		rec := clu.Recovery
 		c["fault.events_applied"] = float64(clu.FaultLog.Len())
-		c["recovery.retries"] = float64(rec.Retries())
-		c["recovery.timeouts"] = float64(rec.Timeouts())
-		c["recovery.failover_reads"] = float64(rec.FailoverReads())
-		c["recovery.exec_retries"] = float64(rec.ExecRetries())
-		c["recovery.skipped_forwards"] = float64(rec.SkippedForwards())
-		c["recovery.dropped_messages"] = float64(rec.DroppedMessages())
+		read("recovery.retries", "recovery.timeouts", "recovery.failover_reads",
+			"recovery.exec_retries", "recovery.skipped_forwards", "recovery.dropped_messages")
 	}
 	if sys.Cache != nil {
-		cs := clu.CacheStats
 		c["cache.budget_bytes"] = float64(sys.Cache.Config().BudgetBytes)
-		c["cache.hits"] = float64(cs.Hits())
-		c["cache.hit_bytes"] = float64(cs.HitBytes())
-		c["cache.byte_hit_rate"] = cs.ByteHitRate()
-		c["cache.evictions"] = float64(cs.Evictions())
-		c["cache.invalidations"] = float64(cs.Invalidations())
-		c["cache.promotions"] = float64(cs.Promotions())
-		c["cache.demotions"] = float64(cs.Demotions())
+		read("cache.hits", "cache.hit_bytes", "cache.evictions", "cache.invalidations", "cache.promotions", "cache.demotions")
+		var rate float64
+		if looked := snap["cache.hit_bytes"] + snap["cache.miss_bytes"]; looked > 0 {
+			rate = float64(snap["cache.hit_bytes"]) / float64(looked)
+		}
+		c["cache.byte_hit_rate"] = rate
 	}
 	if sys.Restripe != nil {
-		rs := clu.RestripeStats
-		c["restripe.planned"] = float64(rs.Planned())
-		c["restripe.completed"] = float64(rs.Completed())
-		c["restripe.strips_moved"] = float64(rs.StripsMoved())
-		c["restripe.bytes_copied"] = float64(rs.BytesCopied())
-		c["restripe.zero_copy_flips"] = float64(rs.ZeroCopyFlips())
-		c["restripe.throttle_stalls"] = float64(rs.ThrottleStalls())
-		c["restripe.resumes"] = float64(rs.Resumes())
-		c["restripe.recopies"] = float64(rs.Recopies())
+		read("restripe.planned", "restripe.completed", "restripe.strips_moved", "restripe.bytes_copied",
+			"restripe.zero_copy_flips", "restripe.throttle_stalls", "restripe.resumes", "restripe.recopies")
 	}
 	if ctl := sys.Control; ctl != nil {
-		var promotions, demotions int64
-		for _, st := range ctl.Stats() {
-			promotions += st.Promotions
-			demotions += st.Demotions
-		}
-		allowed, denied := ctl.Admissions()
-		c["control.promotions"] = float64(promotions)
-		c["control.demotions"] = float64(demotions)
-		c["control.cooldown_suppressed"] = float64(ctl.CooldownSuppressed())
-		c["control.migration_samples_excluded"] = float64(ctl.MigrationSamplesExcluded())
-		c["control.admissions_allowed"] = float64(allowed)
-		c["control.admissions_denied"] = float64(denied)
+		// Pins move only under the controller: its promotions and demotions
+		// are the cache's.
+		c["control.promotions"] = float64(snap["cache.promotions"])
+		c["control.demotions"] = float64(snap["cache.demotions"])
+		read("control.cooldown_suppressed", "control.migration_samples_excluded",
+			"control.admissions_allowed", "control.admissions_denied")
 		c["control.cluster_p99_ns"] = float64(ctl.ClusterP99())
 		// The five hottest files by operations; FileStats sorts by name
 		// and the stable sort keeps that order among ties.

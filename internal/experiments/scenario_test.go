@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/hpcio/das/internal/cache"
@@ -134,6 +136,62 @@ func TestEveryAdaptiveKnobIsTurned(t *testing.T) {
 			if name := typ.Field(i).Name; !turned[typ][name] {
 				t.Errorf("%v.%s is left at its default by every scenario of every experiment", typ, name)
 			}
+		}
+	}
+}
+
+// TestEveryCounterMoves: every counter that some Quick cell's platform
+// registers counts something in at least one cell — at Quick, or else in
+// the committed full-size records. A counter nothing moves reports
+// nothing; it belongs deleted, not registered.
+func TestEveryCounterMoves(t *testing.T) {
+	c := Quick()
+	moved := make(map[string]bool)
+	ran := make(map[string]bool)
+	for _, e := range Experiments() {
+		for _, s := range e.Scenarios(c) {
+			if ran[s.Name()] {
+				continue
+			}
+			ran[s.Name()] = true
+			_, err := c.RunLive(s, nil, func(l *Live, _ Record) {
+				for name, n := range l.Clu.Counters.Snapshot() {
+					moved[name] = moved[name] || n != 0
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var still []string
+	for name, ok := range moved {
+		if !ok {
+			still = append(still, name)
+		}
+	}
+	if len(still) == 0 {
+		return
+	}
+	data, err := os.ReadFile("../../BENCH_sim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed []Record
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range committed {
+		for name, n := range rec.Counters {
+			if n != 0 {
+				moved[name] = true
+			}
+		}
+	}
+	sort.Strings(still)
+	for _, name := range still {
+		if !moved[name] {
+			t.Errorf("counter %s is zero in every Quick cell and in every committed record", name)
 		}
 	}
 }

@@ -26,9 +26,8 @@ import (
 // every consumer is expected to fast-path that case so fault-free runs pay
 // nothing — neither time nor allocations — for the machinery.
 type State struct {
-	rng *rand.Rand
-	rec *metrics.Recovery
-	log *metrics.FaultLog
+	rng     *rand.Rand
+	dropped *metrics.Counter // recovery.dropped_messages
 
 	down        map[int]bool
 	incarnation map[int]uint64
@@ -39,22 +38,14 @@ type State struct {
 	active bool
 }
 
-// NewState creates a healthy fault state. rec and log may be nil, in which
-// case private collectors are created.
-func NewState(seed int64, rec *metrics.Recovery, log *metrics.FaultLog) *State {
-	if rec == nil {
-		rec = metrics.NewRecovery()
-	}
-	if log == nil {
-		log = metrics.NewFaultLog()
-	}
+// NewState creates a healthy fault state that counts into reg.
+func NewState(seed int64, reg *metrics.Registry) *State {
 	if seed == 0 {
 		seed = 1
 	}
 	return &State{
 		rng:         rand.New(rand.NewSource(seed)),
-		rec:         rec,
-		log:         log,
+		dropped:     reg.Counter("recovery.dropped_messages"),
 		down:        make(map[int]bool),
 		incarnation: make(map[int]uint64),
 		nicFactor:   make(map[int]float64),
@@ -79,12 +70,6 @@ func (s *State) Active() bool { return s.active }
 // track (e.g. disk degradation, applied directly to the disk model) call
 // it so consumers still know a faulted run is underway.
 func (s *State) MarkActive() { s.active = true }
-
-// Recovery returns the recovery-action counters faults feed.
-func (s *State) Recovery() *metrics.Recovery { return s.rec }
-
-// Log returns the applied-fault log.
-func (s *State) Log() *metrics.FaultLog { return s.log }
 
 // SetDown marks a node crashed (true) or restarted (false). A restart
 // bumps the node's incarnation so in-flight watchers can tell "still the
@@ -177,5 +162,5 @@ func (s *State) DropMessage(from, to int) (bool, sim.Time) {
 // NoteDropped records a message lost to a fault (crashed endpoint or a
 // DropMessage verdict); the transport calls it at the point of loss.
 func (s *State) NoteDropped(from, to int) {
-	s.rec.AddDroppedMessage()
+	s.dropped.Inc()
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"testing"
 
+	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -85,7 +86,7 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 }
 
 func TestStateCrashRestartIncarnation(t *testing.T) {
-	s := NewState(1, nil, nil)
+	s := NewState(1, metrics.NewRegistry())
 	if s.Active() {
 		t.Fatal("fresh state reports Active")
 	}
@@ -119,7 +120,7 @@ func TestStateCrashRestartIncarnation(t *testing.T) {
 
 func TestStateLossDeterminism(t *testing.T) {
 	draw := func(seed int64) []bool {
-		s := NewState(seed, nil, nil)
+		s := NewState(seed, metrics.NewRegistry())
 		s.SetLoss(0.5, 0)
 		out := make([]bool, 64)
 		for i := range out {
@@ -147,7 +148,7 @@ func TestStateLossDeterminism(t *testing.T) {
 }
 
 func TestStateNICFactorAndLossDelay(t *testing.T) {
-	s := NewState(1, nil, nil)
+	s := NewState(1, metrics.NewRegistry())
 	if f := s.NICFactor(0); f != 1 {
 		t.Fatalf("healthy NIC factor = %v, want 1", f)
 	}

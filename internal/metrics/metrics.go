@@ -1,8 +1,9 @@
 // Package metrics collects byte- and time-level accounting for a simulated
-// DAS run. The counters deliberately distinguish the traffic classes the
+// DAS run. The traffic counters deliberately distinguish the classes the
 // paper argues about: client↔server traffic (what Traditional Storage
 // pays), server↔server traffic (what Normal Active Storage pays for
-// dependent data), and disk traffic.
+// dependent data), and disk traffic. Every other count a run reports is a
+// named counter in the platform's Registry.
 package metrics
 
 import (

@@ -51,7 +51,7 @@ func TestReadFailsOverToReplica(t *testing.T) {
 			t.Error("failover read corrupted data")
 		}
 	})
-	if clu.Recovery.FailoverReads() == 0 {
+	if clu.Counters.Get("recovery.failover_reads") == 0 {
 		t.Error("crash of a primary produced no failover reads")
 	}
 }
@@ -106,7 +106,7 @@ func TestReadBridgesPlannedRestart(t *testing.T) {
 			t.Error("read after restart corrupted data")
 		}
 	})
-	if clu.Recovery.Retries() == 0 {
+	if clu.Counters.Get("recovery.retries") == 0 {
 		t.Error("bridging a restart recorded no retries")
 	}
 }
@@ -136,13 +136,13 @@ func TestLossWindowTimesOutThenRecovers(t *testing.T) {
 			t.Error("read after loss window corrupted data")
 		}
 	})
-	if clu.Recovery.Timeouts() == 0 {
+	if clu.Counters.Get("recovery.timeouts") == 0 {
 		t.Error("total loss window produced no timeouts")
 	}
-	if clu.Recovery.Retries() == 0 {
+	if clu.Counters.Get("recovery.retries") == 0 {
 		t.Error("total loss window produced no retries")
 	}
-	if clu.Recovery.DroppedMessages() == 0 {
+	if clu.Counters.Get("recovery.dropped_messages") == 0 {
 		t.Error("total loss window dropped no messages")
 	}
 }
@@ -168,7 +168,7 @@ func TestDelayedMessagesStillDeliver(t *testing.T) {
 				t.Error("delayed read corrupted data")
 			}
 		})
-		if clu.Recovery.DroppedMessages() != 0 {
+		if clu.Counters.Get("recovery.dropped_messages") != 0 {
 			t.Error("delayed messages were counted as dropped")
 		}
 		return clu.Eng.Now() - start
@@ -231,7 +231,7 @@ func TestWriteSkipsDownReplicaTarget(t *testing.T) {
 			t.Error("write with down replica corrupted data")
 		}
 	})
-	if clu.Recovery.SkippedForwards() == 0 {
+	if clu.Counters.Get("recovery.skipped_forwards") == 0 {
 		t.Error("down replica target was not skipped")
 	}
 }
@@ -275,7 +275,7 @@ func TestFaultPlanTimingIsDeterministic(t *testing.T) {
 				errStr = err.Error()
 			}
 		})
-		return clu.Eng.Now() - start, clu.Recovery.DroppedMessages(), errStr
+		return clu.Eng.Now() - start, clu.Counters.Get("recovery.dropped_messages"), errStr
 	}
 	t1, d1, e1 := elapsed()
 	t2, d2, e2 := elapsed()

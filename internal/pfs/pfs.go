@@ -14,6 +14,7 @@ import (
 
 	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/layout"
+	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
 )
@@ -106,6 +107,9 @@ type FileSystem struct {
 	readReqFree  []*readReq
 	writeReqFree []*writeReq
 	readRespFree []*readResp
+
+	// The recovery.* counters the fault paths move.
+	timeouts, retries, failoverReads, skippedForwards *metrics.Counter
 }
 
 // StripInvalidator receives strip-mutation notifications from the write
@@ -159,10 +163,14 @@ func (fs *FileSystem) SetQueueObserver(fn func(srv, depth int)) { fs.queueObs = 
 // storage node, started immediately.
 func New(clu *cluster.Cluster) *FileSystem {
 	fs := &FileSystem{
-		clu:      clu,
-		meta:     make(map[string]*FileMeta),
-		Retry:    DefaultRetryPolicy(),
-		inflight: make([]int, clu.Cfg.StorageNodes),
+		clu:             clu,
+		meta:            make(map[string]*FileMeta),
+		Retry:           DefaultRetryPolicy(),
+		inflight:        make([]int, clu.Cfg.StorageNodes),
+		timeouts:        clu.Counters.Counter("recovery.timeouts"),
+		retries:         clu.Counters.Counter("recovery.retries"),
+		failoverReads:   clu.Counters.Counter("recovery.failover_reads"),
+		skippedForwards: clu.Counters.Counter("recovery.skipped_forwards"),
 	}
 	for s := 0; s < clu.Cfg.StorageNodes; s++ {
 		srv := newServer(fs, s)
@@ -306,14 +314,14 @@ func (fs *FileSystem) call(p *sim.Proc, fromID, srv int, payload any, size int64
 			return resp.Payload, nil
 		}
 		if !crashed() {
-			fs.clu.Recovery.AddTimeout()
+			fs.timeouts.Inc()
 		}
 		// A crash+restart while waiting means the request (or its
 		// response) died with the old incarnation; re-send like a timeout.
 		if attempt >= pol.Retries {
 			return nil, fmt.Errorf("pfs: server %d: no response after %d attempts: %w", srv, attempt+1, ErrTimeout)
 		}
-		fs.clu.Recovery.AddRetry()
+		fs.retries.Inc()
 		p.Sleep(backoff)
 		backoff *= 2
 	}
@@ -339,7 +347,7 @@ func (fs *FileSystem) callWrite(p *sim.Proc, fromID, srv int, payload any, size 
 		if round >= pol.DownRetries {
 			return nil, err
 		}
-		fs.clu.Recovery.AddRetry()
+		fs.retries.Inc()
 		p.Sleep(backoff)
 		backoff *= 2
 	}
@@ -436,7 +444,7 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID, preferred int, file
 			data, err := fs.readStripOnce(p, fromID, holder, file, strip, lo, hi)
 			if err == nil {
 				if holder != preferred {
-					fs.clu.Recovery.AddFailoverRead()
+					fs.failoverReads.Inc()
 				}
 				return data, nil
 			}
@@ -448,7 +456,7 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID, preferred int, file
 		if round >= pol.DownRetries {
 			return nil, fmt.Errorf("pfs: read %s strip %d: %w (last: %v)", file, strip, ErrNoLiveCopy, cause)
 		}
-		fs.clu.Recovery.AddRetry()
+		fs.retries.Inc()
 		p.Sleep(backoff)
 		backoff *= 2
 	}

@@ -294,7 +294,7 @@ func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, 
 				// target loses this copy rather than failing the write. The
 				// primary copy is durable; DESIGN.md documents the
 				// divergence window.
-				s.fs.clu.Recovery.AddSkippedForward()
+				s.fs.skippedForwards.Inc()
 				continue
 			}
 			return err
@@ -389,7 +389,7 @@ func (s *Server) SendReplicas(p *sim.Proc, b ReplicaBatch) error {
 	resp, err := s.fs.call(p, s.nodeID, b.target, b.req, b.size)
 	if err != nil {
 		if errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout) {
-			s.fs.clu.Recovery.AddSkippedForward()
+			s.fs.skippedForwards.Inc()
 			return nil
 		}
 		return err

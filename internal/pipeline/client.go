@@ -8,6 +8,7 @@ import (
 	"github.com/hpcio/das/internal/active"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
+	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
@@ -65,12 +66,13 @@ func (r RunResult) LowerBoundRatio() float64 {
 // strips with catch-up when a server crash loses in-memory state, and
 // merges the terminal reduce partials in canonical strip order.
 type Client struct {
-	fs     *pfs.FileSystem
-	nodeID int
-	reg    *kernels.Registry
-	combs  *kernels.CombinerRegistry
-	reds   *kernels.ReducerRegistry
-	seq    int
+	fs          *pfs.FileSystem
+	nodeID      int
+	reg         *kernels.Registry
+	combs       *kernels.CombinerRegistry
+	reds        *kernels.ReducerRegistry
+	seq         int
+	execRetries *metrics.Counter // recovery.exec_retries
 }
 
 // NewClient builds a pipeline client on the given compute node. Nil
@@ -83,7 +85,8 @@ func NewClient(fs *pfs.FileSystem, nodeID int, reg *kernels.Registry, combs *ker
 	if reds == nil {
 		reds = kernels.DefaultReducers()
 	}
-	return &Client{fs: fs, nodeID: nodeID, reg: reg, combs: combs, reds: reds}
+	return &Client{fs: fs, nodeID: nodeID, reg: reg, combs: combs, reds: reds,
+		execRetries: fs.Cluster().Counters.Counter("recovery.exec_retries")}
 }
 
 // Run executes the DAG over input, committing the grid output into the
@@ -136,7 +139,6 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 	var res RunResult
 	partials := make(map[int64][]float64)
 	for round := 0; round < pl.Rounds(); round++ {
-		clu.PipelineStats.AddRound()
 		pending := make([]int64, 0, strips)
 		for s := int64(0); s < strips; s++ {
 			pending = append(pending, s)
@@ -155,8 +157,7 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 					len(pending), attempt, round, pfs.ErrTimeout)
 			}
 			if attempt > 0 {
-				clu.PipelineStats.AddRedispatch()
-				clu.Recovery.AddExecRetry()
+				c.execRetries.Inc()
 				res.Redispatches++
 			}
 			var catchStrips, normal []int64
@@ -214,7 +215,6 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 			ordered[i] = partials[s]
 		}
 		res.Reduce = red.Merge(ordered)
-		clu.PipelineStats.AddReduceMerge()
 	}
 
 	c.release(p, token)
@@ -235,7 +235,6 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 		return RunResult{}, err
 	}
 	res.LowerBoundBytes = bound
-	clu.PipelineStats.AddRun(res.Stages, res.FusedStages, res.AchievedHaloBytes, bound)
 	return res, nil
 }
 

@@ -206,9 +206,6 @@ func TestPipelineChainMatchesReference(t *testing.T) {
 	if res.LowerBoundBytes <= 0 || res.AchievedHaloBytes < res.LowerBoundBytes {
 		t.Errorf("achieved %d below lower bound %d", res.AchievedHaloBytes, res.LowerBoundBytes)
 	}
-	if rig.clu.PipelineStats.Runs() != 1 || rig.clu.PipelineStats.ExchangeBytes() != res.ExchangeBytes {
-		t.Errorf("cluster pipeline stats diverge from run result: %v", rig.clu.PipelineStats)
-	}
 }
 
 func TestPipelineFusedPrefixSkipsExchange(t *testing.T) {

@@ -254,11 +254,7 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 			return fail(err)
 		}
 		if req.CatchUp {
-			n := run.Last - run.First + 1
-			resp.CatchUps += n
-			for i := int64(0); i < n; i++ {
-				clu.PipelineStats.AddCatchUp()
-			}
+			resp.CatchUps += run.Last - run.First + 1
 		}
 
 		// Retain per-strip state sub-slices for later rounds' reads and
@@ -306,7 +302,6 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 				done.Fire(srv.ForwardReplicas(f, req.Output, strips, chunks))
 			})
 			resp.Wrote += int64(len(strips))
-			clu.PipelineStats.AddWriteback()
 
 			if pl.Reduce >= 0 {
 				red := pl.Nodes[pl.Reduce].Reducer
@@ -452,7 +447,6 @@ func (svc *Service) inputBand(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, e0
 		} else {
 			resp.FetchOps++
 			resp.FetchBytes += int64(len(got.data))
-			clu.PipelineStats.AddFetch(int64(len(got.data)))
 		}
 		band.Lend(got.gotLo/in.ElemSize, got.data)
 	}
@@ -633,7 +627,6 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 			bytes := int64(len(v)) * grid.ElemSize
 			resp.ExchangeOps++
 			resp.ExchangeBytes += bytes
-			clu.PipelineStats.AddExchange(bytes)
 			if svc.cache != nil {
 				svc.cache.AddBandHeat(in.Name, bytes)
 			}

@@ -41,7 +41,7 @@ func newWBRig(t *testing.T, cfg Config) *wbRig {
 		t.Fatal(err)
 	}
 	fs := pfs.New(clu)
-	m, err := NewMigrator(clu, fs, cfg, nil)
+	m, err := NewMigrator(clu, fs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDirtiedCopyReshipsStaleTargets(t *testing.T) {
 			t.Error("no second copy move of a measured shape; nothing was raced")
 			return
 		}
-		if r.m.Counters().Recopies() == 0 {
+		if r.m.clu.Counters.Get("restripe.recopies") == 0 {
 			t.Error("the foreign write never dirtied the in-flight copy; the race was not constructed")
 			return
 		}
@@ -209,12 +209,12 @@ func TestOversizedMoveStillMakesProgress(t *testing.T) {
 		for iter := 0; r.m.ActiveCount() > 0; iter++ {
 			if iter > 10*wbStrips {
 				t.Errorf("oversized moves never converged: %v (stalls=%d)",
-					r.m.Status(), r.m.Counters().ThrottleStalls())
+					r.m.Status(), r.m.clu.Counters.Get("restripe.throttle_stalls"))
 				return
 			}
 			r.m.batchFile(p, mig, len(mig.plan))
 		}
-		if r.m.Counters().ThrottleStalls() == 0 {
+		if r.m.clu.Counters.Get("restripe.throttle_stalls") == 0 {
 			t.Error("a 1-byte budget produced no throttle stalls; the throttle was never exercised")
 		}
 		got, err := r.fs.NewClient(r.clu.ComputeID(0)).ReadAll(p, "f")
@@ -256,7 +256,7 @@ func TestFlipsCommitPastAStalledBudget(t *testing.T) {
 			}
 		}
 		r.m.batchFile(p, mig, len(mig.plan))
-		if r.m.Counters().ThrottleStalls() == 0 {
+		if r.m.clu.Counters.Get("restripe.throttle_stalls") == 0 {
 			t.Error("the 1-byte budget never stalled a copy; the batch did not exercise the scan")
 			return
 		}

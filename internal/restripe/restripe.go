@@ -168,11 +168,11 @@ func (e Event) String() string {
 // set of moves, so an idle migrator never keeps Engine.Run alive, while an
 // active one makes progress during whatever workload is running.
 type Migrator struct {
-	eng   *sim.Engine
-	clu   *cluster.Cluster
-	fs    *pfs.FileSystem
-	cfg   Config
-	stats *metrics.Restripe
+	eng *sim.Engine
+	clu *cluster.Cluster
+	fs  *pfs.FileSystem
+	cfg Config
+	n   counters
 
 	observed  map[string]int64
 	active    map[string]*Migration
@@ -192,22 +192,32 @@ type Migrator struct {
 	admission func(file string) bool
 }
 
-// NewMigrator builds the subsystem over a deployed file system. stats is
-// the cluster-wide counter collector (nil allocates a private one).
-func NewMigrator(clu *cluster.Cluster, fs *pfs.FileSystem, cfg Config, stats *metrics.Restripe) (*Migrator, error) {
+// counters are the migrator's handles on the registry's restripe.*
+// counters.
+type counters struct {
+	planned, completed                      *metrics.Counter
+	stripsMoved, bytesCopied, zeroCopyFlips *metrics.Counter
+	throttleStalls, resumes, recopies       *metrics.Counter
+}
+
+// NewMigrator builds the subsystem over a deployed file system, counting
+// into the cluster's registry.
+func NewMigrator(clu *cluster.Cluster, fs *pfs.FileSystem, cfg Config) (*Migrator, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if stats == nil {
-		stats = metrics.NewRestripe()
-	}
+	count := func(name string) *metrics.Counter { return clu.Counters.Counter("restripe." + name) }
 	return &Migrator{
-		eng:      clu.Eng,
-		clu:      clu,
-		fs:       fs,
-		cfg:      cfg,
-		stats:    stats,
+		eng: clu.Eng,
+		clu: clu,
+		fs:  fs,
+		cfg: cfg,
+		n: counters{
+			planned: count("planned"), completed: count("completed"),
+			stripsMoved: count("strips_moved"), bytesCopied: count("bytes_copied"), zeroCopyFlips: count("zero_copy_flips"),
+			throttleStalls: count("throttle_stalls"), resumes: count("resumes"), recopies: count("recopies"),
+		},
 		observed: make(map[string]int64),
 		active:   make(map[string]*Migration),
 		inflight: make([]int64, fs.Servers()),
@@ -217,9 +227,6 @@ func NewMigrator(clu *cluster.Cluster, fs *pfs.FileSystem, cfg Config, stats *me
 
 // Config returns the normalized configuration.
 func (m *Migrator) Config() Config { return m.cfg }
-
-// Counters returns the migration counter collector.
-func (m *Migrator) Counters() *metrics.Restripe { return m.stats }
 
 // Watcher observes migration lifecycle transitions. The unified p99
 // controller implements it to start its post-restripe cool-down: every
@@ -319,7 +326,7 @@ func (m *Migrator) admit(meta *pfs.FileMeta, target layout.GroupedReplicated) {
 	}
 	m.active[meta.Name] = mig
 	m.order = append(m.order, meta.Name)
-	m.stats.AddPlanned()
+	m.n.planned.Inc()
 	m.logEvent(meta.Name, "plan")
 	if m.watcher != nil {
 		m.watcher.MigrationPlanned(meta.Name)
@@ -404,7 +411,7 @@ func (m *Migrator) batchFile(p *sim.Proc, mig *Migration, limit int) int {
 		if !m.reserve(src, targets, bytes) {
 			// Out of in-flight budget for copies this batch; keep scanning
 			// for zero-byte flips, which need no reservation.
-			m.stats.AddThrottleStall()
+			m.n.throttleStalls.Inc()
 			m.logEvent(mig.file, "stall")
 			stalled = true
 			continue
@@ -436,7 +443,7 @@ func (m *Migrator) batchFile(p *sim.Proc, mig *Migration, limit int) int {
 				// shipped bytes may predate it. Discard the attempt; the
 				// cursor re-copies the strip next batch.
 				out.mv.dirty = false
-				m.stats.AddRecopy()
+				m.n.recopies.Inc()
 			}
 			if out.err != nil {
 				m.parkMove(mig, out.mv)
@@ -516,10 +523,14 @@ func (m *Migrator) commit(mig *Migration, mv *move, bytes int64) {
 	mv.reship = nil
 	if mv.failed {
 		mv.failed = false
-		m.stats.AddResume()
+		m.n.resumes.Inc()
 		m.logEvent(mig.file, "resume")
 	}
-	m.stats.AddStripMoved(bytes)
+	m.n.stripsMoved.Inc()
+	m.n.bytesCopied.Add(bytes)
+	if bytes == 0 {
+		m.n.zeroCopyFlips.Inc()
+	}
 	if m.watcher != nil {
 		m.watcher.StripFlipped(mig.file, mv.strip)
 	}
@@ -551,7 +562,7 @@ func (m *Migrator) advance(mig *Migration) {
 		}
 		m.completed = append(m.completed, mig)
 		m.observed[mig.file] = 0
-		m.stats.AddCompleted()
+		m.n.completed.Inc()
 		m.logEvent(mig.file, "complete")
 		if m.watcher != nil {
 			m.watcher.MigrationCompleted(mig.file)

@@ -102,12 +102,12 @@ func TestMigrationConvergesAndKillsHaloTraffic(t *testing.T) {
 	if _, ok := m.Layout.(layout.GroupedReplicated); !ok {
 		t.Fatalf("converged layout is %s, want grouped-replicated", m.Layout.Name())
 	}
-	rs := s.Clu.RestripeStats
-	if rs.Planned() != 1 || rs.Completed() != 1 {
-		t.Errorf("planned=%d completed=%d, want 1/1", rs.Planned(), rs.Completed())
+	rs := s.Clu.Counters
+	if rs.Get("restripe.planned") != 1 || rs.Get("restripe.completed") != 1 {
+		t.Errorf("planned=%d completed=%d, want 1/1", rs.Get("restripe.planned"), rs.Get("restripe.completed"))
 	}
-	if rs.StripsMoved() != m.Strips() {
-		t.Errorf("moved %d strips of %d", rs.StripsMoved(), m.Strips())
+	if rs.Get("restripe.strips_moved") != m.Strips() {
+		t.Errorf("moved %d strips of %d", rs.Get("restripe.strips_moved"), m.Strips())
 	}
 
 	rep2, err := s.Execute(core.Request{Op: "flow-routing", Input: "in", Output: "o2", Scheme: core.NAS})
@@ -229,8 +229,8 @@ func TestCrashMidMigrationResumesFromCursor(t *testing.T) {
 	}
 	drain(t, s)
 
-	rs := s.Clu.RestripeStats
-	if rs.Resumes() == 0 {
+	rs := s.Clu.Counters
+	if rs.Get("restripe.resumes") == 0 {
 		t.Error("migration completed without resuming a parked move — the crash never interrupted it")
 	}
 	var parked, resumed bool
@@ -241,8 +241,8 @@ func TestCrashMidMigrationResumesFromCursor(t *testing.T) {
 	if !parked || !resumed {
 		t.Errorf("event log missing park/resume: %v", s.Restripe.Events())
 	}
-	if rs.Completed() != 1 {
-		t.Errorf("completed=%d, want 1", rs.Completed())
+	if rs.Get("restripe.completed") != 1 {
+		t.Errorf("completed=%d, want 1", rs.Get("restripe.completed"))
 	}
 	m, _ := s.FS.Meta("in")
 	if _, ok := m.Layout.(layout.GroupedReplicated); !ok {
@@ -298,7 +298,7 @@ func TestThrottleBoundsInFlightBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, s)
-	if s.Clu.RestripeStats.ThrottleStalls() == 0 {
+	if s.Clu.Counters.Get("restripe.throttle_stalls") == 0 {
 		t.Error("tight in-flight budget produced no throttle stalls")
 	}
 	checkGrid(t, s, "in", g)
@@ -325,9 +325,9 @@ func TestInvalidationsChainToCache(t *testing.T) {
 	if _, err := s.Execute(core.Request{Op: "flow-routing", Input: "in", Output: "o1", Scheme: core.NAS}); err != nil {
 		t.Fatal(err)
 	}
-	invalBefore := s.Clu.CacheStats.Invalidations()
+	invalBefore := s.Clu.Counters.Get("cache.invalidations")
 	drain(t, s)
-	if s.Clu.CacheStats.Invalidations() <= invalBefore {
+	if s.Clu.Counters.Get("cache.invalidations") <= invalBefore {
 		t.Error("migration moved strips without invalidating cached copies")
 	}
 	if _, err := s.Execute(core.Request{Op: "flow-routing", Input: "in", Output: "o2", Scheme: core.NAS}); err != nil {
@@ -360,12 +360,12 @@ func TestRestripeRunsDeterministic(t *testing.T) {
 			}
 		}
 		drain(t, s)
-		rs := s.Clu.RestripeStats
+		rs := s.Clu.Counters
 		st := s.Restripe.Status()
 		return outcome{
-			planned: rs.Planned(), completed: rs.Completed(),
-			moved: rs.StripsMoved(), bytes: rs.BytesCopied(),
-			flips: rs.ZeroCopyFlips(), stalls: rs.ThrottleStalls(),
+			planned: rs.Get("restripe.planned"), completed: rs.Get("restripe.completed"),
+			moved: rs.Get("restripe.strips_moved"), bytes: rs.Get("restripe.bytes_copied"),
+			flips: rs.Get("restripe.zero_copy_flips"), stalls: rs.Get("restripe.throttle_stalls"),
 			events:       len(s.Restripe.Events()),
 			engineEvents: s.Clu.Eng.Events(),
 			lastStatus:   st[len(st)-1].String(),

@@ -157,8 +157,8 @@ func runMatrixCell(t *testing.T, fi, oi int) matrixOut {
 	net := New(eng, Config{BytesPerSec: 1e6, Latency: 50 * sim.Microsecond}, traffic)
 	net.AddNode(matrixSrc)
 	net.AddNode(matrixDst)
-	rec := metrics.NewRecovery()
-	f := fault.NewState(7, rec, nil)
+	reg := metrics.NewRegistry()
+	f := fault.NewState(7, reg)
 	matrixFaults[fi].apply(f)
 	net.SetFaults(f)
 	delivered, completed := matrixOps[oi].run(eng, net)
@@ -167,7 +167,7 @@ func runMatrixCell(t *testing.T, fi, oi int) matrixOut {
 		events:    eng.Events(),
 		now:       eng.Now(),
 		bytes:     traffic.Bytes(metrics.ClientToServer),
-		dropped:   rec.DroppedMessages(),
+		dropped:   reg.Get("recovery.dropped_messages"),
 		delivered: delivered(),
 		completed: *completed,
 		deadlock:  err != nil,
