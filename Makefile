@@ -8,10 +8,10 @@ tier1:
 	go test ./...
 	cd bench && go build ./... && go vet ./... && go test ./...
 
-# Determinism/pooling analyzer suite (cmd/daslint), both ways it deploys:
+# Determinism analyzer suite (cmd/daslint), both ways it deploys:
 # standalone over the whole module (the only mode that runs the
-# interprocedural transfer/replies analyzers and the stale-directive
-# check), then through the `go vet -vettool` protocol, which additionally
+# interprocedural replies analyzer and the stale-directive check), then
+# through the `go vet -vettool` protocol, which additionally
 # covers _test.go files with the per-package analyzers.
 # The vettool is built where Go itself would put temporary files: GOTMPDIR
 # if set, else the system temp directory (`go env GOTMPDIR` succeeds with
@@ -28,7 +28,7 @@ lint-fix-check:
 	@out="$$(go run ./cmd/daslint -json ./... 2>&1)"; \
 	if [ -n "$$out" ]; then \
 		echo "$$out"; \
-		echo "lint-fix-check: findings remain (fix them or annotate with //das:allow/-transfer -- reason)"; \
+		echo "lint-fix-check: findings remain (fix them or annotate with //das:allow -- reason)"; \
 		exit 1; \
 	fi; \
 	echo "lint-fix-check: clean"

@@ -1,4 +1,4 @@
-// Command daslint runs the determinism/pooling analyzer suite from
+// Command daslint runs the determinism/ownership analyzer suite from
 // internal/lint over this repository.
 //
 // Usage:
@@ -9,8 +9,8 @@
 //
 // Standalone mode loads packages through `go list -export`, so it needs
 // only the go toolchain, and runs the whole suite — including the
-// module-wide transfer and replies analyzers, which need every package of
-// the load at once. The binary also speaks the `go vet -vettool` driver
+// module-wide replies analyzer, which needs every package of the load at
+// once. The binary also speaks the `go vet -vettool` driver
 // protocol (-V=full, -flags, and a *.cfg compilation unit), which
 // additionally covers _test.go files but sees one compilation unit at a
 // time and therefore runs only the per-package analyzers.

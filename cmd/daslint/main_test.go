@@ -25,16 +25,15 @@ func TestListAnalyzers(t *testing.T) {
 	}
 }
 
-// The standalone driver loads through `go list -export`; linting the real
-// (and clean) pool packages end-to-end must succeed quietly. core rides
-// along because the transfer analyzer only sees the packages it is given:
-// grid.GetFloats hands its slice to the caller, and the caller that puts
-// it back (the TS worker) lives there.
+// The standalone driver loads through `go list -export`; linting real (and
+// clean) packages end-to-end must succeed quietly. These are the packages
+// the surviving obligations live in: pfs and active borrow the store's
+// windows, pipeline borrows them too and answers requests (replies).
 func TestStandaloneCleanPackage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")
 	}
-	if code := runStandalone([]string{"../../internal/bufpool", "../../internal/grid", "../../internal/core"}, false); code != 0 {
+	if code := runStandalone([]string{"../../internal/pfs", "../../internal/active", "../../internal/pipeline"}, false); code != 0 {
 		t.Fatalf("runStandalone = exit %d, want 0", code)
 	}
 }

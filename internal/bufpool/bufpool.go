@@ -1,5 +1,7 @@
-// Package bufpool provides a size-classed free list for slices, shared by
-// the strip I/O hot paths (byte buffers in pfs, float buffers in grid).
+// Package bufpool provides a size-classed free list for slices. In the
+// program its one user is grid's float pool: the TS worker's output and
+// the pipeline's transient bands. Audit is its test hook: a ledger of what
+// Get hands out, and poison on what Put takes back.
 //
 // sync.Pool is the obvious tool but costs one allocation per Put of a
 // slice (the header escapes to the heap), which is exactly the per-strip
@@ -46,16 +48,21 @@ func (p *Pool[E]) Get(n int) []E {
 		return nil
 	}
 	c := class(n)
+	var s []E
 	p.mu.Lock()
 	if free := p.classes[c]; len(free) > 0 {
-		s := free[len(free)-1]
+		s = free[len(free)-1]
 		free[len(free)-1] = nil
 		p.classes[c] = free[:len(free)-1]
-		p.mu.Unlock()
-		return s[:n]
 	}
 	p.mu.Unlock()
-	return make([]E, n, 1<<c)
+	if s == nil {
+		s = make([]E, 1<<c)
+	}
+	if l := audit.Load(); l != nil {
+		l.lend(&s[0])
+	}
+	return s[:n]
 }
 
 // Put recycles a slice. Slices allocated elsewhere are accepted (their
@@ -65,30 +72,69 @@ func (p *Pool[E]) Put(s []E) {
 	if cap(s) == 0 {
 		return
 	}
+	s = s[:cap(s)]
 	c := bits.Len(uint(cap(s))) - 1 // floor: the class s can fully serve
-	if poison.Load() {
-		scribble(s[:cap(s)])
+	if l := audit.Load(); l != nil {
+		scribble(s)
+		l.back(&s[0])
 	}
 	p.mu.Lock()
 	if len(p.classes[c]) < maxPerClass {
-		p.classes[c] = append(p.classes[c], s[:cap(s)])
+		p.classes[c] = append(p.classes[c], s)
 	}
 	p.mu.Unlock()
 }
 
-// poison is a test hook: while set, every Put overwrites the slice it is
-// given, even one the free list then turns away. Memory that somebody
-// still reads after it reached a pool — a stored strip, a lent view, a
-// band kept past its Release — then holds garbage instead of plausible old
-// values, and the test comparing outputs with the sequential reference
-// fails instead of passing by luck.
-var poison atomic.Bool
+// audit is the test hook's ledger while it is on, nil while it is off.
+var audit atomic.Pointer[ledger]
 
-// PoisonPuts switches the poison hook on for a test and returns the
-// function that switches it back.
-func PoisonPuts() (restore func()) {
-	was := poison.Swap(true)
-	return func() { poison.Store(was) }
+// A ledger holds every slice Get has handed out and Put has not taken
+// back, keyed by the address of its first element: the identity of
+// s[:cap(s)], whatever length the holder resliced it to.
+type ledger struct {
+	mu  sync.Mutex
+	out map[any]bool
+}
+
+// lend records a slice Get hands out. The free list holding a slice that
+// is already out means it was Put twice, and two holders are about to
+// share it; nothing else can produce that, so it panics there and then.
+func (l *ledger) lend(first any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.out[first] {
+		panic("bufpool: Get hands out a slice that is already out: it was Put twice")
+	}
+	l.out[first] = true
+}
+
+// back records a slice Put takes back. A slice the pool never handed out
+// (Put's contract accepts one) was never recorded and is not counted.
+func (l *ledger) back(first any) {
+	l.mu.Lock()
+	delete(l.out, first)
+	l.mu.Unlock()
+}
+
+// Audit switches the test hook on and returns the function that switches
+// it off again and reports how many slices Get handed out, while it was
+// on, that no Put has returned: a leak, unless their holder is still
+// alive. While it is on, every Put also overwrites the slice it is given,
+// even one the free list then turns away. Memory that somebody still
+// reads after it reached a pool — a stored strip, a lent view, a band
+// kept past its Release — then holds garbage instead of plausible old
+// values, and the test comparing outputs with the sequential reference
+// fails instead of passing by luck. The hook is process-wide: tests that
+// run in parallel with an audited one are audited with it.
+func Audit() (done func() (outstanding int)) {
+	l := &ledger{out: make(map[any]bool)}
+	was := audit.Swap(l)
+	return func() int {
+		audit.Store(was)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.out)
+	}
 }
 
 // poisonByte fills scribbled memory; eight of them make a float64 of

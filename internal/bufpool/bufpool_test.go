@@ -75,15 +75,15 @@ func TestPutOfForeignSliceFloorsItsClass(t *testing.T) {
 	}
 }
 
-func TestPoisonPutsScribblesWhatIsPut(t *testing.T) {
-	restore := PoisonPuts()
+func TestAuditPoisonsEveryPut(t *testing.T) {
+	done := Audit()
 	var bp Pool[byte]
 	b := bp.Get(100)
 	clear(b[:cap(b)])
 	bp.Put(b)
 	for i, v := range b[:cap(b)] {
 		if v != poisonByte {
-			t.Fatalf("byte %d of a Put slice reads %#x under poison", i, v)
+			t.Fatalf("byte %d of a Put slice reads %#x under the audit", i, v)
 		}
 	}
 	var fp Pool[float64]
@@ -91,14 +91,58 @@ func TestPoisonPutsScribblesWhatIsPut(t *testing.T) {
 	clear(f)
 	fp.Put(f)
 	if got := math.Float64bits(f[9]); got != poisonByte*0x0101010101010101 {
-		t.Errorf("float of a Put slice reads %#x under poison", got)
+		t.Errorf("float of a Put slice reads %#x under the audit", got)
+	}
+	if n := done(); n != 0 {
+		t.Errorf("%d slices outstanding after every Get was Put", n)
 	}
 
-	restore()
 	c := bp.Get(100)
 	clear(c)
 	bp.Put(c)
 	if c[0] != 0 {
-		t.Error("Put still scribbles after restore")
+		t.Error("Put still scribbles after the audit is done")
 	}
+}
+
+// TestAuditCountsWhatGetHandsOut: the ledger holds a slice from its Get to
+// its Put, whatever length either end sees; a slice the pool never handed
+// out, or handed out before the audit began, is not counted when Put.
+func TestAuditCountsWhatGetHandsOut(t *testing.T) {
+	var p Pool[float64]
+	before := p.Get(8)
+	done := Audit()
+	kept, returned := p.Get(700), p.Get(3)
+	p.Put(returned[:1])
+	p.Put(make([]float64, 5)) // foreign
+	p.Put(before)
+	if n := done(); n != 1 {
+		t.Errorf("%d slices outstanding, want 1 (kept)", n)
+	}
+	p.Put(kept)
+
+	// Off, nothing is recorded: a later audit starts from zero.
+	leaked := p.Get(16)
+	if n := Audit()(); n != 0 {
+		t.Errorf("a fresh audit reports %d outstanding", n)
+	}
+	p.Put(leaked)
+}
+
+// TestAuditCatchesADoublePut: a slice Put twice sits on the free list
+// twice, and the second Get that serves it hands two holders one array.
+func TestAuditCatchesADoublePut(t *testing.T) {
+	defer Audit()()
+	var p Pool[byte]
+	s := p.Get(64)
+	p.Put(s)
+	p.Put(s)
+	first := p.Get(64)
+	defer func() {
+		if recover() == nil {
+			t.Error("a slice handed out twice passed the audit")
+		}
+		p.Put(first)
+	}()
+	p.Get(64)
 }

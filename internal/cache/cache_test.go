@@ -260,7 +260,12 @@ func TestCacheRecordMissCountsMisses(t *testing.T) {
 // a hit handed out earlier, and the slice the cache was given, read what
 // they read before: the cache never writes, or releases, what it holds.
 func TestCacheHitSurvivesEvictionOfItsKey(t *testing.T) {
-	defer bufpool.PoisonPuts()()
+	done := bufpool.Audit()
+	defer func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	}()
 	const size = 4096
 	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, size) }
 	exits := []struct {

@@ -75,7 +75,12 @@ func TestOffloadedStagesOverlap(t *testing.T) {
 // reports either), nothing stays parked, and Close returns every
 // coroutine.
 func TestCrashWithABandPrefetched(t *testing.T) {
-	defer bufpool.PoisonPuts()()
+	done := bufpool.Audit()
+	defer func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	}()
 	baseline := runtime.NumGoroutine()
 	g := workload.Terrain(overlapW, overlapH, 5)
 	want := kernels.Apply(kernels.FlowRouting{}, g)

@@ -23,7 +23,12 @@ import (
 // returned. If either happened the outputs would hold the poison instead
 // of the reference.
 func TestOutputsSurvivePoisonedPools(t *testing.T) {
-	defer bufpool.PoisonPuts()()
+	done := bufpool.Audit()
+	defer func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	}()
 	g := workload.Terrain(testW, testH, 5)
 
 	t.Run("execute", func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/hpcio/das/internal/bufpool"
 	"github.com/hpcio/das/internal/cache"
 	"github.com/hpcio/das/internal/control"
 	"github.com/hpcio/das/internal/restripe"
@@ -19,7 +20,11 @@ import (
 // of every cell verifies, a second run of a cell is byte-identical (made
 // here for the cells no Replayed experiment already runs twice), and the
 // whole evaluation builds exactly one platform per distinct cell, plus the
-// second run of each cell a Replayed experiment asks for.
+// second run of each cell a Replayed experiment asks for. Each distinct
+// cell first runs alone under bufpool.Audit: every pool Put scribbles, so
+// a buffer read after it went back fails the cell's verification, and a
+// buffer still out once the cell's platform is closed is a leak, reported
+// with the cell's name.
 func TestEveryScenarioOnce(t *testing.T) {
 	c := Quick()
 	keyOf := make(map[string]string) // name → key
@@ -49,6 +54,16 @@ func TestEveryScenarioOnce(t *testing.T) {
 		}
 	}
 
+	for _, s := range distinct {
+		done := bufpool.Audit()
+		_, err := c.Run(s) // recorded: Execute below reuses it
+		if n := done(); n != 0 {
+			t.Errorf("%q: %d pooled buffers outstanding after its platform closed", s.Name(), n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, e := range Experiments() {
 		_, recs, err := c.Execute(e)
 		if err != nil {

@@ -160,7 +160,6 @@ func (b *Band) Lend(lo int64, raw []byte) {
 		b.insert(window{lo: from, vals: vals})
 		return
 	}
-	//das:transfer -- the band owns the decoded window; Release returns it to the float pool
 	vals := floatPool.Get(int(to - from))
 	decode(vals, raw)
 	b.insert(window{lo: from, vals: vals, owned: true})

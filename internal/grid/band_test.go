@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-
-	"github.com/hpcio/das/internal/bufpool"
 )
 
 func testGrid(w, h int) *Grid {
@@ -56,6 +54,7 @@ func panicOf(f func()) (msg string) {
 // one missing — judged against the window's length, so the spare capacity
 // a pooled band inherits is as missing as anything else.
 func TestBandSpanChecksLikeAt(t *testing.T) {
+	audited(t)
 	g := testGrid(4, 4)
 	b := BandOf(g, 4, 8, 2, 10)
 	if got := b.Span(3, 9); len(got) != 6 || cap(got) != 6 || &got[0] != &b.wins[0].vals[1] {
@@ -232,7 +231,7 @@ func TestBandNarrowSharesWindowsNotCursor(t *testing.T) {
 	// A narrowed band owns none of the memory: releasing it gives back
 	// only itself, and the band it came from reads on.
 	owner := BandOf(g, 4, 20, 0, 24)
-	t.Cleanup(bufpool.PoisonPuts()) // a Put of the owner's data would scribble over it
+	audited(t) // a Put of the owner's data would scribble over it
 	owner.Narrow(4, 8).Release()
 	for i := int64(0); i < 24; i++ {
 		if owner.At(i) != float64(i) {
@@ -299,7 +298,7 @@ func TestBandLendClipsToDataRange(t *testing.T) {
 		t.Errorf("window over [5,7): LendValues panics %q, Lend %q", got, refused)
 	}
 	// The band owns none of it: releasing it hands the pool nothing.
-	defer bufpool.PoisonPuts()()
+	audited(t)
 	v.Release()
 	if vals[2] != 202 || vals[0] != 200 {
 		t.Errorf("Release scribbled over lent values: %v", vals)
@@ -309,6 +308,7 @@ func TestBandLendClipsToDataRange(t *testing.T) {
 // TestBandWritableIsOwnMemory: the memory a band allocated is its maker's
 // to fill, a lender's is nobody's to write.
 func TestBandWritableIsOwnMemory(t *testing.T) {
+	audited(t)
 	b := NewBandPooled(4, 16, 4, 8, 2, 10)
 	defer b.Release()
 	for i, w := 0, b.Writable(2, 10); i < len(w); i++ {

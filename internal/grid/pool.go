@@ -28,7 +28,6 @@ var (
 // all of it before anything reads it. Return it with PutFloats once it is
 // no longer referenced.
 func GetFloats(n int) []float64 {
-	//das:transfer -- this wrapper is the pool's hand-out point; the caller owns the slice
 	return floatPool.Get(n)
 }
 
@@ -43,7 +42,6 @@ func PutFloats(s []float64) {
 // before anything reads it. Release recycles the band.
 func NewBandPooled(width int, globalLen, start, end, lo, hi int64) *Band {
 	b := NewBandLent(width, globalLen, start, end, lo, hi)
-	//das:transfer -- the band owns its data buffer; Release returns it to the float pool
 	b.set(window{lo: lo, vals: floatPool.Get(int(hi - lo)), owned: true})
 	return b
 }

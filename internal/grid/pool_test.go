@@ -8,10 +8,23 @@ import (
 	"github.com/hpcio/das/internal/bufpool"
 )
 
+// audited runs the rest of the test under bufpool.Audit: every pool Put
+// scribbles, and a pooled buffer still out when the test's deferred calls
+// have run fails it.
+func audited(t *testing.T) {
+	done := bufpool.Audit()
+	t.Cleanup(func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	})
+}
+
 // TestNewBandPooledMatchesNewBand: a pooled band starts with a previous
 // tenant's values, and the one fill that covers it leaves it reading
 // exactly like a fresh band filled the same way.
 func TestNewBandPooledMatchesNewBand(t *testing.T) {
+	audited(t)
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	a := NewBand(4, 8, 2, 6, 0, 8)
 	copy(a.Writable(0, 8), vals)
@@ -41,7 +54,7 @@ func TestNewBandPooledMatchesNewBand(t *testing.T) {
 // the taker's side: what GetFloats returns is whatever the last holder — or
 // the poison hook — left in it, not zeros, so a taker fills all of it.
 func TestGetFloatsHandsOutArbitraryContents(t *testing.T) {
-	defer bufpool.PoisonPuts()()
+	audited(t)
 	const n = 1 << 10
 	PutFloats(make([]float64, n))
 	got := GetFloats(n)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hpcio/das/internal/bufpool"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/workload"
 )
@@ -287,6 +288,12 @@ func panicMessage(f func()) (msg string) {
 // data range, where an unchecked window would read values that are not the
 // band's instead.
 func TestRowDriverMissingHaloPanics(t *testing.T) {
+	done := bufpool.Audit() // a pooled band's stale values are poison, and every band goes back
+	defer func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	}()
 	const w, h = 8, 6
 	g := lcgGrid(w, h, 7)
 	// Owned cells (2,2)..(3,5): the first reads up-left 9, the last
@@ -335,6 +342,7 @@ func TestRowDriverMissingHaloPanics(t *testing.T) {
 				if got != want {
 					t.Errorf("%s/%s short of the %s: row path panic %q, per-element %q", name, k.Name(), short.what, got, want)
 				}
+				b.Release()
 			}
 		}
 	}

@@ -11,15 +11,13 @@ import (
 // function is a different *types.Func depending on which side of the
 // import it is seen from. Canonical string keys — "pkgpath.Func" and
 // "pkgpath.Type.Method" — are stable across that boundary and are what
-// the flow graph and the reply summaries index by.
+// the reply summaries index by.
 
 // moduleIndex is built once per CheckModule and shared by the module
-// analyzers: the function index and the ownership flow graph are each
-// constructed on first use.
+// analyzers: the function index is constructed on first use.
 type moduleIndex struct {
 	pkgs  []*Package
 	funcs map[string]*funcInfo
-	graph *flowGraph
 }
 
 // funcInfo is one module function declaration with the package context

@@ -9,28 +9,23 @@ import (
 	"sync"
 )
 
-// Suppression and transfer directives.
+// Suppression directives.
 //
 //	//das:allow <analyzer>[,<analyzer>...] -- <reason>
-//	//das:transfer -- <reason>
 //
 // An allow directive silences the named analyzers' findings on the line
 // it shares with code, or — when it stands on a line of its own — on the
-// line immediately below it. A transfer directive is not a suppression:
-// it is an assertion the bufpool analyzer checks, declaring that the
-// pooled buffer acquired or escaping on its line changes owner (the new
-// owner becomes responsible for the Put). Both require a reason after
-// " -- "; the directive analyzer rejects reason-less or unknown-analyzer
-// directives, so every exemption in the tree is explained.
+// line immediately below it. It requires a reason after " -- "; the
+// directive analyzer rejects reason-less or unknown-analyzer directives,
+// so every exemption in the tree is explained. Any other //das: comment is
+// a finding too, so a misspelled or retired directive cannot sit in the
+// tree looking as if it did something.
 
-const (
-	allowPrefix    = "//das:allow"
-	transferPrefix = "//das:transfer"
-)
+const directivePrefix = "//das:"
 
 type directive struct {
-	kind      string   // "allow" or "transfer"
-	analyzers []string // for allow: analyzer names it silences
+	kind      string   // the word after //das:; "allow" is the one that works
+	analyzers []string // analyzer names it silences
 	reason    string
 	pos       token.Pos
 	file      string
@@ -38,12 +33,9 @@ type directive struct {
 	ownLine   bool // true when nothing but the comment is on its line
 	bad       string
 
-	// Usage marks for the stale-directive check, set during a module run:
-	// suppressed counts findings this allow directive silenced; resolved
-	// is set when the transfer analyzer located the escape this transfer
-	// directive covers.
+	// suppressed counts the findings this directive silenced, for the
+	// stale-directive check of a module run.
 	suppressed int
-	resolved   bool
 }
 
 // collectDirectives scans every comment in files for das: directives.
@@ -65,17 +57,15 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 }
 
 func parseDirective(fset *token.FileSet, c *ast.Comment) (*directive, bool) {
-	text := c.Text
-	var kind string
-	switch {
-	case strings.HasPrefix(text, allowPrefix):
-		kind = "allow"
-		text = text[len(allowPrefix):]
-	case strings.HasPrefix(text, transferPrefix):
-		kind = "transfer"
-		text = text[len(transferPrefix):]
-	default:
+	text, ok := strings.CutPrefix(c.Text, directivePrefix)
+	if !ok {
 		return nil, false
+	}
+	kind := text
+	if i := strings.IndexAny(text, " \t"); i >= 0 {
+		kind, text = text[:i], text[i:]
+	} else {
+		text = ""
 	}
 	pos := fset.Position(c.Pos())
 	d := &directive{
@@ -85,6 +75,10 @@ func parseDirective(fset *token.FileSet, c *ast.Comment) (*directive, bool) {
 		line:    pos.Line,
 		ownLine: startsLine(pos),
 	}
+	if kind != "allow" {
+		d.bad = "unknown kind, //das:allow is the one directive"
+		return d, true
+	}
 	body, reason, found := strings.Cut(text, "--")
 	if !found || strings.TrimSpace(reason) == "" {
 		d.bad = "missing ' -- reason'"
@@ -92,12 +86,6 @@ func parseDirective(fset *token.FileSet, c *ast.Comment) (*directive, bool) {
 	}
 	d.reason = strings.TrimSpace(reason)
 	body = strings.TrimSpace(body)
-	if kind == "transfer" {
-		if body != "" {
-			d.bad = "transfer directive takes no arguments before ' -- '"
-		}
-		return d, true
-	}
 	if body == "" {
 		d.bad = "names no analyzer"
 		return d, true
@@ -171,7 +159,7 @@ func filterSuppressed(fset *token.FileSet, dirs []*directive, diags []Diagnostic
 		p := fset.Position(d.Pos)
 		suppressed := false
 		for _, dir := range dirs {
-			if dir.kind != "allow" || dir.bad != "" || dir.file != p.Filename {
+			if dir.bad != "" || dir.file != p.Filename {
 				continue
 			}
 			if dir.line != p.Line && !(dir.ownLine && dir.line == p.Line-1) {
@@ -191,72 +179,30 @@ func filterSuppressed(fset *token.FileSet, dirs []*directive, diags []Diagnostic
 	return out
 }
 
-// covers reports whether the directive applies to the source position p:
-// same file, and either the same line or standing alone on the line
-// directly above it.
-func (dir *directive) covers(p token.Position) bool {
-	if dir.file != p.Filename {
-		return false
-	}
-	return dir.line == p.Line || (dir.ownLine && dir.line == p.Line-1)
-}
-
-// transferCovering returns the well-formed transfer directive covering
-// pos, or nil.
-func transferCovering(fset *token.FileSet, dirs []*directive, pos token.Pos) *directive {
-	pp := fset.Position(pos)
-	for _, dir := range dirs {
-		if dir.kind == "transfer" && dir.bad == "" && dir.covers(pp) {
-			return dir
-		}
-	}
-	return nil
-}
-
-// transferAt reports whether a well-formed transfer directive covers the
-// given position (same line, or alone on the line above).
-func (p *Pass) transferAt(pos token.Pos) bool {
-	return transferCovering(p.Fset, p.directives, pos) != nil
-}
-
-// staleDirectives reports well-formed directives that no longer do
+// staleDirectives reports well-formed allow directives that no longer do
 // anything, so suppressions cannot rot in place. It runs only in module
 // checks: a single-analyzer or single-package run legitimately leaves
 // most directives idle. An allow directive is stale when every analyzer
-// it names ran and none produced a finding for it to suppress; a transfer
-// directive is stale when the transfer analyzer ran and found no
-// pooled-buffer escape on its guarded line (transfer verification
-// failures are separate transfer findings).
-func staleDirectives(dirs []*directive, analyzers []*Analyzer, ranTransfer bool) []Diagnostic {
+// it names ran and none produced a finding for it to suppress.
+func staleDirectives(dirs []*directive, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, dir := range dirs {
-		if dir.bad != "" {
+		if dir.bad != "" || dir.suppressed > 0 {
 			continue
 		}
-		switch dir.kind {
-		case "allow":
-			allRan := true
-			for _, name := range dir.analyzers {
-				if !hasAnalyzer(analyzers, name) {
-					allRan = false
-				}
+		allRan := true
+		for _, name := range dir.analyzers {
+			if !hasAnalyzer(analyzers, name) {
+				allRan = false
 			}
-			if allRan && dir.suppressed == 0 {
-				out = append(out, Diagnostic{
-					Pos:      dir.pos,
-					Analyzer: "directive",
-					Message: fmt.Sprintf("stale //das:allow directive: no %s finding on the guarded line",
-						strings.Join(dir.analyzers, "/")),
-				})
-			}
-		case "transfer":
-			if ranTransfer && !dir.resolved {
-				out = append(out, Diagnostic{
-					Pos:      dir.pos,
-					Analyzer: "directive",
-					Message:  "stale //das:transfer directive: no pooled-buffer escape on the guarded line",
-				})
-			}
+		}
+		if allRan {
+			out = append(out, Diagnostic{
+				Pos:      dir.pos,
+				Analyzer: "directive",
+				Message: fmt.Sprintf("stale //das:allow directive: no %s finding on the guarded line",
+					strings.Join(dir.analyzers, "/")),
+			})
 		}
 	}
 	return out
@@ -266,14 +212,13 @@ func staleDirectives(dirs []*directive, analyzers []*Analyzer, ranTransfer bool)
 // misspelled exemption is an error rather than a silent no-op.
 var Directive = &Analyzer{
 	Name: "directive",
-	Doc: `report malformed and stale //das:allow and //das:transfer directives
+	Doc: `report malformed, unknown and stale //das: directives
 
-Every directive must carry ' -- reason'; allow directives must name known
-analyzers. In module runs (standalone daslint, not the per-package vet
-protocol) a well-formed directive that no longer does anything is also
-reported: an allow that suppressed no finding of the analyzers it names,
-or a transfer whose guarded line carries no pooled-buffer escape. Findings
-of this analyzer cannot themselves be suppressed.`,
+An allow directive must carry ' -- reason' and name known analyzers; a
+//das: comment of any other kind is reported as unknown. In module runs
+(standalone daslint, not the per-package vet protocol) a well-formed
+allow that suppressed no finding of the analyzers it names is reported as
+stale. Findings of this analyzer cannot themselves be suppressed.`,
 	Run: func(pass *Pass) error {
 		for _, dir := range pass.directives {
 			if dir.bad != "" {

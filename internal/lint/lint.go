@@ -1,5 +1,5 @@
 // Package lint implements daslint, a vet-style analyzer suite that turns
-// the simulator's determinism and pooling contracts from doc comments
+// the simulator's determinism and ownership contracts from doc comments
 // into build-time errors.
 //
 // The whole reproduction rests on the DES being bit-reproducible: scheme
@@ -14,25 +14,25 @@
 //     order.
 //   - goroutines: the scheduler owns concurrency; go statements are only
 //     legal at the blessed sites.
-//   - bufpool: a pooled buffer must reach its Put on every return path,
-//     or escape through an explicitly annotated transfer.
+//   - borrow: the strip memory a read lends out is read-only — never
+//     released to a pool, copied into, or assigned through an index.
 //
-// Two module-wide analyzers follow those contracts across call chains,
-// which the per-function checks cannot:
+// One module-wide analyzer follows its contract across call chains, which
+// the per-package checks cannot:
 //
-//   - transfer: every //das:transfer annotation is a checked obligation —
-//     the annotated escape is followed through the module's ownership
-//     flow graph (returns, parameters, struct fields, message payloads)
-//     and reported when no path in any new owner ever releases the
-//     buffer.
 //   - replies: a handler that receives a simnet request must send exactly
 //     one reply on every path; a dropped reply parks the caller forever
 //     in simulated time, a deadlock no race detector sees.
 //
-// A final analyzer, directive, validates the //das:allow and
-// //das:transfer suppression/transfer comments the others honor, and (in
-// module runs) reports stale directives whose guarded construct no longer
-// needs them.
+// A final analyzer, directive, validates the //das:allow suppression
+// comments the others honor, reports any other //das: comment, and (in
+// module runs) reports stale allows whose guarded line no longer needs
+// them.
+//
+// Pooled-buffer ownership — every Get Put back, nothing read after its
+// Put — is not checked here but where the code runs: bufpool.Audit
+// records what the pool hands out and poisons what comes back, and the
+// tests that run every scenario under it fail on a leak or a stale read.
 //
 // The package deliberately mirrors the shapes of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, analysistest-style
@@ -64,8 +64,7 @@ const ModulePath = "github.com/hpcio/das"
 // time, which is all the `go vet -vettool` protocol can provide (vet
 // hands the driver one compilation unit, without dependency source).
 // RunModule is the interprocedural form: it runs once over every package
-// of a load, so it can follow ownership hand-offs and reply obligations
-// across call chains. An analyzer defines one or the other; Check skips
+// of a load, so it can follow reply obligations across call chains. An analyzer defines one or the other; Check skips
 // module analyzers and CheckModule runs both kinds.
 type Analyzer struct {
 	Name      string
@@ -82,11 +81,10 @@ func (a *Analyzer) Summary() string {
 	return a.Doc
 }
 
-// All lists every analyzer in the suite, in the order they run. Transfer
-// and Replies are module analyzers: per-package drivers (the vet protocol)
-// skip them.
+// All lists every analyzer in the suite, in the order they run. Replies is
+// a module analyzer: per-package drivers (the vet protocol) skip it.
 func All() []*Analyzer {
-	return []*Analyzer{Simclock, Detrand, Goroutines, Bufpool, Transfer, Replies, Directive}
+	return []*Analyzer{Simclock, Detrand, Goroutines, Borrow, Replies, Directive}
 }
 
 // A Pass carries one parsed, type-checked package into an analyzer's Run
@@ -177,9 +175,8 @@ type ModulePass struct {
 	Fset     *token.FileSet
 	Pkgs     []*Package
 
-	mod        *moduleIndex
-	directives []*directive
-	report     func(Diagnostic)
+	mod    *moduleIndex
+	report func(Diagnostic)
 }
 
 // Reportf records a diagnostic at pos, as Pass.Reportf does.
@@ -187,19 +184,11 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// transferAt reports whether a well-formed transfer directive covers pos,
-// and marks the directive consulted (the stale-directive check keys on
-// it).
-func (p *ModulePass) transferAt(pos token.Pos) bool {
-	return transferCovering(p.Fset, p.directives, pos) != nil
-}
-
 // CheckModule runs the suite over a whole load: per-package analyzers
 // over each package, module analyzers once across all of them. On top of
 // Check's directive handling it reports stale directives — a //das:allow
-// that suppressed nothing, or a //das:transfer covering no escape the
-// transfer analyzer can resolve — so suppressions cannot outlive the code
-// they excused.
+// that suppressed nothing — so suppressions cannot outlive the code they
+// excused.
 func CheckModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
@@ -237,28 +226,25 @@ func CheckModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 
 	mod := &moduleIndex{pkgs: pkgs}
-	ranModule := make(map[string]bool)
 	for _, a := range analyzers {
 		if a.RunModule == nil {
 			continue
 		}
 		mp := &ModulePass{
-			Analyzer:   a,
-			Fset:       fset,
-			Pkgs:       pkgs,
-			mod:        mod,
-			directives: allDirs,
-			report:     report,
+			Analyzer: a,
+			Fset:     fset,
+			Pkgs:     pkgs,
+			mod:      mod,
+			report:   report,
 		}
 		if err := a.RunModule(mp); err != nil {
 			return nil, fmt.Errorf("module analyzer %s: %w", a.Name, err)
 		}
-		ranModule[a.Name] = true
 	}
 
 	diags = filterSuppressed(fset, allDirs, diags)
 	if hasAnalyzer(analyzers, "directive") {
-		diags = append(diags, staleDirectives(allDirs, analyzers, ranModule["transfer"])...)
+		diags = append(diags, staleDirectives(allDirs, analyzers)...)
 	}
 	sortDiagnostics(fset, diags)
 	return diags, nil

@@ -71,8 +71,8 @@ func TestGoroutinesCoroutinesOnlyInSim(t *testing.T) {
 	linttest.Run(t, lint.Goroutines, "goroutines_sim", lint.ModulePath+"/internal/sim")
 }
 
-func TestBufpool(t *testing.T) {
-	linttest.Run(t, lint.Bufpool, "bufpool", lint.ModulePath+"/internal/fakebuf")
+func TestBorrow(t *testing.T) {
+	linttest.Run(t, lint.Borrow, "borrow", lint.ModulePath+"/internal/fakeborrow")
 }
 
 func TestAllowDirectives(t *testing.T) {
@@ -81,21 +81,6 @@ func TestAllowDirectives(t *testing.T) {
 
 func TestDirective(t *testing.T) {
 	linttest.Run(t, lint.Directive, "directive", lint.ModulePath+"/internal/fakedir")
-}
-
-func TestTransferModule(t *testing.T) {
-	// The transfer chains only exist module-wide: prod's hand-offs resolve
-	// (or leak) through relay, sink, and cons. Directive rides along so the
-	// stale-transfer check is exercised in the same run.
-	linttest.RunModule(t,
-		[]*lint.Analyzer{lint.Transfer, lint.Directive},
-		"xferchain",
-		[][2]string{
-			{"sink", "example.com/xferchain/sink"},
-			{"relay", "example.com/xferchain/relay"},
-			{"prod", "example.com/xferchain/prod"},
-			{"cons", "example.com/xferchain/cons"},
-		})
 }
 
 func TestRepliesModule(t *testing.T) {

@@ -19,8 +19,8 @@
 // Multi-package fixtures for the module-wide analyzers live under
 // internal/lint/testdata/mod/<mod>/<subdir>; RunModule type-checks each
 // subdirectory as its own package and runs the CheckModule pipeline over
-// the lot, so transfer chains and reply obligations can cross package
-// boundaries exactly as they do in the real module.
+// the lot, so reply obligations can cross package boundaries exactly as
+// they do in the real module.
 package linttest
 
 import (

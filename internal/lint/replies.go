@@ -358,7 +358,8 @@ type repExit struct {
 }
 
 // repWalk is the statement-structure interpreter for the reply
-// obligation, the same conservative shape as bufpool's buffer walk.
+// obligation: a conservative walk of if/for/switch joins, early returns
+// and terminating calls.
 type repWalk struct {
 	info      *types.Info
 	discharge func(*ast.CallExpr) bool
@@ -584,4 +585,87 @@ func (w *repWalk) scan(n ast.Node, st rState) (rState, bool) {
 		}
 	}
 	return st, true
+}
+
+// inspectShallow walks n but does not descend into function literals.
+func inspectShallow(n ast.Node, fn func(ast.Node)) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if _, ok := m.(*ast.FuncLit); ok {
+			return false
+		}
+		if m != nil {
+			fn(m)
+		}
+		return true
+	})
+}
+
+// loopCanExit reports whether a for body contains a break/return that
+// leaves the loop.
+func loopCanExit(body *ast.BlockStmt) bool {
+	can := false
+	inspectShallow(body, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.BranchStmt:
+			if n.Tok == token.BREAK {
+				can = true
+			}
+		case *ast.ReturnStmt:
+			can = true
+		}
+	})
+	return can
+}
+
+// collectClosures maps local variables bound to function literals,
+// anywhere in body (nested closures included).
+func collectClosures(info *types.Info, body *ast.BlockStmt) map[types.Object]*ast.FuncLit {
+	closures := make(map[types.Object]*ast.FuncLit)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				fl, ok := ast.Unparen(rhs).(*ast.FuncLit)
+				if !ok || i >= len(n.Lhs) {
+					continue
+				}
+				id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident)
+				if !ok {
+					continue
+				}
+				if obj := info.ObjectOf(id); obj != nil {
+					closures[obj] = fl
+				}
+			}
+		case *ast.ValueSpec:
+			for i, v := range n.Values {
+				fl, ok := ast.Unparen(v).(*ast.FuncLit)
+				if !ok || i >= len(n.Names) {
+					continue
+				}
+				if obj := info.Defs[n.Names[i]]; obj != nil {
+					closures[obj] = fl
+				}
+			}
+		}
+		return true
+	})
+	return closures
+}
+
+// flatFieldIdents flattens a field list to one ident per flat index
+// (nil for unnamed fields), matching types.Signature indexing.
+func flatFieldIdents(fl *ast.FieldList) []*ast.Ident {
+	if fl == nil {
+		return nil
+	}
+	var out []*ast.Ident
+	for _, f := range fl.List {
+		if len(f.Names) == 0 {
+			out = append(out, nil)
+			continue
+		}
+		out = append(out, f.Names...)
+	}
+	return out
 }

@@ -17,17 +17,17 @@ var noAnalyzer int
 //das:allow nosuchcheck -- suppressing a check that does not exist // want `malformed //das:allow directive: unknown analyzer nosuchcheck`
 var unknownAnalyzer int
 
-//das:transfer ident -- transfer takes no analyzer list // want `malformed //das:transfer directive: transfer directive takes no arguments before ' .. '`
-var transferWithArgs int
+// A directive of any other kind — retired, misspelled — would otherwise
+// sit in the tree looking as if it did something.
+//
+//das:transfer -- ownership moves to the caller // want `malformed //das:transfer directive: unknown kind, //das:allow is the one directive`
+var retired int
 
-//das:transfer // want `malformed //das:transfer directive: missing ' .. reason'`
-var transferNoReason int
+//das:alow simclock -- misspelled // want `malformed //das:alow directive: unknown kind`
+var misspelled = time.Duration(0)
 
 // Well-formed directives are not findings, even when they suppress
 // nothing on their line.
 //
 //das:allow simclock -- well-formed and inert here
 var fine int
-
-//das:transfer -- well-formed and inert here
-var alsoFine int

@@ -153,7 +153,12 @@ func TestClientBufferIsCopiedOnceOnEntry(t *testing.T) {
 // the ReleaseBuffer shim feeds no pool — with poison on, a Put of any of
 // these windows would scribble over the store.
 func TestReadResultOutlivesTheStrip(t *testing.T) {
-	defer bufpool.PoisonPuts()()
+	done := bufpool.Audit()
+	defer func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	}()
 	clu, fs := testFS(t)
 	const strip = 64
 	if _, err := fs.Create("f", 5*strip, layout.NewRoundRobin(4), CreateOptions{StripSize: strip}); err != nil {
@@ -247,7 +252,12 @@ func TestReadResultOutlivesTheStrip(t *testing.T) {
 // and restart of their holder, and deleted — with poison on, so a window
 // that reached a pool on the way would show.
 func TestLentClientReadOutlivesTheStrips(t *testing.T) {
-	defer bufpool.PoisonPuts()()
+	done := bufpool.Audit()
+	defer func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	}()
 	clu, fs := testFS(t)
 	const strip = 64
 	const elems = strip / grid.ElemSize

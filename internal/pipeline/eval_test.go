@@ -4,10 +4,25 @@ import (
 	"math"
 	"testing"
 
+	"github.com/hpcio/das/internal/bufpool"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/workload"
 )
+
+// audited runs the rest of the test under bufpool.Audit: every pool Put
+// scribbles, so a transient released before its reader returns feeds that
+// reader garbage, and a pooled buffer still out once the test's platforms
+// are closed fails it. Call it first, so its check runs after every other
+// cleanup.
+func audited(t *testing.T) {
+	done := bufpool.Audit()
+	t.Cleanup(func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	})
+}
 
 // TestEvalFromInputMatchesPerElement: the fused from-input recursion hands
 // every stage a band over its parent's values with exactly that stage's
@@ -17,6 +32,7 @@ import (
 // matches any NaN, since which payload a sum of two NaNs keeps is the
 // compiler's operand order on either path.
 func TestEvalFromInputMatchesPerElement(t *testing.T) {
+	audited(t)
 	reg, oracle := kernels.Default(), kernels.NewRegistry()
 	for _, name := range reg.Names() {
 		k, _ := reg.Lookup(name)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/hpcio/das/internal/bufpool"
 	"github.com/hpcio/das/internal/fault"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
@@ -45,7 +44,7 @@ func stageOnPrimaries(t *testing.T, rig *testRig, p *sim.Proc, req stageReq) []i
 // the run — by the client's release, and by the purge that follows a
 // restart — with every pool scribbling over whatever reaches it.
 func TestPulledWindowOutlivesOwnerState(t *testing.T) {
-	defer bufpool.PoisonPuts()()
+	audited(t)
 	rig := newRig(t, layout.NewRoundRobin(4), testW, testH, testStrip)
 	rig.createOut(t, "out")
 	d := chain3()

@@ -209,6 +209,7 @@ func TestPipelineChainMatchesReference(t *testing.T) {
 }
 
 func TestPipelineFusedPrefixSkipsExchange(t *testing.T) {
+	audited(t)
 	// Replica halo of 3 strips (192 elements) covers the two-stage
 	// recursion depth 130: the first two stages fuse into round 0 and
 	// only the third stage exchanges.
@@ -305,6 +306,7 @@ func TestPipelineDeterministicReplay(t *testing.T) {
 }
 
 func TestPipelineSurvivesMidRunCrashByteIdentical(t *testing.T) {
+	audited(t)
 	// Full mirroring (halo == r): any single crash leaves a live copy of
 	// every strip, so reassignment plus catch-up can always finish.
 	lay := layout.NewGroupedReplicated(4, 2, 2)
@@ -344,6 +346,7 @@ func TestPipelineSurvivesMidRunCrashByteIdentical(t *testing.T) {
 }
 
 func TestPipelineCrashRestartPurgesStateAndCatchesUp(t *testing.T) {
+	audited(t)
 	lay := layout.NewGroupedReplicated(4, 2, 2)
 	d := chain3()
 	want, err := kernels.ApplyDAG(d, kernels.Default(), kernels.DefaultCombiners(), workload.Terrain(testW, testH, 11))
