@@ -4,9 +4,10 @@
 // difference between the schemes visible at a glance — NAS servers
 // dominated by "fetch" and the "stall" it causes, DAS servers by "compute"
 // with their reads and writes hidden behind it, TS workers by "read" and
-// "write-back". A storage server's stages overlap, so each is an actor of
-// its own (server-N/read, /compute, /write, /forward); a TS worker is one
-// actor. The run is a cell of the evaluation
+// "write-back". A storage server's stages overlap, and so do a TS
+// worker's, so each stage is an actor of its own (server-N/read, /compute,
+// /write, /forward; ts-worker-N/read, /compute, /write), stalls recorded
+// on the compute lane. The run is a cell of the evaluation
 // (experiments.Config.Cell): the same raster, placement and platform the
 // figures measure.
 //

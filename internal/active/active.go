@@ -84,13 +84,16 @@ type execReq struct {
 // blocked in each stage, so queueing on a contended disk or NIC counts
 // toward the stage that waited — exactly the "increased load" effect.
 //
-// A storage server's stages overlap (walkRuns), so LocalRead, Fetch,
+// A storage server's stages overlap (WalkRuns), so LocalRead, Fetch,
 // Compute and Write do not add up to its elapsed time; each is what its
 // stage was busy for. What adds up is the request's own process: the
 // first run's LocalRead + Fetch, then Compute, then Stall, then the drain
 // — the last run's Write and Forward — is the time from the request's
-// arrival to its reply. A TS worker has no stages and no Stall: its Fetch +
-// Compute + Write is its elapsed time after startup.
+// arrival to its reply. A TS worker walks its stripes through the same
+// stages, its Fetch being its reads of the input and Write its
+// write-back: after startup, the first stripe's Fetch + Compute + Stall +
+// the last stripe's Write is its elapsed time, and a block of one stripe
+// has no Stall, so its Fetch + Compute + Write is.
 type Phases struct {
 	LocalRead sim.Time // local strip + replica reads through the disk
 	Fetch     sim.Time // waiting for dependent data from other servers
@@ -218,7 +221,7 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 }
 
 // exec processes every run of consecutive primary strips this server owns
-// through walkRuns' three stages: assemble the run's band (local reads,
+// through WalkRuns' three stages: assemble the run's band (local reads,
 // replica reads, and — depending on the mode — remote fetches), invoke the
 // kernel, and write the output strips locally while the output layout's
 // replica holders are sent their copies.
@@ -419,7 +422,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 			clu.Trace.Record(since, p.Now()-since, lane(srv, "compute"), "stall", "waiting for the next band or the last write")
 		}
 	}
-	err := walkRuns(p, assignedRuns(srv, in, req.Strips), assemble, compute, stalled)
+	err := WalkRuns(p, assignedRuns(srv, in, req.Strips), assemble, compute, stalled)
 	// An error is answered the way success is answered: only once the
 	// replica forwards already started have been acknowledged. When the
 	// reply leaves is simulated behaviour — under a crash plan it decides

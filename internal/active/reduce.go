@@ -36,7 +36,7 @@ type ReduceStats struct {
 // handleReduce folds every primary run of this server through the reducer
 // and responds with the merged partial. Reductions have no dependence, so
 // assembly needs no halo and no remote fetches, and nothing is stored:
-// of walkRuns' stages only the read-ahead is at work.
+// of WalkRuns' stages only the read-ahead is at work.
 func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 	clu := svc.fs.Cluster()
 	req := msg.Payload.(reduceReq)
@@ -86,7 +86,7 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		elements += e1 - e0
 		return nil
 	}
-	if err := walkRuns(p, PrimaryRuns(srv, in), assemble, fold, nil); err != nil {
+	if err := WalkRuns(p, PrimaryRuns(srv, in), assemble, fold, nil); err != nil {
 		respond(reduceResp{Err: err.Error()}, headerBytes)
 		return
 	}

@@ -5,8 +5,11 @@ import (
 	"github.com/hpcio/das/internal/sim"
 )
 
-// walkRuns is the one body for "walk my runs": three stages, double
-// buffered, so a server's disk, CPU and NIC work at once.
+// WalkRuns is the one body for "walk my runs": three stages, double
+// buffered, so a node's disk, CPU and NIC work at once. A storage server
+// walks its runs of strips through it for a kernel (exec) and a reduction
+// (handleReduce), and a TS compute node walks its block through it one
+// stripe at a time.
 //
 //	assemble   run i+1 on a child process, started when compute i starts
 //	compute    run i on p, the request's own process
@@ -23,7 +26,7 @@ import (
 // assembler or the writer, with when the wait began. On an error the loop
 // joins whichever of the two is still out, releases a band prefetched for
 // a run that will not compute, and returns the first error.
-func walkRuns(p *sim.Proc, runs []StripRun,
+func WalkRuns(p *sim.Proc, runs []StripRun,
 	assemble func(a *sim.Proc, run StripRun) (*grid.Band, error),
 	compute func(run StripRun, band *grid.Band) (write func(w *sim.Proc) error),
 	stalled func(since sim.Time),

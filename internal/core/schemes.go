@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/hpcio/das/internal/active"
 	"github.com/hpcio/das/internal/features"
@@ -96,53 +97,128 @@ func (s *System) tsJob(rep *Report, req Request, in *pfs.FileMeta) (func(p *sim.
 // returning its per-phase time decomposition. Under TS the "Fetch" phase
 // is the client's read of the input from the storage servers and "Write"
 // is the output write-back — the client↔server traffic DAS eliminates.
+//
+// The worker double-buffers, as an application over a parallel I/O
+// library does: its block walks the storage servers' own run loop
+// (active.WalkRuns), one stripe per run — reading stripe i+1 while it
+// computes stripe i and writes stripe i−1 back. A stripe is Servers()
+// consecutive strips, one per server under round-robin: what a parallel
+// I/O library moves per buffer, a property of the file and not a setting.
 func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, first, last, maxAbs, total int64, w int) (active.Phases, error) {
 	var phases active.Phases
 	s.startup(p)
 	client := s.FS.NewClient(s.Clu.ComputeID(w))
-	byteLo, _ := in.StripBounds(first)
-	_, byteHi := in.StripBounds(last)
-	e0, e1 := byteLo/in.ElemSize, byteHi/in.ElemSize
-	lo, hi := grid.HaloRange(e0, e1, maxAbs, total)
-
-	// The band reads the owners' stored strips where they lie.
-	readStart := p.Now()
-	band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
-	err := client.ReadLent(p, in.Name, lo*in.ElemSize, (hi-lo)*in.ElemSize, func(at int64, window []byte) {
-		band.Lend(at/in.ElemSize, window)
-	})
-	if err != nil {
-		band.Release()
-		return phases, err
-	}
-	phases.Fetch = p.Now() - readStart
-	if s.Clu.Trace != nil {
-		s.Clu.Trace.Record(readStart, phases.Fetch, tsActor(w), "read",
-			fmt.Sprintf("%d bytes of %s", (hi-lo)*in.ElemSize, in.Name))
+	var runs []active.StripRun
+	stripe := int64(s.FS.Servers())
+	for t := first; t <= last; t += stripe {
+		runLast := min(t+stripe-1, last)
+		lo, _ := in.StripBounds(t)
+		_, hi := in.StripBounds(runLast)
+		runs = append(runs, active.StripRun{First: t, Last: runLast, Lo: lo, Hi: hi})
 	}
 
-	outVals := grid.GetFloats(int(e1 - e0))
-	kernels.ParallelApplyBand(k, band, outVals)
-	band.Release()
-	computeStart := p.Now()
-	p.Sleep(s.Clu.ComputeTime(e1-e0, k.Weight()))
-	phases.Compute = p.Now() - computeStart
-	if s.Clu.Trace != nil {
-		s.Clu.Trace.Record(computeStart, phases.Compute, tsActor(w), "compute",
-			fmt.Sprintf("%s over %d elements", k.Name(), e1-e0))
+	// Halo rows are read once. A stripe reads from where the last read
+	// ended to the end of its halo, and its band is lent, besides, the
+	// windows earlier stripes read that its halo reaches back into. Every
+	// window is an owner's stored strip, read where it lies: a carried one
+	// reads what it read when it was lent, whatever replaces the strip.
+	type window struct {
+		at  int64 // first element
+		raw []byte
+	}
+	var carried []window
+	var readTo int64 // one past the last byte read
+	assemble := func(a *sim.Proc, run active.StripRun) (*grid.Band, error) {
+		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
+		lo, hi := grid.HaloRange(e0, e1, maxAbs, total)
+		band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
+		carried = slices.DeleteFunc(carried, func(c window) bool { return c.at+int64(len(c.raw))/in.ElemSize <= lo })
+		for _, c := range carried {
+			band.Lend(c.at, c.raw)
+		}
+		from := max(lo*in.ElemSize, readTo)
+		readStart := a.Now()
+		err := client.ReadLent(a, in.Name, from, hi*in.ElemSize-from, func(at int64, raw []byte) {
+			band.Lend(at/in.ElemSize, raw)
+			carried = append(carried, window{at / in.ElemSize, raw})
+		})
+		if err != nil {
+			band.Release()
+			return nil, err
+		}
+		readTo = hi * in.ElemSize
+		phases.Fetch += a.Now() - readStart
+		if s.Clu.Trace != nil {
+			s.Clu.Trace.Record(readStart, a.Now()-readStart, tsLane(w, "read"), "read",
+				fmt.Sprintf("%d bytes of %s", hi*in.ElemSize-from, in.Name))
+		}
+		return band, nil
 	}
 
-	// Write the output back, batching the strips bound for each server.
 	// The output's bytes stay this client's: each primary copies what it
-	// receives, so the floats go back to the pool once the writes return.
-	outBytes := grid.Bytes(outVals)
+	// receives, so a stripe's floats go back to the pool once its writes
+	// return. When a write fails the walk returns without starting the
+	// next stripe's, and that stripe's floats go back here.
+	type output struct {
+		vals    []float64
+		written bool
+	}
+	var computed *output
+	compute := func(run active.StripRun, band *grid.Band) func(*sim.Proc) error {
+		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
+		o := &output{vals: grid.GetFloats(int(e1 - e0))}
+		computed = o
+		kernels.ParallelApplyBand(k, band, o.vals)
+		band.Release()
+		computeStart := p.Now()
+		p.Sleep(s.Clu.ComputeTime(e1-e0, k.Weight()))
+		phases.Compute += p.Now() - computeStart
+		if s.Clu.Trace != nil {
+			s.Clu.Trace.Record(computeStart, p.Now()-computeStart, tsLane(w, "compute"), "compute",
+				fmt.Sprintf("%s over %d elements", k.Name(), e1-e0))
+		}
+		return func(wp *sim.Proc) error {
+			o.written = true
+			writeStart := wp.Now()
+			err := s.writeBack(wp, client, out, run, grid.Bytes(o.vals))
+			grid.PutFloats(o.vals) // every writer has fired: nothing references the output
+			if err != nil {
+				return err
+			}
+			phases.Write += wp.Now() - writeStart
+			if s.Clu.Trace != nil {
+				s.Clu.Trace.Record(writeStart, wp.Now()-writeStart, tsLane(w, "write"), "write-back",
+					fmt.Sprintf("strips %d-%d of %s", run.First, run.Last, out.Name))
+			}
+			return nil
+		}
+	}
+
+	stalled := func(since sim.Time) {
+		phases.Stall += p.Now() - since
+		if s.Clu.Trace != nil {
+			s.Clu.Trace.Record(since, p.Now()-since, tsLane(w, "compute"), "stall", "waiting for the next stripe or the last write")
+		}
+	}
+	err := active.WalkRuns(p, runs, assemble, compute, stalled)
+	if computed != nil && !computed.written {
+		grid.PutFloats(computed.vals)
+	}
+	return phases, err
+}
+
+// writeBack writes a run's output strips back to their primaries, the
+// strips bound for each server batched into one request, the requests to
+// distinct servers in flight at once. It returns once every request has
+// been answered.
+func (s *System) writeBack(p *sim.Proc, client *pfs.Client, out *pfs.FileMeta, run active.StripRun, outBytes []byte) error {
 	type batch struct {
 		strips []int64
 		chunks [][]byte
 	}
 	batches := make(map[int]*batch)
 	var order []int
-	for t := first; t <= last; t++ {
+	for t := run.First; t <= run.Last; t++ {
 		tLo, tHi := out.StripBounds(t)
 		srv := out.Layout.Primary(t)
 		b, ok := batches[srv]
@@ -152,7 +228,7 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 			order = append(order, srv)
 		}
 		b.strips = append(b.strips, t)
-		b.chunks = append(b.chunks, outBytes[tLo-byteLo:tHi-byteLo])
+		b.chunks = append(b.chunks, outBytes[tLo-run.Lo:tHi-run.Lo])
 	}
 	sigs := make([]*sim.Signal[error], 0, len(order))
 	for _, srv := range order {
@@ -164,24 +240,18 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 			done.Fire(s.FS.WriteStripsTo(wp, client.NodeID(), srv, out.Name, b.strips, b.chunks, true))
 		})
 	}
-	writeStart := p.Now()
-	for _, e := range sim.WaitAll(p, sigs) {
-		if e != nil {
-			grid.PutFloats(outVals) // all writers have fired: nothing references the output
-			return phases, e
+	for _, err := range sim.WaitAll(p, sigs) {
+		if err != nil {
+			return err
 		}
 	}
-	grid.PutFloats(outVals) // writes acknowledged: stores hold copies
-	phases.Write = p.Now() - writeStart
-	if s.Clu.Trace != nil {
-		s.Clu.Trace.Record(writeStart, phases.Write, tsActor(w), "write-back",
-			fmt.Sprintf("strips %d-%d of %s", first, last, out.Name))
-	}
-	return phases, nil
+	return nil
 }
 
-// tsActor names a TS compute worker for trace events.
-func tsActor(w int) string { return fmt.Sprintf("ts-worker-%d", w) }
+// tsLane names one stage of a TS compute worker for trace events. The
+// stages overlap, so each is an actor of its own, as a storage server's
+// are.
+func tsLane(w int, stage string) string { return fmt.Sprintf("ts-worker-%d/%s", w, stage) }
 
 // runNAS executes the operation as existing active storage systems do:
 // offload unconditionally, each server processing its local strips and
