@@ -58,15 +58,20 @@ bench-smoke:
 # restripe include crash runs), and `dasbench -quick -exp faults` —
 # retries, timeouts and failover counts under a mid-run crash — must print
 # its golden text. A refactor that moves no byte passes; anything else
-# names every record that moved (or came, or went) and shows the lines of
-# the faults text that differ.
+# names every record that moved (or came, or went), with its steps'
+# sim_seconds committed → generated, and shows the lines of the faults
+# text that differ.
 bench-identity:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	go build -o "$$tmp/dasbench" ./cmd/dasbench; \
 	"$$tmp/dasbench" -exp all -json "$$tmp/BENCH_sim.json" >/dev/null; \
 	if ! cmp -s "$$tmp/BENCH_sim.json" BENCH_sim.json; then \
-		echo "bench-identity: BENCH_sim.json differs from what the code generates, in these records:"; \
-		diff "$$tmp/BENCH_sim.json" BENCH_sim.json | sed -n 's/^[<>] {"name":"\([^"]*\)".*/  \1/p' | sort -u; \
+		echo "bench-identity: BENCH_sim.json differs from what the code generates, in these records (step sim_seconds, committed → generated):"; \
+		awk 'function key(l) { return match(l, /^[{]"name":"[^"]*"/) ? substr(l, 10, RLENGTH - 10) : "" } \
+		function secs(l, s) { s = ""; while (match(l, /"sim_seconds":[^,}]*/)) { s = s (s == "" ? "" : ", ") substr(l, RSTART + 14, RLENGTH - 14); l = substr(l, RSTART + RLENGTH) } return s } \
+		FNR == NR { if ((k = key($$0)) != "") was[k] = $$0; next } \
+		(k = key($$0)) != "" { seen[k] = 1; if (!(k in was)) print "  " k ": (none) → " secs($$0); else if (was[k] != $$0) print "  " k ": " secs(was[k]) " → " secs($$0) } \
+		END { for (k in was) if (!(k in seen)) print "  " k ": " secs(was[k]) " → (none)" }' BENCH_sim.json "$$tmp/BENCH_sim.json"; \
 		exit 1; \
 	fi; \
 	echo "bench-identity: BENCH_sim.json identical"; \

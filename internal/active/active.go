@@ -135,14 +135,10 @@ func maxTime(a, b sim.Time) sim.Time {
 // pointer: the stages of an exec, on their several processes, fill in the
 // one value the reply then carries.
 type execResp struct {
-	Err           string
-	Strips        int64 // primary strips processed
-	Elements      int64 // elements produced
-	RemoteFetches int64 // remote strip (or row-range) requests issued
-	RemoteBytes   int64 // bytes fetched from other servers
-	CacheHits     int64 // dependent ranges served by the halo-strip cache
-	CacheHitBytes int64 // bytes those hits kept off the network
-	Phases        Phases
+	Err      string
+	Strips   int64 // primary strips processed
+	Elements int64 // elements produced
+	Tally
 }
 
 // ExecStats aggregates the per-server results of one offloaded operation.
@@ -251,247 +247,31 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 	pat := svc.registry.Pattern(req.Op)
 	maxAbs := pat.MaxAbsOffset(in.Width)
 	offs := pat.Resolve(in.Width)
-	mode := req.Mode // the stages capture what they use of the request, not the request
 
 	resp := new(execResp)
-	var forwards []*sim.Signal[error]
+	st := NewStages(svc.fs, svc.cache, srv, in, out, req.Mode, &resp.Tally)
 	var needed []int64 // one list for every run's needed strips: assemblers never overlap
-
-	// Assemble a run's band: all locally held strips (the run plus any
-	// replicas) come in one batched disk pass; missing strips are fetched
-	// from their owners per the request's mode. Only strips the dependence
-	// pattern actually touches are read — a sparse stride pattern skips the
-	// strips between its endpoints, and the band has no window there.
-	// Nothing is copied: the band is lent the stored strips and the fetched
-	// buffers themselves, and reads what they held when it was lent them
-	// whatever replaces a strip before the kernel runs.
 	assemble := func(a *sim.Proc, run StripRun) (*grid.Band, error) {
-		e0 := run.Lo / in.ElemSize
-		e1 := run.Hi / in.ElemSize
-		lo, hi := grid.HaloRange(e0, e1, maxAbs, total)
-		band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
-
-		var localSpans []pfs.Span
-		var localLo []int64
-		type remote struct{ strip, needLo, needHi int64 }
-		var remotes []remote
-		needed = predict.NeededStrips(needed, lc, offs, e0, e1, total)
-		for _, t := range needed {
-			tLo, tHi := in.StripBounds(t)
-			needLo, needHi := lo*in.ElemSize, hi*in.ElemSize
-			if needLo < tLo {
-				needLo = tLo
-			}
-			if needHi > tHi {
-				needHi = tHi
-			}
-			if needHi <= needLo {
-				continue
-			}
-			if srv.Holds(in.Name, t) {
-				localSpans = append(localSpans, pfs.Span{Strip: t, Lo: needLo - tLo, Hi: needHi - tLo})
-				localLo = append(localLo, needLo)
-			} else {
-				remotes = append(remotes, remote{strip: t, needLo: needLo, needHi: needHi})
-			}
-		}
-		if len(localSpans) > 0 {
-			t0 := a.Now()
-			chunks, err := srv.LocalViewMany(a, in.Name, localSpans)
-			if err != nil {
-				band.Release()
-				return nil, err
-			}
-			resp.Phases.LocalRead += a.Now() - t0
-			if clu.Trace != nil {
-				clu.Trace.Record(t0, a.Now()-t0, lane(srv, "read"), "local-read",
-					fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, in.Name))
-			}
-			for i, chunk := range chunks {
-				band.Lend(localLo[i]/in.ElemSize, chunk) // a view of the stored strip: never released
-			}
-		}
-		// Dependent-strip fetches for one run go out concurrently (the
-		// requests target distinct owners); the run still cannot compute
-		// until every response arrives, and the amplified traffic still
-		// serializes on the NICs and disks it crosses.
-		type fetched struct {
-			data  []byte
-			gotLo int64
-			hit   bool
-			err   error
-		}
-		fetchStart := a.Now()
-		fetchSigs := make([]*sim.Signal[fetched], len(remotes))
-		for i, rm := range remotes {
-			rm := rm
-			sig := sim.NewSignal[fetched](clu.Eng, "as-fetch")
-			fetchSigs[i] = sig
-			a.Spawn("as-fetch", func(f *sim.Proc) {
-				data, gotLo, hit, err := svc.fetchRemote(f, srv, in, mode, rm.strip, rm.needLo, rm.needHi)
-				sig.Fire(fetched{data: data, gotLo: gotLo, hit: hit, err: err})
-			})
-		}
-		results := sim.WaitAll(a, fetchSigs)
-		for _, got := range results {
-			if got.err != nil {
-				band.Release()
-				return nil, got.err
-			}
-		}
-		for _, got := range results {
-			if got.hit {
-				resp.CacheHits++
-				resp.CacheHitBytes += int64(len(got.data))
-			} else {
-				resp.RemoteFetches++
-				resp.RemoteBytes += int64(len(got.data))
-			}
-			band.Lend(got.gotLo/in.ElemSize, got.data) // the owner's strip or a cache entry's window of it: never released
-		}
-		resp.Phases.Fetch += a.Now() - fetchStart
-		if clu.Trace != nil && len(remotes) > 0 {
-			clu.Trace.Record(fetchStart, a.Now()-fetchStart, lane(srv, "read"), "fetch",
-				fmt.Sprintf("%d dependent strips for strips %d-%d (%s)", len(remotes), run.First, run.Last, mode))
-		}
-		return band, nil
+		needed = predict.NeededStrips(needed, lc, offs, run.Lo/in.ElemSize, run.Hi/in.ElemSize, total)
+		return st.Assemble(a, run, maxAbs, needed)
 	}
-
-	// Run the kernel: real computation on real bytes, plus the simulated
-	// CPU cost of processing the run's elements. The parallel executor only
-	// spreads the host-CPU work across cores; the simulated cost below is
-	// unchanged. The output is allocated once, as the memory the store will
-	// hold: nothing writes it after the kernel returns.
+	// The output is allocated once, as the memory the store will hold:
+	// nothing writes it after the kernel returns.
 	compute := func(run StripRun, band *grid.Band) func(w *sim.Proc) error {
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		outVals := make([]float64, e1-e0)
 		kernels.ParallelApplyBand(k, band, outVals)
 		band.Release()
-		computeStart := p.Now()
-		p.Sleep(clu.ComputeTime(e1-e0, k.Weight()))
-		resp.Phases.Compute += p.Now() - computeStart
-		if clu.Trace != nil {
-			clu.Trace.Record(computeStart, p.Now()-computeStart, lane(srv, "compute"), "compute",
-				fmt.Sprintf("%s over %d elements", req.Op, e1-e0))
-		}
+		st.Compute(p, clu.ComputeTime(e1-e0, k.Weight()), req.Op, e1-e0)
 		resp.Elements += e1 - e0
-
-		// The store keeps the output's sub-slices by reference, and so do
-		// the replica holders demanded by the output layout. Their copies
-		// leave now, beside the local write, one process per holder — sent
-		// holder after holder a run's forwards convoy on the FIFO NICs
-		// once compute stops pacing them; the exec completes only after
-		// every forward has been acknowledged.
-		outBytes := grid.Bytes(outVals)
-		strips := make([]int64, 0, run.Last-run.First+1)
-		chunks := make([][]byte, 0, run.Last-run.First+1)
-		for t := run.First; t <= run.Last; t++ {
-			tLo, tHi := out.StripBounds(t)
-			strips = append(strips, t)
-			chunks = append(chunks, outBytes[tLo-run.Lo:tHi-run.Lo])
-		}
-		batches, err := srv.ReplicaBatches(out.Name, strips, chunks)
-		if err != nil {
-			return func(*sim.Proc) error { return err }
-		}
-		for _, b := range batches {
-			b, done := b, sim.NewSignal[error](clu.Eng, "as-forward")
-			forwards = append(forwards, done)
-			p.Spawn("as-forward", func(f *sim.Proc) { done.Fire(srv.SendReplicas(f, b)) })
-		}
-		resp.Strips += int64(len(strips))
-
-		// Write the run's output strips locally in one batched disk pass.
-		return func(w *sim.Proc) error {
-			writeStart := w.Now()
-			if err := srv.LocalWriteMany(w, out.Name, strips, chunks, false); err != nil {
-				return err
-			}
-			resp.Phases.Write += w.Now() - writeStart
-			if clu.Trace != nil {
-				clu.Trace.Record(writeStart, w.Now()-writeStart, lane(srv, "write"), "write",
-					fmt.Sprintf("%d output strips of %s", len(strips), out.Name))
-			}
-			return nil
-		}
+		resp.Strips += run.Last - run.First + 1
+		return st.Store(p, run, outVals)
 	}
-
-	stalled := func(since sim.Time) {
-		resp.Phases.Stall += p.Now() - since
-		if clu.Trace != nil {
-			clu.Trace.Record(since, p.Now()-since, lane(srv, "compute"), "stall", "waiting for the next band or the last write")
-		}
-	}
-	err := WalkRuns(p, assignedRuns(srv, in, req.Strips), assemble, compute, stalled)
-	// An error is answered the way success is answered: only once the
-	// replica forwards already started have been acknowledged. When the
-	// reply leaves is simulated behaviour — under a crash plan it decides
-	// whether the reply is delivered at all.
-	forwardStart := p.Now()
-	for _, ferr := range sim.WaitAll(p, forwards) {
-		if err == nil {
-			err = ferr
-		}
-	}
-	if err != nil {
+	err := WalkRuns(p, assignedRuns(srv, in, req.Strips), assemble, compute, st.Stalled(p))
+	if err := st.Drain(p, err); err != nil {
 		return nil, err
 	}
-	resp.Phases.Forward += p.Now() - forwardStart
-	if clu.Trace != nil && len(forwards) > 0 {
-		clu.Trace.Record(forwardStart, p.Now()-forwardStart, lane(srv, "forward"), "forward-wait",
-			fmt.Sprintf("%d replica batches of %s", len(forwards), out.Name))
-	}
 	return resp, nil
-}
-
-// fetchRemote resolves a byte range of a strip this server does not hold.
-// With the cache subsystem attached, the server's halo-strip cache is
-// consulted first: a hit serves the range from local memory (free on the
-// DES clock — the bytes already sit on this node); a miss pays the remote
-// fetch, then feeds the bytes and the observed latency back to the cache.
-// Either way data is lent — the owner's stored strip or a cache entry's
-// window of it — for the caller's band to read in place.
-func (svc *Service) fetchRemote(p *sim.Proc, srv *pfs.Server, in *pfs.FileMeta, mode FetchMode, t, needLo, needHi int64) (data []byte, gotLo int64, hit bool, err error) {
-	if mode == LocalOnly {
-		return nil, 0, false, fmt.Errorf("active: server %d needs strip %d of %q but mode is local-only (layout violates the locality the predictor verified)",
-			srv.Index(), t, in.Name)
-	}
-	owner := in.Layout.Primary(t)
-	tLo, tHi := in.StripBounds(t)
-	// The cached range is strip-relative: whole strips want [0, len),
-	// row fetches want the needed slice.
-	wantLo, wantHi := int64(0), tHi-tLo
-	if mode == FetchRows {
-		wantLo, wantHi = needLo-tLo, needHi-tLo
-	}
-	if svc.cache != nil {
-		if cached, ok := svc.cache.Get(srv.Index(), in.Name, t, wantLo, wantHi); ok {
-			return cached, tLo + wantLo, true, nil
-		}
-	}
-	fetchStart := p.Now()
-	switch mode {
-	case FetchWholeStrips:
-		data, err = svc.fs.ReadStripFrom(p, srv.NodeID(), owner, in.Name, t, 0, 0)
-	case FetchRows:
-		data, err = svc.fs.ReadStripFrom(p, srv.NodeID(), owner, in.Name, t, needLo-tLo, needHi-tLo)
-	default:
-		return nil, 0, false, fmt.Errorf("active: unsupported fetch mode %v", mode)
-	}
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if svc.cache != nil {
-		svc.cache.RecordFetch(srv.Index(), in.Name, t, wantLo, data, p.Now()-fetchStart)
-	}
-	return data, tLo + wantLo, false, nil
-}
-
-// lane names one stage of a storage server for trace events. The stages
-// overlap, so each is an actor of its own: no actor's timeline holds two
-// intervals at once.
-func lane(srv *pfs.Server, stage string) string {
-	return fmt.Sprintf("server-%d/%s", srv.Index(), stage)
 }
 
 // StripRun is a maximal run of consecutive strips processed as one band,

@@ -1,0 +1,277 @@
+package active
+
+import (
+	"fmt"
+
+	"github.com/hpcio/das/internal/cache"
+	"github.com/hpcio/das/internal/grid"
+	"github.com/hpcio/das/internal/pfs"
+	"github.com/hpcio/das/internal/sim"
+)
+
+// Tally is what one storage server's stages did for one request: the
+// dependent data its assembler fetched or found in the halo cache, and
+// how long each stage was busy. An exec's reply carries one, and so does a
+// pipeline round's.
+type Tally struct {
+	RemoteFetches int64 // remote strip (or row-range) requests issued
+	RemoteBytes   int64 // bytes fetched from other servers
+	CacheHits     int64 // dependent ranges served by the halo-strip cache
+	CacheHitBytes int64 // bytes those hits kept off the network
+	Phases        Phases
+}
+
+// Stages are a storage server's bodies for WalkRuns' stages over one
+// request — an exec, or a pipeline round: assemble a run's input band,
+// time its compute, store its output. What they did goes to the request's
+// Tally; the replica forwards Store starts are joined by Drain.
+type Stages struct {
+	fs       *pfs.FileSystem
+	cache    *cache.Manager
+	srv      *pfs.Server
+	in, out  *pfs.FileMeta
+	mode     FetchMode
+	tally    *Tally
+	forwards []*sim.Signal[error]
+}
+
+// NewStages binds the stage bodies to one request on srv: it reads in,
+// resolving what srv does not hold by mode through the halo cache c (nil
+// for none), stores out, and tallies into t.
+func NewStages(fs *pfs.FileSystem, c *cache.Manager, srv *pfs.Server, in, out *pfs.FileMeta, mode FetchMode, t *Tally) *Stages {
+	return &Stages{fs: fs, cache: c, srv: srv, in: in, out: out, mode: mode, tally: t}
+}
+
+// Assemble builds a run's input band, [run.Lo, run.Hi) plus depth
+// elements of halo each side, from the given strips: every one this
+// server holds (the run itself, replicas) in one batched disk pass, the
+// rest fetched from their owners per the mode. Only the strips listed are
+// read — an exec lists those its dependence pattern touches, so a sparse
+// stride pattern skips the strips between its endpoints and the band has
+// no window there. Nothing is copied: the band is lent the stored strips
+// and the fetched buffers themselves, and reads what they held when it
+// was lent them whatever replaces a strip before the kernel runs.
+func (st *Stages) Assemble(a *sim.Proc, run StripRun, depth int64, strips []int64) (*grid.Band, error) {
+	in, srv, clu := st.in, st.srv, st.fs.Cluster()
+	total := in.Size / in.ElemSize
+	e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
+	lo, hi := grid.HaloRange(e0, e1, depth, total)
+	band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
+
+	var localSpans []pfs.Span
+	var localLo []int64
+	type remote struct{ strip, needLo, needHi int64 }
+	var remotes []remote
+	for _, t := range strips {
+		tLo, tHi := in.StripBounds(t)
+		needLo, needHi := max(lo*in.ElemSize, tLo), min(hi*in.ElemSize, tHi)
+		if needHi <= needLo {
+			continue
+		}
+		if srv.Holds(in.Name, t) {
+			localSpans = append(localSpans, pfs.Span{Strip: t, Lo: needLo - tLo, Hi: needHi - tLo})
+			localLo = append(localLo, needLo)
+		} else {
+			remotes = append(remotes, remote{strip: t, needLo: needLo, needHi: needHi})
+		}
+	}
+	if len(localSpans) > 0 {
+		t0 := a.Now()
+		chunks, err := srv.LocalViewMany(a, in.Name, localSpans)
+		if err != nil {
+			band.Release()
+			return nil, err
+		}
+		st.tally.Phases.LocalRead += a.Now() - t0
+		if clu.Trace != nil {
+			clu.Trace.Record(t0, a.Now()-t0, Lane(srv, "read"), "local-read",
+				fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, in.Name))
+		}
+		for i, chunk := range chunks {
+			band.Lend(localLo[i]/in.ElemSize, chunk) // a view of the stored strip: never released
+		}
+	}
+	// Dependent-strip fetches for one run go out concurrently (the requests
+	// target distinct owners); the run still cannot compute until every
+	// response arrives, and the amplified traffic still serializes on the
+	// NICs and disks it crosses.
+	type fetched struct {
+		data  []byte
+		gotLo int64
+		hit   bool
+		err   error
+	}
+	fetchStart := a.Now()
+	fetchSigs := make([]*sim.Signal[fetched], len(remotes))
+	for i, rm := range remotes {
+		rm := rm
+		sig := sim.NewSignal[fetched](clu.Eng, "as-fetch")
+		fetchSigs[i] = sig
+		a.Spawn("as-fetch", func(f *sim.Proc) {
+			data, gotLo, hit, err := st.fetch(f, rm.strip, rm.needLo, rm.needHi)
+			sig.Fire(fetched{data: data, gotLo: gotLo, hit: hit, err: err})
+		})
+	}
+	results := sim.WaitAll(a, fetchSigs)
+	for _, got := range results {
+		if got.err != nil {
+			band.Release()
+			return nil, got.err
+		}
+	}
+	for _, got := range results {
+		if got.hit {
+			st.tally.CacheHits++
+			st.tally.CacheHitBytes += int64(len(got.data))
+		} else {
+			st.tally.RemoteFetches++
+			st.tally.RemoteBytes += int64(len(got.data))
+		}
+		band.Lend(got.gotLo/in.ElemSize, got.data) // the owner's strip or a cache entry's window of it: never released
+	}
+	st.tally.Phases.Fetch += a.Now() - fetchStart
+	if clu.Trace != nil && len(remotes) > 0 {
+		clu.Trace.Record(fetchStart, a.Now()-fetchStart, Lane(srv, "read"), "fetch",
+			fmt.Sprintf("%d dependent strips for strips %d-%d (%s)", len(remotes), run.First, run.Last, st.mode))
+	}
+	return band, nil
+}
+
+// fetch resolves a byte range of a strip this server does not hold.
+// With the cache subsystem attached, the server's halo-strip cache is
+// consulted first: a hit serves the range from local memory (free on the
+// DES clock — the bytes already sit on this node); a miss pays the remote
+// fetch, then feeds the bytes and the observed latency back to the cache.
+// Either way data is lent — the owner's stored strip or a cache entry's
+// window of it — for the caller's band to read in place.
+func (st *Stages) fetch(p *sim.Proc, t, needLo, needHi int64) (data []byte, gotLo int64, hit bool, err error) {
+	in, srv := st.in, st.srv
+	if st.mode == LocalOnly {
+		return nil, 0, false, fmt.Errorf("active: server %d needs strip %d of %q but mode is local-only (layout violates the locality the predictor verified)",
+			srv.Index(), t, in.Name)
+	}
+	owner := in.Layout.Primary(t)
+	tLo, tHi := in.StripBounds(t)
+	// The cached range is strip-relative: whole strips want [0, len),
+	// row fetches want the needed slice.
+	wantLo, wantHi := int64(0), tHi-tLo
+	if st.mode == FetchRows {
+		wantLo, wantHi = needLo-tLo, needHi-tLo
+	}
+	if st.cache != nil {
+		if cached, ok := st.cache.Get(srv.Index(), in.Name, t, wantLo, wantHi); ok {
+			return cached, tLo + wantLo, true, nil
+		}
+	}
+	fetchStart := p.Now()
+	switch st.mode {
+	case FetchWholeStrips:
+		data, err = st.fs.ReadStripFrom(p, srv.NodeID(), owner, in.Name, t, 0, 0)
+	case FetchRows:
+		data, err = st.fs.ReadStripFrom(p, srv.NodeID(), owner, in.Name, t, needLo-tLo, needHi-tLo)
+	default:
+		return nil, 0, false, fmt.Errorf("active: unsupported fetch mode %v", st.mode)
+	}
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if st.cache != nil {
+		st.cache.RecordFetch(srv.Index(), in.Name, t, wantLo, data, p.Now()-fetchStart)
+	}
+	return data, tLo + wantLo, false, nil
+}
+
+// Compute books d of CPU on the request's process p: what op costs over
+// elems elements, after the real computation on real bytes has run. The
+// parallel kernel executor only spreads that host-CPU work across cores;
+// the simulated cost is this.
+func (st *Stages) Compute(p *sim.Proc, d sim.Time, op string, elems int64) {
+	start := p.Now()
+	p.Sleep(d)
+	st.tally.Phases.Compute += p.Now() - start
+	if clu := st.fs.Cluster(); clu.Trace != nil {
+		clu.Trace.Record(start, p.Now()-start, Lane(st.srv, "compute"), "compute",
+			fmt.Sprintf("%s over %d elements", op, elems))
+	}
+}
+
+// Store hands a run's output, computed on p, to the store. The output
+// layout's replica holders are sent their copies now, beside the local
+// write, one process per holder — sent holder after holder, a run's
+// forwards convoy on the FIFO NICs once compute stops pacing them. The
+// returned write stores the run's strips locally in one batched disk pass,
+// WalkRuns' write stage. vals becomes the stored strips by reference,
+// here and on the holders: nothing may write it again.
+func (st *Stages) Store(p *sim.Proc, run StripRun, vals []float64) (write func(w *sim.Proc) error) {
+	srv, out, clu := st.srv, st.out, st.fs.Cluster()
+	outBytes := grid.Bytes(vals)
+	strips := make([]int64, 0, run.Last-run.First+1)
+	chunks := make([][]byte, 0, run.Last-run.First+1)
+	for t := run.First; t <= run.Last; t++ {
+		tLo, tHi := out.StripBounds(t)
+		strips = append(strips, t)
+		chunks = append(chunks, outBytes[tLo-run.Lo:tHi-run.Lo])
+	}
+	batches, err := srv.ReplicaBatches(out.Name, strips, chunks)
+	if err != nil {
+		return func(*sim.Proc) error { return err }
+	}
+	for _, b := range batches {
+		b, done := b, sim.NewSignal[error](clu.Eng, "as-forward")
+		st.forwards = append(st.forwards, done)
+		p.Spawn("as-forward", func(f *sim.Proc) { done.Fire(srv.SendReplicas(f, b)) })
+	}
+	return func(w *sim.Proc) error {
+		writeStart := w.Now()
+		if err := srv.LocalWriteMany(w, out.Name, strips, chunks, false); err != nil {
+			return err
+		}
+		st.tally.Phases.Write += w.Now() - writeStart
+		if clu.Trace != nil {
+			clu.Trace.Record(writeStart, w.Now()-writeStart, Lane(srv, "write"), "write",
+				fmt.Sprintf("%d output strips of %s", len(strips), out.Name))
+		}
+		return nil
+	}
+}
+
+// Stalled is WalkRuns' stalled for a walk on p: the wait goes to Stall,
+// traced on the compute lane it holds up.
+func (st *Stages) Stalled(p *sim.Proc) func(since sim.Time) {
+	return func(since sim.Time) {
+		st.tally.Phases.Stall += p.Now() - since
+		if clu := st.fs.Cluster(); clu.Trace != nil {
+			clu.Trace.Record(since, p.Now()-since, Lane(st.srv, "compute"), "stall", "waiting for the next band or the last write")
+		}
+	}
+}
+
+// Drain joins, on the request's process p, the replica forwards Store
+// started, once the walk has returned err. The request is answered, error
+// or not, only once they have been acknowledged: when the reply leaves is
+// simulated behaviour, and under a crash plan it decides whether the reply
+// is delivered at all. It returns err, or else the first forward's error.
+func (st *Stages) Drain(p *sim.Proc, err error) error {
+	forwardStart := p.Now()
+	for _, ferr := range sim.WaitAll(p, st.forwards) {
+		if err == nil {
+			err = ferr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	st.tally.Phases.Forward += p.Now() - forwardStart
+	if clu := st.fs.Cluster(); clu.Trace != nil && len(st.forwards) > 0 {
+		clu.Trace.Record(forwardStart, p.Now()-forwardStart, Lane(st.srv, "forward"), "forward-wait",
+			fmt.Sprintf("%d replica batches of %s", len(st.forwards), st.out.Name))
+	}
+	return nil
+}
+
+// Lane names one stage of a storage server for trace events. The stages
+// overlap, so each is an actor of its own: no actor's timeline holds two
+// intervals at once.
+func Lane(srv *pfs.Server, stage string) string {
+	return fmt.Sprintf("server-%d/%s", srv.Index(), stage)
+}
