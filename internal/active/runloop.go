@@ -1,15 +1,12 @@
 package active
 
-import (
-	"github.com/hpcio/das/internal/grid"
-	"github.com/hpcio/das/internal/sim"
-)
+import "github.com/hpcio/das/internal/sim"
 
 // WalkRuns is the one body for "walk my runs": three stages, double
 // buffered, so a node's disk, CPU and NIC work at once. A storage server
-// walks its runs of strips through it for a kernel (exec) and a reduction
-// (handleReduce), and a TS compute node walks its block through it one
-// stripe at a time.
+// walks its runs of strips through it for a kernel (exec), a reduction
+// (handleReduce) and a pipeline round, and a TS compute node walks its
+// block through it one stripe at a time.
 //
 //	assemble   run i+1 on a child process, started when compute i starts
 //	compute    run i on p, the request's own process
@@ -18,21 +15,23 @@ import (
 //
 // The depth is the constant one: one band prefetched, one write behind.
 // The first run is assembled on p and the last run's write runs on p, so a
-// single run takes the steps it would take with no stages at all. compute
-// releases the band it is handed and returns the run's write stage, nil
-// when the run stores nothing (a reduction).
+// single run takes the steps it would take with no stages at all. What a
+// run is assembled into is B: one band, or — for a pipeline round that
+// combines two parents — the pair, travelling as one value. compute
+// releases what it is handed and returns the run's write stage, nil when
+// the run stores nothing (a reduction, a pipeline round before the last).
 //
 // stalled, when non-nil, is told each time p has had to wait for the
 // assembler or the writer, with when the wait began. On an error the loop
 // joins whichever of the two is still out, releases a band prefetched for
 // a run that will not compute, and returns the first error.
-func WalkRuns(p *sim.Proc, runs []StripRun,
-	assemble func(a *sim.Proc, run StripRun) (*grid.Band, error),
-	compute func(run StripRun, band *grid.Band) (write func(w *sim.Proc) error),
+func WalkRuns[B interface{ Release() }](p *sim.Proc, runs []StripRun,
+	assemble func(a *sim.Proc, run StripRun) (B, error),
+	compute func(run StripRun, band B) (write func(w *sim.Proc) error),
 	stalled func(since sim.Time),
 ) (err error) {
 	type assembled struct {
-		band *grid.Band
+		band B
 		err  error
 	}
 	eng := p.Engine()
@@ -45,12 +44,11 @@ func WalkRuns(p *sim.Proc, runs []StripRun,
 			stalled(since)
 		}
 	}
-	awaitBand := func() (got assembled) {
-		if ahead != nil {
-			since := p.Now()
-			got, ahead = ahead.Wait(p), nil
-			waited(since)
-		}
+	awaitBand := func() assembled {
+		since := p.Now()
+		got := ahead.Wait(p)
+		ahead = nil
+		waited(since)
 		return got
 	}
 	awaitWrite := func() (werr error) {
@@ -62,8 +60,10 @@ func WalkRuns(p *sim.Proc, runs []StripRun,
 		return werr
 	}
 	defer func() {
-		if got := awaitBand(); got.band != nil {
-			got.band.Release()
+		if ahead != nil {
+			if got := awaitBand(); got.err == nil {
+				got.band.Release()
+			}
 		}
 		if werr := awaitWrite(); err == nil {
 			err = werr

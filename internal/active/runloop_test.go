@@ -2,6 +2,7 @@ package active
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/hpcio/das/internal/cluster"
@@ -124,5 +125,54 @@ func TestPrefetchedBandKeepsWhatItWasLent(t *testing.T) {
 	})
 	if !bytes.Equal(stored, fresh) {
 		t.Error("the foreign write did not replace the strip")
+	}
+}
+
+// released is a WalkRuns operand that counts its releases.
+type released struct{ count *int }
+
+func (r released) Release() { *r.count++ }
+
+// TestWalkReleasesWhatNeverComputes: a failed write stops the walk with the
+// next run's operands assembled and waiting. That run never computes, so
+// the walk itself releases them — once — before it returns the write's
+// error. A pipeline round's operands are lent bands with nothing pooled,
+// so no audit would see them kept: the count is the check.
+func TestWalkReleasesWhatNeverComputes(t *testing.T) {
+	eng := sim.NewEngine()
+	runs := []StripRun{{First: 0, Last: 0}, {First: 1, Last: 1}, {First: 2, Last: 2}, {First: 3, Last: 3}}
+	failed := errors.New("write failed")
+	var assembled, computed, count int
+	var err error
+	eng.Spawn("walk", func(p *sim.Proc) {
+		err = WalkRuns(p, runs,
+			func(a *sim.Proc, run StripRun) (released, error) {
+				assembled++
+				return released{&count}, nil
+			},
+			func(run StripRun, ops released) func(*sim.Proc) error {
+				computed++
+				ops.Release()
+				p.Sleep(sim.Millisecond)
+				return func(w *sim.Proc) error {
+					w.Sleep(sim.Microsecond)
+					if run.First == 0 {
+						return failed
+					}
+					return nil
+				}
+			}, nil)
+	})
+	if rerr := eng.Run(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if !errors.Is(err, failed) {
+		t.Fatalf("walk returned %v, want the write's error", err)
+	}
+	if computed != 2 || assembled != 3 {
+		t.Fatalf("%d runs assembled and %d computed, want 3 and 2: no run was left prefetched", assembled, computed)
+	}
+	if count != assembled {
+		t.Errorf("%d of %d assembled operands released", count, assembled)
 	}
 }

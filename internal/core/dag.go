@@ -76,6 +76,15 @@ type DAGReport struct {
 	ServerLoad     cluster.Utilization
 }
 
+// BusiestResource is Report.BusiestResource for a pushdown: the longest
+// any one storage server's disk or NIC direction worked for it, or the
+// CPU along its dispatch waves (Run.Phases.Compute: each wave's busiest
+// server, summed — a wave starts when the one before has ended). Startup
+// plus this is the bound ExecTime is set against.
+func (r DAGReport) BusiestResource() sim.Time {
+	return busiestResource(r.Run.Phases.Compute, r.ServerLoad)
+}
+
 // ExecuteDAG runs an operator DAG to completion under the selected
 // scheme. The pushdown path executes the whole DAG on the storage
 // servers, streaming only halo-boundary bands between stages and

@@ -461,7 +461,14 @@ type Report struct {
 // no schedule of the same work on the same platform beats — what ExecTime
 // is set against.
 func (r Report) BusiestResource() sim.Time {
-	return max(r.Stats.PhaseMax.Compute, r.ServerLoad.MaxDisk(), r.ServerLoad.MaxEgress(), r.ServerLoad.MaxIngress())
+	return busiestResource(r.Stats.PhaseMax.Compute, r.ServerLoad)
+}
+
+// busiestResource is the longest any one resource worked: a worker's CPU
+// (compute, the critical path's), or a storage server's disk or either
+// direction of its NIC (load).
+func busiestResource(compute sim.Time, load cluster.Utilization) sim.Time {
+	return max(compute, load.MaxDisk(), load.MaxEgress(), load.MaxIngress())
 }
 
 // Execute runs one operation to completion and reports what happened.

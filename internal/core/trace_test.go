@@ -9,12 +9,13 @@ import (
 	"github.com/hpcio/das/internal/workload"
 )
 
-// TestNilRecorderFormatsNothing pins the guard at the eight Trace.Record
-// call sites (three in the TS worker, five in the AS helper that NAS
-// drives): every recorded event formats an actor and a note, at least two
-// allocations, so a traced run must allocate at least that much more than
-// the same run untraced. Were the untraced run to format its arguments
-// before Record saw the nil receiver, the two would allocate alike.
+// TestNilRecorderFormatsNothing pins the guard at the Trace.Record call
+// sites a TS worker and the storage servers' stage bodies (active.Stages,
+// which NAS drives) reach: every recorded event formats an actor and a
+// note, at least two allocations, so a traced run must allocate at least
+// that much more than the same run untraced. Were the untraced run to
+// format its arguments before Record saw the nil receiver, the two would
+// allocate alike.
 func TestNilRecorderFormatsNothing(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the buffer pools warm between runs
 	g := workload.Terrain(testW, testH, 5)

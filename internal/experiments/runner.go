@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/hpcio/das/internal/active"
 	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/control"
 	"github.com/hpcio/das/internal/core"
@@ -387,18 +388,7 @@ func (r *run) kernel(sr *StepRecord, st Step, in string) error {
 	sr.Stats["remote_bytes"] = float64(rep.Stats.RemoteBytes)
 	sr.Stats["cache_hits"] = float64(rep.Stats.CacheHits)
 	sr.Stats["cache_hit_bytes"] = float64(rep.Stats.CacheHitBytes)
-	// Where the time went: the busiest worker's time per stage (a storage
-	// server's stages overlap, so they do not add up to the step's time —
-	// active.Phases says what does), and the bound the step's time is set
-	// against.
-	ph := rep.Stats.PhaseMax
-	sr.Stats["read_seconds"] = ph.LocalRead.Seconds()
-	sr.Stats["fetch_seconds"] = ph.Fetch.Seconds()
-	sr.Stats["compute_seconds"] = ph.Compute.Seconds()
-	sr.Stats["write_seconds"] = ph.Write.Seconds()
-	sr.Stats["stall_seconds"] = ph.Stall.Seconds()
-	sr.Stats["forward_wait_seconds"] = ph.Forward.Seconds()
-	sr.Stats["bound_seconds"] = (r.live.Clu.Cfg.Startup + rep.BusiestResource()).Seconds()
+	r.stages(sr, rep.Stats.PhaseMax, rep.BusiestResource())
 	if rep.Reconfigured {
 		sr.Stats["reconfig_seconds"] = rep.ReconfigTime.Seconds()
 	}
@@ -407,6 +397,20 @@ func (r *run) kernel(sr *StepRecord, st Step, in string) error {
 		sr.Stats["predicted_hit_frac"] = rep.Decision.CacheHitFrac
 	}
 	return nil
+}
+
+// stages records where a step's time went: the busiest worker's time per
+// stage (a storage server's stages overlap, so they do not add up to the
+// step's time — active.Phases says what does), and the bound the step's
+// time is set against, startup plus the busiest resource.
+func (r *run) stages(sr *StepRecord, ph active.Phases, busiest sim.Time) {
+	sr.Stats["read_seconds"] = ph.LocalRead.Seconds()
+	sr.Stats["fetch_seconds"] = ph.Fetch.Seconds()
+	sr.Stats["compute_seconds"] = ph.Compute.Seconds()
+	sr.Stats["write_seconds"] = ph.Write.Seconds()
+	sr.Stats["stall_seconds"] = ph.Stall.Seconds()
+	sr.Stats["forward_wait_seconds"] = ph.Forward.Seconds()
+	sr.Stats["bound_seconds"] = (r.live.Clu.Cfg.Startup + busiest).Seconds()
 }
 
 // fleet runs the operator over every input copy at once; the step's time
@@ -460,6 +464,7 @@ func (r *run) dag(sr *StepRecord, st Step, in string) error {
 		sr.Stats["lower_bound_ratio"] = run.LowerBoundRatio()
 		sr.Stats["redispatches"] = float64(run.Redispatches)
 		sr.Stats["catch_ups"] = float64(run.CatchUps)
+		r.stages(sr, run.Phases, rep.BusiestResource())
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ type (
 		Forward bool // forward copies to the strip's replica holders
 		// immutable says nobody will write Data again, so the receiver may
 		// keep it by reference instead of copying it. A server forwarding a
-		// strip it has stored sets it (LocalWrite, ForwardReplicas, migrate),
+		// strip it has stored sets it (LocalWrite, LocalWriteMany, migrate),
 		// and so does Client.Write for the copy its read-modify-write makes;
 		// a request carrying a caller's buffer never does.
 		immutable bool
@@ -304,9 +304,16 @@ func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, 
 }
 
 // LocalWriteMany stores several whole strips with one sequential disk
-// write, then forwards replica copies batched per target server. It is how
-// a kernel running on this server stores its output: each element of data
-// becomes a stored strip by reference, under LocalWrite's contract.
+// write. It is how a kernel running on this server stores its output:
+// each element of data becomes a stored strip by reference, under
+// LocalWrite's contract. With forward set it then pushes the strips'
+// copies to their replica holders under the file's current layout,
+// batched per holder and sent holder after holder, each waiting for the
+// one before it to be acknowledged — the order of replica-maintaining
+// client writes (writeManyReq) and mapred's reducers. The storage servers'
+// run loop sends the same batches side by side instead (ReplicaBatches,
+// SendReplicas, one process per holder). The holders keep the same
+// immutable slices by reference.
 func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [][]byte, forward bool) error {
 	total, err := s.validateWriteMany(file, strips, data)
 	if err != nil {
@@ -319,19 +326,6 @@ func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [
 	if !forward {
 		return nil
 	}
-	return s.ForwardReplicas(p, file, strips, data)
-}
-
-// ForwardReplicas pushes copies of the given strips to their replica
-// holders under the file's current layout, batched per target server and
-// sent holder after holder, each waiting for the one before it to be
-// acknowledged. It is called synchronously from replica-maintaining
-// writes and on a child process by the pipeline's rounds; an active
-// storage run sends the same batches side by side (ReplicaBatches,
-// SendReplicas). data must be what this server stored for the strips
-// (LocalWriteMany's argument): the holders keep the same immutable slices
-// by reference.
-func (s *Server) ForwardReplicas(p *sim.Proc, file string, strips []int64, data [][]byte) error {
 	batches, err := s.ReplicaBatches(file, strips, data)
 	if err != nil {
 		return err

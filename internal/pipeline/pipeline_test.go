@@ -37,14 +37,24 @@ type testRig struct {
 
 func newRig(t *testing.T, lay layout.Layout, w, h int, stripSize int64) *testRig {
 	t.Helper()
-	cfg := cluster.Default()
+	return newRigOn(t, cluster.Default(), lay, w, h, stripSize, func(fs *pfs.FileSystem) *Service {
+		return Deploy(fs, kernels.Default(), nil, nil)
+	})
+}
+
+// newRigOn is newRig on a platform of the caller's cost model (four
+// compute and four storage nodes), with the pipeline service deploy puts
+// on it.
+func newRigOn(t *testing.T, cfg cluster.Config, lay layout.Layout, w, h int, stripSize int64,
+	deploy func(*pfs.FileSystem) *Service) *testRig {
+	t.Helper()
 	cfg.ComputeNodes, cfg.StorageNodes = 4, 4
 	clu, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := pfs.New(clu)
-	svc := Deploy(fs, kernels.Default(), nil, nil)
+	svc := deploy(fs)
 	g := workload.Terrain(w, h, 11)
 	if _, err := fs.Create("in", g.SizeBytes(), lay, pfs.CreateOptions{
 		StripSize: stripSize, Width: w, Height: h, ElemSize: grid.ElemSize,
