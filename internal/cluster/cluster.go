@@ -257,6 +257,25 @@ func (u Utilization) MaxIngress() sim.Time { return maxTime(u.Ingress) }
 // MaxDisk returns the busiest server's disk time.
 func (u Utilization) MaxDisk() sim.Time { return maxTime(u.Disk) }
 
+// Busiest returns the longest any one storage resource worked: a server's
+// disk or either direction of its NIC.
+func (u Utilization) Busiest() sim.Time {
+	return max(u.MaxDisk(), u.MaxEgress(), u.MaxIngress())
+}
+
+// DiskMaxOverMean is the busiest disk's time over the mean across the
+// servers — 1 when every spindle worked alike — and 0 when none worked.
+func (u Utilization) DiskMaxOverMean() float64 {
+	var sum sim.Time
+	for _, d := range u.Disk {
+		sum += d
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(u.MaxDisk()) * float64(len(u.Disk)) / float64(sum)
+}
+
 func maxTime(ts []sim.Time) sim.Time {
 	var m sim.Time
 	for _, t := range ts {

@@ -468,7 +468,7 @@ func (r Report) BusiestResource() sim.Time {
 // (compute, the critical path's), or a storage server's disk or either
 // direction of its NIC (load).
 func busiestResource(compute sim.Time, load cluster.Utilization) sim.Time {
-	return max(compute, load.MaxDisk(), load.MaxEgress(), load.MaxIngress())
+	return max(compute, load.Busiest())
 }
 
 // Execute runs one operation to completion and reports what happened.

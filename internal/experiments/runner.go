@@ -524,6 +524,7 @@ func (r *run) streams(sr *StepRecord) error {
 	if _, err := sys.RunProc("tenants-setup", eng.Setup); err != nil {
 		return err
 	}
+	loadBefore := sys.Clu.UtilizationSnapshot()
 	elapsed, err := sys.RunProc("tenants-run", eng.Run)
 	if err != nil {
 		return err
@@ -531,6 +532,11 @@ func (r *run) streams(sr *StepRecord) error {
 	r.live.Tenants = eng
 	sr.Output = ""
 	sr.SimSeconds = elapsed.Seconds()
+	// The streams are bound by their busiest storage resource: no schedule
+	// of the same operations on the same placement finishes sooner.
+	load := sys.Clu.UtilizationSnapshot().Sub(loadBefore)
+	sr.Stats["bound_seconds"] = load.Busiest().Seconds()
+	sr.Stats["disk_busy_max_over_mean"] = load.DiskMaxOverMean()
 	return nil
 }
 

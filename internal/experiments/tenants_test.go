@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"strings"
+	"testing"
+)
 
 // TestTenantsExperimentSmoke runs the smoke-sized multi-tenant
 // comparison end to end: all four variants complete, every record is
@@ -29,6 +34,7 @@ func TestTenantsExperimentSmoke(t *testing.T) {
 		if tot.Int("tenants.fair_spread_ns") < 0 || tot.Int("tenants.fair_max_p99_ns") < tot.Int("tenants.fair_min_p99_ns") {
 			t.Errorf("%s: degenerate fairness %+v", v.name, tot)
 		}
+		checkTenantsBound(t, recs[i])
 	}
 	if recs[0].Counters.Int("tenants.sheds") != 0 {
 		t.Error("unbounded variant shed operations")
@@ -45,5 +51,44 @@ func TestTenantsExperimentSmoke(t *testing.T) {
 	}
 	if len(r.Rows) == 0 || len(r.Notes) == 0 {
 		t.Error("plot result empty")
+	}
+}
+
+// TestTenantsRecordsWithinTheirBound holds the committed full-scale
+// tenants records to the same: each run took at least its busiest storage
+// resource's time.
+func TestTenantsRecordsWithinTheirBound(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_sim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed []Record
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, rec := range committed {
+		if strings.HasPrefix(rec.Name, "tenants(") {
+			checkTenantsBound(t, rec)
+			n++
+		}
+	}
+	if n != len(tenantsVariants) {
+		t.Errorf("%d committed tenants records, want %d", n, len(tenantsVariants))
+	}
+}
+
+// checkTenantsBound checks a tenant-streams record against its bound: the
+// busiest storage resource worked, no longer than the run took, and the
+// busiest disk at least the mean one.
+func checkTenantsBound(t *testing.T, rec Record) {
+	t.Helper()
+	step := rec.Steps[0]
+	v, bound, skew := step.SimSeconds, step.Stats["bound_seconds"], step.Stats["disk_busy_max_over_mean"]
+	if bound <= 0 || v < bound {
+		t.Errorf("%s: sim %.4fs not at or above its bound %.4fs", rec.Name, v, bound)
+	}
+	if skew < 1 {
+		t.Errorf("%s: disk busy max/mean %.3f below 1", rec.Name, skew)
 	}
 }

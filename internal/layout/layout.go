@@ -28,9 +28,13 @@ type Layout interface {
 }
 
 // RoundRobin is the default parallel-file-system policy: strip s lives on
-// server s mod D (paper Eq. (2)).
+// server (s + Start) mod D — the paper's Eq. (2) for a file whose strip 0
+// sits on server Start. The paper stripes one file from server 0; a file
+// system holding many files starts each on its own server, so that their
+// first strips do not all queue on one disk.
 type RoundRobin struct {
-	D int // number of storage servers
+	D     int // number of storage servers
+	Start int // server holding strip 0, in [0, D)
 }
 
 // NewRoundRobin returns the default policy over d servers.
@@ -39,18 +43,21 @@ func NewRoundRobin(d int) RoundRobin {
 	return RoundRobin{D: d}
 }
 
-func (r RoundRobin) Name() string           { return fmt.Sprintf("round-robin(D=%d)", r.D) }
+func (r RoundRobin) Name() string {
+	return fmt.Sprintf("round-robin(D=%d%s)", r.D, startSuffix(r.Start))
+}
 func (r RoundRobin) Servers() int           { return r.D }
-func (r RoundRobin) Primary(s int64) int    { return int(mod(s, int64(r.D))) }
+func (r RoundRobin) Primary(s int64) int    { return rotate(s, r.Start, r.D) }
 func (r RoundRobin) Replicas(s int64) []int { return nil }
 
 // Grouped places r successive strips on the same server: strip s lives on
-// server (s/r) mod D (paper Eq. (14) without replication). It reduces but
-// does not eliminate cross-server dependence: dependencies still cross at
-// every group boundary.
+// server (s/r + Start) mod D (paper Eq. (14) without replication). It
+// reduces but does not eliminate cross-server dependence: dependencies
+// still cross at every group boundary.
 type Grouped struct {
-	D int // number of storage servers
-	R int // strips per group
+	D     int // number of storage servers
+	R     int // strips per group
+	Start int // server holding group 0, in [0, D)
 }
 
 // NewGrouped returns a grouped policy with r strips per group.
@@ -60,9 +67,11 @@ func NewGrouped(d, r int) Grouped {
 	return Grouped{D: d, R: r}
 }
 
-func (g Grouped) Name() string           { return fmt.Sprintf("grouped(D=%d,r=%d)", g.D, g.R) }
+func (g Grouped) Name() string {
+	return fmt.Sprintf("grouped(D=%d,r=%d%s)", g.D, g.R, startSuffix(g.Start))
+}
 func (g Grouped) Servers() int           { return g.D }
-func (g Grouped) Primary(s int64) int    { return int(mod(s/int64(g.R), int64(g.D))) }
+func (g Grouped) Primary(s int64) int    { return rotate(s/int64(g.R), g.Start, g.D) }
 func (g Grouped) Replicas(s int64) []int { return nil }
 
 // GroupedReplicated is the paper's improved data distribution: r
@@ -73,11 +82,13 @@ func (g Grouped) Replicas(s int64) []int { return nil }
 // generalize to Halo ≥ 1 consecutive strips at each boundary, required
 // when the dependence span of a kernel exceeds one strip (e.g. an
 // 8-neighbor stencil on rows wider than one strip). Capacity overhead is
-// 2·Halo/r relative to an unreplicated layout.
+// 2·Halo/r relative to an unreplicated layout. Group g lives on server
+// (g + Start) mod D, and its replicas rotate with it.
 type GroupedReplicated struct {
-	D    int // number of storage servers
-	R    int // strips per group
-	Halo int // boundary strips replicated to each adjacent server
+	D     int // number of storage servers
+	R     int // strips per group
+	Halo  int // boundary strips replicated to each adjacent server
+	Start int // server holding group 0, in [0, D)
 }
 
 // NewGroupedReplicated returns the improved distribution. Halo must be at
@@ -93,10 +104,10 @@ func NewGroupedReplicated(d, r, halo int) GroupedReplicated {
 }
 
 func (g GroupedReplicated) Name() string {
-	return fmt.Sprintf("grouped-replicated(D=%d,r=%d,halo=%d)", g.D, g.R, g.Halo)
+	return fmt.Sprintf("grouped-replicated(D=%d,r=%d,halo=%d%s)", g.D, g.R, g.Halo, startSuffix(g.Start))
 }
 func (g GroupedReplicated) Servers() int        { return g.D }
-func (g GroupedReplicated) Primary(s int64) int { return int(mod(s/int64(g.R), int64(g.D))) }
+func (g GroupedReplicated) Primary(s int64) int { return rotate(s/int64(g.R), g.Start, g.D) }
 
 // Replicas returns the adjacent servers holding copies of strip s: the
 // previous server if s is within Halo of its group's start, the next
@@ -109,10 +120,10 @@ func (g GroupedReplicated) Replicas(s int64) []int {
 	pos := mod(s, int64(g.R))
 	var reps []int
 	if pos < int64(g.Halo) {
-		reps = appendServer(reps, int(mod(s/int64(g.R)-1, int64(g.D))), primary)
+		reps = appendServer(reps, rotate(s/int64(g.R)-1, g.Start, g.D), primary)
 	}
 	if pos >= int64(g.R-g.Halo) {
-		reps = appendServer(reps, int(mod(s/int64(g.R)+1, int64(g.D))), primary)
+		reps = appendServer(reps, rotate(s/int64(g.R)+1, g.Start, g.D), primary)
 	}
 	if len(reps) == 2 && reps[0] > reps[1] {
 		reps[0], reps[1] = reps[1], reps[0]
@@ -165,6 +176,26 @@ func (r ReplicatedRoundRobin) Replicas(s int64) []int {
 	}
 	sort.Ints(reps)
 	return reps
+}
+
+// StartingAt returns l with its strip 0 moved to server srv mod D: the
+// arithmetic layouts (RoundRobin, Grouped, GroupedReplicated) rotate every
+// strip's holders by the same offset, any other layout comes back
+// unchanged. A rotation relabels servers and nothing else, so locality,
+// overhead and every per-server count are those of l.
+func StartingAt(l Layout, srv int) Layout {
+	switch l := l.(type) {
+	case RoundRobin:
+		l.Start = int(mod(int64(srv), int64(l.D)))
+		return l
+	case Grouped:
+		l.Start = int(mod(int64(srv), int64(l.D)))
+		return l
+	case GroupedReplicated:
+		l.Start = int(mod(int64(srv), int64(l.D)))
+		return l
+	}
+	return l
 }
 
 // Holders returns every server that stores strip s (primary first, then
@@ -241,6 +272,18 @@ func mustGroup(r int) {
 	if r <= 0 {
 		panic(fmt.Sprintf("layout: group size must be positive, got %d", r))
 	}
+}
+
+// rotate places group (or strip) g of a file starting on server start.
+func rotate(g int64, start, d int) int { return int(mod(g+int64(start), int64(d))) }
+
+// startSuffix names a non-zero start in a layout's Name; a file starting on
+// server 0 keeps the name it has always had.
+func startSuffix(start int) string {
+	if start == 0 {
+		return ""
+	}
+	return fmt.Sprintf(",start=%d", start)
 }
 
 // mod is the non-negative remainder, defined for negative numerators so

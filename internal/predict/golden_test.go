@@ -167,7 +167,7 @@ func goldenRows(t *testing.T) []goldenRow {
 
 // update re-records testdata/decisions.golden from goldenRows, i.e. from
 // Estimate as it is now: `go test ./internal/predict -run Recorded -update`.
-// Only a deliberate modelling change does that (ROADMAP item 5), and the
+// Only a deliberate modelling change does that (ROADMAP item 4(c)), and the
 // rows recognised below as the parent's contradiction then match like any
 // other: their expected count goes to zero with the same change.
 var update = flag.Bool("update", false, "re-record testdata/decisions.golden from Estimate")

@@ -293,6 +293,10 @@ func (m *Migrator) Observe(file string, pat features.Pattern, p predict.Params, 
 	if err != nil || !ok {
 		return
 	}
+	// The file keeps its first server: a regrouped file's group 0 lands
+	// where its strip 0 already is, not on server 0 for every file, and a
+	// file already at its rotated target compares equal by name.
+	target.Start = meta.Layout.Primary(0)
 	if target.Name() == meta.Layout.Name() {
 		return
 	}

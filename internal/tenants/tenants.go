@@ -286,8 +286,9 @@ func (e *Engine) FileName(i int) string { return fmt.Sprintf("tfile-%03d", i) }
 
 // Setup creates and ingests every file: deterministic per-file strip
 // counts drawn from the seed, raster contents from the workload image
-// generator, the layout from the configured policy, plus a same-geometry
-// output file per input for offload results. Ingest writes run
+// generator, the layout from the configured policy started on server
+// i mod D for file i, plus a same-geometry output file per input, with the
+// same layout, for offload results. Ingest writes run
 // concurrently, one child process per file.
 func (e *Engine) Setup(p *sim.Proc) error {
 	if e.setupRan {
@@ -322,7 +323,10 @@ func (e *Engine) Setup(p *sim.Proc) error {
 	sigs := make([]*sim.Signal[error], 0, len(e.files))
 	for i := range e.files {
 		f := &e.files[i]
-		lay := e.layoutFor(i, f.strips)
+		// File i starts on server i mod D: with every file's strip 0 on
+		// server 0, the hot files' first strips — and the first group of
+		// every file the migrator regroups — would queue on one disk.
+		lay := layout.StartingAt(e.layoutFor(i, f.strips), i%e.fs.Servers())
 		opts := pfs.CreateOptions{
 			StripSize: e.cfg.StripSize,
 			Width:     width,

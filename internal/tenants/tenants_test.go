@@ -8,6 +8,7 @@ import (
 	"github.com/hpcio/das/internal/active"
 	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/kernels"
+	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/sim"
 )
@@ -239,5 +240,62 @@ func TestLifecycleGuards(t *testing.T) {
 	}
 	if runErr == nil {
 		t.Fatal("Run before Setup accepted")
+	}
+}
+
+// TestSetupSpreadsPrimaries: file i starts on server i mod D, so after
+// Setup no server owns more than a file's worth of primary strips beyond
+// its share — under the default round-robin policy and under a grouped
+// policy installed with SetLayouts, whose first group would otherwise put
+// every file's head on server 0. Each input and its output share a layout.
+func TestSetupSpreadsPrimaries(t *testing.T) {
+	for _, pol := range []struct {
+		name   string
+		policy func(d int) func(int, int64) layout.Layout
+	}{
+		{"default", nil},
+		{"grouped", func(d int) func(int, int64) layout.Layout {
+			return func(int, int64) layout.Layout { return layout.NewGroupedReplicated(d, 8, 2) }
+		}},
+	} {
+		name, policy := pol.name, pol.policy
+		clu, fs := testPlatform(t)
+		cfg := testConfig()
+		cfg.Files = 32
+		e, err := New(clu, fs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if policy != nil {
+			e.SetLayouts(policy(fs.Servers()))
+		}
+		var setupErr error
+		clu.Eng.Spawn("setup", func(p *sim.Proc) { setupErr = e.Setup(p) })
+		if err := clu.Eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if setupErr != nil {
+			t.Fatal(setupErr)
+		}
+		owned := make([]int64, fs.Servers())
+		var total int64
+		for i := 0; i < cfg.Files; i++ {
+			in, _ := fs.Meta(e.FileName(i))
+			out, _ := fs.Meta(e.FileName(i) + ".out")
+			if in.Layout != out.Layout {
+				t.Errorf("%s: %s is placed %s, its output %s", name, in.Name, in.Layout.Name(), out.Layout.Name())
+			}
+			for s := int64(0); s < in.Strips(); s++ {
+				owned[in.Layout.Primary(s)]++
+			}
+			total += in.Strips()
+		}
+		mean := total / int64(len(owned))
+		for srv, n := range owned {
+			if n > mean+int64(e.Config().StripsPerFileMax) || n < mean-int64(e.Config().StripsPerFileMax) {
+				t.Errorf("%s: server %d owns %d primaries, mean %d (per server %v)", name, srv, n, mean, owned)
+			}
+		}
+		clu.Eng.Shutdown()
 	}
 }
