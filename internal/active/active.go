@@ -24,7 +24,6 @@ import (
 	"github.com/hpcio/das/internal/cache"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
-	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
@@ -72,10 +71,8 @@ type execReq struct {
 	Input  string
 	Output string
 	Mode   FetchMode
-	// Strips, when non-nil, is the explicit ascending set of input strips
-	// this server must process — the degraded dispatch path assigns a dead
-	// server's strips to their replica holders this way. Nil means "your
-	// primary strips", the healthy-cluster contract.
+	// Strips is the ascending set of strips this server must process, as
+	// the client's dispatch loop assigned them.
 	Strips []int64
 }
 
@@ -216,11 +213,11 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 	}
 }
 
-// exec processes every run of consecutive primary strips this server owns
-// through WalkRuns' three stages: assemble the run's band (local reads,
-// replica reads, and — depending on the mode — remote fetches), invoke the
-// kernel, and write the output strips locally while the output layout's
-// replica holders are sent their copies.
+// exec processes every run of consecutive strips the request assigns this
+// server through WalkRuns' three stages: assemble the run's band (local
+// reads, replica reads, and — depending on the mode — remote fetches),
+// invoke the kernel, and write the output strips locally while the output
+// layout's replica holders are sent their copies.
 func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, error) {
 	clu := svc.fs.Cluster()
 	in, ok := svc.fs.Meta(req.Input)
@@ -267,7 +264,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 		resp.Strips += run.Last - run.First + 1
 		return st.Store(p, run, outVals)
 	}
-	err := WalkRuns(p, assignedRuns(srv, in, req.Strips), assemble, compute, st.Stalled(p))
+	err := WalkRuns(p, StripRuns(in, req.Strips), assemble, compute, st.Stalled(p))
 	if err := st.Drain(p, err); err != nil {
 		return nil, err
 	}
@@ -299,29 +296,6 @@ func StripRuns(m *pfs.FileMeta, strips []int64) []StripRun {
 	return runs
 }
 
-// assignedRuns returns the strip runs this exec request covers: the
-// explicitly assigned strips when the request carries them (degraded
-// dispatch), the server's primary strips otherwise.
-func assignedRuns(srv *pfs.Server, m *pfs.FileMeta, strips []int64) []StripRun {
-	if strips == nil {
-		return PrimaryRuns(srv, m)
-	}
-	return StripRuns(m, strips)
-}
-
-// PrimaryRuns enumerates the server's primary strips as consecutive runs:
-// single strips under round-robin, whole groups under the improved
-// distribution.
-func PrimaryRuns(srv *pfs.Server, m *pfs.FileMeta) []StripRun {
-	var strips []int64
-	for s := int64(0); s < m.Strips(); s++ {
-		if m.Layout.Primary(s) == srv.Index() {
-			strips = append(strips, s)
-		}
-	}
-	return StripRuns(m, strips)
-}
-
 // Client is the Active Storage Client from Fig. 2, bound to a compute
 // node: it dispatches offloaded operations to every storage server and
 // aggregates their statistics.
@@ -337,59 +311,36 @@ func NewClient(fs *pfs.FileSystem, nodeID int) *Client {
 }
 
 // Exec offloads op over input, producing output (which must already be
-// created with the same geometry). It returns once every server has
-// finished its share. Once the cluster's fault layer is active, dispatch
-// goes through the degraded path: strips are assigned to their first live
-// holders and reassigned when a server crashes mid-execution.
+// created with the same geometry), and returns once every strip has been
+// processed. It runs the dispatch loop under the output's layout: a strip
+// is processed, and its result stored, on the first live holder of its
+// output strip — where readers will look for it, the input mid-migration
+// or not — and a server that crashes mid-execution has its strips
+// reassigned to another holder.
 func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (ExecStats, error) {
-	clu := c.fs.Cluster()
-	if clu.Faults.Active() {
-		return c.execDegraded(p, op, input, output, mode)
+	out, ok := c.fs.Meta(output)
+	if !ok {
+		return ExecStats{}, fmt.Errorf("active: unknown output %q", output)
 	}
-	// With a stable input layout every server derives its own share ("your
-	// primary strips", the nil-Strips contract). A mid-migration input's
-	// placement keeps shifting while the dispatched servers consult it at
-	// different simulated times, so a strip could be claimed twice or not
-	// at all; instead the client fixes the assignment once, from the
-	// output's frozen snapshot layout, and ships each server its explicit
-	// strip list. The processing server then writes each output strip
-	// locally exactly where the snapshot says readers will look for it.
-	assign := migratingAssignment(c.fs, input, output)
-	sigs := make([]*sim.Signal[*execResp], 0, c.fs.Servers())
-	for s := 0; s < c.fs.Servers(); s++ {
-		s := s
-		var strips []int64
-		if assign != nil {
-			strips = assign[s]
-			if strips == nil {
-				strips = []int64{} // explicitly nothing, not "your primaries"
-			}
+	ask := func(strips []int64) any {
+		// LocalOnly assumes the verified layout's placement, which a dead
+		// server invalidates: a failover holder's halo can live off-node.
+		// Escalate to whole-strip fetches so the run still completes.
+		m := mode
+		if m == LocalOnly && c.fs.Cluster().AnyStorageDown() {
+			m = FetchWholeStrips
 		}
-		done := sim.NewSignal[*execResp](clu.Eng, "as-exec")
-		sigs = append(sigs, done)
-		p.Spawn("as-dispatch", func(d *sim.Proc) {
-			resp := clu.Net.Call(d, simnet.Message{
-				From:    c.nodeID,
-				To:      clu.StorageID(s),
-				Port:    Port,
-				Size:    headerBytes,
-				Class:   clu.ClassBetween(c.nodeID, clu.StorageID(s)),
-				Payload: execReq{Op: op, Input: input, Output: output, Mode: mode, Strips: strips},
-			})
-			r, ok := resp.Payload.(*execResp)
-			if !ok {
-				r = &execResp{Err: fmt.Sprintf("unexpected response type %T", resp.Payload)}
-			}
-			done.Fire(r)
-		})
+		return execReq{Op: op, Input: input, Output: output, Mode: m, Strips: strips}
 	}
 	var stats ExecStats
-	stats.Rounds = 1
-	for _, r := range sim.WaitAll(p, sigs) {
-		if r.Err != "" {
-			return ExecStats{}, fmt.Errorf("active: %s", r.Err)
+	take := func(payload any) error {
+		r, ok := payload.(*execResp)
+		if !ok {
+			return fmt.Errorf("active: unexpected response type %T", payload)
 		}
-		stats.Servers++
+		if r.Err != "" {
+			return remoteErr(input, r.Err)
+		}
 		stats.Strips += r.Strips
 		stats.Elements += r.Elements
 		stats.RemoteFetches += r.RemoteFetches
@@ -397,30 +348,11 @@ func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (Ex
 		stats.CacheHits += r.CacheHits
 		stats.CacheHitBytes += r.CacheHitBytes
 		stats.PhaseMax.MaxWith(r.Phases)
+		return nil
+	}
+	var err error
+	if stats.Rounds, stats.Servers, err = c.dispatch(p, input, out.Layout, out.Strips(), ask, take); err != nil {
+		return ExecStats{}, err
 	}
 	return stats, nil
-}
-
-// migratingAssignment returns the explicit per-server strip assignment for
-// an input whose layout is mid-migration, derived from the output file's
-// frozen layout — nil when the input layout is stable and the healthy
-// nil-Strips contract applies.
-func migratingAssignment(fs *pfs.FileSystem, input, output string) map[int][]int64 {
-	in, ok := fs.Meta(input)
-	if !ok {
-		return nil
-	}
-	if _, migrating := in.Layout.(*layout.Migrating); !migrating {
-		return nil
-	}
-	out, ok := fs.Meta(output)
-	if !ok {
-		return nil
-	}
-	assign := make(map[int][]int64)
-	for s := int64(0); s < in.Strips(); s++ {
-		owner := out.Layout.Primary(s)
-		assign[owner] = append(assign[owner], s)
-	}
-	return assign
 }

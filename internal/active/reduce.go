@@ -10,11 +10,12 @@ import (
 	"github.com/hpcio/das/internal/simnet"
 )
 
-// reduceReq asks one server to fold its local strips of a file into a
-// partial aggregate.
+// reduceReq asks one server to fold the strips of a file the client
+// assigned it into a partial aggregate.
 type reduceReq struct {
-	Op    string
-	Input string
+	Op     string
+	Input  string
+	Strips []int64
 }
 
 // reduceResp carries one server's partial aggregate.
@@ -33,7 +34,7 @@ type ReduceStats struct {
 	ReturnBytes int64
 }
 
-// handleReduce folds every primary run of this server through the reducer
+// handleReduce folds every run of the request's strips through the reducer
 // and responds with the merged partial. Reductions have no dependence, so
 // assembly needs no halo and no remote fetches, and nothing is stored:
 // of WalkRuns' stages only the read-ahead is at work.
@@ -86,7 +87,7 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		elements += e1 - e0
 		return nil
 	}
-	if err := WalkRuns(p, PrimaryRuns(srv, in), assemble, fold, nil); err != nil {
+	if err := WalkRuns(p, StripRuns(in, req.Strips), assemble, fold, nil); err != nil {
 		respond(reduceResp{Err: err.Error()}, headerBytes)
 		return
 	}
@@ -95,50 +96,46 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		headerBytes+int64(len(partial))*grid.ElemSize)
 }
 
-// ExecReduce offloads a reduction: every server folds its local strips and
-// returns only its partial aggregate; the client merges them. The returned
-// slice is the full aggregate (identical to kernels.ReduceAll on the whole
-// raster).
+// ExecReduce offloads a reduction through the dispatch loop, under the
+// input's layout since it stores nothing: every server folds the strips
+// it is assigned and returns only its partial aggregate; the client merges
+// them. The returned slice is the full aggregate (kernels.ReduceAll on the
+// whole raster, up to the order float sums are merged in).
 func (c *Client) ExecReduce(p *sim.Proc, red kernels.Reducer, input string) ([]float64, ReduceStats, error) {
-	clu := c.fs.Cluster()
-	sigs := make([]*sim.Signal[reduceResp], 0, c.fs.Servers())
-	for s := 0; s < c.fs.Servers(); s++ {
-		s := s
-		done := sim.NewSignal[reduceResp](clu.Eng, "as-reduce")
-		sigs = append(sigs, done)
-		p.Spawn("as-reduce-dispatch", func(d *sim.Proc) {
-			resp := clu.Net.Call(d, simnet.Message{
-				From:    c.nodeID,
-				To:      clu.StorageID(s),
-				Port:    Port,
-				Size:    headerBytes,
-				Class:   clu.ClassBetween(c.nodeID, clu.StorageID(s)),
-				Payload: reduceReq{Op: red.Name(), Input: input},
-			})
-			done.Fire(resp.Payload.(reduceResp))
-		})
+	in, ok := c.fs.Meta(input)
+	if !ok {
+		return nil, ReduceStats{}, fmt.Errorf("active: unknown input %q", input)
 	}
+	ask := func(strips []int64) any { return reduceReq{Op: red.Name(), Input: input, Strips: strips} }
 	var stats ReduceStats
 	var partials [][]float64
-	for _, resp := range sim.WaitAll(p, sigs) {
-		if resp.Err != "" {
-			return nil, ReduceStats{}, fmt.Errorf("active: %s", resp.Err)
+	take := func(payload any) error {
+		r, ok := payload.(reduceResp)
+		if !ok {
+			return fmt.Errorf("active: unexpected response type %T", payload)
+		}
+		if r.Err != "" {
+			return remoteErr(input, r.Err)
 		}
 		// Guard against a client reducer parameterized differently from
 		// the server-side registration of the same name (e.g. histograms
 		// with different bin counts): merging mismatched partials would
 		// silently corrupt the aggregate.
-		if len(resp.Partial) != red.PartialLen() {
-			return nil, ReduceStats{}, fmt.Errorf(
+		if len(r.Partial) != red.PartialLen() {
+			return fmt.Errorf(
 				"active: reducer %q returned %d-element partials, client expects %d (parameter mismatch with the server registration)",
-				red.Name(), len(resp.Partial), red.PartialLen())
+				red.Name(), len(r.Partial), red.PartialLen())
 		}
-		stats.Servers++
-		stats.Elements += resp.Elements
-		stats.ReturnBytes += int64(len(resp.Partial)) * grid.ElemSize
-		if resp.Elements > 0 {
-			partials = append(partials, resp.Partial)
+		stats.Elements += r.Elements
+		stats.ReturnBytes += int64(len(r.Partial)) * grid.ElemSize
+		if r.Elements > 0 {
+			partials = append(partials, r.Partial)
 		}
+		return nil
+	}
+	var err error
+	if _, stats.Servers, err = c.dispatch(p, input, in.Layout, in.Strips(), ask, take); err != nil {
+		return nil, ReduceStats{}, err
 	}
 	if len(partials) == 0 {
 		return nil, ReduceStats{}, fmt.Errorf("active: no server held data for %q", input)

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"github.com/hpcio/das/internal/bufpool"
+	"github.com/hpcio/das/internal/cluster"
+	"github.com/hpcio/das/internal/fault"
+	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
+	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/metrics"
+	"github.com/hpcio/das/internal/pfs"
+	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/workload"
 )
 
@@ -97,5 +105,120 @@ func TestReduceValidation(t *testing.T) {
 	}
 	if _, err := s.Reduce(ReduceRequest{Op: "stats", Input: "in", Scheme: Scheme(9)}); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+}
+
+// reduceUnderFaults runs a NAS stats reduction of g, ingested under lay in
+// strips of strip bytes, on a fresh platform of cfg with the given fault
+// events armed (their times count from the reduction's start). It returns
+// the report, the strips the client had to dispatch again, and how many
+// processes were left parked.
+func reduceUnderFaults(t *testing.T, cfg cluster.Config, g *grid.Grid, lay layout.Layout, strip int64, events ...fault.Event) (ReduceReport, int64, int, error) {
+	t.Helper()
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.IngestGrid("in", g, lay, strip); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Clu.InstallFaultPlan(fault.Plan{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Reduce(ReduceRequest{Op: "stats", Input: "in", Scheme: NAS})
+	return rep, s.Clu.Counters.Get("recovery.exec_retries"), s.Clu.Eng.Live(), err
+}
+
+// checkStats holds a reduction to the sequential aggregate: count, min and
+// max exactly, the sums up to the order partials were merged in.
+func checkStats(t *testing.T, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if got[i] == want[i] {
+			continue
+		}
+		if (i == kernels.StatSum || i == kernels.StatSumSq) && math.Abs(got[i]-want[i]) <= 1e-9*math.Abs(want[i]) {
+			continue
+		}
+		t.Errorf("aggregate[%d] = %v, want %v", i, got[i], want[i])
+	}
+}
+
+// TestReduceSurvivesADownServer: with server 1 down before dispatch, its
+// strips are folded by their replica holders and the reduction returns the
+// sequential aggregate — no dispatcher waits on the dead server.
+func TestReduceSurvivesADownServer(t *testing.T) {
+	done := bufpool.Audit()
+	defer func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	}()
+	g := workload.Terrain(testW, testH, 5)
+	rep, _, live, err := reduceUnderFaults(t, smallConfig(), g, layout.NewGroupedReplicated(4, 4, 4), testStrip,
+		fault.Event{At: 0, Kind: fault.Crash, Server: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStats(t, rep.Result, kernels.ReduceAll(kernels.Stats{}, g))
+	if rep.Stats.Elements != g.Len() || rep.Stats.Servers != 3 {
+		t.Errorf("folded %d elements on %d servers, want %d on 3", rep.Stats.Elements, rep.Stats.Servers, g.Len())
+	}
+	if live != 0 {
+		t.Errorf("%d processes still live after the reduction", live)
+	}
+}
+
+// TestReduceSurvivesACrashMidFold crashes server 1 in the middle of its
+// fold and restarts it: the request died with the old incarnation, so its
+// strips are dispatched again, and the reduction still returns the
+// sequential aggregate.
+func TestReduceSurvivesACrashMidFold(t *testing.T) {
+	done := bufpool.Audit()
+	defer func() {
+		if n := done(); n != 0 {
+			t.Errorf("%d pooled buffers outstanding", n)
+		}
+	}()
+	g := workload.Terrain(overlapW, overlapH, 5)
+	cfg := smallConfig()
+	cfg.ComputeNsPerElem *= 20 // fold-bound, so the crash lands inside a fold
+	lay := layout.NewGroupedReplicated(4, 4, 4)
+	// A healthy run with the fault paths armed times the fold.
+	healthy, _, _, err := reduceUnderFaults(t, cfg, g, lay, overlapStrip,
+		fault.Event{At: sim.Second, Kind: fault.Crash, Server: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startup := cfg.Startup
+	crashAt := startup + (healthy.ExecTime-startup)/2
+	rep, retries, live, err := reduceUnderFaults(t, cfg, g, lay, overlapStrip,
+		fault.Event{At: crashAt, Kind: fault.Crash, Server: 1},
+		fault.Event{At: crashAt + (healthy.ExecTime-startup)/4, Kind: fault.Restart, Server: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retries == 0 {
+		t.Fatal("no strip was dispatched again: the crash missed the fold, or a reply from before the restart was taken")
+	}
+	checkStats(t, rep.Result, kernels.ReduceAll(kernels.Stats{}, g))
+	if rep.Stats.Elements != g.Len() {
+		t.Errorf("folded %d elements, want %d", rep.Stats.Elements, g.Len())
+	}
+	if live != 0 {
+		t.Errorf("%d processes still live after the reduction", live)
+	}
+}
+
+// TestReduceWithoutALiveCopyFailsTyped: round-robin keeps no replicas, so
+// with a server down the reduction cannot run, and says so with
+// ErrNoLiveCopy instead of waiting on the dead server.
+func TestReduceWithoutALiveCopyFailsTyped(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	_, _, _, err := reduceUnderFaults(t, smallConfig(), g, layout.NewRoundRobin(4), testStrip,
+		fault.Event{At: 0, Kind: fault.Crash, Server: 1})
+	if !errors.Is(err, pfs.ErrNoLiveCopy) {
+		t.Errorf("error %v, want ErrNoLiveCopy", err)
 	}
 }

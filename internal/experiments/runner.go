@@ -15,6 +15,7 @@ import (
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/mapred"
 	"github.com/hpcio/das/internal/metrics"
+	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/tenants"
@@ -552,6 +553,9 @@ func (r *run) verify(sr *StepRecord) error {
 		if attempted := int64(cfg.Tenants) * int64(cfg.OpsPerTenant); tot.Ops+tot.Sheds != attempted {
 			return fmt.Errorf("tenants: %d ops + %d sheds != %d attempted", tot.Ops, tot.Sheds, attempted)
 		}
+		if err := outputsPlaced(r.live.FS, eng); err != nil {
+			return err
+		}
 		sr.Verified = true
 		return nil
 	}
@@ -579,6 +583,31 @@ func (r *run) verify(sr *StepRecord) error {
 		}
 	}
 	sr.Verified = true
+	return nil
+}
+
+// outputsPlaced holds the tenant outputs to their layouts: a strip of an
+// output that any server holds is held by its primary under the output's
+// layout too, since an offload stores each result where readers look.
+func outputsPlaced(fs *pfs.FileSystem, eng *tenants.Engine) error {
+	for i := 0; i < eng.Config().Files; i++ {
+		out, ok := fs.Meta(eng.FileName(i) + ".out")
+		if !ok {
+			return fmt.Errorf("tenants: no output for %s", eng.FileName(i))
+		}
+		for t := int64(0); t < out.Strips(); t++ {
+			primary := out.Layout.Primary(t)
+			if fs.Server(primary).Holds(out.Name, t) {
+				continue
+			}
+			for s := 0; s < fs.Servers(); s++ {
+				if fs.Server(s).Holds(out.Name, t) {
+					return fmt.Errorf("tenants: %s strip %d is held by server %d and not by its primary, server %d",
+						out.Name, t, s, primary)
+				}
+			}
+		}
+	}
 	return nil
 }
 

@@ -267,40 +267,15 @@ func (s *Server) LocalViewMany(p *sim.Proc, file string, spans []Span) ([][]byte
 	return out, nil
 }
 
-// LocalWrite stores a strip through the node's disk. With forward set, the
-// server pushes copies to the strip's replica holders under the file's
-// current layout — the write path that materializes the improved
-// distribution's boundary replicas. data becomes the stored strip by
-// reference, here and on every replica holder: the caller must never
-// write to it again (client bytes are copied before they get here, in the
-// request handlers).
+// LocalWrite stores a strip through the node's disk: LocalWriteMany of one
+// strip. With forward set, the server pushes copies to the strip's replica
+// holders under the file's current layout — the write path that
+// materializes the improved distribution's boundary replicas. data becomes
+// the stored strip by reference, here and on every replica holder: the
+// caller must never write to it again (client bytes are copied before they
+// get here, in the request handlers).
 func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, forward bool) error {
-	if err := s.validateWrite(file, strip, data); err != nil {
-		return err
-	}
-	m := s.fs.meta[file]
-	s.storePut(file, strip, data)
-	s.fs.clu.Disk(s.nodeID).Write(p, int64(len(data)))
-	if !forward {
-		return nil
-	}
-	for _, rep := range m.Layout.Replicas(strip) {
-		if rep == s.srv {
-			continue
-		}
-		if err := s.fs.writeStrip(p, s.nodeID, rep, writeReq{File: file, Strip: strip, Data: data, immutable: true}, false); err != nil {
-			if errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout) {
-				// Best-effort replication under faults: a down replica
-				// target loses this copy rather than failing the write. The
-				// primary copy is durable; DESIGN.md documents the
-				// divergence window.
-				s.fs.skippedForwards.Inc()
-				continue
-			}
-			return err
-		}
-	}
-	return nil
+	return s.LocalWriteMany(p, file, []int64{strip}, [][]byte{data}, forward)
 }
 
 // LocalWriteMany stores several whole strips with one sequential disk
@@ -310,10 +285,10 @@ func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, 
 // copies to their replica holders under the file's current layout,
 // batched per holder and sent holder after holder, each waiting for the
 // one before it to be acknowledged — the order of replica-maintaining
-// client writes (writeManyReq) and mapred's reducers. The storage servers'
-// run loop sends the same batches side by side instead (ReplicaBatches,
-// SendReplicas, one process per holder). The holders keep the same
-// immutable slices by reference.
+// client writes (writeReq, writeManyReq) and mapred's reducers. The
+// storage servers' run loop sends the same batches side by side instead
+// (ReplicaBatches, SendReplicas, one process per holder). The holders keep
+// the same immutable slices by reference.
 func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [][]byte, forward bool) error {
 	total, err := s.validateWriteMany(file, strips, data)
 	if err != nil {
@@ -405,9 +380,10 @@ func (s *Server) Drop(file string, strip int64) {
 	}
 }
 
-// validateWrite checks a single-strip write against the file's metadata.
-// Shared by the process handler and the request chain so both reject
-// exactly the same requests with the same messages.
+// validateWrite checks a single-strip write against the file's metadata,
+// for the request chain. It rejects what validateWriteMany rejects of one
+// strip, with the same messages, so the chain and the process handler
+// (LocalWrite) agree.
 func (s *Server) validateWrite(file string, strip int64, data []byte) error {
 	m, ok := s.fs.meta[file]
 	if !ok {

@@ -244,14 +244,14 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 }
 
 // dispatch sends one wave of stage requests, grouped by assigned server,
-// and folds successful responses into owner tracking, partials, and the
-// run result. It returns the strips whose server failed transiently
-// (crash mid-round, lost state) for reassignment; hard errors abort.
+// through active.FanOut, and folds successful responses into owner
+// tracking, partials, and the run result. It returns the strips whose
+// server failed transiently (crash mid-round, lost state) for
+// reassignment; hard errors abort.
 func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, input, output string,
 	round int, catchUp bool, strips []int64, owner []int32, ownerInc []uint64,
 	partials map[int64][]float64, res *RunResult) ([]int64, error) {
 	clu := c.fs.Cluster()
-	f := clu.Faults
 	live := func(srv int) bool { return !clu.ServerDown(srv) }
 	out, _ := c.fs.Meta(output)
 
@@ -295,74 +295,44 @@ func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, in
 		}
 	}
 
-	type result struct {
-		srv    int
-		inc    uint64
-		strips []int64
-		resp   stageResp
-		ok     bool
-	}
-	sigs := make([]*sim.Signal[result], 0, len(order))
-	for _, srv := range order {
-		srv, ss := srv, assign[srv]
-		done := sim.NewSignal[result](clu.Eng, "pipe-dispatch")
-		sigs = append(sigs, done)
-		p.Spawn("pipe-dispatch", func(dp *sim.Proc) {
-			toID := clu.StorageID(srv)
-			inc := f.Incarnation(toID)
-			msg := simnet.Message{
-				From:  c.nodeID,
-				To:    toID,
-				Port:  Port,
-				Size:  headerBytes + int64(len(ss))*8,
-				Class: clu.ClassBetween(c.nodeID, toID),
-				Payload: stageReq{Token: token, DAG: d, Input: input, Output: output,
-					Round: round, Strips: ss, CatchUp: catchUp, Owners: owners},
-			}
-			r := result{srv: srv, inc: inc, strips: ss}
-			if f.Active() {
-				crashed := func() bool { return f.Down(toID) || f.Incarnation(toID) != inc }
-				resp, delivered := clu.Net.CallCancelable(dp, msg, c.fs.Retry.Quantum, 0, crashed)
-				if delivered {
-					r.resp, r.ok = resp.Payload.(stageResp)
-				}
-			} else {
-				resp := clu.Net.Call(dp, msg)
-				r.resp, r.ok = resp.Payload.(stageResp)
-			}
-			done.Fire(r)
-		})
+	reqs := make([]active.Request, len(order))
+	for i, srv := range order {
+		reqs[i] = active.Request{Srv: srv, Size: headerBytes + int64(len(assign[srv]))*8,
+			Payload: stageReq{Token: token, DAG: d, Input: input, Output: output,
+				Round: round, Strips: assign[srv], CatchUp: catchUp, Owners: owners}}
 	}
 	var failed []int64
 	var wave active.Phases
-	for _, r := range sim.WaitAll(p, sigs) {
-		if !r.ok || (r.resp.Err != "" && r.resp.Transient) {
-			failed = append(failed, r.strips...)
+	for i, r := range active.FanOut(p, c.fs, c.nodeID, Port, reqs, 0) {
+		srv := order[i]
+		resp, ok := r.Payload.(stageResp)
+		if !ok || (resp.Err != "" && resp.Transient) {
+			failed = append(failed, assign[srv]...)
 			continue
 		}
-		if r.resp.Err != "" {
-			if strings.Contains(r.resp.Err, pfs.ErrNoLiveCopy.Error()) {
+		if resp.Err != "" {
+			if strings.Contains(resp.Err, pfs.ErrNoLiveCopy.Error()) {
 				return nil, &active.NoLiveCopyError{File: input, Strip: -1}
 			}
-			return nil, fmt.Errorf("pipeline: %s", r.resp.Err)
+			return nil, fmt.Errorf("pipeline: %s", resp.Err)
 		}
-		for _, s := range r.strips {
-			owner[s] = int32(r.srv)
-			ownerInc[s] = r.inc
+		for _, s := range assign[srv] {
+			owner[s] = int32(srv)
+			ownerInc[s] = r.Inc
 		}
-		for i, s := range r.resp.PartialStrips {
-			partials[s] = r.resp.Partials[i]
+		for i, s := range resp.PartialStrips {
+			partials[s] = resp.Partials[i]
 		}
-		res.Elements += r.resp.Elements
-		res.FetchOps += r.resp.RemoteFetches
-		res.FetchBytes += r.resp.RemoteBytes
-		res.CacheHits += r.resp.CacheHits
-		res.CacheHitBytes += r.resp.CacheHitBytes
-		res.ExchangeOps += r.resp.ExchangeOps
-		res.ExchangeBytes += r.resp.ExchangeBytes
-		res.CatchUps += r.resp.CatchUps
-		res.Wrote += r.resp.Wrote
-		wave.MaxWith(r.resp.Phases)
+		res.Elements += resp.Elements
+		res.FetchOps += resp.RemoteFetches
+		res.FetchBytes += resp.RemoteBytes
+		res.CacheHits += resp.CacheHits
+		res.CacheHitBytes += resp.CacheHitBytes
+		res.ExchangeOps += resp.ExchangeOps
+		res.ExchangeBytes += resp.ExchangeBytes
+		res.CatchUps += resp.CatchUps
+		res.Wrote += resp.Wrote
+		wave.MaxWith(resp.Phases)
 	}
 	res.Phases.Add(wave)
 	sortStrips(failed)

@@ -429,55 +429,17 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 	}
 
 	clu := svc.fs.Cluster()
-	type pulled struct {
-		resp bandResp
-		ok   bool
-	}
-	sigs := make([]*sim.Signal[pulled], len(pulls))
+	reqs := make([]active.Request, len(pulls))
 	for i, pu := range pulls {
-		pu := pu
-		sig := sim.NewSignal[pulled](clu.Eng, "pipe-pull")
-		sigs[i] = sig
-		p.Spawn("pipe-pull", func(f *sim.Proc) {
-			toID := clu.StorageID(pu.owner)
-			selfID := srv.NodeID()
-			msg := simnet.Message{
-				From:    selfID,
-				To:      toID,
-				Port:    Port,
-				Size:    headerBytes,
-				Class:   clu.ClassBetween(selfID, toID),
-				Payload: bandReq{Token: req.Token, Node: parent, Spans: pu.spans},
-			}
-			var reply simnet.Message
-			delivered := true
-			if clu.Faults.Active() {
-				// Abort on either end crashing: a down PULLER's request
-				// (or the response back to it) is silently dropped, so
-				// watching only the owner would poll forever. The
-				// deadline is a final backstop against lost messages
-				// neither liveness check explains.
-				fl := clu.Faults
-				toInc, selfInc := fl.Incarnation(toID), fl.Incarnation(selfID)
-				dead := func() bool {
-					return fl.Down(toID) || fl.Incarnation(toID) != toInc ||
-						fl.Down(selfID) || fl.Incarnation(selfID) != selfInc
-				}
-				pol := svc.fs.Retry
-				deadline := pol.Timeout * sim.Time(pol.Retries+1)
-				reply, delivered = clu.Net.CallCancelable(f, msg, pol.Quantum, deadline, dead)
-			} else {
-				reply = clu.Net.Call(f, msg)
-			}
-			var r pulled
-			if delivered {
-				r.resp, r.ok = reply.Payload.(bandResp)
-			}
-			sig.Fire(r)
-		})
+		reqs[i] = active.Request{Srv: pu.owner, Size: headerBytes,
+			Payload: bandReq{Token: req.Token, Node: parent, Spans: pu.spans}}
 	}
+	// The fan-out gives up on either end crashing: a down puller's request
+	// (or the response back to it) is silently dropped. The deadline is a
+	// final backstop against lost messages neither liveness check explains.
+	pol := svc.fs.Retry
 	pullStart := p.Now()
-	results := sim.WaitAll(p, sigs)
+	results := active.FanOut(p, svc.fs, srv.NodeID(), Port, reqs, pol.Timeout*sim.Time(pol.Retries+1))
 	resp.Phases.Fetch += p.Now() - pullStart
 	if clu.Trace != nil {
 		clu.Trace.Record(pullStart, p.Now()-pullStart, active.Lane(srv, "read"), "exchange",
@@ -485,13 +447,14 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 	}
 	var pullErr error
 	for i, r := range results {
-		if !r.ok {
+		got, ok := r.Payload.(bandResp)
+		if !ok {
 			pullErr = transient{fmt.Errorf("pipeline: band pull to server %d lost", pulls[i].owner)}
 			continue
 		}
-		if r.resp.Err != "" {
-			err := fmt.Errorf("pipeline: %s", r.resp.Err)
-			if r.resp.Transient {
+		if got.Err != "" {
+			err := fmt.Errorf("pipeline: %s", got.Err)
+			if got.Transient {
 				pullErr = transient{err}
 			} else {
 				pullErr = err
@@ -499,7 +462,7 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 			continue
 		}
 		for j, span := range pulls[i].spans {
-			v := r.resp.Data[j]
+			v := got.Data[j]
 			band.LendValues(span.Lo, v) // the owner's state itself: bandResp aliases it
 			bytes := int64(len(v)) * grid.ElemSize
 			resp.ExchangeOps++

@@ -288,8 +288,8 @@ func (e *Engine) FileName(i int) string { return fmt.Sprintf("tfile-%03d", i) }
 // counts drawn from the seed, raster contents from the workload image
 // generator, the layout from the configured policy started on server
 // i mod D for file i, plus a same-geometry output file per input, with the
-// same layout, for offload results. Ingest writes run
-// concurrently, one child process per file.
+// same layout (and kept so by each offload), for offload results. Ingest
+// writes run concurrently, one child process per file.
 func (e *Engine) Setup(p *sim.Proc) error {
 	if e.setupRan {
 		return fmt.Errorf("tenants: Setup already ran")
@@ -488,7 +488,7 @@ func (e *Engine) runTenant(p *sim.Proc, t *tenantState) error {
 			t.bytes += e.cfg.StripSize
 		default:
 			var stats active.ExecStats
-			stats, err = t.as.Exec(p, e.cfg.Op, f.name, f.out, active.FetchWholeStrips)
+			stats, err = e.offload(p, t.as, f)
 			t.offloads++
 			t.bytes += f.size
 			t.remoteBytes += stats.RemoteBytes
@@ -512,6 +512,19 @@ func (e *Engine) runTenant(p *sim.Proc, t *tenantState) error {
 		}
 	}
 	return nil
+}
+
+// offload runs the operator over a file into its output. The output is
+// first placed as its input is now — the rule core applies when it creates
+// an output — because the offload stores each result where the output's
+// layout says: after a restripe moved the input, a stale output layout
+// would send every strip to a server that must fetch it.
+func (e *Engine) offload(p *sim.Proc, as *active.Client, f *fileInfo) (active.ExecStats, error) {
+	in, _ := e.fs.Meta(f.name)
+	if err := e.fs.SetLayout(f.out, layout.Concrete(in.Layout, f.strips)); err != nil {
+		return active.ExecStats{}, err
+	}
+	return as.Exec(p, e.cfg.Op, f.name, f.out, active.FetchWholeStrips)
 }
 
 // admit is the per-server admission gate. A read or write targets one

@@ -247,7 +247,9 @@ func TestLifecycleGuards(t *testing.T) {
 // Setup no server owns more than a file's worth of primary strips beyond
 // its share — under the default round-robin policy and under a grouped
 // policy installed with SetLayouts, whose first group would otherwise put
-// every file's head on server 0. Each input and its output share a layout.
+// every file's head on server 0. Each input and its output share a layout,
+// after Setup and again once a restripe has moved the input and an offload
+// has run over it.
 func TestSetupSpreadsPrimaries(t *testing.T) {
 	for _, pol := range []struct {
 		name   string
@@ -277,14 +279,20 @@ func TestSetupSpreadsPrimaries(t *testing.T) {
 		if setupErr != nil {
 			t.Fatal(setupErr)
 		}
+		shareLayouts := func(when string) {
+			for i := 0; i < cfg.Files; i++ {
+				in, _ := fs.Meta(e.FileName(i))
+				out, _ := fs.Meta(e.FileName(i) + ".out")
+				if in.Layout != out.Layout {
+					t.Errorf("%s, %s: %s is placed %s, its output %s", name, when, in.Name, in.Layout.Name(), out.Layout.Name())
+				}
+			}
+		}
+		shareLayouts("after setup")
 		owned := make([]int64, fs.Servers())
 		var total int64
 		for i := 0; i < cfg.Files; i++ {
 			in, _ := fs.Meta(e.FileName(i))
-			out, _ := fs.Meta(e.FileName(i) + ".out")
-			if in.Layout != out.Layout {
-				t.Errorf("%s: %s is placed %s, its output %s", name, in.Name, in.Layout.Name(), out.Layout.Name())
-			}
 			for s := int64(0); s < in.Strips(); s++ {
 				owned[in.Layout.Primary(s)]++
 			}
@@ -296,6 +304,28 @@ func TestSetupSpreadsPrimaries(t *testing.T) {
 				t.Errorf("%s: server %d owns %d primaries, mean %d (per server %v)", name, srv, n, mean, owned)
 			}
 		}
+
+		// Restripe every input, then offload it: the output moves with it.
+		var restripeErr error
+		clu.Eng.Spawn("restripe", func(p *sim.Proc) {
+			client, as := fs.NewClient(clu.ComputeID(0)), active.NewClient(fs, clu.ComputeID(0))
+			for i := range e.files {
+				target := layout.StartingAt(layout.NewGroupedReplicated(fs.Servers(), 2, 1), i+1)
+				if restripeErr = client.Reconfigure(p, e.files[i].name, target); restripeErr != nil {
+					return
+				}
+				if _, restripeErr = e.offload(p, as, &e.files[i]); restripeErr != nil {
+					return
+				}
+			}
+		})
+		if err := clu.Eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if restripeErr != nil {
+			t.Fatal(restripeErr)
+		}
+		shareLayouts("after a restripe")
 		clu.Eng.Shutdown()
 	}
 }
