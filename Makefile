@@ -8,16 +8,13 @@ tier1:
 	go test ./...
 	cd bench && go build ./... && go vet ./... && go test ./...
 
-# Determinism analyzer suite (cmd/daslint), both ways it deploys:
-# standalone over the whole module (the only mode that runs the
-# interprocedural replies analyzer and the stale-directive check), then
-# through the `go vet -vettool` protocol, which additionally
-# covers _test.go files with the per-package analyzers.
+# Determinism analyzer suite (cmd/daslint) through the `go vet -vettool`
+# protocol: the same analyzers and stale-directive check as a standalone
+# run, _test.go files included.
 # The vettool is built where Go itself would put temporary files: GOTMPDIR
 # if set, else the system temp directory (`go env GOTMPDIR` succeeds with
 # empty output when unset, so the fallback has to test for empty).
 lint:
-	go run ./cmd/daslint ./...
 	dir="$$(go env GOTMPDIR)"; tool="$${dir:-$${TMPDIR:-/tmp}}/daslint-vettool"; \
 	go build -o "$$tool" ./cmd/daslint && go vet -vettool="$$tool" ./...
 
@@ -33,10 +30,10 @@ lint-fix-check:
 	fi; \
 	echo "lint-fix-check: clean"
 
-# Extended gate: vet + daslint (both modes) + race on top of tier-1, then
-# a bounded fuzz of the row-streaming kernels against their per-element
-# oracle and of the order keys they select on against `<` (tier-1 runs only
-# the seed corpora).
+# Extended gate: vet + daslint (vet tool and standalone -json) + race on
+# top of tier-1, then a bounded fuzz of the row-streaming kernels against
+# their per-element oracle and of the order keys they select on against `<`
+# (tier-1 runs only the seed corpora).
 extended: tier1 lint lint-fix-check
 	go vet ./...
 	go test -race ./...

@@ -7,13 +7,12 @@
 //	daslint -list                # print analyzer names and one-line docs
 //	go vet -vettool=$(which daslint) ./...   # as a vet tool
 //
-// Standalone mode loads packages through `go list -export`, so it needs
-// only the go toolchain, and runs the whole suite — including the
-// module-wide replies analyzer, which needs every package of the load at
-// once. The binary also speaks the `go vet -vettool` driver
+// Both modes run the same analyzers through one lint.Check per package,
+// stale-directive check included. Standalone mode loads packages through
+// `go list -export`, so it needs only the go toolchain, and is the mode
+// with -json output. The binary also speaks the `go vet -vettool` driver
 // protocol (-V=full, -flags, and a *.cfg compilation unit), which
-// additionally covers _test.go files but sees one compilation unit at a
-// time and therefore runs only the per-package analyzers.
+// additionally covers _test.go files.
 //
 // -json prints findings as one JSON object per line on stdout (file,
 // line, col, analyzer, message). When GITHUB_ACTIONS=true, findings are
@@ -26,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/token"
 	"io"
 	"log"
 	"os"
@@ -81,15 +81,24 @@ func runStandalone(patterns []string, jsonOut bool) int {
 		log.Print(err)
 		return 1
 	}
-	if len(pkgs) == 0 {
-		return 0
+	code := 0
+	for _, pkg := range pkgs {
+		diags, err := lint.Check(pkg, lint.All())
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		if len(diags) > 0 {
+			printDiagnostics(pkg.Fset, diags, jsonOut)
+			code = 1
+		}
 	}
-	diags, err := lint.CheckModule(pkgs, lint.All())
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	fset := pkgs[0].Fset
+	return code
+}
+
+// printDiagnostics writes findings as text on stderr or, with jsonOut, as
+// JSON lines on stdout, adding workflow annotations under GitHub Actions.
+func printDiagnostics(fset *token.FileSet, diags []lint.Diagnostic, jsonOut bool) {
 	annotate := os.Getenv("GITHUB_ACTIONS") == "true"
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
@@ -112,10 +121,6 @@ func runStandalone(patterns []string, jsonOut bool) int {
 				relPath(pos.Filename), pos.Line, pos.Column, d.Analyzer, escapeAnnotation(d.Message))
 		}
 	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
 }
 
 // jsonDiag is the -json wire form of one finding.

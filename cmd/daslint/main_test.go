@@ -27,8 +27,9 @@ func TestListAnalyzers(t *testing.T) {
 
 // The standalone driver loads through `go list -export`; linting real (and
 // clean) packages end-to-end must succeed quietly. These are the packages
-// the surviving obligations live in: pfs and active borrow the store's
-// windows, pipeline borrows them too and answers requests (replies).
+// the borrow rule's obligations live in: pfs lends the store's windows,
+// active and pipeline read them in place. None carries a //das:allow, so a
+// stale one added there fails here too.
 func TestStandaloneCleanPackage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")

@@ -70,10 +70,8 @@ func TestOffloadedStagesOverlap(t *testing.T) {
 // of one run's compute, when the next run's band is already assembled and
 // waiting, with every pool scribbling over what is returned to it. The
 // dead server's strips are dispatched again; the output is the reference
-// byte for byte, every request is answered once (a second reply would fire
-// a fired signal, a missing one would leave its dispatcher parked: Execute
-// reports either), nothing stays parked, and Close returns every
-// coroutine.
+// byte for byte, every request is answered once (Execute's run checks the
+// reply ledger), nothing stays parked, and Close returns every coroutine.
 func TestCrashWithABandPrefetched(t *testing.T) {
 	done := bufpool.Audit()
 	defer func() {

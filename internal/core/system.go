@@ -243,12 +243,17 @@ func (s *System) RunProc(name string, fn func(p *sim.Proc) error) (sim.Time, err
 }
 
 // run executes fn as a workload process and drives the engine until all
-// non-daemon work completes, returning the elapsed simulated time.
+// non-daemon work completes, returning the elapsed simulated time. At that
+// quiescence every request a server received must have been answered
+// once: a dropped or doubled reply fails the run.
 func (s *System) run(name string, fn func(p *sim.Proc) error) (sim.Time, error) {
 	start := s.Clu.Eng.Now()
 	var inner error
 	s.Clu.Eng.Spawn(name, func(p *sim.Proc) { inner = fn(p) })
 	if err := s.Clu.Eng.Run(); err != nil {
+		return 0, err
+	}
+	if err := s.Clu.Net.CheckReplies(); err != nil {
 		return 0, err
 	}
 	if inner != nil {

@@ -307,6 +307,10 @@ func (r *ScaleRunner) Run() (ScaleStats, error) {
 	if err := clu.Eng.Run(); err != nil {
 		return ScaleStats{}, err
 	}
+	// A dropped reply would otherwise show only as a lower op count.
+	if err := clu.Net.CheckReplies(); err != nil {
+		return ScaleStats{}, err
+	}
 	reads, writes := run.reads, run.writes
 
 	// Fold the per-client checksums in client order, then feed a small grid

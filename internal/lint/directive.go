@@ -34,7 +34,7 @@ type directive struct {
 	bad       string
 
 	// suppressed counts the findings this directive silenced, for the
-	// stale-directive check of a module run.
+	// stale-directive check.
 	suppressed int
 }
 
@@ -148,8 +148,8 @@ func sourceLines(filename string) ([]string, error) {
 // filterSuppressed drops diagnostics covered by a well-formed allow
 // directive: same file, and either the directive shares the diagnostic's
 // line or stands alone on the line directly above it. Each suppression is
-// counted on the directive, so a module run can tell which allows earn
-// their keep.
+// counted on the directive, so Check can tell which allows earn their
+// keep.
 func filterSuppressed(fset *token.FileSet, dirs []*directive, diags []Diagnostic) []Diagnostic {
 	if len(dirs) == 0 {
 		return diags
@@ -180,10 +180,10 @@ func filterSuppressed(fset *token.FileSet, dirs []*directive, diags []Diagnostic
 }
 
 // staleDirectives reports well-formed allow directives that no longer do
-// anything, so suppressions cannot rot in place. It runs only in module
-// checks: a single-analyzer or single-package run legitimately leaves
-// most directives idle. An allow directive is stale when every analyzer
-// it names ran and none produced a finding for it to suppress.
+// anything, so suppressions cannot rot in place. An allow directive is
+// stale when every analyzer it names ran and none produced a finding for
+// it to suppress; a run of fewer analyzers leaves the others' allows
+// alone.
 func staleDirectives(dirs []*directive, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, dir := range dirs {
@@ -215,10 +215,10 @@ var Directive = &Analyzer{
 	Doc: `report malformed, unknown and stale //das: directives
 
 An allow directive must carry ' -- reason' and name known analyzers; a
-//das: comment of any other kind is reported as unknown. In module runs
-(standalone daslint, not the per-package vet protocol) a well-formed
-allow that suppressed no finding of the analyzers it names is reported as
-stale. Findings of this analyzer cannot themselves be suppressed.`,
+//das: comment of any other kind is reported as unknown. A well-formed
+allow that suppressed no finding of the analyzers it names, all of which
+ran, is reported as stale. Findings of this analyzer cannot themselves be
+suppressed.`,
 	Run: func(pass *Pass) error {
 		for _, dir := range pass.directives {
 			if dir.bad != "" {

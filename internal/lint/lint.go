@@ -17,22 +17,17 @@
 //   - borrow: the strip memory a read lends out is read-only — never
 //     released to a pool, copied into, or assigned through an index.
 //
-// One module-wide analyzer follows its contract across call chains, which
-// the per-package checks cannot:
-//
-//   - replies: a handler that receives a simnet request must send exactly
-//     one reply on every path; a dropped reply parks the caller forever
-//     in simulated time, a deadlock no race detector sees.
-//
 // A final analyzer, directive, validates the //das:allow suppression
-// comments the others honor, reports any other //das: comment, and (in
-// module runs) reports stale allows whose guarded line no longer needs
-// them.
+// comments the others honor, reports any other //das: comment, and
+// reports stale allows whose guarded line no longer needs them.
 //
-// Pooled-buffer ownership — every Get Put back, nothing read after its
-// Put — is not checked here but where the code runs: bufpool.Audit
-// records what the pool hands out and poisons what comes back, and the
-// tests that run every scenario under it fail on a leak or a stale read.
+// Two contracts are not checked here but where the code runs. Pooled-buffer
+// ownership — every Get Put back, nothing read after its Put — is
+// bufpool.Audit's: it records what the pool hands out and poisons what
+// comes back, and the tests that run every scenario under it fail on a
+// leak or a stale read. Exactly one reply per request is simnet's reply
+// ledger: every run fails at quiescence if the requests delivered and the
+// responses sent differ.
 //
 // The package deliberately mirrors the shapes of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, analysistest-style
@@ -58,19 +53,14 @@ import (
 const ModulePath = "github.com/hpcio/das"
 
 // An Analyzer describes one invariant check. The first line of Doc is the
-// one-line summary printed by `daslint -list`.
-//
-// Run is the per-package form: it sees one type-checked package at a
-// time, which is all the `go vet -vettool` protocol can provide (vet
-// hands the driver one compilation unit, without dependency source).
-// RunModule is the interprocedural form: it runs once over every package
-// of a load, so it can follow reply obligations across call chains. An analyzer defines one or the other; Check skips
-// module analyzers and CheckModule runs both kinds.
+// one-line summary printed by `daslint -list`. Run sees one type-checked
+// package at a time, which is all the `go vet -vettool` protocol can
+// provide (vet hands the driver one compilation unit, without dependency
+// source).
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass) error
-	RunModule func(*ModulePass) error
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // Summary returns the first line of the analyzer's documentation.
@@ -81,10 +71,9 @@ func (a *Analyzer) Summary() string {
 	return a.Doc
 }
 
-// All lists every analyzer in the suite, in the order they run. Replies is
-// a module analyzer: per-package drivers (the vet protocol) skip it.
+// All lists every analyzer in the suite, in the order they run.
 func All() []*Analyzer {
-	return []*Analyzer{Simclock, Detrand, Goroutines, Borrow, Replies, Directive}
+	return []*Analyzer{Simclock, Detrand, Goroutines, Borrow, Directive}
 }
 
 // A Pass carries one parsed, type-checked package into an analyzer's Run
@@ -139,16 +128,14 @@ func NewTypesInfo() *types.Info {
 // Check runs the given analyzers over pkg and returns the surviving
 // diagnostics sorted by position: suppression directives have been
 // applied, and any malformed directives appear as findings of the
-// directive analyzer. Module analyzers (Run == nil) are skipped; only
-// CheckModule can run them, because they need every package of the load
-// at once.
+// directive analyzer. When the directive analyzer runs, Check also reports
+// stale directives — a //das:allow that suppressed nothing — so
+// suppressions cannot outlive the code they excused. Every analyzer sees
+// one package, so one package's directives are all a run can judge.
 func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	dirs := collectDirectives(pkg.Fset, pkg.Files)
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
 		pass := &Pass{
 			Analyzer:   a,
 			Fset:       pkg.Fset,
@@ -163,90 +150,10 @@ func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	diags = filterSuppressed(pkg.Fset, dirs, diags)
+	if hasAnalyzer(analyzers, Directive.Name) {
+		diags = append(diags, staleDirectives(dirs, analyzers)...)
+	}
 	sortDiagnostics(pkg.Fset, diags)
-	return diags, nil
-}
-
-// A ModulePass carries a whole load — every package of the module — into
-// a module analyzer's RunModule. The packages share one FileSet, which is
-// what lets cross-package positions and directives line up.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkgs     []*Package
-
-	mod    *moduleIndex
-	report func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos, as Pass.Reportf does.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
-}
-
-// CheckModule runs the suite over a whole load: per-package analyzers
-// over each package, module analyzers once across all of them. On top of
-// Check's directive handling it reports stale directives — a //das:allow
-// that suppressed nothing — so suppressions cannot outlive the code they
-// excused.
-func CheckModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	fset := pkgs[0].Fset
-	var diags []Diagnostic
-	report := func(d Diagnostic) { diags = append(diags, d) }
-
-	var allDirs []*directive
-	perPkg := make(map[*Package][]*directive, len(pkgs))
-	for _, pkg := range pkgs {
-		dirs := collectDirectives(pkg.Fset, pkg.Files)
-		perPkg[pkg] = dirs
-		allDirs = append(allDirs, dirs...)
-	}
-
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer:   a,
-				Fset:       pkg.Fset,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				Info:       pkg.Info,
-				directives: perPkg[pkg],
-				report:     report,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Types.Path(), a.Name, err)
-			}
-		}
-	}
-
-	mod := &moduleIndex{pkgs: pkgs}
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		mp := &ModulePass{
-			Analyzer: a,
-			Fset:     fset,
-			Pkgs:     pkgs,
-			mod:      mod,
-			report:   report,
-		}
-		if err := a.RunModule(mp); err != nil {
-			return nil, fmt.Errorf("module analyzer %s: %w", a.Name, err)
-		}
-	}
-
-	diags = filterSuppressed(fset, allDirs, diags)
-	if hasAnalyzer(analyzers, "directive") {
-		diags = append(diags, staleDirectives(allDirs, analyzers)...)
-	}
-	sortDiagnostics(fset, diags)
 	return diags, nil
 }
 

@@ -83,16 +83,6 @@ func TestDirective(t *testing.T) {
 	linttest.Run(t, lint.Directive, "directive", lint.ModulePath+"/internal/fakedir")
 }
 
-func TestRepliesModule(t *testing.T) {
-	linttest.RunModule(t,
-		[]*lint.Analyzer{lint.Replies, lint.Directive},
-		"replies",
-		[][2]string{
-			{"helper", "example.com/replies/helper"},
-			{"handlers", "example.com/replies/handlers"},
-		})
-}
-
 func countDiagnostics(t *testing.T, a *lint.Analyzer, dir, pkgpath string, want int) {
 	t.Helper()
 	diags := linttest.Diagnostics(t, a, dir, pkgpath)

@@ -15,12 +15,6 @@
 // import both the standard library and real packages of this module
 // (internal/sim, internal/bufpool, ...) to exercise type-based matching
 // against the genuine article.
-//
-// Multi-package fixtures for the module-wide analyzers live under
-// internal/lint/testdata/mod/<mod>/<subdir>; RunModule type-checks each
-// subdirectory as its own package and runs the CheckModule pipeline over
-// the lot, so reply obligations can cross package boundaries exactly as
-// they do in the real module.
 package linttest
 
 import (
@@ -60,9 +54,10 @@ func sourceImporter() types.Importer {
 }
 
 // Run type-checks testdata/src/<dir> as a package with import path
-// pkgpath, runs exactly the given analyzer over it through the same
-// Check pipeline the daslint driver uses (suppression directives
-// included), and compares diagnostics against the // want comments.
+// pkgpath, runs the given analyzer over it through the same Check pipeline
+// the daslint driver uses — with the directive analyzer beside it, as in
+// every daslint run, so malformed and stale allows are findings too — and
+// compares diagnostics against the // want comments.
 func Run(t *testing.T, a *lint.Analyzer, dir, pkgpath string) {
 	t.Helper()
 	fset, files, diags := check(t, a, dir, pkgpath)
@@ -78,78 +73,6 @@ func Diagnostics(t *testing.T, a *lint.Analyzer, dir, pkgpath string) []lint.Dia
 	t.Helper()
 	_, _, diags := check(t, a, dir, pkgpath)
 	return diags
-}
-
-// RunModule type-checks a multi-package fixture module and runs the full
-// CheckModule pipeline — per-package analyzers, module analyzers, and the
-// stale-directive check — over all of it, comparing against the // want
-// comments of every file. The fixture lives under testdata/mod/<mod>;
-// pkgs lists [subdir, importpath] pairs in dependency order, so later
-// packages may import earlier ones by their declared import paths (other
-// imports fall through to the source importer, as in Run). This is the
-// harness for the interprocedural analyzers, whose findings only exist
-// when a hand-off or reply obligation crosses package boundaries.
-func RunModule(t *testing.T, analyzers []*lint.Analyzer, mod string, pkgs [][2]string) {
-	t.Helper()
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-
-	root := filepath.Join(testdataDir(t), "mod", mod)
-	local := make(map[string]*types.Package)
-	imp := &layeredImporter{local: local}
-	var lpkgs []*lint.Package
-	var allFiles []*ast.File
-	for _, pd := range pkgs {
-		subdir, pkgpath := pd[0], pd[1]
-		dir := filepath.Join(root, subdir)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var files []*ast.File
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			f, err := parser.ParseFile(sharedFset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		if len(files) == 0 {
-			t.Fatalf("no Go files in %s", dir)
-		}
-		info := lint.NewTypesInfo()
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(pkgpath, sharedFset, files, info)
-		if err != nil {
-			t.Fatalf("type-checking %s/%s: %v", mod, subdir, err)
-		}
-		local[pkgpath] = tpkg
-		lpkgs = append(lpkgs, &lint.Package{Fset: sharedFset, Files: files, Types: tpkg, Info: info})
-		allFiles = append(allFiles, files...)
-	}
-	diags, err := lint.CheckModule(lpkgs, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wants := collectWants(t, sharedFset, allFiles)
-	matchDiagnostics(t, sharedFset, wants, diags)
-}
-
-// layeredImporter resolves the fixture module's own packages by their
-// declared import paths and everything else through the shared source
-// importer.
-type layeredImporter struct {
-	local map[string]*types.Package
-}
-
-func (l *layeredImporter) Import(path string) (*types.Package, error) {
-	if p, ok := l.local[path]; ok {
-		return p, nil
-	}
-	return sourceImporter().Import(path)
 }
 
 func check(t *testing.T, a *lint.Analyzer, dir, pkgpath string) (*token.FileSet, []*ast.File, []lint.Diagnostic) {
@@ -184,7 +107,11 @@ func check(t *testing.T, a *lint.Analyzer, dir, pkgpath string) (*token.FileSet,
 		t.Fatalf("type-checking %s: %v", dir, err)
 	}
 	pkg := &lint.Package{Fset: sharedFset, Files: files, Types: tpkg, Info: info}
-	diags, err := lint.Check(pkg, []*lint.Analyzer{a})
+	analyzers := []*lint.Analyzer{a}
+	if a != lint.Directive {
+		analyzers = append(analyzers, lint.Directive)
+	}
+	diags, err := lint.Check(pkg, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Test fixture for //das:allow suppression, run through the simclock
-// analyzer under a simulated import path.
+// Test fixture for //das:allow suppression and staleness, run through the
+// simclock and directive analyzers under a simulated import path.
 package fakeallow
 
 import "time"
@@ -31,7 +31,14 @@ func trailingDirectiveDoesNotCoverNextLine() {
 }
 
 func directiveTwoLinesUpDoesNotCover() {
-	//das:allow simclock -- a standalone directive covers only the line right below it
+	//das:allow simclock -- a standalone directive covers only the line right below it // want `stale //das:allow directive: no simclock finding`
 	_ = base.IsZero()
 	_ = time.Now() // want `wall-clock time\.Now in simulated package`
+}
+
+// An allow that outlived the code it excused suppresses nothing and is
+// reported, so exemptions cannot rot in place.
+func staleAllow() {
+	//das:allow simclock -- obsolete exemption // want `stale //das:allow directive`
+	_ = base.IsZero()
 }

@@ -16,39 +16,6 @@ import (
 	"github.com/hpcio/das/internal/workload"
 )
 
-// deployCounting is Deploy with a tally: asked counts the stage requests
-// the servers receive, answered the stage handlers that returned. A
-// handler replies exactly once on every path that returns — the shape
-// daslint's replies analyzer admits — so the two are equal when every
-// request got its one reply.
-func deployCounting(asked, answered *int) func(*pfs.FileSystem) *Service {
-	return func(fs *pfs.FileSystem) *Service {
-		svc := &Service{fs: fs, reg: kernels.Default(), combs: kernels.DefaultCombiners(), reds: kernels.DefaultReducers(),
-			runs: make([]map[string]*runState, fs.Servers())}
-		for s := range svc.runs {
-			svc.runs[s] = make(map[string]*runState)
-			srv := fs.Server(s)
-			fs.Cluster().Eng.SpawnDaemon("pipe-server", func(p *sim.Proc) {
-				port := fs.Cluster().Net.Node(srv.NodeID()).Port(Port)
-				for {
-					msg := port.Get(p)
-					_, stage := msg.Payload.(stageReq)
-					if stage {
-						*asked++
-					}
-					p.Spawn("pipe-handle", func(h *sim.Proc) {
-						svc.handle(h, srv, msg)
-						if stage {
-							*answered++
-						}
-					})
-				}
-			})
-		}
-		return svc
-	}
-}
-
 // TestPipelineCrashWithARoundPrefetched crashes a server in the middle of
 // one run of a diamond DAG's combine round, when the next run's two parent
 // bands are already assembled and waiting for the compute, and restarts it
@@ -56,7 +23,7 @@ func deployCounting(asked, answered *int) func(*pfs.FileSystem) *Service {
 // returned to it. The client reassigns the lost strips and a holder
 // catches their lineage up from the input — the combine evaluated from
 // pooled transients. The output and the reduce are the reference's bit for
-// bit, every stage request is answered once, no pooled buffer is left out,
+// bit, every request is answered once, no pooled buffer is left out,
 // nothing stays parked, and shutting the platform down returns every
 // coroutine.
 func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
@@ -84,10 +51,11 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 
 	// run executes the DAG on a fresh platform with server 1 crashing at
 	// crashAt on its clock and restarting downFor later, and returns the
-	// platform, the result, server 1's combine computes and the stage
-	// requests asked and answered.
-	run := func(crashAt, downFor sim.Time) (rig *testRig, res RunResult, combines []trace.Event, asked, answered int) {
-		rig = newRigOn(t, cfg, lay, testW, testH, testStrip, deployCounting(&asked, &answered))
+	// platform, the result and server 1's combine computes.
+	run := func(crashAt, downFor sim.Time) (rig *testRig, res RunResult, combines []trace.Event) {
+		rig = newRigOn(t, cfg, lay, testW, testH, testStrip, func(fs *pfs.FileSystem) *Service {
+			return Deploy(fs, kernels.Default(), nil, nil)
+		})
 		rig.createOut(t, "out")
 		at := crashAt - rig.clu.Eng.Now() // plan times count from the install
 		if err := rig.clu.InstallFaultPlan(fault.Plan{Events: []fault.Event{
@@ -107,14 +75,14 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 				combines = append(combines, e)
 			}
 		}
-		return rig, res, combines, asked, answered
+		return rig, res, combines
 	}
 
 	// Aim at the middle of server 1's second combine run, on a run with the
 	// fault paths armed but no fault inside it: the two runs after it are
 	// still to come, so the next one's operands were assembled when its
 	// compute began.
-	healthy, _, combines, _, _ := run(sim.Second, sim.Second)
+	healthy, _, combines := run(sim.Second, sim.Second)
 	healthy.clu.Eng.Shutdown()
 	if len(combines) < 3 {
 		t.Fatalf("server 1 computed %d combine runs: too few to crash with one prefetched", len(combines))
@@ -122,7 +90,7 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 	mid := combines[1]
 	crashAt := mid.At + mid.Dur/2
 
-	rig, res, combines, asked, answered := run(crashAt, mid.Dur)
+	rig, res, combines := run(crashAt, mid.Dur)
 	if len(combines) < 2 || combines[1] != mid {
 		t.Errorf("the crashed run's combine computes on server 1 start %v, the healthy run's %v", combines, mid)
 	}
@@ -140,8 +108,8 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 	if res.CatchUps == 0 {
 		t.Error("the restart wiped server 1's state, yet no strip's lineage was caught up")
 	}
-	if asked == 0 || answered != asked {
-		t.Errorf("%d stage requests answered of %d asked", answered, asked)
+	if err := rig.clu.Net.CheckReplies(); err != nil {
+		t.Error(err)
 	}
 	if live := rig.clu.Eng.Live(); live != 0 {
 		t.Errorf("%d processes still live after the run", live)

@@ -152,8 +152,7 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 			size += int64(len(d)) * grid.ElemSize
 		}
 		clu.Net.Respond(p, msg, resp, size, clu.ClassBetween(srv.NodeID(), msg.From))
-	//das:allow replies -- releaseReq is a one-way Send (client.go releaseAll), not a Call; nothing awaits a reply
-	case releaseReq:
+	case releaseReq: // a one-way Send (Client.release): nothing awaits a reply
 		delete(svc.runs[srv.Index()], req.Token)
 	default:
 		clu.Net.Respond(p, msg, stageResp{Err: fmt.Sprintf("pipeline: unknown request %T", msg.Payload)},

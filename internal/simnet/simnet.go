@@ -99,6 +99,11 @@ type Network struct {
 	xferFree []*xfer
 	// callFree recycles CallTask bridges (xfer.go).
 	callFree []*callTask
+
+	// The reply ledger: requests carrying a Reply mailbox that reached a
+	// port, and Respond/RespondTask calls. At quiescence the two are equal
+	// exactly when every delivered request was answered once (CheckReplies).
+	delivered, answered uint64
 }
 
 // Node is one endpoint on the network.
@@ -128,6 +133,33 @@ func (n *Network) SetFaults(f FaultPolicy) { n.faults = f }
 
 // Config returns the interconnect parameters.
 func (n *Network) Config() Config { return n.cfg }
+
+// Replies returns the reply ledger: how many requests carrying a Reply
+// mailbox have reached their destination port, and how many responses
+// have been sent. A request a fault lost on the way is never delivered; a
+// response counts as answered when it is sent, whether or not the wire
+// then loses it.
+func (n *Network) Replies() (delivered, answered uint64) { return n.delivered, n.answered }
+
+// CheckReplies reports a reply owed but never sent, or sent twice: at
+// quiescence, when no handler is still working, every delivered request
+// must have been answered exactly once. A handler that drops its reply
+// parks its caller forever, which no other check sees.
+func (n *Network) CheckReplies() error {
+	if n.delivered != n.answered {
+		return fmt.Errorf("simnet: %d requests delivered, %d answered", n.delivered, n.answered)
+	}
+	return nil
+}
+
+// deliver puts msg into a destination mailbox, counting it on the reply
+// ledger when it is a request that owes a response.
+func (n *Network) deliver(mb *sim.Mailbox[Message], msg Message) {
+	if msg.Reply != nil {
+		n.delivered++
+	}
+	mb.Put(msg)
+}
 
 // AddNode registers a node id and returns its endpoint. Adding the same id
 // twice panics: node identity is structural in the simulator.
@@ -204,12 +236,8 @@ func (nd *Node) IngressBusy() sim.Time { return nd.ingress.BusyTime() }
 // need delivery confirmation use Call with a timeout.
 func (n *Network) Send(p *sim.Proc, msg Message) {
 	src, dst := n.Node(msg.From), n.Node(msg.To)
-	if src == dst {
-		dst.Port(msg.Port).Put(msg)
-		return
-	}
-	if n.moveSync(p, "send", src, dst, msg.Size, msg.Class) {
-		dst.Port(msg.Port).Put(msg)
+	if src == dst || n.moveSync(p, "send", src, dst, msg.Size, msg.Class) {
+		n.deliver(dst.Port(msg.Port), msg)
 	}
 }
 
@@ -246,7 +274,7 @@ func (n *Network) Call(p *sim.Proc, msg Message) Message {
 	src, dst := n.Node(msg.From), n.Node(msg.To)
 	pd := reply.Reserve(p)
 	if src == dst {
-		dst.Port(msg.Port).Put(msg)
+		n.deliver(dst.Port(msg.Port), msg)
 	} else {
 		n.startAsync(src, dst, msg.Size, msg.Class, dst.Port(msg.Port), msg)
 	}
@@ -327,6 +355,7 @@ func (n *Network) Respond(p *sim.Proc, req Message, payload any, size int64, cla
 	if req.Reply == nil {
 		panic("simnet: Respond to a message without a Reply mailbox")
 	}
+	n.answered++
 	src, dst := n.Node(req.To), n.Node(req.From)
 	resp := Message{
 		From:    req.To,
@@ -352,6 +381,7 @@ func (n *Network) RespondTask(req Message, payload any, size int64, class metric
 	if req.Reply == nil {
 		panic("simnet: Respond to a message without a Reply mailbox")
 	}
+	n.answered++
 	src, dst := n.Node(req.To), n.Node(req.From)
 	resp := Message{
 		From:    req.To,

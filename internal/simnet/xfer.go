@@ -183,9 +183,9 @@ func (x *xfer) lost() {
 // complete delivers the payload, fires the optional signal, and returns
 // the chain to the pool.
 func (x *xfer) complete() {
-	deliver, msg, done := x.deliver, x.msg, x.done
-	x.net.xferPut(x)
-	deliver.Put(msg)
+	n, deliver, msg, done := x.net, x.deliver, x.msg, x.done
+	n.xferPut(x)
+	n.deliver(deliver, msg)
 	if done != nil {
 		done.Fire(struct{}{})
 	}
@@ -269,7 +269,7 @@ func (n *Network) CallTask(msg Message, r Responder) {
 	reply.Expect(c)
 	src, dst := n.Node(msg.From), n.Node(msg.To)
 	if src == dst {
-		dst.Port(msg.Port).Put(msg)
+		n.deliver(dst.Port(msg.Port), msg)
 		return
 	}
 	n.startAsync(src, dst, msg.Size, msg.Class, dst.Port(msg.Port), msg)
