@@ -56,7 +56,9 @@ bench-smoke:
 # retries, timeouts and failover counts under a mid-run crash — must print
 # its golden text. A refactor that moves no byte passes; anything else
 # names every record that moved (or came, or went), with its steps'
-# sim_seconds committed → generated, and shows the lines of the faults
+# sim_seconds committed → generated and, under it, every step `stats` and
+# `traffic` value that changed — so a re-record shows whether it moved
+# compute or bytes — and shows the lines of the faults
 # text that differ. Both comparisons always run and both report before the
 # target fails, so a deliberate re-record also says whether the golden moved.
 bench-identity:
@@ -72,8 +74,20 @@ bench-identity:
 		echo "bench-identity: BENCH_sim.json differs from what the code generates, in these records (step sim_seconds, committed → generated):"; \
 		awk 'function key(l) { return match(l, /^[{]"name":"[^"]*"/) ? substr(l, 10, RLENGTH - 10) : "" } \
 		function secs(l, s) { s = ""; while (match(l, /"sim_seconds":[^,}]*/)) { s = s (s == "" ? "" : ", ") substr(l, RSTART + 14, RLENGTH - 14); l = substr(l, RSTART + RLENGTH) } return s } \
+		function fields(l, f, o,   steps, t, m, pre, kv, n, c, i, p, k) { steps = gsub(/"sim_seconds":/, "&", l); t = 0; n = 0; \
+			while (match(l, /"sim_seconds":|"(stats|traffic)":[{][^}]*[}]/)) { m = substr(l, RSTART, RLENGTH); l = substr(l, RSTART + RLENGTH); \
+				if (m == "\"sim_seconds\":") { t++; continue } \
+				pre = (steps > 1 ? "step " (t - 1) " " : "") (substr(m, 2, 7) == "traffic" ? "traffic." : ""); \
+				m = substr(m, index(m, "{") + 1); c = split(substr(m, 1, length(m) - 1), kv, ","); \
+				for (i = 1; i <= c; i++) { p = index(kv[i], ":"); k = pre substr(kv[i], 2, p - 3); f[k] = substr(kv[i], p + 1); o[++n] = k } } \
+			return n } \
+		function moved(a, b,   fa, fb, oa, ob, na, nb, i, k, s) { na = fields(a, fa, oa); nb = fields(b, fb, ob); s = ""; \
+			for (i = 1; i <= nb; i++) if (!((k = ob[i]) in fa) || fa[k] != fb[k]) s = s (s == "" ? "" : ", ") k " " ((k in fa) ? fa[k] : "(none)") " → " fb[k]; \
+			for (i = 1; i <= na; i++) if (!((k = oa[i]) in fb)) s = s (s == "" ? "" : ", ") k " " fa[k] " → (none)"; \
+			return s } \
 		FNR == NR { if ((k = key($$0)) != "") was[k] = $$0; next } \
-		(k = key($$0)) != "" { seen[k] = 1; if (!(k in was)) print "  " k ": (none) → " secs($$0); else if (was[k] != $$0) print "  " k ": " secs(was[k]) " → " secs($$0) } \
+		(k = key($$0)) != "" { seen[k] = 1; if (!(k in was)) print "  " k ": (none) → " secs($$0); \
+			else if (was[k] != $$0) { print "  " k ": " secs(was[k]) " → " secs($$0); if ((m = moved(was[k], $$0)) != "") print "    moved: " m } } \
 		END { for (k in was) if (!(k in seen)) print "  " k ": " secs(was[k]) " → (none)" }' BENCH_sim.json "$$tmp/BENCH_sim.json"; \
 	fi; \
 	if diff "$$tmp/faults_quick.txt" testdata/faults_quick.golden.txt; then \

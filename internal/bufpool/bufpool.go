@@ -1,6 +1,6 @@
 // Package bufpool provides a size-classed free list for slices. In the
 // program its one user is grid's float pool: the TS worker's output and
-// the pipeline's transient bands. Audit is its test hook: a ledger of what
+// the pipeline's lineage bands. Audit is its test hook: a ledger of what
 // Get hands out, and poison on what Put takes back.
 //
 // sync.Pool is the obvious tool but costs one allocation per Put of a

@@ -230,7 +230,7 @@ func TestOutputsSurvivePoisonedPools(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rep.Run.CatchUps == 0 {
-				t.Fatalf("crash + restart caught no strip up: the test would not reach the pooled transients (%+v)", rep.Run)
+				t.Fatalf("crash + restart caught no strip up: the test would not reach the pooled lineage bands (%+v)", rep.Run)
 			}
 			got, err := s.FetchGrid(rep.Output)
 			if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"reflect"
 	"sort"
 	"testing"
@@ -188,15 +187,7 @@ func TestEveryCounterMoves(t *testing.T) {
 	if len(still) == 0 {
 		return
 	}
-	data, err := os.ReadFile("../../BENCH_sim.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var committed []Record
-	if err := json.Unmarshal(data, &committed); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range committed {
+	for _, rec := range committedRecords(t) {
 		for name, n := range rec.Counters {
 			if n != 0 {
 				moved[name] = true

@@ -22,10 +22,10 @@ import (
 // with its retained state gone, every pool scribbling over what is
 // returned to it. The client reassigns the lost strips and a holder
 // catches their lineage up from the input — the combine evaluated from
-// pooled transients. The output and the reduce are the reference's bit for
-// bit, every request is answered once, no pooled buffer is left out,
-// nothing stays parked, and shutting the platform down returns every
-// coroutine.
+// pooled lineage bands, and traced as a catch-up. The output and the
+// reduce are the reference's bit for bit, every request is answered once,
+// no pooled buffer is left out, nothing stays parked, and shutting the
+// platform down returns every coroutine.
 func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 	audited(t)
 	baseline := runtime.NumGoroutine()
@@ -51,8 +51,9 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 
 	// run executes the DAG on a fresh platform with server 1 crashing at
 	// crashAt on its clock and restarting downFor later, and returns the
-	// platform, the result and server 1's combine computes.
-	run := func(crashAt, downFor sim.Time) (rig *testRig, res RunResult, combines []trace.Event) {
+	// platform, the result, server 1's combine computes and every server's
+	// catch-up computes.
+	run := func(crashAt, downFor sim.Time) (rig *testRig, res RunResult, combines, catchUps []trace.Event) {
 		rig = newRigOn(t, cfg, lay, testW, testH, testStrip, func(fs *pfs.FileSystem) *Service {
 			return Deploy(fs, kernels.Default(), nil, nil)
 		})
@@ -71,28 +72,45 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range rec.Events() {
-			if e.Actor == "server-1/compute" && e.Phase == "compute" && strings.HasPrefix(e.Note, "c over") {
+			switch {
+			case e.Actor == "server-1/compute" && e.Phase == "compute" && strings.HasPrefix(e.Note, "c over"):
 				combines = append(combines, e)
+			case strings.HasPrefix(e.Note, "catch-up "):
+				catchUps = append(catchUps, e)
 			}
 		}
-		return rig, res, combines
+		return rig, res, combines, catchUps
 	}
 
 	// Aim at the middle of server 1's second combine run, on a run with the
 	// fault paths armed but no fault inside it: the two runs after it are
 	// still to come, so the next one's operands were assembled when its
 	// compute began.
-	healthy, _, combines := run(sim.Second, sim.Second)
+	healthy, _, combines, catchUps := run(sim.Second, sim.Second)
 	healthy.clu.Eng.Shutdown()
 	if len(combines) < 3 {
 		t.Fatalf("server 1 computed %d combine runs: too few to crash with one prefetched", len(combines))
 	}
+	if len(catchUps) != 0 {
+		t.Errorf("the healthy run traced %d catch-ups", len(catchUps))
+	}
 	mid := combines[1]
 	crashAt := mid.At + mid.Dur/2
 
-	rig, res, combines := run(crashAt, mid.Dur)
+	rig, res, combines, catchUps := run(crashAt, mid.Dur)
 	if len(combines) < 2 || combines[1] != mid {
 		t.Errorf("the crashed run's combine computes on server 1 start %v, the healthy run's %v", combines, mid)
+	}
+	// Recovery is traced as recovery: a catch-up's compute names the
+	// lineage it evaluated, from the input through the combine.
+	if len(catchUps) == 0 {
+		t.Error("the crashed run traced no catch-up compute")
+	}
+	for _, e := range catchUps {
+		if e.Phase != "compute" || !strings.HasSuffix(e.Actor, "/compute") ||
+			!strings.HasPrefix(e.Note, "catch-up gaussian-filter+surface-slope+add") {
+			t.Errorf("catch-up traced as %s %s %q", e.Actor, e.Phase, e.Note)
+		}
 	}
 	if got := rig.fetch(t, "out"); !got.Equal(want) {
 		t.Errorf("output under a crash with a round prefetched differs from the reference (max diff %g)", got.MaxAbsDiff(want))

@@ -128,7 +128,7 @@ func TestCompileFusionRespectsLocalHalo(t *testing.T) {
 	}{
 		{0, 1},
 		{129, 1},   // stage 2 needs 130
-		{130, 2},   // exactly covers stage 2's recursion
+		{130, 2},   // exactly covers stage 2's from-input depth
 		{10000, 3}, // whole chain fuses
 	}
 	for _, c := range cases {
@@ -221,7 +221,7 @@ func TestPipelineChainMatchesReference(t *testing.T) {
 func TestPipelineFusedPrefixSkipsExchange(t *testing.T) {
 	audited(t)
 	// Replica halo of 3 strips (192 elements) covers the two-stage
-	// recursion depth 130: the first two stages fuse into round 0 and
+	// from-input depth 130: the first two stages fuse into round 0 and
 	// only the third stage exchanges.
 	rig := newRig(t, layout.NewGroupedReplicated(4, 8, 3), testW, testH, testStrip)
 	rig.createOut(t, "out")

@@ -41,7 +41,7 @@ type PlanNode struct {
 	// equivalents against the DAG input.
 	CumBack, CumFwd, CumHalo int64
 	// EvalHalo is the input-band depth a from-input evaluation of this
-	// node actually reads: the recursion applies each stage's symmetric
+	// node actually reads: the evaluation applies each stage's symmetric
 	// Halo in turn, so the depths sum along the deepest parent path.
 	// For asymmetric stage patterns this exceeds CumHalo.
 	EvalHalo int64
@@ -233,19 +233,6 @@ func (pl *Plan) catchUpTargets(round int) []int {
 		}
 	}
 	return targets
-}
-
-// inputHaloFor returns the input-band depth needed to evaluate all the
-// given nodes from the input — the deepest recursion among a fused or
-// catch-up evaluation's targets.
-func (pl *Plan) inputHaloFor(targets []int) int64 {
-	var h int64
-	for _, i := range targets {
-		if pl.Nodes[i].EvalHalo > h {
-			h = pl.Nodes[i].EvalHalo
-		}
-	}
-	return h
 }
 
 // Spec projects the plan into the predictor's pricing shape.

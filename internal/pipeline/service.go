@@ -233,8 +233,8 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 	final := req.Round == pl.Rounds()-1
 
 	// The fused prefix, a catch-up and a second DAG root evaluate their
-	// targets from the durable input; any other round evaluates its node
-	// from its parents' values.
+	// targets' lineage from the durable input; any other round evaluates
+	// its node from its parents' values.
 	var targets []int
 	fromInput := true
 	switch {
@@ -249,13 +249,18 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 	default:
 		return stageResp{}, fmt.Errorf("pipeline: round on %v node %q", n.Kind, n.ID)
 	}
-	depth := pl.inputHaloFor(targets)
+	lin := pl.lineageOf(targets)
+	// A catch-up's compute is recovery work, traced as such.
+	label := n.ID
+	if req.CatchUp {
+		label = "catch-up " + lin.ops(pl)
+	}
 
 	var resp stageResp
 	st := active.NewStages(svc.fs, svc.cache, srv, in, out, active.FetchRows, &resp.Tally)
 	assemble := func(a *sim.Proc, run active.StripRun) (operands, error) {
 		if fromInput {
-			band, err := st.Assemble(a, run, depth, haloStrips(in, run, depth))
+			band, err := st.Assemble(a, run, lin.depth, haloStrips(in, run, lin.depth))
 			return operands{band}, err
 		}
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
@@ -282,12 +287,11 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 		// The values are kept past the round — as state, or as the stored
 		// output — so they are ordinary allocations; what they are computed
 		// from is read in place.
-		vals := make(map[int][]float64, max(len(targets), 1))
-		for _, t := range targets {
-			vals[t] = make([]float64, e1-e0)
-			pl.evalFromInput(vals[t], t, e0, e1, ops[0], charge)
-		}
-		if !fromInput {
+		var vals [][]float64
+		if fromInput {
+			vals = pl.evalFromInput(lin, e0, e1, ops[0], charge)
+		} else {
+			vals = make([][]float64, len(pl.Nodes))
 			vals[node] = make([]float64, e1-e0)
 			if n.Kind == kernels.KindKernel {
 				pl.applyKernel(vals[node], node, ops[0], charge)
@@ -304,8 +308,8 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 		// pulls. Slices are never mutated once stored, so pulls can alias
 		// them safely.
 		for ni := 0; ni <= node; ni++ {
-			v, ok := vals[ni]
-			if !ok || !pl.Nodes[ni].Retain {
+			v := vals[ni]
+			if v == nil || !pl.Nodes[ni].Retain {
 				continue
 			}
 			kept := rs.state[ni]
@@ -318,7 +322,7 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 				kept[t] = v[tLo/in.ElemSize-e0 : tHi/in.ElemSize-e0]
 			}
 		}
-		st.Compute(p, sim.Time(weighted*clu.Cfg.ComputeNsPerElem), n.ID, e1-e0)
+		st.Compute(p, sim.Time(weighted*clu.Cfg.ComputeNsPerElem), label, e1-e0)
 		resp.Elements += e1 - e0
 		if !final {
 			return nil
