@@ -43,10 +43,11 @@ extended: tier1 lint lint-fix-check
 # Bench smoke: every experiment end to end at the reduced configuration —
 # each cell verified against the sequential reference, the replayed
 # experiments byte-identical across two runs — plus the adaptive
-# subsystems under the race detector.
+# subsystems and the crash paths of pfs calls and offload fan-outs under
+# the race detector.
 bench-smoke:
 	go run ./cmd/dasbench -quick -exp all -json BENCH_sim_smoke.json
-	go test -race ./internal/control/... ./internal/cache/... ./internal/restripe/... ./internal/tenants/... ./internal/pipeline/...
+	go test -race ./internal/control/... ./internal/cache/... ./internal/restripe/... ./internal/tenants/... ./internal/pipeline/... ./internal/pfs/... ./internal/active/...
 
 # Bench identity: the simulated-clock records are functions of the code
 # alone, so the committed BENCH_sim.json — every cell of every experiment,

@@ -79,11 +79,7 @@ func FanOut(p *sim.Proc, fs *pfs.FileSystem, from int, port string, reqs []Reque
 				sig.Fire(r)
 				return
 			}
-			fromInc := f.Incarnation(from)
-			dead := func() bool {
-				return f.Down(to) || f.Incarnation(to) != r.Inc || f.Down(from) || f.Incarnation(from) != fromInc
-			}
-			resp, ok := clu.Net.CallCancelable(d, msg, fs.Retry.Quantum, deadline, dead)
+			resp, ok := clu.Net.CallCancelable(d, msg, fs.Retry.Quantum, deadline, f.Watch(from, to))
 			r.Payload, r.Lost = resp.Payload, !ok
 			sig.Fire(r)
 		})

@@ -195,9 +195,11 @@ func (st *Stages) Compute(p *sim.Proc, d sim.Time, op string, elems int64) {
 	}
 }
 
-// Store hands a run's output, computed on p, to the store. The output
-// layout's replica holders are sent their copies now, beside the local
-// write, one process per holder — sent holder after holder, a run's
+// Store hands a run's output, computed on p, to the store. The strips'
+// other holders under the output layout — the primary too, when a replica
+// stores them (pfs.Server.ReplicaBatches) — are sent their copies now,
+// beside the local write,
+// one process per holder — sent holder after holder, a run's
 // forwards convoy on the FIFO NICs once compute stops pacing them. The
 // returned write stores the run's strips locally in one batched disk pass,
 // WalkRuns' write stage. vals becomes the stored strips by reference,

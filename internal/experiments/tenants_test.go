@@ -72,9 +72,12 @@ func TestTenantsRecordsWithinTheirBound(t *testing.T) {
 
 // TestPushdownRecordsWithinTheirBound holds the committed full-scale
 // terrain pushdown records to their bound, and the crash cell to what a
-// catch-up costs: each caught-up strip evaluates its lineage once, so the
-// crash + restart run takes at most twice its healthy twin (1.80×; 2.28×
-// when a catch-up evaluated each target's lineage on its own).
+// catch-up costs: each caught-up strip evaluates its lineage once, the
+// catch-up wave spreads over every live holder, and no call waits on a
+// crashed caller, so the crash + restart run takes at most 1.6× its
+// healthy twin (1.56×; 1.80× when the wave queued on the first live
+// holder and a dead caller's call waited out its timeout, 2.28× when a
+// catch-up evaluated each target's lineage on its own).
 func TestPushdownRecordsWithinTheirBound(t *testing.T) {
 	var n int
 	var crashed, healthy *StepRecord
@@ -101,8 +104,8 @@ func TestPushdownRecordsWithinTheirBound(t *testing.T) {
 	if crashed.Stats.Int("catch_ups") == 0 {
 		t.Error("the crash cell caught no strip up")
 	}
-	if ratio := crashed.SimSeconds / healthy.SimSeconds; ratio > 2 {
-		t.Errorf("the crash cell took %.4fs, %.2f× its healthy twin's %.4fs; want at most 2×",
+	if ratio := crashed.SimSeconds / healthy.SimSeconds; ratio > 1.6 {
+		t.Errorf("the crash cell took %.4fs, %.2f× its healthy twin's %.4fs; want at most 1.6×",
 			crashed.SimSeconds, ratio, healthy.SimSeconds)
 	}
 }

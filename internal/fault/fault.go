@@ -100,6 +100,23 @@ func (s *State) Incarnation(node int) uint64 {
 	return s.incarnation[node]
 }
 
+// Gone reports whether node is down, or has crashed or restarted since
+// its incarnation read inc: a process of that incarnation is dead, and a
+// reply addressed to it can no longer come.
+func (s *State) Gone(node int, inc uint64) bool {
+	return s.Down(node) || s.Incarnation(node) != inc
+}
+
+// Watch returns the liveness predicate of a call in flight between nodes a
+// and b: it reports whether either is Gone since Watch was called. Once it
+// holds, the reply can no longer come, whichever end failed — a dead
+// caller's response is dropped like a dead target's. pfs's calls and
+// active's fan-out poll it, so both give up alike.
+func (s *State) Watch(a, b int) func() bool {
+	incA, incB := s.Incarnation(a), s.Incarnation(b)
+	return func() bool { return s.Gone(a, incA) || s.Gone(b, incB) }
+}
+
 // SetNICFactor scales the node's NIC bandwidth by f (0 < f <= 1 degrades,
 // 1 restores). Non-positive factors are clamped to a sliver rather than
 // zero so transfers still terminate.

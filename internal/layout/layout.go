@@ -208,7 +208,9 @@ func Holders(l Layout, s int64) []int {
 // alive — the primary when it is up, otherwise the first live replica in
 // Holders order — and ok = false when no copy of the strip is on a live
 // server. It is the placement rule degraded reads and degraded offload
-// assignment share, so both layers fail over to the same server.
+// assignment share, so both layers fail over to the same server. A
+// pipeline catch-up wave is the exception: it recomputes from the input,
+// so it spreads its strips over every live holder instead.
 func FirstLiveHolder(l Layout, s int64, live func(srv int) bool) (int, bool) {
 	if p := l.Primary(s); live(p) {
 		return p, true

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/hpcio/das/internal/sim"
 )
@@ -16,6 +17,11 @@ var (
 	// ErrServerDown marks a request aimed at (or issued from) a crashed
 	// server.
 	ErrServerDown = errors.New("pfs: storage server down")
+	// ErrCallerDown marks a request whose own node is down, or crashed or
+	// restarted while the request was out: the process waiting on it
+	// belongs to a dead incarnation, so nothing re-sends the request or
+	// fails it over. It wraps ErrServerDown.
+	ErrCallerDown = fmt.Errorf("%w: the calling node crashed", ErrServerDown)
 	// ErrTimeout marks a request that got no response within the retry
 	// policy's budget.
 	ErrTimeout = errors.New("pfs: request timed out")
@@ -44,8 +50,12 @@ const (
 )
 
 // failoverEligible reports whether a read error may be cured by asking a
-// different holder (or the same one after a restart).
+// different holder (or the same one after a restart). A dead caller's is
+// not: nothing waits for what it would read.
 func failoverEligible(err error) bool {
+	if errors.Is(err, ErrCallerDown) {
+		return false
+	}
 	return errors.Is(err, ErrServerDown) ||
 		errors.Is(err, ErrTimeout) ||
 		errors.Is(err, ErrStripNotHeld)

@@ -255,6 +255,139 @@ func TestWriteToDownPrimaryFails(t *testing.T) {
 	})
 }
 
+// callerCrashes installs a plan that slows server 1's disk to a crawl at
+// once, so a request it serves is still out when storage node 0 — the
+// caller — crashes 5 ms later, and restarts downFor after that when
+// downFor > 0. It returns the crash time.
+func callerCrashes(t *testing.T, clu *cluster.Cluster, downFor sim.Time) sim.Time {
+	t.Helper()
+	const crashAt = 5 * sim.Millisecond
+	events := []fault.Event{
+		{At: 0, Kind: fault.SlowDisk, Server: 1, Factor: 0.001},
+		{At: crashAt, Kind: fault.Crash, Server: 0},
+	}
+	if downFor > 0 {
+		events = append(events, fault.Event{At: crashAt + downFor, Kind: fault.Restart, Server: 0})
+	}
+	now := clu.Eng.Now()
+	if err := clu.InstallFaultPlan(fault.Plan{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	return now + crashAt
+}
+
+// wantCallerDown checks that a call whose caller crashed at crashedAt gave
+// up within one quantum with ErrCallerDown, re-sending nothing and timing
+// nothing out.
+func wantCallerDown(t *testing.T, clu *cluster.Cluster, fs *FileSystem, err error, crashedAt, returnedAt sim.Time) {
+	t.Helper()
+	if !errors.Is(err, ErrCallerDown) {
+		t.Errorf("error %v, want ErrCallerDown", err)
+	}
+	if late := returnedAt - crashedAt; late < 0 || late > fs.Retry.Quantum {
+		t.Errorf("the call returned %v after its caller crashed, want within one quantum (%v)", late, fs.Retry.Quantum)
+	}
+	for _, c := range []string{"recovery.retries", "recovery.timeouts", "recovery.failover_reads"} {
+		if n := clu.Counters.Get(c); n != 0 {
+			t.Errorf("%s = %d, want 0: a dead caller's request is neither re-sent nor failed over", c, n)
+		}
+	}
+}
+
+// TestCallerCrashMidCallReturnsWithinAQuantum reads from a live server on
+// behalf of a storage node that crashes while the read is out. The reply
+// can no longer reach it, so the call gives up at the next quantum rather
+// than waiting out the timeout, re-sending from a down node and failing
+// over to holders nothing will read from.
+func TestCallerCrashMidCallReturnsWithinAQuantum(t *testing.T) {
+	clu, fs := testFS(t)
+	writeHealthy(t, clu, fs, layout.NewRoundRobin(4), pattern(4*64<<10), 64<<10)
+	crashedAt := callerCrashes(t, clu, 0)
+	run(t, clu, func(p *sim.Proc) {
+		_, err := fs.ReadStripFrom(p, clu.StorageID(0), 1, "f", 1, 0, 0)
+		wantCallerDown(t, clu, fs, err, crashedAt, p.Now())
+	})
+	// The server still answers the request it got; the answer is dropped.
+	if err := clu.Net.CheckReplies(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCallerCrashRestartDoesNotResendTheWrite writes to a live server on
+// behalf of a storage node that crashes while the write is out and is
+// back half a quantum later, so only its incarnation tells at the next
+// poll. The acknowledgement belongs to the old incarnation; the new one
+// must not take it, nor re-send a write nobody is waiting for, so the call
+// gives up at that poll and callWrite's down-window loop passes the error
+// through.
+func TestCallerCrashRestartDoesNotResendTheWrite(t *testing.T) {
+	clu, fs := testFS(t)
+	if _, err := fs.Create("f", 4*16<<10, layout.NewRoundRobin(4), CreateOptions{StripSize: 16 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	crashedAt := callerCrashes(t, clu, fs.Retry.Quantum/2)
+	run(t, clu, func(p *sim.Proc) {
+		err := fs.WriteStripTo(p, clu.StorageID(0), 1, "f", 1, pattern(16<<10), false)
+		wantCallerDown(t, clu, fs, err, crashedAt, p.Now())
+	})
+	// The server still answers the request it got; the answer is dropped.
+	if err := clu.Net.CheckReplies(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCallerCrashDuringBackoffSendsNothingMore aims a read and a write from
+// storage node 0 at server 1 while server 1 is down. Read failover and
+// callWrite's down-window loop each back off to wait for it; during that
+// sleep the caller crashes and restarts, and server 1 comes back. The
+// loop's next attempt belongs to the dead incarnation, so it must return
+// ErrCallerDown at the end of the sleep instead of reaching server 1.
+func TestCallerCrashDuringBackoffSendsNothingMore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(p *sim.Proc, clu *cluster.Cluster, fs *FileSystem) error
+	}{
+		{"read failover", func(p *sim.Proc, clu *cluster.Cluster, fs *FileSystem) error {
+			_, err := fs.ReadStripFrom(p, clu.StorageID(0), 1, "f", 1, 0, 0)
+			return err
+		}},
+		{"write down-window", func(p *sim.Proc, clu *cluster.Cluster, fs *FileSystem) error {
+			return fs.WriteStripTo(p, clu.StorageID(0), 1, "f", 1, pattern(64), false)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clu, fs := testFS(t)
+			writeHealthy(t, clu, fs, layout.NewRoundRobin(4), pattern(4*64), 64)
+			// All inside the first backoff, which ends DownBackoff after the
+			// first attempt fails at once against the down server.
+			if err := clu.InstallFaultPlan(fault.Plan{Events: []fault.Event{
+				{At: 0, Kind: fault.Crash, Server: 1},
+				{At: 5 * sim.Millisecond, Kind: fault.Crash, Server: 0},
+				{At: 10 * sim.Millisecond, Kind: fault.Restart, Server: 0},
+				{At: 15 * sim.Millisecond, Kind: fault.Restart, Server: 1},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			start, served := clu.Eng.Now(), fs.Server(1).Requests()
+			run(t, clu, func(p *sim.Proc) {
+				err := tc.op(p, clu, fs)
+				if !errors.Is(err, ErrCallerDown) {
+					t.Errorf("error %v, want ErrCallerDown", err)
+				}
+				if took := p.Now() - start; took != fs.Retry.DownBackoff {
+					t.Errorf("returned after %v, want at the end of the first backoff (%v)", took, fs.Retry.DownBackoff)
+				}
+			})
+			if n := fs.Server(1).Requests() - served; n != 0 {
+				t.Errorf("server 1 received %d requests from the dead incarnation", n)
+			}
+			if n := clu.Counters.Get("recovery.failover_reads"); n != 0 {
+				t.Errorf("recovery.failover_reads = %d, want 0", n)
+			}
+		})
+	}
+}
+
 func TestFaultPlanTimingIsDeterministic(t *testing.T) {
 	elapsed := func() (sim.Time, int64, string) {
 		clu, fs := testFS(t)

@@ -268,13 +268,18 @@ func (fs *FileSystem) SetLayout(name string, lay layout.Layout) error {
 }
 
 // call sends a request to server srv on behalf of a process running on
-// node fromID and returns the response payload. On a healthy cluster it
-// is a plain blocking RPC. Once the fault layer is active it fails fast
-// against crashed endpoints, bounds each attempt by the retry policy's
-// timeout (polling target liveness every quantum), and re-sends with
-// doubling backoff — returning ErrServerDown or ErrTimeout when the
-// budget runs out.
-func (fs *FileSystem) call(p *sim.Proc, fromID, srv int, payload any, size int64) (any, error) {
+// node fromID, of the incarnation fromInc, and returns the response
+// payload. On a healthy cluster it is a plain blocking RPC. Once the fault
+// layer is active it fails fast against crashed endpoints, bounds each
+// attempt by the retry policy's timeout, polling every quantum the
+// liveness of both ends through the predicate active.FanOut polls too
+// (fault.State.Watch), and re-sends with doubling backoff — returning
+// ErrServerDown or ErrTimeout when the budget runs out. A caller whose
+// node is Gone since fromInc — down, or crashed or restarted mid-call or
+// while an outer loop (callWrite, readStripFailover) slept — gets
+// ErrCallerDown at once or within a quantum: its process belongs to a dead
+// incarnation, and nothing is re-sent for it.
+func (fs *FileSystem) call(p *sim.Proc, fromID int, fromInc uint64, srv int, payload any, size int64) (any, error) {
 	toID := fs.clu.StorageID(srv)
 	msg := simnet.Message{
 		From:    fromID,
@@ -296,28 +301,31 @@ func (fs *FileSystem) call(p *sim.Proc, fromID, srv int, payload any, size int64
 	if !f.Active() {
 		return fs.clu.Net.Call(p, msg).Payload, nil
 	}
-	if f.Down(fromID) {
-		// A crashed node's frozen processes cannot issue RPCs; their
-		// in-flight work fails instantly instead of hanging the handler.
-		return nil, fmt.Errorf("pfs: request from node %d: %w", fromID, ErrServerDown)
-	}
 	pol := fs.Retry
 	backoff := pol.Backoff
 	for attempt := 0; ; attempt++ {
+		// A crashed node's processes run on, but whatever they send or are
+		// answered is dropped: their calls fail at once instead of waiting
+		// out the timeout, and one that dies mid-call is not re-sent.
+		if f.Gone(fromID, fromInc) {
+			return nil, fmt.Errorf("pfs: request from node %d: %w", fromID, ErrCallerDown)
+		}
 		if f.Down(toID) {
 			return nil, fmt.Errorf("pfs: server %d: %w", srv, ErrServerDown)
 		}
-		inc := f.Incarnation(toID)
-		crashed := func() bool { return f.Down(toID) || f.Incarnation(toID) != inc }
-		resp, ok := fs.clu.Net.CallCancelable(p, msg, pol.Quantum, pol.Timeout, crashed)
+		gone := f.Watch(fromID, toID)
+		resp, ok := fs.clu.Net.CallCancelable(p, msg, pol.Quantum, pol.Timeout, gone)
 		if ok {
 			return resp.Payload, nil
 		}
-		if !crashed() {
+		if !gone() {
 			fs.timeouts.Inc()
+		} else if f.Gone(fromID, fromInc) {
+			continue // the caller died: the check above returns
 		}
-		// A crash+restart while waiting means the request (or its
-		// response) died with the old incarnation; re-send like a timeout.
+		// The target's crash+restart while waiting means the request (or
+		// its response) died with the old incarnation; re-send like a
+		// timeout.
 		if attempt >= pol.Retries {
 			return nil, fmt.Errorf("pfs: server %d: no response after %d attempts: %w", srv, attempt+1, ErrTimeout)
 		}
@@ -331,17 +339,20 @@ func (fs *FileSystem) call(p *sim.Proc, fromID, srv int, payload any, size int64
 // strip's primary is its single write point — but they do wait out the
 // retry policy's down-window for a crashed target to restart before
 // surfacing ErrServerDown, so a planned crash+restart bridges instead of
-// killing an otherwise healthy run. A permanently dead target still fails.
+// killing an otherwise healthy run. A permanently dead target still fails,
+// and a caller that crashes meanwhile sends nothing more: every attempt
+// is made for the incarnation that began the write, so call refuses it.
 func (fs *FileSystem) callWrite(p *sim.Proc, fromID, srv int, payload any, size int64) (any, error) {
 	f := fs.clu.Faults
+	fromInc := f.Incarnation(fromID)
 	if !f.Active() {
-		return fs.call(p, fromID, srv, payload, size)
+		return fs.call(p, fromID, fromInc, srv, payload, size)
 	}
 	pol := fs.Retry
 	backoff := pol.DownBackoff
 	for round := 0; ; round++ {
-		resp, err := fs.call(p, fromID, srv, payload, size)
-		if err == nil || !errors.Is(err, ErrServerDown) || f.Down(fromID) {
+		resp, err := fs.call(p, fromID, fromInc, srv, payload, size)
+		if err == nil || !errors.Is(err, ErrServerDown) || errors.Is(err, ErrCallerDown) {
 			return resp, err
 		}
 		if round >= pol.DownRetries {
@@ -382,11 +393,12 @@ func unexpectedResponse(resp any, context string) error {
 // and — per the retry policy — waits for a possible restart before giving
 // up with ErrNoLiveCopy.
 func (fs *FileSystem) ReadStripFrom(p *sim.Proc, fromID, srv int, file string, strip, lo, hi int64) ([]byte, error) {
-	data, err := fs.readStripOnce(p, fromID, srv, file, strip, lo, hi)
+	fromInc := fs.clu.Faults.Incarnation(fromID)
+	data, err := fs.readStripOnce(p, fromID, fromInc, srv, file, strip, lo, hi)
 	if err == nil || !failoverEligible(err) {
 		return data, err
 	}
-	return fs.readStripFailover(p, fromID, srv, file, strip, lo, hi, err)
+	return fs.readStripFailover(p, fromID, fromInc, srv, file, strip, lo, hi, err)
 }
 
 // ReleaseBuffer does nothing: read results are lent, so there is nothing
@@ -395,15 +407,16 @@ func (fs *FileSystem) ReadStripFrom(p *sim.Proc, fromID, srv int, file string, s
 // read result, until ROADMAP item 3 moves bench/.
 func ReleaseBuffer([]byte) {}
 
-// readStripOnce is one read attempt against one server, no failover.
-func (fs *FileSystem) readStripOnce(p *sim.Proc, fromID, srv int, file string, strip, lo, hi int64) ([]byte, error) {
+// readStripOnce is one read attempt against one server, no failover, for
+// the caller's incarnation fromInc.
+func (fs *FileSystem) readStripOnce(p *sim.Proc, fromID int, fromInc uint64, srv int, file string, strip, lo, hi int64) ([]byte, error) {
 	req := fs.readReqGet()
 	*req = readReq{File: file, Strip: strip, Lo: lo, Hi: hi}
 	var start sim.Time
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.call(p, fromID, srv, req, headerBytes)
+	resp, err := fs.call(p, fromID, fromInc, srv, req, headerBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -425,8 +438,10 @@ func (fs *FileSystem) readStripOnce(p *sim.Proc, fromID, srv int, file string, s
 
 // readStripFailover scans the strip's holders for a live copy after the
 // preferred server failed, retrying with backoff to bridge a planned
-// restart before surfacing ErrNoLiveCopy.
-func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID, preferred int, file string, strip, lo, hi int64, cause error) ([]byte, error) {
+// restart before surfacing ErrNoLiveCopy. Every attempt is made for the
+// incarnation fromInc that began the read, so a caller that crashes during
+// a backoff reads nothing more.
+func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID int, fromInc uint64, preferred int, file string, strip, lo, hi int64, cause error) ([]byte, error) {
 	m, ok := fs.meta[file]
 	if !ok {
 		return nil, cause
@@ -441,7 +456,7 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID, preferred int, file
 			if fs.clu.ServerDown(holder) {
 				continue
 			}
-			data, err := fs.readStripOnce(p, fromID, holder, file, strip, lo, hi)
+			data, err := fs.readStripOnce(p, fromID, fromInc, holder, file, strip, lo, hi)
 			if err == nil {
 				if holder != preferred {
 					fs.failoverReads.Inc()
@@ -514,7 +529,7 @@ func (fs *FileSystem) ReadSpansFrom(p *sim.Proc, fromID, srv int, file string, s
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.call(p, fromID, srv, readManyReq{File: file, Spans: spans}, headerBytes)
+	resp, err := fs.call(p, fromID, fs.clu.Faults.Incarnation(fromID), srv, readManyReq{File: file, Spans: spans}, headerBytes)
 	if err == nil {
 		switch r := resp.(type) {
 		case readManyResp:

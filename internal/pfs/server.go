@@ -3,6 +3,7 @@ package pfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
@@ -282,7 +283,8 @@ func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, 
 // write. It is how a kernel running on this server stores its output:
 // each element of data becomes a stored strip by reference, under
 // LocalWrite's contract. With forward set it then pushes the strips'
-// copies to their replica holders under the file's current layout,
+// copies to their other holders under the file's current layout
+// (ReplicaBatches),
 // batched per holder and sent holder after holder, each waiting for the
 // one before it to be acknowledged — the order of replica-maintaining
 // client writes (writeReq, writeManyReq) and mapred's reducers. The
@@ -321,8 +323,14 @@ type ReplicaBatch struct {
 	size   int64
 }
 
-// ReplicaBatches groups the given strips by replica holder under the
-// file's current layout, holders in order of first appearance.
+// ReplicaBatches groups the given strips by the other holders each is owed
+// under the file's current layout, holders in order of first appearance:
+// its replicas, and its primary too when this server stores it as one of
+// them — an offload or a pipeline catch-up placed off the primary — since
+// the primary is the strip's single write point and reads go to it first.
+// A server that holds no copy under the current layout (a restripe changed
+// it mid-store) sends to the replicas only: a write racing a migration is
+// the migrator's to repair, its invalidation hook dirtying the move.
 func (s *Server) ReplicaBatches(file string, strips []int64, data [][]byte) ([]ReplicaBatch, error) {
 	m, ok := s.fs.meta[file]
 	if !ok {
@@ -330,21 +338,28 @@ func (s *Server) ReplicaBatches(file string, strips []int64, data [][]byte) ([]R
 	}
 	var batches []ReplicaBatch
 	at := make(map[int]int) // holder -> index in batches
+	add := func(holder int, strip int64, chunk []byte) {
+		if holder == s.srv {
+			return
+		}
+		j, seen := at[holder]
+		if !seen {
+			j = len(batches)
+			at[holder] = j
+			batches = append(batches, ReplicaBatch{target: holder, req: writeManyReq{File: file, immutable: true}, size: headerBytes})
+		}
+		b := &batches[j]
+		b.req.Strips = append(b.req.Strips, strip)
+		b.req.Data = append(b.req.Data, chunk)
+		b.size += int64(len(chunk))
+	}
 	for i, strip := range strips {
-		for _, rep := range m.Layout.Replicas(strip) {
-			if rep == s.srv {
-				continue
-			}
-			j, seen := at[rep]
-			if !seen {
-				j = len(batches)
-				at[rep] = j
-				batches = append(batches, ReplicaBatch{target: rep, req: writeManyReq{File: file, immutable: true}, size: headerBytes})
-			}
-			b := &batches[j]
-			b.req.Strips = append(b.req.Strips, strip)
-			b.req.Data = append(b.req.Data, data[i])
-			b.size += int64(len(data[i]))
+		reps := m.Layout.Replicas(strip)
+		if slices.Contains(reps, s.srv) {
+			add(m.Layout.Primary(strip), strip, data[i])
+		}
+		for _, rep := range reps {
+			add(rep, strip, data[i])
 		}
 	}
 	return batches, nil
@@ -355,7 +370,7 @@ func (s *Server) ReplicaBatches(file string, strips []int64, data [][]byte) ([]R
 // is down or times out loses this copy rather than failing the write —
 // the primary copy is durable; DESIGN.md documents the divergence window.
 func (s *Server) SendReplicas(p *sim.Proc, b ReplicaBatch) error {
-	resp, err := s.fs.call(p, s.nodeID, b.target, b.req, b.size)
+	resp, err := s.fs.call(p, s.nodeID, s.fs.clu.Faults.Incarnation(s.nodeID), b.target, b.req, b.size)
 	if err != nil {
 		if errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout) {
 			s.fs.skippedForwards.Inc()

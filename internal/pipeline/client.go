@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -257,19 +258,43 @@ func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, in
 
 	assign := make(map[int][]int64)
 	var order []int
+	// The catch-up wave's current run: consecutive strips with one holder
+	// set, and the holder it went to.
+	var runHolders []int
+	runSrv, runLast := -1, int64(-2)
 	for _, s := range strips {
 		var srv int
-		if !catchUp && round > 0 {
+		switch {
+		case catchUp:
+			// A catch-up is recomputed from the input, so any live holder
+			// can take it: each run goes to the one given the fewest
+			// strips so far in this wave (ties in Holders order), and a
+			// crash's lost lineage spreads over every holder of it
+			// instead of queueing on the first.
+			holders := layout.Holders(out.Layout, s)
+			if s != runLast+1 || !slices.Equal(holders, runHolders) {
+				runSrv, runHolders = -1, holders
+				for _, h := range holders {
+					if live(h) && (runSrv < 0 || len(assign[h]) < len(assign[runSrv])) {
+						runSrv = h
+					}
+				}
+				if runSrv < 0 {
+					return nil, &active.NoLiveCopyError{File: input, Strip: s}
+				}
+			}
+			srv, runLast = runSrv, s
+		case round > 0:
 			// A normal strip past round 0 must run where its state
 			// lives; the caller already diverted lost owners to
 			// catch-up.
 			srv = int(owner[s])
-		} else if !catchUp && round == 0 && owner[s] >= 0 && live(int(owner[s])) {
+		case owner[s] >= 0 && live(int(owner[s])):
 			// A round-0 redispatch keeps strips that already succeeded
 			// on their recorded owner out of this wave entirely; fresh
 			// strips fall through to holder assignment.
 			srv = int(owner[s])
-		} else {
+		default:
 			holder, ok := layout.FirstLiveHolder(out.Layout, s, live)
 			if !ok {
 				return nil, &active.NoLiveCopyError{File: input, Strip: s}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -29,19 +30,7 @@ import (
 func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 	audited(t)
 	baseline := runtime.NumGoroutine()
-	d := kernels.DAG{Name: "diamond-stats", Nodes: []kernels.Node{
-		{ID: "a", Kind: kernels.KindKernel, Op: "gaussian-filter"},
-		{ID: "b", Kind: kernels.KindKernel, Op: "surface-slope"},
-		{ID: "c", Kind: kernels.KindCombine, Op: "add", Parents: []string{"a", "b"}},
-		{ID: "d", Kind: kernels.KindKernel, Op: "diffusion", Parents: []string{"c"}},
-		{ID: "r", Kind: kernels.KindReduce, Op: "stats", Parents: []string{"d"}},
-	}}
-	g := workload.Terrain(testW, testH, 11)
-	want, err := kernels.ApplyDAG(d, kernels.Default(), kernels.DefaultCombiners(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantReduce := kernels.ReduceStriped(kernels.Stats{}, want, testStrip/grid.ElemSize)
+	d := diamondStats()
 	// Mirrored groups of two one-row strips: four runs a server, a live
 	// copy of every strip through the crash. Compute-bound, so that a
 	// run's operands wait for the kernel and not the kernel for them.
@@ -49,28 +38,9 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 	cfg := cluster.Default()
 	cfg.ComputeNsPerElem *= 20
 
-	// run executes the DAG on a fresh platform with server 1 crashing at
-	// crashAt on its clock and restarting downFor later, and returns the
-	// platform, the result, server 1's combine computes and every server's
-	// catch-up computes.
-	run := func(crashAt, downFor sim.Time) (rig *testRig, res RunResult, combines, catchUps []trace.Event) {
-		rig = newRigOn(t, cfg, lay, testW, testH, testStrip, func(fs *pfs.FileSystem) *Service {
-			return Deploy(fs, kernels.Default(), nil, nil)
-		})
-		rig.createOut(t, "out")
-		at := crashAt - rig.clu.Eng.Now() // plan times count from the install
-		if err := rig.clu.InstallFaultPlan(fault.Plan{Events: []fault.Event{
-			{At: at, Kind: fault.Crash, Server: 1},
-			{At: at + downFor, Kind: fault.Restart, Server: 1},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		rec := trace.New(0)
-		rig.clu.Trace = rec
-		res, err := rig.pipeline(t, d, "in", "out")
-		if err != nil {
-			t.Fatal(err)
-		}
+	// combinesAndCatchUps returns server 1's combine computes and every
+	// server's catch-up computes.
+	combinesAndCatchUps := func(rec *trace.Recorder) (combines, catchUps []trace.Event) {
 		for _, e := range rec.Events() {
 			switch {
 			case e.Actor == "server-1/compute" && e.Phase == "compute" && strings.HasPrefix(e.Note, "c over"):
@@ -79,15 +49,16 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 				catchUps = append(catchUps, e)
 			}
 		}
-		return rig, res, combines, catchUps
+		return combines, catchUps
 	}
 
 	// Aim at the middle of server 1's second combine run, on a run with the
 	// fault paths armed but no fault inside it: the two runs after it are
 	// still to come, so the next one's operands were assembled when its
 	// compute began.
-	healthy, _, combines, catchUps := run(sim.Second, sim.Second)
-	healthy.clu.Eng.Shutdown()
+	healthy := crashRun(t, cfg, lay, d, sim.Second, sim.Second)
+	healthy.rig.clu.Eng.Shutdown()
+	combines, catchUps := combinesAndCatchUps(healthy.rec)
 	if len(combines) < 3 {
 		t.Fatalf("server 1 computed %d combine runs: too few to crash with one prefetched", len(combines))
 	}
@@ -97,7 +68,9 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 	mid := combines[1]
 	crashAt := mid.At + mid.Dur/2
 
-	rig, res, combines, catchUps := run(crashAt, mid.Dur)
+	c := crashRun(t, cfg, lay, d, crashAt, mid.Dur)
+	rig, res := c.rig, c.res
+	combines, catchUps = combinesAndCatchUps(c.rec)
 	if len(combines) < 2 || combines[1] != mid {
 		t.Errorf("the crashed run's combine computes on server 1 start %v, the healthy run's %v", combines, mid)
 	}
@@ -112,22 +85,9 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 			t.Errorf("catch-up traced as %s %s %q", e.Actor, e.Phase, e.Note)
 		}
 	}
-	if got := rig.fetch(t, "out"); !got.Equal(want) {
-		t.Errorf("output under a crash with a round prefetched differs from the reference (max diff %g)", got.MaxAbsDiff(want))
-	}
-	if len(res.Reduce) != len(wantReduce) {
-		t.Fatalf("reduce has %d values, want %d", len(res.Reduce), len(wantReduce))
-	}
-	for i := range wantReduce {
-		if res.Reduce[i] != wantReduce[i] {
-			t.Errorf("reduce[%d] = %v, want %v", i, res.Reduce[i], wantReduce[i])
-		}
-	}
+	wantReference(t, rig, d, res)
 	if res.CatchUps == 0 {
 		t.Error("the restart wiped server 1's state, yet no strip's lineage was caught up")
-	}
-	if err := rig.clu.Net.CheckReplies(); err != nil {
-		t.Error(err)
 	}
 	if live := rig.clu.Eng.Live(); live != 0 {
 		t.Errorf("%d processes still live after the run", live)
@@ -138,4 +98,167 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Errorf("%d goroutines after shutdown, %d before the platforms were built", n, baseline)
 	}
+}
+
+// diamondStats is a DAG with a combine, a kernel after it and a reduce:
+// its catch-up evaluates a branching lineage from the input.
+func diamondStats() kernels.DAG {
+	return kernels.DAG{Name: "diamond-stats", Nodes: []kernels.Node{
+		{ID: "a", Kind: kernels.KindKernel, Op: "gaussian-filter"},
+		{ID: "b", Kind: kernels.KindKernel, Op: "surface-slope"},
+		{ID: "c", Kind: kernels.KindCombine, Op: "add", Parents: []string{"a", "b"}},
+		{ID: "d", Kind: kernels.KindKernel, Op: "diffusion", Parents: []string{"c"}},
+		{ID: "r", Kind: kernels.KindReduce, Op: "stats", Parents: []string{"d"}},
+	}}
+}
+
+// crashed is one crashRun: the platform, the result, the trace, and the
+// clock when the client started and when it returned.
+type crashed struct {
+	rig        *testRig
+	res        RunResult
+	rec        *trace.Recorder
+	start, end sim.Time
+}
+
+// crashRun runs d, traced, on a fresh platform of cfg's cost model and
+// lay's placement, with server 1 crashing at crashAt on the platform's
+// clock and restarting downFor later (never when downFor is 0).
+func crashRun(t *testing.T, cfg cluster.Config, lay layout.Layout, d kernels.DAG, crashAt, downFor sim.Time) crashed {
+	t.Helper()
+	rig := newRigOn(t, cfg, lay, testW, testH, testStrip, func(fs *pfs.FileSystem) *Service {
+		return Deploy(fs, kernels.Default(), nil, nil)
+	})
+	rig.createOut(t, "out")
+	at := crashAt - rig.clu.Eng.Now() // plan times count from the install
+	events := []fault.Event{{At: at, Kind: fault.Crash, Server: 1}}
+	if downFor > 0 {
+		events = append(events, fault.Event{At: at + downFor, Kind: fault.Restart, Server: 1})
+	}
+	if err := rig.clu.InstallFaultPlan(fault.Plan{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	c := crashed{rig: rig, rec: trace.New(0), start: rig.clu.Eng.Now()}
+	rig.clu.Trace = c.rec
+	rig.run(t, func(p *sim.Proc) error {
+		var err error
+		c.res, err = NewClient(rig.fs, rig.clu.ComputeID(0), kernels.Default(), nil, nil).Run(p, d, "in", "out")
+		c.end = p.Now()
+		return err
+	})
+	return c
+}
+
+// crashMidRun is crashRun on the default cost model with the crash halfway
+// through a run whose crash comes only after it ends.
+func crashMidRun(t *testing.T, lay layout.Layout, d kernels.DAG, downFor sim.Time) crashed {
+	t.Helper()
+	healthy := crashRun(t, cluster.Default(), lay, d, sim.Second, sim.Second)
+	healthy.rig.clu.Eng.Shutdown()
+	return crashRun(t, cluster.Default(), lay, d, (healthy.start+healthy.end)/2, downFor)
+}
+
+// wantReference checks the run's output and reduce against the
+// sequential evaluation of d, bit for bit, that every output strip is on
+// its primary when the primary is up — a strip's single write point, which
+// reads try first — and that every request the run delivered was answered
+// once.
+func wantReference(t *testing.T, rig *testRig, d kernels.DAG, res RunResult) {
+	t.Helper()
+	out, _ := rig.fs.Meta("out")
+	for s := int64(0); s < out.Strips(); s++ {
+		if p := out.Layout.Primary(s); !rig.clu.ServerDown(p) && !rig.fs.Server(p).Holds("out", s) {
+			t.Errorf("output strip %d is not on its live primary, server %d", s, p)
+		}
+	}
+	want, err := kernels.ApplyDAG(d, kernels.Default(), kernels.DefaultCombiners(), workload.Terrain(testW, testH, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rig.fetch(t, "out"); !got.Equal(want) {
+		t.Errorf("output differs from the reference (max diff %g)", got.MaxAbsDiff(want))
+	}
+	wantReduce := kernels.ReduceStriped(kernels.Stats{}, want, testStrip/grid.ElemSize)
+	if len(res.Reduce) != len(wantReduce) {
+		t.Fatalf("reduce has %d values, want %d", len(res.Reduce), len(wantReduce))
+	}
+	for i := range wantReduce {
+		if res.Reduce[i] != wantReduce[i] {
+			t.Errorf("reduce[%d] = %v, want %v", i, res.Reduce[i], wantReduce[i])
+		}
+	}
+	if err := rig.clu.Net.CheckReplies(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCatchUpSpreadsOverLiveHolders crashes a server of a mirrored layout
+// for good in mid-run. The strips whose state it held, and those whose
+// stage pulled from it, have their lineage caught up from the input, and
+// any live holder of a strip can do that: each run of strips sharing their
+// holders goes to the one given the fewest so far, so no server takes more
+// than an even share of the wave plus one run — where the first live
+// holder would take them all. The output and reduce are the reference's,
+// every pooled buffer comes back and every request is answered once.
+func TestCatchUpSpreadsOverLiveHolders(t *testing.T) {
+	audited(t)
+	lay := layout.NewGroupedReplicated(4, 2, 2)
+	d := diamondStats()
+	c := crashMidRun(t, lay, d, 0)
+	rig, res := c.rig, c.res
+	defer rig.clu.Eng.Shutdown()
+	wantReference(t, rig, d, res)
+
+	elemsPerStrip := int64(testStrip / grid.ElemSize)
+	took := map[string]int64{}
+	var total int64
+	for _, e := range c.rec.Events() {
+		if !strings.HasPrefix(e.Note, "catch-up ") {
+			continue
+		}
+		var elems int64
+		if _, err := fmt.Sscanf(e.Note[strings.LastIndex(e.Note, " over ")+1:], "over %d elements", &elems); err != nil {
+			t.Fatalf("catch-up note %q: %v", e.Note, err)
+		}
+		took[e.Actor] += elems / elemsPerStrip
+		total += elems / elemsPerStrip
+	}
+	if total == 0 || total != res.CatchUps {
+		t.Fatalf("traced %d catch-up strips, the client counted %d", total, res.CatchUps)
+	}
+	// Every live server holds a copy of some caught-up strip here: the
+	// crash failed its neighbours' pulls too, and their strips are
+	// mirrored onto the third live server.
+	const live = 3
+	limit := (total+live-1)/live + int64(lay.R)
+	for actor, n := range took {
+		if n > limit {
+			t.Errorf("%s caught up %d of %d strips; with %d live holders, want at most %d", actor, n, total, live, limit)
+		}
+	}
+	if len(took) != live {
+		t.Errorf("catch-ups ran on %v, want a share on each of the %d live servers", took, live)
+	}
+}
+
+// TestCrashRestartRunEndsWithTheClient crashes a server mid-run and
+// restarts it before the run ends. No process of the dead incarnation may
+// outlive the run — none still waiting on a reply that cannot come — so the
+// engine goes idle at the instant the client returns.
+func TestCrashRestartRunEndsWithTheClient(t *testing.T) {
+	audited(t)
+	d := diamondStats()
+	c := crashMidRun(t, layout.NewGroupedReplicated(4, 2, 2), d, sim.Millisecond)
+	rig, res := c.rig, c.res
+	defer rig.clu.Eng.Shutdown()
+	if res.CatchUps == 0 {
+		t.Error("the crash lost no state to catch up")
+	}
+	if now := rig.clu.Eng.Now(); now != c.end {
+		t.Errorf("the engine went idle at %v, %v after the client returned", now, now-c.end)
+	}
+	if live := rig.clu.Eng.Live(); live != 0 {
+		t.Errorf("%d processes still live after the run", live)
+	}
+	wantReference(t, rig, d, res)
 }
