@@ -1,4 +1,4 @@
-.PHONY: tier1 extended lint lint-fix-check bench-smoke bench-identity
+.PHONY: tier1 extended lint bench-smoke bench-identity
 
 # Tier-1 gate: must stay green on every PR. The benchmark under bench/ is
 # a module of its own that root `./...` does not reach, so it is built,
@@ -8,33 +8,16 @@ tier1:
 	go test ./...
 	cd bench && go build ./... && go vet ./... && go test ./...
 
-# Determinism analyzer suite (cmd/daslint) through the `go vet -vettool`
-# protocol: the same analyzers and stale-directive check as a standalone
-# run, _test.go files included.
-# The vettool is built where Go itself would put temporary files: GOTMPDIR
-# if set, else the system temp directory (`go env GOTMPDIR` succeeds with
-# empty output when unset, so the fallback has to test for empty).
+# The analyzer suite (cmd/daslint): the two rules no run can check, map
+# order and stray goroutines (DESIGN.md §10). Clean on the tree.
 lint:
-	dir="$$(go env GOTMPDIR)"; tool="$${dir:-$${TMPDIR:-/tmp}}/daslint-vettool"; \
-	go build -o "$$tool" ./cmd/daslint && go vet -vettool="$$tool" ./...
+	go run ./cmd/daslint ./...
 
-# Machine-readable lint pass: asserts the module is finding-free via the
-# -json output (any JSON line on stdout is a finding). CI consumes this;
-# locally it is the quick "is my suppression correct" check.
-lint-fix-check:
-	@out="$$(go run ./cmd/daslint -json ./... 2>&1)"; \
-	if [ -n "$$out" ]; then \
-		echo "$$out"; \
-		echo "lint-fix-check: findings remain (fix them or annotate with //das:allow -- reason)"; \
-		exit 1; \
-	fi; \
-	echo "lint-fix-check: clean"
-
-# Extended gate: vet + daslint (vet tool and standalone -json) + race on
-# top of tier-1, then a bounded fuzz of the row-streaming kernels against
-# their per-element oracle and of the order keys they select on against `<`
-# (tier-1 runs only the seed corpora).
-extended: tier1 lint lint-fix-check
+# Extended gate: daslint, vet and race on top of tier-1, then a bounded
+# fuzz of the row-streaming kernels against their per-element oracle and
+# of the order keys they select on against `<` (tier-1 runs only the seed
+# corpora).
+extended: tier1 lint
 	go vet ./...
 	go test -race ./...
 	go test -run '^$$' -fuzz FuzzRowDriver -fuzztime 20s ./internal/kernels

@@ -100,6 +100,48 @@ func TestManagerDemotesIdlePinsWhenFetchesRunFast(t *testing.T) {
 	}
 }
 
+// TestManagerDemotesInFileStripOrder: a demote pass unpins a window's idle
+// pins in (file, strip) order, whatever order the cache's map yields them
+// in, so the action log — which the determinism tests and the reports
+// read — is the same on every run.
+func TestManagerDemotesInFileStripOrder(t *testing.T) {
+	demotes := func() []Action {
+		t.Helper()
+		m, err := NewManager(sim.NewEngine(), 1, testConfig(), nil, metrics.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64)
+		for _, k := range []Key{{"b", 3}, {"a", 7}, {"b", 1}, {"a", 2}, {"c", 5}, {"a", 4}} {
+			m.RecordFetch(0, k.File, k.Strip, 0, buf, 500*sim.Microsecond)
+		}
+		for m.PromoteHotServer(0) > 0 {
+		}
+		m.ResetWindows()
+		if n := m.DemoteIdleServer(0); n != 6 {
+			t.Fatalf("demote pass unpinned %d strips, want all 6 idle pins", n)
+		}
+		var out []Action
+		for _, a := range m.Actions() {
+			if a.Kind == "demote" {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	first := demotes()
+	var order []Key
+	for _, a := range first {
+		order = append(order, Key{File: a.File, Strip: a.Strip})
+	}
+	if want := []Key{{"a", 2}, {"a", 4}, {"a", 7}, {"b", 1}, {"b", 3}, {"c", 5}}; !slices.Equal(order, want) {
+		t.Errorf("demotion order %v, want %v", order, want)
+	}
+	if second := demotes(); !slices.Equal(first, second) {
+		t.Errorf("two identical runs demoted differently:\n%v\n%v", first, second)
+	}
+}
+
 func TestManagerHitRateEstimatePerFile(t *testing.T) {
 	eng := sim.NewEngine()
 	m, err := NewManager(eng, 1, testConfig(), nil, metrics.NewRegistry())

@@ -245,7 +245,9 @@ func (s *System) RunProc(name string, fn func(p *sim.Proc) error) (sim.Time, err
 // run executes fn as a workload process and drives the engine until all
 // non-daemon work completes, returning the elapsed simulated time. At that
 // quiescence every request a server received must have been answered
-// once: a dropped or doubled reply fails the run.
+// once, and — under bufpool.Audit — every stored strip must still hold the
+// bytes it was stored with: a dropped or doubled reply, or a write into
+// lent strip memory, fails the run.
 func (s *System) run(name string, fn func(p *sim.Proc) error) (sim.Time, error) {
 	start := s.Clu.Eng.Now()
 	var inner error
@@ -254,6 +256,9 @@ func (s *System) run(name string, fn func(p *sim.Proc) error) (sim.Time, error) 
 		return 0, err
 	}
 	if err := s.Clu.Net.CheckReplies(); err != nil {
+		return 0, err
+	}
+	if err := s.FS.CheckSeals(); err != nil {
 		return 0, err
 	}
 	if inner != nil {

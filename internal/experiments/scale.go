@@ -311,6 +311,9 @@ func (r *ScaleRunner) Run() (ScaleStats, error) {
 	if err := clu.Net.CheckReplies(); err != nil {
 		return ScaleStats{}, err
 	}
+	if err := run.fs.CheckSeals(); err != nil {
+		return ScaleStats{}, err
+	}
 	reads, writes := run.reads, run.writes
 
 	// Fold the per-client checksums in client order, then feed a small grid

@@ -5,149 +5,47 @@ import (
 	"go/types"
 )
 
-// Detrand enforces the determinism contract around randomness and map
-// iteration.
-var Detrand = &Analyzer{
-	Name: "detrand",
-	Doc: `forbid ambient randomness and map-iteration order leaking into event order
+// Detrand forbids map-iteration order leaking into event order, in
+// simulated packages outside _test.go files.
+//
+// Iterating a map while spawning procs, posting to mailboxes, pushing heap
+// entries, or appending to a slice that is never sorted lets Go's
+// randomized map order decide the event order — the classic silent
+// nondeterminism leak. Iterate over sorted keys instead. A replay test only
+// sees such a leak when two runs happen to draw different orders, which
+// they may do one time in a thousand: cache.Manager.demoteIdle without its
+// sort passed every test three times (DESIGN.md §10). Randomness that does
+// not come from the plan's seed needs no rule here: fault's loss draws are
+// the one random source, and TestStateLossDeterminism fails on a global
+// draw, an opaque source or a wall-clock seed alike.
+var Detrand = &Analyzer{Name: "detrand", Run: runDetrand}
 
-All randomness must flow through a *rand.Rand threaded from the plan or
-engine (as internal/fault does): the global math/rand functions draw from
-a process-global, randomly seeded source, and a rand.New over anything
-but an explicitly seeded rand.NewSource cannot be replayed. Separately,
-iterating a map while spawning procs, posting to mailboxes, pushing heap
-entries, or appending to a slice that is never sorted lets Go's
-randomized map order decide the event order — the classic silent
-nondeterminism leak. Iterate over sorted keys instead.`,
-	Run: runDetrand,
-}
-
-// randPkgs are the math/rand flavors; both have global top-level sources.
-var randPkgs = map[string]bool{"math/rand": true, "math/rand/v2": true}
-
-// seededCtors construct a rand source from an explicit seed argument.
-var seededCtors = map[string]bool{"NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true}
-
-func runDetrand(pass *Pass) error {
-	inModule := pass.Pkg.Path() == ModulePath ||
-		len(pass.Pkg.Path()) > len(ModulePath) && pass.Pkg.Path()[:len(ModulePath)+1] == ModulePath+"/"
-	exempt := !inModule
-	for _, ex := range simExempt {
-		if pass.Pkg.Path() == ex {
-			exempt = true
-		}
+func runDetrand(pass *Pass) {
+	if !simulatedPkg(pass.Pkg.Path()) {
+		return
 	}
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		if !exempt {
-			checkRandCalls(pass, f)
-		}
-		if simulatedPkg(pass.Pkg.Path()) {
-			checkMapRanges(pass, f)
-		}
-	}
-	return nil
-}
-
-// checkRandCalls flags global math/rand usage and opaquely-sourced
-// rand.New throughout the file, package-scope initializers included.
-func checkRandCalls(pass *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.Info, call)
-		if fn == nil || fn.Pkg() == nil || !randPkgs[fn.Pkg().Path()] {
-			return true
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() != nil {
-			return true // methods on a threaded *rand.Rand are the blessed path
-		}
-		switch {
-		case fn.Name() == "New":
-			checkRandNew(pass, call, fn.Pkg().Path())
-		case seededCtors[fn.Name()]:
-			checkSeedArgs(pass, call, fn.Name())
-		default:
-			pass.Reportf(call.Pos(),
-				"global %s.%s draws from the process-global source; thread the plan's seeded *rand.Rand instead",
-				fn.Pkg().Name(), fn.Name())
-		}
-		return true
-	})
-}
-
-// checkRandNew accepts rand.New over an explicitly seeded constructor or
-// a threaded value (identifier, selector, parameter); anything built
-// inline some other way is an unseeded source nobody can replay.
-func checkRandNew(pass *Pass, call *ast.CallExpr, randPkg string) {
-	if len(call.Args) == 0 {
-		return
-	}
-	switch arg := ast.Unparen(call.Args[0]).(type) {
-	case *ast.CallExpr:
-		inner := calleeFunc(pass.Info, arg)
-		if inner != nil && inner.Pkg() != nil && inner.Pkg().Path() == randPkg && seededCtors[inner.Name()] {
-			return // seed args vetted by the NewSource/NewPCG case of the walk
-		}
-		pass.Reportf(call.Pos(),
-			"rand.New with an opaque source; construct it as rand.New(rand.NewSource(seed)) with a seed threaded from the plan")
-	case *ast.Ident, *ast.SelectorExpr:
-		// A threaded source: whoever built it was checked at its
-		// construction site.
-	default:
-		pass.Reportf(call.Pos(),
-			"rand.New with an opaque source; construct it as rand.New(rand.NewSource(seed)) with a seed threaded from the plan")
-	}
-}
-
-// checkSeedArgs rejects seeds derived from the wall clock: a
-// time.Now-based seed is the canonical way to smuggle nondeterminism
-// past an explicit-seed rule.
-func checkSeedArgs(pass *Pass, call *ast.CallExpr, ctor string) {
-	for _, arg := range call.Args {
-		ast.Inspect(arg, func(n ast.Node) bool {
-			inner, ok := n.(*ast.CallExpr)
-			if !ok {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if t := pass.Info.TypeOf(rs.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						checkMapRangeBody(pass, fd, rs)
+					}
+				}
 				return true
-			}
-			fn := calleeFunc(pass.Info, inner)
-			if pkgFuncIs(fn, "time", "Now") {
-				pass.Reportf(call.Pos(), "rand.%s seeded from the wall clock; thread the plan's seed instead", ctor)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// checkMapRanges flags for-range over maps whose body reaches
-// event-ordering state.
-func checkMapRanges(pass *Pass, f *ast.File) {
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
+			})
 		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			t := pass.Info.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			checkMapRangeBody(pass, fd, rs)
-			return true
-		})
 	}
 }
 
@@ -242,7 +140,7 @@ func sortedAfter(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, obj types.Obje
 			return true
 		}
 		fn := calleeFunc(pass.Info, call)
-		if fn == nil || fn.Pkg() == nil || !isSortFunc(fn) {
+		if fn == nil || fn.Pkg() == nil || (fn.Pkg().Path() != "sort" && fn.Pkg().Path() != "slices") {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -256,12 +154,4 @@ func sortedAfter(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, obj types.Obje
 		return !found
 	})
 	return found
-}
-
-func isSortFunc(fn *types.Func) bool {
-	switch fn.Pkg().Path() {
-	case "sort", "slices":
-		return true
-	}
-	return false
 }

@@ -11,8 +11,7 @@ import (
 // (package path, file basename) pairs. There is one:
 // internal/kernels/parallel.go is the row-sharded kernel executor, which
 // is outside the DES (it computes between events and is byte-identical to
-// the sequential path). Extend this table — with a comment saying why —
-// rather than sprinkling //das:allow.
+// the sequential path). Extend this table with a comment saying why.
 var goAllowlist = map[[2]string]bool{
 	{ModulePath + "/internal/kernels", "parallel.go"}: true,
 }
@@ -22,25 +21,23 @@ var goAllowlist = map[[2]string]bool{
 const coroutinePkg = ModulePath + "/internal/sim"
 
 // Goroutines forbids starting a second stack outside the blessed sites.
-var Goroutines = &Analyzer{
-	Name: "goroutines",
-	Doc: `forbid go statements and iter.Pull outside the blessed sites
+//
+// Simulated concurrency is a sim.Proc: a coroutine the engine resumes and
+// that parks back into it, exactly one stack running at a time, which is
+// what makes the event order a pure function of the seed. A stray go
+// statement introduces real parallelism the engine cannot serialize, and
+// iter.Pull (or Pull2) is the other way to start a second stack: a
+// hand-rolled coroutine whose switches the engine neither orders nor
+// unwinds at Shutdown. Only internal/kernels/parallel.go (compute between
+// events) may use go, and only internal/sim (the Proc handoff itself) may
+// reference iter.Pull; _test.go files are exempt. A go statement or a
+// coroutine whose work is joined before the next event passes every test,
+// so this rule stays (DESIGN.md §10).
+var Goroutines = &Analyzer{Name: "goroutines", Run: runGoroutines}
 
-Simulated concurrency is a sim.Proc: a coroutine the engine resumes and
-that parks back into it, exactly one stack running at a time, which is
-what makes the event order a pure function of the seed. A stray go
-statement introduces real parallelism the engine cannot serialize, and
-iter.Pull (or Pull2) is the other way to start a second stack: a
-hand-rolled coroutine whose switches the engine neither orders nor
-unwinds at Shutdown. Only internal/kernels/parallel.go (compute between
-events) may use go, and only internal/sim (the Proc handoff itself) may
-reference iter.Pull; _test.go files are exempt.`,
-	Run: runGoroutines,
-}
-
-func runGoroutines(pass *Pass) error {
+func runGoroutines(pass *Pass) {
 	if !strings.HasPrefix(pass.Pkg.Path(), ModulePath) {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
@@ -71,5 +68,4 @@ func runGoroutines(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }

@@ -1,41 +1,29 @@
-// Package lint implements daslint, a vet-style analyzer suite that turns
-// the simulator's determinism and ownership contracts from doc comments
-// into build-time errors.
+// Package lint implements daslint, an analyzer suite for the two coding
+// rules no run of the simulator can check.
 //
 // The whole reproduction rests on the DES being bit-reproducible: scheme
 // comparisons, fault-injection replays, and restripe crash demos are only
-// evidence if the same seed yields the same event order. Four analyzers
-// enforce the invariants that keep it that way:
+// evidence if the same seed yields the same event order. Most ways to break
+// that are caught where the code runs — every replay test and
+// `make bench-identity` compare two runs, bufpool.Audit keeps the pooled
+// buffers honest, pfs's stored-strip seal fails a run that wrote into lent
+// strip memory, and simnet's reply ledger one that dropped a reply. What
+// remains here are the rules whose seeded bugs pass every test (DESIGN.md
+// §10 has the table):
 //
-//   - simclock: simulated packages must use the DES clock (sim.Time,
-//     Proc.Sleep), never the wall clock.
-//   - detrand: randomness must flow through a seeded *rand.Rand threaded
-//     from the plan/engine, and map iteration must not feed the event
-//     order.
-//   - goroutines: the scheduler owns concurrency; go statements are only
-//     legal at the blessed sites.
-//   - borrow: the strip memory a read lends out is read-only — never
-//     released to a pool, copied into, or assigned through an index.
+//   - detrand: map iteration must not decide the order of events or of a
+//     slice that outlives the loop.
+//   - goroutines: the scheduler owns concurrency; go statements and
+//     iter.Pull are only legal at the blessed sites.
 //
-// A final analyzer, directive, validates the //das:allow suppression
-// comments the others honor, reports any other //das: comment, and
-// reports stale allows whose guarded line no longer needs them.
+// Allowlists live in code (goAllowlist, simExempt); there is no
+// suppression comment.
 //
-// Two contracts are not checked here but where the code runs. Pooled-buffer
-// ownership — every Get Put back, nothing read after its Put — is
-// bufpool.Audit's: it records what the pool hands out and poisons what
-// comes back, and the tests that run every scenario under it fail on a
-// leak or a stale read. Exactly one reply per request is simnet's reply
-// ledger: every run fails at quiescence if the requests delivered and the
-// responses sent differ.
-//
-// The package deliberately mirrors the shapes of
-// golang.org/x/tools/go/analysis (Analyzer, Pass, analysistest-style
-// golden files under testdata) so it can be ported to the real framework
-// mechanically, but it is built on the standard library alone: the build
-// environment for this repo is offline, so x/tools cannot be a
-// dependency. cmd/daslint is the driver; it runs standalone over go list
-// packages and speaks the `go vet -vettool` protocol.
+// The package mirrors the shapes of golang.org/x/tools/go/analysis
+// (Analyzer, Pass, analysistest-style golden files under testdata) but is
+// built on the standard library alone: the build environment for this repo
+// is offline, so x/tools cannot be a dependency. cmd/daslint is the
+// driver; it loads packages through `go list -export`.
 package lint
 
 import (
@@ -52,28 +40,15 @@ import (
 // against it.
 const ModulePath = "github.com/hpcio/das"
 
-// An Analyzer describes one invariant check. The first line of Doc is the
-// one-line summary printed by `daslint -list`. Run sees one type-checked
-// package at a time, which is all the `go vet -vettool` protocol can
-// provide (vet hands the driver one compilation unit, without dependency
-// source).
+// An Analyzer is one rule. Run sees one type-checked package at a time.
 type Analyzer struct {
 	Name string
-	Doc  string
-	Run  func(*Pass) error
-}
-
-// Summary returns the first line of the analyzer's documentation.
-func (a *Analyzer) Summary() string {
-	if i := strings.IndexByte(a.Doc, '\n'); i >= 0 {
-		return a.Doc[:i]
-	}
-	return a.Doc
+	Run  func(*Pass)
 }
 
 // All lists every analyzer in the suite, in the order they run.
 func All() []*Analyzer {
-	return []*Analyzer{Simclock, Detrand, Goroutines, Borrow, Directive}
+	return []*Analyzer{Detrand, Goroutines}
 }
 
 // A Pass carries one parsed, type-checked package into an analyzer's Run
@@ -85,12 +60,10 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	directives []*directive
-	report     func(Diagnostic)
+	report func(Diagnostic)
 }
 
-// Reportf records a diagnostic at pos. Suppression (//das:allow) is
-// applied by the driver, not here.
+// Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
@@ -104,7 +77,7 @@ type Diagnostic struct {
 
 // A Package is the loaded form an analyzer pass runs over. Types and Info
 // must be fully populated; the analyzers lean on type information to tell
-// e.g. sim.Mailbox.Put from bufpool.Pool.Put.
+// e.g. sim.Mailbox.Put from any other Put.
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -125,50 +98,22 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
-// Check runs the given analyzers over pkg and returns the surviving
-// diagnostics sorted by position: suppression directives have been
-// applied, and any malformed directives appear as findings of the
-// directive analyzer. When the directive analyzer runs, Check also reports
-// stale directives — a //das:allow that suppressed nothing — so
-// suppressions cannot outlive the code they excused. Every analyzer sees
-// one package, so one package's directives are all a run can judge.
-func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	dirs := collectDirectives(pkg.Fset, pkg.Files)
+// Check runs the given analyzers over pkg and returns their diagnostics
+// sorted by position.
+func Check(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:   a,
-			Fset:       pkg.Fset,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			Info:       pkg.Info,
-			directives: dirs,
-			report:     func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Types.Path(), a.Name, err)
-		}
+		a.Run(&Pass{
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			report:   func(d Diagnostic) { diags = append(diags, d) },
+		})
 	}
-	diags = filterSuppressed(pkg.Fset, dirs, diags)
-	if hasAnalyzer(analyzers, Directive.Name) {
-		diags = append(diags, staleDirectives(dirs, analyzers)...)
-	}
-	sortDiagnostics(pkg.Fset, diags)
-	return diags, nil
-}
-
-func hasAnalyzer(analyzers []*Analyzer, name string) bool {
-	for _, a := range analyzers {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
-		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
+		pi, pj := pkg.Fset.Position(diags[i].Pos), pkg.Fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
 			return pi.Filename < pj.Filename
 		}
@@ -177,19 +122,20 @@ func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
+	return diags
 }
 
 // isTestFile reports whether the file at pos is a _test.go file. All
 // analyzers exempt tests: tests run outside the DES and routinely use
-// wall clocks, goroutines, and throwaway randomness.
+// goroutines and throwaway maps.
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // simExempt lists internal packages outside the simulated world: trace
 // writes wall-clock-stamped artifacts to real files, and lint itself
-// shells out to the go command. Extend this list (not ad-hoc //das:allow
-// comments) when a whole package legitimately lives off the DES clock.
+// shells out to the go command. Extend this list when a whole package
+// legitimately lives outside the DES.
 var simExempt = []string{
 	ModulePath + "/internal/trace",
 	ModulePath + "/internal/lint",

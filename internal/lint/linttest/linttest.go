@@ -54,10 +54,9 @@ func sourceImporter() types.Importer {
 }
 
 // Run type-checks testdata/src/<dir> as a package with import path
-// pkgpath, runs the given analyzer over it through the same Check pipeline
-// the daslint driver uses — with the directive analyzer beside it, as in
-// every daslint run, so malformed and stale allows are findings too — and
-// compares diagnostics against the // want comments.
+// pkgpath, runs the given analyzer over it through the same Check the
+// daslint driver uses, and compares diagnostics against the // want
+// comments.
 func Run(t *testing.T, a *lint.Analyzer, dir, pkgpath string) {
 	t.Helper()
 	fset, files, diags := check(t, a, dir, pkgpath)
@@ -107,15 +106,7 @@ func check(t *testing.T, a *lint.Analyzer, dir, pkgpath string) (*token.FileSet,
 		t.Fatalf("type-checking %s: %v", dir, err)
 	}
 	pkg := &lint.Package{Fset: sharedFset, Files: files, Types: tpkg, Info: info}
-	analyzers := []*lint.Analyzer{a}
-	if a != lint.Directive {
-		analyzers = append(analyzers, lint.Directive)
-	}
-	diags, err := lint.Check(pkg, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sharedFset, files, diags
+	return sharedFset, files, lint.Check(pkg, []*lint.Analyzer{a})
 }
 
 // testdataDir locates internal/lint/testdata relative to this source
@@ -148,9 +139,6 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*want 
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				// The marker may open the comment (`// want "..."`) or
-				// trail inside one, which is how a line that is itself a
-				// comment — a das: directive — carries an expectation.
 				idx := strings.Index(c.Text, "// want ")
 				if idx < 0 {
 					continue

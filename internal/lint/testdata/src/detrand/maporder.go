@@ -1,3 +1,5 @@
+// Test fixture for the detrand analyzer, type-checked under a simulated
+// import path so the map-range rule applies.
 package fakerand
 
 import (

@@ -17,11 +17,6 @@ func fireAndForget() {
 	}()
 }
 
-func suppressed() {
-	//das:allow goroutines -- exercising the suppression path in the analyzer's own tests
-	go func() {}()
-}
-
 // iter.Pull is the other way to start a second stack: a coroutine the
 // engine neither orders nor unwinds.
 func handRolledCoroutine(seq iter.Seq[int]) int {

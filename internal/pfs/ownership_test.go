@@ -2,9 +2,12 @@ package pfs
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/hpcio/das/internal/bufpool"
+	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/fault"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/layout"
@@ -316,4 +319,202 @@ func TestLentClientReadOutlivesTheStrips(t *testing.T) {
 		reads("a Delete of the file")
 		band.Release()
 	})
+}
+
+// The stored-strip seal (seal.go) is the run-time check of the same
+// contract: under bufpool.Audit every stored strip is sealed, and
+// CheckSeals fails once a reader has written into one.
+
+const sealStrip = 64
+
+// sealRig writes a file of four strips under lay, one a server under round
+// robin, and returns the platform. Under the audit every strip is sealed.
+func sealRig(t *testing.T, lay layout.Layout) (*cluster.Cluster, *FileSystem, *Client) {
+	t.Helper()
+	clu, fs := testFS(t)
+	if _, err := fs.Create("f", 4*sealStrip, lay, CreateOptions{StripSize: sealStrip}); err != nil {
+		t.Fatal(err)
+	}
+	client := fs.NewClient(clu.ComputeID(0))
+	run(t, clu, func(p *sim.Proc) {
+		if err := client.WriteAll(p, "f", pattern(4*sealStrip)); err != nil {
+			t.Error(err)
+		}
+	})
+	return clu, fs, client
+}
+
+// audited switches bufpool.Audit on for the rest of the test.
+func audited(t *testing.T) {
+	done := bufpool.Audit()
+	t.Cleanup(func() { done() })
+}
+
+// wantSealBroken asserts that CheckSeals fails naming server srv, file "f"
+// and the strip.
+func wantSealBroken(t *testing.T, fs *FileSystem, srv int, strip int64) {
+	t.Helper()
+	want := fmt.Sprintf("server %d: %q strip %d changed", srv, "f", strip)
+	if err := fs.CheckSeals(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("CheckSeals = %v, want an error naming %s", err, want)
+	}
+}
+
+// wantSealHolds asserts that CheckSeals passes.
+func wantSealHolds(t *testing.T, fs *FileSystem, after string) {
+	t.Helper()
+	if err := fs.CheckSeals(); err != nil {
+		t.Errorf("after %s: CheckSeals = %v, want nil", after, err)
+	}
+}
+
+// localView returns server srv's lent window of a whole strip of "f".
+func localView(t *testing.T, p *sim.Proc, fs *FileSystem, srv int, strip int64) []byte {
+	t.Helper()
+	chunks, err := fs.Server(srv).LocalViewMany(p, "f", []Span{{Strip: strip, Lo: 8, Hi: 40}})
+	if err != nil {
+		panic(err) // on the engine's process, where t.Fatal may not stop the test
+	}
+	return chunks[0]
+}
+
+// TestSealCatchesWritesIntoLentMemory writes into what each kind of read
+// lends — by index, by copy and by a pool Put, which the audit scribbles
+// over — and expects the check to name the server, the file and the strip.
+func TestSealCatchesWritesIntoLentMemory(t *testing.T) {
+	var pool bufpool.Pool[byte]
+	for _, tc := range []struct {
+		name  string
+		strip int64 // strip s sits on server s
+		write func(p *sim.Proc, clu *cluster.Cluster, fs *FileSystem, client *Client) error
+	}{
+		{"a LocalViewMany window", 1, func(p *sim.Proc, _ *cluster.Cluster, fs *FileSystem, _ *Client) error {
+			localView(t, p, fs, 1, 1)[3] = 0xFF
+			return nil
+		}},
+		{"a ReadLent callback window", 2, func(p *sim.Proc, _ *cluster.Cluster, _ *FileSystem, client *Client) error {
+			return client.ReadLent(p, "f", 2*sealStrip, sealStrip, func(_ int64, w []byte) { w[0] ^= 1 })
+		}},
+		{"a copy into a ReadStripFrom result", 3, func(p *sim.Proc, clu *cluster.Cluster, fs *FileSystem, _ *Client) error {
+			data, err := fs.ReadStripFrom(p, clu.ComputeID(1), 3, "f", 3, 0, 0)
+			copy(data, "scribble")
+			return err
+		}},
+		{"a pool Put of a lent window", 0, func(p *sim.Proc, _ *cluster.Cluster, fs *FileSystem, _ *Client) error {
+			pool.Put(localView(t, p, fs, 0, 0))
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			audited(t)
+			clu, fs, client := sealRig(t, layout.NewRoundRobin(4))
+			wantSealHolds(t, fs, "the write")
+			run(t, clu, func(p *sim.Proc) {
+				if err := tc.write(p, clu, fs, client); err != nil {
+					t.Error(err)
+				}
+			})
+			wantSealBroken(t, fs, int(tc.strip), tc.strip)
+		})
+	}
+}
+
+// TestSealFollowsTheStore: an overwrite seals the new strip and lets the old
+// slice go; Drop and Delete forget the seal with the strip. A crash and
+// restart keeps the store — it models the disk, and only caches and
+// pipeline state are purged — so the seal stays with it.
+func TestSealFollowsTheStore(t *testing.T) {
+	audited(t)
+	clu, fs, client := sealRig(t, layout.NewRoundRobin(4))
+	run(t, clu, func(p *sim.Proc) {
+		old := localView(t, p, fs, 0, 0)
+		if err := client.Write(p, "f", 0, bytes.Repeat([]byte{0xEE}, sealStrip)); err != nil {
+			t.Error(err)
+			return
+		}
+		old[0] ^= 1
+		wantSealHolds(t, fs, "a write into the slice an overwrite replaced")
+		fresh := localView(t, p, fs, 0, 0)
+		fresh[0] ^= 1
+		wantSealBroken(t, fs, 0, 0)
+		fresh[0] ^= 1
+
+		dropped := localView(t, p, fs, 1, 1)
+		fs.Server(1).Drop("f", 1)
+		dropped[0] ^= 1
+		wantSealHolds(t, fs, "a write into a dropped strip")
+
+		restarted := localView(t, p, fs, 2, 2)
+		for _, kind := range []fault.Kind{fault.Crash, fault.Restart} {
+			if err := clu.ApplyFault(fault.Event{Kind: kind, Server: 2}); err != nil {
+				t.Error(err)
+			}
+		}
+		restarted[0] ^= 1
+		wantSealBroken(t, fs, 2, 2)
+		restarted[0] ^= 1
+
+		deleted := localView(t, p, fs, 3, 3)
+		fs.Delete("f")
+		deleted[0] ^= 1
+		wantSealHolds(t, fs, "a write into a deleted file's strip")
+		for i := 0; i < 4; i++ {
+			if len(fs.Server(i).seals) != 0 {
+				t.Errorf("server %d keeps seals of a deleted file", i)
+			}
+		}
+	})
+}
+
+// TestSealOfASliceReplicaHoldersShare: the primary and a replica holder
+// keep one slice, so a write into it breaks both seals and the check names
+// the first holder; once an unforwarded overwrite gives the primary a new
+// slice, the holder's seal still covers the one it kept.
+func TestSealOfASliceReplicaHoldersShare(t *testing.T) {
+	audited(t)
+	lay := layout.NewGroupedReplicated(4, 2, 1)
+	clu, fs, _ := sealRig(t, lay)
+	var s int64 = -1
+	for c := int64(0); c < 4; c++ {
+		if len(lay.Replicas(c)) > 0 {
+			s = c
+			break
+		}
+	}
+	if s < 0 {
+		t.Fatal("layout places no replicas")
+	}
+	primary, holder := lay.Primary(s), lay.Replicas(s)[0]
+	run(t, clu, func(p *sim.Proc) {
+		shared := localView(t, p, fs, holder, s)
+		if &shared[0] != &localView(t, p, fs, primary, s)[0] {
+			t.Error("the replica holder does not share the primary's slice")
+			return
+		}
+		shared[0] ^= 1
+		wantSealBroken(t, fs, min(primary, holder), s)
+		shared[0] ^= 1
+
+		if err := fs.WriteStripTo(p, clu.ComputeID(0), primary, "f", s, bytes.Repeat([]byte{0x22}, sealStrip), false); err != nil {
+			t.Error(err)
+			return
+		}
+		wantSealHolds(t, fs, "an unforwarded overwrite of the primary")
+		shared[0] ^= 1
+		wantSealBroken(t, fs, holder, s)
+	})
+}
+
+// TestSealIsOffWithoutTheAudit: strips stored with the audit off are not
+// sealed, so a write into one that the audit later sees passes the check.
+func TestSealIsOffWithoutTheAudit(t *testing.T) {
+	clu, fs, _ := sealRig(t, layout.NewRoundRobin(4))
+	for i := 0; i < 4; i++ {
+		if fs.Server(i).seals != nil {
+			t.Errorf("server %d sealed strips with the audit off", i)
+		}
+	}
+	audited(t)
+	run(t, clu, func(p *sim.Proc) { localView(t, p, fs, 0, 0)[0] ^= 1 })
+	wantSealHolds(t, fs, "a write into a strip stored with the audit off")
 }

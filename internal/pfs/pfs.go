@@ -244,6 +244,7 @@ func (fs *FileSystem) Delete(name string) {
 	delete(fs.meta, name)
 	for _, s := range fs.servers {
 		delete(s.store, name)
+		delete(s.seals, name)
 		if s.lastFile == name {
 			s.lastFile, s.lastStrips = "", nil
 		}
@@ -402,8 +403,9 @@ func (fs *FileSystem) ReadStripFrom(p *sim.Proc, fromID, srv int, file string, s
 }
 
 // ReleaseBuffer does nothing: read results are lent, so there is nothing
-// to release, and handing one to a pool would let the pool scribble over
-// a stored strip. It is kept only for bench/probes.go, which calls it on a
+// to release. Handing one to a pool would let the pool scribble over a
+// stored strip, which under bufpool.Audit the stored-strip seal reports
+// (CheckSeals). It is kept only for bench/probes.go, which calls it on a
 // read result, until ROADMAP item 3 moves bench/.
 func ReleaseBuffer([]byte) {}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/hpcio/das/internal/bufpool"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
 )
@@ -93,6 +94,9 @@ type Server struct {
 	// (FileSystem.Delete resets it).
 	lastFile   string
 	lastStrips map[int64][]byte
+
+	// seals holds the stored-strip seal while bufpool.Audit is on (seal.go).
+	seals map[string]map[int64]seal
 
 	// hname is the handler diagnostic name, formatted on first use.
 	hname string
@@ -390,6 +394,7 @@ func (s *Server) Drop(file string, strip int64) {
 	if strips, ok := s.stripsOf(file); ok {
 		delete(strips, strip)
 	}
+	delete(s.seals[file], strip)
 	if s.fs.invalidator != nil {
 		s.fs.invalidator.InvalidateStrip(file, strip)
 	}
@@ -461,8 +466,9 @@ func entering(data []byte, immutable bool) []byte {
 	return cp
 }
 
-// storePut makes data the stored copy of a strip, by reference. Whatever
-// slice was stored before is left untouched for those still holding it.
+// storePut makes data the stored copy of a strip, by reference, and seals
+// it while the audit is on. Whatever slice was stored before is left
+// untouched for those still holding it.
 func (s *Server) storePut(file string, strip int64, data []byte) {
 	strips, ok := s.stripsOf(file)
 	if !ok {
@@ -471,6 +477,9 @@ func (s *Server) storePut(file string, strip int64, data []byte) {
 		s.lastFile, s.lastStrips = file, strips
 	}
 	strips[strip] = data
+	if bufpool.Auditing() {
+		s.seal(file, strip, data)
+	}
 	if s.fs.invalidator != nil {
 		s.fs.invalidator.InvalidateStrip(file, strip)
 	}

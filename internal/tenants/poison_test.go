@@ -68,6 +68,9 @@ func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engin
 	if inner != nil {
 		t.Fatal(inner)
 	}
+	if err := fs.CheckSeals(); err != nil {
+		t.Fatal(err)
+	}
 	if lent == 0 {
 		t.Fatal("the final offloads fetched nothing: no band was lent a remote strip")
 	}
@@ -79,7 +82,10 @@ func smokeFiles(t *testing.T) (names []string, files map[string][]byte, e *Engin
 // legs): with every pool scribbling over what is returned to it — a lent
 // strip, were one ever released, included — the files a whole smoke run
 // leaves behind must equal those of an unpoisoned replay byte for byte,
-// and every output must be the sequential reference of its input.
+// every output must be the sequential reference of its input, and every
+// stored strip must still hold what it was stored with (pfs's seal): a
+// tenant that wrote into a lent window would break the seal, not the
+// replay.
 func TestSmokeSurvivesPoisonedPools(t *testing.T) {
 	_, clean, _ := smokeFiles(t)
 	done := bufpool.Audit()
