@@ -16,7 +16,8 @@ lint:
 # Extended gate: daslint, vet and race on top of tier-1, then a bounded
 # fuzz of the row-streaming kernels against their per-element oracle and
 # of the order keys they select on against `<` (tier-1 runs only the seed
-# corpora).
+# corpora). The module starts no goroutine of its own, so -race rests on
+# internal/sim's coroutines alone: the handoff between processes.
 extended: tier1 lint
 	go vet ./...
 	go test -race ./...

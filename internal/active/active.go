@@ -257,7 +257,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 	compute := func(run StripRun, band *grid.Band) func(w *sim.Proc) error {
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		outVals := make([]float64, e1-e0)
-		kernels.ParallelApplyBand(k, band, outVals)
+		k.ApplyBand(band, outVals)
 		band.Release()
 		st.Compute(p, clu.ComputeTime(e1-e0, k.Weight()), req.Op, e1-e0)
 		resp.Elements += e1 - e0

@@ -182,9 +182,7 @@ func (st *Stages) fetch(p *sim.Proc, t, needLo, needHi int64) (data []byte, gotL
 }
 
 // Compute books d of CPU on the request's process p: what op costs over
-// elems elements, after the real computation on real bytes has run. The
-// parallel kernel executor only spreads that host-CPU work across cores;
-// the simulated cost is this.
+// elems elements, after the real computation on real bytes has run.
 func (st *Stages) Compute(p *sim.Proc, d sim.Time, op string, elems int64) {
 	start := p.Now()
 	p.Sleep(d)
@@ -196,14 +194,13 @@ func (st *Stages) Compute(p *sim.Proc, d sim.Time, op string, elems int64) {
 }
 
 // Store hands a run's output, computed on p, to the store. The strips'
-// other holders under the output layout — the primary too, when a replica
-// stores them (pfs.Server.ReplicaBatches) — are sent their copies now,
-// beside the local write,
-// one process per holder — sent holder after holder, a run's
-// forwards convoy on the FIFO NICs once compute stops pacing them. The
-// returned write stores the run's strips locally in one batched disk pass,
-// WalkRuns' write stage. vals becomes the stored strips by reference,
-// here and on the holders: nothing may write it again.
+// other holders under the output layout are sent their copies now
+// (pfs.Server.Forward), when compute ends and one run ahead of the local
+// write: started after the write, a run's forwards would convoy on the
+// FIFO NICs once compute stops pacing them. The returned write stores the
+// run's strips locally in one batched disk pass, WalkRuns' write stage.
+// vals becomes the stored strips by reference, here and on the holders:
+// nothing may write it again.
 func (st *Stages) Store(p *sim.Proc, run StripRun, vals []float64) (write func(w *sim.Proc) error) {
 	srv, out, clu := st.srv, st.out, st.fs.Cluster()
 	outBytes := grid.Bytes(vals)
@@ -214,18 +211,14 @@ func (st *Stages) Store(p *sim.Proc, run StripRun, vals []float64) (write func(w
 		strips = append(strips, t)
 		chunks = append(chunks, outBytes[tLo-run.Lo:tHi-run.Lo])
 	}
-	batches, err := srv.ReplicaBatches(out.Name, strips, chunks)
+	sent, err := srv.Forward(p, out.Name, strips, chunks)
 	if err != nil {
 		return func(*sim.Proc) error { return err }
 	}
-	for _, b := range batches {
-		b, done := b, sim.NewSignal[error](clu.Eng, "as-forward")
-		st.forwards = append(st.forwards, done)
-		p.Spawn("as-forward", func(f *sim.Proc) { done.Fire(srv.SendReplicas(f, b)) })
-	}
+	st.forwards = append(st.forwards, sent...)
 	return func(w *sim.Proc) error {
 		writeStart := w.Now()
-		if err := srv.LocalWriteMany(w, out.Name, strips, chunks, false); err != nil {
+		if err := srv.LocalWriteMany(w, out.Name, strips, chunks); err != nil {
 			return err
 		}
 		st.tally.Phases.Write += w.Now() - writeStart

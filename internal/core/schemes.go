@@ -168,7 +168,7 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		o := &output{vals: grid.GetFloats(int(e1 - e0))}
 		computed = o
-		kernels.ParallelApplyBand(k, band, o.vals)
+		k.ApplyBand(band, o.vals)
 		band.Release()
 		computeStart := p.Now()
 		p.Sleep(s.Clu.ComputeTime(e1-e0, k.Weight()))
@@ -237,7 +237,7 @@ func (s *System) writeBack(p *sim.Proc, client *pfs.Client, out *pfs.FileMeta, r
 		done := sim.NewSignal[error](s.Clu.Eng, "ts-write")
 		sigs = append(sigs, done)
 		p.Spawn("ts-write", func(wp *sim.Proc) {
-			done.Fire(s.FS.WriteStripsTo(wp, client.NodeID(), srv, out.Name, b.strips, b.chunks, true))
+			done.Fire(s.FS.WriteStripsTo(wp, client.NodeID(), srv, out.Name, b.strips, b.chunks))
 		})
 	}
 	for _, err := range sim.WaitAll(p, sigs) {

@@ -30,8 +30,10 @@ const (
 // one stripe has nothing to overlap, and walks it as the serial worker
 // did: the same events and the same time to the nanosecond. The counts and
 // times were recorded from the serial worker (commit 3126530) before it was
-// replaced: a block of exactly one stripe, a block shorter than one, and
-// one stripe of a replicated layout, whose write-back forwards.
+// replaced: a block of exactly one stripe and a block shorter than one.
+// The third row, one stripe of a replicated layout, has a write-back that
+// forwards: its events and time follow pfs's forwarding order (one process
+// per holder, pfs.Server.Forward) and were derived from it.
 func TestSingleStripeTakesTheSerialSteps(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -42,7 +44,7 @@ func TestSingleStripeTakesTheSerialSteps(t *testing.T) {
 	}{
 		{"one stripe", 16, layout.NewRoundRobin(4), 465, 21730802},
 		{"part of a stripe", 12, layout.NewRoundRobin(4), 413, 21683418},
-		{"one replicated stripe", 16, crashSurvivableLayout(4), 484, 22568828},
+		{"one replicated stripe", 16, crashSurvivableLayout(4), 526, 22222066},
 	} {
 		g := workload.Terrain(testW, tc.h, 5)
 		s := ingested(t, g, tc.lay)
@@ -146,9 +148,6 @@ func TestTSCrashWithAStripePrefetched(t *testing.T) {
 	}()
 	g := workload.Terrain(tsW, tsH, 5)
 	want := kernels.Apply(kernels.FlowRouting{}, g)
-	// A stripe is large enough for the parallel executor, whose worker pool,
-	// started at its first use, outlives every platform.
-	kernels.ParallelApply(kernels.FlowRouting{}, g)
 	baseline := runtime.NumGoroutine()
 
 	// execute runs TS on a fresh compute-bound platform — stripes wait for

@@ -31,21 +31,16 @@ func TestAblationGroupSize(t *testing.T) {
 	// resource of that run, not to the other r: an offloaded run overlaps
 	// its stages and stays within 1.5× (a serial run loop reads 1.6–1.7×).
 	// A rejected one is the TS application, which overlaps its stages too
-	// but is write-bound here, and within 2.1×: every output strip of a
-	// small group is a replica, and each stripe's write-back waits while
-	// its primary forwards the stripe holder after holder, ack by ack (the
-	// order pfs.Server.LocalWriteMany keeps for client writes), a chain the
-	// bound does not count. A worker writing its block back in one request
-	// paid that chain once (r=2, 4: 1.72×, 1.89× at -quick); one write a
-	// stripe pays it per stripe (1.80×, 2.01×). Fanning the forwards out
-	// takes r=4 back to 1.86× (ROADMAP 4(d)).
+	// but is write-bound here, and within 2×: every output strip of a small
+	// group is a replica, and each stripe's write-back waits while its
+	// primary forwards the copies, a wait the bound does not count.
 	for i, x := range xs {
 		step := recs[i].Steps[0]
 		v, bound := step.SimSeconds, step.Stats["bound_seconds"]
 		if v <= 0 || bound <= 0 {
 			t.Fatalf("missing exec time or bound at r=%v: %v, %v", x, v, bound)
 		}
-		within := 2.1
+		within := 2.0
 		if step.Offloaded {
 			within = 1.5
 		}

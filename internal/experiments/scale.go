@@ -88,7 +88,7 @@ func (c *scaleClient) step() {
 	target := r.lay.Primary(strip)
 	if i%8 == 7 {
 		fillStrip(c.wbuf, c.rng.next(), strip)
-		r.fs.WriteStripToTask(c.node, target, scaleFile, strip, c.wbuf, true, c.onWrite)
+		r.fs.WriteStripToTask(c.node, target, scaleFile, strip, c.wbuf, c.onWrite)
 		return
 	}
 	r.fs.ReadStripFromTask(c.node, target, scaleFile, strip, 0, 0, c.onRead)

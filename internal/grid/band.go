@@ -23,9 +23,9 @@ import "fmt"
 // outside [Lo, Hi) — reading it panics. No reader sees a value nobody put
 // there.
 //
-// Lookups move a cursor (the window last hit), so a band is for one
-// goroutine at a time; Narrow gives another goroutine its own. Every band
-// comes from a pool of structs: Release, optional but cheap, returns it.
+// Lookups move a cursor (the window last hit), so a band has one reader at
+// a time; Narrow gives another reader its own. Every band comes from a
+// pool of structs: Release, optional but cheap, returns it.
 type Band struct {
 	Width     int   // raster width, for row/column boundary handling
 	GlobalLen int64 // total elements in the raster
@@ -123,8 +123,7 @@ func BandOf(g *Grid, start, end, lo, hi int64) *Band {
 
 // Narrow returns a band over the same windows that owns only [start, end)
 // of the same data range. It shares the values, which nobody writes, and
-// has a cursor and stitch rows of its own: it is how a band is read from
-// several goroutines at once (one each) and how a fused pipeline stage
+// has a cursor and stitch rows of its own: it is how a fused pipeline stage
 // runs a kernel over part of its input. It owns none of the memory: it is
 // good while the band it came from is, and its Release gives back nothing
 // but itself.

@@ -189,20 +189,8 @@ func checkRowDriver(t *testing.T, k Kernel, g *grid.Grid, start, end int64, cuts
 	}
 	want := applyInto(PerElement(k).ApplyBand, whole)
 	sameBits(t, k.Name()+" per element over windows", lent, applyInto(PerElement(k).ApplyBand, lent), want, !selects(k))
-	defer SetParallelism(0)
-	for _, b := range []*grid.Band{whole, lent} {
-		what := k.Name()
-		if b == lent {
-			what += " over windows"
-		}
-		SetParallelism(0)
-		sameBits(t, what, b, applyInto(k.ApplyBand, b), want, !selects(k))
-		for _, shards := range []int{1, 2, 7} {
-			SetParallelism(shards)
-			got := applyInto(func(b *grid.Band, out []float64) { ParallelApplyBand(k, b, out) }, b)
-			sameBits(t, what+" sharded", b, got, want, !selects(k))
-		}
-	}
+	sameBits(t, k.Name(), whole, applyInto(k.ApplyBand, whole), want, !selects(k))
+	sameBits(t, k.Name()+" over windows", lent, applyInto(k.ApplyBand, lent), want, !selects(k))
 
 	hist := Histogram{Bins: 4, Lo: -1, Hi: 7}
 	wantStats := []float64{0, 0, 0, math.Inf(1), math.Inf(-1)}

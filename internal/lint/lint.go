@@ -13,10 +13,10 @@
 //
 //   - detrand: map iteration must not decide the order of events or of a
 //     slice that outlives the loop.
-//   - goroutines: the scheduler owns concurrency; go statements and
-//     iter.Pull are only legal at the blessed sites.
+//   - goroutines: the scheduler owns concurrency; go statements are
+//     illegal, and iter.Pull is legal only in internal/sim.
 //
-// Allowlists live in code (goAllowlist, simExempt); there is no
+// The one exemption list lives in code (simExempt); there is no
 // suppression comment.
 //
 // The package mirrors the shapes of golang.org/x/tools/go/analysis
@@ -36,8 +36,8 @@ import (
 )
 
 // ModulePath is the import-path prefix of this repository; analyzer
-// scoping rules (simulated packages, allowlisted files) are expressed
-// against it.
+// scoping rules (simulated packages, internal/sim) are expressed against
+// it.
 const ModulePath = "github.com/hpcio/das"
 
 // An Analyzer is one rule. Run sees one type-checked package at a time.

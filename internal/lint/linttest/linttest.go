@@ -5,7 +5,7 @@
 // A test package lives in internal/lint/testdata/src/<dir>; every .go
 // file in the directory is parsed and type-checked as one package whose
 // import path the test chooses — analyzer scoping rules (simulated
-// packages, file allowlists) key on that path, so testdata can pose as
+// packages, internal/sim) key on that path, so testdata can pose as
 // any package in the module. Expected findings are `// want "regexp"`
 // comments on the offending line; several quoted regexps may follow one
 // want. Run fails the test for any unmatched want or unexpected
@@ -62,16 +62,6 @@ func Run(t *testing.T, a *lint.Analyzer, dir, pkgpath string) {
 	fset, files, diags := check(t, a, dir, pkgpath)
 	wants := collectWants(t, fset, files)
 	matchDiagnostics(t, fset, wants, diags)
-}
-
-// Diagnostics runs the analyzer over testdata/src/<dir> as pkgpath and
-// returns the raw diagnostics, ignoring want comments — for tests that
-// re-check a fixture under a different import path, where the annotated
-// expectations no longer apply.
-func Diagnostics(t *testing.T, a *lint.Analyzer, dir, pkgpath string) []lint.Diagnostic {
-	t.Helper()
-	_, _, diags := check(t, a, dir, pkgpath)
-	return diags
 }
 
 func check(t *testing.T, a *lint.Analyzer, dir, pkgpath string) (*token.FileSet, []*ast.File, []lint.Diagnostic) {

@@ -1,18 +1,17 @@
 // Test fixture for the goroutines analyzer: an ordinary simulated
-// package, so every go statement is a finding — the satellite edge case
-// of a go statement appearing in a new, non-allowlisted file.
+// package, so every go statement is a finding.
 package fakego
 
 import "iter"
 
 func fanOut(work []func()) {
 	for _, w := range work {
-		go w() // want `go statement outside the allowlisted scheduler sites`
+		go w() // want `go statement; spawn a sim.Proc`
 	}
 }
 
 func fireAndForget() {
-	go func() { // want `go statement outside the allowlisted scheduler sites`
+	go func() { // want `go statement; spawn a sim.Proc`
 		println("untracked")
 	}()
 }

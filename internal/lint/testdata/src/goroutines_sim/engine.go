@@ -1,6 +1,5 @@
 // Test fixture type-checked as the internal/sim package: the Proc handoff
-// lives here, so iter.Pull is legal; no file of the package is on the
-// go-statement allowlist.
+// lives here, so iter.Pull is legal; a go statement is not.
 package sim
 
 import "iter"
@@ -10,5 +9,5 @@ func start(loop iter.Seq[struct{}]) (resume func() (struct{}, bool), cancel func
 }
 
 func launch(loop func()) {
-	go loop() // want `go statement outside the allowlisted scheduler sites`
+	go loop() // want `go statement; spawn a sim.Proc`
 }

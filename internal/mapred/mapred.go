@@ -301,7 +301,7 @@ func (r *Runner) reduceTask(p *sim.Proc, s int, in, out *pfs.FileMeta, k kernels
 		return nil
 	}
 	// DFS write: local copy plus forwarded replicas (the HDFS pipeline).
-	if err := srv.LocalWriteMany(p, out.Name, outStrips, outChunks, true); err != nil {
+	if err := srv.StoreForwarded(p, out.Name, outStrips, outChunks); err != nil {
 		return err
 	}
 	for i, t := range outStrips {

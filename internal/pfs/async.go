@@ -83,14 +83,14 @@ func (wc *writeCall) OnResponse(resp simnet.Message) {
 	}
 }
 
-// WriteStripToTask is the task-based WriteStripTo: it issues the write
-// RPC as a transfer chain and runs cont inline when the ack lands. Same
-// continuation discipline as ReadStripFromTask.
-func (fs *FileSystem) WriteStripToTask(fromID, srv int, file string, strip int64, data []byte, forward bool, cont func(err error)) {
+// WriteStripToTask is the task-based WriteStripTo, forwarding: it issues
+// the write RPC as a transfer chain and runs cont inline when the ack
+// lands. Same continuation discipline as ReadStripFromTask.
+func (fs *FileSystem) WriteStripToTask(fromID, srv int, file string, strip int64, data []byte, cont func(err error)) {
 	wc := fs.writeCallGet()
 	wc.file, wc.strip, wc.srv, wc.cont = file, strip, srv, cont
 	req := fs.writeReqGet()
-	*req = writeReq{File: file, Strip: strip, Data: data, Forward: forward}
+	*req = writeReq{File: file, Strip: strip, Data: data, Forward: true}
 	fs.callTask(fromID, srv, req, headerBytes+int64(len(data)), wc)
 }
 

@@ -66,7 +66,7 @@ func (c *Client) WriteAll(p *sim.Proc, name string, data []byte) error {
 		done := sim.NewSignal[error](c.fs.clu.Eng, "pfs-write")
 		sigs = append(sigs, done)
 		p.Spawn("pfs-write", func(w *sim.Proc) {
-			done.Fire(c.fs.WriteStripsTo(w, c.nodeID, srv, name, b.strips, b.chunks, true))
+			done.Fire(c.fs.WriteStripsTo(w, c.nodeID, srv, name, b.strips, b.chunks))
 		})
 	}
 	for _, err := range sim.WaitAll(p, sigs) {

@@ -236,6 +236,64 @@ func TestWriteSkipsDownReplicaTarget(t *testing.T) {
 	}
 }
 
+// TestForwardSendsEveryHolderItsCopyAtOnce: a forwarding write owed to two
+// other holders sends both copies at once — each holder's receive, from
+// the copy's arrival to the end of its disk write, overlaps the other's,
+// where a primary waiting for one acknowledgement before sending the next
+// copy would start the second receive only after the first ends — and a
+// holder that is down is skipped while the other still gets its copy.
+func TestForwardSendsEveryHolderItsCopyAtOnce(t *testing.T) {
+	for _, down := range []bool{false, true} {
+		clu, fs := testFS(t)
+		lay := layout.NewReplicatedRoundRobin(4, 3)
+		if _, err := fs.Create("f", 64, lay, CreateOptions{StripSize: 64}); err != nil {
+			t.Fatal(err)
+		}
+		a, b := lay.Replicas(0)[0], lay.Replicas(0)[1] // the primary's two other holders
+		if down {
+			crash(t, clu, a)
+		}
+		arrived := map[int]sim.Time{}
+		written := false
+		clu.Eng.Spawn("watch", func(p *sim.Proc) {
+			for !written {
+				for _, h := range []int{a, b} {
+					if _, seen := arrived[h]; !seen && fs.Server(h).Holds("f", 0) {
+						arrived[h] = p.Now()
+					}
+				}
+				p.Sleep(sim.Microsecond)
+			}
+		})
+		run(t, clu, func(p *sim.Proc) {
+			err := fs.NewClient(clu.ComputeID(0)).WriteAll(p, "f", pattern(64))
+			written = true
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		want := int64(0)
+		if down {
+			want = 1
+		}
+		if got := clu.Counters.Get("recovery.skipped_forwards"); got != want {
+			t.Errorf("down=%v: %d skipped forwards, want %d", down, got, want)
+		}
+		ta, gotA := arrived[a]
+		tb, gotB := arrived[b]
+		if gotA == down || !gotB {
+			t.Fatalf("down=%v: holder %d stored a copy: %v, holder %d: %v", down, a, gotA, b, gotB)
+		}
+		if down {
+			continue
+		}
+		wa, wb := clu.Disk(fs.Server(a).nodeID).BusyTime(), clu.Disk(fs.Server(b).nodeID).BusyTime()
+		if tb >= ta+wa || ta >= tb+wb {
+			t.Errorf("holder %d received [%v, %v] and holder %d [%v, %v]: no overlap", a, ta, ta+wa, b, tb, tb+wb)
+		}
+	}
+}
+
 func TestWriteToDownPrimaryFails(t *testing.T) {
 	clu, fs := testFS(t)
 	data := pattern(4 * 64)

@@ -482,7 +482,8 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID int, fromInc uint64,
 // WriteStripTo writes a full or partial strip to server srv. When forward
 // is set, the receiving server forwards copies to the strip's replica
 // holders (server↔server traffic), implementing the replica-maintaining
-// write path of the improved distribution. Writes do not fail over: a
+// write path of the improved distribution. Every product caller forwards;
+// the flag stays for bench/probes.go (ROADMAP item 3). Writes do not fail over: a
 // strip's primary is its write point, and a primary that never comes back
 // is an error the caller must see — though a crashed one is waited on for
 // the retry policy's down-window first (see callWrite).
@@ -563,8 +564,8 @@ func (fs *FileSystem) ReadSpansFrom(p *sim.Proc, fromID, srv int, file string, s
 }
 
 // WriteStripsTo writes several whole strips to server srv in a single
-// request. With forward set, the server pushes replica copies per strip.
-func (fs *FileSystem) WriteStripsTo(p *sim.Proc, fromID, srv int, file string, strips []int64, data [][]byte, forward bool) error {
+// request; the server forwards each strip's copies to its other holders.
+func (fs *FileSystem) WriteStripsTo(p *sim.Proc, fromID, srv int, file string, strips []int64, data [][]byte) error {
 	var size int64 = headerBytes
 	for _, d := range data {
 		size += int64(len(d))
@@ -573,7 +574,7 @@ func (fs *FileSystem) WriteStripsTo(p *sim.Proc, fromID, srv int, file string, s
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.callWrite(p, fromID, srv, writeManyReq{File: file, Strips: strips, Data: data, Forward: forward}, size)
+	resp, err := fs.callWrite(p, fromID, srv, writeManyReq{File: file, Strips: strips, Data: data, Forward: true}, size)
 	if err != nil {
 		return err
 	}

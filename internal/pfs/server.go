@@ -33,7 +33,7 @@ type (
 		Forward bool // forward copies to the strip's replica holders
 		// immutable says nobody will write Data again, so the receiver may
 		// keep it by reference instead of copying it. A server forwarding a
-		// strip it has stored sets it (LocalWrite, LocalWriteMany, migrate),
+		// strip it has stored sets it (Forward, migrate),
 		// and so does Client.Write for the copy its read-modify-write makes;
 		// a request carrying a caller's buffer never does.
 		immutable bool
@@ -151,9 +151,10 @@ func failResp(err error) errResp {
 }
 
 // handle serves, on its own process, the requests that need a stack:
-// writes that forward replica copies (each forward is a blocking RPC),
-// migrations, and anything unrecognized. Everything else runs as a
-// reqTask chain; dispatch decides per message.
+// writes that forward replica copies (StoreForwarded waits on the
+// forwards), migrations, and anything unrecognized. Everything else — a
+// write without Forward included — runs as a reqTask chain; dispatch
+// decides per message.
 func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
 	respond := func(payload any) {
 		s.fs.clu.Net.Respond(p, msg, payload, headerBytes, s.fs.clu.ClassBetween(s.nodeID, msg.From))
@@ -161,9 +162,9 @@ func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
 	var err error
 	switch req := msg.Payload.(type) {
 	case *writeReq:
-		file, strip, data, forward := req.File, req.Strip, entering(req.Data, req.immutable), req.Forward
+		file, strip, data := req.File, req.Strip, entering(req.Data, req.immutable)
 		s.fs.writeReqPut(req)
-		err = s.LocalWrite(p, file, strip, data, forward)
+		err = s.StoreForwarded(p, file, []int64{strip}, [][]byte{data})
 	case writeManyReq:
 		data := req.Data
 		if !req.immutable {
@@ -172,7 +173,7 @@ func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
 				data[i] = entering(d, false)
 			}
 		}
-		err = s.LocalWriteMany(p, req.File, req.Strips, data, req.Forward)
+		err = s.StoreForwarded(p, req.File, req.Strips, data)
 	case migrateReq:
 		err = s.migrate(p, req)
 	default:
@@ -273,29 +274,18 @@ func (s *Server) LocalViewMany(p *sim.Proc, file string, spans []Span) ([][]byte
 }
 
 // LocalWrite stores a strip through the node's disk: LocalWriteMany of one
-// strip. With forward set, the server pushes copies to the strip's replica
-// holders under the file's current layout — the write path that
-// materializes the improved distribution's boundary replicas. data becomes
-// the stored strip by reference, here and on every replica holder: the
-// caller must never write to it again (client bytes are copied before they
-// get here, in the request handlers).
-func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte, forward bool) error {
-	return s.LocalWriteMany(p, file, []int64{strip}, [][]byte{data}, forward)
+// strip. data becomes the stored strip by reference: the caller must never
+// write to it again (client bytes are copied before they get here, in the
+// request handlers).
+func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte) error {
+	return s.LocalWriteMany(p, file, []int64{strip}, [][]byte{data})
 }
 
 // LocalWriteMany stores several whole strips with one sequential disk
 // write. It is how a kernel running on this server stores its output:
 // each element of data becomes a stored strip by reference, under
-// LocalWrite's contract. With forward set it then pushes the strips'
-// copies to their other holders under the file's current layout
-// (ReplicaBatches),
-// batched per holder and sent holder after holder, each waiting for the
-// one before it to be acknowledged — the order of replica-maintaining
-// client writes (writeReq, writeManyReq) and mapred's reducers. The
-// storage servers' run loop sends the same batches side by side instead
-// (ReplicaBatches, SendReplicas, one process per holder). The holders keep
-// the same immutable slices by reference.
-func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [][]byte, forward bool) error {
+// LocalWrite's contract. It sends no copies: Forward does.
+func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [][]byte) error {
 	total, err := s.validateWriteMany(file, strips, data)
 	if err != nil {
 		return err
@@ -304,30 +294,61 @@ func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [
 		s.storePut(file, strip, data[i])
 	}
 	s.fs.clu.Disk(s.nodeID).Write(p, total)
-	if !forward {
-		return nil
+	return nil
+}
+
+// Forward sends strips this server stores (or is storing) to their other
+// holders under the file's current layout, batched per holder
+// (replicaBatches), one process per holder started from p, all at once. It
+// returns one signal per holder, fired with that holder's error once its
+// batch is acknowledged or skipped (sendReplicas). The holders keep the
+// same immutable slices by reference. This is the one forwarding order:
+// the storage servers' run loop calls it when a run's compute ends, and a
+// replica-maintaining write stores first and then waits on it
+// (StoreForwarded).
+func (s *Server) Forward(p *sim.Proc, file string, strips []int64, data [][]byte) ([]*sim.Signal[error], error) {
+	batches, err := s.replicaBatches(file, strips, data)
+	if err != nil {
+		return nil, err
 	}
-	batches, err := s.ReplicaBatches(file, strips, data)
+	sent := make([]*sim.Signal[error], len(batches))
+	for i, b := range batches {
+		done := sim.NewSignal[error](s.fs.clu.Eng, "pfs-forward")
+		sent[i] = done
+		p.Spawn("pfs-forward", func(f *sim.Proc) { done.Fire(s.sendReplicas(f, b)) })
+	}
+	return sent, nil
+}
+
+// StoreForwarded stores strips (LocalWriteMany), then forwards their
+// copies (Forward) and waits for every holder: the order of client
+// replica-maintaining writes (writeReq, writeManyReq) and mapred's
+// reducers. It returns the first error.
+func (s *Server) StoreForwarded(p *sim.Proc, file string, strips []int64, data [][]byte) error {
+	if err := s.LocalWriteMany(p, file, strips, data); err != nil {
+		return err
+	}
+	sent, err := s.Forward(p, file, strips, data)
 	if err != nil {
 		return err
 	}
-	for _, b := range batches {
-		if err := s.SendReplicas(p, b); err != nil {
+	for _, err := range sim.WaitAll(p, sent) {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReplicaBatch is what one replica holder is owed of a batch of strips
+// replicaBatch is what one replica holder is owed of a batch of strips
 // this server stored: one write request, ready to send.
-type ReplicaBatch struct {
+type replicaBatch struct {
 	target int
 	req    writeManyReq
 	size   int64
 }
 
-// ReplicaBatches groups the given strips by the other holders each is owed
+// replicaBatches groups the given strips by the other holders each is owed
 // under the file's current layout, holders in order of first appearance:
 // its replicas, and its primary too when this server stores it as one of
 // them — an offload or a pipeline catch-up placed off the primary — since
@@ -335,12 +356,12 @@ type ReplicaBatch struct {
 // A server that holds no copy under the current layout (a restripe changed
 // it mid-store) sends to the replicas only: a write racing a migration is
 // the migrator's to repair, its invalidation hook dirtying the move.
-func (s *Server) ReplicaBatches(file string, strips []int64, data [][]byte) ([]ReplicaBatch, error) {
+func (s *Server) replicaBatches(file string, strips []int64, data [][]byte) ([]replicaBatch, error) {
 	m, ok := s.fs.meta[file]
 	if !ok {
 		return nil, fmt.Errorf("unknown file %q", file)
 	}
-	var batches []ReplicaBatch
+	var batches []replicaBatch
 	at := make(map[int]int) // holder -> index in batches
 	add := func(holder int, strip int64, chunk []byte) {
 		if holder == s.srv {
@@ -350,7 +371,7 @@ func (s *Server) ReplicaBatches(file string, strips []int64, data [][]byte) ([]R
 		if !seen {
 			j = len(batches)
 			at[holder] = j
-			batches = append(batches, ReplicaBatch{target: holder, req: writeManyReq{File: file, immutable: true}, size: headerBytes})
+			batches = append(batches, replicaBatch{target: holder, req: writeManyReq{File: file, immutable: true}, size: headerBytes})
 		}
 		b := &batches[j]
 		b.req.Strips = append(b.req.Strips, strip)
@@ -369,11 +390,11 @@ func (s *Server) ReplicaBatches(file string, strips []int64, data [][]byte) ([]R
 	return batches, nil
 }
 
-// SendReplicas pushes one holder's batch and waits for its
+// sendReplicas pushes one holder's batch and waits for its
 // acknowledgement. Replication is best-effort under faults: a holder that
 // is down or times out loses this copy rather than failing the write —
 // the primary copy is durable; DESIGN.md documents the divergence window.
-func (s *Server) SendReplicas(p *sim.Proc, b ReplicaBatch) error {
+func (s *Server) sendReplicas(p *sim.Proc, b replicaBatch) error {
 	resp, err := s.fs.call(p, s.nodeID, s.fs.clu.Faults.Incarnation(s.nodeID), b.target, b.req, b.size)
 	if err != nil {
 		if errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout) {

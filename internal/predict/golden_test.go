@@ -98,25 +98,20 @@ func pipelineRow(d predict.Decision) string {
 		d.Offload, d.OffloadNetBytes, d.NormalNetBytes, d.PerPassNetBytes, d.CacheHitFrac, d.Reason)
 }
 
-type goldenRow struct {
-	line string
-	d    predict.Decision
-}
-
 // goldenRows prices the matrix testdata/decisions.golden was recorded over,
 // in the file's order. The first word of a row names the entry point the
 // parent commit answered it with (Decide and the four it had beside it: a
 // hit fraction, a hit fraction and a tail, a down-set, a pipeline spec);
 // every one of them is Estimate with those observations now.
-func goldenRows(t *testing.T) []goldenRow {
+func goldenRows(t *testing.T) []string {
 	t.Helper()
-	var rows []goldenRow
+	var rows []string
 	add := func(d predict.Decision, err error, render func(predict.Decision) string, format string, args ...any) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, goldenRow{fmt.Sprintf(format, args...) + " -> " + render(d), d})
+		rows = append(rows, fmt.Sprintf(format, args...)+" -> "+render(d))
 	}
 	for _, sz := range goldenSizes {
 		for _, lay := range goldenLayouts(sz.p.FileSize / sz.p.StripSize) {
@@ -167,31 +162,22 @@ func goldenRows(t *testing.T) []goldenRow {
 
 // update re-records testdata/decisions.golden from goldenRows, i.e. from
 // Estimate as it is now: `go test ./internal/predict -run Recorded -update`.
-// Only a deliberate modelling change does that (ROADMAP item 4(c)), and the
-// rows recognised below as the parent's contradiction then match like any
-// other: their expected count goes to zero with the same change.
+// Only a deliberate modelling change does that.
 var update = flag.Bool("update", false, "re-record testdata/decisions.golden from Estimate")
 
-// TestEstimateReproducesRecordedDecisions holds Estimate to what the five
-// entry points it replaced returned at the commit before it, over layouts ×
-// patterns × hit fractions × tails × down-sets. The file was written by
-// those entry points and has not been re-recorded since.
-//
-// One thing is meant to differ. The parent decided LocalByLayout from the
-// element-level sum, which calls a dependence that leaves the file local
-// although the kernel clamps it to the boundary element and reads that
-// element's strip, and which samples the wrong period for a migrating
-// layout. On such a cell the parent answered "all dependencies resolve
-// locally" while its own strip walk, in the same decision, priced fetches
-// — and the LocalOnly run that claim selects fails on the first of them
-// (core.TestAlignedStrideOffloadsAtTheEdges). Those rows are recognised by
-// exactly that contradiction, must now say local=false, and are counted.
+// TestEstimateReproducesRecordedDecisions holds Estimate to its recorded
+// decisions over layouts × patterns × hit fractions × tails × down-sets.
+// The file was written by the five entry points Estimate replaced, and
+// re-recorded once when the strip walk alone came to decide locality: 97
+// rows where the element-level sum had claimed "all dependencies resolve
+// locally" while the same decision priced fetches (clamped edges, and the
+// wrong period of a migrating layout) now say local=false.
 func TestEstimateReproducesRecordedDecisions(t *testing.T) {
 	rows := goldenRows(t)
 	if *update {
 		var out strings.Builder
 		for _, r := range rows {
-			out.WriteString(r.line + "\n")
+			out.WriteString(r + "\n")
 		}
 		if err := os.WriteFile("testdata/decisions.golden", []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -207,23 +193,10 @@ func TestEstimateReproducesRecordedDecisions(t *testing.T) {
 	if len(rows) != len(want) {
 		t.Fatalf("matrix has %d rows, golden %d", len(rows), len(want))
 	}
-	contradicted := 0
 	for i, r := range rows {
-		if r.line == want[i] {
-			continue
+		if r != want[i] {
+			t.Errorf("row %d:\n got %s\nwant %s", i+1, r, want[i])
 		}
-		pricedFetches := r.d.FetchBytes+r.d.HitDiscountBytes > 0
-		if strings.Contains(want[i], " local=true ") && pricedFetches && !r.d.Analysis.LocalByLayout {
-			contradicted++
-			continue
-		}
-		t.Errorf("row %d:\n got %s\nwant %s", i+1, r.line, want[i])
-	}
-	// 7 cells: the aligned stride on the three static layouts at both sizes
-	// (clamped edges) and the 3×3 stencil on the large migrating layout
-	// (period). The small ones carry 1 + 5 + 25 rows each.
-	if contradicted != 3*31+4 {
-		t.Errorf("%d rows contradict the parent's locality claim, want %d", contradicted, 3*31+4)
 	}
 }
 

@@ -149,7 +149,7 @@ func TestDirtiedCopyReshipsStaleTargets(t *testing.T) {
 					srv := r.fs.Server(src)
 					p.Spawn("foreign-write", func(w *sim.Proc) {
 						w.Sleep(3 * d / 4)
-						if err := srv.LocalWrite(w, "f", raced, fresh, false); err != nil {
+						if err := srv.LocalWrite(w, "f", raced, fresh); err != nil {
 							t.Errorf("foreign write: %v", err)
 						}
 					})
@@ -249,7 +249,7 @@ func TestFlipsCommitPastAStalledBudget(t *testing.T) {
 		lo, hi := r.meta.StripBounds(last.strip)
 		for _, h := range layout.Holders(mig.target, last.strip) {
 			if !r.fs.Server(h).Holds("f", last.strip) {
-				if err := r.fs.Server(h).LocalWrite(p, "f", last.strip, r.data[lo:hi], false); err != nil {
+				if err := r.fs.Server(h).LocalWrite(p, "f", last.strip, r.data[lo:hi]); err != nil {
 					t.Error(err)
 					return
 				}
