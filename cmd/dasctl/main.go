@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"github.com/hpcio/das/internal/cli"
 	"github.com/hpcio/das/internal/fault"
@@ -160,7 +161,7 @@ func run(w io.Writer, servers int, strips int64, r, halo int, stripSize int64, o
 			for _, lay := range layouts {
 				var lost []int64
 				for s := int64(0); s < strips; s++ {
-					if _, ok := layout.FirstLiveHolder(lay, s, func(srv int) bool { return !downSet[srv] }); !ok {
+					if !slices.ContainsFunc(layout.Holders(lay, s), func(srv int) bool { return !downSet[srv] }) {
 						lost = append(lost, s)
 					}
 				}

@@ -20,6 +20,7 @@ package active
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hpcio/das/internal/cache"
 	"github.com/hpcio/das/internal/grid"
@@ -170,23 +171,19 @@ type Service struct {
 // SetCache attaches the halo-strip cache manager (nil detaches).
 func (svc *Service) SetCache(m *cache.Manager) { svc.cache = m }
 
-// Deploy starts an AS helper daemon on each storage node of an existing
-// file system. A nil reducer registry installs the defaults.
+// Deploy serves the AS port of each storage node of an existing file
+// system, one helper process per message, as pfs serves its own. A nil
+// reducer registry installs the defaults.
 func Deploy(fs *pfs.FileSystem, registry *kernels.Registry, reducers *kernels.ReducerRegistry) *Service {
 	if reducers == nil {
 		reducers = kernels.DefaultReducers()
 	}
 	svc := &Service{fs: fs, registry: registry, reducers: reducers}
+	clu := fs.Cluster()
 	for s := 0; s < fs.Servers(); s++ {
 		srv := fs.Server(s)
-		fs.Cluster().Eng.SpawnDaemon(fmt.Sprintf("as-server-%d", s), func(p *sim.Proc) {
-			port := fs.Cluster().Net.Node(srv.NodeID()).Port(Port)
-			for {
-				msg := port.Get(p)
-				p.Spawn("as-exec", func(h *sim.Proc) {
-					svc.handle(h, srv, msg)
-				})
-			}
+		clu.Net.Node(srv.NodeID()).Port(Port).SetDispatcher(func(msg simnet.Message) {
+			clu.Eng.Spawn("as-exec", func(h *sim.Proc) { svc.handle(h, srv, msg) })
 		})
 	}
 	return svc
@@ -313,21 +310,21 @@ func NewClient(fs *pfs.FileSystem, nodeID int) *Client {
 // Exec offloads op over input, producing output (which must already be
 // created with the same geometry), and returns once every strip has been
 // processed. It runs the dispatch loop under the output's layout: a strip
-// is processed, and its result stored, on the first live holder of its
-// output strip — where readers will look for it, the input mid-migration
-// or not — and a server that crashes mid-execution has its strips
-// reassigned to another holder.
+// is processed, and its result stored, on a live holder of its output
+// strip — where readers will look for it, the input mid-migration or
+// not — its primary unless that is down, and a server that crashes
+// mid-execution has its strips reassigned to the other holders.
 func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (ExecStats, error) {
 	out, ok := c.fs.Meta(output)
 	if !ok {
 		return ExecStats{}, fmt.Errorf("active: unknown output %q", output)
 	}
-	ask := func(strips []int64) any {
-		// LocalOnly assumes the verified layout's placement, which a dead
-		// server invalidates: a failover holder's halo can live off-node.
-		// Escalate to whole-strip fetches so the run still completes.
+	ask := func(srv int, strips []int64) any {
+		// LocalOnly holds where the verified layout placed the strip: on
+		// its primary. A strip placed on another holder has its halo off
+		// that node, so the request fetches whole strips instead.
 		m := mode
-		if m == LocalOnly && c.fs.Cluster().AnyStorageDown() {
+		if m == LocalOnly && slices.ContainsFunc(strips, func(s int64) bool { return out.Layout.Primary(s) != srv }) {
 			m = FetchWholeStrips
 		}
 		return execReq{Op: op, Input: input, Output: output, Mode: m, Strips: strips}

@@ -89,16 +89,18 @@ func FanOut(p *sim.Proc, fs *pfs.FileSystem, from int, port string, reqs []Reque
 
 // dispatch is the one loop an offload's strips go through, Exec's and
 // ExecReduce's alike: the Active Storage Client of Fig. 2 telling each
-// server which strips to process. Each pending strip of input's n goes to
-// its first live holder under place, the layout that places the results.
-// Round one asks every live server, one given no strips too; a later round
-// asks, in ascending order, only the servers given strips a lost reply
-// returned. ask builds a server's request; take folds a reply, and an
-// error from it ends the operation. A strip with no live copy fails it
-// with NoLiveCopyError — the caller's cue to degrade to normal I/O. It
-// returns the rounds taken and how many servers answered.
+// server which strips to process. Each round places its pending strips
+// with one layout.Placer under place, the layout that places the results:
+// round one's strips are fresh, so each runs on its primary while that is
+// live; a later round's, whose reply was lost, spread over their live
+// holders. Round one asks every live server, one given no strips too; a
+// later round asks, in ascending order, only the servers given strips.
+// ask builds server srv's request; take folds a reply, and an error from
+// it ends the operation. A strip with no live copy fails it with
+// NoLiveCopyError — the caller's cue to degrade to normal I/O. It returns
+// the rounds taken and how many servers answered.
 func (c *Client) dispatch(p *sim.Proc, input string, place layout.Layout, n int64,
-	ask func(strips []int64) any, take func(payload any) error) (rounds, servers int, err error) {
+	ask func(srv int, strips []int64) any, take func(payload any) error) (rounds, servers int, err error) {
 	clu := c.fs.Cluster()
 	live := func(srv int) bool { return !clu.ServerDown(srv) }
 	answered := make([]bool, c.fs.Servers())
@@ -112,8 +114,9 @@ func (c *Client) dispatch(p *sim.Proc, input string, place layout.Layout, n int6
 				len(pending), rounds, pfs.ErrTimeout)
 		}
 		assign := make([][]int64, c.fs.Servers())
+		placer := layout.NewPlacer(place, live)
 		for _, s := range pending {
-			srv, ok := layout.FirstLiveHolder(place, s, live)
+			srv, ok := placer.Place(s, rounds == 0)
 			if !ok {
 				return rounds, servers, &NoLiveCopyError{File: input, Strip: s}
 			}
@@ -122,7 +125,7 @@ func (c *Client) dispatch(p *sim.Proc, input string, place layout.Layout, n int6
 		var reqs []Request
 		for srv, strips := range assign {
 			if strips != nil || (rounds == 0 && live(srv)) {
-				reqs = append(reqs, Request{Srv: srv, Payload: ask(strips), Size: headerBytes})
+				reqs = append(reqs, Request{Srv: srv, Payload: ask(srv, strips), Size: headerBytes})
 			}
 		}
 		pending = pending[:0]

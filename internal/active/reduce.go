@@ -106,7 +106,7 @@ func (c *Client) ExecReduce(p *sim.Proc, red kernels.Reducer, input string) ([]f
 	if !ok {
 		return nil, ReduceStats{}, fmt.Errorf("active: unknown input %q", input)
 	}
-	ask := func(strips []int64) any { return reduceReq{Op: red.Name(), Input: input, Strips: strips} }
+	ask := func(_ int, strips []int64) any { return reduceReq{Op: red.Name(), Input: input, Strips: strips} }
 	var stats ReduceStats
 	var partials [][]float64
 	take := func(payload any) error {

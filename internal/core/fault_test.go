@@ -11,6 +11,7 @@ import (
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
+	"github.com/hpcio/das/internal/trace"
 	"github.com/hpcio/das/internal/workload"
 )
 
@@ -90,6 +91,73 @@ func TestDASSurvivesMidRunCrashByteIdentical(t *testing.T) {
 	}
 	if s.Clu.Counters.Get("recovery.exec_retries") == 0 && s.Clu.Counters.Get("recovery.failover_reads") == 0 {
 		t.Error("mid-run crash triggered no recovery actions at all")
+	}
+}
+
+// TestLostStripsSpreadOverTheirHolders crashes server 1 mid-Exec, for
+// good, under the layout that mirrors every strip to both neighbours: the
+// strips its lost reply returns are run again by both of their live
+// holders, server 0 and server 2, rather than all queued on the first.
+// Compute time is proportional to the strips computed, so each of the two
+// must have computed more than server 3, which ran only its own.
+func TestLostStripsSpreadOverTheirHolders(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	req := Request{Op: "flow-routing", Input: "in", Output: "out", Scheme: DAS, DisablePrediction: true}
+	// Job startup is most of ExecTime: aim the crash at server 1's first
+	// compute in a healthy run, so it dies holding its strips.
+	base := ingested(t, g, crashSurvivableLayout(4))
+	rec := trace.New(0)
+	base.Clu.Trace = rec
+	start := base.Clu.Eng.Now()
+	if _, err := base.Execute(req); err != nil {
+		t.Fatal(err)
+	}
+	crashAt := sim.Time(-1)
+	for _, e := range rec.Events() {
+		if e.Actor == "server-1/compute" && e.Phase == "compute" {
+			crashAt = e.At - start
+			break
+		}
+	}
+	if crashAt < 0 {
+		t.Fatal("server 1 computed nothing in the healthy run")
+	}
+
+	s := ingested(t, g, crashSurvivableLayout(4))
+	if err := s.Clu.InstallFaultPlan(fault.Plan{Events: []fault.Event{
+		{At: crashAt, Kind: fault.Crash, Server: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	rec = trace.New(0)
+	s.Clu.Trace = rec
+	rep, err := s.Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.Rounds < 2 {
+		t.Fatalf("the crash reassigned nothing: %d dispatch round(s)", rep.Stats.Rounds)
+	}
+	computed := map[string]sim.Time{}
+	for _, ph := range rec.Summarize() {
+		if ph.Phase == "compute" {
+			computed[ph.Actor] = ph.Total
+		}
+	}
+	own := computed["server-3/compute"]
+	for _, srv := range []string{"server-0/compute", "server-2/compute"} {
+		if computed[srv] <= own {
+			t.Errorf("%s computed for %v, server 3 alone for %v: it ran none of server 1's strips (all compute: %v)",
+				srv, computed[srv], own, computed)
+		}
+	}
+	k, _ := kernels.Default().Lookup("flow-routing")
+	got, err := s.FetchGrid("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := kernels.Apply(k, g); !got.Equal(want) {
+		t.Errorf("output differs from reference (max diff %g)", got.MaxAbsDiff(want))
 	}
 }
 

@@ -311,8 +311,9 @@ func (s *System) offloadJob(rep *Report, req Request, in *pfs.FileMeta, mode act
 
 // gateDAS is steps 4–5 of Fig. 3 for one kernel request: predict the
 // bandwidth cost against lay under what the platform has observed (with
-// servers down strips are costed at their first live holder, and any strip
-// without a live copy vetoes offloading outright), record the decision in
+// servers down strips are costed where layout.Placer places them, the
+// schedule Exec dispatches, and any strip without a live copy vetoes
+// offloading outright), record the decision in
 // rep, and say whether to offload and with which fetch mode.
 func (s *System) gateDAS(rep *Report, req Request, pat features.Pattern, in *pfs.FileMeta, lay layout.Layout) (mode active.FetchMode, offload bool, err error) {
 	decision, err := s.decide(predict.Kernel(pat), predictParams(in), lay, req.Input)

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -52,7 +53,7 @@ func TestHaloEqualsGroupSizeMirrorsEverything(t *testing.T) {
 		}
 		// Any single crash must leave a live copy.
 		for down := 0; down < 4; down++ {
-			if _, ok := FirstLiveHolder(l, s, func(srv int) bool { return srv != down }); !ok {
+			if !slices.ContainsFunc(Holders(l, s), func(srv int) bool { return srv != down }) {
 				t.Fatalf("strip %d unreachable with only server %d down", s, down)
 			}
 		}
@@ -97,27 +98,61 @@ func TestSingleGroupFile(t *testing.T) {
 		t.Errorf("ReplicaStripsOf(3) = %v, want %v", got, want)
 	}
 	// Interior strip 4 has no second copy: with server 0 down it is gone.
-	if _, ok := FirstLiveHolder(l, 4, func(srv int) bool { return srv != 0 }); ok {
+	if slices.ContainsFunc(Holders(l, 4), func(srv int) bool { return srv != 0 }) {
 		t.Error("interior strip of a single-group file survived its only holder")
 	}
 }
 
-// TestFirstLiveHolderOrder pins the failover preference: the primary when
-// it is live, otherwise replicas in Holders order, otherwise nothing.
-func TestFirstLiveHolderOrder(t *testing.T) {
-	l := NewReplicatedRoundRobin(4, 3) // strip 1: primary 1, replicas 2,3
-	allUp := func(int) bool { return true }
-	if srv, ok := FirstLiveHolder(l, 1, allUp); !ok || srv != 1 {
-		t.Errorf("healthy FirstLiveHolder = %d,%v, want primary 1", srv, ok)
+// TestPlacerRule pins the one placement rule: a fresh strip runs on its
+// live primary; any other strip runs on the live holder given the fewest
+// strips so far in the wave, chosen once per run of consecutive strips
+// sharing a holder set, ties in Holders order; no live holder is ok =
+// false.
+func TestPlacerRule(t *testing.T) {
+	mirrored := NewGroupedReplicated(4, 2, 2) // group g: holders [g, g-1, g+1]
+	type place struct {
+		s     int64
+		fresh bool
+		want  int // -1: no live holder
 	}
-	if srv, ok := FirstLiveHolder(l, 1, func(s int) bool { return s != 1 }); !ok || srv != 2 {
-		t.Errorf("primary-down FirstLiveHolder = %d,%v, want first replica 2", srv, ok)
-	}
-	if srv, ok := FirstLiveHolder(l, 1, func(s int) bool { return s == 3 }); !ok || srv != 3 {
-		t.Errorf("two-down FirstLiveHolder = %d,%v, want last replica 3", srv, ok)
-	}
-	if _, ok := FirstLiveHolder(l, 1, func(int) bool { return false }); ok {
-		t.Error("FirstLiveHolder found a holder with every server down")
+	for _, tc := range []struct {
+		name  string
+		l     Layout
+		down  []int
+		steps []place
+	}{
+		{"fresh strips run on their primaries", mirrored, nil,
+			[]place{{0, true, 0}, {1, true, 0}, {2, true, 1}, {3, true, 1}, {6, true, 3}}},
+		{"a down primary's strips go to the least-loaded live holder", mirrored, []int{1},
+			[]place{{0, true, 0}, {1, true, 0}, {2, true, 2}, {3, true, 2}, {4, true, 2}, {5, true, 2},
+				{6, true, 3}, {7, true, 3}, {8, true, 0}, {9, true, 0}, {10, true, 0}, {11, true, 0}}},
+		{"one choice per run: the run stays put as its holder's count grows", mirrored, nil,
+			[]place{{2, false, 1}, {3, false, 1}}},
+		{"ties go in Holders order", mirrored, nil,
+			[]place{{4, false, 2}, {5, false, 2}, {2, false, 1}, {6, false, 3}}},
+		{"a new holder set starts a new run", mirrored, nil,
+			[]place{{2, false, 1}, {3, false, 1}, {4, false, 2}, {5, false, 2}, {6, false, 3}, {7, false, 3}, {8, false, 0}}},
+		{"a gap starts a new run", mirrored, nil,
+			[]place{{2, false, 1}, {10, false, 0}, {11, false, 0}, {18, false, 2}}},
+		{"a lost strip may run on its live primary", NewReplicatedRoundRobin(4, 3), nil,
+			[]place{{1, false, 1}, {2, true, 2}, {5, false, 3}}},
+		{"no live holder", mirrored, []int{0, 1, 2},
+			[]place{{2, true, -1}, {3, false, -1}, {6, true, 3}}},
+	} {
+		down := map[int]bool{}
+		for _, d := range tc.down {
+			down[d] = true
+		}
+		pl := NewPlacer(tc.l, func(srv int) bool { return !down[srv] })
+		for i, st := range tc.steps {
+			srv, ok := pl.Place(st.s, st.fresh)
+			if !ok {
+				srv = -1
+			}
+			if srv != st.want {
+				t.Errorf("%s: step %d: Place(%d, fresh=%v) = %d, want %d", tc.name, i, st.s, st.fresh, srv, st.want)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -204,23 +205,49 @@ func Holders(l Layout, s int64) []int {
 	return append([]int{l.Primary(s)}, l.Replicas(s)...)
 }
 
-// FirstLiveHolder returns the first holder of strip s that live reports
-// alive — the primary when it is up, otherwise the first live replica in
-// Holders order — and ok = false when no copy of the strip is on a live
-// server. It is the placement rule degraded reads and degraded offload
-// assignment share, so both layers fail over to the same server. A
-// pipeline catch-up wave is the exception: it recomputes from the input,
-// so it spreads its strips over every live holder instead.
-func FirstLiveHolder(l Layout, s int64, live func(srv int) bool) (int, bool) {
-	if p := l.Primary(s); live(p) {
+// Placer is the one placement rule: which live holder runs each strip of
+// a dispatch wave (Fig. 2's Active Storage Client), for offload dispatch,
+// pipeline waves and the cost model that prices them alike. A fresh strip
+// runs on its primary while that is live. Any other — its primary down,
+// its reply lost, a pipeline catch-up — runs on the live holder given the
+// fewest strips so far in the wave, chosen once per run of consecutive
+// strips sharing one holder set, ties in Holders order. Place strips in
+// ascending order, one Placer per wave.
+type Placer struct {
+	l      Layout
+	live   func(srv int) bool
+	given  []int // strips placed on each server so far
+	run    []int // the current run's holder set, its server and last strip
+	runSrv int
+	last   int64
+}
+
+// NewPlacer starts a wave over l's servers; live reports which are up.
+func NewPlacer(l Layout, live func(srv int) bool) *Placer {
+	return &Placer{l: l, live: live, given: make([]int, l.Servers()), last: -2}
+}
+
+// Place returns the server that runs strip s; ok = false when no holder
+// of s is live.
+func (pl *Placer) Place(s int64, fresh bool) (srv int, ok bool) {
+	if p := pl.l.Primary(s); fresh && pl.live(p) {
+		pl.given[p]++
 		return p, true
 	}
-	for _, r := range l.Replicas(s) {
-		if live(r) {
-			return r, true
+	if holders := Holders(pl.l, s); s != pl.last+1 || !slices.Equal(holders, pl.run) {
+		pl.run, pl.runSrv = holders, -1
+		for _, h := range holders {
+			if pl.live(h) && (pl.runSrv < 0 || pl.given[h] < pl.given[pl.runSrv]) {
+				pl.runSrv = h
+			}
 		}
 	}
-	return 0, false
+	if pl.runSrv < 0 {
+		return 0, false
+	}
+	pl.last = s
+	pl.given[pl.runSrv]++
+	return pl.runSrv, true
 }
 
 // Holds reports whether server srv stores strip s, either as primary or as

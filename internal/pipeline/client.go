@@ -175,7 +175,7 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 				}
 			}
 			// Wave A: catch-up strips recompute their lineage from the
-			// durable input on a freshly chosen live holder. They must
+			// durable input where the placer spreads them. They must
 			// land before wave B, whose band pulls target the new owners.
 			if len(catchStrips) > 0 {
 				failed, err := c.dispatch(p, pl, token, d, input, output, round, true, catchStrips, owner, ownerInc, partials, &res)
@@ -256,80 +256,49 @@ func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, in
 	live := func(srv int) bool { return !clu.ServerDown(srv) }
 	out, _ := c.fs.Meta(output)
 
-	assign := make(map[int][]int64)
-	var order []int
-	// The catch-up wave's current run: consecutive strips with one holder
-	// set, and the holder it went to.
-	var runHolders []int
-	runSrv, runLast := -1, int64(-2)
+	// owners is the snapshot wave-B pulls read: the current state owners,
+	// with this wave's own strips pointed at their assigned server (a
+	// server's pulls never target strips assigned to the same request, but
+	// a concurrent peer's may).
+	owners := slices.Clone(owner)
+	assign := make([][]int64, c.fs.Servers())
+	placer := layout.NewPlacer(out.Layout, live)
 	for _, s := range strips {
-		var srv int
+		srv := int(owner[s])
 		switch {
-		case catchUp:
-			// A catch-up is recomputed from the input, so any live holder
-			// can take it: each run goes to the one given the fewest
-			// strips so far in this wave (ties in Holders order), and a
-			// crash's lost lineage spreads over every holder of it
-			// instead of queueing on the first.
-			holders := layout.Holders(out.Layout, s)
-			if s != runLast+1 || !slices.Equal(holders, runHolders) {
-				runSrv, runHolders = -1, holders
-				for _, h := range holders {
-					if live(h) && (runSrv < 0 || len(assign[h]) < len(assign[runSrv])) {
-						runSrv = h
-					}
-				}
-				if runSrv < 0 {
-					return nil, &active.NoLiveCopyError{File: input, Strip: s}
-				}
-			}
-			srv, runLast = runSrv, s
-		case round > 0:
+		case !catchUp && round > 0:
 			// A normal strip past round 0 must run where its state
 			// lives; the caller already diverted lost owners to
 			// catch-up.
-			srv = int(owner[s])
-		case owner[s] >= 0 && live(int(owner[s])):
+		case !catchUp && srv >= 0 && live(srv):
 			// A round-0 redispatch keeps strips that already succeeded
 			// on their recorded owner out of this wave entirely; fresh
-			// strips fall through to holder assignment.
-			srv = int(owner[s])
+			// strips fall through to the placer.
 		default:
-			holder, ok := layout.FirstLiveHolder(out.Layout, s, live)
-			if !ok {
+			// A catch-up is recomputed from the input, so the placer
+			// spreads it over every live holder; a fresh strip runs on
+			// its primary.
+			var ok bool
+			if srv, ok = placer.Place(s, !catchUp); !ok {
 				return nil, &active.NoLiveCopyError{File: input, Strip: s}
 			}
-			srv = holder
-		}
-		if _, seen := assign[srv]; !seen {
-			order = append(order, srv)
 		}
 		assign[srv] = append(assign[srv], s)
+		owners[s] = int32(srv)
 	}
-	sort.Ints(order)
 
-	// Owners snapshot for wave-B pulls: current state owners, with this
-	// wave's own strips pointed at their assigned server (a server's
-	// pulls never target strips assigned to the same request, but a
-	// concurrent peer's may).
-	owners := make([]int32, len(owner))
-	copy(owners, owner)
+	var reqs []active.Request
 	for srv, ss := range assign {
-		for _, s := range ss {
-			owners[s] = int32(srv)
+		if ss != nil {
+			reqs = append(reqs, active.Request{Srv: srv, Size: headerBytes + int64(len(ss))*8,
+				Payload: stageReq{Token: token, DAG: d, Input: input, Output: output,
+					Round: round, Strips: ss, CatchUp: catchUp, Owners: owners}})
 		}
-	}
-
-	reqs := make([]active.Request, len(order))
-	for i, srv := range order {
-		reqs[i] = active.Request{Srv: srv, Size: headerBytes + int64(len(assign[srv]))*8,
-			Payload: stageReq{Token: token, DAG: d, Input: input, Output: output,
-				Round: round, Strips: assign[srv], CatchUp: catchUp, Owners: owners}}
 	}
 	var failed []int64
 	var wave active.Phases
 	for i, r := range active.FanOut(p, c.fs, c.nodeID, Port, reqs, 0) {
-		srv := order[i]
+		srv := reqs[i].Srv
 		resp, ok := r.Payload.(stageResp)
 		if !ok || (resp.Err != "" && resp.Transient) {
 			failed = append(failed, assign[srv]...)

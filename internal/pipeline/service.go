@@ -109,8 +109,9 @@ type Service struct {
 // halo fetches consult it and intermediate-band pulls feed file heat.
 func (svc *Service) SetCache(m *cache.Manager) { svc.cache = m }
 
-// Deploy starts a pipeline daemon on each storage node. Nil combiner or
-// reducer registries install the defaults.
+// Deploy serves the pipeline port of each storage node, one handler
+// process per message, as pfs serves its own. Nil combiner or reducer
+// registries install the defaults.
 func Deploy(fs *pfs.FileSystem, reg *kernels.Registry, combs *kernels.CombinerRegistry, reds *kernels.ReducerRegistry) *Service {
 	if combs == nil {
 		combs = kernels.DefaultCombiners()
@@ -119,17 +120,12 @@ func Deploy(fs *pfs.FileSystem, reg *kernels.Registry, combs *kernels.CombinerRe
 		reds = kernels.DefaultReducers()
 	}
 	svc := &Service{fs: fs, reg: reg, combs: combs, reds: reds, runs: make([]map[string]*runState, fs.Servers())}
+	clu := fs.Cluster()
 	for s := 0; s < fs.Servers(); s++ {
 		svc.runs[s] = make(map[string]*runState)
 		srv := fs.Server(s)
-		fs.Cluster().Eng.SpawnDaemon(fmt.Sprintf("pipe-server-%d", s), func(p *sim.Proc) {
-			port := fs.Cluster().Net.Node(srv.NodeID()).Port(Port)
-			for {
-				msg := port.Get(p)
-				p.Spawn("pipe-handle", func(h *sim.Proc) {
-					svc.handle(h, srv, msg)
-				})
-			}
+		clu.Net.Node(srv.NodeID()).Port(Port).SetDispatcher(func(msg simnet.Message) {
+			clu.Eng.Spawn("pipe-handle", func(h *sim.Proc) { svc.handle(h, srv, msg) })
 		})
 	}
 	return svc

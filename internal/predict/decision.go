@@ -61,8 +61,9 @@ type Observations struct {
 	// forever. LatencyHigh 0 switches the term off.
 	FetchP99, LatencyHigh sim.Time
 	// Down reports the storage servers that are down (nil: none). Strips
-	// are then costed at their first live holder, and a strip with no live
-	// copy vetoes offloading — the request falls back to normal I/O, which
+	// are then costed where layout.Placer places them fresh, the schedule
+	// Exec's first dispatch round runs, and a strip with no live copy
+	// vetoes offloading — the request falls back to normal I/O, which
 	// surfaces a typed I/O error if the data is truly gone. Pipeline
 	// pricing ignores it: core does not price a DAG on a degraded cluster.
 	Down func(srv int) bool
@@ -112,7 +113,8 @@ type Decision struct {
 	Stages, FusedStages              int
 
 	// Degraded records that a down-set was observed: strips were costed at
-	// their first live holder and no element-level sum was taken.
+	// the holders layout.Placer gives them and no element-level sum was
+	// taken.
 	Degraded bool
 	// Offload is true when nothing is unservable and active storage is
 	// predicted to move fewer bytes over the interconnect than normal I/O.

@@ -16,6 +16,7 @@ package predict
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/layout"
@@ -192,7 +193,7 @@ func periodElems(lc layout.Locator) int64 {
 // transfer to process it.
 type StripFetch struct {
 	Strip  int64   // the primary strip being processed
-	Owner  int     // the server processing it: its primary, or first live holder
+	Owner  int     // the server processing it, as a layout.Placer places it
 	Remote []int64 // strips to fetch from other servers, ascending
 }
 
@@ -248,12 +249,12 @@ func FetchPlan(lc layout.Locator, offs []int64, fileSize int64) []StripFetch {
 	return plan
 }
 
-// fetchPlan is the one strip walk. Each strip is processed by its first
-// live holder — the primary on a healthy cluster (live == nil), the rule
-// the degraded execution path uses otherwise — and dependence that owner
-// does not hold is a whole-strip fetch. A strip with no live holder has no
-// entry in the plan, a dependent strip with none is not fetched, and both
-// are counted unservable.
+// fetchPlan is the one strip walk. Each strip is processed where a
+// layout.Placer places it fresh — its primary on a healthy cluster
+// (live == nil), the schedule Exec dispatches otherwise — and dependence
+// that owner does not hold is a whole-strip fetch. A strip with no live
+// holder has no entry in the plan, a dependent strip with none is not
+// fetched, and both are counted unservable.
 func fetchPlan(lc layout.Locator, offs []int64, fileSize int64, live func(srv int) bool) (plan []StripFetch, unservable int64) {
 	if live == nil {
 		live = func(int) bool { return true }
@@ -261,9 +262,10 @@ func fetchPlan(lc layout.Locator, offs []int64, fileSize int64, live func(srv in
 	total := fileSize / lc.ElemSize
 	strips := lc.Strips(fileSize)
 	plan = make([]StripFetch, 0, strips)
+	placer := layout.NewPlacer(lc.Layout, live)
 	var needed []int64
 	for s := int64(0); s < strips; s++ {
-		owner, ok := layout.FirstLiveHolder(lc.Layout, s, live)
+		owner, ok := placer.Place(s, true)
 		if !ok {
 			unservable++
 			continue
@@ -276,7 +278,7 @@ func fetchPlan(lc layout.Locator, offs []int64, fileSize int64, live func(srv in
 			if t == s || layout.Holds(lc.Layout, t, owner) {
 				continue
 			}
-			if _, ok := layout.FirstLiveHolder(lc.Layout, t, live); !ok {
+			if !slices.ContainsFunc(layout.Holders(lc.Layout, t), live) {
 				unservable++
 				continue
 			}

@@ -182,6 +182,34 @@ func TestFetchPlanRoundRobinAdjacency(t *testing.T) {
 	}
 }
 
+// TestDegradedPlanSpreadsADownPrimarysStrips: with server 1 down under the
+// layout that mirrors every strip to both neighbours, the walk prices
+// server 1's strips where Exec's first dispatch round runs them — each run
+// of two on whichever of server 0 and server 2 has been given fewer strips
+// so far, ties to server 0 (Holders order) — and every other strip on its
+// primary.
+func TestDegradedPlanSpreadsADownPrimarysStrips(t *testing.T) {
+	lay := layout.NewGroupedReplicated(4, 2, 2) // strips 2,3, 10,11, … on server 1
+	lc := layout.NewLocator(8, 64, lay)
+	plan, unservable := fetchPlan(lc, eightNeighbor().Resolve(8), 32*64, func(srv int) bool { return srv != 1 })
+	if unservable != 0 || len(plan) != 32 {
+		t.Fatalf("%d strips planned, %d unservable; want 32 and 0", len(plan), unservable)
+	}
+	var lost []int
+	for _, f := range plan {
+		if p := lay.Primary(f.Strip); p != 1 {
+			if f.Owner != p {
+				t.Errorf("strip %d priced on %d, want its live primary %d", f.Strip, f.Owner, p)
+			}
+			continue
+		}
+		lost = append(lost, f.Owner)
+	}
+	if want := []int{2, 2, 0, 0, 2, 2, 0, 0}; !slices.Equal(lost, want) {
+		t.Errorf("server 1's strips priced on %v, want %v", lost, want)
+	}
+}
+
 func TestNeededStripsSparseStride(t *testing.T) {
 	// A ±3-strip stride touches exactly {s-3, s, s+3}, not the strips in
 	// between — the distinction that makes Eq. (17)-aligned strides free.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestShutdownEndsEveryCoroutine: each Proc holds a runtime coroutine,
@@ -13,7 +14,7 @@ import (
 // wait, parked mid-unwind in a deferred cleanup, finished and pooled for
 // reuse, or spawned and never started.
 func TestShutdownEndsEveryCoroutine(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 	e := NewEngine()
 	reqs := NewMailbox[int](e, "reqs")
 	never := NewSignal[struct{}](e, "never")
@@ -38,17 +39,35 @@ func TestShutdownEndsEveryCoroutine(t *testing.T) {
 	if len(e.procFree) == 0 {
 		t.Fatal("no finished process was pooled: the mix is incomplete")
 	}
-	if n := runtime.NumGoroutine(); n <= baseline {
+	if n := settledGoroutines(); n <= baseline {
 		t.Fatalf("%d goroutines with %d live coroutines, baseline %d: the count does not see coroutines",
 			n, len(e.procs), baseline)
 	}
 	e.Shutdown()
-	if n := runtime.NumGoroutine(); n != baseline {
+	if n := settledGoroutines(); n != baseline {
 		t.Errorf("%d goroutines after Shutdown, want the baseline %d", n, baseline)
 	}
 	if e.Live() != 0 {
 		t.Errorf("%d live processes after shutdown", e.Live())
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// a while. A goroutine already on its way out — the previous test's runner
+// after it signalled, the finalizer goroutine while it runs a finalizer —
+// counts toward one reading and not the next, so a single reading can be
+// off by one either side of Shutdown.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); still < 20 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 // TestProcessPanicText pins the re-raised value: the process's name as
