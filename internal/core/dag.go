@@ -134,12 +134,13 @@ func (s *System) ExecuteDAG(req DAGRequest) (DAGReport, error) {
 // lost their last live copy falls back to the per-pass path for chains.
 func (s *System) runDAGPushdown(rep *DAGReport, req DAGRequest, in *pfs.FileMeta) error {
 	if req.Scheme == DAS && !s.Clu.AnyStorageDown() {
-		pl, err := pipeline.Compile(req.DAG, s.Registry, s.Combiners, s.Reducers,
-			in.Width, pipeline.LocalHaloOf(in.Layout, in.Locator()))
+		pl, err := pipeline.Compile(req.DAG, s.Registry, s.Combiners, s.Reducers, in.Width, 0)
 		if err != nil {
 			return err
 		}
-		decision, err := s.decide(pl.Spec(), predictParams(in), in.Layout, req.Input)
+		// The same pricing the pipeline client runs: the verdict is for the
+		// fusion depth the run will take.
+		decision, err := s.decide(pl.Spec(s.Clu.Cfg), predictParams(in), in.Layout, req.Input)
 		if err != nil {
 			return err
 		}

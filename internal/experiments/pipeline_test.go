@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestPipelineExperimentSmoke runs the smoke-sized pushdown comparison
 // end to end: all four variants complete with bitwise-verified output,
@@ -50,5 +53,39 @@ func TestPipelineExperimentSmoke(t *testing.T) {
 	}
 	if len(r.Rows) == 0 || len(r.Notes) == 0 {
 		t.Error("plot result empty")
+	}
+}
+
+// pricedFactor bounds how far a committed pushdown record's simulated
+// seconds may sit from what the prediction core priced its fusion depth
+// at, either way. The price is of a healthy cluster, so the crash cell,
+// priced as its healthy twin, reads highest (1.39×); the healthy cells
+// read 1.01–1.16×.
+const pricedFactor = 1.5
+
+// TestPushdownRecordsWithinAFactorOfTheirPrice holds the depth price to
+// the committed full-scale records: it runs nothing. Every pushdown
+// record names the depth it ran and that depth's predicted seconds, and
+// its simulated seconds lie within pricedFactor of them.
+func TestPushdownRecordsWithinAFactorOfTheirPrice(t *testing.T) {
+	var n int
+	for _, rec := range committedRecords(t) {
+		if !strings.HasPrefix(rec.Name, PipelineDAG().Name+" ") || !strings.Contains(rec.Name, "pushdown") {
+			continue
+		}
+		n++
+		step := rec.Steps[0]
+		depth, predicted := step.Stats.Int("fusion_depth"), step.Stats["predicted_seconds"]
+		if depth < 1 || depth > step.Stats.Int("stages") || predicted <= 0 {
+			t.Errorf("%s: fusion depth %d, predicted %.4fs", rec.Name, depth, predicted)
+			continue
+		}
+		if ratio := step.SimSeconds / predicted; ratio > pricedFactor || ratio < 1/pricedFactor {
+			t.Errorf("%s: sim %.4fs is %.3f× its predicted %.4fs, outside a factor of %.1f",
+				rec.Name, step.SimSeconds, ratio, predicted, pricedFactor)
+		}
+	}
+	if n != 4 {
+		t.Fatalf("%d committed pushdown records, want 4", n)
 	}
 }

@@ -458,6 +458,8 @@ func (r *run) dag(sr *StepRecord, st Step, in string) error {
 		sr.Stats["stages"] = float64(run.Stages)
 		sr.Stats["fused_stages"] = float64(run.FusedStages)
 		sr.Stats["rounds"] = float64(run.Rounds)
+		sr.Stats["fusion_depth"] = float64(run.Depth)
+		sr.Stats["predicted_seconds"] = run.PredictedSeconds.Seconds()
 		sr.Stats["fetch_bytes"] = float64(run.FetchBytes)
 		sr.Stats["exchange_bytes"] = float64(run.ExchangeBytes)
 		sr.Stats["achieved_halo_bytes"] = float64(run.AchievedHaloBytes)

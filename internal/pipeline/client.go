@@ -40,6 +40,12 @@ type RunResult struct {
 	CatchUps      int64
 	Redispatches  int64
 	Wrote         int64
+	// Depth is the fusion depth the run priced and ran, and
+	// PredictedSeconds what the prediction core priced that depth at
+	// (predict.Decision.Depths) — startup included, as in the run's own
+	// execution time.
+	Depth            int
+	PredictedSeconds sim.Time
 	// Phases holds, per stage, the busiest server's time in each dispatch
 	// wave, summed over the waves: they run one after another, so this is
 	// the critical-path decomposition of the run (active.Phases says what
@@ -96,11 +102,18 @@ func NewClient(fs *pfs.FileSystem, nodeID int, reg *kernels.Registry, combs *ker
 }
 
 // Run executes the DAG over input, committing the grid output into the
-// already-created output file. The output commits byte-identical to a
-// sequential per-stage evaluation of the same DAG — with or without
-// faults — because sub-range kernel evaluation equals slicing a
-// full-raster pass and catch-up recomputes exactly the lost lineage.
+// already-created output file, at the fusion depth the prediction core
+// prices cheapest for the input's layout. The output commits
+// byte-identical to a sequential per-stage evaluation of the same DAG —
+// with or without faults, at any depth — because sub-range kernel
+// evaluation equals slicing a full-raster pass and catch-up recomputes
+// exactly the lost lineage.
 func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResult, error) {
+	return c.run(p, d, input, output, 0)
+}
+
+// run is Run at the given fusion depth, 0 for the priced one.
+func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int) (RunResult, error) {
 	clu := c.fs.Cluster()
 	in, ok := c.fs.Meta(input)
 	if !ok {
@@ -116,8 +129,27 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 	if out.Size != in.Size || out.StripSize != in.StripSize {
 		return RunResult{}, fmt.Errorf("pipeline: output geometry differs from input")
 	}
-	pl, err := Compile(d, c.reg, c.combs, c.reds, in.Width, LocalHaloOf(in.Layout, in.Locator()))
+	pl, err := Compile(d, c.reg, c.combs, c.reds, in.Width, 0)
 	if err != nil {
+		return RunResult{}, err
+	}
+	// The fusion depth is priced once, here, and shipped in every stage
+	// request: the servers never decide it.
+	spec := pl.Spec(clu.Cfg)
+	priced, err := predict.Estimate(spec, predict.Params{
+		ElemSize:     in.ElemSize,
+		StripSize:    in.StripSize,
+		FileSize:     in.Size,
+		Width:        in.Width,
+		OutputFactor: 1,
+	}, in.Layout, predict.Observations{})
+	if err != nil {
+		return RunResult{}, err
+	}
+	if depth == 0 {
+		depth = priced.Depth
+	}
+	if err := pl.fuse(depth); err != nil {
 		return RunResult{}, err
 	}
 	c.seq++
@@ -225,22 +257,13 @@ func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResul
 
 	c.release(p, token)
 
-	spec := pl.Spec()
 	res.Stages = len(pl.Nodes)
-	res.FusedStages = spec.FusedStages()
+	res.FusedStages = spec.FusedStages(depth)
 	res.Rounds = pl.Rounds()
+	res.Depth = depth
+	res.PredictedSeconds = priced.Depths[depth-1].Seconds
 	res.AchievedHaloBytes = res.FetchBytes + res.ExchangeBytes
-	bound, err := predict.PipelineLowerBound(predict.Params{
-		ElemSize:     in.ElemSize,
-		StripSize:    in.StripSize,
-		FileSize:     in.Size,
-		Width:        in.Width,
-		OutputFactor: 1,
-	}, in.Layout, spec.DAGBack, spec.DAGFwd)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res.LowerBoundBytes = bound
+	res.LowerBoundBytes = priced.LowerBoundBytes
 	return res, nil
 }
 
@@ -292,7 +315,7 @@ func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, in
 		if ss != nil {
 			reqs = append(reqs, active.Request{Srv: srv, Size: headerBytes + int64(len(ss))*8,
 				Payload: stageReq{Token: token, DAG: d, Input: input, Output: output,
-					Round: round, Strips: ss, CatchUp: catchUp, Owners: owners}})
+					Round: round, Strips: ss, CatchUp: catchUp, Depth: pl.Prefix, Owners: owners}})
 		}
 	}
 	var failed []int64

@@ -54,7 +54,7 @@ func TestPulledWindowOutlivesOwnerState(t *testing.T) {
 	stage1 := kernels.Apply(routing, stage0)
 
 	rig.run(t, func(p *sim.Proc) error {
-		req := stageReq{Token: "lend", DAG: d, Input: "in", Output: "out"}
+		req := stageReq{Token: "lend", DAG: d, Input: "in", Output: "out", Depth: 1}
 		req.Owners = stageOnPrimaries(t, rig, p, req)
 		req.Round = 1
 
@@ -128,7 +128,7 @@ func TestLaterRoundAllocatesNoParentRaster(t *testing.T) {
 	rig := newRig(t, layout.NewGrouped(4, group), w, h, w*grid.ElemSize)
 	rig.createOut(t, "out")
 	rig.run(t, func(p *sim.Proc) error {
-		req := stageReq{Token: "alloc", DAG: chain3(), Input: "in", Output: "out"}
+		req := stageReq{Token: "alloc", DAG: chain3(), Input: "in", Output: "out", Depth: 1}
 		req.Owners = stageOnPrimaries(t, rig, p, req)
 		req.Round = 1
 		for s := int64(group); s < 2*group; s++ {

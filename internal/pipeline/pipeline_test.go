@@ -92,10 +92,16 @@ func (r *testRig) createOut(t *testing.T, name string) {
 
 func (r *testRig) pipeline(t *testing.T, d kernels.DAG, input, output string) (RunResult, error) {
 	t.Helper()
+	return r.pipelineAt(t, d, input, output, 0)
+}
+
+// pipelineAt runs d at the given fusion depth, 0 for the priced one.
+func (r *testRig) pipelineAt(t *testing.T, d kernels.DAG, input, output string, depth int) (RunResult, error) {
+	t.Helper()
 	var res RunResult
 	var err error
 	r.run(t, func(p *sim.Proc) error {
-		res, err = NewClient(r.fs, r.clu.ComputeID(0), kernels.Default(), nil, nil).Run(p, d, input, output)
+		res, err = NewClient(r.fs, r.clu.ComputeID(0), kernels.Default(), nil, nil).run(p, d, input, output, depth)
 		return nil
 	})
 	return res, err
@@ -117,58 +123,45 @@ func (r *testRig) fetch(t *testing.T, name string) *grid.Grid {
 	return g
 }
 
-func TestCompileFusionRespectsLocalHalo(t *testing.T) {
-	reg := kernels.Default()
-	d := chain3()
+// TestFuseSetsPrefixRoundsAndRetention: Compile finds the leading chain
+// and fuses nothing; fuse takes any depth along it, sets the rounds, and
+// retains exactly the state a later round reads.
+func TestFuseSetsPrefixRoundsAndRetention(t *testing.T) {
+	pl, err := Compile(chain3(), kernels.Default(), nil, nil, testW, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Chain != 3 || pl.Prefix != 1 {
+		t.Fatalf("chain %d prefix %d, want 3 and 1", pl.Chain, pl.Prefix)
+	}
 	// Each 3×3 stage has Halo W+1 = 65; from-input evaluation depths sum
 	// along the chain: 65, 130, 195.
-	cases := []struct {
-		localHalo int64
-		prefix    int
-	}{
-		{0, 1},
-		{129, 1},   // stage 2 needs 130
-		{130, 2},   // exactly covers stage 2's from-input depth
-		{10000, 3}, // whole chain fuses
+	for i, n := range pl.Nodes {
+		if want := int64(65 * (i + 1)); n.EvalHalo != want {
+			t.Errorf("node %d EvalHalo %d, want %d", i, n.EvalHalo, want)
+		}
 	}
-	for _, c := range cases {
-		pl, err := Compile(d, reg, nil, nil, testW, c.localHalo)
-		if err != nil {
+	for depth := 1; depth <= pl.Chain; depth++ {
+		if err := pl.fuse(depth); err != nil {
 			t.Fatal(err)
 		}
-		if pl.Prefix != c.prefix {
-			t.Errorf("localHalo %d: prefix %d, want %d", c.localHalo, pl.Prefix, c.prefix)
+		if pl.Prefix != depth || pl.Rounds() != 1+pl.GridOut+1-depth {
+			t.Errorf("depth %d: prefix %d rounds %d", depth, pl.Prefix, pl.Rounds())
 		}
-		if want := 1 + pl.GridOut + 1 - pl.Prefix; pl.Rounds() != want {
-			t.Errorf("localHalo %d: rounds %d, want %d", c.localHalo, pl.Rounds(), want)
-		}
+		// A stage is retained when a later round reads it: every stage from
+		// the prefix's last up to the one before the grid output.
 		for i, n := range pl.Nodes {
-			wantEval := int64(65 * (i + 1))
-			if n.EvalHalo != wantEval {
-				t.Errorf("node %d EvalHalo %d, want %d", i, n.EvalHalo, wantEval)
+			if want := i >= depth-1 && i < pl.GridOut; n.Retain != want {
+				t.Errorf("depth %d: node %d Retain %v, want %v", depth, i, n.Retain, want)
 			}
 		}
-	}
-	// Retention: with nothing fused, every stage but the grid output
-	// feeds a strictly later round.
-	pl, err := Compile(d, reg, nil, nil, testW, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range pl.Nodes {
-		want := i < pl.GridOut
-		if n.Retain != want {
-			t.Errorf("node %d Retain %v, want %v", i, n.Retain, want)
+		if lin, _ := pl.work(0, false); lin.depth != pl.Nodes[depth-1].EvalHalo {
+			t.Errorf("depth %d: round 0 reads the input %d past a run, want %d", depth, lin.depth, pl.Nodes[depth-1].EvalHalo)
 		}
 	}
-	// With the whole chain fused there is nothing to retain.
-	pl, err = Compile(d, reg, nil, nil, testW, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range pl.Nodes {
-		if n.Retain {
-			t.Errorf("fully fused plan retains node %d", i)
+	for _, depth := range []int{0, 4} {
+		if err := pl.fuse(depth); err == nil {
+			t.Errorf("depth %d outside the chain accepted", depth)
 		}
 	}
 }
@@ -188,7 +181,7 @@ func TestPipelineChainMatchesReference(t *testing.T) {
 	rig := newRig(t, layout.NewRoundRobin(4), testW, testH, testStrip)
 	rig.createOut(t, "out")
 	d := chain3()
-	res, err := rig.pipeline(t, d, "in", "out")
+	res, err := rig.pipelineAt(t, d, "in", "out", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +192,8 @@ func TestPipelineChainMatchesReference(t *testing.T) {
 	if got := rig.fetch(t, "out"); !got.Equal(want) {
 		t.Error("pipelined output differs from sequential DAG reference")
 	}
-	// Round-robin grants no local halo: round 0 fetches input boundary
-	// rows and every later stage streams halo bands server-to-server.
+	// Unfused on round-robin: round 0 fetches input boundary rows and
+	// every later stage streams halo bands server-to-server.
 	if res.FetchBytes == 0 {
 		t.Errorf("no input halo fetches: %+v", res)
 	}
@@ -221,12 +214,12 @@ func TestPipelineChainMatchesReference(t *testing.T) {
 func TestPipelineFusedPrefixSkipsExchange(t *testing.T) {
 	audited(t)
 	// Replica halo of 3 strips (192 elements) covers the two-stage
-	// from-input depth 130: the first two stages fuse into round 0 and
+	// from-input depth 130: fused two deep, round 0 fetches nothing and
 	// only the third stage exchanges.
 	rig := newRig(t, layout.NewGroupedReplicated(4, 8, 3), testW, testH, testStrip)
 	rig.createOut(t, "out")
 	d := chain3()
-	res, err := rig.pipeline(t, d, "in", "out")
+	res, err := rig.pipelineAt(t, d, "in", "out", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +230,9 @@ func TestPipelineFusedPrefixSkipsExchange(t *testing.T) {
 	if got := rig.fetch(t, "out"); !got.Equal(want) {
 		t.Error("fused output differs from sequential DAG reference")
 	}
-	if res.Rounds != 2 || res.FusedStages != 1 {
-		t.Errorf("shape rounds=%d fused=%d, want 2/1", res.Rounds, res.FusedStages)
+	if res.Rounds != 2 || res.FusedStages != 1 || res.FetchBytes != 0 || res.ExchangeBytes == 0 {
+		t.Errorf("shape rounds=%d fused=%d fetch=%d exchange=%d, want 2/1/0/some",
+			res.Rounds, res.FusedStages, res.FetchBytes, res.ExchangeBytes)
 	}
 }
 

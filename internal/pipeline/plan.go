@@ -3,18 +3,20 @@
 // computes its strips stage by stage, and between stages only the
 // halo-boundary bands stream server-to-server — no intermediate raster is
 // ever written back. A fused leading prefix evaluates several stages in
-// one dispatch by reading the input with a deeper composed halo, and only
-// the final grid output commits through the normal writeback path. The
+// one dispatch by reading the input with a deeper composed halo — how
+// deep is the depth the prediction core prices cheapest — and only the
+// final grid output commits through the normal writeback path. The
 // achieved halo traffic is reported against the composed-offset lower
 // bound the prediction core derives from the same Minkowski composition.
 package pipeline
 
 import (
 	"fmt"
+	"slices"
 
+	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/kernels"
-	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/predict"
 )
 
@@ -54,31 +56,30 @@ type PlanNode struct {
 // Plan is a compiled DAG: nodes in deterministic topological order plus
 // the execution shape (fused prefix, round count, output node). The
 // client and every server compile the same DAG against the same metadata
-// and registries, so they agree on the plan without shipping it.
+// and registries, and the client ships the one choice compiling does not
+// make — the fusion depth — in every stage request.
 type Plan struct {
 	Name  string
 	Nodes []PlanNode
-	// Prefix is the number of leading nodes fused into round 0. Nodes
-	// [0, Prefix) form a linear chain by construction.
-	Prefix int
+	// Chain is the length of the leading linear chain of kernels: the
+	// deepest prefix that can fuse. Prefix is the number of leading nodes
+	// fused into round 0, in [1, Chain]: 1 until fuse sets it.
+	Chain, Prefix int
 	// GridOut indexes the node whose raster the DAG commits; it is
 	// always the last non-reduce node in topological order. Reduce
 	// indexes the terminal reduce, -1 without one.
 	GridOut int
 	Reduce  int
-	// Width is the raster width; LocalHalo the per-side elements the
-	// layout's replication already holds next to every assignment run.
-	Width     int
-	LocalHalo int64
+	// Width is the raster width.
+	Width int
 }
 
 // Compile validates and resolves a DAG for pushdown execution over a
-// raster of the given width on a layout granting localHalo replica-
-// prepaid elements per side. The fused prefix extends along the leading
-// linear chain while the composed input halo stays within the local
-// replicas (the deep read is free) or the next stage adds no reach.
+// raster of the given width, fusing nothing: how deep the leading chain
+// fuses is priced per layout (Spec, predict.Estimate) and set by fuse.
+// The last argument is not read; it stays for the callers that pass one.
 func Compile(d kernels.DAG, reg *kernels.Registry, combs *kernels.CombinerRegistry,
-	reds *kernels.ReducerRegistry, width int, localHalo int64) (*Plan, error) {
+	reds *kernels.ReducerRegistry, width int, _ int64) (*Plan, error) {
 	if err := d.Validate(reg, combs, reds); err != nil {
 		return nil, err
 	}
@@ -102,7 +103,7 @@ func Compile(d kernels.DAG, reg *kernels.Registry, combs *kernels.CombinerRegist
 		origIndex[n.ID] = i
 	}
 
-	pl := &Plan{Name: d.Name, Nodes: make([]PlanNode, len(order)), Reduce: -1, Width: width, LocalHalo: localHalo}
+	pl := &Plan{Name: d.Name, Nodes: make([]PlanNode, len(order)), Reduce: -1, Width: width}
 	for ti, oi := range order {
 		n := d.Nodes[oi]
 		pn := PlanNode{ID: n.ID, Kind: n.Kind, Op: n.Op}
@@ -144,26 +145,31 @@ func Compile(d kernels.DAG, reg *kernels.Registry, combs *kernels.CombinerRegist
 	}
 	pl.GridOut = pos[gridOut]
 
-	// Fusion rule: extend the prefix while the next node continues the
-	// leading linear chain and either its composed halo fits in the
-	// replica-prepaid local halo or it adds no reach of its own.
-	pl.Prefix = 1
+	// The leading chain: each node the one kernel reading the node before.
+	pl.Chain = 1
 	for i := 1; i <= pl.GridOut; i++ {
 		n := pl.Nodes[i]
-		chained := n.Kind == kernels.KindKernel && len(n.Parents) == 1 && n.Parents[0] == i-1
-		if !chained {
+		if n.Kind != kernels.KindKernel || len(n.Parents) != 1 || n.Parents[0] != i-1 {
 			break
 		}
-		if n.EvalHalo <= localHalo || n.Halo == 0 {
-			pl.Prefix = i + 1
-			continue
-		}
-		break
+		pl.Chain = i + 1
 	}
+	return pl, pl.fuse(1)
+}
 
+// fuse sets the fusion depth — the first depth nodes of the leading chain
+// run as round 0 — and recomputes which nodes' state outlives its round.
+func (pl *Plan) fuse(depth int) error {
+	if depth < 1 || depth > pl.Chain {
+		return fmt.Errorf("pipeline: dag %q: fusion depth %d outside [1,%d]", pl.Name, depth, pl.Chain)
+	}
+	pl.Prefix = depth
 	// Retention: a node's state survives its round when a strictly later
 	// round consumes it. The reduce folds inline in the final round, so
 	// it never forces retention on the grid output.
+	for i := range pl.Nodes {
+		pl.Nodes[i].Retain = false
+	}
 	for i := range pl.Nodes {
 		for _, p := range pl.Nodes[i].Parents {
 			if pl.Nodes[i].Kind == kernels.KindReduce {
@@ -174,7 +180,7 @@ func Compile(d kernels.DAG, reg *kernels.Registry, combs *kernels.CombinerRegist
 			}
 		}
 	}
-	return pl, nil
+	return nil
 }
 
 // Rounds returns the number of dispatch rounds: one for the fused prefix
@@ -235,9 +241,55 @@ func (pl *Plan) catchUpTargets(round int) []int {
 	return targets
 }
 
-// Spec projects the plan into the predictor's pricing shape.
-func (pl *Plan) Spec() predict.PipelineSpec {
-	spec := predict.PipelineSpec{PrefixLen: pl.Prefix}
+// work says what a round computes over each run: the lineage it evaluates
+// from the DAG input — the fused prefix, a catch-up, a second DAG root —
+// or, when fromInput is false, its one node from its parents' values.
+func (pl *Plan) work(round int, catchUp bool) (lin lineage, fromInput bool) {
+	node := pl.RoundNode(round)
+	switch {
+	case catchUp:
+		return pl.lineageOf(pl.catchUpTargets(round)), true
+	case round == 0:
+		return pl.lineageOf(pl.roundTargets(0)), true
+	case len(pl.Nodes[node].Parents) == 0:
+		return pl.lineageOf([]int{node}), true
+	}
+	return lineage{}, false
+}
+
+// schedule describes the plan's rounds at its fusion depth the way the
+// predictor prices them: what each round reads past a run and what it
+// evaluates, the terminal reduce folded into the last.
+func (pl *Plan) schedule() []predict.PipelineRound {
+	rounds := make([]predict.PipelineRound, pl.Rounds())
+	for r := range rounds {
+		rd := predict.PipelineRound{Input: -1}
+		if lin, fromInput := pl.work(r, false); fromInput {
+			rd.Input = lin.depth
+			for i, need := range lin.need {
+				if need >= 0 {
+					rd.Evals = append(rd.Evals, predict.PipelineEval{Weight: pl.Nodes[i].Weight, Need: need})
+				}
+			}
+		} else {
+			n := pl.Nodes[pl.RoundNode(r)]
+			for range n.Parents {
+				rd.Pulls = append(rd.Pulls, n.Halo) // a combine's Halo is 0
+			}
+			rd.Evals = []predict.PipelineEval{{Weight: n.Weight}}
+		}
+		if r == len(rounds)-1 && pl.Reduce >= 0 {
+			rd.Evals = append(rd.Evals, predict.PipelineEval{Weight: pl.Nodes[pl.Reduce].Weight})
+		}
+		rounds[r] = rd
+	}
+	return rounds
+}
+
+// Spec projects the plan into the predictor's pricing shape: its stages
+// and the schedule of every fusion depth, priced at the platform's rates.
+func (pl *Plan) Spec(platform cluster.Config) predict.PipelineSpec {
+	spec := predict.PipelineSpec{Platform: platform}
 	for _, n := range pl.Nodes {
 		spec.Stages = append(spec.Stages, predict.PipelineStage{
 			Name:   n.ID + "/" + n.Op,
@@ -246,21 +298,13 @@ func (pl *Plan) Spec() predict.PipelineSpec {
 			Reduce: n.Kind == kernels.KindReduce,
 		})
 	}
-	for _, n := range pl.Nodes[:pl.Prefix] {
-		if n.CumBack > spec.PrefixBack {
-			spec.PrefixBack = n.CumBack
-		}
-		if n.CumFwd > spec.PrefixFwd {
-			spec.PrefixFwd = n.CumFwd
-		}
+	for depth := 1; depth <= pl.Chain; depth++ {
+		at := *pl
+		at.Nodes = slices.Clone(pl.Nodes)
+		at.fuse(depth) // within [1, Chain]: cannot fail
+		spec.Depths = append(spec.Depths, at.schedule())
 	}
 	sink := pl.Nodes[len(pl.Nodes)-1]
 	spec.DAGBack, spec.DAGFwd = sink.CumBack, sink.CumFwd
 	return spec
-}
-
-// LocalHaloOf returns the replica-prepaid halo elements per side a
-// layout grants — the budget the fusion rule spends.
-func LocalHaloOf(lay layout.Layout, lc layout.Locator) int64 {
-	return predict.LocalHaloElems(lay, lc)
 }

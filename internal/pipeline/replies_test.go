@@ -20,8 +20,9 @@ func TestEveryHandlerBranchReplies(t *testing.T) {
 		payload any
 	}{
 		{"unknown payload", "hello"},
-		{"stage over a missing input", stageReq{Token: "t", DAG: chain3(), Input: "nope", Output: "out", Strips: []int64{0}}},
-		{"stage into a missing output", stageReq{Token: "t", DAG: chain3(), Input: "in", Output: "nope", Strips: []int64{0}}},
+		{"stage over a missing input", stageReq{Token: "t", DAG: chain3(), Input: "nope", Output: "out", Strips: []int64{0}, Depth: 1}},
+		{"stage into a missing output", stageReq{Token: "t", DAG: chain3(), Input: "in", Output: "nope", Strips: []int64{0}, Depth: 1}},
+		{"stage past the leading chain", stageReq{Token: "t", DAG: chain3(), Input: "in", Output: "out", Strips: []int64{0}, Depth: 4}},
 		{"band pull of an unknown run", bandReq{Token: "nope", Spans: []bandSpan{{Strip: 0, Hi: 1}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

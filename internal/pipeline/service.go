@@ -31,6 +31,9 @@ type stageReq struct {
 	Round   int
 	Strips  []int64
 	CatchUp bool
+	// Depth is the fusion depth the client priced (Plan.fuse): every
+	// server runs the rounds of the same prefix.
+	Depth int
 	// Owners maps every input strip to the server whose state holds the
 	// previous rounds' values for it (-1 unknown). nil in round 0.
 	Owners []int32
@@ -174,7 +177,8 @@ func transientErr(err error) bool {
 
 // runStateFor returns (building if needed) this server's state for the
 // request's token, purging it first when the server restarted since it
-// was built: a new incarnation's memory starts empty.
+// was built: a new incarnation's memory starts empty. The plan is fused
+// to the request's depth, which must lie in [1, the leading chain].
 func (svc *Service) runStateFor(srv *pfs.Server, req stageReq, in *pfs.FileMeta) (*runState, error) {
 	clu := svc.fs.Cluster()
 	inc := clu.Faults.Incarnation(srv.NodeID())
@@ -184,9 +188,11 @@ func (svc *Service) runStateFor(srv *pfs.Server, req stageReq, in *pfs.FileMeta)
 		ok = false
 	}
 	if !ok {
-		lc := in.Locator()
-		pl, err := Compile(req.DAG, svc.reg, svc.combs, svc.reds, in.Width, LocalHaloOf(in.Layout, lc))
+		pl, err := Compile(req.DAG, svc.reg, svc.combs, svc.reds, in.Width, 0)
 		if err != nil {
+			return nil, err
+		}
+		if err := pl.fuse(req.Depth); err != nil {
 			return nil, err
 		}
 		rs = &runState{plan: pl, in: in, inc: inc, state: make(map[int]map[int64][]float64)}
@@ -231,21 +237,7 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 	// The fused prefix, a catch-up and a second DAG root evaluate their
 	// targets' lineage from the durable input; any other round evaluates
 	// its node from its parents' values.
-	var targets []int
-	fromInput := true
-	switch {
-	case req.CatchUp:
-		targets = pl.catchUpTargets(req.Round)
-	case req.Round == 0:
-		targets = pl.roundTargets(0)
-	case len(n.Parents) == 0:
-		targets = []int{node}
-	case n.Kind == kernels.KindKernel || n.Kind == kernels.KindCombine:
-		fromInput = false
-	default:
-		return stageResp{}, fmt.Errorf("pipeline: round on %v node %q", n.Kind, n.ID)
-	}
-	lin := pl.lineageOf(targets)
+	lin, fromInput := pl.work(req.Round, req.CatchUp)
 	// A catch-up's compute is recovery work, traced as such.
 	label := n.ID
 	if req.CatchUp {

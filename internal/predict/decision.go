@@ -111,6 +111,12 @@ type Decision struct {
 	// zero for a kernel.
 	PerPassNetBytes, LowerBoundBytes int64
 	Stages, FusedStages              int
+	// Depths prices every fusion depth of a pipeline's leading chain
+	// (Depths[k-1] fuses k stages) and Depth is the one chosen: the
+	// fewest predicted seconds, ties to the shallower. FetchBytes and
+	// ExchangeBytes are the chosen depth's. Empty and 0 for a kernel.
+	Depths []DepthPrice
+	Depth  int
 
 	// Degraded records that a down-set was observed: strips were costed at
 	// the holders layout.Placer gives them and no element-level sum was
@@ -267,6 +273,14 @@ func (d Decision) Explain() string {
 	if d.Stages > 0 {
 		term("per-pass offload", d.PerPassNetBytes, "")
 		term("halo lower bound", d.LowerBoundBytes, "")
+		for k, dp := range d.Depths {
+			chosen := ""
+			if k+1 == d.Depth {
+				chosen = "  (chosen)"
+			}
+			fmt.Fprintf(&b, "  %-18s %14.6f s  (fetch %d, exchange %d bytes)%s\n",
+				fmt.Sprintf("fusion depth %d", k+1), dp.Seconds.Seconds(), dp.FetchBytes, dp.ExchangeBytes, chosen)
+		}
 	}
 	fmt.Fprintf(&b, "  verdict: %s\n", d.Reason)
 	return b.String()

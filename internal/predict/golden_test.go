@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/experiments"
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/kernels"
@@ -144,15 +145,14 @@ func goldenRows(t *testing.T) []string {
 	// compiles it, on the two layouts that experiment uses.
 	p := predict.Params{ElemSize: 8, StripSize: 4096, FileSize: 256 * 4096, Width: 512, OutputFactor: 1}
 	for _, lay := range []layout.Layout{layout.NewRoundRobin(4), layout.NewGroupedReplicated(4, 4, 2)} {
-		lc := layout.NewLocator(p.ElemSize, p.StripSize, lay)
 		pl, err := pipeline.Compile(experiments.PipelineDAG(), kernels.Default(), kernels.DefaultCombiners(),
-			kernels.DefaultReducers(), p.Width, pipeline.LocalHaloOf(lay, lc))
+			kernels.DefaultReducers(), p.Width, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, hit := range goldenHits {
 			for _, tl := range goldenTails {
-				d, err := predict.Estimate(pl.Spec(), p, lay, predict.Observations{HitFrac: hit, FetchP99: tl.p99, LatencyHigh: tl.high})
+				d, err := predict.Estimate(pl.Spec(cluster.Default()), p, lay, predict.Observations{HitFrac: hit, FetchP99: tl.p99, LatencyHigh: tl.high})
 				add(d, err, pipelineRow, "pipeline lay=%s hit=%g tail=%s", lay.Name(), hit, tl.name)
 			}
 		}

@@ -2,8 +2,11 @@ package predict
 
 import (
 	"fmt"
+	"slices"
 
+	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/layout"
+	"github.com/hpcio/das/internal/sim"
 )
 
 // PipelineStage describes one DAG node, in topological order, for
@@ -19,32 +22,64 @@ type PipelineStage struct {
 	Reduce bool
 }
 
-// PipelineSpec is the execution shape the pipeline planner settled on,
-// handed to the predictor for pricing. The planner owns the fusion rule;
-// the predictor prices the resulting schedule.
+// PipelineEval is one node a dispatch round evaluates for each run: at
+// its kernel weight, over the run widened by Need elements a side
+// (clamped to the file) — a fused prefix evaluates its earlier stages
+// over the halo its later ones read, and that redundant compute is billed.
+type PipelineEval struct {
+	Weight float64
+	Need   int64
+}
+
+// PipelineRound is one dispatch round of a schedule, as every server runs
+// it over each of its runs.
+type PipelineRound struct {
+	// Input is how far past a run the round reads the DAG input, the
+	// strips its server does not hold fetched from their primaries; -1
+	// when the round reads its parents' retained values instead.
+	Input int64
+	// Pulls holds, per parent read from retained values, how far past a
+	// run it is read: the strips of that range another server computed
+	// are pulled from it as bands, one message per server.
+	Pulls []int64
+	// Evals are what the round computes over each run.
+	Evals []PipelineEval
+}
+
+// PipelineSpec is a compiled operator DAG as the predictor prices it: its
+// stages, and the schedule each fusion depth of its leading chain would
+// run. The predictor picks the depth; the planner only lists them.
 type PipelineSpec struct {
 	// Stages in topological order.
 	Stages []PipelineStage
-	// PrefixLen is the number of leading stages fused into the first
-	// dispatch, which reads the input file with a deep halo instead of
-	// exchanging intermediate bands.
-	PrefixLen int
-	// PrefixBack and PrefixFwd are the composed (Minkowski-summed) reach
-	// of the fused prefix against the DAG input.
-	PrefixBack, PrefixFwd int64
+	// Depths holds one schedule per fusion depth: Depths[k-1] fuses the
+	// leading chain's first k stages into round 0, which reads the input
+	// file with a deep halo instead of exchanging intermediate bands. The
+	// last round of every schedule stores the grid output.
+	Depths [][]PipelineRound
 	// DAGBack and DAGFwd are the composed reach of the whole DAG against
 	// the input — the per-direction maxima over root-to-sink paths that
 	// the I/O lower bound is built from.
 	DAGBack, DAGFwd int64
+	// Platform supplies every rate a schedule's seconds are priced at.
+	Platform cluster.Config
 }
 
-// FusedStages counts the stages a run avoids dispatching separately: the
-// fused prefix beyond its first stage plus every later zero-reach stage
-// (reduces, element-wise combines), which never pulls and folds into its
-// parent's round.
-func (spec PipelineSpec) FusedStages() int {
-	fused := spec.PrefixLen - 1
-	for _, st := range spec.Stages[spec.PrefixLen:] {
+// DepthPrice is one fusion depth's predicted run: its simulated seconds
+// and the halo bytes it moves — input fetched by from-input rounds,
+// bands pulled by the others.
+type DepthPrice struct {
+	Seconds                   sim.Time
+	FetchBytes, ExchangeBytes int64
+}
+
+// FusedStages counts the stages a run at the given fusion depth avoids
+// dispatching separately: the fused prefix beyond its first stage plus
+// every later zero-reach stage (reduces, element-wise combines), which
+// never pulls.
+func (spec PipelineSpec) FusedStages(depth int) int {
+	fused := depth - 1
+	for _, st := range spec.Stages[depth:] {
 		if st.Back == 0 && st.Fwd == 0 {
 			fused++
 		}
@@ -52,115 +87,301 @@ func (spec PipelineSpec) FusedStages() int {
 	return fused
 }
 
-// cutPositions returns the element index of every assignment boundary:
-// positions where consecutive strips have different primary servers.
-// Halo traffic — and its lower bound — crosses exactly these cuts.
-func cutPositions(lc layout.Locator, fileSize int64) []int64 {
-	var cuts []int64
-	n := lc.Strips(fileSize)
-	for s := int64(1); s < n; s++ {
-		if lc.Layout.Primary(s) != lc.Layout.Primary(s-1) {
-			lo, _ := lc.StripBounds(s, fileSize)
-			cuts = append(cuts, lo/lc.ElemSize)
-		}
-	}
-	return cuts
+// stripRun is a maximal range of consecutive strips one server is the
+// primary of: the unit a storage server assembles, computes and stores.
+type stripRun struct {
+	first, last int64 // strips, inclusive
+	lo, hi      int64 // elements
 }
 
-// bandBytesAcrossCuts returns the bytes of a (back, fwd)-reach band
-// crossing every cut, clamped exactly at the file edges: a cut at element
-// c moves min(back, c) elements leftward and min(fwd, total-c) rightward.
-func bandBytesAcrossCuts(cuts []int64, total, elemSize, back, fwd int64) int64 {
+// assignmentRuns returns each server's runs, ascending: the schedule a
+// healthy dispatch gives every server (a strip on its primary).
+func assignmentRuns(lc layout.Locator, fileSize int64) [][]stripRun {
+	runs := make([][]stripRun, lc.Layout.Servers())
+	prev := -1
+	for s := int64(0); s < lc.Strips(fileSize); s++ {
+		lo, hi := lc.StripBounds(s, fileSize)
+		srv := lc.Layout.Primary(s)
+		if srv == prev {
+			r := &runs[srv][len(runs[srv])-1]
+			r.last, r.hi = s, hi/lc.ElemSize
+			continue
+		}
+		runs[srv] = append(runs[srv], stripRun{first: s, last: s, lo: lo / lc.ElemSize, hi: hi / lc.ElemSize})
+		prev = srv
+	}
+	return runs
+}
+
+// reached calls visit with every strip outside run that the range
+// [run.lo−back, run.hi+fwd), clamped to the file, reaches and the
+// elements of it reached — what the run's server must have brought in to
+// read that far.
+func (run stripRun) reached(lc layout.Locator, total, back, fwd int64, visit func(strip, elems int64)) {
+	eps := lc.ElemsPerStrip()
+	for _, side := range [2][2]int64{{max(run.lo-back, 0), run.lo}, {run.hi, min(run.hi+fwd, total)}} {
+		for lo, hi := side[0], side[1]; lo < hi; {
+			t := lo / eps
+			end := min((t+1)*eps, hi)
+			visit(t, end-lo)
+			lo = end
+		}
+	}
+}
+
+// remoteBytes is what reached finds on strips local does not cover.
+func (run stripRun) remoteBytes(lc layout.Locator, total, back, fwd int64, local func(strip int64) bool) int64 {
+	var elems int64
+	run.reached(lc, total, back, fwd, func(t, n int64) {
+		if !local(t) {
+			elems += n
+		}
+	})
+	return elems * lc.ElemSize
+}
+
+// lowerBound is the composed-offset halo minimum for a DAG of the given
+// composed reach under the layout's strip assignment: every assignment
+// run must bring in its dependence cone's width in each direction,
+// clamped at the file edges, except what lies on strips its own server is
+// the primary of. Replica-prepaid halos (DAS layouts) can beat this bound
+// at run time — it prices an unreplicated placement.
+func lowerBound(lc layout.Locator, p Params, runs [][]stripRun, back, fwd int64) int64 {
 	var bytes int64
-	for _, c := range cuts {
-		b, f := back, fwd
-		if b > c {
-			b = c
+	for srv, rs := range runs {
+		for _, run := range rs {
+			bytes += run.remoteBytes(lc, p.TotalElems(), back, fwd, func(t int64) bool { return lc.Layout.Primary(t) == srv })
 		}
-		if f > total-c {
-			f = total - c
-		}
-		bytes += (b + f) * elemSize
 	}
 	return bytes
 }
 
-// PipelineLowerBound returns the composed-offset halo minimum for a DAG
-// of the given composed reach under the layout's strip assignment: every
-// assignment cut must move at least the dependence cone's width in each
-// direction, clamped at the file edges. Replica-prepaid halos (DAS
-// layouts) can beat this bound at run time — the bound prices what must
-// cross cuts during execution for an unreplicated placement.
-func PipelineLowerBound(p Params, lay layout.Layout, dagBack, dagFwd int64) (int64, error) {
-	if err := p.validate(); err != nil {
-		return 0, err
-	}
-	lc := layout.NewLocator(p.ElemSize, p.StripSize, lay)
-	cuts := cutPositions(lc, p.FileSize)
-	return bandBytesAcrossCuts(cuts, p.TotalElems(), p.ElemSize, dagBack, dagFwd), nil
-}
-
-// LocalHaloElems returns how many elements of halo each assignment run
-// already holds locally per side: grouped-replicated layouts replicate
-// Halo whole strips across group boundaries, every other layout none.
-func LocalHaloElems(lay layout.Layout, lc layout.Locator) int64 {
-	if gr, ok := lay.(layout.GroupedReplicated); ok {
-		return int64(gr.Halo) * lc.ElemsPerStrip()
-	}
-	return 0
-}
-
 // price prices a whole operator DAG for server-side pushdown, decided in
-// one shot instead of one accept/reject per kernel: the fused prefix's
-// input halo, each later stage's intermediate boundary bands, and the final
-// writeback's replica maintenance, against both the per-pass offload (which
-// writes every intermediate raster back with replicas) and traditional
-// storage (which ships every raster to a compute node and back).
+// one shot instead of one accept/reject per kernel. Every fusion depth's
+// schedule is priced in simulated seconds and the cheapest runs, ties to
+// the shallower; its input halo fetch and intermediate band exchange are
+// the moving bytes, set against both the per-pass offload (which writes
+// every intermediate raster back with replicas) and traditional storage
+// (which ships every raster to a compute node and back).
 func (spec PipelineSpec) price(d *Decision, p Params, lc layout.Locator, _ func(srv int) bool) error {
 	if len(spec.Stages) == 0 {
 		return fmt.Errorf("predict: pipeline with no stages")
 	}
-	if spec.PrefixLen < 1 || spec.PrefixLen > len(spec.Stages) {
-		return fmt.Errorf("predict: fused prefix %d out of [1,%d]", spec.PrefixLen, len(spec.Stages))
+	if len(spec.Depths) == 0 || len(spec.Depths) > len(spec.Stages) {
+		return fmt.Errorf("predict: %d fusion depths for %d stages", len(spec.Depths), len(spec.Stages))
 	}
-	cuts := cutPositions(lc, p.FileSize)
-	total := p.TotalElems()
-	halo := LocalHaloElems(lc.Layout, lc)
-	// band prices a (back, fwd) reach pulled across every cut, beyond what
-	// the layout already replicated locally.
-	band := func(back, fwd, prepaid int64) int64 {
-		return bandBytesAcrossCuts(cuts, total, p.ElemSize, max(back-prepaid, 0), max(fwd-prepaid, 0))
+	if err := spec.Platform.Validate(); err != nil {
+		return err
 	}
 	d.Analysis = Analysis{Layout: lc.Layout.Name()}
 	d.InputReplicaBytes = 0 // placed at ingest; kernel pricing charges it all the same (DESIGN.md §3.1)
-	d.Stages, d.FusedStages = len(spec.Stages), spec.FusedStages()
-	d.LowerBoundBytes = band(spec.DAGBack, spec.DAGFwd, 0)
-
-	// First dispatch: the fused prefix's composed halo, fetched at band
-	// granularity. Later rounds: each unfused stage pulls its own-reach
-	// band of its parent's output, which no replica prepaid.
-	d.FetchBytes = band(spec.PrefixBack, spec.PrefixFwd, halo)
-	for _, st := range spec.Stages[spec.PrefixLen:] {
-		d.ExchangeBytes += band(st.Back, st.Fwd, 0)
+	runs := assignmentRuns(lc, p.FileSize)
+	d.Depths = make([]DepthPrice, len(spec.Depths))
+	for k, rounds := range spec.Depths {
+		if len(rounds) == 0 {
+			return fmt.Errorf("predict: fusion depth %d has no rounds", k+1)
+		}
+		d.Depths[k] = spec.priceSchedule(rounds, p, lc, runs)
+		if d.Depth == 0 || d.Depths[k].Seconds < d.Depths[d.Depth-1].Seconds {
+			d.Depth = k + 1
+		}
 	}
+	chosen := d.Depths[d.Depth-1]
+	d.FetchBytes, d.ExchangeBytes = chosen.FetchBytes, chosen.ExchangeBytes
+	d.Stages, d.FusedStages = len(spec.Stages), spec.FusedStages(d.Depth)
+	d.LowerBoundBytes = lowerBound(lc, p, runs, spec.DAGBack, spec.DAGFwd)
 
 	// Alternatives. Per-pass offload: every stage fetches its own halo
-	// beyond the local coverage and every raster-producing stage pays
-	// replica writeback of its output. Traditional storage: every pass
-	// ships the raster down and the result back (the reduce returns only
-	// an aggregate, but still reads the raster).
+	// beyond what each run's server holds and every raster-producing stage
+	// pays replica writeback of its output. Traditional storage: every
+	// pass ships the raster down and the result back (the reduce returns
+	// only an aggregate, but still reads the raster).
 	outBytes := int64(float64(p.FileSize) * p.OutputFactor)
 	for _, st := range spec.Stages {
 		if st.Reduce {
 			continue
 		}
-		d.PerPassNetBytes += band(st.Back, st.Fwd, halo) + d.OutputReplicaBytes
+		for srv, rs := range runs {
+			for _, run := range rs {
+				d.PerPassNetBytes += run.remoteBytes(lc, p.TotalElems(), st.Back, st.Fwd, func(t int64) bool { return layout.Holds(lc.Layout, t, srv) })
+			}
+		}
+		d.PerPassNetBytes += d.OutputReplicaBytes
 		d.NormalNetBytes += p.FileSize + outBytes
 	}
 	if spec.Stages[len(spec.Stages)-1].Reduce {
 		d.NormalNetBytes += p.FileSize
 	}
 	return nil
+}
+
+// busy is one server's resource time within a round: what the floors of
+// the round's critical path are made of.
+type busy struct{ egress, ingress, disk sim.Time }
+
+// priceSchedule walks a schedule round by round over each server's
+// assignment runs (DESIGN.md §14 *What a depth is priced at*). On each
+// server a round takes its runs the way the run loop walks them, one run
+// assembled ahead: the first run's assembly, then per later run the
+// longer of the previous run's compute and this run's assembly, then the
+// last compute and, in the storing round, the last write or its replica
+// forwards. It lasts at least as long as that server's egress, ingress
+// and disk are busy, and the slowest server ends it, one dispatch round
+// trip later. A message costs egress serialisation + Latency + ingress
+// serialisation, store and forward, and a run's messages arrive through
+// its one ingress.
+func (spec PipelineSpec) priceSchedule(rounds []PipelineRound, p Params, lc layout.Locator, runs [][]stripRun) DepthPrice {
+	cfg := spec.Platform
+	lay, total := lc.Layout, p.TotalElems()
+	lat := cfg.Net.Latency
+	wire := func(bytes int64) sim.Time { return sim.TransferTime(bytes, cfg.Net.BytesPerSec) }
+	read := func(bytes int64) sim.Time {
+		return cfg.Disk.SeekTime + sim.TransferTime(bytes, cfg.Disk.ReadBytesPerSec)
+	}
+	write := func(bytes int64) sim.Time {
+		return cfg.Disk.SeekTime + sim.TransferTime(bytes, cfg.Disk.WriteBytesPerSec)
+	}
+	// In the storing round a server forwards each run's output as its
+	// compute ends, and a message it sends for another server's run waits
+	// behind one run's forwards on its FIFO egress.
+	queue := make([]sim.Time, lay.Servers())
+	for srv, rs := range runs {
+		for _, run := range rs {
+			var sent sim.Time
+			_, bytes := forwards(lc, p.FileSize, run, srv)
+			for _, b := range bytes {
+				sent += wire(b)
+			}
+			queue[srv] = max(queue[srv], sent)
+		}
+	}
+
+	price := DepthPrice{Seconds: cfg.Startup}
+	for r, rd := range rounds {
+		final := r == len(rounds)-1
+		load := make([]busy, lay.Servers())
+		walks := make([]sim.Time, lay.Servers())
+		for srv, rs := range runs {
+			var walk, prevCompute sim.Time
+			for i, run := range rs {
+				// Assembly: the run's own messages, each from one source
+				// server, after whatever it reads from its own disk.
+				type msg struct {
+					from  int
+					bytes int64
+					disk  bool // a fetched strip is read off its primary's disk
+				}
+				var msgs []msg
+				var local sim.Time
+				if rd.Input >= 0 {
+					held := (run.hi - run.lo) * lc.ElemSize
+					run.reached(lc, total, rd.Input, rd.Input, func(t, n int64) {
+						if layout.Holds(lay, t, srv) {
+							held += n * lc.ElemSize
+						} else {
+							msgs = append(msgs, msg{lay.Primary(t), n * lc.ElemSize, true})
+							price.FetchBytes += n * lc.ElemSize
+						}
+					})
+					local = read(held)
+					load[srv].disk += local
+				}
+				for _, h := range rd.Pulls {
+					from := len(msgs)
+					run.reached(lc, total, h, h, func(t, n int64) {
+						owner := lay.Primary(t)
+						if owner == srv {
+							return
+						}
+						price.ExchangeBytes += n * lc.ElemSize
+						for j := from; j < len(msgs); j++ {
+							if msgs[j].from == owner {
+								msgs[j].bytes += n * lc.ElemSize
+								return
+							}
+						}
+						msgs = append(msgs, msg{owner, n * lc.ElemSize, false})
+					})
+				}
+				var arrive sim.Time
+				for _, m := range msgs {
+					serve := sim.Time(0)
+					if m.disk {
+						serve = read(m.bytes)
+						load[m.from].disk += serve
+					}
+					leave := lat + serve
+					if final {
+						leave += queue[m.from]
+					}
+					load[m.from].egress += wire(m.bytes)
+					load[srv].ingress += wire(m.bytes)
+					arrive = max(arrive, leave+wire(m.bytes)+lat) + wire(m.bytes)
+				}
+				assemble := local + arrive
+
+				var weighted float64
+				for _, e := range rd.Evals {
+					weighted += e.Weight * float64(min(run.hi+e.Need, total)-max(run.lo-e.Need, 0))
+				}
+				compute := sim.Time(weighted * cfg.ComputeNsPerElem)
+
+				if i == 0 {
+					walk = assemble
+				} else {
+					walk += max(prevCompute, assemble)
+				}
+				prevCompute = compute
+				if !final {
+					continue
+				}
+				// The run's output is written locally one run behind and
+				// forwarded to its other holders, one message per holder.
+				bytes := (run.hi - run.lo) * lc.ElemSize
+				load[srv].disk += write(bytes)
+				tail := write(bytes)
+				holders, sizes := forwards(lc, p.FileSize, run, srv)
+				for j, h := range holders {
+					b := sizes[j]
+					load[srv].egress += wire(b)
+					load[h].ingress += wire(b)
+					load[h].disk += write(b)
+					tail = max(tail, wire(b)+lat+wire(b)+write(b)+lat)
+				}
+				if i == len(rs)-1 {
+					walk += tail
+				}
+			}
+			walks[srv] = walk + prevCompute
+		}
+		var slowest sim.Time
+		for srv, b := range load {
+			slowest = max(slowest, walks[srv], b.egress, b.ingress, b.disk)
+		}
+		price.Seconds += slowest + 2*lat
+	}
+	return price
+}
+
+// forwards returns, per server other than srv that holds some strip of
+// the run, the bytes of the run it holds: one forward message each, in
+// order of first appearance.
+func forwards(lc layout.Locator, fileSize int64, run stripRun, srv int) (holders []int, bytes []int64) {
+	for t := run.first; t <= run.last; t++ {
+		lo, hi := lc.StripBounds(t, fileSize)
+		for _, h := range layout.Holders(lc.Layout, t) {
+			if h == srv {
+				continue
+			}
+			j := slices.Index(holders, h)
+			if j < 0 {
+				j = len(holders)
+				holders, bytes = append(holders, h), append(bytes, 0)
+			}
+			bytes[j] += hi - lo
+		}
+	}
+	return holders, bytes
 }
 
 func (spec PipelineSpec) reason(d *Decision, obs Observations) string {

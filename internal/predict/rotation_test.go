@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/experiments"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
@@ -69,11 +70,11 @@ func TestEstimateIgnoresWhereAFileStarts(t *testing.T) {
 		var ds []predict.Decision
 		for _, l := range []layout.Layout{lay, rot} {
 			pl, err := pipeline.Compile(experiments.PipelineDAG(), kernels.Default(), kernels.DefaultCombiners(),
-				kernels.DefaultReducers(), p.Width, pipeline.LocalHaloOf(l, layout.NewLocator(p.ElemSize, p.StripSize, l)))
+				kernels.DefaultReducers(), p.Width, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := predict.Estimate(pl.Spec(), p, l, predict.Observations{})
+			dec, err := predict.Estimate(pl.Spec(cluster.Default()), p, l, predict.Observations{})
 			if err != nil {
 				t.Fatal(err)
 			}
