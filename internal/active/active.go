@@ -259,7 +259,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 		st.Compute(p, clu.ComputeTime(e1-e0, k.Weight()), req.Op, e1-e0)
 		resp.Elements += e1 - e0
 		resp.Strips += run.Last - run.First + 1
-		return st.Store(p, run, outVals)
+		return st.Store(p, run, outVals, nil)
 	}
 	err := WalkRuns(p, StripRuns(in, req.Strips), assemble, compute, st.Stalled(p))
 	if err := st.Drain(p, err); err != nil {

@@ -200,8 +200,11 @@ func (st *Stages) Compute(p *sim.Proc, d sim.Time, op string, elems int64) {
 // FIFO NICs once compute stops pacing them. The returned write stores the
 // run's strips locally in one batched disk pass, WalkRuns' write stage.
 // vals becomes the stored strips by reference, here and on the holders:
-// nothing may write it again.
-func (st *Stages) Store(p *sim.Proc, run StripRun, vals []float64) (write func(w *sim.Proc) error) {
+// nothing may write it again. stored, when non-nil, is called once the
+// local write has returned and every forward has fired, all without an
+// error — the run is then on every holder it is owed to — and never when
+// any of them failed; nothing waits for it.
+func (st *Stages) Store(p *sim.Proc, run StripRun, vals []float64, stored func()) (write func(w *sim.Proc) error) {
 	srv, out, clu := st.srv, st.out, st.fs.Cluster()
 	outBytes := grid.Bytes(vals)
 	strips := make([]int64, 0, run.Last-run.First+1)
@@ -216,7 +219,7 @@ func (st *Stages) Store(p *sim.Proc, run StripRun, vals []float64) (write func(w
 		return func(*sim.Proc) error { return err }
 	}
 	st.forwards = append(st.forwards, sent...)
-	return func(w *sim.Proc) error {
+	local := func(w *sim.Proc) error {
 		writeStart := w.Now()
 		if err := srv.LocalWriteMany(w, out.Name, strips, chunks); err != nil {
 			return err
@@ -226,6 +229,23 @@ func (st *Stages) Store(p *sim.Proc, run StripRun, vals []float64) (write func(w
 			clu.Trace.Record(writeStart, w.Now()-writeStart, Lane(srv, "write"), "write",
 				fmt.Sprintf("%d output strips of %s", len(strips), out.Name))
 		}
+		return nil
+	}
+	if stored == nil {
+		return local
+	}
+	return func(w *sim.Proc) error {
+		if err := local(w); err != nil {
+			return err
+		}
+		w.Spawn("as-stored", func(a *sim.Proc) {
+			for _, err := range sim.WaitAll(a, sent) {
+				if err != nil {
+					return
+				}
+			}
+			stored()
+		})
 		return nil
 	}
 }

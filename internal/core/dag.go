@@ -164,8 +164,7 @@ func (s *System) runDAGPushdown(rep *DAGReport, req DAGRequest, in *pfs.FileMeta
 	attemptStart := s.Clu.Eng.Now()
 	execTime, err := s.run("dag-"+req.DAG.Name, func(p *sim.Proc) error {
 		s.startup(p)
-		res, err := pipeline.NewClient(s.FS, s.Clu.ComputeID(0), s.Registry, s.Combiners, s.Reducers).
-			Run(p, req.DAG, req.Input, req.Output)
+		res, err := s.Pipeline.NewClient(s.Clu.ComputeID(0)).Run(p, req.DAG, req.Input, req.Output)
 		rep.Run = res
 		return err
 	})

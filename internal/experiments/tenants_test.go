@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -68,60 +66,6 @@ func TestTenantsRecordsWithinTheirBound(t *testing.T) {
 	if n != len(tenantsVariants) {
 		t.Errorf("%d committed tenants records, want %d", n, len(tenantsVariants))
 	}
-}
-
-// TestPushdownRecordsWithinTheirBound holds the committed full-scale
-// terrain pushdown records to their bound, and the crash cell to what a
-// catch-up costs: each caught-up strip evaluates its lineage once, the
-// catch-up wave spreads over every live holder, and no call waits on a
-// crashed caller, so the crash + restart run takes at most 1.6× its
-// healthy twin (1.56×; 1.80× when the wave queued on the first live
-// holder and a dead caller's call waited out its timeout, 2.28× when a
-// catch-up evaluated each target's lineage on its own).
-func TestPushdownRecordsWithinTheirBound(t *testing.T) {
-	var n int
-	var crashed, healthy *StepRecord
-	for _, rec := range committedRecords(t) {
-		if !strings.HasPrefix(rec.Name, PipelineDAG().Name+" ") || !strings.Contains(rec.Name, "pushdown") {
-			continue
-		}
-		n++
-		step := &rec.Steps[0]
-		if bound := step.Stats["bound_seconds"]; bound <= 0 || step.SimSeconds < bound {
-			t.Errorf("%s: sim %.4fs not at or above its bound %.4fs", rec.Name, step.SimSeconds, bound)
-		}
-		switch {
-		case strings.Contains(rec.Name, "faults[crash"):
-			crashed = step
-		case strings.HasSuffix(rec.Name, "grouped(r=2,halo=2) | DAS pushdown(forced)"):
-			healthy = step
-		}
-	}
-	if n != 4 || crashed == nil || healthy == nil {
-		t.Fatalf("%d committed pushdown records (crash cell %v, its healthy twin %v), want 4 with both",
-			n, crashed != nil, healthy != nil)
-	}
-	if crashed.Stats.Int("catch_ups") == 0 {
-		t.Error("the crash cell caught no strip up")
-	}
-	if ratio := crashed.SimSeconds / healthy.SimSeconds; ratio > 1.6 {
-		t.Errorf("the crash cell took %.4fs, %.2f× its healthy twin's %.4fs; want at most 1.6×",
-			crashed.SimSeconds, ratio, healthy.SimSeconds)
-	}
-}
-
-// committedRecords reads the committed full-scale records, BENCH_sim.json.
-func committedRecords(t *testing.T) []Record {
-	t.Helper()
-	data, err := os.ReadFile("../../BENCH_sim.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var committed []Record
-	if err := json.Unmarshal(data, &committed); err != nil {
-		t.Fatal(err)
-	}
-	return committed
 }
 
 // checkTenantsBound checks a tenant-streams record against its bound: the

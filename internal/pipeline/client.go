@@ -16,9 +16,10 @@ import (
 	"github.com/hpcio/das/internal/simnet"
 )
 
-// maxAttempts bounds redispatch attempts within one round. Catch-up
-// always recomputes from the durable input, so under any single-failure
-// plan the second attempt completes.
+// maxAttempts bounds redispatch attempts within one round. A strip is
+// redispatched only when its request was lost and, in the final round, no
+// ack covers it; it is then caught up from the durable input, so under any
+// single-failure plan the second attempt completes.
 const maxAttempts = 6
 
 // RunResult summarizes one pipeline run: the execution shape the
@@ -39,7 +40,6 @@ type RunResult struct {
 	ExchangeBytes int64
 	CatchUps      int64
 	Redispatches  int64
-	Wrote         int64
 	// Depth is the fusion depth the run priced and ran, and
 	// PredictedSeconds what the prediction core priced that depth at
 	// (predict.Decision.Depths) — startup included, as in the run's own
@@ -78,27 +78,19 @@ func (r RunResult) LowerBoundRatio() float64 {
 // strips with catch-up when a server crash loses in-memory state, and
 // merges the terminal reduce partials in canonical strip order.
 type Client struct {
+	svc         *Service
 	fs          *pfs.FileSystem
 	nodeID      int
-	reg         *kernels.Registry
-	combs       *kernels.CombinerRegistry
-	reds        *kernels.ReducerRegistry
-	seq         int
+	acks        *acks
 	execRetries *metrics.Counter // recovery.exec_retries
 }
 
-// NewClient builds a pipeline client on the given compute node. Nil
-// combiner or reducer registries install the defaults (they must match
-// the deployed service's registries: both sides compile the same plan).
-func NewClient(fs *pfs.FileSystem, nodeID int, reg *kernels.Registry, combs *kernels.CombinerRegistry, reds *kernels.ReducerRegistry) *Client {
-	if combs == nil {
-		combs = kernels.DefaultCombiners()
-	}
-	if reds == nil {
-		reds = kernels.DefaultReducers()
-	}
-	return &Client{fs: fs, nodeID: nodeID, reg: reg, combs: combs, reds: reds,
-		execRetries: fs.Cluster().Counters.Counter("recovery.exec_retries")}
+// NewClient builds a client of the service on the given compute node: it
+// compiles plans with the service's registries, as the servers do, and
+// receives its runs' acks on the node's ack port.
+func (svc *Service) NewClient(nodeID int) *Client {
+	return &Client{svc: svc, fs: svc.fs, nodeID: nodeID, acks: svc.acks[nodeID],
+		execRetries: svc.fs.Cluster().Counters.Counter("recovery.exec_retries")}
 }
 
 // Run executes the DAG over input, committing the grid output into the
@@ -129,7 +121,7 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 	if out.Size != in.Size || out.StripSize != in.StripSize {
 		return RunResult{}, fmt.Errorf("pipeline: output geometry differs from input")
 	}
-	pl, err := Compile(d, c.reg, c.combs, c.reds, in.Width, 0)
+	pl, err := Compile(d, c.svc.reg, c.svc.combs, c.svc.reds, in.Width, 0)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -152,8 +144,11 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 	if err := pl.fuse(depth); err != nil {
 		return RunResult{}, err
 	}
-	c.seq++
-	token := fmt.Sprintf("%s#%d@%d", d.Name, c.seq, c.nodeID)
+	c.acks.seq++
+	token := fmt.Sprintf("%s#%d@%d", d.Name, c.acks.seq, c.nodeID)
+	acked := make(map[int64][]float64)
+	c.acks.runs[token] = acked
+	defer delete(c.acks.runs, token)
 
 	f := clu.Faults
 	strips := in.Strips()
@@ -210,7 +205,7 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 			// durable input where the placer spreads them. They must
 			// land before wave B, whose band pulls target the new owners.
 			if len(catchStrips) > 0 {
-				failed, err := c.dispatch(p, pl, token, d, input, output, round, true, catchStrips, owner, ownerInc, partials, &res)
+				failed, err := c.dispatch(p, pl, token, d, input, output, round, true, catchStrips, owner, ownerInc, acked, partials, &res)
 				if err != nil {
 					return RunResult{}, err
 				}
@@ -228,7 +223,7 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 			}
 			pending = pending[:0]
 			if len(normal) > 0 {
-				failed, err := c.dispatch(p, pl, token, d, input, output, round, false, normal, owner, ownerInc, partials, &res)
+				failed, err := c.dispatch(p, pl, token, d, input, output, round, false, normal, owner, ownerInc, acked, partials, &res)
 				if err != nil {
 					return RunResult{}, err
 				}
@@ -271,10 +266,12 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 // through active.FanOut, and folds successful responses into owner
 // tracking, partials, and the run result. It returns the strips whose
 // server failed transiently (crash mid-round, lost state) for
-// reassignment; hard errors abort.
+// reassignment, except those an ack covers — only final-round runs are
+// acked: they are stored on every holder, and their partials are taken
+// from acked. Hard errors abort.
 func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, input, output string,
 	round int, catchUp bool, strips []int64, owner []int32, ownerInc []uint64,
-	partials map[int64][]float64, res *RunResult) ([]int64, error) {
+	acked, partials map[int64][]float64, res *RunResult) ([]int64, error) {
 	clu := c.fs.Cluster()
 	live := func(srv int) bool { return !clu.ServerDown(srv) }
 	out, _ := c.fs.Meta(output)
@@ -324,7 +321,13 @@ func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, in
 		srv := reqs[i].Srv
 		resp, ok := r.Payload.(stageResp)
 		if !ok || (resp.Err != "" && resp.Transient) {
-			failed = append(failed, assign[srv]...)
+			for _, s := range assign[srv] {
+				if partial, ok := acked[s]; ok {
+					partials[s] = partial
+				} else {
+					failed = append(failed, s)
+				}
+			}
 			continue
 		}
 		if resp.Err != "" {
@@ -348,7 +351,6 @@ func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, in
 		res.ExchangeOps += resp.ExchangeOps
 		res.ExchangeBytes += resp.ExchangeBytes
 		res.CatchUps += resp.CatchUps
-		res.Wrote += resp.Wrote
 		wave.MaxWith(resp.Phases)
 	}
 	res.Phases.Add(wave)

@@ -14,7 +14,6 @@ import (
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/trace"
-	"github.com/hpcio/das/internal/workload"
 )
 
 // TestPipelineCrashWithARoundPrefetched crashes a server in the middle of
@@ -85,7 +84,7 @@ func TestPipelineCrashWithARoundPrefetched(t *testing.T) {
 			t.Errorf("catch-up traced as %s %s %q", e.Actor, e.Phase, e.Note)
 		}
 	}
-	wantReference(t, rig, d, res)
+	wantReference(t, rig, d, "out", res)
 	if res.CatchUps == 0 {
 		t.Error("the restart wiped server 1's state, yet no strip's lineage was caught up")
 	}
@@ -129,7 +128,15 @@ func crashRun(t *testing.T, cfg cluster.Config, lay layout.Layout, d kernels.DAG
 	rig := newRigOn(t, cfg, lay, testW, testH, testStrip, func(fs *pfs.FileSystem) *Service {
 		return Deploy(fs, kernels.Default(), nil, nil)
 	})
-	rig.createOut(t, "out")
+	return rig.crashRun(t, d, "out", crashAt, downFor)
+}
+
+// crashRun runs d, traced, into a new output file out on the rig, with
+// server 1 crashing at crashAt on the platform's clock and restarting
+// downFor later (never when downFor is 0).
+func (rig *testRig) crashRun(t *testing.T, d kernels.DAG, out string, crashAt, downFor sim.Time) crashed {
+	t.Helper()
+	rig.createOut(t, out)
 	at := crashAt - rig.clu.Eng.Now() // plan times count from the install
 	events := []fault.Event{{At: at, Kind: fault.Crash, Server: 1}}
 	if downFor > 0 {
@@ -142,7 +149,7 @@ func crashRun(t *testing.T, cfg cluster.Config, lay layout.Layout, d kernels.DAG
 	rig.clu.Trace = c.rec
 	rig.run(t, func(p *sim.Proc) error {
 		var err error
-		c.res, err = NewClient(rig.fs, rig.clu.ComputeID(0), kernels.Default(), nil, nil).Run(p, d, "in", "out")
+		c.res, err = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, d, "in", out)
 		c.end = p.Now()
 		return err
 	})
@@ -158,27 +165,27 @@ func crashMidRun(t *testing.T, lay layout.Layout, d kernels.DAG, downFor sim.Tim
 	return crashRun(t, cluster.Default(), lay, d, (healthy.start+healthy.end)/2, downFor)
 }
 
-// wantReference checks the run's output and reduce against the
-// sequential evaluation of d, bit for bit, that every output strip is on
-// its primary when the primary is up — a strip's single write point, which
-// reads try first — and that every request the run delivered was answered
-// once.
-func wantReference(t *testing.T, rig *testRig, d kernels.DAG, res RunResult) {
+// wantReference checks the run's output file out and its reduce against
+// the sequential evaluation of d over the rig's input, bit for bit, that
+// every output strip is on its primary when the primary is up — a strip's
+// single write point, which reads try first — and that every request the
+// run delivered was answered once.
+func wantReference(t *testing.T, rig *testRig, d kernels.DAG, out string, res RunResult) {
 	t.Helper()
-	out, _ := rig.fs.Meta("out")
-	for s := int64(0); s < out.Strips(); s++ {
-		if p := out.Layout.Primary(s); !rig.clu.ServerDown(p) && !rig.fs.Server(p).Holds("out", s) {
+	m, _ := rig.fs.Meta(out)
+	for s := int64(0); s < m.Strips(); s++ {
+		if p := m.Layout.Primary(s); !rig.clu.ServerDown(p) && !rig.fs.Server(p).Holds(out, s) {
 			t.Errorf("output strip %d is not on its live primary, server %d", s, p)
 		}
 	}
-	want, err := kernels.ApplyDAG(d, kernels.Default(), kernels.DefaultCombiners(), workload.Terrain(testW, testH, 11))
+	want, err := kernels.ApplyDAG(d, kernels.Default(), kernels.DefaultCombiners(), rig.g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rig.fetch(t, "out"); !got.Equal(want) {
+	if got := rig.fetch(t, out); !got.Equal(want) {
 		t.Errorf("output differs from the reference (max diff %g)", got.MaxAbsDiff(want))
 	}
-	wantReduce := kernels.ReduceStriped(kernels.Stats{}, want, testStrip/grid.ElemSize)
+	wantReduce := kernels.ReduceStriped(kernels.Stats{}, want, m.StripSize/grid.ElemSize)
 	if len(res.Reduce) != len(wantReduce) {
 		t.Fatalf("reduce has %d values, want %d", len(res.Reduce), len(wantReduce))
 	}
@@ -207,7 +214,7 @@ func TestCatchUpSpreadsOverLiveHolders(t *testing.T) {
 	c := crashMidRun(t, lay, d, 0)
 	rig, res := c.rig, c.res
 	defer rig.clu.Eng.Shutdown()
-	wantReference(t, rig, d, res)
+	wantReference(t, rig, d, "out", res)
 
 	elemsPerStrip := int64(testStrip / grid.ElemSize)
 	took := map[string]int64{}
@@ -260,5 +267,5 @@ func TestCrashRestartRunEndsWithTheClient(t *testing.T) {
 	if live := rig.clu.Eng.Live(); live != 0 {
 		t.Errorf("%d processes still live after the run", live)
 	}
-	wantReference(t, rig, d, res)
+	wantReference(t, rig, d, "out", res)
 }

@@ -30,7 +30,7 @@ func stageOnPrimaries(t *testing.T, rig *testRig, p *sim.Proc, req stageReq) []i
 	}
 	for srv, strips := range assigned {
 		req.Strips = strips
-		if _, err := rig.svc.stage(p, rig.fs.Server(srv), req); err != nil {
+		if _, err := rig.svc.stage(p, rig.fs.Server(srv), req, rig.clu.ComputeID(0)); err != nil {
 			t.Fatalf("round %d on server %d: %v", req.Round, srv, err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestLaterRoundAllocatesNoParentRaster(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		resp, err := rig.svc.stage(p, rig.fs.Server(1), req)
+		resp, err := rig.svc.stage(p, rig.fs.Server(1), req, rig.clu.ComputeID(0))
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			return err

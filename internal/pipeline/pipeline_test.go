@@ -101,7 +101,7 @@ func (r *testRig) pipelineAt(t *testing.T, d kernels.DAG, input, output string, 
 	var res RunResult
 	var err error
 	r.run(t, func(p *sim.Proc) error {
-		res, err = NewClient(r.fs, r.clu.ComputeID(0), kernels.Default(), nil, nil).run(p, d, input, output, depth)
+		res, err = r.svc.NewClient(r.clu.ComputeID(0)).run(p, d, input, output, depth)
 		return nil
 	})
 	return res, err

@@ -15,6 +15,9 @@ import (
 // Port is the mailbox pipeline servers listen on.
 const Port = "pipe"
 
+// AckPort is the mailbox a compute node's runs receive their acks on.
+const AckPort = "pipe-ack"
+
 const headerBytes = 128
 
 // stageReq asks one server to compute one dispatch round of a DAG over
@@ -54,7 +57,6 @@ type stageResp struct {
 	ExchangeOps   int64
 	ExchangeBytes int64
 	CatchUps      int64
-	Wrote         int64
 	// PartialStrips/Partials carry the per-strip reduce partials when
 	// the round computed the grid output of a reduced DAG.
 	PartialStrips []int64
@@ -62,6 +64,26 @@ type stageResp struct {
 	// Tally is the round's input halo fetches and cache hits (round 0 and
 	// catch-up) and its stage times.
 	active.Tally
+}
+
+// ackMsg tells the client that one run of the final round is stored: the
+// server wrote it and every other holder acknowledged its copy. It carries
+// the run's reduce partials (nil when the DAG has no reduce), so a lost
+// request's acked strips need no redispatch. One-way: nothing answers it.
+type ackMsg struct {
+	Token    string
+	Strips   []int64
+	Partials [][]float64
+}
+
+// acks is one compute node's ack port: its runs by token, each with the
+// partial of every strip acked so far (nil for a DAG without a reduce).
+// An ack for a token no run holds open is dropped. seq numbers the node's
+// runs, so a token is never reused on it: an ack of an earlier run can
+// never be taken for a later one's.
+type acks struct {
+	seq  int
+	runs map[string]map[int64][]float64
 }
 
 // bandSpan is a global element range [Lo, Hi) within one strip.
@@ -106,6 +128,8 @@ type Service struct {
 	// runs is per-server token state; the DES engine serializes handler
 	// execution, so no locking is needed.
 	runs []map[string]*runState
+	// acks is each compute node's ack port, by node id.
+	acks []*acks
 }
 
 // SetCache attaches the halo-strip cache manager (nil detaches): input
@@ -113,8 +137,8 @@ type Service struct {
 func (svc *Service) SetCache(m *cache.Manager) { svc.cache = m }
 
 // Deploy serves the pipeline port of each storage node, one handler
-// process per message, as pfs serves its own. Nil combiner or reducer
-// registries install the defaults.
+// process per message, as pfs serves its own, and the ack port of each
+// compute node. Nil combiner or reducer registries install the defaults.
 func Deploy(fs *pfs.FileSystem, reg *kernels.Registry, combs *kernels.CombinerRegistry, reds *kernels.ReducerRegistry) *Service {
 	if combs == nil {
 		combs = kernels.DefaultCombiners()
@@ -131,6 +155,25 @@ func Deploy(fs *pfs.FileSystem, reg *kernels.Registry, combs *kernels.CombinerRe
 			clu.Eng.Spawn("pipe-handle", func(h *sim.Proc) { svc.handle(h, srv, msg) })
 		})
 	}
+	svc.acks = make([]*acks, clu.Cfg.ComputeNodes)
+	for i := range svc.acks {
+		a := &acks{runs: make(map[string]map[int64][]float64)}
+		svc.acks[i] = a
+		clu.Net.Node(clu.ComputeID(i)).Port(AckPort).SetDispatcher(func(msg simnet.Message) {
+			ack := msg.Payload.(ackMsg)
+			got, ok := a.runs[ack.Token]
+			if !ok {
+				return
+			}
+			for j, s := range ack.Strips {
+				var partial []float64
+				if ack.Partials != nil {
+					partial = ack.Partials[j]
+				}
+				got[s] = partial
+			}
+		})
+	}
 	return svc
 }
 
@@ -138,7 +181,7 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 	clu := svc.fs.Cluster()
 	switch req := msg.Payload.(type) {
 	case stageReq:
-		resp, err := svc.stage(p, srv, req)
+		resp, err := svc.stage(p, srv, req, msg.From)
 		if err != nil {
 			resp = stageResp{Err: err.Error(), Transient: transientErr(err)}
 		}
@@ -205,9 +248,12 @@ func (svc *Service) runStateFor(srv *pfs.Server, req stageReq, in *pfs.FileMeta)
 // their runs through the servers' one run loop (active.WalkRuns): a run's
 // operands are assembled one run ahead, it is evaluated on p, and in the
 // final round its output goes through exec's store, written one run
-// behind while its replica forwards leave one process per holder.
-func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp, error) {
+// behind while its replica forwards leave one process per holder. Once a
+// final-round run is stored on every holder, the client node from is sent
+// its ack, unless this server has crashed since it took the request.
+func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq, from int) (stageResp, error) {
 	clu := svc.fs.Cluster()
+	inc := clu.Faults.Incarnation(srv.NodeID())
 	in, ok := svc.fs.Meta(req.Input)
 	if !ok {
 		return stageResp{}, fmt.Errorf("pipeline: unknown input %q", req.Input)
@@ -317,6 +363,10 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 		}
 
 		gridVals := vals[pl.GridOut]
+		ack := ackMsg{Token: req.Token}
+		for t := run.First; t <= run.Last; t++ {
+			ack.Strips = append(ack.Strips, t)
+		}
 		if pl.Reduce >= 0 {
 			red := pl.Nodes[pl.Reduce]
 			total := in.Size / in.ElemSize
@@ -328,13 +378,25 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq) (stageResp
 				resp.Partials = append(resp.Partials, red.Reducer.ReduceBand(b))
 				b.Release()
 			}
+			ack.Partials = resp.Partials[len(resp.Partials)-len(ack.Strips):]
 			st.Compute(p, clu.ComputeTime(e1-e0, red.Weight), red.ID, e1-e0)
 		}
 		// The grid output's own memory becomes the stored strips, here and
 		// on the replica holders: values are never written again once a
 		// node has produced them (retained state relies on the same rule).
-		resp.Wrote += run.Last - run.First + 1
-		return st.Store(p, run, gridVals)
+		return st.Store(p, run, gridVals, func() {
+			if clu.Faults.Gone(srv.NodeID(), inc) {
+				return
+			}
+			clu.Net.SendAsync(simnet.Message{
+				From:    srv.NodeID(),
+				To:      from,
+				Port:    AckPort,
+				Size:    headerBytes + int64(len(ack.Partials))*partialBytes(ack.Partials),
+				Class:   clu.ClassBetween(srv.NodeID(), from),
+				Payload: ack,
+			})
+		})
 	}
 
 	err = active.WalkRuns(p, active.StripRuns(in, req.Strips), assemble, compute, st.Stalled(p))
