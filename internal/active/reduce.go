@@ -35,9 +35,10 @@ type ReduceStats struct {
 }
 
 // handleReduce folds every run of the request's strips through the reducer
-// and responds with the merged partial. Reductions have no dependence, so
-// assembly needs no halo and no remote fetches, and nothing is stored:
-// of WalkRuns' stages only the read-ahead is at work.
+// and responds with the merged partial, on the exec's stage bodies.
+// Reductions have no dependence, so assembly needs no halo and no remote
+// fetches, and nothing is stored: of WalkRuns' stages only the read-ahead
+// is at work.
 func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 	clu := svc.fs.Cluster()
 	req := msg.Payload.(reduceReq)
@@ -58,32 +59,21 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		respond(reduceResp{Err: fmt.Sprintf("active: input %q lacks raster metadata", req.Input)}, headerBytes)
 		return
 	}
-	total := in.Size / in.ElemSize
+	st := NewStages(svc.fs, nil, srv, in, nil, LocalOnly, new(Tally))
 	var partials [][]float64
 	var elements int64
 	assemble := func(a *sim.Proc, run StripRun) (*grid.Band, error) {
-		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
-		spans := make([]pfs.Span, 0, run.Last-run.First+1)
+		strips := make([]int64, 0, run.Last-run.First+1)
 		for t := run.First; t <= run.Last; t++ {
-			spans = append(spans, pfs.Span{Strip: t})
+			strips = append(strips, t)
 		}
-		chunks, err := srv.LocalViewMany(a, req.Input, spans)
-		if err != nil {
-			return nil, err
-		}
-		band := grid.NewBandLent(in.Width, total, e0, e1, e0, e1)
-		off := e0
-		for _, chunk := range chunks {
-			band.Lend(off, chunk) // a view of the stored strip: never released
-			off += int64(len(chunk)) / in.ElemSize
-		}
-		return band, nil
+		return st.Assemble(a, run, 0, strips)
 	}
 	fold := func(run StripRun, band *grid.Band) func(*sim.Proc) error {
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		partials = append(partials, red.ReduceBand(band))
 		band.Release()
-		p.Sleep(clu.ComputeTime(e1-e0, red.Weight()))
+		st.Compute(p, clu.ComputeTime(e1-e0, red.Weight()), red.Name(), e1-e0)
 		elements += e1 - e0
 		return nil
 	}

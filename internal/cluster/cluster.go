@@ -41,9 +41,6 @@ type Config struct {
 	// init, metadata opens). It produces the sub-linear scaling the
 	// paper's Figs. 12–13 exhibit.
 	Startup sim.Time
-	// FaultSeed seeds the fault layer's randomness (message-loss draws).
-	// Zero means 1; fault-free runs never draw from it.
-	FaultSeed int64
 }
 
 // Default returns the parameters used throughout the reproduction. The
@@ -144,7 +141,7 @@ func New(cfg Config) (*Cluster, error) {
 		Eng:           eng,
 		Net:           net,
 		Traffic:       traffic,
-		Faults:        fault.NewState(cfg.FaultSeed, counters),
+		Faults:        fault.NewState(1, counters),
 		Counters:      counters,
 		FaultLog:      faultLog,
 		Recovery:      RecoveryView{counters},

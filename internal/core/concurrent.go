@@ -25,52 +25,17 @@ func (s *System) ExecuteConcurrent(reqs []Request) ([]Report, error) {
 	jobs := make([]func(p *sim.Proc) error, len(reqs))
 
 	for i, req := range reqs {
-		i, req := i, req
-		in, ok := s.FS.Meta(req.Input)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown input %q", req.Input)
-		}
-		if in.Width == 0 || in.ElemSize == 0 {
-			return nil, fmt.Errorf("core: input %q lacks raster metadata", req.Input)
-		}
-		if _, ok := s.Registry.Lookup(req.Op); !ok {
-			return nil, fmt.Errorf("core: unknown operator %q", req.Op)
+		in, err := s.kernelInput(req)
+		if err != nil {
+			return nil, err
 		}
 		if req.Reconfigure {
 			return nil, fmt.Errorf("core: reconfiguration is not supported in concurrent batches")
 		}
 		reports[i] = Report{Scheme: req.Scheme, Op: req.Op}
-
-		var job func(p *sim.Proc) error
-		var err error
-		switch req.Scheme {
-		case TS:
-			job, err = s.tsJob(&reports[i], req, in)
-		case NAS:
-			reports[i].Offloaded = true
-			job, err = s.offloadJob(&reports[i], req, in, req.NASFetchMode)
-		case DAS:
-			pat, ok := s.Features.Lookup(req.Op)
-			if !ok {
-				return nil, fmt.Errorf("core: no kernel features for %q", req.Op)
-			}
-			mode, offload, derr := s.gateDAS(&reports[i], req, pat, in, in.Layout)
-			if derr != nil {
-				return nil, derr
-			}
-			if offload {
-				reports[i].Offloaded = true
-				job, err = s.offloadJob(&reports[i], req, in, mode)
-			} else {
-				job, err = s.tsJob(&reports[i], req, in)
-			}
-		default:
-			return nil, fmt.Errorf("core: unknown scheme %v", req.Scheme)
-		}
-		if err != nil {
+		if jobs[i], err = s.job(&reports[i], req, in, in.Layout); err != nil {
 			return nil, err
 		}
-		jobs[i] = job
 	}
 
 	_, err := s.run("concurrent-batch", func(p *sim.Proc) error {

@@ -92,12 +92,9 @@ func (r DAGReport) BusiestResource() sim.Time {
 // alternative that writes every intermediate back. Both commit
 // byte-identical grid output.
 func (s *System) ExecuteDAG(req DAGRequest) (DAGReport, error) {
-	m, ok := s.FS.Meta(req.Input)
-	if !ok {
-		return DAGReport{}, fmt.Errorf("core: unknown input %q", req.Input)
-	}
-	if m.Width == 0 || m.ElemSize == 0 {
-		return DAGReport{}, fmt.Errorf("core: input %q lacks raster metadata", req.Input)
+	m, err := s.rasterInput(req.Input)
+	if err != nil {
+		return DAGReport{}, err
 	}
 	if err := req.DAG.Validate(s.Registry, s.Combiners, s.Reducers); err != nil {
 		return DAGReport{}, err
@@ -105,24 +102,16 @@ func (s *System) ExecuteDAG(req DAGRequest) (DAGReport, error) {
 	if req.Scheme != NAS && req.Scheme != DAS {
 		return DAGReport{}, fmt.Errorf("core: scheme %v has no DAG executor (use PerPass per-stage schemes)", req.Scheme)
 	}
-	before := s.Clu.Traffic.Snapshot()
-	loadBefore := s.Clu.UtilizationSnapshot()
 	rep := DAGReport{Scheme: req.Scheme, DAG: req.DAG.Name}
-	var err error
-	if req.PerPass {
-		err = s.runDAGPerPass(&rep, req)
-	} else {
-		err = s.runDAGPushdown(&rep, req, m)
-	}
+	rep.Traffic, rep.ServerLoad, err = s.measure(func() error {
+		if req.PerPass {
+			return s.runDAGPerPass(&rep, req)
+		}
+		return s.runDAGPushdown(&rep, req, m)
+	})
 	if err != nil {
 		return DAGReport{}, err
 	}
-	after := s.Clu.Traffic.Snapshot()
-	rep.Traffic = make(map[metrics.TrafficClass]int64, len(after))
-	for c, b := range after {
-		rep.Traffic[c] = b - before[c]
-	}
-	rep.ServerLoad = s.Clu.UtilizationSnapshot().Sub(loadBefore)
 	return rep, nil
 }
 
@@ -155,9 +144,7 @@ func (s *System) runDAGPushdown(rep *DAGReport, req DAGRequest, in *pfs.FileMeta
 			// stays advisory and the pushdown runs regardless.
 		}
 	}
-	if _, err := s.FS.Create(req.Output, in.Size, outputLayout(in), pfs.CreateOptions{
-		StripSize: in.StripSize, Width: in.Width, Height: in.Height, ElemSize: in.ElemSize,
-	}); err != nil {
+	if _, err := s.createOutput(req.Output, in); err != nil {
 		return err
 	}
 	s.EnsurePipeline()

@@ -18,9 +18,11 @@ import (
 
 // TestGatesShareOneDecision: for one platform state, every DAS entry point
 // prices its request under the same observations. Execute and a
-// one-request ExecuteConcurrent return equal decisions; Reduce returns the
-// decision those observations give its empty pattern. (The concurrent and
-// reduce gates used to price a cold, healthy cluster whatever its state.)
+// one-request ExecuteConcurrent build the same job — equal decisions,
+// paths and server-side stats, for every scheme on the healthy platform —
+// and Reduce returns the decision those observations give its empty
+// pattern. (The concurrent and reduce gates used to price a cold, healthy
+// cluster whatever its state.)
 func TestGatesShareOneDecision(t *testing.T) {
 	g := workload.Terrain(testW, testH, 5)
 	crash := func(s *System, events ...fault.Event) {
@@ -41,11 +43,12 @@ func TestGatesShareOneDecision(t *testing.T) {
 		{At: 80 * sim.Millisecond, Kind: fault.Restart, Server: 1},
 	}
 	states := []struct {
-		name  string
-		build func() *System
-		check func(t *testing.T, kernel, reduce predict.Decision)
+		name    string
+		schemes []Scheme // DAS last: its decision is the one checked
+		build   func() *System
+		check   func(t *testing.T, kernel, reduce predict.Decision)
 	}{
-		{"warm cache", func() *System {
+		{"warm cache", []Scheme{TS, NAS, DAS}, func() *System {
 			s := ingested(t, g, layout.NewRoundRobin(4))
 			if err := s.EnableCache(cache.Config{}); err != nil {
 				t.Fatal(err)
@@ -62,7 +65,7 @@ func TestGatesShareOneDecision(t *testing.T) {
 				t.Errorf("reduce gate saw hit fraction %v, kernel gate %v", reduce.CacheHitFrac, kernel.CacheHitFrac)
 			}
 		}},
-		{"server down, every strip replicated", func() *System {
+		{"server down, every strip replicated", []Scheme{DAS}, func() *System {
 			s := ingested(t, g, crashSurvivableLayout(4))
 			crash(s, outage...)
 			return s
@@ -73,7 +76,7 @@ func TestGatesShareOneDecision(t *testing.T) {
 				}
 			}
 		}},
-		{"server down, no live copy", func() *System {
+		{"server down, no live copy", []Scheme{DAS}, func() *System {
 			s := ingested(t, g, layout.NewRoundRobin(4))
 			crash(s, outage...)
 			return s
@@ -87,26 +90,30 @@ func TestGatesShareOneDecision(t *testing.T) {
 	}
 	for _, st := range states {
 		t.Run(st.name, func(t *testing.T) {
-			req := Request{Op: "flow-routing", Input: "in", Output: "out", Scheme: DAS}
-			s := st.build()
-			single, err := s.Execute(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s = st.build()
-			batch, err := s.ExecuteConcurrent([]Request{req})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(single.Decision, batch[0].Decision) {
-				t.Errorf("Execute and ExecuteConcurrent decide differently:\n%+v\n%+v", single.Decision, batch[0].Decision)
-			}
-			if single.Offloaded != batch[0].Offloaded || single.Degraded != batch[0].Degraded {
-				t.Errorf("Execute offloaded=%v degraded=%v, ExecuteConcurrent offloaded=%v degraded=%v",
-					single.Offloaded, single.Degraded, batch[0].Offloaded, batch[0].Degraded)
+			var single Report
+			for _, scheme := range st.schemes {
+				req := Request{Op: "flow-routing", Input: "in", Output: "out", Scheme: scheme}
+				var err error
+				if single, err = st.build().Execute(req); err != nil {
+					t.Fatal(err)
+				}
+				batch, err := st.build().ExecuteConcurrent([]Request{req})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(single.Decision, batch[0].Decision) {
+					t.Errorf("%v: Execute and ExecuteConcurrent decide differently:\n%+v\n%+v", scheme, single.Decision, batch[0].Decision)
+				}
+				if single.Offloaded != batch[0].Offloaded || single.Degraded != batch[0].Degraded {
+					t.Errorf("%v: Execute offloaded=%v degraded=%v, ExecuteConcurrent offloaded=%v degraded=%v",
+						scheme, single.Offloaded, single.Degraded, batch[0].Offloaded, batch[0].Degraded)
+				}
+				if !reflect.DeepEqual(single.Stats, batch[0].Stats) {
+					t.Errorf("%v: Execute and ExecuteConcurrent ran differently:\n%+v\n%+v", scheme, single.Stats, batch[0].Stats)
+				}
 			}
 
-			s = st.build()
+			s := st.build()
 			m, _ := s.FS.Meta("in")
 			params := predictParams(m)
 			params.OutputFactor = float64(kernels.Stats{}.PartialLen()*grid.ElemSize) / float64(m.Size)

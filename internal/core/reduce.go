@@ -43,50 +43,40 @@ type ReduceReport struct {
 // near-zero output factor, and with servers down rejects a raster that
 // has lost a strip's last live copy.
 func (s *System) Reduce(req ReduceRequest) (ReduceReport, error) {
-	m, ok := s.FS.Meta(req.Input)
-	if !ok {
-		return ReduceReport{}, fmt.Errorf("core: unknown input %q", req.Input)
-	}
-	if m.Width == 0 || m.ElemSize == 0 {
-		return ReduceReport{}, fmt.Errorf("core: input %q lacks raster metadata", req.Input)
+	m, err := s.rasterInput(req.Input)
+	if err != nil {
+		return ReduceReport{}, err
 	}
 	red, ok := s.Reducers.Lookup(req.Op)
 	if !ok {
 		return ReduceReport{}, fmt.Errorf("core: unknown reducer %q", req.Op)
 	}
-	before := s.Clu.Traffic.Snapshot()
 	rep := ReduceReport{Scheme: req.Scheme, Op: req.Op}
-	var err error
-	switch req.Scheme {
-	case TS:
-		err = s.reduceTS(&rep, red, m)
-	case NAS:
-		err = s.reduceActive(&rep, red, m)
-	case DAS:
-		// The workflow still runs: pattern (empty), prediction, accept.
-		pat := features.Pattern{Name: red.Name()}
-		params := predictParams(m)
-		params.OutputFactor = float64(red.PartialLen()*grid.ElemSize) / float64(m.Size)
-		decision, derr := s.decide(predict.Kernel(pat), params, m.Layout, req.Input)
-		if derr != nil {
-			return ReduceReport{}, derr
+	rep.Traffic, _, err = s.measure(func() error {
+		switch req.Scheme {
+		case TS:
+			return s.reduceTS(&rep, red, m)
+		case NAS:
+			return s.reduceActive(&rep, red, m)
+		case DAS:
+			// The workflow still runs: pattern (empty), prediction, accept.
+			pat := features.Pattern{Name: red.Name()}
+			params := predictParams(m)
+			params.OutputFactor = float64(red.PartialLen()*grid.ElemSize) / float64(m.Size)
+			decision, err := s.decide(predict.Kernel(pat), params, m.Layout, req.Input)
+			if err != nil {
+				return err
+			}
+			rep.Decision = &decision
+			if decision.Offload {
+				return s.reduceActive(&rep, red, m)
+			}
+			return s.reduceTS(&rep, red, m)
 		}
-		rep.Decision = &decision
-		if decision.Offload {
-			err = s.reduceActive(&rep, red, m)
-		} else {
-			err = s.reduceTS(&rep, red, m)
-		}
-	default:
-		err = fmt.Errorf("core: unknown scheme %v", req.Scheme)
-	}
+		return fmt.Errorf("core: unknown scheme %v", req.Scheme)
+	})
 	if err != nil {
 		return ReduceReport{}, err
-	}
-	after := s.Clu.Traffic.Snapshot()
-	rep.Traffic = make(map[metrics.TrafficClass]int64, len(after))
-	for c, b := range after {
-		rep.Traffic[c] = b - before[c]
 	}
 	return rep, nil
 }
@@ -108,29 +98,17 @@ func (s *System) reduceActive(rep *ReduceReport, red kernels.Reducer, in *pfs.Fi
 // worker reduces a contiguous strip block, then ships its partial to the
 // coordinating client, which merges.
 func (s *System) reduceTS(rep *ReduceReport, red kernels.Reducer, in *pfs.FileMeta) error {
-	strips := in.Strips()
-	workers := s.Clu.Cfg.ComputeNodes
-	perWorker := (strips + int64(workers) - 1) / int64(workers)
+	blocks := s.tsBlocks(in)
 	total := in.Size / in.ElemSize
 	partialBytes := int64(red.PartialLen()) * grid.ElemSize
 
 	var err error
 	rep.ExecTime, err = s.run("reduce-ts-"+red.Name(), func(p *sim.Proc) error {
 		gather := sim.NewMailbox[reducePartial](s.Clu.Eng, "reduce-gather")
-		launched := 0
-		for w := 0; w < workers; w++ {
-			w := w
-			first := int64(w) * perWorker
-			last := first + perWorker - 1
-			if last >= strips {
-				last = strips - 1
-			}
-			if first > last {
-				continue
-			}
-			launched++
+		for _, b := range blocks {
+			b := b
 			p.Spawn("reduce-ts-worker", func(c *sim.Proc) {
-				partial, elements, werr := s.reduceWorker(c, red, in, first, last, total, w)
+				partial, elements, werr := s.reduceWorker(c, red, in, b, total)
 				if werr != nil {
 					gather.Put(reducePartial{err: werr})
 					return
@@ -138,14 +116,14 @@ func (s *System) reduceTS(rep *ReduceReport, red kernels.Reducer, in *pfs.FileMe
 				// Ship the partial to the coordinator (compute node 0);
 				// workers on node 0 hand it over locally for free.
 				s.Clu.Net.Send(c, simnet.Message{
-					From: s.Clu.ComputeID(w), To: s.Clu.ComputeID(0), Port: "reduce-sink",
+					From: s.Clu.ComputeID(b.w), To: s.Clu.ComputeID(0), Port: "reduce-sink",
 					Size: partialBytes, Class: metrics.ClientToServer,
 				})
 				gather.Put(reducePartial{vals: partial, elements: elements})
 			})
 		}
 		var partials [][]float64
-		for i := 0; i < launched; i++ {
+		for range blocks {
 			got := gather.Get(p)
 			if got.err != nil {
 				return got.err
@@ -166,11 +144,11 @@ type reducePartial struct {
 	err      error
 }
 
-func (s *System) reduceWorker(p *sim.Proc, red kernels.Reducer, in *pfs.FileMeta, first, last, total int64, w int) ([]float64, int64, error) {
+func (s *System) reduceWorker(p *sim.Proc, red kernels.Reducer, in *pfs.FileMeta, b tsBlock, total int64) ([]float64, int64, error) {
 	s.startup(p)
-	client := s.FS.NewClient(s.Clu.ComputeID(w))
-	byteLo, _ := in.StripBounds(first)
-	_, byteHi := in.StripBounds(last)
+	client := s.FS.NewClient(s.Clu.ComputeID(b.w))
+	byteLo, _ := in.StripBounds(b.first)
+	_, byteHi := in.StripBounds(b.last)
 	e0, e1 := byteLo/in.ElemSize, byteHi/in.ElemSize
 	band := grid.NewBandLent(in.Width, total, e0, e1, e0, e1)
 	err := client.ReadLent(p, in.Name, byteLo, byteHi-byteLo, func(at int64, window []byte) {

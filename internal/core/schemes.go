@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/hpcio/das/internal/active"
-	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
@@ -15,70 +14,200 @@ import (
 	"github.com/hpcio/das/internal/sim"
 )
 
-// outputLayout returns the placement a new output file should be created
-// with: the input's layout, frozen into a per-strip snapshot when the
-// input is mid-migration. An output sharing a live dual layout would keep
-// shifting under its writers — strips would land where the placement
-// pointed at write time but be read back where it points later. The
-// snapshot pins one consistent placement for the output's whole life.
-func outputLayout(in *pfs.FileMeta) layout.Layout {
-	return layout.Concrete(in.Layout, in.Strips())
-}
-
 // startup charges the per-run job-launch overhead on every participating
 // node's worker process.
 func (s *System) startup(p *sim.Proc) { p.Sleep(s.Clu.Cfg.Startup) }
 
-// runTS executes the operation under Traditional Storage: compute nodes
-// read contiguous blocks of the input (plus halo), run the kernel locally,
-// and write the output strips back to the servers.
-func (s *System) runTS(rep *Report, req Request, in *pfs.FileMeta) error {
-	job, err := s.tsJob(rep, req, in)
+// execute serves one kernel request on the platform alone: the DAS
+// reconfigure step, the request's job on a process of its own, and — when
+// an offload strands strips with no live copy mid-run — the request again
+// as normal I/O over a fresh output. ExecTime includes the migration and
+// the abandoned attempt.
+func (s *System) execute(rep *Report, req Request, in *pfs.FileMeta) error {
+	lay, err := s.reconfigure(rep, req, in)
 	if err != nil {
 		return err
 	}
-	rep.ExecTime, err = s.run("ts-"+req.Op, job)
+	job, err := s.job(rep, req, in, lay)
+	if err != nil {
+		return err
+	}
+	attemptStart := s.Clu.Eng.Now()
+	rep.ExecTime, err = s.run(req.Scheme.String()+"-"+req.Op, job)
+	if err != nil && rep.Offloaded && errors.Is(err, pfs.ErrNoLiveCopy) {
+		wasted := s.Clu.Eng.Now() - attemptStart
+		s.FS.Delete(req.Output)
+		rep.Stats = active.ExecStats{}
+		rep.Offloaded, rep.Degraded, rep.DegradedReason = false, true, err.Error()
+		if job, err = s.tsJob(rep, req, in); err == nil {
+			rep.ExecTime, err = s.run("TS-"+req.Op, job)
+		}
+		rep.ExecTime += wasted
+	}
+	rep.ExecTime += rep.ReconfigTime
 	return err
 }
 
-// tsJob prepares the TS execution as a job function that can run either
-// standalone (runTS) or alongside other jobs (ExecuteConcurrent). Output
-// creation happens at preparation time, so concurrent jobs fail fast on
-// name collisions.
-func (s *System) tsJob(rep *Report, req Request, in *pfs.FileMeta) (func(p *sim.Proc) error, error) {
-	k, _ := s.Registry.Lookup(req.Op)
-	out, err := s.FS.Create(req.Output, in.Size, outputLayout(in), pfs.CreateOptions{
+// reconfigure is steps 2–3 of Fig. 3: a DAS request that allows
+// redistribution has its input migrated to the layout planned for its
+// operator, when the prediction says that layout would be accepted —
+// otherwise the migration cost buys nothing. It returns the layout the
+// request is priced against. Migration needs every strip's primary alive,
+// so a degraded cluster keeps the layout it has. A file the online
+// restriper is already migrating keeps its dual layout — the background
+// migration owns it.
+func (s *System) reconfigure(rep *Report, req Request, in *pfs.FileMeta) (layout.Layout, error) {
+	if _, migrating := in.Layout.(*layout.Migrating); req.Scheme != DAS || !req.Reconfigure || s.Clu.AnyStorageDown() || migrating {
+		return in.Layout, nil
+	}
+	planned, err := s.PlanLayout(req.Op, in.Width, in.ElemSize, in.StripSize, in.Size, 0)
+	if err != nil || planned.Name() == in.Layout.Name() {
+		return in.Layout, err
+	}
+	pat, _ := s.Features.Lookup(req.Op) // PlanLayout found it
+	if d, err := predict.Decide(pat, predictParams(in), planned); err != nil || !d.Offload {
+		return in.Layout, err
+	}
+	rt, err := s.run("das-reconfig-"+req.Input, func(p *sim.Proc) error {
+		return s.FS.NewClient(s.Clu.ComputeID(0)).Reconfigure(p, req.Input, planned)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.Reconfigured, rep.ReconfigTime = true, rt
+	return planned, nil
+}
+
+// job prepares one kernel request's execution as a job function, which
+// Execute runs on a process of its own and ExecuteConcurrent alongside the
+// rest of its batch. It is the one place a request's scheme decides
+// anything: TS serves normal I/O, NAS offloads unconditionally, DAS lets
+// the gate choose against lay. The output is created here, so a batch
+// fails fast on a name collision.
+func (s *System) job(rep *Report, req Request, in *pfs.FileMeta, lay layout.Layout) (func(p *sim.Proc) error, error) {
+	switch req.Scheme {
+	case TS:
+		return s.tsJob(rep, req, in)
+	case NAS:
+		return s.offloadJob(rep, req, in, req.NASFetchMode)
+	case DAS:
+		return s.gateDAS(rep, req, in, lay)
+	}
+	return nil, fmt.Errorf("core: unknown scheme %v", req.Scheme)
+}
+
+// gateDAS is steps 1 and 4–5 of Fig. 3 for one kernel request: look up the
+// operator's dependence pattern, predict the bandwidth cost against lay
+// under what the platform has observed (with servers down strips are
+// costed where layout.Placer places them, the schedule Exec dispatches,
+// and any strip without a live copy vetoes offloading outright), record
+// the decision in rep, and offload with the fetch mode the decision allows
+// or — rejected — serve the request as normal I/O.
+func (s *System) gateDAS(rep *Report, req Request, in *pfs.FileMeta, lay layout.Layout) (func(p *sim.Proc) error, error) {
+	pat, ok := s.Features.Lookup(req.Op)
+	if !ok {
+		return nil, fmt.Errorf("core: no kernel features for %q", req.Op)
+	}
+	decision, err := s.decide(predict.Kernel(pat), predictParams(in), lay, req.Input)
+	if err != nil {
+		return nil, err
+	}
+	rep.Decision = &decision
+	if !decision.Offload && !req.DisablePrediction {
+		if decision.Analysis.UnservableStrips > 0 {
+			rep.Degraded = true
+			rep.DegradedReason = decision.Reason
+		}
+		return s.tsJob(rep, req, in)
+	}
+	if _, migrating := in.Layout.(*layout.Migrating); !decision.Analysis.LocalByLayout || migrating {
+		// Accepted on cost grounds without full locality (dependence is
+		// cheap, or prediction is disabled): fetch what is missing. A
+		// mid-migration input also loses the local-only guarantee — strips
+		// keep flipping between placements while servers execute, so
+		// missing halo data must stay fetchable.
+		return s.offloadJob(rep, req, in, active.FetchWholeStrips)
+	}
+	return s.offloadJob(rep, req, in, active.LocalOnly)
+}
+
+// offloadJob prepares an active storage execution: NAS's, or an accepted
+// DAS request's.
+func (s *System) offloadJob(rep *Report, req Request, in *pfs.FileMeta, mode active.FetchMode) (func(p *sim.Proc) error, error) {
+	if _, err := s.createOutput(req.Output, in); err != nil {
+		return nil, err
+	}
+	rep.Offloaded = true
+	return func(p *sim.Proc) error {
+		s.startup(p)
+		stats, err := active.NewClient(s.FS, s.Clu.ComputeID(0)).
+			Exec(p, req.Op, req.Input, req.Output, mode)
+		rep.Stats = stats
+		return err
+	}, nil
+}
+
+// createOutput creates a request's output file with its input's geometry
+// and placement: the input's layout, frozen into a per-strip snapshot when
+// the input is mid-migration. An output sharing a live dual layout would
+// keep shifting under its writers — strips would land where the placement
+// pointed at write time but be read back where it points later. The
+// snapshot pins one consistent placement for the output's whole life.
+func (s *System) createOutput(name string, in *pfs.FileMeta) (*pfs.FileMeta, error) {
+	return s.FS.Create(name, in.Size, layout.Concrete(in.Layout, in.Strips()), pfs.CreateOptions{
 		StripSize: in.StripSize, Width: in.Width, Height: in.Height, ElemSize: in.ElemSize,
 	})
+}
+
+// tsBlock is one compute node's share of a request served as normal I/O:
+// strips [first, last] of the input, on compute node w.
+type tsBlock struct {
+	w           int
+	first, last int64
+}
+
+// tsBlocks splits the input's strips into contiguous blocks of
+// ⌈strips/nodes⌉, one per compute node in node order; a node the split
+// leaves nothing gets no block.
+func (s *System) tsBlocks(in *pfs.FileMeta) []tsBlock {
+	strips := in.Strips()
+	workers := s.Clu.Cfg.ComputeNodes
+	perWorker := (strips + int64(workers) - 1) / int64(workers)
+	var blocks []tsBlock
+	for w := 0; w < workers; w++ {
+		first := int64(w) * perWorker
+		if last := min(first+perWorker-1, strips-1); first <= last {
+			blocks = append(blocks, tsBlock{w, first, last})
+		}
+	}
+	return blocks
+}
+
+// tsJob prepares the request's execution under Traditional Storage:
+// compute nodes read contiguous blocks of the input (plus halo), run the
+// kernel locally, and write the output strips back to the servers.
+func (s *System) tsJob(rep *Report, req Request, in *pfs.FileMeta) (func(p *sim.Proc) error, error) {
+	k, _ := s.Registry.Lookup(req.Op)
+	out, err := s.createOutput(req.Output, in)
 	if err != nil {
 		return nil, err
 	}
 	total := in.Size / in.ElemSize
 	maxAbs := kernels.Pattern(k).MaxAbsOffset(in.Width)
-	strips := in.Strips()
-	workers := s.Clu.Cfg.ComputeNodes
-	perWorker := (strips + int64(workers) - 1) / int64(workers)
+	blocks := s.tsBlocks(in)
 
 	return func(p *sim.Proc) error {
 		type workerResult struct {
 			phases active.Phases
 			err    error
 		}
-		sigs := make([]*sim.Signal[workerResult], 0, workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			first := int64(w) * perWorker
-			last := first + perWorker - 1
-			if last >= strips {
-				last = strips - 1
-			}
-			if first > last {
-				continue
-			}
+		sigs := make([]*sim.Signal[workerResult], 0, len(blocks))
+		for _, b := range blocks {
+			b := b
 			done := sim.NewSignal[workerResult](s.Clu.Eng, "ts-worker")
 			sigs = append(sigs, done)
 			p.Spawn("ts-worker", func(c *sim.Proc) {
-				ph, err := s.tsWorker(c, k, in, out, first, last, maxAbs, total, w)
+				ph, err := s.tsWorker(c, k, in, out, b.first, b.last, maxAbs, total, b.w)
 				done.Fire(workerResult{phases: ph, err: err})
 			})
 		}
@@ -92,6 +221,7 @@ func (s *System) tsJob(rep *Report, req Request, in *pfs.FileMeta) (func(p *sim.
 		return nil
 	}, nil
 }
+
 
 // tsWorker processes strips [first, last] of the input on compute node w,
 // returning its per-phase time decomposition. Under TS the "Fetch" phase
@@ -252,165 +382,3 @@ func (s *System) writeBack(p *sim.Proc, client *pfs.Client, out *pfs.FileMeta, r
 // stages overlap, so each is an actor of its own, as a storage server's
 // are.
 func tsLane(w int, stage string) string { return fmt.Sprintf("ts-worker-%d/%s", w, stage) }
-
-// runNAS executes the operation as existing active storage systems do:
-// offload unconditionally, each server processing its local strips and
-// fetching dependent strips from its peers. When server faults leave a
-// strip with no live copy the offload degrades to normal I/O.
-func (s *System) runNAS(rep *Report, req Request, in *pfs.FileMeta) error {
-	job, err := s.offloadJob(rep, req, in, req.NASFetchMode)
-	if err != nil {
-		return err
-	}
-	rep.Offloaded = true
-	attemptStart := s.Clu.Eng.Now()
-	rep.ExecTime, err = s.run("nas-"+req.Op, job)
-	if err != nil {
-		return s.degradeToTS(rep, req, in, err, s.Clu.Eng.Now()-attemptStart)
-	}
-	return nil
-}
-
-// degradeToTS serves a request as normal I/O after an offload attempt
-// failed because input strips lost their last live copy. The partially
-// produced output is deleted (the TS job re-creates it), the abandoned
-// attempt's simulated time is charged to the report, and any error that is
-// not the no-live-copy condition propagates unchanged.
-func (s *System) degradeToTS(rep *Report, req Request, in *pfs.FileMeta, cause error, wasted sim.Time) error {
-	if !errors.Is(cause, pfs.ErrNoLiveCopy) {
-		return cause
-	}
-	s.FS.Delete(req.Output)
-	rep.Stats = active.ExecStats{}
-	rep.Offloaded = false
-	rep.Degraded = true
-	rep.DegradedReason = cause.Error()
-	if err := s.runTS(rep, req, in); err != nil {
-		return err
-	}
-	rep.ExecTime += wasted
-	return nil
-}
-
-// offloadJob prepares an active storage execution (used by both NAS and
-// accepted DAS requests) as a composable job function.
-func (s *System) offloadJob(rep *Report, req Request, in *pfs.FileMeta, mode active.FetchMode) (func(p *sim.Proc) error, error) {
-	if _, err := s.FS.Create(req.Output, in.Size, outputLayout(in), pfs.CreateOptions{
-		StripSize: in.StripSize, Width: in.Width, Height: in.Height, ElemSize: in.ElemSize,
-	}); err != nil {
-		return nil, err
-	}
-	return func(p *sim.Proc) error {
-		s.startup(p)
-		stats, err := active.NewClient(s.FS, s.Clu.ComputeID(0)).
-			Exec(p, req.Op, req.Input, req.Output, mode)
-		rep.Stats = stats
-		return err
-	}, nil
-}
-
-// gateDAS is steps 4–5 of Fig. 3 for one kernel request: predict the
-// bandwidth cost against lay under what the platform has observed (with
-// servers down strips are costed where layout.Placer places them, the
-// schedule Exec dispatches, and any strip without a live copy vetoes
-// offloading outright), record the decision in
-// rep, and say whether to offload and with which fetch mode.
-func (s *System) gateDAS(rep *Report, req Request, pat features.Pattern, in *pfs.FileMeta, lay layout.Layout) (mode active.FetchMode, offload bool, err error) {
-	decision, err := s.decide(predict.Kernel(pat), predictParams(in), lay, req.Input)
-	if err != nil {
-		return 0, false, err
-	}
-	rep.Decision = &decision
-	if !decision.Offload && !req.DisablePrediction {
-		if decision.Analysis.UnservableStrips > 0 {
-			rep.Degraded = true
-			rep.DegradedReason = decision.Reason
-		}
-		return 0, false, nil
-	}
-	if _, migrating := in.Layout.(*layout.Migrating); !decision.Analysis.LocalByLayout || migrating {
-		// Accepted on cost grounds without full locality (dependence is
-		// cheap, or prediction is disabled): fetch what is missing. A
-		// mid-migration input also loses the local-only guarantee — strips
-		// keep flipping between placements while servers execute, so
-		// missing halo data must stay fetchable.
-		return active.FetchWholeStrips, true, nil
-	}
-	return active.LocalOnly, true, nil
-}
-
-// runDAS executes the full dynamic workflow of Fig. 3.
-func (s *System) runDAS(rep *Report, req Request, in *pfs.FileMeta) error {
-	// 1. Get the data dependence pattern from the kernel features.
-	pat, ok := s.Features.Lookup(req.Op)
-	if !ok {
-		return fmt.Errorf("core: no kernel features for %q", req.Op)
-	}
-	params := predictParams(in)
-	anyDown := s.Clu.AnyStorageDown()
-	_, migrating := in.Layout.(*layout.Migrating)
-
-	// 2–3. Get the file distribution; if the workload allows
-	// redistribution, find a reasonable distribution and reconfigure.
-	// Migration needs every strip's primary alive, so a degraded cluster
-	// keeps the layout it has. A file the online restriper is already
-	// migrating keeps its dual layout — the background migration owns it.
-	targetLay := in.Layout
-	if req.Reconfigure && !anyDown && !migrating {
-		planned, err := s.PlanLayout(req.Op, in.Width, in.ElemSize, in.StripSize, in.Size, 0)
-		if err != nil {
-			return err
-		}
-		if planned.Name() != in.Layout.Name() {
-			// Only migrate when the prediction says the migrated layout
-			// would be accepted; otherwise the migration cost buys nothing.
-			if d, err := predict.Decide(pat, params, planned); err != nil {
-				return err
-			} else if d.Offload {
-				rt, err := s.run("das-reconfig-"+req.Input, func(p *sim.Proc) error {
-					return s.FS.NewClient(s.Clu.ComputeID(0)).Reconfigure(p, req.Input, planned)
-				})
-				if err != nil {
-					return err
-				}
-				rep.Reconfigured, rep.ReconfigTime = true, rt
-				targetLay = planned
-			}
-		}
-	}
-
-	// 4–5. Predict the bandwidth cost against the (possibly new) layout,
-	// then accept or reject.
-	mode, offload, err := s.gateDAS(rep, req, pat, in, targetLay)
-	if err != nil {
-		return err
-	}
-	if !offload {
-		// Rejected: serve as normal I/O (TS path), as the workflow chart
-		// prescribes.
-		if err := s.runTS(rep, req, in); err != nil {
-			return err
-		}
-		rep.ExecTime += rep.ReconfigTime
-		rep.Offloaded = false
-		return nil
-	}
-	job, err := s.offloadJob(rep, req, in, mode)
-	if err != nil {
-		return err
-	}
-	attemptStart := s.Clu.Eng.Now()
-	execTime, err := s.run("das-"+req.Op, job)
-	if err != nil {
-		// A crash racing the execution can strand strips with no live
-		// copy mid-run; scrap the partial output and serve as normal I/O.
-		if derr := s.degradeToTS(rep, req, in, err, s.Clu.Eng.Now()-attemptStart); derr != nil {
-			return derr
-		}
-		rep.ExecTime += rep.ReconfigTime
-		return nil
-	}
-	rep.Offloaded = true
-	rep.ExecTime = execTime + rep.ReconfigTime
-	return nil
-}

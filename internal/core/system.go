@@ -483,41 +483,59 @@ func busiestResource(compute sim.Time, load cluster.Utilization) sim.Time {
 
 // Execute runs one operation to completion and reports what happened.
 func (s *System) Execute(req Request) (Report, error) {
-	m, ok := s.FS.Meta(req.Input)
-	if !ok {
-		return Report{}, fmt.Errorf("core: unknown input %q", req.Input)
-	}
-	if m.Width == 0 || m.ElemSize == 0 {
-		return Report{}, fmt.Errorf("core: input %q lacks raster metadata", req.Input)
-	}
-	if _, ok := s.Registry.Lookup(req.Op); !ok {
-		return Report{}, fmt.Errorf("core: unknown operator %q", req.Op)
-	}
-	before := s.Clu.Traffic.Snapshot()
-	loadBefore := s.Clu.UtilizationSnapshot()
-	rep := Report{Scheme: req.Scheme, Op: req.Op}
-	var err error
-	switch req.Scheme {
-	case TS:
-		err = s.runTS(&rep, req, m)
-	case NAS:
-		err = s.runNAS(&rep, req, m)
-	case DAS:
-		err = s.runDAS(&rep, req, m)
-	default:
-		err = fmt.Errorf("core: unknown scheme %v", req.Scheme)
-	}
+	in, err := s.kernelInput(req)
 	if err != nil {
 		return Report{}, err
 	}
-	after := s.Clu.Traffic.Snapshot()
-	rep.Traffic = make(map[metrics.TrafficClass]int64, len(after))
-	for c, b := range after {
-		rep.Traffic[c] = b - before[c]
+	rep := Report{Scheme: req.Scheme, Op: req.Op}
+	rep.Traffic, rep.ServerLoad, err = s.measure(func() error { return s.execute(&rep, req, in) })
+	if err != nil {
+		return Report{}, err
 	}
-	rep.ServerLoad = s.Clu.UtilizationSnapshot().Sub(loadBefore)
-	s.observeRestripe(req, m, &rep)
+	s.observeRestripe(req, in, &rep)
 	return rep, nil
+}
+
+// rasterInput is every front door's input check: the named file exists and
+// carries raster metadata.
+func (s *System) rasterInput(name string) (*pfs.FileMeta, error) {
+	m, ok := s.FS.Meta(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown input %q", name)
+	}
+	if m.Width == 0 || m.ElemSize == 0 {
+		return nil, fmt.Errorf("core: input %q lacks raster metadata", name)
+	}
+	return m, nil
+}
+
+// kernelInput is rasterInput for a kernel request, whose operator must be
+// registered too.
+func (s *System) kernelInput(req Request) (*pfs.FileMeta, error) {
+	m, err := s.rasterInput(req.Input)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := s.Registry.Lookup(req.Op); !ok {
+		return nil, fmt.Errorf("core: unknown operator %q", req.Op)
+	}
+	return m, nil
+}
+
+// measure runs fn and returns the bytes it moved per traffic class and the
+// busy time it added to each storage server's resources.
+func (s *System) measure(fn func() error) (map[metrics.TrafficClass]int64, cluster.Utilization, error) {
+	before := s.Clu.Traffic.Snapshot()
+	loadBefore := s.Clu.UtilizationSnapshot()
+	if err := fn(); err != nil {
+		return nil, cluster.Utilization{}, err
+	}
+	after := s.Clu.Traffic.Snapshot()
+	traffic := make(map[metrics.TrafficClass]int64, len(after))
+	for c, b := range after {
+		traffic[c] = b - before[c]
+	}
+	return traffic, s.Clu.UtilizationSnapshot().Sub(loadBefore), nil
 }
 
 // observeRestripe feeds the finished operation's dependent-traffic

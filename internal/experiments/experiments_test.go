@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,6 +23,37 @@ func execute(t *testing.T, c Config, e Experiment) (*Result, []Record) {
 		t.Fatal(err)
 	}
 	return r, recs
+}
+
+// TestEveryCommittedStepWithinItsBound is the bound oracle over the
+// committed full-scale records, BENCH_sim.json: every step that carries a
+// bound_seconds (startup plus its busiest single resource) took at least
+// it. Only a fleet's, a MapReduce job's and a per-pass DAG's steps may
+// lack one; a step of any other record that loses its bound fails.
+func TestEveryCommittedStepWithinItsBound(t *testing.T) {
+	var n int
+	for _, rec := range committedRecords(t) {
+		label := rec.Name[strings.LastIndex(rec.Name, " ")+1:]
+		unbounded := label == "fleet" || label == "mapreduce" || label == "per-pass"
+		for i, step := range rec.Steps {
+			if _, ok := step.Stats["bound_seconds"]; ok || !unbounded {
+				checkBound(t, fmt.Sprintf("%s step %d", rec.Name, i), step)
+				n++
+			}
+		}
+	}
+	t.Logf("%d committed steps checked against their bound", n)
+}
+
+// checkBound fails t unless step carries a bound and took at least it.
+func checkBound(t *testing.T, name string, step StepRecord) {
+	t.Helper()
+	switch bound := step.Stats["bound_seconds"]; {
+	case bound <= 0:
+		t.Errorf("%s: carries no bound", name)
+	case step.SimSeconds < bound:
+		t.Errorf("%s: sim %.4fs not at or above its bound %.4fs", name, step.SimSeconds, bound)
+	}
 }
 
 func TestTableIListsThreeKernels(t *testing.T) {

@@ -41,8 +41,8 @@ func TestFaultFailoverExperiment(t *testing.T) {
 
 // TestFaultRecordsWithinTheirBound holds the committed full-scale crash
 // cell of the forced DAS offload — server 1 lost for good, its strips
-// spread over their live holders — to at least its bound and at most
-// twice it (1.42×; 1.62× when they all went to the first live holder). It
+// spread over their live holders — to at most twice its bound
+// (TestEveryCommittedStepWithinItsBound holds it to at least the bound) (1.42×; 1.62× when they all went to the first live holder). It
 // read 7.16× while a call from the crashed server's own processes waited
 // out the whole request timeout.
 func TestFaultRecordsWithinTheirBound(t *testing.T) {
@@ -53,8 +53,8 @@ func TestFaultRecordsWithinTheirBound(t *testing.T) {
 		}
 		step := rec.Steps[0]
 		v, bound := step.SimSeconds, step.Stats["bound_seconds"]
-		if bound <= 0 || v < bound || v > 2*bound {
-			t.Errorf("%s: sim %.4fs outside [1, 2] × its bound %.4fs", rec.Name, v, bound)
+		if bound <= 0 || v > 2*bound {
+			t.Errorf("%s: sim %.4fs above 2 × its bound %.4fs", rec.Name, v, bound)
 		}
 		return
 	}

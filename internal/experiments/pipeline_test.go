@@ -93,7 +93,8 @@ func TestPushdownRecordsWithinAFactorOfTheirPrice(t *testing.T) {
 }
 
 // TestPushdownRecordsWithinTheirBound holds the committed full-scale
-// terrain pushdown records to their bound, and the crash cell to what a
+// terrain pushdown records — four of them, each at or above its bound
+// (TestEveryCommittedStepWithinItsBound) — and the crash cell to what a
 // crash costs: the crashed server's acked runs are not redone, each
 // caught-up strip evaluates its lineage once, the catch-up wave spreads
 // over every live holder, and no call waits on a crashed caller, so the
@@ -111,9 +112,6 @@ func TestPushdownRecordsWithinTheirBound(t *testing.T) {
 		}
 		n++
 		step := &rec.Steps[0]
-		if bound := step.Stats["bound_seconds"]; bound <= 0 || step.SimSeconds < bound {
-			t.Errorf("%s: sim %.4fs not at or above its bound %.4fs", rec.Name, step.SimSeconds, bound)
-		}
 		switch {
 		case strings.Contains(rec.Name, "faults[crash"):
 			crashed = step
