@@ -84,7 +84,10 @@ type execReq struct {
 //
 // A storage server's stages overlap (WalkRuns), so LocalRead, Fetch,
 // Compute and Write do not add up to its elapsed time; each is what its
-// stage was busy for. What adds up is the request's own process: the
+// stage was busy for. Fetch is what the assembler waited for dependent
+// data after its local reads: from the third run on a server's fetches
+// were sent a run early (Stages.Lead), and only the wait that remains
+// counts. What adds up is the request's own process: the
 // first run's LocalRead + Fetch, then Compute, then Stall, then the drain
 // — the last run's Write and Forward — is the time from the request's
 // arrival to its reply. A TS worker walks its stripes through the same
@@ -94,7 +97,7 @@ type execReq struct {
 // has no Stall, so its Fetch + Compute + Write is.
 type Phases struct {
 	LocalRead sim.Time // local strip + replica reads through the disk
-	Fetch     sim.Time // waiting for dependent data from other servers
+	Fetch     sim.Time // waiting for dependent data from other servers, once the local reads are done
 	Compute   sim.Time // kernel execution
 	Write     sim.Time // local output writes
 	Stall     sim.Time // compute waiting for the next run's band or the previous run's write
@@ -212,7 +215,8 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 
 // exec processes every run of consecutive strips the request assigns this
 // server through WalkRuns' three stages: assemble the run's band (local
-// reads, replica reads, and — depending on the mode — remote fetches),
+// reads, replica reads, and — depending on the mode — remote fetches,
+// sent a run before the rest of the assembly from the third run on),
 // invoke the kernel, and write the output strips locally while the output
 // layout's replica holders are sent their copies.
 func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, error) {
@@ -244,10 +248,28 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 
 	resp := new(execResp)
 	st := NewStages(svc.fs, svc.cache, srv, in, out, req.Mode, &resp.Tally)
-	var needed []int64 // one list for every run's needed strips: assemblers never overlap
-	assemble := func(a *sim.Proc, run StripRun) (*grid.Band, error) {
+	runs := StripRuns(in, req.Strips)
+	// Assemblers never overlap: one list serves every run's needed strips,
+	// and started counts the assemblies begun.
+	var needed []int64
+	neededBy := func(run StripRun) []int64 {
 		needed = predict.NeededStrips(needed, lc, offs, run.Lo/in.ElemSize, run.Hi/in.ElemSize, total)
-		return st.Assemble(a, run, maxAbs, needed)
+		return needed
+	}
+	started := 0
+	assemble := func(a *sim.Proc, run StripRun) (*grid.Band, error) {
+		// Starting run i's assembly, i ≥ 1, sends run i+1's fetches
+		// (Stages.Lead), which splits that run's strips for its Assemble;
+		// runs 0 and 1 split and send their own.
+		i := started
+		started++
+		if i >= 1 && i+1 < len(runs) {
+			st.Lead(a, runs[i+1], maxAbs, neededBy(runs[i+1]))
+		}
+		if i >= 2 {
+			return st.Assemble(a, run, maxAbs, nil)
+		}
+		return st.Assemble(a, run, maxAbs, neededBy(run))
 	}
 	// The output is allocated once, as the memory the store will hold:
 	// nothing writes it after the kernel returns.
@@ -261,7 +283,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 		resp.Strips += run.Last - run.First + 1
 		return st.Store(p, run, outVals, nil)
 	}
-	err := WalkRuns(p, StripRuns(in, req.Strips), assemble, compute, st.Stalled(p))
+	err := WalkRuns(p, runs, assemble, compute, st.Stalled(p))
 	if err := st.Drain(p, err); err != nil {
 		return nil, err
 	}

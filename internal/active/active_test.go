@@ -18,6 +18,7 @@ import (
 type testRig struct {
 	clu *cluster.Cluster
 	fs  *pfs.FileSystem
+	svc *Service
 	g   *grid.Grid
 }
 
@@ -36,14 +37,14 @@ func newRigOn(t *testing.T, cfg cluster.Config, lay layout.Layout, w, h int, str
 		t.Fatal(err)
 	}
 	fs := pfs.New(clu)
-	Deploy(fs, kernels.Default(), nil)
+	svc := Deploy(fs, kernels.Default(), nil)
 	g := workload.Terrain(w, h, 11)
 	if _, err := fs.Create("in", g.SizeBytes(), lay, pfs.CreateOptions{
 		StripSize: stripSize, Width: w, Height: h, ElemSize: grid.ElemSize,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rig := &testRig{clu: clu, fs: fs, g: g}
+	rig := &testRig{clu: clu, fs: fs, svc: svc, g: g}
 	rig.run(t, func(p *sim.Proc) error {
 		return fs.NewClient(clu.ComputeID(0)).WriteAll(p, "in", g.Bytes())
 	})

@@ -2,6 +2,7 @@ package active
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hpcio/das/internal/cache"
 	"github.com/hpcio/das/internal/grid"
@@ -33,6 +34,7 @@ type Stages struct {
 	mode     FetchMode
 	tally    *Tally
 	forwards []*sim.Signal[error]
+	leads    []inflight // the fetches Lead sent, each until its run's Assemble has them all back
 }
 
 // NewStages binds the stage bodies to one request on srv: it reads in,
@@ -51,33 +53,26 @@ func NewStages(fs *pfs.FileSystem, c *cache.Manager, srv *pfs.Server, in, out *p
 // no window there. Nothing is copied: the band is lent the stored strips
 // and the fetched buffers themselves, and reads what they held when it
 // was lent them whatever replaces a strip before the kernel runs.
+//
+// A run Lead sent ahead was split by Lead, and strips is ignored: its
+// fetches are taken as they come back. A migration may have moved a strip
+// onto or off this server since: one gained stays fetched, and one lost
+// is fetched now, as a reader racing a retired copy fails over.
 func (st *Stages) Assemble(a *sim.Proc, run StripRun, depth int64, strips []int64) (*grid.Band, error) {
 	in, srv, clu := st.in, st.srv, st.fs.Cluster()
-	total := in.Size / in.ElemSize
-	e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
-	lo, hi := grid.HaloRange(e0, e1, depth, total)
-	band := grid.NewBandLent(in.Width, total, e0, e1, lo, hi)
-
-	var localSpans []pfs.Span
-	var localLo []int64
-	type remote struct{ strip, needLo, needHi int64 }
-	var remotes []remote
-	for _, t := range strips {
-		tLo, tHi := in.StripBounds(t)
-		needLo, needHi := max(lo*in.ElemSize, tLo), min(hi*in.ElemSize, tHi)
-		if needHi <= needLo {
-			continue
-		}
-		if srv.Holds(in.Name, t) {
-			localSpans = append(localSpans, pfs.Span{Strip: t, Lo: needLo - tLo, Hi: needHi - tLo})
-			localLo = append(localLo, needLo)
-		} else {
-			remotes = append(remotes, remote{strip: t, needLo: needLo, needHi: needHi})
-		}
+	i := slices.IndexFunc(st.leads, func(l inflight) bool { return l.first == run.First })
+	var nd need
+	var lost []remote
+	if i >= 0 {
+		nd = st.leads[i].need
+		nd.local, nd.localLo, lost = st.stillHeld(nd.local, nd.localLo)
+	} else {
+		nd = st.needs(run, depth, strips)
 	}
-	if len(localSpans) > 0 {
+	band := grid.NewBandLent(in.Width, in.Size/in.ElemSize, run.Lo/in.ElemSize, run.Hi/in.ElemSize, nd.lo, nd.hi)
+	if len(nd.local) > 0 {
 		t0 := a.Now()
-		chunks, err := srv.LocalViewMany(a, in.Name, localSpans)
+		chunks, err := srv.LocalViewMany(a, in.Name, nd.local)
 		if err != nil {
 			band.Release()
 			return nil, err
@@ -85,34 +80,24 @@ func (st *Stages) Assemble(a *sim.Proc, run StripRun, depth int64, strips []int6
 		st.tally.Phases.LocalRead += a.Now() - t0
 		if clu.Trace != nil {
 			clu.Trace.Record(t0, a.Now()-t0, Lane(srv, "read"), "local-read",
-				fmt.Sprintf("%d spans for strips %d-%d of %s", len(localSpans), run.First, run.Last, in.Name))
+				fmt.Sprintf("%d spans for strips %d-%d of %s", len(nd.local), run.First, run.Last, in.Name))
 		}
 		for i, chunk := range chunks {
-			band.Lend(localLo[i]/in.ElemSize, chunk) // a view of the stored strip: never released
+			band.Lend(nd.localLo[i]/in.ElemSize, chunk) // a view of the stored strip: never released
 		}
 	}
-	// Dependent-strip fetches for one run go out concurrently (the requests
-	// target distinct owners); the run still cannot compute until every
-	// response arrives, and the amplified traffic still serializes on the
-	// NICs and disks it crosses.
-	type fetched struct {
-		data  []byte
-		gotLo int64
-		hit   bool
-		err   error
-	}
 	fetchStart := a.Now()
-	fetchSigs := make([]*sim.Signal[fetched], len(remotes))
-	for i, rm := range remotes {
-		rm := rm
-		sig := sim.NewSignal[fetched](clu.Eng, "as-fetch")
-		fetchSigs[i] = sig
-		a.Spawn("as-fetch", func(f *sim.Proc) {
-			data, gotLo, hit, err := st.fetch(f, rm.strip, rm.needLo, rm.needHi)
-			sig.Fire(fetched{data: data, gotLo: gotLo, hit: hit, err: err})
-		})
+	var sigs []*sim.Signal[fetched]
+	if i >= 0 {
+		sigs = append(st.leads[i].sigs, st.send(a, lost)...)
+	} else {
+		sigs = st.send(a, nd.remote)
 	}
-	results := sim.WaitAll(a, fetchSigs)
+	results := sim.WaitAll(a, sigs)
+	if i >= 0 {
+		// Back, every one: Drain has nothing of this run's left to join.
+		st.leads = slices.Delete(st.leads, i, i+1)
+	}
 	for _, got := range results {
 		if got.err != nil {
 			band.Release()
@@ -130,11 +115,106 @@ func (st *Stages) Assemble(a *sim.Proc, run StripRun, depth int64, strips []int6
 		band.Lend(got.gotLo/in.ElemSize, got.data) // the owner's strip or a cache entry's window of it: never released
 	}
 	st.tally.Phases.Fetch += a.Now() - fetchStart
-	if clu.Trace != nil && len(remotes) > 0 {
+	if clu.Trace != nil && len(sigs) > 0 {
 		clu.Trace.Record(fetchStart, a.Now()-fetchStart, Lane(srv, "read"), "fetch",
-			fmt.Sprintf("%d dependent strips for strips %d-%d (%s)", len(remotes), run.First, run.Last, st.mode))
+			fmt.Sprintf("%d dependent strips for strips %d-%d (%s)", len(sigs), run.First, run.Last, st.mode))
 	}
 	return band, nil
+}
+
+// Lead splits a run's strips as Assemble would and sends its
+// dependent-strip fetches ahead of its assembly, for the run's Assemble to
+// take with the split. An exec walk sends run i+1's when it starts
+// assembling run i: a fetch's round trip outlasts a run's share of the
+// ingress NIC, so with only one run's fetches out the NIC idles. Fetches
+// a failed walk leaves out are joined by Drain.
+func (st *Stages) Lead(a *sim.Proc, run StripRun, depth int64, strips []int64) {
+	nd := st.needs(run, depth, strips)
+	st.leads = append(st.leads, inflight{first: run.First, need: nd, sigs: st.send(a, nd.remote)})
+}
+
+// need is what a run's band wants of the strips listed: its element range
+// [lo, hi), halo included; the spans this server holds, with the byte
+// offset each starts at; and the ranges it must fetch.
+type need struct {
+	lo, hi  int64
+	local   []pfs.Span
+	localLo []int64
+	remote  []remote
+}
+
+// remote is a byte range [needLo, needHi) of a strip another server holds.
+type remote struct{ strip, needLo, needHi int64 }
+
+// needs splits what run's band, depth elements of halo each side, wants of
+// the strips listed into what this server holds and what it must fetch.
+func (st *Stages) needs(run StripRun, depth int64, strips []int64) need {
+	in, srv := st.in, st.srv
+	var nd need
+	nd.lo, nd.hi = grid.HaloRange(run.Lo/in.ElemSize, run.Hi/in.ElemSize, depth, in.Size/in.ElemSize)
+	for _, t := range strips {
+		tLo, tHi := in.StripBounds(t)
+		needLo, needHi := max(nd.lo*in.ElemSize, tLo), min(nd.hi*in.ElemSize, tHi)
+		if needHi <= needLo {
+			continue
+		}
+		if srv.Holds(in.Name, t) {
+			nd.local = append(nd.local, pfs.Span{Strip: t, Lo: needLo - tLo, Hi: needHi - tLo})
+			nd.localLo = append(nd.localLo, needLo)
+		} else {
+			nd.remote = append(nd.remote, remote{strip: t, needLo: needLo, needHi: needHi})
+		}
+	}
+	return nd
+}
+
+// stillHeld keeps the local spans of a need whose strips this server
+// still holds, in place, and returns the ranges of the others, to fetch.
+func (st *Stages) stillHeld(local []pfs.Span, localLo []int64) ([]pfs.Span, []int64, []remote) {
+	var lost []remote
+	n := 0
+	for k, sp := range local {
+		if st.srv.Holds(st.in.Name, sp.Strip) {
+			local[n], localLo[n] = sp, localLo[k]
+			n++
+			continue
+		}
+		lost = append(lost, remote{strip: sp.Strip, needLo: localLo[k], needHi: localLo[k] + sp.Hi - sp.Lo})
+	}
+	return local[:n], localLo[:n], lost
+}
+
+// inflight is one run's dependent-strip fetches, sent by Lead with the
+// split they came from, and not yet all taken.
+type inflight struct {
+	first int64 // the run's first strip
+	need  need
+	sigs  []*sim.Signal[fetched]
+}
+
+// fetched is one dependent range as fetch resolved it.
+type fetched struct {
+	data  []byte
+	gotLo int64
+	hit   bool
+	err   error
+}
+
+// send starts dependent-strip fetches, one process each. A run's go out
+// concurrently (the requests target distinct owners); the run still
+// cannot compute until every response arrives, and the amplified traffic
+// still serializes on the NICs and disks it crosses.
+func (st *Stages) send(a *sim.Proc, remotes []remote) []*sim.Signal[fetched] {
+	sigs := make([]*sim.Signal[fetched], len(remotes))
+	for i, rm := range remotes {
+		sig := sim.NewSignal[fetched](st.fs.Cluster().Eng, "as-fetch")
+		sigs[i] = sig
+		a.Spawn("as-fetch", func(f *sim.Proc) {
+			data, gotLo, hit, err := st.fetch(f, rm.strip, rm.needLo, rm.needHi)
+			sig.Fire(fetched{data: data, gotLo: gotLo, hit: hit, err: err})
+		})
+	}
+	return sigs
 }
 
 // fetch resolves a byte range of a strip this server does not hold.
@@ -262,11 +342,17 @@ func (st *Stages) Stalled(p *sim.Proc) func(since sim.Time) {
 }
 
 // Drain joins, on the request's process p, the replica forwards Store
-// started, once the walk has returned err. The request is answered, error
-// or not, only once they have been acknowledged: when the reply leaves is
+// started, once the walk has returned err, and any fetches Lead sent that
+// no assembly waited for: the failed walk never reached their run, or its
+// local read failed first. The request is answered, error or
+// not, only once they have all come back: when the reply leaves is
 // simulated behaviour, and under a crash plan it decides whether the reply
 // is delivered at all. It returns err, or else the first forward's error.
 func (st *Stages) Drain(p *sim.Proc, err error) error {
+	for _, led := range st.leads {
+		sim.WaitAll(p, led.sigs)
+	}
+	st.leads = nil
 	forwardStart := p.Now()
 	for _, ferr := range sim.WaitAll(p, st.forwards) {
 		if err == nil {
