@@ -154,7 +154,7 @@ type ExecStats struct {
 	// PhaseMax holds, per phase, the busiest server's time — the
 	// critical-path decomposition of the operation.
 	PhaseMax Phases
-	// Rounds is the number of dispatch rounds the operation took: 1 on a
+	// Rounds is the number of dispatch waves the operation took: 1 on a
 	// healthy cluster, more when mid-execution crashes forced strips to be
 	// reassigned to replica holders.
 	Rounds int
@@ -341,24 +341,29 @@ func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (Ex
 	if !ok {
 		return ExecStats{}, fmt.Errorf("active: unknown output %q", output)
 	}
-	ask := func(srv int, strips []int64) any {
-		// LocalOnly holds where the verified layout placed the strip: on
-		// its primary. A strip placed on another holder has its halo off
-		// that node, so the request fetches whole strips instead.
-		m := mode
-		if m == LocalOnly && slices.ContainsFunc(strips, func(s int64) bool { return out.Layout.Primary(s) != srv }) {
-			m = FetchWholeStrips
+	ask := func(assign [][]int64, _ bool) func(int) Request {
+		return func(srv int) Request {
+			// LocalOnly holds where the verified layout placed the strip: on
+			// its primary. A strip placed on another holder has its halo off
+			// that node, so the request fetches whole strips instead.
+			m := mode
+			if m == LocalOnly && slices.ContainsFunc(assign[srv], func(s int64) bool { return out.Layout.Primary(s) != srv }) {
+				m = FetchWholeStrips
+			}
+			return Request{Payload: execReq{Op: op, Input: input, Output: output, Mode: m, Strips: assign[srv]}, Size: headerBytes}
 		}
-		return execReq{Op: op, Input: input, Output: output, Mode: m, Strips: strips}
 	}
 	var stats ExecStats
-	take := func(payload any) error {
-		r, ok := payload.(*execResp)
+	take := func(_ int, strips []int64, rp Reply) ([]int64, error) {
+		if rp.Lost {
+			return strips, nil
+		}
+		r, ok := rp.Payload.(*execResp)
 		if !ok {
-			return fmt.Errorf("active: unexpected response type %T", payload)
+			return nil, fmt.Errorf("active: unexpected response type %T", rp.Payload)
 		}
 		if r.Err != "" {
-			return remoteErr(input, r.Err)
+			return nil, remoteErr(input, r.Err)
 		}
 		stats.Strips += r.Strips
 		stats.Elements += r.Elements
@@ -367,11 +372,12 @@ func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (Ex
 		stats.CacheHits += r.CacheHits
 		stats.CacheHitBytes += r.CacheHitBytes
 		stats.PhaseMax.MaxWith(r.Phases)
-		return nil
+		return nil, nil
 	}
-	var err error
-	if stats.Rounds, stats.Servers, err = c.dispatch(p, input, out.Layout, out.Strips(), ask, take); err != nil {
+	retries, servers, err := c.Dispatch(p, Port, input, out.Layout, out.Strips(), nil, ask, take)
+	if err != nil {
 		return ExecStats{}, err
 	}
+	stats.Rounds, stats.Servers = retries+1, servers
 	return stats, nil
 }

@@ -11,11 +11,11 @@ import (
 	"github.com/hpcio/das/internal/simnet"
 )
 
-// maxDispatchRounds bounds how many times the client reassigns strips
-// after mid-execution crashes before giving up. Each round only touches
-// the strips whose server died, so under any single-failure plan round
-// two finishes the job.
-const maxDispatchRounds = 4
+// maxRetries bounds the waves of one Dispatch that re-send a strip it has
+// already sent, Exec's and a pipeline round's alike. Such a wave carries
+// only the strips a lost reply still owes, so under any single-failure
+// plan the first one finishes the job.
+const maxRetries = 5
 
 // NoLiveCopyError reports that an offloaded operation cannot run because a
 // strip of its input has no copy on any live server. It unwraps to
@@ -87,68 +87,105 @@ func FanOut(p *sim.Proc, fs *pfs.FileSystem, from int, port string, reqs []Reque
 	return sim.WaitAll(p, sigs)
 }
 
-// dispatch is the one loop an offload's strips go through, Exec's and
-// ExecReduce's alike: the Active Storage Client of Fig. 2 telling each
-// server which strips to process. Each round places its pending strips
-// with one layout.Placer under place, the layout that places the results:
-// round one's strips are fresh, so each runs on its primary while that is
-// live; a later round's, whose reply was lost, spread over their live
-// holders. Round one asks every live server, one given no strips too; a
-// later round asks, in ascending order, only the servers given strips.
-// ask builds server srv's request; take folds a reply, and an error from
-// it ends the operation. A strip with no live copy fails it with
-// NoLiveCopyError — the caller's cue to degrade to normal I/O. It returns
-// the rounds taken and how many servers answered.
-func (c *Client) dispatch(p *sim.Proc, input string, place layout.Layout, n int64,
-	ask func(srv int, strips []int64) any, take func(payload any) error) (rounds, servers int, err error) {
+// Dispatch is the one loop an offload's strips go through — Exec's,
+// ExecReduce's and every pipeline round's: the Active Storage Client of
+// Fig. 2 telling each server which strips to process. It owns the strips
+// still owed, places each wave with one layout.Placer under place (the
+// layout that places the results), groups them by server in ascending
+// order, sends them to port through FanOut and puts a lost reply's strips
+// back.
+//
+// pin, when set, says where a strip's state pins it: a server, or -1 when
+// that state is gone and the strip is owed a redo. A wave carries the
+// strips owed a redo when there are any, spread over their live holders
+// (placed not fresh) with redo set; otherwise it carries the fresh
+// strips, each on its pinned server or, unpinned, on its live primary. A
+// pipeline round so finishes every catch-up before a strip that pulls
+// from the state owners goes out (DESIGN.md §14); Exec, with pin nil,
+// never holds both kinds at once. The first wave asks every live server,
+// one given no strips too, a later one only the servers given strips.
+//
+// ask is called once a wave with its whole assignment, strips by server,
+// and returns the builder of each asked server's request; a Request with
+// no Payload is not sent. take folds server srv's reply to its strips and
+// returns the strips it still owes — a lost reply's, or those of them no
+// ack covers — and an error from it ends the operation. A strip with no
+// live copy fails it with NoLiveCopyError, the caller's cue to degrade to
+// normal I/O; more than maxRetries re-sending waves fail it with
+// pfs.ErrTimeout. It returns the re-sending waves taken, each counted in
+// recovery.exec_retries, and how many servers answered.
+func (c *Client) Dispatch(p *sim.Proc, port, input string, place layout.Layout, n int64, pin func(s int64) int,
+	ask func(assign [][]int64, redo bool) func(srv int) Request,
+	take func(srv int, strips []int64, r Reply) (owed []int64, err error)) (retries, servers int, err error) {
 	clu := c.fs.Cluster()
 	live := func(srv int) bool { return !clu.ServerDown(srv) }
 	answered := make([]bool, c.fs.Servers())
-	pending := make([]int64, n)
-	for s := range pending {
-		pending[s] = int64(s)
+	var fresh, redo []int64
+	var pinned []int
+	if pin != nil {
+		pinned = make([]int, n)
 	}
-	for ; len(pending) > 0; rounds++ {
-		if rounds >= maxDispatchRounds {
-			return rounds, servers, fmt.Errorf("active: %d strips unprocessed after %d dispatch rounds: %w",
-				len(pending), rounds, pfs.ErrTimeout)
+	for s := int64(0); s < n; s++ {
+		if pin != nil {
+			if pinned[s] = pin(s); pinned[s] < 0 {
+				redo = append(redo, s)
+				continue
+			}
+		}
+		fresh = append(fresh, s)
+	}
+	for wave := 0; len(fresh)+len(redo) > 0; wave++ {
+		strips, isRedo := fresh, len(redo) > 0
+		if isRedo {
+			// Past the first wave, redo strips are strips a lost reply owes.
+			if wave > 0 {
+				if retries == maxRetries {
+					return retries, servers, fmt.Errorf("active: %d strips unprocessed after %d waves: %w",
+						len(fresh)+len(redo), wave, pfs.ErrTimeout)
+				}
+				retries++
+				c.execRetries.Inc()
+			}
+			strips, redo = redo, nil
+		} else {
+			fresh = nil
 		}
 		assign := make([][]int64, c.fs.Servers())
 		placer := layout.NewPlacer(place, live)
-		for _, s := range pending {
-			srv, ok := placer.Place(s, rounds == 0)
-			if !ok {
-				return rounds, servers, &NoLiveCopyError{File: input, Strip: s}
+		for _, s := range strips {
+			srv, ok := 0, true
+			if !isRedo && pinned != nil {
+				srv = pinned[s]
+			} else if srv, ok = placer.Place(s, !isRedo); !ok {
+				return retries, servers, &NoLiveCopyError{File: input, Strip: s}
 			}
 			assign[srv] = append(assign[srv], s)
 		}
+		build := ask(assign, isRedo)
 		var reqs []Request
-		for srv, strips := range assign {
-			if strips != nil || (rounds == 0 && live(srv)) {
-				reqs = append(reqs, Request{Srv: srv, Payload: ask(srv, strips), Size: headerBytes})
+		for srv, ss := range assign {
+			if ss != nil || (wave == 0 && live(srv)) {
+				if rq := build(srv); rq.Payload != nil {
+					rq.Srv = srv
+					reqs = append(reqs, rq)
+				}
 			}
 		}
-		pending = pending[:0]
-		for i, r := range FanOut(p, c.fs, c.nodeID, Port, reqs, 0) {
+		for i, r := range FanOut(p, c.fs, c.nodeID, port, reqs, 0) {
 			srv := reqs[i].Srv
-			if r.Lost {
-				// The server crashed mid-execution: its strips return to the
-				// pool for the next round.
-				c.execRetries.Inc()
-				pending = append(pending, assign[srv]...)
-				continue
+			owed, err := take(srv, assign[srv], r)
+			if err != nil {
+				return retries, servers, err
 			}
-			if err := take(r.Payload); err != nil {
-				return rounds + 1, servers, err
-			}
-			if !answered[srv] {
+			redo = append(redo, owed...)
+			if !r.Lost && !answered[srv] {
 				answered[srv] = true
 				servers++
 			}
 		}
-		slices.Sort(pending)
+		slices.Sort(redo)
 	}
-	return rounds, servers, nil
+	return retries, servers, nil
 }
 
 // remoteErr is the client's error for a server's error message. A

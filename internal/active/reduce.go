@@ -96,23 +96,30 @@ func (c *Client) ExecReduce(p *sim.Proc, red kernels.Reducer, input string) ([]f
 	if !ok {
 		return nil, ReduceStats{}, fmt.Errorf("active: unknown input %q", input)
 	}
-	ask := func(_ int, strips []int64) any { return reduceReq{Op: red.Name(), Input: input, Strips: strips} }
+	ask := func(assign [][]int64, _ bool) func(int) Request {
+		return func(srv int) Request {
+			return Request{Payload: reduceReq{Op: red.Name(), Input: input, Strips: assign[srv]}, Size: headerBytes}
+		}
+	}
 	var stats ReduceStats
 	var partials [][]float64
-	take := func(payload any) error {
-		r, ok := payload.(reduceResp)
+	take := func(_ int, strips []int64, rp Reply) ([]int64, error) {
+		if rp.Lost {
+			return strips, nil
+		}
+		r, ok := rp.Payload.(reduceResp)
 		if !ok {
-			return fmt.Errorf("active: unexpected response type %T", payload)
+			return nil, fmt.Errorf("active: unexpected response type %T", rp.Payload)
 		}
 		if r.Err != "" {
-			return remoteErr(input, r.Err)
+			return nil, remoteErr(input, r.Err)
 		}
 		// Guard against a client reducer parameterized differently from
 		// the server-side registration of the same name (e.g. histograms
 		// with different bin counts): merging mismatched partials would
 		// silently corrupt the aggregate.
 		if len(r.Partial) != red.PartialLen() {
-			return fmt.Errorf(
+			return nil, fmt.Errorf(
 				"active: reducer %q returned %d-element partials, client expects %d (parameter mismatch with the server registration)",
 				red.Name(), len(r.Partial), red.PartialLen())
 		}
@@ -121,10 +128,10 @@ func (c *Client) ExecReduce(p *sim.Proc, red kernels.Reducer, input string) ([]f
 		if r.Elements > 0 {
 			partials = append(partials, r.Partial)
 		}
-		return nil
+		return nil, nil
 	}
 	var err error
-	if _, stats.Servers, err = c.dispatch(p, input, in.Layout, in.Strips(), ask, take); err != nil {
+	if _, stats.Servers, err = c.Dispatch(p, Port, input, in.Layout, in.Strips(), nil, ask, take); err != nil {
 		return nil, ReduceStats{}, err
 	}
 	if len(partials) == 0 {

@@ -320,6 +320,10 @@ func (r *run) step(st Step, index int) (StepRecord, error) {
 	if err != nil {
 		return sr, err
 	}
+	// No schedule beats its bound: a step that does measured itself wrong.
+	if bound, ok := sr.Stats["bound_seconds"]; ok && sr.SimTime() < SimTime(bound) {
+		return sr, fmt.Errorf("sim %.9fs below its bound %.9fs", sr.SimSeconds, bound)
+	}
 	after := sys.Clu.Traffic.Snapshot()
 	for _, class := range metrics.Classes() {
 		sr.Traffic[trafficNames[class]] = float64(after[class] - before[class])

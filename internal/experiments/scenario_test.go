@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"reflect"
 	"sort"
 	"testing"
@@ -23,7 +24,8 @@ import (
 // cell first runs alone under bufpool.Audit: every pool Put scribbles, so
 // a buffer read after it went back fails the cell's verification, and a
 // buffer still out once the cell's platform is closed is a leak, reported
-// with the cell's name.
+// with the cell's name. That one pass also snapshots every cell's counter
+// registry for TestEveryCounterMoves.
 func TestEveryScenarioOnce(t *testing.T) {
 	c := Quick()
 	keyOf := make(map[string]string) // name → key
@@ -53,16 +55,7 @@ func TestEveryScenarioOnce(t *testing.T) {
 		}
 	}
 
-	for _, s := range distinct {
-		done := bufpool.Audit()
-		_, err := c.Run(s) // recorded: Execute below reuses it
-		if n := done(); n != 0 {
-			t.Errorf("%q: %d pooled buffers outstanding after its platform closed", s.Name(), n)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	quickMoved = runDistinct(t, c, distinct)
 	for _, e := range Experiments() {
 		_, recs, err := c.Execute(e)
 		if err != nil {
@@ -154,30 +147,58 @@ func TestEveryAdaptiveKnobIsTurned(t *testing.T) {
 	}
 }
 
+// quickMoved is the counter snapshot of TestEveryScenarioOnce's pass over
+// the distinct Quick cells: name → nonzero in some cell. Nil until a pass
+// has completed.
+var quickMoved map[string]bool
+
+// runDistinct runs each of distinct once on c, alone under bufpool.Audit,
+// records it for c's later Execute, and returns which registered counters
+// some cell moved.
+func runDistinct(t *testing.T, c Config, distinct []Scenario) map[string]bool {
+	t.Helper()
+	moved := make(map[string]bool)
+	for _, s := range distinct {
+		done := bufpool.Audit()
+		rec, err := c.RunLive(s, nil, func(l *Live, _ Record) {
+			for name, n := range l.Clu.Counters.Snapshot() {
+				moved[name] = moved[name] || n != 0
+			}
+		})
+		if n := done(); n != 0 {
+			t.Errorf("%q: %d pooled buffers outstanding after its platform closed", s.Name(), n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.session.records[s.key()] = rec // Execute reuses it
+	}
+	return moved
+}
+
 // TestEveryCounterMoves: every counter that some Quick cell's platform
 // registers counts something in at least one cell — at Quick, or else in
 // the committed full-size records. A counter nothing moves reports
-// nothing; it belongs deleted, not registered.
+// nothing; it belongs deleted, not registered. It reads the snapshot
+// TestEveryScenarioOnce took, and makes the pass itself only when run
+// without it.
 func TestEveryCounterMoves(t *testing.T) {
-	c := Quick()
-	moved := make(map[string]bool)
-	ran := make(map[string]bool)
-	for _, e := range Experiments() {
-		for _, s := range e.Scenarios(c) {
-			if ran[s.Name()] {
-				continue
-			}
-			ran[s.Name()] = true
-			_, err := c.RunLive(s, nil, func(l *Live, _ Record) {
-				for name, n := range l.Clu.Counters.Snapshot() {
-					moved[name] = moved[name] || n != 0
+	moved := quickMoved
+	if moved == nil {
+		c := Quick()
+		var distinct []Scenario
+		ran := make(map[string]bool)
+		for _, e := range Experiments() {
+			for _, s := range e.Scenarios(c) {
+				if !ran[s.Name()] {
+					ran[s.Name()] = true
+					distinct = append(distinct, s)
 				}
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 		}
+		moved = runDistinct(t, c, distinct)
 	}
+	moved = maps.Clone(moved)
 	var still []string
 	for name, ok := range moved {
 		if !ok {

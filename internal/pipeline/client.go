@@ -8,19 +8,11 @@ import (
 
 	"github.com/hpcio/das/internal/active"
 	"github.com/hpcio/das/internal/kernels"
-	"github.com/hpcio/das/internal/layout"
-	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
 )
-
-// maxAttempts bounds redispatch attempts within one round. A strip is
-// redispatched only when its request was lost and, in the final round, no
-// ack covers it; it is then caught up from the durable input, so under any
-// single-failure plan the second attempt completes.
-const maxAttempts = 6
 
 // RunResult summarizes one pipeline run: the execution shape the
 // compiled plan chose, the achieved halo traffic against the
@@ -74,15 +66,15 @@ func (r RunResult) LowerBoundRatio() float64 {
 }
 
 // Client coordinates pipeline runs from a compute node: it compiles the
-// DAG, drives the dispatch rounds strip-set by strip-set, reassigns
-// strips with catch-up when a server crash loses in-memory state, and
-// merges the terminal reduce partials in canonical strip order.
+// DAG, drives each dispatch round through active's one dispatch loop,
+// reassigns strips with catch-up when a server crash loses in-memory
+// state, and merges the terminal reduce partials in canonical strip order.
 type Client struct {
-	svc         *Service
-	fs          *pfs.FileSystem
-	nodeID      int
-	acks        *acks
-	execRetries *metrics.Counter // recovery.exec_retries
+	svc    *Service
+	fs     *pfs.FileSystem
+	nodeID int
+	acks   *acks
+	ac     *active.Client // dispatches every round's waves
 }
 
 // NewClient builds a client of the service on the given compute node: it
@@ -90,7 +82,7 @@ type Client struct {
 // receives its runs' acks on the node's ack port.
 func (svc *Service) NewClient(nodeID int) *Client {
 	return &Client{svc: svc, fs: svc.fs, nodeID: nodeID, acks: svc.acks[nodeID],
-		execRetries: svc.fs.Cluster().Counters.Counter("recovery.exec_retries")}
+		ac: active.NewClient(svc.fs, nodeID)}
 }
 
 // Run executes the DAG over input, committing the grid output into the
@@ -172,68 +164,89 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 	var res RunResult
 	partials := make(map[int64][]float64)
 	for round := 0; round < pl.Rounds(); round++ {
-		pending := make([]int64, 0, strips)
-		for s := int64(0); s < strips; s++ {
-			pending = append(pending, s)
-		}
-		catch := make(map[int64]bool)
+		// A strip past round 0 is pinned to its state owner; one whose
+		// owner died or restarted is owed a catch-up.
+		var pin func(s int64) int
 		if round > 0 {
-			for s := int64(0); s < strips; s++ {
+			pin = func(s int64) int {
 				if ownerLost(s) {
-					catch[s] = true
+					return -1
 				}
+				return int(owner[s])
 			}
 		}
-		for attempt := 0; len(pending) > 0; attempt++ {
-			if attempt >= maxAttempts {
-				return RunResult{}, fmt.Errorf("pipeline: %d strips unprocessed after %d attempts in round %d: %w",
-					len(pending), attempt, round, pfs.ErrTimeout)
-			}
-			if attempt > 0 {
-				c.execRetries.Inc()
-				res.Redispatches++
-			}
-			var catchStrips, normal []int64
-			for _, s := range pending {
-				if catch[s] {
-					catchStrips = append(catchStrips, s)
-				} else {
-					normal = append(normal, s)
+		var wave active.Phases
+		ask := func(assign [][]int64, catchUp bool) func(int) active.Request {
+			// The last wave's busiest server ends before this one starts.
+			res.Phases.Add(wave)
+			wave = active.Phases{}
+			// owners is the snapshot the pulls read: the current state
+			// owners, with this wave's own strips pointed at their assigned
+			// server (a server's pulls never target strips assigned to the
+			// same request, but a concurrent peer's may).
+			owners := slices.Clone(owner)
+			for srv, ss := range assign {
+				for _, s := range ss {
+					owners[s] = int32(srv)
 				}
 			}
-			// Wave A: catch-up strips recompute their lineage from the
-			// durable input where the placer spreads them. They must
-			// land before wave B, whose band pulls target the new owners.
-			if len(catchStrips) > 0 {
-				failed, err := c.dispatch(p, pl, token, d, input, output, round, true, catchStrips, owner, ownerInc, acked, partials, &res)
-				if err != nil {
-					return RunResult{}, err
+			return func(srv int) active.Request {
+				ss := assign[srv]
+				if ss == nil {
+					return active.Request{}
 				}
-				if len(failed) > 0 {
-					// Retry everything next attempt: wave B's owner
-					// snapshot would point pulls at strips still in
-					// flight.
-					for _, s := range failed {
-						catch[s] = true
+				return active.Request{Size: headerBytes + int64(len(ss))*8,
+					Payload: stageReq{Token: token, DAG: d, Input: input, Output: output,
+						Round: round, Strips: ss, CatchUp: catchUp, Depth: pl.Prefix, Owners: owners}}
+			}
+		}
+		// take folds a reply into owner tracking, partials and the run
+		// result. A lost request's strips are owed again, except those an
+		// ack covers — only final-round runs are acked: they are stored on
+		// every holder, and their partials are taken from acked.
+		take := func(srv int, ss []int64, r active.Reply) ([]int64, error) {
+			resp, ok := r.Payload.(stageResp)
+			if !ok || (resp.Err != "" && resp.Transient) {
+				var owed []int64
+				for _, s := range ss {
+					if partial, ok := acked[s]; ok {
+						partials[s] = partial
+					} else {
+						owed = append(owed, s)
 					}
-					pending = append(failed, normal...)
-					sortStrips(pending)
-					continue
 				}
+				return owed, nil
 			}
-			pending = pending[:0]
-			if len(normal) > 0 {
-				failed, err := c.dispatch(p, pl, token, d, input, output, round, false, normal, owner, ownerInc, acked, partials, &res)
-				if err != nil {
-					return RunResult{}, err
+			if resp.Err != "" {
+				if strings.Contains(resp.Err, pfs.ErrNoLiveCopy.Error()) {
+					return nil, &active.NoLiveCopyError{File: input, Strip: -1}
 				}
-				for _, s := range failed {
-					catch[s] = true
-				}
-				pending = append(pending, failed...)
-				sortStrips(pending)
+				return nil, fmt.Errorf("pipeline: %s", resp.Err)
 			}
+			for _, s := range ss {
+				owner[s] = int32(srv)
+				ownerInc[s] = r.Inc
+			}
+			for i, s := range resp.PartialStrips {
+				partials[s] = resp.Partials[i]
+			}
+			res.Elements += resp.Elements
+			res.FetchOps += resp.RemoteFetches
+			res.FetchBytes += resp.RemoteBytes
+			res.CacheHits += resp.CacheHits
+			res.CacheHitBytes += resp.CacheHitBytes
+			res.ExchangeOps += resp.ExchangeOps
+			res.ExchangeBytes += resp.ExchangeBytes
+			res.CatchUps += resp.CatchUps
+			wave.MaxWith(resp.Phases)
+			return nil, nil
 		}
+		retries, _, err := c.ac.Dispatch(p, Port, input, out.Layout, strips, pin, ask, take)
+		if err != nil {
+			return RunResult{}, err
+		}
+		res.Phases.Add(wave)
+		res.Redispatches += int64(retries)
 	}
 
 	if pl.Reduce >= 0 {
@@ -262,102 +275,6 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 	return res, nil
 }
 
-// dispatch sends one wave of stage requests, grouped by assigned server,
-// through active.FanOut, and folds successful responses into owner
-// tracking, partials, and the run result. It returns the strips whose
-// server failed transiently (crash mid-round, lost state) for
-// reassignment, except those an ack covers — only final-round runs are
-// acked: they are stored on every holder, and their partials are taken
-// from acked. Hard errors abort.
-func (c *Client) dispatch(p *sim.Proc, pl *Plan, token string, d kernels.DAG, input, output string,
-	round int, catchUp bool, strips []int64, owner []int32, ownerInc []uint64,
-	acked, partials map[int64][]float64, res *RunResult) ([]int64, error) {
-	clu := c.fs.Cluster()
-	live := func(srv int) bool { return !clu.ServerDown(srv) }
-	out, _ := c.fs.Meta(output)
-
-	// owners is the snapshot wave-B pulls read: the current state owners,
-	// with this wave's own strips pointed at their assigned server (a
-	// server's pulls never target strips assigned to the same request, but
-	// a concurrent peer's may).
-	owners := slices.Clone(owner)
-	assign := make([][]int64, c.fs.Servers())
-	placer := layout.NewPlacer(out.Layout, live)
-	for _, s := range strips {
-		srv := int(owner[s])
-		switch {
-		case !catchUp && round > 0:
-			// A normal strip past round 0 must run where its state
-			// lives; the caller already diverted lost owners to
-			// catch-up.
-		case !catchUp && srv >= 0 && live(srv):
-			// A round-0 redispatch keeps strips that already succeeded
-			// on their recorded owner out of this wave entirely; fresh
-			// strips fall through to the placer.
-		default:
-			// A catch-up is recomputed from the input, so the placer
-			// spreads it over every live holder; a fresh strip runs on
-			// its primary.
-			var ok bool
-			if srv, ok = placer.Place(s, !catchUp); !ok {
-				return nil, &active.NoLiveCopyError{File: input, Strip: s}
-			}
-		}
-		assign[srv] = append(assign[srv], s)
-		owners[s] = int32(srv)
-	}
-
-	var reqs []active.Request
-	for srv, ss := range assign {
-		if ss != nil {
-			reqs = append(reqs, active.Request{Srv: srv, Size: headerBytes + int64(len(ss))*8,
-				Payload: stageReq{Token: token, DAG: d, Input: input, Output: output,
-					Round: round, Strips: ss, CatchUp: catchUp, Depth: pl.Prefix, Owners: owners}})
-		}
-	}
-	var failed []int64
-	var wave active.Phases
-	for i, r := range active.FanOut(p, c.fs, c.nodeID, Port, reqs, 0) {
-		srv := reqs[i].Srv
-		resp, ok := r.Payload.(stageResp)
-		if !ok || (resp.Err != "" && resp.Transient) {
-			for _, s := range assign[srv] {
-				if partial, ok := acked[s]; ok {
-					partials[s] = partial
-				} else {
-					failed = append(failed, s)
-				}
-			}
-			continue
-		}
-		if resp.Err != "" {
-			if strings.Contains(resp.Err, pfs.ErrNoLiveCopy.Error()) {
-				return nil, &active.NoLiveCopyError{File: input, Strip: -1}
-			}
-			return nil, fmt.Errorf("pipeline: %s", resp.Err)
-		}
-		for _, s := range assign[srv] {
-			owner[s] = int32(srv)
-			ownerInc[s] = r.Inc
-		}
-		for i, s := range resp.PartialStrips {
-			partials[s] = resp.Partials[i]
-		}
-		res.Elements += resp.Elements
-		res.FetchOps += resp.RemoteFetches
-		res.FetchBytes += resp.RemoteBytes
-		res.CacheHits += resp.CacheHits
-		res.CacheHitBytes += resp.CacheHitBytes
-		res.ExchangeOps += resp.ExchangeOps
-		res.ExchangeBytes += resp.ExchangeBytes
-		res.CatchUps += resp.CatchUps
-		wave.MaxWith(resp.Phases)
-	}
-	res.Phases.Add(wave)
-	sortStrips(failed)
-	return failed, nil
-}
-
 // release drops the run's retained state on every live server (one-way;
 // a down server's state died with it, and a restart purges by
 // incarnation anyway).
@@ -377,8 +294,4 @@ func (c *Client) release(p *sim.Proc, token string) {
 			Payload: releaseReq{Token: token},
 		})
 	}
-}
-
-func sortStrips(s []int64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

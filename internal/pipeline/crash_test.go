@@ -1,11 +1,13 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/hpcio/das/internal/active"
 	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/fault"
 	"github.com/hpcio/das/internal/grid"
@@ -268,4 +270,62 @@ func TestCrashRestartRunEndsWithTheClient(t *testing.T) {
 		t.Errorf("%d processes still live after the run", live)
 	}
 	wantReference(t, rig, d, "out", res)
+}
+
+// TestEveryOffloadGivesUpAfterOneRetryBound crashes and restarts every
+// server every 50 µs — less than one message's latency, so no reply of any
+// wave ever comes — for far longer than the calls last. Exec and a pipeline
+// Run place and re-send through the one dispatch loop, so each must give
+// up after the same number of re-sending waves with an error wrapping
+// pfs.ErrTimeout; a loop without its bound would outlast the plan and
+// succeed. Neither leaves a process running, a pooled buffer out or a
+// delivered request unanswered.
+func TestEveryOffloadGivesUpAfterOneRetryBound(t *testing.T) {
+	audited(t)
+	rig := newRig(t, layout.NewGroupedReplicated(4, 2, 2), testW, testH, testStrip)
+	defer rig.clu.Eng.Shutdown()
+	as := active.NewClient(rig.fs, rig.clu.ComputeID(0))
+	active.Deploy(rig.fs, kernels.Default(), nil)
+	rig.createOut(t, "exec.out")
+	rig.createOut(t, "out")
+	const period = 50 * sim.Microsecond
+	var plan fault.Plan
+	for at := period; at <= 200*sim.Millisecond; at += period {
+		for srv := 0; srv < rig.fs.Servers(); srv++ {
+			plan.Events = append(plan.Events,
+				fault.Event{At: at, Kind: fault.Crash, Server: srv},
+				fault.Event{At: at + sim.Nanosecond, Kind: fault.Restart, Server: srv})
+		}
+	}
+	if err := rig.clu.InstallFaultPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	retries := func() int64 { return rig.clu.Counters.Get("recovery.exec_retries") }
+	var execErr, runErr error
+	var execRetries, runRetries int64
+	rig.run(t, func(p *sim.Proc) error {
+		_, execErr = as.Exec(p, "gaussian-filter", "in", "exec.out", active.FetchWholeStrips)
+		execRetries = retries()
+		_, runErr = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, diamondStats(), "in", "out")
+		runRetries = retries() - execRetries
+		return nil
+	})
+	for _, c := range []struct {
+		name    string
+		err     error
+		retries int64
+	}{{"Exec", execErr, execRetries}, {"Run", runErr, runRetries}} {
+		if !errors.Is(c.err, pfs.ErrTimeout) {
+			t.Errorf("%s returned %v, want an error wrapping pfs.ErrTimeout", c.name, c.err)
+		}
+		if c.retries == 0 || c.retries != execRetries {
+			t.Errorf("%s re-sent %d waves, Exec %d: want one bound, above zero", c.name, c.retries, execRetries)
+		}
+	}
+	if live := rig.clu.Eng.Live(); live != 0 {
+		t.Errorf("%d processes still live after the calls", live)
+	}
+	if err := rig.clu.Net.CheckReplies(); err != nil {
+		t.Error(err)
+	}
 }
