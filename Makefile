@@ -9,9 +9,13 @@ tier1:
 	cd bench && go build ./... && go vet ./... && go test ./...
 
 # The analyzer suite (cmd/daslint): the two rules no run can check, map
-# order and stray goroutines (DESIGN.md §10). Clean on the tree.
+# order and stray goroutines (DESIGN.md §10). Clean on the tree. Then
+# gofmt over every Go file of the checkout, bench/ and testdata included:
+# any file it would reformat fails the target, named.
 lint:
 	go run ./cmd/daslint ./...
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then echo "lint: gofmt would reformat:"; echo "$$unformatted"; exit 1; fi
 
 # Extended gate: daslint, vet and race on top of tier-1, then a bounded
 # fuzz of the row-streaming kernels against their per-element oracle and

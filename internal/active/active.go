@@ -90,7 +90,11 @@ type execReq struct {
 // counts. What adds up is the request's own process: the
 // first run's LocalRead + Fetch, then Compute, then Stall, then the drain
 // — the last run's Write and Forward — is the time from the request's
-// arrival to its reply. A TS worker walks its stripes through the same
+// arrival to its reply. An exec books a run's Compute part by part
+// (Stages.Parts): the strips owed to other holders first, whose copies
+// leave at that part's end, so Forward is only what is left of the last
+// run's copies once its interior has computed and its write returned.
+// A TS worker walks its stripes through the same
 // stages, its Fetch being its reads of the input and Write its
 // write-back: after startup, the first stripe's Fetch + Compute + Stall +
 // the last stripe's Write is its elapsed time, and a block of one stripe
@@ -217,8 +221,9 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 // server through WalkRuns' three stages: assemble the run's band (local
 // reads, replica reads, and — depending on the mode — remote fetches,
 // sent a run before the rest of the assembly from the third run on),
-// invoke the kernel, and write the output strips locally while the output
-// layout's replica holders are sent their copies.
+// invoke the kernel — on the strips owed to other holders first, whose
+// copies leave as soon as they are computed — and write the output strips
+// locally while the rest of the replica copies are sent.
 func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, error) {
 	clu := svc.fs.Cluster()
 	in, ok := svc.fs.Meta(req.Input)
@@ -272,13 +277,29 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 		return st.Assemble(a, run, maxAbs, neededBy(run))
 	}
 	// The output is allocated once, as the memory the store will hold:
-	// nothing writes it after the kernel returns.
+	// nothing writes it after the kernel returns. The run computes part
+	// by part (Stages.Parts), each over its ranges of the one band; the
+	// forwards of every part but the last leave when its compute ends, and
+	// the last part's with the run's Store, at the same instant.
 	compute := func(run StripRun, band *grid.Band) func(w *sim.Proc) error {
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		outVals := make([]float64, e1-e0)
-		k.ApplyBand(band, outVals)
+		parts := st.Parts(run)
+		for i, part := range parts {
+			var elems int64
+			for _, r := range part {
+				lo, hi := r.Lo/in.ElemSize, r.Hi/in.ElemSize
+				sub := band.Narrow(lo, hi)
+				k.ApplyBand(sub, outVals[lo-e0:hi-e0])
+				sub.Release()
+				elems += hi - lo
+			}
+			st.Compute(p, clu.ComputeTime(elems, k.Weight()), req.Op, elems)
+			if i+1 < len(parts) {
+				st.Forward(p, run, part, outVals)
+			}
+		}
 		band.Release()
-		st.Compute(p, clu.ComputeTime(e1-e0, k.Weight()), req.Op, e1-e0)
 		resp.Elements += e1 - e0
 		resp.Strips += run.Last - run.First + 1
 		return st.Store(p, run, outVals, nil)

@@ -71,7 +71,8 @@ func TestPrefetchedBandKeepsWhatItWasLent(t *testing.T) {
 
 	// server0 runs the offload, with the foreign write issued at writeAt
 	// (never, when negative), and returns server 0's second prefetch and
-	// second compute, and when the write was issued and acknowledged.
+	// the second run's first compute, and when the write was issued and
+	// acknowledged.
 	server0 := func(writeAt sim.Time) (rig *testRig, read, compute trace.Event, sent, acked sim.Time) {
 		rig = newRigOn(t, cfg, lay, testW, h, testStrip)
 		rig.createOut(t, "out")
@@ -100,10 +101,12 @@ func TestPrefetchedBandKeepsWhatItWasLent(t *testing.T) {
 				computes = append(computes, e)
 			}
 		}
-		if len(reads) != 4 || len(computes) != 4 {
-			t.Fatalf("server 0 recorded %d reads and %d computes, want 4 runs", len(reads), len(computes))
+		// Each run computes in two parts, its replicated edge strips
+		// first and its interior after (Stages.Parts).
+		if len(reads) != 4 || len(computes) != 8 {
+			t.Fatalf("server 0 recorded %d reads and %d computes, want 4 runs of two parts", len(reads), len(computes))
 		}
-		return rig, reads[1], computes[1], sent, acked
+		return rig, reads[1], computes[2], sent, acked
 	}
 
 	_, read, compute, _, _ := server0(-1)

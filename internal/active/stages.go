@@ -25,7 +25,8 @@ type Tally struct {
 // Stages are a storage server's bodies for WalkRuns' stages over one
 // request — an exec, or a pipeline round: assemble a run's input band,
 // time its compute, store its output. What they did goes to the request's
-// Tally; the replica forwards Store starts are joined by Drain.
+// Tally; the replica forwards Forward and Store start are joined by
+// Drain.
 type Stages struct {
 	fs       *pfs.FileSystem
 	cache    *cache.Manager
@@ -35,6 +36,14 @@ type Stages struct {
 	tally    *Tally
 	forwards []*sim.Signal[error]
 	leads    []inflight // the fetches Lead sent, each until its run's Assemble has them all back
+	ahead    forwarded  // the forwards Forward sent of the run computing, until its Store
+}
+
+// forwarded is what Forward sent of one run's strips before its Store:
+// the strips and the holders' signals.
+type forwarded struct {
+	strips []int64
+	sent   []*sim.Signal[error]
 }
 
 // NewStages binds the stage bodies to one request on srv: it reads in,
@@ -273,32 +282,100 @@ func (st *Stages) Compute(p *sim.Proc, d sim.Time, op string, elems int64) {
 	}
 }
 
+// Parts splits a run into the parts its compute takes in turn, each the
+// ascending ranges of consecutive strips it covers: the strips the output
+// layout has this server owe another holder a copy of (pfs.Server.Owes)
+// first, then the interior. Their copies can then leave (Forward) while
+// the interior computes, so a run's forwards are back sooner after its
+// compute ends — most of all the last run's, which the reply waits for.
+// A run with no owed strip, or with nothing but owed strips, is one part:
+// itself.
+func (st *Stages) Parts(run StripRun) [][]StripRun {
+	var owed, interior []StripRun
+	for t := run.First; t <= run.Last; t++ {
+		part := &interior
+		if st.srv.Owes(st.out.Name, t) {
+			part = &owed
+		}
+		lo, hi := st.out.StripBounds(t)
+		if n := len(*part); n > 0 && (*part)[n-1].Last == t-1 {
+			(*part)[n-1].Last, (*part)[n-1].Hi = t, hi
+			continue
+		}
+		*part = append(*part, StripRun{First: t, Last: t, Lo: lo, Hi: hi})
+	}
+	if len(owed) == 0 || len(interior) == 0 {
+		return [][]StripRun{{run}}
+	}
+	return [][]StripRun{owed, interior}
+}
+
+// Forward sends, on p, the copies part's strips are owed by their other
+// holders under the output layout (pfs.Server.Forward), the moment the
+// part's compute has ended; vals is the whole run's output. The run's
+// Store sends only what no part has, and its stored hook waits for these
+// too.
+func (st *Stages) Forward(p *sim.Proc, run StripRun, part []StripRun, vals []float64) {
+	strips, chunks := st.outStrips(run, part, vals)
+	// Forward fails only on a file it does not know, and then so does the
+	// run's Store, which reports it.
+	sent, _ := st.srv.Forward(p, st.out.Name, strips, chunks)
+	st.forwards = append(st.forwards, sent...)
+	st.ahead.strips = append(st.ahead.strips, strips...)
+	st.ahead.sent = append(st.ahead.sent, sent...)
+}
+
+// outStrips lists the output strips of ranges, within run, each with its
+// bytes of vals, the run's output.
+func (st *Stages) outStrips(run StripRun, ranges []StripRun, vals []float64) ([]int64, [][]byte) {
+	n := int64(0)
+	for _, r := range ranges {
+		n += r.Last - r.First + 1
+	}
+	outBytes := grid.Bytes(vals)
+	strips, chunks := make([]int64, 0, n), make([][]byte, 0, n)
+	for _, r := range ranges {
+		for t := r.First; t <= r.Last; t++ {
+			tLo, tHi := st.out.StripBounds(t)
+			strips = append(strips, t)
+			chunks = append(chunks, outBytes[tLo-run.Lo:tHi-run.Lo])
+		}
+	}
+	return strips, chunks
+}
+
 // Store hands a run's output, computed on p, to the store. The strips'
 // other holders under the output layout are sent their copies now
 // (pfs.Server.Forward), when compute ends and one run ahead of the local
-// write: started after the write, a run's forwards would convoy on the
-// FIFO NICs once compute stops pacing them. The returned write stores the
-// run's strips locally in one batched disk pass, WalkRuns' write stage.
+// write — all but those a part's Forward sent earlier: started after the
+// write, a run's forwards would convoy on the FIFO NICs once compute
+// stops pacing them. The returned write stores every strip of the run
+// locally in one batched disk pass, WalkRuns' write stage.
 // vals becomes the stored strips by reference, here and on the holders:
 // nothing may write it again. stored, when non-nil, is called once the
-// local write has returned and every forward has fired, all without an
-// error — the run is then on every holder it is owed to — and never when
-// any of them failed; nothing waits for it.
+// local write has returned and every forward of the run has fired, all
+// without an error — the run is then on every holder it is owed to — and
+// never when any of them failed; nothing waits for it.
 func (st *Stages) Store(p *sim.Proc, run StripRun, vals []float64, stored func()) (write func(w *sim.Proc) error) {
 	srv, out, clu := st.srv, st.out, st.fs.Cluster()
-	outBytes := grid.Bytes(vals)
-	strips := make([]int64, 0, run.Last-run.First+1)
-	chunks := make([][]byte, 0, run.Last-run.First+1)
-	for t := run.First; t <= run.Last; t++ {
-		tLo, tHi := out.StripBounds(t)
-		strips = append(strips, t)
-		chunks = append(chunks, outBytes[tLo-run.Lo:tHi-run.Lo])
+	ahead := st.ahead
+	st.ahead = forwarded{}
+	strips, chunks := st.outStrips(run, []StripRun{run}, vals)
+	left, leftChunks := strips, chunks
+	if len(ahead.strips) > 0 {
+		left, leftChunks = nil, nil
+		for i, t := range strips {
+			if !slices.Contains(ahead.strips, t) {
+				left, leftChunks = append(left, t), append(leftChunks, chunks[i])
+			}
+		}
 	}
-	sent, err := srv.Forward(p, out.Name, strips, chunks)
+	sent, err := srv.Forward(p, out.Name, left, leftChunks)
 	if err != nil {
 		return func(*sim.Proc) error { return err }
 	}
 	st.forwards = append(st.forwards, sent...)
+	sent = append(ahead.sent, sent...)
 	local := func(w *sim.Proc) error {
 		writeStart := w.Now()
 		if err := srv.LocalWriteMany(w, out.Name, strips, chunks); err != nil {

@@ -222,7 +222,6 @@ func (s *System) tsJob(rep *Report, req Request, in *pfs.FileMeta) (func(p *sim.
 	}, nil
 }
 
-
 // tsWorker processes strips [first, last] of the input on compute node w,
 // returning its per-phase time decomposition. Under TS the "Fetch" phase
 // is the client's read of the input from the storage servers and "Write"

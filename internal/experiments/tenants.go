@@ -13,7 +13,8 @@ import (
 // DefaultTenantsConfig is the full-scale multi-tenant run: over a
 // thousand concurrent Zipf-skewed streams across hundreds of files, with
 // a hot-set rotation a third of the way in and a read-heavy to
-// write-heavy flip two thirds in.
+// write-heavy flip two thirds in. It names no seed: the experiment's
+// cells take Config.Seed.
 func DefaultTenantsConfig() tenants.Config {
 	return tenants.Config{
 		Tenants:          1024,
@@ -22,7 +23,6 @@ func DefaultTenantsConfig() tenants.Config {
 		StripsPerFileMax: 12,
 		OpsPerTenant:     15,
 		ZipfSkew:         1.1,
-		Seed:             42,
 		Mix:              tenants.Mix{Read: 70, Write: 20, Offload: 10},
 		Phases: []tenants.Phase{
 			{FromOp: 5, Mix: tenants.Mix{Read: 70, Write: 20, Offload: 10}, Rotate: 128},
@@ -55,6 +55,19 @@ func SmokeTenantsConfig() tenants.Config {
 	}
 	cfg.MaxQueueDepth = 12
 	return cfg
+}
+
+// tenants is the experiment's tenant configuration under the Config's
+// one seed, normalized — or, where Normalize objects, as given, with its
+// error.
+func (c Config) tenants() (tenants.Config, error) {
+	tcfg := c.Tenants
+	tcfg.Seed = c.Seed
+	n, err := tcfg.Normalize()
+	if err != nil {
+		return tcfg, err
+	}
+	return n, nil
 }
 
 // tenantsStrictScale is the stream count above which the experiment
@@ -113,14 +126,11 @@ var tenantsExperiment = Experiment{
 	Scenarios: func(c Config) []Scenario {
 		var cells []Scenario
 		for _, v := range tenantsVariants {
-			tcfg, err := c.Tenants.Normalize()
-			if err != nil {
-				tcfg = c.Tenants // the run reports what Normalize objects to
-			}
+			tcfg, _ := c.tenants() // the run reports what Normalize objects to
 			if !v.bounded {
 				tcfg.MaxQueueDepth = 0
 			}
-			s := Scenario{Nodes: c.Nodes, Tenants: &tcfg, Steps: []Step{{Kind: TenantStreams, Drain: true}}}
+			s := Scenario{Nodes: c.Nodes, Seed: c.Seed, Tenants: &tcfg, Steps: []Step{{Kind: TenantStreams, Drain: true}}}
 			if v.planned {
 				s.Place.Kind = Planned
 			}
@@ -134,7 +144,7 @@ var tenantsExperiment = Experiment{
 		return cells
 	},
 	Claims: func(c Config, recs []Record) (*Result, error) {
-		tcfg, err := c.Tenants.Normalize()
+		tcfg, err := c.tenants()
 		if err != nil {
 			return nil, err
 		}

@@ -379,15 +379,34 @@ func (s *Server) replicaBatches(file string, strips []int64, data [][]byte) ([]r
 		b.size += int64(len(chunk))
 	}
 	for i, strip := range strips {
-		reps := m.Layout.Replicas(strip)
-		if slices.Contains(reps, s.srv) {
-			add(m.Layout.Primary(strip), strip, data[i])
-		}
-		for _, rep := range reps {
-			add(rep, strip, data[i])
+		for _, holder := range s.owedTo(m, strip) {
+			add(holder, strip, data[i])
 		}
 	}
 	return batches, nil
+}
+
+// owedTo lists the holders of strip that Forward sends this server's copy
+// to, itself included where it is one (add skips it): the strip's
+// replicas, and its primary when this server holds the strip as a replica.
+func (s *Server) owedTo(m *FileMeta, strip int64) []int {
+	reps := m.Layout.Replicas(strip)
+	if slices.Contains(reps, s.srv) {
+		return append([]int{m.Layout.Primary(strip)}, reps...)
+	}
+	return reps
+}
+
+// Owes reports whether Forward would send this server's copy of strip to
+// another holder under the file's current layout: a replica, or the
+// primary when this server holds the strip as a replica. An unknown file
+// owes nothing.
+func (s *Server) Owes(file string, strip int64) bool {
+	m, ok := s.fs.meta[file]
+	if !ok {
+		return false
+	}
+	return slices.ContainsFunc(s.owedTo(m, strip), func(h int) bool { return h != s.srv })
 }
 
 // sendReplicas pushes one holder's batch and waits for its

@@ -141,6 +141,8 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 	acked := make(map[int64][]float64)
 	c.acks.runs[token] = acked
 	defer delete(c.acks.runs, token)
+	// Every exit drops the run's state on the servers, a failed run's too.
+	defer c.release(p, token)
 
 	f := clu.Faults
 	strips := in.Strips()
@@ -262,8 +264,6 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 		}
 		res.Reduce = red.Merge(ordered)
 	}
-
-	c.release(p, token)
 
 	res.Stages = len(pl.Nodes)
 	res.FusedStages = spec.FusedStages(depth)

@@ -272,6 +272,53 @@ func TestCrashRestartRunEndsWithTheClient(t *testing.T) {
 	wantReference(t, rig, d, "out", res)
 }
 
+// crashStorm crashes and restarts every server of the rig every 50 µs for
+// 200 ms: less than one message's latency apart, so no reply of any wave
+// comes back.
+func crashStorm(t *testing.T, rig *testRig) {
+	t.Helper()
+	const period = 50 * sim.Microsecond
+	var plan fault.Plan
+	for at := period; at <= 200*sim.Millisecond; at += period {
+		for srv := 0; srv < rig.fs.Servers(); srv++ {
+			plan.Events = append(plan.Events,
+				fault.Event{At: at, Kind: fault.Crash, Server: srv},
+				fault.Event{At: at + sim.Nanosecond, Kind: fault.Restart, Server: srv})
+		}
+	}
+	if err := rig.clu.InstallFaultPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedRunReleasesItsState: a pipeline Run that gives up under the
+// crash storm still tells every server to drop the run's retained state,
+// as a run that succeeds does. Once the plan has ended no server holds any.
+func TestFailedRunReleasesItsState(t *testing.T) {
+	audited(t)
+	rig := newRig(t, layout.NewGroupedReplicated(4, 2, 2), testW, testH, testStrip)
+	defer rig.clu.Eng.Shutdown()
+	rig.createOut(t, "out")
+	crashStorm(t, rig)
+	var runErr error
+	rig.run(t, func(p *sim.Proc) error {
+		_, runErr = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, diamondStats(), "in", "out")
+		p.Sleep(201*sim.Millisecond - p.Now()) // past the plan's last restart
+		return nil
+	})
+	if !errors.Is(runErr, pfs.ErrTimeout) {
+		t.Fatalf("Run returned %v, want an error wrapping pfs.ErrTimeout", runErr)
+	}
+	for s, runs := range rig.svc.runs {
+		for token := range runs {
+			t.Errorf("server %d still holds the state of the failed run %s", s, token)
+		}
+	}
+	if err := rig.clu.Net.CheckReplies(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestEveryOffloadGivesUpAfterOneRetryBound crashes and restarts every
 // server every 50 µs — less than one message's latency, so no reply of any
 // wave ever comes — for far longer than the calls last. Exec and a pipeline
@@ -288,18 +335,7 @@ func TestEveryOffloadGivesUpAfterOneRetryBound(t *testing.T) {
 	active.Deploy(rig.fs, kernels.Default(), nil)
 	rig.createOut(t, "exec.out")
 	rig.createOut(t, "out")
-	const period = 50 * sim.Microsecond
-	var plan fault.Plan
-	for at := period; at <= 200*sim.Millisecond; at += period {
-		for srv := 0; srv < rig.fs.Servers(); srv++ {
-			plan.Events = append(plan.Events,
-				fault.Event{At: at, Kind: fault.Crash, Server: srv},
-				fault.Event{At: at + sim.Nanosecond, Kind: fault.Restart, Server: srv})
-		}
-	}
-	if err := rig.clu.InstallFaultPlan(plan); err != nil {
-		t.Fatal(err)
-	}
+	crashStorm(t, rig)
 	retries := func() int64 { return rig.clu.Counters.Get("recovery.exec_retries") }
 	var execErr, runErr error
 	var execRetries, runRetries int64
