@@ -1,4 +1,4 @@
-.PHONY: tier1 extended lint bench-smoke bench-identity
+.PHONY: tier1 extended lint seeds bench-smoke bench-identity
 
 # Tier-1 gate: must stay green on every PR. The benchmark under bench/ is
 # a module of its own that root `./...` does not reach, so it is built,
@@ -22,11 +22,18 @@ lint:
 # of the order keys they select on against `<` (tier-1 runs only the seed
 # corpora). The module starts no goroutine of its own, so -race rests on
 # internal/sim's coroutines alone: the handoff between processes.
-extended: tier1 lint
+extended: tier1 lint seeds
 	go vet ./...
 	go test -race ./...
 	go test -run '^$$' -fuzz FuzzRowDriver -fuzztime 20s ./internal/kernels
 	go test -run '^$$' -fuzz FuzzOrderKey -fuzztime 20s ./internal/kernels
+
+# Seed sweep: every seed-sensitive experiment (`tenants` today) at full
+# scale over one declared list of twelve seeds, each claim's margin per
+# seed, then the least and the median (~2 min). It reports and does not
+# gate: a claim that fails at some seed is printed, not an exit status.
+seeds:
+	go run ./cmd/dasseeds
 
 # Bench smoke: every experiment end to end at the reduced configuration —
 # each cell verified against the sequential reference and held at or above

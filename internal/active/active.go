@@ -85,9 +85,9 @@ type execReq struct {
 // A storage server's stages overlap (WalkRuns), so LocalRead, Fetch,
 // Compute and Write do not add up to its elapsed time; each is what its
 // stage was busy for. Fetch is what the assembler waited for dependent
-// data after its local reads: from the third run on a server's fetches
-// were sent a run early (Stages.Lead), and only the wait that remains
-// counts. What adds up is the request's own process: the
+// data after its local reads: from the third run on an exec's fetches
+// were sent a run early (WalkRuns' lead, Stages.Lead), and only the wait
+// that remains counts. What adds up is the request's own process: the
 // first run's LocalRead + Fetch, then Compute, then Stall, then the drain
 // — the last run's Write and Forward — is the time from the request's
 // arrival to its reply. An exec books a run's Compute part by part
@@ -220,7 +220,7 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 // exec processes every run of consecutive strips the request assigns this
 // server through WalkRuns' three stages: assemble the run's band (local
 // reads, replica reads, and — depending on the mode — remote fetches,
-// sent a run before the rest of the assembly from the third run on),
+// led a run ahead from the third run on),
 // invoke the kernel — on the strips owed to other holders first, whose
 // copies leave as soon as they are computed — and write the output strips
 // locally while the rest of the replica copies are sent.
@@ -251,40 +251,26 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 	maxAbs := pat.MaxAbsOffset(in.Width)
 	offs := pat.Resolve(in.Width)
 
-	resp := new(execResp)
-	st := NewStages(svc.fs, svc.cache, srv, in, out, req.Mode, &resp.Tally)
-	runs := StripRuns(in, req.Strips)
-	// Assemblers never overlap: one list serves every run's needed strips,
-	// and started counts the assemblies begun.
-	var needed []int64
+	var needed []int64 // one list serves every run: NewStages allows it
 	neededBy := func(run StripRun) []int64 {
 		needed = predict.NeededStrips(needed, lc, offs, run.Lo/in.ElemSize, run.Hi/in.ElemSize, total)
 		return needed
 	}
-	started := 0
-	assemble := func(a *sim.Proc, run StripRun) (*grid.Band, error) {
-		// Starting run i's assembly, i ≥ 1, sends run i+1's fetches
-		// (Stages.Lead), which splits that run's strips for its Assemble;
-		// runs 0 and 1 split and send their own.
-		i := started
-		started++
-		if i >= 1 && i+1 < len(runs) {
-			st.Lead(a, runs[i+1], maxAbs, neededBy(runs[i+1]))
-		}
-		if i >= 2 {
-			return st.Assemble(a, run, maxAbs, nil)
-		}
-		return st.Assemble(a, run, maxAbs, neededBy(run))
-	}
+	resp := new(execResp)
+	st := NewStages(svc.fs, svc.cache, srv, in, out, req.Mode, maxAbs, neededBy, &resp.Tally)
 	// The output is allocated once, as the memory the store will hold:
-	// nothing writes it after the kernel returns. The run computes part
-	// by part (Stages.Parts), each over its ranges of the one band; the
-	// forwards of every part but the last leave when its compute ends, and
-	// the last part's with the run's Store, at the same instant.
+	// nothing writes it after the kernel returns. A run computes whole or
+	// part by part (Stages.Parts), each over its ranges of the one band;
+	// the forwards of every part but the last leave when its compute ends,
+	// and the last part's with the run's Store, at the same instant.
 	compute := func(run StripRun, band *grid.Band) func(w *sim.Proc) error {
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		outVals := make([]float64, e1-e0)
 		parts := st.Parts(run)
+		if parts == nil {
+			k.ApplyBand(band, outVals)
+			st.Compute(p, clu.ComputeTime(e1-e0, k.Weight()), req.Op, e1-e0)
+		}
 		for i, part := range parts {
 			var elems int64
 			for _, r := range part {
@@ -304,7 +290,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 		resp.Strips += run.Last - run.First + 1
 		return st.Store(p, run, outVals, nil)
 	}
-	err := WalkRuns(p, runs, assemble, compute, st.Stalled(p))
+	err := WalkRuns(p, StripRuns(in, req.Strips), st.Lead, st.Assemble, compute, st.Stalled(p))
 	if err := st.Drain(p, err); err != nil {
 		return nil, err
 	}

@@ -99,6 +99,42 @@ func TestOwedStripsForwardBeforeTheInterior(t *testing.T) {
 	}
 }
 
+// TestPartsOfAnUnsplitRunAllocateNothing: a run with no owed strip (an
+// unreplicated layout's) or nothing but owed strips (a mirrored one's) is
+// one part, and Parts says so with nil: the exec computes it over the
+// band it was handed. With no owed strip it allocates nothing — a
+// replicated layout allocates listing a strip's replicas. A run with
+// both kinds is split.
+func TestPartsOfAnUnsplitRunAllocateNothing(t *testing.T) {
+	sixteen := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	for _, tc := range []struct {
+		name   string
+		lay    layout.Layout
+		strips []int64
+		split  bool
+	}{
+		{"none owed", layout.NewRoundRobin(4), sixteen, false},
+		{"all owed", layout.NewGroupedReplicated(4, 4, 4), sixteen[:4], false}, // group 0, mirrored whole
+		{"some owed", layout.NewGroupedReplicated(4, 16, 2), sixteen, true},
+	} {
+		rig := newRig(t, tc.lay, testW, 256, testStrip)
+		rig.createOut(t, "out")
+		in, _ := rig.fs.Meta("in")
+		out, _ := rig.fs.Meta("out")
+		st := NewStages(rig.fs, nil, rig.fs.Server(0), in, out, LocalOnly, 0, HaloStrips(in, 0), new(Tally))
+		run := StripRuns(in, tc.strips)[0]
+		if got := st.Parts(run); (got != nil) != tc.split {
+			t.Errorf("%s: Parts(%+v) = %v, want split %v", tc.name, run, got, tc.split)
+		}
+		if tc.name != "none owed" {
+			continue
+		}
+		if n := testing.AllocsPerRun(20, func() { st.Parts(run) }); n != 0 {
+			t.Errorf("Parts allocates %v times on a run with no owed strip, want 0", n)
+		}
+	}
+}
+
 // TestCrashBetweenOwedForwardsAndTheInterior crashes server 0, and
 // restarts it, in the middle of its second run's interior compute: that
 // run's owed copies have left and may have landed, its interior has not

@@ -257,7 +257,7 @@ func TestDrainJoinsLedFetches(t *testing.T) {
 	in, _ := rig.fs.Meta("in")
 	out, _ := rig.fs.Meta("out")
 	var tally Tally
-	st := NewStages(rig.fs, rig.svc.cache, rig.fs.Server(0), in, out, FetchWholeStrips, &tally)
+	st := NewStages(rig.fs, rig.svc.cache, rig.fs.Server(0), in, out, FetchWholeStrips, testW, HaloStrips(in, testW), &tally)
 	failed := errors.New("walk failed")
 	var drained error
 	var sent, answered sim.Time
@@ -265,7 +265,7 @@ func TestDrainJoinsLedFetches(t *testing.T) {
 		// Strip 4's band, a row of halo each side: strips 3 and 5 are
 		// remote.
 		sent = p.Now()
-		st.Lead(p, StripRuns(in, []int64{4})[0], testW, []int64{3, 4, 5})
+		st.Lead(p, StripRuns(in, []int64{4})[0])
 		drained = st.Drain(p, failed)
 		answered = p.Now()
 		return nil
@@ -314,7 +314,7 @@ func TestLedRunOutlivesAMigration(t *testing.T) {
 			out, _ := rig.fs.Meta("out")
 			srv := rig.fs.Server(0)
 			var tally Tally
-			st := NewStages(rig.fs, nil, srv, in, out, FetchWholeStrips, &tally)
+			st := NewStages(rig.fs, nil, srv, in, out, FetchWholeStrips, testW, HaloStrips(in, testW), &tally)
 			run := StripRuns(in, []int64{4})[0]
 			held := func() []bool { return []bool{srv.Holds("in", 3), srv.Holds("in", 4), srv.Holds("in", 5)} }
 			var before, after []bool
@@ -322,13 +322,13 @@ func TestLedRunOutlivesAMigration(t *testing.T) {
 			var drained error
 			rig.run(t, func(p *sim.Proc) error {
 				before = held()
-				st.Lead(p, run, testW, []int64{3, 4, 5})
+				st.Lead(p, run)
 				if err := tc.migrate(p, rig); err != nil {
 					return err
 				}
 				after = held()
 				var err error
-				if band, err = st.Assemble(p, run, testW, nil); err != nil {
+				if band, err = st.Assemble(p, run); err != nil {
 					return err
 				}
 				drained = st.Drain(p, nil)

@@ -59,16 +59,9 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		respond(reduceResp{Err: fmt.Sprintf("active: input %q lacks raster metadata", req.Input)}, headerBytes)
 		return
 	}
-	st := NewStages(svc.fs, nil, srv, in, nil, LocalOnly, new(Tally))
+	st := NewStages(svc.fs, nil, srv, in, nil, LocalOnly, 0, HaloStrips(in, 0), new(Tally))
 	var partials [][]float64
 	var elements int64
-	assemble := func(a *sim.Proc, run StripRun) (*grid.Band, error) {
-		strips := make([]int64, 0, run.Last-run.First+1)
-		for t := run.First; t <= run.Last; t++ {
-			strips = append(strips, t)
-		}
-		return st.Assemble(a, run, 0, strips)
-	}
 	fold := func(run StripRun, band *grid.Band) func(*sim.Proc) error {
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
 		partials = append(partials, red.ReduceBand(band))
@@ -77,7 +70,8 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		elements += e1 - e0
 		return nil
 	}
-	if err := WalkRuns(p, StripRuns(in, req.Strips), assemble, fold, nil); err != nil {
+	err := WalkRuns(p, StripRuns(in, req.Strips), st.Lead, st.Assemble, fold, nil)
+	if err := st.Drain(p, err); err != nil {
 		respond(reduceResp{Err: err.Error()}, headerBytes)
 		return
 	}

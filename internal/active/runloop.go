@@ -21,11 +21,18 @@ import "github.com/hpcio/das/internal/sim"
 // releases what it is handed and returns the run's write stage, nil when
 // the run stores nothing (a reduction, a pipeline round before the last).
 //
+// lead, when non-nil, sends a run's dependent-strip fetches ahead of its
+// assembly (Stages.Lead): the assembler of run i, for every i ≥ 1, leads
+// run i+1 before it assembles run i, for a fetch's round trip outlasts a
+// run's share of the ingress NIC. Run 0 leads nothing, so run 1 sends its
+// own; a walk of two runs has no run to lead.
+//
 // stalled, when non-nil, is told each time p has had to wait for the
 // assembler or the writer, with when the wait began. On an error the loop
 // joins whichever of the two is still out, releases a band prefetched for
 // a run that will not compute, and returns the first error.
 func WalkRuns[B interface{ Release() }](p *sim.Proc, runs []StripRun,
+	lead func(a *sim.Proc, run StripRun),
 	assemble func(a *sim.Proc, run StripRun) (B, error),
 	compute func(run StripRun, band B) (write func(w *sim.Proc) error),
 	stalled func(since sim.Time),
@@ -85,6 +92,9 @@ func WalkRuns[B interface{ Release() }](p *sim.Proc, runs []StripRun,
 			sig, next := sim.NewSignal[assembled](eng, "as-assemble"), runs[i+1]
 			ahead = sig
 			p.Spawn("as-assemble", func(a *sim.Proc) {
+				if lead != nil && i+2 < len(runs) {
+					lead(a, runs[i+2])
+				}
 				band, aerr := assemble(a, next)
 				sig.Fire(assembled{band, aerr})
 			})

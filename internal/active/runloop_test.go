@@ -148,7 +148,7 @@ func TestWalkReleasesWhatNeverComputes(t *testing.T) {
 	var assembled, computed, count int
 	var err error
 	eng.Spawn("walk", func(p *sim.Proc) {
-		err = WalkRuns(p, runs,
+		err = WalkRuns(p, runs, nil,
 			func(a *sim.Proc, run StripRun) (released, error) {
 				assembled++
 				return released{&count}, nil

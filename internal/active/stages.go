@@ -33,9 +33,11 @@ type Stages struct {
 	srv      *pfs.Server
 	in, out  *pfs.FileMeta
 	mode     FetchMode
+	depth    int64                  // elements of halo each side of a run's band
+	strips   func(StripRun) []int64 // the strips a run's band is assembled from
 	tally    *Tally
 	forwards []*sim.Signal[error]
-	leads    []inflight // the fetches Lead sent, each until its run's Assemble has them all back
+	leads    []inflight // the runs Lead sent ahead, each until its Assemble has every fetch back
 	ahead    forwarded  // the forwards Forward sent of the run computing, until its Store
 }
 
@@ -46,38 +48,54 @@ type forwarded struct {
 	sent   []*sim.Signal[error]
 }
 
-// NewStages binds the stage bodies to one request on srv: it reads in,
-// resolving what srv does not hold by mode through the halo cache c (nil
-// for none), stores out, and tallies into t.
-func NewStages(fs *pfs.FileSystem, c *cache.Manager, srv *pfs.Server, in, out *pfs.FileMeta, mode FetchMode, t *Tally) *Stages {
-	return &Stages{fs: fs, cache: c, srv: srv, in: in, out: out, mode: mode, tally: t}
+// NewStages binds the stage bodies to one request on srv: it reads in, a
+// run's band depth elements of halo each side from the strips strips lists
+// for it (into a slice it may reuse), resolving what srv does not hold by
+// mode through the halo cache c (nil for none); stores out; tallies into t.
+func NewStages(fs *pfs.FileSystem, c *cache.Manager, srv *pfs.Server, in, out *pfs.FileMeta, mode FetchMode,
+	depth int64, strips func(StripRun) []int64, t *Tally) *Stages {
+	return &Stages{fs: fs, cache: c, srv: srv, in: in, out: out, mode: mode, depth: depth, strips: strips, tally: t}
 }
 
-// Assemble builds a run's input band, [run.Lo, run.Hi) plus depth
-// elements of halo each side, from the given strips: every one this
-// server holds (the run itself, replicas) in one batched disk pass, the
-// rest fetched from their owners per the mode. Only the strips listed are
-// read — an exec lists those its dependence pattern touches, so a sparse
-// stride pattern skips the strips between its endpoints and the band has
-// no window there. Nothing is copied: the band is lent the stored strips
-// and the fetched buffers themselves, and reads what they held when it
-// was lent them whatever replaces a strip before the kernel runs.
+// HaloStrips lists, into one reused slice, every strip a run's band
+// reaches at depth elements of halo each side: what a pipeline round that
+// reads the input assembles from, and at depth 0 a reduction's strips.
+func HaloStrips(in *pfs.FileMeta, depth int64) func(StripRun) []int64 {
+	var strips []int64
+	return func(run StripRun) []int64 {
+		lo, hi := grid.HaloRange(run.Lo/in.ElemSize, run.Hi/in.ElemSize, depth, in.Size/in.ElemSize)
+		strips = strips[:0]
+		for t := lo * in.ElemSize / in.StripSize; t*in.StripSize < hi*in.ElemSize; t++ {
+			strips = append(strips, t)
+		}
+		return strips
+	}
+}
+
+// Assemble builds a run's input band, [run.Lo, run.Hi) plus the halo,
+// from the strips listed for it: every one this server holds (the run
+// itself, replicas) in one batched disk pass, the rest fetched from their
+// owners per the mode. Only the strips listed are read — an exec lists
+// those its dependence pattern touches, so a sparse stride pattern skips
+// the strips between its endpoints and the band has no window there.
+// Nothing is copied: the band is lent the stored strips and the fetched
+// buffers themselves, and reads what they held when it was lent them
+// whatever replaces a strip before the kernel runs.
 //
-// A run Lead sent ahead was split by Lead, and strips is ignored: its
-// fetches are taken as they come back. A migration may have moved a strip
-// onto or off this server since: one gained stays fetched, and one lost
-// is fetched now, as a reader racing a retired copy fails over.
-func (st *Stages) Assemble(a *sim.Proc, run StripRun, depth int64, strips []int64) (*grid.Band, error) {
+// A run Lead sent ahead takes its fetches as they come back. A migration
+// may have moved a strip onto or off this server since the lead: one
+// gained stays fetched, and one lost is fetched now, as a reader racing a
+// retired copy fails over.
+func (st *Stages) Assemble(a *sim.Proc, run StripRun) (*grid.Band, error) {
 	in, srv, clu := st.in, st.srv, st.fs.Cluster()
 	i := slices.IndexFunc(st.leads, func(l inflight) bool { return l.first == run.First })
-	var nd need
-	var lost []remote
+	var led inflight
 	if i >= 0 {
-		nd = st.leads[i].need
-		nd.local, nd.localLo, lost = st.stillHeld(nd.local, nd.localLo)
-	} else {
-		nd = st.needs(run, depth, strips)
+		led = st.leads[i]
+	} else { // not led: split now, and fetch once the local read is done
+		led.need = st.needs(run)
 	}
+	nd := st.stillHeld(led.need)
 	band := grid.NewBandLent(in.Width, in.Size/in.ElemSize, run.Lo/in.ElemSize, run.Hi/in.ElemSize, nd.lo, nd.hi)
 	if len(nd.local) > 0 {
 		t0 := a.Now()
@@ -96,16 +114,10 @@ func (st *Stages) Assemble(a *sim.Proc, run StripRun, depth int64, strips []int6
 		}
 	}
 	fetchStart := a.Now()
-	var sigs []*sim.Signal[fetched]
-	if i >= 0 {
-		sigs = append(st.leads[i].sigs, st.send(a, lost)...)
-	} else {
-		sigs = st.send(a, nd.remote)
-	}
+	sigs := st.send(a, led.sigs, nd.remote)
 	results := sim.WaitAll(a, sigs)
 	if i >= 0 {
-		// Back, every one: Drain has nothing of this run's left to join.
-		st.leads = slices.Delete(st.leads, i, i+1)
+		st.leads = slices.Delete(st.leads, i, i+1) // back, every one: Drain has nothing of this run's left to join
 	}
 	for _, got := range results {
 		if got.err != nil {
@@ -133,13 +145,13 @@ func (st *Stages) Assemble(a *sim.Proc, run StripRun, depth int64, strips []int6
 
 // Lead splits a run's strips as Assemble would and sends its
 // dependent-strip fetches ahead of its assembly, for the run's Assemble to
-// take with the split. An exec walk sends run i+1's when it starts
-// assembling run i: a fetch's round trip outlasts a run's share of the
-// ingress NIC, so with only one run's fetches out the NIC idles. Fetches
-// a failed walk leaves out are joined by Drain.
-func (st *Stages) Lead(a *sim.Proc, run StripRun, depth int64, strips []int64) {
-	nd := st.needs(run, depth, strips)
-	st.leads = append(st.leads, inflight{first: run.First, need: nd, sigs: st.send(a, nd.remote)})
+// take with the split: WalkRuns' lead. A run with nothing to fetch sends
+// nothing. Fetches a failed walk leaves out are joined by Drain.
+func (st *Stages) Lead(a *sim.Proc, run StripRun) {
+	nd := st.needs(run)
+	sigs := st.send(a, nil, nd.remote)
+	nd.remote = nil // sent
+	st.leads = append(st.leads, inflight{first: run.First, need: nd, sigs: sigs})
 }
 
 // need is what a run's band wants of the strips listed: its element range
@@ -155,13 +167,13 @@ type need struct {
 // remote is a byte range [needLo, needHi) of a strip another server holds.
 type remote struct{ strip, needLo, needHi int64 }
 
-// needs splits what run's band, depth elements of halo each side, wants of
-// the strips listed into what this server holds and what it must fetch.
-func (st *Stages) needs(run StripRun, depth int64, strips []int64) need {
+// needs splits what run's band wants of the strips listed for it into
+// what this server holds and what it must fetch.
+func (st *Stages) needs(run StripRun) need {
 	in, srv := st.in, st.srv
 	var nd need
-	nd.lo, nd.hi = grid.HaloRange(run.Lo/in.ElemSize, run.Hi/in.ElemSize, depth, in.Size/in.ElemSize)
-	for _, t := range strips {
+	nd.lo, nd.hi = grid.HaloRange(run.Lo/in.ElemSize, run.Hi/in.ElemSize, st.depth, in.Size/in.ElemSize)
+	for _, t := range st.strips(run) {
 		tLo, tHi := in.StripBounds(t)
 		needLo, needHi := max(nd.lo*in.ElemSize, tLo), min(nd.hi*in.ElemSize, tHi)
 		if needHi <= needLo {
@@ -177,24 +189,24 @@ func (st *Stages) needs(run StripRun, depth int64, strips []int64) need {
 	return nd
 }
 
-// stillHeld keeps the local spans of a need whose strips this server
-// still holds, in place, and returns the ranges of the others, to fetch.
-func (st *Stages) stillHeld(local []pfs.Span, localLo []int64) ([]pfs.Span, []int64, []remote) {
-	var lost []remote
+// stillHeld keeps the local spans of nd whose strips this server still
+// holds, in place, and moves the ranges of the others to its fetches.
+func (st *Stages) stillHeld(nd need) need {
 	n := 0
-	for k, sp := range local {
+	for k, sp := range nd.local {
 		if st.srv.Holds(st.in.Name, sp.Strip) {
-			local[n], localLo[n] = sp, localLo[k]
+			nd.local[n], nd.localLo[n] = sp, nd.localLo[k]
 			n++
 			continue
 		}
-		lost = append(lost, remote{strip: sp.Strip, needLo: localLo[k], needHi: localLo[k] + sp.Hi - sp.Lo})
+		nd.remote = append(nd.remote, remote{strip: sp.Strip, needLo: nd.localLo[k], needHi: nd.localLo[k] + sp.Hi - sp.Lo})
 	}
-	return local[:n], localLo[:n], lost
+	nd.local, nd.localLo = nd.local[:n], nd.localLo[:n]
+	return nd
 }
 
-// inflight is one run's dependent-strip fetches, sent by Lead with the
-// split they came from, and not yet all taken.
+// inflight is one run's split and the fetches Lead sent for it, kept
+// until the run's Assemble has every one back.
 type inflight struct {
 	first int64 // the run's first strip
 	need  need
@@ -209,15 +221,16 @@ type fetched struct {
 	err   error
 }
 
-// send starts dependent-strip fetches, one process each. A run's go out
-// concurrently (the requests target distinct owners); the run still
-// cannot compute until every response arrives, and the amplified traffic
-// still serializes on the NICs and disks it crosses.
-func (st *Stages) send(a *sim.Proc, remotes []remote) []*sim.Signal[fetched] {
-	sigs := make([]*sim.Signal[fetched], len(remotes))
-	for i, rm := range remotes {
+// send starts dependent-strip fetches, one process each, and appends
+// their signals to sigs. A run's go out concurrently (the requests target
+// distinct owners); the run still cannot compute until every response
+// arrives, and the amplified traffic still serializes on the NICs and
+// disks it crosses.
+func (st *Stages) send(a *sim.Proc, sigs []*sim.Signal[fetched], remotes []remote) []*sim.Signal[fetched] {
+	sigs = slices.Grow(sigs, len(remotes))
+	for _, rm := range remotes {
 		sig := sim.NewSignal[fetched](st.fs.Cluster().Eng, "as-fetch")
-		sigs[i] = sig
+		sigs = append(sigs, sig)
 		a.Spawn("as-fetch", func(f *sim.Proc) {
 			data, gotLo, hit, err := st.fetch(f, rm.strip, rm.needLo, rm.needHi)
 			sig.Fire(fetched{data: data, gotLo: gotLo, hit: hit, err: err})
@@ -288,9 +301,16 @@ func (st *Stages) Compute(p *sim.Proc, d sim.Time, op string, elems int64) {
 // first, then the interior. Their copies can then leave (Forward) while
 // the interior computes, so a run's forwards are back sooner after its
 // compute ends — most of all the last run's, which the reply waits for.
-// A run with no owed strip, or with nothing but owed strips, is one part:
-// itself.
+// A run with no owed strip, or with nothing but owed strips, is one part,
+// and Parts returns nil, allocating no parts: the run computes whole.
 func (st *Stages) Parts(run StripRun) [][]StripRun {
+	first, mixed := st.srv.Owes(st.out.Name, run.First), false
+	for t := run.First + 1; t <= run.Last && !mixed; t++ {
+		mixed = st.srv.Owes(st.out.Name, t) != first
+	}
+	if !mixed {
+		return nil
+	}
 	var owed, interior []StripRun
 	for t := run.First; t <= run.Last; t++ {
 		part := &interior
@@ -303,9 +323,6 @@ func (st *Stages) Parts(run StripRun) [][]StripRun {
 			continue
 		}
 		*part = append(*part, StripRun{First: t, Last: t, Lo: lo, Hi: hi})
-	}
-	if len(owed) == 0 || len(interior) == 0 {
-		return [][]StripRun{{run}}
 	}
 	return [][]StripRun{owed, interior}
 }

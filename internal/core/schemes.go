@@ -329,7 +329,7 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 			s.Clu.Trace.Record(since, p.Now()-since, tsLane(w, "compute"), "stall", "waiting for the next stripe or the last write")
 		}
 	}
-	err := active.WalkRuns(p, runs, assemble, compute, stalled)
+	err := active.WalkRuns(p, runs, nil, assemble, compute, stalled)
 	if computed != nil && !computed.written {
 		grid.PutFloats(computed.vals)
 	}

@@ -143,6 +143,18 @@ type Experiment struct {
 	// and notes, and fails when a claim the experiment exists to show —
 	// a decision flipped, a controller went quiet — does not hold.
 	Claims func(Config, []Record) (*Result, error)
+	// Margins, when set, are the claims Claims enforces, each as a margin
+	// over the records (in Scenarios order): what a seed sweep reads.
+	Margins func(Config, []Record) []Margin
+}
+
+// Margin is one claim an experiment makes of its records and the amount
+// by which it holds, negative when it fails.
+type Margin struct {
+	Claim string
+	Unit  string
+	Value float64
+	Holds bool
 }
 
 // Experiments lists every experiment: the paper's figures, the ablations

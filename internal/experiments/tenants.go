@@ -148,24 +148,14 @@ var tenantsExperiment = Experiment{
 		if err != nil {
 			return nil, err
 		}
-		throughput := func(rec Record) float64 {
-			return safeRatio(rec.Counters["tenants.bytes"], rec.Seconds()) / 1e6
-		}
-		unb, nas, adp := recs[0].Counters, recs[1].Counters, recs[3].Counters
 		if tcfg.Tenants >= tenantsStrictScale {
-			if p99 := nas.Int("tenants.queue_depth_p99"); p99 > 2*int64(tcfg.MaxQueueDepth) {
-				return nil, fmt.Errorf("tenants: admission failed to bound the queue tail: p99 depth %d vs bound %d", p99, tcfg.MaxQueueDepth)
-			}
-			if u, n := unb.Int("tenants.queue_depth_p99"), nas.Int("tenants.queue_depth_p99"); u <= n {
-				return nil, fmt.Errorf("tenants: unbounded queue p99 %d not above bounded %d — saturation never materialized", u, n)
-			}
-			if a, n := throughput(recs[3]), throughput(recs[1]); a <= n {
-				return nil, fmt.Errorf("tenants: adaptive throughput %.2f MB/s does not beat NAS %.2f MB/s", a, n)
-			}
-			if a, n := adp.Int("tenants.fair_spread_ns"), nas.Int("tenants.fair_spread_ns"); a >= n {
-				return nil, fmt.Errorf("tenants: adaptive p99 spread %v not below NAS %v", sim.Time(a), sim.Time(n))
+			for _, m := range tenantsMargins(tcfg, recs) {
+				if !m.Holds {
+					return nil, fmt.Errorf("tenants: claim fails: %s (margin %.4g %s)", m.Claim, m.Value, m.Unit)
+				}
 			}
 		}
+		nas, adp := recs[1].Counters, recs[3].Counters
 
 		r := &Result{
 			ID: "tenants",
@@ -177,23 +167,49 @@ var tenantsExperiment = Experiment{
 		for i, v := range tenantsVariants {
 			x, tot := float64(i+1), recs[i].Counters
 			spread := sim.Time(tot.Int("tenants.fair_spread_ns"))
-			r.Add("throughput MB/s: "+v.name, x, throughput(recs[i]))
+			r.Add("throughput MB/s: "+v.name, x, tenantsThroughput(recs[i]))
 			r.Add("p99 spread ms: "+v.name, x, spread.Seconds()*1e3)
 			r.Add("queue p99: "+v.name, x, tot["tenants.queue_depth_p99"])
 			r.Notes = append(r.Notes, fmt.Sprintf(
 				"%s: %d ops (%d shed) in %.3fs, %.2f MB/s, queue p99 %d (max %d), tenant p99 spread %v",
-				v.name, tot.Int("tenants.ops"), tot.Int("tenants.sheds"), recs[i].Seconds(), throughput(recs[i]),
+				v.name, tot.Int("tenants.ops"), tot.Int("tenants.sheds"), recs[i].Seconds(), tenantsThroughput(recs[i]),
 				tot.Int("tenants.queue_depth_p99"), tot.Int("tenants.queue_depth_max"), spread))
 		}
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"adaptive vs NAS: throughput x%.2f, spread x%.2f, halo bytes x%.2f (%d restripes, %d cache promotions)",
-			safeRatio(throughput(recs[3]), throughput(recs[1])),
+			safeRatio(tenantsThroughput(recs[3]), tenantsThroughput(recs[1])),
 			safeRatio(adp["tenants.fair_spread_ns"], nas["tenants.fair_spread_ns"]),
 			safeRatio(adp["tenants.offload_remote_bytes"], nas["tenants.offload_remote_bytes"]),
 			adp.Int("restripe.completed"), adp.Int("control.promotions")),
 			"report byte-identical across two full replays")
 		return r, nil
 	},
+	Margins: func(c Config, recs []Record) []Margin {
+		tcfg, _ := c.tenants() // Scenarios ran it as it is
+		return tenantsMargins(tcfg, recs)
+	},
+}
+
+// tenantsMargins are the claims the experiment enforces at full scale:
+// admission bounds the queue tail the unbounded run blows through, and
+// the adaptive stack beats bounded NAS on aggregate throughput and on
+// cross-tenant p99 spread.
+func tenantsMargins(tcfg tenants.Config, recs []Record) []Margin {
+	unb, nas, adp := recs[0].Counters, recs[1].Counters, recs[3].Counters
+	bound, p99, unbP99 := float64(2*tcfg.MaxQueueDepth), nas["tenants.queue_depth_p99"], unb["tenants.queue_depth_p99"]
+	a, n := tenantsThroughput(recs[3]), tenantsThroughput(recs[1])
+	as, ns := adp["tenants.fair_spread_ns"], nas["tenants.fair_spread_ns"]
+	return []Margin{
+		{"admission holds the queue p99 to twice the depth", "ops", bound - p99, p99 <= bound},
+		{"the unbounded queue p99 exceeds the bounded", "ops", unbP99 - p99, unbP99 > p99},
+		{"adaptive throughput beats NAS", "MB/s", a - n, a > n},
+		{"adaptive p99 spread is below NAS", "ms", (ns - as) / 1e6, as < ns},
+	}
+}
+
+// tenantsThroughput is a tenants record's aggregate throughput in MB/s.
+func tenantsThroughput(rec Record) float64 {
+	return safeRatio(rec.Counters["tenants.bytes"], rec.Seconds()) / 1e6
 }
 
 func safeRatio(a, b float64) float64 {

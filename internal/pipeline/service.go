@@ -291,10 +291,10 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq, from int) 
 	}
 
 	var resp stageResp
-	st := active.NewStages(svc.fs, svc.cache, srv, in, out, active.FetchRows, &resp.Tally)
+	st := active.NewStages(svc.fs, svc.cache, srv, in, out, active.FetchRows, lin.depth, active.HaloStrips(in, lin.depth), &resp.Tally)
 	assemble := func(a *sim.Proc, run active.StripRun) (operands, error) {
 		if fromInput {
-			band, err := st.Assemble(a, run, lin.depth, haloStrips(in, run, lin.depth))
+			band, err := st.Assemble(a, run)
 			return operands{band}, err
 		}
 		e0, e1 := run.Lo/in.ElemSize, run.Hi/in.ElemSize
@@ -399,7 +399,9 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq, from int) 
 		})
 	}
 
-	err = active.WalkRuns(p, active.StripRuns(in, req.Strips), assemble, compute, st.Stalled(p))
+	// A round walks without the lead: its runs' fetches leave with their
+	// own assemblies (DESIGN.md §6.1 *Fetches lead by one run*).
+	err = active.WalkRuns(p, active.StripRuns(in, req.Strips), nil, assemble, compute, st.Stalled(p))
 	if err := st.Drain(p, err); err != nil {
 		return stageResp{}, err
 	}
@@ -418,17 +420,6 @@ func (o operands) Release() {
 			b.Release()
 		}
 	}
-}
-
-// haloStrips lists every strip a run's input band reaches at the given
-// depth: the strips the input assembler reads for a round.
-func haloStrips(in *pfs.FileMeta, run active.StripRun, depth int64) []int64 {
-	lo, hi := grid.HaloRange(run.Lo/in.ElemSize, run.Hi/in.ElemSize, depth, in.Size/in.ElemSize)
-	var strips []int64
-	for t := lo * in.ElemSize / in.StripSize; t*in.StripSize < hi*in.ElemSize; t++ {
-		strips = append(strips, t)
-	}
-	return strips
 }
 
 // parentValues assembles a parent node's values over global element range
