@@ -98,12 +98,13 @@ func FanOut(p *sim.Proc, fs *pfs.FileSystem, from int, port string, reqs []Reque
 // pin, when set, says where a strip's state pins it: a server, or -1 when
 // that state is gone and the strip is owed a redo. A wave carries the
 // strips owed a redo when there are any, spread over their live holders
-// (placed not fresh) with redo set; otherwise it carries the fresh
-// strips, each on its pinned server or, unpinned, on its live primary. A
-// pipeline round so finishes every catch-up before a strip that pulls
-// from the state owners goes out (DESIGN.md §14); Exec, with pin nil,
-// never holds both kinds at once. The first wave asks every live server,
-// one given no strips too, a later one only the servers given strips.
+// (placed not fresh, at the wave's even share: Placer.Share) with redo
+// set; otherwise it carries the fresh strips, each on its pinned server
+// or, unpinned, on its live primary. A pipeline round so finishes every
+// catch-up before a strip that pulls from the state owners goes out
+// (DESIGN.md §14); Exec, with pin nil, never holds both kinds at once.
+// The first wave asks every live server, one given no strips too, a
+// later one only the servers given strips.
 //
 // ask is called once a wave with its whole assignment, strips by server,
 // and returns the builder of each asked server's request; a Request with
@@ -152,6 +153,9 @@ func (c *Client) Dispatch(p *sim.Proc, port, input string, place layout.Layout, 
 		}
 		assign := make([][]int64, c.fs.Servers())
 		placer := layout.NewPlacer(place, live)
+		if isRedo {
+			placer.Share(strips)
+		}
 		for _, s := range strips {
 			srv, ok := 0, true
 			if !isRedo && pinned != nil {

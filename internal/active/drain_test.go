@@ -101,10 +101,9 @@ func TestOwedStripsForwardBeforeTheInterior(t *testing.T) {
 
 // TestPartsOfAnUnsplitRunAllocateNothing: a run with no owed strip (an
 // unreplicated layout's) or nothing but owed strips (a mirrored one's) is
-// one part, and Parts says so with nil: the exec computes it over the
-// band it was handed. With no owed strip it allocates nothing — a
-// replicated layout allocates listing a strip's replicas. A run with
-// both kinds is split.
+// one part, and Parts says so with nil, allocating nothing: the exec
+// computes it over the band it was handed. A run with both kinds is
+// split.
 func TestPartsOfAnUnsplitRunAllocateNothing(t *testing.T) {
 	sixteen := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 	for _, tc := range []struct {
@@ -126,11 +125,11 @@ func TestPartsOfAnUnsplitRunAllocateNothing(t *testing.T) {
 		if got := st.Parts(run); (got != nil) != tc.split {
 			t.Errorf("%s: Parts(%+v) = %v, want split %v", tc.name, run, got, tc.split)
 		}
-		if tc.name != "none owed" {
+		if tc.split {
 			continue
 		}
 		if n := testing.AllocsPerRun(20, func() { st.Parts(run) }); n != 0 {
-			t.Errorf("Parts allocates %v times on a run with no owed strip, want 0", n)
+			t.Errorf("%s: Parts allocates %v times on a run of one part, want 0", tc.name, n)
 		}
 	}
 }

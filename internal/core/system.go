@@ -245,9 +245,10 @@ func (s *System) RunProc(name string, fn func(p *sim.Proc) error) (sim.Time, err
 // run executes fn as a workload process and drives the engine until all
 // non-daemon work completes, returning the elapsed simulated time. At that
 // quiescence every request a server received must have been answered
-// once, and — under bufpool.Audit — every stored strip must still hold the
-// bytes it was stored with: a dropped or doubled reply, or a write into
-// lent strip memory, fails the run.
+// once, no pipeline run's state may be left on a live server or an ack
+// port, and — under bufpool.Audit — every stored strip must still hold
+// the bytes it was stored with: a dropped or doubled reply, stranded run
+// state, or a write into lent strip memory, fails the run.
 func (s *System) run(name string, fn func(p *sim.Proc) error) (sim.Time, error) {
 	start := s.Clu.Eng.Now()
 	var inner error
@@ -260,6 +261,11 @@ func (s *System) run(name string, fn func(p *sim.Proc) error) (sim.Time, error) 
 	}
 	if err := s.FS.CheckSeals(); err != nil {
 		return 0, err
+	}
+	if s.Pipeline != nil {
+		if err := s.Pipeline.CheckReleased(); err != nil {
+			return 0, err
+		}
 	}
 	if inner != nil {
 		return 0, inner

@@ -107,43 +107,77 @@ func TestSingleGroupFile(t *testing.T) {
 // live primary; any other strip runs on the live holder given the fewest
 // strips so far in the wave, chosen once per run of consecutive strips
 // sharing a holder set, ties in Holders order; no live holder is ok =
-// false.
+// false. In a wave given its share (a redo wave), a run whose holder
+// reaches it goes on with the least-given live holder still below it,
+// and stays whole where every holder has it.
 func TestPlacerRule(t *testing.T) {
 	mirrored := NewGroupedReplicated(4, 2, 2) // group g: holders [g, g-1, g+1]
+	edges := NewGroupedReplicated(4, 4, 2)    // strips 4g, 4g+1: [g, g-1]; 4g+2, 4g+3: [g, g+1]
 	type place struct {
 		s     int64
 		fresh bool
 		want  int // -1: no live holder
 	}
+	// catchUp is server 1's first n groups on mirrored, two-strip runs
+	// over holders [1, 0, 2] as a crash's catch-up wave carries them, the
+	// strips placed on srvs in turn.
+	catchUp := func(n int, srvs ...int) []place {
+		var steps []place
+		for j := 0; j < n; j++ {
+			g := int64(1 + 4*j)
+			steps = append(steps, place{2 * g, false, srvs[2*j]}, place{2*g + 1, false, srvs[2*j+1]})
+		}
+		return steps
+	}
 	for _, tc := range []struct {
 		name  string
 		l     Layout
 		down  []int
+		share bool // the placer takes the share of the wave of steps' strips
 		steps []place
 	}{
-		{"fresh strips run on their primaries", mirrored, nil,
+		{"fresh strips run on their primaries", mirrored, nil, false,
 			[]place{{0, true, 0}, {1, true, 0}, {2, true, 1}, {3, true, 1}, {6, true, 3}}},
-		{"a down primary's strips go to the least-loaded live holder", mirrored, []int{1},
+		{"a down primary's strips go to the least-loaded live holder", mirrored, []int{1}, false,
 			[]place{{0, true, 0}, {1, true, 0}, {2, true, 2}, {3, true, 2}, {4, true, 2}, {5, true, 2},
 				{6, true, 3}, {7, true, 3}, {8, true, 0}, {9, true, 0}, {10, true, 0}, {11, true, 0}}},
-		{"one choice per run: the run stays put as its holder's count grows", mirrored, nil,
+		{"one choice per run: the run stays put as its holder's count grows", mirrored, nil, false,
 			[]place{{2, false, 1}, {3, false, 1}}},
-		{"ties go in Holders order", mirrored, nil,
+		{"ties go in Holders order", mirrored, nil, false,
 			[]place{{4, false, 2}, {5, false, 2}, {2, false, 1}, {6, false, 3}}},
-		{"a new holder set starts a new run", mirrored, nil,
+		{"a new holder set starts a new run", mirrored, nil, false,
 			[]place{{2, false, 1}, {3, false, 1}, {4, false, 2}, {5, false, 2}, {6, false, 3}, {7, false, 3}, {8, false, 0}}},
-		{"a gap starts a new run", mirrored, nil,
+		{"a gap starts a new run", mirrored, nil, false,
 			[]place{{2, false, 1}, {10, false, 0}, {11, false, 0}, {18, false, 2}}},
-		{"a lost strip may run on its live primary", NewReplicatedRoundRobin(4, 3), nil,
+		{"a lost strip may run on its live primary", NewReplicatedRoundRobin(4, 3), nil, false,
 			[]place{{1, false, 1}, {2, true, 2}, {5, false, 3}}},
-		{"no live holder", mirrored, []int{0, 1, 2},
+		{"no live holder", mirrored, []int{0, 1, 2}, false,
 			[]place{{2, true, -1}, {3, false, -1}, {6, true, 3}}},
+		// 20 strips over 3 holders: a share of 7, so the tenth run splits
+		// once its holder has 7 and the wave goes 7/7/6, not 8/6/6.
+		{"ten runs over three holders: one run splits at the share", mirrored, nil, true,
+			catchUp(10, 1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 2, 2, 1, 0)},
+		{"nine runs over three holders: 3/3/3, none split", mirrored, nil, true,
+			catchUp(9, 1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 2, 2)},
+		// 6 strips over holders 0, 1 and 3: a share of 2, which both of
+		// strips 4-5's holders have reached before the run starts.
+		{"a run stays on one server when every holder has its share", edges, nil, true,
+			[]place{{0, false, 0}, {1, false, 0}, {2, false, 1}, {3, false, 1}, {4, false, 1}, {5, false, 1}}},
+		{"fresh strips run on their live primary past the share", edges, nil, true,
+			[]place{{0, true, 0}, {1, true, 0}, {2, true, 0}, {3, true, 0}}},
 	} {
 		down := map[int]bool{}
 		for _, d := range tc.down {
 			down[d] = true
 		}
 		pl := NewPlacer(tc.l, func(srv int) bool { return !down[srv] })
+		if tc.share {
+			var wave []int64
+			for _, st := range tc.steps {
+				wave = append(wave, st.s)
+			}
+			pl.Share(wave)
+		}
 		for i, st := range tc.steps {
 			srv, ok := pl.Place(st.s, st.fresh)
 			if !ok {

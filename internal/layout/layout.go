@@ -8,6 +8,7 @@ package layout
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -211,12 +212,16 @@ func Holders(l Layout, s int64) []int {
 // runs on its primary while that is live. Any other — its primary down,
 // its reply lost, a pipeline catch-up — runs on the live holder given the
 // fewest strips so far in the wave, chosen once per run of consecutive
-// strips sharing one holder set, ties in Holders order. Place strips in
-// ascending order, one Placer per wave.
+// strips sharing one holder set, ties in Holders order. In a wave given a
+// share (Share), a run whose holder reaches it goes on, from the next
+// strip, on the least-given live holder still below it, and stays whole
+// where there is none. Place strips in ascending order, one Placer per
+// wave.
 type Placer struct {
 	l      Layout
 	live   func(srv int) bool
 	given  []int // strips placed on each server so far
+	share  int   // strips one holder is given before a run splits; 0: no share
 	run    []int // the current run's holder set, its server and last strip
 	runSrv int
 	last   int64
@@ -227,6 +232,25 @@ func NewPlacer(l Layout, live func(srv int) bool) *Placer {
 	return &Placer{l: l, live: live, given: make([]int, l.Servers()), last: -2}
 }
 
+// Share gives the wave of strips about to be placed its even share: its
+// k strips over the h live servers that hold any of them, ⌈k ÷ h⌉ each.
+// A redo wave takes one, so that no holder computes a whole run more than
+// the others while one of them could take the rest.
+func (pl *Placer) Share(wave []int64) {
+	holds, h := make([]bool, len(pl.given)), 0
+	for _, s := range wave {
+		for _, srv := range Holders(pl.l, s) {
+			if !holds[srv] && pl.live(srv) {
+				holds[srv] = true
+				h++
+			}
+		}
+	}
+	if h > 0 {
+		pl.share = (len(wave) + h - 1) / h
+	}
+}
+
 // Place returns the server that runs strip s; ok = false when no holder
 // of s is live.
 func (pl *Placer) Place(s int64, fresh bool) (srv int, ok bool) {
@@ -235,11 +259,10 @@ func (pl *Placer) Place(s int64, fresh bool) (srv int, ok bool) {
 		return p, true
 	}
 	if holders := Holders(pl.l, s); s != pl.last+1 || !slices.Equal(holders, pl.run) {
-		pl.run, pl.runSrv = holders, -1
-		for _, h := range holders {
-			if pl.live(h) && (pl.runSrv < 0 || pl.given[h] < pl.given[pl.runSrv]) {
-				pl.runSrv = h
-			}
+		pl.run, pl.runSrv = holders, pl.least(holders, math.MaxInt)
+	} else if pl.share > 0 && pl.given[pl.runSrv] >= pl.share {
+		if h := pl.least(holders, pl.share); h >= 0 {
+			pl.runSrv = h
 		}
 	}
 	if pl.runSrv < 0 {
@@ -248,6 +271,30 @@ func (pl *Placer) Place(s int64, fresh bool) (srv int, ok bool) {
 	pl.last = s
 	pl.given[pl.runSrv]++
 	return pl.runSrv, true
+}
+
+// least returns the live holder given the fewest strips, ties in Holders
+// order, among those given fewer than below; -1 when there is none.
+func (pl *Placer) least(holders []int, below int) int {
+	srv := -1
+	for _, h := range holders {
+		if pl.live(h) && pl.given[h] < below && (srv < 0 || pl.given[h] < pl.given[srv]) {
+			srv = h
+		}
+	}
+	return srv
+}
+
+// Replicated reports whether strip s has a copy beyond its primary under
+// l, len(l.Replicas(s)) > 0, without GroupedReplicated building the list:
+// with two servers or more, a boundary strip's neighbor is never its
+// primary.
+func Replicated(l Layout, s int64) bool {
+	if g, ok := l.(GroupedReplicated); ok {
+		pos := mod(s, int64(g.R))
+		return g.D > 1 && (pos < int64(g.Halo) || pos >= int64(g.R-g.Halo))
+	}
+	return len(l.Replicas(s)) > 0
 }
 
 // Holds reports whether server srv stores strip s, either as primary or as

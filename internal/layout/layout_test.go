@@ -197,7 +197,8 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 // Property: every strip has exactly one primary in [0, D) and replicas are
-// distinct servers different from the primary, for all layouts.
+// distinct servers different from the primary, for all layouts; Replicated
+// says whether there are any.
 func TestPlacementWellFormedProperty(t *testing.T) {
 	prop := func(dRaw, rRaw, haloRaw uint8, stripRaw uint16) bool {
 		d := int(dRaw%16) + 1
@@ -208,9 +209,13 @@ func TestPlacementWellFormedProperty(t *testing.T) {
 			NewRoundRobin(d),
 			NewGrouped(d, r),
 			NewGroupedReplicated(d, r, halo),
+			NewReplicatedRoundRobin(d, halo%d+1),
 		} {
 			p := l.Primary(s)
 			if p < 0 || p >= l.Servers() {
+				return false
+			}
+			if Replicated(l, s) != (len(l.Replicas(s)) > 0) {
 				return false
 			}
 			seen := map[int]bool{p: true}

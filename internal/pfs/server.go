@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"github.com/hpcio/das/internal/bufpool"
+	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
 )
@@ -399,14 +400,12 @@ func (s *Server) owedTo(m *FileMeta, strip int64) []int {
 
 // Owes reports whether Forward would send this server's copy of strip to
 // another holder under the file's current layout: a replica, or the
-// primary when this server holds the strip as a replica. An unknown file
-// owes nothing.
+// primary when this server holds the strip as a replica. Either way that
+// is whether the strip has a replica at all, which Owes asks without
+// listing them. An unknown file owes nothing.
 func (s *Server) Owes(file string, strip int64) bool {
 	m, ok := s.fs.meta[file]
-	if !ok {
-		return false
-	}
-	return slices.ContainsFunc(s.owedTo(m, strip), func(h int) bool { return h != s.srv })
+	return ok && layout.Replicated(m.Layout, strip)
 }
 
 // sendReplicas pushes one holder's batch and waits for its

@@ -275,14 +275,16 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 	return res, nil
 }
 
-// release drops the run's retained state on every live server (one-way;
-// a down server's state died with it, and a restart purges by
-// incarnation anyway).
+// release drops the run's retained state on every server: a live one is
+// told (one-way), and a down one's state died with it, so its record goes
+// too — else it would outlast the run on a server that restarts later
+// (Service.CheckReleased).
 func (c *Client) release(p *sim.Proc, token string) {
 	clu := c.fs.Cluster()
 	for s := 0; s < c.fs.Servers(); s++ {
 		toID := clu.StorageID(s)
 		if clu.Faults.Down(toID) {
+			delete(c.svc.runs[s], token)
 			continue
 		}
 		clu.Net.Send(p, simnet.Message{

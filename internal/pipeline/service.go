@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"github.com/hpcio/das/internal/active"
 	"github.com/hpcio/das/internal/cache"
@@ -177,6 +179,30 @@ func Deploy(fs *pfs.FileSystem, reg *kernels.Registry, combs *kernels.CombinerRe
 	return svc
 }
 
+// CheckReleased reports pipeline state that outlived its run: a token a
+// storage server still holds state for, or a compute node's ack port
+// still holds open. A run releases both on every exit (Client.run), so
+// once the engine is quiescent neither holds any. Every core.System run
+// calls it beside pfs's CheckSeals.
+func (svc *Service) CheckReleased() error {
+	var held []string
+	for s, runs := range svc.runs {
+		for token := range runs {
+			held = append(held, fmt.Sprintf("server %d holds the state of %s", s, token))
+		}
+	}
+	for node, a := range svc.acks {
+		for token := range a.runs {
+			held = append(held, fmt.Sprintf("compute node %d awaits the acks of %s", node, token))
+		}
+	}
+	if len(held) == 0 {
+		return nil
+	}
+	slices.Sort(held)
+	return fmt.Errorf("pipeline: run state outlived its run: %s", strings.Join(held, "; "))
+}
+
 func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 	clu := svc.fs.Cluster()
 	switch req := msg.Payload.(type) {
@@ -246,11 +272,13 @@ func (svc *Service) runStateFor(srv *pfs.Server, req stageReq, in *pfs.FileMeta)
 
 // stage computes one dispatch round over the request's strips, walking
 // their runs through the servers' one run loop (active.WalkRuns): a run's
-// operands are assembled one run ahead, it is evaluated on p, and in the
-// final round its output goes through exec's store, written one run
-// behind while its replica forwards leave one process per holder. Once a
-// final-round run is stored on every holder, the client node from is sent
-// its ack, unless this server has crashed since it took the request.
+// operands are assembled one run ahead (a round that reads the input
+// sends the next run's fetches as this one's assembly starts), it is
+// evaluated on p, and in the final round its output goes through exec's
+// store, written one run behind while its replica forwards leave one
+// process per holder. Once a final-round run is stored on every holder,
+// the client node from is sent its ack, unless this server has crashed
+// since it took the request.
 func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq, from int) (stageResp, error) {
 	clu := svc.fs.Cluster()
 	inc := clu.Faults.Incarnation(srv.NodeID())
@@ -399,9 +427,13 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq, from int) 
 		})
 	}
 
-	// A round walks without the lead: its runs' fetches leave with their
-	// own assemblies (DESIGN.md §6.1 *Fetches lead by one run*).
-	err = active.WalkRuns(p, active.StripRuns(in, req.Strips), nil, assemble, compute, st.Stalled(p))
+	// A round that reads the input leads its next run's fetches as exec
+	// does; one that pulls its parents has no input fetch to lead.
+	var lead func(*sim.Proc, active.StripRun)
+	if fromInput {
+		lead = st.Lead
+	}
+	err = active.WalkRuns(p, active.StripRuns(in, req.Strips), lead, assemble, compute, st.Stalled(p))
 	if err := st.Drain(p, err); err != nil {
 		return stageResp{}, err
 	}

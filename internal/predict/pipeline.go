@@ -225,9 +225,12 @@ type busy struct{ egress, ingress, disk sim.Time }
 // assembled ahead: the first run's assembly, then per later run the
 // longer of the previous run's compute and this run's assembly, then the
 // last compute and, in the storing round, the last write or its replica
-// forwards. It lasts at least as long as that server's egress, ingress
-// and disk are busy, and the slowest server ends it, one dispatch round
-// trip later. A message costs egress serialisation + Latency + ingress
+// forwards. A round that reads the input leads its fetches as the run
+// loop does: from run 2 on, a run's messages leave as the previous run's
+// assembly starts, with the compute two runs back, and only its local
+// read waits for the previous run's compute to start. It lasts at least
+// as long as that server's egress, ingress and disk are busy, and the
+// slowest server ends it, one dispatch round trip later. A message costs egress serialisation + Latency + ingress
 // serialisation, store and forward, and a run's messages arrive through
 // its one ingress.
 func (spec PipelineSpec) priceSchedule(rounds []PipelineRound, p Params, lc layout.Locator, runs [][]stripRun) DepthPrice {
@@ -262,7 +265,7 @@ func (spec PipelineSpec) priceSchedule(rounds []PipelineRound, p Params, lc layo
 		load := make([]busy, lay.Servers())
 		walks := make([]sim.Time, lay.Servers())
 		for srv, rs := range runs {
-			var walk, prevCompute sim.Time
+			var walk, prevWalk, prevCompute sim.Time // walk, prevWalk: when the last two runs' computes started
 			for i, run := range rs {
 				// Assembly: the run's own messages, each from one source
 				// server, after whatever it reads from its own disk.
@@ -326,10 +329,15 @@ func (spec PipelineSpec) priceSchedule(rounds []PipelineRound, p Params, lc layo
 				}
 				compute := sim.Time(weighted * cfg.ComputeNsPerElem)
 
-				if i == 0 {
+				switch {
+				case i == 0:
 					walk = assemble
-				} else {
-					walk += max(prevCompute, assemble)
+				case i >= 2 && rd.Input >= 0:
+					// Led: run i's fetches left as run i−1's assembly
+					// started, with run i−2's compute.
+					walk, prevWalk = max(walk+max(prevCompute, local), prevWalk+arrive), walk
+				default:
+					walk, prevWalk = walk+max(prevCompute, assemble), walk
 				}
 				prevCompute = compute
 				if !final {
