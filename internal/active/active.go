@@ -226,19 +226,9 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 // locally while the rest of the replica copies are sent.
 func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, error) {
 	clu := svc.fs.Cluster()
-	in, ok := svc.fs.Meta(req.Input)
-	if !ok {
-		return nil, fmt.Errorf("active: unknown input %q", req.Input)
-	}
-	out, ok := svc.fs.Meta(req.Output)
-	if !ok {
-		return nil, fmt.Errorf("active: unknown output %q", req.Output)
-	}
-	if in.Width == 0 || in.ElemSize == 0 {
-		return nil, fmt.Errorf("active: input %q lacks raster metadata", req.Input)
-	}
-	if out.Size != in.Size || out.StripSize != in.StripSize {
-		return nil, fmt.Errorf("active: output geometry differs from input")
+	in, out, err := svc.fs.RasterPair(req.Input, req.Output)
+	if err != nil {
+		return nil, err
 	}
 	k, ok := svc.registry.Lookup(req.Op)
 	if !ok {
@@ -290,7 +280,7 @@ func (svc *Service) exec(p *sim.Proc, srv *pfs.Server, req execReq) (*execResp, 
 		resp.Strips += run.Last - run.First + 1
 		return st.Store(p, run, outVals, nil)
 	}
-	err := WalkRuns(p, StripRuns(in, req.Strips), st.Lead, st.Assemble, compute, st.Stalled(p))
+	err = WalkRuns(p, StripRuns(in, req.Strips), st.Lead, st.Assemble, compute, st.Stalled(p))
 	if err := st.Drain(p, err); err != nil {
 		return nil, err
 	}
@@ -344,9 +334,9 @@ func NewClient(fs *pfs.FileSystem, nodeID int) *Client {
 // not — its primary unless that is down, and a server that crashes
 // mid-execution has its strips reassigned to the other holders.
 func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (ExecStats, error) {
-	out, ok := c.fs.Meta(output)
-	if !ok {
-		return ExecStats{}, fmt.Errorf("active: unknown output %q", output)
+	_, out, err := c.fs.RasterPair(input, output)
+	if err != nil {
+		return ExecStats{}, err
 	}
 	ask := func(assign [][]int64, _ bool) func(int) Request {
 		return func(srv int) Request {

@@ -79,7 +79,7 @@ func FanOut(p *sim.Proc, fs *pfs.FileSystem, from int, port string, reqs []Reque
 				sig.Fire(r)
 				return
 			}
-			resp, ok := clu.Net.CallCancelable(d, msg, fs.Retry.Quantum, deadline, f.Watch(from, to))
+			resp, ok := clu.Net.CallCancelable(d, msg, pfs.PollQuantum, deadline, f.Watch(from, to))
 			r.Payload, r.Lost = resp.Payload, !ok
 			sig.Fire(r)
 		})

@@ -50,13 +50,9 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		respond(reduceResp{Err: fmt.Sprintf("active: unknown reducer %q", req.Op)}, headerBytes)
 		return
 	}
-	in, ok := svc.fs.Meta(req.Input)
-	if !ok {
-		respond(reduceResp{Err: fmt.Sprintf("active: unknown input %q", req.Input)}, headerBytes)
-		return
-	}
-	if in.Width == 0 || in.ElemSize == 0 {
-		respond(reduceResp{Err: fmt.Sprintf("active: input %q lacks raster metadata", req.Input)}, headerBytes)
+	in, err := svc.fs.Raster(req.Input)
+	if err != nil {
+		respond(reduceResp{Err: err.Error()}, headerBytes)
 		return
 	}
 	st := NewStages(svc.fs, nil, srv, in, nil, LocalOnly, 0, HaloStrips(in, 0), new(Tally))
@@ -70,7 +66,7 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 		elements += e1 - e0
 		return nil
 	}
-	err := WalkRuns(p, StripRuns(in, req.Strips), st.Lead, st.Assemble, fold, nil)
+	err = WalkRuns(p, StripRuns(in, req.Strips), st.Lead, st.Assemble, fold, nil)
 	if err := st.Drain(p, err); err != nil {
 		respond(reduceResp{Err: err.Error()}, headerBytes)
 		return
@@ -86,9 +82,9 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 // them. The returned slice is the full aggregate (kernels.ReduceAll on the
 // whole raster, up to the order float sums are merged in).
 func (c *Client) ExecReduce(p *sim.Proc, red kernels.Reducer, input string) ([]float64, ReduceStats, error) {
-	in, ok := c.fs.Meta(input)
-	if !ok {
-		return nil, ReduceStats{}, fmt.Errorf("active: unknown input %q", input)
+	in, err := c.fs.Raster(input)
+	if err != nil {
+		return nil, ReduceStats{}, err
 	}
 	ask := func(assign [][]int64, _ bool) func(int) Request {
 		return func(srv int) Request {
@@ -124,7 +120,6 @@ func (c *Client) ExecReduce(p *sim.Proc, red kernels.Reducer, input string) ([]f
 		}
 		return nil, nil
 	}
-	var err error
 	if _, stats.Servers, err = c.Dispatch(p, Port, input, in.Layout, in.Strips(), nil, ask, take); err != nil {
 		return nil, ReduceStats{}, err
 	}

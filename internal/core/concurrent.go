@@ -33,7 +33,7 @@ func (s *System) ExecuteConcurrent(reqs []Request) ([]Report, error) {
 			return nil, fmt.Errorf("core: reconfiguration is not supported in concurrent batches")
 		}
 		reports[i] = Report{Scheme: req.Scheme, Op: req.Op}
-		if jobs[i], err = s.job(&reports[i], req, in, in.Layout); err != nil {
+		if jobs[i], err = s.job(&reports[i], req, in, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -299,15 +300,27 @@ func TestDASRejectsHostilePatternAndFallsBackToTS(t *testing.T) {
 	}
 }
 
+// TestDASReconfigureMigratesThenOffloads: input ingested round-robin (as a
+// foreign writer would); DAS with Reconfigure migrates it to the improved
+// layout and then offloads, under the one Decision it migrated on — the
+// planned layout's, priced on the platform before migrating.
 func TestDASReconfigureMigratesThenOffloads(t *testing.T) {
-	// Input ingested round-robin (as a foreign writer would); DAS with
-	// Reconfigure migrates it to the improved layout and then offloads.
 	g := workload.Terrain(testW, testH, 5)
 	s, err := NewSystem(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.IngestGrid("in", g, layout.NewRoundRobin(s.FS.Servers()), testStrip); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := s.FS.Meta("in")
+	planned, err := s.PlanLayout("gaussian-filter", m.Width, m.ElemSize, m.StripSize, m.Size, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, _ := s.Features.Lookup("gaussian-filter")
+	want, err := predict.Estimate(predict.Kernel(pat), predictParams(m), planned, s.observations("in"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := s.Execute(Request{Op: "gaussian-filter", Input: "in", Output: "out", Scheme: DAS, Reconfigure: true})
@@ -317,15 +330,17 @@ func TestDASReconfigureMigratesThenOffloads(t *testing.T) {
 	if !rep.Reconfigured || rep.ReconfigTime <= 0 {
 		t.Errorf("expected reconfiguration: %+v", rep)
 	}
+	if rep.Decision == nil || !reflect.DeepEqual(*rep.Decision, want) {
+		t.Errorf("reconfigured request decided\n%+v\nwant the planned layout's price\n%+v", rep.Decision, want)
+	}
 	if !rep.Offloaded || rep.Stats.RemoteFetches != 0 {
 		t.Errorf("expected local offload after reconfiguration: %+v", rep)
 	}
-	want := kernels.Apply(kernels.Gaussian{}, g)
 	got, err := s.FetchGrid("out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
+	if !got.Equal(kernels.Apply(kernels.Gaussian{}, g)) {
 		t.Error("output differs from reference after reconfiguration")
 	}
 }

@@ -55,8 +55,9 @@ type DAGReport struct {
 	// Output is the file holding the DAG's grid output: Request.Output
 	// when pipelined, the per-pass naming scheme's final stage otherwise.
 	Output string
-	// Decision is the prediction core's whole-DAG verdict (DAS pushdown
-	// only; advisory for non-chain DAGs, which have no per-pass fallback).
+	// Decision is the prediction core's whole-DAG verdict (healthy DAS
+	// pushdown only; advisory for non-chain DAGs, which have no per-pass
+	// fallback). Run's depth and price are this Decision's.
 	Decision *predict.Decision
 	ExecTime sim.Time
 	// Run carries the pushdown execution's statistics, including the
@@ -92,7 +93,7 @@ func (r DAGReport) BusiestResource() sim.Time {
 // alternative that writes every intermediate back. Both commit
 // byte-identical grid output.
 func (s *System) ExecuteDAG(req DAGRequest) (DAGReport, error) {
-	m, err := s.rasterInput(req.Input)
+	m, err := s.FS.Raster(req.Input)
 	if err != nil {
 		return DAGReport{}, err
 	}
@@ -115,26 +116,23 @@ func (s *System) ExecuteDAG(req DAGRequest) (DAGReport, error) {
 	return rep, nil
 }
 
-// runDAGPushdown executes the DAG on the storage servers. DAS prices the
-// whole DAG first — fetch + exchange + final writeback against both the
-// per-pass offload and traditional storage — unless the cluster is
-// degraded, where the catch-up machinery (not the healthy-cluster cost
-// model) is the relevant authority. A pushdown that fails because strips
-// lost their last live copy falls back to the per-pass path for chains.
+// runDAGPushdown executes the DAG on the storage servers. Every pushdown
+// is compiled and priced once, at the gate — fetch + exchange + final
+// writeback against both the per-pass offload and traditional storage —
+// and runs the plan at the fusion depth that price chose. Only a healthy
+// DAS request takes the price's verdict: NAS pushes down
+// unconditionally, and on a degraded cluster the catch-up machinery (not
+// the healthy-cluster cost model) is the relevant authority. A pushdown
+// that fails because strips lost their last live copy falls back to the
+// per-pass path for chains.
 func (s *System) runDAGPushdown(rep *DAGReport, req DAGRequest, in *pfs.FileMeta) error {
+	pl, price, err := s.priceDAG(req, in)
+	if err != nil {
+		return err
+	}
 	if req.Scheme == DAS && !s.Clu.AnyStorageDown() {
-		pl, err := pipeline.Compile(req.DAG, s.Registry, s.Combiners, s.Reducers, in.Width, 0)
-		if err != nil {
-			return err
-		}
-		// The same pricing the pipeline client runs: the verdict is for the
-		// fusion depth the run will take.
-		decision, err := s.decide(pl.Spec(s.Clu.Cfg), predictParams(in), in.Layout, req.Input)
-		if err != nil {
-			return err
-		}
-		rep.Decision = &decision
-		if !decision.Offload && !req.DisablePrediction {
+		rep.Decision = &price
+		if !price.Offload && !req.DisablePrediction {
 			if _, _, chain := chainOps(req.DAG); chain {
 				// Rejected: the per-pass path serves the request, each
 				// stage running its own accept/reject workflow.
@@ -151,7 +149,7 @@ func (s *System) runDAGPushdown(rep *DAGReport, req DAGRequest, in *pfs.FileMeta
 	attemptStart := s.Clu.Eng.Now()
 	execTime, err := s.run("dag-"+req.DAG.Name, func(p *sim.Proc) error {
 		s.startup(p)
-		res, err := s.Pipeline.NewClient(s.Clu.ComputeID(0)).Run(p, req.DAG, req.Input, req.Output)
+		res, err := s.Pipeline.NewClient(s.Clu.ComputeID(0)).Run(p, pl, price, req.Input, req.Output)
 		rep.Run = res
 		return err
 	})
@@ -178,6 +176,17 @@ func (s *System) runDAGPushdown(rep *DAGReport, req DAGRequest, in *pfs.FileMeta
 	rep.Reduce = rep.Run.Reduce
 	rep.ExecTime = execTime
 	return nil
+}
+
+// priceDAG compiles the request's DAG over its input and prices the plan
+// at the gate.
+func (s *System) priceDAG(req DAGRequest, in *pfs.FileMeta) (*pipeline.Plan, predict.Decision, error) {
+	pl, err := pipeline.Compile(req.DAG, s.Registry, s.Combiners, s.Reducers, in.Width, 0)
+	if err != nil {
+		return nil, predict.Decision{}, err
+	}
+	price, err := s.decide(pl.Spec(s.Clu.Cfg), predictParams(in), in.Layout, req.Input)
+	return pl, price, err
 }
 
 // runDAGPerPass executes a chain DAG one kernel per pass: every stage is

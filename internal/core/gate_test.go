@@ -20,9 +20,12 @@ import (
 // prices its request under the same observations. Execute and a
 // one-request ExecuteConcurrent build the same job — equal decisions,
 // paths and server-side stats, for every scheme on the healthy platform —
-// and Reduce returns the decision those observations give its empty
-// pattern. (The concurrent and reduce gates used to price a cold, healthy
-// cluster whatever its state.)
+// Reduce returns the decision those observations give its empty pattern,
+// and ExecuteDAG's gate sees the kernel gate's hit fraction, tail and
+// down-set. A healthy DAS pushdown records that price and runs it: its
+// depth, predicted seconds and lower bound are the Decision's. (The
+// concurrent and reduce gates used to price a cold, healthy cluster
+// whatever its state, and the pipeline client priced every DAG again.)
 func TestGatesShareOneDecision(t *testing.T) {
 	g := workload.Terrain(testW, testH, 5)
 	crash := func(s *System, events ...fault.Event) {
@@ -132,6 +135,35 @@ func TestGatesShareOneDecision(t *testing.T) {
 				t.Errorf("Reduce offloaded=%v against its own decision %v", red.Offloaded, want.Offload)
 			}
 			st.check(t, *single.Decision, *red.Decision)
+
+			kernel := *single.Decision
+			dagReq := DAGRequest{DAG: dagChain3(), Input: "in", Output: "dag", Scheme: DAS, DisablePrediction: true}
+			s = st.build()
+			m, _ = s.FS.Meta("in")
+			_, dag, err := s.priceDAG(dagReq, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dag.CacheHitFrac != kernel.CacheHitFrac || dag.TailNum != kernel.TailNum || dag.TailDen != kernel.TailDen || dag.Degraded != kernel.Degraded {
+				t.Errorf("DAG gate observed hit %v, tail %d/%d, degraded %v; kernel gate %v, %d/%d, %v",
+					dag.CacheHitFrac, dag.TailNum, dag.TailDen, dag.Degraded,
+					kernel.CacheHitFrac, kernel.TailNum, kernel.TailDen, kernel.Degraded)
+			}
+			if s.Clu.AnyStorageDown() {
+				return
+			}
+			rep, err := s.ExecuteDAG(dagReq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Pipelined || rep.Decision == nil || !reflect.DeepEqual(*rep.Decision, dag) {
+				t.Fatalf("pushdown pipelined=%v under decision\n%+v\nwant the gate's\n%+v", rep.Pipelined, rep.Decision, dag)
+			}
+			if run := rep.Run; run.Depth != dag.Depth || run.PredictedSeconds != dag.Depths[dag.Depth-1].Seconds ||
+				run.LowerBoundBytes != dag.LowerBoundBytes {
+				t.Errorf("pushdown ran depth %d priced %v bound %d; its Decision depth %d priced %v bound %d",
+					run.Depth, run.PredictedSeconds, run.LowerBoundBytes, dag.Depth, dag.Depths[dag.Depth-1].Seconds, dag.LowerBoundBytes)
+			}
 		})
 	}
 }

@@ -43,7 +43,7 @@ type ReduceReport struct {
 // near-zero output factor, and with servers down rejects a raster that
 // has lost a strip's last live copy.
 func (s *System) Reduce(req ReduceRequest) (ReduceReport, error) {
-	m, err := s.rasterInput(req.Input)
+	m, err := s.FS.Raster(req.Input)
 	if err != nil {
 		return ReduceReport{}, err
 	}

@@ -19,16 +19,17 @@ import (
 func (s *System) startup(p *sim.Proc) { p.Sleep(s.Clu.Cfg.Startup) }
 
 // execute serves one kernel request on the platform alone: the DAS
-// reconfigure step, the request's job on a process of its own, and — when
-// an offload strands strips with no live copy mid-run — the request again
-// as normal I/O over a fresh output. ExecTime includes the migration and
+// reconfigure step, the request's job on a process of its own (a migrated
+// request runs under the price it migrated on), and — when an offload
+// strands strips with no live copy mid-run — the request again as normal
+// I/O over a fresh output. ExecTime includes the migration and
 // the abandoned attempt.
 func (s *System) execute(rep *Report, req Request, in *pfs.FileMeta) error {
-	lay, err := s.reconfigure(rep, req, in)
+	priced, err := s.reconfigure(rep, req, in)
 	if err != nil {
 		return err
 	}
-	job, err := s.job(rep, req, in, lay)
+	job, err := s.job(rep, req, in, priced)
 	if err != nil {
 		return err
 	}
@@ -50,23 +51,25 @@ func (s *System) execute(rep *Report, req Request, in *pfs.FileMeta) error {
 
 // reconfigure is steps 2–3 of Fig. 3: a DAS request that allows
 // redistribution has its input migrated to the layout planned for its
-// operator, when the prediction says that layout would be accepted —
-// otherwise the migration cost buys nothing. It returns the layout the
-// request is priced against. Migration needs every strip's primary alive,
-// so a degraded cluster keeps the layout it has. A file the online
+// operator, when the gate prices that layout accepted — otherwise the
+// migration cost buys nothing. It returns the Decision the input migrated
+// on, which the request then runs under: the planned layout is priced
+// once. Nil means nothing migrated. Migration needs every strip's primary
+// alive, so a degraded cluster keeps the layout it has. A file the online
 // restriper is already migrating keeps its dual layout — the background
 // migration owns it.
-func (s *System) reconfigure(rep *Report, req Request, in *pfs.FileMeta) (layout.Layout, error) {
+func (s *System) reconfigure(rep *Report, req Request, in *pfs.FileMeta) (*predict.Decision, error) {
 	if _, migrating := in.Layout.(*layout.Migrating); req.Scheme != DAS || !req.Reconfigure || s.Clu.AnyStorageDown() || migrating {
-		return in.Layout, nil
+		return nil, nil
 	}
 	planned, err := s.PlanLayout(req.Op, in.Width, in.ElemSize, in.StripSize, in.Size, 0)
 	if err != nil || planned.Name() == in.Layout.Name() {
-		return in.Layout, err
+		return nil, err
 	}
 	pat, _ := s.Features.Lookup(req.Op) // PlanLayout found it
-	if d, err := predict.Decide(pat, predictParams(in), planned); err != nil || !d.Offload {
-		return in.Layout, err
+	d, err := s.decide(predict.Kernel(pat), predictParams(in), planned, req.Input)
+	if err != nil || !d.Offload {
+		return nil, err
 	}
 	rt, err := s.run("das-reconfig-"+req.Input, func(p *sim.Proc) error {
 		return s.FS.NewClient(s.Clu.ComputeID(0)).Reconfigure(p, req.Input, planned)
@@ -75,44 +78,50 @@ func (s *System) reconfigure(rep *Report, req Request, in *pfs.FileMeta) (layout
 		return nil, err
 	}
 	rep.Reconfigured, rep.ReconfigTime = true, rt
-	return planned, nil
+	return &d, nil
 }
 
 // job prepares one kernel request's execution as a job function, which
 // Execute runs on a process of its own and ExecuteConcurrent alongside the
 // rest of its batch. It is the one place a request's scheme decides
 // anything: TS serves normal I/O, NAS offloads unconditionally, DAS lets
-// the gate choose against lay. The output is created here, so a batch
-// fails fast on a name collision.
-func (s *System) job(rep *Report, req Request, in *pfs.FileMeta, lay layout.Layout) (func(p *sim.Proc) error, error) {
+// the gate choose — or, when the reconfigure step migrated the input,
+// takes the Decision it migrated on (priced, nil otherwise). The output
+// is created here, so a batch fails fast on a name collision.
+func (s *System) job(rep *Report, req Request, in *pfs.FileMeta, priced *predict.Decision) (func(p *sim.Proc) error, error) {
 	switch req.Scheme {
 	case TS:
 		return s.tsJob(rep, req, in)
 	case NAS:
 		return s.offloadJob(rep, req, in, req.NASFetchMode)
 	case DAS:
-		return s.gateDAS(rep, req, in, lay)
+		return s.gateDAS(rep, req, in, priced)
 	}
 	return nil, fmt.Errorf("core: unknown scheme %v", req.Scheme)
 }
 
 // gateDAS is steps 1 and 4–5 of Fig. 3 for one kernel request: look up the
-// operator's dependence pattern, predict the bandwidth cost against lay
-// under what the platform has observed (with servers down strips are
-// costed where layout.Placer places them, the schedule Exec dispatches,
-// and any strip without a live copy vetoes offloading outright), record
-// the decision in rep, and offload with the fetch mode the decision allows
-// or — rejected — serve the request as normal I/O.
-func (s *System) gateDAS(rep *Report, req Request, in *pfs.FileMeta, lay layout.Layout) (func(p *sim.Proc) error, error) {
-	pat, ok := s.Features.Lookup(req.Op)
-	if !ok {
-		return nil, fmt.Errorf("core: no kernel features for %q", req.Op)
+// operator's dependence pattern, predict the bandwidth cost against the
+// input's layout under what the platform has observed (with servers down
+// strips are costed where layout.Placer places them, the schedule Exec
+// dispatches, and any strip without a live copy vetoes offloading
+// outright) unless reconfigure already priced it, record the decision in
+// rep, and offload with the fetch mode the decision allows or — rejected
+// — serve the request as normal I/O.
+func (s *System) gateDAS(rep *Report, req Request, in *pfs.FileMeta, priced *predict.Decision) (func(p *sim.Proc) error, error) {
+	decision := priced
+	if decision == nil {
+		pat, ok := s.Features.Lookup(req.Op)
+		if !ok {
+			return nil, fmt.Errorf("core: no kernel features for %q", req.Op)
+		}
+		d, err := s.decide(predict.Kernel(pat), predictParams(in), in.Layout, req.Input)
+		if err != nil {
+			return nil, err
+		}
+		decision = &d
 	}
-	decision, err := s.decide(predict.Kernel(pat), predictParams(in), lay, req.Input)
-	if err != nil {
-		return nil, err
-	}
-	rep.Decision = &decision
+	rep.Decision = decision
 	if !decision.Offload && !req.DisablePrediction {
 		if decision.Analysis.UnservableStrips > 0 {
 			rep.Degraded = true

@@ -450,7 +450,8 @@ type Report struct {
 	Scheme    Scheme
 	Op        string
 	Offloaded bool
-	// Decision is the prediction core's verdict (DAS only).
+	// Decision is the prediction core's verdict (DAS only): for a
+	// reconfigured request, the one it migrated on.
 	Decision *predict.Decision
 	// Reconfigured notes that DAS migrated the input layout, and
 	// ReconfigTime is what the migration cost (included in ExecTime).
@@ -502,23 +503,10 @@ func (s *System) Execute(req Request) (Report, error) {
 	return rep, nil
 }
 
-// rasterInput is every front door's input check: the named file exists and
-// carries raster metadata.
-func (s *System) rasterInput(name string) (*pfs.FileMeta, error) {
-	m, ok := s.FS.Meta(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown input %q", name)
-	}
-	if m.Width == 0 || m.ElemSize == 0 {
-		return nil, fmt.Errorf("core: input %q lacks raster metadata", name)
-	}
-	return m, nil
-}
-
-// kernelInput is rasterInput for a kernel request, whose operator must be
-// registered too.
+// kernelInput is every front door's input check (pfs.FileSystem.Raster)
+// for a kernel request, whose operator must be registered too.
 func (s *System) kernelInput(req Request) (*pfs.FileMeta, error) {
-	m, err := s.rasterInput(req.Input)
+	m, err := s.FS.Raster(req.Input)
 	if err != nil {
 		return nil, err
 	}

@@ -38,25 +38,3 @@ func TestFaultFailoverExperiment(t *testing.T) {
 		t.Errorf("DAS crash record: %+v", das)
 	}
 }
-
-// TestFaultRecordsWithinTheirBound holds the committed full-scale crash
-// cell of the forced DAS offload — server 1 lost for good, its strips
-// spread over their live holders — to at most twice its bound
-// (TestEveryCommittedStepWithinItsBound holds it to at least the bound) (1.42×; 1.62× when they all went to the first live holder). It
-// read 7.16× while a call from the crashed server's own processes waited
-// out the whole request timeout.
-func TestFaultRecordsWithinTheirBound(t *testing.T) {
-	const name = "flow-routing 24GB 24n grouped(r=2,halo=2) faults[crash@0s:s1] from half the healthy time | faults | DAS(forced)"
-	for _, rec := range committedRecords(t) {
-		if rec.Name != name {
-			continue
-		}
-		step := rec.Steps[0]
-		v, bound := step.SimSeconds, step.Stats["bound_seconds"]
-		if bound <= 0 || v > 2*bound {
-			t.Errorf("%s: sim %.4fs above 2 × its bound %.4fs", rec.Name, v, bound)
-		}
-		return
-	}
-	t.Fatalf("no committed record %q", name)
-}

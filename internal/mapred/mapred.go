@@ -85,12 +85,9 @@ type mapOut struct {
 // Run executes the job to completion inside the calling process and
 // returns its statistics. The caller drives the engine.
 func (r *Runner) Run(p *sim.Proc, job Job) (Stats, error) {
-	in, ok := r.fs.Meta(job.Input)
-	if !ok {
-		return Stats{}, fmt.Errorf("mapred: unknown input %q", job.Input)
-	}
-	if in.Width == 0 || in.ElemSize == 0 {
-		return Stats{}, fmt.Errorf("mapred: input %q lacks raster metadata", job.Input)
+	in, err := r.fs.Raster(job.Input)
+	if err != nil {
+		return Stats{}, err
 	}
 	k, ok := r.registry.Lookup(job.Op)
 	if !ok {

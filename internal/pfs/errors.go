@@ -61,36 +61,24 @@ func failoverEligible(err error) bool {
 		errors.Is(err, ErrStripNotHeld)
 }
 
-// RetryPolicy bounds how hard the file system tries before surfacing an
-// I/O error. It only engages once the cluster's fault layer is active;
-// fault-free runs take the zero-overhead direct path.
-type RetryPolicy struct {
-	// Timeout is the per-attempt response deadline.
-	Timeout sim.Time
-	// Quantum is how often a waiting request re-checks its target's
+// How hard the file system tries before surfacing an I/O error. The rule
+// only engages once the cluster's fault layer is active; fault-free runs
+// take the zero-overhead direct path.
+const (
+	// CallTimeout is the per-attempt response deadline.
+	CallTimeout = 250 * sim.Millisecond
+	// PollQuantum is how often a waiting request re-checks its target's
 	// liveness, so a crash aborts the wait early instead of running out
 	// the full timeout.
-	Quantum sim.Time
-	// Retries is how many times a timed-out request is re-sent.
-	Retries int
-	// Backoff is the delay before the first re-send, doubling per retry.
-	Backoff sim.Time
+	PollQuantum = sim.Millisecond
+	// CallRetries is how many times a timed-out request is re-sent, and
+	// RetryBackoff the delay before the first re-send, doubling per retry.
+	CallRetries  = 2
+	RetryBackoff = 2 * sim.Millisecond
 	// DownRetries and DownBackoff govern the failover loop when no live
 	// server holds a strip: the read waits DownBackoff (doubling) and
 	// re-scans the holders up to DownRetries times — enough to bridge a
 	// planned crash+restart window — before returning ErrNoLiveCopy.
-	DownRetries int
-	DownBackoff sim.Time
-}
-
-// DefaultRetryPolicy returns the policy installed on new file systems.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Timeout:     250 * sim.Millisecond,
-		Quantum:     sim.Millisecond,
-		Retries:     2,
-		Backoff:     2 * sim.Millisecond,
-		DownRetries: 3,
-		DownBackoff: 20 * sim.Millisecond,
-	}
-}
+	DownRetries = 3
+	DownBackoff = 20 * sim.Millisecond
+)

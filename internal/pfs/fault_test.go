@@ -342,8 +342,8 @@ func wantCallerDown(t *testing.T, clu *cluster.Cluster, fs *FileSystem, err erro
 	if !errors.Is(err, ErrCallerDown) {
 		t.Errorf("error %v, want ErrCallerDown", err)
 	}
-	if late := returnedAt - crashedAt; late < 0 || late > fs.Retry.Quantum {
-		t.Errorf("the call returned %v after its caller crashed, want within one quantum (%v)", late, fs.Retry.Quantum)
+	if late := returnedAt - crashedAt; late < 0 || late > PollQuantum {
+		t.Errorf("the call returned %v after its caller crashed, want within one quantum (%v)", late, PollQuantum)
 	}
 	for _, c := range []string{"recovery.retries", "recovery.timeouts", "recovery.failover_reads"} {
 		if n := clu.Counters.Get(c); n != 0 {
@@ -383,7 +383,7 @@ func TestCallerCrashRestartDoesNotResendTheWrite(t *testing.T) {
 	if _, err := fs.Create("f", 4*16<<10, layout.NewRoundRobin(4), CreateOptions{StripSize: 16 << 10}); err != nil {
 		t.Fatal(err)
 	}
-	crashedAt := callerCrashes(t, clu, fs.Retry.Quantum/2)
+	crashedAt := callerCrashes(t, clu, PollQuantum/2)
 	run(t, clu, func(p *sim.Proc) {
 		err := fs.WriteStripTo(p, clu.StorageID(0), 1, "f", 1, pattern(16<<10), false)
 		wantCallerDown(t, clu, fs, err, crashedAt, p.Now())
@@ -432,8 +432,8 @@ func TestCallerCrashDuringBackoffSendsNothingMore(t *testing.T) {
 				if !errors.Is(err, ErrCallerDown) {
 					t.Errorf("error %v, want ErrCallerDown", err)
 				}
-				if took := p.Now() - start; took != fs.Retry.DownBackoff {
-					t.Errorf("returned after %v, want at the end of the first backoff (%v)", took, fs.Retry.DownBackoff)
+				if took := p.Now() - start; took != DownBackoff {
+					t.Errorf("returned after %v, want at the end of the first backoff (%v)", took, DownBackoff)
 				}
 			})
 			if n := fs.Server(1).Requests() - served; n != 0 {

@@ -70,9 +70,6 @@ type FileSystem struct {
 	clu     *cluster.Cluster
 	servers []*Server
 	meta    map[string]*FileMeta
-	// Retry bounds timeouts, re-sends, and failover waiting once the
-	// cluster's fault layer is active; healthy runs never consult it.
-	Retry RetryPolicy
 	// invalidator, when set, is told about every strip mutation so stale
 	// halo-cache copies die with the data they shadow. Declared as a
 	// narrow interface so pfs does not depend on the cache package.
@@ -165,7 +162,6 @@ func New(clu *cluster.Cluster) *FileSystem {
 	fs := &FileSystem{
 		clu:             clu,
 		meta:            make(map[string]*FileMeta),
-		Retry:           DefaultRetryPolicy(),
 		inflight:        make([]int, clu.Cfg.StorageNodes),
 		timeouts:        clu.Counters.Counter("recovery.timeouts"),
 		retries:         clu.Counters.Counter("recovery.retries"),
@@ -238,6 +234,35 @@ func (fs *FileSystem) Meta(name string) (*FileMeta, bool) {
 	return m, ok
 }
 
+// Raster looks up a file a raster operation reads: it must exist and
+// carry raster metadata.
+func (fs *FileSystem) Raster(name string) (*FileMeta, error) {
+	m, ok := fs.meta[name]
+	if !ok {
+		return nil, fmt.Errorf("pfs: unknown input %q", name)
+	}
+	if m.Width == 0 || m.ElemSize == 0 {
+		return nil, fmt.Errorf("pfs: input %q lacks raster metadata", name)
+	}
+	return m, nil
+}
+
+// RasterPair is Raster for input plus the check on the file an operation
+// over it writes: output must exist with the input's geometry.
+func (fs *FileSystem) RasterPair(input, output string) (in, out *FileMeta, err error) {
+	if in, err = fs.Raster(input); err != nil {
+		return nil, nil, err
+	}
+	out, ok := fs.meta[output]
+	if !ok {
+		return nil, nil, fmt.Errorf("pfs: unknown output %q", output)
+	}
+	if out.Size != in.Size || out.StripSize != in.StripSize {
+		return nil, nil, fmt.Errorf("pfs: output geometry differs from input")
+	}
+	return in, out, nil
+}
+
 // Delete drops a file's metadata and its strips on every server. Like
 // Create, it is a metadata-scale operation modeled as free.
 func (fs *FileSystem) Delete(name string) {
@@ -272,7 +297,7 @@ func (fs *FileSystem) SetLayout(name string, lay layout.Layout) error {
 // node fromID, of the incarnation fromInc, and returns the response
 // payload. On a healthy cluster it is a plain blocking RPC. Once the fault
 // layer is active it fails fast against crashed endpoints, bounds each
-// attempt by the retry policy's timeout, polling every quantum the
+// attempt by CallTimeout, polling every PollQuantum the
 // liveness of both ends through the predicate active.FanOut polls too
 // (fault.State.Watch), and re-sends with doubling backoff — returning
 // ErrServerDown or ErrTimeout when the budget runs out. A caller whose
@@ -302,8 +327,7 @@ func (fs *FileSystem) call(p *sim.Proc, fromID int, fromInc uint64, srv int, pay
 	if !f.Active() {
 		return fs.clu.Net.Call(p, msg).Payload, nil
 	}
-	pol := fs.Retry
-	backoff := pol.Backoff
+	backoff := RetryBackoff
 	for attempt := 0; ; attempt++ {
 		// A crashed node's processes run on, but whatever they send or are
 		// answered is dropped: their calls fail at once instead of waiting
@@ -315,7 +339,7 @@ func (fs *FileSystem) call(p *sim.Proc, fromID int, fromInc uint64, srv int, pay
 			return nil, fmt.Errorf("pfs: server %d: %w", srv, ErrServerDown)
 		}
 		gone := f.Watch(fromID, toID)
-		resp, ok := fs.clu.Net.CallCancelable(p, msg, pol.Quantum, pol.Timeout, gone)
+		resp, ok := fs.clu.Net.CallCancelable(p, msg, PollQuantum, CallTimeout, gone)
 		if ok {
 			return resp.Payload, nil
 		}
@@ -327,7 +351,7 @@ func (fs *FileSystem) call(p *sim.Proc, fromID int, fromInc uint64, srv int, pay
 		// The target's crash+restart while waiting means the request (or
 		// its response) died with the old incarnation; re-send like a
 		// timeout.
-		if attempt >= pol.Retries {
+		if attempt >= CallRetries {
 			return nil, fmt.Errorf("pfs: server %d: no response after %d attempts: %w", srv, attempt+1, ErrTimeout)
 		}
 		fs.retries.Inc()
@@ -338,8 +362,8 @@ func (fs *FileSystem) call(p *sim.Proc, fromID int, fromInc uint64, srv int, pay
 
 // callWrite issues a write-path request. Writes never fail over — a
 // strip's primary is its single write point — but they do wait out the
-// retry policy's down-window for a crashed target to restart before
-// surfacing ErrServerDown, so a planned crash+restart bridges instead of
+// DownBackoff window for a crashed target to restart before surfacing
+// ErrServerDown, so a planned crash+restart bridges instead of
 // killing an otherwise healthy run. A permanently dead target still fails,
 // and a caller that crashes meanwhile sends nothing more: every attempt
 // is made for the incarnation that began the write, so call refuses it.
@@ -349,14 +373,13 @@ func (fs *FileSystem) callWrite(p *sim.Proc, fromID, srv int, payload any, size 
 	if !f.Active() {
 		return fs.call(p, fromID, fromInc, srv, payload, size)
 	}
-	pol := fs.Retry
-	backoff := pol.DownBackoff
+	backoff := DownBackoff
 	for round := 0; ; round++ {
 		resp, err := fs.call(p, fromID, fromInc, srv, payload, size)
 		if err == nil || !errors.Is(err, ErrServerDown) || errors.Is(err, ErrCallerDown) {
 			return resp, err
 		}
-		if round >= pol.DownRetries {
+		if round >= DownRetries {
 			return nil, err
 		}
 		fs.retries.Inc()
@@ -391,8 +414,8 @@ func unexpectedResponse(resp any, context string) error {
 //
 // When the addressed server is down, times out, or lost its copy, the
 // read fails over to the strip's other holders under the file's layout,
-// and — per the retry policy — waits for a possible restart before giving
-// up with ErrNoLiveCopy.
+// and — DownRetries times, DownBackoff apart — waits for a possible
+// restart before giving up with ErrNoLiveCopy.
 func (fs *FileSystem) ReadStripFrom(p *sim.Proc, fromID, srv int, file string, strip, lo, hi int64) ([]byte, error) {
 	fromInc := fs.clu.Faults.Incarnation(fromID)
 	data, err := fs.readStripOnce(p, fromID, fromInc, srv, file, strip, lo, hi)
@@ -448,8 +471,7 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID int, fromInc uint64,
 	if !ok {
 		return nil, cause
 	}
-	pol := fs.Retry
-	backoff := pol.DownBackoff
+	backoff := DownBackoff
 	for round := 0; ; round++ {
 		for _, holder := range layout.Holders(m.Layout, strip) {
 			if round == 0 && holder == preferred {
@@ -470,7 +492,7 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID int, fromInc uint64,
 			}
 			cause = err
 		}
-		if round >= pol.DownRetries {
+		if round >= DownRetries {
 			return nil, fmt.Errorf("pfs: read %s strip %d: %w (last: %v)", file, strip, ErrNoLiveCopy, cause)
 		}
 		fs.retries.Inc()
@@ -486,7 +508,7 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID int, fromInc uint64,
 // the flag stays for bench/probes.go (ROADMAP item 3). Writes do not fail over: a
 // strip's primary is its write point, and a primary that never comes back
 // is an error the caller must see — though a crashed one is waited on for
-// the retry policy's down-window first (see callWrite).
+// the DownBackoff window first (see callWrite).
 func (fs *FileSystem) WriteStripTo(p *sim.Proc, fromID, srv int, file string, strip int64, data []byte, forward bool) error {
 	return fs.writeStrip(p, fromID, srv, writeReq{File: file, Strip: strip, Data: data, Forward: forward}, false)
 }

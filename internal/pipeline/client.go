@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/hpcio/das/internal/active"
-	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
@@ -32,7 +31,7 @@ type RunResult struct {
 	ExchangeBytes int64
 	CatchUps      int64
 	Redispatches  int64
-	// Depth is the fusion depth the run priced and ran, and
+	// Depth is the fusion depth the run was priced at and ran, and
 	// PredictedSeconds what the prediction core priced that depth at
 	// (predict.Decision.Depths) — startup included, as in the run's own
 	// execution time.
@@ -47,7 +46,8 @@ type RunResult struct {
 	// AchievedHaloBytes is every byte the servers moved to satisfy
 	// dependence windows (input halo fetches plus inter-stage band
 	// pulls); LowerBoundBytes is the minimum the composed DAG offsets
-	// admit for any schedule that never writes intermediates back.
+	// admit for any schedule that never writes intermediates back, as the
+	// run's price derived it.
 	AchievedHaloBytes int64
 	LowerBoundBytes   int64
 
@@ -65,10 +65,11 @@ func (r RunResult) LowerBoundRatio() float64 {
 	return float64(r.AchievedHaloBytes) / float64(r.LowerBoundBytes)
 }
 
-// Client coordinates pipeline runs from a compute node: it compiles the
-// DAG, drives each dispatch round through active's one dispatch loop,
-// reassigns strips with catch-up when a server crash loses in-memory
-// state, and merges the terminal reduce partials in canonical strip order.
+// Client coordinates pipeline runs from a compute node: it runs a
+// compiled plan at the depth its price chose, drives each dispatch round
+// through active's one dispatch loop, reassigns strips with catch-up when
+// a server crash loses in-memory state, and merges the terminal reduce
+// partials in canonical strip order.
 type Client struct {
 	svc    *Service
 	fs     *pfs.FileSystem
@@ -77,67 +78,34 @@ type Client struct {
 	ac     *active.Client // dispatches every round's waves
 }
 
-// NewClient builds a client of the service on the given compute node: it
-// compiles plans with the service's registries, as the servers do, and
-// receives its runs' acks on the node's ack port.
+// NewClient builds a client of the service on the given compute node,
+// which receives its runs' acks on the node's ack port.
 func (svc *Service) NewClient(nodeID int) *Client {
 	return &Client{svc: svc, fs: svc.fs, nodeID: nodeID, acks: svc.acks[nodeID],
 		ac: active.NewClient(svc.fs, nodeID)}
 }
 
-// Run executes the DAG over input, committing the grid output into the
-// already-created output file, at the fusion depth the prediction core
-// prices cheapest for the input's layout. The output commits
-// byte-identical to a sequential per-stage evaluation of the same DAG —
-// with or without faults, at any depth — because sub-range kernel
+// Run executes the compiled plan over input, committing the grid output
+// into the already-created output file, at the fusion depth price chose:
+// price is the prediction core's Decision for pl's Spec on the input's
+// layout, the one price the request was given. The client prices
+// nothing; it fuses pl to price.Depth, ships that depth in every stage
+// request, and reports the price beside what the run achieved. The output
+// commits byte-identical to a sequential per-stage evaluation of the same
+// DAG — with or without faults, at any depth — because sub-range kernel
 // evaluation equals slicing a full-raster pass and catch-up recomputes
 // exactly the lost lineage.
-func (c *Client) Run(p *sim.Proc, d kernels.DAG, input, output string) (RunResult, error) {
-	return c.run(p, d, input, output, 0)
-}
-
-// run is Run at the given fusion depth, 0 for the priced one.
-func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int) (RunResult, error) {
+func (c *Client) Run(p *sim.Proc, pl *Plan, price predict.Decision, input, output string) (RunResult, error) {
 	clu := c.fs.Cluster()
-	in, ok := c.fs.Meta(input)
-	if !ok {
-		return RunResult{}, fmt.Errorf("pipeline: unknown input %q", input)
-	}
-	if in.Width == 0 || in.ElemSize == 0 {
-		return RunResult{}, fmt.Errorf("pipeline: input %q lacks raster metadata", input)
-	}
-	out, ok := c.fs.Meta(output)
-	if !ok {
-		return RunResult{}, fmt.Errorf("pipeline: unknown output %q", output)
-	}
-	if out.Size != in.Size || out.StripSize != in.StripSize {
-		return RunResult{}, fmt.Errorf("pipeline: output geometry differs from input")
-	}
-	pl, err := Compile(d, c.svc.reg, c.svc.combs, c.svc.reds, in.Width, 0)
+	in, out, err := c.fs.RasterPair(input, output)
 	if err != nil {
 		return RunResult{}, err
 	}
-	// The fusion depth is priced once, here, and shipped in every stage
-	// request: the servers never decide it.
-	spec := pl.Spec(clu.Cfg)
-	priced, err := predict.Estimate(spec, predict.Params{
-		ElemSize:     in.ElemSize,
-		StripSize:    in.StripSize,
-		FileSize:     in.Size,
-		Width:        in.Width,
-		OutputFactor: 1,
-	}, in.Layout, predict.Observations{})
-	if err != nil {
-		return RunResult{}, err
-	}
-	if depth == 0 {
-		depth = priced.Depth
-	}
-	if err := pl.fuse(depth); err != nil {
+	if err := pl.fuse(price.Depth); err != nil {
 		return RunResult{}, err
 	}
 	c.acks.seq++
-	token := fmt.Sprintf("%s#%d@%d", d.Name, c.acks.seq, c.nodeID)
+	token := fmt.Sprintf("%s#%d@%d", pl.DAG.Name, c.acks.seq, c.nodeID)
 	acked := make(map[int64][]float64)
 	c.acks.runs[token] = acked
 	defer delete(c.acks.runs, token)
@@ -198,7 +166,7 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 					return active.Request{}
 				}
 				return active.Request{Size: headerBytes + int64(len(ss))*8,
-					Payload: stageReq{Token: token, DAG: d, Input: input, Output: output,
+					Payload: stageReq{Token: token, DAG: pl.DAG, Input: input, Output: output,
 						Round: round, Strips: ss, CatchUp: catchUp, Depth: pl.Prefix, Owners: owners}}
 			}
 		}
@@ -266,12 +234,12 @@ func (c *Client) run(p *sim.Proc, d kernels.DAG, input, output string, depth int
 	}
 
 	res.Stages = len(pl.Nodes)
-	res.FusedStages = spec.FusedStages(depth)
+	res.FusedStages = price.FusedStages
 	res.Rounds = pl.Rounds()
-	res.Depth = depth
-	res.PredictedSeconds = priced.Depths[depth-1].Seconds
+	res.Depth = price.Depth
+	res.PredictedSeconds = price.Depths[price.Depth-1].Seconds
 	res.AchievedHaloBytes = res.FetchBytes + res.ExchangeBytes
-	res.LowerBoundBytes = priced.LowerBoundBytes
+	res.LowerBoundBytes = price.LowerBoundBytes
 	return res, nil
 }
 

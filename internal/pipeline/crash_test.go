@@ -149,9 +149,10 @@ func (rig *testRig) crashRun(t *testing.T, d kernels.DAG, out string, crashAt, d
 	}
 	c := crashed{rig: rig, rec: trace.New(0), start: rig.clu.Eng.Now()}
 	rig.clu.Trace = c.rec
+	pl, price := rig.mustPrice(t, d, 0)
 	rig.run(t, func(p *sim.Proc) error {
 		var err error
-		c.res, err = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, d, "in", out)
+		c.res, err = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, pl, price, "in", out)
 		c.end = p.Now()
 		return err
 	})
@@ -301,9 +302,10 @@ func TestFailedRunReleasesItsState(t *testing.T) {
 	defer rig.clu.Eng.Shutdown()
 	rig.createOut(t, "out")
 	crashStorm(t, rig)
+	pl, price := rig.mustPrice(t, diamondStats(), 0)
 	var runErr error
 	rig.run(t, func(p *sim.Proc) error {
-		_, runErr = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, diamondStats(), "in", "out")
+		_, runErr = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, pl, price, "in", "out")
 		p.Sleep(201*sim.Millisecond - p.Now()) // past the plan's last restart
 		return nil
 	})
@@ -338,10 +340,11 @@ func TestEveryOffloadGivesUpAfterOneRetryBound(t *testing.T) {
 	retries := func() int64 { return rig.clu.Counters.Get("recovery.exec_retries") }
 	var execErr, runErr error
 	var execRetries, runRetries int64
+	pl, price := rig.mustPrice(t, diamondStats(), 0)
 	rig.run(t, func(p *sim.Proc) error {
 		_, execErr = as.Exec(p, "gaussian-filter", "in", "exec.out", active.FetchWholeStrips)
 		execRetries = retries()
-		_, runErr = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, diamondStats(), "in", "out")
+		_, runErr = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, pl, price, "in", "out")
 		runRetries = retries() - execRetries
 		return nil
 	})

@@ -8,30 +8,12 @@ import (
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
-	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
 )
 
 // terrain4 is the terrain chain the pipeline experiment runs.
 func terrain4() kernels.DAG {
 	return kernels.Chain("terrain4", []string{"gaussian-filter", "flow-routing", "flow-accumulation"}, "stats")
-}
-
-// priceOf prices d over the rig's input the way Client.Run does.
-func (r *testRig) priceOf(t *testing.T, d kernels.DAG) predict.Decision {
-	t.Helper()
-	in, _ := r.fs.Meta("in")
-	pl, err := Compile(d, kernels.Default(), kernels.DefaultCombiners(), kernels.DefaultReducers(), in.Width, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := predict.Estimate(pl.Spec(r.clu.Cfg), predict.Params{
-		ElemSize: in.ElemSize, StripSize: in.StripSize, FileSize: in.Size, Width: in.Width, OutputFactor: 1,
-	}, in.Layout, predict.Observations{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dec
 }
 
 // TestPricedBytesMatchEveryForcedDepth: the bytes the price charges a
@@ -53,7 +35,7 @@ func TestPricedBytesMatchEveryForcedDepth(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		dec := rig.priceOf(t, d)
+		_, dec := rig.mustPrice(t, d, 0)
 		if len(dec.Depths) != 3 {
 			t.Fatalf("%s: %d depths priced, want 3", lay.Name(), len(dec.Depths))
 		}
@@ -85,7 +67,7 @@ func TestPricedBytesMatchEveryForcedDepth(t *testing.T) {
 // 8192 wide in 64 KiB strips, on round-robin, the layout planned for the
 // chain's first kernel, and the mirrored layout healthy and with server 1
 // crashing at half the healthy time and restarting 80 ms later — at every
-// fusion depth, and at the one the client prices. On a healthy cluster
+// fusion depth, and at the one the gate prices. On a healthy cluster
 // the priced depth is never slower than any forced one.
 //
 // The crash cell is run and logged, not asserted, and that is a miss of
@@ -128,11 +110,12 @@ func TestPricedDepthIsNeverSlower(t *testing.T) {
 		// The cell's time starts with the job's launch, as core's does: the
 		// crash lands at half of it.
 		start := rig.clu.Eng.Now()
+		pl, price := rig.mustPrice(t, d, depth)
 		var res RunResult
 		var err error
 		rig.run(t, func(p *sim.Proc) error {
 			p.Sleep(rig.clu.Cfg.Startup)
-			res, err = rig.svc.NewClient(rig.clu.ComputeID(0)).run(p, d, "in", "out", depth)
+			res, err = rig.svc.NewClient(rig.clu.ComputeID(0)).Run(p, pl, price, "in", "out")
 			return nil
 		})
 		if err != nil {

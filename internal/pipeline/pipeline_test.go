@@ -12,6 +12,7 @@ import (
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/pfs"
+	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/workload"
 )
@@ -90,6 +91,41 @@ func (r *testRig) createOut(t *testing.T, name string) {
 	}
 }
 
+// priced compiles d over input with the service's registries and prices
+// it as core's gate does on a cold, healthy cluster. A depth other than 0
+// is forced onto the price, which is what Run fuses to.
+func (r *testRig) priced(d kernels.DAG, input string, depth int) (*Plan, predict.Decision, error) {
+	in, err := r.fs.Raster(input)
+	if err != nil {
+		return nil, predict.Decision{}, err
+	}
+	pl, err := Compile(d, r.svc.reg, r.svc.combs, r.svc.reds, in.Width, 0)
+	if err != nil {
+		return nil, predict.Decision{}, err
+	}
+	spec := pl.Spec(r.clu.Cfg)
+	price, err := predict.Estimate(spec, predict.Params{
+		ElemSize: in.ElemSize, StripSize: in.StripSize, FileSize: in.Size, Width: in.Width, OutputFactor: 1,
+	}, in.Layout, predict.Observations{})
+	if err != nil {
+		return nil, predict.Decision{}, err
+	}
+	if depth != 0 {
+		price.Depth, price.FusedStages = depth, spec.FusedStages(depth)
+	}
+	return pl, price, nil
+}
+
+// mustPrice is priced over the rig's input, failing the test on an error.
+func (r *testRig) mustPrice(t *testing.T, d kernels.DAG, depth int) (*Plan, predict.Decision) {
+	t.Helper()
+	pl, price, err := r.priced(d, "in", depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, price
+}
+
 func (r *testRig) pipeline(t *testing.T, d kernels.DAG, input, output string) (RunResult, error) {
 	t.Helper()
 	return r.pipelineAt(t, d, input, output, 0)
@@ -98,10 +134,13 @@ func (r *testRig) pipeline(t *testing.T, d kernels.DAG, input, output string) (R
 // pipelineAt runs d at the given fusion depth, 0 for the priced one.
 func (r *testRig) pipelineAt(t *testing.T, d kernels.DAG, input, output string, depth int) (RunResult, error) {
 	t.Helper()
+	pl, price, err := r.priced(d, input, depth)
+	if err != nil {
+		return RunResult{}, err
+	}
 	var res RunResult
-	var err error
 	r.run(t, func(p *sim.Proc) error {
-		res, err = r.svc.NewClient(r.clu.ComputeID(0)).run(p, d, input, output, depth)
+		res, err = r.svc.NewClient(r.clu.ComputeID(0)).Run(p, pl, price, input, output)
 		return nil
 	})
 	return res, err

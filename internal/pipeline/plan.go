@@ -54,12 +54,14 @@ type PlanNode struct {
 }
 
 // Plan is a compiled DAG: nodes in deterministic topological order plus
-// the execution shape (fused prefix, round count, output node). The
-// client and every server compile the same DAG against the same metadata
-// and registries, and the client ships the one choice compiling does not
-// make — the fusion depth — in every stage request.
+// the execution shape (fused prefix, round count, output node). Every
+// server compiles the same DAG against the same metadata and registries,
+// and the client ships the one choice compiling does not make — the
+// fusion depth its price chose — in every stage request.
 type Plan struct {
-	Name  string
+	// DAG is the graph the plan was compiled from, shipped in every stage
+	// request.
+	DAG   kernels.DAG
 	Nodes []PlanNode
 	// Chain is the length of the leading linear chain of kernels: the
 	// deepest prefix that can fuse. Prefix is the number of leading nodes
@@ -76,7 +78,7 @@ type Plan struct {
 
 // Compile validates and resolves a DAG for pushdown execution over a
 // raster of the given width, fusing nothing: how deep the leading chain
-// fuses is priced per layout (Spec, predict.Estimate) and set by fuse.
+// fuses is priced per layout (Spec) and set by Client.Run.
 // The last argument is not read; it stays for the callers that pass one.
 func Compile(d kernels.DAG, reg *kernels.Registry, combs *kernels.CombinerRegistry,
 	reds *kernels.ReducerRegistry, width int, _ int64) (*Plan, error) {
@@ -103,7 +105,7 @@ func Compile(d kernels.DAG, reg *kernels.Registry, combs *kernels.CombinerRegist
 		origIndex[n.ID] = i
 	}
 
-	pl := &Plan{Name: d.Name, Nodes: make([]PlanNode, len(order)), Reduce: -1, Width: width}
+	pl := &Plan{DAG: d, Nodes: make([]PlanNode, len(order)), Reduce: -1, Width: width}
 	for ti, oi := range order {
 		n := d.Nodes[oi]
 		pn := PlanNode{ID: n.ID, Kind: n.Kind, Op: n.Op}
@@ -161,7 +163,7 @@ func Compile(d kernels.DAG, reg *kernels.Registry, combs *kernels.CombinerRegist
 // run as round 0 — and recomputes which nodes' state outlives its round.
 func (pl *Plan) fuse(depth int) error {
 	if depth < 1 || depth > pl.Chain {
-		return fmt.Errorf("pipeline: dag %q: fusion depth %d outside [1,%d]", pl.Name, depth, pl.Chain)
+		return fmt.Errorf("pipeline: dag %q: fusion depth %d outside [1,%d]", pl.DAG.Name, depth, pl.Chain)
 	}
 	pl.Prefix = depth
 	// Retention: a node's state survives its round when a strictly later

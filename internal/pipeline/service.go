@@ -36,7 +36,7 @@ type stageReq struct {
 	Round   int
 	Strips  []int64
 	CatchUp bool
-	// Depth is the fusion depth the client priced (Plan.fuse): every
+	// Depth is the fusion depth the run's price chose (Plan.fuse): every
 	// server runs the rounds of the same prefix.
 	Depth int
 	// Owners maps every input strip to the server whose state holds the
@@ -181,7 +181,7 @@ func Deploy(fs *pfs.FileSystem, reg *kernels.Registry, combs *kernels.CombinerRe
 
 // CheckReleased reports pipeline state that outlived its run: a token a
 // storage server still holds state for, or a compute node's ack port
-// still holds open. A run releases both on every exit (Client.run), so
+// still holds open. A run releases both on every exit (Client.Run), so
 // once the engine is quiescent neither holds any. Every core.System run
 // calls it beside pfs's CheckSeals.
 func (svc *Service) CheckReleased() error {
@@ -282,19 +282,9 @@ func (svc *Service) runStateFor(srv *pfs.Server, req stageReq, in *pfs.FileMeta)
 func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq, from int) (stageResp, error) {
 	clu := svc.fs.Cluster()
 	inc := clu.Faults.Incarnation(srv.NodeID())
-	in, ok := svc.fs.Meta(req.Input)
-	if !ok {
-		return stageResp{}, fmt.Errorf("pipeline: unknown input %q", req.Input)
-	}
-	if in.Width == 0 || in.ElemSize == 0 {
-		return stageResp{}, fmt.Errorf("pipeline: input %q lacks raster metadata", req.Input)
-	}
-	out, ok := svc.fs.Meta(req.Output)
-	if !ok {
-		return stageResp{}, fmt.Errorf("pipeline: unknown output %q", req.Output)
-	}
-	if out.Size != in.Size || out.StripSize != in.StripSize {
-		return stageResp{}, fmt.Errorf("pipeline: output geometry differs from input")
+	in, out, err := svc.fs.RasterPair(req.Input, req.Output)
+	if err != nil {
+		return stageResp{}, err
 	}
 	rs, err := svc.runStateFor(srv, req, in)
 	if err != nil {
@@ -513,9 +503,8 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 	// The fan-out gives up on either end crashing: a down puller's request
 	// (or the response back to it) is silently dropped. The deadline is a
 	// final backstop against lost messages neither liveness check explains.
-	pol := svc.fs.Retry
 	pullStart := p.Now()
-	results := active.FanOut(p, svc.fs, srv.NodeID(), Port, reqs, pol.Timeout*sim.Time(pol.Retries+1))
+	results := active.FanOut(p, svc.fs, srv.NodeID(), Port, reqs, pfs.CallTimeout*(pfs.CallRetries+1))
 	resp.Phases.Fetch += p.Now() - pullStart
 	if clu.Trace != nil {
 		clu.Trace.Record(pullStart, p.Now()-pullStart, active.Lane(srv, "read"), "exchange",

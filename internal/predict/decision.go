@@ -65,7 +65,8 @@ type Observations struct {
 	// Exec's first dispatch round runs, and a strip with no live copy
 	// vetoes offloading — the request falls back to normal I/O, which
 	// surfaces a typed I/O error if the data is truly gone. Pipeline
-	// pricing ignores it: core does not price a DAG on a degraded cluster.
+	// pricing ignores it: a DAG pushdown on a degraded cluster runs the
+	// depth a healthy one would, and core does not take its verdict.
 	Down func(srv int) bool
 }
 

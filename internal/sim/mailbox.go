@@ -52,8 +52,6 @@ type Mailbox[T any] struct {
 	// Expect.
 	next     Receiver[T]
 	nextFree []*nextTask[T]
-
-	puts, gets uint64
 }
 
 // Receiver consumes a value delivered to a mailbox it Expect'ed on. It is
@@ -76,7 +74,6 @@ func (n *nextTask[T]) RunTask() {
 	var zero T
 	n.r, n.val = nil, zero
 	m.nextFree = append(m.nextFree, n)
-	m.gets++
 	r.OnDelivery(v)
 }
 
@@ -112,20 +109,12 @@ func (m *Mailbox[T]) Name() string {
 // Len returns the number of queued (undelivered) messages.
 func (m *Mailbox[T]) Len() int { return len(m.items) - m.iHead }
 
-// Puts returns the total number of messages ever Put.
-func (m *Mailbox[T]) Puts() uint64 { return m.puts }
-
-// Gets returns the total number of messages ever delivered to a receiver
-// or dispatcher.
-func (m *Mailbox[T]) Gets() uint64 { return m.gets }
-
 // Put enqueues v. If a receiver is waiting, the message is assigned to the
 // longest-waiting receiver and that process is scheduled to resume at the
 // current time. If a dispatcher is installed and idle, a task event is
 // scheduled to drain the queue. Put never blocks and may be called from
 // any process or task.
 func (m *Mailbox[T]) Put(v T) {
-	m.puts++
 	for m.wHead < len(m.waiters) {
 		w := m.waiters[m.wHead]
 		m.waiters[m.wHead] = nil
@@ -199,7 +188,6 @@ func (m *Mailbox[T]) RunTask() {
 		if !ok {
 			break
 		}
-		m.gets++
 		m.dispatch(v)
 	}
 	m.armed = true
@@ -210,7 +198,6 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 	if m.dispatch != nil {
 		panic("sim: mailbox " + m.Name() + ": Get on a dispatcher mailbox")
 	}
-	m.gets++
 	if v, ok := m.popItem(); ok {
 		return v
 	}
@@ -237,7 +224,6 @@ func (m *Mailbox[T]) GetTimeout(p *Proc, d Time) (T, bool) {
 		panic("sim: mailbox " + m.Name() + ": GetTimeout on a dispatcher mailbox")
 	}
 	if v, ok := m.popItem(); ok {
-		m.gets++
 		return v, true
 	}
 	var zero T
@@ -262,7 +248,6 @@ func (m *Mailbox[T]) GetTimeout(p *Proc, d Time) (T, bool) {
 		return zero, false
 	}
 	t.Stop()
-	m.gets++
 	v := w.val
 	w.val, w.proc = zero, nil
 	m.free = append(m.free, w)
@@ -298,7 +283,6 @@ func (pd Pending[T]) Redeem() T {
 	if !w.ready {
 		panic("sim: mailbox " + m.Name() + ": Redeem before delivery")
 	}
-	m.gets++
 	v := w.val
 	var zero T
 	w.val, w.proc, w.ready = zero, nil, false
@@ -361,16 +345,6 @@ func (m *Mailbox[T]) acquireWaiter(p *Proc) *boxWaiter[T] {
 		return w
 	}
 	return &boxWaiter[T]{proc: p}
-}
-
-// TryGet dequeues a message if one is queued, without blocking.
-func (m *Mailbox[T]) TryGet() (T, bool) {
-	if v, ok := m.popItem(); ok {
-		m.gets++
-		return v, true
-	}
-	var zero T
-	return zero, false
 }
 
 // popItem removes the oldest queued message, zeroing its slot so the

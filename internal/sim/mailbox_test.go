@@ -95,22 +95,6 @@ func TestMailboxFIFOAmongWaiters(t *testing.T) {
 	}
 }
 
-func TestMailboxTryGet(t *testing.T) {
-	e := NewEngine()
-	box := NewMailbox[int](e, "box")
-	if _, ok := box.TryGet(); ok {
-		t.Error("TryGet on empty box returned ok")
-	}
-	box.Put(7)
-	v, ok := box.TryGet()
-	if !ok || v != 7 {
-		t.Errorf("TryGet = (%d,%v), want (7,true)", v, ok)
-	}
-	if box.Len() != 0 {
-		t.Errorf("Len = %d after drain", box.Len())
-	}
-}
-
 func TestSignalFireBeforeWait(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal[int](e, "done")

@@ -193,10 +193,6 @@ func (r *Resource) Use(p *Proc, n int64, d Time) {
 	r.Release(n)
 }
 
-// QueueLen returns the number of waiters (processes and tasks) queued for
-// this resource.
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.wHead }
-
 // WaitTime returns the total time granted acquirers spent queued — the
 // congestion signal: zero on an idle device, large on an overloaded one.
 func (r *Resource) WaitTime() Time { return r.waited }

@@ -37,19 +37,6 @@ func (s *Signal[T]) Fire(v T) {
 	s.waiters = nil
 }
 
-// FireOnce marks the signal complete if it has not fired yet and reports
-// whether this call won. Unlike Fire, a losing call is a no-op rather than
-// a panic: retry paths use it so a late completion (e.g. a reply that
-// arrives after its timeout already fired the signal) is dropped instead
-// of tearing down the engine.
-func (s *Signal[T]) FireOnce(v T) bool {
-	if s.fired {
-		return false
-	}
-	s.Fire(v)
-	return true
-}
-
 // Wait blocks the process until the signal fires, then returns the fired
 // value. If the signal already fired, it returns immediately.
 func (s *Signal[T]) Wait(p *Proc) T {
