@@ -62,11 +62,6 @@ type Manager struct {
 	// per-file byte hit/miss windows feed HitRateEstimate for predict.
 	fileHit  map[string]int64
 	fileMiss map[string]int64
-	// fileBand accounts intermediate halo-band bytes pipeline pushdowns
-	// exchanged server-to-server on a file's behalf. Those bands never pass
-	// through a ServerCache (they are transient per-stage state), but they
-	// are dependence traffic all the same, so the heat ranking counts them.
-	fileBand map[string]int64
 
 	actions []Action
 	// latSink, when set, receives every halo-fetch latency sample the
@@ -87,7 +82,6 @@ func NewManager(eng *sim.Engine, nServers int, cfg Config, incFn func(srv int) u
 		cfg:      cfg,
 		fileHit:  make(map[string]int64),
 		fileMiss: make(map[string]int64),
-		fileBand: make(map[string]int64),
 	}
 	maxPinned := int64(float64(cfg.BudgetBytes) * maxPinnedFrac)
 	for i := 0; i < nServers; i++ {
@@ -179,34 +173,16 @@ func (m *Manager) HitRateEstimate(file string) float64 {
 // signal the online restriper watches to decide a file is worth migrating.
 func (m *Manager) FileMissBytes(file string) int64 { return m.fileMiss[file] }
 
-// AddBandHeat accounts intermediate halo-band bytes a pipeline pushdown
-// exchanged server-to-server while executing a DAG over the file. The
-// bands hold transient stage output, so no cache entry is admitted, but
-// the bytes join the file's heat so TopFiles and the restriper evidence
-// see the dependence traffic a pipelined workload actually generates.
-func (m *Manager) AddBandHeat(file string, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	m.fileBand[file] += bytes
-}
-
-// FileBandBytes returns the intermediate band bytes recorded for a file.
-func (m *Manager) FileBandBytes(file string) int64 { return m.fileBand[file] }
-
 // FileHeat is one file's aggregate halo-fetch traffic through the cache,
 // the per-file view multi-tenant reports rank files by.
 type FileHeat struct {
 	File      string `json:"file"`
 	HitBytes  int64  `json:"hit_bytes"`
 	MissBytes int64  `json:"miss_bytes"`
-	// BandBytes is pipeline intermediate-band traffic attributed to the
-	// file by AddBandHeat.
-	BandBytes int64 `json:"band_bytes,omitempty"`
 }
 
 // TopFiles returns the n hottest files by total halo traffic (hit + miss
-// + intermediate-band bytes), ties broken by file name — deterministic
+// bytes), ties broken by file name — deterministic
 // regardless of map iteration order. n <= 0 or n beyond the population
 // returns everything.
 func (m *Manager) TopFiles(n int) []FileHeat {
@@ -217,16 +193,13 @@ func (m *Manager) TopFiles(n int) []FileHeat {
 	for f := range m.fileMiss {
 		names[f] = true
 	}
-	for f := range m.fileBand {
-		names[f] = true
-	}
 	out := make([]FileHeat, 0, len(names))
 	for f := range names {
-		out = append(out, FileHeat{File: f, HitBytes: m.fileHit[f], MissBytes: m.fileMiss[f], BandBytes: m.fileBand[f]})
+		out = append(out, FileHeat{File: f, HitBytes: m.fileHit[f], MissBytes: m.fileMiss[f]})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		ti := out[i].HitBytes + out[i].MissBytes + out[i].BandBytes
-		tj := out[j].HitBytes + out[j].MissBytes + out[j].BandBytes
+		ti := out[i].HitBytes + out[i].MissBytes
+		tj := out[j].HitBytes + out[j].MissBytes
 		if ti != tj {
 			return ti > tj
 		}

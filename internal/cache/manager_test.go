@@ -285,7 +285,7 @@ func TestManagerMovesPinsOnlyWhenTold(t *testing.T) {
 	}
 }
 
-func TestManagerBandHeatRanksFiles(t *testing.T) {
+func TestManagerHeatRanksFiles(t *testing.T) {
 	eng := sim.NewEngine()
 	m, err := NewManager(eng, 1, testConfig(), nil, metrics.NewRegistry())
 	if err != nil {
@@ -293,19 +293,17 @@ func TestManagerBandHeatRanksFiles(t *testing.T) {
 	}
 	buf := make([]byte, 100)
 	m.RecordFetch(0, "cold", 1, 0, buf, sim.Microsecond)
-	m.AddBandHeat("piped", 500)
-	m.AddBandHeat("piped", 250)
-	m.AddBandHeat("piped", 0)  // no-op
-	m.AddBandHeat("piped", -8) // no-op
-	if got := m.FileBandBytes("piped"); got != 750 {
-		t.Errorf("FileBandBytes = %d, want 750", got)
-	}
-	// Band heat ranks files but never biases the predictor's hit fraction.
-	if m.HitRateEstimate("piped") != 0 {
-		t.Error("band heat leaked into the hit-rate estimate")
-	}
+	m.RecordFetch(0, "hot", 1, 0, buf, sim.Microsecond)
+	m.Get(0, "hot", 1, 0, 60)
+	m.RecordFetch(0, "tied", 1, 0, buf, sim.Microsecond)
+	// hot: 100 missed + 60 hit; cold and tied: 100 missed each, tied on
+	// traffic, so ranked by name.
 	top := m.TopFiles(0)
-	if len(top) != 2 || top[0].File != "piped" || top[0].BandBytes != 750 || top[1].File != "cold" {
-		t.Errorf("TopFiles = %+v, want piped (750 band bytes) ahead of cold", top)
+	if len(top) != 3 || top[0] != (FileHeat{File: "hot", HitBytes: 60, MissBytes: 100}) ||
+		top[1].File != "cold" || top[2].File != "tied" {
+		t.Errorf("TopFiles = %+v, want hot (60 hit + 100 missed) ahead of cold and tied", top)
+	}
+	if got := m.TopFiles(1); len(got) != 1 || got[0].File != "hot" {
+		t.Errorf("TopFiles(1) = %+v, want hot alone", got)
 	}
 }

@@ -13,17 +13,6 @@ import (
 	"github.com/hpcio/das/internal/sim"
 )
 
-// EnsurePipeline deploys the server-side pipeline service on first use
-// (lazily, so systems that never submit DAGs — scale sweeps, tenant
-// benchmarks — pay nothing for it) and returns it.
-func (s *System) EnsurePipeline() *pipeline.Service {
-	if s.Pipeline == nil {
-		s.Pipeline = pipeline.Deploy(s.FS, s.Registry, s.Combiners, s.Reducers)
-		s.wire()
-	}
-	return s.Pipeline
-}
-
 // DAGRequest submits an operator DAG for execution.
 type DAGRequest struct {
 	// DAG is the operator graph; its single sink's raster commits to
@@ -145,7 +134,6 @@ func (s *System) runDAGPushdown(rep *DAGReport, req DAGRequest, in *pfs.FileMeta
 	if _, err := s.createOutput(req.Output, in); err != nil {
 		return err
 	}
-	s.EnsurePipeline()
 	attemptStart := s.Clu.Eng.Now()
 	execTime, err := s.run("dag-"+req.DAG.Name, func(p *sim.Proc) error {
 		s.startup(p)

@@ -318,7 +318,7 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 		return func(wp *sim.Proc) error {
 			o.written = true
 			writeStart := wp.Now()
-			err := s.writeBack(wp, client, out, run, grid.Bytes(o.vals))
+			err := client.Write(wp, out.Name, run.Lo, grid.Bytes(o.vals))
 			grid.PutFloats(o.vals) // every writer has fired: nothing references the output
 			if err != nil {
 				return err
@@ -343,47 +343,6 @@ func (s *System) tsWorker(p *sim.Proc, k kernels.Kernel, in, out *pfs.FileMeta, 
 		grid.PutFloats(computed.vals)
 	}
 	return phases, err
-}
-
-// writeBack writes a run's output strips back to their primaries, the
-// strips bound for each server batched into one request, the requests to
-// distinct servers in flight at once. It returns once every request has
-// been answered.
-func (s *System) writeBack(p *sim.Proc, client *pfs.Client, out *pfs.FileMeta, run active.StripRun, outBytes []byte) error {
-	type batch struct {
-		strips []int64
-		chunks [][]byte
-	}
-	batches := make(map[int]*batch)
-	var order []int
-	for t := run.First; t <= run.Last; t++ {
-		tLo, tHi := out.StripBounds(t)
-		srv := out.Layout.Primary(t)
-		b, ok := batches[srv]
-		if !ok {
-			b = &batch{}
-			batches[srv] = b
-			order = append(order, srv)
-		}
-		b.strips = append(b.strips, t)
-		b.chunks = append(b.chunks, outBytes[tLo-run.Lo:tHi-run.Lo])
-	}
-	sigs := make([]*sim.Signal[error], 0, len(order))
-	for _, srv := range order {
-		srv := srv
-		b := batches[srv]
-		done := sim.NewSignal[error](s.Clu.Eng, "ts-write")
-		sigs = append(sigs, done)
-		p.Spawn("ts-write", func(wp *sim.Proc) {
-			done.Fire(s.FS.WriteStripsTo(wp, client.NodeID(), srv, out.Name, b.strips, b.chunks))
-		})
-	}
-	for _, err := range sim.WaitAll(p, sigs) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // tsLane names one stage of a TS compute worker for trace events. The

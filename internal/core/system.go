@@ -74,8 +74,7 @@ type System struct {
 	Reducers  *kernels.ReducerRegistry
 	Combiners *kernels.CombinerRegistry
 	Features  *features.Registry
-	// Pipeline is the server-side operator-pipeline service, deployed
-	// lazily on the first ExecuteDAG (see EnsurePipeline).
+	// Pipeline is the server-side operator-pipeline service.
 	Pipeline *pipeline.Service
 	// Cache is the halo-strip cache subsystem, nil until EnableCache.
 	Cache *cache.Manager
@@ -172,9 +171,7 @@ func (s *System) wire() {
 		s.FS.SetInvalidator(listeners)
 	}
 	s.AS.SetCache(s.Cache)
-	if s.Pipeline != nil {
-		s.Pipeline.SetCache(s.Cache)
-	}
+	s.Pipeline.SetCache(s.Cache)
 	if s.Control == nil {
 		return
 	}
@@ -204,8 +201,9 @@ func (s *System) DrainRestripe(timeout sim.Time) (bool, sim.Time, error) {
 	return converged, t, err
 }
 
-// NewSystem builds a platform with the default kernel and reducer
-// registries deployed.
+// NewSystem builds a platform with the default kernel, reducer and
+// combiner registries, the active storage service and the operator-
+// pipeline service deployed.
 func NewSystem(cfg cluster.Config) (*System, error) {
 	clu, err := cluster.New(cfg)
 	if err != nil {
@@ -214,13 +212,15 @@ func NewSystem(cfg cluster.Config) (*System, error) {
 	fs := pfs.New(clu)
 	reg := kernels.Default()
 	reducers := kernels.DefaultReducers()
+	combiners := kernels.DefaultCombiners()
 	return &System{
 		Clu:       clu,
 		FS:        fs,
 		AS:        active.Deploy(fs, reg, reducers),
+		Pipeline:  pipeline.Deploy(fs, reg, combiners, reducers),
 		Registry:  reg,
 		Reducers:  reducers,
-		Combiners: kernels.DefaultCombiners(),
+		Combiners: combiners,
 		Features:  reg.Features(),
 	}, nil
 }
@@ -246,9 +246,11 @@ func (s *System) RunProc(name string, fn func(p *sim.Proc) error) (sim.Time, err
 // non-daemon work completes, returning the elapsed simulated time. At that
 // quiescence every request a server received must have been answered
 // once, no pipeline run's state may be left on a live server or an ack
-// port, and — under bufpool.Audit — every stored strip must still hold
-// the bytes it was stored with: a dropped or doubled reply, stranded run
-// state, or a write into lent strip memory, fails the run.
+// port, no restripe move may still hold its in-flight bytes, and — under
+// bufpool.Audit — every stored strip must still hold the bytes it was
+// stored with: a dropped or doubled reply, stranded run state, an
+// unreturned reservation, or a write into lent strip memory, fails the
+// run.
 func (s *System) run(name string, fn func(p *sim.Proc) error) (sim.Time, error) {
 	start := s.Clu.Eng.Now()
 	var inner error
@@ -262,8 +264,11 @@ func (s *System) run(name string, fn func(p *sim.Proc) error) (sim.Time, error) 
 	if err := s.FS.CheckSeals(); err != nil {
 		return 0, err
 	}
-	if s.Pipeline != nil {
-		if err := s.Pipeline.CheckReleased(); err != nil {
+	if err := s.Pipeline.CheckReleased(); err != nil {
+		return 0, err
+	}
+	if s.Restripe != nil {
+		if err := s.Restripe.CheckReleased(); err != nil {
 			return 0, err
 		}
 	}

@@ -1,8 +1,6 @@
 package pfs
 
 import (
-	"fmt"
-
 	"github.com/hpcio/das/internal/simnet"
 )
 
@@ -35,14 +33,13 @@ func (rc *readCall) OnResponse(resp simnet.Message) {
 	fs.readCallFree = append(fs.readCallFree, rc)
 	switch r := resp.Payload.(type) {
 	case *readResp:
-		data := r.Data
-		r.Data = nil
+		data := r.Data[0]
 		fs.readRespPut(r)
 		cont(data, nil)
 	case errResp:
-		cont(nil, respError(r, fmt.Sprintf("pfs: read %s strip %d from server %d", file, strip, srv)))
+		cont(nil, respError(r, describe("read", file, strip, 1, srv)))
 	default:
-		cont(nil, unexpectedResponse(resp.Payload, fmt.Sprintf("pfs: read %s strip %d from server %d", file, strip, srv)))
+		cont(nil, unexpectedResponse(resp.Payload, describe("read", file, strip, 1, srv)))
 	}
 }
 
@@ -54,9 +51,7 @@ func (rc *readCall) OnResponse(resp simnet.Message) {
 func (fs *FileSystem) ReadStripFromTask(fromID, srv int, file string, strip, lo, hi int64, cont func(data []byte, err error)) {
 	rc := fs.readCallGet()
 	rc.file, rc.strip, rc.srv, rc.cont = file, strip, srv, cont
-	req := fs.readReqGet()
-	*req = readReq{File: file, Strip: strip, Lo: lo, Hi: hi}
-	fs.callTask(fromID, srv, req, headerBytes, rc)
+	fs.callTask(fromID, srv, fs.readOne(file, strip, lo, hi), headerBytes, rc)
 }
 
 // writeCall is one in-flight WriteStripToTask; pooled on the filesystem.
@@ -77,9 +72,9 @@ func (wc *writeCall) OnResponse(resp simnet.Message) {
 	case ackResp:
 		cont(nil)
 	case errResp:
-		cont(respError(r, fmt.Sprintf("pfs: write %s strip %d to server %d", file, strip, srv)))
+		cont(respError(r, describe("write", file, strip, 1, srv)))
 	default:
-		cont(unexpectedResponse(resp.Payload, fmt.Sprintf("pfs: write %s strip %d to server %d", file, strip, srv)))
+		cont(unexpectedResponse(resp.Payload, describe("write", file, strip, 1, srv)))
 	}
 }
 
@@ -89,9 +84,7 @@ func (wc *writeCall) OnResponse(resp simnet.Message) {
 func (fs *FileSystem) WriteStripToTask(fromID, srv int, file string, strip int64, data []byte, cont func(err error)) {
 	wc := fs.writeCallGet()
 	wc.file, wc.strip, wc.srv, wc.cont = file, strip, srv, cont
-	req := fs.writeReqGet()
-	*req = writeReq{File: file, Strip: strip, Data: data, Forward: true}
-	fs.callTask(fromID, srv, req, headerBytes+int64(len(data)), wc)
+	fs.callTask(fromID, srv, fs.writeOne(file, strip, data, true, false), headerBytes+int64(len(data)), wc)
 }
 
 // callTask builds the request message exactly as the process-based call
@@ -118,6 +111,21 @@ func (fs *FileSystem) readCallGet() *readCall {
 	return &readCall{fs: fs}
 }
 
+// readOne takes a pooled read request for one span.
+func (fs *FileSystem) readOne(file string, strip, lo, hi int64) *readReq {
+	r := fs.readReqGet()
+	r.File, r.Spans = file, append(r.Spans, Span{Strip: strip, Lo: lo, Hi: hi})
+	return r
+}
+
+// writeOne takes a pooled write request for one whole strip.
+func (fs *FileSystem) writeOne(file string, strip int64, data []byte, forward, immutable bool) *writeReq {
+	r := fs.writeReqGet()
+	r.File, r.Forward, r.immutable = file, forward, immutable
+	r.Strips, r.Data = append(r.Strips, strip), append(r.Data, data)
+	return r
+}
+
 func (fs *FileSystem) readReqGet() *readReq {
 	if k := len(fs.readReqFree); k > 0 {
 		r := fs.readReqFree[k-1]
@@ -128,15 +136,16 @@ func (fs *FileSystem) readReqGet() *readReq {
 	return new(readReq)
 }
 
-// readReqPut re-pools a request the server has consumed — until faults
-// activate. From then on a client retry may resend the very pointer the
-// server already consumed, so it must stay intact; Active is monotonic,
-// and a pointer sent before activation is never resent.
+// readReqPut re-pools a request the server has consumed, keeping its
+// slice for the next — until faults activate. From then on a client retry
+// may resend the very pointer the server already consumed, so it must stay
+// intact; Active is monotonic, and a pointer sent before activation is
+// never resent.
 func (fs *FileSystem) readReqPut(r *readReq) {
 	if fs.clu.Faults.Active() {
 		return
 	}
-	*r = readReq{}
+	*r = readReq{Spans: r.Spans[:0]}
 	fs.readReqFree = append(fs.readReqFree, r)
 }
 
@@ -150,12 +159,13 @@ func (fs *FileSystem) writeReqGet() *writeReq {
 	return new(writeReq)
 }
 
-// writeReqPut follows readReqPut's rule.
+// writeReqPut follows readReqPut's rule, dropping the data references.
 func (fs *FileSystem) writeReqPut(r *writeReq) {
 	if fs.clu.Faults.Active() {
 		return
 	}
-	*r = writeReq{}
+	clear(r.Data)
+	*r = writeReq{Strips: r.Strips[:0], Data: r.Data[:0]}
 	fs.writeReqFree = append(fs.writeReqFree, r)
 }
 
@@ -169,8 +179,11 @@ func (fs *FileSystem) readRespGet() *readResp {
 	return new(readResp)
 }
 
+// readRespPut re-pools a response its reader has taken the data of. A
+// reader that keeps the Data slice itself sets it nil first.
 func (fs *FileSystem) readRespPut(r *readResp) {
-	r.Data = nil
+	clear(r.Data)
+	r.Data = r.Data[:0]
 	fs.readRespFree = append(fs.readRespFree, r)
 }
 

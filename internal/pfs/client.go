@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/sim"
@@ -29,58 +30,21 @@ func (c *Client) NodeID() int { return c.nodeID }
 // FS returns the file system the client talks to.
 func (c *Client) FS() *FileSystem { return c.fs }
 
-// WriteAll stripes data over the file's layout: the strips bound for each
-// primary server travel in one batched request (as a striping PFS client
-// coalesces them), and each server forwards replica copies if the layout
-// requires them. Requests to distinct servers overlap.
+// WriteAll writes the whole file: Write from offset 0, of exactly the
+// file's size.
 func (c *Client) WriteAll(p *sim.Proc, name string, data []byte) error {
-	m, ok := c.fs.meta[name]
-	if !ok {
-		return fmt.Errorf("pfs: unknown file %q", name)
-	}
-	if int64(len(data)) != m.Size {
+	if m, ok := c.fs.meta[name]; ok && int64(len(data)) != m.Size {
 		return fmt.Errorf("pfs: file %q is %d bytes, got %d", name, m.Size, len(data))
 	}
-	type batch struct {
-		strips []int64
-		chunks [][]byte
-	}
-	batches := make(map[int]*batch)
-	var order []int
-	for s := int64(0); s < m.Strips(); s++ {
-		lo, hi := m.StripBounds(s)
-		srv := m.Layout.Primary(s)
-		b, ok := batches[srv]
-		if !ok {
-			b = &batch{}
-			batches[srv] = b
-			order = append(order, srv)
-		}
-		b.strips = append(b.strips, s)
-		b.chunks = append(b.chunks, data[lo:hi])
-	}
-	sigs := make([]*sim.Signal[error], 0, len(order))
-	for _, srv := range order {
-		srv := srv
-		b := batches[srv]
-		done := sim.NewSignal[error](c.fs.clu.Eng, "pfs-write")
-		sigs = append(sigs, done)
-		p.Spawn("pfs-write", func(w *sim.Proc) {
-			done.Fire(c.fs.WriteStripsTo(w, c.nodeID, srv, name, b.strips, b.chunks))
-		})
-	}
-	for _, err := range sim.WaitAll(p, sigs) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Write(p, name, 0, data)
 }
 
-// Write updates bytes [off, off+len(data)) of the file. Whole strips are
-// replaced directly; partially covered strips are updated read-modify-
-// write, as striped file systems do for unaligned writes. Replicas are
-// re-forwarded for every touched strip so copies never diverge.
+// Write updates bytes [off, off+len(data)) of the file, as a striping
+// client does: the whole strips bound for each primary travel in one
+// request, the requests to distinct primaries at once (perPrimary), and
+// each primary forwards replica copies if the layout requires them, so
+// copies never diverge. A partially covered strip is updated
+// read-modify-write, as striped file systems do for unaligned writes.
 func (c *Client) Write(p *sim.Proc, name string, off int64, data []byte) error {
 	m, ok := c.fs.meta[name]
 	if !ok {
@@ -93,38 +57,35 @@ func (c *Client) Write(p *sim.Proc, name string, off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	for s := off / m.StripSize; s*m.StripSize < end; s++ {
-		sLo, sHi := m.StripBounds(s)
-		lo, hi := off, end
-		if lo < sLo {
-			lo = sLo
-		}
-		if hi > sHi {
-			hi = sHi
-		}
-		chunk := data[lo-off : hi-off]
-		if lo == sLo && hi == sHi {
-			if err := c.fs.WriteStripTo(p, c.nodeID, m.Layout.Primary(s), name, s, chunk, true); err != nil {
+	return c.perPrimary(p, "pfs-write", m, off, end-off, func(w *sim.Proc, srv int, spans []Span) error {
+		strips, chunks := make([]int64, 0, len(spans)), make([][]byte, 0, len(spans))
+		for _, sp := range spans {
+			sLo, sHi := m.StripBounds(sp.Strip)
+			chunk := data[sLo+sp.Lo-off : sLo+sp.Hi-off]
+			if sp.Hi-sp.Lo == sHi-sLo {
+				strips, chunks = append(strips, sp.Strip), append(chunks, chunk)
+				continue
+			}
+			// Unaligned: read-modify-write the strip. What the read
+			// returned is the primary's stored strip, lent, so the
+			// modification goes into a copy — this call's own, written by
+			// nobody afterwards, which lets the primary keep it as the
+			// strip's one copy on entry.
+			stored, err := c.fs.ReadStripFrom(w, c.nodeID, srv, name, sp.Strip, 0, 0)
+			if err != nil {
 				return err
 			}
-			continue
+			full := bytes.Clone(stored)
+			copy(full[sp.Lo:], chunk)
+			if err := c.fs.write(w, c.nodeID, srv, c.fs.writeOne(name, sp.Strip, full, true, true), false); err != nil {
+				return err
+			}
 		}
-		// Unaligned: read-modify-write the strip. What the read returned is
-		// the primary's stored strip, lent, so the modification goes into a
-		// copy — this call's own, written by nobody afterwards, which lets
-		// the primary keep it as the strip's one copy on entry.
-		stored, err := c.fs.ReadStripFrom(p, c.nodeID, m.Layout.Primary(s), name, s, 0, 0)
-		if err != nil {
-			return err
+		if len(strips) == 0 {
+			return nil
 		}
-		full := bytes.Clone(stored)
-		copy(full[lo-sLo:], chunk)
-		w := writeReq{File: name, Strip: s, Data: full, Forward: true, immutable: true}
-		if err := c.fs.writeStrip(p, c.nodeID, m.Layout.Primary(s), w, false); err != nil {
-			return err
-		}
-	}
-	return nil
+		return c.fs.WriteStripsTo(w, c.nodeID, srv, name, strips, chunks)
+	})
 }
 
 // Read returns bytes [off, off+length) of the file, assembling per-strip
@@ -147,16 +108,17 @@ func (c *Client) ReadInto(p *sim.Proc, name string, off int64, out []byte) error
 	})
 }
 
-// ReadLent reads bytes [off, off+length) of the file, assembling per-strip
-// reads from the primary holders in parallel, and hands each to the caller
-// where it lies: each(at, window) receives the bytes from file offset at
-// on, one call per strip touched, in no particular order, and together the
-// windows tile the range. A window is lent under ReadStripFrom's contract —
-// the owner's stored strip itself, its capacity clipped, read-only, never
-// released, and reading the same bytes for as long as it is held whatever
-// happens to the file meanwhile — so a read allocates nothing proportional
-// to its size and moves no byte. When the read fails, each may already
-// have seen the windows of the servers that answered.
+// ReadLent reads bytes [off, off+length) of the file, one request per
+// primary holder, in parallel (perPrimary), and hands each strip to the
+// caller where it lies: each(at, window) receives the bytes from file
+// offset at on, one call per strip touched, in no particular order, and
+// together the windows tile the range. A window is lent under
+// ReadStripFrom's contract — the owner's stored strip itself, its capacity
+// clipped, read-only, never released, and reading the same bytes for as
+// long as it is held whatever happens to the file meanwhile — so a read
+// allocates nothing proportional to its size and moves no byte. When the
+// read fails, each may already have seen the windows of the servers that
+// answered.
 func (c *Client) ReadLent(p *sim.Proc, name string, off, length int64, each func(at int64, window []byte)) error {
 	m, ok := c.fs.meta[name]
 	if !ok {
@@ -168,62 +130,56 @@ func (c *Client) ReadLent(p *sim.Proc, name string, off, length int64, each func
 	if length == 0 {
 		return nil
 	}
-	// Group strips by primary server with a counting sort over the dense
-	// server index (exact-size allocations, no maps): cur[srv] counts spans,
-	// becomes the fill cursor after a prefix sum, and ends as the exclusive
-	// end offset of srv's group — so group k spans spans[cur[k-1]:cur[k]].
-	firstStrip := off / m.StripSize
-	lastStrip := (off + length - 1) / m.StripSize
-	nSpans := int(lastStrip - firstStrip + 1)
-	cur := make([]int, c.fs.Servers())
-	for s := firstStrip; s <= lastStrip; s++ {
-		cur[m.Layout.Primary(s)]++
+	return c.perPrimary(p, "pfs-read", m, off, length, func(r *sim.Proc, srv int, spans []Span) error {
+		data, err := c.fs.ReadSpansFrom(r, c.nodeID, srv, name, spans)
+		for i, d := range data {
+			each(spans[i].Strip*m.StripSize+spans[i].Lo, d)
+		}
+		return err
+	})
+}
+
+// perPrimary is the client's one batcher. It cuts bytes [off,
+// off+length) of a file into one span per strip touched, groups the spans
+// by the strip's primary — strips ascending within a group — and runs
+// serve once per group: for several groups each on a process of its own
+// named name, started in the order the servers are first met walking the
+// strips, as issuing requests strip by strip would engage them; for one,
+// on p itself. It waits for every group and returns the first error. The grouping is a counting sort over the dense
+// server index: exact-size allocations, no maps; at[srv] ends as the
+// first slot of srv's group and at[srv+1] as one past its last.
+func (c *Client) perPrimary(p *sim.Proc, name string, m *FileMeta, off, length int64, serve func(w *sim.Proc, srv int, spans []Span) error) error {
+	first, last := off/m.StripSize, (off+length-1)/m.StripSize
+	at := make([]int, c.fs.Servers()+1)
+	for s := first; s <= last; s++ {
+		at[m.Layout.Primary(s)+1]++
 	}
-	sum := 0
-	for srv, n := range cur {
-		cur[srv] = sum
-		sum += n
+	for srv := 1; srv < len(at); srv++ {
+		at[srv] += at[srv-1]
 	}
-	starts := make([]int, len(cur))
-	copy(starts, cur)
-	spans := make([]Span, nSpans)
-	sigs := make([]*sim.Signal[error], 0, len(cur))
-	for s := firstStrip; s <= lastStrip; s++ {
+	fill := slices.Clone(at[:len(at)-1])
+	spans := make([]Span, last-first+1)
+	var order []int
+	for s := first; s <= last; s++ {
 		sLo, sHi := m.StripBounds(s)
-		lo, hi := off, off+length
-		if lo < sLo {
-			lo = sLo
-		}
-		if hi > sHi {
-			hi = sHi
-		}
 		srv := m.Layout.Primary(s)
-		i := cur[srv]
-		spans[i] = Span{Strip: s, Lo: lo - sLo, Hi: hi - sLo}
-		cur[srv]++
-		if i != starts[srv] {
-			continue
+		if fill[srv] == at[srv] {
+			order = append(order, srv)
 		}
-		// First strip owned by srv: fork its batch read here so servers are
-		// engaged in first-encounter order, exactly as issuing requests
-		// strip by strip would. The group's later spans are filled before
-		// the child can run (spawn only schedules; children run once this
-		// process parks in WaitAll). Static diagnostic names: formatted
-		// per-server names were a leading allocation source on this path.
-		end := nSpans
-		if srv+1 < len(starts) {
-			end = starts[srv+1]
-		}
-		srv, bSpans := srv, spans[i:end]
-		done := sim.NewSignal[error](c.fs.clu.Eng, "pfs-read")
-		sigs = append(sigs, done)
-		p.Spawn("pfs-read", func(r *sim.Proc) {
-			data, err := c.fs.ReadSpansFrom(r, c.nodeID, srv, name, bSpans)
-			for i, d := range data {
-				each(bSpans[i].Strip*m.StripSize+bSpans[i].Lo, d)
-			}
-			done.Fire(err)
-		})
+		spans[fill[srv]] = Span{Strip: s, Lo: max(off, sLo) - sLo, Hi: min(off+length, sHi) - sLo}
+		fill[srv]++
+	}
+	if len(order) == 1 {
+		return serve(p, order[0], spans) // one request: no process to overlap it with
+	}
+	// Static diagnostic names: formatted per-server names were a leading
+	// allocation source on this path.
+	sigs := make([]*sim.Signal[error], len(order))
+	for i, srv := range order {
+		group := spans[at[srv]:at[srv+1]]
+		done := sim.NewSignal[error](c.fs.clu.Eng, name)
+		sigs[i] = done
+		p.Spawn(name, func(w *sim.Proc) { done.Fire(serve(w, srv, group)) })
 	}
 	for _, err := range sim.WaitAll(p, sigs) {
 		if err != nil {

@@ -63,54 +63,33 @@ func (x *reqTask) begin() {
 	s := x.s
 	switch req := x.msg.Payload.(type) {
 	case *readReq:
-		file, strip, lo, hi := req.File, req.Strip, req.Lo, req.Hi
+		r := s.fs.readRespGet()
+		data, total, err := s.viewMany(r.Data, req.File, req.Spans)
 		s.fs.readReqPut(req)
-		data, err := s.view(file, strip, lo, hi)
+		r.Data = data
 		if err != nil {
+			s.fs.readRespPut(r)
 			x.fail(err)
 			return
-		}
-		x.isRead, x.diskSize = true, int64(len(data))
-		r := s.fs.readRespGet()
-		r.Data = data
-		x.payload, x.respSize = r, headerBytes+int64(len(data))
-	case readManyReq:
-		data := make([][]byte, len(req.Spans))
-		var total int64
-		for i, sp := range req.Spans {
-			d, err := s.view(req.File, sp.Strip, sp.Lo, sp.Hi)
-			if err != nil {
-				x.fail(err)
-				return
-			}
-			data[i] = d
-			total += int64(len(d))
 		}
 		x.isRead, x.diskSize = true, total
-		x.payload, x.respSize = readManyResp{Data: data}, headerBytes+total
+		x.payload, x.respSize = r, headerBytes+total
 	case *writeReq:
-		file, strip, data, immutable := req.File, req.Strip, req.Data, req.immutable
-		s.fs.writeReqPut(req)
-		if err := s.validateWrite(file, strip, data); err != nil {
-			x.fail(err)
-			return
+		total, err := s.validateWrite(req.File, req.Strips, req.Data)
+		if err == nil {
+			for i, strip := range req.Strips {
+				s.storePut(req.File, strip, entering(req.Data[i], req.immutable))
+			}
 		}
-		s.storePut(file, strip, entering(data, immutable))
-		x.isRead, x.diskSize = false, int64(len(data))
-		x.payload, x.respSize = ackResp{}, headerBytes
-	case writeManyReq:
-		total, err := s.validateWriteMany(req.File, req.Strips, req.Data)
+		s.fs.writeReqPut(req)
 		if err != nil {
 			x.fail(err)
 			return
-		}
-		for i, strip := range req.Strips {
-			s.storePut(req.File, strip, entering(req.Data[i], req.immutable))
 		}
 		x.isRead, x.diskSize = false, total
 		x.payload, x.respSize = ackResp{}, headerBytes
 	default:
-		// The dispatcher only routes the four types above here.
+		// The dispatcher only routes the two types above here.
 		panic("pfs: ineligible request on the request chain")
 	}
 	if x.diskSize <= 0 {
@@ -163,11 +142,9 @@ func (s *Server) dispatch(msg simnet.Message) {
 // task chain.
 func (s *Server) straightLine(payload any) bool {
 	switch req := payload.(type) {
-	case *readReq, readManyReq:
+	case *readReq:
 		return true
 	case *writeReq:
-		return !req.Forward || s.replicasAllLocal(req.File, req.Strip)
-	case writeManyReq:
 		if !req.Forward {
 			return true
 		}

@@ -93,14 +93,14 @@ type FileSystem struct {
 	// queue length as seen by arrivals.
 	queueObs func(srv, depth int)
 
-	// readReqFree, writeReqFree and readRespFree recycle the single-strip
-	// protocol payloads. Boxing a readReq or readResp value into a
-	// message's Payload field allocates on every RPC — the dominant
-	// allocation at scale — so the wire types travel as pooled pointers
-	// instead. The producer fills one, the consumer copies the fields out
-	// and re-pools it. Requests stop being re-pooled once faults activate
-	// (see readReqPut); payloads dropped on fault paths fall to the GC,
-	// which only costs a pool miss.
+	// readReqFree, writeReqFree and readRespFree recycle the data
+	// payloads. Boxing a request or response value into a message's
+	// Payload field allocates on every RPC — the dominant allocation at
+	// scale — so the wire types travel as pooled pointers instead, their
+	// slices reused with them: the producer fills one, the consumer reads
+	// it and re-pools it. Requests stop being re-pooled once faults
+	// activate (see readReqPut); payloads dropped on fault paths fall to
+	// the GC, which only costs a pool miss.
 	readReqFree  []*readReq
 	writeReqFree []*writeReq
 	readRespFree []*readResp
@@ -388,6 +388,17 @@ func (fs *FileSystem) callWrite(p *sim.Proc, fromID, srv int, payload any, size 
 	}
 }
 
+// describe names a data request for an error: the operation, the file,
+// its first strip and how many it carries, and the server. Callers take
+// the values before the call, since the request returns to its pool once
+// the server has consumed it.
+func describe(op, file string, first int64, n, srv int) string {
+	if n == 1 {
+		return fmt.Sprintf("pfs: %s %s strip %d on server %d", op, file, first, srv)
+	}
+	return fmt.Sprintf("pfs: %s %s, %d strips from strip %d, on server %d", op, file, n, first, srv)
+}
+
 // respError converts an errResp into a typed client-side error.
 func respError(r errResp, context string) error {
 	if r.Code == codeNotFound {
@@ -435,8 +446,23 @@ func ReleaseBuffer([]byte) {}
 // readStripOnce is one read attempt against one server, no failover, for
 // the caller's incarnation fromInc.
 func (fs *FileSystem) readStripOnce(p *sim.Proc, fromID int, fromInc uint64, srv int, file string, strip, lo, hi int64) ([]byte, error) {
-	req := fs.readReqGet()
-	*req = readReq{File: file, Strip: strip, Lo: lo, Hi: hi}
+	r, err := fs.read(p, fromID, fromInc, srv, fs.readOne(file, strip, lo, hi))
+	if err != nil {
+		return nil, err
+	}
+	data := r.Data[0]
+	fs.readRespPut(r)
+	return data, nil
+}
+
+// read sends one read request to srv, for the caller's incarnation
+// fromInc, with no failover, and returns the response: the caller takes
+// its windows and re-pools it (readRespPut).
+func (fs *FileSystem) read(p *sim.Proc, fromID int, fromInc uint64, srv int, req *readReq) (*readResp, error) {
+	file, first, n := req.File, int64(0), len(req.Spans)
+	if n > 0 {
+		first = req.Spans[0].Strip
+	}
 	var start sim.Time
 	if fs.latObs != nil {
 		start = p.Now()
@@ -447,17 +473,14 @@ func (fs *FileSystem) readStripOnce(p *sim.Proc, fromID int, fromInc uint64, srv
 	}
 	switch r := resp.(type) {
 	case *readResp:
-		data := r.Data
-		r.Data = nil
-		fs.readRespPut(r)
 		if fs.latObs != nil {
 			fs.latObs.ObserveRPCLatency(srv, false, p.Now()-start)
 		}
-		return data, nil
+		return r, nil
 	case errResp:
-		return nil, respError(r, fmt.Sprintf("pfs: read %s strip %d from server %d", file, strip, srv))
+		return nil, respError(r, describe("read", file, first, n, srv))
 	default:
-		return nil, unexpectedResponse(resp, fmt.Sprintf("pfs: read %s strip %d from server %d", file, strip, srv))
+		return nil, unexpectedResponse(resp, describe("read", file, first, n, srv))
 	}
 }
 
@@ -501,79 +524,40 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID int, fromInc uint64,
 	}
 }
 
-// WriteStripTo writes a full or partial strip to server srv. When forward
-// is set, the receiving server forwards copies to the strip's replica
-// holders (server↔server traffic), implementing the replica-maintaining
-// write path of the improved distribution. Every product caller forwards;
-// the flag stays for bench/probes.go (ROADMAP item 3). Writes do not fail over: a
-// strip's primary is its write point, and a primary that never comes back
-// is an error the caller must see — though a crashed one is waited on for
-// the DownBackoff window first (see callWrite).
+// WriteStripTo writes a whole strip to server srv: a write request of
+// one strip. When forward is set, the receiving server forwards copies to
+// the strip's replica holders (server↔server traffic), implementing the
+// replica-maintaining write path of the improved distribution. Product
+// code writes through Client.Write; this door and its flag stay for tests
+// and bench/probes.go (ROADMAP item 3). Writes do not fail over: a strip's
+// primary is its write point, and a primary that never comes back is an
+// error the caller must see — though a crashed one is waited on for the
+// DownBackoff window first (see callWrite).
 func (fs *FileSystem) WriteStripTo(p *sim.Proc, fromID, srv int, file string, strip int64, data []byte, forward bool) error {
-	return fs.writeStrip(p, fromID, srv, writeReq{File: file, Strip: strip, Data: data, Forward: forward}, false)
-}
-
-// writeStrip sends one single-strip write. The request is built by the
-// caller, because who builds it decides whether the receiver may keep its
-// data by reference (writeReq.immutable); and the latency sample's
-// migration tag is explicit: restripe copy pushes (server.migrate) flow
-// through here with migration set so the controller can exclude them from
-// tuning.
-func (fs *FileSystem) writeStrip(p *sim.Proc, fromID, srv int, w writeReq, migration bool) error {
-	file, strip := w.File, w.Strip
-	req := fs.writeReqGet()
-	*req = w
-	var start sim.Time
-	if fs.latObs != nil {
-		start = p.Now()
-	}
-	resp, err := fs.callWrite(p, fromID, srv, req, headerBytes+int64(len(w.Data)))
-	if err != nil {
-		return err
-	}
-	switch r := resp.(type) {
-	case ackResp:
-		if fs.latObs != nil {
-			fs.latObs.ObserveRPCLatency(srv, migration, p.Now()-start)
-		}
-		return nil
-	case errResp:
-		return respError(r, fmt.Sprintf("pfs: write %s strip %d to server %d", file, strip, srv))
-	default:
-		return unexpectedResponse(resp, fmt.Sprintf("pfs: write %s strip %d to server %d", file, strip, srv))
-	}
+	return fs.write(p, fromID, srv, fs.writeOne(file, strip, data, forward, false), false)
 }
 
 // ReadSpansFrom fetches several spans of one file from server srv in a
 // single request (one disk pass, one response message), each lent as
-// ReadStripFrom's result is. If the batch fails for a failover-eligible
+// ReadStripFrom's result is. If the request fails for a failover-eligible
 // reason, each span is re-fetched individually through ReadStripFrom's
 // replica failover.
 func (fs *FileSystem) ReadSpansFrom(p *sim.Proc, fromID, srv int, file string, spans []Span) ([][]byte, error) {
-	var start sim.Time
-	if fs.latObs != nil {
-		start = p.Now()
-	}
-	resp, err := fs.call(p, fromID, fs.clu.Faults.Incarnation(fromID), srv, readManyReq{File: file, Spans: spans}, headerBytes)
+	req := fs.readReqGet()
+	req.File, req.Spans = file, append(req.Spans, spans...)
+	r, err := fs.read(p, fromID, fs.clu.Faults.Incarnation(fromID), srv, req)
 	if err == nil {
-		switch r := resp.(type) {
-		case readManyResp:
-			if fs.latObs != nil {
-				fs.latObs.ObserveRPCLatency(srv, false, p.Now()-start)
-			}
-			return r.Data, nil
-		case errResp:
-			err = respError(r, fmt.Sprintf("pfs: readMany %s from server %d", file, srv))
-		default:
-			err = unexpectedResponse(resp, fmt.Sprintf("pfs: readMany %s from server %d", file, srv))
-		}
+		data := r.Data
+		r.Data = nil
+		fs.readRespPut(r)
+		return data, nil
 	}
 	if !failoverEligible(err) {
 		return nil, err
 	}
-	// Degraded path: the batch's server is gone; recover span by span from
-	// whatever live holders exist. Slower (one request per span), but this
-	// only runs once a fault has already disrupted the batch.
+	// Degraded path: the request's server is gone; recover span by span
+	// from whatever live holders exist. Slower (one request per span), but
+	// this only runs once a fault has already disrupted the request.
 	out := make([][]byte, len(spans))
 	for i, sp := range spans {
 		data, rerr := fs.ReadStripFrom(p, fromID, srv, file, sp.Strip, sp.Lo, sp.Hi)
@@ -588,28 +572,45 @@ func (fs *FileSystem) ReadSpansFrom(p *sim.Proc, fromID, srv int, file string, s
 // WriteStripsTo writes several whole strips to server srv in a single
 // request; the server forwards each strip's copies to its other holders.
 func (fs *FileSystem) WriteStripsTo(p *sim.Proc, fromID, srv int, file string, strips []int64, data [][]byte) error {
+	req := fs.writeReqGet()
+	req.File, req.Forward = file, true
+	req.Strips, req.Data = append(req.Strips, strips...), append(req.Data, data...)
+	return fs.write(p, fromID, srv, req, false)
+}
+
+// write sends one write request to srv and waits for its acknowledgement.
+// The request is built by the caller, because who builds it decides
+// whether the receiver may keep its data by reference
+// (writeReq.immutable); and the latency sample's migration tag is
+// explicit: restripe copy pushes (Server.migrate) flow through here with
+// migration set so the controller can exclude them from tuning.
+func (fs *FileSystem) write(p *sim.Proc, fromID, srv int, req *writeReq, migration bool) error {
+	file, first, n := req.File, int64(0), len(req.Strips)
+	if n > 0 {
+		first = req.Strips[0]
+	}
 	var size int64 = headerBytes
-	for _, d := range data {
+	for _, d := range req.Data {
 		size += int64(len(d))
 	}
 	var start sim.Time
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.callWrite(p, fromID, srv, writeManyReq{File: file, Strips: strips, Data: data, Forward: true}, size)
+	resp, err := fs.callWrite(p, fromID, srv, req, size)
 	if err != nil {
 		return err
 	}
 	switch r := resp.(type) {
 	case ackResp:
 		if fs.latObs != nil {
-			fs.latObs.ObserveRPCLatency(srv, false, p.Now()-start)
+			fs.latObs.ObserveRPCLatency(srv, migration, p.Now()-start)
 		}
 		return nil
 	case errResp:
-		return respError(r, fmt.Sprintf("pfs: writeMany %s to server %d", file, srv))
+		return respError(r, describe("write", file, first, n, srv))
 	default:
-		return unexpectedResponse(resp, fmt.Sprintf("pfs: writeMany %s to server %d", file, srv))
+		return unexpectedResponse(resp, describe("write", file, first, n, srv))
 	}
 }
 

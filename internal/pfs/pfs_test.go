@@ -91,6 +91,57 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteSendsOneRequestPerPrimary: a client write sends the whole
+// strips bound for each primary in one request, the way a read fetches
+// them, and updates a partial strip read-modify-write (one read and one
+// write request); either way the file reads back as written.
+func TestWriteSendsOneRequestPerPrimary(t *testing.T) {
+	const strip = 256
+	clu, fs := testFS(t)
+	if _, err := fs.Create("f", 16*strip, layout.NewRoundRobin(4), CreateOptions{StripSize: strip}); err != nil {
+		t.Fatal(err)
+	}
+	c := fs.NewClient(clu.ComputeID(0))
+	want := pattern(16 * strip)
+	run(t, clu, func(p *sim.Proc) {
+		if err := c.WriteAll(p, "f", want); err != nil {
+			t.Error(err)
+		}
+	})
+	for _, tc := range []struct {
+		name      string
+		off, size int64
+		requests  [4]uint64 // per server
+	}{
+		// Strips 2-13, three on each server.
+		{"aligned", 2 * strip, 12 * strip, [4]uint64{1, 1, 1, 1}},
+		// Strips 2 and 6 (server 2) partial; 3, 4 and 5 whole.
+		{"unaligned", 2*strip + 10, 4 * strip, [4]uint64{1, 1, 4, 1}},
+	} {
+		var before [4]uint64
+		for srv := range before {
+			before[srv] = fs.Server(srv).Requests()
+		}
+		patch := bytes.Repeat([]byte{byte(tc.off)}, int(tc.size))
+		copy(want[tc.off:], patch)
+		run(t, clu, func(p *sim.Proc) {
+			if err := c.Write(p, "f", tc.off, patch); err != nil {
+				t.Error(err)
+			}
+		})
+		for srv := range before {
+			if got := fs.Server(srv).Requests() - before[srv]; got != tc.requests[srv] {
+				t.Errorf("%s write: server %d received %d requests, want %d", tc.name, srv, got, tc.requests[srv])
+			}
+		}
+		run(t, clu, func(p *sim.Proc) {
+			if got, err := c.ReadAll(p, "f"); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s write: file reads back other bytes (%v)", tc.name, err)
+			}
+		})
+	}
+}
+
 func TestPartialReadArbitraryRanges(t *testing.T) {
 	clu, fs := testFS(t)
 	data := pattern(1000)

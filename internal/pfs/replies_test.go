@@ -23,12 +23,12 @@ func TestEveryHandlerBranchReplies(t *testing.T) {
 		code    errCode
 	}{
 		{"unknown payload", "hello", codeBadRequest},
-		{"read of a missing file", &readReq{File: "nope"}, codeNotFound},
-		{"batched read of a missing file", readManyReq{File: "nope", Spans: []Span{{Strip: 0}}}, codeNotFound},
-		{"write to a missing file", &writeReq{File: "nope", Data: strip}, codeInternal},
-		{"batched write to a missing file", writeManyReq{File: "nope", Strips: []int64{0}, Data: [][]byte{strip}}, codeInternal},
-		{"forwarding write of the wrong size", &writeReq{File: "f", Data: strip[:7], Forward: true}, codeInternal},
-		{"forwarding batched write of the wrong size", writeManyReq{File: "f", Strips: []int64{0}, Data: [][]byte{strip[:7]}, Forward: true}, codeInternal},
+		{"read of a missing file", &readReq{File: "nope", Spans: []Span{{Strip: 0}}}, codeNotFound},
+		{"batched read of a missing file", &readReq{File: "nope", Spans: []Span{{Strip: 0}, {Strip: 1}}}, codeNotFound},
+		{"write to a missing file", &writeReq{File: "nope", Strips: []int64{0}, Data: [][]byte{strip}}, codeInternal},
+		{"batched write to a missing file", &writeReq{File: "nope", Strips: []int64{0, 1}, Data: [][]byte{strip, strip}}, codeInternal},
+		{"forwarding write of the wrong size", &writeReq{File: "f", Strips: []int64{0}, Data: [][]byte{strip[:7]}, Forward: true}, codeInternal},
+		{"forwarding batched write of the wrong size", &writeReq{File: "f", Strips: []int64{0, 1}, Data: [][]byte{strip, strip[:7]}, Forward: true}, codeInternal},
 		{"migration of a missing file", migrateReq{File: "nope", Targets: []int{1}}, codeNotFound},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,26 +12,26 @@ import (
 )
 
 // Protocol payloads exchanged on the pfs port. Responses travel back over
-// the Reply mailbox embedded in the request message.
+// the Reply mailbox embedded in the request message. A data request names
+// one file and a batch of its strips — one strip, or a client's whole
+// share of a request on this server — and costs the same whatever the
+// batch: a header plus its bytes on the wire, and one sequential pass on
+// the disk, since a data server stores its strips of a file contiguously
+// and pays one positioning cost per request. The three data payloads
+// travel as pooled pointers (readReqGet and its siblings), their slices
+// reused with them.
 type (
 	readReq struct {
-		File   string
-		Strip  int64
-		Lo, Hi int64 // byte sub-range within the strip; Hi == 0 → whole strip
-	}
-	// readManyReq fetches several spans of one file in a single request.
-	// The server charges its disk one sequential read for the whole batch:
-	// a data server stores its strips of a file contiguously, so a bulk
-	// read pays one positioning cost, not one per strip.
-	readManyReq struct {
 		File  string
 		Spans []Span
 	}
 	writeReq struct {
-		File    string
-		Strip   int64
-		Data    []byte
-		Forward bool // forward copies to the strip's replica holders
+		File   string
+		Strips []int64
+		Data   [][]byte // Data[i] is the whole of strip Strips[i]
+		// Forward asks the primary to forward each strip's copies to its
+		// replica holders.
+		Forward bool
 		// immutable says nobody will write Data again, so the receiver may
 		// keep it by reference instead of copying it. A server forwarding a
 		// strip it has stored sets it (Forward, migrate),
@@ -39,24 +39,15 @@ type (
 		// a request carrying a caller's buffer never does.
 		immutable bool
 	}
-	// writeManyReq stores several whole strips in a single request, with
-	// one sequential disk write, forwarding replicas per strip if asked.
-	writeManyReq struct {
-		File      string
-		Strips    []int64
-		Data      [][]byte
-		Forward   bool
-		immutable bool // as writeReq.immutable, for every element of Data
-	}
+	// readResp answers a readReq: Data[i] is the lent window of Spans[i].
+	readResp   struct{ Data [][]byte }
 	migrateReq struct {
 		File    string
 		Strip   int64
 		Targets []int
 	}
-	readResp     struct{ Data []byte }
-	readManyResp struct{ Data [][]byte }
-	ackResp      struct{}
-	errResp      struct {
+	ackResp struct{}
+	errResp struct {
 		Err  string
 		Code errCode
 	}
@@ -163,10 +154,6 @@ func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
 	var err error
 	switch req := msg.Payload.(type) {
 	case *writeReq:
-		file, strip, data := req.File, req.Strip, entering(req.Data, req.immutable)
-		s.fs.writeReqPut(req)
-		err = s.StoreForwarded(p, file, []int64{strip}, [][]byte{data})
-	case writeManyReq:
 		data := req.Data
 		if !req.immutable {
 			data = make([][]byte, len(req.Data))
@@ -175,6 +162,7 @@ func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
 			}
 		}
 		err = s.StoreForwarded(p, req.File, req.Strips, data)
+		s.fs.writeReqPut(req)
 	case migrateReq:
 		err = s.migrate(p, req)
 	default:
@@ -211,11 +199,11 @@ func (s *Server) Holds(file string, strip int64) bool {
 }
 
 // view returns bytes [lo, hi) of a locally held strip as a window of the
-// stored slice itself, without charging the disk; callers batch the disk
-// charge. Hi == 0 selects the whole strip. The window is lent: read-only,
-// its capacity ends at hi, and it keeps reading the same bytes for as long
-// as it is held, whatever is overwritten, dropped, deleted or purged
-// meanwhile. Every read — local, or a response that leaves the server —
+// stored slice itself, without charging the disk; callers charge a batch's
+// disk pass (viewMany). Hi == 0 selects the whole strip. The window is
+// lent: read-only, its capacity ends at hi, and it keeps reading the same
+// bytes for as long as it is held, whatever is overwritten, dropped,
+// deleted or purged meanwhile. Every read — local, or a response that leaves the server —
 // hands out this window: an immutable strip has nothing a copy would
 // protect.
 func (s *Server) view(file string, strip, lo, hi int64) ([]byte, error) {
@@ -234,6 +222,24 @@ func (s *Server) view(file string, strip, lo, hi int64) ([]byte, error) {
 		return nil, fmt.Errorf("range [%d,%d) outside strip of %d bytes", lo, hi, len(data))
 	}
 	return data[lo:hi:hi], nil
+}
+
+// viewMany appends to dst the view of each span of file, in order, and
+// returns it with the spans' total bytes: what one sequential disk pass
+// reads for the batch. On an error dst may hold the spans before the
+// failing one.
+func (s *Server) viewMany(dst [][]byte, file string, spans []Span) ([][]byte, int64, error) {
+	dst = slices.Grow(dst, len(spans))
+	var total int64
+	for _, sp := range spans {
+		data, err := s.view(file, sp.Strip, sp.Lo, sp.Hi)
+		if err != nil {
+			return dst, 0, err
+		}
+		dst = append(dst, data)
+		total += int64(len(data))
+	}
+	return dst, total, nil
 }
 
 // LocalRead is the local I/O API from the paper's architecture (Fig. 2):
@@ -260,15 +266,9 @@ func (s *Server) LocalRead(p *sim.Proc, file string, strip, lo, hi int64) ([]byt
 // pool or written through. Read it in place (grid.Band.Lend) and let it
 // go.
 func (s *Server) LocalViewMany(p *sim.Proc, file string, spans []Span) ([][]byte, error) {
-	out := make([][]byte, len(spans))
-	var total int64
-	for i, sp := range spans {
-		data, err := s.view(file, sp.Strip, sp.Lo, sp.Hi)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = data
-		total += int64(len(data))
+	out, total, err := s.viewMany(nil, file, spans)
+	if err != nil {
+		return nil, err
 	}
 	s.fs.clu.Disk(s.nodeID).Read(p, total)
 	return out, nil
@@ -287,7 +287,7 @@ func (s *Server) LocalWrite(p *sim.Proc, file string, strip int64, data []byte) 
 // each element of data becomes a stored strip by reference, under
 // LocalWrite's contract. It sends no copies: Forward does.
 func (s *Server) LocalWriteMany(p *sim.Proc, file string, strips []int64, data [][]byte) error {
-	total, err := s.validateWriteMany(file, strips, data)
+	total, err := s.validateWrite(file, strips, data)
 	if err != nil {
 		return err
 	}
@@ -323,7 +323,7 @@ func (s *Server) Forward(p *sim.Proc, file string, strips []int64, data [][]byte
 
 // StoreForwarded stores strips (LocalWriteMany), then forwards their
 // copies (Forward) and waits for every holder: the order of client
-// replica-maintaining writes (writeReq, writeManyReq) and mapred's
+// replica-maintaining writes (a forwarding writeReq) and mapred's
 // reducers. It returns the first error.
 func (s *Server) StoreForwarded(p *sim.Proc, file string, strips []int64, data [][]byte) error {
 	if err := s.LocalWriteMany(p, file, strips, data); err != nil {
@@ -345,7 +345,7 @@ func (s *Server) StoreForwarded(p *sim.Proc, file string, strips []int64, data [
 // this server stored: one write request, ready to send.
 type replicaBatch struct {
 	target int
-	req    writeManyReq
+	req    *writeReq
 	size   int64
 }
 
@@ -372,7 +372,9 @@ func (s *Server) replicaBatches(file string, strips []int64, data [][]byte) ([]r
 		if !seen {
 			j = len(batches)
 			at[holder] = j
-			batches = append(batches, replicaBatch{target: holder, req: writeManyReq{File: file, immutable: true}, size: headerBytes})
+			req := s.fs.writeReqGet()
+			req.File, req.immutable = file, true
+			batches = append(batches, replicaBatch{target: holder, req: req, size: headerBytes})
 		}
 		b := &batches[j]
 		b.req.Strips = append(b.req.Strips, strip)
@@ -439,33 +441,16 @@ func (s *Server) Drop(file string, strip int64) {
 	}
 }
 
-// validateWrite checks a single-strip write against the file's metadata,
-// for the request chain. It rejects what validateWriteMany rejects of one
-// strip, with the same messages, so the chain and the process handler
-// (LocalWrite) agree.
-func (s *Server) validateWrite(file string, strip int64, data []byte) error {
-	m, ok := s.fs.meta[file]
-	if !ok {
-		return fmt.Errorf("unknown file %q", file)
-	}
-	lo, hi := m.StripBounds(strip)
-	if hi <= lo {
-		return fmt.Errorf("strip %d outside file %q", strip, file)
-	}
-	if int64(len(data)) != hi-lo {
-		return fmt.Errorf("strip %d of %q is %d bytes, got %d", strip, file, hi-lo, len(data))
-	}
-	return nil
-}
-
-// validateWriteMany checks a batched write and returns its total bytes.
-func (s *Server) validateWriteMany(file string, strips []int64, data [][]byte) (int64, error) {
+// validateWrite checks a write against the file's metadata — every strip
+// inside the file and given whole — and returns its total bytes. The
+// request chain and LocalWriteMany (so the handler process) check with it.
+func (s *Server) validateWrite(file string, strips []int64, data [][]byte) (int64, error) {
 	m, ok := s.fs.meta[file]
 	if !ok {
 		return 0, fmt.Errorf("unknown file %q", file)
 	}
 	if len(strips) != len(data) {
-		return 0, fmt.Errorf("writeMany: %d strips but %d buffers", len(strips), len(data))
+		return 0, fmt.Errorf("write: %d strips but %d buffers", len(strips), len(data))
 	}
 	var total int64
 	for i, strip := range strips {
@@ -537,7 +522,7 @@ func (s *Server) migrate(p *sim.Proc, req migrateReq) error {
 		if target == s.srv {
 			continue
 		}
-		if err := s.fs.writeStrip(p, s.nodeID, target, writeReq{File: req.File, Strip: req.Strip, Data: data, immutable: true}, true); err != nil {
+		if err := s.fs.write(p, s.nodeID, target, s.fs.writeOne(req.File, req.Strip, data, false, true), true); err != nil {
 			return err
 		}
 	}

@@ -529,12 +529,8 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 		for j, span := range pulls[i].spans {
 			v := got.Data[j]
 			band.LendValues(span.Lo, v) // the owner's state itself: bandResp aliases it
-			bytes := int64(len(v)) * grid.ElemSize
 			resp.ExchangeOps++
-			resp.ExchangeBytes += bytes
-			if svc.cache != nil {
-				svc.cache.AddBandHeat(in.Name, bytes)
-			}
+			resp.ExchangeBytes += int64(len(v)) * grid.ElemSize
 		}
 	}
 	if pullErr != nil {

@@ -2,6 +2,7 @@ package restripe
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hpcio/das/internal/layout"
@@ -96,5 +97,19 @@ func TestConfigNormalize(t *testing.T) {
 		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("config %+v normalized without error", bad)
 		}
+	}
+}
+
+// TestCheckReleasedNamesTheServer: a reservation left behind fails the
+// check, naming the first server still charged and its bytes.
+func TestCheckReleasedNamesTheServer(t *testing.T) {
+	m := &Migrator{inflight: []int64{0, 0, 0}}
+	if err := m.CheckReleased(); err != nil {
+		t.Errorf("no bytes in flight: %v", err)
+	}
+	m.inflight[1], m.inflight[2] = 512, 1024
+	err := m.CheckReleased()
+	if err == nil || !strings.Contains(err.Error(), "server 1 holds 512 in-flight migration bytes") {
+		t.Errorf("512 bytes left on server 1: %v", err)
 	}
 }

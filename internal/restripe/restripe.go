@@ -609,6 +609,21 @@ func (m *Migrator) release(src int, targets []int, bytes int64) {
 	}
 }
 
+// CheckReleased reports the first server, in index order, still charged
+// with in-flight migration bytes: a move whose reservation was never
+// returned, which would throttle every later copy through that server. At
+// quiescence no batch is running, so every server's charge must be zero;
+// core.System calls it at the end of every run once the migrator is
+// deployed.
+func (m *Migrator) CheckReleased() error {
+	for srv, b := range m.inflight {
+		if b != 0 {
+			return fmt.Errorf("restripe: server %d holds %d in-flight migration bytes at quiescence", srv, b)
+		}
+	}
+	return nil
+}
+
 // InvalidateStrip receives every strip mutation from the pfs write path.
 // The migrator consumes the notifications its own target copies fire
 // (expect tokens) and treats any excess as a foreign write racing the

@@ -304,6 +304,42 @@ func TestThrottleBoundsInFlightBytes(t *testing.T) {
 	checkGrid(t, s, "in", g)
 }
 
+// TestEveryMoveReturnsItsReservation: moves that commit, moves a tight
+// budget stalls and moves a crash fails all give their in-flight bytes
+// back, so at every quiescence — each run and the drain, which check it
+// (core.System.run) — no server is still charged.
+func TestEveryMoveReturnsItsReservation(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	s := rig(t, g)
+	defer s.Close()
+	if err := s.EnableRestripe(restripe.Config{MovesPerTick: 4, MaxInFlightBytes: 2 * testStrip, RetryDelay: 5 * sim.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Execute(core.Request{Op: "flow-routing", Input: "in", Output: "o1", Scheme: core.NAS}); err != nil {
+		t.Fatal(err)
+	}
+	plan := fault.Plan{Events: []fault.Event{
+		{At: 200 * sim.Microsecond, Kind: fault.Crash, Server: 2},
+		{At: 40 * sim.Millisecond, Kind: fault.Restart, Server: 2},
+	}}
+	if err := s.Clu.InstallFaultPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Execute(core.Request{Op: "flow-routing", Input: "in", Output: "o2", Scheme: core.NAS}); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s)
+	if err := s.Restripe.CheckReleased(); err != nil {
+		t.Error(err)
+	}
+	rs := s.Clu.Counters
+	if rs.Get("restripe.bytes_copied") == 0 || rs.Get("restripe.throttle_stalls") == 0 || rs.Get("restripe.resumes") == 0 {
+		t.Errorf("copied %d bytes with %d stalls and %d resumed moves: the run never held a reservation against a tight budget, or never failed a move",
+			rs.Get("restripe.bytes_copied"), rs.Get("restripe.throttle_stalls"), rs.Get("restripe.resumes"))
+	}
+	checkGrid(t, s, "in", g)
+}
+
 // TestInvalidationsChainToCache: with both subsystems enabled the migrator
 // owns the pfs invalidation hook and forwards to the halo-strip cache, so
 // strips moved (and retired) under a warm cache never serve stale bytes.

@@ -20,6 +20,7 @@
 package tenants
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -358,7 +359,8 @@ func (e *Engine) Setup(p *sim.Proc) error {
 
 // Run replays every tenant stream to completion. Queue-depth sampling is
 // active only while the streams run, so ingest traffic never pollutes the
-// saturation measurement.
+// saturation measurement. Once every stream is done, every admission
+// ticket must have come back (checkTickets).
 func (e *Engine) Run(p *sim.Proc) error {
 	if !e.setupRan {
 		return fmt.Errorf("tenants: Run before Setup")
@@ -389,7 +391,20 @@ func (e *Engine) Run(p *sim.Proc) error {
 		}
 	}
 	e.fs.SetQueueObserver(nil)
-	return first
+	return errors.Join(first, e.checkTickets())
+}
+
+// checkTickets reports the first server, in index order, that still holds
+// admission tickets with no stream running: an admitted operation that
+// never released its reservation, which would hold the server's gate
+// shut for every later operation.
+func (e *Engine) checkTickets() error {
+	for s, n := range e.tickets {
+		if n != 0 {
+			return fmt.Errorf("tenants: server %d holds %d admission tickets after the streams ended", s, n)
+		}
+	}
+	return nil
 }
 
 // newTenant builds one stream's state: its own RNG (derived from the run

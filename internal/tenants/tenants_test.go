@@ -3,6 +3,7 @@ package tenants
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"github.com/hpcio/das/internal/active"
@@ -131,6 +132,24 @@ func TestStreamsComplete(t *testing.T) {
 	fair := e.Fairness()
 	if fair.Tenants == 0 || fair.MaxP99Nanos < fair.MinP99Nanos {
 		t.Fatalf("degenerate fairness %+v", fair)
+	}
+}
+
+// TestEveryAdmissionTicketReturns runs the bounded mix — reads, writes
+// and offloads, each holding tickets from admission to completion — and
+// requires Run to end with no ticket held on any server; a held one is
+// reported naming its server and count.
+func TestEveryAdmissionTicketReturns(t *testing.T) {
+	_, e := runOnce(t, testConfig()) // fails if Run reports a held ticket
+	for s, n := range e.tickets {
+		if n != 0 {
+			t.Errorf("server %d holds %d tickets after Run", s, n)
+		}
+	}
+	e.tickets[2] = 3
+	err := e.checkTickets()
+	if err == nil || !strings.Contains(err.Error(), "server 2 holds 3 admission tickets") {
+		t.Errorf("checkTickets with 3 tickets left on server 2: %v", err)
 	}
 }
 
