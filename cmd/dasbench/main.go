@@ -10,7 +10,6 @@
 //	dasbench -exp fig12             # one experiment
 //	dasbench -exp fig10,fig11       # several
 //	dasbench -exp ablations         # the nine ablations
-//	dasbench -csv                   # machine-readable output
 //	dasbench -quick                 # reduced sizes, nodes, rounds and streams
 //	dasbench -json BENCH_sim.json   # also write the records of what -exp ran
 package main
@@ -34,8 +33,6 @@ func dasbench(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("dasbench", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	exp := flags.String("exp", "all", "experiments to run, comma-separated: all, ablations, tableI, or any of "+strings.Join(experimentIDs(), ", "))
-	csv := flags.Bool("csv", false, "emit CSV instead of text tables")
-	chart := flags.Bool("chart", false, "append an ASCII bar chart to each table")
 	quick := flags.Bool("quick", false, "reduced configuration (2-4 GB, 8-16 nodes, fewer rounds and tenant streams) for smoke testing")
 	nodes := flags.Int("nodes", 0, "override the default node count")
 	jsonPath := flags.String("json", "", "write the records of the experiments that ran — simulated clock and counts only — to this file (e.g. BENCH_sim.json)")
@@ -50,7 +47,7 @@ func dasbench(args []string, stdout, stderr io.Writer) int {
 	if *nodes != 0 {
 		cfg.Nodes = *nodes
 	}
-	if err := run(stdout, cfg, *exp, *csv, *chart, *jsonPath); err != nil {
+	if err := run(stdout, cfg, *exp, *jsonPath); err != nil {
 		fmt.Fprintln(stderr, "dasbench:", err)
 		return 1
 	}
@@ -67,7 +64,7 @@ func experimentIDs() []string {
 
 // run executes the named experiments in order, prints each result, and
 // writes the distinct records behind them to jsonPath when it is set.
-func run(w io.Writer, cfg experiments.Config, names string, csv, chart bool, jsonPath string) error {
+func run(w io.Writer, cfg experiments.Config, names string, jsonPath string) error {
 	// Every name resolves before anything runs; nil stands for Table I,
 	// which measures nothing.
 	var todo []*experiments.Experiment
@@ -104,14 +101,7 @@ func run(w io.Writer, cfg experiments.Config, names string, csv, chart bool, jso
 				records = append(records, rec)
 			}
 		}
-		if csv {
-			fmt.Fprintf(w, "# %s\n%s\n", r.ID, r.CSV())
-			continue
-		}
 		fmt.Fprintln(w, r.Table())
-		if chart {
-			fmt.Fprintln(w, r.Chart(48))
-		}
 	}
 	if jsonPath == "" {
 		return nil

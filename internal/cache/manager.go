@@ -168,11 +168,6 @@ func (m *Manager) HitRateEstimate(file string) float64 {
 	return float64(h) / float64(h+ms)
 }
 
-// FileMissBytes returns the dependent bytes a file's halo fetches moved
-// over the interconnect (cache misses) so far — the observed-traffic
-// signal the online restriper watches to decide a file is worth migrating.
-func (m *Manager) FileMissBytes(file string) int64 { return m.fileMiss[file] }
-
 // FileHeat is one file's aggregate halo-fetch traffic through the cache,
 // the per-file view multi-tenant reports rank files by.
 type FileHeat struct {

@@ -265,16 +265,6 @@ func (c *Controller) ObserveFileOp(file string, lat sim.Time) {
 	st.ops++
 }
 
-// FileP99 returns a file's operation-latency tail and its sample count;
-// (0, 0) for a file never observed.
-func (c *Controller) FileP99(file string) (sim.Time, int64) {
-	st, ok := c.files[file]
-	if !ok {
-		return 0, 0
-	}
-	return st.sketch.Quantile(Percentile), st.sketch.Count()
-}
-
 // FileStat is one file's heat snapshot for reports.
 type FileStat struct {
 	File  string   `json:"file"`

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/hpcio/das/internal/cache"
@@ -82,51 +81,5 @@ func TestControlIgnoresMigrationTraffic(t *testing.T) {
 	}
 	if acts := s.Cache.Actions(); len(acts) != 0 {
 		t.Errorf("cache manager acted on migration traffic: %v", acts)
-	}
-}
-
-// TestControlTailTiersTheDecision: with the controller attached, a
-// congested observed tail must be able to veto an offload the byte model
-// alone would accept — exercised end-to-end through Execute.
-func TestControlTailTiersTheDecision(t *testing.T) {
-	g := workload.Terrain(testW, testH, 7)
-	s, err := NewSystem(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.IngestGrid("in", g, layout.NewRoundRobin(s.FS.Servers()), testStrip); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnableCache(cache.Config{BudgetBytes: 64 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnableControl(control.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	// Poison the observed tail directly: every server far past LatencyHigh.
-	for srv := 0; srv < s.FS.Servers(); srv++ {
-		for i := 0; i < 8; i++ {
-			s.Control.ObserveFetch(srv, 10*sim.Millisecond)
-		}
-	}
-	rep, err := s.Execute(Request{Op: "flow-routing", Input: "in", Output: "out", Scheme: DAS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Decision == nil {
-		t.Fatal("no decision recorded")
-	}
-	// Flow-routing on round-robin pays dependent fetches, so the 20x tail
-	// overshoot must reach the estimate and show up in the decision's
-	// reasoning (and in the inflated offload byte count).
-	if rep.Decision.Analysis.LocalByLayout {
-		t.Fatal("fixture resolved locally; the tail path was never exercised")
-	}
-	if !strings.Contains(rep.Decision.Reason, "p99") {
-		t.Errorf("decision ignored the observed tail: %q", rep.Decision.Reason)
-	}
-	if s.Control.ClusterP99() < 10*sim.Millisecond {
-		t.Errorf("cluster p99 = %v, want >= 10ms", s.Control.ClusterP99())
 	}
 }

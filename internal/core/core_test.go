@@ -9,6 +9,7 @@ import (
 
 	"github.com/hpcio/das/internal/active"
 	"github.com/hpcio/das/internal/cluster"
+	"github.com/hpcio/das/internal/fault"
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/grid"
 	"github.com/hpcio/das/internal/kernels"
@@ -16,6 +17,7 @@ import (
 	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
+	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/workload"
 )
 
@@ -205,32 +207,62 @@ func TestNASMovesDependentStripsBetweenServers(t *testing.T) {
 }
 
 // TestPredictedTrafficMatchesMeasured ties the prediction core to the
-// implementation: the strip-level fetch bytes Analyze computes for a
-// round-robin placement must equal, byte for byte, what the NAS servers
-// actually transfer for dependent data.
+// implementation: the dependent-strip fetches the kernel price walks must
+// equal, fetch for fetch and byte for byte, what the NAS servers actually
+// transfer — under every layout family, where a server's run of
+// consecutive strips fetches each dependent strip once, and with a server
+// down, where strips run on the holders layout.Placer gives them.
 func TestPredictedTrafficMatchesMeasured(t *testing.T) {
 	g := workload.Terrain(testW, testH, 5)
-	s := newSystem(t, NAS, g)
-	m, _ := s.FS.Meta("in")
-	pat, _ := s.Features.Lookup("flow-routing")
-	analysis, err := predict.Analyze(pat, predict.Params{
-		ElemSize: m.ElemSize, StripSize: m.StripSize, FileSize: m.Size,
-		Width: m.Width, OutputFactor: 1,
-	}, m.Layout)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		lay  layout.Layout
+		down int // the server crashed at t=0; -1: none
+	}{
+		{layout.NewRoundRobin(4), -1},
+		{layout.NewGrouped(4, 4), -1},
+		{layout.NewGrouped(4, 2), -1},
+		{layout.NewGroupedReplicated(4, 4, 1), -1},
+		{layout.NewGroupedReplicated(4, 2, 2), 1},
+		{layout.NewGroupedReplicated(4, 2, 2), 2},
+		{layout.NewGroupedReplicated(4, 4, 2), 1},
+		{layout.NewGroupedReplicated(4, 4, 2), 2},
 	}
-	rep, err := s.Execute(Request{Op: "flow-routing", Input: "in", Output: "out", Scheme: NAS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.RemoteBytes != analysis.StripFetchBytes {
-		t.Errorf("measured NAS fetch bytes %d != predicted %d",
-			rep.Stats.RemoteBytes, analysis.StripFetchBytes)
-	}
-	if rep.Stats.RemoteFetches != analysis.StripFetches {
-		t.Errorf("measured fetches %d != predicted %d",
-			rep.Stats.RemoteFetches, analysis.StripFetches)
+	for _, c := range cases {
+		name := c.lay.Name()
+		if c.down >= 0 {
+			name += fmt.Sprintf(" server %d down", c.down)
+		}
+		t.Run(name, func(t *testing.T) {
+			s := ingested(t, g, c.lay)
+			defer s.Close()
+			var obs predict.Observations
+			if c.down >= 0 {
+				if err := s.Clu.InstallFaultPlan(fault.Plan{Events: []fault.Event{{At: 0, Kind: fault.Crash, Server: c.down}}}); err != nil {
+					t.Fatal(err)
+				}
+				// Fire the crash by running an empty workload.
+				if _, err := s.run("tick", func(p *sim.Proc) error { p.Sleep(sim.Millisecond); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				obs.Down = s.Clu.ServerDown
+			}
+			m, _ := s.FS.Meta("in")
+			pat, _ := s.Features.Lookup("flow-routing")
+			d, err := predict.Estimate(predict.Kernel(pat), predictParams(m), m.Layout, obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Execute(Request{Op: "flow-routing", Input: "in", Output: "out", Scheme: NAS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Stats.RemoteFetches != d.Analysis.StripFetches {
+				t.Errorf("measured fetches %d != predicted %d", rep.Stats.RemoteFetches, d.Analysis.StripFetches)
+			}
+			if rep.Stats.RemoteBytes != d.Analysis.StripFetchBytes {
+				t.Errorf("measured NAS fetch bytes %d != predicted %d", rep.Stats.RemoteBytes, d.Analysis.StripFetchBytes)
+			}
+		})
 	}
 }
 

@@ -244,8 +244,8 @@ func TestDegradedDecisionVetoesOffload(t *testing.T) {
 	if d.Analysis.UnservableStrips == 0 {
 		t.Error("no unservable strips counted with a dead round-robin server")
 	}
-	if !d.Analysis.Approximated {
-		t.Error("degraded analysis not marked approximated")
+	if !d.Degraded || d.Analysis.BWCostBytes != 0 {
+		t.Errorf("degraded decision took the healthy element-level sum: degraded=%v bwcost=%d", d.Degraded, d.Analysis.BWCostBytes)
 	}
 }
 

@@ -144,10 +144,9 @@ func TestGatesShareOneDecision(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dag.CacheHitFrac != kernel.CacheHitFrac || dag.TailNum != kernel.TailNum || dag.TailDen != kernel.TailDen || dag.Degraded != kernel.Degraded {
-				t.Errorf("DAG gate observed hit %v, tail %d/%d, degraded %v; kernel gate %v, %d/%d, %v",
-					dag.CacheHitFrac, dag.TailNum, dag.TailDen, dag.Degraded,
-					kernel.CacheHitFrac, kernel.TailNum, kernel.TailDen, kernel.Degraded)
+			if dag.CacheHitFrac != kernel.CacheHitFrac || dag.Degraded != kernel.Degraded {
+				t.Errorf("DAG gate observed hit %v, degraded %v; kernel gate %v, %v",
+					dag.CacheHitFrac, dag.Degraded, kernel.CacheHitFrac, kernel.Degraded)
 			}
 			if s.Clu.AnyStorageDown() {
 				return

@@ -292,21 +292,16 @@ func predictParams(m *pfs.FileMeta) predict.Params {
 
 // observations gathers what the platform has measured for a decision about
 // the named input file. With servers down the down-set is all that counts:
-// hit rates and tails describe the healthy placement. Otherwise the cache,
-// when deployed, reports its hit rate, and the controller, when it tunes
-// that cache, the fetch tail it observed.
+// hit rates describe the healthy placement. Otherwise the cache, when
+// deployed, reports its hit rate.
 func (s *System) observations(input string) predict.Observations {
-	if s.Clu.AnyStorageDown() {
+	switch {
+	case s.Clu.AnyStorageDown():
 		return predict.Observations{Down: s.Clu.ServerDown}
+	case s.Cache != nil:
+		return predict.Observations{HitFrac: s.Cache.HitRateEstimate(input)}
 	}
-	var obs predict.Observations
-	if s.Cache != nil {
-		obs.HitFrac = s.Cache.HitRateEstimate(input)
-		if s.Control != nil {
-			obs.FetchP99, obs.LatencyHigh = s.Control.ClusterP99(), s.Control.Config().LatencyHigh
-		}
-	}
-	return obs
+	return predict.Observations{}
 }
 
 // decide is the one accept/reject gate: every DAS path — a kernel, a batch

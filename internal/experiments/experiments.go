@@ -322,70 +322,8 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-// Chart renders an ASCII horizontal bar chart: one group per x value, one
-// bar per series, scaled to the result's maximum value. It gives dasbench
-// output the at-a-glance shape of the paper's figures.
-func (r *Result) Chart(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	var maxV float64
-	for _, row := range r.Rows {
-		if row.Value > maxV {
-			maxV = row.Value
-		}
-	}
-	if maxV <= 0 {
-		return ""
-	}
-	series := r.Series()
-	labelW := len(r.XLabel)
-	for _, s := range series {
-		if len(s) > labelW {
-			labelW = len(s)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s (bar = %s)\n", strings.ToUpper(r.ID), r.Title, r.YLabel)
-	for _, x := range r.Xs() {
-		fmt.Fprintf(&b, "%s = %s\n", r.XLabel, trimFloat(x))
-		for _, s := range series {
-			v, ok := r.Value(s, x)
-			if !ok {
-				continue
-			}
-			n := int(v / maxV * float64(width))
-			if n < 1 && v > 0 {
-				n = 1
-			}
-			fmt.Fprintf(&b, "  %-*s |%s %s\n", labelW, s, strings.Repeat("█", n), trimValue(v))
-		}
-	}
-	return b.String()
-}
-
-func trimValue(v float64) string {
-	s := fmt.Sprintf("%.4f", v)
-	s = strings.TrimRight(s, "0")
-	return strings.TrimRight(s, ".")
-}
-
-// CSV renders the raw rows for plotting.
-func (r *Result) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "series,%s,%s\n", safeCSV(r.XLabel), safeCSV(r.YLabel))
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%s,%g\n", safeCSV(row.Series), trimFloat(row.X), row.Value)
-	}
-	return b.String()
-}
-
 func trimFloat(x float64) string {
 	s := fmt.Sprintf("%.2f", x)
 	s = strings.TrimRight(s, "0")
 	return strings.TrimRight(s, ".")
-}
-
-func safeCSV(s string) string {
-	return strings.NewReplacer(",", ";", "\n", " ").Replace(s)
 }

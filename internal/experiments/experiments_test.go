@@ -364,46 +364,10 @@ func TestResultTableAndCSV(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, tbl)
 		}
 	}
-	csv := r.CSV()
-	if !strings.Contains(csv, "a,1,0.5") || !strings.Contains(csv, "series,x,y") {
-		t.Errorf("csv wrong:\n%s", csv)
-	}
 	// Missing cell renders as "-".
 	if !strings.Contains(tbl, "-") {
 		t.Errorf("missing cell not rendered:\n%s", tbl)
 	}
-}
-
-func TestChartRendersBars(t *testing.T) {
-	r := &Result{ID: "figX", Title: "demo", XLabel: "size", YLabel: "seconds"}
-	r.Add("NAS", 24, 0.4)
-	r.Add("DAS", 24, 0.1)
-	r.Add("TS", 24, 0.2)
-	chart := r.Chart(40)
-	for _, want := range []string{"FIGX", "size = 24", "NAS", "DAS", "TS", "█"} {
-		if !strings.Contains(chart, want) {
-			t.Errorf("chart missing %q:\n%s", want, chart)
-		}
-	}
-	// The largest value gets the longest bar.
-	nasBars := strings.Count(lineOf(chart, "NAS"), "█")
-	dasBars := strings.Count(lineOf(chart, "DAS"), "█")
-	if nasBars != 40 || dasBars >= nasBars || dasBars < 1 {
-		t.Errorf("bar lengths NAS=%d DAS=%d", nasBars, dasBars)
-	}
-	// Degenerate cases.
-	if (&Result{ID: "e", Title: "t"}).Chart(40) != "" {
-		t.Error("empty result should render no chart")
-	}
-}
-
-func lineOf(s, substr string) string {
-	for _, line := range strings.Split(s, "\n") {
-		if strings.Contains(line, substr) {
-			return line
-		}
-	}
-	return ""
 }
 
 func TestRunOneRejectsOddNodes(t *testing.T) {

@@ -81,9 +81,6 @@ type Plan struct {
 	Events []Event
 }
 
-// Empty reports whether the plan schedules nothing.
-func (p Plan) Empty() bool { return len(p.Events) == 0 }
-
 // String renders the plan in the syntax ParsePlan accepts.
 func (p Plan) String() string {
 	parts := make([]string, 0, len(p.Events)+1)

@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// primaryOn and replicaOn list, ascending, the strips of an n-strip file
+// whose primary is srv and that srv holds a replica of.
+func primaryOn(l Layout, srv int, n int64) []int64 {
+	return stripsWhere(n, func(s int64) bool { return l.Primary(s) == srv })
+}
+
+func replicaOn(l Layout, srv int, n int64) []int64 {
+	return stripsWhere(n, func(s int64) bool { return slices.Contains(l.Replicas(s), srv) })
+}
+
+func stripsWhere(n int64, keep func(s int64) bool) []int64 {
+	var out []int64
+	for s := int64(0); s < n; s++ {
+		if keep(s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestReplicaStripsOfTruncatedLastGroup: a file whose strip count is not a
 // multiple of the group size ends mid-group. The halo replicates group
 // edges, not file edges, so the truncated group's existing edge strips
@@ -15,20 +35,20 @@ func TestReplicaStripsOfTruncatedLastGroup(t *testing.T) {
 	l := NewGroupedReplicated(2, 3, 1)
 	const strips = 8 // groups: {0,1,2}→s0, {3,4,5}→s1, {6,7}→s0 (short)
 
-	if got, want := PrimaryStripsOf(l, 0, strips), []int64{0, 1, 2, 6, 7}; !reflect.DeepEqual(got, want) {
-		t.Errorf("PrimaryStripsOf(0) = %v, want %v", got, want)
+	if got, want := primaryOn(l, 0, strips), []int64{0, 1, 2, 6, 7}; !reflect.DeepEqual(got, want) {
+		t.Errorf("primaries on server 0 = %v, want %v", got, want)
 	}
-	if got, want := PrimaryStripsOf(l, 1, strips), []int64{3, 4, 5}; !reflect.DeepEqual(got, want) {
-		t.Errorf("PrimaryStripsOf(1) = %v, want %v", got, want)
+	if got, want := primaryOn(l, 1, strips), []int64{3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("primaries on server 1 = %v, want %v", got, want)
 	}
-	if got, want := ReplicaStripsOf(l, 0, strips), []int64{3, 5}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ReplicaStripsOf(0) = %v, want %v", got, want)
+	if got, want := replicaOn(l, 0, strips), []int64{3, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replicas on server 0 = %v, want %v", got, want)
 	}
 	// Strip 6 is the short group's leading edge and still replicates back;
 	// strip 7 sits mid-group (its trailing edge, strip 8, does not exist)
 	// and has no copy anywhere else.
-	if got, want := ReplicaStripsOf(l, 1, strips), []int64{0, 2, 6}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ReplicaStripsOf(1) = %v, want %v", got, want)
+	if got, want := replicaOn(l, 1, strips), []int64{0, 2, 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replicas on server 1 = %v, want %v", got, want)
 	}
 	if reps := l.Replicas(7); len(reps) != 0 {
 		t.Errorf("Replicas(7) = %v, want none: the halo guards group edges, not file edges", reps)
@@ -82,20 +102,20 @@ func TestSingleGroupFile(t *testing.T) {
 	l := NewGroupedReplicated(4, 8, 2)
 	const strips = 5 // group 0 only, and even that is short
 
-	if got, want := PrimaryStripsOf(l, 0, strips), []int64{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
-		t.Errorf("PrimaryStripsOf(0) = %v, want %v", got, want)
+	if got, want := primaryOn(l, 0, strips), []int64{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("primaries on server 0 = %v, want %v", got, want)
 	}
 	for srv := 1; srv <= 2; srv++ {
-		if got := PrimaryStripsOf(l, srv, strips); len(got) != 0 {
-			t.Errorf("PrimaryStripsOf(%d) = %v, want none", srv, got)
+		if got := primaryOn(l, srv, strips); len(got) != 0 {
+			t.Errorf("primaries on server %d = %v, want none", srv, got)
 		}
-		if got := ReplicaStripsOf(l, srv, strips); len(got) != 0 {
-			t.Errorf("ReplicaStripsOf(%d) = %v, want none", srv, got)
+		if got := replicaOn(l, srv, strips); len(got) != 0 {
+			t.Errorf("replicas on server %d = %v, want none", srv, got)
 		}
 	}
 	// The leading halo (strips 0,1) wraps to the predecessor server 3.
-	if got, want := ReplicaStripsOf(l, 3, strips), []int64{0, 1}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ReplicaStripsOf(3) = %v, want %v", got, want)
+	if got, want := replicaOn(l, 3, strips), []int64{0, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replicas on server 3 = %v, want %v", got, want)
 	}
 	// Interior strip 4 has no second copy: with server 0 down it is gone.
 	if slices.ContainsFunc(Holders(l, 4), func(srv int) bool { return srv != 0 }) {

@@ -100,30 +100,3 @@ func (lc Locator) RequiredHalo(maxAbsOffset int64) int {
 	bytes := maxAbsOffset * lc.ElemSize
 	return int((bytes + lc.StripSize - 1) / lc.StripSize)
 }
-
-// PrimaryStripsOf enumerates the strips whose primary is server srv for a
-// file with the given number of strips, in ascending order. This is the
-// work list of one active storage server.
-func PrimaryStripsOf(l Layout, srv int, strips int64) []int64 {
-	var out []int64
-	for s := int64(0); s < strips; s++ {
-		if l.Primary(s) == srv {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// ReplicaStripsOf enumerates the strips replicated onto server srv.
-func ReplicaStripsOf(l Layout, srv int, strips int64) []int64 {
-	var out []int64
-	for s := int64(0); s < strips; s++ {
-		for _, r := range l.Replicas(s) {
-			if r == srv {
-				out = append(out, s)
-				break
-			}
-		}
-	}
-	return out
-}

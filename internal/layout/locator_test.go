@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,20 +121,12 @@ func TestRequiredHalo(t *testing.T) {
 func TestPrimaryAndReplicaStripEnumeration(t *testing.T) {
 	l := NewGroupedReplicated(2, 2, 1)
 	// strips: 0,1 → server 0; 2,3 → server 1; 4,5 → server 0; ...
-	prim := PrimaryStripsOf(l, 0, 6)
-	want := []int64{0, 1, 4, 5}
-	if len(prim) != len(want) {
-		t.Fatalf("PrimaryStripsOf = %v, want %v", prim, want)
+	if prim, want := primaryOn(l, 0, 6), []int64{0, 1, 4, 5}; !slices.Equal(prim, want) {
+		t.Fatalf("primaries on server 0 = %v, want %v", prim, want)
 	}
-	for i := range want {
-		if prim[i] != want[i] {
-			t.Fatalf("PrimaryStripsOf = %v, want %v", prim, want)
-		}
-	}
-	reps := ReplicaStripsOf(l, 0, 6)
 	// Server 1's group edges (strips 2 and 3) replicate to server 0.
-	if len(reps) != 2 || reps[0] != 2 || reps[1] != 3 {
-		t.Fatalf("ReplicaStripsOf = %v, want [2 3]", reps)
+	if reps, want := replicaOn(l, 0, 6), []int64{2, 3}; !slices.Equal(reps, want) {
+		t.Fatalf("replicas on server 0 = %v, want %v", reps, want)
 	}
 }
 

@@ -110,14 +110,8 @@ func (m *Migrating) Replicas(s int64) []int {
 	return m.old.Replicas(s)
 }
 
-// Old returns the layout un-migrated strips still resolve under.
-func (m *Migrating) Old() Layout { return m.old }
-
 // Target returns the layout the migration is converging to.
 func (m *Migrating) Target() Layout { return m.target }
-
-// Moves returns the shared move set.
-func (m *Migrating) Moves() *MoveSet { return m.moves }
 
 // Progress returns how many of the file's strips have migrated.
 func (m *Migrating) Progress() (moved, total int64) {

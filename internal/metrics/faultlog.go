@@ -28,15 +28,6 @@ func (l *FaultLog) Record(rec FaultRecord) {
 	l.mu.Unlock()
 }
 
-// Records returns a copy of the applied faults in application order.
-func (l *FaultLog) Records() []FaultRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]FaultRecord, len(l.recs))
-	copy(out, l.recs)
-	return out
-}
-
 // Len returns the number of applied faults.
 func (l *FaultLog) Len() int {
 	l.mu.Lock()

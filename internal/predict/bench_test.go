@@ -43,15 +43,3 @@ func BenchmarkDecideImprovedLayout(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkFetchPlanFullFile(b *testing.B) {
-	lc := layout.NewLocator(8, 64*1024, layout.NewRoundRobin(12))
-	pat := features.Pattern{Name: "flow-routing", Offsets: features.EightNeighbor()}
-	offs := pat.Resolve(8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if plan := FetchPlan(lc, offs, 24<<20); len(plan) == 0 {
-			b.Fatal("empty plan")
-		}
-	}
-}

@@ -1,38 +1,12 @@
 package predict
 
 import (
-	"cmp"
 	"fmt"
-	"math"
-	"math/bits"
 	"strings"
 
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/layout"
-	"github.com/hpcio/das/internal/sim"
 )
-
-// mulAdd128 returns a·b + c·d as a 128-bit value.
-func mulAdd128(a, b, c, d uint64) (hi, lo uint64) {
-	h1, l1 := bits.Mul64(a, b)
-	h2, l2 := bits.Mul64(c, d)
-	var carry uint64
-	lo, carry = bits.Add64(l1, l2, 0)
-	hi = h1 + h2 + carry
-	return hi, lo
-}
-
-// div128 returns (hi·2^64 + lo)/den truncated, saturating at MaxInt64.
-func div128(hi, lo, den uint64) int64 {
-	if den == 0 || hi >= den {
-		return math.MaxInt64
-	}
-	quo, _ := bits.Div64(hi, lo, den)
-	if quo > math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(quo)
-}
 
 // Spec is what an estimate prices: one kernel's dependence pattern (Kernel)
 // or a compiled operator DAG (PipelineSpec). The two differ in how
@@ -44,22 +18,16 @@ type Spec interface {
 	// charged; a spec that does not pay one clears it.
 	price(d *Decision, p Params, lc layout.Locator, down func(srv int) bool) error
 	// reason summarizes the finished decision in one sentence.
-	reason(d *Decision, obs Observations) string
+	reason(d *Decision) string
 }
 
 // Observations is what the platform has measured when a decision is
-// taken. The zero value is a cold, healthy, uncongested cluster.
+// taken. The zero value is a cold, healthy cluster.
 type Observations struct {
 	// HitFrac is the byte hit fraction the halo-strip cache observed for
 	// the file, clamped to [0,1]: dependent bytes expected to be served
 	// from cache never cross the interconnect.
 	HitFrac float64
-	// FetchP99 is the observed cluster fetch-latency tail and LatencyHigh
-	// the scale-up threshold it is held against: above it fetches are
-	// congested and moving bytes are priced FetchP99/LatencyHigh times
-	// dearer, capped at 4× so one pathological window cannot veto offload
-	// forever. LatencyHigh 0 switches the term off.
-	FetchP99, LatencyHigh sim.Time
 	// Down reports the storage servers that are down (nil: none). Strips
 	// are then costed where layout.Placer places them fresh, the schedule
 	// Exec's first dispatch round runs, and a strip with no live copy
@@ -75,7 +43,7 @@ type Observations struct {
 // with the itemised terms of Eqs. (11)–(13) the verdict was reached from
 // (DESIGN.md "Cost model" has the term table).
 type Decision struct {
-	// Analysis is the kernel's strip walk and Eq. (5) sum; under pipeline
+	// Analysis is the kernel's run walk and Eq. (5) sum; under pipeline
 	// pricing only Layout is set.
 	Analysis Analysis
 
@@ -90,14 +58,11 @@ type Decision struct {
 	// kernel pricing charges and pipeline pricing does not;
 	// OutputReplicaBytes the replica maintenance of the written output.
 	InputReplicaBytes, OutputReplicaBytes int64
-	// TailNum/TailDen is the (capped) inflation applied to the moving bytes
-	// — fetch and exchange — 1/1 when the tail is healthy.
-	TailNum, TailDen uint64
 	// CacheHitFrac is the clamped hit fraction the fetch was discounted by.
 	CacheHitFrac float64
 
 	// OffloadNetBytes is the predicted server↔server traffic of the
-	// offloaded run: the inflated moving bytes (rounded down) plus both
+	// offloaded run: the moving bytes — fetch and exchange — plus both
 	// replica terms.
 	OffloadNetBytes int64
 	// NormalNetBytes is the client↔server traffic of serving the request
@@ -135,7 +100,7 @@ type Decision struct {
 }
 
 // Decide is Estimate for one kernel with nothing observed: the paper's
-// acceptance criterion on a cold, healthy, uncongested cluster.
+// acceptance criterion on a cold, healthy cluster.
 func Decide(pat features.Pattern, p Params, lay layout.Layout) (Decision, error) {
 	return Estimate(Kernel(pat), p, lay, Observations{})
 }
@@ -144,7 +109,7 @@ func Decide(pat features.Pattern, p Params, lay layout.Layout) (Decision, error)
 // has observed and applies the paper's acceptance criterion: offload if
 // and only if it is predicted to consume less bandwidth than normal
 // processing. The spec supplies the terms; the hit-fraction clamp and
-// discount, the tail inflation and the comparison happen here, once.
+// discount and the comparison happen here, once.
 func Estimate(spec Spec, p Params, lay layout.Layout, obs Observations) (Decision, error) {
 	if err := p.validate(); err != nil {
 		return Decision{}, err
@@ -155,8 +120,6 @@ func Estimate(spec Spec, p Params, lay layout.Layout, obs Observations) (Decisio
 		InputReplicaBytes:  replica,
 		OutputReplicaBytes: int64(float64(replica) * p.OutputFactor),
 		CacheHitFrac:       min(max(obs.HitFrac, 0), 1),
-		TailNum:            1,
-		TailDen:            1,
 		Degraded:           obs.Down != nil,
 	}
 	if err := spec.price(&d, p, lc, obs.Down); err != nil {
@@ -165,42 +128,17 @@ func Estimate(spec Spec, p Params, lay layout.Layout, obs Observations) (Decisio
 	undiscounted := d.FetchBytes
 	d.FetchBytes = int64(float64(undiscounted) * (1 - d.CacheHitFrac))
 	d.HitDiscountBytes = undiscounted - d.FetchBytes
-	if obs.LatencyHigh > 0 && obs.FetchP99 > obs.LatencyHigh {
-		d.TailNum, d.TailDen = uint64(obs.FetchP99), uint64(obs.LatencyHigh)
-		if d.TailNum > 4*d.TailDen {
-			d.TailNum = 4 * d.TailDen
-		}
-	}
-
-	// The verdict compares fixed + moving·num/den against the alternatives.
-	// Dividing first truncates up to den-1 bytes off the inflated term —
-	// exactly at the cap boundary that can flip accept/reject — so both
-	// sides are multiplied by den instead and compared in 128 bits, which
-	// also keeps moving·num from overflowing int64 for large files with a
-	// coarse latency threshold. Floats appear only in Reason; the reported
-	// byte total keeps the rounded-down form.
-	moving := uint64(d.FetchBytes + d.ExchangeBytes)
-	fixed := uint64(d.InputReplicaBytes + d.OutputReplicaBytes)
-	infHi, infLo := bits.Mul64(moving, d.TailNum)
-	d.OffloadNetBytes = int64(fixed) + div128(infHi, infLo, d.TailDen)
-	lhsHi, lhsLo := mulAdd128(moving, d.TailNum, fixed, d.TailDen)
-	against := func(alternative int64) int { // sign of offload − alternative
-		hi, lo := bits.Mul64(uint64(alternative), d.TailDen)
-		if lhsHi != hi {
-			return cmp.Compare(lhsHi, hi)
-		}
-		return cmp.Compare(lhsLo, lo)
-	}
-	d.Offload = d.Analysis.UnservableStrips == 0 && against(d.NormalNetBytes) < 0
-	d.BeatsPerPass = d.Stages > 0 && against(d.PerPassNetBytes) <= 0
-	d.Reason = spec.reason(&d, obs)
+	d.OffloadNetBytes = d.FetchBytes + d.ExchangeBytes + d.InputReplicaBytes + d.OutputReplicaBytes
+	d.Offload = d.Analysis.UnservableStrips == 0 && d.OffloadNetBytes < d.NormalNetBytes
+	d.BeatsPerPass = d.Stages > 0 && d.OffloadNetBytes <= d.PerPassNetBytes
+	d.Reason = spec.reason(&d)
 	return d, nil
 }
 
 // Kernel prices a single offloaded kernel from its dependence pattern:
-// every server fetches, strip by strip, the dependent strips it does not
-// hold, and the layout's replicas are paid for twice — placing the input
-// and maintaining the output.
+// every server fetches, run by run, the dependent strips it does not hold,
+// and the layout's replicas are paid for twice — placing the input and
+// maintaining the output.
 type Kernel features.Pattern
 
 func (k Kernel) price(d *Decision, p Params, lc layout.Locator, down func(srv int) bool) error {
@@ -210,7 +148,7 @@ func (k Kernel) price(d *Decision, p Params, lc layout.Locator, down func(srv in
 	return nil
 }
 
-func (k Kernel) reason(d *Decision, obs Observations) string {
+func (k Kernel) reason(d *Decision) string {
 	a := d.Analysis
 	switch {
 	case a.UnservableStrips > 0:
@@ -221,13 +159,6 @@ func (k Kernel) reason(d *Decision, obs Observations) string {
 		return fmt.Sprintf("rejected: degraded offload would move %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
 	case a.LocalByLayout:
 		return "all dependencies resolve locally under " + a.Layout
-	case d.TailNum != d.TailDen:
-		verdict := "offload still wins"
-		if !d.Offload {
-			verdict = "rejected: tail congestion tips the balance to normal I/O"
-		}
-		return fmt.Sprintf("%s — observed fetch p99 %v vs threshold %v inflates the fetch term %.2f× (%d vs %d bytes)",
-			verdict, obs.FetchP99, obs.LatencyHigh, float64(d.TailNum)/float64(d.TailDen), d.OffloadNetBytes, d.NormalNetBytes)
 	case d.Offload && d.CacheHitFrac > 0:
 		return fmt.Sprintf("offload moves %d bytes vs %d for normal I/O (dependent fetches discounted by %.0f%% cache hits)",
 			d.OffloadNetBytes, d.NormalNetBytes, 100*d.CacheHitFrac)
@@ -240,8 +171,8 @@ func (k Kernel) reason(d *Decision, obs Observations) string {
 
 // Explain renders the decision's itemised terms, one per line, ending in
 // the verdict — the one rendering dasctl, dasadvise and the advisor
-// example print. Terms that are neutral (no cache hits, a healthy tail,
-// nothing unservable) are left out.
+// example print. Terms that are neutral (no cache hits, nothing
+// unservable) are left out.
 func (d Decision) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "offload=%v under %s\n", d.Offload, d.Analysis.Layout)
@@ -262,9 +193,6 @@ func (d Decision) Explain() string {
 	term("output replicas", d.OutputReplicaBytes, "")
 	if d.CacheHitFrac > 0 {
 		term("cache discount", d.HitDiscountBytes, fmt.Sprintf("  (%.0f%% hits, already off the fetch)", 100*d.CacheHitFrac))
-	}
-	if d.TailNum != d.TailDen {
-		fmt.Fprintf(&b, "  %-18s %14.2f × on fetch and exchange\n", "tail inflation", float64(d.TailNum)/float64(d.TailDen))
 	}
 	if a.UnservableStrips > 0 {
 		fmt.Fprintf(&b, "  %-18s %14d with no live copy\n", "unservable strips", a.UnservableStrips)

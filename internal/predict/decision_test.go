@@ -6,7 +6,6 @@ import (
 
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/layout"
-	"github.com/hpcio/das/internal/sim"
 )
 
 func TestDecideAcceptsLocalLayout(t *testing.T) {
@@ -200,149 +199,5 @@ func TestDecideCachedClampsHitFraction(t *testing.T) {
 	}
 	if under.CacheHitFrac != 0 {
 		t.Errorf("hitFrac -0.5 not clamped: %+v", under)
-	}
-}
-
-func TestDecideTailInflatesFetchTerm(t *testing.T) {
-	// A marginal accept with the cache observed: warm hits flip the hostile
-	// stride to offload. A congested fetch tail must flip it back, a
-	// healthy tail must leave it untouched.
-	pat := features.Pattern{Name: "hostile", Offsets: []features.Offset{
-		{Const: -24}, {Const: -16}, {Const: -8}, {Const: 8}, {Const: 16}, {Const: 24},
-	}}
-	p := testParams(8, 1024)
-	lay := layout.NewRoundRobin(4)
-	const latHigh = 500 * sim.Microsecond
-
-	base, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9})
-	if err != nil || !base.Offload {
-		t.Fatalf("fixture no longer marginal-accepts: %+v err=%v", base, err)
-	}
-
-	healthy, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9, FetchP99: 200 * sim.Microsecond, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if healthy.OffloadNetBytes != base.OffloadNetBytes || !healthy.Offload {
-		t.Errorf("healthy tail changed the decision: %+v vs %+v", healthy, base)
-	}
-
-	congested, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9, FetchP99: 4 * sim.Millisecond, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if congested.OffloadNetBytes <= base.OffloadNetBytes {
-		t.Errorf("congested tail did not inflate fetch term: %d vs %d",
-			congested.OffloadNetBytes, base.OffloadNetBytes)
-	}
-	if congested.Offload {
-		t.Errorf("congested tail still offloads: %+v", congested)
-	}
-	if !strings.Contains(congested.Reason, "p99") {
-		t.Errorf("Reason = %q", congested.Reason)
-	}
-
-	// The inflation is capped at 4x: an absurd tail prices the same as 4x.
-	capped, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9, FetchP99: sim.Second, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	at4x, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0.9, FetchP99: 4 * latHigh, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.OffloadNetBytes != at4x.OffloadNetBytes {
-		t.Errorf("cap not applied: %d vs %d", capped.OffloadNetBytes, at4x.OffloadNetBytes)
-	}
-
-	// Locally-resolvable layouts never pay fetches, so the tail is moot.
-	local := features.Pattern{Name: "independent", Offsets: nil}
-	ld, err := Estimate(Kernel(local), p, lay, Observations{HitFrac: 0, FetchP99: sim.Second, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ld.Offload {
-		t.Errorf("tail rejected a fetch-free pattern: %+v", ld)
-	}
-}
-
-// Pin the ×4 inflation cap boundary exactly: at p99 == 4·LatencyHigh the
-// fetch term is inflated by exactly 4 (no truncation — the factor is an
-// integer), and one tick above the cap engages and must price and decide
-// identically.
-func TestDecideTailCapBoundaryExact(t *testing.T) {
-	pat := features.Pattern{Name: "hostile", Offsets: []features.Offset{
-		{Const: -24}, {Const: -16}, {Const: -8}, {Const: 8}, {Const: 16}, {Const: 24},
-	}}
-	p := testParams(8, 1024)
-	lay := layout.NewRoundRobin(4)
-	const latHigh = 500 * sim.Microsecond
-	const hitFrac = 0.9
-
-	base, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: hitFrac})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetch := base.FetchBytes
-	if fetch <= 0 {
-		t.Fatalf("fixture has no fetch bytes: %+v", base.Analysis)
-	}
-
-	at, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: hitFrac, FetchP99: 4 * latHigh, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := base.OffloadNetBytes + 3*fetch; at.OffloadNetBytes != want {
-		t.Errorf("at p99 == 4·latHigh: OffloadNetBytes = %d, want exactly base+3·fetch = %d",
-			at.OffloadNetBytes, want)
-	}
-	if wantOffload := at.OffloadNetBytes < at.NormalNetBytes; at.Offload != wantOffload {
-		t.Errorf("verdict %v inconsistent with exact 4× pricing (%d vs %d)",
-			at.Offload, at.OffloadNetBytes, at.NormalNetBytes)
-	}
-
-	just, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: hitFrac, FetchP99: 4*latHigh + 1, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if just.OffloadNetBytes != at.OffloadNetBytes || just.Offload != at.Offload {
-		t.Errorf("one tick above the cap diverges: %d/%v vs %d/%v at the boundary",
-			just.OffloadNetBytes, just.Offload, at.OffloadNetBytes, at.Offload)
-	}
-}
-
-// The inflated fetch term of a big file under a coarse (seconds-scale)
-// latency threshold overflows fetch·num in 64 bits; the cross-multiplied
-// compare must stay exact instead of wrapping negative and silently
-// re-accepting the offload.
-func TestDecideTailHugeFetchDoesNotOverflow(t *testing.T) {
-	// ±9 strips of reach: never server-aligned under D=8 round-robin.
-	pat := features.Pattern{Name: "hostile", Offsets: []features.Offset{
-		{Const: -9 * 131072}, {Const: 9 * 131072},
-	}}
-	p := Params{
-		ElemSize:     8,
-		StripSize:    1 << 20, // 1 MiB strips
-		FileSize:     1 << 40, // 1 TiB file
-		Width:        1 << 20,
-		OutputFactor: 1,
-	}
-	lay := layout.NewRoundRobin(8)
-	base, err := Estimate(Kernel(pat), p, lay, Observations{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !base.Offload {
-		t.Fatalf("fixture no longer marginal-accepts before inflation: %+v", base)
-	}
-	d, err := Estimate(Kernel(pat), p, lay, Observations{HitFrac: 0, FetchP99: 4 * sim.Second, LatencyHigh: sim.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Offload {
-		t.Errorf("4× inflation of a ~2 TiB fetch term must reject; a wrapped product keeps it accepted: %+v", d)
-	}
-	if d.OffloadNetBytes < base.OffloadNetBytes {
-		t.Errorf("inflated bytes went backwards (wrap): %d < %d", d.OffloadNetBytes, base.OffloadNetBytes)
 	}
 }

@@ -14,14 +14,10 @@ import (
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/pipeline"
 	"github.com/hpcio/das/internal/predict"
-	"github.com/hpcio/das/internal/sim"
 )
 
-const goldenLatHigh = 500 * sim.Microsecond
-
-// goldenSize is a file geometry of the matrix. The small one sums Eq. (5)
-// exactly and carries every observation; the large one takes the periodic
-// estimate and is priced with nothing observed.
+// goldenSize is a file geometry of the matrix. The small one carries every
+// observation; the large one is priced with nothing observed.
 type goldenSize struct {
 	name     string
 	observed bool
@@ -60,22 +56,7 @@ func goldenPatterns(p predict.Params) []features.Pattern {
 	}
 }
 
-type goldenTail struct {
-	name string
-	p99  sim.Time
-	high sim.Time
-}
-
-var (
-	goldenHits  = []float64{-1, 0, 0.5, 1, 2}
-	goldenTails = []goldenTail{
-		{"off", 0, 0},
-		{"below", 200 * sim.Microsecond, goldenLatHigh},
-		{"1.5x", 750 * sim.Microsecond, goldenLatHigh},
-		{"4x", 4 * goldenLatHigh, goldenLatHigh},
-		{"beyond", sim.Second, goldenLatHigh},
-	}
-)
+var goldenHits = []float64{-1, 0, 0.5, 1, 2}
 
 type goldenDown struct {
 	name string
@@ -100,10 +81,10 @@ func pipelineRow(d predict.Decision) string {
 }
 
 // goldenRows prices the matrix testdata/decisions.golden was recorded over,
-// in the file's order. The first word of a row names the entry point the
-// parent commit answered it with (Decide and the four it had beside it: a
-// hit fraction, a hit fraction and a tail, a down-set, a pipeline spec);
-// every one of them is Estimate with those observations now.
+// in the file's order. The first word of a row names the entry point that
+// first answered it (Decide and the three it had beside it: a hit
+// fraction, a down-set, a pipeline spec); every one of them is Estimate
+// with those observations now.
 func goldenRows(t *testing.T) []string {
 	t.Helper()
 	var rows []string
@@ -127,10 +108,6 @@ func goldenRows(t *testing.T) []string {
 				for _, hit := range goldenHits {
 					d, err := predict.Estimate(k, sz.p, lay, predict.Observations{HitFrac: hit})
 					add(d, err, kernelRow, "cached %s hit=%g", cell, hit)
-					for _, tl := range goldenTails {
-						d, err := predict.Estimate(k, sz.p, lay, predict.Observations{HitFrac: hit, FetchP99: tl.p99, LatencyHigh: tl.high})
-						add(d, err, kernelRow, "tail %s hit=%g tail=%s", cell, hit, tl.name)
-					}
 				}
 				for _, dn := range goldenDowns {
 					set := dn.set
@@ -151,10 +128,8 @@ func goldenRows(t *testing.T) []string {
 			t.Fatal(err)
 		}
 		for _, hit := range goldenHits {
-			for _, tl := range goldenTails {
-				d, err := predict.Estimate(pl.Spec(cluster.Default()), p, lay, predict.Observations{HitFrac: hit, FetchP99: tl.p99, LatencyHigh: tl.high})
-				add(d, err, pipelineRow, "pipeline lay=%s hit=%g tail=%s", lay.Name(), hit, tl.name)
-			}
+			d, err := predict.Estimate(pl.Spec(cluster.Default()), p, lay, predict.Observations{HitFrac: hit})
+			add(d, err, pipelineRow, "pipeline lay=%s hit=%g", lay.Name(), hit)
 		}
 	}
 	return rows
@@ -166,12 +141,13 @@ func goldenRows(t *testing.T) []string {
 var update = flag.Bool("update", false, "re-record testdata/decisions.golden from Estimate")
 
 // TestEstimateReproducesRecordedDecisions holds Estimate to its recorded
-// decisions over layouts × patterns × hit fractions × tails × down-sets.
-// The file was written by the five entry points Estimate replaced, and
-// re-recorded once when the strip walk alone came to decide locality: 97
-// rows where the element-level sum had claimed "all dependencies resolve
-// locally" while the same decision priced fetches (clamped edges, and the
-// wrong period of a migrating layout) now say local=false.
+// decisions over layouts × patterns × hit fractions × down-sets. The file
+// was written by the entry points Estimate replaced, and re-recorded when
+// the strip walk alone came to decide locality (97 rows where the
+// element-level sum had claimed "all dependencies resolve locally" while
+// the same decision priced fetches now say local=false) and when the
+// kernel price came to walk assignment runs, fetching a dependent strip
+// once per run as active.exec does, not once per strip.
 func TestEstimateReproducesRecordedDecisions(t *testing.T) {
 	rows := goldenRows(t)
 	if *update {
@@ -201,17 +177,16 @@ func TestEstimateReproducesRecordedDecisions(t *testing.T) {
 }
 
 // TestLocalityDefinitionsAgreeOffTheEdges is the property the switch of
-// LocalByLayout from the element-level sum to the strip walk rests on:
-// over the matrix's healthy, static cells the two agree, except where a
-// dependence leaves the file — there the sum says local and the walk finds
-// the clamped boundary strip, and only that.
+// LocalByLayout from the element-level sum to the run walk rests on: over
+// the matrix's healthy cells the two agree, except where a dependence
+// leaves the file — there the sum says local and the walk finds the
+// clamped boundary strip, and only that. A run fetches the strips its
+// strips do, so each strip's NeededStrips on its primary shows what is
+// fetched.
 func TestLocalityDefinitionsAgreeOffTheEdges(t *testing.T) {
 	for _, sz := range goldenSizes {
 		strips := sz.p.FileSize / sz.p.StripSize
 		for _, lay := range goldenLayouts(strips) {
-			if _, migrating := lay.(*layout.Migrating); migrating {
-				continue
-			}
 			for _, pat := range goldenPatterns(sz.p) {
 				a, err := predict.Analyze(pat, sz.p, lay)
 				if err != nil {
@@ -225,11 +200,14 @@ func TestLocalityDefinitionsAgreeOffTheEdges(t *testing.T) {
 					continue
 				}
 				lc := layout.NewLocator(sz.p.ElemSize, sz.p.StripSize, lay)
-				for _, f := range predict.FetchPlan(lc, pat.Resolve(sz.p.Width), sz.p.FileSize) {
-					for _, r := range f.Remote {
-						if r != 0 && r != strips-1 {
+				eps, total := lc.ElemsPerStrip(), sz.p.TotalElems()
+				var need []int64
+				for s := int64(0); s < strips; s++ {
+					need = predict.NeededStrips(need, lc, pat.Resolve(sz.p.Width), s*eps, min((s+1)*eps, total), total)
+					for _, r := range need {
+						if r != 0 && r != strips-1 && !layout.Holds(lay, r, lay.Primary(s)) {
 							t.Errorf("%s %s %s: strip %d fetches interior strip %d though no element dependence is remote",
-								sz.name, lay.Name(), pat.Name, f.Strip, r)
+								sz.name, lay.Name(), pat.Name, s, r)
 						}
 					}
 				}

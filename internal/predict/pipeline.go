@@ -87,32 +87,6 @@ func (spec PipelineSpec) FusedStages(depth int) int {
 	return fused
 }
 
-// stripRun is a maximal range of consecutive strips one server is the
-// primary of: the unit a storage server assembles, computes and stores.
-type stripRun struct {
-	first, last int64 // strips, inclusive
-	lo, hi      int64 // elements
-}
-
-// assignmentRuns returns each server's runs, ascending: the schedule a
-// healthy dispatch gives every server (a strip on its primary).
-func assignmentRuns(lc layout.Locator, fileSize int64) [][]stripRun {
-	runs := make([][]stripRun, lc.Layout.Servers())
-	prev := -1
-	for s := int64(0); s < lc.Strips(fileSize); s++ {
-		lo, hi := lc.StripBounds(s, fileSize)
-		srv := lc.Layout.Primary(s)
-		if srv == prev {
-			r := &runs[srv][len(runs[srv])-1]
-			r.last, r.hi = s, hi/lc.ElemSize
-			continue
-		}
-		runs[srv] = append(runs[srv], stripRun{first: s, last: s, lo: lo / lc.ElemSize, hi: hi / lc.ElemSize})
-		prev = srv
-	}
-	return runs
-}
-
 // reached calls visit with every strip outside run that the range
 // [run.lo−back, run.hi+fwd), clamped to the file, reaches and the
 // elements of it reached — what the run's server must have brought in to
@@ -175,7 +149,7 @@ func (spec PipelineSpec) price(d *Decision, p Params, lc layout.Locator, _ func(
 	}
 	d.Analysis = Analysis{Layout: lc.Layout.Name()}
 	d.InputReplicaBytes = 0 // placed at ingest; kernel pricing charges it all the same (DESIGN.md §3.1)
-	runs := assignmentRuns(lc, p.FileSize)
+	runs, _ := assignmentRuns(lc, p.FileSize, nil)
 	d.Depths = make([]DepthPrice, len(spec.Depths))
 	for k, rounds := range spec.Depths {
 		if len(rounds) == 0 {
@@ -392,20 +366,14 @@ func forwards(lc layout.Locator, fileSize int64, run stripRun, srv int) (holders
 	return holders, bytes
 }
 
-func (spec PipelineSpec) reason(d *Decision, obs Observations) string {
-	var r string
+func (spec PipelineSpec) reason(d *Decision) string {
 	switch {
 	case !d.Offload:
-		r = fmt.Sprintf("rejected: pushdown would move %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
+		return fmt.Sprintf("rejected: pushdown would move %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
 	case !d.BeatsPerPass:
-		r = fmt.Sprintf("pushdown moves %d bytes but per-pass offload moves %d; prefer per-pass", d.OffloadNetBytes, d.PerPassNetBytes)
+		return fmt.Sprintf("pushdown moves %d bytes but per-pass offload moves %d; prefer per-pass", d.OffloadNetBytes, d.PerPassNetBytes)
 	default:
-		r = fmt.Sprintf("pushdown moves %d bytes vs %d per-pass and %d normal (%d-stage DAG, %d fused, lower bound %d)",
+		return fmt.Sprintf("pushdown moves %d bytes vs %d per-pass and %d normal (%d-stage DAG, %d fused, lower bound %d)",
 			d.OffloadNetBytes, d.PerPassNetBytes, d.NormalNetBytes, d.Stages, d.FusedStages, d.LowerBoundBytes)
 	}
-	if d.TailNum != d.TailDen {
-		r += fmt.Sprintf(" — fetch p99 %v vs threshold %v inflates moving bytes %.2f×",
-			obs.FetchP99, obs.LatencyHigh, float64(d.TailNum)/float64(d.TailDen))
-	}
-	return r
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/layout"
-	"github.com/hpcio/das/internal/sim"
 )
 
 // pipeParams: 4-element strips (32 bytes), 16 elements total.
@@ -16,7 +15,8 @@ func pipeParams() Params {
 
 func bound(p Params, lay layout.Layout, back, fwd int64) int64 {
 	lc := layout.NewLocator(p.ElemSize, p.StripSize, lay)
-	return lowerBound(lc, p, assignmentRuns(lc, p.FileSize), back, fwd)
+	runs, _ := assignmentRuns(lc, p.FileSize, nil)
+	return lowerBound(lc, p, runs, back, fwd)
 }
 
 // Hand-checked lower bound: round-robin D=2 over 4 strips of 4 elements,
@@ -164,28 +164,16 @@ func TestDecidePipelineCacheDiscountAndTailCap(t *testing.T) {
 		t.Fatalf("full cache hit should zero fetch bytes, got %d", warm.FetchBytes)
 	}
 
-	const latHigh = 500 * sim.Microsecond
-	at, err := Estimate(chainSpec(), p, lay, Observations{FetchP99: 4 * latHigh, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	above, err := Estimate(chainSpec(), p, lay, Observations{FetchP99: 4*latHigh + 1, LatencyHigh: latHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at.OffloadNetBytes != above.OffloadNetBytes || at.Offload != above.Offload {
-		t.Fatalf("×4 cap boundary diverges: %d/%v vs %d/%v",
-			at.OffloadNetBytes, at.Offload, above.OffloadNetBytes, above.Offload)
-	}
 	cold, err := Estimate(chainSpec(), p, lay, Observations{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cold.OutputReplicaBytes + 4*(cold.FetchBytes+cold.ExchangeBytes); at.OffloadNetBytes != want {
-		t.Fatalf("capped inflation = %d, want exactly 4× moving bytes = %d", at.OffloadNetBytes, want)
+	if want := cold.OutputReplicaBytes + cold.FetchBytes + cold.ExchangeBytes; cold.OffloadNetBytes != want {
+		t.Fatalf("offload bytes = %d, want exactly the moving bytes plus replicas = %d", cold.OffloadNetBytes, want)
 	}
-	if !strings.Contains(at.Reason, "inflates") {
-		t.Fatalf("Reason = %q", at.Reason)
+	if warm.OffloadNetBytes != cold.OffloadNetBytes-cold.FetchBytes || warm.HitDiscountBytes != cold.FetchBytes {
+		t.Fatalf("full hits took %d off %d: want the whole fetch, %d", cold.OffloadNetBytes-warm.OffloadNetBytes,
+			cold.OffloadNetBytes, cold.FetchBytes)
 	}
 }
 

@@ -53,36 +53,32 @@ func (p Params) validate() error {
 	return nil
 }
 
-// exactLimit bounds the element×offset product for which the element-level
-// sum is computed exactly; beyond it a periodic estimate is used.
-const exactLimit = 1 << 22
-
 // Analysis is the bandwidth prediction for one (pattern, layout) pair.
 type Analysis struct {
 	Pattern features.Pattern
 	Layout  string // layout.Layout.Name() the analysis ran against
 
 	// Element-level cost (paper Eq. (5)).
-	RemoteDeps   int64   // Σ aj over all elements and offsets
-	BWCostBytes  int64   // E · Σ aj
-	RemoteFrac   float64 // fraction of (element, offset) pairs that are remote
-	Approximated bool    // the periodic estimate was used, or (servers down) no sum was taken
+	RemoteDeps  int64   // Σ aj over all elements and offsets
+	BWCostBytes int64   // E · Σ aj
+	RemoteFrac  float64 // fraction of (element, offset) pairs that are remote
 
-	// Strip-level cost: what an active storage run actually moves.
-	StripFetches    int64 // whole-strip transfers between servers
+	// Strip-level cost: what an active storage run actually moves — one
+	// whole-strip transfer per assignment run per dependent strip its
+	// server does not hold.
+	StripFetches    int64
 	StripFetchBytes int64
 
 	// UnservableStrips counts strips with no copy on any live server: owned
-	// strips nobody can process plus dependent strips nobody can serve.
-	// Zero on a healthy cluster; any non-zero value vetoes offloading.
+	// strips nobody can process plus, per run, dependent strips nobody can
+	// serve. Zero on a healthy cluster; any non-zero value vetoes offloading.
 	UnservableStrips int64
 
-	// LocalByLayout is true when the strip walk finds nothing to fetch and
+	// LocalByLayout is true when the run walk finds nothing to fetch and
 	// nothing unservable — exactly what an active.LocalOnly run needs. The
 	// element-level sum above can say zero where this says false: Eq. (5)
 	// counts a dependence that leaves the file as local, while the kernel
-	// clamps it to the boundary element and so reads that element's strip;
-	// and the periodic estimate knows no period for a migrating layout.
+	// clamps it to the boundary element and so reads that element's strip.
 	LocalByLayout bool
 }
 
@@ -95,70 +91,59 @@ func Analyze(pat features.Pattern, p Params, lay layout.Layout) (Analysis, error
 	return analyze(pat, p, layout.NewLocator(p.ElemSize, p.StripSize, lay), nil), nil
 }
 
-// analyze runs the strip walk and, on a healthy cluster (down == nil), the
-// element-level sum. With servers down only the strip-level cost is
-// computed — Eq. (5) assumes the healthy placement — and the analysis is
-// marked Approximated.
+// analyze walks the assignment runs and, on a healthy cluster (down ==
+// nil), takes the element-level sum. With servers down only the
+// strip-level cost is computed: Eq. (5) assumes the healthy placement.
+//
+// The walk is active.exec's: each run's server lists NeededStrips over
+// the run's elements and fetches every listed strip it does not hold,
+// whole, once for the run; a listed strip no live server holds is
+// unservable.
 func analyze(pat features.Pattern, p Params, lc layout.Locator, down func(srv int) bool) Analysis {
-	offs := pat.Resolve(p.Width)
+	offs, total := pat.Resolve(p.Width), p.TotalElems()
 	a := Analysis{Pattern: pat, Layout: lc.Layout.Name()}
-	var live func(srv int) bool
-	if down != nil {
-		live = func(srv int) bool { return !down(srv) }
-		a.Approximated = true
-	} else {
-		total := p.TotalElems()
-		a.RemoteDeps, a.Approximated = remoteDeps(lc, offs, total)
+	if down == nil {
+		a.RemoteDeps = remoteDeps(lc, offs, total)
 		a.BWCostBytes = a.RemoteDeps * p.ElemSize
 		if n := total * int64(len(offs)); n > 0 {
 			a.RemoteFrac = float64(a.RemoteDeps) / float64(n)
 		}
 	}
-	var plan []StripFetch
-	plan, a.UnservableStrips = fetchPlan(lc, offs, p.FileSize, live)
-	for _, f := range plan {
-		a.StripFetches += int64(len(f.Remote))
-		for _, t := range f.Remote {
-			lo, hi := lc.StripBounds(t, p.FileSize)
-			a.StripFetchBytes += hi - lo
+	live := func(srv int) bool { return !down(srv) }
+	var runs [][]stripRun
+	runs, a.UnservableStrips = assignmentRuns(lc, p.FileSize, down)
+	var needed []int64
+	for srv, rs := range runs {
+		for _, run := range rs {
+			needed = NeededStrips(needed, lc, offs, run.lo, run.hi, total)
+			for _, t := range needed {
+				switch {
+				case layout.Holds(lc.Layout, t, srv):
+				case down != nil && !slices.ContainsFunc(layout.Holders(lc.Layout, t), live):
+					a.UnservableStrips++
+				default:
+					lo, hi := lc.StripBounds(t, p.FileSize)
+					a.StripFetches++
+					a.StripFetchBytes += hi - lo
+				}
+			}
 		}
 	}
 	a.LocalByLayout = a.StripFetches == 0 && a.UnservableStrips == 0
 	return a
 }
 
-// remoteDeps computes Σ aj. Small problems are summed exactly; large ones
-// use the placement's periodicity: remote-ness of (i, off) depends only on
-// i mod P in the file interior, with P = groupSpan·D elements, so one
-// period well inside the file is summed and scaled. Either sum is taken
-// strip by strip (remoteInStrips): one prediction costs
-// O(strips · offsets), not O(elements · offsets).
-func remoteDeps(lc layout.Locator, offs []int64, total int64) (sum int64, approx bool) {
-	eps, period := lc.ElemsPerStrip(), periodElems(lc)
-	var maxAbs int64
-	for _, off := range offs {
-		maxAbs = max(maxAbs, off, -off)
-	}
-	// The sampled period sits well inside the file so no dependence is
-	// clamped; a file too small relative to its period for that is summed
-	// exactly whatever its size.
-	base := ((maxAbs + period - 1) / period) * period
-	if total*int64(len(offs)) <= exactLimit || base+period+maxAbs > total {
-		return remoteInStrips(lc, offs, 0, (total+eps-1)/eps, total), false
-	}
-	return remoteInStrips(lc, offs, base/eps, (base+period)/eps, total) * (total / period), true
-}
-
-// remoteInStrips sums aj over the elements of strips [s0, s1) exactly. The
-// elements [e0, e1) of one strip map, under one offset, to the contiguous
-// range [e0+off, e1+off); the part of it inside the file covers a strip or
-// two, and the elements landing in each are remote together or not at
-// all: when the strip's owner holds no copy of that target. What leaves
-// the file is local, as in Locator.LocalDep — the same integers as asking
-// it per element.
-func remoteInStrips(lc layout.Locator, offs []int64, s0, s1, total int64) (sum int64) {
+// remoteDeps computes Σ aj exactly, strip by strip: one prediction costs
+// O(strips · offsets), not O(elements · offsets). The elements [e0, e1)
+// of one strip map, under one offset, to the contiguous range
+// [e0+off, e1+off); the part of it inside the file covers a strip or two,
+// and the elements landing in each are remote together or not at all:
+// when the strip's owner holds no copy of that target. What leaves the
+// file is local, as in Locator.LocalDep — the same integers as asking it
+// per element.
+func remoteDeps(lc layout.Locator, offs []int64, total int64) (sum int64) {
 	eps := lc.ElemsPerStrip()
-	for s := s0; s < s1; s++ {
+	for s := int64(0); s*eps < total; s++ {
 		owner := lc.Layout.Primary(s)
 		e0, e1 := s*eps, min((s+1)*eps, total)
 		for _, off := range offs {
@@ -176,25 +161,38 @@ func remoteInStrips(lc layout.Locator, offs []int64, s0, s1, total int64) (sum i
 	return sum
 }
 
-// periodElems returns the placement period in elements for the supported
-// layout families.
-func periodElems(lc layout.Locator) int64 {
-	group := int64(1)
-	switch l := lc.Layout.(type) {
-	case layout.Grouped:
-		group = int64(l.R)
-	case layout.GroupedReplicated:
-		group = int64(l.R)
-	}
-	return group * int64(lc.Layout.Servers()) * lc.ElemsPerStrip()
+// stripRun is a maximal range of consecutive strips placed on one server:
+// the unit a storage server assembles, computes and stores.
+type stripRun struct {
+	first, last int64 // strips, inclusive
+	lo, hi      int64 // elements
 }
 
-// StripFetch lists the remote strips the owner of one primary strip must
-// transfer to process it.
-type StripFetch struct {
-	Strip  int64   // the primary strip being processed
-	Owner  int     // the server processing it, as a layout.Placer places it
-	Remote []int64 // strips to fetch from other servers, ascending
+// assignmentRuns returns each server's runs, ascending, and the strips no
+// live server holds: the first wave Exec dispatches, every strip placed
+// fresh by one layout.Placer — on a healthy cluster (down == nil), on its
+// primary.
+func assignmentRuns(lc layout.Locator, fileSize int64, down func(srv int) bool) (runs [][]stripRun, unservable int64) {
+	placer := layout.NewPlacer(lc.Layout, func(srv int) bool { return down == nil || !down(srv) })
+	runs = make([][]stripRun, lc.Layout.Servers())
+	prev := -1
+	for s := int64(0); s < lc.Strips(fileSize); s++ {
+		srv, ok := placer.Place(s, true)
+		if !ok {
+			unservable++
+			prev = -1
+			continue
+		}
+		lo, hi := lc.StripBounds(s, fileSize)
+		if srv == prev {
+			r := &runs[srv][len(runs[srv])-1]
+			r.last, r.hi = s, hi/lc.ElemSize
+			continue
+		}
+		runs[srv] = append(runs[srv], stripRun{first: s, last: s, lo: lo / lc.ElemSize, hi: hi / lc.ElemSize})
+		prev = srv
+	}
+	return runs, unservable
 }
 
 // NeededStrips returns, in ascending order, every strip containing an
@@ -238,55 +236,6 @@ func NeededStrips(dst []int64, lc layout.Locator, offs []int64, e0, e1, total in
 		}
 		next = to + 1
 	}
-}
-
-// FetchPlan computes, for every strip of the file, which other strips its
-// owner lacks locally but needs to resolve the strip's dependencies. This
-// is exactly the fetch sequence the simulator's active storage servers
-// execute, so predicted strip traffic equals measured traffic.
-func FetchPlan(lc layout.Locator, offs []int64, fileSize int64) []StripFetch {
-	plan, _ := fetchPlan(lc, offs, fileSize, nil)
-	return plan
-}
-
-// fetchPlan is the one strip walk. Each strip is processed where a
-// layout.Placer places it fresh — its primary on a healthy cluster
-// (live == nil), the schedule Exec dispatches otherwise — and dependence
-// that owner does not hold is a whole-strip fetch. A strip with no live
-// holder has no entry in the plan, a dependent strip with none is not
-// fetched, and both are counted unservable.
-func fetchPlan(lc layout.Locator, offs []int64, fileSize int64, live func(srv int) bool) (plan []StripFetch, unservable int64) {
-	if live == nil {
-		live = func(int) bool { return true }
-	}
-	total := fileSize / lc.ElemSize
-	strips := lc.Strips(fileSize)
-	plan = make([]StripFetch, 0, strips)
-	placer := layout.NewPlacer(lc.Layout, live)
-	var needed []int64
-	for s := int64(0); s < strips; s++ {
-		owner, ok := placer.Place(s, true)
-		if !ok {
-			unservable++
-			continue
-		}
-		lo, hi := lc.StripBounds(s, fileSize)
-		e0, e1 := lo/lc.ElemSize, (hi+lc.ElemSize-1)/lc.ElemSize
-		f := StripFetch{Strip: s, Owner: owner}
-		needed = NeededStrips(needed, lc, offs, e0, e1, total)
-		for _, t := range needed {
-			if t == s || layout.Holds(lc.Layout, t, owner) {
-				continue
-			}
-			if !slices.ContainsFunc(layout.Holders(lc.Layout, t), live) {
-				unservable++
-				continue
-			}
-			f.Remote = append(f.Remote, t)
-		}
-		plan = append(plan, f)
-	}
-	return plan, unservable
 }
 
 // Eq17 implements the paper's offloading criterion for a pure stride

@@ -118,17 +118,11 @@ func TestStrideLocalWhenEq17Holds(t *testing.T) {
 	// Eq. (17) speaks of the file's interior. Within a stride of either
 	// end the dependence leaves the file and the kernel clamps it to the
 	// boundary element, so strips there read the first or last strip —
-	// and nothing else — from whoever holds it. That is why the strip walk,
-	// not the element sum, says whether a LocalOnly run can succeed.
-	last := p.FileSize/p.StripSize - 1
-	for _, f := range FetchPlan(layout.NewLocator(p.ElemSize, p.StripSize, layout.NewRoundRobin(2)), pat.Resolve(p.Width), p.FileSize) {
-		for _, r := range f.Remote {
-			if r != 0 && r != last {
-				t.Errorf("strip %d fetches interior strip %d under an Eq17-aligned stride", f.Strip, r)
-			}
-		}
-	}
-	if a.LocalByLayout || a.StripFetches != 2 {
+	// and nothing else — from whoever holds it: strip 1 fetches strip 0
+	// and strip 62 strip 63, each its own run under round-robin. That is
+	// why the run walk, not the element sum, says whether a LocalOnly run
+	// can succeed.
+	if a.LocalByLayout || a.StripFetches != 2 || a.StripFetchBytes != 2*p.StripSize {
 		t.Errorf("want exactly the two clamped edge fetches and no locality claim: %+v", a)
 	}
 }
@@ -162,23 +156,25 @@ func TestEq17(t *testing.T) {
 func TestFetchPlanRoundRobinAdjacency(t *testing.T) {
 	// Width 8 (one row per strip): the ±(W+1) = ±9-element reach of the
 	// last element of a strip lands two strips away, so each strip's
-	// window is [s-2, s+2], all remote under round-robin with D = 4.
-	lc := layout.NewLocator(8, 64, layout.NewRoundRobin(4))
-	offs := eightNeighbor().Resolve(8)
-	plan := FetchPlan(lc, offs, 64*8) // 8 strips
-	if len(plan) != 8 {
-		t.Fatalf("plan has %d strips", len(plan))
+	// window is [s-2, s+2], all remote under round-robin with D = 4, where
+	// every strip is a run of its own: 2+3+4+4+4+4+3+2 whole strips.
+	p := testParams(8, 64) // 8 strips
+	a, err := Analyze(eightNeighbor(), p, layout.NewRoundRobin(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantRemote := map[int64]int{0: 2, 1: 3, 2: 4, 3: 4, 4: 4, 5: 4, 6: 3, 7: 2}
-	for _, f := range plan {
-		if len(f.Remote) != wantRemote[f.Strip] {
-			t.Errorf("strip %d fetches %v, want %d remote strips", f.Strip, f.Remote, wantRemote[f.Strip])
-		}
-		for _, r := range f.Remote {
-			if r < f.Strip-2 || r > f.Strip+2 || r == f.Strip {
-				t.Errorf("strip %d fetches out-of-window strip %d", f.Strip, r)
-			}
-		}
+	if a.StripFetches != 26 || a.StripFetchBytes != 26*p.StripSize {
+		t.Errorf("round-robin walk fetches %d strips (%d bytes), want 26", a.StripFetches, a.StripFetchBytes)
+	}
+	// Grouped by two, a server processes each pair as one run and fetches
+	// the pair's window once: [0,1] needs 2,3; [2,3] needs 0,1,4,5; [4,5]
+	// needs 2,3,6,7; [6,7] needs 4,5. A walk strip by strip counts 18.
+	g, err := Analyze(eightNeighbor(), p, layout.NewGrouped(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.StripFetches != 12 {
+		t.Errorf("grouped walk fetches %d strips, want 12: one fetch per run", g.StripFetches)
 	}
 }
 
@@ -191,19 +187,27 @@ func TestFetchPlanRoundRobinAdjacency(t *testing.T) {
 func TestDegradedPlanSpreadsADownPrimarysStrips(t *testing.T) {
 	lay := layout.NewGroupedReplicated(4, 2, 2) // strips 2,3, 10,11, … on server 1
 	lc := layout.NewLocator(8, 64, lay)
-	plan, unservable := fetchPlan(lc, eightNeighbor().Resolve(8), 32*64, func(srv int) bool { return srv != 1 })
-	if unservable != 0 || len(plan) != 32 {
-		t.Fatalf("%d strips planned, %d unservable; want 32 and 0", len(plan), unservable)
+	runs, unservable := assignmentRuns(lc, 32*64, func(srv int) bool { return srv == 1 })
+	owner := make(map[int64]int)
+	for srv, rs := range runs {
+		for _, run := range rs {
+			for s := run.first; s <= run.last; s++ {
+				owner[s] = srv
+			}
+		}
+	}
+	if unservable != 0 || len(owner) != 32 {
+		t.Fatalf("%d strips placed, %d unservable; want 32 and 0", len(owner), unservable)
 	}
 	var lost []int
-	for _, f := range plan {
-		if p := lay.Primary(f.Strip); p != 1 {
-			if f.Owner != p {
-				t.Errorf("strip %d priced on %d, want its live primary %d", f.Strip, f.Owner, p)
+	for s := int64(0); s < 32; s++ {
+		if p := lay.Primary(s); p != 1 {
+			if owner[s] != p {
+				t.Errorf("strip %d priced on %d, want its live primary %d", s, owner[s], p)
 			}
 			continue
 		}
-		lost = append(lost, f.Owner)
+		lost = append(lost, owner[s])
 	}
 	if want := []int{2, 2, 0, 0, 2, 2, 0, 0}; !slices.Equal(lost, want) {
 		t.Errorf("server 1's strips priced on %v, want %v", lost, want)
@@ -302,68 +306,28 @@ func TestNeededStripsIsTheUnionOfTheRanges(t *testing.T) {
 func TestEq17AlignedStrideHasNoFetches(t *testing.T) {
 	// Stride of exactly D strips under round-robin: dependent strips land
 	// on the same server, so interior strips fetch nothing even though
-	// the stride is large. Strips within the stride of a file edge still
-	// fetch the boundary strip their clamped dependence reads.
-	lc := layout.NewLocator(8, 64, layout.NewRoundRobin(4))
-	offs := []int64{-32, 32} // ±4 strips, D = 4
-	for _, f := range FetchPlan(lc, offs, 64*64) {
-		if f.Strip < 4 || f.Strip >= 60 {
-			continue
-		}
-		if len(f.Remote) > 0 {
-			t.Fatalf("aligned stride fetches %v for interior strip %d", f.Remote, f.Strip)
-		}
+	// the stride is large. The three strips within the stride of each
+	// file edge on another server than that edge's strip fetch it, once
+	// each, and nothing else.
+	p := testParams(8, 64*8)                                              // 64 strips
+	pat := features.Pattern{Name: "stride", Offsets: features.Stride(32)} // ±4 strips, D = 4
+	a, err := Analyze(pat, p, layout.NewRoundRobin(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.StripFetches != 6 || a.RemoteDeps != 0 {
+		t.Fatalf("aligned stride fetches %d strips with %d remote dependences, want the 6 clamped edge fetches and 0",
+			a.StripFetches, a.RemoteDeps)
 	}
 }
 
 func TestFetchPlanEmptyUnderAdequateReplication(t *testing.T) {
-	lc := layout.NewLocator(8, 64, layout.NewGroupedReplicated(4, 4, 2))
-	offs := eightNeighbor().Resolve(8)
-	for _, f := range FetchPlan(lc, offs, 64*64) {
-		if len(f.Remote) > 0 {
-			t.Fatalf("strip %d still fetches %v", f.Strip, f.Remote)
-		}
-	}
-}
-
-func TestApproximatedMatchesExact(t *testing.T) {
-	// Force the periodic path with a big file and compare its estimate
-	// against the exact loop on the same geometry (the estimate ignores
-	// only file-boundary clamping, so totals must agree within the
-	// boundary contribution).
-	pat := features.Pattern{Name: "stride", Offsets: features.Stride(4)}
-	lay := layout.NewRoundRobin(3)
-	lc := layout.NewLocator(8, 64, lay)
-
-	bigElems := int64(1 << 22) // 4Mi elements × 2 offsets exceeds exactLimit
-	p := testParams(8, bigElems)
-	a, err := Analyze(pat, p, lay)
+	a, err := Analyze(eightNeighbor(), testParams(8, 64*8), layout.NewGroupedReplicated(4, 4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Approximated {
-		t.Skip("geometry did not trigger approximation; adjust exactLimit")
-	}
-	// Exact interior rate: compute over one period by hand.
-	period := int64(3) * 8 // D · elemsPerStrip
-	var perPeriod int64
-	base := period * 10
-	total := base * 4
-	for i := base; i < base+period; i++ {
-		for _, off := range pat.Resolve(8) {
-			if !lc.LocalDep(i, off, total) {
-				perPeriod++
-			}
-		}
-	}
-	want := perPeriod * (bigElems / period)
-	diff := a.RemoteDeps - want
-	if diff < 0 {
-		diff = -diff
-	}
-	// Boundary clamping affects at most 2·stride·len(offs) pairs.
-	if diff > 16 {
-		t.Errorf("approximation %d deviates from periodic exact %d by %d", a.RemoteDeps, want, diff)
+	if a.StripFetches != 0 || !a.LocalByLayout {
+		t.Fatalf("adequately replicated layout still fetches %d strips", a.StripFetches)
 	}
 }
 
@@ -402,48 +366,12 @@ func TestStripwiseSumMatchesPerElementSweep(t *testing.T) {
 						}
 					}
 				}
-				if got, approx := remoteDeps(lc, offs, total); got != want || approx {
-					t.Errorf("%s, %d elements, offsets %v: strip-wise sum %d (approximated=%v), per-element %d",
-						lay.Name(), total, offs, got, approx, want)
+				if got := remoteDeps(lc, offs, total); got != want {
+					t.Errorf("%s, %d elements, offsets %v: strip-wise sum %d, per-element %d",
+						lay.Name(), total, offs, got, want)
 				}
 			}
 		}
-	}
-}
-
-// TestAnalyticPeriodMatchesBruteForce validates the closed-form per-strip
-// computation the periodic estimate uses against a literal per-element
-// LocalDep sweep over one period, on an 8-neighbor pattern and a
-// grouped-replicated layout (the hardest case: replica holdings).
-func TestAnalyticPeriodMatchesBruteForce(t *testing.T) {
-	// A partially-covering layout: halo 1 while the pattern needs 2, so
-	// some dependencies are local and some are not.
-	lay := layout.NewGroupedReplicated(3, 4, 1)
-	lc := layout.NewLocator(8, 64, lay)
-	offs := eightNeighbor().Resolve(8)
-	bigElems := int64(1 << 21) // forces the analytic path (×8 offsets > exactLimit)
-	p := testParams(8, bigElems)
-	a, err := Analyze(eightNeighbor(), p, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Approximated {
-		t.Fatal("expected the analytic periodic path")
-	}
-	period := int64(3*4) * lc.ElemsPerStrip()
-	base := period * 4
-	total := bigElems
-	var perPeriod int64
-	for i := base; i < base+period; i++ {
-		for _, off := range offs {
-			if !lc.LocalDep(i, off, total) {
-				perPeriod++
-			}
-		}
-	}
-	want := perPeriod * (bigElems / period)
-	if a.RemoteDeps != want {
-		t.Errorf("analytic RemoteDeps = %d, brute force %d", a.RemoteDeps, want)
 	}
 }
 

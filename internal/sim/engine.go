@@ -137,9 +137,6 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Fired reports whether the callback has run.
-func (t *Timer) Fired() bool { return t.fired }
-
 // AfterFunc schedules fn to run on the engine goroutine after d simulated
 // time. The callback may schedule processes, fire signals, or put into
 // mailboxes, but must not block. A pending AfterFunc counts as foreground

@@ -81,9 +81,6 @@ func (r *Resource) Name() string {
 	return r.name
 }
 
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int64 { return r.cap }
-
 // InUse returns the units currently held.
 func (r *Resource) InUse() int64 { return r.used }
 

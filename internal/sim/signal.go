@@ -21,9 +21,6 @@ func NewSignal[T any](eng *Engine, name string) *Signal[T] {
 // Name returns the signal's diagnostic name.
 func (s *Signal[T]) Name() string { return s.name }
 
-// Fired reports whether Fire has been called.
-func (s *Signal[T]) Fired() bool { return s.fired }
-
 // Fire marks the signal complete with value v and wakes all waiters.
 func (s *Signal[T]) Fire(v T) {
 	if s.fired {

@@ -76,9 +76,6 @@ func (d *Disk) SetSpeedFactor(f float64) {
 	d.factor = f
 }
 
-// SpeedFactor returns the current bandwidth scale (1 = healthy).
-func (d *Disk) SpeedFactor() float64 { return d.factor }
-
 // Read charges the time to read size bytes and records the traffic.
 func (d *Disk) Read(p *sim.Proc, size int64) {
 	if size <= 0 {

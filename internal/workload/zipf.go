@@ -47,10 +47,7 @@ func NewZipf(rng *RNG, n int, s float64) (*Zipf, error) {
 	return &Zipf{rng: rng, cdf: cdf}, nil
 }
 
-// Ranks returns the number of ranks the sampler draws over.
-func (z *Zipf) Ranks() int { return len(z.cdf) }
-
-// Sample draws one rank in [0, Ranks()).
+// Sample draws one rank in [0, n), n the rank count NewZipf was given.
 func (z *Zipf) Sample() int {
 	u := z.rng.Float()
 	return sort.SearchFloat64s(z.cdf, u)
