@@ -1,4 +1,4 @@
-.PHONY: tier1 extended lint seeds bench-smoke bench-identity
+.PHONY: tier1 extended extended-only lint seeds bench-smoke bench-identity
 
 # Tier-1 gate: must stay green on every PR. The benchmark under bench/ is
 # a module of its own that root `./...` does not reach, so it is built,
@@ -17,12 +17,18 @@ lint:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then echo "lint: gofmt would reformat:"; echo "$$unformatted"; exit 1; fi
 
-# Extended gate: daslint, vet and race on top of tier-1, then a bounded
-# fuzz of the row-streaming kernels against their per-element oracle and
-# of the order keys they select on against `<` (tier-1 runs only the seed
-# corpora). The module starts no goroutine of its own, so -race rests on
-# internal/sim's coroutines alone: the handoff between processes.
-extended: tier1 lint seeds
+# Extended gate: tier-1 and lint, then what only this gate runs
+# (extended-only).
+extended: tier1 lint extended-only
+
+# What only the extended gate runs, so that CI, which runs tier1 and lint
+# as jobs of their own, runs each once: the seed sweep, vet and race, then
+# a bounded fuzz of the row-streaming kernels against their per-element
+# oracle and of the order keys they select on against `<` (tier-1 runs
+# only the seed corpora). The module starts no goroutine of its own, so
+# -race rests on internal/sim's coroutines alone: the handoff between
+# processes.
+extended-only: seeds
 	go vet ./...
 	go test -race ./...
 	go test -run '^$$' -fuzz FuzzRowDriver -fuzztime 20s ./internal/kernels

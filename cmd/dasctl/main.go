@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"github.com/hpcio/das/internal/cli"
 	"github.com/hpcio/das/internal/fault"
@@ -123,7 +122,10 @@ func run(w io.Writer, servers int, strips int64, r, halo int, stripSize int64, o
 	for _, lay := range layouts {
 		fmt.Fprintf(w, "%s  (capacity overhead %.2f)\n", lay.Name(), layout.OverheadRatio(lay))
 		for s := int64(0); s < strips; s++ {
-			reps := lay.Replicas(s)
+			var reps []int
+			for holders, i := lay.Holders(s), 1; i < holders.Len(); i++ {
+				reps = append(reps, holders.At(i))
+			}
 			if len(reps) == 0 {
 				fmt.Fprintf(w, "  strip %3d → server %d\n", s, lay.Primary(s))
 			} else {
@@ -161,7 +163,11 @@ func run(w io.Writer, servers int, strips int64, r, halo int, stripSize int64, o
 			for _, lay := range layouts {
 				var lost []int64
 				for s := int64(0); s < strips; s++ {
-					if !slices.ContainsFunc(layout.Holders(lay, s), func(srv int) bool { return !downSet[srv] }) {
+					holders, live := lay.Holders(s), false
+					for i := 0; i < holders.Len(); i++ {
+						live = live || !downSet[holders.At(i)]
+					}
+					if !live {
 						lost = append(lost, s)
 					}
 				}

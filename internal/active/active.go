@@ -35,8 +35,6 @@ import (
 // Port is the mailbox active storage servers listen on.
 const Port = "as"
 
-const headerBytes = 128
-
 // FetchMode selects how a server resolves dependent data it does not hold.
 type FetchMode int
 
@@ -201,7 +199,7 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 	switch req := msg.Payload.(type) {
 	case execReq:
 		respond := func(r *execResp) {
-			clu.Net.Respond(p, msg, r, headerBytes, clu.ClassBetween(srv.NodeID(), msg.From))
+			clu.Net.Respond(p, msg, r, pfs.HeaderBytes, clu.ClassBetween(srv.NodeID(), msg.From))
 		}
 		resp, err := svc.exec(p, srv, req)
 		if err != nil {
@@ -213,7 +211,7 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 		svc.handleReduce(p, srv, msg)
 	default:
 		clu.Net.Respond(p, msg, &execResp{Err: fmt.Sprintf("unknown request %T", msg.Payload)},
-			headerBytes, clu.ClassBetween(srv.NodeID(), msg.From))
+			pfs.HeaderBytes, clu.ClassBetween(srv.NodeID(), msg.From))
 	}
 }
 
@@ -347,7 +345,7 @@ func (c *Client) Exec(p *sim.Proc, op, input, output string, mode FetchMode) (Ex
 			if m == LocalOnly && slices.ContainsFunc(assign[srv], func(s int64) bool { return out.Layout.Primary(s) != srv }) {
 				m = FetchWholeStrips
 			}
-			return Request{Payload: execReq{Op: op, Input: input, Output: output, Mode: m, Strips: assign[srv]}, Size: headerBytes}
+			return Request{Payload: execReq{Op: op, Input: input, Output: output, Mode: m, Strips: assign[srv]}, Size: pfs.HeaderBytes}
 		}
 	}
 	var stats ExecStats

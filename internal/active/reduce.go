@@ -47,12 +47,12 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 	}
 	red, ok := svc.reducers.Lookup(req.Op)
 	if !ok {
-		respond(reduceResp{Err: fmt.Sprintf("active: unknown reducer %q", req.Op)}, headerBytes)
+		respond(reduceResp{Err: fmt.Sprintf("active: unknown reducer %q", req.Op)}, pfs.HeaderBytes)
 		return
 	}
 	in, err := svc.fs.Raster(req.Input)
 	if err != nil {
-		respond(reduceResp{Err: err.Error()}, headerBytes)
+		respond(reduceResp{Err: err.Error()}, pfs.HeaderBytes)
 		return
 	}
 	st := NewStages(svc.fs, nil, srv, in, nil, LocalOnly, 0, HaloStrips(in, 0), new(Tally))
@@ -68,12 +68,12 @@ func (svc *Service) handleReduce(p *sim.Proc, srv *pfs.Server, msg simnet.Messag
 	}
 	err = WalkRuns(p, StripRuns(in, req.Strips), st.Lead, st.Assemble, fold, nil)
 	if err := st.Drain(p, err); err != nil {
-		respond(reduceResp{Err: err.Error()}, headerBytes)
+		respond(reduceResp{Err: err.Error()}, pfs.HeaderBytes)
 		return
 	}
 	partial := red.Merge(partials)
 	respond(reduceResp{Partial: partial, Elements: elements},
-		headerBytes+int64(len(partial))*grid.ElemSize)
+		pfs.HeaderBytes+int64(len(partial))*grid.ElemSize)
 }
 
 // ExecReduce offloads a reduction through the dispatch loop, under the
@@ -88,7 +88,7 @@ func (c *Client) ExecReduce(p *sim.Proc, red kernels.Reducer, input string) ([]f
 	}
 	ask := func(assign [][]int64, _ bool) func(int) Request {
 		return func(srv int) Request {
-			return Request{Payload: reduceReq{Op: red.Name(), Input: input, Strips: assign[srv]}, Size: headerBytes}
+			return Request{Payload: reduceReq{Op: red.Name(), Input: input, Strips: assign[srv]}, Size: pfs.HeaderBytes}
 		}
 	}
 	var stats ReduceStats

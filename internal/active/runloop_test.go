@@ -64,7 +64,7 @@ func TestPrefetchedBandKeepsWhatItWasLent(t *testing.T) {
 	lay := layout.NewGroupedReplicated(4, 8, 2)
 	const h = 128 // 16 groups of 8 one-row strips: four runs a server
 	const victim = 32 + 3
-	if lay.Primary(victim) != 0 || len(lay.Replicas(victim)) != 0 || lay.Primary(32) != 0 || lay.Primary(0) != 0 {
+	if lay.Primary(victim) != 0 || lay.Holders(victim).Len() != 1 || lay.Primary(32) != 0 || lay.Primary(0) != 0 {
 		t.Fatal("strip 35 is not an unreplicated interior strip of server 0's second run")
 	}
 	fresh := bytes.Repeat([]byte{0x40}, testStrip)

@@ -11,7 +11,6 @@ import (
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
-	"github.com/hpcio/das/internal/simnet"
 )
 
 // ReduceRequest submits a data-reducing scan (stats, histogram) over a
@@ -114,11 +113,9 @@ func (s *System) reduceTS(rep *ReduceReport, red kernels.Reducer, in *pfs.FileMe
 					return
 				}
 				// Ship the partial to the coordinator (compute node 0);
-				// workers on node 0 hand it over locally for free.
-				s.Clu.Net.Send(c, simnet.Message{
-					From: s.Clu.ComputeID(b.w), To: s.Clu.ComputeID(0), Port: "reduce-sink",
-					Size: partialBytes, Class: metrics.ClientToServer,
-				})
+				// workers on node 0 hand it over locally for free. The
+				// gather mailbox carries the values.
+				s.Clu.Net.Transfer(c, s.Clu.ComputeID(b.w), s.Clu.ComputeID(0), partialBytes, metrics.ClientToServer)
 				gather.Put(reducePartial{vals: partial, elements: elements})
 			})
 		}

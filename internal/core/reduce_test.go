@@ -222,3 +222,20 @@ func TestReduceWithoutALiveCopyFailsTyped(t *testing.T) {
 		t.Errorf("error %v, want ErrNoLiveCopy", err)
 	}
 }
+
+// TestTSReduceLeavesNoMessageQueued: a TS reduction's partials reach the
+// coordinator through its gather mailbox, and the transfer that charges
+// their bytes delivers nothing, so no port holds an unread message after
+// the run.
+func TestTSReduceLeavesNoMessageQueued(t *testing.T) {
+	s := newSystem(t, TS, workload.Terrain(testW, testH, 5))
+	if _, err := s.Reduce(ReduceRequest{Op: "stats", Input: "in", Scheme: TS}); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Clu.Net.Node(s.Clu.ComputeID(0)).Port("reduce-sink").Len(); n != 0 {
+		t.Errorf("%d partials left queued on the coordinator", n)
+	}
+	if err := s.Clu.Net.CheckReplies(); err != nil {
+		t.Error(err)
+	}
+}

@@ -3,7 +3,7 @@ package layout
 import "testing"
 
 // Placement lookups sit on the hot path of every strip operation; they
-// must stay allocation-free for the non-replicated layouts.
+// must stay allocation-free.
 func BenchmarkRoundRobinPrimary(b *testing.B) {
 	l := NewRoundRobin(12)
 	var sink int
@@ -22,11 +22,11 @@ func BenchmarkGroupedReplicatedPrimary(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkGroupedReplicatedReplicas(b *testing.B) {
+func BenchmarkGroupedReplicatedHolders(b *testing.B) {
 	l := NewGroupedReplicated(12, 8, 2)
 	var sink int
 	for i := 0; i < b.N; i++ {
-		sink += len(l.Replicas(int64(i)))
+		sink += l.Holders(int64(i)).Len()
 	}
 	_ = sink
 }

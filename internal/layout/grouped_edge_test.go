@@ -13,7 +13,7 @@ func primaryOn(l Layout, srv int, n int64) []int64 {
 }
 
 func replicaOn(l Layout, srv int, n int64) []int64 {
-	return stripsWhere(n, func(s int64) bool { return slices.Contains(l.Replicas(s), srv) })
+	return stripsWhere(n, func(s int64) bool { return slices.Contains(replicaList(l.Holders(s)), srv) })
 }
 
 func stripsWhere(n int64, keep func(s int64) bool) []int64 {
@@ -50,8 +50,8 @@ func TestReplicaStripsOfTruncatedLastGroup(t *testing.T) {
 	if got, want := replicaOn(l, 1, strips), []int64{0, 2, 6}; !reflect.DeepEqual(got, want) {
 		t.Errorf("replicas on server 1 = %v, want %v", got, want)
 	}
-	if reps := l.Replicas(7); len(reps) != 0 {
-		t.Errorf("Replicas(7) = %v, want none: the halo guards group edges, not file edges", reps)
+	if reps := replicaList(l.Holders(7)); len(reps) != 0 {
+		t.Errorf("replicas of 7 = %v, want none: the halo guards group edges, not file edges", reps)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestReplicaStripsOfTruncatedLastGroup(t *testing.T) {
 func TestHaloEqualsGroupSizeMirrorsEverything(t *testing.T) {
 	l := NewGroupedReplicated(4, 2, 2)
 	for s := int64(0); s < 16; s++ {
-		reps := l.Replicas(s)
+		reps := replicaList(l.Holders(s))
 		if len(reps) != 2 {
 			t.Fatalf("strip %d: replicas %v, want both neighbors", s, reps)
 		}
@@ -73,7 +73,7 @@ func TestHaloEqualsGroupSizeMirrorsEverything(t *testing.T) {
 		}
 		// Any single crash must leave a live copy.
 		for down := 0; down < 4; down++ {
-			if !slices.ContainsFunc(Holders(l, s), func(srv int) bool { return srv != down }) {
+			if !slices.ContainsFunc(holderList(l.Holders(s)), func(srv int) bool { return srv != down }) {
 				t.Fatalf("strip %d unreachable with only server %d down", s, down)
 			}
 		}
@@ -83,13 +83,13 @@ func TestHaloEqualsGroupSizeMirrorsEverything(t *testing.T) {
 	// twice.
 	l2 := NewGroupedReplicated(2, 2, 2)
 	for s := int64(0); s < 8; s++ {
-		reps := l2.Replicas(s)
+		reps := replicaList(l2.Holders(s))
 		if len(reps) != 1 || reps[0] == l2.Primary(s) {
 			t.Fatalf("D=2 strip %d: replicas %v, want exactly the other server", s, reps)
 		}
 	}
 	// A single server already holds everything; no replicas at all.
-	if reps := NewGroupedReplicated(1, 2, 2).Replicas(3); len(reps) != 0 {
+	if reps := replicaList(NewGroupedReplicated(1, 2, 2).Holders(3)); len(reps) != 0 {
 		t.Errorf("D=1 replicas = %v, want none", reps)
 	}
 }
@@ -118,7 +118,7 @@ func TestSingleGroupFile(t *testing.T) {
 		t.Errorf("replicas on server 3 = %v, want %v", got, want)
 	}
 	// Interior strip 4 has no second copy: with server 0 down it is gone.
-	if slices.ContainsFunc(Holders(l, 4), func(srv int) bool { return srv != 0 }) {
+	if slices.ContainsFunc(holderList(l.Holders(4)), func(srv int) bool { return srv != 0 }) {
 		t.Error("interior strip of a single-group file survived its only holder")
 	}
 }
@@ -220,12 +220,12 @@ func TestSingleStripGroups(t *testing.T) {
 		if got, want := l.Primary(s), int(s%4); got != want {
 			t.Errorf("r=1 Primary(%d) = %d, want round-robin %d", s, got, want)
 		}
-		if got, want := Holders(l, s), []int{int(s % 4), int(mod(s-1, 4)), int(mod(s+1, 4))}; len(got) != 3 {
+		if got, want := holderList(l.Holders(s)), []int{int(s % 4), int(mod(s-1, 4)), int(mod(s+1, 4))}; len(got) != 3 {
 			t.Errorf("r=1 Holders(%d) = %v, want primary + both neighbors %v", s, got, want)
 		}
 		for srv := 0; srv < 4; srv++ {
 			wantHolds := srv == int(s%4) || srv == int(mod(s-1, 4)) || srv == int(mod(s+1, 4))
-			if got := Holds(l, s, srv); got != wantHolds {
+			if got := l.Holders(s).Has(srv); got != wantHolds {
 				t.Errorf("r=1 Holds(%d, %d) = %v, want %v", s, srv, got, wantHolds)
 			}
 		}
@@ -237,7 +237,7 @@ func TestSingleStripGroups(t *testing.T) {
 	// the overhead is 1.0 — min(2·Halo, r)/r — not the naive 2·Halo/r.
 	l2 := NewGroupedReplicated(2, 1, 1)
 	for s := int64(0); s < 6; s++ {
-		if reps := l2.Replicas(s); len(reps) != 1 || reps[0] == l2.Primary(s) {
+		if reps := replicaList(l2.Holders(s)); len(reps) != 1 || reps[0] == l2.Primary(s) {
 			t.Fatalf("D=2 r=1 strip %d: replicas %v, want exactly the other server", s, reps)
 		}
 	}
@@ -275,7 +275,7 @@ func TestHaloEqualsGroupOverhead(t *testing.T) {
 		strips := int64(c.r * c.d * 2)
 		var copies int64
 		for s := int64(0); s < strips; s++ {
-			copies += int64(len(l.Replicas(s)))
+			copies += int64(len(replicaList(l.Holders(s))))
 		}
 		if got := float64(copies) / float64(strips); got != c.want {
 			t.Errorf("counted overhead (D=%d,r=%d,halo=%d) = %v, want %v", c.d, c.r, c.halo, got, c.want)
@@ -284,7 +284,7 @@ func TestHaloEqualsGroupOverhead(t *testing.T) {
 }
 
 // TestHoldersTruncatedGroup: strips % r != 0 leaves the last group short;
-// Holders/Holds must stay consistent with Replicas there, and the short
+// the holder set must stay primary first, replicas ascending there, and the short
 // group's trailing edge (which exists) still mirrors forward.
 func TestHoldersTruncatedGroup(t *testing.T) {
 	l := NewGroupedReplicated(3, 3, 1)
@@ -294,25 +294,25 @@ func TestHoldersTruncatedGroup(t *testing.T) {
 	// replicates back to the previous server (1), but the trailing edge of
 	// the group (strip 8) does not exist — the halo guards group positions,
 	// not file ends, so no copy goes forward to server 0.
-	if got, want := Holders(l, 6), []int{2, 1}; !reflect.DeepEqual(got, want) {
+	if got, want := holderList(l.Holders(6)), []int{2, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Holders(6) = %v, want %v", got, want)
 	}
-	if !Holds(l, 6, 2) || !Holds(l, 6, 1) || Holds(l, 6, 0) {
+	if !l.Holders(6).Has(2) || !l.Holders(6).Has(1) || l.Holders(6).Has(0) {
 		t.Errorf("Holds(6, ·) = %v,%v,%v over servers 2,1,0; want true,true,false",
-			Holds(l, 6, 2), Holds(l, 6, 1), Holds(l, 6, 0))
+			l.Holders(6).Has(2), l.Holders(6).Has(1), l.Holders(6).Has(0))
 	}
 	// Mid-group strip 4 has no replicas; only its primary holds it.
-	if got, want := Holders(l, 4), []int{1}; !reflect.DeepEqual(got, want) {
+	if got, want := holderList(l.Holders(4)), []int{1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Holders(4) = %v, want %v", got, want)
 	}
-	if Holds(l, 4, 0) || Holds(l, 4, 2) {
+	if l.Holders(4).Has(0) || l.Holders(4).Has(2) {
 		t.Error("mid-group strip 4 held by a non-primary server")
 	}
 	// Holders order is primary first, then replicas ascending.
-	if got, want := Holders(l, 3), []int{1, 0}; !reflect.DeepEqual(got, want) {
+	if got, want := holderList(l.Holders(3)), []int{1, 0}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Holders(3) = %v, want %v", got, want)
 	}
-	if got, want := Holders(l, 5), []int{1, 2}; !reflect.DeepEqual(got, want) {
+	if got, want := holderList(l.Holders(5)), []int{1, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Holders(5) = %v, want %v", got, want)
 	}
 }

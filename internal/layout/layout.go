@@ -9,8 +9,6 @@ package layout
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 )
 
 // Layout maps strip indices of one file onto storage servers. Server ids
@@ -23,10 +21,66 @@ type Layout interface {
 	// Primary returns the server owning strip s. The primary is the server
 	// responsible for processing the strip under active storage.
 	Primary(s int64) int
-	// Replicas returns the servers holding read-only copies of strip s, in
-	// ascending server order, excluding the primary. Most layouts return
-	// nil.
-	Replicas(s int64) []int
+	// Holders returns every server storing strip s: Primary(s) first,
+	// then the servers holding read-only copies, if any.
+	Holders(s int64) Holders
+}
+
+// Holders is the set of servers storing one strip: its primary, then its
+// replicas in ascending server order — at most two, since Eqs. (14)–(16)
+// copy a strip to its two neighbouring servers at most. It is a value,
+// built without allocating and comparable with ==.
+type Holders struct {
+	primary, lo, hi int // lo, hi: the replicas, -1 where there is none
+}
+
+// only is the holder set of a strip stored on its primary alone.
+func only(primary int) Holders { return Holders{primary, -1, -1} }
+
+// with adds replica srv in ascending order. A server already in the set —
+// the primary a tiny D folds a neighbour onto, or a neighbour named twice
+// — is not added again.
+func (h Holders) with(srv int) Holders {
+	switch {
+	case h.Has(srv):
+	case h.lo < 0:
+		h.lo = srv
+	case srv < h.lo:
+		h.lo, h.hi = srv, h.lo
+	default:
+		h.hi = srv
+	}
+	return h
+}
+
+// Len returns how many servers store the strip; Len() > 1 when it has a
+// replica.
+func (h Holders) Len() int {
+	switch {
+	case h.lo < 0:
+		return 1
+	case h.hi < 0:
+		return 2
+	}
+	return 3
+}
+
+// At returns holder i, i in [0, Len()): the primary at 0.
+func (h Holders) At(i int) int {
+	switch {
+	case i == 0:
+		return h.primary
+	case i == 1 && h.lo >= 0:
+		return h.lo
+	case i == 2 && h.hi >= 0:
+		return h.hi
+	}
+	panic(fmt.Sprintf("layout: holder %d of %d", i, h.Len()))
+}
+
+// Has reports whether server srv stores the strip, as primary or replica.
+func (h Holders) Has(srv int) bool {
+	return srv >= 0 && (srv == h.primary || srv == h.lo || srv == h.hi)
 }
 
 // RoundRobin is the default parallel-file-system policy: strip s lives on
@@ -48,9 +102,9 @@ func NewRoundRobin(d int) RoundRobin {
 func (r RoundRobin) Name() string {
 	return fmt.Sprintf("round-robin(D=%d%s)", r.D, startSuffix(r.Start))
 }
-func (r RoundRobin) Servers() int           { return r.D }
-func (r RoundRobin) Primary(s int64) int    { return rotate(s, r.Start, r.D) }
-func (r RoundRobin) Replicas(s int64) []int { return nil }
+func (r RoundRobin) Servers() int            { return r.D }
+func (r RoundRobin) Primary(s int64) int     { return rotate(s, r.Start, r.D) }
+func (r RoundRobin) Holders(s int64) Holders { return only(r.Primary(s)) }
 
 // Grouped places r successive strips on the same server: strip s lives on
 // server (s/r + Start) mod D (paper Eq. (14) without replication). It
@@ -72,9 +126,9 @@ func NewGrouped(d, r int) Grouped {
 func (g Grouped) Name() string {
 	return fmt.Sprintf("grouped(D=%d,r=%d%s)", g.D, g.R, startSuffix(g.Start))
 }
-func (g Grouped) Servers() int           { return g.D }
-func (g Grouped) Primary(s int64) int    { return rotate(s/int64(g.R), g.Start, g.D) }
-func (g Grouped) Replicas(s int64) []int { return nil }
+func (g Grouped) Servers() int            { return g.D }
+func (g Grouped) Primary(s int64) int     { return rotate(s/int64(g.R), g.Start, g.D) }
+func (g Grouped) Holders(s int64) Holders { return only(g.Primary(s)) }
 
 // GroupedReplicated is the paper's improved data distribution: r
 // successive strips per server, with the strips nearest each group
@@ -111,36 +165,21 @@ func (g GroupedReplicated) Name() string {
 func (g GroupedReplicated) Servers() int        { return g.D }
 func (g GroupedReplicated) Primary(s int64) int { return rotate(s/int64(g.R), g.Start, g.D) }
 
-// Replicas returns the adjacent servers holding copies of strip s: the
-// previous server if s is within Halo of its group's start, the next
-// server if within Halo of its group's end.
-func (g GroupedReplicated) Replicas(s int64) []int {
-	if g.D == 1 {
-		return nil // a single server already holds everything
-	}
-	primary := g.Primary(s)
+// Holders returns strip s's group server, then the adjacent servers
+// holding copies of it: the previous server if s is within Halo of its
+// group's start, the next server if within Halo of its group's end. With
+// one or two servers the neighbours fold onto the primary or each other.
+func (g GroupedReplicated) Holders(s int64) Holders {
+	grp := s / int64(g.R)
+	h := only(rotate(grp, g.Start, g.D))
 	pos := mod(s, int64(g.R))
-	var reps []int
 	if pos < int64(g.Halo) {
-		reps = appendServer(reps, rotate(s/int64(g.R)-1, g.Start, g.D), primary)
+		h = h.with(rotate(grp-1, g.Start, g.D))
 	}
 	if pos >= int64(g.R-g.Halo) {
-		reps = appendServer(reps, rotate(s/int64(g.R)+1, g.Start, g.D), primary)
+		h = h.with(rotate(grp+1, g.Start, g.D))
 	}
-	if len(reps) == 2 && reps[0] > reps[1] {
-		reps[0], reps[1] = reps[1], reps[0]
-	}
-	if len(reps) == 2 && reps[0] == reps[1] {
-		reps = reps[:1]
-	}
-	return reps
-}
-
-func appendServer(reps []int, srv, primary int) []int {
-	if srv == primary {
-		return reps // tiny D can fold a neighbor onto the primary
-	}
-	return append(reps, srv)
+	return h
 }
 
 // ReplicatedRoundRobin is HDFS-style placement: strip s's primary is
@@ -152,11 +191,12 @@ type ReplicatedRoundRobin struct {
 	Copies int // total copies per strip, including the primary
 }
 
-// NewReplicatedRoundRobin returns the policy; copies must be in [1, D].
+// NewReplicatedRoundRobin returns the policy; copies must be in
+// [1, min(D, 3)].
 func NewReplicatedRoundRobin(d, copies int) ReplicatedRoundRobin {
 	mustServers(d)
-	if copies < 1 || copies > d {
-		panic(fmt.Sprintf("layout: copies %d out of range [1,%d]", copies, d))
+	if hi := min(d, 3); copies < 1 || copies > hi {
+		panic(fmt.Sprintf("layout: copies %d out of range [1,%d]", copies, hi))
 	}
 	return ReplicatedRoundRobin{D: d, Copies: copies}
 }
@@ -167,17 +207,13 @@ func (r ReplicatedRoundRobin) Name() string {
 func (r ReplicatedRoundRobin) Servers() int        { return r.D }
 func (r ReplicatedRoundRobin) Primary(s int64) int { return int(mod(s, int64(r.D))) }
 
-// Replicas places the Copies-1 following servers, ascending.
-func (r ReplicatedRoundRobin) Replicas(s int64) []int {
-	if r.Copies <= 1 {
-		return nil
-	}
-	reps := make([]int, 0, r.Copies-1)
+// Holders places the Copies-1 replicas on the following servers.
+func (r ReplicatedRoundRobin) Holders(s int64) Holders {
+	h := only(r.Primary(s))
 	for i := 1; i < r.Copies; i++ {
-		reps = append(reps, int(mod(s+int64(i), int64(r.D))))
+		h = h.with(int(mod(s+int64(i), int64(r.D))))
 	}
-	sort.Ints(reps)
-	return reps
+	return h
 }
 
 // StartingAt returns l with its strip 0 moved to server srv mod D: the
@@ -200,12 +236,6 @@ func StartingAt(l Layout, srv int) Layout {
 	return l
 }
 
-// Holders returns every server that stores strip s (primary first, then
-// replicas in ascending order) under any layout.
-func Holders(l Layout, s int64) []int {
-	return append([]int{l.Primary(s)}, l.Replicas(s)...)
-}
-
 // Placer is the one placement rule: which live holder runs each strip of
 // a dispatch wave (Fig. 2's Active Storage Client), for offload dispatch,
 // pipeline waves and the cost model that prices them alike. A fresh strip
@@ -220,9 +250,9 @@ func Holders(l Layout, s int64) []int {
 type Placer struct {
 	l      Layout
 	live   func(srv int) bool
-	given  []int // strips placed on each server so far
-	share  int   // strips one holder is given before a run splits; 0: no share
-	run    []int // the current run's holder set, its server and last strip
+	given  []int   // strips placed on each server so far
+	share  int     // strips one holder is given before a run splits; 0: no share
+	run    Holders // the current run's holder set, its server and last strip
 	runSrv int
 	last   int64
 }
@@ -239,8 +269,9 @@ func NewPlacer(l Layout, live func(srv int) bool) *Placer {
 func (pl *Placer) Share(wave []int64) {
 	holds, h := make([]bool, len(pl.given)), 0
 	for _, s := range wave {
-		for _, srv := range Holders(pl.l, s) {
-			if !holds[srv] && pl.live(srv) {
+		holders := pl.l.Holders(s)
+		for i := 0; i < holders.Len(); i++ {
+			if srv := holders.At(i); !holds[srv] && pl.live(srv) {
 				holds[srv] = true
 				h++
 			}
@@ -258,7 +289,7 @@ func (pl *Placer) Place(s int64, fresh bool) (srv int, ok bool) {
 		pl.given[p]++
 		return p, true
 	}
-	if holders := Holders(pl.l, s); s != pl.last+1 || !slices.Equal(holders, pl.run) {
+	if holders := pl.l.Holders(s); s != pl.last+1 || holders != pl.run {
 		pl.run, pl.runSrv = holders, pl.least(holders, math.MaxInt)
 	} else if pl.share > 0 && pl.given[pl.runSrv] >= pl.share {
 		if h := pl.least(holders, pl.share); h >= 0 {
@@ -275,40 +306,14 @@ func (pl *Placer) Place(s int64, fresh bool) (srv int, ok bool) {
 
 // least returns the live holder given the fewest strips, ties in Holders
 // order, among those given fewer than below; -1 when there is none.
-func (pl *Placer) least(holders []int, below int) int {
+func (pl *Placer) least(holders Holders, below int) int {
 	srv := -1
-	for _, h := range holders {
-		if pl.live(h) && pl.given[h] < below && (srv < 0 || pl.given[h] < pl.given[srv]) {
+	for i := 0; i < holders.Len(); i++ {
+		if h := holders.At(i); pl.live(h) && pl.given[h] < below && (srv < 0 || pl.given[h] < pl.given[srv]) {
 			srv = h
 		}
 	}
 	return srv
-}
-
-// Replicated reports whether strip s has a copy beyond its primary under
-// l, len(l.Replicas(s)) > 0, without GroupedReplicated building the list:
-// with two servers or more, a boundary strip's neighbor is never its
-// primary.
-func Replicated(l Layout, s int64) bool {
-	if g, ok := l.(GroupedReplicated); ok {
-		pos := mod(s, int64(g.R))
-		return g.D > 1 && (pos < int64(g.Halo) || pos >= int64(g.R-g.Halo))
-	}
-	return len(l.Replicas(s)) > 0
-}
-
-// Holds reports whether server srv stores strip s, either as primary or as
-// a replica.
-func Holds(l Layout, s int64, srv int) bool {
-	if l.Primary(s) == srv {
-		return true
-	}
-	for _, r := range l.Replicas(s) {
-		if r == srv {
-			return true
-		}
-	}
-	return false
 }
 
 // OverheadRatio returns the extra storage capacity a layout consumes as a

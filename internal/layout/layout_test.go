@@ -5,6 +5,24 @@ import (
 	"testing/quick"
 )
 
+// holderList and replicaList spell a holder set as a slice, every holder
+// or the replicas alone (nil when there are none), to compare with
+// literals.
+func holderList(h Holders) []int {
+	var l []int
+	for i := 0; i < h.Len(); i++ {
+		l = append(l, h.At(i))
+	}
+	return l
+}
+
+func replicaList(h Holders) []int {
+	if h.Len() == 1 {
+		return nil
+	}
+	return holderList(h)[1:]
+}
+
 func TestRoundRobinPrimary(t *testing.T) {
 	l := NewRoundRobin(4)
 	for s := int64(0); s < 16; s++ {
@@ -12,7 +30,7 @@ func TestRoundRobinPrimary(t *testing.T) {
 			t.Errorf("Primary(%d) = %d, want %d", s, got, s%4)
 		}
 	}
-	if l.Replicas(3) != nil {
+	if l.Holders(3).Len() != 1 {
 		t.Error("round-robin must not replicate")
 	}
 }
@@ -50,14 +68,14 @@ func TestGroupedReplicatedBoundaries(t *testing.T) {
 		if got := l.Primary(c.strip); got != c.primary {
 			t.Errorf("Primary(%d) = %d, want %d", c.strip, got, c.primary)
 		}
-		got := l.Replicas(c.strip)
+		got := replicaList(l.Holders(c.strip))
 		if len(got) != len(c.reps) {
-			t.Errorf("Replicas(%d) = %v, want %v", c.strip, got, c.reps)
+			t.Errorf("replicas of %d = %v, want %v", c.strip, got, c.reps)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.reps[i] {
-				t.Errorf("Replicas(%d) = %v, want %v", c.strip, got, c.reps)
+				t.Errorf("replicas of %d = %v, want %v", c.strip, got, c.reps)
 			}
 		}
 	}
@@ -66,43 +84,43 @@ func TestGroupedReplicatedBoundaries(t *testing.T) {
 func TestGroupedReplicatedWideHalo(t *testing.T) {
 	// halo=2 replicates the two strips at each group edge.
 	l := NewGroupedReplicated(4, 8, 2)
-	if reps := l.Replicas(0); len(reps) != 1 || reps[0] != 3 {
-		t.Errorf("Replicas(0) = %v, want [3]", reps)
+	if reps := replicaList(l.Holders(0)); len(reps) != 1 || reps[0] != 3 {
+		t.Errorf("replicas of 0 = %v, want [3]", reps)
 	}
-	if reps := l.Replicas(1); len(reps) != 1 || reps[0] != 3 {
-		t.Errorf("Replicas(1) = %v, want [3]", reps)
+	if reps := replicaList(l.Holders(1)); len(reps) != 1 || reps[0] != 3 {
+		t.Errorf("replicas of 1 = %v, want [3]", reps)
 	}
-	if reps := l.Replicas(2); reps != nil {
-		t.Errorf("Replicas(2) = %v, want none", reps)
+	if reps := replicaList(l.Holders(2)); reps != nil {
+		t.Errorf("replicas of 2 = %v, want none", reps)
 	}
-	if reps := l.Replicas(6); len(reps) != 1 || reps[0] != 1 {
-		t.Errorf("Replicas(6) = %v, want [1]", reps)
+	if reps := replicaList(l.Holders(6)); len(reps) != 1 || reps[0] != 1 {
+		t.Errorf("replicas of 6 = %v, want [1]", reps)
 	}
 }
 
 func TestGroupedReplicatedTinyGroupBothSides(t *testing.T) {
 	// r == halo: every strip is replicated to both neighbors.
 	l := NewGroupedReplicated(4, 1, 1)
-	reps := l.Replicas(1) // group 1 on server 1, neighbors 0 and 2
+	reps := replicaList(l.Holders(1)) // group 1 on server 1, neighbors 0 and 2
 	if len(reps) != 2 || reps[0] != 0 || reps[1] != 2 {
-		t.Errorf("Replicas(1) = %v, want [0 2]", reps)
+		t.Errorf("replicas of 1 = %v, want [0 2]", reps)
 	}
 }
 
 func TestGroupedReplicatedTwoServersDedup(t *testing.T) {
 	// With D=2 the previous and next server coincide; no duplicates.
 	l := NewGroupedReplicated(2, 1, 1)
-	reps := l.Replicas(0)
+	reps := replicaList(l.Holders(0))
 	if len(reps) != 1 || reps[0] != 1 {
-		t.Errorf("Replicas(0) = %v, want [1]", reps)
+		t.Errorf("replicas of 0 = %v, want [1]", reps)
 	}
 }
 
 func TestGroupedReplicatedSingleServerNoReplicas(t *testing.T) {
 	l := NewGroupedReplicated(1, 4, 1)
 	for s := int64(0); s < 8; s++ {
-		if reps := l.Replicas(s); reps != nil {
-			t.Errorf("Replicas(%d) = %v, want none with one server", s, reps)
+		if reps := replicaList(l.Holders(s)); reps != nil {
+			t.Errorf("replicas of %d = %v, want none with one server", s, reps)
 		}
 	}
 }
@@ -112,20 +130,20 @@ func TestReplicatedRoundRobinPlacement(t *testing.T) {
 	if l.Primary(5) != 1 {
 		t.Errorf("Primary(5) = %d, want 1", l.Primary(5))
 	}
-	reps := l.Replicas(5) // next two servers: 2, 3
+	reps := replicaList(l.Holders(5)) // next two servers: 2, 3
 	if len(reps) != 2 || reps[0] != 2 || reps[1] != 3 {
-		t.Errorf("Replicas(5) = %v, want [2 3]", reps)
+		t.Errorf("replicas of 5 = %v, want [2 3]", reps)
 	}
 	// Wrap-around: strip 3 on server 3 replicates to 0 and 1 (ascending).
-	reps = l.Replicas(3)
+	reps = replicaList(l.Holders(3))
 	if len(reps) != 2 || reps[0] != 0 || reps[1] != 1 {
-		t.Errorf("Replicas(3) = %v, want [0 1]", reps)
+		t.Errorf("replicas of 3 = %v, want [0 1]", reps)
 	}
 	// Single copy degenerates to plain round-robin.
-	if NewReplicatedRoundRobin(4, 1).Replicas(7) != nil {
+	if NewReplicatedRoundRobin(4, 1).Holders(7).Len() != 1 {
 		t.Error("copies=1 must not replicate")
 	}
-	for _, bad := range []int{0, 5} {
+	for _, bad := range []int{0, 4, 5} { // at most min(D, 3) copies
 		bad := bad
 		func() {
 			defer func() {
@@ -142,9 +160,9 @@ func TestReplicatedRoundRobinWellFormed(t *testing.T) {
 	l := NewReplicatedRoundRobin(5, 3)
 	for s := int64(0); s < 40; s++ {
 		seen := map[int]bool{l.Primary(s): true}
-		for _, r := range l.Replicas(s) {
+		for _, r := range replicaList(l.Holders(s)) {
 			if r < 0 || r >= 5 || seen[r] {
-				t.Fatalf("strip %d: bad replica set %v (primary %d)", s, l.Replicas(s), l.Primary(s))
+				t.Fatalf("strip %d: bad replica set %v (primary %d)", s, replicaList(l.Holders(s)), l.Primary(s))
 			}
 			seen[r] = true
 		}
@@ -156,11 +174,11 @@ func TestReplicatedRoundRobinWellFormed(t *testing.T) {
 
 func TestHoldersAndHolds(t *testing.T) {
 	l := NewGroupedReplicated(4, 4, 1)
-	h := Holders(l, 3) // primary 0, replica 1
+	h := holderList(l.Holders(3)) // primary 0, replica 1
 	if len(h) != 2 || h[0] != 0 || h[1] != 1 {
 		t.Errorf("Holders(3) = %v, want [0 1]", h)
 	}
-	if !Holds(l, 3, 0) || !Holds(l, 3, 1) || Holds(l, 3, 2) {
+	if !l.Holders(3).Has(0) || !l.Holders(3).Has(1) || l.Holders(3).Has(2) {
 		t.Error("Holds disagrees with Holders")
 	}
 }
@@ -196,9 +214,9 @@ func TestConstructorValidation(t *testing.T) {
 	mustPanic("halo > r", func() { NewGroupedReplicated(4, 4, 5) })
 }
 
-// Property: every strip has exactly one primary in [0, D) and replicas are
-// distinct servers different from the primary, for all layouts; Replicated
-// says whether there are any.
+// Property: every strip has exactly one primary in [0, D), first among its
+// holders, and replicas are distinct servers different from the primary,
+// for all layouts.
 func TestPlacementWellFormedProperty(t *testing.T) {
 	prop := func(dRaw, rRaw, haloRaw uint8, stripRaw uint16) bool {
 		d := int(dRaw%16) + 1
@@ -209,17 +227,17 @@ func TestPlacementWellFormedProperty(t *testing.T) {
 			NewRoundRobin(d),
 			NewGrouped(d, r),
 			NewGroupedReplicated(d, r, halo),
-			NewReplicatedRoundRobin(d, halo%d+1),
+			NewReplicatedRoundRobin(d, halo%min(d, 3)+1),
 		} {
 			p := l.Primary(s)
 			if p < 0 || p >= l.Servers() {
 				return false
 			}
-			if Replicated(l, s) != (len(l.Replicas(s)) > 0) {
+			if h := l.Holders(s); h.Len() < 1 || h.Len() > 3 || h.At(0) != p {
 				return false
 			}
 			seen := map[int]bool{p: true}
-			for _, rep := range l.Replicas(s) {
+			for _, rep := range replicaList(l.Holders(s)) {
 				if rep < 0 || rep >= l.Servers() || seen[rep] {
 					return false
 				}
@@ -243,7 +261,7 @@ func TestReplicasAreAdjacentProperty(t *testing.T) {
 		s := int64(stripRaw)
 		p := l.Primary(s)
 		prev, next := (p+d-1)%d, (p+1)%d
-		for _, rep := range l.Replicas(s) {
+		for _, rep := range replicaList(l.Holders(s)) {
 			if rep != prev && rep != next {
 				return false
 			}

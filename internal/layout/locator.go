@@ -70,7 +70,7 @@ func (lc Locator) LocalDep(i, off, totalElems int64) bool {
 	if !ok {
 		return true
 	}
-	return Holds(lc.Layout, depStrip, lc.Server(i))
+	return lc.Layout.Holders(depStrip).Has(lc.Server(i))
 }
 
 // Strips returns the number of strips a file of size bytes occupies.

@@ -102,12 +102,12 @@ func (m *Migrating) Primary(s int64) int {
 	return m.old.Primary(s)
 }
 
-// Replicas follows the move set like Primary.
-func (m *Migrating) Replicas(s int64) []int {
+// Holders follows the move set like Primary.
+func (m *Migrating) Holders(s int64) Holders {
 	if m.moves.Moved(s) {
-		return m.target.Replicas(s)
+		return m.target.Holders(s)
 	}
-	return m.old.Replicas(s)
+	return m.old.Holders(s)
 }
 
 // Target returns the layout the migration is converging to.
@@ -124,55 +124,45 @@ func (m *Migrating) Progress() (moved, total int64) {
 // readback both follow the frozen table, so a flip committing mid-run
 // cannot strand an output strip where no reader will look.
 func (m *Migrating) Snapshot(n int64) *Table {
-	primaries := make([]int, n)
-	replicas := make([][]int, n)
-	for s := int64(0); s < n; s++ {
-		primaries[s] = m.Primary(s)
-		replicas[s] = m.Replicas(s)
+	holders := make([]Holders, n)
+	for s := range holders {
+		holders[s] = m.Holders(int64(s))
 	}
-	return NewTable(m.Servers(), primaries, replicas)
+	return NewTable(m.Servers(), holders)
 }
 
 // Table is an explicit per-strip placement: strip s's holders come from a
 // table rather than arithmetic. Strips beyond the table fall back to
 // round-robin; in practice a table always covers its file.
 type Table struct {
-	d         int
-	primaries []int
-	replicas  [][]int
+	d       int
+	holders []Holders
 }
 
-// NewTable builds an explicit placement over d servers.
-func NewTable(d int, primaries []int, replicas [][]int) *Table {
+// NewTable builds an explicit placement over d servers, strip s on
+// holders[s].
+func NewTable(d int, holders []Holders) *Table {
 	mustServers(d)
-	if len(replicas) != len(primaries) {
-		panic(fmt.Sprintf("layout: table with %d primaries, %d replica sets", len(primaries), len(replicas)))
-	}
-	return &Table{d: d, primaries: primaries, replicas: replicas}
+	return &Table{d: d, holders: holders}
 }
 
 // Name identifies the frozen placement.
 func (t *Table) Name() string {
-	return fmt.Sprintf("table(D=%d,strips=%d)", t.d, len(t.primaries))
+	return fmt.Sprintf("table(D=%d,strips=%d)", t.d, len(t.holders))
 }
 
 // Servers returns the server count.
 func (t *Table) Servers() int { return t.d }
 
 // Primary returns the tabled owner of strip s.
-func (t *Table) Primary(s int64) int {
-	if s < 0 || s >= int64(len(t.primaries)) {
-		return int(mod(s, int64(t.d)))
-	}
-	return t.primaries[s]
-}
+func (t *Table) Primary(s int64) int { return t.Holders(s).At(0) }
 
-// Replicas returns the tabled replica holders of strip s.
-func (t *Table) Replicas(s int64) []int {
-	if s < 0 || s >= int64(len(t.replicas)) {
-		return nil
+// Holders returns the tabled holders of strip s.
+func (t *Table) Holders(s int64) Holders {
+	if s < 0 || s >= int64(len(t.holders)) {
+		return only(int(mod(s, int64(t.d))))
 	}
-	return t.replicas[s]
+	return t.holders[s]
 }
 
 // Concrete resolves a possibly-migrating layout to a stable one for a file

@@ -1,9 +1,6 @@
 package layout
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestMigratingFollowsMoveSet: placement queries resolve under the old
 // layout until a strip's bit flips, under the target after.
@@ -17,8 +14,8 @@ func TestMigratingFollowsMoveSet(t *testing.T) {
 		if got, want := m.Primary(s), old.Primary(s); got != want {
 			t.Fatalf("unmoved Primary(%d) = %d, want old %d", s, got, want)
 		}
-		if got := m.Replicas(s); len(got) != 0 {
-			t.Fatalf("unmoved Replicas(%d) = %v, want none (round-robin)", s, got)
+		if got := replicaList(m.Holders(s)); len(got) != 0 {
+			t.Fatalf("unmoved replicas of %d = %v, want none (round-robin)", s, got)
 		}
 	}
 
@@ -32,8 +29,8 @@ func TestMigratingFollowsMoveSet(t *testing.T) {
 		if got, want := m.Primary(s), wantLay.Primary(s); got != want {
 			t.Errorf("Primary(%d) = %d, want %d", s, got, want)
 		}
-		if got, want := m.Replicas(s), wantLay.Replicas(s); !reflect.DeepEqual(got, want) {
-			t.Errorf("Replicas(%d) = %v, want %v", s, got, want)
+		if got, want := m.Holders(s), wantLay.Holders(s); got != want {
+			t.Errorf("Holders(%d) = %v, want %v", s, holderList(got), holderList(want))
 		}
 	}
 	if moved, total := m.Progress(); moved != 2 || total != 16 {
@@ -65,10 +62,10 @@ func TestMigratingSnapshotFreezes(t *testing.T) {
 
 	snap := m.Snapshot(6)
 	wantPrim := make([]int, 6)
-	wantReps := make([][]int, 6)
+	wantHolders := make([]Holders, 6)
 	for s := int64(0); s < 6; s++ {
 		wantPrim[s] = m.Primary(s)
-		wantReps[s] = m.Replicas(s)
+		wantHolders[s] = m.Holders(s)
 	}
 
 	moves.Set(0)
@@ -77,16 +74,16 @@ func TestMigratingSnapshotFreezes(t *testing.T) {
 		if got := snap.Primary(s); got != wantPrim[s] {
 			t.Errorf("snapshot Primary(%d) = %d, want frozen %d", s, got, wantPrim[s])
 		}
-		if got := snap.Replicas(s); !reflect.DeepEqual(got, wantReps[s]) {
-			t.Errorf("snapshot Replicas(%d) = %v, want frozen %v", s, got, wantReps[s])
+		if got := snap.Holders(s); got != wantHolders[s] {
+			t.Errorf("snapshot Holders(%d) = %v, want frozen %v", s, holderList(got), holderList(wantHolders[s]))
 		}
 	}
 	// Past the table a snapshot degrades to round-robin rather than lying.
 	if got, want := snap.Primary(100), 100%3; got != want {
 		t.Errorf("out-of-table Primary(100) = %d, want %d", got, want)
 	}
-	if got := snap.Replicas(100); got != nil {
-		t.Errorf("out-of-table Replicas(100) = %v, want nil", got)
+	if got := snap.Holders(100); got != only(1) {
+		t.Errorf("out-of-table Holders(100) = %v, want [1]", holderList(got))
 	}
 }
 

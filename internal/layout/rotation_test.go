@@ -51,13 +51,13 @@ func TestStartingAtRotatesEveryHolder(t *testing.T) {
 				for s := int64(0); s < period; s++ {
 					want := []int{(l.Primary(s) + k) % d}
 					var reps []int
-					for _, r := range l.Replicas(s) {
+					for _, r := range replicaList(l.Holders(s)) {
 						reps = append(reps, (r+k)%d)
 					}
 					sort.Ints(reps)
 					want = append(want, reps...)
-					if got := Holders(rot, s); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s strip %d: holders %v, want %v (unrotated %v)", name, s, got, want, Holders(l, s))
+					if got := holderList(rot.Holders(s)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s strip %d: holders %v, want %v (unrotated %v)", name, s, got, want, holderList(l.Holders(s)))
 					}
 				}
 			}
@@ -69,7 +69,7 @@ func TestStartingAtRotatesEveryHolder(t *testing.T) {
 // HDFS-style replicated layout carry their placement already and come back
 // as they went in.
 func TestStartingAtLeavesOtherLayoutsAlone(t *testing.T) {
-	table := NewTable(3, []int{2, 0, 1}, [][]int{nil, {1}, nil})
+	table := NewTable(3, []Holders{only(2), only(0).with(1), only(1)})
 	mig := NewMigrating(NewRoundRobin(3), NewGroupedReplicated(3, 2, 1), NewMoveSet(6))
 	rrr := NewReplicatedRoundRobin(3, 2)
 	for _, l := range []Layout{table, mig, rrr} {

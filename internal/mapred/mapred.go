@@ -34,7 +34,6 @@ import (
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
 	"github.com/hpcio/das/internal/sim"
-	"github.com/hpcio/das/internal/simnet"
 )
 
 // Job describes one MapReduce execution of a stencil kernel.
@@ -257,10 +256,7 @@ func (r *Runner) reduceTask(p *sim.Proc, s int, in, out *pfs.FileMeta, k kernels
 			prodSrv := r.fs.Server(producer)
 			clu.Disk(prodSrv.NodeID()).Read(sp, pullBytes)
 			if producer != s {
-				clu.Net.Send(sp, simnet.Message{
-					From: prodSrv.NodeID(), To: srv.NodeID(), Port: "shuffle",
-					Size: pullBytes, Class: clu.ClassBetween(prodSrv.NodeID(), srv.NodeID()),
-				})
+				clu.Net.Transfer(sp, prodSrv.NodeID(), srv.NodeID(), pullBytes, clu.ClassBetween(prodSrv.NodeID(), srv.NodeID()))
 				stats.ShuffledBytes += pullBytes
 			}
 			sig.Fire(pullFrags)
@@ -302,7 +298,7 @@ func (r *Runner) reduceTask(p *sim.Proc, s int, in, out *pfs.FileMeta, k kernels
 		return err
 	}
 	for i, t := range outStrips {
-		stats.OutputReplicaBytes += int64(len(out.Layout.Replicas(t))) * int64(len(outChunks[i]))
+		stats.OutputReplicaBytes += int64(out.Layout.Holders(t).Len()-1) * int64(len(outChunks[i]))
 	}
 	return nil
 }

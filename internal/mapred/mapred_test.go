@@ -119,12 +119,12 @@ func TestMapReduceOutputReplicated(t *testing.T) {
 	stats := runJob(t, clu, fs, Job{Op: "flow-routing", Input: "in", Output: "out", Replication: 2})
 	m, _ := fs.Meta("out")
 	for s := int64(0); s < m.Strips(); s++ {
-		holders := layout.Holders(m.Layout, s)
-		if len(holders) != 2 {
-			t.Fatalf("strip %d has %d holders, want 2", s, len(holders))
+		holders := m.Layout.Holders(s)
+		if holders.Len() != 2 {
+			t.Fatalf("strip %d has %d holders, want 2", s, holders.Len())
 		}
-		for _, h := range holders {
-			if !fs.Server(h).Holds("out", s) {
+		for i := 0; i < holders.Len(); i++ {
+			if h := holders.At(i); !fs.Server(h).Holds("out", s) {
 				t.Errorf("server %d missing replica of output strip %d", h, s)
 			}
 		}
@@ -149,5 +149,24 @@ func TestMapReduceValidation(t *testing.T) {
 	}
 	if err1 == nil || err2 == nil {
 		t.Error("invalid jobs accepted")
+	}
+}
+
+// TestShuffleLeavesNoMessageQueued: a shuffle segment reaches its reducer
+// through the pull's signal, and the transfer that charges its bytes
+// delivers nothing, so no port holds an unread message after the job.
+func TestShuffleLeavesNoMessageQueued(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	clu, fs := rig(t, 4, g)
+	if stats := runJob(t, clu, fs, Job{Op: "flow-routing", Input: "in", Output: "out"}); stats.ShuffledBytes == 0 {
+		t.Fatal("the job shuffled nothing")
+	}
+	for srv := 0; srv < fs.Servers(); srv++ {
+		if n := clu.Net.Node(fs.Server(srv).NodeID()).Port("shuffle").Len(); n != 0 {
+			t.Errorf("server %d: %d shuffle segments left queued", srv, n)
+		}
+	}
+	if err := clu.Net.CheckReplies(); err != nil {
+		t.Error(err)
 	}
 }

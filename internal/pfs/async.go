@@ -51,7 +51,7 @@ func (rc *readCall) OnResponse(resp simnet.Message) {
 func (fs *FileSystem) ReadStripFromTask(fromID, srv int, file string, strip, lo, hi int64, cont func(data []byte, err error)) {
 	rc := fs.readCallGet()
 	rc.file, rc.strip, rc.srv, rc.cont = file, strip, srv, cont
-	fs.callTask(fromID, srv, fs.readOne(file, strip, lo, hi), headerBytes, rc)
+	fs.callTask(fromID, srv, fs.readOne(file, strip, lo, hi), HeaderBytes, rc)
 }
 
 // writeCall is one in-flight WriteStripToTask; pooled on the filesystem.
@@ -84,7 +84,7 @@ func (wc *writeCall) OnResponse(resp simnet.Message) {
 func (fs *FileSystem) WriteStripToTask(fromID, srv int, file string, strip int64, data []byte, cont func(err error)) {
 	wc := fs.writeCallGet()
 	wc.file, wc.strip, wc.srv, wc.cont = file, strip, srv, cont
-	fs.callTask(fromID, srv, fs.writeOne(file, strip, data, true, false), headerBytes+int64(len(data)), wc)
+	fs.callTask(fromID, srv, fs.writeOne(file, strip, data, true, false), HeaderBytes+int64(len(data)), wc)
 }
 
 // callTask builds the request message exactly as the process-based call

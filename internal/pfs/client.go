@@ -217,8 +217,8 @@ func (c *Client) Reconfigure(p *sim.Proc, name string, newLay layout.Layout) err
 		s := s
 		src := oldLay.Primary(s)
 		var targets []int
-		for _, holder := range layout.Holders(newLay, s) {
-			if !c.fs.servers[holder].Holds(name, s) {
+		for holders, i := newLay.Holders(s), 0; i < holders.Len(); i++ {
+			if holder := holders.At(i); !c.fs.servers[holder].Holds(name, s) {
 				targets = append(targets, holder)
 			}
 		}
@@ -238,8 +238,8 @@ func (c *Client) Reconfigure(p *sim.Proc, name string, newLay layout.Layout) err
 	}
 	// Retire copies that the new layout does not place.
 	for s := int64(0); s < m.Strips(); s++ {
-		for _, holder := range layout.Holders(oldLay, s) {
-			if !layout.Holds(newLay, s, holder) {
+		for holders, i := oldLay.Holders(s), 0; i < holders.Len(); i++ {
+			if holder := holders.At(i); !newLay.Holders(s).Has(holder) {
 				c.fs.servers[holder].Drop(name, s)
 			}
 		}

@@ -249,7 +249,7 @@ func TestForwardSendsEveryHolderItsCopyAtOnce(t *testing.T) {
 		if _, err := fs.Create("f", 64, lay, CreateOptions{StripSize: 64}); err != nil {
 			t.Fatal(err)
 		}
-		a, b := lay.Replicas(0)[0], lay.Replicas(0)[1] // the primary's two other holders
+		a, b := lay.Holders(0).At(1), lay.Holders(0).At(2) // the primary's two other holders
 		if down {
 			crash(t, clu, a)
 		}

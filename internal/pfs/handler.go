@@ -73,7 +73,7 @@ func (x *reqTask) begin() {
 			return
 		}
 		x.isRead, x.diskSize = true, total
-		x.payload, x.respSize = r, headerBytes+total
+		x.payload, x.respSize = r, HeaderBytes+total
 	case *writeReq:
 		total, err := s.validateWrite(req.File, req.Strips, req.Data)
 		if err == nil {
@@ -87,7 +87,7 @@ func (x *reqTask) begin() {
 			return
 		}
 		x.isRead, x.diskSize = false, total
-		x.payload, x.respSize = ackResp{}, headerBytes
+		x.payload, x.respSize = ackResp{}, HeaderBytes
 	default:
 		// The dispatcher only routes the two types above here.
 		panic("pfs: ineligible request on the request chain")
@@ -109,7 +109,7 @@ func (x *reqTask) begin() {
 }
 
 func (x *reqTask) fail(err error) {
-	x.payload, x.respSize = failResp(err), headerBytes
+	x.payload, x.respSize = failResp(err), HeaderBytes
 	x.respond()
 }
 
@@ -148,8 +148,10 @@ func (s *Server) straightLine(payload any) bool {
 		if !req.Forward {
 			return true
 		}
+		// A Forward write that owes no strip pushes nothing. Unknown files
+		// owe nothing: their writes fail validation before forwarding.
 		for _, strip := range req.Strips {
-			if !s.replicasAllLocal(req.File, strip) {
+			if s.Owes(req.File, strip) {
 				return false
 			}
 		}
@@ -157,22 +159,6 @@ func (s *Server) straightLine(payload any) bool {
 	default:
 		return false
 	}
-}
-
-// replicasAllLocal reports whether a strip's replica set names no server
-// but this one, i.e. a Forward write would push nothing. Unknown files
-// count as local: their writes fail validation before forwarding.
-func (s *Server) replicasAllLocal(file string, strip int64) bool {
-	m, ok := s.fs.meta[file]
-	if !ok {
-		return true
-	}
-	for _, rep := range m.Layout.Replicas(strip) {
-		if rep != s.srv {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *Server) taskGet() *reqTask {

@@ -39,7 +39,8 @@ func TestPartialWriteReadModifyWrite(t *testing.T) {
 		// a touched boundary strip directly.
 		m, _ := fs.Meta("f")
 		for s := int64(0); s < m.Strips(); s++ {
-			for _, holder := range layout.Holders(m.Layout, s) {
+			for hs, i := m.Layout.Holders(s), 0; i < hs.Len(); i++ {
+				holder := hs.At(i)
 				lo, hi := m.StripBounds(s)
 				copyData, err := fs.Server(holder).LocalRead(p, "f", s, 0, 0)
 				if err != nil {
@@ -184,7 +185,7 @@ func TestReconfigureCycleReturnsToStart(t *testing.T) {
 	})
 	for s := int64(0); s < 16; s++ {
 		for srv := 0; srv < 4; srv++ {
-			want := layout.Holds(start, s, srv)
+			want := start.Holders(s).Has(srv)
 			if got := fs.Server(srv).Holds("f", s); got != want {
 				t.Errorf("strip %d server %d: holds=%v want=%v", s, srv, got, want)
 			}

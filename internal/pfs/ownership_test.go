@@ -100,7 +100,7 @@ func TestClientBufferIsCopiedOnceOnEntry(t *testing.T) {
 	}
 	var s int64 = -1
 	for c := int64(0); c < 8; c++ {
-		if len(lay.Replicas(c)) > 0 {
+		if lay.Holders(c).Len() > 1 {
 			s = c
 			break
 		}
@@ -108,7 +108,7 @@ func TestClientBufferIsCopiedOnceOnEntry(t *testing.T) {
 	if s < 0 {
 		t.Fatal("layout places no replicas")
 	}
-	primary, holder := fs.Server(lay.Primary(s)), fs.Server(lay.Replicas(s)[0])
+	primary, holder := fs.Server(lay.Primary(s)), fs.Server(lay.Holders(s).At(1))
 	stored := func(srv *Server) []byte { return srv.store["f"][s] }
 
 	buf := bytes.Repeat([]byte{0x11}, strip)
@@ -476,7 +476,7 @@ func TestSealOfASliceReplicaHoldersShare(t *testing.T) {
 	clu, fs, _ := sealRig(t, lay)
 	var s int64 = -1
 	for c := int64(0); c < 4; c++ {
-		if len(lay.Replicas(c)) > 0 {
+		if lay.Holders(c).Len() > 1 {
 			s = c
 			break
 		}
@@ -484,7 +484,7 @@ func TestSealOfASliceReplicaHoldersShare(t *testing.T) {
 	if s < 0 {
 		t.Fatal("layout places no replicas")
 	}
-	primary, holder := lay.Primary(s), lay.Replicas(s)[0]
+	primary, holder := lay.Primary(s), lay.Holders(s).At(1)
 	run(t, clu, func(p *sim.Proc) {
 		shared := localView(t, p, fs, holder, s)
 		if &shared[0] != &localView(t, p, fs, primary, s)[0] {

@@ -25,8 +25,9 @@ const DefaultStripSize = 64 * 1024
 // Port is the mailbox name data servers listen on.
 const Port = "pfs"
 
-// headerBytes approximates the wire overhead of one request or response.
-const headerBytes = 128
+// HeaderBytes approximates the wire overhead of one request or response,
+// on the pfs wire and on every service built over it.
+const HeaderBytes = 128
 
 // FileMeta is the metadata service's record for one file.
 type FileMeta struct {
@@ -467,7 +468,7 @@ func (fs *FileSystem) read(p *sim.Proc, fromID int, fromInc uint64, srv int, req
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.call(p, fromID, fromInc, srv, req, headerBytes)
+	resp, err := fs.call(p, fromID, fromInc, srv, req, HeaderBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -496,7 +497,8 @@ func (fs *FileSystem) readStripFailover(p *sim.Proc, fromID int, fromInc uint64,
 	}
 	backoff := DownBackoff
 	for round := 0; ; round++ {
-		for _, holder := range layout.Holders(m.Layout, strip) {
+		for holders, i := m.Layout.Holders(strip), 0; i < holders.Len(); i++ {
+			holder := holders.At(i)
 			if round == 0 && holder == preferred {
 				continue // just failed above
 			}
@@ -589,7 +591,7 @@ func (fs *FileSystem) write(p *sim.Proc, fromID, srv int, req *writeReq, migrati
 	if n > 0 {
 		first = req.Strips[0]
 	}
-	var size int64 = headerBytes
+	var size int64 = HeaderBytes
 	for _, d := range req.Data {
 		size += int64(len(d))
 	}
@@ -623,7 +625,7 @@ func (fs *FileSystem) MigrateStrip(p *sim.Proc, fromID, srv int, file string, st
 	if fs.latObs != nil {
 		start = p.Now()
 	}
-	resp, err := fs.callWrite(p, fromID, srv, migrateReq{File: file, Strip: strip, Targets: targets}, headerBytes)
+	resp, err := fs.callWrite(p, fromID, srv, migrateReq{File: file, Strip: strip, Targets: targets}, HeaderBytes)
 	if err != nil {
 		return err
 	}

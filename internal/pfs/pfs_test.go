@@ -207,7 +207,8 @@ func TestReplicatedWritePlacesBoundaryCopies(t *testing.T) {
 		}
 	})
 	for s := int64(0); s < 8; s++ {
-		for _, holder := range layout.Holders(lay, s) {
+		for hs, i := lay.Holders(s), 0; i < hs.Len(); i++ {
+			holder := hs.At(i)
 			if !fs.Server(holder).Holds("f", s) {
 				t.Errorf("server %d missing copy of strip %d", holder, s)
 			}
@@ -257,7 +258,7 @@ func TestReconfigureMigratesAndPreservesContent(t *testing.T) {
 	}
 	for s := int64(0); s < 16; s++ {
 		for srv := 0; srv < 4; srv++ {
-			want := layout.Holds(newLay, s, srv)
+			want := newLay.Holders(s).Has(srv)
 			if got := fs.Server(srv).Holds("f", s); got != want {
 				t.Errorf("strip %d on server %d: holds=%v want=%v", s, srv, got, want)
 			}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/hpcio/das/internal/bufpool"
-	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
 )
@@ -149,7 +148,7 @@ func failResp(err error) errResp {
 // decides per message.
 func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
 	respond := func(payload any) {
-		s.fs.clu.Net.Respond(p, msg, payload, headerBytes, s.fs.clu.ClassBetween(s.nodeID, msg.From))
+		s.fs.clu.Net.Respond(p, msg, payload, HeaderBytes, s.fs.clu.ClassBetween(s.nodeID, msg.From))
 	}
 	var err error
 	switch req := msg.Payload.(type) {
@@ -374,40 +373,35 @@ func (s *Server) replicaBatches(file string, strips []int64, data [][]byte) ([]r
 			at[holder] = j
 			req := s.fs.writeReqGet()
 			req.File, req.immutable = file, true
-			batches = append(batches, replicaBatch{target: holder, req: req, size: headerBytes})
+			batches = append(batches, replicaBatch{target: holder, req: req, size: HeaderBytes})
 		}
 		b := &batches[j]
 		b.req.Strips = append(b.req.Strips, strip)
 		b.req.Data = append(b.req.Data, chunk)
 		b.size += int64(len(chunk))
 	}
+	// A strip is owed to its replicas, and to its primary too when this
+	// server holds it as a replica; add skips this server itself.
 	for i, strip := range strips {
-		for _, holder := range s.owedTo(m, strip) {
-			add(holder, strip, data[i])
+		holders, first := m.Layout.Holders(strip), 1
+		if holders.Has(s.srv) {
+			first = 0
+		}
+		for j := first; j < holders.Len(); j++ {
+			add(holders.At(j), strip, data[i])
 		}
 	}
 	return batches, nil
 }
 
-// owedTo lists the holders of strip that Forward sends this server's copy
-// to, itself included where it is one (add skips it): the strip's
-// replicas, and its primary when this server holds the strip as a replica.
-func (s *Server) owedTo(m *FileMeta, strip int64) []int {
-	reps := m.Layout.Replicas(strip)
-	if slices.Contains(reps, s.srv) {
-		return append([]int{m.Layout.Primary(strip)}, reps...)
-	}
-	return reps
-}
-
 // Owes reports whether Forward would send this server's copy of strip to
 // another holder under the file's current layout: a replica, or the
 // primary when this server holds the strip as a replica. Either way that
-// is whether the strip has a replica at all, which Owes asks without
-// listing them. An unknown file owes nothing.
+// is whether the strip has a replica at all. An unknown file owes
+// nothing.
 func (s *Server) Owes(file string, strip int64) bool {
 	m, ok := s.fs.meta[file]
-	return ok && layout.Replicated(m.Layout, strip)
+	return ok && m.Layout.Holders(strip).Len() > 1
 }
 
 // sendReplicas pushes one holder's batch and waits for its

@@ -212,7 +212,7 @@ func TestAnEarlierRunsAcksSkipNoStrip(t *testing.T) {
 			}
 			from, to := rig.clu.StorageID(1), rig.clu.ComputeID(0)
 			rig.clu.Eng.AfterFunc(sim.Millisecond, func() {
-				rig.clu.Net.SendAsync(simnet.Message{From: from, To: to, Port: AckPort, Size: headerBytes,
+				rig.clu.Net.SendAsync(simnet.Message{From: from, To: to, Port: AckPort, Size: pfs.HeaderBytes,
 					Class: rig.clu.ClassBetween(from, to), Payload: late})
 			})
 		}

@@ -165,7 +165,7 @@ func (c *Client) Run(p *sim.Proc, pl *Plan, price predict.Decision, input, outpu
 				if ss == nil {
 					return active.Request{}
 				}
-				return active.Request{Size: headerBytes + int64(len(ss))*8,
+				return active.Request{Size: pfs.HeaderBytes + int64(len(ss))*8,
 					Payload: stageReq{Token: token, DAG: pl.DAG, Input: input, Output: output,
 						Round: round, Strips: ss, CatchUp: catchUp, Depth: pl.Prefix, Owners: owners}}
 			}
@@ -259,7 +259,7 @@ func (c *Client) release(p *sim.Proc, token string) {
 			From:    c.nodeID,
 			To:      toID,
 			Port:    Port,
-			Size:    headerBytes,
+			Size:    pfs.HeaderBytes,
 			Class:   clu.ClassBetween(c.nodeID, toID),
 			Payload: releaseReq{Token: token},
 		})

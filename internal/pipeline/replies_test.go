@@ -5,6 +5,7 @@ import (
 
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/metrics"
+	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
 )
@@ -65,7 +66,7 @@ func callServer(t *testing.T, net *simnet.Network, eng *sim.Engine, from, to int
 	d0, a0 := net.Replies()
 	var resp any
 	eng.Spawn("caller", func(p *sim.Proc) {
-		resp = net.Call(p, simnet.Message{From: from, To: to, Port: Port, Size: headerBytes,
+		resp = net.Call(p, simnet.Message{From: from, To: to, Port: Port, Size: pfs.HeaderBytes,
 			Class: metrics.ClientToServer, Payload: payload}).Payload
 	})
 	if err := eng.Run(); err != nil {

@@ -20,8 +20,6 @@ const Port = "pipe"
 // AckPort is the mailbox a compute node's runs receive their acks on.
 const AckPort = "pipe-ack"
 
-const headerBytes = 128
-
 // stageReq asks one server to compute one dispatch round of a DAG over
 // an explicit ascending strip set. Round 0 evaluates the fused prefix
 // from the durable input; later rounds evaluate one node from parent
@@ -211,11 +209,11 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 		if err != nil {
 			resp = stageResp{Err: err.Error(), Transient: transientErr(err)}
 		}
-		size := headerBytes + int64(len(resp.Partials))*partialBytes(resp.Partials)
+		size := pfs.HeaderBytes + int64(len(resp.Partials))*partialBytes(resp.Partials)
 		clu.Net.Respond(p, msg, resp, size, clu.ClassBetween(srv.NodeID(), msg.From))
 	case bandReq:
 		resp := svc.band(srv, req)
-		size := int64(headerBytes)
+		size := int64(pfs.HeaderBytes)
 		for _, d := range resp.Data {
 			size += int64(len(d)) * grid.ElemSize
 		}
@@ -224,7 +222,7 @@ func (svc *Service) handle(p *sim.Proc, srv *pfs.Server, msg simnet.Message) {
 		delete(svc.runs[srv.Index()], req.Token)
 	default:
 		clu.Net.Respond(p, msg, stageResp{Err: fmt.Sprintf("pipeline: unknown request %T", msg.Payload)},
-			headerBytes, clu.ClassBetween(srv.NodeID(), msg.From))
+			pfs.HeaderBytes, clu.ClassBetween(srv.NodeID(), msg.From))
 	}
 }
 
@@ -410,7 +408,7 @@ func (svc *Service) stage(p *sim.Proc, srv *pfs.Server, req stageReq, from int) 
 				From:    srv.NodeID(),
 				To:      from,
 				Port:    AckPort,
-				Size:    headerBytes + int64(len(ack.Partials))*partialBytes(ack.Partials),
+				Size:    pfs.HeaderBytes + int64(len(ack.Partials))*partialBytes(ack.Partials),
 				Class:   clu.ClassBetween(srv.NodeID(), from),
 				Payload: ack,
 			})
@@ -497,7 +495,7 @@ func (svc *Service) parentValues(p *sim.Proc, srv *pfs.Server, rs *runState, in 
 	clu := svc.fs.Cluster()
 	reqs := make([]active.Request, len(pulls))
 	for i, pu := range pulls {
-		reqs[i] = active.Request{Srv: pu.owner, Size: headerBytes,
+		reqs[i] = active.Request{Srv: pu.owner, Size: pfs.HeaderBytes,
 			Payload: bandReq{Token: req.Token, Node: parent, Spans: pu.spans}}
 	}
 	// The fan-out gives up on either end crashing: a down puller's request

@@ -43,3 +43,21 @@ func BenchmarkDecideImprovedLayout(b *testing.B) {
 		}
 	}
 }
+
+// TestDecideImprovedLayoutAllocations holds BenchmarkDecideImprovedLayout's
+// call to at most 100 allocations: asking a layout for a strip's holders
+// allocates nothing, so what is left is the run lists and the decision's
+// own strings, not one list per strip and offset.
+func TestDecideImprovedLayoutAllocations(t *testing.T) {
+	pat := features.Pattern{Name: "flow-routing", Offsets: features.EightNeighbor()}
+	p := fullScaleParams()
+	lay := layout.NewGroupedReplicated(12, 8, 2)
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := Estimate(Kernel(pat), p, lay, Observations{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 100 {
+		t.Errorf("Estimate at the full-scale geometry: %v allocations, want at most 100", n)
+	}
+}

@@ -222,7 +222,7 @@ func ReplicaBytes(lc layout.Locator, fileSize int64) int64 {
 	var total int64
 	for s := int64(0); s < lc.Strips(fileSize); s++ {
 		lo, hi := lc.StripBounds(s, fileSize)
-		total += int64(len(lc.Layout.Replicas(s))) * (hi - lo)
+		total += int64(lc.Layout.Holders(s).Len()-1) * (hi - lo)
 	}
 	return total
 }

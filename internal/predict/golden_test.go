@@ -205,7 +205,7 @@ func TestLocalityDefinitionsAgreeOffTheEdges(t *testing.T) {
 				for s := int64(0); s < strips; s++ {
 					need = predict.NeededStrips(need, lc, pat.Resolve(sz.p.Width), s*eps, min((s+1)*eps, total), total)
 					for _, r := range need {
-						if r != 0 && r != strips-1 && !layout.Holds(lay, r, lay.Primary(s)) {
+						if r != 0 && r != strips-1 && !lay.Holders(r).Has(lay.Primary(s)) {
 							t.Errorf("%s %s %s: strip %d fetches interior strip %d though no element dependence is remote",
 								sz.name, lay.Name(), pat.Name, s, r)
 						}

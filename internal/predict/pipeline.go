@@ -177,7 +177,7 @@ func (spec PipelineSpec) price(d *Decision, p Params, lc layout.Locator, _ func(
 		}
 		for srv, rs := range runs {
 			for _, run := range rs {
-				d.PerPassNetBytes += run.remoteBytes(lc, p.TotalElems(), st.Back, st.Fwd, func(t int64) bool { return layout.Holds(lc.Layout, t, srv) })
+				d.PerPassNetBytes += run.remoteBytes(lc, p.TotalElems(), st.Back, st.Fwd, func(t int64) bool { return lc.Layout.Holders(t).Has(srv) })
 			}
 		}
 		d.PerPassNetBytes += d.OutputReplicaBytes
@@ -253,7 +253,7 @@ func (spec PipelineSpec) priceSchedule(rounds []PipelineRound, p Params, lc layo
 				if rd.Input >= 0 {
 					held := (run.hi - run.lo) * lc.ElemSize
 					run.reached(lc, total, rd.Input, rd.Input, func(t, n int64) {
-						if layout.Holds(lay, t, srv) {
+						if lay.Holders(t).Has(srv) {
 							held += n * lc.ElemSize
 						} else {
 							msgs = append(msgs, msg{lay.Primary(t), n * lc.ElemSize, true})
@@ -351,7 +351,8 @@ func (spec PipelineSpec) priceSchedule(rounds []PipelineRound, p Params, lc layo
 func forwards(lc layout.Locator, fileSize int64, run stripRun, srv int) (holders []int, bytes []int64) {
 	for t := run.first; t <= run.last; t++ {
 		lo, hi := lc.StripBounds(t, fileSize)
-		for _, h := range layout.Holders(lc.Layout, t) {
+		for hs, i := lc.Layout.Holders(t), 0; i < hs.Len(); i++ {
+			h := hs.At(i)
 			if h == srv {
 				continue
 			}

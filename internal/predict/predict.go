@@ -16,7 +16,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/hpcio/das/internal/features"
 	"github.com/hpcio/das/internal/layout"
@@ -109,7 +108,6 @@ func analyze(pat features.Pattern, p Params, lc layout.Locator, down func(srv in
 			a.RemoteFrac = float64(a.RemoteDeps) / float64(n)
 		}
 	}
-	live := func(srv int) bool { return !down(srv) }
 	var runs [][]stripRun
 	runs, a.UnservableStrips = assignmentRuns(lc, p.FileSize, down)
 	var needed []int64
@@ -117,9 +115,9 @@ func analyze(pat features.Pattern, p Params, lc layout.Locator, down func(srv in
 		for _, run := range rs {
 			needed = NeededStrips(needed, lc, offs, run.lo, run.hi, total)
 			for _, t := range needed {
-				switch {
-				case layout.Holds(lc.Layout, t, srv):
-				case down != nil && !slices.ContainsFunc(layout.Holders(lc.Layout, t), live):
+				switch holders := lc.Layout.Holders(t); {
+				case holders.Has(srv):
+				case down != nil && !liveCopy(holders, down):
 					a.UnservableStrips++
 				default:
 					lo, hi := lc.StripBounds(t, p.FileSize)
@@ -152,13 +150,24 @@ func remoteDeps(lc layout.Locator, offs []int64, total int64) (sum int64) {
 				continue
 			}
 			for t := lc.Strip(lo); t*eps < hi; t++ {
-				if !layout.Holds(lc.Layout, t, owner) {
+				if !lc.Layout.Holders(t).Has(owner) {
 					sum += min((t+1)*eps, hi) - max(t*eps, lo)
 				}
 			}
 		}
 	}
 	return sum
+}
+
+// liveCopy reports whether a server that down does not report holds the
+// strip.
+func liveCopy(holders layout.Holders, down func(srv int) bool) bool {
+	for i := 0; i < holders.Len(); i++ {
+		if !down(holders.At(i)) {
+			return true
+		}
+	}
+	return false
 }
 
 // stripRun is a maximal range of consecutive strips placed on one server:

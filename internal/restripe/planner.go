@@ -60,13 +60,10 @@ func planMoves(meta *pfs.FileMeta, old layout.Layout, target layout.Layout) []*m
 	var srcs []int
 	for s := int64(0); s < strips; s++ {
 		lo, hi := meta.StripBounds(s)
-		oldHolds := make(map[int]bool)
-		for _, h := range layout.Holders(old, s) {
-			oldHolds[h] = true
-		}
+		was, to := old.Holders(s), target.Holders(s)
 		var est int64
-		for _, h := range layout.Holders(target, s) {
-			if !oldHolds[h] {
+		for i := 0; i < to.Len(); i++ {
+			if !was.Has(to.At(i)) {
 				est += hi - lo
 			}
 		}

@@ -176,7 +176,8 @@ func TestDirtiedCopyReshipsStaleTargets(t *testing.T) {
 		}
 		// Every target holder must serve the post-write bytes: a stale
 		// shipped copy surviving the discarded attempt would fail here.
-		for _, h := range layout.Holders(target, raced) {
+		for hs, i := target.Holders(raced), 0; i < hs.Len(); i++ {
+			h := hs.At(i)
 			if got := r.readStrip(t, p, h, raced); !bytes.Equal(got, fresh) {
 				t.Errorf("server %d serves stale bytes for raced strip %d", h, raced)
 			}
@@ -247,7 +248,8 @@ func TestFlipsCommitPastAStalledBudget(t *testing.T) {
 			return
 		}
 		lo, hi := r.meta.StripBounds(last.strip)
-		for _, h := range layout.Holders(mig.target, last.strip) {
+		for hs, i := mig.target.Holders(last.strip), 0; i < hs.Len(); i++ {
+			h := hs.At(i)
 			if !r.fs.Server(h).Holds("f", last.strip) {
 				if err := r.fs.Server(h).LocalWrite(p, "f", last.strip, r.data[lo:hi]); err != nil {
 					t.Error(err)

@@ -469,8 +469,8 @@ func (m *Migrator) batchFile(p *sim.Proc, mig *Migration, limit int) int {
 // is down.
 func (m *Migrator) resolve(mig *Migration, mv *move) (src int, targets []int, bytes int64, live bool) {
 	src = -1
-	for _, h := range layout.Holders(mig.dual, mv.strip) {
-		if m.fs.Server(h).Holds(mig.file, mv.strip) {
+	for holders, i := mig.dual.Holders(mv.strip), 0; i < holders.Len(); i++ {
+		if h := holders.At(i); m.fs.Server(h).Holds(mig.file, mv.strip) {
 			src = h
 			break
 		}
@@ -486,8 +486,8 @@ func (m *Migrator) resolve(mig *Migration, mv *move) (src int, targets []int, by
 		return 0, nil, 0, false
 	}
 	lo, hi := meta.StripBounds(mv.strip)
-	for _, h := range layout.Holders(mig.target, mv.strip) {
-		if mv.reship[h] || !m.fs.Server(h).Holds(mig.file, mv.strip) {
+	for holders, i := mig.target.Holders(mv.strip), 0; i < holders.Len(); i++ {
+		if h := holders.At(i); mv.reship[h] || !m.fs.Server(h).Holds(mig.file, mv.strip) {
 			targets = append(targets, h)
 		}
 	}
@@ -539,7 +539,7 @@ func (m *Migrator) commit(mig *Migration, mv *move, bytes int64) {
 		m.watcher.StripFlipped(mig.file, mv.strip)
 	}
 	for srv := 0; srv < m.fs.Servers(); srv++ {
-		if m.fs.Server(srv).Holds(mig.file, mv.strip) && !layout.Holds(mig.target, mv.strip, srv) {
+		if m.fs.Server(srv).Holds(mig.file, mv.strip) && !mig.target.Holders(mv.strip).Has(srv) {
 			m.fs.Server(srv).Drop(mig.file, mv.strip)
 		}
 	}

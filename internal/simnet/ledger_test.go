@@ -44,6 +44,7 @@ func rpc(to int) Message {
 func TestLedgerCountsALoopbackCallOnceEachWay(t *testing.T) {
 	eng, net := newNet(t, 1, 1e6, sim.Millisecond)
 	ledgerServer(eng, net, 0, 1)
+	eng.SpawnDaemon("sink", func(p *sim.Proc) { net.Node(0).Port("oneway").Get(p) })
 	eng.Spawn("client", func(p *sim.Proc) {
 		net.Call(p, rpc(0))
 		// A one-way message carries no Reply mailbox and owes nothing.
@@ -159,6 +160,41 @@ func TestLedgerCatchesADroppedAndADoubledReply(t *testing.T) {
 			t.Errorf("%d answers: CheckReplies = %v, want the imbalance reported", tc.answers, err)
 		}
 		eng.Shutdown()
+	}
+}
+
+// TestCheckCatchesAnUnreadMessage: a Send to a port nobody reads stays
+// queued there, which the check reports by node and port; Transfer moves
+// the same bytes in the same time, counts the same traffic and leaves
+// nothing queued.
+func TestCheckCatchesAnUnreadMessage(t *testing.T) {
+	var took [2]sim.Time
+	var moved [2]int64
+	for i, send := range []bool{true, false} {
+		eng, net := newNet(t, 2, 1e6, sim.Millisecond)
+		eng.Spawn("client", func(p *sim.Proc) {
+			if send {
+				net.Send(p, Message{From: 0, To: 1, Port: "sink", Size: 1000, Class: metrics.ClientToServer})
+			} else {
+				net.Transfer(p, 0, 1, 1000, metrics.ClientToServer)
+			}
+			took[i] = p.Now()
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		moved[i] = net.Traffic().Bytes(metrics.ClientToServer)
+		err := net.CheckReplies()
+		if want := `node 1 port "sink" holds 1 unread messages`; send && (err == nil || !strings.Contains(err.Error(), want)) {
+			t.Errorf("after a Send nobody reads: CheckReplies = %v, want %q", err, want)
+		}
+		if !send && err != nil {
+			t.Errorf("after a Transfer: CheckReplies = %v", err)
+		}
+		eng.Shutdown()
+	}
+	if took[0] != took[1] || moved[0] != moved[1] || moved[0] != 1000 {
+		t.Errorf("Send took %v and moved %d bytes, Transfer %v and %d", took[0], moved[0], took[1], moved[1])
 	}
 }
 

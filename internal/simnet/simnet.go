@@ -141,13 +141,25 @@ func (n *Network) Config() Config { return n.cfg }
 // then loses it.
 func (n *Network) Replies() (delivered, answered uint64) { return n.delivered, n.answered }
 
-// CheckReplies reports a reply owed but never sent, or sent twice: at
-// quiescence, when no handler is still working, every delivered request
-// must have been answered exactly once. A handler that drops its reply
-// parks its caller forever, which no other check sees.
+// CheckReplies reports a reply owed but never sent, or sent twice, and a
+// message nobody read: at quiescence, when no handler is still working,
+// every delivered request must have been answered exactly once and every
+// port must be empty. A handler that drops its reply parks its caller
+// forever, and a message sent to a port nobody reads stays queued, which
+// no other check sees.
 func (n *Network) CheckReplies() error {
 	if n.delivered != n.answered {
 		return fmt.Errorf("simnet: %d requests delivered, %d answered", n.delivered, n.answered)
+	}
+	for _, nd := range n.nodes {
+		if nd == nil {
+			continue
+		}
+		for i, mb := range nd.ports {
+			if mb != nil && mb.Len() > 0 {
+				return fmt.Errorf("simnet: node %d port %q holds %d unread messages", nd.id, n.portNames[i], mb.Len())
+			}
+		}
 	}
 	return nil
 }
@@ -238,6 +250,16 @@ func (n *Network) Send(p *sim.Proc, msg Message) {
 	src, dst := n.Node(msg.From), n.Node(msg.To)
 	if src == dst || n.moveSync(p, "send", src, dst, msg.Size, msg.Class) {
 		n.deliver(dst.Port(msg.Port), msg)
+	}
+}
+
+// Transfer moves size bytes from node from to node to as Send moves a
+// message — the same NIC occupancy, wire time, faults and traffic — and
+// delivers nothing: it charges a transfer whose bytes the receiver takes
+// some other way. Loopback is free.
+func (n *Network) Transfer(p *sim.Proc, from, to int, size int64, class metrics.TrafficClass) {
+	if src, dst := n.Node(from), n.Node(to); src != dst {
+		n.moveSync(p, "send", src, dst, size, class)
 	}
 }
 
