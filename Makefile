@@ -43,10 +43,19 @@ seeds:
 
 # Bench smoke: every experiment end to end at the reduced configuration —
 # each cell verified against the sequential reference and held at or above
-# its bound, the replayed experiments byte-identical across two runs. The
-# race detector runs over every package in `extended`.
+# its bound, the replayed experiments byte-identical across two runs — then
+# every program under examples/ built and run: one that fails to build or
+# exits non-zero fails the target, named. The race detector runs over every
+# package in `extended`.
 bench-smoke:
 	go run ./cmd/dasbench -quick -exp all -json BENCH_sim_smoke.json
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for dir in examples/*/; do \
+		name="$$(basename "$$dir")"; \
+		go build -o "$$tmp/$$name" "./$$dir" || { echo "bench-smoke: examples/$$name does not build"; exit 1; }; \
+		"$$tmp/$$name" >/dev/null || { status=$$?; echo "bench-smoke: examples/$$name exited $$status"; exit 1; }; \
+	done; \
+	echo "bench-smoke: every example under examples/ ran and exited 0"
 
 # Bench identity: the simulated-clock records are functions of the code
 # alone, so the committed BENCH_sim.json — every cell of every experiment,

@@ -5,6 +5,7 @@ import (
 
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
+	"github.com/hpcio/das/internal/restripe"
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/workload"
 )
@@ -26,12 +27,16 @@ func TestOutputLandsWhereItsLayoutSays(t *testing.T) {
 	}
 	exec()
 	fresh := workload.Terrain(testW, testH, 12)
+	mig, err := restripe.NewMigrator(rig.clu, rig.fs, restripe.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.fs.SetInvalidator(mig)
 	rig.run(t, func(p *sim.Proc) error {
-		client := rig.fs.NewClient(rig.clu.ComputeID(0))
-		if err := client.Reconfigure(p, "in", layout.StartingAt(layout.NewGroupedReplicated(4, 2, 1), 1)); err != nil {
+		if err := mig.Migrate(p, "in", layout.StartingAt(layout.NewGroupedReplicated(4, 2, 1), 1)); err != nil {
 			return err
 		}
-		return client.WriteAll(p, "in", fresh.Bytes())
+		return rig.fs.NewClient(rig.clu.ComputeID(0)).WriteAll(p, "in", fresh.Bytes())
 	})
 	exec()
 	want := kernels.Apply(kernels.FlowRouting{}, fresh)

@@ -276,3 +276,132 @@ func TestFaultedDASIsDeterministic(t *testing.T) {
 		t.Errorf("nondeterministic faulted run: (%v,%d) vs (%v,%d)", t1, r1, t2, r2)
 	}
 }
+
+// TestReconfigureDeclinesWithAServerDown: a reconfigure request that finds
+// a storage server already down keeps the input's layout — a migration
+// would park on the dead server — and runs the job on it, offloaded to
+// the live holders; the output still equals the sequential reference. The
+// offload is forced, as in the crash tests above: the degraded verdict
+// serves normal I/O, which writes each strip through its primary and so
+// cannot write with one down.
+func TestReconfigureDeclinesWithAServerDown(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	lay := crashSurvivableLayout(4)
+	s := ingested(t, g, lay)
+	if err := s.Clu.ApplyFault(fault.Event{Kind: fault.Crash, Server: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Execute(Request{
+		Op: "gaussian-filter", Input: "in", Output: "out", Scheme: DAS, Reconfigure: true, DisablePrediction: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reconfigured {
+		t.Error("reconfigured with a server down")
+	}
+	if m, _ := s.FS.Meta("in"); m.Layout.Name() != lay.Name() {
+		t.Errorf("input moved to %s with a server down", m.Layout.Name())
+	}
+	got, err := s.FetchGrid("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := kernels.Apply(kernels.Gaussian{}, g); !got.Equal(want) {
+		t.Errorf("output differs from the reference (max diff %g)", got.MaxAbsDiff(want))
+	}
+}
+
+// TestReconfigureSurvivesCrashAndRestartMidMigration crashes a server
+// halfway through a healthy reconfigure's migration and restarts it once
+// the copies in flight to or from it have given up — pfs.DownRetries
+// backoffs — but inside the drain's retry budget: the moves that parked on
+// it resume, the request migrates and offloads, and the output equals the
+// sequential reference.
+func TestReconfigureSurvivesCrashAndRestartMidMigration(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	req := Request{Op: "gaussian-filter", Input: "in", Output: "out", Scheme: DAS, Reconfigure: true}
+	base, err := ingested(t, g, layout.NewRoundRobin(4)).Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Reconfigured {
+		t.Fatalf("healthy reconfigure did not migrate: %+v", base.Decision)
+	}
+
+	s := ingested(t, g, layout.NewRoundRobin(4))
+	crashAt := base.ReconfigTime / 2
+	if err := s.Clu.InstallFaultPlan(fault.Plan{Events: []fault.Event{
+		{At: crashAt, Kind: fault.Crash, Server: 1},
+		{At: crashAt + pfs.DownBackoff*(1<<pfs.DownRetries-1) + 10*sim.Millisecond, Kind: fault.Restart, Server: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Reconfigured || !rep.Offloaded {
+		t.Errorf("reconfigured=%v offloaded=%v after a crash and restart mid-migration", rep.Reconfigured, rep.Offloaded)
+	}
+	if n := s.Clu.Counters.Get("restripe.resumes"); n == 0 || rep.ReconfigTime <= base.ReconfigTime {
+		t.Errorf("migration took %v with a crash mid-way, %v healthy, and resumed %d moves: the crash missed it",
+			rep.ReconfigTime, base.ReconfigTime, n)
+	}
+	got, err := s.FetchGrid("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := kernels.Apply(kernels.Gaussian{}, g); !got.Equal(want) {
+		t.Errorf("output differs from the reference (max diff %g)", got.MaxAbsDiff(want))
+	}
+}
+
+// TestReconfigureResumesAParkedMigration: a server that crashes mid-way
+// through a reconfigure's migration and stays down fails the request with
+// ErrServerDown, leaving the input migrating toward the planned layout.
+// Once the server restarts, the next reconfigure request resumes that
+// migration instead of declining on the dual layout, and its output
+// equals the sequential reference.
+func TestReconfigureResumesAParkedMigration(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	req := Request{Op: "gaussian-filter", Input: "in", Output: "out", Scheme: DAS, Reconfigure: true}
+	base, err := ingested(t, g, layout.NewRoundRobin(4)).Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := ingested(t, g, layout.NewRoundRobin(4))
+	if err := s.Clu.InstallFaultPlan(fault.Plan{Events: []fault.Event{
+		{At: base.ReconfigTime / 2, Kind: fault.Crash, Server: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Execute(req); !errors.Is(err, pfs.ErrServerDown) {
+		t.Fatalf("reconfigure with a server gone for good: %v, want ErrServerDown", err)
+	}
+	m, _ := s.FS.Meta("in")
+	if _, dual := m.Layout.(*layout.Migrating); !dual {
+		t.Fatalf("failed reconfigure left layout %s, want the dual layout", m.Layout.Name())
+	}
+	if err := s.Clu.ApplyFault(fault.Event{Kind: fault.Restart, Server: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Reconfigured || !rep.Offloaded {
+		t.Errorf("reconfigured=%v offloaded=%v after the restart", rep.Reconfigured, rep.Offloaded)
+	}
+	if m.Layout.Name() != base.Decision.Analysis.Layout {
+		t.Errorf("input ended on %s, want the planned %s", m.Layout.Name(), base.Decision.Analysis.Layout)
+	}
+	got, err := s.FetchGrid("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := kernels.Apply(kernels.Gaussian{}, g); !got.Equal(want) {
+		t.Errorf("output differs from the reference (max diff %g)", got.MaxAbsDiff(want))
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/pfs"
 	"github.com/hpcio/das/internal/predict"
+	"github.com/hpcio/das/internal/restripe"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -54,25 +55,34 @@ func (s *System) execute(rep *Report, req Request, in *pfs.FileMeta) error {
 // operator, when the gate prices that layout accepted — otherwise the
 // migration cost buys nothing. It returns the Decision the input migrated
 // on, which the request then runs under: the planned layout is priced
-// once. Nil means nothing migrated. Migration needs every strip's primary
-// alive, so a degraded cluster keeps the layout it has. A file the online
-// restriper is already migrating keeps its dual layout — the background
-// migration owns it.
+// once. Nil means nothing migrated. The request drains the migration on
+// its own process through the system's one migrator. A degraded cluster
+// keeps the layout it has, a file migrating elsewhere its dual layout; a
+// migration to the planned layout (a failed drain's, say) resumes.
 func (s *System) reconfigure(rep *Report, req Request, in *pfs.FileMeta) (*predict.Decision, error) {
-	if _, migrating := in.Layout.(*layout.Migrating); req.Scheme != DAS || !req.Reconfigure || s.Clu.AnyStorageDown() || migrating {
+	if req.Scheme != DAS || !req.Reconfigure || s.Clu.AnyStorageDown() {
 		return nil, nil
 	}
 	planned, err := s.PlanLayout(req.Op, in.Width, in.ElemSize, in.StripSize, in.Size, 0)
 	if err != nil || planned.Name() == in.Layout.Name() {
 		return nil, err
 	}
+	if dual, migrating := in.Layout.(*layout.Migrating); migrating && dual.Target().Name() != planned.Name() {
+		return nil, nil
+	}
 	pat, _ := s.Features.Lookup(req.Op) // PlanLayout found it
 	d, err := s.decide(predict.Kernel(pat), predictParams(in), planned, req.Input)
 	if err != nil || !d.Offload {
 		return nil, err
 	}
+	if s.migrator == nil {
+		if s.migrator, err = restripe.NewMigrator(s.Clu, s.FS, restripe.Config{}); err != nil {
+			return nil, err
+		}
+		s.wire()
+	}
 	rt, err := s.run("das-reconfig-"+req.Input, func(p *sim.Proc) error {
-		return s.FS.NewClient(s.Clu.ComputeID(0)).Reconfigure(p, req.Input, planned)
+		return s.migrator.Migrate(p, req.Input, planned)
 	})
 	if err != nil {
 		return nil, err

@@ -84,6 +84,11 @@ type System struct {
 	// Control is the unified p99 latency controller, nil until
 	// EnableControl.
 	Control *control.Controller
+	// migrator is the system's one migrator: Restripe when deployed,
+	// otherwise one the first reconfigure built and kept — never started
+	// and never fed by Observe. It hears every strip mutation and is
+	// checked at the end of every run.
+	migrator *restripe.Migrator
 }
 
 // EnableCache deploys the halo-strip cache subsystem: one byte-budgeted
@@ -113,7 +118,7 @@ func (s *System) EnableRestripe(cfg restripe.Config) error {
 	if err != nil {
 		return err
 	}
-	s.Restripe = mgr
+	s.Restripe, s.migrator = mgr, mgr
 	s.wire()
 	mgr.Start()
 	return nil
@@ -164,8 +169,8 @@ func (s *System) wire() {
 	if s.Cache != nil {
 		listeners = append(listeners, s.Cache)
 	}
-	if s.Restripe != nil {
-		listeners = append(listeners, s.Restripe)
+	if s.migrator != nil {
+		listeners = append(listeners, s.migrator)
 	}
 	if len(listeners) > 0 {
 		s.FS.SetInvalidator(listeners)
@@ -267,8 +272,8 @@ func (s *System) run(name string, fn func(p *sim.Proc) error) (sim.Time, error) 
 	if err := s.Pipeline.CheckReleased(); err != nil {
 		return 0, err
 	}
-	if s.Restripe != nil {
-		if err := s.Restripe.CheckReleased(); err != nil {
+	if s.migrator != nil {
+		if err := s.migrator.CheckReleased(); err != nil {
 			return 0, err
 		}
 	}

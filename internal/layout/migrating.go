@@ -45,19 +45,6 @@ func (ms *MoveSet) Set(s int64) {
 	}
 }
 
-// Clear unmarks strip s (a committed move invalidated by a concurrent
-// write gets re-copied under the old placement). Idempotent.
-func (ms *MoveSet) Clear(s int64) {
-	if s < 0 || s >= ms.n {
-		return
-	}
-	mask := uint64(1) << uint(s%64)
-	if ms.bits[s/64]&mask != 0 {
-		ms.bits[s/64] &^= mask
-		ms.moved--
-	}
-}
-
 // Count returns how many strips are marked migrated.
 func (ms *MoveSet) Count() int64 { return ms.moved }
 
@@ -112,11 +99,6 @@ func (m *Migrating) Holders(s int64) Holders {
 
 // Target returns the layout the migration is converging to.
 func (m *Migrating) Target() Layout { return m.target }
-
-// Progress returns how many of the file's strips have migrated.
-func (m *Migrating) Progress() (moved, total int64) {
-	return m.moves.Count(), m.moves.Len()
-}
 
 // Snapshot freezes the current dual placement of the first n strips into a
 // concrete Table layout. Output files produced while their input migrates

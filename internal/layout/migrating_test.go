@@ -33,21 +33,14 @@ func TestMigratingFollowsMoveSet(t *testing.T) {
 			t.Errorf("Holders(%d) = %v, want %v", s, holderList(got), holderList(want))
 		}
 	}
-	if moved, total := m.Progress(); moved != 2 || total != 16 {
-		t.Errorf("Progress = %d/%d, want 2/16", moved, total)
+	if moved, total := moves.Count(), moves.Len(); moved != 2 || total != 16 {
+		t.Errorf("moved %d/%d, want 2/16", moved, total)
 	}
 
-	// Re-setting is idempotent; clearing reverts to the old placement.
+	// Re-setting is idempotent.
 	moves.Set(5)
 	if moves.Count() != 2 {
 		t.Errorf("Count after duplicate Set = %d, want 2", moves.Count())
-	}
-	moves.Clear(5)
-	if got, want := m.Primary(5), old.Primary(5); got != want {
-		t.Errorf("cleared Primary(5) = %d, want old %d", got, want)
-	}
-	if moves.Count() != 1 {
-		t.Errorf("Count after Clear = %d, want 1", moves.Count())
 	}
 }
 

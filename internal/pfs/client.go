@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -196,54 +195,4 @@ func (c *Client) ReadAll(p *sim.Proc, name string) ([]byte, error) {
 		return nil, fmt.Errorf("pfs: unknown file %q", name)
 	}
 	return c.Read(p, name, 0, m.Size)
-}
-
-// Reconfigure migrates a file to a new layout (the "Reconfig Parallel File
-// System" step of the DAS workflow, Fig. 3). For every strip, each new
-// holder that lacks a copy receives one from the current primary
-// (server↔server traffic); holders that are no longer part of the new
-// placement drop their copies. Strip migrations overlap.
-func (c *Client) Reconfigure(p *sim.Proc, name string, newLay layout.Layout) error {
-	m, ok := c.fs.meta[name]
-	if !ok {
-		return fmt.Errorf("pfs: unknown file %q", name)
-	}
-	if newLay.Servers() != len(c.fs.servers) {
-		return fmt.Errorf("pfs: layout spans %d servers, file system has %d", newLay.Servers(), len(c.fs.servers))
-	}
-	oldLay := m.Layout
-	var sigs []*sim.Signal[error]
-	for s := int64(0); s < m.Strips(); s++ {
-		s := s
-		src := oldLay.Primary(s)
-		var targets []int
-		for holders, i := newLay.Holders(s), 0; i < holders.Len(); i++ {
-			if holder := holders.At(i); !c.fs.servers[holder].Holds(name, s) {
-				targets = append(targets, holder)
-			}
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		done := sim.NewSignal[error](c.fs.clu.Eng, "pfs-migrate")
-		sigs = append(sigs, done)
-		p.Spawn("pfs-migrate", func(mp *sim.Proc) {
-			done.Fire(c.fs.MigrateStrip(mp, c.nodeID, src, name, s, targets))
-		})
-	}
-	for _, err := range sim.WaitAll(p, sigs) {
-		if err != nil {
-			return err
-		}
-	}
-	// Retire copies that the new layout does not place.
-	for s := int64(0); s < m.Strips(); s++ {
-		for holders, i := oldLay.Holders(s), 0; i < holders.Len(); i++ {
-			if holder := holders.At(i); !newLay.Holders(s).Has(holder) {
-				c.fs.servers[holder].Drop(name, s)
-			}
-		}
-	}
-	m.Layout = newLay
-	return nil
 }

@@ -280,8 +280,8 @@ func (fs *FileSystem) Delete(name string) {
 	}
 }
 
-// SetLayout replaces a file's layout record. Callers that move the actual
-// strips use Client.Reconfigure; this is the bare metadata update.
+// SetLayout replaces a file's layout record. The strips themselves move
+// through restripe's migrator; this is the bare metadata update.
 func (fs *FileSystem) SetLayout(name string, lay layout.Layout) error {
 	m, ok := fs.meta[name]
 	if !ok {

@@ -229,43 +229,6 @@ func TestReplicatedWritePlacesBoundaryCopies(t *testing.T) {
 	}
 }
 
-func TestReconfigureMigratesAndPreservesContent(t *testing.T) {
-	clu, fs := testFS(t)
-	data := pattern(16 * 64)
-	if _, err := fs.Create("f", 16*64, layout.NewRoundRobin(4), CreateOptions{StripSize: 64}); err != nil {
-		t.Fatal(err)
-	}
-	newLay := layout.NewGroupedReplicated(4, 4, 1)
-	run(t, clu, func(p *sim.Proc) {
-		c := fs.NewClient(clu.ComputeID(0))
-		if err := c.WriteAll(p, "f", data); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Reconfigure(p, "f", newLay); err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.ReadAll(p, "f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Error("reconfiguration corrupted data")
-		}
-	})
-	m, _ := fs.Meta("f")
-	if m.Layout.Name() != newLay.Name() {
-		t.Errorf("layout after reconfig: %s", m.Layout.Name())
-	}
-	for s := int64(0); s < 16; s++ {
-		for srv := 0; srv < 4; srv++ {
-			want := newLay.Holders(s).Has(srv)
-			if got := fs.Server(srv).Holds("f", s); got != want {
-				t.Errorf("strip %d on server %d: holds=%v want=%v", s, srv, got, want)
-			}
-		}
-	}
-}
-
 func TestLocalReadAvoidsNetwork(t *testing.T) {
 	clu, fs := testFS(t)
 	data := pattern(4 * 64)

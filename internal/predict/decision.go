@@ -157,7 +157,7 @@ func (k Kernel) reason(d *Decision) string {
 		return fmt.Sprintf("degraded offload moves %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
 	case d.Degraded:
 		return fmt.Sprintf("rejected: degraded offload would move %d bytes vs %d for normal I/O", d.OffloadNetBytes, d.NormalNetBytes)
-	case a.LocalByLayout:
+	case a.LocalByLayout && d.Offload:
 		return "all dependencies resolve locally under " + a.Layout
 	case d.Offload && d.CacheHitFrac > 0:
 		return fmt.Sprintf("offload moves %d bytes vs %d for normal I/O (dependent fetches discounted by %.0f%% cache hits)",

@@ -145,9 +145,11 @@ var update = flag.Bool("update", false, "re-record testdata/decisions.golden fro
 // was written by the entry points Estimate replaced, and re-recorded when
 // the strip walk alone came to decide locality (97 rows where the
 // element-level sum had claimed "all dependencies resolve locally" while
-// the same decision priced fetches now say local=false) and when the
+// the same decision priced fetches now say local=false), when the
 // kernel price came to walk assignment runs, fetching a dependent strip
-// once per run as active.exec does, not once per strip.
+// once per run as active.exec does, not once per strip, and when a
+// rejection stopped reading as an acceptance (14 rejected rows under a
+// local layout now give the rejection's reason).
 func TestEstimateReproducesRecordedDecisions(t *testing.T) {
 	rows := goldenRows(t)
 	if *update {

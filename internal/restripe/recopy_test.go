@@ -20,10 +20,10 @@ const (
 	wbStrips = 16
 )
 
-// wbRig deploys 2 compute + 4 storage nodes with file "f" striped
-// round-robin and filled with a deterministic pattern, and a migrator
-// wired as the pfs invalidation listener (not started: tests drive
-// batches by hand).
+// wbRig deploys 2 compute + 4 storage nodes with file "f" of wbStrips
+// strips of the given size striped round-robin, a deterministic pattern
+// to fill it with, and a migrator wired as the pfs invalidation listener
+// (not started: tests drive batches or drains by hand).
 type wbRig struct {
 	clu  *cluster.Cluster
 	fs   *pfs.FileSystem
@@ -32,7 +32,7 @@ type wbRig struct {
 	data []byte
 }
 
-func newWBRig(t *testing.T, cfg Config) *wbRig {
+func newWBRig(t *testing.T, cfg Config, strip int64) *wbRig {
 	t.Helper()
 	ccfg := cluster.Default()
 	ccfg.ComputeNodes, ccfg.StorageNodes = 2, 4
@@ -46,11 +46,11 @@ func newWBRig(t *testing.T, cfg Config) *wbRig {
 		t.Fatal(err)
 	}
 	fs.SetInvalidator(m)
-	meta, err := fs.Create("f", wbStrips*wbStrip, layout.NewRoundRobin(4), pfs.CreateOptions{StripSize: wbStrip})
+	meta, err := fs.Create("f", wbStrips*strip, layout.NewRoundRobin(4), pfs.CreateOptions{StripSize: strip})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, wbStrips*wbStrip)
+	data := make([]byte, wbStrips*strip)
 	for i := range data {
 		data[i] = byte(i*7 + i/997)
 	}
@@ -73,10 +73,9 @@ func (r *wbRig) admit(t *testing.T, p *sim.Proc) *Migration {
 		t.Error(err)
 		return nil
 	}
-	r.m.admit(r.meta, layout.NewGroupedReplicated(4, 4, 1))
-	mig := r.m.active["f"]
-	if mig == nil {
-		t.Error("admit installed no migration")
+	mig, err := r.m.admit(r.meta, layout.NewGroupedReplicated(4, 4, 1))
+	if err != nil {
+		t.Error(err)
 	}
 	return mig
 }
@@ -109,7 +108,7 @@ func (r *wbRig) readStrip(t *testing.T, p *sim.Proc, srv int, s int64) []byte {
 // duration first, then lands the write deterministically mid-flight in a
 // later copy of the same shape.
 func TestDirtiedCopyReshipsStaleTargets(t *testing.T) {
-	r := newWBRig(t, Config{})
+	r := newWBRig(t, Config{}, wbStrip)
 	target := layout.NewGroupedReplicated(4, 4, 1)
 	fresh := make([]byte, wbStrip)
 	for i := range fresh {
@@ -132,9 +131,9 @@ func TestDirtiedCopyReshipsStaleTargets(t *testing.T) {
 				t.Error("active migration with no pending move")
 				return
 			}
-			src, targets, _, live := r.m.resolve(mig, mv)
-			if !live {
-				t.Error("server down in a healthy run")
+			src, targets, _, err := r.m.resolve(mig, mv)
+			if err != nil {
+				t.Errorf("server down in a healthy run: %v", err)
 				return
 			}
 			k := len(targets)
@@ -201,7 +200,7 @@ func TestDirtiedCopyReshipsStaleTargets(t *testing.T) {
 // reservation used to fail unconditionally and the migration stalled at
 // every tick forever. An idle server must admit the move regardless.
 func TestOversizedMoveStillMakesProgress(t *testing.T) {
-	r := newWBRig(t, Config{MaxInFlightBytes: 1})
+	r := newWBRig(t, Config{MaxInFlightBytes: 1}, wbStrip)
 	r.run(t, func(p *sim.Proc) {
 		mig := r.admit(t, p)
 		if mig == nil {
@@ -233,7 +232,7 @@ func TestOversizedMoveStillMakesProgress(t *testing.T) {
 // later zero-byte flips in the plan need no reservation and must still
 // commit in the same batch instead of stalling to future ticks.
 func TestFlipsCommitPastAStalledBudget(t *testing.T) {
-	r := newWBRig(t, Config{MaxInFlightBytes: 1})
+	r := newWBRig(t, Config{MaxInFlightBytes: 1}, wbStrip)
 	r.run(t, func(p *sim.Proc) {
 		mig := r.admit(t, p)
 		if mig == nil {

@@ -1,8 +1,10 @@
-// Package restripe is the online restriping subsystem: it watches per-file
-// offload decisions and observed dependent-halo traffic, asks the
-// prediction core for the improved grouped-replicated distribution within
-// a capacity budget, and migrates live files toward it in the background
-// on the DES clock — without ever making a read see stale or missing data.
+// Package restripe is the one path that moves a file to a new layout. It
+// watches per-file offload decisions and observed dependent-halo traffic,
+// asks the prediction core for the improved grouped-replicated
+// distribution within a capacity budget, and migrates live files toward it
+// in the background on the DES clock — without ever making a read see
+// stale or missing data. The DAS reconfigure step drains a migration of
+// its own through the same copier (Migrator.Migrate).
 //
 // The migration protocol per strip is copy-then-flip-then-retire: the
 // strip's bytes are pushed to every target holder that lacks a copy, the
@@ -22,6 +24,7 @@ package restripe
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/features"
@@ -116,7 +119,7 @@ func (s State) String() string {
 type Migration struct {
 	file    string
 	old     layout.Layout
-	target  layout.GroupedReplicated
+	target  layout.Layout
 	dual    *layout.Migrating
 	moves   *layout.MoveSet
 	plan    []*move
@@ -128,6 +131,10 @@ type Migration struct {
 	nextRetryAt sim.Time
 	startedAt   sim.Time
 	finishedAt  sim.Time
+	cause       error // why the migration last parked
+	// draining marks a migration a request batches itself (Migrate): the
+	// tick leaves it alone, and its moves skip the throttles.
+	draining bool
 }
 
 // Status is a migration snapshot for progress reports.
@@ -303,12 +310,13 @@ func (m *Migrator) Observe(file string, pat features.Pattern, p predict.Params, 
 	if m.admission != nil && !m.admission(meta.Name) {
 		return // deferred: evidence is kept, a later Observe retries
 	}
-	m.admit(meta, target)
+	// The target spans the file system's servers, so SetLayout accepts it.
+	_, _ = m.admit(meta, target)
 }
 
 // admit plans a migration and installs the dual layout: from this moment
 // every read of the file follows the move set.
-func (m *Migrator) admit(meta *pfs.FileMeta, target layout.GroupedReplicated) {
+func (m *Migrator) admit(meta *pfs.FileMeta, target layout.Layout) (*Migration, error) {
 	moves := layout.NewMoveSet(meta.Strips())
 	dual := layout.NewMigrating(meta.Layout, target, moves)
 	mig := &Migration{
@@ -326,7 +334,7 @@ func (m *Migrator) admit(meta *pfs.FileMeta, target layout.GroupedReplicated) {
 		mig.byStrip[mv.strip] = mv
 	}
 	if err := m.fs.SetLayout(meta.Name, dual); err != nil {
-		return // layout span mismatch: leave the file alone
+		return nil, err // layout span mismatch: the file is left alone
 	}
 	m.active[meta.Name] = mig
 	m.order = append(m.order, meta.Name)
@@ -335,6 +343,61 @@ func (m *Migrator) admit(meta *pfs.FileMeta, target layout.GroupedReplicated) {
 	if m.watcher != nil {
 		m.watcher.MigrationPlanned(meta.Name)
 	}
+	return mig, nil
+}
+
+// Migrate moves file to target on the calling process — the DAS
+// reconfigure step (Fig. 3) — admitting the migration or taking over the
+// file's migration to the same target, and batches it until it completes.
+// The tick skips a migration a request drains, and the request's moves
+// skip MovesPerTick and MaxInFlightBytes, which keep background copies
+// from starving foreground I/O: the waiting request is the foreground.
+// Its moves still charge the in-flight ledger. A parked migration retries
+// every RetryDelay; after pfs.DownRetries retries that commit nothing,
+// Migrate returns the park's cause (pfs.ErrServerDown for a dead server)
+// and leaves the migration parked behind its readable dual layout, for a
+// later Migrate to resume from the cursor.
+func (m *Migrator) Migrate(p *sim.Proc, file string, target layout.Layout) error {
+	mig, ok := m.active[file]
+	if !ok {
+		meta, found := m.fs.Meta(file)
+		if !found {
+			return fmt.Errorf("restripe: unknown file %q", file)
+		}
+		if _, dual := meta.Layout.(*layout.Migrating); dual {
+			return fmt.Errorf("restripe: %s is migrating under another migrator", file)
+		}
+		if meta.Layout.Name() == target.Name() {
+			return nil
+		}
+		var err error
+		if mig, err = m.admit(meta, target); err != nil {
+			return err
+		}
+	}
+	if mig.target.Name() != target.Name() {
+		return fmt.Errorf("restripe: %s is migrating to %s, not %s", file, mig.target.Name(), target.Name())
+	}
+	mig.draining = true
+	defer func() { mig.draining = false }()
+	for retries := 0; mig.state != Done; {
+		if mig.state == Waiting {
+			if retries == pfs.DownRetries {
+				return fmt.Errorf("restripe: migrate %s to %s: %w", file, target.Name(), mig.cause)
+			}
+			retries++
+			p.Sleep(mig.nextRetryAt - p.Now())
+			mig.state = Running
+		}
+		committed := mig.moves.Count()
+		if m.batchFile(p, mig, len(mig.plan)) == 0 && mig.state == Running {
+			p.Sleep(sampleEvery) // a tick's batch from before the drain holds every move left
+		}
+		if mig.moves.Count() > committed {
+			retries = 0
+		}
+	}
+	return nil
 }
 
 // tick spawns one bounded copier batch when migrations are pending, then
@@ -357,7 +420,7 @@ func (m *Migrator) runBatch(p *sim.Proc) {
 			return
 		}
 		mig, ok := m.active[file]
-		if !ok {
+		if !ok || mig.draining {
 			continue
 		}
 		if mig.state == Waiting {
@@ -390,13 +453,13 @@ func (m *Migrator) batchFile(p *sim.Proc, mig *Migration, limit int) int {
 		if mv.done || mv.inflight {
 			continue
 		}
-		src, targets, bytes, live := m.resolve(mig, mv)
-		if !live {
+		src, targets, bytes, err := m.resolve(mig, mv)
+		if err != nil {
 			// Fail fast without an RPC: the write path would bridge a
 			// planned crash by waiting out the down-window, but a migration
 			// must park and resume from its cursor instead of stalling a
 			// foreground-adjacent process on a dead server.
-			m.parkMove(mig, mv)
+			m.parkMove(mig, mv, err)
 			break
 		}
 		if len(targets) == 0 {
@@ -412,7 +475,7 @@ func (m *Migrator) batchFile(p *sim.Proc, mig *Migration, limit int) int {
 		if stalled {
 			continue
 		}
-		if !m.reserve(src, targets, bytes) {
+		if !m.reserve(src, targets, bytes, !mig.draining) {
 			// Out of in-flight budget for copies this batch; keep scanning
 			// for zero-byte flips, which need no reservation.
 			m.n.throttleStalls.Inc()
@@ -450,7 +513,7 @@ func (m *Migrator) batchFile(p *sim.Proc, mig *Migration, limit int) int {
 				m.n.recopies.Inc()
 			}
 			if out.err != nil {
-				m.parkMove(mig, out.mv)
+				m.parkMove(mig, out.mv, out.err)
 			}
 			continue
 		}
@@ -465,9 +528,10 @@ func (m *Migrator) batchFile(p *sim.Proc, mig *Migration, limit int) int {
 // re-executed move never re-ships bytes a committed placement already
 // covers, while targets a discarded attempt touched (mv.reship) are
 // always re-shipped: their copies may predate a write that only reached
-// the old placement. live is false when the source or any target server
-// is down.
-func (m *Migrator) resolve(mig *Migration, mv *move) (src int, targets []int, bytes int64, live bool) {
+// the old placement. err, wrapping pfs.ErrServerDown or
+// pfs.ErrNoLiveCopy, says why the move cannot run now: the source or a
+// target server is down, or no current holder stores the strip.
+func (m *Migrator) resolve(mig *Migration, mv *move) (src int, targets []int, bytes int64, err error) {
 	src = -1
 	for holders, i := mig.dual.Holders(mv.strip), 0; i < holders.Len(); i++ {
 		if h := holders.At(i); m.fs.Server(h).Holds(mig.file, mv.strip) {
@@ -475,15 +539,12 @@ func (m *Migrator) resolve(mig *Migration, mv *move) (src int, targets []int, by
 			break
 		}
 	}
-	if src < 0 {
+	meta, ok := m.fs.Meta(mig.file)
+	if src < 0 || !ok {
 		// No current holder stores the strip (it vanished with a crashed
 		// server before replication): park and hope a restart brings it
 		// back.
-		return 0, nil, 0, false
-	}
-	meta, ok := m.fs.Meta(mig.file)
-	if !ok {
-		return 0, nil, 0, false
+		return 0, nil, 0, fmt.Errorf("restripe: %s strip %d: %w", mig.file, mv.strip, pfs.ErrNoLiveCopy)
 	}
 	lo, hi := meta.StripBounds(mv.strip)
 	for holders, i := mig.target.Holders(mv.strip), 0; i < holders.Len(); i++ {
@@ -492,22 +553,19 @@ func (m *Migrator) resolve(mig *Migration, mv *move) (src int, targets []int, by
 		}
 	}
 	bytes = int64(len(targets)) * (hi - lo)
-	if m.clu.ServerDown(src) {
-		return src, targets, bytes, false
+	if m.clu.ServerDown(src) || slices.ContainsFunc(targets, m.clu.ServerDown) {
+		return src, targets, bytes, fmt.Errorf("restripe: %s strip %d from server %d to %v: %w", mig.file, mv.strip, src, targets, pfs.ErrServerDown)
 	}
-	for _, t := range targets {
-		if m.clu.ServerDown(t) {
-			return src, targets, bytes, false
-		}
-	}
-	return src, targets, bytes, true
+	return src, targets, bytes, nil
 }
 
 // parkMove marks a move failed and parks its migration for the retry
-// delay. The committed prefix is untouched: when the migration resumes,
-// the cursor re-executes exactly the moves that had not committed.
-func (m *Migrator) parkMove(mig *Migration, mv *move) {
+// delay, recording why. The committed prefix is untouched: when the
+// migration resumes, the cursor re-executes exactly the moves that had
+// not committed.
+func (m *Migrator) parkMove(mig *Migration, mv *move, cause error) {
 	mv.failed = true
+	mig.cause = cause
 	if mig.state != Waiting {
 		mig.state = Waiting
 		m.logEvent(mig.file, "park")
@@ -555,15 +613,8 @@ func (m *Migrator) advance(mig *Migration) {
 		return
 	}
 	if err := m.fs.SetLayout(mig.file, mig.target); err == nil {
-		mig.state = Done
+		m.end(mig)
 		mig.finishedAt = m.eng.Now()
-		delete(m.active, mig.file)
-		for i, f := range m.order {
-			if f == mig.file {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
 		m.completed = append(m.completed, mig)
 		m.observed[mig.file] = 0
 		m.n.completed.Inc()
@@ -575,18 +626,18 @@ func (m *Migrator) advance(mig *Migration) {
 }
 
 // reserve charges a move's bytes against the source and target servers'
-// in-flight budgets. A server that already carries migration bytes
-// refuses a charge that would push it over the cap, but an idle server
-// admits its share unconditionally: a single move larger than the budget
-// must still go through once its servers drain, or the migration would
-// stall at every tick forever without converging.
-func (m *Migrator) reserve(src int, targets []int, bytes int64) bool {
+// in-flight budgets. Throttled (a tick's move), a server that already
+// carries migration bytes refuses a charge that would push it over the
+// cap, but an idle server admits its share unconditionally: a single move
+// larger than the budget must still go through once its servers drain, or
+// the migration would stall at every tick forever without converging.
+func (m *Migrator) reserve(src int, targets []int, bytes int64, throttled bool) bool {
 	per := bytes / int64(len(targets))
-	if m.inflight[src] > 0 && m.inflight[src]+bytes > m.cfg.MaxInFlightBytes {
+	if throttled && m.inflight[src] > 0 && m.inflight[src]+bytes > m.cfg.MaxInFlightBytes {
 		return false
 	}
 	for _, t := range targets {
-		if m.inflight[t] > 0 && m.inflight[t]+per > m.cfg.MaxInFlightBytes {
+		if throttled && m.inflight[t] > 0 && m.inflight[t]+per > m.cfg.MaxInFlightBytes {
 			return false
 		}
 	}
@@ -646,19 +697,17 @@ func (m *Migrator) InvalidateStrip(file string, strip int64) {
 
 // InvalidateFile cancels any migration of a deleted file.
 func (m *Migrator) InvalidateFile(file string) {
-	mig, ok := m.active[file]
-	if !ok {
-		return
+	if mig, ok := m.active[file]; ok {
+		m.end(mig)
+		delete(m.observed, file)
 	}
+}
+
+// end marks a migration done and drops it from the active set.
+func (m *Migrator) end(mig *Migration) {
 	mig.state = Done
-	delete(m.active, file)
-	for i, f := range m.order {
-		if f == file {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-	delete(m.observed, file)
+	delete(m.active, mig.file)
+	m.order = slices.DeleteFunc(m.order, func(f string) bool { return f == mig.file })
 }
 
 // ActiveCount returns how many migrations are in progress.

@@ -164,6 +164,43 @@ func TestDASRejectedOffloadFlipsToAccepted(t *testing.T) {
 	checkGrid(t, s, "o2", want)
 }
 
+// TestReconfigureTakesOverABackgroundMigration: a DAS reconfigure request
+// on a file the ticking migrator is already moving to the planned layout
+// drains that migration itself, while the tick keeps firing and leaves it
+// alone: it completes once, and the request offloads over the migrated
+// file with the reference output.
+func TestReconfigureTakesOverABackgroundMigration(t *testing.T) {
+	g := workload.Terrain(testW, testH, 5)
+	k, _ := kernels.Default().Lookup("flow-routing")
+	s := rig(t, g)
+	defer s.Close()
+	// One move per tick: the background migration is still under way when
+	// the request arrives.
+	if err := s.EnableRestripe(restripe.Config{MovesPerTick: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Execute(core.Request{Op: "flow-routing", Input: "in", Output: "o1", Scheme: core.NAS}); err != nil {
+		t.Fatal(err)
+	}
+	checkGrid(t, s, "in", g) // the tick moves a few strips meanwhile
+	if s.Restripe.ActiveCount() != 1 {
+		t.Fatalf("%d active migrations before the request, want 1", s.Restripe.ActiveCount())
+	}
+	rep, err := s.Execute(core.Request{Op: "flow-routing", Input: "in", Output: "o2", Scheme: core.DAS, Reconfigure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Reconfigured || !rep.Offloaded || rep.Stats.RemoteBytes != 0 {
+		t.Errorf("reconfigured=%v offloaded=%v remote=%d, want a migrated local offload", rep.Reconfigured, rep.Offloaded, rep.Stats.RemoteBytes)
+	}
+	rs := s.Clu.Counters
+	if rs.Get("restripe.planned") != 1 || rs.Get("restripe.completed") != 1 || len(s.Restripe.Status()) != 1 {
+		t.Errorf("planned=%d completed=%d statuses=%v, want one migration completed once",
+			rs.Get("restripe.planned"), rs.Get("restripe.completed"), s.Restripe.Status())
+	}
+	checkGrid(t, s, "o2", kernels.Apply(k, g))
+}
+
 // TestReadsStayCorrectMidMigration drives client reads of the whole file
 // while the migration is in flight: each read interleaves with background
 // copy batches, flips, and retires on the DES clock, and every one must

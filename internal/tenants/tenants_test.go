@@ -11,6 +11,7 @@ import (
 	"github.com/hpcio/das/internal/kernels"
 	"github.com/hpcio/das/internal/layout"
 	"github.com/hpcio/das/internal/pfs"
+	"github.com/hpcio/das/internal/restripe"
 	"github.com/hpcio/das/internal/sim"
 )
 
@@ -325,12 +326,17 @@ func TestSetupSpreadsPrimaries(t *testing.T) {
 		}
 
 		// Restripe every input, then offload it: the output moves with it.
+		mig, err := restripe.NewMigrator(clu, fs, restripe.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.SetInvalidator(mig)
 		var restripeErr error
 		clu.Eng.Spawn("restripe", func(p *sim.Proc) {
-			client, as := fs.NewClient(clu.ComputeID(0)), active.NewClient(fs, clu.ComputeID(0))
+			as := active.NewClient(fs, clu.ComputeID(0))
 			for i := range e.files {
 				target := layout.StartingAt(layout.NewGroupedReplicated(fs.Servers(), 2, 1), i+1)
-				if restripeErr = client.Reconfigure(p, e.files[i].name, target); restripeErr != nil {
+				if restripeErr = mig.Migrate(p, e.files[i].name, target); restripeErr != nil {
 					return
 				}
 				if _, restripeErr = e.offload(p, as, &e.files[i]); restripeErr != nil {
