@@ -24,8 +24,9 @@ extended: tier1 lint extended-only
 # What only the extended gate runs, so that CI, which runs tier1 and lint
 # as jobs of their own, runs each once: the seed sweep, vet and race, then
 # a bounded fuzz of the row-streaming kernels against their per-element
-# oracle and of the order keys they select on against `<` (tier-1 runs
-# only the seed corpora). The module starts no goroutine of its own, so
+# oracle, of the order keys they select on against `<`, and of the raster
+# generators against their per-pixel definitions (tier-1 runs only the
+# seed corpora). The module starts no goroutine of its own, so
 # -race rests on internal/sim's coroutines alone: the handoff between
 # processes.
 extended-only: seeds
@@ -33,6 +34,7 @@ extended-only: seeds
 	go test -race ./...
 	go test -run '^$$' -fuzz FuzzRowDriver -fuzztime 20s ./internal/kernels
 	go test -run '^$$' -fuzz FuzzOrderKey -fuzztime 20s ./internal/kernels
+	go test -run '^$$' -fuzz FuzzGenerators -fuzztime 20s ./internal/workload
 
 # Seed sweep: every seed-sensitive experiment (`tenants` today) at full
 # scale over one declared list of twelve seeds, each claim's margin per

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/hpcio/das/internal/fault"
@@ -280,11 +281,47 @@ func TestFaultedDASIsDeterministic(t *testing.T) {
 // TestReconfigureDeclinesWithAServerDown: a reconfigure request that finds
 // a storage server already down keeps the input's layout — a migration
 // would park on the dead server — and runs the job on it, offloaded to
-// the live holders; the output still equals the sequential reference. The
-// offload is forced, as in the crash tests above: the degraded verdict
-// serves normal I/O, which writes each strip through its primary and so
-// cannot write with one down.
+// the live holders; the output still equals the sequential reference.
+// The request runs twice: with the offload forced, as in the crash tests
+// above, and under the prediction core, whose degraded verdict rejects
+// the offload — but normal I/O would write output strips through the down
+// primary, so the request offloads all the same, reported degraded.
 func TestReconfigureDeclinesWithAServerDown(t *testing.T) {
+	for _, forced := range []bool{true, false} {
+		rep := downServerRun(t, "gaussian-filter", true, forced)
+		if !rep.Offloaded || rep.Degraded == forced {
+			t.Errorf("forced=%v: offloaded=%v degraded=%v (%q)", forced, rep.Offloaded, rep.Degraded, rep.DegradedReason)
+		}
+	}
+}
+
+// TestDegradedVerdictOffloadsPastADownPrimary: with a server down under
+// the layout that mirrors every strip to both neighbours, the degraded
+// verdict rejects offloading gaussian-filter and flow-routing, and normal
+// I/O would write each output strip through its primary, down for a
+// quarter of them. Normal I/O is no side to reject to then: each request,
+// with and without Reconfigure, offloads to the live holders and is
+// reported degraded with the reason.
+func TestDegradedVerdictOffloadsPastADownPrimary(t *testing.T) {
+	for _, op := range []string{"gaussian-filter", "flow-routing"} {
+		for _, reconfigure := range []bool{false, true} {
+			rep := downServerRun(t, op, reconfigure, false)
+			if rep.Decision == nil || rep.Decision.Offload {
+				t.Errorf("%s reconfigure=%v: verdict %+v, want the degraded rejection this test is about", op, reconfigure, rep.Decision)
+			}
+			if !rep.Offloaded || !rep.Degraded || !strings.Contains(rep.DegradedReason, "server 2") {
+				t.Errorf("%s reconfigure=%v: offloaded=%v degraded=%v (%q): want a degraded offload naming server 2",
+					op, reconfigure, rep.Offloaded, rep.Degraded, rep.DegradedReason)
+			}
+		}
+	}
+}
+
+// downServerRun ingests the test terrain under crashSurvivableLayout(4),
+// crashes server 2 and runs op under DAS. The request must succeed, keep
+// the input's layout and equal the sequential reference.
+func downServerRun(t *testing.T, op string, reconfigure, disablePrediction bool) Report {
+	t.Helper()
 	g := workload.Terrain(testW, testH, 5)
 	lay := crashSurvivableLayout(4)
 	s := ingested(t, g, lay)
@@ -292,24 +329,26 @@ func TestReconfigureDeclinesWithAServerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := s.Execute(Request{
-		Op: "gaussian-filter", Input: "in", Output: "out", Scheme: DAS, Reconfigure: true, DisablePrediction: true,
+		Op: op, Input: "in", Output: "out", Scheme: DAS, Reconfigure: reconfigure, DisablePrediction: disablePrediction,
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s reconfigure=%v forced=%v: %v", op, reconfigure, disablePrediction, err)
 	}
 	if rep.Reconfigured {
-		t.Error("reconfigured with a server down")
+		t.Errorf("%s: reconfigured with a server down", op)
 	}
 	if m, _ := s.FS.Meta("in"); m.Layout.Name() != lay.Name() {
-		t.Errorf("input moved to %s with a server down", m.Layout.Name())
+		t.Errorf("%s: input moved to %s with a server down", op, m.Layout.Name())
 	}
 	got, err := s.FetchGrid("out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := kernels.Apply(kernels.Gaussian{}, g); !got.Equal(want) {
-		t.Errorf("output differs from the reference (max diff %g)", got.MaxAbsDiff(want))
+	k, _ := kernels.Default().Lookup(op)
+	if want := kernels.Apply(k, g); !got.Equal(want) {
+		t.Errorf("%s reconfigure=%v forced=%v: output differs from the reference (max diff %g)", op, reconfigure, disablePrediction, got.MaxAbsDiff(want))
 	}
+	return rep
 }
 
 // TestReconfigureSurvivesCrashAndRestartMidMigration crashes a server

@@ -117,7 +117,9 @@ func (s *System) job(rep *Report, req Request, in *pfs.FileMeta, priced *predict
 // dispatches, and any strip without a live copy vetoes offloading
 // outright) unless reconfigure already priced it, record the decision in
 // rep, and offload with the fetch mode the decision allows or — rejected
-// — serve the request as normal I/O.
+// — serve the request as normal I/O. Normal I/O is no side to reject to
+// while an output strip's primary is down: a servable request then
+// offloads to the live holders, degraded.
 func (s *System) gateDAS(rep *Report, req Request, in *pfs.FileMeta, priced *predict.Decision) (func(p *sim.Proc) error, error) {
 	decision := priced
 	if decision == nil {
@@ -136,8 +138,18 @@ func (s *System) gateDAS(rep *Report, req Request, in *pfs.FileMeta, priced *pre
 		if decision.Analysis.UnservableStrips > 0 {
 			rep.Degraded = true
 			rep.DegradedReason = decision.Reason
+			return s.tsJob(rep, req, in)
 		}
-		return s.tsJob(rep, req, in)
+		strip, srv, down := s.downPrimary(in)
+		if !down {
+			return s.tsJob(rep, req, in)
+		}
+		// Normal I/O writes each output strip through its primary, which
+		// cannot take a write while it is down: offload to the live
+		// holders, as a forced offload does.
+		rep.Degraded = true
+		rep.DegradedReason = fmt.Sprintf("normal I/O cannot write output strip %d: its primary, server %d, is down; offloaded to the live holders (%s)",
+			strip, srv, decision.Reason)
 	}
 	if _, migrating := in.Layout.(*layout.Migrating); !decision.Analysis.LocalByLayout || migrating {
 		// Accepted on cost grounds without full locality (dependence is
@@ -148,6 +160,21 @@ func (s *System) gateDAS(rep *Report, req Request, in *pfs.FileMeta, priced *pre
 		return s.offloadJob(rep, req, in, active.FetchWholeStrips)
 	}
 	return s.offloadJob(rep, req, in, active.LocalOnly)
+}
+
+// downPrimary returns the first strip of in whose primary — the write
+// point of the output strip createOutput places with it — is a storage
+// server that is down.
+func (s *System) downPrimary(in *pfs.FileMeta) (strip int64, srv int, down bool) {
+	if !s.Clu.AnyStorageDown() {
+		return 0, 0, false
+	}
+	for strip = 0; strip < in.Strips(); strip++ {
+		if srv = in.Layout.Primary(strip); s.Clu.ServerDown(srv) {
+			return strip, srv, true
+		}
+	}
+	return 0, 0, false
 }
 
 // offloadJob prepares an active storage execution: NAS's, or an accepted

@@ -465,9 +465,11 @@ type Report struct {
 	ExecTime     sim.Time
 	Stats        active.ExecStats
 	// Degraded notes that storage-server faults forced the request off its
-	// preferred path — an offload that fell back to normal I/O, or a DAS
-	// decision vetoed because strips had no live copy. DegradedReason says
-	// why; ExecTime includes any time the abandoned attempt consumed.
+	// preferred path — an offload that fell back to normal I/O, a DAS
+	// decision vetoed because strips had no live copy, or a rejected DAS
+	// request offloaded because normal I/O could not write an output strip
+	// through its down primary. DegradedReason says why; ExecTime includes
+	// any time the abandoned attempt consumed.
 	Degraded       bool
 	DegradedReason string
 	// Traffic holds the byte deltas this operation moved, per class.

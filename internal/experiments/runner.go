@@ -54,9 +54,11 @@ func (d *dataset) load(s Scenario) (*grid.Grid, error) {
 		return nil, fmt.Errorf("experiments: %d GB does not tile width %d", s.SizeGB, s.Width)
 	}
 	h := int(elems / int64(s.Width))
-	g := workload.Terrain(s.Width, h, s.Seed)
+	var g *grid.Grid
 	if s.Image {
 		g = workload.Image(s.Width, h, s.Seed, 0.05)
+	} else {
+		g = workload.Terrain(s.Width, h, s.Seed)
 	}
 	*d = dataset{key: key, input: g, refs: map[string]*grid.Grid{"": g}}
 	return g, nil

@@ -297,3 +297,100 @@ func TestFailedDrainLeavesNoStaleCopy(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTickLeavesADrainedMigrationAlone: a request drains a migration of
+// three strips from round-robin to round-robin started on server 1, with
+// server 3 crashed. The drain issues the copies of strips 0 and 1, parks
+// on strip 2 (bound for server 3) and waits for its two copies, which
+// outlast RetryDelay and a tick period. Server 3 restarts as the drain
+// parks, so a tick past the retry time finds a parked migration it could
+// resume — but a request drains it, and the tick must not batch it: no
+// move may go out while the drain's own copies are still in flight, and
+// the migration completes once.
+func TestTickLeavesADrainedMigrationAlone(t *testing.T) {
+	const strip, strips = 64 << 10, 3
+	r := newWBRig(t, Config{RetryDelay: 100 * sim.Microsecond}, wbStrip)
+	meta, err := r.fs.Create("g", strips*strip, layout.NewRoundRobin(4), pfs.CreateOptions{StripSize: strip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{1, 2, 3, 5, 7, 11, 13}, strips*strip/7+1)[:strips*strip]
+	target := layout.RoundRobin{D: 4, Start: 1}
+	crash := func(kind fault.Kind) {
+		if err := r.clu.ApplyFault(fault.Event{Kind: kind, Server: 3}); err != nil {
+			t.Error(err)
+		}
+	}
+	r.run(t, func(p *sim.Proc) {
+		c := r.fs.NewClient(r.clu.ComputeID(0))
+		if err := c.WriteAll(p, "g", data); err != nil {
+			t.Error(err)
+			return
+		}
+		crash(fault.Crash)
+		r.m.Start()
+		defer r.m.Stop()
+		done := false
+		p.Spawn("drain", func(d *sim.Proc) {
+			if err := r.m.Migrate(d, "g", target); err != nil {
+				t.Error(err)
+			}
+			done = true
+		})
+		// Watch the drain on the DES clock. Its first batch is the
+		// moves in flight when it parks; while any of them is, the drain
+		// waits on them and only a tick could issue another.
+		var mig *Migration
+		var first []*move
+		resumable, batched := false, false
+		for !done {
+			p.Sleep(sim.Microsecond)
+			if mig == nil {
+				if mig = r.m.active["g"]; mig == nil || mig.state != Waiting {
+					mig = nil
+					continue
+				}
+				for _, mv := range mig.plan {
+					if mv.inflight {
+						first = append(first, mv)
+					}
+				}
+				crash(fault.Restart)
+			}
+			if !slices.ContainsFunc(first, func(mv *move) bool { return mv.inflight }) {
+				continue
+			}
+			if mig.state == Waiting && p.Now() >= mig.nextRetryAt+sampleEvery {
+				resumable = true
+			}
+			for _, mv := range mig.plan {
+				if mv.inflight && !slices.Contains(first, mv) && !batched {
+					t.Errorf("at %v a tick batched strip %d of a migration a request drains", p.Now(), mv.strip)
+					batched = true
+				}
+			}
+		}
+		if len(first) != 2 || !resumable {
+			t.Errorf("drain parked with %d moves in flight, resumable by a tick=%v: want 2 copies outlasting a retry and a tick", len(first), resumable)
+		}
+		got, err := c.ReadAll(p, "g")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("file after the drain: %v, changed=%v", err, !bytes.Equal(got, data))
+		}
+	})
+	if meta.Layout.Name() != target.Name() {
+		t.Errorf("layout after the drain: %s", meta.Layout.Name())
+	}
+	completes := 0
+	for _, e := range r.m.Events() {
+		if e.File == "g" && e.Kind == "complete" {
+			completes++
+		}
+	}
+	if n := r.clu.Counters.Get("restripe.completed"); n != 1 || completes != 1 {
+		t.Errorf("completed %d times (%d complete events): want once", n, completes)
+	}
+	if err := r.m.CheckReleased(); err != nil {
+		t.Error(err)
+	}
+}

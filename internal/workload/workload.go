@@ -53,43 +53,81 @@ func (r *RNG) Float() float64 { return float64(r.Next()>>11) / float64(1<<53) }
 // A pixel's value is, per octave, the lattice sampled at (c/cell, r/cell):
 // the lattice cell and the smoothstepped fraction depend on the column
 // alone along x and on the row alone along y, so both are tabulated once
-// per axis and the pixel loop only interpolates. The arithmetic per pixel
-// is the per-pixel definition's, operation for operation
-// (terrainReference, workload_test.go, holds it bit-equal).
+// per axis. Interpolating a lattice row along x depends on the lattice row
+// alone, which the 64, 16 or 4 pixel rows of one octave cell share: each
+// octave keeps its top and bottom lattice rows interpolated and redoes one
+// only when the pixel row moves onto a new lattice row — the old bottom
+// becomes the top, and only the new bottom is interpolated. One pass per
+// pixel row then adds the slope and the three octaves' vertical blends.
+// The arithmetic per pixel is the per-pixel definition's, operation for
+// operation (terrainReference, workload_test.go, holds it bit-equal).
 func Terrain(w, h int, seed uint64) *grid.Grid {
 	g := grid.New(w, h)
-	octaves := []struct {
-		cell float64
-		amp  float64
-	}{
-		{cell: 64, amp: 100},
-		{cell: 16, amp: 25},
-		{cell: 4, amp: 6},
-	}
-	lattices := make([]*lattice, len(octaves))
-	cols, rows := make([]axis, len(octaves)), make([]axis, len(octaves))
-	for i, o := range octaves {
-		l := newLattice(int(float64(w)/o.cell)+2, int(float64(h)/o.cell)+2, seed+uint64(i)*7919)
-		lattices[i], cols[i], rows[i] = l, newAxis(w, o.cell, l.w), newAxis(h, o.cell, l.h)
+	cells := [3]float64{64, 16, 4}
+	amps := [3]float64{100, 25, 6}
+	var oct [3]octave
+	for i, cell := range cells {
+		l := newLattice(int(float64(w)/cell)+2, int(float64(h)/cell)+2, seed+uint64(i)*7919)
+		oct[i] = octave{l: l, x: newAxis(w, cell, l.w), y: newAxis(h, cell, l.h),
+			top: make([]float64, w), bot: make([]float64, w), ti: -1, bi: -1}
 	}
 	for r := 0; r < h; r++ {
+		for i := range oct {
+			oct[i].seek(r)
+		}
 		row := g.Data[r*w : (r+1)*w]
+		t0, b0, fy0, gy0 := oct[0].top[:len(row)], oct[0].bot[:len(row)], oct[0].y.f[r], oct[0].y.g[r]
+		t1, b1, fy1, gy1 := oct[1].top[:len(row)], oct[1].bot[:len(row)], oct[1].y.f[r], oct[1].y.g[r]
+		t2, b2, fy2, gy2 := oct[2].top[:len(row)], oct[2].bot[:len(row)], oct[2].y.f[r], oct[2].y.g[r]
 		for c := range row {
 			// Regional slope draining toward the origin corner.
-			row[c] = 0.05 * float64(r+c)
-		}
-		for i, o := range octaves {
-			l, x, y := lattices[i], cols[i], rows[i]
-			top, bot := l.v[y.i0[r]*l.w:], l.v[y.i1[r]*l.w:]
-			fy, gy := y.f[r], y.g[r]
-			for c := range row {
-				t := top[x.i0[c]]*x.g[c] + top[x.i1[c]]*x.f[c]
-				b := bot[x.i0[c]]*x.g[c] + bot[x.i1[c]]*x.f[c]
-				row[c] += o.amp * (t*gy + b*fy)
-			}
+			v := 0.05 * float64(r+c)
+			v += amps[0] * (t0[c]*gy0 + b0[c]*fy0)
+			v += amps[1] * (t1[c]*gy1 + b1[c]*fy1)
+			v += amps[2] * (t2[c]*gy2 + b2[c]*fy2)
+			row[c] = v
 		}
 	}
 	return g
+}
+
+// octave is one noise octave of Terrain: its lattice, its two axes, and
+// the lattice rows ti and bi interpolated along x into top and bot (-1:
+// none yet).
+type octave struct {
+	l        *lattice
+	x, y     axis
+	top, bot []float64
+	ti, bi   int
+}
+
+// seek readies top and bot for pixel row r: the lattice rows y.i0[r] and
+// y.i1[r], interpolated along x. Rows only advance, so a new top is the
+// old bottom whenever the pixel row crosses onto the next lattice row.
+func (o *octave) seek(r int) {
+	j0, j1 := o.y.i0[r], o.y.i1[r]
+	if j0 != o.ti {
+		if j0 == o.bi {
+			o.top, o.bot, o.ti, o.bi = o.bot, o.top, o.bi, o.ti
+		} else {
+			o.interp(o.top, j0)
+			o.ti = j0
+		}
+	}
+	if j1 != o.bi {
+		o.interp(o.bot, j1)
+		o.bi = j1
+	}
+}
+
+// interp fills dst with lattice row j interpolated along x at every
+// column.
+func (o *octave) interp(dst []float64, j int) {
+	src, x := o.l.v[j*o.l.w:(j+1)*o.l.w], o.x
+	i0, i1, f, g := x.i0[:len(dst)], x.i1[:len(dst)], x.f[:len(dst)], x.g[:len(dst)]
+	for c := range dst {
+		dst[c] = src[i0[c]]*g[c] + src[i1[c]]*f[c]
+	}
 }
 
 // lattice is a random value lattice sampled with bilinear interpolation.

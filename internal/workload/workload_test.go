@@ -74,7 +74,7 @@ func imageReference(w, h int, seed uint64, speckleFrac float64) *grid.Grid {
 // invariants out of the pixel loops moved no bit, on sizes that are not
 // multiples of any octave cell and that make the lattice clamp.
 func TestGeneratorsMatchPerPixelDefinition(t *testing.T) {
-	sizes := [][2]int{{1, 1}, {3, 7}, {65, 33}, {127, 129}, {256, 64}, {301, 203}}
+	sizes := [][2]int{{1, 1}, {3, 7}, {65, 33}, {127, 129}, {256, 64}, {301, 203}, {4100, 130}}
 	for _, sz := range sizes {
 		w, h := sz[0], sz[1]
 		for _, seed := range []uint64{0, 5, 42, 1 << 40} {
@@ -88,6 +88,26 @@ func TestGeneratorsMatchPerPixelDefinition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzGenerators holds Terrain and Image to their per-pixel definitions,
+// bit for bit, at any size up to 600×300, any seed and any speckle
+// fraction in [0, 1].
+func FuzzGenerators(f *testing.F) {
+	f.Add(uint16(0), uint16(0), uint64(0), uint8(0))
+	f.Add(uint16(64), uint16(32), uint64(42), uint8(13))
+	f.Add(uint16(599), uint16(299), uint64(1<<40), uint8(255))
+	f.Add(uint16(300), uint16(128), uint64(7), uint8(128))
+	f.Fuzz(func(t *testing.T, w, h uint16, seed uint64, speckle uint8) {
+		wi, hi := int(w)%600+1, int(h)%300+1
+		if got, want := Terrain(wi, hi, seed), terrainReference(wi, hi, seed); !bitEqual(got, want) {
+			t.Errorf("Terrain(%d, %d, %d) differs from its per-pixel definition", wi, hi, seed)
+		}
+		frac := float64(speckle) / 255
+		if got, want := Image(wi, hi, seed, frac), imageReference(wi, hi, seed, frac); !bitEqual(got, want) {
+			t.Errorf("Image(%d, %d, %d, %g) differs from its per-pixel definition", wi, hi, seed, frac)
+		}
+	})
 }
 
 func bitEqual(a, b *grid.Grid) bool {
