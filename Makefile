@@ -26,15 +26,18 @@ extended: tier1 lint extended-only
 # a bounded fuzz of the row-streaming kernels against their per-element
 # oracle, of the order keys they select on against `<`, and of the raster
 # generators against their per-pixel definitions (tier-1 runs only the
-# seed corpora). The module starts no goroutine of its own, so
-# -race rests on internal/sim's coroutines alone: the handoff between
-# processes.
+# seed corpora), and last one iteration of each set-up benchmark (the
+# sequential kernel references and the raster generators at full-scale
+# size), so that they keep compiling and running. The module starts no
+# goroutine of its own, so -race rests on internal/sim's coroutines alone:
+# the handoff between processes.
 extended-only: seeds
 	go vet ./...
 	go test -race ./...
 	go test -run '^$$' -fuzz FuzzRowDriver -fuzztime 20s ./internal/kernels
 	go test -run '^$$' -fuzz FuzzOrderKey -fuzztime 20s ./internal/kernels
 	go test -run '^$$' -fuzz FuzzGenerators -fuzztime 20s ./internal/workload
+	go test -run '^$$' -bench . -benchtime 1x ./internal/kernels ./internal/workload
 
 # Seed sweep: every seed-sensitive experiment (`tenants` today) at full
 # scale over one declared list of twelve seeds, each claim's margin per

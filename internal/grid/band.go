@@ -12,12 +12,12 @@ import "fmt"
 //
 // The values are held as a sorted list of non-overlapping windows over
 // [Lo, Hi), each a slice of element values and the global index of its
-// first. A band that owns its memory (NewBand, BandOf, BandOver,
-// NewBandPooled) is one window over the whole range; a band assembled by
-// Lend or LendValues has one window per strip, each — where the host
-// allows — a view of the lender's own memory, be that a stored strip's
-// bytes or a pipeline node's retained values, so the kernel reads them
-// where they lie.
+// first. A band built in one piece (NewBand, BandOf, NewBandPooled, or
+// BandOver over a caller's values) is one window over the whole range; a
+// band assembled by Lend or LendValues has one window per strip, each —
+// where the host allows — a view of the lender's own memory, be that a
+// stored strip's bytes or a pipeline node's retained values, so the kernel
+// reads them where they lie.
 // Windows need not tile [Lo, Hi): a strip a sparse dependence pattern
 // never touches is never lent, and that gap is missing like anything
 // outside [Lo, Hi) — reading it panics. No reader sees a value nobody put
@@ -113,8 +113,10 @@ func validateBand(width int, globalLen, start, end, lo, hi int64) {
 	}
 }
 
-// BandOf copies the window [lo, hi) out of a whole grid. It is the
-// reference way to build the band a distributed worker would assemble.
+// BandOf copies the window [lo, hi) out of a whole grid into a band that
+// owns it: for a caller that needs the values apart from the grid. A
+// reader that leaves the grid unwritten while it reads wraps g.Data with
+// BandOver instead, and copies nothing.
 func BandOf(g *Grid, start, end, lo, hi int64) *Band {
 	b := NewBand(g.W, g.Len(), start, end, lo, hi)
 	copy(b.curVals, g.Data[lo:hi])

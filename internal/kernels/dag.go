@@ -316,7 +316,10 @@ func (d DAG) InputPattern(reg *Registry) (features.Pattern, error) {
 // ApplyDAG evaluates the DAG sequentially over a whole in-memory grid and
 // returns the grid-output node's raster — the byte-exact reference every
 // distributed pipeline execution must reproduce. The terminal reduce, if
-// any, is not folded here; use ReduceStriped on the returned grid.
+// any, is not folded here; use ReduceStriped on the returned grid. Each
+// kernel reads its source in place (Apply), and an intermediate raster is
+// dropped once its last consumer has read it, so a chain holds at most a
+// node's inputs and its output at a time.
 func ApplyDAG(d DAG, reg *Registry, combs *CombinerRegistry, in *grid.Grid) (*grid.Grid, error) {
 	order, err := d.TopoOrder()
 	if err != nil {
@@ -326,6 +329,10 @@ func ApplyDAG(d DAG, reg *Registry, combs *CombinerRegistry, in *grid.Grid) (*gr
 	gridOut, err := d.GridOutput()
 	if err != nil {
 		return nil, err
+	}
+	unread := make([]int, len(d.Nodes)) // consumers yet to run, per node
+	for j, c := range d.consumers(idx) {
+		unread[j] = len(c)
 	}
 	vals := make([]*grid.Grid, len(d.Nodes))
 	for _, i := range order {
@@ -355,6 +362,12 @@ func ApplyDAG(d DAG, reg *Registry, combs *CombinerRegistry, in *grid.Grid) (*gr
 		case KindReduce:
 			// Terminal; nothing to materialize.
 		}
+		for _, p := range n.Parents {
+			j := idx[p]
+			if unread[j]--; unread[j] == 0 && j != gridOut {
+				vals[j] = nil
+			}
+		}
 	}
 	if vals[gridOut] == nil {
 		return nil, fmt.Errorf("kernels: dag %q produced no grid output", d.Name)
@@ -362,23 +375,21 @@ func ApplyDAG(d DAG, reg *Registry, combs *CombinerRegistry, in *grid.Grid) (*gr
 	return vals[gridOut], nil
 }
 
-// ReduceStriped folds a reducer over a grid one strip at a time, merging
-// the per-strip partials in ascending strip order with a single Merge
-// call. This canonical fold is invariant to which server computed which
-// strip, so a pipeline reduce reproduces it bit-for-bit even when crashes
-// reassign strips mid-run.
+// ReduceStriped folds a reducer over a grid one strip at a time, each read
+// in place, merging the per-strip partials in ascending strip order with a
+// single Merge call. This canonical fold is invariant to which server
+// computed which strip, so a pipeline reduce reproduces it bit-for-bit even
+// when crashes reassign strips mid-run.
 func ReduceStriped(r Reducer, g *grid.Grid, stripElems int64) []float64 {
 	if stripElems <= 0 {
 		stripElems = g.Len()
 	}
-	var partials [][]float64
+	partials := make([][]float64, 0, (g.Len()+stripElems-1)/stripElems)
 	for lo := int64(0); lo < g.Len(); lo += stripElems {
-		hi := lo + stripElems
-		if hi > g.Len() {
-			hi = g.Len()
-		}
-		b := grid.BandOf(g, lo, hi, lo, hi)
+		hi := min(lo+stripElems, g.Len())
+		b := grid.BandOver(g.W, g.Len(), lo, hi, lo, g.Data[lo:hi])
 		partials = append(partials, r.ReduceBand(b))
+		b.Release()
 	}
 	return r.Merge(partials)
 }

@@ -39,11 +39,14 @@ func Pattern(k Kernel) features.Pattern {
 }
 
 // Apply runs a kernel sequentially over a whole grid: the reference result
-// every distributed scheme must reproduce exactly.
+// every distributed scheme must reproduce exactly. The kernel reads g's
+// values where they lie, through a band over g.Data; it writes only the
+// fresh output grid.
 func Apply(k Kernel, g *grid.Grid) *grid.Grid {
-	b := grid.BandOf(g, 0, g.Len(), 0, g.Len())
+	b := grid.BandOver(g.W, g.Len(), 0, g.Len(), 0, g.Data)
 	out := grid.New(g.W, g.H)
 	k.ApplyBand(b, out.Data)
+	b.Release()
 	return out
 }
 

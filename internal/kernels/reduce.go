@@ -176,10 +176,12 @@ func (h Histogram) Merge(partials [][]float64) []float64 {
 	return out
 }
 
-// ReduceAll runs a reducer sequentially over a whole grid: the reference
-// result distributed reductions must reproduce exactly.
+// ReduceAll runs a reducer sequentially over a whole grid, reading its
+// values in place: the reference result distributed reductions must
+// reproduce exactly.
 func ReduceAll(r Reducer, g *grid.Grid) []float64 {
-	b := grid.BandOf(g, 0, g.Len(), 0, g.Len())
+	b := grid.BandOver(g.W, g.Len(), 0, g.Len(), 0, g.Data)
+	defer b.Release()
 	return r.ReduceBand(b)
 }
 

@@ -236,7 +236,11 @@ type Engine struct {
 	// alone cannot bound a herd — every stream checking between another's
 	// admission and its first RPC would see an empty queue — so admission
 	// holds a ticket from the admit decision to operation completion.
-	tickets  []int
+	tickets []int
+	// servers lists every server id once, built in New: an offload's
+	// admission targets are all of it and a point operation's one entry
+	// of it, so admission allocates nothing.
+	servers  []int
 	shedsBy  []int64 // per-server shed attribution
 	setupRan bool
 	runRan   bool
@@ -263,6 +267,10 @@ func New(clu *cluster.Cluster, fs *pfs.FileSystem, cfg Config) (*Engine, error) 
 		e.queues = append(e.queues, metrics.NewLatencySketch())
 	}
 	e.tickets = make([]int, fs.Servers())
+	e.servers = make([]int, fs.Servers())
+	for s := range e.servers {
+		e.servers[s] = s
+	}
 	e.shedsBy = make([]int64, fs.Servers())
 	return e, nil
 }
@@ -341,7 +349,9 @@ func (e *Engine) Setup(p *sim.Proc) error {
 			return err
 		}
 		g := workload.Image(width, int(f.strips), e.cfg.Seed^(uint64(i+1)*0x9e3779b97f4a7c15), 0.05)
-		data := g.Bytes()
+		// A view of the raster: each primary copies its strips as they
+		// enter, and nothing writes g meanwhile.
+		data := grid.Bytes(g.Data)
 		node := e.clu.ComputeID(i % e.clu.Cfg.ComputeNodes)
 		done := sim.NewSignal[error](e.clu.Eng, "tenants-ingest")
 		sigs = append(sigs, done)
@@ -560,60 +570,56 @@ func (e *Engine) offload(p *sim.Proc, as *active.Client, f *fileInfo) (active.Ex
 // saturated target defers the operation (bounded backoff sleeps); an
 // operation still blocked after the retries is shed — the caller skips
 // it entirely, so a saturated server receives less work instead of more.
-// Returns the reserved tickets as server ids (one entry per ticket, nil
-// when admission is unbounded) and whether the operation may proceed.
-func (e *Engine) admit(p *sim.Proc, t *tenantState, f *fileInfo, kind int, strip int64) ([]int, bool) {
+// Returns the reserved tickets (none when admission is unbounded) and
+// whether the operation may proceed.
+func (e *Engine) admit(p *sim.Proc, t *tenantState, f *fileInfo, kind int, strip int64) (grant, bool) {
 	if e.cfg.MaxQueueDepth <= 0 {
-		return nil, true
+		return grant{}, true
 	}
-	var targets []int
-	weight := 1
+	g := grant{targets: e.servers, weight: 1}
 	if kind == opOffload {
-		targets = make([]int, e.fs.Servers())
-		for s := range targets {
-			targets[s] = s
-		}
-		n := int64(len(targets))
-		weight = int((2*f.strips + n - 1) / n)
-		if weight < 1 {
-			weight = 1
-		}
+		n := int64(len(g.targets))
+		g.weight = max(int((2*f.strips+n-1)/n), 1)
 	} else {
 		m, ok := e.fs.Meta(f.name)
 		if !ok {
-			return nil, true // unknown file: let the operation surface the error
+			return grant{}, true // unknown file: let the operation surface the error
 		}
-		targets = []int{m.Layout.Primary(strip)}
+		s := m.Layout.Primary(strip)
+		g.targets = e.servers[s : s+1]
 	}
 	for try := 0; ; try++ {
-		hot, depth := e.hottest(targets)
+		hot, depth := e.hottest(g.targets)
 		gate := depth
 		if kind == opOffload {
-			gate = e.meanDepth(targets)
+			gate = e.meanDepth(g.targets)
 		}
 		if gate < e.cfg.MaxQueueDepth {
-			held := make([]int, 0, len(targets)*weight)
-			for _, s := range targets {
-				e.tickets[s] += weight
-				for k := 0; k < weight; k++ {
-					held = append(held, s)
-				}
+			for _, s := range g.targets {
+				e.tickets[s] += g.weight
 			}
-			return held, true
+			return g, true
 		}
 		if try >= e.cfg.ShedRetries {
 			e.shedsBy[hot]++
-			return nil, false
+			return grant{}, false
 		}
 		t.deferrals++
 		p.Sleep(e.cfg.ShedBackoff)
 	}
 }
 
+// grant is an admitted operation's reservation: weight tickets on each of
+// targets.
+type grant struct {
+	targets []int
+	weight  int
+}
+
 // release returns an admitted operation's tickets.
-func (e *Engine) release(held []int) {
-	for _, s := range held {
-		e.tickets[s]--
+func (e *Engine) release(g grant) {
+	for _, s := range g.targets {
+		e.tickets[s] -= g.weight
 	}
 }
 

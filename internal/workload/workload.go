@@ -171,11 +171,14 @@ func newAxis(n int, cell float64, limit int) axis {
 // salt-and-pepper speckle on speckleFrac of the pixels — the input the
 // median and Gaussian filters are evaluated on. The field is
 // 128 + 80·sin(col/23)·cos(row/17): the sine factor is tabulated per
-// column and the cosine taken once per row (imageReference,
-// workload_test.go, holds it bit-equal to the per-pixel definition).
+// column and the cosine taken once per row, and the speckle draws are
+// compared as integers (below) rather than converted to floats
+// (imageReference, workload_test.go, holds it bit-equal to the per-pixel
+// definition).
 func Image(w, h int, seed uint64, speckleFrac float64) *grid.Grid {
 	g := grid.New(w, h)
 	r := NewRNG(seed)
+	speckle := below(speckleFrac)
 	sin80 := make([]float64, w)
 	for col := range sin80 {
 		sin80[col] = 80 * math.Sin(float64(col)/23)
@@ -185,8 +188,8 @@ func Image(w, h int, seed uint64, speckleFrac float64) *grid.Grid {
 		out := g.Data[row*w : (row+1)*w]
 		for col := range out {
 			v := 128 + sin80[col]*cos
-			if r.Float() < speckleFrac {
-				if r.Float() < 0.5 {
+			if r.Next()>>11 < speckle {
+				if r.Next()>>11 < 1<<52 { // Float() < 0.5
 					v = 0
 				} else {
 					v = 255
@@ -196,6 +199,20 @@ func Image(w, h int, seed uint64, speckleFrac float64) *grid.Grid {
 		}
 	}
 	return g
+}
+
+// below returns the integer form of the test Float() < frac: Float is
+// x/2⁵³ for the draw's top 53 bits x, and x/2⁵³ < frac holds exactly when
+// x < ⌈frac·2⁵³⌉, clamped to [0, 2⁵³] — 0 (never) for a NaN or a frac at
+// or below 0, 2⁵³ (always) for one at or above 1. Scaling by 2⁵³ is exact.
+func below(frac float64) uint64 {
+	switch {
+	case !(frac > 0):
+		return 0
+	case frac >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(frac * (1 << 53)))
 }
 
 // Ramp produces a deterministic, structureless raster (value = flat

@@ -70,6 +70,11 @@ func imageReference(w, h int, seed uint64, speckleFrac float64) *grid.Grid {
 	return g
 }
 
+// speckleFracs are the speckle fractions the generator checks run at: the
+// bench's, the ends of [0, 1] and past them, NaN, one whose threshold
+// rounds up from below a single draw, and one that is no multiple of 2⁻⁵³.
+var speckleFracs = []float64{0, 0.02, 0.5, 1, 1.5, -0.1, math.NaN(), 0x1p-60, 0.1234567}
+
 // TestGeneratorsMatchPerPixelDefinition: hoisting the row- and column-
 // invariants out of the pixel loops moved no bit, on sizes that are not
 // multiples of any octave cell and that make the lattice clamp.
@@ -81,7 +86,7 @@ func TestGeneratorsMatchPerPixelDefinition(t *testing.T) {
 			if got, want := Terrain(w, h, seed), terrainReference(w, h, seed); !bitEqual(got, want) {
 				t.Errorf("Terrain(%d, %d, %d) differs from its per-pixel definition", w, h, seed)
 			}
-			for _, frac := range []float64{0, 0.02, 0.5} {
+			for _, frac := range speckleFracs {
 				if got, want := Image(w, h, seed, frac), imageReference(w, h, seed, frac); !bitEqual(got, want) {
 					t.Errorf("Image(%d, %d, %d, %g) differs from its per-pixel definition", w, h, seed, frac)
 				}
@@ -92,18 +97,20 @@ func TestGeneratorsMatchPerPixelDefinition(t *testing.T) {
 
 // FuzzGenerators holds Terrain and Image to their per-pixel definitions,
 // bit for bit, at any size up to 600×300, any seed and any speckle
-// fraction in [0, 1].
+// fraction, NaN and those outside [0, 1] included.
 func FuzzGenerators(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint64(0), uint8(0))
-	f.Add(uint16(64), uint16(32), uint64(42), uint8(13))
-	f.Add(uint16(599), uint16(299), uint64(1<<40), uint8(255))
-	f.Add(uint16(300), uint16(128), uint64(7), uint8(128))
-	f.Fuzz(func(t *testing.T, w, h uint16, seed uint64, speckle uint8) {
+	f.Add(uint16(0), uint16(0), uint64(0), 0.0)
+	f.Add(uint16(64), uint16(32), uint64(42), 13.0/255)
+	f.Add(uint16(599), uint16(299), uint64(1<<40), 1.0)
+	f.Add(uint16(300), uint16(128), uint64(7), 128.0/255)
+	for i, frac := range speckleFracs {
+		f.Add(uint16(37*i), uint16(11*i), uint64(i), frac)
+	}
+	f.Fuzz(func(t *testing.T, w, h uint16, seed uint64, frac float64) {
 		wi, hi := int(w)%600+1, int(h)%300+1
 		if got, want := Terrain(wi, hi, seed), terrainReference(wi, hi, seed); !bitEqual(got, want) {
 			t.Errorf("Terrain(%d, %d, %d) differs from its per-pixel definition", wi, hi, seed)
 		}
-		frac := float64(speckle) / 255
 		if got, want := Image(wi, hi, seed, frac), imageReference(wi, hi, seed, frac); !bitEqual(got, want) {
 			t.Errorf("Image(%d, %d, %d, %g) differs from its per-pixel definition", wi, hi, seed, frac)
 		}
